@@ -522,13 +522,26 @@ let create_successor t ~tid ~pred ~key ~value ~preds ~succs =
 
 type slot_status = Retry | Need_split | Done of int
 
+(* Whether a node was linked after [pred0] at level 0 since a traversal read
+   [succ0] there. Every split links its new node before it bumps the split
+   counter and erases the moved slots, so this catches each split that may
+   have moved keys out of [pred0]. The counter cannot: a split that
+   completes between the traversal's successor read and its counter read
+   leaves the counter matching, and an insert would then claim a slot the
+   split just emptied, in a node that no longer owns the key. *)
+let relinked t ~pred0 ~succ0 =
+  not (Riv.equal (Node.next t.mem t.ly pred0 0) succ0)
+
 (* Function 16: claim an empty slot in an existing node under a read lock
-   (the lock only excludes concurrent splits, not other writers). A
-   successful claim persists key and value with a single slot flush: the
-   two words share a cache line by layout. *)
-let insert_into_existing t ~key ~value ~split_count ~pred0 =
+   (the lock only excludes concurrent splits, not other writers). Under the
+   lock, an unchanged level-0 successor means [pred0] still owns [key]
+   (see [relinked]); it replaces the paper's split-counter check, which
+   misses the split that completed mid-traversal, at the same cost of one
+   header-line read. A successful claim persists key and value with a
+   single slot flush: the two words share a cache line by layout. *)
+let insert_into_existing t ~key ~value ~pred0 ~succ0 =
   if not (Node.Lock.read_lock t.mem pred0) then Retry
-  else if Node.split_count t.mem pred0 <> split_count then begin
+  else if relinked t ~pred0 ~succ0 then begin
     Node.Lock.read_unlock t.mem pred0;
     Retry
   end
@@ -706,7 +719,7 @@ let rec upsert_impl t ~tid key value =
   end
   else begin
     match
-      insert_into_existing t ~key ~value ~split_count:f.split_count ~pred0
+      insert_into_existing t ~key ~value ~pred0 ~succ0:f.succs.(0)
     with
     | Retry ->
         backoff t ~tid;
@@ -728,10 +741,17 @@ let rec upsert_impl t ~tid key value =
     | Done old -> if old = Node.tombstone then None else Some old
   end
 
+(* A key-scan miss in a non-head node is only an answer if no split moved
+   keys out of it since the traversal (see [relinked]). *)
+let miss_raced_split t f =
+  let pred0 = f.preds.(0) in
+  (not (Riv.equal pred0 t.head)) && relinked t ~pred0 ~succ0:f.succs.(0)
+
 (* Function 9. *)
 let rec search_impl t ~tid key =
   let f = traverse t ~tid ~recover:true key in
-  if not f.found then None
+  if not f.found then
+    if miss_raced_split t f then search_impl t ~tid key else None
   else begin
     let n = f.preds.(0) in
     if Node.Lock.is_write_locked (Node.Lock.word t.mem n) then begin
@@ -756,7 +776,8 @@ let rec search_impl t ~tid key =
    physically retired. *)
 let rec remove_impl t ~tid key =
   let f = traverse t ~tid ~recover:true key in
-  if not f.found then None
+  if not f.found then
+    if miss_raced_split t f then remove_impl t ~tid key else None
   else begin
     let pred0 = f.preds.(0) in
     if not (Node.Lock.read_lock t.mem pred0) then begin

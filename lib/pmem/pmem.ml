@@ -2,17 +2,30 @@
    model with explicit flush/fence persistence, a NUMA topology, and crash
    injection.
 
-   Two images are kept per pool:
-     - [volatile]: what loads observe (stores land here immediately — the
-       cache-coherent view shared by all simulated threads);
-     - [persistent]: what survives a crash. A store only reaches it when the
-       cache line holding it is flushed.
-   Dirty lines are tracked per pool; a crash discards them (optionally
-   persisting a random subset first, modelling incidental evictions).
+   Each pool has two images:
+     - the volatile image: what loads observe (stores land here immediately
+       — the cache-coherent view shared by all simulated threads);
+     - the persistent image: what survives a crash. A store only reaches it
+       when the cache line holding it is flushed.
+   The two differ only on dirty lines (written since their last flush), so
+   only those store the persistent image separately:
+     - the volatile image is paged. A page is [page_words] data words followed
+       by one shadow entry per line. Every page starts as the instance's
+       shared all-zero page and gets its own array on its first store;
+     - a clean line's persistent content is its volatile content. A line's
+       first store after a flush copies the line into a shadow slot in
+       [slab] first, and records the slot in the page's shadow entry (slot
+       + 1; 0 = clean). A dirty flush frees the slot; a crash copies the
+       slot back over every dropped line (optionally persisting a random
+       subset first, modelling incidental evictions).
+   So host memory follows the touched pages plus the dirty lines, [create]
+   costs O(pages), and [crash] and [clean_shutdown] visit only the dirty
+   lines.
 
    Addresses pack a pool id and a word index into one int; cache lines are
    8 words (64 bytes). A small direct-mapped per-thread cache decides
-   hit/miss for *timing only* — correctness always reads [volatile]. *)
+   hit/miss for *timing only* — correctness always reads the volatile
+   image. *)
 
 module Latency = Latency
 
@@ -20,7 +33,17 @@ type mode = Striped | Multi_pool
 
 let pool_shift = 40
 let line_words = 8
+let line_shift = 3  (* log2 line_words *)
 let words_mask = (1 lsl pool_shift) - 1
+
+(* A line id ([line_of_addr]) packs the pool above [line_bits] bits of line
+   index, so ids sort in (pool, line) order. *)
+let line_bits = pool_shift - line_shift
+let line_mask = (1 lsl line_bits) - 1
+let page_shift = 12
+let page_words = 1 lsl page_shift
+let page_mask = page_words - 1
+let lines_per_page = page_words / line_words
 
 type config = {
   numa_nodes : int;
@@ -50,9 +73,9 @@ let default_config =
 type pool = {
   id : int;
   home_node : int;
-  volatile : int array;
-  persistent : int array;
-  dirty : Bytes.t;  (* one byte per line *)
+  pages : int array array;
+      (* page index -> [page_words] data words, then [lines_per_page] shadow
+         entries; the instance's [zero_page] until the page's first store *)
 }
 
 type counters = {
@@ -107,16 +130,27 @@ type t = {
   slot_mask : int;
       (* cache_lines - 1 when cache_lines is a power of two (slot mod
          becomes a mask — no hardware division per access), 0 otherwise *)
+  pool_words : int;  (* config.pool_words, the bound every access checks *)
+  zero_page : int array;  (* every untouched page; never written *)
+  mutable slab : int array;
+      (* shadow slot s = words [s * line_words, (s + 1) * line_words): the
+         persistent content of a dirty line *)
+  mutable slot_line : int array;  (* shadow slot -> line id *)
+  mutable n_dirty : int;  (* slots [0, n_dirty) are in use *)
 }
 
-let create config =
+let initial_slots = 64
+
+let create (config : config) =
+  let zero_page = Array.make (page_words + lines_per_page) 0 in
+  (* one page past the last word, so a flush of the line just past the end
+     of the pool finds a (clean) shadow entry, as it always has *)
+  let n_pages = (config.pool_words lsr page_shift) + 1 in
   let make_pool id =
     {
       id;
       home_node = id mod config.numa_nodes;
-      volatile = Array.make config.pool_words 0;
-      persistent = Array.make config.pool_words 0;
-      dirty = Bytes.make ((config.pool_words / line_words) + 1) '\000';
+      pages = Array.make n_pages zero_page;
     }
   in
   let j = config.latency.Latency.jitter in
@@ -138,6 +172,11 @@ let create config =
     slot_mask =
       (let n = config.cache_lines in
        if n > 0 && n land (n - 1) = 0 then n - 1 else 0);
+    pool_words = config.pool_words;
+    zero_page;
+    slab = Array.make (initial_slots * line_words) 0;
+    slot_line = Array.make initial_slots 0;
+    n_dirty = 0;
   }
 
 let addr ~pool ~word =
@@ -146,7 +185,7 @@ let addr ~pool ~word =
 
 let pool_of a = a lsr pool_shift
 let word_of a = a land words_mask
-let line_of_addr a = ((pool_of a) lsl (pool_shift - 3)) lor (word_of a / line_words)
+let line_of_addr a = ((pool_of a) lsl line_bits) lor (word_of a lsr line_shift)
 
 let get_pool t a =
   let p = pool_of a in
@@ -257,8 +296,70 @@ let put_access_latency t ~tid ~store a =
 
 (* ---- functional operations ------------------------------------------- *)
 
-let mark_dirty p word = Bytes.set p.dirty (word / line_words) '\001'
-let line_dirty p word = Bytes.get p.dirty (word / line_words) = '\001'
+(* The same error an out-of-range index into a full-size image raised. *)
+let check_word t w = if w >= t.pool_words then invalid_arg "index out of bounds"
+
+(* Volatile word [w] of [p]: one bounds check plus two loads. *)
+let load t p w =
+  check_word t w;
+  Array.unsafe_get (Array.unsafe_get p.pages (w lsr page_shift)) (w land page_mask)
+
+(* Index of the shadow entry of the line holding page offset [o]. *)
+let shadow_entry o = page_words + (o lsr line_shift)
+
+(* Page [pi] of [p], given its own array if it is still the zero page. *)
+let writable_page t p pi =
+  let page = Array.unsafe_get p.pages pi in
+  if page != t.zero_page then page
+  else begin
+    let page = Array.make (page_words + lines_per_page) 0 in
+    p.pages.(pi) <- page;
+    page
+  end
+
+(* Index in [slab] of word [w]'s copy in shadow entry value [s]. *)
+let slab_word s w = ((s - 1) * line_words) + (w land (line_words - 1))
+
+(* Page and shadow-entry index of a line id. *)
+let page_of_line t id =
+  t.pools.(id lsr line_bits).pages.((id land line_mask) lsr (page_shift - line_shift))
+
+let entry_of_line id = page_words + (id land (lines_per_page - 1))
+
+(* A clean line's first store: copy the line, still holding its persistent
+   content, into a fresh shadow slot. *)
+let shadow t p page o w =
+  if t.n_dirty = Array.length t.slot_line then begin
+    t.slab <- Array.append t.slab (Array.make (Array.length t.slab) 0);
+    t.slot_line <- Array.append t.slot_line (Array.make (Array.length t.slot_line) 0)
+  end;
+  let s = t.n_dirty in
+  t.n_dirty <- s + 1;
+  Array.blit page (o land lnot (line_words - 1)) t.slab (s * line_words) line_words;
+  t.slot_line.(s) <- (p.id lsl line_bits) lor (w lsr line_shift);
+  page.(shadow_entry o) <- s + 1
+
+(* Store [v] into in-range word [w] of [p], shadowing its line first if it
+   was clean. *)
+let store t p w v =
+  let page = writable_page t p (w lsr page_shift) in
+  let o = w land page_mask in
+  if Array.unsafe_get page (shadow_entry o) = 0 then shadow t p page o w;
+  Array.unsafe_set page o v
+
+(* A dirty line was flushed: free the shadow slot recorded in [page.(e)] by
+   moving the last slot into it, so slots in use stay dense. *)
+let release t page e =
+  let s = page.(e) - 1 in
+  page.(e) <- 0;
+  let last = t.n_dirty - 1 in
+  t.n_dirty <- last;
+  if s <> last then begin
+    Array.blit t.slab (last * line_words) t.slab (s * line_words) line_words;
+    let id = t.slot_line.(last) in
+    t.slot_line.(s) <- id;
+    (page_of_line t id).(entry_of_line id) <- s + 1
+  end
 
 (* Each Sched.run restarts the virtual clock at zero; the bandwidth queues
    hold absolute times, so a clock regression marks a new run and the
@@ -280,7 +381,7 @@ let read t ~tid a =
   let p = get_pool t a in
   let w = word_of a in
   put_access_latency t ~tid ~store:false a;
-  p.volatile.(w)
+  load t p w
 
 let write t ~tid a v =
   check_new_run t;
@@ -288,8 +389,8 @@ let write t ~tid a v =
   t.counters.accesses <- t.counters.accesses + 1;
   let p = get_pool t a in
   let w = word_of a in
-  p.volatile.(w) <- v;
-  mark_dirty p w;
+  check_word t w;
+  store t p w v;
   put_access_latency t ~tid ~store:true a
 
 let cas t ~tid a expected desired =
@@ -302,9 +403,8 @@ let cas t ~tid a expected desired =
   Array.unsafe_set t.lat_cell 0
     (Array.unsafe_get t.lat_cell 0 +. t.config.latency.cas_extra_ns);
   let ok =
-    if p.volatile.(w) = expected then begin
-      p.volatile.(w) <- desired;
-      mark_dirty p w;
+    if load t p w = expected then begin
+      store t p w desired;
       true
     end
     else begin
@@ -330,14 +430,16 @@ let flush t ~tid a =
   let p = get_pool t a in
   let w = word_of a in
   let lat = t.config.latency in
-  let dirty = line_dirty p w in
+  (* the line just past the end of the pool flushes as a clean one *)
+  if w lsr line_shift > t.pool_words lsr line_shift then
+    invalid_arg "index out of bounds";
+  let page = Array.unsafe_get p.pages (w lsr page_shift) in
+  let e = shadow_entry (w land page_mask) in
+  let dirty = Array.unsafe_get page e <> 0 in
   if not dirty then put_jittered t lat.clean_flush_ns
   else begin
     t.counters.dirty_flushes <- t.counters.dirty_flushes + 1;
-    let base = w / line_words * line_words in
-    let upto = min (base + line_words) (Array.length p.volatile) in
-    Array.blit p.volatile base p.persistent base (upto - base);
-    Bytes.set p.dirty (w / line_words) '\000';
+    release t page e;
     let now = Array.unsafe_get t.now_cell 0 in
     let node = home_node t a in
     let q = queue_delay t.write_free_at node ~now ~service:lat.write_service_ns in
@@ -390,7 +492,12 @@ let machine t : Sim.Sched.machine =
    longer dirty. [persist_line] lets a caller decide the subset per line
    (overriding the config's [eviction_probability] coin), which is how
    fault-injection campaigns explore many distinct persisted states from
-   one pre-crash execution. *)
+   one pre-crash execution.
+
+   Only the dirty lines are visited, in ascending (pool, line) order — the
+   order [persist_line] and the eviction coin are consulted in. A kept line
+   already holds its content in the volatile image; every other one gets its
+   shadow copy back. *)
 let crash ?persist_line t =
   let keep =
     match persist_line with
@@ -400,21 +507,22 @@ let crash ?persist_line t =
           t.config.eviction_probability > 0.0
           && Sim.Rng.float t.rng < t.config.eviction_probability
   in
+  let ids = Array.sub t.slot_line 0 t.n_dirty in
+  Array.sort Int.compare ids;
   Array.iter
-    (fun p ->
-      let n_lines = Bytes.length p.dirty in
-      for line = 0 to n_lines - 1 do
-        if Bytes.get p.dirty line = '\001' then begin
-          if keep ~pool:p.id ~line then begin
-            let base = line * line_words in
-            let upto = min (base + line_words) (Array.length p.volatile) in
-            Array.blit p.volatile base p.persistent base (upto - base)
-          end;
-          Bytes.set p.dirty line '\000'
-        end
-      done;
-      Array.blit p.persistent 0 p.volatile 0 (Array.length p.volatile))
-    t.pools;
+    (fun id ->
+      let page = page_of_line t id in
+      let e = entry_of_line id in
+      let line = id land line_mask in
+      if not (keep ~pool:(id lsr line_bits) ~line) then
+        Array.blit t.slab
+          ((page.(e) - 1) * line_words)
+          page
+          ((line land (lines_per_page - 1)) * line_words)
+          line_words;
+      page.(e) <- 0)
+    ids;
+  t.n_dirty <- 0;
   invalidate_all_caches t;
   Array.fill t.read_free_at 0 (Array.length t.read_free_at) 0.0;
   Array.fill t.write_free_at 0 (Array.length t.write_free_at) 0.0;
@@ -422,30 +530,30 @@ let crash ?persist_line t =
 
 (* Lines written since their last flush — the candidates a crash decides
    over (diagnostics / campaign reporting). *)
-let dirty_line_count t =
-  let n = ref 0 in
-  Array.iter
-    (fun p ->
-      for line = 0 to Bytes.length p.dirty - 1 do
-        if Bytes.get p.dirty line = '\001' then incr n
-      done)
-    t.pools;
-  !n
+let dirty_line_count t = t.n_dirty
 
 (* Clean shutdown: everything reaches the persistence domain (the kernel
    flushes caches when unmapping a DAX file). *)
 let clean_shutdown t =
-  Array.iter
-    (fun p ->
-      Array.blit p.volatile 0 p.persistent 0 (Array.length p.volatile);
-      Bytes.fill p.dirty 0 (Bytes.length p.dirty) '\000')
-    t.pools;
+  for s = 0 to t.n_dirty - 1 do
+    let id = t.slot_line.(s) in
+    (page_of_line t id).(entry_of_line id) <- 0
+  done;
+  t.n_dirty <- 0;
   invalidate_all_caches t
 
 (* ---- direct access (setup / verification, no timing) ----------------- *)
 
-let peek t a = (get_pool t a).volatile.(word_of a)
-let peek_persistent t a = (get_pool t a).persistent.(word_of a)
+let peek t a = load t (get_pool t a) (word_of a)
+
+let peek_persistent t a =
+  let p = get_pool t a in
+  let w = word_of a in
+  check_word t w;
+  let page = p.pages.(w lsr page_shift) in
+  let o = w land page_mask in
+  let s = page.(shadow_entry o) in
+  if s = 0 then page.(o) else t.slab.(slab_word s w)
 
 (* Whether [a] names a mapped word — audits use this to follow pointers
    decoded from a possibly-garbage persistent image without raising. *)
@@ -453,14 +561,22 @@ let valid_addr t a =
   let p = pool_of a in
   p >= 0
   && p < Array.length t.pools
-  && word_of a < Array.length t.pools.(p).volatile
+  && word_of a < t.pool_words
 
-(* Write-through poke: updates both images, used for initialisation. *)
+(* Write-through poke: updates both images, used for initialisation. A
+   zero poked into an untouched page is already there. *)
 let poke t a v =
   let p = get_pool t a in
   let w = word_of a in
-  p.volatile.(w) <- v;
-  p.persistent.(w) <- v
+  check_word t w;
+  let pi = w lsr page_shift in
+  if v <> 0 || p.pages.(pi) != t.zero_page then begin
+    let page = writable_page t p pi in
+    let o = w land page_mask in
+    page.(o) <- v;
+    let s = page.(shadow_entry o) in
+    if s <> 0 then t.slab.(slab_word s w) <- v
+  end
 
 let counters t = t.counters
 let crash_count t = t.crash_count

@@ -67,6 +67,9 @@ type counters = {
 type t
 
 val create : config -> t
+(** O(pages): every page of every pool starts as one shared all-zero page.
+    Host memory then grows with the pages stored to (on their first store)
+    plus one shadow line per dirty line, not with [pool_words]. *)
 
 val line_words : int
 (** Words per cache line (8 = 64 bytes). *)
@@ -98,19 +101,27 @@ val crash : ?persist_line:(pool:int -> line:int -> bool) -> t -> unit
     per-line answer yields a fence-consistent persisted state (a dirty line
     is precisely one written since its last flush), so adversarial
     campaigns can explore many distinct persisted states of one pre-crash
-    execution deterministically. *)
+    execution deterministically. The eviction coin and [persist_line] are
+    consulted in ascending (pool, line) order.
+
+    Visits only the dirty lines: O(d log d) for d dirty lines, whatever the
+    pool size. *)
 
 val dirty_line_count : t -> int
 (** Number of lines currently written-but-unflushed — the set a crash
-    decides over. *)
+    decides over. O(1). *)
 
 val clean_shutdown : t -> unit
-(** Flush everything (unmapping a DAX file writes back all lines). *)
+(** Flush everything (unmapping a DAX file writes back all lines). O(dirty
+    lines). *)
 
 (** {1 Direct access — setup and verification only, no simulated timing} *)
 
 val peek : t -> Sim.Sched.addr -> int
+
 val peek_persistent : t -> Sim.Sched.addr -> int
+(** The word as a crash would leave it: the shadow copy for a dirty line,
+    the volatile word for a clean one. O(1). *)
 
 val valid_addr : t -> Sim.Sched.addr -> bool
 (** Whether the address names a mapped word (pool and offset in range) —

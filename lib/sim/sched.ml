@@ -18,7 +18,9 @@
    capturing a continuation. Only when the fiber must actually yield (its
    wake-up is not the strict minimum) does it perform a [Park] effect and go
    through the heap. This matters because a full effect suspend/resume costs
-   ~4x a plain call (measured in bench/events_per_sec.ml). Crash points are
+   ~4x a plain call (the benchmark's [sched.inline_event_ns] and
+   [sched.null_event_ns] probes: [bash perf/run.sh --workload ycsb-c-100k
+   --trace 1], or [dune build @perf/smoke]). Crash points are
    checked on the inline path exactly as on the heap path, so simulated
    time, event counts and crash behaviour are bit-identical with the fast
    path on or off (see test/test_sched_fastpath.ml).
@@ -557,12 +559,6 @@ let finish s =
       let st = s.st in
       st.until <- infinity;
       drive st;
-      (if Sys.getenv_opt "SCHED_DEBUG_PARKS" <> None then
-         Printf.eprintf "SCHED_DEBUG events=%d parks=%d inline=%.1f%%\n%!"
-           st.events st.seq
-           (100.0
-           *. float_of_int (st.events - st.seq)
-           /. float_of_int (max 1 st.events)));
       let o =
         if st.crashed then
           Crashed_at { time = st.clock.(0); events = st.events }

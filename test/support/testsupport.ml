@@ -5,7 +5,8 @@ module Mem = Memory.Mem
 module Riv = Memory.Riv
 
 let fast_pmem ?(mode = Pmem.Multi_pool) ?(n_pools = 4) ?(pool_words = 1 lsl 20)
-    ?(eviction_probability = 0.0) ?(seed = 42) () =
+    ?(eviction_probability = 0.0) ?(latency = Pmem.Latency.uniform) ?(seed = 42)
+    () =
   Pmem.create
     {
       Pmem.numa_nodes = 4;
@@ -13,7 +14,7 @@ let fast_pmem ?(mode = Pmem.Multi_pool) ?(n_pools = 4) ?(pool_words = 1 lsl 20)
       n_pools;
       mode;
       stripe_words = 1 lsl 12;
-      latency = Pmem.Latency.uniform;
+      latency;
       eviction_probability;
       cache_lines = 512;
       seed;
@@ -57,9 +58,9 @@ type skiplist_fixture = {
   sl : Upskiplist.Skiplist.t;
 }
 
-let make_skiplist ?(cfg = Upskiplist.Config.default) ?mode ?(max_threads = 16)
-    ?(seed = 42) () =
-  let pmem = fast_pmem ?mode ~seed () in
+let make_skiplist ?(cfg = Upskiplist.Config.default) ?mode ?latency
+    ?(max_threads = 16) ?(seed = 42) () =
+  let pmem = fast_pmem ?mode ?latency ~seed () in
   let block_words = Upskiplist.Skiplist.required_block_words cfg in
   let short_block_words =
     if cfg.Upskiplist.Config.short_cutoff > 0 then

@@ -1,6 +1,7 @@
 (* Unit tests for the persistent-memory model: volatile vs persistent
    images, flush/fence semantics, crash behaviour, NUMA mapping and the
-   latency/bandwidth accounting. *)
+   latency/bandwidth accounting; a differential run of the sparse
+   representation against two full images, and its host footprint. *)
 
 open Testsupport
 
@@ -242,6 +243,289 @@ let test_counters () =
   check_int "dirty flushes" 1 c.Pmem.dirty_flushes;
   check_int "fences" 1 c.Pmem.fences
 
+(* ---- differential: the sparse images against two full ones --------------- *)
+
+(* Reference model: the two full images and per-line dirty flags the
+   persistence semantics are defined by, plus the functional counters. Its
+   RNG mirrors the instance's (uniform latencies never jitter, so the
+   eviction coin is the instance's only draw). *)
+type model = {
+  vol : int array array;
+  per : int array array;
+  dirty : bool array array;
+  mrng : Sim.Rng.t;
+  mutable loads : int;
+  mutable stores : int;
+  mutable cas_ops : int;
+  mutable cas_failures : int;
+  mutable flushes : int;
+  mutable dirty_flushes : int;
+  mutable fences : int;
+}
+
+(* Not a multiple of the page (4096 words) nor of the line (8 words): the
+   last line is partial and the last page short. *)
+let diff_pool_words = (2 * 4096) + 1021
+
+(* About 40 lines spread over every page, the partial last line included. *)
+let diff_lines =
+  let last = diff_pool_words / Pmem.line_words in
+  Array.init 40 (fun i -> if i = 39 then last else i * 29 mod last)
+
+let dirty_count m =
+  Array.fold_left
+    (fun n d -> Array.fold_left (fun n b -> if b then n + 1 else n) n d)
+    0 m.dirty
+
+(* Dirty lines in ascending (pool, line) order. *)
+let dirty_lines m =
+  List.concat
+    (List.mapi
+       (fun pool d ->
+         List.filter_map
+           (fun line -> if d.(line) then Some (pool, line) else None)
+           (List.init (Array.length d) Fun.id))
+       (Array.to_list m.dirty))
+
+let line_range line =
+  let base = line * Pmem.line_words in
+  (base, min (base + Pmem.line_words) diff_pool_words)
+
+let model_crash m decide =
+  List.iter
+    (fun (pool, line) ->
+      let base, upto = line_range line in
+      let src, dst = if decide ~pool ~line then (m.vol, m.per) else (m.per, m.vol) in
+      Array.blit src.(pool) base dst.(pool) base (upto - base);
+      m.dirty.(pool).(line) <- false)
+    (dirty_lines m)
+
+let check_against_model pmem m ~full =
+  let check_word pool w =
+    let a = Pmem.addr ~pool ~word:w in
+    if Pmem.peek pmem a <> m.vol.(pool).(w) then
+      Alcotest.failf "peek pool %d word %d: %d, model %d" pool w (Pmem.peek pmem a)
+        m.vol.(pool).(w);
+    if Pmem.peek_persistent pmem a <> m.per.(pool).(w) then
+      Alcotest.failf "peek_persistent pool %d word %d: %d, model %d" pool w
+        (Pmem.peek_persistent pmem a) m.per.(pool).(w)
+  in
+  Array.iteri
+    (fun pool _ ->
+      if full then for w = 0 to diff_pool_words - 1 do check_word pool w done
+      else
+        Array.iter
+          (fun line ->
+            let base, upto = line_range line in
+            for w = base to upto - 1 do check_word pool w done)
+          diff_lines)
+    m.vol;
+  check_int "dirty lines" (dirty_count m) (Pmem.dirty_line_count pmem);
+  let c = Pmem.counters pmem in
+  check_int "loads" m.loads c.Pmem.loads;
+  check_int "stores" m.stores c.Pmem.stores;
+  check_int "cas ops" m.cas_ops c.Pmem.cas_ops;
+  check_int "cas failures" m.cas_failures c.Pmem.cas_failures;
+  check_int "flushes" m.flushes c.Pmem.flushes;
+  check_int "dirty flushes" m.dirty_flushes c.Pmem.dirty_flushes;
+  check_int "fences" m.fences c.Pmem.fences;
+  check_int "accesses" (m.loads + m.stores + m.cas_ops) c.Pmem.accesses
+
+let differential_run ~mode ~n_pools ~seed ~steps =
+  let eviction_probability = 0.5 in
+  let pmem =
+    fast_pmem ~mode ~n_pools ~pool_words:diff_pool_words ~eviction_probability
+      ~seed ()
+  in
+  let mc = Pmem.machine pmem in
+  let m =
+    {
+      vol = Array.init n_pools (fun _ -> Array.make diff_pool_words 0);
+      per = Array.init n_pools (fun _ -> Array.make diff_pool_words 0);
+      dirty =
+        Array.init n_pools (fun _ ->
+            Array.make ((diff_pool_words / Pmem.line_words) + 1) false);
+      mrng = Sim.Rng.create seed;
+      loads = 0;
+      stores = 0;
+      cas_ops = 0;
+      cas_failures = 0;
+      flushes = 0;
+      dirty_flushes = 0;
+      fences = 0;
+    }
+  in
+  let rng = Sim.Rng.create (seed + 1000) in
+  (* a word of one of the ~40 lines; [any] also allows the words of the
+     partial last line that lie past the end of the pool *)
+  let pick ?(any = false) () =
+    let pool = Sim.Rng.int rng n_pools in
+    let line = diff_lines.(Sim.Rng.int rng (Array.length diff_lines)) in
+    let base, upto = line_range line in
+    let upto = if any then base + Pmem.line_words else upto in
+    (pool, base + Sim.Rng.int rng (upto - base))
+  in
+  let value () = 1 + Sim.Rng.int rng 1_000_000 in
+  let store pool w v =
+    m.vol.(pool).(w) <- v;
+    m.dirty.(pool).(w / Pmem.line_words) <- true
+  in
+  for _ = 1 to steps do
+    (match Sim.Rng.int rng 13 with
+    | 0 | 1 ->
+        let pool, w = pick () in
+        let v = value () in
+        mc.write ~tid:0 (Pmem.addr ~pool ~word:w) v;
+        m.stores <- m.stores + 1;
+        store pool w v
+    | 2 ->
+        let pool, w = pick () in
+        let v = value () in
+        check_bool "CAS hit" true
+          (mc.cas ~tid:1 (Pmem.addr ~pool ~word:w) m.vol.(pool).(w) v);
+        m.cas_ops <- m.cas_ops + 1;
+        store pool w v
+    | 3 ->
+        let pool, w = pick () in
+        check_bool "CAS miss" false
+          (mc.cas ~tid:1 (Pmem.addr ~pool ~word:w) (m.vol.(pool).(w) + 1) 7);
+        m.cas_ops <- m.cas_ops + 1;
+        m.cas_failures <- m.cas_failures + 1
+    | 4 | 5 ->
+        (* clean or dirty, whichever the line is *)
+        let pool, w = pick ~any:true () in
+        mc.flush ~tid:0 (Pmem.addr ~pool ~word:w);
+        m.flushes <- m.flushes + 1;
+        let line = w / Pmem.line_words in
+        if m.dirty.(pool).(line) then begin
+          let base, upto = line_range line in
+          Array.blit m.vol.(pool) base m.per.(pool) base (upto - base);
+          m.dirty.(pool).(line) <- false;
+          m.dirty_flushes <- m.dirty_flushes + 1
+        end
+    | 6 ->
+        mc.fence ~tid:0;
+        m.fences <- m.fences + 1
+    | 7 ->
+        let pool, w = pick () in
+        check_int "read" m.vol.(pool).(w) (mc.read ~tid:2 (Pmem.addr ~pool ~word:w));
+        m.loads <- m.loads + 1
+    | 8 ->
+        let pool, w = pick () in
+        let v = if Sim.Rng.bool rng then 0 else value () in
+        Pmem.poke pmem (Pmem.addr ~pool ~word:w) v;
+        m.vol.(pool).(w) <- v;
+        m.per.(pool).(w) <- v
+    | 9 ->
+        (* a random subset, asked for line by line in (pool, line) order *)
+        let asked = ref [] in
+        Pmem.crash pmem ~persist_line:(fun ~pool ~line ->
+            let keep = Sim.Rng.bool rng in
+            asked := ((pool, line), keep) :: !asked;
+            keep);
+        let asked = List.rev !asked in
+        if List.map fst asked <> dirty_lines m then
+          Alcotest.fail "persist_line not asked once per dirty line in order";
+        model_crash m (fun ~pool ~line -> List.assoc (pool, line) asked)
+    | 11 ->
+        (* dirty every line of one pool: over 64 dirty lines in all grows
+           the shadow slots *)
+        let pool = Sim.Rng.int rng n_pools in
+        Array.iter
+          (fun line ->
+            let w = line * Pmem.line_words in
+            let v = value () in
+            mc.write ~tid:0 (Pmem.addr ~pool ~word:w) v;
+            m.stores <- m.stores + 1;
+            store pool w v)
+          diff_lines
+    | 10 ->
+        Pmem.crash pmem;
+        model_crash m (fun ~pool:_ ~line:_ ->
+            Sim.Rng.float m.mrng < eviction_probability)
+    | _ ->
+        Pmem.clean_shutdown pmem;
+        Array.iteri
+          (fun pool v -> Array.blit v 0 m.per.(pool) 0 diff_pool_words)
+          m.vol;
+        Array.iter (fun d -> Array.fill d 0 (Array.length d) false) m.dirty);
+    check_against_model pmem m ~full:false
+  done;
+  check_against_model pmem m ~full:true
+
+let test_differential_multi_pool () =
+  for seed = 1 to 6 do
+    differential_run ~mode:Pmem.Multi_pool ~n_pools:3 ~seed ~steps:600
+  done
+
+let test_differential_striped () =
+  for seed = 1 to 6 do
+    differential_run ~mode:Pmem.Striped ~n_pools:1 ~seed ~steps:600
+  done
+
+let test_out_of_range () =
+  let pmem = fast_pmem ~n_pools:1 ~pool_words:diff_pool_words () in
+  let mc = Pmem.machine pmem in
+  let past = addr0 diff_pool_words in
+  let raises name f =
+    match f () with
+    | exception Invalid_argument msg ->
+        Alcotest.(check string) name "index out of bounds" msg
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  raises "peek" (fun () -> ignore (Pmem.peek pmem past));
+  raises "peek_persistent" (fun () -> ignore (Pmem.peek_persistent pmem past));
+  raises "poke" (fun () -> Pmem.poke pmem past 1);
+  raises "read" (fun () -> ignore (mc.read ~tid:0 past));
+  raises "write" (fun () -> mc.write ~tid:0 past 1);
+  raises "cas" (fun () -> ignore (mc.cas ~tid:0 past 0 1));
+  check_bool "last word valid" true (Pmem.valid_addr pmem (addr0 (diff_pool_words - 1)));
+  check_bool "past the end invalid" false (Pmem.valid_addr pmem past);
+  check_bool "bad pool invalid" false (Pmem.valid_addr pmem (Pmem.addr ~pool:1 ~word:0));
+  (* the partial last line flushes even past the pool's end; the next does not *)
+  let next_line = (diff_pool_words / Pmem.line_words + 1) * Pmem.line_words in
+  mc.flush ~tid:0 (addr0 (next_line - 1));
+  raises "flush" (fun () -> mc.flush ~tid:0 (addr0 next_line))
+
+(* ---- host footprint ------------------------------------------------------ *)
+
+let reachable pmem = Obj.reachable_words (Obj.repr pmem)
+let page_words = 4096
+
+let test_footprint_fresh () =
+  let image = 1 lsl 21 in
+  let pmem = Pmem.create { Pmem.default_config with n_pools = 4; pool_words = image } in
+  let w = reachable pmem in
+  if w >= image / 100 then
+    Alcotest.failf "fresh instance holds %d words, over 1%% of one image" w
+
+let test_footprint_pages () =
+  let pmem = Pmem.create { Pmem.default_config with n_pools = 4 } in
+  let mc = Pmem.machine pmem in
+  (* installs thread 0's timing cache and one page first *)
+  mc.write ~tid:0 (addr0 0) 1;
+  let before = reachable pmem in
+  let k = 16 in
+  for i = 1 to k do
+    mc.write ~tid:0 (Pmem.addr ~pool:(i mod 4) ~word:(i * 3 * page_words)) 1
+  done;
+  let grown = reachable pmem - before in
+  if grown < k * page_words || grown > k * page_words * 5 / 4 then
+    Alcotest.failf "%d pages grew the instance by %d words" k grown
+
+let test_footprint_slot_reuse () =
+  let pmem = Pmem.create { Pmem.default_config with n_pools = 4 } in
+  let mc = Pmem.machine pmem in
+  let a = addr0 64 in
+  mc.write ~tid:0 a 1;
+  mc.flush ~tid:0 a;
+  let before = reachable pmem in
+  for i = 1 to 10_000 do
+    mc.write ~tid:0 a i;
+    mc.flush ~tid:0 a
+  done;
+  check_int "words after 10k write+flush cycles" before (reachable pmem)
+
 let () =
   Alcotest.run "pmem"
     [
@@ -274,5 +558,17 @@ let () =
           case "bandwidth queueing" test_write_bandwidth_queueing;
           case "remote penalty" test_remote_access_penalty;
           case "counters" test_counters;
+        ] );
+      ( "representation",
+        [
+          case "differential multi-pool" test_differential_multi_pool;
+          case "differential striped" test_differential_striped;
+          case "out of range" test_out_of_range;
+        ] );
+      ( "footprint",
+        [
+          case "fresh instance" test_footprint_fresh;
+          case "grows by touched pages" test_footprint_pages;
+          case "shadow slots reused" test_footprint_slot_reuse;
         ] );
     ]

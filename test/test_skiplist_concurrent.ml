@@ -101,6 +101,41 @@ let test_update_during_split_is_not_lost () =
     updates;
   check_no_invariant_errors fx.sl
 
+let test_no_false_miss_during_splits () =
+  (* Each fiber owns the keys congruent to its id, interleaved with every
+     other fiber's keys in the same small nodes. Only the owner inserts or
+     removes a key, so the owner must always find it. Optane timings (with
+     jitter) open the window in which a split completes between an
+     inserter's traversal and its slot claim; without the successor
+     re-validation the key lands in a node that no longer owns it and every
+     later search and remove misses it. *)
+  let fx =
+    make_skiplist ~latency:Pmem.Latency.default
+      ~cfg:{ Config.default with keys_per_node = 4 }
+      ~max_threads:16 ()
+  in
+  let threads = 16 and per = 100 in
+  let misses = ref 0 in
+  let key ~tid i = 1 + (i * threads) + tid in
+  let body ~tid =
+    for i = 0 to per - 1 do
+      let k = key ~tid i in
+      ignore (SL.upsert fx.sl ~tid k k);
+      for j = max 0 (i - 3) to i do
+        let k = key ~tid j in
+        if SL.search fx.sl ~tid k <> Some k then incr misses
+      done
+    done;
+    for i = 0 to per - 1 do
+      let k = key ~tid i in
+      if i mod 2 = 0 && SL.remove fx.sl ~tid k <> Some k then incr misses
+    done
+  in
+  ignore (run fx.pmem (List.init threads (fun _ -> body)));
+  check_int "false misses" 0 !misses;
+  check_int "survivors" (threads * per / 2) (List.length (SL.to_alist fx.sl));
+  check_no_invariant_errors fx.sl
+
 let test_remove_insert_races () =
   let fx = make_skiplist () in
   let remover ~tid =
@@ -217,6 +252,7 @@ let () =
       ( "readers",
         [
           case "readers during writes" test_readers_during_writes;
+          case "no false miss during splits" test_no_false_miss_during_splits;
           case "range during inserts" test_range_during_inserts;
           case "stable reads" test_concurrent_searches_return_consistent;
         ] );
