@@ -626,36 +626,6 @@ let ablation_arenas () =
   in
   Report.table ~headers:[ "arenas"; "D Mops/s (16 thr)" ] ~rows
 
-(* Sorted splits: the paper's proposed answer to BzTree's read-only win. *)
-let ablation_sorted_splits () =
-  Report.heading
-    "Ablation — sorted node splits + binary search (paper Ch. 7 follow-up)";
-  let trial kv name =
-    Driver.preload kv ~threads:preload_threads ~n:!scale.n_initial;
-    let m, sd =
-      Driver.throughput_trials kv ~spec:W.c ~threads:48
-        ~n_initial:!scale.n_initial
-        ~ops_per_thread:(max 20 (!scale.ops_at 48 / 48))
-        ~seed ~trials:!scale.trials
-    in
-    [ name; Printf.sprintf "%.3f ±%.2f" m sd ]
-  in
-  let run cfg name () = trial (Kv.make_upskiplist ~cfg striped_sys) name in
-  let rows =
-    Sim.Pool.run ~jobs:!jobs
-      [
-        run { bench_cfg with sorted_splits = false } "unsorted nodes (paper)";
-        run { bench_cfg with sorted_splits = true } "sorted splits + binary search";
-        (fun () ->
-          trial
-            (Kv.make_bztree ~n_descriptors:120_000 striped_sys)
-            "BzTree (sorted leaves)");
-      ]
-  in
-  Report.table ~headers:[ "configuration"; "C Mops/s (48 thr)" ] ~rows;
-  Fmt.pr
-    "@.(the paper attributes BzTree's read-only win to its sorted leaves and      proposes exactly this optimisation)@."
-
 (* Physical removal: memory actually comes back (paper §4.6 follow-up). *)
 let ablation_reclamation () =
   Report.heading "Ablation — tombstones vs physical removal (paper §4.6)";
@@ -721,7 +691,6 @@ let ablations () =
   ablation_keys_per_node ();
   ablation_recovery_budget ();
   ablation_arenas ();
-  ablation_sorted_splits ();
   ablation_reclamation ()
 
 (* ---- layout ablation (PR 6) --------------------------------------------------- *)
@@ -791,6 +760,8 @@ let layout () =
               r Obs.id_dirty_flush;
               r Obs.id_fence;
               r Obs.id_finger_hit;
+              r Obs.id_fp_match;
+              r Obs.id_fp_false_positive;
             ])
           digests)
       results
@@ -799,7 +770,7 @@ let layout () =
     ~headers:
       [
         "variant"; "op"; "n"; "ld-miss/op"; "st-miss/op"; "flush/op";
-        "dirty-fl/op"; "fence/op"; "finger-hit/op";
+        "dirty-fl/op"; "fence/op"; "finger-hit/op"; "fp-match/op"; "fp-false/op";
       ]
     ~rows;
   Report.write_metrics_json ~path:"bench_layout.json"

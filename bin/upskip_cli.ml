@@ -333,7 +333,7 @@ let mutant_t =
   Arg.(
     value & opt string "none"
     & info [ "mutant" ]
-        ~doc:"Self-validation mutant applied after recovery: none | lose_key | dangle.")
+        ~doc:"Self-validation mutant applied after recovery: none | lose_key | drop_fp | dangle.")
 
 let base_spec structure mode latency threads keyspace ops rounds depth evict seed
     mutant =

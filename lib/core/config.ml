@@ -12,10 +12,6 @@ type t = {
   recovery_budget : int;
       (* incomplete-insert recoveries a single traversal may perform
          (Section 4.4.1: k, as low as 1, keeps post-crash throughput up) *)
-  sorted_splits : bool;
-      (* the paper's proposed follow-up optimisation: node splits produce
-         sorted nodes and lookups binary-search the sorted prefix, like
-         BzTree's sorted area (Section 5.2.1 / Chapter 7) *)
   reclaim_empty_nodes : bool;
       (* the paper's follow-up for removals (Section 4.6): physically
          unlink all-tombstone nodes and reclaim them through epoch-based
@@ -41,7 +37,6 @@ let default =
     max_height = 24;
     branching_p = 0.5;
     recovery_budget = 1;
-    sorted_splits = false;
     reclaim_empty_nodes = false;
     (* p = 0.5 gives P(height <= 4) ~ 94%: the short class covers almost
        every node while tall towers keep their full arrays *)
@@ -50,13 +45,23 @@ let default =
   }
 
 (* The node layout is line-oriented: the hot header (epoch, splitCount,
-   kind, lock, height, sorted count, anchor key, level-0 next) fills
-   exactly one 64-byte line, and key/value pairs are interleaved two words
-   per slot so a slot's key and value always share a line. These constants
-   mirror Pmem.line_words = 8; Node.layout depends on them. *)
+   kind, lock, height, anchor key, level-0 and level-1 next) fills exactly
+   one 64-byte line, the key fingerprints fill whole lines of their own,
+   and key/value pairs are interleaved two words per slot so a slot's key
+   and value always share a line. These constants mirror
+   Pmem.line_words = 8; Node.layout depends on them. *)
 let line_words = 8
 let header_words = 8
 let slot_words = 2
+
+(* Seven-bit key fingerprints, eight to a word (56 of its 63 bits). *)
+let fps_per_word = 8
+
+let round_to_line w = (w + line_words - 1) / line_words * line_words
+
+(* Words of the fingerprint region: ceil(K / 8) fingerprint words, rounded
+   up to whole lines so the region never shares a line with the pairs. *)
+let fp_words t = round_to_line ((t.keys_per_node + fps_per_word - 1) / fps_per_word)
 
 let validate t =
   if t.keys_per_node < 1 then invalid_arg "Config: keys_per_node < 1";
@@ -76,12 +81,12 @@ let validate t =
   if line_words mod slot_words <> 0 then
     invalid_arg "Config: key/value slot straddles a line (undocumented padding)"
 
-(* Words a node occupies: the one-line header, [keys_per_node] interleaved
-   key/value slots, and the level-2.. next-pointer words of the class
-   ([next_cap]; levels 0 and 1 live in the header, so the two hottest
-   traversal levels are one-line hops). *)
+(* Words a node occupies: the one-line header, the fingerprint lines,
+   [keys_per_node] interleaved key/value slots, and the level-2.. next-pointer
+   words of the class ([next_cap]; levels 0 and 1 live in the header, so the
+   two hottest traversal levels are one-line hops). *)
 let node_words_capped t ~next_cap =
-  header_words + (slot_words * t.keys_per_node) + max 0 (next_cap - 2)
+  header_words + fp_words t + (slot_words * t.keys_per_node) + max 0 (next_cap - 2)
 
 (* Tall class: full-height towers; the block allocator is sized from this. *)
 let node_words t = node_words_capped t ~next_cap:t.max_height

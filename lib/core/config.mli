@@ -9,9 +9,6 @@ type t = {
   recovery_budget : int;
       (** max incomplete-insert repairs per traversal after a crash
           (Section 4.4.1); interrupted splits are always repaired *)
-  sorted_splits : bool;
-      (** splits produce sorted nodes; lookups binary-search the sorted
-          prefix (the paper's proposed BzTree-style optimisation) *)
   reclaim_empty_nodes : bool;
       (** physically unlink and reclaim all-tombstone nodes (paper §4.6
           follow-up), with epoch-based reclamation *)
@@ -28,8 +25,8 @@ type t = {
 }
 
 val default : t
-(** 16 keys/node, 24 levels, p = 0.5, budget 1, both paper follow-up
-    optimisations off, short_cutoff 4, finger cache on. *)
+(** 16 keys/node, 24 levels, p = 0.5, budget 1, physical removal off,
+    short_cutoff 4, finger cache on. *)
 
 val validate : t -> unit
 (** Raises [Invalid_argument] on out-of-range fields, and on any layout
@@ -39,9 +36,9 @@ val validate : t -> unit
 (** {1 Node layout constants}
 
     The layout is line-oriented: one 64-byte hot header line (epoch,
-    splitCount, kind, lock, height, sorted count, anchor key, level-0
-    next), then [keys_per_node] two-word key/value slots, then the level-1
-    and up next pointers of the block class. *)
+    splitCount, kind, lock, height, anchor key, level-0 and level-1 next),
+    then the key-fingerprint lines, then [keys_per_node] two-word key/value
+    slots, then the level-2 and up next pointers of the block class. *)
 
 val line_words : int
 (** Words per cache line (mirrors [Pmem.line_words]). *)
@@ -51,6 +48,16 @@ val header_words : int
 
 val slot_words : int
 (** Words per key/value slot (key and value are adjacent). *)
+
+val round_to_line : int -> int
+(** Round a word count up to a whole number of lines. *)
+
+val fps_per_word : int
+(** Seven-bit key fingerprints packed into one fingerprint word. *)
+
+val fp_words : t -> int
+(** Words of a node's fingerprint region: [ceil (keys_per_node / 8)]
+    fingerprint words rounded up to whole lines (one line up to 64 keys). *)
 
 val node_words : t -> int
 (** Words a tall-class (full [max_height] tower array) node occupies; the
@@ -62,4 +69,4 @@ val short_node_words : t -> int
 
 val node_words_capped : t -> next_cap:int -> int
 (** Words for a node whose next-pointer array is capped at [next_cap]
-    levels (level 0 lives in the header). *)
+    levels (levels 0 and 1 live in the header). *)

@@ -1,33 +1,44 @@
 (* UPSkipList node layout and field access.
 
-   A node occupies one allocator block. The layout is cache-line oriented
-   (PR 6): the first 8 words — one 64-byte line — hold everything a
-   traversal hop reads or a recovery check inspects, so advancing along
-   level 0 touches exactly one line per node. Key/value pairs are
-   interleaved two words per slot, so claiming a slot (key CAS + value
-   CAS) dirties a single line and persists with one flush. Next pointers
-   above level 0 live at the block's tail, and a height-truncated block
-   class ([Config.short_cutoff]) reserves only as many of those words as
-   short towers can use.
+   A node occupies one allocator block. The layout is cache-line oriented:
+   the first 8 words — one 64-byte line — hold everything a traversal hop
+   reads or a recovery check inspects, so advancing along level 0 touches
+   exactly one line per node. Key/value pairs are interleaved two words per
+   slot, so claiming a slot (key CAS + value CAS) dirties a single line and
+   persists with one flush. A line of key fingerprints sits between the two,
+   so a lookup reads the fingerprints and then only the slot whose
+   fingerprint matches instead of scanning the pairs. Next pointers above
+   level 1 live at the block's tail, and a height-truncated block class
+   ([Config.short_cutoff]) reserves only as many of those words as short
+   towers can use.
 
      word 0                epochID (failure-free epoch of last consistency
                            confirmation; block: free-list next)
      word 1                splitCount
      word 2                kind (free block / node)
      word 3                splitLock (packed reader-writer lock)
-     word 4                height (low 8 bits) | sorted prefix length << 8
-                           (sorted-splits optimisation: slots
-                           [0..sorted-1] are ascending and null-free, so
-                           lookups binary-search them)
+     word 4                height
      word 5                anchor key — an immutable copy of slot 0's key
                            (the node's minimum; see below), read by hops
      word 6                next pointer, level 0 (RIV word)
      word 7                next pointer, level 1 — packing it here makes
                            the two hottest traversal levels one-line hops
-     words 8 .. 8+2K-1     K interleaved slots: key_i at 8+2i (0 = empty),
-                           value_i at 8+2i+1 (0 = tombstone)
-     words 8+2K ..         next pointers, level 2 .. cap-1 (RIV words),
+     words 8 .. 8+F-1      fingerprint lines (F = Config.fp_words: ceil(K/8)
+                           words rounded up to whole lines): slot i's 7-bit
+                           fingerprint is bits 7(i mod 8) .. 7(i mod 8)+6 of
+                           word 8 + i/8; 0 = no fingerprint
+     words P .. P+2K-1     K interleaved slots (P = 8+F): key_i at P+2i
+                           (0 = empty), value_i at P+2i+1 (0 = tombstone)
+     words P+2K ..         next pointers, level 2 .. cap-1 (RIV words),
                            cap = short_cutoff (short class) or max_height
+
+   Fingerprint rule: a slot's fingerprint is published and made durable
+   before its key is claimed, and cleared only under the split lock's write
+   side together with the key. So every non-empty key — in particular every
+   durable live value — carries its matching fingerprint, and a lookup that
+   finds no matching fingerprint may report absence. A fingerprint over an
+   empty key (a claim interrupted by a crash) is stale: it costs one key
+   read, and splits recompute the line.
 
    Slot 0's key never changes after initialisation — an insert into an
    existing node claims a strictly greater key (equal keys take the
@@ -44,23 +55,11 @@ let o_epoch = 0
 let o_split_count = 1
 let o_kind = 2
 let o_lock = 3
-let o_hs = 4  (* packed height | sorted *)
+let o_height = 4
 let o_anchor = 5
 let o_next0 = 6
 let o_next1h = 7  (* level-1 next, in the header line *)
-let o_pairs = Config.header_words
-
-(* Height and sorted count share word [o_hs] (height is immutable and
-   <= 40; the sorted count only changes under the split lock, so the
-   read-modify-write in [set_sorted_count] cannot race another writer). *)
-let hs_height w = w land 0xff
-let hs_sorted w = w lsr 8
-let pack_hs ~height ~sorted = height lor (sorted lsl 8)
-
-(* Slot offsets are config-independent: the pair region always starts
-   right after the one-line header. *)
-let o_key i = o_pairs + (Config.slot_words * i)
-let o_value i = o_key i + 1
+let o_fp = Config.header_words
 
 let empty_key = 0
 let tombstone = 0
@@ -69,6 +68,8 @@ let tail_key = max_int
 
 type layout = {
   k : int;
+  fp_used : int;  (* fingerprint words actually holding slots: ceil(K/8) *)
+  o_pairs : int;  (* first slot's key *)
   o_next2 : int;  (* next level l >= 2 lives at o_next2 + l - 2 *)
   short_cutoff : int;  (* 0 = single (tall) block class *)
   tall_cap : int;  (* = max_height *)
@@ -78,14 +79,20 @@ type layout = {
 
 let layout (cfg : Config.t) =
   let k = cfg.keys_per_node in
+  let o_pairs = o_fp + Config.fp_words cfg in
   {
     k;
+    fp_used = (k + Config.fps_per_word - 1) / Config.fps_per_word;
+    o_pairs;
     o_next2 = o_pairs + (Config.slot_words * k);
     short_cutoff = cfg.short_cutoff;
     tall_cap = cfg.max_height;
     short_words = Config.short_node_words cfg;
     tall_words = Config.node_words cfg;
   }
+
+let o_key ly i = ly.o_pairs + (Config.slot_words * i)
+let o_value ly i = o_key ly i + 1
 
 let o_next ly level =
   if level = 0 then o_next0
@@ -99,20 +106,51 @@ let is_short ly h = ly.short_cutoff > 0 && h <= ly.short_cutoff
 let words_for_height ly h = if is_short ly h then ly.short_words else ly.tall_words
 let cap_for_height ly h = if is_short ly h then ly.short_cutoff else ly.tall_cap
 
+(* ---- fingerprints ------------------------------------------------------- *)
+
+let fp_bits = 7
+let fp_mask = (1 lsl fp_bits) - 1
+
+(* A key's fingerprint, in 1..127 (0 means "none"), from a splitmix-style
+   finalizer. A plain multiplicative hash gave runs of sequential keys —
+   what inserts usually append — twice the collision rate of random
+   keys; the finalizer keeps any key stride at the uniform 1/127. *)
+let fingerprint key =
+  let x = (key lxor (key lsr 31)) * 0x3fb5d329728ea185 in
+  let x = (x lxor (x lsr 27)) * 0x1dadef4bc2dd44d in
+  1 + (((x lxor (x lsr 33)) lsr 20) mod fp_mask)
+
+(* Fingerprint word and position of slot [i]. *)
+let fp_index i = i / Config.fps_per_word
+let o_fp_slot i = o_fp + fp_index i
+let fp_byte w i = (w lsr (fp_bits * (i mod Config.fps_per_word))) land fp_mask
+
+let with_fp_byte w i f =
+  let sh = fp_bits * (i mod Config.fps_per_word) in
+  (w land lnot (fp_mask lsl sh)) lor (f lsl sh)
+
+(* The fingerprint words of [keys] (one per [fps_per_word] slots, host
+   side); empty keys get no fingerprint. *)
+let fp_line ly keys =
+  let words = Array.make ly.fp_used 0 in
+  Array.iteri
+    (fun i key ->
+      if key <> empty_key then
+        words.(fp_index i) <- with_fp_byte words.(fp_index i) i (fingerprint key))
+    keys;
+  words
+
 (* ---- field accessors (simulated time) --------------------------------- *)
 
 let epoch mem n = Mem.read_field mem n o_epoch
 let split_count mem n = Mem.read_field mem n o_split_count
-let sorted_count mem n = hs_sorted (Mem.read_field mem n o_hs)
-let height mem n = hs_height (Mem.read_field mem n o_hs)
-
-let set_sorted_count mem n c =
-  Mem.write_field mem n o_hs (pack_hs ~height:(height mem n) ~sorted:c)
-let key mem n i = Mem.read_field mem n (o_key i)
+let height mem n = Mem.read_field mem n o_height
+let key mem ly n i = Mem.read_field mem n (o_key ly i)
 
 (* The hop-time minimum key: the header anchor, not slot 0 — one line. *)
 let key0 mem n = Mem.read_field mem n o_anchor
-let value mem _ly n i = Mem.read_field mem n (o_value i)
+let value mem ly n i = Mem.read_field mem n (o_value ly i)
+let fp_word mem n j = Mem.read_field mem n (o_fp + j)
 
 (* Physical-removal marks live in the sign bit of next-pointer words
    (Herlihy-style marking, paper Section 4.6 follow-up): a marked pointer
@@ -139,24 +177,53 @@ let counted ok =
 let cas_next mem ly n level ~expected ~desired =
   counted (Mem.cas_ptr mem n (o_next ly level) ~expected ~desired)
 
-let cas_key mem n i ~expected ~desired =
-  counted (Mem.cas_field mem n (o_key i) ~expected ~desired)
+let cas_key mem ly n i ~expected ~desired =
+  counted (Mem.cas_field mem n (o_key ly i) ~expected ~desired)
 
-let cas_value mem _ly n i ~expected ~desired =
-  counted (Mem.cas_field mem n (o_value i) ~expected ~desired)
+let cas_value mem ly n i ~expected ~desired =
+  counted (Mem.cas_field mem n (o_value ly i) ~expected ~desired)
 
 let cas_epoch mem n ~expected ~desired =
   counted (Mem.cas_field mem n o_epoch ~expected ~desired)
 
 let persist_next mem ly n level = Mem.persist_field mem n (o_next ly level)
-let persist_value mem _ly n i = Mem.persist_field mem n (o_value i)
-let persist_key mem n i = Mem.persist_field mem n (o_key i)
+let persist_value mem ly n i = Mem.persist_field mem n (o_value ly i)
 
 (* Persist a freshly claimed slot: key and value share a line (slots are
    two words, the pair region is line-aligned), so this is one flush and
    one fence where the split path used to pay two of each. *)
-let persist_slot mem _ly n i =
-  Mem.persist_range mem n ~first:(o_key i) ~words:Config.slot_words
+let persist_slot mem ly n i =
+  Mem.persist_range mem n ~first:(o_key ly i) ~words:Config.slot_words
+
+(* Publish [f] as slot [i]'s fingerprint unless another fingerprint got
+   there first (CAS on the shared word: eight slots' claims meet here).
+   True when the slot carries [f] afterwards. *)
+let rec publish_fp mem n i f =
+  let j = fp_index i in
+  let w = fp_word mem n j in
+  let cur = fp_byte w i in
+  if cur = f then true
+  else if cur <> 0 then false
+  else if
+    counted
+      (Mem.cas_field mem n (o_fp + j) ~expected:w ~desired:(with_fp_byte w i f))
+  then true
+  else publish_fp mem n i f
+
+let persist_fp mem n i = Mem.persist_field mem n (o_fp_slot i)
+
+(* Under the write side of the split lock (no concurrent claims): rewrite
+   the fingerprint words that differ from [words]. Returns whether any did,
+   i.e. whether the caller has fingerprint lines to persist. *)
+let write_fp_line mem ly n words =
+  let changed = ref false in
+  for j = 0 to ly.fp_used - 1 do
+    if fp_word mem n j <> words.(j) then begin
+      Mem.write_field mem n (o_fp + j) words.(j);
+      changed := true
+    end
+  done;
+  !changed
 
 (* Persist the whole node — only the words its block class actually has. *)
 let persist_all mem ly n ~node_height =
@@ -300,20 +367,24 @@ end
 (* ---- initialisation ---------------------------------------------------- *)
 
 (* Initialise a freshly allocated (zeroed) block as a node holding [keys] and
-   [values]. Next pointers are populated separately before linking. Runs in
-   fiber context and persists the node (Function 4, lines 42-43). [keys]
-   must be non-empty: slot 0 anchors the header's immutable minimum key. *)
-let init mem ly n ~node_epoch ~node_height ~sorted ~keys ~values =
+   [values], with their fingerprints. Next pointers are populated separately
+   before linking. Runs in fiber context and persists the node (Function 4,
+   lines 42-43). [keys] must be non-empty: slot 0 anchors the header's
+   immutable minimum key. *)
+let init mem ly n ~node_epoch ~node_height ~keys ~values =
   Mem.write_field mem n o_epoch node_epoch;
   Mem.write_field mem n o_split_count 0;
   Mem.write_field mem n o_kind Mem.kind_node;
   Mem.write_field mem n o_lock 0;
-  Mem.write_field mem n o_hs (pack_hs ~height:node_height ~sorted);
+  Mem.write_field mem n o_height node_height;
   (match keys with
   | k0 :: _ -> Mem.write_field mem n o_anchor k0
   | [] -> invalid_arg "Node.init: empty keys");
-  List.iteri (fun i k -> Mem.write_field mem n (o_key i) k) keys;
-  List.iteri (fun i v -> Mem.write_field mem n (o_value i) v) values;
+  Array.iteri
+    (fun j w -> if w <> 0 then Mem.write_field mem n (o_fp + j) w)
+    (fp_line ly (Array.of_list keys));
+  List.iteri (fun i k -> Mem.write_field mem n (o_key ly i) k) keys;
+  List.iteri (fun i v -> Mem.write_field mem n (o_value ly i) v) values;
   persist_all mem ly n ~node_height
 
 (* Sentinel setup at pool-format time (no simulated cost). *)
@@ -322,9 +393,9 @@ let init_sentinel_poked mem ly n ~first_key ~node_height =
   Mem.poke_field mem n o_split_count 0;
   Mem.poke_field mem n o_kind Mem.kind_node;
   Mem.poke_field mem n o_lock 0;
-  Mem.poke_field mem n o_hs (pack_hs ~height:node_height ~sorted:0);
+  Mem.poke_field mem n o_height node_height;
   Mem.poke_field mem n o_anchor first_key;
-  Mem.poke_field mem n (o_key 0) first_key;
+  Mem.poke_field mem n (o_key ly 0) first_key;
   for level = 0 to node_height - 1 do
     Mem.poke_ptr mem n (o_next ly level) Riv.null
   done

@@ -21,9 +21,13 @@
    failure-free epoch; nodes are never physically unlinked while fingers
    are enabled, so a remembered predecessor stays on its level forever.
 
+   Each node carries a line of 7-bit key fingerprints (see Node), so the
+   in-node lookup reads the fingerprint words and only the slots whose
+   fingerprint matches, instead of scanning the unsorted keys linearly.
+
    Operations:
-   - [search]/[mem_key]: wait-free traversal + internal key scan, validated
-     against the node's split counter and split lock;
+   - [search]/[mem_key]: wait-free traversal + fingerprinted key lookup,
+     validated against the node's split counter and split lock;
    - [upsert]: lock-free insert of new head-successor nodes, CAS slot claims
      inside existing nodes under a read lock, deadlock-free node splits
      under a write lock;
@@ -71,9 +75,8 @@ let tail t = t.tail
    the tall class holds full-height towers, the short class (meaningful
    when short_cutoff > 0) holds truncated ones. Both round up to a
    cache-line multiple. *)
-let round_to_line w = (w + Pmem.line_words - 1) / Pmem.line_words * Pmem.line_words
-let required_block_words cfg = round_to_line (Config.node_words cfg)
-let required_short_block_words cfg = round_to_line (Config.short_node_words cfg)
+let required_block_words cfg = Config.round_to_line (Config.node_words cfg)
+let required_short_block_words cfg = Config.round_to_line (Config.short_node_words cfg)
 
 let create ~mem ~cfg ~max_threads ~seed =
   Config.validate cfg;
@@ -165,34 +168,38 @@ type find = {
   succs : Riv.t array;
 }
 
-(* Scan a node's internal keys for [key] (Function 8). With the
-   sorted-splits optimisation a node fresh from a split keeps a sorted,
-   null-free prefix that can be binary-searched (the BzTree-style follow-up
-   the paper proposes); remaining slots — claimed by later inserts or
-   punched out by this node's own next split, which resets the prefix — are
-   scanned linearly. *)
-let scan_keys t n key =
-  let k = t.cfg.Config.keys_per_node in
-  let sorted =
-    if t.cfg.Config.sorted_splits then min (Node.sorted_count t.mem n) k else 0
+(* Find [key] among a node's slots (Function 8) through its fingerprint
+   line: walk the fingerprint words in slot order ([word j] supplies word
+   [j]) and read a slot's key only when its fingerprint matches. A present
+   key always carries its fingerprint, so absence is reported after the
+   last word. *)
+let find_slot t ~tid n key ~word =
+  let ly = t.ly in
+  let f = Node.fingerprint key in
+  let rec scan j =
+    if j >= ly.Node.fp_used then -1
+    else begin
+      let w = word j in
+      let last = min ly.Node.k ((j + 1) * Config.fps_per_word) in
+      let rec slot i =
+        if i >= last then scan (j + 1)
+        else if Node.fp_byte w i <> f then slot (i + 1)
+        else begin
+          Obs.bump ~tid Obs.id_fp_match;
+          if Node.key t.mem ly n i = key then i
+          else begin
+            Obs.bump ~tid Obs.id_fp_false_positive;
+            slot (i + 1)
+          end
+        end
+      in
+      if w = 0 then scan (j + 1) else slot (j * Config.fps_per_word)
+    end
   in
-  let rec linear i =
-    if i >= k then -1
-    else if Node.key t.mem n i = key then i
-    else linear (i + 1)
-  in
-  if sorted <= 0 then linear 0
-  else begin
-    let lo = ref 0 and hi = ref (sorted - 1) and found = ref (-1) in
-    while !lo <= !hi && !found < 0 do
-      let mid = (!lo + !hi) / 2 in
-      let km = Node.key t.mem n mid in
-      if km = key then found := mid
-      else if km < key then lo := mid + 1
-      else hi := mid - 1
-    done;
-    if !found >= 0 then !found else linear sorted
-  end
+  scan 0
+
+let scan_keys t ~tid n key =
+  find_slot t ~tid n key ~word:(fun j -> Node.fp_word t.mem n j)
 
 (* ---- recovery (Functions 10-12) ---------------------------------------- *)
 
@@ -241,24 +248,27 @@ let check_split_recovery t ~tid n =
     let succ = Node.next t.mem t.ly n 0 in
     let k = t.cfg.Config.keys_per_node in
     for i = 0 to k - 1 do
-      let ki = Node.key t.mem n i in
+      let ki = Node.key t.mem t.ly n i in
       if ki = Node.empty_key then
-        Mem.write_field t.mem n (Node.o_value i) Node.tombstone
+        Mem.write_field t.mem n (Node.o_value t.ly i) Node.tombstone
       else if not (Riv.equal succ t.tail) then begin
         let rec dup j =
           if j >= k then ()
-          else if Node.key t.mem succ j = ki then begin
-            Mem.write_field t.mem n (Node.o_key i) Node.empty_key;
-            Mem.write_field t.mem n (Node.o_value i) Node.tombstone
+          else if Node.key t.mem t.ly succ j = ki then begin
+            Mem.write_field t.mem n (Node.o_key t.ly i) Node.empty_key;
+            Mem.write_field t.mem n (Node.o_value t.ly i) Node.tombstone
           end
           else dup (j + 1)
         in
         dup 0
       end
     done;
-    (* erasures may puncture the sorted prefix: binary search needs it
-       intact, so drop it before making the repair durable *)
-    Node.set_sorted_count t.mem n 0;
+    (* recompute the fingerprint line from the surviving keys: erased slots
+       lose theirs, and a claim the crash interrupted leaves none stale *)
+    ignore
+      (Node.write_fp_line t.mem t.ly n
+         (Node.fp_line t.ly (Array.init k (fun i -> Node.key t.mem t.ly n i)))
+        : bool);
     Node.persist_all t.mem t.ly n ~node_height:(Node.height t.mem n);
     Node.Lock.write_unlock t.mem n
     end
@@ -376,7 +386,7 @@ let rec traverse t ~tid ~recover key =
         { found = false; key_index = -1; split_count = 0; preds; succs }
       else begin
         let sc = Node.split_count t.mem pred0 in
-        let ki = scan_keys t pred0 key in
+        let ki = scan_keys t ~tid pred0 key in
         { found = ki >= 0; key_index = ki; split_count = sc; preds; succs }
       end
     end
@@ -487,15 +497,12 @@ let rec claim_value t n i v =
   if Node.cas_value t.mem t.ly n i ~expected:old ~desired:v then old
   else claim_value t n i v
 
-let make_linked_object t ~tid ~pred ~sorted ~keys ~values ~node_height =
+let make_linked_object t ~tid ~pred ~keys ~values ~node_height =
   let key = List.hd keys in
   let cls = if Node.is_short t.ly node_height then 1 else 0 in
   let block = Block_alloc.alloc_block ~cls t.mem ~tid ~ops:t.ops ~pred ~key in
-  Node.init t.mem t.ly block
-    ~node_epoch:(Mem.epoch t.mem)
-    ~node_height
-    ~sorted:(if t.cfg.Config.sorted_splits then sorted else 0)
-    ~keys ~values;
+  Node.init t.mem t.ly block ~node_epoch:(Mem.epoch t.mem) ~node_height ~keys
+    ~values;
   block
 
 (* Function 15, generalised: insert a fresh single-key node right after
@@ -506,8 +513,7 @@ let create_successor t ~tid ~pred ~key ~value ~preds ~succs =
   let node_height = random_height t ~tid in
   let succ0 = succs.(0) in
   let node =
-    make_linked_object t ~tid ~pred ~sorted:1 ~keys:[ key ] ~values:[ value ]
-      ~node_height
+    make_linked_object t ~tid ~pred ~keys:[ key ] ~values:[ value ] ~node_height
   in
   populate_levels t ~node ~succs ~from_level:0 ~to_level:(node_height - 1);
   if Node.cas_next t.mem t.ly pred 0 ~expected:succ0 ~desired:node then begin
@@ -537,47 +543,65 @@ let relinked t ~pred0 ~succ0 =
    lock, an unchanged level-0 successor means [pred0] still owns [key]
    (see [relinked]); it replaces the paper's split-counter check, which
    misses the split that completed mid-traversal, at the same cost of one
-   header-line read. A successful claim persists key and value with a
-   single slot flush: the two words share a cache line by layout. *)
-let insert_into_existing t ~key ~value ~pred0 ~succ0 =
+   header-line read.
+
+   One read of each fingerprint word serves two passes. The first looks
+   for [key] itself (an update). The second walks, in slot order, the slots
+   whose fingerprint is 0 or [key]'s: such a slot is claimed by publishing
+   [key]'s fingerprint, persisting it, and only then CASing the key in. The
+   key CAS stays the claim and the point where two inserts of one key meet:
+   both walk the same candidates in the same order, so the loser of a slot
+   reads the winner's key and turns into an update. Because the
+   fingerprint is durable before the key exists, a crash can leave a stale
+   fingerprint over an empty key but never a key without its fingerprint.
+   A successful claim persists key and value with a single slot flush: the
+   two words share a cache line by layout. *)
+let insert_into_existing t ~tid ~key ~value ~pred0 ~succ0 =
   if not (Node.Lock.read_lock t.mem pred0) then Retry
   else if relinked t ~pred0 ~succ0 then begin
     Node.Lock.read_unlock t.mem pred0;
     Retry
   end
   else begin
-    let k = t.cfg.Config.keys_per_node in
+    let ly = t.ly in
     let finish old =
       Node.Lock.read_unlock t.mem pred0;
       Done old
     in
-    let rec scan i =
-      if i >= k then begin
+    let words = Array.init ly.Node.fp_used (fun j -> Node.fp_word t.mem pred0 j) in
+    let f = Node.fingerprint key in
+    let rec claim i =
+      if i >= ly.Node.k then begin
         Node.Lock.read_unlock t.mem pred0;
         Need_split
       end
       else begin
-        let ki = Node.key t.mem pred0 i in
-        if ki = key then finish (update_value t pred0 i value)
-        else if ki = Node.empty_key then begin
-          if Node.cas_key t.mem pred0 i ~expected:Node.empty_key ~desired:key
-          then begin
-            let old = claim_value t pred0 i value in
-            Node.persist_slot t.mem t.ly pred0 i;
-            finish old
-          end
+        let b = Node.fp_byte words.(Node.fp_index i) i in
+        if b <> 0 && b <> f then claim (i + 1)
+        else begin
+          let ki = Node.key t.mem ly pred0 i in
+          if ki = key then finish (update_value t pred0 i value)
+          else if ki <> Node.empty_key || not (Node.publish_fp t.mem pred0 i f)
+          then claim (i + 1)
           else begin
-            (* Lost the race for the slot; the winner may have inserted our
-               key, in which case this becomes an update. *)
-            let ki' = Node.key t.mem pred0 i in
-            if ki' = key then finish (update_value t pred0 i value)
-            else scan (i + 1)
+            Node.persist_fp t.mem pred0 i;
+            if Node.cas_key t.mem ly pred0 i ~expected:Node.empty_key ~desired:key
+            then begin
+              let old = claim_value t pred0 i value in
+              Node.persist_slot t.mem ly pred0 i;
+              finish old
+            end
+            else if Node.key t.mem ly pred0 i = key then
+              (* lost the slot to an insert of the same key: update *)
+              finish (update_value t pred0 i value)
+            else claim (i + 1)
           end
         end
-        else scan (i + 1)
       end
     in
-    scan 0
+    match find_slot t ~tid pred0 key ~word:(fun j -> words.(j)) with
+    | -1 -> claim 0
+    | i -> finish (update_value t pred0 i value)
   end
 
 (* Function 20: split a full node. The write lock (persisted before the new
@@ -596,11 +620,21 @@ let split_node t ~tid ~preds ~succs =
     let k = t.cfg.Config.keys_per_node in
     let pairs =
       Array.init k (fun i ->
-          (Node.key t.mem pred0 i, Node.value t.mem t.ly pred0 i))
+          (Node.key t.mem t.ly pred0 i, Node.value t.mem t.ly pred0 i))
     in
-    if Array.exists (fun (ki, _) -> ki = Node.empty_key) pairs then
-      (* A slot freed up since the caller's scan: no split needed. *)
+    if Array.exists (fun (ki, _) -> ki = Node.empty_key) pairs then begin
+      (* A slot freed up since the caller's scan, or the caller found only
+         free slots behind stale fingerprints (claims a crash interrupted):
+         no split needed. Rewrite the line from the keys so every free slot
+         shows a 0 fingerprint again — otherwise the insert would return
+         here forever. *)
+      if
+        Node.write_fp_line t.mem t.ly pred0
+          (Node.fp_line t.ly (Array.map fst pairs))
+      then
+        Mem.persist_range t.mem pred0 ~first:Node.o_fp ~words:t.ly.Node.fp_used;
       Node.Lock.write_unlock t.mem pred0
+    end
     else begin
       Array.sort compare pairs;
       let half = k / 2 in
@@ -609,8 +643,8 @@ let split_node t ~tid ~preds ~succs =
       let new_values = Array.to_list (Array.map snd moved) in
       let node_height = random_height t ~tid in
       let node =
-        make_linked_object t ~tid ~pred:pred0 ~sorted:(List.length new_keys)
-          ~keys:new_keys ~values:new_values ~node_height
+        make_linked_object t ~tid ~pred:pred0 ~keys:new_keys ~values:new_values
+          ~node_height
       in
       populate_levels t ~node ~succs ~from_level:0 ~to_level:(node_height - 1);
       if
@@ -621,14 +655,19 @@ let split_node t ~tid ~preds ~succs =
         let sc = Node.split_count t.mem pred0 in
         Mem.write_field t.mem pred0 Node.o_split_count (sc + 1);
         Mem.persist_field t.mem pred0 Node.o_split_count;
-        Node.set_sorted_count t.mem pred0 0;
         let moved_key ki = List.mem ki new_keys in
-        for i = 0 to k - 1 do
-          if moved_key (Node.key t.mem pred0 i) then begin
-            Mem.write_field t.mem pred0 (Node.o_key i) Node.empty_key;
-            Mem.write_field t.mem pred0 (Node.o_value i) Node.tombstone
-          end
-        done;
+        let kept =
+          Array.init k (fun i ->
+              let ki = Node.key t.mem t.ly pred0 i in
+              if moved_key ki then begin
+                Mem.write_field t.mem pred0 (Node.o_key t.ly i) Node.empty_key;
+                Mem.write_field t.mem pred0 (Node.o_value t.ly i) Node.tombstone;
+                Node.empty_key
+              end
+              else ki)
+        in
+        (* the moved slots' fingerprints go with their keys *)
+        ignore (Node.write_fp_line t.mem t.ly pred0 (Node.fp_line t.ly kept) : bool);
         Node.persist_all t.mem t.ly pred0
           ~node_height:(Node.height t.mem pred0);
         Node.Lock.write_unlock t.mem pred0;
@@ -719,7 +758,7 @@ let rec upsert_impl t ~tid key value =
   end
   else begin
     match
-      insert_into_existing t ~key ~value ~pred0 ~succ0:f.succs.(0)
+      insert_into_existing t ~tid ~key ~value ~pred0 ~succ0:f.succs.(0)
     with
     | Retry ->
         backoff t ~tid;
@@ -853,7 +892,7 @@ let range_impl t ~tid ~lo ~hi =
         let sc = Node.split_count t.mem n in
         let collected = ref [] in
         for i = 0 to k - 1 do
-          let ki = Node.key t.mem n i in
+          let ki = Node.key t.mem t.ly n i in
           if ki >= lo && ki <= hi && ki <> Node.empty_key then begin
             let v = Node.value t.mem t.ly n i in
             if v <> Node.tombstone then collected := (ki, v) :: !collected
@@ -895,9 +934,9 @@ let to_alist_internal t ~peek =
     else begin
       let acc = ref acc in
       for i = 0 to k - 1 do
-        let ki = read_field n (Node.o_key i) in
+        let ki = read_field n (Node.o_key t.ly i) in
         if ki <> Node.empty_key && ki <> Node.head_key then begin
-          let v = read_field n (Node.o_value i) in
+          let v = read_field n (Node.o_value t.ly i) in
           if v <> Node.tombstone then acc := (ki, v) :: !acc
         end
       done;
@@ -928,9 +967,13 @@ let node_count t =
 (* Structural invariant check over the volatile image (tests):
    - bottom-level first keys strictly increase;
    - every level's list is a subsequence of the level below;
-   - internal keys lie in (keys[0], next.keys[0]). Nodes from older epochs
-     (awaiting lazy recovery) are exempt from the tower-completeness check.
-   Returns the list of violations found. *)
+   - internal keys lie in (keys[0], next.keys[0]);
+   - no key is held by two slots of one node, and every key carries its
+     fingerprint (nodes under the write lock — an interrupted split
+     awaiting repair, or a retired node — are exempt: split recovery
+     recomputes their fingerprints).
+   Nodes from older epochs (awaiting lazy recovery) are exempt from the
+   tower-completeness check. Returns the list of violations found. *)
 let check_invariants t =
   let errs = ref [] in
   let err fmt = Fmt.kstr (fun s -> errs := s :: !errs) fmt in
@@ -941,19 +984,31 @@ let check_invariants t =
   let rec walk0 n =
     if Riv.equal n t.tail then ()
     else begin
-      let k0 = pk n (Node.o_key 0) in
+      let k0 = pk n (Node.o_key t.ly 0) in
       if pk n Node.o_anchor <> k0 then
         err "node anchor %d disagrees with slot-0 key %d" (pk n Node.o_anchor) k0;
       let succ = nxt n 0 in
-      let succ_k0 = pk succ (Node.o_key 0) in
+      let succ_k0 = pk succ (Node.o_key t.ly 0) in
       if k0 >= succ_k0 then err "bottom level not sorted at key %d" k0;
       for i = 1 to k - 1 do
-        let ki = pk n (Node.o_key i) in
+        let ki = pk n (Node.o_key t.ly i) in
         if ki <> Node.empty_key then begin
           if ki <= k0 then err "internal key %d <= first key %d" ki k0;
           if ki >= succ_k0 then err "internal key %d >= next first key %d" ki succ_k0
         end
       done;
+      if not (Node.Lock.is_write_locked (pk n Node.o_lock)) then begin
+        let held = Hashtbl.create k in
+        for i = 0 to k - 1 do
+          let ki = pk n (Node.o_key t.ly i) in
+          if ki <> Node.empty_key then begin
+            if Hashtbl.mem held ki then err "key %d held twice in one node" ki;
+            Hashtbl.replace held ki ();
+            if Node.fp_byte (pk n (Node.o_fp_slot i)) i <> Node.fingerprint ki
+            then err "key %d in slot %d lacks its fingerprint" ki i
+          end
+        done
+      end;
       walk0 succ
     end
   in
@@ -991,6 +1046,10 @@ let check_invariants t =
      legitimately leave null slots below the recorded height, and lazy
      repair may leave a level skipping nodes, but a pointer into a free or
      unregistered block is always corruption;
+   - every live value of a node carries its matching fingerprint, so a
+     lookup after the crash finds it (nodes left write-locked — an
+     interrupted split or retirement — are exempt: repair recomputes their
+     fingerprint lines);
    - truncated-block discipline: a node in a short block never records a
      height above the short cutoff, and no node (either class) carries a
      non-null next word above its recorded height — a stray word there
@@ -1037,13 +1096,25 @@ let audit_persistent t =
             kind
         else begin
           Hashtbl.replace on_bottom (Riv.to_word n) ();
-          let k0 = ppk n (Node.o_key 0) in
+          let k0 = ppk n (Node.o_key t.ly 0) in
           if ppk n Node.o_anchor <> k0 then
             err "node %a: header anchor %d disagrees with slot-0 key %d" Riv.pp n
               (ppk n Node.o_anchor) k0;
           if k0 <= prev_k0 then
             err "bottom level: first keys not strictly increasing (%d after %d)" k0
               prev_k0;
+          if not (Node.Lock.is_write_locked (ppk n Node.o_lock)) then
+            for i = 0 to t.ly.Node.k - 1 do
+              let ki = ppk n (Node.o_key t.ly i) in
+              if
+                ki <> Node.empty_key
+                && ppk n (Node.o_value t.ly i) <> Node.tombstone
+                && Node.fp_byte (ppk n (Node.o_fp_slot i)) i
+                   <> Node.fingerprint ki
+              then
+                err "node %a: live key %d in slot %d lacks its fingerprint" Riv.pp
+                  n ki i
+            done;
           walk (nxt n 0) k0 (steps + 1)
         end
       end
@@ -1055,7 +1126,7 @@ let audit_persistent t =
        block claiming a tall height, or a stray word between the height
        and the cap, is the corruption being hunted. *)
     let check_towers n label ~cap =
-      let h = Node.hs_height (ppk n Node.o_hs) in
+      let h = ppk n Node.o_height in
       if h < 1 || h > cap then err "%s: height %d out of range (cap %d)" label h cap
       else begin
         for level = 1 to h - 1 do
@@ -1082,7 +1153,7 @@ let audit_persistent t =
           if cls = 1 then t.ly.Node.short_cutoff else t.cfg.Config.max_height
         in
         check_towers n
-          (Fmt.str "node %a (key %d)" Riv.pp n (ppk n (Node.o_key 0)))
+          (Fmt.str "node %a (key %d)" Riv.pp n (ppk n (Node.o_key t.ly 0)))
           ~cap)
       on_bottom;
     (* pass 3: allocator accounting against the reachable set *)
@@ -1097,39 +1168,45 @@ let audit_persistent t =
    Deliberate post-recovery corruptions, poked write-through into both
    images, used to prove the fault-injection campaigns can actually detect
    a broken recovery: [lose_key] silently drops one committed update (the
-   strict-linearizability checker must flag the lost update), [dangle]
-   bends a tower pointer at a free block (the persistent-heap auditor must
-   flag it). Returns false when the structure is in no state to apply the
-   mutation (e.g. empty). *)
+   strict-linearizability checker must flag the lost update), [drop_fp]
+   clears the fingerprint of one live key (the persistent-heap auditor must
+   flag it; lookups would miss the key), [dangle] bends a tower pointer at
+   a free block (the auditor must flag it). Returns false when the
+   structure is in no state to apply the mutation (e.g. empty). *)
 let corrupt t what =
   let first =
     Riv.of_word (Node.unmark (Mem.peek_field t.mem t.head Node.o_next0))
   in
+  (* apply [f] to the first live slot on the bottom level *)
+  let first_live f =
+    let k = t.cfg.Config.keys_per_node in
+    let rec hunt n =
+      if Riv.is_null n || Riv.equal n t.tail then false
+      else begin
+        let rec slot i =
+          if i >= k then
+            hunt (Riv.of_word (Node.unmark (Mem.peek_field t.mem n Node.o_next0)))
+          else if
+            Mem.peek_field t.mem n (Node.o_key t.ly i) <> Node.empty_key
+            && Mem.peek_field t.mem n (Node.o_value t.ly i) <> Node.tombstone
+          then begin
+            f n i;
+            true
+          end
+          else slot (i + 1)
+        in
+        slot 0
+      end
+    in
+    hunt first
+  in
   match what with
   | "lose_key" ->
-      (* tombstone the first live value found on the bottom level *)
-      let k = t.cfg.Config.keys_per_node in
-      let rec hunt n =
-        if Riv.is_null n || Riv.equal n t.tail then false
-        else begin
-          let rec slot i =
-            if i >= k then
-              hunt
-                (Riv.of_word
-                   (Node.unmark (Mem.peek_field t.mem n Node.o_next0)))
-            else if
-              Mem.peek_field t.mem n (Node.o_key i) <> Node.empty_key
-              && Mem.peek_field t.mem n (Node.o_value i) <> Node.tombstone
-            then begin
-              Mem.poke_field t.mem n (Node.o_value i) Node.tombstone;
-              true
-            end
-            else slot (i + 1)
-          in
-          slot 0
-        end
-      in
-      hunt first
+      first_live (fun n i -> Mem.poke_field t.mem n (Node.o_value t.ly i) Node.tombstone)
+  | "drop_fp" ->
+      first_live (fun n i ->
+          let o = Node.o_fp_slot i in
+          Mem.poke_field t.mem n o (Node.with_fp_byte (Mem.peek_field t.mem n o) i 0))
   | "dangle" ->
       (* bend the first reachable node's level-1 next at a free-list block *)
       if Riv.is_null first || Riv.equal first t.tail then false
@@ -1140,10 +1217,8 @@ let corrupt t what =
         if Riv.is_null victim then false
         else begin
           Mem.poke_ptr t.mem first (Node.o_next t.ly 1) victim;
-          (let hs = Mem.peek_field t.mem first Node.o_hs in
-           if Node.hs_height hs < 2 then
-             Mem.poke_field t.mem first Node.o_hs
-               (Node.pack_hs ~height:2 ~sorted:(Node.hs_sorted hs)));
+          if Mem.peek_field t.mem first Node.o_height < 2 then
+            Mem.poke_field t.mem first Node.o_height 2;
           true
         end
       end
@@ -1179,7 +1254,7 @@ let range_snapshot_impl t ~tid ~lo ~hi =
           let sc = Node.split_count t.mem n in
           nodes := (n, sc) :: !nodes;
           for i = 0 to k - 1 do
-            let ki = Node.key t.mem n i in
+            let ki = Node.key t.mem t.ly n i in
             if ki >= lo && ki <= hi && ki <> Node.empty_key then begin
               let v = Node.value t.mem t.ly n i in
               if v <> Node.tombstone then pairs := (ki, v) :: !pairs

@@ -46,7 +46,9 @@ let id_detect_resolve = 25
 let id_detect_recover = 26
 let id_svc_replay = 27
 let id_svc_dup_suppress = 28
-let n_ids = 29
+let id_fp_match = 29
+let id_fp_false_positive = 30
+let n_ids = 31
 
 let names =
   [|
@@ -79,6 +81,8 @@ let names =
     "detect_recovered";
     "svc_replays";
     "svc_dup_suppressed";
+    "fp_matches";
+    "fp_false_positives";
   |]
 
 let id_name id =

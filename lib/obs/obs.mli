@@ -83,6 +83,13 @@ val id_finger_hit : int
 val id_finger_invalid : int
 (** finger candidates rejected by epoch/bound validation *)
 
+val id_fp_match : int
+(** node-slot key reads caused by a matching key fingerprint (lookups and
+    the presence pass of inserts) *)
+
+val id_fp_false_positive : int
+(** fingerprint matches whose slot held a different key *)
+
 (** Detectable-operation events (the [detect] per-client announcement
     table, plus the service-layer replay protocol built on it): *)
 

@@ -1,6 +1,7 @@
-(* Tests for the paper's follow-up features implemented as extensions:
-   sorted node splits with binary-searched prefixes (Ch. 7), and physical
-   removal of all-tombstone nodes with epoch-based reclamation (§4.6). *)
+(* Tests for the node-level extensions of the paper's design: key
+   fingerprints (the in-node lookup the paper's Ch. 7 asks to speed up), the
+   cache-conscious layout, and physical removal of all-tombstone nodes with
+   epoch-based reclamation (§4.6). *)
 
 open Testsupport
 module SL = Upskiplist.Skiplist
@@ -10,101 +11,8 @@ module Block_alloc = Memory.Block_alloc
 
 let opt_int = Alcotest.(option int)
 
-let sorted_cfg = { Config.default with sorted_splits = true; keys_per_node = 8 }
-
 let reclaim_cfg =
   { Config.default with reclaim_empty_nodes = true; keys_per_node = 4 }
-
-(* ---- sorted splits --------------------------------------------------------- *)
-
-let test_sorted_equivalent_results () =
-  (* the optimisation must not change observable behaviour *)
-  let run cfg =
-    let fx = make_skiplist ~cfg ~seed:3 () in
-    run1 fx.pmem (fun ~tid ->
-        let rng = Sim.Rng.create 17 in
-        for _ = 1 to 600 do
-          let k = 1 + Sim.Rng.int rng 200 in
-          match Sim.Rng.int rng 3 with
-          | 0 -> ignore (SL.remove fx.sl ~tid k)
-          | 1 -> ignore (SL.search fx.sl ~tid k)
-          | _ -> ignore (SL.upsert fx.sl ~tid k (1 + Sim.Rng.int rng 10_000))
-        done);
-    SL.to_alist fx.sl
-  in
-  check_pairs "same final state"
-    (run { sorted_cfg with sorted_splits = false })
-    (run sorted_cfg)
-
-let test_sorted_prefix_recorded () =
-  let fx = make_skiplist ~cfg:sorted_cfg () in
-  run1 fx.pmem (fun ~tid ->
-      for k = 1 to 64 do
-        ignore (SL.upsert fx.sl ~tid k k)
-      done);
-  (* at least one split happened; some node must carry a sorted prefix *)
-  let mem = SL.mem fx.sl in
-  let _ly = Upskiplist.Node.layout sorted_cfg in
-  let rec walk n found =
-    if Memory.Riv.equal n (SL.tail fx.sl) then found
-    else begin
-      let sorted = Upskiplist.Node.hs_sorted (Mem.peek_field mem n Upskiplist.Node.o_hs) in
-      let found = found || sorted > 1 in
-      (* prefix really is ascending and null-free *)
-      for i = 0 to sorted - 2 do
-        let a = Mem.peek_field mem n (Upskiplist.Node.o_key i) in
-        let b = Mem.peek_field mem n (Upskiplist.Node.o_key (i + 1)) in
-        check_bool "prefix ascending" true (a < b && a <> 0 && b <> 0)
-      done;
-      walk
-        (Memory.Riv.of_word
-           (Upskiplist.Node.unmark (Mem.peek_field mem n Upskiplist.Node.o_next0)))
-        found
-    end
-  in
-  let first =
-    Memory.Riv.of_word
-      (Mem.peek_field mem (SL.head fx.sl) Upskiplist.Node.o_next0)
-  in
-  check_bool "some sorted prefix exists" true (walk first false);
-  check_no_invariant_errors fx.sl
-
-let test_sorted_concurrent () =
-  let fx = make_skiplist ~cfg:sorted_cfg () in
-  let threads = 6 and per = 100 in
-  let body ~tid =
-    for i = 0 to per - 1 do
-      let k = 1 + (i * threads) + tid in
-      ignore (SL.upsert fx.sl ~tid k (k * 3))
-    done;
-    for i = 0 to per - 1 do
-      let k = 1 + (i * threads) + tid in
-      Alcotest.check opt_int "found" (Some (k * 3)) (SL.search fx.sl ~tid k)
-    done
-  in
-  ignore (run fx.pmem (List.init threads (fun _ -> body)));
-  check_int "all present" (threads * per) (List.length (SL.to_alist fx.sl));
-  check_no_invariant_errors fx.sl
-
-let test_sorted_crash_recovery () =
-  let fx = make_skiplist ~cfg:sorted_cfg () in
-  let acked = Array.make 4 [] in
-  let body ~tid =
-    for i = 0 to 299 do
-      let k = 1 + (i * 4) + tid in
-      ignore (SL.upsert fx.sl ~tid k (k * 2));
-      acked.(tid) <- k :: acked.(tid)
-    done
-  in
-  ignore (run_crash fx.pmem ~events:40_000 (List.init 4 (fun _ -> body)));
-  Pmem.crash fx.pmem;
-  Mem.reconnect fx.mem;
-  run1 fx.pmem (fun ~tid ->
-      Array.iter
-        (List.iter (fun k ->
-             Alcotest.check opt_int "acked survives (sorted)" (Some (k * 2))
-               (SL.search fx.sl ~tid k)))
-        acked)
 
 (* ---- cache-conscious layout (height-truncated blocks, fingers) ------------- *)
 
@@ -159,7 +67,7 @@ let test_short_class_matches_height () =
   let short = ref 0 and tall = ref 0 in
   List.iter
     (fun n ->
-      let h = Node.hs_height (Mem.peek_field fx.mem n Node.o_hs) in
+      let h = Mem.peek_field fx.mem n Node.o_height in
       let cls =
         Mem.chunk_class fx.mem ~pool:(Riv.pool n) ~chunk:(Riv.chunk n)
       in
@@ -187,11 +95,7 @@ let test_audit_catches_overheight_short_block () =
         Mem.chunk_class fx.mem ~pool:(Riv.pool n) ~chunk:(Riv.chunk n) = 1)
       (bottom_nodes fx)
   in
-  let hs = Mem.peek_field fx.mem victim Node.o_hs in
-  Mem.poke_field fx.mem victim Node.o_hs
-    (Node.pack_hs
-       ~height:(layout_cfg.Config.short_cutoff + 3)
-       ~sorted:(Node.hs_sorted hs));
+  Mem.poke_field fx.mem victim Node.o_height (layout_cfg.Config.short_cutoff + 3);
   check_bool "audit flags the over-height short block" true
     (SL.audit_persistent fx.sl <> [])
 
@@ -219,6 +123,255 @@ let test_finger_counters_deterministic () =
   let hits', invalid' = episode () in
   check_int "finger hits deterministic across runs" hits hits';
   check_int "finger invalidations deterministic across runs" invalid invalid'
+
+(* ---- key fingerprints -------------------------------------------------------- *)
+
+let fp_cfg = { Config.default with keys_per_node = 8 }
+
+(* Slots on the bottom level holding [key] (volatile image, host side). *)
+let slots_holding fx key =
+  let ly = Node.layout (SL.config fx.sl) in
+  List.concat_map
+    (fun n ->
+      List.filter
+        (fun i -> Mem.peek_field fx.mem n (Node.o_key ly i) = key)
+        (List.init ly.Node.k Fun.id))
+    (bottom_nodes fx)
+
+(* After crash-free runs each node's fingerprint line is exactly the one its
+   keys call for: claims publish before their key, splits and repairs
+   rewrite the line. *)
+let check_fp_lines fx =
+  let ly = Node.layout (SL.config fx.sl) in
+  List.iter
+    (fun n ->
+      let keys = Array.init ly.Node.k (fun i -> Mem.peek_field fx.mem n (Node.o_key ly i)) in
+      Array.iteri
+        (fun j w ->
+          check_int (Fmt.str "node %a fingerprint word %d" Riv.pp n j) w
+            (Mem.peek_field fx.mem n (Node.o_fp + j)))
+        (Node.fp_line ly keys))
+    (bottom_nodes fx)
+
+let test_fp_line_recorded () =
+  let fx = make_skiplist ~cfg:fp_cfg () in
+  churn fx ~seed:61 ~ops:800 ~keyspace:150;
+  check_bool "splits happened" true (List.length (bottom_nodes fx) > 4);
+  check_fp_lines fx;
+  check_no_invariant_errors fx.sl
+
+let test_fp_shared_fingerprints () =
+  (* keys chosen to share one fingerprint: every match on the wrong key is a
+     false positive the lookup must step over *)
+  let f = Node.fingerprint 1 in
+  let keys =
+    List.filteri (fun i _ -> i < 48)
+      (List.filter (fun k -> Node.fingerprint k = f) (List.init 200_000 succ))
+  in
+  check_int "enough colliding keys" 48 (List.length keys);
+  Obs.reset ();
+  let fx = make_skiplist ~cfg:fp_cfg () in
+  let threads = 4 in
+  let mine tid = List.filteri (fun i _ -> i mod threads = tid) keys in
+  let body ~tid =
+    List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k (k + 1))) (mine tid);
+    List.iter
+      (fun k -> Alcotest.check opt_int "present" (Some (k + 1)) (SL.search fx.sl ~tid k))
+      (mine tid);
+    List.iteri
+      (fun i k -> if i mod 2 = 0 then ignore (SL.remove fx.sl ~tid k))
+      (mine tid)
+  in
+  ignore (run fx.pmem (List.init threads (fun _ -> body)));
+  let expect =
+    List.sort compare
+      (List.concat
+         (List.init threads (fun tid ->
+              List.filteri (fun i _ -> i mod 2 = 1) (mine tid)
+              |> List.map (fun k -> (k, k + 1)))))
+  in
+  check_pairs "survivors" expect (SL.to_alist fx.sl);
+  run1 fx.pmem (fun ~tid ->
+      List.iter
+        (fun k ->
+          Alcotest.check opt_int "lookup"
+            (List.assoc_opt k expect) (SL.search fx.sl ~tid k))
+        keys);
+  check_bool "false positives stepped over" true
+    (Obs.total Obs.id_fp_false_positive > 0);
+  check_fp_lines fx;
+  check_no_invariant_errors fx.sl;
+  Obs.reset ()
+
+let test_fp_racing_inserts () =
+  (* two fibers insert one fresh key into one node, the second starting at
+     every offset across the first's claim: exactly one slot ends up with
+     the key, and exactly one insert reports it fresh *)
+  for delay = 0 to 80 do
+    let fx = make_skiplist ~cfg:fp_cfg ~seed:3 () in
+    run1 fx.pmem (fun ~tid ->
+        List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) [ 10; 20; 30 ]);
+    let prev = Array.make 2 (Some 0) in
+    ignore
+      (run fx.pmem
+         [
+           (fun ~tid -> prev.(tid) <- SL.upsert fx.sl ~tid 15 100);
+           (fun ~tid ->
+             Sim.Sched.charge (float_of_int delay);
+             prev.(tid) <- SL.upsert fx.sl ~tid 15 200);
+         ]);
+    check_int (Fmt.str "delay %d: one slot holds the key" delay) 1
+      (List.length (slots_holding fx 15));
+    check_int (Fmt.str "delay %d: one fresh insert" delay) 1
+      (Array.fold_left (fun a p -> if p = None then a + 1 else a) 0 prev);
+    check_no_invariant_errors fx.sl
+  done
+
+let test_fp_stale_never_full () =
+  (* fingerprints left over empty keys (a crash between a fingerprint's
+     persist and its key CAS) must not make the node look full for good:
+     the split's "a slot freed up" bail-out recomputes the line *)
+  let fx = make_skiplist ~cfg:fp_cfg ~seed:5 () in
+  run1 fx.pmem (fun ~tid ->
+      List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) [ 100; 101; 102 ]);
+  let ly = Node.layout fp_cfg in
+  let node = List.hd (bottom_nodes fx) in
+  let stale = Node.fingerprint 999_999 in
+  for i = 0 to ly.Node.k - 1 do
+    if Mem.peek_field fx.mem node (Node.o_key ly i) = Node.empty_key then begin
+      let o = Node.o_fp_slot i in
+      Mem.poke_field fx.mem node o
+        (Node.with_fp_byte (Mem.peek_field fx.mem node o) i stale)
+    end
+  done;
+  let keys = List.init 20 (fun i -> 103 + i) in
+  (match
+     Sim.Sched.run ~machine:(Pmem.machine fx.pmem)
+       ~crash:(Sim.Sched.After_events 2_000_000)
+       [ (0, fun ~tid -> List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) keys) ]
+   with
+  | Sim.Sched.Completed _ -> ()
+  | Sim.Sched.Crashed_at _ -> Alcotest.fail "inserts livelocked behind stale fingerprints");
+  run1 fx.pmem (fun ~tid ->
+      List.iter
+        (fun k -> Alcotest.check opt_int "inserted" (Some k) (SL.search fx.sl ~tid k))
+        (100 :: 101 :: 102 :: keys));
+  check_no_invariant_errors fx.sl
+
+let test_fp_concurrent () =
+  let fx = make_skiplist ~cfg:fp_cfg () in
+  let threads = 6 and per = 100 in
+  let body ~tid =
+    for i = 0 to per - 1 do
+      let k = 1 + (i * threads) + tid in
+      ignore (SL.upsert fx.sl ~tid k (k * 3))
+    done;
+    for i = 0 to per - 1 do
+      let k = 1 + (i * threads) + tid in
+      Alcotest.check opt_int "found" (Some (k * 3)) (SL.search fx.sl ~tid k)
+    done
+  in
+  ignore (run fx.pmem (List.init threads (fun _ -> body)));
+  check_int "all present" (threads * per) (List.length (SL.to_alist fx.sl));
+  check_fp_lines fx;
+  check_no_invariant_errors fx.sl
+
+let test_fp_crash_recovery () =
+  let fx = make_skiplist ~cfg:fp_cfg () in
+  let acked = Array.make 4 [] in
+  let body ~tid =
+    for i = 0 to 299 do
+      let k = 1 + (i * 4) + tid in
+      ignore (SL.upsert fx.sl ~tid k (k * 2));
+      acked.(tid) <- k :: acked.(tid)
+    done
+  in
+  ignore (run_crash fx.pmem ~events:40_000 (List.init 4 (fun _ -> body)));
+  crash_and_reconnect fx;
+  check_int "audit clean" 0 (List.length (SL.audit_persistent fx.sl));
+  run1 fx.pmem (fun ~tid ->
+      Array.iter
+        (List.iter (fun k ->
+             Alcotest.check opt_int "acked survives" (Some (k * 2))
+               (SL.search fx.sl ~tid k)))
+        acked)
+
+let test_fp_lincheck_campaign () =
+  let sys =
+    {
+      Harness.Kv.default_sys with
+      latency = Pmem.Latency.uniform;
+      pool_words = 1 lsl 20;
+      max_threads = 16;
+    }
+  in
+  let make () = Harness.Kv.make_upskiplist ~cfg:fp_cfg sys in
+  let violations =
+    Harness.Crash_test.campaign ~make ~threads:4 ~keyspace:120 ~ops_per_thread:100
+      ~crash_events:15_000 ~seed:777 ~trials:3 ()
+  in
+  check_int "strictly linearizable with small fingerprinted nodes" 0
+    (List.length violations)
+
+(* Crash grid for one fresh-key insert into an existing node: crash after
+   every event of the insert and, at each point, persist every subset of
+   the dirty lines. Whatever survives must audit clean, answer a lookup
+   with the old state or the new value, and take a re-upsert into exactly
+   one slot. *)
+let test_fp_crash_grid () =
+  let key = 15 in
+  let setup () =
+    let fx = make_skiplist ~cfg:fp_cfg ~seed:7 () in
+    run1 fx.pmem (fun ~tid ->
+        List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) [ 10; 12; 20; 30 ]);
+    Pmem.clean_shutdown fx.pmem;
+    fx
+  in
+  let insert fx ~tid = ignore (SL.upsert fx.sl ~tid key 777) in
+  let run_until fx crash_at =
+    ignore
+      (Sim.Sched.run ~machine:(Pmem.machine fx.pmem)
+         ~crash:(Sim.Sched.After_events crash_at)
+         [ (0, insert fx) ])
+  in
+  let events =
+    let fx = setup () in
+    snd (run fx.pmem [ insert fx ])
+  in
+  let states = ref 0 in
+  for crash_at = 1 to events do
+    let dirty =
+      let fx = setup () in
+      run_until fx crash_at;
+      Pmem.dirty_line_count fx.pmem
+    in
+    for mask = 0 to (1 lsl dirty) - 1 do
+      incr states;
+      let fx = setup () in
+      run_until fx crash_at;
+      let idx = ref 0 in
+      Pmem.crash fx.pmem ~persist_line:(fun ~pool:_ ~line:_ ->
+          let keep = mask land (1 lsl !idx) <> 0 in
+          incr idx;
+          keep);
+      Mem.reconnect fx.mem;
+      let where = Fmt.str "crash at event %d, persisted lines %#x" crash_at mask in
+      (match SL.audit_persistent fx.sl with
+      | [] -> ()
+      | errs -> Alcotest.fail (where ^ ": " ^ String.concat "; " errs));
+      run1 fx.pmem (fun ~tid ->
+          (match SL.search fx.sl ~tid key with
+          | None | Some 777 -> ()
+          | Some v -> Alcotest.fail (Fmt.str "%s: lookup returned %d" where v));
+          ignore (SL.upsert fx.sl ~tid key 778);
+          Alcotest.check opt_int (where ^ ": re-upsert visible") (Some 778)
+            (SL.search fx.sl ~tid key));
+      check_int (where ^ ": one slot holds the key") 1
+        (List.length (slots_holding fx key));
+      check_no_invariant_errors fx.sl
+    done
+  done;
+  check_bool "explored more states than crash points" true (!states > events)
 
 (* ---- physical removal + reclamation ---------------------------------------- *)
 
@@ -414,27 +567,7 @@ let test_reclaim_lincheck_campaign () =
     violations;
   check_int "strictly linearizable with reclamation" 0 (List.length violations)
 
-let test_sorted_lincheck_campaign () =
-  let sys =
-    {
-      Harness.Kv.default_sys with
-      latency = Pmem.Latency.uniform;
-      pool_words = 1 lsl 20;
-      max_threads = 16;
-    }
-  in
-  let make () =
-    Harness.Kv.make_upskiplist
-      ~cfg:{ Config.default with sorted_splits = true; keys_per_node = 8 }
-      sys
-  in
-  let violations =
-    Harness.Crash_test.campaign ~make ~threads:4 ~keyspace:120 ~ops_per_thread:100
-      ~crash_events:15_000 ~seed:777 ~trials:3 ()
-  in
-  check_int "strictly linearizable with sorted splits" 0 (List.length violations)
-
-(* model check with both features on *)
+(* model check with reclamation on and small nodes *)
 let prop_model_with_extensions =
   let module M = Map.Make (Int) in
   qcase ~count:25 "model equivalence, both extensions (qcheck)"
@@ -446,7 +579,6 @@ let prop_model_with_extensions =
         {
           Config.default with
           keys_per_node = 4;
-          sorted_splits = true;
           reclaim_empty_nodes = true;
         }
       in
@@ -529,13 +661,16 @@ let test_ebr_own_epoch_not_freed_midop () =
 let () =
   Alcotest.run "extensions"
     [
-      ( "sorted splits",
+      ( "fingerprints",
         [
-          case "equivalent results" test_sorted_equivalent_results;
-          case "sorted prefix recorded" test_sorted_prefix_recorded;
-          case "concurrent" test_sorted_concurrent;
-          case "crash recovery" test_sorted_crash_recovery;
-          slow_case "lincheck campaign" test_sorted_lincheck_campaign;
+          case "fingerprint line recorded" test_fp_line_recorded;
+          case "shared fingerprints stay correct" test_fp_shared_fingerprints;
+          case "concurrent" test_fp_concurrent;
+          case "crash recovery" test_fp_crash_recovery;
+          slow_case "lincheck campaign" test_fp_lincheck_campaign;
+          case "racing inserts of one key" test_fp_racing_inserts;
+          case "stale fingerprints never fill a node" test_fp_stale_never_full;
+          slow_case "crash grid: fresh insert" test_fp_crash_grid;
         ] );
       ( "layout",
         [

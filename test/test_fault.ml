@@ -139,6 +139,12 @@ let test_mutant_dangle_caught () =
   check_bool "auditor caught the dangling tower pointer" true
     (res.Fault.audit_errors <> [])
 
+let test_mutant_drop_fp_caught () =
+  let res = run_spec_exn { fast_spec with mutant = "drop_fp" } in
+  check_bool "trial crashed" true (res.Fault.crashes > 0);
+  check_bool "auditor caught the live key without its fingerprint" true
+    (res.Fault.audit_errors <> [])
+
 let test_clean_trial_passes () =
   let res = run_spec_exn fast_spec in
   check_bool "trial crashed" true (res.Fault.crashes > 0);
@@ -219,6 +225,8 @@ let () =
             test_mutant_lose_key_caught;
           slow_case "dangle mutant caught by the auditor"
             test_mutant_dangle_caught;
+          slow_case "drop_fp mutant caught by the auditor"
+            test_mutant_drop_fp_caught;
         ] );
       ( "campaigns",
         [ slow_case "campaign fully deterministic" test_campaign_deterministic ] );
