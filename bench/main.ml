@@ -851,72 +851,19 @@ let micro () =
 (* ---- service-layer scaling ----------------------------------------------------- *)
 
 (* Shard-count scaling of the simulated KV service (lib/svc): the same
-   offered open-loop load against 1/2/4/8 UPSkipList shards. One shard
-   saturates and sheds; adding shards converts shed into goodput and pulls
-   the tail latency back down. See EXPERIMENTS.md for the recorded run. *)
+   offered open-loop load against 1/2/4/8 UPSkipList shards; adding shards
+   absorbs the queueing and pulls the tail latency down (and converts shed
+   into goodput once one shard saturates). Each row runs the identical
+   simulation twice, with every station on the calling domain (--domains
+   1) and with one worker domain per shard (--domains = shards); the
+   simulated report must be byte-identical, and the two host walls are
+   reported side by side. With fewer cores than domains the parallel wall
+   only shows the domain-spawn/barrier overhead (EXPERIMENTS.md,
+   "Multicore sweeps"). See EXPERIMENTS.md for the recorded run. *)
 let svc_scaling () =
   Report.heading
     "Service scaling — sharded KV service, YCSB C at a fixed offered load";
-  let cfg shards =
-    {
-      Svc.Config.default with
-      shards;
-      zones = shards;
-      clients = 16;
-      requests_per_client = (if !scale == full then 1_000 else 400);
-      offered_mops = 2.0;
-      workload = W.c;
-      n_initial = 4_096;
-      seed;
-    }
-  in
-  let rows =
-    Sim.Pool.map ~jobs:!jobs
-      (fun shards ->
-        let r = Svc.Service.run (cfg shards) in
-        let m = Svc.Slo.summarize r.Svc.Slo.merged in
-        [
-          string_of_int shards;
-          Printf.sprintf "%.3f" r.Svc.Slo.goodput_mops;
-          Printf.sprintf "%.1f" (100.0 *. r.Svc.Slo.shed_rate);
-          Printf.sprintf "%.2f" (m.Svc.Slo.p50 /. 1e3);
-          Printf.sprintf "%.2f" (m.Svc.Slo.p99 /. 1e3);
-          Printf.sprintf "%.2f" (m.Svc.Slo.p999 /. 1e3);
-        ])
-      [ 1; 2; 4; 8 ]
-  in
-  Report.table
-    ~headers:
-      [
-        "shards";
-        "goodput (Mops/s)";
-        "shed (%)";
-        "p50 (us)";
-        "p99 (us)";
-        "p99.9 (us)";
-      ]
-    ~rows;
-  Fmt.pr
-    "@.(offered load fixed at 2.0 Mops/s; goodput should rise toward it and \
-     the tail collapse as shards absorb the queueing)@."
-
-(* ---- domain-parallel service scaling ------------------------------------------- *)
-
-(* Host-parallel scaling of the epoch-exchange service engine
-   (Svc.Domains): the same config run with every station on the calling
-   domain (--domains 1) and with one worker domain per shard
-   (--domains = shards). The simulated report is byte-identical by
-   construction — the gate below re-checks it — so the figure of merit is
-   host wall clock: sequential vs domain-parallel time for the same
-   simulation, per shard count. On a 1-core host the parallel column only
-   shows the domain-spawn/barrier overhead (see EXPERIMENTS.md,
-   "Multicore sweeps"); the speedup column is meaningful on multicore. *)
-let svc_domains () =
-  Report.heading
-    "Service domain scaling — epoch-exchange engine, sequential vs \
-     domain-parallel";
-  let cores = Domain.recommended_domain_count () in
-  Fmt.pr "host cores: %d (parallel speedup needs > 1)@." cores;
+  Fmt.pr "host cores: %d@." (Domain.recommended_domain_count ());
   let cfg shards =
     {
       Svc.Config.default with
@@ -939,50 +886,43 @@ let svc_domains () =
           let r = Svc.Domains.run ~domains (cfg shards) in
           (r, Unix.gettimeofday () -. t)
         in
-        let r_seq, w_seq = timed 1 in
+        let r, w_seq = timed 1 in
         let r_par, w_par = timed shards in
-        if Svc.Slo.to_json r_seq <> Svc.Slo.to_json r_par then
+        if Svc.Slo.to_json r <> Svc.Slo.to_json r_par then
           failwith
             (Printf.sprintf
-               "svc-domains: report diverged at %d shards (domains 1 vs %d)"
+               "svc-scaling: report diverged at %d shards (domains 1 vs %d)"
                shards shards);
-        (shards, r_par, w_seq, w_par))
+        let m = Svc.Slo.summarize r.Svc.Slo.merged in
+        [
+          string_of_int shards;
+          Printf.sprintf "%.3f" r.Svc.Slo.goodput_mops;
+          Printf.sprintf "%.1f" (100.0 *. r.Svc.Slo.shed_rate);
+          Printf.sprintf "%.2f" (m.Svc.Slo.p50 /. 1e3);
+          Printf.sprintf "%.2f" (m.Svc.Slo.p99 /. 1e3);
+          Printf.sprintf "%.2f" (m.Svc.Slo.p999 /. 1e3);
+          Printf.sprintf "%.2f" w_seq;
+          Printf.sprintf "%.2f" w_par;
+        ])
       [ 1; 2; 4; 8 ]
   in
-  Report.series ~title:"host wall clock (simulated report byte-identical)"
-    ~x_label:"shards" ~x_values:(List.map (fun (s, _, _, _) -> s) rows)
-    ~columns:
-      [
-        ("sequential (s)", List.map (fun (_, _, w, _) -> (w, 0.0)) rows);
-        ("parallel (s)", List.map (fun (_, _, _, w) -> (w, 0.0)) rows);
-        ( "speedup",
-          List.map
-            (fun (_, _, ws, wp) -> ((if wp > 0.0 then ws /. wp else 0.0), 0.0))
-            rows );
-      ];
   Report.table
     ~headers:
       [
-        "shards"; "goodput (Mops/s)"; "p99 (us)"; "seq wall (s)";
-        "par wall (s)"; "speedup";
+        "shards";
+        "goodput (Mops/s)";
+        "shed (%)";
+        "p50 (us)";
+        "p99 (us)";
+        "p99.9 (us)";
+        "seq wall (s)";
+        "par wall (s)";
       ]
-    ~rows:
-      (List.map
-         (fun (shards, r, ws, wp) ->
-           let m = Svc.Slo.summarize r.Svc.Slo.merged in
-           [
-             string_of_int shards;
-             Printf.sprintf "%.3f" r.Svc.Slo.goodput_mops;
-             Printf.sprintf "%.2f" (m.Svc.Slo.p99 /. 1e3);
-             Printf.sprintf "%.2f" ws;
-             Printf.sprintf "%.2f" wp;
-             Printf.sprintf "%.2f" (if wp > 0.0 then ws /. wp else 0.0);
-           ])
-         rows);
+    ~rows;
   Fmt.pr
-    "@.(each row runs the identical simulation twice — all stations on one \
-     domain, then one domain per shard; goodput/p99 are simulated and \
-     engine-deterministic, walls are host time)@."
+    "@.(offered load fixed at 2.0 Mops/s; the tail shrinks as shards absorb \
+     the queueing; the simulated columns are byte-identical across domain \
+     counts, walls are host time)@."
 
 (* ---- tail anatomy --------------------------------------------------------------- *)
 
@@ -1018,7 +958,7 @@ let tail_anatomy () =
     }
   in
   let reports =
-    Sim.Pool.map ~jobs:!jobs (fun at -> Svc.Service.run (cfg at)) crash_times
+    Sim.Pool.map ~jobs:!jobs (fun at -> Svc.Domains.run (cfg at)) crash_times
   in
   let merged =
     Sim.Histogram.merge_list (List.map (fun r -> r.Svc.Slo.merged) reports)
@@ -1146,7 +1086,6 @@ let experiments =
     ("ablations", ablations);
     ("layout", layout);
     ("svc-scaling", svc_scaling);
-    ("svc-domains", svc_domains);
     ("tail-anatomy", tail_anatomy);
     ("micro", micro);
     ("smoke", smoke);
@@ -1157,7 +1096,7 @@ let default_set =
   [
     "fig5.1"; "fig5.2"; "fig5.3"; "fig5.4"; "fig5.5"; "table5.4"; "workloadE";
     "table2.1"; "chapter6"; "ablations"; "layout"; "svc-scaling";
-    "svc-domains"; "tail-anatomy";
+    "tail-anatomy";
   ]
 
 (* Baseline wall-clock file: one "<experiment> <seconds>" pair per line,

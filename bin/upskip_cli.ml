@@ -486,7 +486,7 @@ let recovery_term =
    byte-identical SLO JSON. *)
 
 let serve_cmd structure shards zones clients requests load arrival workload
-    batch queue_cap policy keys latency shard_mode shard_nodes seed crash_shard
+    batch queue_cap keys latency shard_mode shard_nodes seed crash_shard
     crash_at_us json_out spans window_us span_json trace_out trace_capacity
     detect domains exchange_ns obs_out =
   let ( let* ) r f =
@@ -497,15 +497,6 @@ let serve_cmd structure shards zones clients requests load arrival workload
     | Ok v -> f v
   in
   let* arrival = Sim.Arrival.kind_of_string arrival in
-  let* policy =
-    match String.lowercase_ascii policy with
-    | "shed" -> Ok Svc.Config.Shed
-    | s when String.length s > 6 && String.sub s 0 6 = "delay:" -> (
-        match float_of_string_opt (String.sub s 6 (String.length s - 6)) with
-        | Some ns when ns > 0.0 -> Ok (Svc.Config.Delay ns)
-        | _ -> Error ("bad delay backoff in policy: " ^ s))
-    | s -> Error ("unknown policy (want shed | delay:<ns>): " ^ s)
-  in
   let* latency =
     match String.lowercase_ascii latency with
     | "uniform" -> Ok Pmem.Latency.uniform
@@ -537,7 +528,6 @@ let serve_cmd structure shards zones clients requests load arrival workload
       n_initial = keys;
       batch;
       queue_cap;
-      policy;
       seed;
       sys =
         {
@@ -556,16 +546,8 @@ let serve_cmd structure shards zones clients requests load arrival workload
     }
   in
   let* () = Svc.Config.validate cfg in
-  let* () =
-    match (domains > 0, policy) with
-    | true, Svc.Config.Delay _ ->
-        Error "--domains needs the shed policy (delay is composite-only)"
-    | _ -> Ok ()
-  in
   if trace_out <> None then Obs.Trace.start ~capacity:trace_capacity ();
-  let report =
-    if domains > 0 then Svc.Domains.run ~domains cfg else Svc.Service.run cfg
-  in
+  let report = Svc.Domains.run ~domains cfg in
   Obs.Trace.stop ();
   Svc.Slo.pp Format.std_formatter report;
   (match json_out with
@@ -667,12 +649,8 @@ let batch_t =
 let queue_cap_t =
   Arg.(
     value & opt int 256
-    & info [ "queue-cap" ] ~doc:"Per-shard admission-control queue bound.")
-
-let policy_t =
-  Arg.(
-    value & opt string "shed"
-    & info [ "policy" ] ~doc:"Backpressure: shed | delay:<backoff ns>.")
+    & info [ "queue-cap" ]
+        ~doc:"Per-shard admission-control queue bound; overflow is shed.")
 
 let shard_nodes_t =
   Arg.(
@@ -722,14 +700,13 @@ let detect_t =
 
 let domains_t =
   Arg.(
-    value & opt int 0
+    value & opt int 1
     & info [ "domains" ]
         ~doc:
-          "Run the epoch-exchange engine (Svc.Domains): 1 steps every \
+          "Host domains for the service engine: 1 (default) steps every \
            station sequentially on one domain, N>1 pins shard stations to \
            up to N parallel domains. The SLO/span/Obs output is \
-           byte-identical for every value. 0 (default) runs the composite \
-           single-scheduler engine.")
+           byte-identical for every value.")
 
 let exchange_ns_t =
   Arg.(
@@ -737,10 +714,10 @@ let exchange_ns_t =
     & opt float Svc.Config.default.Svc.Config.exchange_ns
     & info [ "exchange-ns" ]
         ~doc:
-          "Exchange-epoch length of the --domains engine in simulated ns: \
+          "Exchange-epoch length of the service engine in simulated ns: \
            stations step their schedulers this far between mailbox \
            exchanges. Part of the config, so it changes the simulated \
-           schedule (ignored by the composite engine).")
+           schedule.")
 
 let obs_out_t =
   Arg.(
@@ -751,11 +728,10 @@ let obs_out_t =
 let serve_term =
   Term.(
     const serve_cmd $ structure_t $ shards_t $ zones_t $ clients_t $ requests_t
-    $ load_t $ arrival_t $ workload_t $ batch_t $ queue_cap_t $ policy_t
-    $ keys_t $ latency_t $ mode_t $ shard_nodes_t $ seed_t $ crash_shard_t
-    $ crash_at_t $ serve_json_t $ spans_t $ window_us_t $ span_json_t
-    $ serve_trace_t $ trace_capacity_t $ detect_t $ domains_t $ exchange_ns_t
-    $ obs_out_t)
+    $ load_t $ arrival_t $ workload_t $ batch_t $ queue_cap_t $ keys_t
+    $ latency_t $ mode_t $ shard_nodes_t $ seed_t $ crash_shard_t $ crash_at_t
+    $ serve_json_t $ spans_t $ window_us_t $ span_json_t $ serve_trace_t
+    $ trace_capacity_t $ detect_t $ domains_t $ exchange_ns_t $ obs_out_t)
 
 (* ---- tail-anatomy -------------------------------------------------------------- *)
 
@@ -812,7 +788,7 @@ let tail_cmd structure shards zones clients requests load workload keys seed
   Fmt.pr "tail-anatomy: %d power-fail trials on %d shards (crash shard %d)@."
     points shards crash_shard;
   let reports =
-    Sim.Pool.map ~jobs (fun at -> Svc.Service.run (cfg_of at)) crash_times
+    Sim.Pool.map ~jobs (fun at -> Svc.Domains.run (cfg_of at)) crash_times
   in
   List.iter2
     (fun at r ->

@@ -37,8 +37,7 @@ let () =
       List.iter
         (fun (label, sys) ->
           let r =
-            Svc.Service.run
-              { base_cfg with Svc.Config.sys; workload = spec }
+            Svc.Domains.run { base_cfg with Svc.Config.sys; workload = spec }
           in
           let m = Svc.Slo.summarize r.Svc.Slo.merged in
           Fmt.pr

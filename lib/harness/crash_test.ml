@@ -19,8 +19,6 @@ type trial = {
   kv : Kv.t;
 }
 
-let pool_open_ns = Fault.pool_open_ns
-
 (* Run the structure's recovery work as a single fiber and return its
    simulated duration in nanoseconds. *)
 let timed_recovery (kv : Kv.t) =
@@ -33,7 +31,7 @@ let timed_recovery (kv : Kv.t) =
 
 (* Total modeled recovery time (pool reopen + structure work), seconds. *)
 let recovery_time_s (kv : Kv.t) =
-  (pool_open_ns ~pools:kv.Kv.pools +. timed_recovery kv) /. 1.0e9
+  (Fault.pool_open_ns ~pools:kv.Kv.pools +. timed_recovery kv) /. 1.0e9
 
 (* One full crash trial. [read_fraction] of the workload ops are reads;
    the rest are upserts over a small keyspace (high collision probability,

@@ -15,10 +15,6 @@ type trial = {
   kv : Kv.t;
 }
 
-val pool_open_ns : pools:int -> float
-(** Modeled cost of reconnecting pools after restart (mmap of DAX files,
-    constant in structure size): ~45 ms + ~12 ms per extra pool. *)
-
 val timed_recovery : Kv.t -> float
 (** Simulated nanoseconds of the structure's recovery fiber. *)
 

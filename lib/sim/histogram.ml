@@ -7,7 +7,12 @@
    The mapping is monotone and contiguous (bucket 128 follows bucket 127),
    and each bucket's width is 2^shift, i.e. at most 1/128 of the value, so
    reporting a bucket midpoint is within ~0.8% of any sample in it. With
-   63-bit ints the shift tops out at 55, giving 7296 buckets total. *)
+   63-bit ints the shift tops out at 55, giving 7296 buckets total.
+
+   The bucket array (58 KB) is allocated on the first [add]: a service run
+   keeps several histograms per window and station, most of which never
+   see a sample, so empty histograms (and merges of empty ones) hold no
+   buckets at all. *)
 
 let sub_bits = 7
 let sub = 1 lsl sub_bits
@@ -15,18 +20,17 @@ let n_buckets = (64 - sub_bits) * sub
 let max_rel_error = 1.0 /. float_of_int sub
 
 type t = {
-  counts : int array;
+  mutable counts : int array;  (* [||] exactly when n = 0 *)
   mutable n : int;
   mutable sum : float;
   mutable minv : float;
   mutable maxv : float;
 }
 
-let create () =
-  { counts = Array.make n_buckets 0; n = 0; sum = 0.0; minv = 0.0; maxv = 0.0 }
+let create () = { counts = [||]; n = 0; sum = 0.0; minv = 0.0; maxv = 0.0 }
 
 let clear t =
-  Array.fill t.counts 0 n_buckets 0;
+  t.counts <- [||];
   t.n <- 0;
   t.sum <- 0.0;
   t.minv <- 0.0;
@@ -56,9 +60,8 @@ let bucket_bounds idx =
 
 let add t v =
   let v = if v < 0.0 then 0.0 else v in
-  let idx = bucket_of_int (int_of_float v) in
-  t.counts.(idx) <- t.counts.(idx) + 1;
   if t.n = 0 then begin
+    t.counts <- Array.make n_buckets 0;
     t.minv <- v;
     t.maxv <- v
   end
@@ -66,6 +69,8 @@ let add t v =
     if v < t.minv then t.minv <- v;
     if v > t.maxv then t.maxv <- v
   end;
+  let idx = bucket_of_int (int_of_float v) in
+  t.counts.(idx) <- t.counts.(idx) + 1;
   t.n <- t.n + 1;
   t.sum <- t.sum +. v
 
@@ -109,9 +114,15 @@ let median t = percentile t 50.0
    and min/max to one that had ingested both sample streams directly. *)
 let merge a b =
   let t = create () in
-  for i = 0 to n_buckets - 1 do
-    t.counts.(i) <- a.counts.(i) + b.counts.(i)
-  done;
+  let add_counts src =
+    if src.n > 0 then
+      Array.iteri (fun i c -> t.counts.(i) <- t.counts.(i) + c) src.counts
+  in
+  if a.n + b.n > 0 then begin
+    t.counts <- Array.make n_buckets 0;
+    add_counts a;
+    add_counts b
+  end;
   t.n <- a.n + b.n;
   t.sum <- a.sum +. b.sum;
   (if a.n = 0 then begin

@@ -13,7 +13,7 @@ val is_empty : 'a t -> bool
 val is_full : 'a t -> bool
 
 val push : 'a t -> 'a -> bool
-(** [false] when the queue is at capacity (the caller sheds or delays). *)
+(** [false] when the queue is at capacity (the caller sheds). *)
 
 val pop_up_to : 'a t -> int -> 'a list
 (** Dequeue at most [n] oldest entries, oldest first — one worker batch. *)

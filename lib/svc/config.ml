@@ -1,7 +1,5 @@
 module Kv = Harness.Kv
 
-type policy = Shed | Delay of float
-
 type crash_plan = { crash_shard : int; crash_at_ns : float }
 
 type t = {
@@ -16,7 +14,6 @@ type t = {
   n_initial : int;
   batch : int;
   queue_cap : int;
-  policy : policy;
   net_local_ns : float;
   net_remote_ns : float;
   req_overhead_ns : float;
@@ -48,7 +45,6 @@ let default =
     n_initial = 4096;
     batch = 8;
     queue_cap = 256;
-    policy = Shed;
     net_local_ns = 300.0;
     net_remote_ns = 900.0;
     req_overhead_ns = 50.0;
@@ -99,13 +95,10 @@ let validate t =
   else if t.net_local_ns < 0.0 || t.net_remote_ns < 0.0 then
     err "network hop costs must be non-negative"
   else
-    match t.policy with
-    | Delay d when d <= 0.0 -> err "delay backoff must be positive (got %g)" d
-    | _ -> (
-        match t.crash with
-        | Some { crash_shard; crash_at_ns } ->
-            if crash_shard < 0 || crash_shard >= t.shards then
-              err "crash shard %d out of range [0,%d)" crash_shard t.shards
-            else if crash_at_ns < 0.0 then err "crash time must be non-negative"
-            else Ok ()
-        | None -> Ok ())
+    match t.crash with
+    | Some { crash_shard; crash_at_ns } ->
+        if crash_shard < 0 || crash_shard >= t.shards then
+          err "crash shard %d out of range [0,%d)" crash_shard t.shards
+        else if crash_at_ns < 0.0 then err "crash time must be non-negative"
+        else Ok ()
+    | None -> Ok ()

@@ -3,11 +3,6 @@
     crash. Everything that affects the simulation is here, so a config plus
     a seed fully determines the run (and its SLO JSON, byte for byte). *)
 
-type policy =
-  | Shed  (** reject on a full queue; counted, never retried *)
-  | Delay of float
-      (** back off [ns] and retry until admitted (closed-loop pushback) *)
-
 type crash_plan = {
   crash_shard : int;
   crash_at_ns : float;
@@ -26,8 +21,9 @@ type t = {
   workload : Ycsb.Workload.spec;
   n_initial : int;  (** preloaded keys 1..n, split across shards by hash *)
   batch : int;  (** max requests coalesced into one worker batch *)
-  queue_cap : int;  (** per-shard admission-control bound *)
-  policy : policy;
+  queue_cap : int;
+      (** per-shard admission-control bound; a request arriving at a full
+          queue is shed (counted, never retried) *)
   net_local_ns : float;  (** client→shard hop within a zone *)
   net_remote_ns : float;  (** client→shard hop across zones *)
   req_overhead_ns : float;  (** per-request parse/dispatch cost *)
@@ -36,10 +32,9 @@ type t = {
   poll_ns : float;  (** worker idle-poll interval *)
   sample_ns : float;  (** monitor sampling interval for depth series *)
   exchange_ns : float;
-      (** exchange-epoch length for the domain-parallel engine
-          ({!Domains}): cross-station messages published during epoch [r]
-          become visible at the start of epoch [r+1]. Ignored by the
-          composite single-scheduler engine ({!Service.run}). *)
+      (** exchange-epoch length ({!Domains}): cross-station messages
+          published during epoch [r] become visible at the start of epoch
+          [r+1] *)
   seed : int;
   sys : Harness.Kv.sys;
       (** per-shard template; each shard gets [seed + 1000*s] and its own

@@ -1,8 +1,7 @@
-(* Domain-parallel service engine: one scheduler (and one Pmem) per shard,
-   stepped in exchange epochs.
+(* The service engine: one scheduler (and one Pmem) per shard, stepped in
+   exchange epochs.
 
-   The composite engine (Service.run) hosts every fiber of the service in
-   one Sched.run; this engine splits the run into hermetic *stations*:
+   The run is split into hermetic *stations*:
 
    - station 0, the frontend: every client fiber plus one scan-aggregator
      fiber, on a machine whose PMEM ops reject (clients only charge time);
@@ -40,16 +39,11 @@
    recover, detect-mode replay), possibly spanning several epochs, while
    every other station keeps serving; only the round-granular
    completed-in-outage attribution is computed from the per-round completion
-   snapshots each shard records.
-
-   The Delay admission policy is not supported here: it needs synchronous
-   client<->shard feedback within a request's send, which contradicts the
-   epoch schedule. Config.validate accepts it, but [run] rejects it. *)
+   snapshots each shard records. *)
 
 module H = Sim.Histogram
 module Kv = Harness.Kv
 module Driver = Harness.Driver
-module Crash_test = Harness.Crash_test
 
 type scan_ctx = {
   sc_arrival : float;
@@ -58,25 +52,29 @@ type scan_ctx = {
   mutable sc_parts : (int * int) list list;
 }
 
-(* Span scratchpad, as in Service (host-side; never charges simulated
-   time). [c_enq] is the admission epoch boundary here, so the hop phase
-   covers network plus exchange residence. *)
+(* Per-request span scratchpad (only allocated when cfg.spans): boundary
+   timestamps written as the request moves through the pipeline, plus the
+   per-fiber counter values bracketing its own structure operation. All
+   writes are host-side — recording spans never charges simulated time, so
+   a run with spans on is simulation-identical to the same run with them
+   off. [c_enq] is the admission epoch boundary, so the hop phase covers
+   network plus exchange residence. *)
 type sp_cell = {
   c_client : int;
-  c_seq : int;
-  c_op : int;
+  c_seq : int; (* per-client request index *)
+  c_op : int; (* 0 read, 1 upsert *)
   mutable c_enq : float;
   mutable c_pop : float;
   mutable c_exec0 : float;
   mutable c_exec1 : float;
-  mutable c_fence : float;
+  mutable c_fence : float; (* group-commit fence duration, upserts *)
   mutable c_flush0 : int;
   mutable c_fence0 : int;
   mutable c_miss0 : int;
   mutable c_flushes : int;
   mutable c_fences : int;
   mutable c_misses : int;
-  mutable c_replay : int;
+  mutable c_replay : int; (* 0 normal, 1 replayed, 2 duplicate-suppressed *)
 }
 
 type req =
@@ -88,7 +86,7 @@ type entry = {
   arrival : float;
   req : req;
   client : int;
-  dseq : int;
+  dseq : int; (* per-client descriptor sequence number; -1 for reads/scans *)
   cell : sp_cell option;
 }
 
@@ -97,6 +95,7 @@ type entry = {
    carry the pointer back. *)
 type up_msg = { um_ctx : scan_ctx; um_failed : bool; um_part : (int * int) list }
 
+(* One accumulator per virtual-time window of the SLO time-series. *)
 type wacc = {
   mutable aw_completed : int;
   mutable aw_shed : int;
@@ -122,8 +121,11 @@ type shard_station = {
   mutable completed : int;  (* client-visible completions *)
   mutable s_crashed : bool;
   mutable down_ns : float;
-  mutable down_at : float;
+  mutable down_at : float; (* outage start; meaningful when down_ns > 0 *)
   mutable replay : entry list;
+      (* detect mode: stranded requests awaiting re-execution after the
+         shard's crash, oldest first (drained before new queue entries so
+         per-client announce order stays monotone) *)
   mutable crash_at : float option;  (* armed crash plan *)
   mutable busy : bool;  (* worker parked mid-batch/mid-recovery *)
   s_in : entry Queue.t;  (* inbox, filled at exchange *)
@@ -173,6 +175,63 @@ let null_machine () =
     latency = [| 0.0 |];
   }
 
+(* Shard [s]'s Kv system template: the config's [sys] reseeded with
+   [seed + 1000*s] and sized for at least [shards] threads. *)
+let shard_sys (cfg : Config.t) s =
+  {
+    cfg.Config.sys with
+    Kv.seed = cfg.Config.sys.Kv.seed + (1000 * s);
+    max_threads = max cfg.Config.sys.Kv.max_threads cfg.Config.shards;
+  }
+
+(* Each shard preloads its slice of 1..n_initial in its own scheduler run on
+   its own machine; Pmem's new-run detection handles the clock reset when
+   the service run starts afterwards at time zero. *)
+let preload_shard router (cfg : Config.t) kv s =
+  let keys = ref [] in
+  for k = cfg.Config.n_initial downto 1 do
+    if Router.shard_of_key router k = s then keys := k :: !keys
+  done;
+  let body ~tid =
+    List.iter (fun k -> ignore (kv.Kv.upsert ~tid k ((1 lsl 30) + k))) !keys
+  in
+  (match Sim.Sched.run ~machine:(Kv.machine kv) [ (s, body) ] with
+  | Sim.Sched.Completed _ -> ()
+  | Sim.Sched.Crashed_at _ -> assert false);
+  Pmem.reset_counters kv.Kv.pmem
+
+(* Ordered, deterministic key/value rendering of the config: the report's
+   [config_summary]. *)
+let config_summary (cfg : Config.t) =
+  [
+    ("structure", cfg.structure);
+    ("shards", string_of_int cfg.shards);
+    ("zones", string_of_int cfg.zones);
+    ("clients", string_of_int cfg.clients);
+    ("requests_per_client", string_of_int cfg.requests_per_client);
+    ("offered_mops", Printf.sprintf "%g" cfg.offered_mops);
+    ("arrival", Sim.Arrival.kind_to_string cfg.arrival);
+    ("workload", cfg.workload.Ycsb.Workload.label);
+    ("n_initial", string_of_int cfg.n_initial);
+    ("batch", string_of_int cfg.batch);
+    ("queue_cap", string_of_int cfg.queue_cap);
+    ( "shard_mode",
+      match cfg.sys.Kv.mode with
+      | Pmem.Striped -> "striped"
+      | Pmem.Multi_pool -> "multi-pool" );
+    ("shard_numa_nodes", string_of_int cfg.sys.Kv.numa_nodes);
+    ("seed", string_of_int cfg.seed);
+    ("spans", if cfg.spans then "on" else "off");
+    ("detect", if cfg.detect then "on" else "off");
+    ( "crash",
+      match cfg.crash with
+      | None -> "none"
+      | Some c ->
+          Printf.sprintf "shard%d@%gns" c.Config.crash_shard
+            c.Config.crash_at_ns );
+    ("exchange_ns", Printf.sprintf "%g" cfg.exchange_ns);
+  ]
+
 let new_wacc () =
   {
     aw_completed = 0;
@@ -207,12 +266,6 @@ let run ?(domains = 1) (cfg : Config.t) =
   (match Config.validate cfg with
   | Ok () -> ()
   | Error e -> invalid_arg ("Svc.Domains.run: " ^ e));
-  (match cfg.policy with
-  | Config.Shed -> ()
-  | Config.Delay _ ->
-      invalid_arg
-        "Svc.Domains.run: the delay policy needs synchronous client pushback \
-         and is only supported by the composite engine (Service.run)");
   let epoch = cfg.exchange_ns in
   let spans_on = cfg.spans in
   let router = Router.create ~shards:cfg.shards ~zones:cfg.zones in
@@ -221,7 +274,7 @@ let run ?(domains = 1) (cfg : Config.t) =
     Array.init cfg.shards (fun s ->
         match
           Kv.make_named ~structure:cfg.structure ?detect_clients
-            (Service.shard_sys cfg s)
+            (shard_sys cfg s)
         with
         | Ok kv ->
             {
@@ -271,7 +324,7 @@ let run ?(domains = 1) (cfg : Config.t) =
             }
         | Error e -> invalid_arg ("Svc.Domains.run: " ^ e))
   in
-  Array.iteri (fun s sh -> Service.preload_shard router cfg sh.kv s) shards;
+  Array.iteri (fun s sh -> preload_shard router cfg sh.kv s) shards;
   let streams =
     Ycsb.Workload.generate ~seed:cfg.seed ~spec:cfg.workload
       ~n_initial:cfg.n_initial ~threads:cfg.clients
@@ -503,10 +556,13 @@ let run ?(domains = 1) (cfg : Config.t) =
           cl.c_misses <- Obs.counter ~tid Obs.id_load_miss - cl.c_miss0
       | None -> ()
     in
-    (* Power failure; see Service.run. Identical semantics, except scan
-       parts fail via the mailbox (resolved on the frontend next epoch) and
-       completed-in-outage attribution is computed from per-round snapshots
-       after the run instead of a cross-shard read here. *)
+    (* Power failure at a batch boundary: crash the pools (dropping
+       unflushed lines), lose the queued backlog, reconnect, pay the
+       pool-reopen cost and recover in-line. Stranded scan parts fail via
+       the mailbox (resolved on the frontend next epoch); in detect mode
+       stranded upserts are decided through their descriptors and
+       everything else is queued for replay. Completed-in-outage
+       attribution is computed from per-round snapshots after the run. *)
     let do_crash ~stranded =
       sh.crash_at <- None;
       sh.s_crashed <- true;
@@ -514,7 +570,7 @@ let run ?(domains = 1) (cfg : Config.t) =
       Pmem.crash sh.kv.Kv.pmem;
       let stranded = stranded @ Bqueue.drain sh.q in
       sh.kv.Kv.reconnect ();
-      Sim.Sched.charge (Crash_test.pool_open_ns ~pools:sh.kv.Kv.pools);
+      Sim.Sched.charge (Harness.Fault.pool_open_ns ~pools:sh.kv.Kv.pools);
       sh.kv.Kv.recover ~tid;
       if cfg.detect then ignore (Kv.d_recover sh.kv ~tid : int);
       let to_replay = ref [] in
@@ -701,9 +757,8 @@ let run ?(domains = 1) (cfg : Config.t) =
     | Some s -> s
     | None -> assert false
   in
-  (* Admission runs here, at the receiving shard's epoch boundary: the
-     bounded-queue push (or shed) the composite engine performed on the
-     client side. *)
+  (* Admission runs here, at the receiving shard's epoch boundary: a
+     bounded-queue push, or shed when the queue is full. *)
   let admit_inbox sh ~t_epoch =
     while not (Queue.is_empty sh.s_in) do
       let e = Queue.pop sh.s_in in
@@ -947,12 +1002,7 @@ let run ?(domains = 1) (cfg : Config.t) =
   in
   let requests = fe.f_requests in
   {
-    Slo.config_summary =
-      Service.config_summary cfg
-      @ [
-          ("engine", "domain-epoch");
-          ("exchange_ns", Printf.sprintf "%g" cfg.exchange_ns);
-        ];
+    Slo.config_summary = config_summary cfg;
     span_ns;
     requests;
     enqueued = sum (fun sh -> sh.enq);
@@ -960,8 +1010,6 @@ let run ?(domains = 1) (cfg : Config.t) =
     shed = sum (fun sh -> sh.shed);
     lost = sum (fun sh -> sh.lost);
     failed_scans = fe.f_failed_scans;
-    delayed = 0;
-    delay_ns_total = 0.0;
     replayed;
     dup_suppressed = suppressed;
     client_reports =
@@ -969,7 +1017,6 @@ let run ?(domains = 1) (cfg : Config.t) =
           {
             Slo.cr_client = c;
             cr_shed = sum (fun sh -> sh.shed_c.(c));
-            cr_delayed = 0;
             cr_replayed = sum (fun sh -> sh.replayed_c.(c));
             cr_suppressed = sum (fun sh -> sh.suppressed_c.(c));
           });

@@ -14,13 +14,6 @@ let create ~shards ~zones =
   if zones <= 0 then invalid_arg "Svc.Router.create: zones must be positive";
   { shards; zones }
 
-(* Stateless by design: a reconfigure is just a fresh router, and the
-   key→shard map survives it whenever the shard count does. *)
-let reconfigure _t ~shards ~zones = create ~shards ~zones
-
-let shards t = t.shards
-let zones t = t.zones
-
 (* splitmix64 finalizer, truncated to OCaml's 63-bit int. *)
 let mix k =
   let z = Int64.of_int k in

@@ -13,16 +13,6 @@ val create : shards:int -> zones:int -> t
 (** [create ~shards ~zones]: raises [Invalid_argument] unless both are
     positive. Shard [s] lives in zone [s mod zones]. *)
 
-val reconfigure : t -> shards:int -> zones:int -> t
-(** A router for an adjusted topology. Placement is a pure function of
-    (key, shard count), so any reconfigure that keeps [shards] — a zone
-    re-balance, or a no-op passing the current values back — preserves
-    every key→shard mapping; only changing [shards] remaps keys. Raises
-    like {!create}. *)
-
-val shards : t -> int
-val zones : t -> int
-
 val shard_of_key : t -> int -> int
 (** The shard owning a key; stable across calls and processes. *)
 

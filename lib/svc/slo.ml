@@ -40,7 +40,6 @@ type shard_report = {
 type client_report = {
   cr_client : int;
   cr_shed : int;
-  cr_delayed : int;
   cr_replayed : int;
   cr_suppressed : int;
 }
@@ -77,8 +76,6 @@ type t = {
   shed : int;
   lost : int;
   failed_scans : int;
-  delayed : int;
-  delay_ns_total : float;
   replayed : int;
   dup_suppressed : int;
   client_reports : client_report list;
@@ -253,7 +250,7 @@ let span_summary_json sp =
 let to_json t =
   let b = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"schema\":\"upskip-svc-slo/3\",\"schema_version\":3,";
+  add "{\"schema\":\"upskip-svc-slo/4\",\"schema_version\":4,";
   add "\"config\":{";
   List.iteri
     (fun i (k, v) ->
@@ -270,8 +267,6 @@ let to_json t =
   add "\"shed\":%d," t.shed;
   add "\"lost\":%d," t.lost;
   add "\"failed_scans\":%d," t.failed_scans;
-  add "\"delayed\":%d," t.delayed;
-  add "\"delay_ns_total\":%s," (fnum t.delay_ns_total);
   add "\"replayed\":%d," t.replayed;
   add "\"dup_suppressed\":%d," t.dup_suppressed;
   add "\"shed_rate\":%s," (fnum t.shed_rate);
@@ -289,9 +284,8 @@ let to_json t =
     (fun i c ->
       if i > 0 then Buffer.add_char b ',';
       add
-        "{\"client\":%d,\"shed\":%d,\"delayed\":%d,\"replayed\":%d,\
-         \"dup_suppressed\":%d}"
-        c.cr_client c.cr_shed c.cr_delayed c.cr_replayed c.cr_suppressed)
+        "{\"client\":%d,\"shed\":%d,\"replayed\":%d,\"dup_suppressed\":%d}"
+        c.cr_client c.cr_shed c.cr_replayed c.cr_suppressed)
     t.client_reports;
   add "],";
   add "\"depth_series\":[";
@@ -471,8 +465,8 @@ let pp fmt t =
     "  offered %.3f Mops/s  goodput %.3f Mops/s  shed rate %.2f%%@."
     t.offered_mops t.goodput_mops (100.0 *. t.shed_rate);
   fprintf fmt
-    "  completed %d  shed %d  lost %d  failed scans %d  delayed %d@."
-    t.completed t.shed t.lost t.failed_scans t.delayed;
+    "  completed %d  shed %d  lost %d  failed scans %d@." t.completed t.shed
+    t.lost t.failed_scans;
   if t.replayed > 0 || t.dup_suppressed > 0 then
     fprintf fmt "  exactly-once: %d replayed  %d duplicate-suppressed@."
       t.replayed t.dup_suppressed;

@@ -37,7 +37,6 @@ type shard_report = {
 type client_report = {
   cr_client : int;
   cr_shed : int;  (** this client's requests dropped by admission control *)
-  cr_delayed : int;  (** admission retries under the Delay policy *)
   cr_replayed : int;  (** requests re-executed after a shard crash *)
   cr_suppressed : int;  (** upserts acked without re-execution *)
 }
@@ -87,8 +86,6 @@ type t = {
   shed : int;
   lost : int;
   failed_scans : int;  (** scans with at least one shed or lost part *)
-  delayed : int;  (** admission retries under the Delay policy *)
-  delay_ns_total : float;
   replayed : int;
       (** detect mode: stranded requests re-executed after a shard crash *)
   dup_suppressed : int;

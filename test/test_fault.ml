@@ -44,7 +44,7 @@ let test_recovery_ns_positive () =
   (* at least the pool-reopen cost of the fixture's pools *)
   check_bool "recovery_ns covers pool reopen" true
     (t.Harness.Crash_test.recovery_ns
-    >= Harness.Crash_test.pool_open_ns ~pools:t.Harness.Crash_test.kv.Kv.pools)
+    >= Harness.Fault.pool_open_ns ~pools:t.Harness.Crash_test.kv.Kv.pools)
 
 (* ---- reconnect + recover twice in a row is a no-op ----------------------- *)
 

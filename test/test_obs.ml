@@ -65,13 +65,25 @@ let test_histogram_vs_exact_stats () =
   check_bool "max exact" true
     (Sim.Histogram.max_value h = Sim.Stats.max_value s)
 
+(* empty -> add -> clear -> add: the 7296-bucket array exists only while
+   the histogram holds samples, and a cleared histogram behaves like a
+   fresh one *)
 let test_histogram_clear () =
+  let words h = Obj.reachable_words (Obj.repr h) in
   let h = Sim.Histogram.create () in
+  check_bool "empty holds no buckets" true (words h < 64);
   Sim.Histogram.add h 42.0;
+  check_bool "first add allocates buckets" true (words h > 7_000);
   Sim.Histogram.clear h;
   check_int "count after clear" 0 (Sim.Histogram.count h);
   check_bool "percentile raises after clear" true
-    (raises_invalid (fun () -> Sim.Histogram.percentile h 50.0))
+    (raises_invalid (fun () -> Sim.Histogram.percentile h 50.0));
+  check_bool "clear drops buckets" true (words h < 64);
+  Sim.Histogram.add h 7.0;
+  Sim.Histogram.add h 9.0;
+  check_int "count after re-add" 2 (Sim.Histogram.count h);
+  check_bool "min after re-add" true (Sim.Histogram.min_value h = 7.0);
+  check_bool "p100 after re-add" true (Sim.Histogram.percentile h 100.0 = 9.0)
 
 (* ---- counters ------------------------------------------------------------ *)
 

@@ -264,14 +264,31 @@ let test_hist_merge_counts () =
   check_int "a intact" 3 (Sim.Histogram.count a);
   check_int "b intact" 2 (Sim.Histogram.count b)
 
+(* An empty operand, on either side, is the identity of merge; two
+   empties merge to an empty histogram that holds no bucket array. *)
 let test_hist_merge_empty () =
   let a = Sim.Histogram.create () and b = Sim.Histogram.create () in
-  Sim.Histogram.add a 42.0;
-  let m = Sim.Histogram.merge a b in
-  check_int "count" 1 (Sim.Histogram.count m);
-  check_float "min" 42.0 (Sim.Histogram.min_value m);
-  check_float "max" 42.0 (Sim.Histogram.max_value m);
-  check_int "both empty" 0 Sim.Histogram.(count (merge b (create ())))
+  List.iter (Sim.Histogram.add a) [ 42.0; 150.0; 150.0; 9_999.0; 2e6 ];
+  let same m =
+    check_int "count" (Sim.Histogram.count a) (Sim.Histogram.count m);
+    check_float "sum" (Sim.Histogram.sum a) (Sim.Histogram.sum m);
+    check_float "min" 42.0 (Sim.Histogram.min_value m);
+    check_float "max" 2e6 (Sim.Histogram.max_value m);
+    List.iter
+      (fun p ->
+        check_float
+          (Printf.sprintf "p%g" p)
+          (Sim.Histogram.percentile a p)
+          (Sim.Histogram.percentile m p))
+      [ 0.0; 20.0; 40.0; 60.0; 80.0; 100.0 ]
+  in
+  same (Sim.Histogram.merge a b);
+  same (Sim.Histogram.merge b a);
+  same (Sim.Histogram.merge_list [ b; a; b ]);
+  let e = Sim.Histogram.(merge b (create ())) in
+  check_int "both empty" 0 (Sim.Histogram.count e);
+  check_bool "empty merge holds no buckets" true
+    (Obj.reachable_words (Obj.repr e) < 64)
 
 let test_hist_merge_percentiles () =
   (* merging shards must agree with recording everything in one histogram:
