@@ -390,29 +390,26 @@ let workload_e () =
 
 (* ---- Table 5.4: recovery time ----------------------------------------------- *)
 
-(* preload, run a 100% insert workload, crash mid-run, then measure the
-   time until the structure can serve requests again. Every trial is a
-   fresh fixture, so the whole 4-structure x 3-trial grid pools freely. *)
+(* Fault's single-crash trial: preload the keyspace, crash an upsert
+   workload mid-run, reconnect, and time recovery (pool reopen + the
+   structure's recovery fiber). Every trial is a fresh fixture, so the
+   whole 4-structure x 3-trial grid pools freely. *)
 let recovery_trial_once ~make i =
-  let kv : Kv.t = make () in
-  Driver.preload kv ~threads:4 ~n:(!scale.n_initial / 2);
-  let body ~tid =
-    let base = 1_000_000 + (tid * 100_000) in
-    for k = base to base + 50_000 do
-      ignore (kv.Kv.upsert ~tid k 7)
-    done
+  let r =
+    Fault.run_trial ~make
+      {
+        Fault.default_spec with
+        threads = 8;
+        keyspace = !scale.n_initial / 2;
+        ops_per_thread = 2_000;
+        read_fraction = 0.0;
+        crash_at = 50_000 + (i * 13_337);
+        draw_seed = seed + i;
+        seed;
+      }
   in
-  (match
-     Sim.Sched.run
-       ~crash:(Sim.Sched.After_events (50_000 + (i * 13_337)))
-       ~machine:(Kv.machine kv)
-       (List.init 8 (fun tid -> (tid, body)))
-   with
-  | Sim.Sched.Crashed_at _ -> ()
-  | Sim.Sched.Completed _ -> failwith "expected crash");
-  Pmem.crash kv.Kv.pmem;
-  kv.Kv.reconnect ();
-  Harness.Crash_test.recovery_time_s kv
+  if r.Fault.crashes = 0 then failwith "table5.4: expected crash";
+  r.Fault.recovery_ns /. 1.0e9
 
 let table_5_4 () =
   Report.heading "Table 5.4 — recovery time (average of 3 trials)";
@@ -492,30 +489,55 @@ let chapter6 () =
         trials, UPSkipList)"
        !scale.chapter6_trials);
   let sys = { multi_sys with pool_words = 1 lsl 20 } in
-  let violations =
-    Harness.Crash_test.campaign ~jobs:!jobs
-      ~make:(fun () -> Kv.make_upskiplist sys)
-      ~threads:8 ~keyspace:200 ~ops_per_thread:120 ~crash_events:40_000
-      ~seed:(seed + 77) ~trials:!scale.chapter6_trials ()
+  let make () = Kv.make_upskiplist sys in
+  let trials = !scale.chapter6_trials in
+  (* one trial per crash point, spread over [40k, 60k) events *)
+  let step = 20_000 / trials in
+  let s =
+    Fault.run_campaign ~jobs:!jobs ~make
+      {
+        Fault.base =
+          {
+            Fault.default_spec with
+            threads = 8;
+            keyspace = 200;
+            ops_per_thread = 120;
+            draw_seed = seed + 77;
+            seed = seed + 77;
+          };
+        grid = { Fault.origin = 40_000; stride = step; points = trials; jitter = step };
+        draws = 1;
+      }
   in
-  (match violations with
+  (match s.Fault.failures with
   | [] ->
       Fmt.pr
         "all %d trials strictly linearizable (paper: 32 power-failure logs, \
          0 violations)@."
-        !scale.chapter6_trials
-  | vs ->
+        trials
+  | failures ->
       List.iter
-        (fun (i, v) -> Fmt.pr "trial %d: %a@." i Lincheck.Checker.pp_violation v)
-        vs);
+        (fun ((spec : Fault.spec), (r : Fault.result)) ->
+          let pr what = Fmt.pr "crash_at %d: %s@." spec.Fault.crash_at what in
+          List.iter
+            (fun v -> pr (Fmt.str "%a" Lincheck.Checker.pp_violation v))
+            r.Fault.violations;
+          List.iter (fun e -> pr ("audit: " ^ e)) r.Fault.audit_errors)
+        failures);
   (* sanity check of the analyzer itself, as in the thesis: inject errors *)
   let trial =
-    Harness.Crash_test.run
-      ~make:(fun () -> Kv.make_upskiplist sys)
-      ~threads:4 ~keyspace:100 ~ops_per_thread:100 ~crash_events:20_000
-      ~seed:(seed + 99) ()
+    Fault.run_trial ~make
+      {
+        Fault.default_spec with
+        threads = 4;
+        keyspace = 100;
+        ops_per_thread = 100;
+        crash_at = 24_244;
+        draw_seed = seed + 99;
+        seed = seed + 99;
+      }
   in
-  let events = Lincheck.History.events trial.Harness.Crash_test.history in
+  let events = Lincheck.History.events trial.Fault.history in
   let mutated =
     List.mapi
       (fun i (e : Lincheck.History.event) ->
@@ -528,7 +550,7 @@ let chapter6 () =
   let bad =
     Lincheck.Checker.check
       (Lincheck.History.create
-         ~eras:(Lincheck.History.eras trial.Harness.Crash_test.history)
+         ~eras:(Lincheck.History.eras trial.Fault.history)
          mutated)
   in
   Fmt.pr "analyzer self-check: %d injected-error violations detected (>0 expected)@."

@@ -1,8 +1,8 @@
 (* Command-line driver for the UPSkipList reproduction.
 
      upskip_cli run --structure upskiplist --workload a --threads 16
-     upskip_cli crash-test --trials 5
-     upskip_cli recovery --structure bztree --descriptors 100000
+     upskip_cli crash-sweep --structure bztree --points 4 --depth 2
+     upskip_cli crash-replay structure=upskiplist crash_at=5000 mutant=dangle
      upskip_cli demo
 
    Everything executes on the simulated-PMEM machine; reported times are
@@ -231,27 +231,9 @@ let trace_term =
     $ ops_t $ seed_t $ descriptors_t $ trace_out_t $ trace_metrics_t
     $ trace_capacity_t $ spans_t $ window_us_t)
 
-(* ---- crash-test -------------------------------------------------------------- *)
+(* ---- crash-sweep ------------------------------------------------------------- *)
 
-let crash_cmd structure mode trials threads seed descriptors jobs =
-  let make () = make_kv structure mode descriptors in
-  Fmt.pr "running %d crash trials on %s with strict-linearizability analysis...@."
-    trials (make ()).Kv.name;
-  let violations =
-    Harness.Crash_test.campaign ~jobs ~make ~threads ~keyspace:300
-      ~ops_per_thread:150 ~crash_events:40_000 ~seed ~trials ()
-  in
-  (match violations with
-  | [] -> Fmt.pr "all %d trials strictly linearizable.@." trials
-  | vs ->
-      List.iter
-        (fun (i, v) ->
-          Fmt.pr "trial %d VIOLATION: %a@." i Lincheck.Checker.pp_violation v)
-        vs);
-  if violations = [] then 0 else 1
-
-let crash_trials_t =
-  Arg.(value & opt int 5 & info [ "trials" ] ~doc:"Number of crash trials.")
+module Fault = Harness.Fault
 
 let jobs_t =
   Arg.(
@@ -261,15 +243,6 @@ let jobs_t =
         ~doc:
           "Worker domains for independent trials (1 = sequential). Results \
            are identical for any value.")
-
-let crash_term =
-  Term.(
-    const crash_cmd $ structure_t $ mode_t $ crash_trials_t $ threads_t $ seed_t
-    $ descriptors_t $ jobs_t)
-
-(* ---- crash-sweep ------------------------------------------------------------- *)
-
-module Fault = Harness.Fault
 
 let structure_name = function
   | `Upskiplist -> "upskiplist"
@@ -333,35 +306,51 @@ let mutant_t =
   Arg.(
     value & opt string "none"
     & info [ "mutant" ]
-        ~doc:"Self-validation mutant applied after recovery: none | lose_key | drop_fp | dangle.")
+        ~doc:
+          "Self-validation mutant applied after recovery: none | skip_resolve \
+           | lose_key | drop_fp | dangle.")
+
+let sweep_detect_t =
+  Arg.(
+    value & flag
+    & info [ "detect" ]
+        ~doc:
+          "Detectable operations: route upserts through per-client \
+           persistent descriptors, replay unacked ops after each crash and \
+           check exactly-once histories.")
+
+let json_out_t =
+  Arg.(
+    value & opt (some string) None
+    & info [ "json-out" ] ~doc:"Write the deterministic JSON summary here.")
 
 let base_spec structure mode latency threads keyspace ops rounds depth evict seed
-    mutant =
+    mutant detect =
   let adversary =
     if evict = "config" then Ok Fault.Config_default
     else
       match float_of_string_opt evict with
-      | Some p when p >= 0.0 && p <= 1.0 -> Ok (Fault.Subset p)
-      | _ -> Error ("bad --evict (want 'config' or a probability): " ^ evict)
+      | Some p -> Ok (Fault.Subset p)
+      | None -> Error ("bad --evict (want 'config' or a probability): " ^ evict)
   in
-  Result.map
-    (fun adversary ->
-      {
-        Fault.default_spec with
-        structure = structure_name structure;
-        latency;
-        mode = mode_name mode;
-        threads;
-        keyspace;
-        ops_per_thread = ops;
-        rounds;
-        depth;
-        adversary;
-        draw_seed = seed + 1;
-        seed;
-        mutant;
-      })
-    adversary
+  Result.bind adversary (fun adversary ->
+      Fault.validate
+        {
+          Fault.default_spec with
+          structure = structure_name structure;
+          latency;
+          mode = mode_name mode;
+          threads;
+          keyspace;
+          ops_per_thread = ops;
+          rounds;
+          depth;
+          adversary;
+          draw_seed = seed + 1;
+          seed;
+          mutant;
+          detect;
+        })
 
 let report_failures ~shrink failures =
   List.iteri
@@ -381,11 +370,38 @@ let report_failures ~shrink failures =
       end)
     failures
 
+(* Deterministic campaign summary (stable across reruns and -j), read by
+   the exactly-once runtest gate. *)
+let write_campaign_json path (base : Fault.spec) (s : Fault.summary) =
+  let buf = Buffer.create 512 in
+  Buffer.add_string buf
+    "{\"schema\":\"upskip-crash-campaign/1\",\"schema_version\":1";
+  Printf.bprintf buf ",\"structure\":\"%s\",\"mutant\":\"%s\""
+    base.Fault.structure base.Fault.mutant;
+  Printf.bprintf buf ",\"trials\":%d,\"crashed_trials\":%d,\"total_crashes\":%d"
+    s.Fault.trials s.Fault.crashed_trials s.Fault.total_crashes;
+  Printf.bprintf buf
+    ",\"audit_passes\":%d,\"audit_failures\":%d,\"violation_trials\":%d"
+    s.Fault.audit_passes s.Fault.audit_failures s.Fault.violation_trials;
+  Printf.bprintf buf ",\"replays\":%d,\"suppressions\":%d" s.Fault.replays
+    s.Fault.suppressions;
+  Buffer.add_string buf ",\"failures\":[";
+  List.iteri
+    (fun i ((spec : Fault.spec), _) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Printf.bprintf buf "\"%s\"" (Fault.spec_to_string spec))
+    s.Fault.failures;
+  Buffer.add_string buf "]}\n";
+  let oc = open_out path in
+  Buffer.output_buffer oc buf;
+  close_out oc;
+  Fmt.pr "campaign summary written to %s@." path
+
 let sweep_cmd structure mode latency threads keyspace ops rounds depth evict
-    draws origin stride points jitter seed mutant shrink jobs =
+    draws origin stride points jitter seed mutant detect shrink jobs json_out =
   match
     base_spec structure mode latency threads keyspace ops rounds depth evict seed
-      mutant
+      mutant detect
   with
   | Error e ->
       Fmt.epr "crash-sweep: %s@." e;
@@ -394,18 +410,21 @@ let sweep_cmd structure mode latency threads keyspace ops rounds depth evict
       let campaign =
         { Fault.base; grid = { Fault.origin; stride; points; jitter }; draws }
       in
-      Fmt.pr "adversarial crash sweep on %s: %d points x %d draws, depth %d@."
-        base.Fault.structure points draws depth;
+      Fmt.pr "adversarial crash sweep on %s: %d points x %d draws, depth %d%s@."
+        base.Fault.structure points draws depth
+        (if detect then ", detectable ops" else "");
       let s = Fault.run_campaign ~jobs campaign in
       Fault.print_summary ~name:base.Fault.structure s;
       report_failures ~shrink s.Fault.failures;
+      Option.iter (fun path -> write_campaign_json path base s) json_out;
       if s.Fault.failures = [] then 0 else 1
 
 let sweep_term =
   Term.(
     const sweep_cmd $ structure_t $ mode_t $ latency_t $ threads_t $ keyspace_t
     $ sweep_ops_t $ rounds_t $ depth_t $ evict_t $ draws_t $ origin_t $ stride_t
-    $ points_t $ jitter_t $ seed_t $ mutant_t $ shrink_t $ jobs_t)
+    $ points_t $ jitter_t $ seed_t $ mutant_t $ sweep_detect_t $ shrink_t
+    $ jobs_t $ json_out_t)
 
 (* ---- crash-replay ------------------------------------------------------------- *)
 
@@ -448,35 +467,6 @@ let replay_cmd tokens =
           end)
 
 let replay_term = Term.(const replay_cmd $ spec_tokens_t)
-
-(* ---- recovery ----------------------------------------------------------------- *)
-
-let recovery_cmd structure mode keys descriptors =
-  let kv = make_kv structure mode descriptors in
-  Driver.preload kv ~threads:8 ~n:keys;
-  let body ~tid =
-    for k = 1_000_000 + tid to 1_000_000 + tid + 100_000 do
-      ignore (kv.Kv.upsert ~tid k 7)
-    done
-  in
-  (match
-     Sim.Sched.run
-       ~crash:(Sim.Sched.After_events 60_000)
-       ~machine:(Kv.machine kv)
-       (List.init 8 (fun tid -> (tid, body)))
-   with
-  | Sim.Sched.Crashed_at { events; _ } ->
-      Fmt.pr "crashed after %d simulated events@." events
-  | Sim.Sched.Completed _ -> failwith "expected crash");
-  Pmem.crash kv.Kv.pmem;
-  kv.Kv.reconnect ();
-  let t = Harness.Crash_test.recovery_time_s kv in
-  Fmt.pr "%s recovery time: %.1f ms (pool reopen + structure work)@." kv.Kv.name
-    (t *. 1000.0);
-  0
-
-let recovery_term =
-  Term.(const recovery_cmd $ structure_t $ mode_t $ keys_t $ descriptors_t)
 
 (* ---- serve-sim ----------------------------------------------------------------- *)
 
@@ -864,77 +854,6 @@ let tail_term =
     $ load_t $ workload_t $ keys_t $ seed_t $ tail_crash_shard_t $ origin_us_t
     $ stride_us_t $ points_t $ jitter_us_t $ jobs_t $ tail_json_t)
 
-(* ---- detect-campaign ----------------------------------------------------------- *)
-
-(* Exactly-once crash-replay campaign: the adversarial crash sweep with
-   detectable operations on, so every trial additionally replays unacked
-   ops through their persistent descriptors and runs the exactly-once
-   history analysis (an op completes exactly once if acked, at most once
-   if not). Deterministic for any -j; --json-out writes a stable summary
-   for the runtest gate. *)
-let detect_campaign_cmd structure mode latency threads keyspace ops rounds depth
-    evict draws origin stride points jitter seed mutant jobs json_out =
-  match
-    base_spec structure mode latency threads keyspace ops rounds depth evict seed
-      mutant
-  with
-  | Error e ->
-      Fmt.epr "detect-campaign: %s@." e;
-      2
-  | Ok base ->
-      let base = { base with Fault.detect = true } in
-      let campaign =
-        { Fault.base; grid = { Fault.origin; stride; points; jitter }; draws }
-      in
-      Fmt.pr
-        "exactly-once crash-replay campaign on %s: %d points x %d draws, \
-         depth %d, mutant %s@."
-        base.Fault.structure points draws depth base.Fault.mutant;
-      let s = Fault.run_campaign ~jobs campaign in
-      Fault.print_summary ~name:base.Fault.structure s;
-      report_failures ~shrink:false s.Fault.failures;
-      (match json_out with
-      | Some path ->
-          let buf = Buffer.create 512 in
-          Buffer.add_string buf
-            "{\"schema\":\"upskip-detect-campaign/1\",\"schema_version\":1";
-          Printf.bprintf buf ",\"structure\":\"%s\",\"mutant\":\"%s\""
-            base.Fault.structure base.Fault.mutant;
-          Printf.bprintf buf
-            ",\"trials\":%d,\"crashed_trials\":%d,\"total_crashes\":%d"
-            s.Fault.trials s.Fault.crashed_trials s.Fault.total_crashes;
-          Printf.bprintf buf
-            ",\"audit_passes\":%d,\"audit_failures\":%d,\"violation_trials\":%d"
-            s.Fault.audit_passes s.Fault.audit_failures s.Fault.violation_trials;
-          Printf.bprintf buf ",\"replays\":%d,\"suppressions\":%d"
-            s.Fault.replays s.Fault.suppressions;
-          Buffer.add_string buf ",\"failures\":[";
-          List.iteri
-            (fun i ((spec : Fault.spec), _) ->
-              if i > 0 then Buffer.add_char buf ',';
-              Printf.bprintf buf "\"%s\"" (Fault.spec_to_string spec))
-            s.Fault.failures;
-          Buffer.add_string buf "]}\n";
-          let oc = open_out path in
-          Buffer.output_buffer oc buf;
-          close_out oc;
-          Fmt.pr "campaign summary written to %s@." path
-      | None -> ());
-      if s.Fault.failures = [] then 0 else 1
-
-let detect_json_t =
-  Arg.(
-    value & opt (some string) None
-    & info [ "json-out" ]
-        ~doc:"Write the deterministic campaign summary JSON here.")
-
-let detect_campaign_term =
-  Term.(
-    const detect_campaign_cmd $ structure_t $ mode_t $ latency_t $ threads_t
-    $ keyspace_t $ sweep_ops_t $ rounds_t $ depth_t $ evict_t $ draws_t
-    $ origin_t $ stride_t $ points_t $ jitter_t $ seed_t $ mutant_t $ jobs_t
-    $ detect_json_t)
-
 (* ---- detect-bench --------------------------------------------------------------- *)
 
 (* Descriptor overhead: the same upsert stream with and without
@@ -1006,7 +925,7 @@ let detect_bench_cmd threads keys ops seed json_out =
 
 let detect_bench_term =
   Term.(
-    const detect_bench_cmd $ threads_t $ keys_t $ ops_t $ seed_t $ detect_json_t)
+    const detect_bench_cmd $ threads_t $ keys_t $ ops_t $ seed_t $ json_out_t)
 
 (* ---- demo ---------------------------------------------------------------------- *)
 
@@ -1063,20 +982,16 @@ let cmds =
             Chrome trace_event JSON plus per-op counter digests.")
       trace_term;
     Cmd.v
-      (Cmd.info "crash-test"
-         ~doc:"Crash trials with strict-linearizability analysis.")
-      crash_term;
-    Cmd.v
       (Cmd.info "crash-sweep"
          ~doc:
            "Adversarial fault-injection campaign: crash-point grid, \
-            persisted-state draws, crash-during-recovery, heap audits.")
+            persisted-state draws, crash-during-recovery, heap audits, and \
+            (--detect) exactly-once replay of unacked ops.")
       sweep_term;
     Cmd.v
       (Cmd.info "crash-replay"
          ~doc:"Re-execute a failing trial from its printed replay spec.")
       replay_term;
-    Cmd.v (Cmd.info "recovery" ~doc:"Measure post-crash recovery time.") recovery_term;
     Cmd.v
       (Cmd.info "serve-sim"
          ~doc:
@@ -1092,13 +1007,6 @@ let cmds =
             the p99/p99.9 latency cohorts to pipeline phases (queue wait, \
             recovery overlap, fence, ...).")
       tail_term;
-    Cmd.v
-      (Cmd.info "detect-campaign"
-         ~doc:
-           "Exactly-once crash-replay campaign: adversarial crash sweep with \
-            detectable operations, replaying unacked ops through persistent \
-            descriptors and checking exactly-once histories.")
-      detect_campaign_term;
     Cmd.v
       (Cmd.info "detect-bench"
          ~doc:

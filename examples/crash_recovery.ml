@@ -111,11 +111,18 @@ let () =
 
   (* a fully recorded crash trial with the Chapter 6 analysis *)
   let trial =
-    Harness.Crash_test.run
+    Harness.Fault.run_trial
       ~make:(fun () -> Harness.Kv.make_upskiplist Harness.Kv.default_sys)
-      ~threads:4 ~keyspace:200 ~ops_per_thread:150 ~crash_events:30_000 ~seed:3 ()
+      {
+        Harness.Fault.default_spec with
+        threads = 4;
+        keyspace = 200;
+        ops_per_thread = 150;
+        crash_at = 34_763;
+        draw_seed = 3;
+        seed = 3;
+      }
   in
-  let violations = Lincheck.Checker.check trial.Harness.Crash_test.history in
   Fmt.pr "strict-linearizability analysis over %d recorded ops: %d violations@."
-    (Lincheck.History.size trial.Harness.Crash_test.history)
-    (List.length violations)
+    (Lincheck.History.size trial.Harness.Fault.history)
+    (List.length trial.Harness.Fault.violations)

@@ -1,5 +1,6 @@
-(* Adversarial fault-injection campaigns (the hostile extension of
-   Crash_test's single-crash trial).
+(* Crash trials and adversarial fault-injection campaigns: the one engine
+   behind the Chapter 6 strict-linearizability campaigns, the Table 5.4
+   recovery times, the crash sweeps and the exactly-once campaigns.
 
    A trial is described exhaustively by a {!spec} — structure, machine
    model, workload shape, crash point, multi-crash depth, persisted-state
@@ -7,7 +8,11 @@
    deterministic given the spec, so every failure is replayable from its
    one-line printed form ({!spec_to_string} / `upskip_cli crash-replay`).
 
-   Hostility beyond the single-crash trial:
+   A single-crash trial (rounds = 1, depth = 0, the config's eviction
+   coin) preloads the structure, plays an upsert-heavy workload over a
+   small keyspace, crashes at [crash_at], reconnects and recovers, then
+   re-touches and reads back every key under the strict-linearizability
+   checker. Hostility beyond that:
    - multi-crash: the recovery fiber itself runs under a crash point,
      recursively up to [depth], so recovery must be idempotent under
      repeated power failures; [rounds] > 1 additionally re-crashes the
@@ -431,6 +436,33 @@ let spec_to_string s =
     s.mutant
     (if s.detect then "on" else "off")
 
+(* Names the trial engine understands: [Kv.corrupt] mutations plus the
+   harness-level [skip_resolve]. *)
+let mutants = [ "none"; "skip_resolve"; "lose_key"; "drop_fp"; "dangle" ]
+
+let validate s =
+  let at_least k min n =
+    if n >= min then Ok () else Error (Printf.sprintf "%s must be >= %d: %d" k min n)
+  in
+  let ( let* ) = Result.bind in
+  let* () = at_least "threads" 1 s.threads in
+  let* () = at_least "keyspace" 1 s.keyspace in
+  let* () = at_least "ops" 1 s.ops_per_thread in
+  let* () = at_least "rounds" 1 s.rounds in
+  let* () = at_least "depth" 0 s.depth in
+  let* () = at_least "crash_at" 0 s.crash_at in
+  let* () =
+    match s.adversary with
+    | Subset p when not (p >= 0.0 && p <= 1.0) ->
+        Error (Printf.sprintf "evict: want 'config' or a probability in [0,1]: %g" p)
+    | _ -> Ok ()
+  in
+  if List.mem s.mutant mutants then Ok s
+  else
+    Error
+      (Printf.sprintf "unknown mutant: %s (want %s)" s.mutant
+         (String.concat " | " mutants))
+
 let spec_of_string line =
   let tokens =
     String.split_on_char ' ' (String.trim line)
@@ -446,56 +478,69 @@ let spec_of_string line =
     | Some f -> Ok f
     | None -> Error (Printf.sprintf "%s: not a number: %s" k v)
   in
+  let parse_switch k v =
+    match v with
+    | "on" -> Ok true
+    | "off" -> Ok false
+    | _ -> Error (Printf.sprintf "%s: want on | off: %s" k v)
+  in
   let ( let* ) = Result.bind in
-  List.fold_left
-    (fun acc tok ->
-      let* s = acc in
-      match String.index_opt tok '=' with
-      | None -> Error (Printf.sprintf "malformed token (expected key=value): %s" tok)
-      | Some i -> (
-          let k = String.sub tok 0 i in
-          let v = String.sub tok (i + 1) (String.length tok - i - 1) in
-          match k with
-          | "structure" -> Ok { s with structure = v }
-          | "latency" -> Ok { s with latency = v }
-          | "mode" -> Ok { s with mode = v }
-          | "threads" ->
-              let* n = parse_int k v in
-              Ok { s with threads = n }
-          | "keyspace" ->
-              let* n = parse_int k v in
-              Ok { s with keyspace = n }
-          | "ops" ->
-              let* n = parse_int k v in
-              Ok { s with ops_per_thread = n }
-          | "read" ->
-              let* f = parse_float k v in
-              Ok { s with read_fraction = f }
-          | "rounds" ->
-              let* n = parse_int k v in
-              Ok { s with rounds = n }
-          | "crash_at" ->
-              let* n = parse_int k v in
-              Ok { s with crash_at = n }
-          | "depth" ->
-              let* n = parse_int k v in
-              Ok { s with depth = n }
-          | "evict" ->
-              if v = "config" then Ok { s with adversary = Config_default }
-              else
+  let* s =
+    List.fold_left
+      (fun acc tok ->
+        let* s = acc in
+        match String.index_opt tok '=' with
+        | None -> Error (Printf.sprintf "malformed token (expected key=value): %s" tok)
+        | Some i -> (
+            let k = String.sub tok 0 i in
+            let v = String.sub tok (i + 1) (String.length tok - i - 1) in
+            match k with
+            | "structure" -> Ok { s with structure = v }
+            | "latency" -> Ok { s with latency = v }
+            | "mode" -> Ok { s with mode = v }
+            | "threads" ->
+                let* n = parse_int k v in
+                Ok { s with threads = n }
+            | "keyspace" ->
+                let* n = parse_int k v in
+                Ok { s with keyspace = n }
+            | "ops" ->
+                let* n = parse_int k v in
+                Ok { s with ops_per_thread = n }
+            | "read" ->
                 let* f = parse_float k v in
-                Ok { s with adversary = Subset f }
-          | "draw" ->
-              let* n = parse_int k v in
-              Ok { s with draw_seed = n }
-          | "seed" ->
-              let* n = parse_int k v in
-              Ok { s with seed = n }
-          | "audit" -> Ok { s with audit = v = "on" }
-          | "mutant" -> Ok { s with mutant = v }
-          | "detect" -> Ok { s with detect = v = "on" }
-          | _ -> Error (Printf.sprintf "unknown key: %s" k)))
-    (Ok default_spec) tokens
+                Ok { s with read_fraction = f }
+            | "rounds" ->
+                let* n = parse_int k v in
+                Ok { s with rounds = n }
+            | "crash_at" ->
+                let* n = parse_int k v in
+                Ok { s with crash_at = n }
+            | "depth" ->
+                let* n = parse_int k v in
+                Ok { s with depth = n }
+            | "evict" ->
+                if v = "config" then Ok { s with adversary = Config_default }
+                else
+                  let* f = parse_float k v in
+                  Ok { s with adversary = Subset f }
+            | "draw" ->
+                let* n = parse_int k v in
+                Ok { s with draw_seed = n }
+            | "seed" ->
+                let* n = parse_int k v in
+                Ok { s with seed = n }
+            | "audit" ->
+                let* b = parse_switch k v in
+                Ok { s with audit = b }
+            | "mutant" -> Ok { s with mutant = v }
+            | "detect" ->
+                let* b = parse_switch k v in
+                Ok { s with detect = b }
+            | _ -> Error (Printf.sprintf "unknown key: %s" k)))
+      (Ok default_spec) tokens
+  in
+  validate s
 
 (* ---- building the fixture a spec names ----------------------------------- *)
 

@@ -1,12 +1,15 @@
-(** Adversarial fault-injection campaigns.
+(** Crash trials and adversarial fault-injection campaigns.
 
-    Extends the single-crash trial of {!Crash_test} with multi-crash
-    trials (the recovery fiber itself runs under crash points, recursively
-    up to a configurable depth), deterministic crash-point sweeps over a
-    jittered grid, a dirty-line subset adversary choosing per cache line
-    what persisted at each power failure, a persistent-heap audit after
-    every recovery, and greedy shrinking of failing trials to minimal
-    replayable reproducers.
+    One trial engine serves every crash experiment: the single-crash
+    trial (preload, crashed upsert-heavy workload, reconnect + recovery,
+    recorded re-touch of every key; [rounds = 1], [depth = 0]) that the
+    Chapter 6 campaigns check and Table 5.4 times, extended with
+    multi-crash trials (the recovery fiber itself runs under crash
+    points, recursively up to a configurable depth), deterministic
+    crash-point sweeps over a jittered grid, a dirty-line subset
+    adversary choosing per cache line what persisted at each power
+    failure, a persistent-heap audit after every recovery, and greedy
+    shrinking of failing trials to minimal replayable reproducers.
 
     Everything is deterministic given the {!spec}: the same spec replays
     the same crash points, the same persisted-state draws, and the same
@@ -99,8 +102,17 @@ val run_trial : ?mutant:(Kv.t -> bool) -> make:(unit -> Kv.t) -> spec -> result
 val spec_to_string : spec -> string
 (** One line of [key=value] tokens; {!spec_of_string} inverts it. *)
 
+val validate : spec -> (spec, string) Stdlib.result
+(** The spec unchanged if the engine can run it: threads, keyspace, ops
+    and rounds >= 1, depth and crash_at >= 0, a [Subset] probability in
+    [0,1], and a mutant among [none | skip_resolve | lose_key | drop_fp |
+    dangle]. Structure, latency and mode names are checked by
+    {!kv_of_spec}. *)
+
 val spec_of_string : string -> (spec, string) Stdlib.result
-(** Parse a replay spec; unspecified keys default to {!default_spec}. *)
+(** Parse a replay spec; unspecified keys default to {!default_spec}.
+    [audit] and [detect] take [on | off]; the parsed spec must pass
+    {!validate}. *)
 
 val run_spec : spec -> (result, string) Stdlib.result
 (** Build the fixture the spec names ({!kv_of_spec}) and run the trial —

@@ -94,3 +94,35 @@ let check_bool = Alcotest.(check bool)
 
 let check_pairs msg expected actual =
   Alcotest.(check (list (pair int int))) msg expected actual
+
+(* Single-crash campaign: [trials] trials of Fault's default trial shape on
+   [make]'s fixture, one per crash point spread over [crash_events,
+   1.5 * crash_events). Audit errors count as failures. *)
+let crash_campaign ~make ~threads ~keyspace ~ops_per_thread
+    ~crash_events ~seed ~trials () =
+  let step = max 1 (crash_events / (2 * trials)) in
+  Harness.Fault.run_campaign ~make
+    {
+      Harness.Fault.base =
+        {
+          Harness.Fault.default_spec with
+          threads;
+          keyspace;
+          ops_per_thread;
+          draw_seed = seed;
+          seed;
+        };
+      grid = { origin = crash_events; stride = step; points = trials; jitter = step };
+      draws = 1;
+    }
+
+(* Print each failing trial's replay spec, violations and audit errors. *)
+let print_failures name (s : Harness.Fault.summary) =
+  List.iter
+    (fun ((spec : Harness.Fault.spec), (r : Harness.Fault.result)) ->
+      Fmt.epr "%s failing trial: %s@." name (Harness.Fault.spec_to_string spec);
+      List.iter
+        (fun v -> Fmt.epr "  %a@." Lincheck.Checker.pp_violation v)
+        r.Harness.Fault.violations;
+      List.iter (fun e -> Fmt.epr "  audit: %s@." e) r.Harness.Fault.audit_errors)
+    s.Harness.Fault.failures

@@ -1,8 +1,8 @@
 (* End-to-end crash campaigns with strict-linearizability analysis — the
    reproduction of Chapter 6's correctness methodology, run over all three
    structures. Each trial: preload, upsert-heavy workload over a small
-   keyspace, crash at a randomized point, reconnect + recover, re-touch
-   every key, then analyze the full cross-crash history. *)
+   keyspace, crash at one point of a seeded grid, reconnect + recover,
+   re-touch every key, then analyze the full cross-crash history. *)
 
 open Testsupport
 
@@ -15,16 +15,13 @@ let fast_sys =
   }
 
 let campaign name make ~trials =
-  let violations =
-    Harness.Crash_test.campaign ~make ~threads:4 ~keyspace:120
-      ~ops_per_thread:100 ~crash_events:20_000 ~seed:1234 ~trials ()
+  let s =
+    crash_campaign ~make ~threads:4 ~keyspace:120 ~ops_per_thread:100
+      ~crash_events:20_000 ~seed:1234 ~trials ()
   in
-  List.iter
-    (fun (trial, v) ->
-      Fmt.epr "%s trial %d: %a@." name trial Lincheck.Checker.pp_violation v)
-    violations;
+  print_failures name s;
   check_int (name ^ ": no strict-linearizability violations") 0
-    (List.length violations)
+    (List.length s.Harness.Fault.failures)
 
 let test_upskiplist_campaign () =
   campaign "UPSkipList" (fun () -> Harness.Kv.make_upskiplist fast_sys) ~trials:6

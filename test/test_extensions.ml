@@ -306,12 +306,13 @@ let test_fp_lincheck_campaign () =
     }
   in
   let make () = Harness.Kv.make_upskiplist ~cfg:fp_cfg sys in
-  let violations =
-    Harness.Crash_test.campaign ~make ~threads:4 ~keyspace:120 ~ops_per_thread:100
+  let s =
+    crash_campaign ~make ~threads:4 ~keyspace:120 ~ops_per_thread:100
       ~crash_events:15_000 ~seed:777 ~trials:3 ()
   in
+  print_failures "fingerprint" s;
   check_int "strictly linearizable with small fingerprinted nodes" 0
-    (List.length violations)
+    (List.length s.Harness.Fault.failures)
 
 (* Crash grid for one fresh-key insert into an existing node: crash after
    every event of the insert and, at each point, persist every subset of
@@ -558,14 +559,13 @@ let test_reclaim_lincheck_campaign () =
       ~cfg:{ Config.default with reclaim_empty_nodes = true; keys_per_node = 4 }
       sys
   in
-  let violations =
-    Harness.Crash_test.campaign ~make ~threads:4 ~keyspace:80 ~ops_per_thread:100
+  let s =
+    crash_campaign ~make ~threads:4 ~keyspace:80 ~ops_per_thread:100
       ~crash_events:15_000 ~seed:4242 ~trials:3 ()
   in
-  List.iter
-    (fun (i, v) -> Fmt.epr "reclaim trial %d: %a@." i Lincheck.Checker.pp_violation v)
-    violations;
-  check_int "strictly linearizable with reclamation" 0 (List.length violations)
+  print_failures "reclaim" s;
+  check_int "strictly linearizable with reclamation" 0
+    (List.length s.Harness.Fault.failures)
 
 (* model check with reclamation on and small nodes *)
 let prop_model_with_extensions =

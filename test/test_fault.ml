@@ -34,17 +34,24 @@ let run_spec_exn spec =
 
 let test_recovery_ns_positive () =
   let t =
-    Harness.Crash_test.run
+    Fault.run_trial
       ~make:(fun () -> Kv.make_upskiplist fast_sys)
-      ~threads:4 ~keyspace:60 ~ops_per_thread:80 ~crash_events:4_000 ~seed:7 ()
+      {
+        Fault.default_spec with
+        threads = 4;
+        keyspace = 60;
+        ops_per_thread = 80;
+        crash_at = 5_621;
+        draw_seed = 7;
+        seed = 7;
+      }
   in
-  check_bool "trial crashed" true (t.Harness.Crash_test.crash_events > 0);
+  check_bool "trial crashed" true (t.Fault.crash_events > 0);
   check_bool "recovery_ns positive in a crashed trial" true
-    (t.Harness.Crash_test.recovery_ns > 0.0);
+    (t.Fault.recovery_ns > 0.0);
   (* at least the pool-reopen cost of the fixture's pools *)
   check_bool "recovery_ns covers pool reopen" true
-    (t.Harness.Crash_test.recovery_ns
-    >= Harness.Fault.pool_open_ns ~pools:t.Harness.Crash_test.kv.Kv.pools)
+    (t.Fault.recovery_ns >= Fault.pool_open_ns ~pools:t.Fault.kv.Kv.pools)
 
 (* ---- reconnect + recover twice in a row is a no-op ----------------------- *)
 
@@ -116,6 +123,41 @@ let test_spec_roundtrip () =
     (Result.is_error (Fault.spec_of_string "bogus=1"));
   check_bool "malformed token rejected" true
     (Result.is_error (Fault.spec_of_string "threads"))
+
+(* Replay specs are outside input: a malformed value must be rejected, not
+   misread as a default, run as a no-op or run vacuously. *)
+let test_spec_validation () =
+  List.iter
+    (fun line ->
+      check_bool ("rejected: " ^ line) true
+        (Result.is_error (Fault.spec_of_string line)))
+    [
+      "audit=yes";
+      "detect=1";
+      "mutant=lose_keys";
+      "evict=1.5";
+      "evict=-0.1";
+      "threads=0";
+      "keyspace=0";
+      "ops=0";
+      "rounds=0";
+      "depth=-1";
+      "crash_at=-1";
+    ];
+  List.iter
+    (fun line ->
+      check_bool ("accepted: " ^ line) true
+        (Result.is_ok (Fault.spec_of_string line)))
+    [
+      "audit=off detect=on evict=0 depth=0 crash_at=0";
+      "evict=1 mutant=skip_resolve";
+      "threads=1 keyspace=1 ops=1 rounds=1 mutant=drop_fp";
+    ];
+  check_bool "validate rejects an out-of-range probability" true
+    (Result.is_error
+       (Fault.validate { fast_spec with adversary = Fault.Subset 1.5 }));
+  check_bool "validate accepts the default spec" true
+    (Result.is_ok (Fault.validate Fault.default_spec))
 
 let test_grid_deterministic () =
   let g = { Fault.origin = 1_000; stride = 700; points = 5; jitter = 200 } in
@@ -204,6 +246,7 @@ let () =
           slow_case "recovery_ns positive and includes pool reopen"
             test_recovery_ns_positive;
           case "spec round-trips through its printed form" test_spec_roundtrip;
+          case "malformed replay specs rejected" test_spec_validation;
           case "grid points deterministic" test_grid_deterministic;
         ] );
       ( "idempotent recovery",

@@ -81,24 +81,48 @@ let test_value_of_unique () =
     done
   done
 
+(* One small crashed trial; total modeled recovery in seconds. *)
+let recovery_time_s make =
+  let r =
+    Harness.Fault.run_trial ~make
+      {
+        Harness.Fault.default_spec with
+        threads = 2;
+        keyspace = 40;
+        ops_per_thread = 40;
+        crash_at = 1_000;
+      }
+  in
+  if r.Harness.Fault.crashes = 0 then Alcotest.fail "expected a crash";
+  r.Harness.Fault.recovery_ns /. 1.0e9
+
 let test_recovery_time_model () =
-  let kv = Harness.Kv.make_bztree ~n_descriptors:5_000 fast_sys in
-  let t1 = Harness.Crash_test.recovery_time_s kv in
-  let kv2 = Harness.Kv.make_bztree ~n_descriptors:50_000 fast_sys in
-  let t2 = Harness.Crash_test.recovery_time_s kv2 in
+  let t1 =
+    recovery_time_s (fun () -> Harness.Kv.make_bztree ~n_descriptors:5_000 fast_sys)
+  in
+  let t2 =
+    recovery_time_s (fun () -> Harness.Kv.make_bztree ~n_descriptors:50_000 fast_sys)
+  in
   check_bool "recovery grows with descriptor pool" true (t2 > t1);
-  let kv3 = Harness.Kv.make_upskiplist fast_sys in
-  let t3 = Harness.Crash_test.recovery_time_s kv3 in
+  let t3 = recovery_time_s (fun () -> Harness.Kv.make_upskiplist fast_sys) in
   check_bool "upskiplist recovery near pool-open cost" true
     (t3 < 0.2 && t3 > 0.01)
 
 let test_crash_trial_produces_history () =
   let t =
-    Harness.Crash_test.run
+    Harness.Fault.run_trial
       ~make:(fun () -> Harness.Kv.make_upskiplist fast_sys)
-      ~threads:3 ~keyspace:60 ~ops_per_thread:80 ~crash_events:8_000 ~seed:2 ()
+      {
+        Harness.Fault.default_spec with
+        threads = 3;
+        keyspace = 60;
+        ops_per_thread = 80;
+        crash_at = 11_027;
+        draw_seed = 2;
+        seed = 2;
+      }
   in
-  let h = t.Harness.Crash_test.history in
+  let h = t.Harness.Fault.history in
   check_bool "history non-empty" true (Lincheck.History.size h > 100);
   check_int "two eras" 2 (Lincheck.History.eras h);
   (* the recorder must capture at least the preload + retouch ops *)
@@ -106,16 +130,24 @@ let test_crash_trial_produces_history () =
   let pending =
     List.length (List.filter (fun e -> not e.Lincheck.History.completed) events)
   in
-  check_bool "a crash was injected" true (t.Harness.Crash_test.crash_events > 0);
+  check_bool "a crash was injected" true (t.Harness.Fault.crash_events > 0);
   check_bool "pending bounded by threads" true (pending <= 3)
 
 let test_crash_trial_eras_monotone_times () =
   let t =
-    Harness.Crash_test.run
+    Harness.Fault.run_trial
       ~make:(fun () -> Harness.Kv.make_upskiplist fast_sys)
-      ~threads:2 ~keyspace:40 ~ops_per_thread:60 ~crash_events:5_000 ~seed:8 ()
+      {
+        Harness.Fault.default_spec with
+        threads = 2;
+        keyspace = 40;
+        ops_per_thread = 60;
+        crash_at = 6_905;
+        draw_seed = 8;
+        seed = 8;
+      }
   in
-  let events = Lincheck.History.events t.Harness.Crash_test.history in
+  let events = Lincheck.History.events t.Harness.Fault.history in
   List.iter
     (fun (e : Lincheck.History.event) ->
       if e.Lincheck.History.completed then

@@ -102,39 +102,29 @@ let test_fault_campaign_parity () =
   Alcotest.(check (list int))
     "crash points identical" seq.Fault.crash_points par.Fault.crash_points
 
-let test_crash_test_campaign_parity () =
-  let run jobs =
-    Harness.Crash_test.campaign ~jobs
-      ~make:(fun () -> Kv.make_upskiplist fast_sys)
-      ~threads:4 ~keyspace:100 ~ops_per_thread:80 ~crash_events:15_000
-      ~seed:777 ~trials:4 ()
-  in
-  let digest vs =
-    List.map
-      (fun (i, (v : Lincheck.Checker.violation)) ->
-        (i, v.Lincheck.Checker.key, v.Lincheck.Checker.message))
-      vs
-  in
-  Alcotest.(check (list (triple int int string)))
-    "violation lists identical for -j1 and -j4"
-    (digest (run 1))
-    (digest (run 4))
-
 (* ---- domain-parallel lincheck -------------------------------------------- *)
 
 (* The strict-linearizability checker itself must be Pool-safe: checking a
    batch of crash-trial histories on parallel domains must return the same
    verdicts, in input order, as a sequential pass. *)
 let crash_histories () =
-  List.init 4 (fun i ->
+  List.mapi
+    (fun i crash_at ->
       let t =
-        Harness.Crash_test.run
+        Fault.run_trial
           ~make:(fun () -> Kv.make_upskiplist fast_sys)
-          ~threads:4 ~keyspace:80 ~ops_per_thread:60
-          ~crash_events:(8_000 + (3_000 * i))
-          ~seed:(900 + i) ()
+          {
+            Fault.default_spec with
+            threads = 4;
+            keyspace = 80;
+            ops_per_thread = 60;
+            crash_at;
+            draw_seed = 900 + i;
+            seed = 900 + i;
+          }
       in
-      t.Harness.Crash_test.history)
+      t.Fault.history)
+    [ 10_695; 11_964; 14_798; 19_962 ]
 
 let test_lincheck_pool_parity () =
   let hs = crash_histories () in
@@ -308,8 +298,6 @@ let () =
       ( "campaigns",
         [
           slow_case "fault campaign parity" test_fault_campaign_parity;
-          slow_case "crash-test campaign parity"
-            test_crash_test_campaign_parity;
           slow_case "lincheck verdict parity" test_lincheck_pool_parity;
         ] );
       ( "failure",

@@ -23,7 +23,7 @@ first_int() {
 
 campaign() {
   # $1 = output json, $2 = jobs, $3 = mutant; exit status passed through
-  "$CLI" detect-campaign --mutant "$3" -j "$2" \
+  "$CLI" crash-sweep --detect --mutant "$3" -j "$2" \
     --threads 4 --keyspace 60 --ops-per-thread 60 \
     --origin 1500 --stride 900 --points 6 --jitter 300 --draws 2 --depth 1 \
     --json-out "$1"
