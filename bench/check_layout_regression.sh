@@ -5,32 +5,27 @@
 # tolerance only absorbs benign scheduling shifts from unrelated changes —
 # a real layout regression (an extra line per hop, a lost flush
 # coalescing) blows through it and fails `dune runtest`.
+#
+# Usage: check_layout_regression.sh <path-to-json_check>
 
 set -eu
 
+JSON_CHECK="$1"
 TOL=0.05  # relative tolerance
 ABS=0.05  # absolute floor, for counters near zero
 
-# Emit "section/op counter value" triples for the hot per-op counters.
+# Emit "section/op counter value" triples for the hot per-op counters,
+# read from the metrics document's leaves (sections.S.name,
+# sections.S.ops.O.op, sections.S.ops.O.per_op.COUNTER).
 extract() {
-  awk '
-    /"name":/ {
-      if (match($0, /"name": "[^"]*"/))
-        sec = substr($0, RSTART + 9, RLENGTH - 10)
-    }
-    /\{"op":/ {
-      if (match($0, /"op": "[^"]*"/))
-        op = substr($0, RSTART + 7, RLENGTH - 8)
-      rest = substr($0, index($0, "\"per_op\""))
-      split("load_misses flushes fences store_misses", cs, " ")
-      for (i in cs) {
-        if (match(rest, "\"" cs[i] "\": [0-9.]+")) {
-          v = substr(rest, RSTART, RLENGTH)
-          sub(/.*: /, "", v)
-          print sec "/" op, cs[i], v
-        }
-      }
-    }' "$1"
+  "$JSON_CHECK" "$1" > "$1.leaves"
+  awk -F'\t' '
+    { n = split($1, p, ".") }
+    n == 3 && p[1] == "sections" && p[3] == "name" { sec[p[2]] = $2 }
+    n == 5 && p[3] == "ops" && p[5] == "op" { op[p[2] "." p[4]] = $2 }
+    n == 6 && p[5] == "per_op" && p[6] ~ /^(load_misses|flushes|fences|store_misses)$/ {
+      print sec[p[2]] "/" op[p[2] "." p[4]], p[6], $2
+    }' "$1.leaves"
 }
 
 extract layout_baseline.json > baseline.metrics

@@ -795,15 +795,15 @@ let layout () =
         "dirty-fl/op"; "fence/op"; "finger-hit/op"; "fp-match/op"; "fp-false/op";
       ]
     ~rows;
-  Report.write_metrics_json ~path:"bench_layout.json"
-    ~label:"layout ablation (YCSB A, 8 threads)" ~seed
-    (List.map
-       (fun (label, ds) ->
-         ( label,
-           List.map
-             (fun d -> (d.Driver.op, d.Driver.count, d.Driver.totals))
-             ds ))
-       results);
+  Json.write_file "bench_layout.json"
+    (Report.metrics_json ~label:"layout ablation (YCSB A, 8 threads)" ~seed
+       (List.map
+          (fun (label, ds) ->
+            ( label,
+              List.map
+                (fun d -> (d.Driver.op, d.Driver.count, d.Driver.totals))
+                ds ))
+          results));
   Fmt.pr "layout metrics written to bench_layout.json@."
 
 (* ---- bechamel micro-benchmarks ------------------------------------------------ *)
@@ -910,7 +910,8 @@ let svc_scaling () =
         in
         let r, w_seq = timed 1 in
         let r_par, w_par = timed shards in
-        if Svc.Slo.to_json r <> Svc.Slo.to_json r_par then
+        if Json.to_string (Svc.Slo.to_json r) <> Json.to_string (Svc.Slo.to_json r_par)
+        then
           failwith
             (Printf.sprintf
                "svc-scaling: report diverged at %d shards (domains 1 vs %d)"
@@ -1030,11 +1031,6 @@ let smoke () =
 
 (* ---- observability artifacts (--trace / --metrics-json) ------------------------ *)
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
 (* Instrumented passes: a YCSB A run with per-op counter attribution
    (optionally recording a Chrome trace of it) and a small crash-recovery
    campaign whose counter digest isolates the lazy-repair cost. Both are
@@ -1054,7 +1050,7 @@ let obs_artifacts ~trace_path ~metrics_path () =
   Obs.Trace.stop ();
   (match trace_path with
   | Some path ->
-      write_file path (Obs.Trace.to_chrome_string ());
+      Json.write_file path (Obs.Trace.to_chrome ());
       Fmt.pr "trace: %d events (%d dropped) -> %s@." (Obs.Trace.recorded ())
         (Obs.Trace.dropped ()) path
   | None -> ());
@@ -1086,8 +1082,9 @@ let obs_artifacts ~trace_path ~metrics_path () =
     recovery_digests;
   match metrics_path with
   | Some path ->
-      Report.write_metrics_json ~path ~label:"bench observability" ~seed
-        [ ("ycsb-a", ycsb_digests); ("crash-recovery", recovery_digests) ];
+      Json.write_file path
+        (Report.metrics_json ~label:"bench observability" ~seed
+           [ ("ycsb-a", ycsb_digests); ("crash-recovery", recovery_digests) ]);
       Fmt.pr "metrics written to %s@." path
   | None -> ()
 
@@ -1121,25 +1118,6 @@ let default_set =
     "tail-anatomy";
   ]
 
-(* Baseline wall-clock file: one "<experiment> <seconds>" pair per line,
-   recorded from a pre-change run (see EXPERIMENTS.md, "Wall-clock
-   methodology"). Folded into the --json output as baseline_wall_s. *)
-let read_wall_baseline path =
-  let ic = open_in path in
-  let entries = ref [] in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       match String.split_on_char ' ' line with
-       | [ name; secs ] when name <> "" ->
-           entries := (name, float_of_string secs) :: !entries
-       | [] | [ "" ] -> ()
-       | _ -> failwith (Printf.sprintf "bad wall-baseline line %S" line)
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !entries
-
 let () =
   (* The simulator allocates a handful of small objects per event (effect
      payloads, continuations, waiters); a larger minor heap trades a little
@@ -1147,7 +1125,6 @@ let () =
      are identical under any GC settings. *)
   Gc.set { (Gc.get ()) with minor_heap_size = 1 lsl 22; space_overhead = 200 };
   let json_path = ref None in
-  let wall_baseline = ref [] in
   let trace_path = ref None in
   let metrics_path = ref None in
   let rec parse acc = function
@@ -1166,11 +1143,6 @@ let () =
         json_path := Some path;
         parse acc rest
     | [ "--json" ] -> failwith "--json requires a file argument"
-    | "--wall-baseline-file" :: path :: rest ->
-        wall_baseline := read_wall_baseline path;
-        parse acc rest
-    | [ "--wall-baseline-file" ] ->
-        failwith "--wall-baseline-file requires a file argument"
     | "--trace" :: path :: rest ->
         trace_path := Some path;
         parse acc rest
@@ -1207,14 +1179,7 @@ let () =
               (fun i _ -> i >= samples_before)
               (Report.samples ())
           in
-          figures :=
-            {
-              Report.name;
-              wall_s;
-              baseline_wall_s = List.assoc_opt name !wall_baseline;
-              sim;
-            }
-            :: !figures
+          figures := (name, sim) :: !figures
       | None ->
           Fmt.epr "unknown experiment %S; available: %s@." name
             (String.concat ", " (List.map fst experiments)))
@@ -1230,17 +1195,9 @@ let () =
   | None -> ()
   | Some path ->
       let figures = List.rev !figures in
-      let baseline_total_wall_s =
-        (* meaningful only when every selected figure has a baseline *)
-        let baselines =
-          List.filter_map (fun f -> f.Report.baseline_wall_s) figures
-        in
-        if List.length baselines = List.length figures && figures <> [] then
-          Some (List.fold_left ( +. ) 0.0 baselines)
-        else None
-      in
-      Report.write_json ~path
-        ~label:(Printf.sprintf "upskiplist bench (%d figures)" (List.length figures))
-        ~scale:(if !scale == full then "full" else "quick")
-        ~total_wall_s ~baseline_total_wall_s figures;
+      Json.write_file path
+        (Report.samples_json
+           ~label:(Printf.sprintf "upskiplist bench (%d figures)" (List.length figures))
+           ~scale:(if !scale == full then "full" else "quick")
+           figures);
       Fmt.pr "perf trajectory written to %s@." path

@@ -162,9 +162,7 @@ let trace_cmd structure mode workload threads keys ops seed descriptors out
       ]
     end
   in
-  let oc = open_out out in
-  output_string oc (Obs.Trace.to_chrome_string ~counter_tracks ());
-  close_out oc;
+  Json.write_file out (Obs.Trace.to_chrome ~counter_tracks ());
   Fmt.pr "trace: %d events (%d dropped) -> %s@." (Obs.Trace.recorded ())
     (Obs.Trace.dropped ()) out;
   let digests =
@@ -186,11 +184,11 @@ let trace_cmd structure mode workload threads keys ops seed descriptors out
     digests;
   (match metrics_out with
   | Some path ->
-      Harness.Report.write_metrics_json ~path
-        ~label:
-          (Printf.sprintf "%s workload %s" kv.Kv.name spec.Ycsb.Workload.label)
-        ~seed
-        [ ("ycsb-" ^ spec.Ycsb.Workload.label, digests) ];
+      Json.write_file path
+        (Harness.Report.metrics_json
+           ~label:(Printf.sprintf "%s workload %s" kv.Kv.name spec.Ycsb.Workload.label)
+           ~seed
+           [ ("ycsb-" ^ spec.Ycsb.Workload.label, digests) ]);
       Fmt.pr "metrics written to %s@." path
   | None -> ());
   0
@@ -373,28 +371,23 @@ let report_failures ~shrink failures =
 (* Deterministic campaign summary (stable across reruns and -j), read by
    the exactly-once runtest gate. *)
 let write_campaign_json path (base : Fault.spec) (s : Fault.summary) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "{\"schema\":\"upskip-crash-campaign/1\",\"schema_version\":1";
-  Printf.bprintf buf ",\"structure\":\"%s\",\"mutant\":\"%s\""
-    base.Fault.structure base.Fault.mutant;
-  Printf.bprintf buf ",\"trials\":%d,\"crashed_trials\":%d,\"total_crashes\":%d"
-    s.Fault.trials s.Fault.crashed_trials s.Fault.total_crashes;
-  Printf.bprintf buf
-    ",\"audit_passes\":%d,\"audit_failures\":%d,\"violation_trials\":%d"
-    s.Fault.audit_passes s.Fault.audit_failures s.Fault.violation_trials;
-  Printf.bprintf buf ",\"replays\":%d,\"suppressions\":%d" s.Fault.replays
-    s.Fault.suppressions;
-  Buffer.add_string buf ",\"failures\":[";
-  List.iteri
-    (fun i ((spec : Fault.spec), _) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "\"%s\"" (Fault.spec_to_string spec))
-    s.Fault.failures;
-  Buffer.add_string buf "]}\n";
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
+  Json.write_file path
+    (Json.Schema.doc Json.Schema.crash_campaign
+       [
+         ("structure", Json.Str base.Fault.structure);
+         ("mutant", Json.Str base.Fault.mutant); ("trials", Json.int s.Fault.trials);
+         ("crashed_trials", Json.int s.Fault.crashed_trials);
+         ("total_crashes", Json.int s.Fault.total_crashes);
+         ("audit_passes", Json.int s.Fault.audit_passes);
+         ("audit_failures", Json.int s.Fault.audit_failures);
+         ("violation_trials", Json.int s.Fault.violation_trials);
+         ("replays", Json.int s.Fault.replays);
+         ("suppressions", Json.int s.Fault.suppressions);
+         ( "failures",
+           Json.List
+             (List.map (fun (spec, _) -> Json.Str (Fault.spec_to_string spec)) s.Fault.failures)
+         );
+       ]);
   Fmt.pr "campaign summary written to %s@." path
 
 let sweep_cmd structure mode latency threads keyspace ops rounds depth evict
@@ -542,34 +535,25 @@ let serve_cmd structure shards zones clients requests load arrival workload
   Svc.Slo.pp Format.std_formatter report;
   (match json_out with
   | Some path ->
-      let oc = open_out path in
-      output_string oc (Svc.Slo.to_json report);
-      output_char oc '\n';
-      close_out oc;
+      Json.write_file path (Svc.Slo.to_json report);
       Fmt.pr "SLO report written to %s@." path
   | None -> ());
   (match span_json with
   | Some path ->
-      let oc = open_out path in
-      output_string oc (Svc.Slo.spans_to_json report);
-      output_char oc '\n';
-      close_out oc;
+      Json.write_file path (Svc.Slo.spans_to_json report);
       Fmt.pr "span summary written to %s@." path
   | None -> ());
   (match obs_out with
   | Some path ->
       (* deterministic counter totals, for the domain-determinism gate *)
-      let totals = Obs.totals () in
-      let oc = open_out path in
-      output_string oc
-        "{\"schema\":\"upskip-obs-totals/1\",\"schema_version\":1,\"totals\":{";
-      Array.iteri
-        (fun i v ->
-          if i > 0 then output_char oc ',';
-          Printf.fprintf oc "\"%s\":%d" (Obs.id_name i) v)
-        totals;
-      output_string oc "}}\n";
-      close_out oc;
+      Json.write_file path
+        (Json.Schema.doc Json.Schema.obs_totals
+           [
+             ( "totals",
+               Json.Obj
+                 (Array.to_list (Array.mapi (fun i v -> (Obs.id_name i, Json.int v)) (Obs.totals ())))
+             );
+           ]);
       Fmt.pr "Obs totals written to %s@." path
   | None -> ());
   (match trace_out with
@@ -598,9 +582,7 @@ let serve_cmd structure shards zones clients requests load arrival workload
             ("commit p99 (ns)", series (p99 Obs.Span.ph_commit));
           ]
       in
-      let oc = open_out path in
-      output_string oc (Obs.Trace.to_chrome_string ~counter_tracks ());
-      close_out oc;
+      Json.write_file path (Obs.Trace.to_chrome ~counter_tracks ());
       Fmt.pr "trace: %d events (%d dropped) -> %s@." (Obs.Trace.recorded ())
         (Obs.Trace.dropped ()) path
   | None -> ());
@@ -804,16 +786,9 @@ let tail_cmd structure shards zones clients requests load workload keys seed
   Svc.Slo.pp_anatomy Format.std_formatter ~merged agg;
   (match json_out with
   | Some path ->
-      let oc = open_out path in
-      output_string oc
-        "{\"schema\":\"upskip-svc-tail/1\",\"schema_version\":1,\"trials\":[";
-      List.iteri
-        (fun i r ->
-          if i > 0 then output_char oc ',';
-          output_string oc (Svc.Slo.spans_to_json r))
-        reports;
-      output_string oc "]}\n";
-      close_out oc;
+      Json.write_file path
+        (Json.Schema.doc Json.Schema.svc_tail
+           [ ("trials", Json.List (List.map Svc.Slo.spans_to_json reports)) ]);
       Fmt.pr "per-trial span summaries written to %s@." path
   | None -> ());
   0
@@ -911,14 +886,29 @@ let detect_bench_cmd threads keys ops seed json_out =
     (d_fences -. p_fences) (d_flushes -. p_flushes);
   (match json_out with
   | Some path ->
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\"schema\":\"upskip-detect-bench/1\",\"schema_version\":1,\"threads\":%d,\"keys\":%d,\"ops\":%d,\"seed\":%d,\"plain\":{\"sim_ns\":%.0f,\"mops\":%.4f,\"fences_per_op\":%.4f,\"flushes_per_op\":%.4f},\"detect\":{\"sim_ns\":%.0f,\"mops\":%.4f,\"fences_per_op\":%.4f,\"flushes_per_op\":%.4f},\"overhead\":{\"throughput_pct\":%.2f,\"extra_fences_per_op\":%.4f,\"extra_flushes_per_op\":%.4f}}\n"
-        threads keys p_ops seed p_ns p_mops p_fences p_flushes d_ns d_mops
-        d_fences d_flushes
-        ((p_mops /. d_mops -. 1.0) *. 100.0)
-        (d_fences -. p_fences) (d_flushes -. p_flushes);
-      close_out oc;
+      let side ns mops fences flushes =
+        Json.Obj
+          [
+            ("sim_ns", Json.Fixed (0, ns)); ("mops", Json.Fixed (4, mops));
+            ("fences_per_op", Json.Fixed (4, fences));
+            ("flushes_per_op", Json.Fixed (4, flushes));
+          ]
+      in
+      Json.write_file path
+        (Json.Schema.doc Json.Schema.detect_bench
+           [
+             ("threads", Json.int threads); ("keys", Json.int keys);
+             ("ops", Json.int p_ops); ("seed", Json.int seed);
+             ("plain", side p_ns p_mops p_fences p_flushes);
+             ("detect", side d_ns d_mops d_fences d_flushes);
+             ( "overhead",
+               Json.Obj
+                 [
+                   ("throughput_pct", Json.Fixed (2, (p_mops /. d_mops -. 1.0) *. 100.0));
+                   ("extra_fences_per_op", Json.Fixed (4, d_fences -. p_fences));
+                   ("extra_flushes_per_op", Json.Fixed (4, d_flushes -. p_flushes));
+                 ] );
+           ]);
       Fmt.pr "bench written to %s@." path
   | None -> ());
   0

@@ -5,8 +5,7 @@
    paper reports, ready to plot.
 
    Every printed series is also captured as {!sample} records so the bench
-   driver can emit a machine-readable perf trajectory (`--json`, see
-   EXPERIMENTS.md "Wall-clock methodology"). *)
+   driver can emit them as a machine-readable document (`--json`). *)
 
 type sample = {
   figure : string;  (* heading active when the series was printed *)
@@ -148,76 +147,31 @@ let campaign_summary ~name ~trials ~crashed ~crash_points ~draws ~total_crashes
         @ rec_stats;
       ]
 
-(* ---- JSON perf trajectory (bench --json) ------------------------------- *)
+(* ---- bench --json: the simulated samples ------------------------------- *)
 
-(* One record per executed experiment: host wall-clock (optionally paired
-   with a recorded baseline run's wall-clock) plus every simulated series
-   the experiment printed. *)
-type figure_timing = {
-  name : string;
-  wall_s : float;
-  baseline_wall_s : float option;
-  sim : sample list;
-}
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_of_sample s =
-  Printf.sprintf
-    "{\"figure\": \"%s\", \"series\": \"%s\", \"column\": \"%s\", \"x\": %d, \
-     \"mean\": %.6g, \"sd\": %.6g}"
-    (json_escape s.figure) (json_escape s.series) (json_escape s.column) s.x
-    s.mean s.sd
-
-let json_of_figure f =
-  let baseline, speedup =
-    match f.baseline_wall_s with
-    | None -> ("", "")
-    | Some b ->
-        ( Printf.sprintf " \"baseline_wall_s\": %.3f," b,
-          if f.wall_s > 0.0 then
-            Printf.sprintf " \"speedup\": %.2f," (b /. f.wall_s)
-          else "" )
+(* One entry per executed experiment, [(name, samples it printed)]. Means
+   and deviations keep 6 significant digits, the precision the tables
+   print from. *)
+let samples_json ~label ~scale figures =
+  let sig6 x = Json.Num (float_of_string (Printf.sprintf "%.6g" x)) in
+  let sample s =
+    Json.Obj
+      [
+        ("figure", Json.Str s.figure); ("series", Json.Str s.series);
+        ("column", Json.Str s.column); ("x", Json.int s.x); ("mean", sig6 s.mean);
+        ("sd", sig6 s.sd);
+      ]
   in
-  Printf.sprintf
-    "    {\"name\": \"%s\", \"wall_s\": %.3f,%s%s \"sim\": [\n%s\n    ]}"
-    (json_escape f.name) f.wall_s baseline speedup
-    (String.concat ",\n"
-       (List.map (fun s -> "      " ^ json_of_sample s) f.sim))
-
-(* Render the whole trajectory document. [label] names the run (e.g. the PR),
-   [scale] the workload scale ("quick" / "full"). *)
-let json_of_run ~label ~scale ~total_wall_s ~baseline_total_wall_s figures =
-  let baseline_total =
-    match baseline_total_wall_s with
-    | None -> ""
-    | Some b ->
-        Printf.sprintf "  \"baseline_total_wall_s\": %.3f,\n  \"overall_speedup\": %.2f,\n"
-          b
-          (if total_wall_s > 0.0 then b /. total_wall_s else 0.0)
-  in
-  Printf.sprintf
-    "{\n  \"label\": \"%s\",\n  \"scale\": \"%s\",\n  \"total_wall_s\": %.3f,\n%s  \"figures\": [\n%s\n  ]\n}\n"
-    (json_escape label) (json_escape scale) total_wall_s baseline_total
-    (String.concat ",\n" (List.map json_of_figure figures))
-
-let write_json ~path ~label ~scale ~total_wall_s ~baseline_total_wall_s figures =
-  let oc = open_out path in
-  output_string oc
-    (json_of_run ~label ~scale ~total_wall_s ~baseline_total_wall_s figures);
-  close_out oc
+  Json.Schema.doc Json.Schema.bench_samples
+    [
+      ("label", Json.Str label); ("scale", Json.Str scale);
+      ( "figures",
+        Json.List
+          (List.map
+             (fun (name, sim) ->
+               Json.Obj [ ("name", Json.Str name); ("sim", Json.List (List.map sample sim)) ])
+             figures) );
+    ]
 
 (* ---- observability counter digests -------------------------------------- *)
 
@@ -271,36 +225,25 @@ let digest_table ?(latency = []) ~title digests =
   in
   table ~headers ~rows:(rows @ lat_rows)
 
-let json_of_digest (op, count, totals) =
-  let counters =
-    String.concat ", "
-      (List.init Obs.n_ids (fun id ->
-           Printf.sprintf "\"%s\": %d" (Obs.id_name id) totals.(id)))
+let metrics_json ~label ~seed sections =
+  let counters f = Json.Obj (List.init Obs.n_ids (fun id -> (Obs.id_name id, f id))) in
+  let digest (op, count, totals) =
+    Json.Obj
+      [
+        ("op", Json.Str op); ("count", Json.int count);
+        ("counters", counters (fun id -> Json.int totals.(id)));
+        ( "per_op",
+          counters (fun id ->
+              Json.Fixed (4, float_of_int totals.(id) /. float_of_int (max 1 count))) );
+      ]
   in
-  let per_op =
-    String.concat ", "
-      (List.init Obs.n_ids (fun id ->
-           Printf.sprintf "\"%s\": %.4f" (Obs.id_name id)
-             (float_of_int totals.(id) /. float_of_int (max 1 count))))
-  in
-  Printf.sprintf
-    "      {\"op\": \"%s\", \"count\": %d, \"counters\": {%s}, \"per_op\": \
-     {%s}}"
-    (json_escape op) count counters per_op
-
-let json_of_metrics ~label ~seed sections =
-  let section (name, digests) =
-    Printf.sprintf "    {\"name\": \"%s\", \"ops\": [\n%s\n    ]}"
-      (json_escape name)
-      (String.concat ",\n" (List.map json_of_digest digests))
-  in
-  Printf.sprintf
-    "{\n  \"schema_version\": 2,\n  \"label\": \"%s\",\n  \"seed\": %d,\n  \
-     \"sections\": [\n%s\n  ]\n}\n"
-    (json_escape label) seed
-    (String.concat ",\n" (List.map section sections))
-
-let write_metrics_json ~path ~label ~seed sections =
-  let oc = open_out path in
-  output_string oc (json_of_metrics ~label ~seed sections);
-  close_out oc
+  Json.Schema.doc Json.Schema.obs_metrics
+    [
+      ("label", Json.Str label); ("seed", Json.int seed);
+      ( "sections",
+        Json.List
+          (List.map
+             (fun (name, digests) ->
+               Json.Obj [ ("name", Json.Str name); ("ops", Json.List (List.map digest digests)) ])
+             sections) );
+    ]

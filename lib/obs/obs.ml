@@ -542,18 +542,14 @@ module Trace = struct
 
   (* Chrome trace_event "ts"/"dur" are microseconds; our clock is virtual
      ns, so divide by 1000 and keep 6 decimals (sub-ns resolution). *)
-  let us buf v = Buffer.add_string buf (Printf.sprintf "%.6f" (v /. 1000.0))
+  let us v = Json.Fixed (6, v /. 1000.0)
 
-  let to_chrome_string ?(counter_tracks = []) () =
+  let to_chrome ?(counter_tracks = []) () =
     let s = Domain.DLS.get state_key in
     let n = recorded () in
-    let buf = Buffer.create (256 + (n * 96)) in
-    Buffer.add_string buf
-      "{\"schema_version\":2,\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
-    let first = ref true in
-    let sep () =
-      if !first then first := false else Buffer.add_string buf ",\n"
-    in
+    let events = ref [] in
+    let add fields = events := Json.Obj fields :: !events in
+    let pid = ("pid", Json.int 0) in
     (* one named track per fiber, in tid order *)
     let max_tid = ref (-1) in
     for i = 0 to n - 1 do
@@ -566,27 +562,24 @@ module Trace = struct
     done;
     Array.iteri
       (fun tid present ->
-        if present then begin
-          sep ();
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\",\
-                \"args\":{\"name\":\"fiber %d\"}}"
-               tid tid)
-        end)
+        if present then
+          add
+            [
+              ("ph", Json.Str "M"); pid; ("tid", Json.int tid);
+              ("name", Json.Str "thread_name");
+              ("args", Json.Obj [ ("name", Json.Str (Printf.sprintf "fiber %d" tid)) ]);
+            ])
       seen;
     (* windowed time-series as Chrome counter tracks ("C" events) *)
     List.iter
       (fun (name, series) ->
         List.iter
           (fun (ts, v) ->
-            sep ();
-            Buffer.add_string buf
-              (Printf.sprintf "{\"ph\":\"C\",\"pid\":0,\"name\":\"%s\",\"ts\":"
-                 name);
-            us buf ts;
-            Buffer.add_string buf
-              (Printf.sprintf ",\"args\":{\"value\":%.3f}}" v))
+            add
+              [
+                ("ph", Json.Str "C"); pid; ("name", Json.Str name); ("ts", us ts);
+                ("args", Json.Obj [ ("value", Json.Fixed (3, v)) ]);
+              ])
           series)
       counter_tracks;
     (* op_begin/op_end pair into one "X" slice per fiber (ops never nest) *)
@@ -599,6 +592,7 @@ module Trace = struct
       and kind = s.kind_buf.(sl)
       and arg = s.arg_buf.(sl)
       and farg = s.farg_buf.(sl) in
+      let on_fiber ph = [ ("ph", Json.Str ph); pid; ("tid", Json.int tid) ] in
       if kind = k_op_begin then begin
         open_ts.(tid) <- ts;
         open_op.(tid) <- arg
@@ -606,14 +600,12 @@ module Trace = struct
       else if kind = k_op_end then begin
         (* a begin lost to ring overflow leaves nothing to pair with *)
         if not (Float.is_nan open_ts.(tid)) then begin
-          sep ();
-          Buffer.add_string buf
-            (Printf.sprintf "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":" tid);
-          us buf open_ts.(tid);
-          Buffer.add_string buf ",\"dur\":";
-          us buf (ts -. open_ts.(tid));
-          Buffer.add_string buf
-            (Printf.sprintf ",\"name\":\"%s\"}" (op_label open_op.(tid)));
+          add
+            (on_fiber "X"
+            @ [
+                ("ts", us open_ts.(tid)); ("dur", us (ts -. open_ts.(tid)));
+                ("name", Json.Str (op_label open_op.(tid)));
+              ]);
           open_ts.(tid) <- nan
         end
       end
@@ -623,53 +615,38 @@ module Trace = struct
            span id so viewers stack one lane per in-flight request *)
         let phase = arg land 7 and span_id = arg asr 3 in
         let name = Span.phase_name (min phase (Span.n_phases - 1)) in
-        sep ();
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"ph\":\"b\",\"cat\":\"req\",\"id\":\"0x%x\",\"pid\":0,\
-              \"tid\":%d,\"name\":\"%s\",\"ts\":"
-             span_id tid name);
-        us buf ts;
-        Buffer.add_string buf "}";
-        sep ();
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"ph\":\"e\",\"cat\":\"req\",\"id\":\"0x%x\",\"pid\":0,\
-              \"tid\":%d,\"name\":\"%s\",\"ts\":"
-             span_id tid name);
-        us buf (ts +. farg);
-        Buffer.add_string buf "}"
+        let async ph at =
+          add
+            [
+              ("ph", Json.Str ph); ("cat", Json.Str "req");
+              ("id", Json.Str (Printf.sprintf "0x%x" span_id)); pid;
+              ("tid", Json.int tid); ("name", Json.Str name); ("ts", us at);
+            ]
+        in
+        async "b" ts;
+        async "e" (ts +. farg)
       end
-      else if kind <= id_pmem_cas_fail then begin
+      else if kind <= id_pmem_cas_fail then
         (* PMEM primitive: ts is the op start, farg its latency *)
-        sep ();
-        Buffer.add_string buf
-          (Printf.sprintf "{\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":" tid);
-        us buf ts;
-        Buffer.add_string buf ",\"dur\":";
-        us buf farg;
-        Buffer.add_string buf
-          (Printf.sprintf ",\"name\":\"%s\",\"args\":{\"addr\":%d}}"
-             (kind_label kind) arg)
-      end
-      else begin
-        sep ();
-        Buffer.add_string buf
-          (Printf.sprintf "{\"ph\":\"i\",\"pid\":0,\"tid\":%d,\"ts\":" tid);
-        us buf ts;
-        Buffer.add_string buf
-          (Printf.sprintf ",\"s\":\"t\",\"name\":\"%s\"" (kind_label kind));
-        if kind = k_park then begin
-          Buffer.add_string buf ",\"args\":{\"wake_us\":";
-          us buf farg;
-          Buffer.add_string buf "}"
-        end
-        else if arg <> 0 then
-          Buffer.add_string buf (Printf.sprintf ",\"args\":{\"arg\":%d}" arg);
-        Buffer.add_string buf "}"
-      end
+        add
+          (on_fiber "X"
+          @ [
+              ("ts", us ts); ("dur", us farg); ("name", Json.Str (kind_label kind));
+              ("args", Json.Obj [ ("addr", Json.int arg) ]);
+            ])
+      else
+        add
+          (on_fiber "i"
+          @ [ ("ts", us ts); ("s", Json.Str "t"); ("name", Json.Str (kind_label kind)) ]
+          @
+          if kind = k_park then [ ("args", Json.Obj [ ("wake_us", us farg) ]) ]
+          else if arg <> 0 then [ ("args", Json.Obj [ ("arg", Json.int arg) ]) ]
+          else [])
     done;
-    Buffer.add_string buf
-      (Printf.sprintf "\n],\"droppedEvents\":%d}\n" (dropped ()));
-    Buffer.contents buf
+    Json.Schema.doc Json.Schema.obs_trace
+      [
+        ("displayTimeUnit", Json.Str "ns");
+        ("traceEvents", Json.List (List.rev !events));
+        ("droppedEvents", Json.int (dropped ()));
+      ]
 end

@@ -340,13 +340,13 @@ module Trace : sig
       capacity (when the prefix is non-empty the retained suffix holds
       exactly [capacity] events, so every slot is rewritten). *)
 
-  val to_chrome_string :
-    ?counter_tracks:(string * (float * float) list) list -> unit -> string
-  (** Render the recorded events as Chrome [trace_event] JSON (top-level
-      [schema_version] 2; one track per fiber, timestamps in microseconds
-      of virtual time, PMEM primitives and workload ops as duration
-      slices, request phases as async begin/end pairs keyed by span id,
-      everything else as instants). [counter_tracks] adds named counter
-      ("C") series, each a [(virtual-ns, value)] list. Byte-identical for
-      identical event streams and tracks. *)
+  val to_chrome :
+    ?counter_tracks:(string * (float * float) list) list -> unit -> Json.t
+  (** Render the recorded events as a Chrome [trace_event] document
+      (schema [upskip-obs-trace/3]; one track per fiber, timestamps in
+      microseconds of virtual time, PMEM primitives and workload ops as
+      duration slices, request phases as async begin/end pairs keyed by
+      span id, everything else as instants). [counter_tracks] adds named
+      counter ("C") series, each a [(virtual-ns, value)] list. Identical
+      for identical event streams and tracks. *)
 end

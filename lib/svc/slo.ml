@@ -91,41 +91,33 @@ type t = {
   spans : span_summary option;
 }
 
-(* Fixed number formatting keeps the JSON byte-stable across runs: floats
-   always go through %.3f (virtual ns and rates need no more precision and
-   %g's exponent switch-over would make near-zero values format-unstable). *)
-let fnum v = Printf.sprintf "%.3f" v
-
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* Floats print as %.3f ([Json.Fixed]) so the JSON is byte-stable across
+   runs: virtual ns and rates need no more precision, and the shortest
+   form would print float noise. *)
+let fnum v = Json.Fixed (3, v)
 
 let lat_json h =
   let s = summarize h in
-  Printf.sprintf
-    "{\"count\":%d,\"mean\":%s,\"p50\":%s,\"p99\":%s,\"p999\":%s,\"max\":%s}"
-    s.count (fnum s.mean) (fnum s.p50) (fnum s.p99) (fnum s.p999) (fnum s.max)
+  Json.Obj
+    [
+      ("count", Json.int s.count); ("mean", fnum s.mean); ("p50", fnum s.p50);
+      ("p99", fnum s.p99); ("p999", fnum s.p999); ("max", fnum s.max);
+    ]
 
 let shard_json s =
-  Printf.sprintf
-    "{\"shard\":%d,\"zone\":%d,\"enqueued\":%d,\"completed\":%d,\"shed\":%d,\
-     \"lost\":%d,\"batches\":%d,\"group_flushes\":%d,\"queue_high_water\":%d,\
-     \"crashed\":%b,\"down_ns\":%s,\"completed_in_outage\":%d,\
-     \"audit_errors\":%d,\"latency_ns\":%s}"
-    s.shard s.zone s.s_enqueued s.s_completed s.s_shed s.s_lost s.s_batches
-    s.s_group_flushes s.queue_high_water s.crashed (fnum s.down_ns)
-    s.completed_in_outage s.audit_errors (lat_json s.shard_lat)
+  Json.Obj
+    [
+      ("shard", Json.int s.shard); ("zone", Json.int s.zone);
+      ("enqueued", Json.int s.s_enqueued); ("completed", Json.int s.s_completed);
+      ("shed", Json.int s.s_shed); ("lost", Json.int s.s_lost);
+      ("batches", Json.int s.s_batches);
+      ("group_flushes", Json.int s.s_group_flushes);
+      ("queue_high_water", Json.int s.queue_high_water);
+      ("crashed", Json.Bool s.crashed); ("down_ns", fnum s.down_ns);
+      ("completed_in_outage", Json.int s.completed_in_outage);
+      ("audit_errors", Json.int s.audit_errors);
+      ("latency_ns", lat_json s.shard_lat);
+    ]
 
 let empty_summary () =
   {
@@ -187,155 +179,118 @@ let op_name = function 0 -> "read" | _ -> "upsert"
 
 let span_json sp =
   let open Obs.Span in
-  Printf.sprintf
-    "{\"id\":%d,\"client\":%d,\"seq\":%d,\"shard\":%d,\"op\":\"%s\",\
-     \"arrival_ns\":%s,\"lat_ns\":%s,\"phase_ns\":{%s},\"fence_ns\":%s,\
-     \"recovery_ns\":%s,\"flushes\":%d,\"fences\":%d,\"load_misses\":%d}"
-    sp.sp_id sp.sp_client sp.sp_seq sp.sp_shard (op_name sp.sp_op)
-    (fnum sp.sp_arrival) (fnum sp.sp_lat)
-    (String.concat ","
-       (List.init n_phases (fun i ->
-            Printf.sprintf "\"%s\":%s" (phase_name i) (fnum sp.sp_phase.(i)))))
-    (fnum sp.sp_fence) (fnum sp.sp_recovery) sp.sp_flushes sp.sp_fences
-    sp.sp_load_misses
+  Json.Obj
+    [
+      ("id", Json.int sp.sp_id); ("client", Json.int sp.sp_client);
+      ("seq", Json.int sp.sp_seq); ("shard", Json.int sp.sp_shard);
+      ("op", Json.Str (op_name sp.sp_op)); ("arrival_ns", fnum sp.sp_arrival);
+      ("lat_ns", fnum sp.sp_lat);
+      ("phase_ns", Json.Obj (List.init n_phases (fun i -> (phase_name i, fnum sp.sp_phase.(i)))));
+      ("fence_ns", fnum sp.sp_fence); ("recovery_ns", fnum sp.sp_recovery);
+      ("flushes", Json.int sp.sp_flushes); ("fences", Json.int sp.sp_fences);
+      ("load_misses", Json.int sp.sp_load_misses);
+    ]
 
 let window_json w =
   let q p =
-    Array.map
-      (fun h ->
-        if Sim.Histogram.count h = 0 then 0.0 else Sim.Histogram.percentile h p)
-      w.w_phase
+    Json.List
+      (Array.to_list
+         (Array.map
+            (fun h ->
+              fnum (if Sim.Histogram.count h = 0 then 0.0 else Sim.Histogram.percentile h p))
+            w.w_phase))
   in
-  let arr a =
-    String.concat "," (Array.to_list (Array.map fnum a))
-  in
-  Printf.sprintf
-    "{\"idx\":%d,\"completed\":%d,\"shed\":%d,\"fences\":%d,\"depth\":%s,\
-     \"phase_p50\":[%s],\"phase_p99\":[%s]}"
-    w.w_idx w.w_completed w.w_shed w.w_fences (fnum w.w_depth)
-    (arr (q 50.0)) (arr (q 99.0))
+  Json.Obj
+    [
+      ("idx", Json.int w.w_idx); ("completed", Json.int w.w_completed);
+      ("shed", Json.int w.w_shed); ("fences", Json.int w.w_fences);
+      ("depth", fnum w.w_depth); ("phase_p50", q 50.0); ("phase_p99", q 99.0);
+    ]
 
-let span_summary_json sp =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"count\":%d," sp.sp_count;
-  (* residuals get 6 decimals: conservation is asserted at ns resolution
-     and the true float noise is ~1e-10 ns, so this prints 0.000000 *)
-  add "\"residual_max_ns\":%.6f," sp.sp_residual_max;
-  add "\"residual_violations\":%d," sp.sp_residual_violations;
-  add "\"lat_ns_total\":%s," (fnum sp.sp_lat_sum);
-  add "\"fence_ns_total\":%s," (fnum sp.sp_fence_sum);
-  add "\"recovery_ns_total\":%s," (fnum sp.sp_recovery_sum);
-  add "\"phases\":[";
-  Array.iteri
-    (fun i h ->
-      if i > 0 then Buffer.add_char b ',';
-      add "{\"name\":\"%s\",\"total_ns\":%s,\"latency_ns\":%s}"
-        (Obs.Span.phase_name i)
-        (fnum sp.sp_phase_sum.(i))
-        (lat_json h))
-    sp.sp_phase_hist;
-  add "],";
-  add "\"outages\":[";
-  List.iteri
-    (fun i (s, t0, t1) ->
-      if i > 0 then Buffer.add_char b ',';
-      add "{\"shard\":%d,\"t0_ns\":%s,\"t1_ns\":%s}" s (fnum t0) (fnum t1))
-    sp.sp_outages;
-  add "],";
-  add "\"top\":[%s]," (String.concat "," (List.map span_json sp.sp_top));
-  add "\"sample\":[%s]}" (String.concat "," (List.map span_json sp.sp_sample));
-  Buffer.contents b
+let span_summary_json = function
+  | None -> Json.Null
+  | Some sp ->
+      Json.Obj
+        [
+          ("count", Json.int sp.sp_count);
+          (* residuals get 6 decimals: conservation is asserted at ns
+             resolution and the true float noise is ~1e-10 ns, so this
+             prints 0.000000 *)
+          ("residual_max_ns", Json.Fixed (6, sp.sp_residual_max));
+          ("residual_violations", Json.int sp.sp_residual_violations);
+          ("lat_ns_total", fnum sp.sp_lat_sum);
+          ("fence_ns_total", fnum sp.sp_fence_sum);
+          ("recovery_ns_total", fnum sp.sp_recovery_sum);
+          ( "phases",
+            Json.List
+              (Array.to_list
+                 (Array.mapi
+                    (fun i h ->
+                      Json.Obj
+                        [
+                          ("name", Json.Str (Obs.Span.phase_name i));
+                          ("total_ns", fnum sp.sp_phase_sum.(i));
+                          ("latency_ns", lat_json h);
+                        ])
+                    sp.sp_phase_hist)) );
+          ( "outages",
+            Json.List
+              (List.map
+                 (fun (s, t0, t1) ->
+                   Json.Obj
+                     [ ("shard", Json.int s); ("t0_ns", fnum t0); ("t1_ns", fnum t1) ])
+                 sp.sp_outages) );
+          ("top", Json.List (List.map span_json sp.sp_top));
+          ("sample", Json.List (List.map span_json sp.sp_sample));
+        ]
 
-let to_json t =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"schema\":\"upskip-svc-slo/4\",\"schema_version\":4,";
-  add "\"config\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      add "\"%s\":\"%s\"" (escape k) (escape v))
-    t.config_summary;
-  add "},";
-  add "\"span_ns\":%s," (fnum t.span_ns);
-  add "\"offered_mops\":%s," (fnum t.offered_mops);
-  add "\"goodput_mops\":%s," (fnum t.goodput_mops);
-  add "\"requests\":%d," t.requests;
-  add "\"enqueued\":%d," t.enqueued;
-  add "\"completed\":%d," t.completed;
-  add "\"shed\":%d," t.shed;
-  add "\"lost\":%d," t.lost;
-  add "\"failed_scans\":%d," t.failed_scans;
-  add "\"replayed\":%d," t.replayed;
-  add "\"dup_suppressed\":%d," t.dup_suppressed;
-  add "\"shed_rate\":%s," (fnum t.shed_rate);
-  add "\"remote_fraction\":%s," (fnum t.remote_fraction);
-  add "\"latency_ns\":%s," (lat_json t.merged);
-  add "\"shards\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (shard_json s))
-    t.shard_reports;
-  add "],";
-  add "\"clients\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      add
-        "{\"client\":%d,\"shed\":%d,\"replayed\":%d,\"dup_suppressed\":%d}"
-        c.cr_client c.cr_shed c.cr_replayed c.cr_suppressed)
-    t.client_reports;
-  add "],";
-  add "\"depth_series\":[";
-  List.iteri
-    (fun i (time, depths) ->
-      if i > 0 then Buffer.add_char b ',';
-      add "{\"t_ns\":%s,\"depth\":[%s]}" (fnum time)
-        (String.concat ","
-           (Array.to_list (Array.map string_of_int depths))))
-    t.depth_series;
-  add "],";
-  add "\"window_ns\":%s," (fnum t.window_ns);
-  add "\"windows\":[";
-  List.iteri
-    (fun i w ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (window_json w))
-    t.windows;
-  add "],";
-  (match t.spans with
-  | None -> add "\"spans\":null"
-  | Some sp -> add "\"spans\":%s" (span_summary_json sp));
-  add "}";
-  Buffer.contents b
+(* The SLO report's fields, in document order. *)
+let fields t =
+  [
+    ("config", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) t.config_summary));
+    ("span_ns", fnum t.span_ns);
+    ("offered_mops", fnum t.offered_mops); ("goodput_mops", fnum t.goodput_mops);
+    ("requests", Json.int t.requests); ("enqueued", Json.int t.enqueued);
+    ("completed", Json.int t.completed); ("shed", Json.int t.shed);
+    ("lost", Json.int t.lost); ("failed_scans", Json.int t.failed_scans);
+    ("replayed", Json.int t.replayed); ("dup_suppressed", Json.int t.dup_suppressed);
+    ("shed_rate", fnum t.shed_rate); ("remote_fraction", fnum t.remote_fraction);
+    ("latency_ns", lat_json t.merged);
+    ("shards", Json.List (List.map shard_json t.shard_reports));
+    ( "clients",
+      Json.List
+        (List.map
+           (fun c ->
+             Json.Obj
+               [
+                 ("client", Json.int c.cr_client); ("shed", Json.int c.cr_shed);
+                 ("replayed", Json.int c.cr_replayed);
+                 ("dup_suppressed", Json.int c.cr_suppressed);
+               ])
+           t.client_reports) );
+    ( "depth_series",
+      Json.List
+        (List.map
+           (fun (time, depths) ->
+             Json.Obj
+               [
+                 ("t_ns", fnum time);
+                 ("depth", Json.List (Array.to_list (Array.map Json.int depths)));
+               ])
+           t.depth_series) );
+    ("window_ns", fnum t.window_ns);
+    ("windows", Json.List (List.map window_json t.windows));
+    ("spans", span_summary_json t.spans);
+  ]
+
+let to_json t = Json.Schema.doc Json.Schema.svc_slo (fields t)
 
 (* Standalone span-summary document: what `serve-sim --span-json` and the
-   smoke/conservation gates consume. Same determinism contract as
-   [to_json]. *)
+   smoke/conservation gates consume. Its fields are a subset of the SLO
+   report's, in the same order. *)
 let spans_to_json t =
-  let b = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"schema\":\"upskip-svc-spans/1\",\"schema_version\":1,";
-  add "\"config\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      add "\"%s\":\"%s\"" (escape k) (escape v))
-    t.config_summary;
-  add "},";
-  add "\"span_ns\":%s," (fnum t.span_ns);
-  add "\"completed\":%d," t.completed;
-  add "\"latency_ns\":%s," (lat_json t.merged);
-  add "\"window_ns\":%s," (fnum t.window_ns);
-  add "\"windows\":[%s],"
-    (String.concat "," (List.map window_json t.windows));
-  (match t.spans with
-  | None -> add "\"spans\":null"
-  | Some sp -> add "\"spans\":%s" (span_summary_json sp));
-  add "}";
-  Buffer.contents b
+  let keep = [ "config"; "span_ns"; "completed"; "latency_ns"; "window_ns"; "windows"; "spans" ] in
+  Json.Schema.doc Json.Schema.svc_spans (List.filter (fun (k, _) -> List.mem k keep) (fields t))
 
 (* Per-phase breakdown for latency cohorts. The "all" column is exact
    (sums over every span); the tail cohorts are computed over the retained

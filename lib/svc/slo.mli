@@ -111,11 +111,11 @@ type t = {
   spans : span_summary option;  (** [Some] iff the config enabled spans *)
 }
 
-val to_json : t -> string
-(** Canonical JSON (fixed key order, fixed number formatting); top-level
-    [schema]/[schema_version] identify the layout. *)
+val to_json : t -> Json.t
+(** The [upskip-svc-slo/4] document (fixed key order, fixed number
+    formatting). *)
 
-val spans_to_json : t -> string
+val spans_to_json : t -> Json.t
 (** Standalone span-summary document (schema [upskip-svc-spans/1]):
     config, end-to-end latency, windowed time-series, and the span
     summary. Byte-deterministic like {!to_json}. *)

@@ -281,9 +281,10 @@ let test_trace_ring_drop () =
   check_int "retained" 8 (Obs.Trace.recorded ());
   check_int "dropped" 12 (Obs.Trace.dropped ());
   check_int "total emitted" 20 (Obs.Trace.total_emitted ());
-  let json = Obs.Trace.to_chrome_string () in
+  let json = Json.to_string (Obs.Trace.to_chrome ()) in
   check_bool "reports drops" true (contains json "\"droppedEvents\":12");
-  check_bool "schema version" true (contains json "\"schema_version\":2");
+  check_bool "schema version" true
+    (contains json "{\"schema\":\"upskip-obs-trace/3\",\"schema_version\":3,");
   Obs.Trace.clear ()
 
 (* After drop-oldest overflow the retained window is the newest [capacity]
@@ -312,7 +313,7 @@ let test_trace_capture_absorb_roundtrip () =
       ~farg:0.0
   done;
   Obs.Trace.stop ();
-  let json_live = Obs.Trace.to_chrome_string () in
+  let json_live = Json.to_string (Obs.Trace.to_chrome ()) in
   let seg = Obs.Trace.capture ~since:0 in
   Obs.Trace.start ~capacity:8 ();
   Obs.Trace.absorb seg;
@@ -321,7 +322,7 @@ let test_trace_capture_absorb_roundtrip () =
   check_int "dropped after absorb" 12 (Obs.Trace.dropped ());
   check_int "total emitted after absorb" 20 (Obs.Trace.total_emitted ());
   check_bool "absorbed ring renders identically" true
-    (String.equal json_live (Obs.Trace.to_chrome_string ()));
+    (String.equal json_live (Json.to_string (Obs.Trace.to_chrome ())));
   Obs.Trace.clear ()
 
 (* A mid-stream cursor captures only the live suffix past it. *)
@@ -355,8 +356,8 @@ let test_chrome_counters_and_phases () =
     ~farg:500.0;
   Obs.Trace.stop ();
   let tracks = [ ("ops/window", [ (0.0, 1.0); (20_000.0, 3.0) ]) ] in
-  let j1 = Obs.Trace.to_chrome_string ~counter_tracks:tracks () in
-  let j2 = Obs.Trace.to_chrome_string ~counter_tracks:tracks () in
+  let j1 = Json.to_string (Obs.Trace.to_chrome ~counter_tracks:tracks ()) in
+  let j2 = Json.to_string (Obs.Trace.to_chrome ~counter_tracks:tracks ()) in
   check_bool "byte-identical across renders" true (String.equal j1 j2);
   check_bool "counter track" true (contains j1 "\"ph\":\"C\"");
   check_bool "counter name" true (contains j1 "\"ops/window\"");
@@ -383,7 +384,7 @@ let run_traced seed =
       ~n_initial:300 ~ops_per_thread:60 ~seed
   in
   Obs.Trace.stop ();
-  let trace = Obs.Trace.to_chrome_string () in
+  let trace = Json.to_string (Obs.Trace.to_chrome ()) in
   Obs.Trace.clear ();
   let digests =
     List.map
@@ -391,8 +392,9 @@ let run_traced seed =
       res.Harness.Driver.digests
   in
   let metrics =
-    Harness.Report.json_of_metrics ~label:"trace determinism" ~seed
-      [ ("ycsb-a", digests) ]
+    Json.to_string
+      (Harness.Report.metrics_json ~label:"trace determinism" ~seed
+         [ ("ycsb-a", digests) ])
   in
   (trace, metrics)
 

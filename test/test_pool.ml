@@ -259,7 +259,7 @@ let traced_run ~jobs ~capacity =
   Obs.Trace.stop ();
   let recorded = Obs.Trace.recorded () in
   let dropped = Obs.Trace.dropped () in
-  let json = Obs.Trace.to_chrome_string () in
+  let json = Json.to_string (Obs.Trace.to_chrome ()) in
   Obs.Trace.clear ();
   (recorded, dropped, json)
 

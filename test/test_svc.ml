@@ -155,7 +155,7 @@ let check_conservation (r : Slo.t) =
     (sub_completed + r.Slo.lost)
 
 let test_svc_determinism () =
-  let json () = Slo.to_json (Domains.run base) in
+  let json () = Json.to_string (Slo.to_json (Domains.run base)) in
   let a = json () in
   check_bool "non-trivial run" true (String.length a > 200);
   Alcotest.(check string) "byte-identical SLO JSON" a (json ())
@@ -370,7 +370,7 @@ let test_svc_span_recovery_attribution () =
 
 let test_svc_span_json_determinism () =
   let json () =
-    Slo.spans_to_json (Domains.run { base with Config.spans = true })
+    Json.to_string (Slo.spans_to_json (Domains.run { base with Config.spans = true }))
   in
   let a = json () in
   check_bool "non-trivial document" true (String.length a > 500);
@@ -406,11 +406,11 @@ let test_domains_parallel_byte_identity () =
   let seq = Domains.run ~domains:1 cfg in
   let par = Domains.run ~domains:4 cfg in
   Alcotest.(check string)
-    "SLO JSON identical across domains 1/4" (Slo.to_json seq)
-    (Slo.to_json par);
+    "SLO JSON identical across domains 1/4" (Json.to_string (Slo.to_json seq))
+    (Json.to_string (Slo.to_json par));
   Alcotest.(check string)
-    "span JSON identical across domains 1/4" (Slo.spans_to_json seq)
-    (Slo.spans_to_json par);
+    "span JSON identical across domains 1/4" (Json.to_string (Slo.spans_to_json seq))
+    (Json.to_string (Slo.spans_to_json par));
   check_bool "non-trivial run" true (seq.Slo.completed > 0);
   check_conservation par
 
@@ -431,8 +431,8 @@ let test_domains_crash_detect_identity () =
   let seq = Domains.run ~domains:1 cfg in
   let par = Domains.run ~domains:4 cfg in
   Alcotest.(check string)
-    "crash report identical across domains 1/4" (Slo.to_json seq)
-    (Slo.to_json par);
+    "crash report identical across domains 1/4" (Json.to_string (Slo.to_json seq))
+    (Json.to_string (Slo.to_json par));
   check_bool "shard 1 crashed" true
     (List.nth par.Slo.shard_reports 1).Slo.crashed;
   check_int "nothing lost under detect" 0 par.Slo.lost;
@@ -458,8 +458,8 @@ let test_domains_scan_identity () =
   let seq = Domains.run ~domains:1 cfg in
   let par = Domains.run ~domains:3 cfg in
   Alcotest.(check string)
-    "scan report identical across domains 1/3" (Slo.to_json seq)
-    (Slo.to_json par);
+    "scan report identical across domains 1/3" (Json.to_string (Slo.to_json seq))
+    (Json.to_string (Slo.to_json par));
   check_bool "scans completed" true (par.Slo.completed > 0);
   check_bool "fan-out happened" true (par.Slo.enqueued > par.Slo.requests)
 

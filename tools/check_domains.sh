@@ -9,20 +9,16 @@
 #     recover in-line with zero lost requests and a non-empty replay,
 #     while the report stays byte-identical to --domains 1.
 #
-# Usage: check_domains.sh <path-to-upskip_cli>
+# Usage: check_domains.sh <path-to-upskip_cli> <path-to-json_check>
 set -eu
 
 CLI="$1"
+# `json_check FILE PATH` prints one field; under set -e a missing field or
+# an invalid document fails the gate.
+JSON_CHECK="$2"
 tmp="${TMPDIR:-/tmp}/svc_domains.$$"
 mkdir -p "$tmp"
 trap 'rm -rf "$tmp"' EXIT
-
-# First value of integer field $1 in one-line JSON file $2. The SLO
-# report's top-level totals precede its per-shard and per-client objects,
-# which reuse the same keys, so the first match is the run total.
-first_int() {
-  grep -o "\"$1\":[0-9]*" "$2" | head -1 | cut -d: -f2
-}
 
 smoke() {
   # $1 = domains, $2 = output prefix
@@ -58,13 +54,13 @@ cmp -s "$tmp/c1.json" "$tmp/c4.json" || {
   echo "FAIL: crash report differs between --domains 1 and --domains 4" >&2
   exit 1
 }
-lost=$(first_int lost "$tmp/c4.json")
-[ "${lost:-}" = 0 ] || {
-  echo "FAIL: detectable crash under --domains 4 lost ${lost:-?} requests" >&2
+lost=$("$JSON_CHECK" "$tmp/c4.json" lost)
+[ "$lost" = 0 ] || {
+  echo "FAIL: detectable crash under --domains 4 lost $lost requests" >&2
   exit 1
 }
-replayed=$(first_int replayed "$tmp/c4.json")
-[ "${replayed:-0}" -gt 0 ] || {
+replayed=$("$JSON_CHECK" "$tmp/c4.json" replayed)
+[ "$replayed" -gt 0 ] || {
   echo "FAIL: detectable crash under --domains 4 replayed nothing" >&2
   exit 1
 }

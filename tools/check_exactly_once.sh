@@ -6,20 +6,16 @@
 # (recovery that omits the descriptor resolve pass double-applies), and
 # (e) lose nothing in a service-level shard power failure.
 #
-# Usage: check_exactly_once.sh <path-to-upskip_cli>
+# Usage: check_exactly_once.sh <path-to-upskip_cli> <path-to-json_check>
 set -eu
 
 CLI="$1"
+# `json_check FILE PATH` prints one field; under set -e a missing field or
+# an invalid document fails the gate.
+JSON_CHECK="$2"
 tmp="${TMPDIR:-/tmp}/exactly_once.$$"
 mkdir -p "$tmp"
 trap 'rm -rf "$tmp"' EXIT
-
-# First value of integer field $1 in one-line JSON file $2. The SLO
-# report's top-level totals precede its per-shard and per-client objects,
-# which reuse the same keys, so the first match is the run total.
-first_int() {
-  grep -o "\"$1\":[0-9]*" "$2" | head -1 | cut -d: -f2
-}
 
 campaign() {
   # $1 = output json, $2 = jobs, $3 = mutant; exit status passed through
@@ -37,16 +33,18 @@ cmp -s "$tmp/a.json" "$tmp/b.json" || {
   echo "FAIL: campaign summary not deterministic across reruns" >&2
   exit 1
 }
-grep -q '"violation_trials":0[,}]' "$tmp/a.json" || {
+violations=$("$JSON_CHECK" "$tmp/a.json" violation_trials)
+[ "$violations" = 0 ] || {
   echo "FAIL: clean campaign reported exactly-once violations" >&2
   exit 1
 }
-grep -q '"audit_failures":0[,}]' "$tmp/a.json" || {
+audit_failures=$("$JSON_CHECK" "$tmp/a.json" audit_failures)
+[ "$audit_failures" = 0 ] || {
   echo "FAIL: clean campaign reported audit failures" >&2
   exit 1
 }
-replays=$(sed -n 's/.*"replays":\([0-9][0-9]*\).*/\1/p' "$tmp/a.json")
-[ "${replays:-0}" -gt 0 ] || {
+replays=$("$JSON_CHECK" "$tmp/a.json" replays)
+[ "$replays" -gt 0 ] || {
   echo "FAIL: campaign never exercised the replay path" >&2
   exit 1
 }
@@ -64,7 +62,8 @@ if campaign "$tmp/mut.json" 1 skip_resolve >"$tmp/mut.out" 2>&1; then
   echo "FAIL: skip_resolve mutant not caught (exit 0)" >&2
   exit 1
 fi
-grep -q '"violation_trials":0[,}]' "$tmp/mut.json" && {
+mut_violations=$("$JSON_CHECK" "$tmp/mut.json" violation_trials)
+[ "$mut_violations" = 0 ] && {
   echo "FAIL: skip_resolve mutant caught but no violation trials recorded" >&2
   exit 1
 }
@@ -76,13 +75,13 @@ echo "ok: skip_resolve mutant caught"
   --load 40 --workload a --queue-cap 64 --latency uniform \
   --crash-shard 1 --crash-at-us 50 --json-out "$tmp/svc.json" \
   >"$tmp/svc.out" 2>&1
-svc_lost=$(first_int lost "$tmp/svc.json")
-[ "${svc_lost:-}" = 0 ] || {
-  echo "FAIL: detectable service crash lost ${svc_lost:-?} requests" >&2
+svc_lost=$("$JSON_CHECK" "$tmp/svc.json" lost)
+[ "$svc_lost" = 0 ] || {
+  echo "FAIL: detectable service crash lost $svc_lost requests" >&2
   exit 1
 }
-svc_replayed=$(first_int replayed "$tmp/svc.json")
-[ "${svc_replayed:-0}" -gt 0 ] || {
+svc_replayed=$("$JSON_CHECK" "$tmp/svc.json" replayed)
+[ "$svc_replayed" -gt 0 ] || {
   echo "FAIL: detectable service crash stranded no work (replayed=0)" >&2
   exit 1
 }
