@@ -491,8 +491,8 @@ let chapter6 () =
   let sys = { multi_sys with pool_words = 1 lsl 20 } in
   let make () = Kv.make_upskiplist sys in
   let trials = !scale.chapter6_trials in
-  (* one trial per crash point, spread over [40k, 60k) events *)
-  let step = 20_000 / trials in
+  (* one trial per crash point, spread over [16k, 24k) events *)
+  let step = 8_000 / trials in
   let s =
     Fault.run_campaign ~jobs:!jobs ~make
       {
@@ -505,7 +505,7 @@ let chapter6 () =
             draw_seed = seed + 77;
             seed = seed + 77;
           };
-        grid = { Fault.origin = 40_000; stride = step; points = trials; jitter = step };
+        grid = { Fault.origin = 16_000; stride = step; points = trials; jitter = step };
         draws = 1;
       }
   in
@@ -532,7 +532,7 @@ let chapter6 () =
         threads = 4;
         keyspace = 100;
         ops_per_thread = 100;
-        crash_at = 24_244;
+        crash_at = 9_940;
         draw_seed = seed + 99;
         seed = seed + 99;
       }
@@ -784,6 +784,8 @@ let layout () =
               r Obs.id_finger_hit;
               r Obs.id_fp_match;
               r Obs.id_fp_false_positive;
+              r Obs.id_hint_stop;
+              r Obs.id_hint_stale;
             ])
           digests)
       results
@@ -793,6 +795,7 @@ let layout () =
       [
         "variant"; "op"; "n"; "ld-miss/op"; "st-miss/op"; "flush/op";
         "dirty-fl/op"; "fence/op"; "finger-hit/op"; "fp-match/op"; "fp-false/op";
+        "hint-stop/op"; "hint-stale/op";
       ]
     ~rows;
   Json.write_file "bench_layout.json"

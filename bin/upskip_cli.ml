@@ -306,7 +306,7 @@ let mutant_t =
     & info [ "mutant" ]
         ~doc:
           "Self-validation mutant applied after recovery: none | skip_resolve \
-           | lose_key | drop_fp | dangle.")
+           | lose_key | drop_fp | raise_hint | dangle.")
 
 let sweep_detect_t =
   Arg.(

@@ -23,12 +23,14 @@ type t = {
          max_height. 0 disables truncation (every node gets a full-height
          tall block — the pre-PR6 footprint) *)
   finger_cache : bool;
-      (* per-fiber search fingers (Foresight-style): traversals may resume
-         from the predecessor towers remembered by the previous traversal
-         on the same fiber, validated against the failure-free epoch.
-         Ignored (forced off) when reclaim_empty_nodes is set: physical
-         removal can retire a remembered node, and the finger's epoch
-         check only witnesses crashes, not reclamation. *)
+      (* per-fiber search fingers: traversals may resume from the
+         predecessor towers remembered by the previous traversal on the
+         same fiber, validated against the failure-free epoch. (The
+         Foresight part of the layout is the successor-key hint beside
+         every next pointer, which is always on; see Node.) Ignored
+         (forced off) when reclaim_empty_nodes is set: physical removal
+         can retire a remembered node, and the finger's epoch check only
+         witnesses crashes, not reclamation. *)
 }
 
 let default =
@@ -44,15 +46,20 @@ let default =
     finger_cache = true;
   }
 
-(* The node layout is line-oriented: the hot header (epoch, splitCount,
-   kind, lock, height, anchor key, level-0 and level-1 next) fills exactly
-   one 64-byte line, the key fingerprints fill whole lines of their own,
-   and key/value pairs are interleaved two words per slot so a slot's key
-   and value always share a line. These constants mirror
-   Pmem.line_words = 8; Node.layout depends on them. *)
+(* The node layout is line-oriented: the hot header (epoch, the packed
+   kind/height/splitCount word, lock, anchor key, level-0 and level-1 next
+   pointers and their successor-key hints) fills exactly one 64-byte line,
+   the key fingerprints fill whole lines of their own, key/value pairs are
+   interleaved two words per slot so a slot's key and value always share a
+   line, and the upper tower is laid out in lines of four next pointers
+   followed by their four hints. These constants mirror Pmem.line_words = 8;
+   Node.layout depends on them. *)
 let line_words = 8
 let header_words = 8
 let slot_words = 2
+
+(* Upper-tower levels per line: four pointers, then their four hints. *)
+let tower_levels_per_line = 4
 
 (* Seven-bit key fingerprints, eight to a word (56 of its 63 bits). *)
 let fps_per_word = 8
@@ -81,12 +88,23 @@ let validate t =
   if line_words mod slot_words <> 0 then
     invalid_arg "Config: key/value slot straddles a line (undocumented padding)"
 
-(* Words a node occupies: the one-line header, the fingerprint lines,
-   [keys_per_node] interleaved key/value slots, and the level-2.. next-pointer
-   words of the class ([next_cap]; levels 0 and 1 live in the header, so the
-   two hottest traversal levels are one-line hops). *)
+(* Words of the pair region, rounded up to whole lines so the upper tower
+   starts on a line boundary (a pointer and its hint must share a line). *)
+let pair_words t = round_to_line (slot_words * t.keys_per_node)
+
+(* Words of the upper tower of a class whose towers cap at [next_cap]
+   levels: levels 0 and 1 live in the header, the rest in whole lines of
+   [tower_levels_per_line] pointer/hint pairs. *)
+let tower_words ~next_cap =
+  let upper = max 0 (next_cap - 2) in
+  line_words * ((upper + tower_levels_per_line - 1) / tower_levels_per_line)
+
+(* Words a node occupies: the one-line header, the fingerprint lines, the
+   pair lines and the upper-tower lines of the class ([next_cap]; levels 0
+   and 1 live in the header, so the two hottest traversal levels are
+   one-line hops). *)
 let node_words_capped t ~next_cap =
-  header_words + fp_words t + (slot_words * t.keys_per_node) + max 0 (next_cap - 2)
+  header_words + fp_words t + pair_words t + tower_words ~next_cap
 
 (* Tall class: full-height towers; the block allocator is sized from this. *)
 let node_words t = node_words_capped t ~next_cap:t.max_height

@@ -35,10 +35,12 @@ val validate : t -> unit
 
 (** {1 Node layout constants}
 
-    The layout is line-oriented: one 64-byte hot header line (epoch,
-    splitCount, kind, lock, height, anchor key, level-0 and level-1 next),
-    then the key-fingerprint lines, then [keys_per_node] two-word key/value
-    slots, then the level-2 and up next pointers of the block class. *)
+    The layout is line-oriented: one 64-byte hot header line (epoch, the
+    packed kind/height/splitCount word, lock, anchor key, level-0 and
+    level-1 next pointers and their successor-key hints), then the
+    key-fingerprint lines, then [keys_per_node] two-word key/value slots
+    rounded up to whole lines, then the level-2 and up tower of the block
+    class in lines of four next pointers followed by their four hints. *)
 
 val line_words : int
 (** Words per cache line (mirrors [Pmem.line_words]). *)
@@ -52,12 +54,24 @@ val slot_words : int
 val round_to_line : int -> int
 (** Round a word count up to a whole number of lines. *)
 
+val tower_levels_per_line : int
+(** Upper-tower levels per line: four next pointers, then their four
+    successor-key hints. *)
+
 val fps_per_word : int
 (** Seven-bit key fingerprints packed into one fingerprint word. *)
 
 val fp_words : t -> int
 (** Words of a node's fingerprint region: [ceil (keys_per_node / 8)]
     fingerprint words rounded up to whole lines (one line up to 64 keys). *)
+
+val pair_words : t -> int
+(** Words of a node's key/value slots, rounded up to whole lines. *)
+
+val tower_words : next_cap:int -> int
+(** Words of the upper tower (levels 2 and up) of a block class whose
+    towers cap at [next_cap] levels: whole lines of four pointer/hint
+    pairs. *)
 
 val node_words : t -> int
 (** Words a tall-class (full [max_height] tower array) node occupies; the

@@ -2,22 +2,23 @@
 
    A node occupies one allocator block. The layout is cache-line oriented:
    the first 8 words — one 64-byte line — hold everything a traversal hop
-   reads or a recovery check inspects, so advancing along level 0 touches
-   exactly one line per node. Key/value pairs are interleaved two words per
-   slot, so claiming a slot (key CAS + value CAS) dirties a single line and
-   persists with one flush. A line of key fingerprints sits between the two,
-   so a lookup reads the fingerprints and then only the slot whose
+   reads or a recovery check inspects, so advancing along level 0 or 1
+   touches exactly one line per node. Key/value pairs are interleaved two
+   words per slot, so claiming a slot (key CAS + value CAS) dirties a single
+   line and persists with one flush. A line of key fingerprints sits between
+   the two, so a lookup reads the fingerprints and then only the slot whose
    fingerprint matches instead of scanning the pairs. Next pointers above
    level 1 live at the block's tail, and a height-truncated block class
-   ([Config.short_cutoff]) reserves only as many of those words as short
+   ([Config.short_cutoff]) reserves only as many of those lines as short
    towers can use.
 
      word 0                epochID (failure-free epoch of last consistency
                            confirmation; block: free-list next)
-     word 1                splitCount
-     word 2                kind (free block / node)
+     word 1                successor-key hint, level 0
+     word 2                packed meta: kind (bits 0-7: free block / node),
+                           height (bits 8-15), splitCount (bits 16 and up)
      word 3                splitLock (packed reader-writer lock)
-     word 4                height
+     word 4                successor-key hint, level 1
      word 5                anchor key — an immutable copy of slot 0's key
                            (the node's minimum; see below), read by hops
      word 6                next pointer, level 0 (RIV word)
@@ -28,9 +29,33 @@
                            fingerprint is bits 7(i mod 8) .. 7(i mod 8)+6 of
                            word 8 + i/8; 0 = no fingerprint
      words P .. P+2K-1     K interleaved slots (P = 8+F): key_i at P+2i
-                           (0 = empty), value_i at P+2i+1 (0 = tombstone)
-     words P+2K ..         next pointers, level 2 .. cap-1 (RIV words),
-                           cap = short_cutoff (short class) or max_height
+                           (0 = empty), value_i at P+2i+1 (0 = tombstone);
+                           the region is rounded up to whole lines
+     words T ..            levels 2 .. cap-1 in lines of four: next
+                           pointers of levels 2+4g .. 5+4g at T+8g .. T+8g+3
+                           and their hints at T+8g+4 .. T+8g+7, cap =
+                           short_cutoff (short class) or max_height
+
+   Height never changes after initialisation, and splitCount is written
+   only under the split lock's write side, so the packed meta word needs no
+   CAS. The kind stays in the low bits: the block allocator and the audit
+   read it through [Mem.kind_of].
+
+   Successor-key hints (Foresight): beside every next pointer sits a lower
+   bound on the anchor key of the node it points to, in the same line. A
+   traversal reads the pointer first and the hint second, and ends the
+   level when the hint exceeds its key — without loading the successor.
+   The bound holds because anchors are immutable (below) and because hints
+   never rise once a pointer can be read: a writer lowers the hint by
+   CAS-min to the new successor's anchor before the pointer CAS publishing
+   it, so a reader that sees the new pointer sees the lowered hint. A failed
+   link CAS or a snip leaves a hint stale-low, which is safe: the reader
+   enters the node, reads its anchor, and stops there. Levels a node is not
+   yet linked at are written plainly, hint before pointer, before any
+   reader can reach them there. Since a hint shares its pointer's line and
+   is stored first, every persisted line also keeps hint <= anchor, so
+   recovery rebuilds nothing. The head's hints start at [tail_key], the
+   tail's anchor, so a level that ends at the tail never loads it.
 
    Fingerprint rule: a slot's fingerprint is published and made durable
    before its key is claimed, and cleared only under the split lock's write
@@ -52,14 +77,26 @@ module Mem = Memory.Mem
 module Riv = Memory.Riv
 
 let o_epoch = 0
-let o_split_count = 1
-let o_kind = 2
+let o_hint0 = 1  (* level-0 successor-key hint, in the header line *)
+let o_meta = Memory.Mem.hdr_kind  (* kind | height | splitCount *)
 let o_lock = 3
-let o_height = 4
+let o_hint1 = 4  (* level-1 successor-key hint, in the header line *)
 let o_anchor = 5
 let o_next0 = 6
 let o_next1h = 7  (* level-1 next, in the header line *)
 let o_fp = Config.header_words
+
+(* Packed meta word: kind in the low [Mem.kind_bits], then 8 bits of
+   height, then the split count. *)
+let height_shift = Memory.Mem.kind_bits
+let split_shift = height_shift + 8
+let meta_height w = (w lsr height_shift) land 0xff
+let meta_split_count w = w lsr split_shift
+
+let make_meta ~height ~split_count =
+  Memory.Mem.kind_node lor (height lsl height_shift) lor (split_count lsl split_shift)
+
+let with_height w h = make_meta ~height:h ~split_count:(meta_split_count w)
 
 let empty_key = 0
 let tombstone = 0
@@ -70,9 +107,8 @@ type layout = {
   k : int;
   fp_used : int;  (* fingerprint words actually holding slots: ceil(K/8) *)
   o_pairs : int;  (* first slot's key *)
-  o_next2 : int;  (* next level l >= 2 lives at o_next2 + l - 2 *)
+  o_tower : int;  (* first upper-tower line (levels 2 ..) *)
   short_cutoff : int;  (* 0 = single (tall) block class *)
-  tall_cap : int;  (* = max_height *)
   short_words : int;
   tall_words : int;
 }
@@ -84,9 +120,8 @@ let layout (cfg : Config.t) =
     k;
     fp_used = (k + Config.fps_per_word - 1) / Config.fps_per_word;
     o_pairs;
-    o_next2 = o_pairs + (Config.slot_words * k);
+    o_tower = o_pairs + Config.pair_words cfg;
     short_cutoff = cfg.short_cutoff;
-    tall_cap = cfg.max_height;
     short_words = Config.short_node_words cfg;
     tall_words = Config.node_words cfg;
   }
@@ -94,17 +129,25 @@ let layout (cfg : Config.t) =
 let o_key ly i = ly.o_pairs + (Config.slot_words * i)
 let o_value ly i = o_key ly i + 1
 
+(* Upper level [l] >= 2 sits in tower line (l-2)/4, at position (l-2) mod 4
+   among its pointers; its hint is four words further along the line. *)
+let o_upper ly level =
+  let u = level - 2 in
+  let per = Config.tower_levels_per_line in
+  ly.o_tower + (Config.line_words * (u / per)) + (u mod per)
+
 let o_next ly level =
   if level = 0 then o_next0
   else if level = 1 then o_next1h
-  else ly.o_next2 + level - 2
+  else o_upper ly level
+
+let o_hint ly level =
+  if level = 0 then o_hint0
+  else if level = 1 then o_hint1
+  else o_upper ly level + Config.tower_levels_per_line
 
 (* Block class of a node of height [h]: [true] = short (truncated). *)
 let is_short ly h = ly.short_cutoff > 0 && h <= ly.short_cutoff
-
-(* Words the node's block actually holds / levels its tower array caps. *)
-let words_for_height ly h = if is_short ly h then ly.short_words else ly.tall_words
-let cap_for_height ly h = if is_short ly h then ly.short_cutoff else ly.tall_cap
 
 (* ---- fingerprints ------------------------------------------------------- *)
 
@@ -143,8 +186,14 @@ let fp_line ly keys =
 (* ---- field accessors (simulated time) --------------------------------- *)
 
 let epoch mem n = Mem.read_field mem n o_epoch
-let split_count mem n = Mem.read_field mem n o_split_count
-let height mem n = Mem.read_field mem n o_height
+let split_count mem n = meta_split_count (Mem.read_field mem n o_meta)
+let height mem n = meta_height (Mem.read_field mem n o_meta)
+
+(* Under the split lock's write side (the only writer of the word). *)
+let set_split_count mem n sc =
+  let w = Mem.read_field mem n o_meta in
+  Mem.write_field mem n o_meta (make_meta ~height:(meta_height w) ~split_count:sc)
+
 let key mem ly n i = Mem.read_field mem n (o_key ly i)
 
 (* The hop-time minimum key: the header anchor, not slot 0 — one line. *)
@@ -163,7 +212,14 @@ let unmark w = w land max_int
 let next_raw mem ly n level = Mem.read_field mem n (o_next ly level)
 let next mem ly n level = Riv.of_word (unmark (next_raw mem ly n level))
 
-let set_next mem ly n level p = Mem.write_ptr mem n (o_next ly level) p
+let hint mem ly n level = Mem.read_field mem n (o_hint ly level)
+
+(* A level the node is not yet linked at (no reader can reach it there):
+   hint first, then the pointer, so every image of the line keeps the
+   hint a lower bound. *)
+let set_next mem ly n level p ~bound =
+  Mem.write_field mem n (o_hint ly level) bound;
+  Mem.write_ptr mem n (o_next ly level) p
 
 (* Structure-level CAS accounting: every node-field or lock CAS bumps the
    per-fiber attempt/failure counters, attributed via the scheduler's
@@ -176,6 +232,17 @@ let counted ok =
 
 let cas_next mem ly n level ~expected ~desired =
   counted (Mem.cas_ptr mem n (o_next ly level) ~expected ~desired)
+
+(* CAS-min: lower [n]'s level hint to [bound] (never raise it). Runs
+   before the pointer CAS that links a successor whose anchor is [bound]. *)
+let rec lower_hint mem ly n level bound =
+  let h = hint mem ly n level in
+  if
+    h > bound
+    && not
+         (counted
+            (Mem.cas_field mem n (o_hint ly level) ~expected:h ~desired:bound))
+  then lower_hint mem ly n level bound
 
 let cas_key mem ly n i ~expected ~desired =
   counted (Mem.cas_field mem n (o_key ly i) ~expected ~desired)
@@ -225,9 +292,9 @@ let write_fp_line mem ly n words =
   done;
   !changed
 
-(* Persist the whole node — only the words its block class actually has. *)
-let persist_all mem ly n ~node_height =
-  Mem.persist_range mem n ~first:0 ~words:(words_for_height ly node_height)
+(* Persist the node's body: header, fingerprint and pair lines — what a
+   split or its recovery rewrites. The tower lines are not included. *)
+let persist_body mem ly n = Mem.persist_range mem n ~first:0 ~words:ly.o_tower
 
 (* ---- split lock: epoch-stamped recoverable reader-writer lock ----------
 
@@ -367,16 +434,14 @@ end
 (* ---- initialisation ---------------------------------------------------- *)
 
 (* Initialise a freshly allocated (zeroed) block as a node holding [keys] and
-   [values], with their fingerprints. Next pointers are populated separately
-   before linking. Runs in fiber context and persists the node (Function 4,
-   lines 42-43). [keys] must be non-empty: slot 0 anchors the header's
-   immutable minimum key. *)
+   [values], with their fingerprints. Next pointers are written separately,
+   and the caller persists the node together with them before linking it
+   (Function 4, lines 42-43). Runs in fiber context. [keys] must be
+   non-empty: slot 0 anchors the header's immutable minimum key. *)
 let init mem ly n ~node_epoch ~node_height ~keys ~values =
   Mem.write_field mem n o_epoch node_epoch;
-  Mem.write_field mem n o_split_count 0;
-  Mem.write_field mem n o_kind Mem.kind_node;
+  Mem.write_field mem n o_meta (make_meta ~height:node_height ~split_count:0);
   Mem.write_field mem n o_lock 0;
-  Mem.write_field mem n o_height node_height;
   (match keys with
   | k0 :: _ -> Mem.write_field mem n o_anchor k0
   | [] -> invalid_arg "Node.init: empty keys");
@@ -384,16 +449,13 @@ let init mem ly n ~node_epoch ~node_height ~keys ~values =
     (fun j w -> if w <> 0 then Mem.write_field mem n (o_fp + j) w)
     (fp_line ly (Array.of_list keys));
   List.iteri (fun i k -> Mem.write_field mem n (o_key ly i) k) keys;
-  List.iteri (fun i v -> Mem.write_field mem n (o_value ly i) v) values;
-  persist_all mem ly n ~node_height
+  List.iteri (fun i v -> Mem.write_field mem n (o_value ly i) v) values
 
 (* Sentinel setup at pool-format time (no simulated cost). *)
 let init_sentinel_poked mem ly n ~first_key ~node_height =
   Mem.poke_field mem n o_epoch 1;
-  Mem.poke_field mem n o_split_count 0;
-  Mem.poke_field mem n o_kind Mem.kind_node;
+  Mem.poke_field mem n o_meta (make_meta ~height:node_height ~split_count:0);
   Mem.poke_field mem n o_lock 0;
-  Mem.poke_field mem n o_height node_height;
   Mem.poke_field mem n o_anchor first_key;
   Mem.poke_field mem n (o_key ly 0) first_key;
   for level = 0 to node_height - 1 do

@@ -25,6 +25,13 @@
    in-node lookup reads the fingerprint words and only the slots whose
    fingerprint matches, instead of scanning the unsorted keys linearly.
 
+   Every next pointer carries a successor-key hint in its own line (see
+   Node): a traversal ends a level when the hint exceeds its key, without
+   loading the overshoot node or the tail, and enters — and claims for
+   recovery — only the nodes it moves onto. Searches start at the volatile
+   [top] level, the highest level a link may have reached, instead of
+   walking the empty head levels above it.
+
    Operations:
    - [search]/[mem_key]: wait-free traversal + fingerprinted key lookup,
      validated against the node's split counter and split lock;
@@ -64,6 +71,11 @@ type t = {
   ops : Block_alloc.node_ops;
   fingers : finger array option;  (* present iff cfg.finger_cache applies *)
   reclaim : Reclaim.t option;  (* present iff cfg.reclaim_empty_nodes *)
+  top : int Atomic.t;
+      (* volatile: no level above [top] has a node linked. Raised (atomic
+         max) before a link at a higher level, recomputed from the head's
+         tower by [recover]; a stale value is only ever too high, and
+         starting a search too high is merely slower *)
 }
 
 let mem t = t.mem
@@ -73,10 +85,18 @@ let tail t = t.tail
 
 (* Block sizes the allocator must be configured with for a given config:
    the tall class holds full-height towers, the short class (meaningful
-   when short_cutoff > 0) holds truncated ones. Both round up to a
-   cache-line multiple. *)
-let required_block_words cfg = Config.round_to_line (Config.node_words cfg)
-let required_short_block_words cfg = Config.round_to_line (Config.short_node_words cfg)
+   when short_cutoff > 0) holds truncated ones. Both round up to an odd
+   number of cache lines: consecutive blocks then sit at a line stride
+   coprime to any power-of-two set count, so the header lines of a chunk's
+   nodes spread over every set of a cache indexed by the low line-address
+   bits (the simulated cache, like hardware) instead of aliasing onto a
+   fraction of them. *)
+let block_words_of w =
+  let lines = (w + Config.line_words - 1) / Config.line_words in
+  (lines lor 1) * Config.line_words
+
+let required_block_words cfg = block_words_of (Config.node_words cfg)
+let required_short_block_words cfg = block_words_of (Config.short_node_words cfg)
 
 let create ~mem ~cfg ~max_threads ~seed =
   Config.validate cfg;
@@ -100,6 +120,7 @@ let create ~mem ~cfg ~max_threads ~seed =
   Node.init_sentinel_poked mem ly tail ~first_key:Node.tail_key
     ~node_height:cfg.Config.max_height;
   for level = 0 to cfg.Config.max_height - 1 do
+    Mem.poke_field mem head (Node.o_hint ly level) Node.tail_key;
     Mem.poke_ptr mem head (Node.o_next ly level) tail
   done;
   let root_rng = Sim.Rng.create seed in
@@ -138,7 +159,15 @@ let create ~mem ~cfg ~max_threads ~seed =
       };
     fingers;
     reclaim;
+    top = Atomic.make 0;
   }
+
+let top_level t = Atomic.get t.top
+
+let rec raise_top t level =
+  let cur = Atomic.get t.top in
+  if level > cur && not (Atomic.compare_and_set t.top cur level) then
+    raise_top t level
 
 (* Structure-phase accounting: bump the per-fiber counter for [id] and, when
    tracing, drop an instant event at the current virtual time. *)
@@ -166,6 +195,10 @@ type find = {
   split_count : int;  (* of preds.(0), read before its keys were scanned *)
   preds : Riv.t array;
   succs : Riv.t array;
+  bounds : int array;
+      (* lower bound on each succs.(l)'s anchor: the anchor itself when
+         the traversal entered the node, else the pred's hint — what a
+         new node linked before succs.(l) stores as its own hint *)
 }
 
 (* Find [key] among a node's slots (Function 8) through its fingerprint
@@ -269,25 +302,26 @@ let check_split_recovery t ~tid n =
       (Node.write_fp_line t.mem t.ly n
          (Node.fp_line t.ly (Array.init k (fun i -> Node.key t.mem t.ly n i)))
         : bool);
-    Node.persist_all t.mem t.ly n ~node_height:(Node.height t.mem n);
+    Node.persist_body t.mem t.ly n;
     Node.Lock.write_unlock t.mem n
     end
   end
 
-(* Refresh a node's next pointers at [from_level ..] from fresh successor
-   information and persist them (Functions 18/19). Levels 0 and 1 live in
-   the header line, away from the upper tower words: one header flush
-   covers both, and the tail words persist as their own range. *)
-let populate_levels t ~node ~succs ~from_level ~to_level =
+(* Refresh a node's next pointers and their hints at [from_level ..] from
+   fresh successor information and persist them (Functions 18/19). Only
+   levels the node is not linked at yet, so plain stores. Levels 0 and 1
+   live in the header line, away from the upper tower lines: one header
+   flush covers both, and the tower lines persist as their own range. *)
+let populate_levels t ~node ~succs ~bounds ~from_level ~to_level =
   for level = from_level to to_level do
-    Node.set_next t.mem t.ly node level succs.(level)
+    Node.set_next t.mem t.ly node level succs.(level) ~bound:bounds.(level)
   done;
   if from_level <= 1 then Node.persist_next t.mem t.ly node from_level;
   let lo = max 2 from_level in
   if to_level >= lo then
     Mem.persist_range t.mem node
       ~first:(Node.o_next t.ly lo)
-      ~words:(to_level - lo + 1)
+      ~words:(Node.o_hint t.ly to_level - Node.o_next t.ly lo + 1)
 
 (* Forward declarations resolved below: traversal and tower building are
    mutually recursive with recovery. *)
@@ -295,6 +329,7 @@ let rec traverse t ~tid ~recover key =
   let h = t.cfg.Config.max_height in
   let preds = Array.make h t.head in
   let succs = Array.make h t.tail in
+  let bounds = Array.make h Node.tail_key in
   (* Consult the fiber's finger: usable when recorded in the current
      failure-free epoch for a target at or below this one (predecessor
      minimum keys are immutable, so every remembered pred still precedes
@@ -321,7 +356,10 @@ let rec traverse t ~tid ~recover key =
   let rec attempt () =
     let restart = ref false in
     let pred = ref t.head in
-    let level = ref (h - 1) in
+    (* levels above [top] are head -> tail: preds/succs/bounds already say
+       so (and [top] only grows, so a restart overwrites every level an
+       earlier attempt filled) *)
+    let level = ref (Atomic.get t.top) in
     while (not !restart) && !level >= 0 do
       (* A finger predecessor replaces the head start at each level (the
          pred carried down from the level above, when it exists, is at
@@ -331,10 +369,18 @@ let rec traverse t ~tid ~recover key =
         ->
           pred := fp.(!level)
       | _ -> ());
+      (* pointer first, hint second: a writer lowers the hint before it
+         publishes the pointer, so the hint read here bounds [cur] *)
       let cur = ref (Node.next t.mem t.ly !pred !level) in
+      let bound = ref (Node.hint t.mem t.ly !pred !level) in
       let walking = ref true in
       while !walking && not !restart do
-        if
+        if !bound > key then begin
+          (* [cur] overshoots: end the level without loading it *)
+          Obs.bump ~tid Obs.id_hint_stop;
+          walking := false
+        end
+        else if
           recover
           && check_for_recovery t ~tid ~cur:!cur ~recoveries:!recoveries
         then begin
@@ -348,27 +394,42 @@ let rec traverse t ~tid ~recover key =
             && Node.is_marked (Node.next_raw t.mem t.ly !cur !level)
           then begin
           (* [cur] is retired: snip it out of this level and persist the
-             snip immediately (Section 4.4's recoverable snipping) *)
+             snip immediately (Section 4.4's recoverable snipping); the
+             pred's hint stays a lower bound. A pred retired since the
+             traversal moved onto it can never be CASed (its word carries
+             the mark), so restart from the head, which snips it. *)
           let succ = Node.next t.mem t.ly !cur !level in
-          (if Node.cas_next t.mem t.ly !pred !level ~expected:!cur ~desired:succ
-           then begin
-             Node.persist_next t.mem t.ly !pred !level;
-             obs_event ~tid Obs.id_help !level
-           end);
-          cur := Node.next t.mem t.ly !pred !level
+          if Node.cas_next t.mem t.ly !pred !level ~expected:!cur ~desired:succ
+          then begin
+            Node.persist_next t.mem t.ly !pred !level;
+            obs_event ~tid Obs.id_help !level
+          end;
+          let w = Node.next_raw t.mem t.ly !pred !level in
+          if Node.is_marked w then restart := true
+          else begin
+            cur := Riv.of_word w;
+            bound := Node.hint t.mem t.ly !pred !level
+          end
         end
         else begin
           let k0 = Node.key0 t.mem !cur in
           if k0 <= key then begin
             pred := !cur;
-            cur := Node.next t.mem t.ly !cur !level
+            cur := Node.next t.mem t.ly !pred !level;
+            bound := Node.hint t.mem t.ly !pred !level
           end
-          else walking := false
+          else begin
+            (* a stale-low hint let the traversal enter an overshoot *)
+            Obs.bump ~tid Obs.id_hint_stale;
+            bound := k0;
+            walking := false
+          end
         end
       done;
       if not !restart then begin
         preds.(!level) <- !pred;
         succs.(!level) <- !cur;
+        bounds.(!level) <- !bound;
         decr level
       end
     done;
@@ -383,11 +444,11 @@ let rec traverse t ~tid ~recover key =
       | None -> ());
       let pred0 = preds.(0) in
       if Riv.equal pred0 t.head then
-        { found = false; key_index = -1; split_count = 0; preds; succs }
+        { found = false; key_index = -1; split_count = 0; preds; succs; bounds }
       else begin
         let sc = Node.split_count t.mem pred0 in
         let ki = scan_keys t ~tid pred0 key in
-        { found = ki >= 0; key_index = ki; split_count = sc; preds; succs }
+        { found = ki >= 0; key_index = ki; split_count = sc; preds; succs; bounds }
       end
     end
   in
@@ -441,7 +502,7 @@ and check_insert_recovery t ~tid cur =
       if !start < h then begin
         obs_event ~tid Obs.id_tower_repair k0;
         link_higher_levels t ~tid ~node:cur ~start:!start ~node_height:h
-          ~preds:f.preds ~succs:f.succs
+          ~preds:f.preds
       end
     end
   end
@@ -450,26 +511,28 @@ and check_insert_recovery t ~tid cur =
    each predecessor's next pointer from the node's recorded successor to the
    node, re-traversing when the neighbourhood changed. Levels are persisted
    bottom-up — the order matters for recovery (missing lower levels are not
-   permitted). *)
-and link_higher_levels t ~tid ~node ~start ~node_height ~preds ~succs =
-  let preds = ref preds and succs = ref succs in
+   permitted). [top] is raised first, and each predecessor's hint is
+   lowered to the node's anchor before its pointer CAS (see Node). *)
+and link_higher_levels t ~tid ~node ~start ~node_height ~preds =
+  let preds = ref preds in
   let key = Node.key0 t.mem node in
+  if start < node_height then raise_top t (node_height - 1);
   for level = start to node_height - 1 do
     let rec attempt () =
-      if Riv.equal !preds.(level) node then () (* already linked here *)
+      let pred = !preds.(level) in
+      if Riv.equal pred node then () (* already linked here *)
       else begin
         let expected = Node.next t.mem t.ly node level in
-        if
-          Node.cas_next t.mem t.ly !preds.(level) level ~expected ~desired:node
-        then Node.persist_next t.mem t.ly !preds.(level) level
+        Node.lower_hint t.mem t.ly pred level key;
+        if Node.cas_next t.mem t.ly pred level ~expected ~desired:node then
+          Node.persist_next t.mem t.ly pred level
         else begin
           (* Neighbourhood changed: refresh from a fresh traversal. *)
           let f = traverse t ~tid ~recover:false key in
           preds := f.preds;
-          succs := f.succs;
           if not (Riv.equal !preds.(level) node) then begin
-            populate_levels t ~node ~succs:!succs ~from_level:level
-              ~to_level:(node_height - 1);
+            populate_levels t ~node ~succs:f.succs ~bounds:f.bounds
+              ~from_level:level ~to_level:(node_height - 1);
             attempt ()
           end
         end
@@ -497,28 +560,42 @@ let rec claim_value t n i v =
   if Node.cas_value t.mem t.ly n i ~expected:old ~desired:v then old
   else claim_value t n i v
 
-let make_linked_object t ~tid ~pred ~keys ~values ~node_height =
+(* Function 4 fused with the node's first populate (Functions 18/19):
+   allocate, write the body and levels 0 .. node_height-1 from the
+   traversal [f] (successors and hints), and persist it all at once, so
+   the header line — which holds both — is flushed once. The node is not
+   reachable yet, so plain stores. *)
+let make_linked_object t ~tid ~pred ~keys ~values ~node_height ~(f : find) =
   let key = List.hd keys in
   let cls = if Node.is_short t.ly node_height then 1 else 0 in
   let block = Block_alloc.alloc_block ~cls t.mem ~tid ~ops:t.ops ~pred ~key in
   Node.init t.mem t.ly block ~node_epoch:(Mem.epoch t.mem) ~node_height ~keys
     ~values;
+  for level = 0 to node_height - 1 do
+    Node.set_next t.mem t.ly block level f.succs.(level) ~bound:f.bounds.(level)
+  done;
+  let words =
+    if node_height > 2 then Node.o_hint t.ly (node_height - 1) + 1
+    else t.ly.Node.o_tower
+  in
+  Mem.persist_range t.mem block ~first:0 ~words;
   block
 
 (* Function 15, generalised: insert a fresh single-key node right after
    [pred] (the head sentinel in the paper's CreateHeadSuccessor; an
    arbitrary predecessor in the single-key-per-node configuration, where it
    is exactly Herlihy's original insert). *)
-let create_successor t ~tid ~pred ~key ~value ~preds ~succs =
+let create_successor t ~tid ~pred ~key ~value ~(f : find) =
   let node_height = random_height t ~tid in
-  let succ0 = succs.(0) in
+  let succ0 = f.succs.(0) in
   let node =
     make_linked_object t ~tid ~pred ~keys:[ key ] ~values:[ value ] ~node_height
+      ~f
   in
-  populate_levels t ~node ~succs ~from_level:0 ~to_level:(node_height - 1);
+  Node.lower_hint t.mem t.ly pred 0 key;
   if Node.cas_next t.mem t.ly pred 0 ~expected:succ0 ~desired:node then begin
     Node.persist_next t.mem t.ly pred 0;
-    link_higher_levels t ~tid ~node ~start:1 ~node_height ~preds ~succs;
+    link_higher_levels t ~tid ~node ~start:1 ~node_height ~preds:f.preds;
     true
   end
   else begin
@@ -609,14 +686,17 @@ let insert_into_existing t ~tid ~key ~value ~pred0 ~succ0 =
    updates while keys move; the median and above migrate to a new node
    linked immediately after. The minimum key never moves, so the header
    anchor stays valid across any number of splits. *)
-let split_node t ~tid ~preds ~succs =
-  let pred0 = preds.(0) in
+let split_node t ~tid ~(f : find) =
+  let pred0 = f.preds.(0) in
   if
     not
       (Node.Lock.acquire_write t.mem pred0 ~backoff:(fun () -> backoff t ~tid))
   then ()
   else begin
-    Node.Lock.persist_acquisition t.mem pred0;
+    (* The writer bit is not persisted on its own: the lock word shares
+       pred0's header line with the level-0 pointer and is stored before
+       the link CAS, so every persisted image of that line holding the
+       link also holds the bit, and the split stays detectable. *)
     let k = t.cfg.Config.keys_per_node in
     let pairs =
       Array.init k (fun i ->
@@ -644,17 +724,17 @@ let split_node t ~tid ~preds ~succs =
       let node_height = random_height t ~tid in
       let node =
         make_linked_object t ~tid ~pred:pred0 ~keys:new_keys ~values:new_values
-          ~node_height
+          ~node_height ~f
       in
-      populate_levels t ~node ~succs ~from_level:0 ~to_level:(node_height - 1);
+      Node.lower_hint t.mem t.ly pred0 0 (List.hd new_keys);
       if
-        Node.cas_next t.mem t.ly pred0 0 ~expected:succs.(0) ~desired:node
+        Node.cas_next t.mem t.ly pred0 0 ~expected:f.succs.(0) ~desired:node
       then begin
         Node.persist_next t.mem t.ly pred0 0;
         obs_event ~tid Obs.id_split (List.hd new_keys);
-        let sc = Node.split_count t.mem pred0 in
-        Mem.write_field t.mem pred0 Node.o_split_count (sc + 1);
-        Mem.persist_field t.mem pred0 Node.o_split_count;
+        (* the split count only serves readers of this epoch: it persists
+           with the erase below, in the same header line *)
+        Node.set_split_count t.mem pred0 (Node.split_count t.mem pred0 + 1);
         let moved_key ki = List.mem ki new_keys in
         let kept =
           Array.init k (fun i ->
@@ -668,12 +748,10 @@ let split_node t ~tid ~preds ~succs =
         in
         (* the moved slots' fingerprints go with their keys *)
         ignore (Node.write_fp_line t.mem t.ly pred0 (Node.fp_line t.ly kept) : bool);
-        Node.persist_all t.mem t.ly pred0
-          ~node_height:(Node.height t.mem pred0);
+        Node.persist_body t.mem t.ly pred0;
         Node.Lock.write_unlock t.mem pred0;
         let f = traverse t ~tid ~recover:false (List.hd new_keys) in
         link_higher_levels t ~tid ~node ~start:1 ~node_height ~preds:f.preds
-          ~succs:f.succs
       end
       else begin
         Block_alloc.delete_linked_object t.mem ~tid node;
@@ -751,8 +829,7 @@ let rec upsert_impl t ~tid key value =
   end
   else if Riv.equal pred0 t.head then begin
     if
-      create_successor t ~tid ~pred:t.head ~key ~value ~preds:f.preds
-        ~succs:f.succs
+      create_successor t ~tid ~pred:t.head ~key ~value ~f
     then None
     else upsert_impl t ~tid key value
   end
@@ -767,13 +844,12 @@ let rec upsert_impl t ~tid key value =
         if t.cfg.Config.keys_per_node = 1 then begin
           (* single-key nodes never split: link a fresh node after pred0 *)
           if
-            create_successor t ~tid ~pred:pred0 ~key ~value ~preds:f.preds
-              ~succs:f.succs
+            create_successor t ~tid ~pred:pred0 ~key ~value ~f
           then None
           else upsert_impl t ~tid key value
         end
         else begin
-          split_node t ~tid ~preds:f.preds ~succs:f.succs;
+          split_node t ~tid ~f;
           backoff t ~tid;
           upsert_impl t ~tid key value
         end
@@ -919,6 +995,17 @@ let range t ~tid ~lo ~hi =
   check_key hi;
   with_guard t ~tid (fun () -> range_impl t ~tid ~lo ~hi)
 
+(* Post-crash structure pass: recompute the volatile [top] from the head's
+   tower. Everything else is repaired lazily by the traversals that meet
+   stale nodes. *)
+let recover t ~tid:_ =
+  let rec highest level =
+    if level > 0 && Riv.equal (Node.next t.mem t.ly t.head level) t.tail then
+      highest (level - 1)
+    else level
+  in
+  Atomic.set t.top (highest (t.cfg.Config.max_height - 1))
+
 (* The head's keys are sentinels; guard [visit] against scanning it. *)
 
 (* ---- host-side verification (peeks; no simulated cost) ----------------- *)
@@ -971,7 +1058,9 @@ let node_count t =
    - no key is held by two slots of one node, and every key carries its
      fingerprint (nodes under the write lock — an interrupted split
      awaiting repair, or a retired node — are exempt: split recovery
-     recomputes their fingerprints).
+     recomputes their fingerprints);
+   - on every level, each hint is at most its successor's anchor, and no
+     head level above [top] is non-empty.
    Nodes from older epochs (awaiting lazy recovery) are exempt from the
    tower-completeness check. Returns the list of violations found. *)
 let check_invariants t =
@@ -1033,6 +1122,23 @@ let check_invariants t =
     in
     if not (sorted upper) then err "level %d not sorted" level
   done;
+  (* hints: lower bounds on the successor's anchor, level by level *)
+  let anchor n = if Riv.equal n t.tail then Node.tail_key else pk n Node.o_anchor in
+  for level = 0 to t.cfg.Config.max_height - 1 do
+    let rec hints n =
+      if not (Riv.equal n t.tail) then begin
+        let succ = nxt n level in
+        let hint = pk n (Node.o_hint t.ly level) in
+        if hint > anchor succ then
+          err "level %d: hint %d of key %d's node above its successor's anchor %d"
+            level hint (pk n Node.o_anchor) (anchor succ);
+        hints succ
+      end
+    in
+    hints t.head;
+    if level > Atomic.get t.top && not (Riv.equal (nxt t.head level) t.tail) then
+      err "head level %d non-empty above top %d" level (Atomic.get t.top)
+  done;
   List.rev !errs
 
 (* ---- persistent-heap audit (host side, persistent-image peeks) ----------
@@ -1050,6 +1156,9 @@ let check_invariants t =
      lookup after the crash finds it (nodes left write-locked — an
      interrupted split or retirement — are exempt: repair recomputes their
      fingerprint lines);
+   - every hint of the head and of a reachable node whose pointer targets
+     the tail or a bottom-level node is at most that target's anchor, so a
+     traversal after the crash never ends a level before a node it needs;
    - truncated-block discipline: a node in a short block never records a
      height above the short cutoff, and no node (either class) carries a
      non-null next word above its recorded height — a stray word there
@@ -1090,7 +1199,7 @@ let audit_persistent t =
       else if not (resolvable n) then
         err "bottom level: next pointer %a dangles (unregistered chunk)" Riv.pp n
       else begin
-        let kind = ppk n Node.o_kind in
+        let kind = Mem.kind_of (ppk n Node.o_meta) in
         if kind <> Mem.kind_node then
           err "bottom level: block %a linked in has kind %d (not a node)" Riv.pp n
             kind
@@ -1125,18 +1234,25 @@ let audit_persistent t =
        not from the node's own height word — that is the point: a short
        block claiming a tall height, or a stray word between the height
        and the cap, is the corruption being hunted. *)
+    let anchor p =
+      if Riv.equal p t.tail then Node.tail_key else ppk p Node.o_anchor
+    in
     let check_towers n label ~cap =
-      let h = ppk n Node.o_height in
+      let h = Node.meta_height (ppk n Node.o_meta) in
       if h < 1 || h > cap then err "%s: height %d out of range (cap %d)" label h cap
       else begin
-        for level = 1 to h - 1 do
+        for level = 0 to h - 1 do
           let p = nxt n level in
-          if not (Riv.is_null p || Riv.equal p t.tail) then
+          let target = Riv.equal p t.tail || Hashtbl.mem on_bottom (Riv.to_word p) in
+          if level > 0 && not (Riv.is_null p || Riv.equal p t.tail) then
             if not (resolvable p) then
               err "%s: level-%d pointer %a dangles" label level Riv.pp p
-            else if not (Hashtbl.mem on_bottom (Riv.to_word p)) then
+            else if not target then
               err "%s: level-%d pointer %a targets a block not on the bottom level"
-                label level Riv.pp p
+                label level Riv.pp p;
+          if target && ppk n (Node.o_hint t.ly level) > anchor p then
+            err "%s: level-%d hint %d above its successor's anchor %d" label level
+              (ppk n (Node.o_hint t.ly level)) (anchor p)
         done;
         for level = max 1 h to cap - 1 do
           if ppk n (Node.o_next t.ly level) <> 0 then
@@ -1170,9 +1286,11 @@ let audit_persistent t =
    a broken recovery: [lose_key] silently drops one committed update (the
    strict-linearizability checker must flag the lost update), [drop_fp]
    clears the fingerprint of one live key (the persistent-heap auditor must
-   flag it; lookups would miss the key), [dangle] bends a tower pointer at
-   a free block (the auditor must flag it). Returns false when the
-   structure is in no state to apply the mutation (e.g. empty). *)
+   flag it; lookups would miss the key), [raise_hint] lifts one level-0
+   hint above its successor's anchor (the auditor must flag it; a lookup
+   of that anchor would end the level early and miss it), [dangle] bends a
+   tower pointer at a free block (the auditor must flag it). Returns false
+   when the structure is in no state to apply the mutation (e.g. empty). *)
 let corrupt t what =
   let first =
     Riv.of_word (Node.unmark (Mem.peek_field t.mem t.head Node.o_next0))
@@ -1207,6 +1325,30 @@ let corrupt t what =
       first_live (fun n i ->
           let o = Node.o_fp_slot i in
           Mem.poke_field t.mem n o (Node.with_fp_byte (Mem.peek_field t.mem n o) i 0))
+  | "raise_hint" ->
+      (* the first bottom-level successor of height 1 (reachable only
+         through its level-0 predecessor), else the first node *)
+      let nxt0 n = Riv.of_word (Node.unmark (Mem.peek_field t.mem n Node.o_next0)) in
+      let rec pick pred =
+        let s = nxt0 pred in
+        if Riv.is_null s || Riv.equal s t.tail then None
+        else if Node.meta_height (Mem.peek_field t.mem s Node.o_meta) = 1 then
+          Some (pred, s)
+        else pick s
+      in
+      let victim =
+        match pick t.head with
+        | Some _ as v -> v
+        | None ->
+            if Riv.is_null first || Riv.equal first t.tail then None
+            else Some (t.head, first)
+      in
+      (match victim with
+      | None -> false
+      | Some (pred, s) ->
+          Mem.poke_field t.mem pred Node.o_hint0
+            (Mem.peek_field t.mem s Node.o_anchor + 1);
+          true)
   | "dangle" ->
       (* bend the first reachable node's level-1 next at a free-list block *)
       if Riv.is_null first || Riv.equal first t.tail then false
@@ -1217,8 +1359,9 @@ let corrupt t what =
         if Riv.is_null victim then false
         else begin
           Mem.poke_ptr t.mem first (Node.o_next t.ly 1) victim;
-          if Mem.peek_field t.mem first Node.o_height < 2 then
-            Mem.poke_field t.mem first Node.o_height 2;
+          let meta = Mem.peek_field t.mem first Node.o_meta in
+          if Node.meta_height meta < 2 then
+            Mem.poke_field t.mem first Node.o_meta (Node.with_height meta 2);
           true
         end
       end

@@ -62,17 +62,29 @@ val to_alist : t -> (int * int) list
 val node_count : t -> int
 (** Allocator blocks linked into the bottom level (sentinels excluded). *)
 
+val recover : t -> tid:int -> unit
+(** Post-crash structure pass (fiber context, after
+    {!Memory.Mem.reconnect}): recomputes the volatile top level from the
+    head's tower. Every other repair is deferred to the traversals that
+    meet a node from an older failure-free epoch. *)
+
+val top_level : t -> int
+(** The volatile top level: no head level above it is non-empty, and
+    searches start there. *)
+
 val check_invariants : t -> string list
 (** Structural-invariant violations (empty = healthy): bottom-level
-    ordering, internal-key bounds, level-sublist property. Nodes awaiting
-    lazy post-crash repair can legitimately report violations until they
-    are traversed. *)
+    ordering, internal-key bounds, level-sublist property, every
+    successor-key hint at most its successor's anchor, and no non-empty
+    head level above {!top_level}. Nodes awaiting lazy post-crash repair
+    can legitimately report violations until they are traversed. *)
 
 val audit_persistent : t -> string list
 (** Persistent-heap audit: what a power failure right now would leave
     behind, checked structurally over the {e persistent} image — bottom
     level reaches the tail with strictly increasing keys through node-kind
-    blocks, non-null tower pointers target live nodes, and the allocator
+    blocks, non-null tower pointers target live nodes, every successor-key
+    hint is at most its successor's anchor, and the allocator
     accounts for every block of every registered chunk (reachable, on a
     free list, or excused by an allocation/provision log — no leaks, no
     dangling references). Empty list = clean. Lazy-repair states (torn
@@ -82,8 +94,10 @@ val audit_persistent : t -> string list
 val corrupt : t -> string -> bool
 (** Test-only fault injection for harness self-validation: ["lose_key"]
     silently tombstones one committed value (a broken recovery the
-    linearizability checker must catch); ["dangle"] bends a tower pointer
-    at a free block (the persistent-heap auditor must catch it). Returns
+    linearizability checker must catch); ["drop_fp"] clears one live
+    key's fingerprint and ["raise_hint"] lifts one level-0 hint above its
+    successor's anchor (both for the persistent-heap auditor); ["dangle"]
+    bends a tower pointer at a free block (the auditor must catch it). Returns
     [false] if the mutation is inapplicable (unknown name, empty list). *)
 
 (** {1 Physical removal (paper §4.6 follow-up)} *)

@@ -70,7 +70,7 @@ let default_spec =
     ops_per_thread = 100;
     read_fraction = 0.2;
     rounds = 1;
-    crash_at = 20_000;
+    crash_at = 10_000;
     depth = 0;
     adversary = Config_default;
     draw_seed = 1;
@@ -438,7 +438,8 @@ let spec_to_string s =
 
 (* Names the trial engine understands: [Kv.corrupt] mutations plus the
    harness-level [skip_resolve]. *)
-let mutants = [ "none"; "skip_resolve"; "lose_key"; "drop_fp"; "dangle" ]
+let mutants =
+  [ "none"; "skip_resolve"; "lose_key"; "drop_fp"; "raise_hint"; "dangle" ]
 
 let validate s =
   let at_least k min n =

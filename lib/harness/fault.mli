@@ -60,7 +60,7 @@ type spec = {
 
 val default_spec : spec
 (** upskiplist, uniform/numa, 4 threads, keyspace 120, 100 ops/thread,
-    20% reads, one round crashed at 20k events, depth 0, config-default
+    20% reads, one round crashed at 10k events, depth 0, config-default
     adversary, audit on, no mutant. *)
 
 type result = {
@@ -106,7 +106,7 @@ val validate : spec -> (spec, string) Stdlib.result
 (** The spec unchanged if the engine can run it: threads, keyspace, ops
     and rounds >= 1, depth and crash_at >= 0, a [Subset] probability in
     [0,1], and a mutant among [none | skip_resolve | lose_key | drop_fp |
-    dangle]. Structure, latency and mode names are checked by
+    raise_hint | dangle]. Structure, latency and mode names are checked by
     {!kv_of_spec}. *)
 
 val spec_of_string : string -> (spec, string) Stdlib.result

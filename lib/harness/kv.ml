@@ -5,7 +5,8 @@
    and reproducible. [reconnect] performs the host-side part of recovery
    (epoch / run-id bump, dropped DRAM caches); [recover] is the structure's
    post-crash work as a timed fiber (PMwCAS descriptor scan, transaction
-   rollback; UPSkipList defers everything, so its recover is empty). *)
+   rollback; UPSkipList only recomputes its volatile top level and defers
+   every repair into normal operation). *)
 
 module Mem = Memory.Mem
 
@@ -126,7 +127,7 @@ let make_upskiplist ?(cfg = Upskiplist.Config.default) ?(n_arenas = 8)
     search = (fun ~tid k -> Upskiplist.Skiplist.search sl ~tid k);
     remove = (fun ~tid k -> Upskiplist.Skiplist.remove sl ~tid k);
     range = (fun ~tid ~lo ~hi -> Upskiplist.Skiplist.range sl ~tid ~lo ~hi);
-    recover = (fun ~tid:_ -> () (* deferred into normal operation *));
+    recover = (fun ~tid -> Upskiplist.Skiplist.recover sl ~tid);
     quiesce = (fun ~tid -> Upskiplist.Skiplist.quiesced_drain sl ~tid);
     reconnect = (fun () -> Mem.reconnect mem);
     to_alist = (fun () -> Upskiplist.Skiplist.to_alist sl);

@@ -99,7 +99,7 @@ let delete_linked_object t ~tid obj =
   let pool = Mem.local_pool t ~tid in
   let arena = tid mod t.Mem.n_arenas in
   let cls = block_class t obj in
-  let kind = Mem.read_field t obj Mem.hdr_kind in
+  let kind = Mem.kind_of (Mem.read_field t obj Mem.hdr_kind) in
   if kind = Mem.kind_node then begin
     (* De-initialise the node so it can rejoin the free list. The block
        only has its class's words — never touch beyond them. *)
@@ -215,7 +215,7 @@ let carve_blocks t ~pool ~cls ~chunk =
    "kind free, next non-null, absent from the free list". *)
 let chunk_linked t ~pool ~cls ~arena ~chunk =
   let block0 = Riv.make ~pool ~chunk ~offset:0 in
-  if Mem.read_field t block0 Mem.hdr_kind <> Mem.kind_free then true
+  if Mem.kind_of (Mem.read_field t block0 Mem.hdr_kind) <> Mem.kind_free then true
   else if Riv.is_null (Mem.read_ptr t block0 Mem.hdr_next) then true
   else begin
     let rec in_list cur =
@@ -428,7 +428,7 @@ let audit t ~reachable =
           for i = 0 to Mem.blocks_per_chunk_cls t ~cls - 1 do
             let b = Riv.make ~pool ~chunk:id ~offset:(i * bw) in
             let w = Riv.to_word b in
-            let kind = pk b Mem.hdr_kind in
+            let kind = Mem.kind_of (pk b Mem.hdr_kind) in
             let listed = Hashtbl.mem on_freelist w in
             let logged = Hashtbl.mem excused_blocks w in
             if kind = Mem.kind_free && reachable b then

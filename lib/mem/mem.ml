@@ -61,12 +61,17 @@ type t = {
   root_bump : int array;  (* pool -> next free app-root word (setup only) *)
 }
 
-(* Object header shared by free blocks and nodes (word 2 discriminates). *)
+(* Object header shared by free blocks and nodes (word 2 discriminates).
+   The kind sits in the low [kind_bits] of its word; a node packs further
+   fields above it, so readers compare [kind_of] the word, never the raw
+   word. *)
 let hdr_next = 0 (* free block: next block in the free list *)
 let hdr_epoch = 1 (* free block: epoch it was created/freed in *)
 let hdr_kind = 2
 let kind_free = 1
 let kind_node = 2
+let kind_bits = 8
+let kind_of w = w land ((1 lsl kind_bits) - 1)
 
 let create ?(short_block_words = 0) ~pmem ~chunk_words ~block_words ~n_arenas ()
     =

@@ -48,7 +48,9 @@ let id_svc_replay = 27
 let id_svc_dup_suppress = 28
 let id_fp_match = 29
 let id_fp_false_positive = 30
-let n_ids = 31
+let id_hint_stop = 31
+let id_hint_stale = 32
+let n_ids = 33
 
 let names =
   [|
@@ -83,6 +85,8 @@ let names =
     "svc_dup_suppressed";
     "fp_matches";
     "fp_false_positives";
+    "hint_stops";
+    "hint_stale";
   |]
 
 let id_name id =

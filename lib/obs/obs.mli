@@ -90,6 +90,14 @@ val id_fp_match : int
 val id_fp_false_positive : int
 (** fingerprint matches whose slot held a different key *)
 
+val id_hint_stop : int
+(** traversal levels ended by a successor-key hint, without loading the
+    overshoot node *)
+
+val id_hint_stale : int
+(** nodes a traversal entered whose anchor exceeded its key (a stale-low
+    hint let it in) *)
+
 (** Detectable-operation events (the [detect] per-client announcement
     table, plus the service-layer replay protocol built on it): *)
 

@@ -97,24 +97,29 @@ let check_pairs msg expected actual =
 
 (* Single-crash campaign: [trials] trials of Fault's default trial shape on
    [make]'s fixture, one per crash point spread over [crash_events,
-   1.5 * crash_events). Audit errors count as failures. *)
+   1.5 * crash_events). Audit errors count as failures; a trial whose
+   workload ends before its crash point fails the campaign. *)
 let crash_campaign ~make ~threads ~keyspace ~ops_per_thread
     ~crash_events ~seed ~trials () =
   let step = max 1 (crash_events / (2 * trials)) in
-  Harness.Fault.run_campaign ~make
-    {
-      Harness.Fault.base =
-        {
-          Harness.Fault.default_spec with
-          threads;
-          keyspace;
-          ops_per_thread;
-          draw_seed = seed;
-          seed;
-        };
-      grid = { origin = crash_events; stride = step; points = trials; jitter = step };
-      draws = 1;
-    }
+  let s =
+    Harness.Fault.run_campaign ~make
+      {
+        Harness.Fault.base =
+          {
+            Harness.Fault.default_spec with
+            threads;
+            keyspace;
+            ops_per_thread;
+            draw_seed = seed;
+            seed;
+          };
+        grid = { origin = crash_events; stride = step; points = trials; jitter = step };
+        draws = 1;
+      }
+  in
+  check_int "every trial crashed" trials s.Harness.Fault.crashed_trials;
+  s
 
 (* Print each failing trial's replay spec, violations and audit errors. *)
 let print_failures name (s : Harness.Fault.summary) =

@@ -17,7 +17,7 @@ let fast_sys =
 let campaign name make ~trials =
   let s =
     crash_campaign ~make ~threads:4 ~keyspace:120 ~ops_per_thread:100
-      ~crash_events:20_000 ~seed:1234 ~trials ()
+      ~crash_events:8_000 ~seed:1234 ~trials ()
   in
   print_failures name s;
   check_int (name ^ ": no strict-linearizability violations") 0

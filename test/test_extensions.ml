@@ -67,7 +67,7 @@ let test_short_class_matches_height () =
   let short = ref 0 and tall = ref 0 in
   List.iter
     (fun n ->
-      let h = Mem.peek_field fx.mem n Node.o_height in
+      let h = Node.meta_height (Mem.peek_field fx.mem n Node.o_meta) in
       let cls =
         Mem.chunk_class fx.mem ~pool:(Riv.pool n) ~chunk:(Riv.chunk n)
       in
@@ -95,7 +95,10 @@ let test_audit_catches_overheight_short_block () =
         Mem.chunk_class fx.mem ~pool:(Riv.pool n) ~chunk:(Riv.chunk n) = 1)
       (bottom_nodes fx)
   in
-  Mem.poke_field fx.mem victim Node.o_height (layout_cfg.Config.short_cutoff + 3);
+  Mem.poke_field fx.mem victim Node.o_meta
+    (Node.with_height
+       (Mem.peek_field fx.mem victim Node.o_meta)
+       (layout_cfg.Config.short_cutoff + 3));
   check_bool "audit flags the over-height short block" true
     (SL.audit_persistent fx.sl <> [])
 
@@ -308,36 +311,26 @@ let test_fp_lincheck_campaign () =
   let make () = Harness.Kv.make_upskiplist ~cfg:fp_cfg sys in
   let s =
     crash_campaign ~make ~threads:4 ~keyspace:120 ~ops_per_thread:100
-      ~crash_events:15_000 ~seed:777 ~trials:3 ()
+      ~crash_events:7_000 ~seed:777 ~trials:3 ()
   in
   print_failures "fingerprint" s;
   check_int "strictly linearizable with small fingerprinted nodes" 0
     (List.length s.Harness.Fault.failures)
 
-(* Crash grid for one fresh-key insert into an existing node: crash after
-   every event of the insert and, at each point, persist every subset of
-   the dirty lines. Whatever survives must audit clean, answer a lookup
-   with the old state or the new value, and take a re-upsert into exactly
-   one slot. *)
-let test_fp_crash_grid () =
-  let key = 15 in
-  let setup () =
-    let fx = make_skiplist ~cfg:fp_cfg ~seed:7 () in
-    run1 fx.pmem (fun ~tid ->
-        List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) [ 10; 12; 20; 30 ]);
-    Pmem.clean_shutdown fx.pmem;
-    fx
-  in
-  let insert fx ~tid = ignore (SL.upsert fx.sl ~tid key 777) in
+(* Crash one operation after every event of it and, at each point, persist
+   every subset of the dirty lines; [check fx where] then inspects each
+   surviving state. [setup] builds the (cleanly shut down) starting state,
+   [op] is the operation under test. *)
+let crash_grid ~setup ~op ~check =
   let run_until fx crash_at =
     ignore
       (Sim.Sched.run ~machine:(Pmem.machine fx.pmem)
          ~crash:(Sim.Sched.After_events crash_at)
-         [ (0, insert fx) ])
+         [ (0, op fx) ])
   in
   let events =
     let fx = setup () in
-    snd (run fx.pmem [ insert fx ])
+    snd (run fx.pmem [ op fx ])
   in
   let states = ref 0 in
   for crash_at = 1 to events do
@@ -356,10 +349,32 @@ let test_fp_crash_grid () =
           incr idx;
           keep);
       Mem.reconnect fx.mem;
-      let where = Fmt.str "crash at event %d, persisted lines %#x" crash_at mask in
-      (match SL.audit_persistent fx.sl with
-      | [] -> ()
-      | errs -> Alcotest.fail (where ^ ": " ^ String.concat "; " errs));
+      check fx (Fmt.str "crash at event %d, persisted lines %#x" crash_at mask)
+    done
+  done;
+  check_bool "explored more states than crash points" true (!states > events)
+
+let check_audit fx where =
+  match SL.audit_persistent fx.sl with
+  | [] -> ()
+  | errs -> Alcotest.fail (where ^ ": " ^ String.concat "; " errs)
+
+(* Crash grid for one fresh-key insert into an existing node. Whatever
+   survives must audit clean, answer a lookup with the old state or the
+   new value, and take a re-upsert into exactly one slot. *)
+let test_fp_crash_grid () =
+  let key = 15 in
+  let setup () =
+    let fx = make_skiplist ~cfg:fp_cfg ~seed:7 () in
+    run1 fx.pmem (fun ~tid ->
+        List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) [ 10; 12; 20; 30 ]);
+    Pmem.clean_shutdown fx.pmem;
+    fx
+  in
+  crash_grid ~setup
+    ~op:(fun fx ~tid -> ignore (SL.upsert fx.sl ~tid key 777))
+    ~check:(fun fx where ->
+      check_audit fx where;
       run1 fx.pmem (fun ~tid ->
           (match SL.search fx.sl ~tid key with
           | None | Some 777 -> ()
@@ -369,10 +384,127 @@ let test_fp_crash_grid () =
             (SL.search fx.sl ~tid key));
       check_int (where ^ ": one slot holds the key") 1
         (List.length (slots_holding fx key));
-      check_no_invariant_errors fx.sl
-    done
-  done;
-  check_bool "explored more states than crash points" true (!states > events)
+      check_no_invariant_errors fx.sl)
+
+(* ---- successor-key hints and the top level --------------------------------- *)
+
+let hint_cfg = { Config.default with keys_per_node = 4 }
+
+(* The highest head level that is not head -> tail (volatile image). *)
+let highest_head_level fx =
+  let cfg = SL.config fx.sl in
+  let ly = Node.layout cfg in
+  let rec go level =
+    if
+      level > 0
+      && Riv.equal
+           (Riv.of_word (Mem.peek_field fx.mem (SL.head fx.sl) (Node.o_next ly level)))
+           (SL.tail fx.sl)
+    then go (level - 1)
+    else level
+  in
+  go (cfg.Config.max_height - 1)
+
+(* Crash grid for one node split (K = 4): the fifth key of a full node
+   moves the upper half of its keys to a new node linked behind it. After
+   every crash state, recovery and the audit (hint rule included) are
+   clean, every key the split moved or kept is still found, and the top
+   level is the highest non-empty head level. *)
+let test_split_crash_grid () =
+  let before = [ 10; 12; 14; 16 ] in
+  let setup () =
+    let fx = make_skiplist ~cfg:hint_cfg ~seed:7 () in
+    run1 fx.pmem (fun ~tid ->
+        List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) before);
+    Pmem.clean_shutdown fx.pmem;
+    fx
+  in
+  check_int "one full node before the split" 1 (List.length (bottom_nodes (setup ())));
+  crash_grid ~setup
+    ~op:(fun fx ~tid -> ignore (SL.upsert fx.sl ~tid 18 18))
+    ~check:(fun fx where ->
+      run1 fx.pmem (fun ~tid -> SL.recover fx.sl ~tid);
+      check_int (where ^ ": top level after recovery") (highest_head_level fx)
+        (SL.top_level fx.sl);
+      check_audit fx where;
+      run1 fx.pmem (fun ~tid ->
+          List.iter
+            (fun k ->
+              Alcotest.check opt_int (Fmt.str "%s: key %d" where k) (Some k)
+                (SL.search fx.sl ~tid k))
+            before;
+          (match SL.search fx.sl ~tid 18 with
+          | None | Some 18 -> ()
+          | Some v -> Alcotest.fail (Fmt.str "%s: lookup of 18 returned %d" where v));
+          ignore (SL.upsert fx.sl ~tid 18 19));
+      check_audit fx where;
+      check_no_invariant_errors fx.sl)
+
+(* Readers against the writers' publication order: eight fibers insert
+   interleaved keys — splitting full nodes (K = 4) or linking fresh nodes
+   (K = 1), and building towers — and after each insert look up the keys
+   most recently acknowledged before the lookup began, the ones whose
+   nodes are still being linked. Fiber start offsets sweep a range. No
+   acknowledged key may read as absent, and afterwards every level is
+   sorted with every hint a lower bound on its successor's anchor: a
+   traversal that pairs a new pointer with an old hint ends a level before
+   a node it needed, and the insert that follows links its own node out of
+   order. Optane timing makes a fiber's first touch of a line a ~300 ns
+   miss, the window in which a writer lowers a hint and publishes a pointer
+   between two loads of a reader. *)
+let test_hint_reader_order () =
+  List.iter
+    (fun keys_per_node ->
+      let cfg = { hint_cfg with Config.keys_per_node } in
+      for delay = 0 to 39 do
+        let where = Fmt.str "K=%d delay %d" keys_per_node delay in
+        let fx = make_skiplist ~cfg ~latency:Pmem.Latency.default ~seed:11 () in
+        run1 fx.pmem (fun ~tid ->
+            List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) [ 1_000; 2_000 ]);
+        let fibers = 8 in
+        let acked = ref [] in
+        let body ~tid =
+          Sim.Sched.charge (float_of_int (tid * delay * 13));
+          for i = 0 to 39 do
+            let k = 1 + (i * fibers) + tid in
+            ignore (SL.upsert fx.sl ~tid k k);
+            acked := k :: !acked;
+            List.iteri
+              (fun j k ->
+                if j < fibers && SL.search fx.sl ~tid k <> Some k then
+                  Alcotest.failf "%s: fiber %d missed acknowledged key %d" where tid k)
+              !acked
+          done
+        in
+        ignore (run fx.pmem (List.init fibers (fun _ -> body)));
+        (match SL.check_invariants fx.sl with
+        | [] -> ()
+        | errs -> Alcotest.failf "%s: %s" where (String.concat "; " errs));
+        check_int (where ^ ": top level") (highest_head_level fx) (SL.top_level fx.sl)
+      done)
+    [ 4; 1 ]
+
+(* The volatile top level after a crash: recovery recomputes it from the
+   head's tower, whatever the crash cut short. *)
+let test_top_after_crash () =
+  List.iter
+    (fun events ->
+      let fx = make_skiplist ~cfg:hint_cfg ~seed:13 () in
+      let body ~tid =
+        for i = 0 to 199 do
+          let k = 1 + (i * 3) + tid in
+          ignore (SL.upsert fx.sl ~tid k k)
+        done
+      in
+      ignore (run_crash fx.pmem ~events (List.init 3 (fun _ -> body)));
+      crash_and_reconnect fx;
+      check_bool "top never below the persisted head levels" true
+        (SL.top_level fx.sl >= highest_head_level fx);
+      run1 fx.pmem (fun ~tid -> SL.recover fx.sl ~tid);
+      check_int (Fmt.str "crash after %d events: top" events) (highest_head_level fx)
+        (SL.top_level fx.sl);
+      check_bool "some level above 0" true (SL.top_level fx.sl > 0))
+    [ 2_000; 7_500; 15_000 ]
 
 (* ---- physical removal + reclamation ---------------------------------------- *)
 
@@ -561,7 +693,7 @@ let test_reclaim_lincheck_campaign () =
   in
   let s =
     crash_campaign ~make ~threads:4 ~keyspace:80 ~ops_per_thread:100
-      ~crash_events:15_000 ~seed:4242 ~trials:3 ()
+      ~crash_events:7_000 ~seed:4242 ~trials:3 ()
   in
   print_failures "reclaim" s;
   check_int "strictly linearizable with reclamation" 0
@@ -671,6 +803,13 @@ let () =
           case "racing inserts of one key" test_fp_racing_inserts;
           case "stale fingerprints never fill a node" test_fp_stale_never_full;
           slow_case "crash grid: fresh insert" test_fp_crash_grid;
+        ] );
+      ( "hints",
+        [
+          slow_case "crash grid: split" test_split_crash_grid;
+          case "readers never miss a key a split or tower build moves"
+            test_hint_reader_order;
+          case "top level recomputed after a crash" test_top_after_crash;
         ] );
       ( "layout",
         [

@@ -6,6 +6,7 @@
 open Testsupport
 module Fault = Harness.Fault
 module Kv = Harness.Kv
+module SL = Upskiplist.Skiplist
 
 let fast_sys =
   {
@@ -187,6 +188,25 @@ let test_mutant_drop_fp_caught () =
   check_bool "auditor caught the live key without its fingerprint" true
     (res.Fault.audit_errors <> [])
 
+let test_mutant_raise_hint_caught () =
+  let res = run_spec_exn { fast_spec with mutant = "raise_hint" } in
+  check_bool "trial crashed" true (res.Fault.crashes > 0);
+  check_bool "auditor caught the hint above its successor's anchor" true
+    (res.Fault.audit_errors <> []);
+  (* the same corruption on a quiet list: both checkers flag it, and a
+     lookup of some present key now ends its level too early *)
+  let fx = make_skiplist ~cfg:{ Upskiplist.Config.default with keys_per_node = 4 } () in
+  let keys = List.init 60 (fun i -> 1 + (3 * i)) in
+  run1 fx.pmem (fun ~tid -> List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) keys);
+  check_int "audit clean before" 0 (List.length (SL.audit_persistent fx.sl));
+  check_bool "mutation applied" true (SL.corrupt fx.sl "raise_hint");
+  check_bool "auditor flags it" true (SL.audit_persistent fx.sl <> []);
+  check_bool "volatile checker flags it" true (SL.check_invariants fx.sl <> []);
+  let missed = ref 0 in
+  run1 fx.pmem (fun ~tid ->
+      List.iter (fun k -> if SL.search fx.sl ~tid k = None then incr missed) keys);
+  check_bool "a present key is missed" true (!missed > 0)
+
 let test_clean_trial_passes () =
   let res = run_spec_exn fast_spec in
   check_bool "trial crashed" true (res.Fault.crashes > 0);
@@ -270,6 +290,8 @@ let () =
             test_mutant_dangle_caught;
           slow_case "drop_fp mutant caught by the auditor"
             test_mutant_drop_fp_caught;
+          slow_case "raise_hint mutant caught, and a lookup misses"
+            test_mutant_raise_hint_caught;
         ] );
       ( "campaigns",
         [ slow_case "campaign fully deterministic" test_campaign_deterministic ] );

@@ -117,7 +117,7 @@ let test_crash_trial_produces_history () =
         threads = 3;
         keyspace = 60;
         ops_per_thread = 80;
-        crash_at = 11_027;
+        crash_at = 6_000;
         draw_seed = 2;
         seed = 2;
       }
@@ -142,11 +142,12 @@ let test_crash_trial_eras_monotone_times () =
         threads = 2;
         keyspace = 40;
         ops_per_thread = 60;
-        crash_at = 6_905;
+        crash_at = 2_530;
         draw_seed = 8;
         seed = 8;
       }
   in
+  check_bool "a crash was injected" true (t.Harness.Fault.crash_events > 0);
   let events = Lincheck.History.events t.Harness.Fault.history in
   List.iter
     (fun (e : Lincheck.History.event) ->

@@ -74,7 +74,7 @@ let campaign =
         seed = 4242;
         draw_seed = 4243;
       };
-    grid = { Fault.origin = 6_000; stride = 4_000; points = 3; jitter = 300 };
+    grid = { Fault.origin = 2_400; stride = 1_600; points = 3; jitter = 120 };
     draws = 2;
   }
 
@@ -93,6 +93,7 @@ let summary_digest (s : Fault.summary) =
 let test_fault_campaign_parity () =
   let seq = Fault.run_campaign ~jobs:1 campaign in
   let par = Fault.run_campaign ~jobs:4 campaign in
+  check_int "every trial crashed" seq.Fault.trials seq.Fault.crashed_trials;
   Alcotest.(check (list int))
     "campaign summary identical for -j1 and -j4" (summary_digest seq)
     (summary_digest par);
@@ -123,8 +124,9 @@ let crash_histories () =
             seed = 900 + i;
           }
       in
+      check_bool "a crash was injected" true (t.Fault.crash_events > 0);
       t.Fault.history)
-    [ 10_695; 11_964; 14_798; 19_962 ]
+    [ 4_299; 4_809; 5_948; 8_024 ]
 
 let test_lincheck_pool_parity () =
   let hs = crash_histories () in
