@@ -306,7 +306,7 @@ let mutant_t =
     & info [ "mutant" ]
         ~doc:
           "Self-validation mutant applied after recovery: none | skip_resolve \
-           | lose_key | drop_fp | raise_hint | dangle.")
+           | lose_key | skip_fp_repair | raise_hint | dangle.")
 
 let sweep_detect_t =
   Arg.(
@@ -427,7 +427,8 @@ let spec_tokens_t =
     & info [] ~docv:"SPEC"
         ~doc:
           "Replay spec as printed by crash-sweep (key=value tokens; quoting the \
-           whole line as one argument also works).")
+           whole line as one argument also works). $(b,mutant=) takes none | \
+           skip_resolve | lose_key | skip_fp_repair | raise_hint | dangle.")
 
 let replay_cmd tokens =
   let line = String.concat " " tokens in
@@ -446,6 +447,9 @@ let replay_cmd tokens =
                   recovery %.2f ms@."
             res.Fault.crashes res.Fault.crash_events res.Fault.audits
             (res.Fault.recovery_ns /. 1.0e6);
+          if res.Fault.completed_events > 0 then
+            Fmt.pr "%s@."
+              (Fault.missed_message (spec.Fault.crash_at, res.Fault.completed_events));
           List.iter
             (fun v -> Fmt.pr "VIOLATION: %a@." Lincheck.Checker.pp_violation v)
             res.Fault.violations;

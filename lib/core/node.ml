@@ -57,13 +57,20 @@
    recovery rebuilds nothing. The head's hints start at [tail_key], the
    tail's anchor, so a level that ends at the tail never loads it.
 
-   Fingerprint rule: a slot's fingerprint is published and made durable
-   before its key is claimed, and cleared only under the split lock's write
-   side together with the key. So every non-empty key — in particular every
-   durable live value — carries its matching fingerprint, and a lookup that
-   finds no matching fingerprint may report absence. A fingerprint over an
-   empty key (a claim interrupted by a crash) is stale: it costs one key
-   read, and splits recompute the line.
+   Fingerprint rule: fingerprints are volatile, derived metadata — a
+   pure function of the keys — and no flush orders them. A claim publishes
+   its slot's fingerprint before it CASes the key in, and a fingerprint is
+   cleared only under the split lock's write side together with its key,
+   so within one failure-free epoch every key claimed in that epoch
+   carries its fingerprint. A crash can still persist a key without its
+   fingerprint line. So a fingerprint *hit* is always checked by a key
+   read and needs nothing more, but a *miss* is an answer only on a node
+   whose line is confirmed complete in the current epoch: the lock word's
+   [fp_ok] bit (below). Node initialisation and every write unlock (which
+   follows a rewrite of the line from the keys) set it; a miss on an
+   unconfirmed node repairs the line from the keys and sets it then. A
+   fingerprint over an empty key (a claim interrupted by a crash) is
+   stale: it costs one key read, and splits recompute the line.
 
    Slot 0's key never changes after initialisation — an insert into an
    existing node claims a strictly greater key (equal keys take the
@@ -277,8 +284,6 @@ let rec publish_fp mem n i f =
   then true
   else publish_fp mem n i f
 
-let persist_fp mem n i = Mem.persist_field mem n (o_fp_slot i)
-
 (* Under the write side of the split lock (no concurrent claims): rewrite
    the fingerprint words that differ from [words]. Returns whether any did,
    i.e. whether the caller has fingerprint lines to persist. *)
@@ -298,20 +303,33 @@ let persist_body mem ly n = Mem.persist_range mem n ~first:0 ~words:ly.o_tower
 
 (* ---- split lock: epoch-stamped recoverable reader-writer lock ----------
 
-   The lock word packs (epoch stamp | writer bit | reader count). Reader
-   counts stamped with an older failure-free epoch read as zero, so stale
-   readers from before a crash vanish without any explicit drain — the
+   The lock word packs, from the low bits up:
+
+     bits 0-38    reader count
+     bit 39       fp_ok: the fingerprint line is complete (every non-empty
+                  key carries its fingerprint), so a miss may be trusted
+     bit 40       writer bit
+     bit 41       intent bit (a writer waits for readers to drain)
+     bits 42 ..   epoch stamp
+
+   Reader counts stamped with an older failure-free epoch read as zero, so
+   stale readers from before a crash vanish without any explicit drain — the
    thesis found exactly that drain step to be its one linearizability bug
    (Section 6.3: DrainReaders raced concurrent acquisitions); the stamp
-   removes the race entirely. A *stale writer bit*, by contrast, is
-   preserved and visible: it is the persistent evidence of an interrupted
-   node split that CheckForNodeSplitRecovery keys off. *)
+   removes the race entirely. The intent and fp_ok bits likewise count only
+   under a current stamp, so a crash voids a confirmation without any walk
+   or flush. Acquisitions carry a current fp_ok bit over; a write unlock
+   sets it, since every writer rewrites the line from the keys first. A
+   *stale writer bit*, by contrast, is preserved and visible: it is the
+   persistent evidence of an interrupted node split that
+   CheckForNodeSplitRecovery keys off. *)
 
+let fp_ok_bit = 1 lsl 39
 let writer_bit = 1 lsl 40
 let intent_bit = 1 lsl 41
 
 module Lock = struct
-  let readers_mask = writer_bit - 1
+  let readers_mask = fp_ok_bit - 1
   let stamp_shift = 42
 
   let word mem n = Mem.read_field mem n o_lock
@@ -332,6 +350,12 @@ module Lock = struct
      intent interrupted by a crash evaporates with its stamp). *)
   let intent_at ~epoch w = stamp w = epoch && w land intent_bit <> 0
 
+  (* Whether the node's fingerprint line is confirmed complete in [epoch]. *)
+  let fp_ok_at ~epoch w = stamp w = epoch && w land fp_ok_bit <> 0
+
+  (* The fp_ok bit a new word stamped [epoch] carries over from [w]. *)
+  let kept_fp_ok ~epoch w = if fp_ok_at ~epoch w then fp_ok_bit else 0
+
   (* Raw count regardless of stamp (tests/diagnostics). *)
   let readers w = w land readers_mask
 
@@ -347,13 +371,15 @@ module Lock = struct
       let r = readers_at ~epoch w in
       if
         lock_cas mem n ~expected:w
-          ~desired:(make_word ~epoch ~writer:false ~readers:(r + 1))
+          ~desired:
+            (make_word ~epoch ~writer:false ~readers:(r + 1)
+            lor kept_fp_ok ~epoch w)
       then true
       else read_lock mem n
     end
 
   (* The holder acquired in the current epoch, so the stamp is current and
-     a plain decrement preserves it (including any intent bit). *)
+     a plain decrement preserves it (including any intent or fp_ok bit). *)
   let rec read_unlock mem n =
     let w = word mem n in
     if not (lock_cas mem n ~expected:w ~desired:(w - 1)) then
@@ -367,7 +393,7 @@ module Lock = struct
     (not (is_write_locked w))
     && readers_at ~epoch w = 0
     && lock_cas mem n ~expected:w
-         ~desired:(make_word ~epoch ~writer:true ~readers:0)
+         ~desired:(make_word ~epoch ~writer:true ~readers:0 lor kept_fp_ok ~epoch w)
 
   (* Acquire the write lock with declared intent: new readers are refused
      while the intent is pending, so the present readers drain and the
@@ -402,7 +428,8 @@ module Lock = struct
         else if readers_at ~epoch w = 0 then begin
           if
             lock_cas mem n ~expected:w
-              ~desired:(make_word ~epoch ~writer:true ~readers:0)
+              ~desired:
+                (make_word ~epoch ~writer:true ~readers:0 lor kept_fp_ok ~epoch w)
           then true
           else round budget
         end
@@ -413,6 +440,7 @@ module Lock = struct
               (lock_cas mem n ~expected:w
                  ~desired:
                    ((epoch lsl stamp_shift) lor intent_bit
+                   lor kept_fp_ok ~epoch w
                    lor (readers_at ~epoch w)));
           backoff ();
           round (budget - 1)
@@ -421,10 +449,30 @@ module Lock = struct
     in
     round 64
 
-  let write_unlock mem n =
+  (* Release the write lock. Every writer rewrites the fingerprint line
+     from the keys before it unlocks, so the unlock confirms the line;
+     [~fp_ok:false] releases a lock taken for a change that never got as
+     far as that rewrite. *)
+  let write_unlock ?(fp_ok = true) mem n =
     Mem.write_field mem n o_lock
-      (make_word ~epoch:(Mem.epoch mem) ~writer:false ~readers:0);
+      (make_word ~epoch:(Mem.epoch mem) ~writer:false ~readers:0
+      lor if fp_ok then fp_ok_bit else 0);
     Mem.persist_field mem n o_lock
+
+  (* Set the fp_ok bit after a repair completed the fingerprint line (no
+     flush: a crash voids the bit anyway). Gives up when a writer holds the
+     lock. True when this call set it, false when it was set already or a
+     writer holds the lock. *)
+  let rec confirm_fp mem n =
+    let epoch = Mem.epoch mem in
+    let w = word mem n in
+    if is_write_locked w || fp_ok_at ~epoch w then false
+    else begin
+      let base =
+        if stamp w = epoch then w else make_word ~epoch ~writer:false ~readers:0
+      in
+      lock_cas mem n ~expected:w ~desired:(base lor fp_ok_bit) || confirm_fp mem n
+    end
 
   (* Persist the acquisition so an interrupted split is detectable after a
      crash (CheckForNodeSplitRecovery keys off the persistent writer bit). *)
@@ -434,14 +482,16 @@ end
 (* ---- initialisation ---------------------------------------------------- *)
 
 (* Initialise a freshly allocated (zeroed) block as a node holding [keys] and
-   [values], with their fingerprints. Next pointers are written separately,
+   [values], with their fingerprints — complete, so the lock word starts
+   confirmed (fp_ok) in the node's epoch. Next pointers are written separately,
    and the caller persists the node together with them before linking it
    (Function 4, lines 42-43). Runs in fiber context. [keys] must be
    non-empty: slot 0 anchors the header's immutable minimum key. *)
 let init mem ly n ~node_epoch ~node_height ~keys ~values =
   Mem.write_field mem n o_epoch node_epoch;
   Mem.write_field mem n o_meta (make_meta ~height:node_height ~split_count:0);
-  Mem.write_field mem n o_lock 0;
+  Mem.write_field mem n o_lock
+    (Lock.make_word ~epoch:node_epoch ~writer:false ~readers:0 lor fp_ok_bit);
   (match keys with
   | k0 :: _ -> Mem.write_field mem n o_anchor k0
   | [] -> invalid_arg "Node.init: empty keys");

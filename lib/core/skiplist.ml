@@ -203,9 +203,9 @@ type find = {
 
 (* Find [key] among a node's slots (Function 8) through its fingerprint
    line: walk the fingerprint words in slot order ([word j] supplies word
-   [j]) and read a slot's key only when its fingerprint matches. A present
-   key always carries its fingerprint, so absence is reported after the
-   last word. *)
+   [j]) and read a slot's key only when its fingerprint matches. Absence
+   is reported after the last word; it is an answer only if the line was
+   confirmed complete before the words were read (see [scan_keys]). *)
 let find_slot t ~tid n key ~word =
   let ly = t.ly in
   let f = Node.fingerprint key in
@@ -231,8 +231,35 @@ let find_slot t ~tid n key ~word =
   in
   scan 0
 
+(* Complete an unconfirmed node's fingerprint line from its keys (no
+   flush) and confirm it. Returns the keys it read. Claims that race the
+   repair publish their own fingerprints first, so the line is complete
+   once every key read here has its fingerprint; a byte already set is
+   that key's own fingerprint or a stale one over an empty key. *)
+let repair_fps t ~tid n =
+  let keys = Array.init t.ly.Node.k (fun i -> Node.key t.mem t.ly n i) in
+  Array.iteri
+    (fun i ki ->
+      if ki <> Node.empty_key then
+        ignore (Node.publish_fp t.mem n i (Node.fingerprint ki) : bool))
+    keys;
+  if Node.Lock.confirm_fp t.mem n then obs_event ~tid Obs.id_fp_confirm 0;
+  keys
+
+let fp_confirmed t n =
+  Node.Lock.fp_ok_at ~epoch:(Mem.epoch t.mem) (Node.Lock.word t.mem n)
+
+(* A traversal's in-node lookup. A fingerprint hit is checked by its key
+   read, so it answers on any node. A miss answers only on a node whose
+   line is confirmed — checked before the words are read, since a repair
+   may complete the line in between. A miss on an unconfirmed node
+   repairs the line and answers from the keys the repair read. *)
 let scan_keys t ~tid n key =
-  find_slot t ~tid n key ~word:(fun j -> Node.fp_word t.mem n j)
+  let confirmed = fp_confirmed t n in
+  match find_slot t ~tid n key ~word:(fun j -> Node.fp_word t.mem n j) with
+  | -1 when not confirmed ->
+      Option.value ~default:(-1) (Array.find_index (( = ) key) (repair_fps t ~tid n))
+  | i -> i
 
 (* ---- recovery (Functions 10-12) ---------------------------------------- *)
 
@@ -622,17 +649,20 @@ let relinked t ~pred0 ~succ0 =
    misses the split that completed mid-traversal, at the same cost of one
    header-line read.
 
-   One read of each fingerprint word serves two passes. The first looks
-   for [key] itself (an update). The second walks, in slot order, the slots
-   whose fingerprint is 0 or [key]'s: such a slot is claimed by publishing
-   [key]'s fingerprint, persisting it, and only then CASing the key in. The
-   key CAS stays the claim and the point where two inserts of one key meet:
-   both walk the same candidates in the same order, so the loser of a slot
-   reads the winner's key and turns into an update. Because the
-   fingerprint is durable before the key exists, a crash can leave a stale
-   fingerprint over an empty key but never a key without its fingerprint.
-   A successful claim persists key and value with a single slot flush: the
-   two words share a cache line by layout. *)
+   An unconfirmed [pred0] — its line may have lost fingerprints in a crash
+   — is repaired first; the read lock keeps it confirmed from then on
+   (only a writer rewrites or clears the line). Then one read of each
+   fingerprint word serves two passes. The first looks for [key] itself
+   (an update). The second walks, in slot order, the slots whose
+   fingerprint is 0 or [key]'s: such a slot is claimed by publishing
+   [key]'s fingerprint and only then CASing the key in, with no flush
+   between. The key CAS stays the claim and the point where two inserts of
+   one key meet: both walk the same candidates in the same order, so the
+   loser of a slot reads the winner's key and turns into an update. A
+   successful claim persists key and value with a single slot flush: the
+   two words share a cache line by layout. The fingerprint is not
+   persisted; a crash that keeps the slot line and drops it leaves the
+   node unconfirmed, and the next miss or insert there repairs it. *)
 let insert_into_existing t ~tid ~key ~value ~pred0 ~succ0 =
   if not (Node.Lock.read_lock t.mem pred0) then Retry
   else if relinked t ~pred0 ~succ0 then begin
@@ -645,6 +675,7 @@ let insert_into_existing t ~tid ~key ~value ~pred0 ~succ0 =
       Node.Lock.read_unlock t.mem pred0;
       Done old
     in
+    if not (fp_confirmed t pred0) then ignore (repair_fps t ~tid pred0 : int array);
     let words = Array.init ly.Node.fp_used (fun j -> Node.fp_word t.mem pred0 j) in
     let f = Node.fingerprint key in
     let rec claim i =
@@ -661,7 +692,6 @@ let insert_into_existing t ~tid ~key ~value ~pred0 ~succ0 =
           else if ki <> Node.empty_key || not (Node.publish_fp t.mem pred0 i f)
           then claim (i + 1)
           else begin
-            Node.persist_fp t.mem pred0 i;
             if Node.cas_key t.mem ly pred0 i ~expected:Node.empty_key ~desired:key
             then begin
               let old = claim_value t pred0 i value in
@@ -702,16 +732,14 @@ let split_node t ~tid ~(f : find) =
       Array.init k (fun i ->
           (Node.key t.mem t.ly pred0 i, Node.value t.mem t.ly pred0 i))
     in
+    let keys = Array.map fst pairs in
     if Array.exists (fun (ki, _) -> ki = Node.empty_key) pairs then begin
       (* A slot freed up since the caller's scan, or the caller found only
          free slots behind stale fingerprints (claims a crash interrupted):
          no split needed. Rewrite the line from the keys so every free slot
          shows a 0 fingerprint again — otherwise the insert would return
          here forever. *)
-      if
-        Node.write_fp_line t.mem t.ly pred0
-          (Node.fp_line t.ly (Array.map fst pairs))
-      then
+      if Node.write_fp_line t.mem t.ly pred0 (Node.fp_line t.ly keys) then
         Mem.persist_range t.mem pred0 ~first:Node.o_fp ~words:t.ly.Node.fp_used;
       Node.Lock.write_unlock t.mem pred0
     end
@@ -755,6 +783,8 @@ let split_node t ~tid ~(f : find) =
       end
       else begin
         Block_alloc.delete_linked_object t.mem ~tid node;
+        (* nothing moved, but the unlock confirms the line: rewrite it *)
+        ignore (Node.write_fp_line t.mem t.ly pred0 (Node.fp_line t.ly keys) : bool);
         Node.Lock.write_unlock t.mem pred0
       end
     end
@@ -773,7 +803,8 @@ let try_retire_node t ~tid node =
   else if
     not (Node.Lock.acquire_write t.mem node ~backoff:(fun () -> backoff t ~tid))
   then ()
-  else if not (all_tombstone t node) then Node.Lock.write_unlock t.mem node
+  else if not (all_tombstone t node) then
+    Node.Lock.write_unlock ~fp_ok:false t.mem node
   else begin
     Node.Lock.persist_acquisition t.mem node;
     Block_alloc.log_change_attempt t.mem ~tid ~ops:t.ops ~block:node
@@ -1055,10 +1086,12 @@ let node_count t =
    - bottom-level first keys strictly increase;
    - every level's list is a subsequence of the level below;
    - internal keys lie in (keys[0], next.keys[0]);
-   - no key is held by two slots of one node, and every key carries its
-     fingerprint (nodes under the write lock — an interrupted split
-     awaiting repair, or a retired node — are exempt: split recovery
-     recomputes their fingerprints);
+   - no key is held by two slots of one node (nodes under the write lock —
+     an interrupted split awaiting repair, or a retired node — are exempt:
+     split recovery erases their duplicates), and on a node whose
+     fingerprint line is confirmed in the current epoch every key carries
+     its fingerprint (an unconfirmed node's line is repaired by the first
+     miss there);
    - on every level, each hint is at most its successor's anchor, and no
      head level above [top] is non-empty.
    Nodes from older epochs (awaiting lazy recovery) are exempt from the
@@ -1086,15 +1119,19 @@ let check_invariants t =
           if ki >= succ_k0 then err "internal key %d >= next first key %d" ki succ_k0
         end
       done;
-      if not (Node.Lock.is_write_locked (pk n Node.o_lock)) then begin
+      let lockw = pk n Node.o_lock in
+      if not (Node.Lock.is_write_locked lockw) then begin
+        let confirmed = Node.Lock.fp_ok_at ~epoch:(Mem.epoch t.mem) lockw in
         let held = Hashtbl.create k in
         for i = 0 to k - 1 do
           let ki = pk n (Node.o_key t.ly i) in
           if ki <> Node.empty_key then begin
             if Hashtbl.mem held ki then err "key %d held twice in one node" ki;
             Hashtbl.replace held ki ();
-            if Node.fp_byte (pk n (Node.o_fp_slot i)) i <> Node.fingerprint ki
-            then err "key %d in slot %d lacks its fingerprint" ki i
+            if
+              confirmed
+              && Node.fp_byte (pk n (Node.o_fp_slot i)) i <> Node.fingerprint ki
+            then err "key %d in slot %d of a confirmed node lacks its fingerprint" ki i
           end
         done
       end;
@@ -1152,10 +1189,6 @@ let check_invariants t =
      legitimately leave null slots below the recorded height, and lazy
      repair may leave a level skipping nodes, but a pointer into a free or
      unregistered block is always corruption;
-   - every live value of a node carries its matching fingerprint, so a
-     lookup after the crash finds it (nodes left write-locked — an
-     interrupted split or retirement — are exempt: repair recomputes their
-     fingerprint lines);
    - every hint of the head and of a reachable node whose pointer targets
      the tail or a bottom-level node is at most that target's anchor, so a
      traversal after the crash never ends a level before a node it needs;
@@ -1167,6 +1200,10 @@ let check_invariants t =
    - the allocator accounts for every block of both classes
      (Block_alloc.audit): reachable, free-listed, or excused by a thread's
      allocation/provision log.
+
+   Fingerprint lines are not checked: they are volatile (see Node), and a
+   crash that drops one leaves its node unconfirmed, so the first miss
+   there repairs it.
 
    Sound only with [reclaim_empty_nodes] off: retire lists are DRAM-only
    and their nodes would read as leaks. *)
@@ -1212,18 +1249,6 @@ let audit_persistent t =
           if k0 <= prev_k0 then
             err "bottom level: first keys not strictly increasing (%d after %d)" k0
               prev_k0;
-          if not (Node.Lock.is_write_locked (ppk n Node.o_lock)) then
-            for i = 0 to t.ly.Node.k - 1 do
-              let ki = ppk n (Node.o_key t.ly i) in
-              if
-                ki <> Node.empty_key
-                && ppk n (Node.o_value t.ly i) <> Node.tombstone
-                && Node.fp_byte (ppk n (Node.o_fp_slot i)) i
-                   <> Node.fingerprint ki
-              then
-                err "node %a: live key %d in slot %d lacks its fingerprint" Riv.pp
-                  n ki i
-            done;
           walk (nxt n 0) k0 (steps + 1)
         end
       end
@@ -1284,9 +1309,11 @@ let audit_persistent t =
    Deliberate post-recovery corruptions, poked write-through into both
    images, used to prove the fault-injection campaigns can actually detect
    a broken recovery: [lose_key] silently drops one committed update (the
-   strict-linearizability checker must flag the lost update), [drop_fp]
-   clears the fingerprint of one live key (the persistent-heap auditor must
-   flag it; lookups would miss the key), [raise_hint] lifts one level-0
+   strict-linearizability checker must flag the lost update),
+   [skip_fp_repair] clears the fingerprint of one live key and confirms its
+   node's line — the state a skipped repair leaves (lookups miss the key
+   and a re-insert claims a second slot: the checker must flag it),
+   [raise_hint] lifts one level-0
    hint above its successor's anchor (the auditor must flag it; a lookup
    of that anchor would end the level early and miss it), [dangle] bends a
    tower pointer at a free block (the auditor must flag it). Returns false
@@ -1295,11 +1322,14 @@ let corrupt t what =
   let first =
     Riv.of_word (Node.unmark (Mem.peek_field t.mem t.head Node.o_next0))
   in
-  (* apply [f] to the first live slot on the bottom level *)
+  (* apply [f] to the first live slot on the bottom level outside a
+     write-locked node *)
   let first_live f =
     let k = t.cfg.Config.keys_per_node in
     let rec hunt n =
       if Riv.is_null n || Riv.equal n t.tail then false
+      else if Node.Lock.is_write_locked (Mem.peek_field t.mem n Node.o_lock) then
+        hunt (Riv.of_word (Node.unmark (Mem.peek_field t.mem n Node.o_next0)))
       else begin
         let rec slot i =
           if i >= k then
@@ -1321,10 +1351,17 @@ let corrupt t what =
   match what with
   | "lose_key" ->
       first_live (fun n i -> Mem.poke_field t.mem n (Node.o_value t.ly i) Node.tombstone)
-  | "drop_fp" ->
+  | "skip_fp_repair" ->
       first_live (fun n i ->
           let o = Node.o_fp_slot i in
-          Mem.poke_field t.mem n o (Node.with_fp_byte (Mem.peek_field t.mem n o) i 0))
+          Mem.poke_field t.mem n o (Node.with_fp_byte (Mem.peek_field t.mem n o) i 0);
+          let epoch = Mem.epoch t.mem in
+          let w = Mem.peek_field t.mem n Node.o_lock in
+          let w =
+            if Node.Lock.stamp w = epoch then w
+            else Node.Lock.make_word ~epoch ~writer:false ~readers:0
+          in
+          Mem.poke_field t.mem n Node.o_lock (w lor Node.fp_ok_bit))
   | "raise_hint" ->
       (* the first bottom-level successor of height 1 (reachable only
          through its level-0 predecessor), else the first node *)

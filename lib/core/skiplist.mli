@@ -74,7 +74,9 @@ val top_level : t -> int
 
 val check_invariants : t -> string list
 (** Structural-invariant violations (empty = healthy): bottom-level
-    ordering, internal-key bounds, level-sublist property, every
+    ordering, internal-key bounds, level-sublist property, no key held
+    twice in one node, every key of a node whose fingerprint line is
+    confirmed in the current epoch carrying its fingerprint, every
     successor-key hint at most its successor's anchor, and no non-empty
     head level above {!top_level}. Nodes awaiting lazy post-crash repair
     can legitimately report violations until they are traversed. *)
@@ -94,9 +96,12 @@ val audit_persistent : t -> string list
 val corrupt : t -> string -> bool
 (** Test-only fault injection for harness self-validation: ["lose_key"]
     silently tombstones one committed value (a broken recovery the
-    linearizability checker must catch); ["drop_fp"] clears one live
-    key's fingerprint and ["raise_hint"] lifts one level-0 hint above its
-    successor's anchor (both for the persistent-heap auditor); ["dangle"]
+    linearizability checker must catch); ["skip_fp_repair"] clears one
+    live key's fingerprint and marks its node's line confirmed, the state
+    a skipped miss-path repair leaves (lookups miss the key: the checker
+    and {!check_invariants} must catch it); ["raise_hint"] lifts one
+    level-0 hint above its successor's anchor (for the persistent-heap
+    auditor); ["dangle"]
     bends a tower pointer at a free block (the auditor must catch it). Returns
     [false] if the mutation is inapplicable (unknown name, empty list). *)
 

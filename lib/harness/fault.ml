@@ -89,6 +89,8 @@ type result = {
                            summed over completed recoveries *)
   crashes : int;  (* power failures injected (workload + recovery) *)
   crash_events : int;  (* events before the first crash; 0 = never crashed *)
+  completed_events : int;  (* round 0's events when its workload completed
+                              before its crash point; 0 = it crashed *)
   repairs : int;  (* lazy-recovery repairs (epoch claims, interrupted
                      splits, tower rebuilds) performed during the trial *)
   replays : int;  (* interrupted detectable ops re-executed (Not_applied) *)
@@ -228,6 +230,7 @@ let run_trial ?mutant ~make (spec : spec) =
   let audit_errors = ref [] in
   let audits = ref 0 in
   let first_crash_events = ref 0 in
+  let completed_events = ref 0 in
   let power_fail () =
     (match spec.adversary with
     | Config_default -> Pmem.crash kv.Kv.pmem
@@ -377,7 +380,8 @@ let run_trial ?mutant ~make (spec : spec) =
     in
     advance_base outcome;
     match outcome with
-    | Sim.Sched.Completed _ -> ()
+    | Sim.Sched.Completed { events; _ } ->
+        if round = 0 then completed_events := events
     | Sim.Sched.Crashed_at { events; _ } ->
         if !crashes = 0 then first_crash_events := events;
         if not detect then sweep_pending r;
@@ -411,6 +415,7 @@ let run_trial ?mutant ~make (spec : spec) =
     recovery_ns = !recovery_ns;
     crashes = !crashes;
     crash_events = !first_crash_events;
+    completed_events = !completed_events;
     repairs = repair_total () - repairs_before;
     replays = !replays;
     suppressions = !suppressions;
@@ -439,7 +444,7 @@ let spec_to_string s =
 (* Names the trial engine understands: [Kv.corrupt] mutations plus the
    harness-level [skip_resolve]. *)
 let mutants =
-  [ "none"; "skip_resolve"; "lose_key"; "drop_fp"; "raise_hint"; "dangle" ]
+  [ "none"; "skip_resolve"; "lose_key"; "skip_fp_repair"; "raise_hint"; "dangle" ]
 
 let validate s =
   let at_least k min n =
@@ -620,6 +625,8 @@ type summary = {
   replays : int;  (* detectable ops re-executed after crashes *)
   suppressions : int;  (* detectable replays suppressed as duplicates *)
   recovery_ns : float list;  (* one total per crashed trial *)
+  missed : (int * int) list;  (* (crash point, events) of each trial whose
+                                 round-0 workload ended before its point *)
   failures : (spec * result) list;  (* newest last *)
 }
 
@@ -658,10 +665,13 @@ let run_campaign ?(jobs = 1) ?make ?mutant (c : campaign) =
   and replays = ref 0
   and suppressions = ref 0 in
   let recovery_ns = ref [] in
+  let missed = ref [] in
   let failures = ref [] in
   List.iter
     (fun (spec, res) ->
       incr trials;
+      if res.completed_events > 0 then
+        missed := (spec.crash_at, res.completed_events) :: !missed;
       if res.crashes > 0 then begin
         incr crashed;
         recovery_ns := res.recovery_ns :: !recovery_ns
@@ -688,8 +698,13 @@ let run_campaign ?(jobs = 1) ?make ?mutant (c : campaign) =
     replays = !replays;
     suppressions = !suppressions;
     recovery_ns = List.rev !recovery_ns;
+    missed = List.rev !missed;
     failures = List.rev !failures;
   }
+
+let missed_message (point, events) =
+  Printf.sprintf "no crash: crash point %d lies past the workload's %d events"
+    point events
 
 let print_summary ~name (s : summary) =
   Report.campaign_summary ~name ~trials:s.trials ~crashed:s.crashed_trials
@@ -700,7 +715,8 @@ let print_summary ~name (s : summary) =
     ~recovery_ns:s.recovery_ns;
   if s.replays > 0 || s.suppressions > 0 then
     Fmt.pr "  exactly-once: %d op(s) replayed, %d duplicate(s) suppressed@."
-      s.replays s.suppressions
+      s.replays s.suppressions;
+  List.iter (fun m -> Fmt.pr "  %s@." (missed_message m)) s.missed
 
 (* ---- failure shrinking --------------------------------------------------- *)
 

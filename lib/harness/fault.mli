@@ -74,6 +74,10 @@ type result = {
   crashes : int;  (** power failures injected (workload + recovery) *)
   crash_events : int;
       (** primitive events before the first crash; 0 = never crashed *)
+  completed_events : int;
+      (** round 0's primitive events when its workload ran to completion
+          before [crash_at] (the point lies past the run); 0 when it
+          crashed *)
   repairs : int;
       (** lazy-recovery repairs (epoch claims, interrupted splits, tower
           rebuilds; from the Obs counters) performed during the trial *)
@@ -105,8 +109,8 @@ val spec_to_string : spec -> string
 val validate : spec -> (spec, string) Stdlib.result
 (** The spec unchanged if the engine can run it: threads, keyspace, ops
     and rounds >= 1, depth and crash_at >= 0, a [Subset] probability in
-    [0,1], and a mutant among [none | skip_resolve | lose_key | drop_fp |
-    raise_hint | dangle]. Structure, latency and mode names are checked by
+    [0,1], and a mutant among [none | skip_resolve | lose_key |
+    skip_fp_repair | raise_hint | dangle]. Structure, latency and mode names are checked by
     {!kv_of_spec}. *)
 
 val spec_of_string : string -> (spec, string) Stdlib.result
@@ -152,6 +156,10 @@ type summary = {
   replays : int;  (** detectable ops re-executed, summed over all trials *)
   suppressions : int;  (** detectable replays suppressed as duplicates *)
   recovery_ns : float list;  (** one total per crashed trial *)
+  missed : (int * int) list;
+      (** [(crash_at, events)] of each trial whose round-0 workload ended
+          after [events] primitive events, before its crash point; in spec
+          order. {!print_summary} names them. *)
   failures : (spec * result) list;
 }
 
@@ -163,6 +171,9 @@ val run_campaign :
     {!Sim.Pool} of that many domains; every trial is a self-contained
     deterministic run, and the summary aggregates results in spec order,
     so the summary is identical for any [jobs]. *)
+
+val missed_message : int * int -> string
+(** The report line for one of {!summary.missed}'s [(crash_at, events)]. *)
 
 val print_summary : name:string -> summary -> unit
 

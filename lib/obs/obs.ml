@@ -50,7 +50,8 @@ let id_fp_match = 29
 let id_fp_false_positive = 30
 let id_hint_stop = 31
 let id_hint_stale = 32
-let n_ids = 33
+let id_fp_confirm = 33
+let n_ids = 34
 
 let names =
   [|
@@ -87,6 +88,7 @@ let names =
     "fp_false_positives";
     "hint_stops";
     "hint_stale";
+    "fp_confirms";
   |]
 
 let id_name id =

@@ -98,6 +98,11 @@ val id_hint_stale : int
 (** nodes a traversal entered whose anchor exceeded its key (a stale-low
     hint let it in) *)
 
+val id_fp_confirm : int
+(** fingerprint lines repaired from their keys and confirmed for the
+    current epoch (a miss or an insert on a node a crash left unconfirmed;
+    at most one per node per epoch) *)
+
 (** Detectable-operation events (the [detect] per-client announcement
     table, plus the service-layer replay protocol built on it): *)
 

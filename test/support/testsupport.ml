@@ -98,7 +98,8 @@ let check_pairs msg expected actual =
 (* Single-crash campaign: [trials] trials of Fault's default trial shape on
    [make]'s fixture, one per crash point spread over [crash_events,
    1.5 * crash_events). Audit errors count as failures; a trial whose
-   workload ends before its crash point fails the campaign. *)
+   workload ends before its crash point fails the campaign, naming the
+   point and the run's length. *)
 let crash_campaign ~make ~threads ~keyspace ~ops_per_thread
     ~crash_events ~seed ~trials () =
   let step = max 1 (crash_events / (2 * trials)) in
@@ -118,7 +119,11 @@ let crash_campaign ~make ~threads ~keyspace ~ops_per_thread
         draws = 1;
       }
   in
-  check_int "every trial crashed" trials s.Harness.Fault.crashed_trials;
+  check_int
+    (String.concat "; "
+       ("every trial crashed"
+       :: List.map Harness.Fault.missed_message s.Harness.Fault.missed))
+    trials s.Harness.Fault.crashed_trials;
   s
 
 (* Print each failing trial's replay spec, violations and audit errors. *)

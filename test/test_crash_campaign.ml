@@ -14,17 +14,21 @@ let fast_sys =
     max_threads = 16;
   }
 
-let campaign name make ~trials =
+let campaign ?(crash_events = 8_000) name make ~trials =
   let s =
     crash_campaign ~make ~threads:4 ~keyspace:120 ~ops_per_thread:100
-      ~crash_events:8_000 ~seed:1234 ~trials ()
+      ~crash_events ~seed:1234 ~trials ()
   in
   print_failures name s;
   check_int (name ^ ": no strict-linearizability violations") 0
     (List.length s.Harness.Fault.failures)
 
+(* UPSkipList's default workload here runs ~11.4K events, so its grids
+   start at 6K and end by 9K, inside the run. *)
 let test_upskiplist_campaign () =
-  campaign "UPSkipList" (fun () -> Harness.Kv.make_upskiplist fast_sys) ~trials:6
+  campaign ~crash_events:6_000 "UPSkipList"
+    (fun () -> Harness.Kv.make_upskiplist fast_sys)
+    ~trials:6
 
 let test_upskiplist_optane_campaign () =
   (* realistic latency model changes interleavings and crash surfaces *)
@@ -34,7 +38,9 @@ let test_upskiplist_optane_campaign () =
 let test_upskiplist_eviction_campaign () =
   (* random line evictions at crash time (more persisted states) *)
   let sys = { fast_sys with eviction_probability = 0.5 } in
-  campaign "UPSkipList/evict" (fun () -> Harness.Kv.make_upskiplist sys) ~trials:3
+  campaign ~crash_events:6_000 "UPSkipList/evict"
+    (fun () -> Harness.Kv.make_upskiplist sys)
+    ~trials:3
 
 let test_upskiplist_small_nodes_campaign () =
   let cfg = { Upskiplist.Config.default with keys_per_node = 4 } in
@@ -67,7 +73,9 @@ let test_pmdk_campaign () =
 
 let test_striped_campaign () =
   let sys = { fast_sys with mode = Pmem.Striped } in
-  campaign "UPSkipList/striped" (fun () -> Harness.Kv.make_upskiplist sys) ~trials:3
+  campaign ~crash_events:6_000 "UPSkipList/striped"
+    (fun () -> Harness.Kv.make_upskiplist sys)
+    ~trials:3
 
 (* ---- adversarial campaigns (Fault) -------------------------------------- *)
 

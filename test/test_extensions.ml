@@ -232,7 +232,7 @@ let test_fp_racing_inserts () =
 
 let test_fp_stale_never_full () =
   (* fingerprints left over empty keys (a crash between a fingerprint's
-     persist and its key CAS) must not make the node look full for good:
+     publish and its key CAS, with the fingerprint line written back) must not make the node look full for good:
      the split's "a slot freed up" bail-out recomputes the line *)
   let fx = make_skiplist ~cfg:fp_cfg ~seed:5 () in
   run1 fx.pmem (fun ~tid ->
@@ -385,6 +385,128 @@ let test_fp_crash_grid () =
       check_int (where ^ ": one slot holds the key") 1
         (List.length (slots_holding fx key));
       check_no_invariant_errors fx.sl)
+
+(* ---- the lost fingerprint line --------------------------------------------- *)
+
+(* Fresh keys inserted into an existing node (K = 8), then a crash that
+   keeps every slot line and drops the node's fingerprint line: each key
+   is durable without its fingerprint, and the node comes back
+   unconfirmed. Before the inserts, a fingerprint is published over empty
+   slot 1 — another key's claim, not yet CASed in — so the inserts take
+   slots 2 .. 5, and after the crash slot 1 reads as free ahead of them:
+   an insert that trusted the unrepaired line would claim it for a key
+   the node already holds. *)
+let lost_fp_keys = [ 10; 12; 14; 16; 18 ]
+
+let lost_fp_line () =
+  let fx = make_skiplist ~cfg:fp_cfg ~seed:7 () in
+  run1 fx.pmem (fun ~tid -> ignore (SL.upsert fx.sl ~tid 10 10));
+  Pmem.clean_shutdown fx.pmem;
+  let node =
+    match bottom_nodes fx with
+    | [ n ] -> n
+    | ns -> Alcotest.failf "expected one node, found %d" (List.length ns)
+  in
+  run1 fx.pmem (fun ~tid ->
+      check_bool "claim in flight" true
+        (Node.publish_fp fx.mem node 1 (Node.fingerprint 999_999));
+      List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) (List.tl lost_fp_keys));
+  let fp_addr =
+    match Mem.try_resolve fx.mem node with
+    | Some a -> a + Node.o_fp
+    | None -> Alcotest.fail "node does not resolve"
+  in
+  Pmem.crash fx.pmem ~persist_line:(fun ~pool ~line ->
+      not (pool = Pmem.pool_of fp_addr && line = Pmem.word_of fp_addr / Pmem.line_words));
+  Mem.reconnect fx.mem;
+  let ly = Node.layout fp_cfg in
+  let unmarked =
+    List.filter
+      (fun i ->
+        let k = Mem.peek_field fx.mem node (Node.o_key ly i) in
+        k <> Node.empty_key
+        && Node.fp_byte (Mem.peek_field fx.mem node (Node.o_fp_slot i)) i = 0)
+      (List.init ly.Node.k Fun.id)
+  in
+  check_int "the crash kept four keys without their fingerprints" 4
+    (List.length unmarked);
+  fx
+
+let test_fp_lost_line () =
+  List.iter
+    (fun search_first ->
+      let where = if search_first then "misses first" else "upserts first" in
+      let fx = lost_fp_line () in
+      Obs.reset ();
+      let misses () =
+        run1 fx.pmem (fun ~tid ->
+            List.iter
+              (fun k ->
+                Alcotest.check opt_int (Fmt.str "%s: %d absent" where k) None
+                  (SL.search fx.sl ~tid k))
+              [ 11; 13; 15; 17; 19; 11; 13 ])
+      in
+      if search_first then misses ();
+      run1 fx.pmem (fun ~tid ->
+          List.iter
+            (fun k ->
+              if search_first then
+                Alcotest.check opt_int (Fmt.str "%s: acked %d found" where k) (Some k)
+                  (SL.search fx.sl ~tid k);
+              ignore (SL.upsert fx.sl ~tid k (k + 1)))
+            lost_fp_keys);
+      if not search_first then misses ();
+      run1 fx.pmem (fun ~tid ->
+          List.iter
+            (fun k ->
+              Alcotest.check opt_int (Fmt.str "%s: re-upsert of %d visible" where k)
+                (Some (k + 1)) (SL.search fx.sl ~tid k))
+            lost_fp_keys);
+      List.iter
+        (fun k ->
+          check_int (Fmt.str "%s: one slot holds %d" where k) 1
+            (List.length (slots_holding fx k)))
+        lost_fp_keys;
+      check_int (where ^ ": the node was confirmed once") 1
+        (Obs.total Obs.id_fp_confirm);
+      check_fp_lines fx;
+      check_no_invariant_errors fx.sl;
+      Obs.reset ())
+    [ true; false ]
+
+(* The repair against concurrent operations: one fiber's absent-key search
+   repairs the node's line while the other, starting at every offset
+   across it, looks up and re-upserts keys the crash left without their
+   fingerprints, then inserts a fresh key. *)
+let test_fp_repair_races_insert () =
+  for delay = 0 to 120 do
+    let where = Fmt.str "delay %d" delay in
+    let fx = lost_fp_line () in
+    ignore
+      (run fx.pmem
+         [
+           (fun ~tid ->
+             Alcotest.check opt_int (where ^ ": 11 absent") None (SL.search fx.sl ~tid 11));
+           (fun ~tid ->
+             Sim.Sched.charge (float_of_int delay);
+             Alcotest.check opt_int (where ^ ": 16 found") (Some 16)
+               (SL.search fx.sl ~tid 16);
+             ignore (SL.upsert fx.sl ~tid 14 140);
+             ignore (SL.upsert fx.sl ~tid 13 13));
+         ]);
+    List.iter
+      (fun k ->
+        check_int (Fmt.str "%s: one slot holds %d" where k) 1
+          (List.length (slots_holding fx k)))
+      (13 :: lost_fp_keys);
+    run1 fx.pmem (fun ~tid ->
+        List.iter
+          (fun (k, v) ->
+            Alcotest.check opt_int (Fmt.str "%s: key %d" where k) (Some v)
+              (SL.search fx.sl ~tid k))
+          [ (10, 10); (12, 12); (13, 13); (14, 140); (16, 16); (18, 18) ]);
+    check_no_invariant_errors fx.sl
+  done
 
 (* ---- successor-key hints and the top level --------------------------------- *)
 
@@ -803,6 +925,10 @@ let () =
           case "racing inserts of one key" test_fp_racing_inserts;
           case "stale fingerprints never fill a node" test_fp_stale_never_full;
           slow_case "crash grid: fresh insert" test_fp_crash_grid;
+          case "lost fingerprint line: found, one slot, one confirm"
+            test_fp_lost_line;
+          case "lost fingerprint line: repair races an insert"
+            test_fp_repair_races_insert;
         ] );
       ( "hints",
         [

@@ -152,7 +152,7 @@ let test_spec_validation () =
     [
       "audit=off detect=on evict=0 depth=0 crash_at=0";
       "evict=1 mutant=skip_resolve";
-      "threads=1 keyspace=1 ops=1 rounds=1 mutant=drop_fp";
+      "threads=1 keyspace=1 ops=1 rounds=1 mutant=skip_fp_repair";
     ];
   check_bool "validate rejects an out-of-range probability" true
     (Result.is_error
@@ -182,11 +182,26 @@ let test_mutant_dangle_caught () =
   check_bool "auditor caught the dangling tower pointer" true
     (res.Fault.audit_errors <> [])
 
-let test_mutant_drop_fp_caught () =
-  let res = run_spec_exn { fast_spec with mutant = "drop_fp" } in
+(* A skipped fingerprint repair: one live key loses its fingerprint while
+   its node's line reads as confirmed. The persistent audit no longer
+   checks fingerprints (they are volatile); the lookups and the re-insert
+   that miss the key must break linearizability instead, and the volatile
+   checker must flag the node. *)
+let test_mutant_skip_fp_repair_caught () =
+  let res = run_spec_exn { fast_spec with mutant = "skip_fp_repair" } in
   check_bool "trial crashed" true (res.Fault.crashes > 0);
-  check_bool "auditor caught the live key without its fingerprint" true
-    (res.Fault.audit_errors <> [])
+  check_bool "checker caught the key hidden by a confirmed line" true
+    (res.Fault.violations <> []);
+  let fx = make_skiplist ~cfg:{ Upskiplist.Config.default with keys_per_node = 8 } () in
+  let keys = List.init 40 (fun i -> 1 + (2 * i)) in
+  run1 fx.pmem (fun ~tid -> List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) keys);
+  check_no_invariant_errors fx.sl;
+  check_bool "mutation applied" true (SL.corrupt fx.sl "skip_fp_repair");
+  check_bool "volatile checker flags it" true (SL.check_invariants fx.sl <> []);
+  let missed = ref 0 in
+  run1 fx.pmem (fun ~tid ->
+      List.iter (fun k -> if SL.search fx.sl ~tid k = None then incr missed) keys);
+  check_int "exactly the corrupted key is missed" 1 !missed
 
 let test_mutant_raise_hint_caught () =
   let res = run_spec_exn { fast_spec with mutant = "raise_hint" } in
@@ -288,8 +303,8 @@ let () =
             test_mutant_lose_key_caught;
           slow_case "dangle mutant caught by the auditor"
             test_mutant_dangle_caught;
-          slow_case "drop_fp mutant caught by the auditor"
-            test_mutant_drop_fp_caught;
+          slow_case "skip_fp_repair mutant caught by the checker"
+            test_mutant_skip_fp_repair_caught;
           slow_case "raise_hint mutant caught, and a lookup misses"
             test_mutant_raise_hint_caught;
         ] );

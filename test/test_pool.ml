@@ -124,9 +124,14 @@ let crash_histories () =
             seed = 900 + i;
           }
       in
-      check_bool "a crash was injected" true (t.Fault.crash_events > 0);
+      check_bool
+        (if t.Fault.completed_events > 0 then
+           Fault.missed_message (crash_at, t.Fault.completed_events)
+         else "a crash was injected")
+        true (t.Fault.crash_events > 0);
       t.Fault.history)
-    [ 4_299; 4_809; 5_948; 8_024 ]
+    (* each workload runs ~6.6K events *)
+    [ 3_310; 3_703; 4_580; 6_178 ]
 
 let test_lincheck_pool_parity () =
   let hs = crash_histories () in
