@@ -715,32 +715,16 @@ let ablations () =
   ablation_arenas ();
   ablation_reclamation ()
 
-(* ---- layout ablation (PR 6) --------------------------------------------------- *)
+(* ---- node-layout cost table ------------------------------------------------- *)
 
-(* Cache-cost ablation for the node-layout work: per-op simulated cache
-   misses, flushes, and fences on the YCSB A path, per layout variant.
-   Machine-readable copy lands in bench_layout.json (consumed by
-   bench/check_layout_regression.sh and snapshotted into BENCH_PR6.json). *)
-(* Four-point ablation per keys-per-node setting: neither optimisation
-   (tall-only blocks, no fingers — the pre-refactor cost model), each one
-   alone, and the default full layout. *)
-let layout_variants () =
-  let ablate base =
-    [
-      ("base", { base with Upskiplist.Config.short_cutoff = 0; finger_cache = false });
-      ("trunc", { base with Upskiplist.Config.finger_cache = false });
-      ("finger", { base with Upskiplist.Config.short_cutoff = 0 });
-      ("full", base);
-    ]
-  in
-  List.concat_map
-    (fun (name, cfg) ->
-      List.map (fun (v, c) -> (name ^ "-" ^ v, c)) (ablate cfg))
-    [ ("K16", Upskiplist.Config.default); ("K64", bench_cfg) ]
+(* Per-op simulated cache misses, flushes, and fences on the YCSB A path,
+   one row set per keys-per-node setting. Machine-readable copy lands in
+   bench_layout.json (consumed by bench/check_layout_regression.sh). *)
+let layout_variants = [ ("K16", Upskiplist.Config.default); ("K64", bench_cfg) ]
 
 let layout () =
   Report.heading
-    "Ablation — cache-conscious node layout (misses/op, flushes/op; YCSB A)";
+    "Node layout costs (misses/op, flushes/op; YCSB A)";
   let n = 4_000 in
   (* YCSB A proper (read/update), plus an upsert mix with fresh-key inserts
      so the slot-claim path (key+value persistence) is on the table too *)
@@ -760,7 +744,7 @@ let layout () =
       [ W.a; a_ins ]
   in
   let results =
-    List.concat (Sim.Pool.run ~jobs:!jobs (List.map run (layout_variants ())))
+    List.concat (Sim.Pool.run ~jobs:!jobs (List.map run layout_variants))
   in
   let rows =
     List.concat_map
@@ -781,7 +765,6 @@ let layout () =
               r Obs.id_flush;
               r Obs.id_dirty_flush;
               r Obs.id_fence;
-              r Obs.id_finger_hit;
               r Obs.id_fp_match;
               r Obs.id_fp_false_positive;
               r Obs.id_hint_stop;
@@ -794,12 +777,12 @@ let layout () =
     ~headers:
       [
         "variant"; "op"; "n"; "ld-miss/op"; "st-miss/op"; "flush/op";
-        "dirty-fl/op"; "fence/op"; "finger-hit/op"; "fp-match/op"; "fp-false/op";
+        "dirty-fl/op"; "fence/op"; "fp-match/op"; "fp-false/op";
         "hint-stop/op"; "hint-stale/op";
       ]
     ~rows;
   Json.write_file "bench_layout.json"
-    (Report.metrics_json ~label:"layout ablation (YCSB A, 8 threads)" ~seed
+    (Report.metrics_json ~label:"node layout costs (YCSB A, 8 threads)" ~seed
        (List.map
           (fun (label, ds) ->
             ( label,

@@ -16,21 +16,6 @@ type t = {
       (* the paper's follow-up for removals (Section 4.6): physically
          unlink all-tombstone nodes and reclaim them through epoch-based
          reclamation *)
-  short_cutoff : int;
-      (* height-truncated node blocks (verlib-style short/tall pools):
-         nodes of height <= short_cutoff allocate from a block class that
-         only reserves short_cutoff next-pointer words instead of
-         max_height. 0 disables truncation (every node gets a full-height
-         tall block — the pre-PR6 footprint) *)
-  finger_cache : bool;
-      (* per-fiber search fingers: traversals may resume from the
-         predecessor towers remembered by the previous traversal on the
-         same fiber, validated against the failure-free epoch. (The
-         Foresight part of the layout is the successor-key hint beside
-         every next pointer, which is always on; see Node.) Ignored
-         (forced off) when reclaim_empty_nodes is set: physical removal
-         can retire a remembered node, and the finger's epoch check only
-         witnesses crashes, not reclamation. *)
 }
 
 let default =
@@ -40,10 +25,6 @@ let default =
     branching_p = 0.5;
     recovery_budget = 1;
     reclaim_empty_nodes = false;
-    (* p = 0.5 gives P(height <= 4) ~ 94%: the short class covers almost
-       every node while tall towers keep their full arrays *)
-    short_cutoff = 4;
-    finger_cache = true;
   }
 
 (* The node layout is line-oriented: the hot header (epoch, the packed
@@ -76,8 +57,6 @@ let validate t =
   if t.branching_p <= 0.0 || t.branching_p >= 1.0 then
     invalid_arg "Config: branching_p";
   if t.recovery_budget < 0 then invalid_arg "Config: recovery_budget";
-  if t.short_cutoff < 0 || t.short_cutoff > t.max_height then
-    invalid_arg "Config: short_cutoff outside [0, max_height]";
   (* Line-straddle guard: the pair region starts on a line boundary and
      slots are a power-of-two fraction of a line, so no slot's key/value
      pair may straddle two lines for any keys_per_node. If a layout edit
@@ -92,22 +71,15 @@ let validate t =
    starts on a line boundary (a pointer and its hint must share a line). *)
 let pair_words t = round_to_line (slot_words * t.keys_per_node)
 
-(* Words of the upper tower of a class whose towers cap at [next_cap]
-   levels: levels 0 and 1 live in the header, the rest in whole lines of
-   [tower_levels_per_line] pointer/hint pairs. *)
-let tower_words ~next_cap =
-  let upper = max 0 (next_cap - 2) in
+(* Words of the upper tower: levels 0 and 1 live in the header, levels 2 ..
+   max_height-1 in whole lines of [tower_levels_per_line] pointer/hint
+   pairs. *)
+let tower_words t =
+  let upper = max 0 (t.max_height - 2) in
   line_words * ((upper + tower_levels_per_line - 1) / tower_levels_per_line)
 
 (* Words a node occupies: the one-line header, the fingerprint lines, the
-   pair lines and the upper-tower lines of the class ([next_cap]; levels 0
-   and 1 live in the header, so the two hottest traversal levels are
-   one-line hops). *)
-let node_words_capped t ~next_cap =
-  header_words + fp_words t + pair_words t + tower_words ~next_cap
-
-(* Tall class: full-height towers; the block allocator is sized from this. *)
-let node_words t = node_words_capped t ~next_cap:t.max_height
-
-(* Short class (meaningful when short_cutoff > 0). *)
-let short_node_words t = node_words_capped t ~next_cap:t.short_cutoff
+   pair lines and the upper-tower lines (levels 0 and 1 live in the header,
+   so the two hottest traversal levels are one-line hops). The block
+   allocator is sized from this. *)
+let node_words t = header_words + fp_words t + pair_words t + tower_words t

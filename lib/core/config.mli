@@ -12,21 +12,10 @@ type t = {
   reclaim_empty_nodes : bool;
       (** physically unlink and reclaim all-tombstone nodes (paper §4.6
           follow-up), with epoch-based reclamation *)
-  short_cutoff : int;
-      (** nodes of height <= [short_cutoff] allocate height-truncated
-          blocks that reserve only [short_cutoff] next-pointer words
-          (verlib-style short/tall pools); 0 disables truncation and every
-          node gets a full [max_height] tower array *)
-  finger_cache : bool;
-      (** per-fiber search fingers: traversals resume from the previous
-          traversal's predecessor towers when their epoch validates.
-          Forced off under [reclaim_empty_nodes] (the epoch check cannot
-          witness physical reclamation). *)
 }
 
 val default : t
-(** 16 keys/node, 24 levels, p = 0.5, budget 1, physical removal off,
-    short_cutoff 4, finger cache on. *)
+(** 16 keys/node, 24 levels, p = 0.5, budget 1, physical removal off. *)
 
 val validate : t -> unit
 (** Raises [Invalid_argument] on out-of-range fields, and on any layout
@@ -39,8 +28,9 @@ val validate : t -> unit
     packed kind/height/splitCount word, lock, anchor key, level-0 and
     level-1 next pointers and their successor-key hints), then the
     key-fingerprint lines, then [keys_per_node] two-word key/value slots
-    rounded up to whole lines, then the level-2 and up tower of the block
-    class in lines of four next pointers followed by their four hints. *)
+    rounded up to whole lines, then the level-2 and up tower (up to
+    [max_height]) in lines of four next pointers followed by their four
+    hints. *)
 
 val line_words : int
 (** Words per cache line (mirrors [Pmem.line_words]). *)
@@ -68,19 +58,6 @@ val fp_words : t -> int
 val pair_words : t -> int
 (** Words of a node's key/value slots, rounded up to whole lines. *)
 
-val tower_words : next_cap:int -> int
-(** Words of the upper tower (levels 2 and up) of a block class whose
-    towers cap at [next_cap] levels: whole lines of four pointer/hint
-    pairs. *)
-
 val node_words : t -> int
-(** Words a tall-class (full [max_height] tower array) node occupies; the
-    block allocator's tall class is sized from this. *)
-
-val short_node_words : t -> int
-(** Words a short-class node occupies (tower array truncated to
-    [short_cutoff]); meaningful when [short_cutoff > 0]. *)
-
-val node_words_capped : t -> next_cap:int -> int
-(** Words for a node whose next-pointer array is capped at [next_cap]
-    levels (levels 0 and 1 live in the header). *)
+(** Words a node occupies (full [max_height] tower array); the block
+    allocator's block size is derived from this. *)

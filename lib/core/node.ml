@@ -8,9 +8,9 @@
    line and persists with one flush. A line of key fingerprints sits between
    the two, so a lookup reads the fingerprints and then only the slot whose
    fingerprint matches instead of scanning the pairs. Next pointers above
-   level 1 live at the block's tail, and a height-truncated block class
-   ([Config.short_cutoff]) reserves only as many of those lines as short
-   towers can use.
+   level 1 live at the block's tail. Every node reserves the full tower,
+   whatever its height, so the tower cap is [Config.max_height] for every
+   node (the cap the persistent-heap audit checks).
 
      word 0                epochID (failure-free epoch of last consistency
                            confirmation; block: free-list next)
@@ -31,10 +31,9 @@
      words P .. P+2K-1     K interleaved slots (P = 8+F): key_i at P+2i
                            (0 = empty), value_i at P+2i+1 (0 = tombstone);
                            the region is rounded up to whole lines
-     words T ..            levels 2 .. cap-1 in lines of four: next
+     words T ..            levels 2 .. max_height-1 in lines of four: next
                            pointers of levels 2+4g .. 5+4g at T+8g .. T+8g+3
-                           and their hints at T+8g+4 .. T+8g+7, cap =
-                           short_cutoff (short class) or max_height
+                           and their hints at T+8g+4 .. T+8g+7
 
    Height never changes after initialisation, and splitCount is written
    only under the split lock's write side, so the packed meta word needs no
@@ -115,9 +114,6 @@ type layout = {
   fp_used : int;  (* fingerprint words actually holding slots: ceil(K/8) *)
   o_pairs : int;  (* first slot's key *)
   o_tower : int;  (* first upper-tower line (levels 2 ..) *)
-  short_cutoff : int;  (* 0 = single (tall) block class *)
-  short_words : int;
-  tall_words : int;
 }
 
 let layout (cfg : Config.t) =
@@ -128,9 +124,6 @@ let layout (cfg : Config.t) =
     fp_used = (k + Config.fps_per_word - 1) / Config.fps_per_word;
     o_pairs;
     o_tower = o_pairs + Config.pair_words cfg;
-    short_cutoff = cfg.short_cutoff;
-    short_words = Config.short_node_words cfg;
-    tall_words = Config.node_words cfg;
   }
 
 let o_key ly i = ly.o_pairs + (Config.slot_words * i)
@@ -152,9 +145,6 @@ let o_hint ly level =
   if level = 0 then o_hint0
   else if level = 1 then o_hint1
   else o_upper ly level + Config.tower_levels_per_line
-
-(* Block class of a node of height [h]: [true] = short (truncated). *)
-let is_short ly h = ly.short_cutoff > 0 && h <= ly.short_cutoff
 
 (* ---- fingerprints ------------------------------------------------------- *)
 

@@ -10,16 +10,11 @@
    logged block allocator so interrupted inserts cannot leak memory; the log
    check is deferred to the owning thread's next allocation.
 
-   Cache-conscious layout (PR 6): nodes are allocated from two block
-   classes — short towers (height <= [Config.short_cutoff]) take truncated
-   blocks that reserve only [short_cutoff] next-pointer words — and the hot
-   header packs the hop-time fields (epoch, locks, anchor key, level-0
-   next) into one cache line, so advancing along the bottom level costs one
-   simulated line per node instead of two. Per-fiber search fingers
-   (optional, [Config.finger_cache]) let a traversal resume from the
-   predecessor towers its fiber found last time, validated against the
-   failure-free epoch; nodes are never physically unlinked while fingers
-   are enabled, so a remembered predecessor stays on its level forever.
+   Cache-conscious layout: every node takes one allocator block holding a
+   full [max_height] tower array, as in the paper, and the hot header packs
+   the hop-time fields (epoch, locks, anchor key, level-0 and level-1 next
+   pointers and their hints) into one cache line, so advancing along the
+   bottom two levels costs one simulated line per node.
 
    Each node carries a line of 7-bit key fingerprints (see Node), so the
    in-node lookup reads the fingerprint words and only the slots whose
@@ -45,22 +40,6 @@ module Mem = Memory.Mem
 module Riv = Memory.Riv
 module Block_alloc = Memory.Block_alloc
 
-(* Per-fiber search finger: the predecessor towers of this fiber's last
-   completed traversal. [f_epoch] = 0 means empty; a finger recorded in an
-   older failure-free epoch is discarded (its nodes may predate recovery).
-   Valid as a starting point for any target >= [f_key]: node minimum keys
-   are immutable and a node once linked at a level stays there (physical
-   reclamation forces fingers off). *)
-type finger = {
-  mutable f_epoch : int;
-  mutable f_key : int;
-  mutable f_preds : Riv.t array;
-      (* replaced wholesale on update, never mutated in place: an in-flight
-         traversal holds the array it started from, and a nested recovery
-         traversal (which records its own, possibly further-right, finger)
-         must not shift that snapshot under it *)
-}
-
 type t = {
   mem : Mem.t;
   cfg : Config.t;
@@ -69,7 +48,6 @@ type t = {
   tail : Riv.t;
   height_rngs : Sim.Rng.t array;
   ops : Block_alloc.node_ops;
-  fingers : finger array option;  (* present iff cfg.finger_cache applies *)
   reclaim : Reclaim.t option;  (* present iff cfg.reclaim_empty_nodes *)
   top : int Atomic.t;
       (* volatile: no level above [top] has a node linked. Raised (atomic
@@ -83,36 +61,24 @@ let config t = t.cfg
 let head t = t.head
 let tail t = t.tail
 
-(* Block sizes the allocator must be configured with for a given config:
-   the tall class holds full-height towers, the short class (meaningful
-   when short_cutoff > 0) holds truncated ones. Both round up to an odd
-   number of cache lines: consecutive blocks then sit at a line stride
-   coprime to any power-of-two set count, so the header lines of a chunk's
-   nodes spread over every set of a cache indexed by the low line-address
-   bits (the simulated cache, like hardware) instead of aliasing onto a
+(* The block size the allocator must be configured with for a given
+   config: a full-height node, rounded up to an odd number of cache lines.
+   Consecutive blocks then sit at a line stride coprime to any
+   power-of-two set count, so the header lines of a chunk's nodes spread
+   over every set of a cache indexed by the low line-address bits (the
+   simulated cache, like hardware) instead of aliasing onto a
    fraction of them. *)
 let block_words_of w =
   let lines = (w + Config.line_words - 1) / Config.line_words in
   (lines lor 1) * Config.line_words
 
 let required_block_words cfg = block_words_of (Config.node_words cfg)
-let required_short_block_words cfg = block_words_of (Config.short_node_words cfg)
 
 let create ~mem ~cfg ~max_threads ~seed =
   Config.validate cfg;
   let ly = Node.layout cfg in
-  if Mem.block_words mem < ly.Node.tall_words then
+  if Mem.block_words mem < Config.node_words cfg then
     invalid_arg "Skiplist.create: allocator blocks smaller than a node";
-  let ly =
-    (* an allocator without a short class (or whose short blocks would not
-       actually be smaller once line-rounded) degrades gracefully: every
-       node takes a tall block *)
-    if cfg.Config.short_cutoff > 0 && Mem.n_classes mem < 2 then
-      { ly with Node.short_cutoff = 0 }
-    else ly
-  in
-  if ly.Node.short_cutoff > 0 && Mem.class_words mem ~cls:1 < ly.Node.short_words
-  then invalid_arg "Skiplist.create: short blocks smaller than a short node";
   let head = Mem.root_alloc mem ~pool:0 ~words:(Mem.block_words mem) in
   let tail = Mem.root_alloc mem ~pool:0 ~words:(Mem.block_words mem) in
   Node.init_sentinel_poked mem ly head ~first_key:Node.head_key
@@ -132,19 +98,6 @@ let create ~mem ~cfg ~max_threads ~seed =
            ())
     else None
   in
-  let fingers =
-    (* physical reclamation can retire a remembered node; the finger's
-       epoch check only witnesses crashes, so force the cache off *)
-    if cfg.Config.finger_cache && not cfg.Config.reclaim_empty_nodes then
-      Some
-        (Array.init max_threads (fun _ ->
-             {
-               f_epoch = 0;
-               f_key = 0;
-               f_preds = Array.make cfg.Config.max_height head;
-             }))
-    else None
-  in
   {
     mem;
     cfg;
@@ -157,7 +110,6 @@ let create ~mem ~cfg ~max_threads ~seed =
         Block_alloc.key0 = (fun n -> Node.key0 mem n);
         next0 = (fun n -> Node.next mem ly n 0);
       };
-    fingers;
     reclaim;
     top = Atomic.make 0;
   }
@@ -357,28 +309,6 @@ let rec traverse t ~tid ~recover key =
   let preds = Array.make h t.head in
   let succs = Array.make h t.tail in
   let bounds = Array.make h Node.tail_key in
-  (* Consult the fiber's finger: usable when recorded in the current
-     failure-free epoch for a target at or below this one (predecessor
-     minimum keys are immutable, so every remembered pred still precedes
-     [key]). A stale epoch invalidates the finger; a key-order mismatch
-     just misses. *)
-  let fstart =
-    match t.fingers with
-    | None -> None
-    | Some fs ->
-        let f = fs.(tid) in
-        if f.f_epoch = 0 then None
-        else if f.f_epoch <> Mem.epoch t.mem then begin
-          f.f_epoch <- 0;
-          obs_event ~tid Obs.id_finger_invalid 0;
-          None
-        end
-        else if f.f_key <= key then begin
-          obs_event ~tid Obs.id_finger_hit key;
-          Some f.f_preds
-        end
-        else None
-  in
   let recoveries = ref 0 in
   let rec attempt () =
     let restart = ref false in
@@ -388,14 +318,6 @@ let rec traverse t ~tid ~recover key =
        earlier attempt filled) *)
     let level = ref (Atomic.get t.top) in
     while (not !restart) && !level >= 0 do
-      (* A finger predecessor replaces the head start at each level (the
-         pred carried down from the level above, when it exists, is at
-         least as far right already). *)
-      (match fstart with
-      | Some fp when Riv.equal !pred t.head && not (Riv.equal fp.(!level) t.head)
-        ->
-          pred := fp.(!level)
-      | _ -> ());
       (* pointer first, hint second: a writer lowers the hint before it
          publishes the pointer, so the hint read here bounds [cur] *)
       let cur = ref (Node.next t.mem t.ly !pred !level) in
@@ -462,13 +384,6 @@ let rec traverse t ~tid ~recover key =
     done;
     if !restart then attempt ()
     else begin
-      (match t.fingers with
-      | Some fs ->
-          let f = fs.(tid) in
-          f.f_epoch <- Mem.epoch t.mem;
-          f.f_key <- key;
-          f.f_preds <- Array.copy preds
-      | None -> ());
       let pred0 = preds.(0) in
       if Riv.equal pred0 t.head then
         { found = false; key_index = -1; split_count = 0; preds; succs; bounds }
@@ -594,8 +509,7 @@ let rec claim_value t n i v =
    reachable yet, so plain stores. *)
 let make_linked_object t ~tid ~pred ~keys ~values ~node_height ~(f : find) =
   let key = List.hd keys in
-  let cls = if Node.is_short t.ly node_height then 1 else 0 in
-  let block = Block_alloc.alloc_block ~cls t.mem ~tid ~ops:t.ops ~pred ~key in
+  let block = Block_alloc.alloc_block t.mem ~tid ~ops:t.ops ~pred ~key in
   Node.init t.mem t.ly block ~node_epoch:(Mem.epoch t.mem) ~node_height ~keys
     ~values;
   for level = 0 to node_height - 1 do
@@ -1192,14 +1106,12 @@ let check_invariants t =
    - every hint of the head and of a reachable node whose pointer targets
      the tail or a bottom-level node is at most that target's anchor, so a
      traversal after the crash never ends a level before a node it needs;
-   - truncated-block discipline: a node in a short block never records a
-     height above the short cutoff, and no node (either class) carries a
-     non-null next word above its recorded height — a stray word there
-     would be read as a tower pointer if the height ever grew, and in a
-     short block it would alias past the block's end;
-   - the allocator accounts for every block of both classes
-     (Block_alloc.audit): reachable, free-listed, or excused by a thread's
-     allocation/provision log.
+   - tower discipline: no node records a height above [max_height], and
+     none carries a non-null next word above its recorded height — a stray
+     word there would be read as a tower pointer if the height ever grew;
+   - the allocator accounts for every block (Block_alloc.audit):
+     reachable, free-listed, or excused by a thread's allocation/provision
+     log.
 
    Fingerprint lines are not checked: they are volatile (see Node), and a
    crash that drops one leaves its node unconfirmed, so the first miss
@@ -1218,16 +1130,7 @@ let audit_persistent t =
     let resolvable p = Mem.try_resolve t.mem p <> None in
     (* pass 1: bottom-level walk, collecting the reachable-node set *)
     let on_bottom = Hashtbl.create 256 in
-    let bound =
-      let blocks = ref 0 in
-      for pool = 0 to Mem.n_pools t.mem - 1 do
-        List.iter
-          (fun (_id, _base, cls) ->
-            blocks := !blocks + Mem.blocks_per_chunk_cls t.mem ~cls)
-          (Mem.persistent_chunks t.mem ~pool)
-      done;
-      !blocks + 16
-    in
+    let bound = Mem.total_blocks t.mem + 16 in
     let rec walk n prev_k0 steps =
       if Riv.is_null n then
         err "bottom level: chain ends in null before the tail (after key %d)" prev_k0
@@ -1254,15 +1157,16 @@ let audit_persistent t =
       end
     in
     walk (nxt t.head 0) Node.head_key 0;
-    (* pass 2: tower pointers of the head and of every reachable node. The
-       tower cap comes from the node's block class (registered per chunk),
-       not from the node's own height word — that is the point: a short
-       block claiming a tall height, or a stray word between the height
-       and the cap, is the corruption being hunted. *)
+    (* pass 2: tower pointers of the head and of every reachable node,
+       checked up to the block's [max_height] tower array, not just up to
+       the node's own height word — a height above the array, or a stray
+       word between the height and the array's end, is the corruption
+       being hunted. *)
     let anchor p =
       if Riv.equal p t.tail then Node.tail_key else ppk p Node.o_anchor
     in
-    let check_towers n label ~cap =
+    let cap = t.cfg.Config.max_height in
+    let check_towers n label =
       let h = Node.meta_height (ppk n Node.o_meta) in
       if h < 1 || h > cap then err "%s: height %d out of range (cap %d)" label h cap
       else begin
@@ -1285,17 +1189,12 @@ let audit_persistent t =
         done
       end
     in
-    check_towers t.head "head sentinel" ~cap:t.cfg.Config.max_height;
+    check_towers t.head "head sentinel";
     Hashtbl.iter
       (fun w () ->
         let n = Riv.of_word w in
-        let cls = Mem.chunk_class t.mem ~pool:(Riv.pool n) ~chunk:(Riv.chunk n) in
-        let cap =
-          if cls = 1 then t.ly.Node.short_cutoff else t.cfg.Config.max_height
-        in
         check_towers n
-          (Fmt.str "node %a (key %d)" Riv.pp n (ppk n (Node.o_key t.ly 0)))
-          ~cap)
+          (Fmt.str "node %a (key %d)" Riv.pp n (ppk n (Node.o_key t.ly 0))))
       on_bottom;
     (* pass 3: allocator accounting against the reachable set *)
     let alloc_errs =
@@ -1391,7 +1290,7 @@ let corrupt t what =
       if Riv.is_null first || Riv.equal first t.tail then false
       else begin
         let victim =
-          Mem.peek_ptr t.mem (Mem.arena_head_ptr ~pool:0 ~arena:0 ()) 0
+          Mem.peek_ptr t.mem (Mem.arena_head_ptr ~pool:0 ~arena:0) 0
         in
         if Riv.is_null victim then false
         else begin

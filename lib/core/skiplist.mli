@@ -21,13 +21,8 @@ val create :
     manager's block size must be at least {!required_block_words}[ cfg]. *)
 
 val required_block_words : Config.t -> int
-(** Allocator (tall-class) block size needed to hold one full-height node
-    of this configuration, rounded up to a cache-line multiple. *)
-
-val required_short_block_words : Config.t -> int
-(** Short-class block size: a node whose tower array is truncated at
-    [short_cutoff] levels, rounded up to a cache-line multiple. Pass it as
-    [Mem.create]'s [short_block_words] when [short_cutoff > 0]. *)
+(** Allocator block size needed to hold one full-height node of this
+    configuration, rounded up to an odd number of cache lines. *)
 
 (** {1 Operations (fiber context)} *)
 

@@ -103,17 +103,8 @@ let make_upskiplist ?(cfg = Upskiplist.Config.default) ?(n_arenas = 8)
     ?detect_clients sys =
   let pmem = make_pmem sys in
   let block_words = Upskiplist.Skiplist.required_block_words cfg in
-  let short_block_words =
-    (* the short class is only worth a block class of its own if it is
-       actually smaller once line-rounded *)
-    if cfg.Upskiplist.Config.short_cutoff > 0 then
-      let sw = Upskiplist.Skiplist.required_short_block_words cfg in
-      if sw < block_words then sw else 0
-    else 0
-  in
   let mem =
-    Mem.create ~short_block_words ~pmem ~chunk_words:(64 * block_words)
-      ~block_words ~n_arenas ()
+    Mem.create ~pmem ~chunk_words:(64 * block_words) ~block_words ~n_arenas ()
   in
   Mem.format mem;
   let sl =

@@ -2,9 +2,6 @@
 
    Memory within chunks is divided into fixed-size blocks linked into
    per-arena lock-free free lists (one set of arenas per pool/NUMA node).
-   Blocks come in up to two size classes (Mem: tall = class 0, short =
-   class 1, verlib-style); each class has its own chunks and free lists,
-   and every log entry that can name a chunk also records its class.
    Allocation pops from the head; deallocation appends at the tail. Before a
    block is popped, the allocating thread persists a single-cache-line log
    (LogChangeAttempt) naming the block, the insertion point and the key, so
@@ -39,7 +36,6 @@ let clog_epoch = 8
 let clog_state = 9
 let clog_pool = 10
 let clog_chunk = 11
-let clog_cls = 12
 let cstate_none = 0
 let cstate_carving = 1
 let cstate_carved = 2
@@ -56,11 +52,11 @@ let obs_event ~tid id arg =
 (* ---- Function 6: LinkInTail ------------------------------------------- *)
 
 (* Append the chain [first..last] (already internally linked, last.next =
-   null) to class [cls]'s arena [arena] of [pool]. Helps past a stale tail
-   pointer from a previous epoch, which is what keeps deallocation
-   deadlock-free across crashes. *)
-let link_in_tail t ~pool ~cls ~arena ~first ~last =
-  let tail_slot = Mem.arena_tail_ptr ~cls ~pool ~arena () in
+   null) to arena [arena] of [pool]. Helps past a stale tail pointer from
+   a previous epoch, which is what keeps deallocation deadlock-free across
+   crashes. *)
+let link_in_tail t ~pool ~arena ~first ~last =
+  let tail_slot = Mem.arena_tail_ptr ~pool ~arena in
   let rec attach () =
     let current_tail = Mem.read_ptr t tail_slot 0 in
     if Mem.cas_ptr t current_tail Mem.hdr_next ~expected:Riv.null ~desired:first
@@ -86,24 +82,17 @@ let link_in_tail t ~pool ~cls ~arena ~first ~last =
   ignore (Mem.cas_ptr t tail_slot 0 ~expected:current_tail ~desired:last);
   Mem.persist_field t tail_slot 0
 
-(* Block class of an allocated block: its chunk's registered class (free
-   host-side lookup, like RIV resolution's chunk cache). *)
-let block_class t obj = Mem.chunk_class t ~pool:(Riv.pool obj) ~chunk:(Riv.chunk obj)
-
 (* ---- Function 5: DeleteLinkedObject ----------------------------------- *)
 
-(* Return [obj] to the free list of its own block class, idempotently: safe
-   to re-run if a previous attempt (or recovery of one) was interrupted at
-   any step. *)
+(* Return [obj] to the free list, idempotently: safe to re-run if a
+   previous attempt (or recovery of one) was interrupted at any step. *)
 let delete_linked_object t ~tid obj =
   let pool = Mem.local_pool t ~tid in
   let arena = tid mod t.Mem.n_arenas in
-  let cls = block_class t obj in
   let kind = Mem.kind_of (Mem.read_field t obj Mem.hdr_kind) in
   if kind = Mem.kind_node then begin
-    (* De-initialise the node so it can rejoin the free list. The block
-       only has its class's words — never touch beyond them. *)
-    let words = Mem.class_words t ~cls in
+    (* De-initialise the node so it can rejoin the free list. *)
+    let words = Mem.block_words t in
     for i = words - 1 downto 3 do
       Mem.write_field t obj i 0
     done;
@@ -112,14 +101,14 @@ let delete_linked_object t ~tid obj =
     Mem.write_field t obj Mem.hdr_kind Mem.kind_free;
     Mem.persist_range t obj ~first:0 ~words;
     obs_event ~tid Obs.id_free 0;
-    link_in_tail t ~pool ~cls ~arena ~first:obj ~last:obj
+    link_in_tail t ~pool ~arena ~first:obj ~last:obj
   end
   else begin
-    let tail = Mem.read_ptr t (Mem.arena_tail_ptr ~cls ~pool ~arena ()) 0 in
+    let tail = Mem.read_ptr t (Mem.arena_tail_ptr ~pool ~arena) 0 in
     if Riv.equal obj tail then () (* already linked as the tail *)
     else if Riv.is_null (Mem.read_ptr t obj Mem.hdr_next) then begin
       obs_event ~tid Obs.id_free 0;
-      link_in_tail t ~pool ~cls ~arena ~first:obj ~last:obj
+      link_in_tail t ~pool ~arena ~first:obj ~last:obj
     end
     else begin
       (* A non-null next either means the block is still (or again) in the
@@ -133,7 +122,7 @@ let delete_linked_object t ~tid obj =
       in
       if
         (not
-           (in_list (Mem.read_ptr t (Mem.arena_head_ptr ~cls ~pool ~arena ()) 0)))
+           (in_list (Mem.read_ptr t (Mem.arena_head_ptr ~pool ~arena) 0)))
         && (* the CAS fails if another thread re-allocated the block in the
               meantime (a fresh pop clears the next pointer immediately) *)
         Mem.cas_ptr t obj Mem.hdr_next ~expected:stale_next ~desired:Riv.null
@@ -141,7 +130,7 @@ let delete_linked_object t ~tid obj =
         Mem.write_field t obj Mem.hdr_epoch (Mem.epoch t);
         Mem.persist_field t obj Mem.hdr_next;
         obs_event ~tid Obs.id_free 0;
-        link_in_tail t ~pool ~cls ~arena ~first:obj ~last:obj
+        link_in_tail t ~pool ~arena ~first:obj ~last:obj
       end
     end
   end
@@ -183,20 +172,19 @@ let log_change_attempt t ~tid ~ops ~block ~pred ~key =
 
 (* ---- chunk-provision logging and recovery ------------------------------ *)
 
-let set_chunk_log t ~tid ~state ~pool ~cls ~chunk =
+let set_chunk_log t ~tid ~state ~pool ~chunk =
   let log = log_obj ~tid in
   Mem.write_field t log clog_epoch (Mem.epoch t);
   Mem.write_field t log clog_state state;
   Mem.write_field t log clog_pool pool;
   Mem.write_field t log clog_chunk chunk;
-  Mem.write_field t log clog_cls cls;
   Mem.persist_field t log clog_epoch
 
 (* Carve the blocks of an already-allocated chunk into a chain (idempotent
    re-run of the carving loop). *)
-let carve_blocks t ~pool ~cls ~chunk =
-  let bw = Mem.class_words t ~cls in
-  let n = Mem.blocks_per_chunk_cls t ~cls in
+let carve_blocks t ~pool ~chunk =
+  let bw = Mem.block_words t in
+  let n = Mem.blocks_per_chunk t in
   let block i = Riv.make ~pool ~chunk ~offset:(i * bw) in
   for i = 0 to n - 1 do
     let b = block i in
@@ -213,7 +201,7 @@ let carve_blocks t ~pool ~cls ~chunk =
    has block0.next = block1; a pop clears next immediately and conversion
    to a node changes the kind, so an unlinked carved chunk is exactly
    "kind free, next non-null, absent from the free list". *)
-let chunk_linked t ~pool ~cls ~arena ~chunk =
+let chunk_linked t ~pool ~arena ~chunk =
   let block0 = Riv.make ~pool ~chunk ~offset:0 in
   if Mem.kind_of (Mem.read_field t block0 Mem.hdr_kind) <> Mem.kind_free then true
   else if Riv.is_null (Mem.read_ptr t block0 Mem.hdr_next) then true
@@ -222,7 +210,7 @@ let chunk_linked t ~pool ~cls ~arena ~chunk =
       (not (Riv.is_null cur))
       && (Riv.equal cur block0 || in_list (Mem.read_ptr t cur Mem.hdr_next))
     in
-    in_list (Mem.read_ptr t (Mem.arena_head_ptr ~cls ~pool ~arena ()) 0)
+    in_list (Mem.read_ptr t (Mem.arena_head_ptr ~pool ~arena) 0)
   end
 
 (* Resume a chunk provision interrupted by a crash in a previous epoch. *)
@@ -233,7 +221,6 @@ let recover_chunk_provision t ~tid =
   then begin
     let pool = Mem.read_field t log clog_pool in
     let chunk = Mem.read_field t log clog_chunk in
-    let cls = Mem.read_field t log clog_cls in
     let arena = tid mod t.Mem.n_arenas in
     if state = cstate_carving then begin
       (* The log is written before the registry publish, so the crash may
@@ -241,30 +228,29 @@ let recover_chunk_provision t ~tid =
          function of the id, so this is deterministic), then re-carve from
          scratch — blocks may be half written and are certainly
          unreachable — and link the chain in. *)
-      Mem.ensure_chunk_registered t ~pool ~cls ~chunk;
-      let first, last = carve_blocks t ~pool ~cls ~chunk in
-      link_in_tail t ~pool ~cls ~arena ~first ~last
+      Mem.ensure_chunk_registered t ~pool ~chunk;
+      let first, last = carve_blocks t ~pool ~chunk in
+      link_in_tail t ~pool ~arena ~first ~last
     end
-    else if not (chunk_linked t ~pool ~cls ~arena ~chunk) then begin
+    else if not (chunk_linked t ~pool ~arena ~chunk) then begin
       (* fully carved but never published *)
-      let bw = Mem.class_words t ~cls in
-      let n = Mem.blocks_per_chunk_cls t ~cls in
+      let n = Mem.blocks_per_chunk t in
       let first = Riv.make ~pool ~chunk ~offset:0 in
-      let last = Riv.make ~pool ~chunk ~offset:((n - 1) * bw) in
-      link_in_tail t ~pool ~cls ~arena ~first ~last
+      let last = Riv.make ~pool ~chunk ~offset:((n - 1) * Mem.block_words t) in
+      link_in_tail t ~pool ~arena ~first ~last
     end
   end;
   if state <> cstate_none then
-    set_chunk_log t ~tid ~state:cstate_none ~pool:0 ~cls:0 ~chunk:0
+    set_chunk_log t ~tid ~state:cstate_none ~pool:0 ~chunk:0
 
 (* ---- Function 4: MakeLinkedObject (allocation half) -------------------- *)
 
-(* Pop a raw block of class [cls] from the caller's arena, logging the
-   attempt first. The caller initialises it as a node and persists it. *)
-let alloc_block ?(cls = 0) t ~tid ~ops ~pred ~key =
+(* Pop a raw block from the caller's arena, logging the attempt first.
+   The caller initialises it as a node and persists it. *)
+let alloc_block t ~tid ~ops ~pred ~key =
   let pool = Mem.local_pool t ~tid in
   let arena = tid mod t.Mem.n_arenas in
-  let head_slot = Mem.arena_head_ptr ~cls ~pool ~arena () in
+  let head_slot = Mem.arena_head_ptr ~pool ~arena in
   recover_chunk_provision t ~tid;
   let rec loop () =
     let new_block = Mem.read_ptr t head_slot 0 in
@@ -276,14 +262,13 @@ let alloc_block ?(cls = 0) t ~tid ~ops ~pred ~key =
          registry publish, so there is no instant where a chunk exists
          without a durable log naming it. *)
       let id, _base =
-        Mem.allocate_chunk ~cls t ~pool
-          ~log:(fun id ->
-            set_chunk_log t ~tid ~state:cstate_carving ~pool ~cls ~chunk:id)
+        Mem.allocate_chunk t ~pool
+          ~log:(fun id -> set_chunk_log t ~tid ~state:cstate_carving ~pool ~chunk:id)
       in
-      let first, last = carve_blocks t ~pool ~cls ~chunk:id in
-      set_chunk_log t ~tid ~state:cstate_carved ~pool ~cls ~chunk:id;
-      link_in_tail t ~pool ~cls ~arena ~first ~last;
-      set_chunk_log t ~tid ~state:cstate_none ~pool:0 ~cls:0 ~chunk:0;
+      let first, last = carve_blocks t ~pool ~chunk:id in
+      set_chunk_log t ~tid ~state:cstate_carved ~pool ~chunk:id;
+      link_in_tail t ~pool ~arena ~first ~last;
+      set_chunk_log t ~tid ~state:cstate_none ~pool:0 ~chunk:0;
       obs_event ~tid Obs.id_chunk id;
       loop ()
     end
@@ -305,23 +290,14 @@ let alloc_block ?(cls = 0) t ~tid ~ops ~pred ~key =
   in
   loop ()
 
-(* Number of blocks currently in an arena's free list(s) (test/debug
-   helper; uses direct peeks, no simulated cost). [cls] restricts the count
-   to one block class; omitted, both classes are summed. *)
-let free_list_length ?cls t ~pool ~arena =
+(* Number of blocks currently in an arena's free list (test/debug helper;
+   uses direct peeks, no simulated cost). *)
+let free_list_length t ~pool ~arena =
   let rec count cur acc =
     if Riv.is_null cur then acc
     else count (Mem.peek_ptr t cur Mem.hdr_next) (acc + 1)
   in
-  let one cls = count (Mem.peek_ptr t (Mem.arena_head_ptr ~cls ~pool ~arena ()) 0) 0 in
-  match cls with
-  | Some cls -> one cls
-  | None ->
-      let acc = ref 0 in
-      for cls = 0 to Mem.n_classes t - 1 do
-        acc := !acc + one cls
-      done;
-      !acc
+  count (Mem.peek_ptr t (Mem.arena_head_ptr ~pool ~arena) 0) 0
 
 (* ---- persistent-heap audit (host side, peeks only) ---------------------- *)
 
@@ -329,8 +305,7 @@ let free_list_length ?cls t ~pool ~arena =
    image: each must be on a free list, reachable from the structure
    ([reachable], supplied by the structure's own persistent walk), or named
    by a thread's allocation / chunk-provision log — the paper's "a crash
-   cannot leak the block" claim, checked literally, per block class (a
-   leaked short block is as much a leak as a tall one). Also flags the
+   cannot leak the block" claim, checked literally. Also flags the
    converse corruption (a freed block still reachable) and dangling or
    cyclic free lists. Log entries excuse their block regardless of epoch (a
    stale entry over-approximates, which can hide a leak but never
@@ -345,29 +320,20 @@ let audit t ~reachable =
   let per_pool_chunks =
     Array.init pools (fun pool -> Mem.persistent_chunks t ~pool)
   in
-  (* chunk -> (base, class); block geometry below is always derived from
-     the chunk's registered class *)
-  let chunk_info = Hashtbl.create 64 in
-  let total_blocks = ref 0 in
+  let registered = Hashtbl.create 64 in
   Array.iteri
     (fun pool chunks ->
-      List.iter
-        (fun (id, base, cls) ->
-          Hashtbl.replace chunk_info (pool, id) (base, cls);
-          total_blocks := !total_blocks + Mem.blocks_per_chunk_cls t ~cls)
-        chunks)
+      List.iter (fun id -> Hashtbl.replace registered (pool, id) ()) chunks)
     per_pool_chunks;
+  let bw = Mem.block_words t in
   (* A reference is a valid block boundary iff it names a registered chunk
-     at a block-aligned (for that chunk's class) in-range offset. *)
+     at a block-aligned in-range offset. *)
   let valid_block p =
     (not (Riv.is_null p))
     && Riv.chunk p <> 0
-    &&
-    match Hashtbl.find_opt chunk_info (Riv.pool p, Riv.chunk p) with
-    | None -> false
-    | Some (_base, cls) ->
-        Riv.offset p mod Mem.class_words t ~cls = 0
-        && Riv.offset p < t.Mem.chunk_words
+    && Hashtbl.mem registered (Riv.pool p, Riv.chunk p)
+    && Riv.offset p mod bw = 0
+    && Riv.offset p < t.Mem.chunk_words
   in
   let pk obj i = Mem.peek_field_persistent t obj i in
   (* Thread logs: a valid allocation log excuses its block; a non-idle
@@ -387,45 +353,39 @@ let audit t ~reachable =
     if log_word tid clog_state <> cstate_none then
       Hashtbl.replace excused_chunks (log_word tid clog_pool, log_word tid clog_chunk) ()
   done;
-  (* Free-list membership: walk every arena chain of every class in the
-     persistent image. Chains share tails across epochs, so a previously
+  (* Free-list membership: walk every arena chain in the persistent
+     image. Chains share tails across epochs, so a previously
      visited element ends the walk (and doubles as cycle protection
      alongside the step bound). *)
   let on_freelist = Hashtbl.create 256 in
-  let bound = !total_blocks + 16 in
+  let bound = Mem.total_blocks t + 16 in
   for pool = 0 to pools - 1 do
-    for cls = 0 to Mem.n_classes t - 1 do
-      for arena = 0 to t.Mem.n_arenas - 1 do
-        let head =
-          Riv.of_word
-            (Mem.peek_root_persistent t ~pool
-               ~word:(Mem.arena_heads + (cls * Mem.max_arenas) + arena))
-        in
-        let rec walk p steps =
-          if Riv.is_null p then ()
-          else if steps > bound then
-            err "free list pool %d class %d arena %d: cycle or runaway chain"
-              pool cls arena
-          else if not (valid_block p) then
-            err "free list pool %d class %d arena %d: dangling element %a"
-              pool cls arena Riv.pp p
-          else if not (Hashtbl.mem on_freelist (Riv.to_word p)) then begin
-            Hashtbl.replace on_freelist (Riv.to_word p) ();
-            walk (Riv.of_word (pk p Mem.hdr_next)) (steps + 1)
-          end
-        in
-        walk head 0
-      done
+    for arena = 0 to t.Mem.n_arenas - 1 do
+      let head =
+        Riv.of_word
+          (Mem.peek_root_persistent t ~pool ~word:(Mem.arena_heads + arena))
+      in
+      let rec walk p steps =
+        if Riv.is_null p then ()
+        else if steps > bound then
+          err "free list pool %d arena %d: cycle or runaway chain" pool arena
+        else if not (valid_block p) then
+          err "free list pool %d arena %d: dangling element %a" pool arena Riv.pp p
+        else if not (Hashtbl.mem on_freelist (Riv.to_word p)) then begin
+          Hashtbl.replace on_freelist (Riv.to_word p) ();
+          walk (Riv.of_word (pk p Mem.hdr_next)) (steps + 1)
+        end
+      in
+      walk head 0
     done
   done;
   (* Every block of every registered (and unexcused) chunk must be
      accounted for. *)
   for pool = 0 to pools - 1 do
     List.iter
-      (fun (id, _base, cls) ->
+      (fun id ->
         if not (Hashtbl.mem excused_chunks (pool, id)) then begin
-          let bw = Mem.class_words t ~cls in
-          for i = 0 to Mem.blocks_per_chunk_cls t ~cls - 1 do
+          for i = 0 to Mem.blocks_per_chunk t - 1 do
             let b = Riv.make ~pool ~chunk:id ~offset:(i * bw) in
             let w = Riv.to_word b in
             let kind = Mem.kind_of (pk b Mem.hdr_kind) in
@@ -442,9 +402,9 @@ let audit t ~reachable =
               in
               if not ok then
                 err
-                  "leaked block %a (pool %d chunk %d class %d): kind %d, \
-                   unreachable, off-freelist, unlogged"
-                  Riv.pp b pool id cls kind
+                  "leaked block %a (pool %d chunk %d): kind %d, unreachable, \
+                   off-freelist, unlogged"
+                  Riv.pp b pool id kind
             end
           done
         end)

@@ -7,20 +7,15 @@
      word 0                magic
      word 1                bump pointer: next free word for chunk allocation
      word 2                epochID (meaningful in pool 0 only)
-     words 16 ..           chunk registry: chunk id -> base word + 1 + class
-     words arena_heads ..  per-class, per-arena free-list head blocks (RIV)
-     words arena_tails ..  per-class, per-arena free-list tail blocks (RIV)
+     words 16 ..           chunk registry: chunk id -> base word + 1
+     words arena_heads ..  per-arena free-list head blocks (RIV)
+     words arena_tails ..  per-arena free-list tail blocks (RIV)
      words logs ..         per-thread allocation logs (pool 0 only)
      words app_root ..     application roots (sentinel nodes, tree roots)
      words chunks_start .. chunk storage
 
-   Blocks come in up to two size classes (verlib-style short/tall pools):
-   class 0 ("tall", [block_words]) and the optional class 1 ("short",
-   [short_block_words] < block_words) for height-truncated skip-list
-   nodes. Every chunk belongs to one class, recorded in its registry entry
-   (base + 1 for tall, base + 2 for short — chunk bases are deterministic,
-   so the tag is unambiguous), and each class has its own per-arena free
-   lists.
+   Every block has the same size, [block_words]; a chunk is carved into
+   [chunk_words / block_words] of them.
 
    The chunk registry is persistent; its DRAM base-address cache (the only
    thing lost in a crash) is rebuilt lazily as pointers are dereferenced,
@@ -34,16 +29,17 @@ let max_threads = 256
 let log_words = 16  (* two cache lines: allocation log + chunk-provision log *)
 let app_root_words = 4096
 
-let max_classes = 2
-
 let magic_word = 0
 let bump_word = 1
 let epoch_word = 2
 let detect_word = 3  (* RIV of the detect announcement region, 0 = absent *)
 let registry_start = 16
+(* The head and tail areas are [2 * max_arenas] words each; only the first
+   [max_arenas] of each are used, and the rest stay reserved so that the
+   offsets of everything after them do not move. *)
 let arena_heads = registry_start + max_chunks
-let arena_tails = arena_heads + (max_classes * max_arenas)
-let logs_start = arena_tails + (max_classes * max_arenas)
+let arena_tails = arena_heads + (2 * max_arenas)
+let logs_start = arena_tails + (2 * max_arenas)
 let app_root_start = logs_start + (max_threads * log_words)
 let chunks_start =
   let raw = app_root_start + app_root_words in
@@ -52,12 +48,10 @@ let chunks_start =
 type t = {
   pmem : Pmem.t;
   chunk_words : int;
-  block_words : int;  (* class 0 (tall) block size *)
-  short_words : int;  (* class 1 (short) block size; 0 = class absent *)
+  block_words : int;
   n_arenas : int;
   mutable epoch : int;  (* DRAM copy of pool 0's epochID *)
   chunk_cache : int array array;  (* pool -> chunk -> base word, -1 unknown *)
-  chunk_cls : int array array;  (* pool -> chunk -> class, -1 unknown *)
   root_bump : int array;  (* pool -> next free app-root word (setup only) *)
 }
 
@@ -73,31 +67,20 @@ let kind_node = 2
 let kind_bits = 8
 let kind_of w = w land ((1 lsl kind_bits) - 1)
 
-let create ?(short_block_words = 0) ~pmem ~chunk_words ~block_words ~n_arenas ()
-    =
+let create ~pmem ~chunk_words ~block_words ~n_arenas () =
   if n_arenas > max_arenas then invalid_arg "Mem.create: too many arenas";
   if chunk_words mod block_words <> 0 then
     invalid_arg "Mem.create: chunk_words must be a multiple of block_words";
   if block_words < 8 then invalid_arg "Mem.create: block too small";
-  if short_block_words <> 0 then begin
-    if short_block_words < 8 then invalid_arg "Mem.create: short block too small";
-    if short_block_words >= block_words then
-      invalid_arg "Mem.create: short blocks must be smaller than tall blocks"
-    (* chunk_words need not divide evenly: a short-class chunk carves
-       [chunk_words / short_block_words] blocks and leaves the remainder
-       as slack at the chunk's end *)
-  end;
   let cfg = Pmem.config pmem in
   let n_pools = cfg.Pmem.n_pools in
   {
     pmem;
     chunk_words;
     block_words;
-    short_words = short_block_words;
     n_arenas;
     epoch = 1;
     chunk_cache = Array.init n_pools (fun _ -> Array.make (max_chunks + 1) (-1));
-    chunk_cls = Array.init n_pools (fun _ -> Array.make (max_chunks + 1) (-1));
     root_bump = Array.make n_pools app_root_start;
   }
 
@@ -105,16 +88,6 @@ let epoch t = t.epoch
 let pmem t = t.pmem
 let block_words t = t.block_words
 let n_pools t = (Pmem.config t.pmem).Pmem.n_pools
-
-(* ---- block classes ----------------------------------------------------- *)
-
-let n_classes t = if t.short_words = 0 then 1 else 2
-
-let class_words t ~cls =
-  match cls with
-  | 0 -> t.block_words
-  | 1 when t.short_words <> 0 -> t.short_words
-  | _ -> invalid_arg "Mem.class_words: bad class"
 
 (* The pool a thread allocates from: its NUMA node's pool when running
    multi-pool, pool 0 when the device is striped (single pool). *)
@@ -132,11 +105,8 @@ let local_pool t ~tid =
 let rebuild_chunk_base t ~pool cache chunk =
   let reg = Pmem.peek t.pmem (Pmem.addr ~pool ~word:(registry_start + chunk)) in
   let b = chunks_start + ((chunk - 1) * t.chunk_words) in
-  let cls = reg - b - 1 in
-  if cls < 0 || cls >= n_classes t then
-    invalid_arg "Mem.resolve: unregistered chunk";
+  if reg <> b + 1 then invalid_arg "Mem.resolve: unregistered chunk";
   cache.(chunk) <- b;
-  t.chunk_cls.(pool).(chunk) <- cls;
   b
 
 (* Chunk 0 addresses the static root area with pool-absolute offsets. *)
@@ -207,25 +177,23 @@ let peek_ptr_persistent t obj i = Riv.of_word (peek_field_persistent t obj i)
 let peek_root_persistent t ~pool ~word =
   Pmem.peek_persistent t.pmem (Pmem.addr ~pool ~word)
 
-(* Chunks of [pool] present in the persistent registry: (id, base word,
-   class) triples. Registry entries persist before any block of the chunk
-   becomes reachable (allocate_chunk flushes the entry under a fence), so
+(* Ids of the chunks of [pool] present in the persistent registry.
+   Registry entries persist before any block of the chunk becomes
+   reachable (allocate_chunk flushes the entry under a fence), so
    this enumeration covers every block a post-crash heap can reference.
    Chunk bases are deterministic (chunk [id] lives at
    [chunks_start + (id-1) * chunk_words]), so an entry holding anything
-   but exactly that base + 1 + class is noise, not a chunk — the scan
+   but exactly that base + 1 is noise, not a chunk — the scan
    validates rather than trusts, since it reads a possibly-torn image. *)
 let persistent_chunks t ~pool =
   let out = ref [] in
   for id = max_chunks downto 1 do
     let reg = peek_root_persistent t ~pool ~word:(registry_start + id) in
     let base = chunks_start + ((id - 1) * t.chunk_words) in
-    let cls = reg - base - 1 in
     if
-      cls >= 0
-      && cls < n_classes t
+      reg = base + 1
       && Pmem.valid_addr t.pmem (Pmem.addr ~pool ~word:(base + t.chunk_words - 1))
-    then out := (id, base, cls) :: !out
+    then out := id :: !out
   done;
   !out
 
@@ -266,17 +234,15 @@ let root_alloc t ~pool ~words =
 
 let chunk_id_of_base t base = ((base - chunks_start) / t.chunk_words) + 1
 
-(* Allocate a fresh chunk of block class [cls] from [pool] by CASing the
-   bump pointer, then register it. Runs in fiber context. [log], when
+(* Allocate a fresh chunk from [pool] by CASing the bump pointer, then
+   register it. Runs in fiber context. [log], when
    given, is called with the chunk id after the bump advance is durable
    and before the registry entry is written — the caller persists its
    provision log there, so at no instant is a chunk registered without a
    durable log naming it (a crash right after the bump leaves the region
    reserved-but-unregistered, and the logged recovery re-registers it
    deterministically: bases are a pure function of the id). *)
-let rec allocate_chunk ?(cls = 0) ?log t ~pool =
-  if cls < 0 || cls >= n_classes t then
-    invalid_arg "Mem.allocate_chunk: bad class";
+let rec allocate_chunk ?log t ~pool =
   let bump_addr = Pmem.addr ~pool ~word:bump_word in
   let base = Sim.Sched.read bump_addr in
   let cfg = Pmem.config t.pmem in
@@ -289,104 +255,62 @@ let rec allocate_chunk ?(cls = 0) ?log t ~pool =
     if id > max_chunks then failwith "Mem.allocate_chunk: registry full";
     (match log with Some f -> f id | None -> ());
     let reg = Pmem.addr ~pool ~word:(registry_start + id) in
-    Sim.Sched.write reg (base + 1 + cls);
+    Sim.Sched.write reg (base + 1);
     Sim.Sched.flush reg;
     Sim.Sched.fence ();
     t.chunk_cache.(pool).(id) <- base;
-    t.chunk_cls.(pool).(id) <- cls;
     (id, base)
   end
-  else allocate_chunk ~cls ?log t ~pool
+  else allocate_chunk ?log t ~pool
 
 (* Recovery helper: make sure a chunk a provision log names is actually
    registered (the owning thread may have crashed between logging and the
    registry persist). Idempotent; fiber context. The id was uniquely
    reserved by the crashed thread's bump CAS, so no other allocation can
    hold it. *)
-let ensure_chunk_registered t ~pool ~cls ~chunk =
+let ensure_chunk_registered t ~pool ~chunk =
   let base = chunks_start + ((chunk - 1) * t.chunk_words) in
   let reg = Pmem.addr ~pool ~word:(registry_start + chunk) in
-  if Sim.Sched.read reg <> base + 1 + cls then begin
-    Sim.Sched.write reg (base + 1 + cls);
+  if Sim.Sched.read reg <> base + 1 then begin
+    Sim.Sched.write reg (base + 1);
     Sim.Sched.flush reg;
     Sim.Sched.fence ()
   end;
-  t.chunk_cache.(pool).(chunk) <- base;
-  t.chunk_cls.(pool).(chunk) <- cls
+  t.chunk_cache.(pool).(chunk) <- base
 
-let blocks_per_chunk_cls t ~cls = t.chunk_words / class_words t ~cls
-let blocks_per_chunk t = blocks_per_chunk_cls t ~cls:0
-
-(* Block class of a registered chunk (host-side; rebuilds the DRAM cache
-   entry from the registry on a miss, like [resolve]). *)
-let chunk_class t ~pool ~chunk =
-  if chunk = 0 then invalid_arg "Mem.chunk_class: root chunk";
-  let cls = t.chunk_cls.(pool).(chunk) in
-  if cls >= 0 then cls
-  else begin
-    ignore (rebuild_chunk_base t ~pool t.chunk_cache.(pool) chunk);
-    t.chunk_cls.(pool).(chunk)
-  end
-
-(* Carve a fresh chunk of class [cls] into a singly linked list of free
-   blocks. Returns the first and last block. Runs in fiber context; headers
-   are persisted so the chain is recoverable. *)
-let carve_chunk t ~pool ~cls =
-  let id, _base = allocate_chunk ~cls t ~pool in
-  let bw = class_words t ~cls in
-  let n = blocks_per_chunk_cls t ~cls in
-  let block i = Riv.make ~pool ~chunk:id ~offset:(i * bw) in
-  for i = 0 to n - 1 do
-    let b = block i in
-    let next = if i = n - 1 then Riv.null else block (i + 1) in
-    write_ptr t b hdr_next next;
-    write_field t b hdr_epoch t.epoch;
-    write_field t b hdr_kind kind_free;
-    flush_field t b hdr_next
-  done;
-  Sim.Sched.fence ();
-  (block 0, block (n - 1))
+let blocks_per_chunk t = t.chunk_words / t.block_words
 
 (* ---- pool formatting (setup) ------------------------------------------ *)
 
-let arena_head_ptr ?(cls = 0) ~pool ~arena () =
-  riv_of_root ~pool ~word:(arena_heads + (cls * max_arenas) + arena)
+let arena_head_ptr ~pool ~arena = riv_of_root ~pool ~word:(arena_heads + arena)
+let arena_tail_ptr ~pool ~arena = riv_of_root ~pool ~word:(arena_tails + arena)
 
-let arena_tail_ptr ?(cls = 0) ~pool ~arena () =
-  riv_of_root ~pool ~word:(arena_tails + (cls * max_arenas) + arena)
-
-(* Carve an initial chunk per arena (per block class) with pokes so that
-   every free list has a head block before the first simulated operation. *)
+(* Carve an initial chunk per arena with pokes so that every free list has
+   a head block before the first simulated operation. *)
 let format t =
   let cfg = Pmem.config t.pmem in
   for pool = 0 to cfg.Pmem.n_pools - 1 do
     Pmem.poke t.pmem (Pmem.addr ~pool ~word:magic_word) magic;
     Pmem.poke t.pmem (Pmem.addr ~pool ~word:bump_word) chunks_start;
     Pmem.poke t.pmem (Pmem.addr ~pool ~word:epoch_word) 1;
-    for cls = 0 to n_classes t - 1 do
-      let bw = class_words t ~cls in
-      for arena = 0 to t.n_arenas - 1 do
-        (* Initial chunk for this (class, arena), poked directly. *)
-        let base = Pmem.peek t.pmem (Pmem.addr ~pool ~word:bump_word) in
-        Pmem.poke t.pmem (Pmem.addr ~pool ~word:bump_word) (base + t.chunk_words);
-        let id = chunk_id_of_base t base in
-        Pmem.poke t.pmem
-          (Pmem.addr ~pool ~word:(registry_start + id))
-          (base + 1 + cls);
-        t.chunk_cache.(pool).(id) <- base;
-        t.chunk_cls.(pool).(id) <- cls;
-        let n = blocks_per_chunk_cls t ~cls in
-        let block i = Riv.make ~pool ~chunk:id ~offset:(i * bw) in
-        for i = 0 to n - 1 do
-          let b = block i in
-          let next = if i = n - 1 then Riv.null else block (i + 1) in
-          poke_ptr t b hdr_next next;
-          poke_field t b hdr_epoch 1;
-          poke_field t b hdr_kind kind_free
-        done;
-        poke_ptr t (arena_head_ptr ~cls ~pool ~arena ()) 0 (block 0);
-        poke_ptr t (arena_tail_ptr ~cls ~pool ~arena ()) 0 (block (n - 1))
-      done
+    for arena = 0 to t.n_arenas - 1 do
+      (* Initial chunk for this arena, poked directly. *)
+      let base = Pmem.peek t.pmem (Pmem.addr ~pool ~word:bump_word) in
+      Pmem.poke t.pmem (Pmem.addr ~pool ~word:bump_word) (base + t.chunk_words);
+      let id = chunk_id_of_base t base in
+      Pmem.poke t.pmem (Pmem.addr ~pool ~word:(registry_start + id)) (base + 1);
+      t.chunk_cache.(pool).(id) <- base;
+      let n = blocks_per_chunk t in
+      let block i = Riv.make ~pool ~chunk:id ~offset:(i * t.block_words) in
+      for i = 0 to n - 1 do
+        let b = block i in
+        let next = if i = n - 1 then Riv.null else block (i + 1) in
+        poke_ptr t b hdr_next next;
+        poke_field t b hdr_epoch 1;
+        poke_field t b hdr_kind kind_free
+      done;
+      poke_ptr t (arena_head_ptr ~pool ~arena) 0 (block 0);
+      poke_ptr t (arena_tail_ptr ~pool ~arena) 0 (block (n - 1))
     done
   done;
   t.epoch <- 1
@@ -402,20 +326,11 @@ let reconnect t =
   let e = Pmem.peek t.pmem a + 1 in
   Pmem.poke t.pmem a e;
   t.epoch <- e;
-  Array.iter (fun cache -> Array.fill cache 0 (Array.length cache) (-1)) t.chunk_cache;
-  Array.iter (fun cache -> Array.fill cache 0 (Array.length cache) (-1)) t.chunk_cls
+  Array.iter (fun cache -> Array.fill cache 0 (Array.length cache) (-1)) t.chunk_cache
 
 (* Chunk and block accounting comes from the persistent registry — the one
    source of truth that survives crashes (a DRAM counter drifts when a
    crash lands between the registry persist and the counter update). *)
-let chunks_allocated_cls t ~cls =
-  let n = ref 0 in
-  for pool = 0 to n_pools t - 1 do
-    List.iter (fun (_id, _base, c) -> if c = cls then incr n)
-      (persistent_chunks t ~pool)
-  done;
-  !n
-
 let chunks_allocated t =
   let n = ref 0 in
   for pool = 0 to n_pools t - 1 do
@@ -423,13 +338,4 @@ let chunks_allocated t =
   done;
   !n
 
-(* Total allocator blocks in existence, summed per class (chunks of
-   different classes carve into different block counts). *)
-let total_blocks t =
-  let acc = ref 0 in
-  for pool = 0 to n_pools t - 1 do
-    List.iter (fun (_id, _base, cls) ->
-        acc := !acc + blocks_per_chunk_cls t ~cls)
-      (persistent_chunks t ~pool)
-  done;
-  !acc
+let total_blocks t = chunks_allocated t * blocks_per_chunk t

@@ -531,8 +531,6 @@ module Trace = struct
     | k when k = id_svc_group_flush -> "svc-group-flush"
     | k when k = id_load_miss -> "load-miss"
     | k when k = id_store_miss -> "store-miss"
-    | k when k = id_finger_hit -> "finger-hit"
-    | k when k = id_finger_invalid -> "finger-invalid"
     | k when k = k_resume -> "resume"
     | k when k = k_park -> "park"
     | k when k = k_fiber_done -> "done"

@@ -66,7 +66,7 @@ val id_svc_batch : int  (** request batches dispatched by shard workers *)
 val id_svc_group_flush : int
 (** service-level group-commit fences (one per batch with upserts) *)
 
-(** Cache and traversal-locality events (the layout/finger work): *)
+(** Cache and traversal-locality events: *)
 
 val id_load_miss : int
 (** simulated cache misses on loads (per-fiber attribution of
@@ -77,11 +77,14 @@ val id_store_miss : int
     [Pmem.counters.store_misses]) *)
 
 val id_finger_hit : int
-(** traversals that reused a validated search finger (at most one per
-    traversal) *)
+(** never bumped: it counted traversals that resumed from a per-fiber
+    search finger, and the skip list no longer keeps fingers. The id and
+    its name stay so that readers of the counter table (the benchmark's
+    per-layer metrics) keep working. *)
 
 val id_finger_invalid : int
-(** finger candidates rejected by epoch/bound validation *)
+(** never bumped, like {!id_finger_hit}: it counted finger candidates
+    rejected by epoch validation. *)
 
 val id_fp_match : int
 (** node-slot key reads caused by a matching key fingerprint (lookups and

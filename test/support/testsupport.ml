@@ -42,11 +42,9 @@ let run_crash pmem ~events bodies =
   | Sim.Sched.Crashed_at { time; events } -> (time, events)
   | Sim.Sched.Completed _ -> Alcotest.fail "expected a simulated crash"
 
-let make_mem ?(block_words = 64) ?(short_block_words = 0)
-    ?(blocks_per_chunk = 32) ?(n_arenas = 4) pmem =
+let make_mem ?(block_words = 64) ?(blocks_per_chunk = 32) ?(n_arenas = 4) pmem =
   let mem =
-    Mem.create ~pmem ~short_block_words
-      ~chunk_words:(blocks_per_chunk * block_words)
+    Mem.create ~pmem ~chunk_words:(blocks_per_chunk * block_words)
       ~block_words ~n_arenas ()
   in
   Mem.format mem;
@@ -62,13 +60,7 @@ let make_skiplist ?(cfg = Upskiplist.Config.default) ?mode ?latency
     ?(max_threads = 16) ?(seed = 42) () =
   let pmem = fast_pmem ?mode ?latency ~seed () in
   let block_words = Upskiplist.Skiplist.required_block_words cfg in
-  let short_block_words =
-    if cfg.Upskiplist.Config.short_cutoff > 0 then
-      let sw = Upskiplist.Skiplist.required_short_block_words cfg in
-      if sw < block_words then sw else 0
-    else 0
-  in
-  let mem = make_mem ~block_words ~short_block_words pmem in
+  let mem = make_mem ~block_words pmem in
   let sl = Upskiplist.Skiplist.create ~mem ~cfg ~max_threads ~seed in
   { pmem; mem; sl }
 

@@ -179,7 +179,7 @@ let test_crash_unreachable_block_reclaimed () =
     true
     ((* the reclaimed block sits at the tail of the free list *)
      let pool = Mem.local_pool fx.mem ~tid:0 in
-     let tail = Mem.peek_ptr fx.mem (Mem.arena_tail_ptr ~pool ~arena:0 ()) 0 in
+     let tail = Mem.peek_ptr fx.mem (Mem.arena_tail_ptr ~pool ~arena:0) 0 in
      Riv.equal tail !lost)
 
 let test_crash_reachable_block_kept () =

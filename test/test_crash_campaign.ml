@@ -46,23 +46,6 @@ let test_upskiplist_small_nodes_campaign () =
   let cfg = { Upskiplist.Config.default with keys_per_node = 4 } in
   campaign "UPSkipList/K4" (fun () -> Harness.Kv.make_upskiplist ~cfg fast_sys) ~trials:3
 
-(* Layout grid: the crash campaign must hold on both block classes and with
-   fingers on/off. The default config is the full PR 6 layout (short blocks
-   + fingers); these pin the other corners of the grid. *)
-let tall_only_cfg =
-  { Upskiplist.Config.default with short_cutoff = 0; finger_cache = false }
-
-let test_upskiplist_tall_only_campaign () =
-  campaign "UPSkipList/tall-only"
-    (fun () -> Harness.Kv.make_upskiplist ~cfg:tall_only_cfg fast_sys)
-    ~trials:3
-
-let test_upskiplist_short_no_finger_campaign () =
-  let cfg = { Upskiplist.Config.default with finger_cache = false } in
-  campaign "UPSkipList/short-nofinger"
-    (fun () -> Harness.Kv.make_upskiplist ~cfg fast_sys)
-    ~trials:3
-
 let test_bztree_campaign () =
   campaign "BzTree"
     (fun () -> Harness.Kv.make_bztree ~n_descriptors:16_384 fast_sys)
@@ -128,7 +111,9 @@ let test_subset_adversary_draws () =
     (b.Fault.kv.Harness.Kv.to_alist ())
 
 (* Multi-crash campaign: every workload round is crashed, and the recovery
-   fiber itself runs under crash points up to depth 2. *)
+   fiber itself runs under crash points up to depth 2. This grid is the
+   one that catches a lookup that misses on an unconfirmed node without
+   repairing its fingerprint line. *)
 let test_upskiplist_multi_crash_campaign () =
   let c =
     {
@@ -148,9 +133,13 @@ let test_upskiplist_multi_crash_campaign () =
     s.Fault.failures;
   check_int "no failing trials" 0 (List.length s.Fault.failures)
 
-(* The same crash-point grid replayed over the tall-only layout: chunk
-   provisioning, split recovery and the heap audit must stay clean when
-   every node carries a full-height next array and no finger is cached. *)
+(* The same crash-point grid replayed over a tall-tower layout: the full
+   40-level next array spans many tower lines and p = 0.75 draws towers
+   that actually reach into them, so chunk provisioning, split recovery,
+   hint repair and the heap audit run over multi-line towers. *)
+let tall_only_cfg =
+  { Upskiplist.Config.default with max_height = 40; branching_p = 0.75 }
+
 let test_tall_only_multi_crash_campaign () =
   let c =
     {
@@ -204,9 +193,6 @@ let () =
           slow_case "bztree x4" test_bztree_campaign;
           slow_case "pmdk x4" test_pmdk_campaign;
           slow_case "upskiplist striped x3" test_striped_campaign;
-          slow_case "upskiplist tall-only x3" test_upskiplist_tall_only_campaign;
-          slow_case "upskiplist short, no finger x3"
-            test_upskiplist_short_no_finger_campaign;
         ] );
       ( "adversarial",
         [

@@ -14,7 +14,7 @@ let opt_int = Alcotest.(option int)
 let reclaim_cfg =
   { Config.default with reclaim_empty_nodes = true; keys_per_node = 4 }
 
-(* ---- cache-conscious layout (height-truncated blocks, fingers) ------------- *)
+(* ---- cache-conscious layout ----------------------------------------------- *)
 
 module Node = Upskiplist.Node
 module Riv = Memory.Riv
@@ -40,92 +40,35 @@ let churn fx ~seed ~ops ~keyspace =
         | _ -> ignore (SL.upsert fx.sl ~tid k (1 + Sim.Rng.int rng 10_000))
       done)
 
-let test_layout_equivalent_results () =
-  (* neither block truncation nor the finger cache may change observable
-     behaviour: all four corners of the ablation agree on the final state *)
-  let run cfg =
-    let fx = make_skiplist ~cfg ~seed:5 () in
-    churn fx ~seed:23 ~ops:600 ~keyspace:200;
-    SL.to_alist fx.sl
-  in
-  let base = Config.default in
-  let expect =
-    run { base with Config.short_cutoff = 0; finger_cache = false }
-  in
-  check_pairs "trunc only" expect (run { base with Config.finger_cache = false });
-  check_pairs "finger only" expect (run { base with Config.short_cutoff = 0 });
-  check_pairs "full layout" expect (run base)
-
 let layout_cfg = { Config.default with keys_per_node = 4 }
 
-let test_short_class_matches_height () =
-  (* every node's block class agrees with its tower height: short blocks
-     hold exactly the towers of height <= short_cutoff *)
-  let fx = make_skiplist ~cfg:layout_cfg ~seed:7 () in
-  churn fx ~seed:31 ~ops:900 ~keyspace:300;
-  let cutoff = layout_cfg.Config.short_cutoff in
-  let short = ref 0 and tall = ref 0 in
-  List.iter
-    (fun n ->
-      let h = Node.meta_height (Mem.peek_field fx.mem n Node.o_meta) in
-      let cls =
-        Mem.chunk_class fx.mem ~pool:(Riv.pool n) ~chunk:(Riv.chunk n)
-      in
-      if cls = 1 then incr short else incr tall;
-      check_bool
-        (Fmt.str "node %a: class %d agrees with height %d (cutoff %d)" Riv.pp n
-           cls h cutoff)
-        true
-        (if cls = 1 then h <= cutoff else h > cutoff))
-    (bottom_nodes fx);
-  check_bool "saw short-class nodes" true (!short > 0);
-  check_bool "saw tall-class nodes" true (!tall > 0)
-
-let test_audit_catches_overheight_short_block () =
-  (* the persistent-heap auditor caps each tower by its block class, not by
-     the node's own height word: a short block claiming a tall height is
-     corruption and must be reported *)
-  let fx = make_skiplist ~cfg:layout_cfg ~seed:9 () in
-  churn fx ~seed:41 ~ops:600 ~keyspace:200;
-  check_int "audit clean before corruption" 0
-    (List.length (SL.audit_persistent fx.sl));
-  let victim =
-    List.find
-      (fun n ->
-        Mem.chunk_class fx.mem ~pool:(Riv.pool n) ~chunk:(Riv.chunk n) = 1)
-      (bottom_nodes fx)
+let test_audit_catches_overheight_towers () =
+  (* the persistent-heap auditor checks every tower against the block's
+     [max_height] array, not just up to the node's own height word: a
+     height above the array, or a stray next word between a node's height
+     and the array's end, is corruption and must be reported *)
+  let cap = layout_cfg.Config.max_height in
+  let ly = Node.layout layout_cfg in
+  let corrupt what poke =
+    let fx = make_skiplist ~cfg:layout_cfg ~seed:9 () in
+    churn fx ~seed:41 ~ops:600 ~keyspace:200;
+    check_int (what ^ ": audit clean before corruption") 0
+      (List.length (SL.audit_persistent fx.sl));
+    let victim =
+      List.find
+        (fun n -> Node.meta_height (Mem.peek_field fx.mem n Node.o_meta) < cap)
+        (bottom_nodes fx)
+    in
+    poke fx victim;
+    check_bool (what ^ ": audit flags it") true (SL.audit_persistent fx.sl <> [])
   in
-  Mem.poke_field fx.mem victim Node.o_meta
-    (Node.with_height
-       (Mem.peek_field fx.mem victim Node.o_meta)
-       (layout_cfg.Config.short_cutoff + 3));
-  check_bool "audit flags the over-height short block" true
-    (SL.audit_persistent fx.sl <> [])
-
-let test_finger_counters_deterministic () =
-  (* fingers must pay off on a monotone-ish access pattern, be invalidated
-     wholesale by a crash (epoch bump), and leave identical Obs counters on
-     identical runs — they feed the deterministic bench digests *)
-  let episode () =
-    Obs.reset ();
-    let fx = make_skiplist ~cfg:Config.default ~seed:11 () in
-    churn fx ~seed:51 ~ops:500 ~keyspace:150;
-    let hits = Obs.total Obs.id_finger_hit in
-    crash_and_reconnect fx;
-    run1 fx.pmem (fun ~tid ->
-        for k = 1 to 50 do
-          ignore (SL.search fx.sl ~tid k)
-        done);
-    let invalid = Obs.total Obs.id_finger_invalid in
-    Obs.reset ();
-    (hits, invalid)
-  in
-  let hits, invalid = episode () in
-  check_bool "fingers hit during the workload" true (hits > 0);
-  check_bool "crash invalidated the cached finger" true (invalid > 0);
-  let hits', invalid' = episode () in
-  check_int "finger hits deterministic across runs" hits hits';
-  check_int "finger invalidations deterministic across runs" invalid invalid'
+  (* two levels over: both still inside the block's last tower line, so
+     only the height check can see them *)
+  corrupt "height above max_height" (fun fx n ->
+      Mem.poke_field fx.mem n Node.o_meta
+        (Node.with_height (Mem.peek_field fx.mem n Node.o_meta) (cap + 2)));
+  corrupt "next word above the height" (fun fx n ->
+      Mem.poke_ptr fx.mem n (Node.o_next ly (cap - 1)) n)
 
 (* ---- key fingerprints -------------------------------------------------------- *)
 
@@ -398,8 +341,8 @@ let test_fp_crash_grid () =
    the node already holds. *)
 let lost_fp_keys = [ 10; 12; 14; 16; 18 ]
 
-let lost_fp_line () =
-  let fx = make_skiplist ~cfg:fp_cfg ~seed:7 () in
+let lost_fp_line ?latency () =
+  let fx = make_skiplist ?latency ~cfg:fp_cfg ~seed:7 () in
   run1 fx.pmem (fun ~tid -> ignore (SL.upsert fx.sl ~tid 10 10));
   Pmem.clean_shutdown fx.pmem;
   let node =
@@ -505,6 +448,33 @@ let test_fp_repair_races_insert () =
             Alcotest.check opt_int (Fmt.str "%s: key %d" where k) (Some v)
               (SL.search fx.sl ~tid k))
           [ (10, 10); (12, 12); (13, 13); (14, 140); (16, 16); (18, 18) ]);
+    check_no_invariant_errors fx.sl
+  done
+
+(* The order a lookup reads a node in: the lock word's fp_ok bit, then the
+   fingerprint words. One fiber misses on an absent key, which repairs the
+   node's line; the other, starting at every offset across that repair,
+   looks up a key the crash left without its fingerprint. A lookup that
+   read the words before the repair published the key's fingerprint, and
+   the bit after the repair confirmed the line, would report the key
+   absent. The Optane latency model makes that window wide: the lookup's
+   fingerprint-line miss outlasts the repair's last cached CASes. Key 18
+   is the last one the repair publishes. *)
+let test_fp_ok_read_before_words () =
+  for step = 0 to 400 do
+    let delay = 5 * step in
+    let where = Fmt.str "delay %d" delay in
+    let fx = lost_fp_line ~latency:Pmem.Latency.default () in
+    ignore
+      (run fx.pmem
+         [
+           (fun ~tid ->
+             Alcotest.check opt_int (where ^ ": 11 absent") None (SL.search fx.sl ~tid 11));
+           (fun ~tid ->
+             Sim.Sched.charge (float_of_int delay);
+             Alcotest.check opt_int (where ^ ": 18 found") (Some 18)
+               (SL.search fx.sl ~tid 18));
+         ]);
     check_no_invariant_errors fx.sl
   done
 
@@ -709,8 +679,8 @@ let test_blocks_reused_after_reclaim () =
         done;
         SL.quiesced_drain fx.sl ~tid
       done);
-  (* bound = the initial carve: one chunk per (pool, arena, block class) *)
-  let initial = Mem.n_pools fx.mem * 4 * Mem.n_classes fx.mem in
+  (* bound = the initial carve: one chunk per (pool, arena) *)
+  let initial = Mem.n_pools fx.mem * 4 in
   check_bool "chunks bounded by reuse" true
     (Mem.chunks_allocated fx.mem <= initial)
 
@@ -929,6 +899,8 @@ let () =
             test_fp_lost_line;
           case "lost fingerprint line: repair races an insert"
             test_fp_repair_races_insert;
+          case "lost fingerprint line: a lookup reads fp_ok first"
+            test_fp_ok_read_before_words;
         ] );
       ( "hints",
         [
@@ -939,12 +911,7 @@ let () =
         ] );
       ( "layout",
         [
-          case "equivalent results" test_layout_equivalent_results;
-          case "block class agrees with height" test_short_class_matches_height;
-          case "audit flags over-height short block"
-            test_audit_catches_overheight_short_block;
-          case "finger counters deterministic"
-            test_finger_counters_deterministic;
+          case "audit flags over-height towers" test_audit_catches_overheight_towers;
         ] );
       ( "reclamation",
         [
