@@ -709,6 +709,119 @@ let ablation_reclamation () =
      removal returns the memory - the reclamation the paper calls out as \
      required future work)@."
 
+(* Split point: the tail cut (DESIGN.md, "Split point") bets that inserts
+   arrive near-ascending. Each row loads one fiber's n keys into a K = 64
+   tree, in key order (the property) or in a seeded random order (without
+   it), then measures a window: YCSB C reads, or uniform upserts of odd
+   keys between the loaded even ones. A key-order load followed by such
+   inserts is where the bet loses: the window pays the splits the load left
+   undone, so the load and the window are also reported together. Ten
+   fixture seeds per row; window throughput as nearest-rank quartiles, the
+   other columns as medians. *)
+let split_point () =
+  Report.heading "Ablation — split point: inputs with and without ascending runs";
+  let n = 2 * !scale.n_initial and threads = 8 in
+  let seeds = List.init 10 (fun i -> i + 1) in
+  let windows = [ `Reads; `Inserts (n / 20); `Inserts (n / 5); `Inserts n ] in
+  let rows =
+    List.concat_map
+      (fun order -> List.map (fun w -> (order, w)) windows)
+      [ `Key_order; `Random_order ]
+  in
+  let sim kv bodies =
+    match Sim.Sched.run ~machine:(Kv.machine kv) bodies with
+    | Sim.Sched.Completed { time; _ } -> time
+    | Sim.Sched.Crashed_at _ -> failwith "unexpected crash"
+  in
+  let trial (order, window) s =
+    let kv = Kv.make_upskiplist ~cfg:bench_cfg { Kv.default_sys with seed = s } in
+    let step = match window with `Reads -> 1 | `Inserts _ -> 2 in
+    let keys = Array.init n (fun i -> step * (i + 1)) in
+    (if order = `Random_order then
+       let rng = Sim.Rng.create (7919 * s) in
+       for i = n - 1 downto 1 do
+         let j = Sim.Rng.int rng (i + 1) in
+         let k = keys.(i) in
+         keys.(i) <- keys.(j);
+         keys.(j) <- k
+       done);
+    let splits () = Obs.total Obs.id_split and tails () = Obs.total Obs.id_split_tail in
+    let s0 = splits () and t0 = tails () in
+    let load_ns =
+      sim kv [ (0, fun ~tid -> Array.iter (fun k -> ignore (kv.Kv.upsert ~tid k k)) keys) ]
+    in
+    let load_splits = splits () - s0 and load_tails = tails () - t0 in
+    let s1 = splits () in
+    let mops, window_ns =
+      match window with
+      | `Reads ->
+          let r =
+            Driver.run_workload kv ~spec:W.c ~threads ~n_initial:n
+              ~ops_per_thread:1_000 ~seed:s
+          in
+          (r.Driver.throughput_mops, r.Driver.sim_ns)
+      | `Inserts r ->
+          let per = r / threads in
+          let ns =
+            sim kv
+              (List.init threads (fun tid ->
+                   ( tid,
+                     fun ~tid ->
+                       let rng = Sim.Rng.create ((1_000 * s) + tid) in
+                       for _ = 1 to per do
+                         ignore (kv.Kv.upsert ~tid ((2 * Sim.Rng.int rng n) + 1) 1)
+                       done )))
+          in
+          (float_of_int (per * threads) /. ns *. 1e3, ns)
+    in
+    [|
+      float_of_int load_splits;
+      float_of_int load_tails;
+      mops;
+      float_of_int (splits () - s1);
+      (load_ns +. window_ns) /. 1e6;
+    |]
+  in
+  let results =
+    Sim.Pool.map ~jobs:!jobs
+      (fun row -> (row, List.map (trial row) seeds))
+      rows
+  in
+  let table_rows =
+    List.map
+      (fun ((order, window), trials) ->
+        (* one Stats per column, over the seeds *)
+        let col i =
+          let st = Stats.create () in
+          List.iter (fun t -> Stats.add st t.(i)) trials;
+          st
+        in
+        let mops = col 2 in
+        [
+          (if order = `Key_order then "key order" else "random order");
+          (match window with
+          | `Reads -> Printf.sprintf "C reads (%d thr)" threads
+          | `Inserts r -> Printf.sprintf "%d odd-key upserts (%d thr)" r threads);
+          Printf.sprintf "%.0f (%.0f)" (Stats.median (col 0)) (Stats.median (col 1));
+          Printf.sprintf "%.3f / %.3f / %.3f" (Stats.percentile mops 25.0)
+            (Stats.median mops) (Stats.percentile mops 75.0);
+          Printf.sprintf "%.0f" (Stats.median (col 3));
+          Printf.sprintf "%.2f" (Stats.median (col 4));
+        ])
+      results
+  in
+  Report.table
+    ~headers:
+      [
+        Printf.sprintf "load (%d keys, 1 fiber)" n;
+        "window";
+        "load splits (tail)";
+        "window Mops/s q1 / med / q3";
+        "window splits";
+        "load + window sim ms";
+      ]
+    ~rows:table_rows
+
 let ablations () =
   ablation_keys_per_node ();
   ablation_recovery_budget ();
@@ -1089,6 +1202,7 @@ let experiments =
     ("table2.1", table_2_1);
     ("chapter6", chapter6);
     ("ablations", ablations);
+    ("split-point", split_point);
     ("layout", layout);
     ("svc-scaling", svc_scaling);
     ("tail-anatomy", tail_anatomy);
@@ -1100,7 +1214,7 @@ let experiments =
 let default_set =
   [
     "fig5.1"; "fig5.2"; "fig5.3"; "fig5.4"; "fig5.5"; "table5.4"; "workloadE";
-    "table2.1"; "chapter6"; "ablations"; "layout"; "svc-scaling";
+    "table2.1"; "chapter6"; "ablations"; "split-point"; "layout"; "svc-scaling";
     "tail-anatomy";
   ]
 

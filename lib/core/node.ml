@@ -73,8 +73,8 @@
 
    Slot 0's key never changes after initialisation — an insert into an
    existing node claims a strictly greater key (equal keys take the
-   update path), and a split moves only the upper half of the pairs out —
-   so the anchor copy in the header cannot go stale.
+   update path), and a split moves only a proper suffix of the sorted pairs
+   out — so the anchor copy in the header cannot go stale.
 
    Key 0 and value 0 are reserved sentinels; the head sentinel's first key
    is [head_key] (−∞) and the tail's is [tail_key] (+∞). *)

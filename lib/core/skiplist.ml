@@ -627,10 +627,15 @@ let insert_into_existing t ~tid ~key ~value ~pred0 ~succ0 =
 
 (* Function 20: split a full node. The write lock (persisted before the new
    node becomes reachable, so an interrupted split is detectable) excludes
-   updates while keys move; the median and above migrate to a new node
-   linked immediately after. The minimum key never moves, so the header
-   anchor stays valid across any number of splits. *)
-let split_node t ~tid ~(f : find) =
+   updates while keys move; a non-empty suffix of the sorted pairs migrates
+   to a new node linked immediately after. The suffix is the top K/8 pairs
+   when [key], the key that overflowed the node, would rank among them and
+   the successor's anchor lies farther above [key] than the node's own
+   anchor lies below it (an ascending run then leaves nodes 7/8 full, and
+   the new node has room to fill); else the median and above (DESIGN
+   "Split point"). The minimum key never moves, so the header anchor stays
+   valid across any number of splits. *)
+let split_node t ~tid ~key ~(f : find) =
   let pred0 = f.preds.(0) in
   if
     not
@@ -659,8 +664,11 @@ let split_node t ~tid ~(f : find) =
     end
     else begin
       Array.sort compare pairs;
-      let half = k / 2 in
-      let moved = Array.sub pairs half (k - half) in
+      let m = max 1 (k / 8) in
+      let anchor = fst pairs.(0) in
+      let tail_cut = key > fst pairs.(k - m) && f.bounds.(0) - key > key - anchor in
+      let cut = if tail_cut then k - m else k / 2 in
+      let moved = Array.sub pairs cut (k - cut) in
       let new_keys = Array.to_list (Array.map fst moved) in
       let new_values = Array.to_list (Array.map snd moved) in
       let node_height = random_height t ~tid in
@@ -674,6 +682,7 @@ let split_node t ~tid ~(f : find) =
       then begin
         Node.persist_next t.mem t.ly pred0 0;
         obs_event ~tid Obs.id_split (List.hd new_keys);
+        if tail_cut then Obs.bump ~tid Obs.id_split_tail;
         (* the split count only serves readers of this epoch: it persists
            with the erase below, in the same header line *)
         Node.set_split_count t.mem pred0 (Node.split_count t.mem pred0 + 1);
@@ -794,7 +803,7 @@ let rec upsert_impl t ~tid key value =
           else upsert_impl t ~tid key value
         end
         else begin
-          split_node t ~tid ~f;
+          split_node t ~tid ~key ~f;
           backoff t ~tid;
           upsert_impl t ~tid key value
         end

@@ -51,7 +51,8 @@ let id_fp_false_positive = 30
 let id_hint_stop = 31
 let id_hint_stale = 32
 let id_fp_confirm = 33
-let n_ids = 34
+let id_split_tail = 34
+let n_ids = 35
 
 let names =
   [|
@@ -89,6 +90,7 @@ let names =
     "hint_stops";
     "hint_stale";
     "fp_confirms";
+    "split_tails";
   |]
 
 let id_name id =

@@ -48,6 +48,11 @@ val id_help : int  (** helping events (retired-node snips, tail advances) *)
 
 val id_split : int  (** node splits completed *)
 
+val id_split_tail : int
+(** node splits that took the tail cut: the overflowing key ranked among
+    the node's top K/8 keys, with room above the node, so only those keys
+    moved (a subset of {!id_split}) *)
+
 val id_alloc : int  (** allocator blocks grabbed *)
 
 val id_free : int  (** blocks returned to the free lists *)

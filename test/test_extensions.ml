@@ -497,12 +497,26 @@ let highest_head_level fx =
   in
   go (cfg.Config.max_height - 1)
 
-(* Crash grid for one node split (K = 4): the fifth key of a full node
-   moves the upper half of its keys to a new node linked behind it. After
-   every crash state, recovery and the audit (hint rule included) are
-   clean, every key the split moved or kept is still found, and the top
-   level is the highest non-empty head level. *)
-let test_split_crash_grid () =
+(* Keys of each bottom node, in slot order, empty slots left out (volatile
+   image, host side). *)
+let node_keys fx =
+  let ly = Node.layout (SL.config fx.sl) in
+  List.map
+    (fun n ->
+      List.filter
+        (fun k -> k <> Node.empty_key)
+        (List.init ly.Node.k (fun i -> Mem.peek_field fx.mem n (Node.o_key ly i))))
+    (bottom_nodes fx)
+
+let sorted_node_keys fx = List.map (List.sort compare) (node_keys fx)
+
+(* Crash grid for one node split (K = 4): [key] overflows the full node
+   [10; 12; 14; 16], whose split moves a suffix of its keys to a new node
+   linked behind it; [after] is the two nodes' keys once [key] is in.
+   After every crash state, recovery and the audit (hint rule included)
+   are clean, every key the split moved or kept is still found, and the
+   top level is the highest non-empty head level. *)
+let split_crash_grid ~key ~after () =
   let before = [ 10; 12; 14; 16 ] in
   let setup () =
     let fx = make_skiplist ~cfg:hint_cfg ~seed:7 () in
@@ -512,8 +526,11 @@ let test_split_crash_grid () =
     fx
   in
   check_int "one full node before the split" 1 (List.length (bottom_nodes (setup ())));
+  (let fx = setup () in
+   run1 fx.pmem (fun ~tid -> ignore (SL.upsert fx.sl ~tid key key));
+   Alcotest.check Alcotest.(list (list int)) "the split's cut" after (sorted_node_keys fx));
   crash_grid ~setup
-    ~op:(fun fx ~tid -> ignore (SL.upsert fx.sl ~tid 18 18))
+    ~op:(fun fx ~tid -> ignore (SL.upsert fx.sl ~tid key key))
     ~check:(fun fx where ->
       run1 fx.pmem (fun ~tid -> SL.recover fx.sl ~tid);
       check_int (where ^ ": top level after recovery") (highest_head_level fx)
@@ -525,12 +542,23 @@ let test_split_crash_grid () =
               Alcotest.check opt_int (Fmt.str "%s: key %d" where k) (Some k)
                 (SL.search fx.sl ~tid k))
             before;
-          (match SL.search fx.sl ~tid 18 with
-          | None | Some 18 -> ()
-          | Some v -> Alcotest.fail (Fmt.str "%s: lookup of 18 returned %d" where v));
-          ignore (SL.upsert fx.sl ~tid 18 19));
+          (match SL.search fx.sl ~tid key with
+          | Some v when v <> key ->
+              Alcotest.failf "%s: lookup of %d returned %d" where key v
+          | _ -> ());
+          ignore (SL.upsert fx.sl ~tid key (key + 1)));
       check_audit fx where;
       check_no_invariant_errors fx.sl)
+
+(* 18 ranks above every key of the node: the tail cut moves the top
+   max 1 (K/8) = 1 key, and 18 joins it in the new node. *)
+let test_split_crash_grid =
+  split_crash_grid ~key:18 ~after:[ [ 10; 12; 14 ]; [ 16; 18 ] ]
+
+(* 13 ranks below the node's top key: the median split moves [14; 16], and
+   13 stays in the old node. *)
+let test_median_split_crash_grid =
+  split_crash_grid ~key:13 ~after:[ [ 10; 12; 13 ]; [ 14; 16 ] ]
 
 (* Readers against the writers' publication order: eight fibers insert
    interleaved keys — splitting full nodes (K = 4) or linking fresh nodes
@@ -597,6 +625,116 @@ let test_top_after_crash () =
         (SL.top_level fx.sl);
       check_bool "some level above 0" true (SL.top_level fx.sl > 0))
     [ 2_000; 7_500; 15_000 ]
+
+(* ---- the split point --------------------------------------------------------- *)
+
+let node_sizes fx = List.map List.length (node_keys fx)
+
+(* Every node but the last, whose size the tail of the run decides. *)
+let all_but_last l = List.filteri (fun i _ -> i < List.length l - 1) l
+
+(* One fiber appends 1 .. n: each overflow is at the node's top, so every
+   split takes the tail cut and leaves K - K/8 keys behind. *)
+let test_split_ascending () =
+  List.iter
+    (fun k ->
+      let fx = make_skiplist ~cfg:{ Config.default with keys_per_node = k } () in
+      let n = 20 * k in
+      Obs.reset ();
+      run1 fx.pmem (fun ~tid ->
+          for key = 1 to n do
+            ignore (SL.upsert fx.sl ~tid key key)
+          done);
+      let sizes = node_sizes fx in
+      check_bool (Fmt.str "K=%d: nodes split" k) true (List.length sizes > 10);
+      List.iteri
+        (fun i size -> check_int (Fmt.str "K=%d: keys in node %d" k i) (k - (k / 8)) size)
+        (all_but_last sizes);
+      check_int (Fmt.str "K=%d: every split took the tail cut" k)
+        (Obs.total Obs.id_split) (Obs.total Obs.id_split_tail);
+      check_no_invariant_errors fx.sl;
+      Obs.reset ())
+    [ 16; 64 ]
+
+(* A full node (K = 16: keys 10, 20, .., 160) overflowed by a key below its
+   (K - K/8)-th key, or between that key and the next, splits at the
+   median; a key above the (K - K/8 + 1)-th takes the tail cut, unless the
+   node's successor lies closer above the key than the node's anchor lies
+   below it. [succ], inserted first, is the successor's anchor. *)
+let test_split_cut_rule () =
+  let full = List.init 16 (fun i -> 10 * (i + 1)) in
+  let expect ?succ key ~sizes ~anchor ~tail =
+    let where = Fmt.str "key %d, successor %a" key Fmt.(option ~none:(any "none") int) succ in
+    let fx = make_skiplist ~cfg:{ Config.default with keys_per_node = 16 } () in
+    run1 fx.pmem (fun ~tid ->
+        List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) (Option.to_list succ @ full));
+    check_int (where ^ ": nodes before") (List.length (Option.to_list succ) + 1)
+      (List.length (bottom_nodes fx));
+    Obs.reset ();
+    run1 fx.pmem (fun ~tid -> ignore (SL.upsert fx.sl ~tid key key));
+    check_int (where ^ ": one split") 1 (Obs.total Obs.id_split);
+    check_int (where ^ ": tail cuts") (if tail then 1 else 0) (Obs.total Obs.id_split_tail);
+    Obs.reset ();
+    let nodes = sorted_node_keys fx in
+    Alcotest.check Alcotest.(list int) (where ^ ": node sizes") sizes
+      (List.map List.length nodes);
+    check_int (where ^ ": new node's anchor") anchor (List.hd (List.nth nodes 1));
+    check_no_invariant_errors fx.sl
+  in
+  (* K/2 : K/2 before the key lands; it joins the upper half *)
+  expect 135 ~sizes:[ 8; 9 ] ~anchor:90 ~tail:false;
+  expect 145 ~sizes:[ 8; 9 ] ~anchor:90 ~tail:false;
+  (* above the 15th key: the top K/8 = 2 keys move, and the key joins them *)
+  expect 155 ~sizes:[ 14; 3 ] ~anchor:150 ~tail:true;
+  expect 170 ~sizes:[ 14; 3 ] ~anchor:150 ~tail:true;
+  (* the same key in front of a successor: far above, the tail cut; closer
+     above 170 than 10 is below it, the median *)
+  expect ~succ:10_000 170 ~sizes:[ 14; 3; 1 ] ~anchor:150 ~tail:true;
+  expect ~succ:175 170 ~sizes:[ 8; 9; 1 ] ~anchor:90 ~tail:false
+
+(* Eight fibers append interleaved ascending keys (the pattern of the
+   layout benchmark's preload and fresh inserts), with start offsets swept
+   across a range: every acknowledged key is found, the audit is clean, and
+   every node but the last holds at least K/2 keys. The bound follows from
+   the rule for any insert-only run that ends with every key of a range
+   present, once key 1 anchors the first node: every split leaves at least
+   K/2 keys behind, a median split moves K/2, and a tail cut's new node
+   spans more than K keys of the range (the room condition), so it splits
+   itself before the run ends unless it is the last node. Without the room
+   condition a straggler overflowing a node behind the leading fiber took
+   the tail cut and left nodes of as few as 3 keys (K = 16) and 9
+   (K = 64). *)
+let test_split_interleaved_appends () =
+  List.iter
+    (fun k ->
+      for delay = 0 to 9 do
+        let where = Fmt.str "K=%d delay %d" k delay in
+        let fx = make_skiplist ~cfg:{ Config.default with keys_per_node = k } () in
+        run1 fx.pmem (fun ~tid -> ignore (SL.upsert fx.sl ~tid 1 1));
+        let fibers = 8 and per = 12 * k in
+        let body ~tid =
+          Sim.Sched.charge (float_of_int (tid * delay * 17));
+          for i = 0 to per - 1 do
+            let key = 1 + (i * fibers) + tid in
+            ignore (SL.upsert fx.sl ~tid key key)
+          done
+        in
+        ignore (run fx.pmem (List.init fibers (fun _ -> body)));
+        run1 fx.pmem (fun ~tid ->
+            for key = 1 to fibers * per do
+              if SL.search fx.sl ~tid key <> Some key then
+                Alcotest.failf "%s: acknowledged key %d missing" where key
+            done);
+        check_audit fx where;
+        check_no_invariant_errors fx.sl;
+        List.iteri
+          (fun i size ->
+            if size < k / 2 then
+              Alcotest.failf "%s: node %d holds %d keys (sizes %a)" where i size
+                Fmt.(Dump.list int) (node_sizes fx))
+          (all_but_last (node_sizes fx))
+      done)
+    [ 16; 64 ]
 
 (* ---- physical removal + reclamation ---------------------------------------- *)
 
@@ -905,9 +1043,17 @@ let () =
       ( "hints",
         [
           slow_case "crash grid: split" test_split_crash_grid;
+          slow_case "crash grid: median split" test_median_split_crash_grid;
           case "readers never miss a key a split or tower build moves"
             test_hint_reader_order;
           case "top level recomputed after a crash" test_top_after_crash;
+        ] );
+      ( "split point",
+        [
+          case "ascending appends leave nodes K - K/8 full" test_split_ascending;
+          case "cut rule: median or tail" test_split_cut_rule;
+          case "interleaved appends: found, audited, half full"
+            test_split_interleaved_appends;
         ] );
       ( "layout",
         [
