@@ -311,9 +311,11 @@ let workload_e () =
   Report.heading
     "Workload E (scan-heavy, extension) — range-query throughput across the \
      three structures";
-  (* snapshot vs per-node-validated range cost on UPSkipList; its own
-     skip-list fixture, so it runs as one more pool job beside the sweeps *)
-  let range_semantics () =
+  (* UPSkipList's scan cost beside [writers] concurrent writers: 16
+     scanners time 40 scans of 100 keys each while the writers update
+     random keys until the last scanner is done. Each row is its own pool
+     job on a fresh fixture, so every row starts from the same caches. *)
+  let scan_cost writers =
     let cfg = bench_cfg in
     let sys = striped_sys in
     let pmem = Kv.make_pmem sys in
@@ -321,45 +323,42 @@ let workload_e () =
     let mem = Memory.Mem.create ~pmem ~chunk_words:(64 * bw) ~block_words:bw ~n_arenas:8 () in
     Memory.Mem.format mem;
     let sl = Upskiplist.Skiplist.create ~mem ~cfg ~max_threads:sys.Kv.max_threads ~seed in
-    (match
-       Sim.Sched.run ~machine:(Pmem.machine pmem)
-         (List.init 8 (fun tid ->
-              ( tid,
-                fun ~tid ->
-                  let i = ref (tid + 1) in
-                  while !i <= !scale.n_initial do
-                    ignore (Upskiplist.Skiplist.upsert sl ~tid !i (!i + 7));
-                    i := !i + 8
-                  done )))
-     with
-    | Sim.Sched.Completed _ -> ()
-    | Sim.Sched.Crashed_at _ -> failwith "crash");
-    let time_kind name f =
-      let total = ref 0.0 and count = ref 0 in
-      (match
-         Sim.Sched.run ~machine:(Pmem.machine pmem)
-           (List.init 16 (fun tid ->
-                ( tid,
-                  fun ~tid ->
-                    let rng = Sim.Rng.create (7000 + tid) in
-                    for _ = 1 to 40 do
-                      let lo = 1 + Sim.Rng.int rng (!scale.n_initial - 200) in
-                      let t0 = Sim.Sched.now () in
-                      ignore (f ~tid ~lo ~hi:(lo + 100));
-                      total := !total +. (Sim.Sched.now () -. t0);
-                      incr count
-                    done )))
-       with
+    let run_fibers bodies =
+      match
+        Sim.Sched.run ~machine:(Pmem.machine pmem)
+          (List.mapi (fun tid body -> (tid, body)) bodies)
+      with
       | Sim.Sched.Completed _ -> ()
-      | Sim.Sched.Crashed_at _ -> failwith "crash");
-      (name, !total /. float_of_int !count /. 1000.0)
+      | Sim.Sched.Crashed_at _ -> failwith "crash"
     in
-    [
-      time_kind "per-node validated range (paper semantics)"
-        (fun ~tid ~lo ~hi -> Upskiplist.Skiplist.range sl ~tid ~lo ~hi);
-      time_kind "linearizable snapshot range (extension)"
-        (fun ~tid ~lo ~hi -> Upskiplist.Skiplist.range_snapshot sl ~tid ~lo ~hi);
-    ]
+    run_fibers
+      (List.init 8 (fun tid ~tid:_ ->
+           let i = ref (tid + 1) in
+           while !i <= !scale.n_initial do
+             ignore (Upskiplist.Skiplist.upsert sl ~tid !i (!i + 7));
+             i := !i + 8
+           done));
+    let total = ref 0.0 and count = ref 0 and scanning = ref 16 in
+    let scanner ~tid =
+      let rng = Sim.Rng.create (7000 + tid) in
+      for _ = 1 to 40 do
+        let lo = 1 + Sim.Rng.int rng (!scale.n_initial - 200) in
+        let t0 = Sim.Sched.now () in
+        ignore (Upskiplist.Skiplist.range sl ~tid ~lo ~hi:(lo + 100));
+        total := !total +. (Sim.Sched.now () -. t0);
+        incr count
+      done;
+      decr scanning
+    in
+    let writer ~tid =
+      let rng = Sim.Rng.create (9000 + tid) in
+      while !scanning > 0 do
+        let k = 1 + Sim.Rng.int rng !scale.n_initial in
+        ignore (Upskiplist.Skiplist.upsert sl ~tid k (k + tid))
+      done
+    in
+    run_fibers (List.init 16 (fun _ -> scanner) @ List.init writers (fun _ -> writer));
+    [ string_of_int writers; Printf.sprintf "%.2f" (!total /. float_of_int !count /. 1000.0) ]
   in
   let sweep_jobs =
     List.map
@@ -371,22 +370,16 @@ let workload_e () =
   in
   let results =
     Sim.Pool.run ~jobs:!jobs
-      (sweep_jobs @ [ (fun () -> `Rows (range_semantics ())) ])
+      (sweep_jobs @ List.map (fun w () -> `Row (scan_cost w)) [ 0; 16; 64 ])
   in
   let columns =
-    List.filter_map (function `Sweep c -> Some c | `Rows _ -> None) results
+    List.filter_map (function `Sweep c -> Some c | `Row _ -> None) results
   in
-  let rows =
-    match List.filter_map (function `Rows r -> Some r | `Sweep _ -> None) results with
-    | [ r ] -> r
-    | _ -> assert false
-  in
+  let rows = List.filter_map (function `Row r -> Some r | `Sweep _ -> None) results in
   Report.series ~title:"Workload E (95% scans of <=100 keys, 5% inserts)"
     ~x_label:"threads" ~x_values:!scale.threads_sweep ~columns;
-  Report.subheading "range semantics cost (100-key scans, 16 threads)";
-  Report.table
-    ~headers:[ "semantics"; "mean latency (us)" ]
-    ~rows:(List.map (fun (n, v) -> [ n; Printf.sprintf "%.1f" v ]) rows)
+  Report.subheading "UPSkipList range cost (100-key scans, 16 scanning threads)";
+  Report.table ~headers:[ "concurrent writers"; "mean scan latency (us)" ] ~rows
 
 (* ---- Table 5.4: recovery time ----------------------------------------------- *)
 

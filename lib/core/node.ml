@@ -17,7 +17,9 @@
      word 1                successor-key hint, level 0
      word 2                packed meta: kind (bits 0-7: free block / node),
                            height (bits 8-15), splitCount (bits 16 and up)
-     word 3                splitLock (packed reader-writer lock)
+     word 3                splitLock (packed reader-writer lock with an
+                           unlock counter that range scans validate
+                           against; see the split lock section below)
      word 4                successor-key hint, level 1
      word 5                anchor key — an immutable copy of slot 0's key
                            (the node's minimum; see below), read by hops
@@ -295,7 +297,11 @@ let persist_body mem ly n = Mem.persist_range mem n ~first:0 ~words:ly.o_tower
 
    The lock word packs, from the low bits up:
 
-     bits 0-38    reader count
+     bits 0-15    reader count (at most one read lock per thread, so
+                  [Skiplist.create] caps max_threads at [max_readers])
+     bits 16-38   unlock counter: every release, read or write, advances
+                  it (modulo 2^23), so a word seen with no holder changes
+                  before any later slot write or split can complete
      bit 39       fp_ok: the fingerprint line is complete (every non-empty
                   key carries its fingerprint), so a miss may be trusted
      bit 40       writer bit
@@ -308,18 +314,28 @@ let persist_body mem ly n = Mem.persist_range mem n ~first:0 ~words:ly.o_tower
    (Section 6.3: DrainReaders raced concurrent acquisitions); the stamp
    removes the race entirely. The intent and fp_ok bits likewise count only
    under a current stamp, so a crash voids a confirmation without any walk
-   or flush. Acquisitions carry a current fp_ok bit over; a write unlock
-   sets it, since every writer rewrites the line from the keys first. A
-   *stale writer bit*, by contrast, is preserved and visible: it is the
-   persistent evidence of an interrupted node split that
-   CheckForNodeSplitRecovery keys off. *)
+   or flush. Acquisitions carry the unlock counter and a current fp_ok bit
+   over; a write unlock sets fp_ok, since every writer rewrites the line
+   from the keys first. A range scan validates a node by re-reading this
+   word (see [Skiplist.range]). A *stale writer bit*, by contrast, is
+   preserved and visible: it is the persistent evidence of an interrupted
+   node split that CheckForNodeSplitRecovery keys off. *)
 
+let max_readers = 0xffff
+let unlock_unit = 1 lsl 16
 let fp_ok_bit = 1 lsl 39
+let unlocks_mask = fp_ok_bit - unlock_unit
 let writer_bit = 1 lsl 40
 let intent_bit = 1 lsl 41
 
+(* The unlock counter of [w], and [w] with it advanced by one, wrapping
+   inside its field and leaving every other field as it is. *)
+let unlocks w = (w land unlocks_mask) / unlock_unit
+
+let bump_unlocks w =
+  (w land lnot unlocks_mask) lor ((w + unlock_unit) land unlocks_mask)
+
 module Lock = struct
-  let readers_mask = fp_ok_bit - 1
   let stamp_shift = 42
 
   let word mem n = Mem.read_field mem n o_lock
@@ -334,7 +350,7 @@ module Lock = struct
     (epoch lsl stamp_shift) lor (if writer then writer_bit else 0) lor readers
 
   (* Reader count as seen from epoch [epoch]: stale counts read as zero. *)
-  let readers_at ~epoch w = if stamp w = epoch then w land readers_mask else 0
+  let readers_at ~epoch w = if stamp w = epoch then w land max_readers else 0
 
   (* A writer's declared intent, honoured only within its own epoch (an
      intent interrupted by a crash evaporates with its stamp). *)
@@ -343,11 +359,13 @@ module Lock = struct
   (* Whether the node's fingerprint line is confirmed complete in [epoch]. *)
   let fp_ok_at ~epoch w = stamp w = epoch && w land fp_ok_bit <> 0
 
-  (* The fp_ok bit a new word stamped [epoch] carries over from [w]. *)
-  let kept_fp_ok ~epoch w = if fp_ok_at ~epoch w then fp_ok_bit else 0
+  (* What a new word stamped [epoch] carries over from [w]: the unlock
+     counter and a current fp_ok bit. *)
+  let carried ~epoch w =
+    (w land unlocks_mask) lor if fp_ok_at ~epoch w then fp_ok_bit else 0
 
   (* Raw count regardless of stamp (tests/diagnostics). *)
-  let readers w = w land readers_mask
+  let readers w = w land max_readers
 
   (* Acquire a read lock unless a writer holds the lock (a stale writer bit
      counts: the interrupted split must be recovered first) or a writer has
@@ -363,35 +381,39 @@ module Lock = struct
         lock_cas mem n ~expected:w
           ~desired:
             (make_word ~epoch ~writer:false ~readers:(r + 1)
-            lor kept_fp_ok ~epoch w)
+            lor carried ~epoch w)
       then true
       else read_lock mem n
     end
 
-  (* The holder acquired in the current epoch, so the stamp is current and
-     a plain decrement preserves it (including any intent or fp_ok bit). *)
+  (* The holder acquired in the current epoch, so the stamp is current:
+     drop one reader and advance the counter, keeping every other bit. *)
   let rec read_unlock mem n =
     let w = word mem n in
-    if not (lock_cas mem n ~expected:w ~desired:(w - 1)) then
+    if not (lock_cas mem n ~expected:w ~desired:(bump_unlocks (w - 1))) then
       read_unlock mem n
 
   (* Single-shot write-lock attempt: fails while any current-epoch reader or
-     any writer (stale or not) holds the lock. *)
+     any writer (stale or not) holds the lock. Returns the word it
+     installed, which the holder hands back to [write_unlock]. *)
   let write_lock mem n =
     let epoch = Mem.epoch mem in
     let w = word mem n in
-    (not (is_write_locked w))
-    && readers_at ~epoch w = 0
-    && lock_cas mem n ~expected:w
-         ~desired:(make_word ~epoch ~writer:true ~readers:0 lor kept_fp_ok ~epoch w)
+    let held = make_word ~epoch ~writer:true ~readers:0 lor carried ~epoch w in
+    if
+      (not (is_write_locked w))
+      && readers_at ~epoch w = 0
+      && lock_cas mem n ~expected:w ~desired:held
+    then Some held
+    else None
 
   (* Acquire the write lock with declared intent: new readers are refused
      while the intent is pending, so the present readers drain and the
      writer gets in — without this, 80 threads read-locking a full node
      starve its split forever. Bounded rounds keep it deadlock-free; a
      pending intent is cleared on abandonment (the winner's unlock clears
-     it otherwise). Returns false if another writer got the lock or the
-     rounds ran out. *)
+     it otherwise). Returns the installed word as [write_lock] does, or
+     [None] if another writer got the lock or the rounds ran out. *)
   let acquire_write mem n ~backoff =
     let epoch = Mem.epoch mem in
     let clear_intent () =
@@ -410,17 +432,14 @@ module Lock = struct
     let rec round budget =
       if budget = 0 then begin
         clear_intent ();
-        false
+        None
       end
       else begin
         let w = word mem n in
-        if is_write_locked w then false (* another writer; it clears intent *)
+        if is_write_locked w then None (* another writer; it clears intent *)
         else if readers_at ~epoch w = 0 then begin
-          if
-            lock_cas mem n ~expected:w
-              ~desired:
-                (make_word ~epoch ~writer:true ~readers:0 lor kept_fp_ok ~epoch w)
-          then true
+          let held = make_word ~epoch ~writer:true ~readers:0 lor carried ~epoch w in
+          if lock_cas mem n ~expected:w ~desired:held then Some held
           else round budget
         end
         else begin
@@ -430,7 +449,7 @@ module Lock = struct
               (lock_cas mem n ~expected:w
                  ~desired:
                    ((epoch lsl stamp_shift) lor intent_bit
-                   lor kept_fp_ok ~epoch w
+                   lor carried ~epoch w
                    lor (readers_at ~epoch w)));
           backoff ();
           round (budget - 1)
@@ -439,13 +458,16 @@ module Lock = struct
     in
     round 64
 
-  (* Release the write lock. Every writer rewrites the fingerprint line
-     from the keys before it unlocks, so the unlock confirms the line;
-     [~fp_ok:false] releases a lock taken for a change that never got as
-     far as that rewrite. *)
-  let write_unlock ?(fp_ok = true) mem n =
+  (* Release the write lock held as [held] (the word the acquisition
+     installed, or a stale writer's word under recovery; no other thread
+     changes a write-locked word). Every writer rewrites the fingerprint
+     line from the keys before it unlocks, so the unlock confirms the
+     line; [~fp_ok:false] releases a lock taken for a change that never got
+     as far as that rewrite. *)
+  let write_unlock ?(fp_ok = true) mem n ~held =
     Mem.write_field mem n o_lock
       (make_word ~epoch:(Mem.epoch mem) ~writer:false ~readers:0
+      lor (bump_unlocks held land unlocks_mask)
       lor if fp_ok then fp_ok_bit else 0);
     Mem.persist_field mem n o_lock
 
@@ -459,7 +481,8 @@ module Lock = struct
     if is_write_locked w || fp_ok_at ~epoch w then false
     else begin
       let base =
-        if stamp w = epoch then w else make_word ~epoch ~writer:false ~readers:0
+        if stamp w = epoch then w
+        else make_word ~epoch ~writer:false ~readers:0 lor (w land unlocks_mask)
       in
       lock_cas mem n ~expected:w ~desired:(base lor fp_ok_bit) || confirm_fp mem n
     end

@@ -34,7 +34,8 @@
      inside existing nodes under a read lock, deadlock-free node splits
      under a write lock;
    - [remove]: tombstoning update (Section 4.6);
-   - [range]: bottom-level scan with per-node split validation. *)
+   - [range]: strictly linearizable scan, one collect validated by each
+     node's lock word and level-0 next word. *)
 
 module Mem = Memory.Mem
 module Riv = Memory.Riv
@@ -79,6 +80,8 @@ let create ~mem ~cfg ~max_threads ~seed =
   let ly = Node.layout cfg in
   if Mem.block_words mem < Config.node_words cfg then
     invalid_arg "Skiplist.create: allocator blocks smaller than a node";
+  if max_threads > Node.max_readers then
+    invalid_arg "Skiplist.create: max_threads exceeds the lock's reader field";
   let head = Mem.root_alloc mem ~pool:0 ~words:(Mem.block_words mem) in
   let tail = Mem.root_alloc mem ~pool:0 ~words:(Mem.block_words mem) in
   Node.init_sentinel_poked mem ly head ~first_key:Node.head_key
@@ -248,7 +251,8 @@ let mark_all_levels t n =
   done
 
 let check_split_recovery t ~tid n =
-  if Node.Lock.is_write_locked (Node.Lock.word t.mem n) then begin
+  let held = Node.Lock.word t.mem n in
+  if Node.Lock.is_write_locked held then begin
     obs_event ~tid Obs.id_split_repair 0;
     if t.cfg.Config.reclaim_empty_nodes && all_tombstone t n then
       (* an interrupted *retirement*, not a split: resume it — re-mark all
@@ -282,7 +286,7 @@ let check_split_recovery t ~tid n =
          (Node.fp_line t.ly (Array.init k (fun i -> Node.key t.mem t.ly n i)))
         : bool);
     Node.persist_body t.mem t.ly n;
-    Node.Lock.write_unlock t.mem n
+    Node.Lock.write_unlock t.mem n ~held
     end
   end
 
@@ -637,11 +641,9 @@ let insert_into_existing t ~tid ~key ~value ~pred0 ~succ0 =
    valid across any number of splits. *)
 let split_node t ~tid ~key ~(f : find) =
   let pred0 = f.preds.(0) in
-  if
-    not
-      (Node.Lock.acquire_write t.mem pred0 ~backoff:(fun () -> backoff t ~tid))
-  then ()
-  else begin
+  match Node.Lock.acquire_write t.mem pred0 ~backoff:(fun () -> backoff t ~tid) with
+  | None -> ()
+  | Some held ->
     (* The writer bit is not persisted on its own: the lock word shares
        pred0's header line with the level-0 pointer and is stored before
        the link CAS, so every persisted image of that line holding the
@@ -660,7 +662,7 @@ let split_node t ~tid ~key ~(f : find) =
          here forever. *)
       if Node.write_fp_line t.mem t.ly pred0 (Node.fp_line t.ly keys) then
         Mem.persist_range t.mem pred0 ~first:Node.o_fp ~words:t.ly.Node.fp_used;
-      Node.Lock.write_unlock t.mem pred0
+      Node.Lock.write_unlock t.mem pred0 ~held
     end
     else begin
       Array.sort compare pairs;
@@ -700,7 +702,7 @@ let split_node t ~tid ~key ~(f : find) =
         (* the moved slots' fingerprints go with their keys *)
         ignore (Node.write_fp_line t.mem t.ly pred0 (Node.fp_line t.ly kept) : bool);
         Node.persist_body t.mem t.ly pred0;
-        Node.Lock.write_unlock t.mem pred0;
+        Node.Lock.write_unlock t.mem pred0 ~held;
         let f = traverse t ~tid ~recover:false (List.hd new_keys) in
         link_higher_levels t ~tid ~node ~start:1 ~node_height ~preds:f.preds
       end
@@ -708,10 +710,9 @@ let split_node t ~tid ~key ~(f : find) =
         Block_alloc.delete_linked_object t.mem ~tid node;
         (* nothing moved, but the unlock confirms the line: rewrite it *)
         ignore (Node.write_fp_line t.mem t.ly pred0 (Node.fp_line t.ly keys) : bool);
-        Node.Lock.write_unlock t.mem pred0
+        Node.Lock.write_unlock t.mem pred0 ~held
       end
     end
-  end
 
 (* ---- physical removal (paper Section 4.6 follow-up) --------------------- *)
 
@@ -723,11 +724,12 @@ let split_node t ~tid ~key ~(f : find) =
    failure to acquire the lock simply leaves the node tombstoned. *)
 let try_retire_node t ~tid node =
   if Riv.equal node t.head || Riv.equal node t.tail then ()
-  else if
-    not (Node.Lock.acquire_write t.mem node ~backoff:(fun () -> backoff t ~tid))
-  then ()
-  else if not (all_tombstone t node) then
-    Node.Lock.write_unlock ~fp_ok:false t.mem node
+  else
+  match Node.Lock.acquire_write t.mem node ~backoff:(fun () -> backoff t ~tid) with
+  | None -> ()
+  | Some held ->
+  if not (all_tombstone t node) then
+    Node.Lock.write_unlock ~fp_ok:false t.mem node ~held
   else begin
     Node.Lock.persist_acquisition t.mem node;
     Block_alloc.log_change_attempt t.mem ~tid ~ops:t.ops ~block:node
@@ -898,51 +900,63 @@ let remove t ~tid key =
 
 let mem_key t ~tid key = search t ~tid key <> None
 
-(* Linearizable-per-node range scan: collects live pairs in [lo, hi] from
-   the bottom level, revalidating each node's split counter around its key
-   scan. *)
+(* Strictly linearizable range scan (the paper's Ch. 7 follow-up; DESIGN
+   "Range scans"). One collect along level 0 records each node's lock word
+   and raw level-0 next word beside its pairs, once no writer and no
+   current-epoch slot writer holds the node; a validation pass re-reads
+   those words, and any change restarts the scan. A node from an older
+   epoch is repaired first, as a traversal does. A retired node (marked
+   next0) is recorded without waiting, unless the scan would start there.
+   Obstruction-free. *)
 let range_impl t ~tid ~lo ~hi =
-  let f = traverse t ~tid ~recover:true lo in
   let k = t.cfg.Config.keys_per_node in
-  let acc = ref [] in
-  let rec visit n =
-    if Riv.equal n t.tail then ()
-    else if Node.key0 t.mem n > hi then ()
-    else begin
-      if Node.Lock.is_write_locked (Node.Lock.word t.mem n) then begin
-        if t.cfg.Config.reclaim_empty_nodes && all_tombstone t n then
-          (* retired: contributes nothing; move on *)
-          visit (Node.next t.mem t.ly n 0)
-        else begin
-          backoff t ~tid;
-          visit n
-        end
-      end
+  let epoch = Mem.epoch t.mem in
+  let rec scan recoveries =
+    let f = traverse t ~tid ~recover:true lo in
+    let restart () =
+      backoff t ~tid;
+      scan recoveries
+    in
+    let rec collect n seen pairs =
+      if Riv.equal n t.tail || Node.key0 t.mem n > hi then validate seen pairs
+      else if check_for_recovery t ~tid ~cur:n ~recoveries then scan (recoveries + 1)
       else begin
-        let sc = Node.split_count t.mem n in
-        let collected = ref [] in
-        for i = 0 to k - 1 do
-          let ki = Node.key t.mem t.ly n i in
-          if ki >= lo && ki <= hi && ki <> Node.empty_key then begin
-            let v = Node.value t.mem t.ly n i in
-            if v <> Node.tombstone then collected := (ki, v) :: !collected
-          end
-        done;
-        let next = Node.next t.mem t.ly n 0 in
-        if
-          Node.split_count t.mem n <> sc
-          || Node.Lock.is_write_locked (Node.Lock.word t.mem n)
-        then visit n (* node changed under the scan: retry it *)
+        let w = Node.Lock.word t.mem n in
+        let next = Node.next_raw t.mem t.ly n 0 in
+        let retired = Node.is_marked next in
+        if retired && seen = [] then restart ()
+        else if
+          (not retired)
+          && (Node.Lock.is_write_locked w || Node.Lock.readers_at ~epoch w > 0)
+        then begin
+          backoff t ~tid;
+          collect n seen pairs
+        end
         else begin
-          acc := !collected @ !acc;
-          visit next
+          let pairs = ref pairs in
+          for i = 0 to k - 1 do
+            let ki = Node.key t.mem t.ly n i in
+            if ki >= lo && ki <= hi then begin
+              let v = Node.value t.mem t.ly n i in
+              if v <> Node.tombstone then pairs := (ki, v) :: !pairs
+            end
+          done;
+          collect (Riv.of_word (Node.unmark next)) ((n, w, next) :: seen) !pairs
         end
       end
-    end
+    and validate seen pairs =
+      if
+        List.for_all
+          (fun (n, w, next) ->
+            Node.Lock.word t.mem n = w && Node.next_raw t.mem t.ly n 0 = next)
+          seen
+      then List.sort (fun (a, _) (b, _) -> compare a b) pairs
+      else restart ()
+    in
+    (* preds.(0) is the head when lo precedes every key *)
+    collect f.preds.(0) [] []
   in
-  visit f.preds.(0);
-  (* preds.(0) may be the head when lo precedes every key *)
-  List.sort (fun (a, _) (b, _) -> compare a b) !acc
+  scan 0
 
 let range t ~tid ~lo ~hi =
   check_key lo;
@@ -959,8 +973,6 @@ let recover t ~tid:_ =
     else level
   in
   Atomic.set t.top (highest (t.cfg.Config.max_height - 1))
-
-(* The head's keys are sentinels; guard [visit] against scanning it. *)
 
 (* ---- host-side verification (peeks; no simulated cost) ----------------- *)
 
@@ -1311,85 +1323,6 @@ let corrupt t what =
         end
       end
   | _ -> false
-
-(* ---- linearizable snapshot range (paper Ch. 7 follow-up) ----------------- *)
-
-(* A strictly linearizable range query via double collect: gather the pairs
-   in [lo, hi] together with every visited node's split counter, re-read,
-   and retry until two consecutive collects agree — at which point the
-   whole result coexisted at one instant (obstruction-free, as lock-free
-   snapshots are). Value updates between collects are caught by comparing
-   the collected pairs themselves. *)
-let range_snapshot_impl t ~tid ~lo ~hi =
-  let k = t.cfg.Config.keys_per_node in
-  (* one collect: (visited nodes with split counts, pairs); None = a split
-     or retirement was in progress, retry *)
-  let collect () =
-    let f = traverse t ~tid ~recover:true lo in
-    let nodes = ref [] in
-    let pairs = ref [] in
-    let rec visit n =
-      if Riv.equal n t.tail then Some ()
-      else if Node.key0 t.mem n > hi then Some ()
-      else begin
-        let w = Node.Lock.word t.mem n in
-        if Node.Lock.is_write_locked w then
-          if t.cfg.Config.reclaim_empty_nodes && all_tombstone t n then
-            (* retired node: contributes nothing *)
-            visit (Node.next t.mem t.ly n 0)
-          else None (* mid-split: unusable collect *)
-        else begin
-          let sc = Node.split_count t.mem n in
-          nodes := (n, sc) :: !nodes;
-          for i = 0 to k - 1 do
-            let ki = Node.key t.mem t.ly n i in
-            if ki >= lo && ki <= hi && ki <> Node.empty_key then begin
-              let v = Node.value t.mem t.ly n i in
-              if v <> Node.tombstone then pairs := (ki, v) :: !pairs
-            end
-          done;
-          visit (Node.next t.mem t.ly n 0)
-        end
-      end
-    in
-    match visit f.preds.(0) with
-    | None -> None
-    | Some () ->
-        Some
-          ( !nodes,
-            List.sort (fun (a, _) (b, _) -> compare a b) !pairs )
-  in
-  let rec attempt prev =
-    match collect () with
-    | None ->
-        backoff t ~tid;
-        attempt None
-    | Some (nodes, pairs) -> begin
-        (* the collect is a snapshot if no visited node split meanwhile and
-           the previous collect saw the same contents *)
-        let stable =
-          List.for_all
-            (fun (n, sc) ->
-              Node.split_count t.mem n = sc
-              && not (Node.Lock.is_write_locked (Node.Lock.word t.mem n)))
-            nodes
-        in
-        match prev with
-        | Some prev_pairs when stable && prev_pairs = pairs -> pairs
-        | _ ->
-            if not stable then begin
-              backoff t ~tid;
-              attempt None
-            end
-            else attempt (Some pairs)
-      end
-  in
-  attempt None
-
-let range_snapshot t ~tid ~lo ~hi =
-  check_key lo;
-  check_key hi;
-  with_guard t ~tid (fun () -> range_snapshot_impl t ~tid ~lo ~hi)
 
 (* ---- reclamation introspection (fiber context for [quiesced_drain]) ----- *)
 

@@ -18,7 +18,9 @@ val create :
   mem:Memory.Mem.t -> cfg:Config.t -> max_threads:int -> seed:int -> t
 (** [create ~mem ~cfg ~max_threads ~seed] allocates head/tail sentinels in
     [mem]'s root area (host-side setup, no simulated cost). The memory
-    manager's block size must be at least {!required_block_words}[ cfg]. *)
+    manager's block size must be at least {!required_block_words}[ cfg],
+    and [max_threads] must fit the split lock's 16-bit reader count
+    ([Invalid_argument] otherwise). *)
 
 val required_block_words : Config.t -> int
 (** Allocator block size needed to hold one full-height node of this
@@ -40,14 +42,13 @@ val remove : t -> tid:int -> int -> int option
 val mem_key : t -> tid:int -> int -> bool
 
 val range : t -> tid:int -> lo:int -> hi:int -> (int * int) list
-(** All live pairs with [lo <= key <= hi], sorted; each node's scan is
-    validated against its split counter. *)
-
-val range_snapshot : t -> tid:int -> lo:int -> hi:int -> (int * int) list
-(** Strictly linearizable range query (the paper's Ch. 7 follow-up):
-    double-collect with split-counter validation until two consecutive
-    collects agree, so the returned pairs all coexisted at one instant.
-    Obstruction-free: retries under concurrent splits/updates. *)
+(** All live pairs with [lo <= key <= hi], sorted, and strictly
+    linearizable: the pairs all held at one instant inside the call (the
+    paper's Ch. 7 follow-up). One collect along the bottom level records
+    each visited node's lock word and level-0 next word; a validation pass
+    re-reads them and rescans from the start if any changed.
+    Obstruction-free: it completes whenever the visited nodes stay
+    unwritten for one collect and validation. *)
 
 (** {1 Host-side inspection (no simulated cost)} *)
 

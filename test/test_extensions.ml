@@ -515,7 +515,10 @@ let sorted_node_keys fx = List.map (List.sort compare) (node_keys fx)
    linked behind it; [after] is the two nodes' keys once [key] is in.
    After every crash state, recovery and the audit (hint rule included)
    are clean, every key the split moved or kept is still found, and the
-   top level is the highest non-empty head level. *)
+   top level is the highest non-empty head level. A range scan as the first
+   operation after recovery finishes within an event budget and returns
+   what the node chain holds: the traversal to its low end stops at the
+   head, so the scan itself must repair the interrupted split it meets. *)
 let split_crash_grid ~key ~after () =
   let before = [ 10; 12; 14; 16 ] in
   let setup () =
@@ -535,6 +538,16 @@ let split_crash_grid ~key ~after () =
       run1 fx.pmem (fun ~tid -> SL.recover fx.sl ~tid);
       check_int (where ^ ": top level after recovery") (highest_head_level fx)
         (SL.top_level fx.sl);
+      let scanned = ref [] in
+      (match
+         Sim.Sched.run ~machine:(Pmem.machine fx.pmem)
+           ~crash:(Sim.Sched.After_events 100_000)
+           [ (0, fun ~tid -> scanned := SL.range fx.sl ~tid ~lo:1 ~hi:100) ]
+       with
+      | Sim.Sched.Completed _ -> ()
+      | Sim.Sched.Crashed_at _ ->
+          Alcotest.failf "%s: range scan still running after 100000 events" where);
+      check_pairs (where ^ ": range scan") (SL.to_alist fx.sl) !scanned;
       check_audit fx where;
       run1 fx.pmem (fun ~tid ->
           List.iter

@@ -1,5 +1,6 @@
-(* Range queries across all three structures, the UPSkipList linearizable
-   snapshot range (Ch. 7 follow-up), and the scan-heavy workload E. *)
+(* Range queries across all three structures, the snapshot semantics of
+   UPSkipList's strictly linearizable range (Ch. 7 follow-up), and the
+   scan-heavy workload E. *)
 
 open Testsupport
 module SL = Upskiplist.Skiplist
@@ -71,7 +72,7 @@ let test_range_after_splits () =
             r))
     makers
 
-(* ---- UPSkipList snapshot range --------------------------------------------- *)
+(* ---- UPSkipList: range is a snapshot ---------------------------------------- *)
 
 let test_snapshot_equals_range_quiesced () =
   let fx = make_skiplist () in
@@ -81,8 +82,8 @@ let test_snapshot_equals_range_quiesced () =
       done;
       ignore (SL.remove fx.sl ~tid 50);
       check_pairs "same result when quiet"
-        (SL.range fx.sl ~tid ~lo:10 ~hi:90)
-        (SL.range_snapshot fx.sl ~tid ~lo:10 ~hi:90))
+        (model_range (SL.to_alist fx.sl) ~lo:10 ~hi:90)
+        (SL.range fx.sl ~tid ~lo:10 ~hi:90))
 
 let test_snapshot_stable_membership_under_inserts () =
   (* keys 1..100 never change; concurrent inserts target 1000+; every
@@ -101,7 +102,7 @@ let test_snapshot_stable_membership_under_inserts () =
   let scanner ~tid =
     for _ = 1 to 8 do
       check_pairs "snapshot sees exactly the stable keys" expected
-        (SL.range_snapshot fx.sl ~tid ~lo:1 ~hi:100)
+        (SL.range fx.sl ~tid ~lo:1 ~hi:100)
     done
   in
   ignore (run fx.pmem [ inserter; scanner; inserter; scanner ])
@@ -126,7 +127,7 @@ let test_snapshot_no_torn_values () =
         (fun (k, v) ->
           check_bool "value well-formed" true
             (v = 1_000_000 || v mod 1000 = k))
-        (SL.range_snapshot fx.sl ~tid ~lo:1 ~hi:50)
+        (SL.range fx.sl ~tid ~lo:1 ~hi:50)
     done
   in
   ignore (run fx.pmem [ updater; scanner; updater ])
@@ -147,7 +148,7 @@ let test_snapshot_with_reclamation () =
     for _ = 1 to 6 do
       List.iter
         (fun (k, v) -> check_int "no garbage" k v)
-        (SL.range_snapshot fx.sl ~tid ~lo:1 ~hi:100)
+        (SL.range fx.sl ~tid ~lo:1 ~hi:100)
     done
   in
   ignore (run fx.pmem [ remover; scanner ]);
@@ -155,7 +156,52 @@ let test_snapshot_with_reclamation () =
       check_pairs "final state"
         (List.init 29 (fun i -> (i + 1, i + 1))
         @ List.init 30 (fun i -> (71 + i, 71 + i)))
-        (SL.range_snapshot fx.sl ~tid ~lo:1 ~hi:100))
+        (SL.range fx.sl ~tid ~lo:1 ~hi:100))
+
+(* Snapshot order: one writer sets key [a] (in the first node) and then key
+   [b] (in the last node) to the same rising j, so at every instant
+   value(b) <= value(a). A scan that reads [a] before a write pair and [b]
+   after it returns value(b) > value(a): no single instant had both. Two
+   scanners check every scan that completes while the writes go on, and
+   enough of them must complete for the check to mean anything. Optane
+   latency makes a 200-key scan (K = 16) span several write pairs. *)
+let test_snapshot_order () =
+  let a = 1 and b = 200 in
+  let scans = ref 0 in
+  for seed = 1 to 5 do
+    let fx =
+      make_skiplist ~cfg:{ Config.default with keys_per_node = 16 }
+        ~latency:Pmem.Latency.default ~seed ()
+    in
+    run1 fx.pmem (fun ~tid ->
+        for k = a to b do
+          ignore (SL.upsert fx.sl ~tid k 1)
+        done);
+    let writing = ref true in
+    let writer ~tid =
+      for j = 2 to 400 do
+        ignore (SL.upsert fx.sl ~tid a j);
+        ignore (SL.upsert fx.sl ~tid b j);
+        Sim.Sched.charge 2000.0
+      done;
+      writing := false
+    in
+    let scanner ~tid =
+      while !writing do
+        let r = SL.range fx.sl ~tid ~lo:a ~hi:b in
+        if !writing then begin
+          incr scans;
+          let va = List.assoc a r and vb = List.assoc b r in
+          if vb > va then
+            Alcotest.failf "seed %d: scan saw value(a) = %d and value(b) = %d"
+              seed va vb
+        end
+      done
+    in
+    ignore (run fx.pmem [ writer; scanner; scanner ])
+  done;
+  check_bool (Fmt.str "at least 100 scans completed during the writes (%d)" !scans)
+    true (!scans >= 100)
 
 (* ---- workload E (scan-heavy) ------------------------------------------------ *)
 
@@ -211,6 +257,7 @@ let () =
           case "stable membership under inserts" test_snapshot_stable_membership_under_inserts;
           case "no torn values" test_snapshot_no_torn_values;
           case "with reclamation" test_snapshot_with_reclamation;
+          slow_case "order under writes" test_snapshot_order;
         ] );
       ("complexity", [ case "O(m + log n)" test_range_scaling_with_m ]);
     ]

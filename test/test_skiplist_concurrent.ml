@@ -216,15 +216,59 @@ let test_read_lock_blocks_write_lock () =
       let mem = SL.mem fx.sl in
       let n = SL.head fx.sl in
       check_bool "read lock" true (Upskiplist.Node.Lock.read_lock mem n);
-      check_bool "write lock blocked" false (Upskiplist.Node.Lock.write_lock mem n);
+      check_bool "write lock blocked" true
+        (Upskiplist.Node.Lock.write_lock mem n = None);
       Upskiplist.Node.Lock.read_unlock mem n;
-      check_bool "write lock after unlock" true
-        (Upskiplist.Node.Lock.write_lock mem n);
-      check_bool "read lock blocked by writer" false
-        (Upskiplist.Node.Lock.read_lock mem n);
-      Upskiplist.Node.Lock.write_unlock mem n;
-      check_bool "read lock after write unlock" true
-        (Upskiplist.Node.Lock.read_lock mem n))
+      match Upskiplist.Node.Lock.write_lock mem n with
+      | None -> Alcotest.fail "write lock after unlock"
+      | Some held ->
+          check_bool "read lock blocked by writer" false
+            (Upskiplist.Node.Lock.read_lock mem n);
+          Upskiplist.Node.Lock.write_unlock mem n ~held;
+          check_bool "read lock after write unlock" true
+            (Upskiplist.Node.Lock.read_lock mem n))
+
+(* The unlock counter a range scan validates against: every release, read
+   or write, changes the lock word; the counter wraps inside its field; and
+   nothing else in the word moves with it. *)
+let test_unlock_counter () =
+  let module N = Upskiplist.Node in
+  let fx = make_skiplist () in
+  let mem = SL.mem fx.sl in
+  run1 fx.pmem (fun ~tid:_ ->
+      let n = SL.head fx.sl in
+      let seen = Hashtbl.create 8 in
+      let record what =
+        let w = N.Lock.word mem n in
+        if Hashtbl.mem seen w then Alcotest.failf "%s: lock word repeats" what;
+        Hashtbl.add seen w ()
+      in
+      record "initial";
+      for i = 1 to 3 do
+        check_bool "read lock" true (N.Lock.read_lock mem n);
+        N.Lock.read_unlock mem n;
+        record (Fmt.str "read pair %d" i)
+      done;
+      check_int "three unlocks counted" 3 (N.unlocks (N.Lock.word mem n));
+      (match N.Lock.write_lock mem n with
+      | None -> Alcotest.fail "write lock"
+      | Some held -> N.Lock.write_unlock mem n ~held);
+      record "write pair";
+      check_int "write unlock counted" 4 (N.unlocks (N.Lock.word mem n)));
+  let top = N.unlocks_mask / N.unlock_unit in
+  let others =
+    (5 lsl N.Lock.stamp_shift) lor N.writer_bit lor N.intent_bit lor N.fp_ok_bit lor 7
+  in
+  let w = N.bump_unlocks (others lor (top * N.unlock_unit)) in
+  check_int "counter wraps to 0" 0 (N.unlocks w);
+  check_int "stamp, writer, intent, fp_ok and readers intact" others w;
+  check_int "counts on from 0" 1 (N.unlocks (N.bump_unlocks w));
+  check_bool "max_threads must fit the reader count" true
+    (try
+       ignore
+         (SL.create ~mem ~cfg:(SL.config fx.sl) ~max_threads:(N.max_readers + 1) ~seed:1);
+       false
+     with Invalid_argument _ -> true)
 
 let test_multiple_readers () =
   let fx = make_skiplist () in
@@ -260,5 +304,6 @@ let () =
         [
           case "read blocks write" test_read_lock_blocks_write_lock;
           case "multiple readers" test_multiple_readers;
+          case "unlock counter" test_unlock_counter;
         ] );
     ]
