@@ -692,7 +692,9 @@ let exchange_ns_t =
         ~doc:
           "Exchange-epoch length of the service engine in simulated ns: \
            stations step their schedulers this far between mailbox \
-           exchanges. Part of the config, so it changes the simulated \
+           exchanges. A request is admitted when its network hop ends, or \
+           at the next exchange if the hop ends inside the epoch it was \
+           sent in. Part of the config, so it changes the simulated \
            schedule.")
 
 let obs_out_t =

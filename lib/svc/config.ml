@@ -19,7 +19,6 @@ type t = {
   req_overhead_ns : float;
   batch_overhead_ns : float;
   merge_ns_per_item : float;
-  poll_ns : float;
   sample_ns : float;
   exchange_ns : float;
   seed : int;
@@ -50,7 +49,6 @@ let default =
     req_overhead_ns = 50.0;
     batch_overhead_ns = 150.0;
     merge_ns_per_item = 5.0;
-    poll_ns = 500.0;
     sample_ns = 50_000.0;
     exchange_ns = 1_000.0;
     seed = 42;
@@ -83,7 +81,6 @@ let validate t =
   else if t.batch <= 0 then err "batch must be positive (got %d)" t.batch
   else if t.queue_cap <= 0 then
     err "queue-cap must be positive (got %d)" t.queue_cap
-  else if t.poll_ns <= 0.0 then err "poll interval must be positive"
   else if t.sample_ns <= 0.0 then err "sample interval must be positive"
   else if t.exchange_ns <= 0.0 then err "exchange epoch must be positive"
   else if t.window_ns <= 0.0 then err "window must be positive"

@@ -29,12 +29,12 @@ type t = {
   req_overhead_ns : float;  (** per-request parse/dispatch cost *)
   batch_overhead_ns : float;  (** fixed cost per worker batch *)
   merge_ns_per_item : float;  (** scan fan-out reduce cost per element *)
-  poll_ns : float;  (** worker idle-poll interval *)
   sample_ns : float;  (** monitor sampling interval for depth series *)
   exchange_ns : float;
       (** exchange-epoch length ({!Domains}): cross-station messages
           published during epoch [r] become visible at the start of epoch
-          [r+1] *)
+          [r+1], so a request whose network hop ends inside its send epoch
+          is admitted at that boundary instead *)
   seed : int;
   sys : Harness.Kv.sys;
       (** per-shard template; each shard gets [seed + 1000*s] and its own

@@ -13,11 +13,16 @@
    [r], each station steps its own scheduler session up to (r+1)*epoch
    (Sched.step); then, with all stations quiescent, the coordinator moves
    the per-pair mailboxes in a fixed order: frontend→shard request outboxes
-   into the shards' inboxes (admission — bounded-queue push or shed —
-   happens at the receiving shard at the epoch boundary), and shard→frontend
-   scan results into the frontend's inbox. Messages published during round
-   [r] become visible at the start of round [r+1]; no station ever reads
-   another station's state outside the exchange. Stations therefore compute
+   into the shards' inboxes, and shard→frontend scan results into the
+   frontend's inbox. Messages published during round [r] become visible at
+   the start of round [r+1]; no station ever reads another station's state
+   outside the exchange. A client sends at its send instant with the
+   request stamped [deliver = t_send + hop]; the receiving shard admits it
+   (bounded-queue push or shed) at [max deliver boundary], where boundary
+   is the start of the round that received it. No fiber polls: an idle
+   worker sleeps to its next admission or the next boundary, and the idle
+   aggregator to the next boundary, the only instants their input can
+   change. Stations therefore compute
    identical results whether their steps run round-robin on one domain
    (domains <= 1) or pinned to parallel domains with a barrier around the
    exchange (Pool.run_phased) — which is what the @svc/domains runtest gate
@@ -57,8 +62,9 @@ type scan_ctx = {
    per-fiber counter values bracketing its own structure operation. All
    writes are host-side — recording spans never charges simulated time, so
    a run with spans on is simulation-identical to the same run with them
-   off. [c_enq] is the admission epoch boundary, so the hop phase covers
-   network plus exchange residence. *)
+   off. [c_enq] is the admission instant [max deliver boundary], so the hop
+   phase is the network hop, plus the rest of the send round when the hop
+   ends inside it. *)
 type sp_cell = {
   c_client : int;
   c_seq : int; (* per-client request index *)
@@ -84,6 +90,7 @@ type req =
 
 type entry = {
   arrival : float;
+  deliver : float; (* arrival + network hop: when the request reaches the shard *)
   req : req;
   client : int;
   dseq : int; (* per-client descriptor sequence number; -1 for reads/scans *)
@@ -129,6 +136,10 @@ type shard_station = {
   mutable crash_at : float option;  (* armed crash plan *)
   mutable busy : bool;  (* worker parked mid-batch/mid-recovery *)
   s_in : entry Queue.t;  (* inbox, filled at exchange *)
+  mutable pending : (float * entry) list;
+      (* received, not yet admitted: (admission instant, entry), ascending,
+         ties in exchange order *)
+  mutable until : float;  (* end of the round being stepped *)
   s_out : up_msg Queue.t;  (* outbox to the frontend *)
   shed_c : int array;
   replayed_c : int array;
@@ -155,6 +166,7 @@ type frontend = {
   mutable f_completed_scans : int;
   mutable f_failed_scans : int;
   mutable f_stop : bool;
+  mutable f_until : float;  (* end of the round being stepped *)
   mutable f_session : Sim.Sched.session option;
   mutable f_end_ns : float;
 }
@@ -301,6 +313,8 @@ let run ?(domains = 1) (cfg : Config.t) =
                 | _ -> None);
               busy = false;
               s_in = Queue.create ();
+              pending = [];
+              until = 0.0;
               s_out = Queue.create ();
               shed_c = Array.make cfg.clients 0;
               replayed_c = Array.make cfg.clients 0;
@@ -341,6 +355,7 @@ let run ?(domains = 1) (cfg : Config.t) =
       f_completed_scans = 0;
       f_failed_scans = 0;
       f_stop = false;
+      f_until = 0.0;
       f_session = None;
       f_end_ns = 0.0;
     }
@@ -357,7 +372,15 @@ let run ?(domains = 1) (cfg : Config.t) =
     sh.wins.(idx)
   in
 
+  let sleep_until t =
+    let now = Sim.Sched.now () in
+    if t > now then Sim.Sched.charge (t -. now)
+  in
+
   (* ---------------- frontend fibers ---------------- *)
+  (* An open-loop client: each request leaves at its scheduled instant,
+     stamped with the instant its network hop ends; the client never waits
+     out the hop itself. *)
   let client_body c ~tid =
     let arr =
       Sim.Arrival.create
@@ -370,7 +393,11 @@ let run ?(domains = 1) (cfg : Config.t) =
         ~remote_ns:cfg.net_remote_ns ~from_zone:zone_c
         ~to_zone:(Router.zone_of_shard router s)
     in
-    let send s entry = Queue.push entry fe.f_out.(s) in
+    let send s ~arrival ~req ~dseq ~cell =
+      Queue.push
+        { arrival; deliver = arrival +. hop s; req; client = c; dseq; cell }
+        fe.f_out.(s)
+    in
     let seq = ref 0 in
     let rix = ref (-1) in
     Array.iter
@@ -381,29 +408,15 @@ let run ?(domains = 1) (cfg : Config.t) =
         let t_send = Sim.Sched.now () in
         match op with
         | Ycsb.Workload.Read k ->
-            let s = Router.shard_of_key router k in
-            Sim.Sched.charge (hop s);
-            send s
-              {
-                arrival = t_send;
-                req = R_read k;
-                client = c;
-                dseq = -1;
-                cell = mk_cell ~spans_on ~client:c ~seq:!rix ~op:0;
-              }
+            send (Router.shard_of_key router k) ~arrival:t_send ~req:(R_read k)
+              ~dseq:(-1)
+              ~cell:(mk_cell ~spans_on ~client:c ~seq:!rix ~op:0)
         | Ycsb.Workload.Update k | Ycsb.Workload.Insert k ->
             incr seq;
             let v = Driver.value_of ~tid ~seq:!seq in
-            let s = Router.shard_of_key router k in
-            Sim.Sched.charge (hop s);
-            send s
-              {
-                arrival = t_send;
-                req = R_upsert (k, v);
-                client = c;
-                dseq = !seq;
-                cell = mk_cell ~spans_on ~client:c ~seq:!rix ~op:1;
-              }
+            send (Router.shard_of_key router k) ~arrival:t_send
+              ~req:(R_upsert (k, v)) ~dseq:!seq
+              ~cell:(mk_cell ~spans_on ~client:c ~seq:!rix ~op:1)
         | Ycsb.Workload.Scan (start, len) ->
             let lo = start and hi = start + len - 1 in
             let parts = Router.shards_of_range router ~lo ~hi in
@@ -418,22 +431,16 @@ let run ?(domains = 1) (cfg : Config.t) =
             fe.f_pending_scans <- fe.f_pending_scans + 1;
             List.iter
               (fun s ->
-                Sim.Sched.charge (hop s);
-                send s
-                  {
-                    arrival = t_send;
-                    req = R_scan_part (ctx, lo, hi);
-                    client = c;
-                    dseq = -1;
-                    cell = None;
-                  })
+                send s ~arrival:t_send ~req:(R_scan_part (ctx, lo, hi))
+                  ~dseq:(-1) ~cell:None)
               parts)
       streams.(c);
     fe.f_clients_done <- fe.f_clients_done + 1
   in
   (* Resolve scan parts mailed back by the shards; runs only on the
      frontend, so ctx mutation is single-station. The merge cost of a
-     completed scan is charged to the aggregator's (frontend) clock. *)
+     completed scan is charged to the aggregator's (frontend) clock. Idle,
+     it sleeps to the next boundary: [f_in] changes only at an exchange. *)
   let aggregator_body ~tid:_ =
     let apply m =
       let ctx = m.um_ctx in
@@ -457,7 +464,7 @@ let run ?(domains = 1) (cfg : Config.t) =
         apply (Queue.pop fe.f_in)
       done;
       if not fe.f_stop then begin
-        Sim.Sched.charge cfg.poll_ns;
+        sleep_until fe.f_until;
         loop ()
       end
     in
@@ -465,6 +472,41 @@ let run ?(domains = 1) (cfg : Config.t) =
   in
 
   (* ---------------- shard fibers ---------------- *)
+  (* Admission of one request at its instant [at]: a bounded-queue push, or
+     shed when the queue is full. *)
+  let admit sh ~at e =
+    if Bqueue.push sh.q e then begin
+      sh.enq <- sh.enq + 1;
+      Obs.bump ~tid:sh.sx Obs.id_svc_enqueue;
+      match e.cell with Some cl -> cl.c_enq <- at | None -> ()
+    end
+    else begin
+      sh.shed <- sh.shed + 1;
+      sh.shed_c.(e.client) <- sh.shed_c.(e.client) + 1;
+      Obs.bump ~tid:sh.sx Obs.id_svc_shed;
+      (if spans_on then
+         let w = win_of sh at in
+         w.aw_shed <- w.aw_shed + 1);
+      match e.req with
+      | R_scan_part (ctx, _, _) ->
+          Queue.push { um_ctx = ctx; um_failed = true; um_part = [] } sh.s_out
+      | R_read _ | R_upsert _ -> ()
+    end
+  in
+  (* Admit, in order, every pending request due by now. A shard fiber calls
+     this before it looks at the queue; since the worker is the queue's only
+     popper, no pop can fall between an admission instant and the look that
+     performs it, so each push-or-shed sees the queue as it was then. *)
+  let admit_due sh =
+    let now = Sim.Sched.now () in
+    let rec go = function
+      | (at, e) :: rest when at <= now ->
+          admit sh ~at e;
+          go rest
+      | l -> sh.pending <- l
+    in
+    go sh.pending
+  in
   let finalize_span sh e t_ack lat =
     match (e.cell, sh.coll) with
     | Some cl, Some coll ->
@@ -566,6 +608,7 @@ let run ?(domains = 1) (cfg : Config.t) =
     let do_crash ~stranded =
       sh.crash_at <- None;
       sh.s_crashed <- true;
+      admit_due sh;
       let t0 = Sim.Sched.now () in
       Pmem.crash sh.kv.Kv.pmem;
       let stranded = stranded @ Bqueue.drain sh.q in
@@ -686,8 +729,10 @@ let run ?(domains = 1) (cfg : Config.t) =
     in
     (* [busy] marks the worker parked mid-work at a barrier, so the
        coordinator's stop check never fires with unacked entries in
-       flight. *)
+       flight. Idle, the worker sleeps to its next pending admission or the
+       next boundary, whichever is first: nothing else can fill its queue. *)
     let rec loop () =
+      admit_due sh;
       let crash_due =
         match sh.crash_at with
         | Some at -> Sim.Sched.now () >= at
@@ -714,7 +759,10 @@ let run ?(domains = 1) (cfg : Config.t) =
         loop ()
       end
       else if not sh.stop then begin
-        Sim.Sched.charge cfg.poll_ns;
+        sleep_until
+          (match sh.pending with
+          | (at, _) :: _ -> Float.min at sh.until
+          | [] -> sh.until);
         loop ()
       end
     in
@@ -724,10 +772,9 @@ let run ?(domains = 1) (cfg : Config.t) =
      the canonical ticks k*sample_ns so per-shard series zip exactly. *)
   let sampler_body sh ~tid:_ =
     let rec loop k =
-      let target = float_of_int k *. cfg.sample_ns in
-      let t = Sim.Sched.now () in
-      if target > t then Sim.Sched.charge (target -. t);
+      sleep_until (float_of_int k *. cfg.sample_ns);
       if not sh.stop then begin
+        admit_due sh;
         sh.depths <- (k, Bqueue.length sh.q) :: sh.depths;
         loop (k + 1)
       end
@@ -757,36 +804,32 @@ let run ?(domains = 1) (cfg : Config.t) =
     | Some s -> s
     | None -> assert false
   in
-  (* Admission runs here, at the receiving shard's epoch boundary: a
-     bounded-queue push, or shed when the queue is full. *)
-  let admit_inbox sh ~t_epoch =
-    while not (Queue.is_empty sh.s_in) do
-      let e = Queue.pop sh.s_in in
-      if Bqueue.push sh.q e then begin
-        sh.enq <- sh.enq + 1;
-        Obs.bump ~tid:sh.sx Obs.id_svc_enqueue;
-        match e.cell with Some cl -> cl.c_enq <- t_epoch | None -> ()
-      end
-      else begin
-        sh.shed <- sh.shed + 1;
-        sh.shed_c.(e.client) <- sh.shed_c.(e.client) + 1;
-        Obs.bump ~tid:sh.sx Obs.id_svc_shed;
-        (if spans_on then
-           let w = win_of sh t_epoch in
-           w.aw_shed <- w.aw_shed + 1);
-        match e.req with
-        | R_scan_part (ctx, _, _) ->
-            Queue.push { um_ctx = ctx; um_failed = true; um_part = [] } sh.s_out
-        | R_read _ | R_upsert _ -> ()
-      end
-    done
+  (* A round's inbox joins the pending list at the round's start
+     [boundary]: each request is due at [max deliver boundary]. *)
+  let receive sh ~boundary =
+    if not (Queue.is_empty sh.s_in) then begin
+      let incoming =
+        Queue.fold
+          (fun acc e -> (Float.max e.deliver boundary, e) :: acc)
+          [] sh.s_in
+      in
+      Queue.clear sh.s_in;
+      sh.pending <-
+        List.stable_sort
+          (fun (a, _) (b, _) -> Float.compare a b)
+          (sh.pending @ List.rev incoming)
+    end
   in
   let step ~station ~round =
     let until = float_of_int (round + 1) *. epoch in
-    if station = 0 then Sim.Sched.step (session_of fe.f_session) ~until
+    if station = 0 then begin
+      fe.f_until <- until;
+      Sim.Sched.step (session_of fe.f_session) ~until
+    end
     else begin
       let sh = shards.(station - 1) in
-      admit_inbox sh ~t_epoch:(float_of_int round *. epoch);
+      receive sh ~boundary:(float_of_int round *. epoch);
+      sh.until <- until;
       Sim.Sched.step (session_of sh.session) ~until;
       sh.comps <- sh.comp :: sh.comps
     end
@@ -800,7 +843,7 @@ let run ?(domains = 1) (cfg : Config.t) =
       && Queue.is_empty fe.f_in
       && Array.for_all
            (fun sh ->
-             Queue.is_empty sh.s_in
+             Queue.is_empty sh.s_in && sh.pending = []
              && Bqueue.is_empty sh.q && sh.replay = [] && sh.crash_at = None
              && not sh.busy)
            shards

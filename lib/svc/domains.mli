@@ -14,8 +14,12 @@
     coordinator — with all stations quiescent — moves frontend→shard
     request mailboxes and shard→frontend scan-result mailboxes in a fixed
     order. Messages published during round [r] are visible from round
-    [r+1]; admission (bounded-queue push, or shed when the queue is full)
-    happens at the receiving shard at the epoch boundary.
+    [r+1]. A request leaves its client at its scheduled instant, stamped
+    with the end of its network hop; the receiving shard admits it
+    (bounded-queue push, or shed when the queue is full) at that instant,
+    or at the start of the round that received it if the hop ended
+    earlier. Idle fibers sleep until their input can change instead of
+    polling.
 
     Per-shard workers batch up to [batch] queued requests, pay one
     batch-overhead charge, and group-commit: upserts in a batch are
@@ -47,8 +51,9 @@
     its group-commit fence wait, the overlap of its queue wait with the
     shard's recovery outage, and the PMEM counter deltas of its own
     structure operation — plus the windowed SLO time-series
-    ({!Slo.window}). The hop phase includes exchange-epoch residence, and
-    scan merge cost is charged on the frontend's clock. Span recording is
+    ({!Slo.window}). The hop phase is the network hop, plus the rest of
+    the send round when the hop ends inside it; scan merge cost is charged
+    on the frontend's clock. Span recording is
     host-side only: every non-span report field is byte-identical with
     spans on or off. *)
 

@@ -144,15 +144,96 @@ let base =
     sample_ns = 20_000.0;
   }
 
+(* Exact delivery, on every retained span. A request sent at [arrival] in
+   round [floor (arrival / exchange_ns)] reaches its shard at [deliver =
+   arrival + hop], but the shard sees it only from the next boundary on, so
+   it is admitted at [max deliver boundary]: the hop phase is at least the
+   router's hop (never admitted early), exceeds it by less than one
+   exchange epoch, and is the hop itself when [deliver] lies at or past the
+   boundary. When every admitted sub-request left a span (no crash, no
+   scan parts, nothing dropped from the top/sample sets), the spans replay
+   each shard's busy periods: a request admitted after every earlier
+   admission on its shard was acked found the worker idle and the queue
+   empty, so it waits 0 in the queue. Returns how many spans were admitted
+   at their hop's end and how many found an idle shard. *)
+let check_delivery (cfg : Config.t) (r : Slo.t) =
+  match r.Slo.spans with
+  | None -> (0, 0)
+  | Some sp ->
+      let router =
+        Router.create ~shards:cfg.Config.shards ~zones:cfg.Config.zones
+      in
+      let epoch = cfg.Config.exchange_ns in
+      let seen = Hashtbl.create 64 in
+      List.iter
+        (fun x -> Hashtbl.replace seen x.Obs.Span.sp_id x)
+        (sp.Slo.sp_top @ sp.Slo.sp_sample);
+      let spans = Hashtbl.fold (fun _ x acc -> x :: acc) seen [] in
+      let at_hop = ref 0 in
+      let enq x = x.Obs.Span.sp_arrival +. x.Obs.Span.sp_phase.(Obs.Span.ph_hop) in
+      List.iter
+        (fun x ->
+          let hop =
+            Router.hop_ns router ~local_ns:cfg.Config.net_local_ns
+              ~remote_ns:cfg.Config.net_remote_ns
+              ~from_zone:(Router.zone_of_client router x.Obs.Span.sp_client)
+              ~to_zone:(Router.zone_of_shard router x.Obs.Span.sp_shard)
+          in
+          let a = x.Obs.Span.sp_arrival in
+          let deliver = a +. hop in
+          let boundary = Float.of_int (1 + int_of_float (a /. epoch)) *. epoch in
+          let p = x.Obs.Span.sp_phase.(Obs.Span.ph_hop) in
+          let expect what ok =
+            if not ok then
+              Alcotest.failf "span %d (arrival %.17g, hop %g, hop phase %.17g): %s"
+                x.Obs.Span.sp_id a hop p what
+          in
+          expect "hop phase >= hop" (p >= hop -. 1e-6);
+          expect "hop phase < hop + exchange" (p < hop +. epoch);
+          expect "admitted at max deliver boundary"
+            (p = Float.max deliver boundary -. a);
+          if deliver >= boundary then begin
+            incr at_hop;
+            expect "hop phase = hop" (Float.abs (p -. hop) <= 1e-6)
+          end)
+        spans;
+      let idle = ref 0 in
+      if
+        List.length spans = sp.Slo.sp_count
+        && r.Slo.enqueued = sp.Slo.sp_count
+        && sp.Slo.sp_outages = []
+      then
+        List.iter
+          (fun x ->
+            let found_idle =
+              List.for_all
+                (fun y ->
+                  y == x
+                  || y.Obs.Span.sp_shard <> x.Obs.Span.sp_shard
+                  || enq y > enq x
+                  || y.Obs.Span.sp_arrival +. y.Obs.Span.sp_lat <= enq x)
+                spans
+            in
+            if found_idle then begin
+              incr idle;
+              let q = x.Obs.Span.sp_phase.(Obs.Span.ph_queue) in
+              if q <> 0.0 then
+                Alcotest.failf "span %d: idle, empty shard, but queue phase %g"
+                  x.Obs.Span.sp_id q
+            end)
+          spans;
+      (!at_hop, !idle)
+
 (* Every admitted sub-request must resolve by the end of the run: workers
    drain their queues before exiting, so completions + crash losses account
-   for every enqueue. *)
-let check_conservation (r : Slo.t) =
+   for every enqueue. Every retained span must obey exact delivery. *)
+let check_conservation cfg (r : Slo.t) =
   let sub_completed =
     List.fold_left (fun acc s -> acc + s.Slo.s_completed) 0 r.Slo.shard_reports
   in
   check_int "enqueued = completed + lost (sub-requests)" r.Slo.enqueued
-    (sub_completed + r.Slo.lost)
+    (sub_completed + r.Slo.lost);
+  ignore (check_delivery cfg r : int * int)
 
 let test_svc_determinism () =
   let json () = Json.to_string (Slo.to_json (Domains.run base)) in
@@ -169,7 +250,7 @@ let test_svc_completes_requests () =
   check_bool "latency recorded" true
     (Sim.Histogram.count r.Slo.merged = r.Slo.completed);
   check_bool "goodput positive" true (r.Slo.goodput_mops > 0.0);
-  check_conservation r;
+  check_conservation base r;
   List.iter
     (fun s -> check_int "audit clean" 0 s.Slo.audit_errors)
     r.Slo.shard_reports
@@ -181,16 +262,18 @@ let test_svc_sharding_speedup () =
                    requests_per_client = 300; workload = Ycsb.Workload.c;
                    net_local_ns = 50.0; net_remote_ns = 100.0 }
   in
-  let r1 = Domains.run (load { base with Config.shards = 1; zones = 1 }) in
-  let r4 = Domains.run (load { base with Config.shards = 4; zones = 4 }) in
+  let c1 = load { base with Config.shards = 1; zones = 1 } in
+  let c4 = load { base with Config.shards = 4; zones = 4 } in
+  let r1 = Domains.run c1 in
+  let r4 = Domains.run c4 in
   check_bool "one shard saturates" true (r1.Slo.shed > 0);
   check_bool
     (Printf.sprintf "4 shards beat 1 (%.3f vs %.3f Mops/s)"
        r4.Slo.goodput_mops r1.Slo.goodput_mops)
     true
     (r4.Slo.goodput_mops > 1.2 *. r1.Slo.goodput_mops);
-  check_conservation r1;
-  check_conservation r4
+  check_conservation c1 r1;
+  check_conservation c4 r4
 
 let test_svc_scan_fanout () =
   let cfg =
@@ -203,7 +286,7 @@ let test_svc_scan_fanout () =
     (r.Slo.completed + r.Slo.failed_scans <= r.Slo.requests);
   (* scan-heavy traffic fans out: more sub-requests than requests *)
   check_bool "fan-out happened" true (r.Slo.enqueued > r.Slo.requests / 2 * 3);
-  check_conservation r
+  check_conservation cfg r
 
 let test_svc_crash_recovery () =
   let cfg =
@@ -238,7 +321,7 @@ let test_svc_crash_recovery () =
           (s.Slo.completed_in_outage > 0))
     r.Slo.shard_reports;
   check_bool "service goodput survived" true (r.Slo.completed > 0);
-  check_conservation r
+  check_conservation cfg r
 
 (* With detectable operations the crashed shard loses nothing: stranded
    upserts are decided through their descriptors (acked if applied,
@@ -256,7 +339,10 @@ let test_svc_detect_crash_exactly_once () =
       workload = Ycsb.Workload.a;
       queue_cap = 64;
       detect = true;
-      crash = Some { Config.crash_shard = 1; crash_at_ns = 50_000.0 };
+      (* the clients send their 1600 requests over the first ~40 us, so at
+         35 us shard 1 is still working through its backlog; by 50 us it
+         has drained it and a crash there strands nothing *)
+      crash = Some { Config.crash_shard = 1; crash_at_ns = 35_000.0 };
     }
   in
   let r = Domains.run cfg in
@@ -266,7 +352,7 @@ let test_svc_detect_crash_exactly_once () =
     (r.Slo.replayed + r.Slo.dup_suppressed > 0);
   check_int "every admitted request completed" r.Slo.requests
     (r.Slo.completed + r.Slo.shed);
-  check_conservation r;
+  check_conservation cfg r;
   List.iter
     (fun s -> check_int "audit clean" 0 s.Slo.audit_errors)
     r.Slo.shard_reports;
@@ -292,7 +378,7 @@ let test_svc_detect_no_crash_parity () =
   check_int "nothing lost" 0 on.Slo.lost;
   check_int "detect run completes everything" on.Slo.requests
     (on.Slo.completed + on.Slo.shed);
-  check_conservation on
+  check_conservation { base with Config.detect = true } on
 
 (* ---- spans ---------------------------------------------------------------- *)
 
@@ -315,9 +401,8 @@ let test_svc_spans_transparent () =
 (* Every completed request's phases must telescope to its SLO latency
    exactly, and the windowed series must partition the completions. *)
 let test_svc_span_conservation () =
-  let r =
-    Domains.run { base with Config.spans = true; workload = Ycsb.Workload.a }
-  in
+  let cfg = { base with Config.spans = true; workload = Ycsb.Workload.a } in
+  let r = Domains.run cfg in
   match r.Slo.spans with
   | None -> Alcotest.fail "no span summary"
   | Some sp ->
@@ -330,7 +415,8 @@ let test_svc_span_conservation () =
         (abs_float (phase_total -. sp.Slo.sp_lat_sum) <= 1e-3);
       check_bool "windows present" true (r.Slo.windows <> []);
       check_int "windows partition completions" r.Slo.completed
-        (List.fold_left (fun a w -> a + w.Slo.w_completed) 0 r.Slo.windows)
+        (List.fold_left (fun a w -> a + w.Slo.w_completed) 0 r.Slo.windows);
+      check_conservation cfg r
 
 (* During a power-fail campaign the queue-wait of requests stuck behind
    the outage is attributed to recovery overlap. *)
@@ -367,6 +453,39 @@ let test_svc_span_recovery_attribution () =
       (* the overlap is a sub-attribution inside the queue phase *)
       check_bool "overlap bounded by queue time" true
         (sp.Slo.sp_recovery_sum <= sp.Slo.sp_phase_sum.(Obs.Span.ph_queue))
+
+(* Delivery is exact and causal: a request is admitted when its network
+   hop ends, or at the first boundary after its send round when the hop
+   ends inside that round, and a request that finds its shard idle and
+   empty goes straight to the worker. At the default epoch both admission
+   cases occur; at an epoch shorter than every hop, every request is
+   admitted at its hop's end, and received requests stay pending across
+   exchanges. *)
+let test_svc_exact_delivery () =
+  let run cfg =
+    let r = Domains.run cfg in
+    check_conservation cfg r;
+    let at_hop, idle = check_delivery cfg r in
+    let count =
+      match r.Slo.spans with Some sp -> sp.Slo.sp_count | None -> 0
+    in
+    check_int "every request completed" r.Slo.requests r.Slo.completed;
+    check_int "one span per completion" r.Slo.completed count;
+    check_bool (Printf.sprintf "idle shards seen (%d)" idle) true (idle > 0);
+    (count, at_hop)
+  in
+  let cfg =
+    { base with Config.spans = true; workload = Ycsb.Workload.a; detect = true }
+  in
+  let count, at_hop = run cfg in
+  check_bool
+    (Printf.sprintf "both admission cases (%d of %d at the hop's end)" at_hop
+       count)
+    true
+    (at_hop > 0 && at_hop < count);
+  let count, at_hop = run { cfg with Config.exchange_ns = 250.0 } in
+  check_int "short epoch: every request admitted at its hop's end" count
+    at_hop
 
 let test_svc_span_json_determinism () =
   let json () =
@@ -412,7 +531,7 @@ let test_domains_parallel_byte_identity () =
     "span JSON identical across domains 1/4" (Json.to_string (Slo.spans_to_json seq))
     (Json.to_string (Slo.spans_to_json par));
   check_bool "non-trivial run" true (seq.Slo.completed > 0);
-  check_conservation par
+  check_conservation cfg par
 
 (* A one-shard power failure must not disturb the identity, and under
    detect the crashed station recovers exactly-once in-line while the
@@ -447,7 +566,7 @@ let test_domains_crash_detect_identity () =
           true
           (s.Slo.completed_in_outage > 0))
     par.Slo.shard_reports;
-  check_conservation par
+  check_conservation cfg par
 
 (* Scan fan-out crosses stations through the mailboxes; the aggregation
    must still be domain-count independent. *)
@@ -498,6 +617,7 @@ let () =
         [
           case "spans are transparent" test_svc_spans_transparent;
           case "span conservation" test_svc_span_conservation;
+          case "delivery is exact and causal" test_svc_exact_delivery;
           slow_case "recovery attribution" test_svc_span_recovery_attribution;
           case "span JSON determinism" test_svc_span_json_determinism;
         ] );
