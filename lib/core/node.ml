@@ -289,9 +289,38 @@ let write_fp_line mem ly n words =
   done;
   !changed
 
-(* Persist the node's body: header, fingerprint and pair lines — what a
-   split or its recovery rewrites. The tower lines are not included. *)
-let persist_body mem ly n = Mem.persist_range mem n ~first:0 ~words:ly.o_tower
+(* Persist the node's body: fingerprint and pair lines — what split
+   recovery rewrites. The header is not included (the write unlock that
+   follows persists it), nor are the tower lines. *)
+let persist_body mem ly n =
+  Mem.persist_range mem n ~first:o_fp ~words:(ly.o_tower - o_fp)
+
+(* Persist a node built by [init] before it is linked: the header, the
+   pair lines holding its [keys] slots and the tower lines up to [height]
+   — the lines [init] and the caller's level writes dirtied, each flushed
+   once, then one fence. Not the fingerprint line: the block came off a
+   free list with a zero fingerprint region in the persistent image, so a
+   crash leaves the node unconfirmed, and the first miss there repairs
+   the line from the keys. *)
+let persist_fresh mem ly n ~keys ~height =
+  Mem.flush_range mem n ~first:0 ~words:Config.header_words;
+  Mem.flush_range mem n ~first:ly.o_pairs ~words:(keys * Config.slot_words);
+  if height > 2 then
+    Mem.flush_range mem n ~first:ly.o_tower
+      ~words:(o_hint ly (height - 1) + 1 - ly.o_tower);
+  Sim.Sched.fence ()
+
+(* Persist what a split rewrote in the node it split, under the write lock:
+   the fingerprint line and each pair line holding one of the erased
+   [slots], each flushed once, then one fence. The header is left to the
+   write unlock. *)
+let persist_split mem ly n slots =
+  Mem.flush_range mem n ~first:o_fp ~words:ly.fp_used;
+  List.iter
+    (fun line -> Mem.flush_field mem n (line * Config.line_words))
+    (List.sort_uniq Int.compare
+       (Array.to_list (Array.map (fun i -> o_key ly i / Config.line_words) slots)));
+  Sim.Sched.fence ()
 
 (* ---- split lock: epoch-stamped recoverable reader-writer lock ----------
 
@@ -498,21 +527,21 @@ end
    [values], with their fingerprints — complete, so the lock word starts
    confirmed (fp_ok) in the node's epoch. Next pointers are written separately,
    and the caller persists the node together with them before linking it
-   (Function 4, lines 42-43). Runs in fiber context. [keys] must be
-   non-empty: slot 0 anchors the header's immutable minimum key. *)
+   (Function 4, lines 42-43; see [persist_fresh]). Runs in fiber context.
+   [keys] must be non-empty: slot 0 anchors the header's immutable minimum
+   key. *)
 let init mem ly n ~node_epoch ~node_height ~keys ~values =
+  if Array.length keys = 0 then invalid_arg "Node.init: empty keys";
   Mem.write_field mem n o_epoch node_epoch;
   Mem.write_field mem n o_meta (make_meta ~height:node_height ~split_count:0);
   Mem.write_field mem n o_lock
     (Lock.make_word ~epoch:node_epoch ~writer:false ~readers:0 lor fp_ok_bit);
-  (match keys with
-  | k0 :: _ -> Mem.write_field mem n o_anchor k0
-  | [] -> invalid_arg "Node.init: empty keys");
+  Mem.write_field mem n o_anchor keys.(0);
   Array.iteri
     (fun j w -> if w <> 0 then Mem.write_field mem n (o_fp + j) w)
-    (fp_line ly (Array.of_list keys));
-  List.iteri (fun i k -> Mem.write_field mem n (o_key ly i) k) keys;
-  List.iteri (fun i v -> Mem.write_field mem n (o_value ly i) v) values
+    (fp_line ly keys);
+  Array.iteri (fun i k -> Mem.write_field mem n (o_key ly i) k) keys;
+  Array.iteri (fun i v -> Mem.write_field mem n (o_value ly i) v) values
 
 (* Sentinel setup at pool-format time (no simulated cost). *)
 let init_sentinel_poked mem ly n ~first_key ~node_height =

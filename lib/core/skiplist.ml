@@ -32,7 +32,7 @@
      validated against the node's split counter and split lock;
    - [upsert]: lock-free insert of new head-successor nodes, CAS slot claims
      inside existing nodes under a read lock, deadlock-free node splits
-     under a write lock;
+     under a write lock that take the overflowing key along;
    - [remove]: tombstoning update (Section 4.6);
    - [range]: strictly linearizable scan, one collect validated by each
      node's lock word and level-0 next word. *)
@@ -139,8 +139,8 @@ let random_height t ~tid =
    symmetric livelock where every thread read-locks a full node, fails the
    write lock, and retries in lock-step (possible under deterministic
    simulated timing; real machines break it with timing noise). *)
-let backoff t ~tid =
-  Sim.Sched.charge (20.0 +. float_of_int (Sim.Rng.int t.height_rngs.(tid) 300))
+let backoff_delay t ~tid = 20.0 +. float_of_int (Sim.Rng.int t.height_rngs.(tid) 300)
+let backoff t ~tid = Sim.Sched.charge (backoff_delay t ~tid)
 
 (* ---- traversal result -------------------------------------------------- *)
 
@@ -509,21 +509,17 @@ let rec claim_value t n i v =
 (* Function 4 fused with the node's first populate (Functions 18/19):
    allocate, write the body and levels 0 .. node_height-1 from the
    traversal [f] (successors and hints), and persist it all at once, so
-   the header line — which holds both — is flushed once. The node is not
-   reachable yet, so plain stores. *)
+   the header line — which holds both — is flushed once (see
+   [Node.persist_fresh]). The node is not reachable yet, so plain
+   stores. *)
 let make_linked_object t ~tid ~pred ~keys ~values ~node_height ~(f : find) =
-  let key = List.hd keys in
-  let block = Block_alloc.alloc_block t.mem ~tid ~ops:t.ops ~pred ~key in
+  let block = Block_alloc.alloc_block t.mem ~tid ~ops:t.ops ~pred ~key:keys.(0) in
   Node.init t.mem t.ly block ~node_epoch:(Mem.epoch t.mem) ~node_height ~keys
     ~values;
   for level = 0 to node_height - 1 do
     Node.set_next t.mem t.ly block level f.succs.(level) ~bound:f.bounds.(level)
   done;
-  let words =
-    if node_height > 2 then Node.o_hint t.ly (node_height - 1) + 1
-    else t.ly.Node.o_tower
-  in
-  Mem.persist_range t.mem block ~first:0 ~words;
+  Node.persist_fresh t.mem t.ly block ~keys:(Array.length keys) ~height:node_height;
   block
 
 (* Function 15, generalised: insert a fresh single-key node right after
@@ -534,8 +530,8 @@ let create_successor t ~tid ~pred ~key ~value ~(f : find) =
   let node_height = random_height t ~tid in
   let succ0 = f.succs.(0) in
   let node =
-    make_linked_object t ~tid ~pred ~keys:[ key ] ~values:[ value ] ~node_height
-      ~f
+    make_linked_object t ~tid ~pred ~keys:[| key |] ~values:[| value |]
+      ~node_height ~f
   in
   Node.lower_hint t.mem t.ly pred 0 key;
   if Node.cas_next t.mem t.ly pred 0 ~expected:succ0 ~desired:node then begin
@@ -638,79 +634,90 @@ let insert_into_existing t ~tid ~key ~value ~pred0 ~succ0 =
    anchor lies below it (an ascending run then leaves nodes 7/8 full, and
    the new node has room to fill); else the median and above (DESIGN
    "Split point"). The minimum key never moves, so the header anchor stays
-   valid across any number of splits. *)
-let split_node t ~tid ~key ~(f : find) =
+   valid across any number of splits.
+
+   When [key] ranks above the new anchor (every tail cut), it goes in with
+   the split, appended to the new node's pairs: it becomes visible at the
+   link CAS and durable when the link persists. Returns whether it went
+   in; false when [key] belongs to the old half, another writer holds the
+   lock, a slot turned out free or the link CAS failed, and the caller
+   retries the upsert, which claims a free slot. *)
+let split_node t ~tid ~key ~value ~(f : find) =
   let pred0 = f.preds.(0) in
   match Node.Lock.acquire_write t.mem pred0 ~backoff:(fun () -> backoff t ~tid) with
-  | None -> ()
+  | None -> false
   | Some held ->
     (* The writer bit is not persisted on its own: the lock word shares
        pred0's header line with the level-0 pointer and is stored before
        the link CAS, so every persisted image of that line holding the
        link also holds the bit, and the split stays detectable. *)
-    let k = t.cfg.Config.keys_per_node in
-    let pairs =
-      Array.init k (fun i ->
-          (Node.key t.mem t.ly pred0 i, Node.value t.mem t.ly pred0 i))
-    in
-    let keys = Array.map fst pairs in
-    if Array.exists (fun (ki, _) -> ki = Node.empty_key) pairs then begin
+    let ly = t.ly in
+    let k = ly.Node.k in
+    let keys = Array.init k (fun i -> Node.key t.mem ly pred0 i) in
+    if Array.exists (fun ki -> ki = Node.empty_key || ki = key) keys then begin
       (* A slot freed up since the caller's scan, or the caller found only
-         free slots behind stale fingerprints (claims a crash interrupted):
-         no split needed. Rewrite the line from the keys so every free slot
-         shows a 0 fingerprint again — otherwise the insert would return
-         here forever. *)
-      if Node.write_fp_line t.mem t.ly pred0 (Node.fp_line t.ly keys) then
-        Mem.persist_range t.mem pred0 ~first:Node.o_fp ~words:t.ly.Node.fp_used;
-      Node.Lock.write_unlock t.mem pred0 ~held
+         free slots behind stale fingerprints (claims a crash interrupted),
+         or [key] arrived: no split needed, and the retry finds its slot.
+         Rewrite the line from the keys so every free slot shows a 0
+         fingerprint again — otherwise the insert would return here
+         forever. *)
+      if Node.write_fp_line t.mem ly pred0 (Node.fp_line ly keys) then
+        Mem.persist_range t.mem pred0 ~first:Node.o_fp ~words:ly.Node.fp_used;
+      Node.Lock.write_unlock t.mem pred0 ~held;
+      false
     end
     else begin
-      Array.sort compare pairs;
+      let order = Array.init k Fun.id in
+      Array.sort (fun i j -> Int.compare keys.(i) keys.(j)) order;
       let m = max 1 (k / 8) in
-      let anchor = fst pairs.(0) in
-      let tail_cut = key > fst pairs.(k - m) && f.bounds.(0) - key > key - anchor in
+      let anchor = keys.(order.(0)) in
+      let tail_cut = key > keys.(order.(k - m)) && f.bounds.(0) - key > key - anchor in
       let cut = if tail_cut then k - m else k / 2 in
-      let moved = Array.sub pairs cut (k - cut) in
-      let new_keys = Array.to_list (Array.map fst moved) in
-      let new_values = Array.to_list (Array.map snd moved) in
+      (* the moved slots, in key order *)
+      let moved = Array.sub order cut (k - cut) in
+      let new_anchor = keys.(moved.(0)) in
+      let into_new = key > new_anchor in
+      let new_keys = Array.map (fun i -> keys.(i)) moved in
+      let new_values = Array.map (fun i -> Node.value t.mem ly pred0 i) moved in
+      let new_keys, new_values =
+        if into_new then
+          (Array.append new_keys [| key |], Array.append new_values [| value |])
+        else (new_keys, new_values)
+      in
       let node_height = random_height t ~tid in
       let node =
         make_linked_object t ~tid ~pred:pred0 ~keys:new_keys ~values:new_values
           ~node_height ~f
       in
-      Node.lower_hint t.mem t.ly pred0 0 (List.hd new_keys);
-      if
-        Node.cas_next t.mem t.ly pred0 0 ~expected:f.succs.(0) ~desired:node
-      then begin
-        Node.persist_next t.mem t.ly pred0 0;
-        obs_event ~tid Obs.id_split (List.hd new_keys);
+      Node.lower_hint t.mem ly pred0 0 new_anchor;
+      if Node.cas_next t.mem ly pred0 0 ~expected:f.succs.(0) ~desired:node then begin
+        Node.persist_next t.mem ly pred0 0;
+        obs_event ~tid Obs.id_split new_anchor;
         if tail_cut then Obs.bump ~tid Obs.id_split_tail;
-        (* the split count only serves readers of this epoch: it persists
-           with the erase below, in the same header line *)
+        (* the split count only serves readers of this epoch: the write
+           unlock persists it, in the same header line *)
         Node.set_split_count t.mem pred0 (Node.split_count t.mem pred0 + 1);
-        let moved_key ki = List.mem ki new_keys in
-        let kept =
-          Array.init k (fun i ->
-              let ki = Node.key t.mem t.ly pred0 i in
-              if moved_key ki then begin
-                Mem.write_field t.mem pred0 (Node.o_key t.ly i) Node.empty_key;
-                Mem.write_field t.mem pred0 (Node.o_value t.ly i) Node.tombstone;
-                Node.empty_key
-              end
-              else ki)
-        in
+        Array.iter
+          (fun i ->
+            Mem.write_field t.mem pred0 (Node.o_key ly i) Node.empty_key;
+            Mem.write_field t.mem pred0 (Node.o_value ly i) Node.tombstone;
+            keys.(i) <- Node.empty_key)
+          moved;
         (* the moved slots' fingerprints go with their keys *)
-        ignore (Node.write_fp_line t.mem t.ly pred0 (Node.fp_line t.ly kept) : bool);
-        Node.persist_body t.mem t.ly pred0;
+        ignore (Node.write_fp_line t.mem ly pred0 (Node.fp_line ly keys) : bool);
+        Node.persist_split t.mem ly pred0 moved;
         Node.Lock.write_unlock t.mem pred0 ~held;
-        let f = traverse t ~tid ~recover:false (List.hd new_keys) in
-        link_higher_levels t ~tid ~node ~start:1 ~node_height ~preds:f.preds
+        (* no node lies between pred0 and its old successor, so on every
+           level the traversal's pred and succ bound the new anchor too *)
+        link_higher_levels t ~tid ~node ~start:1 ~node_height ~preds:f.preds;
+        into_new
       end
       else begin
         Block_alloc.delete_linked_object t.mem ~tid node;
         (* nothing moved, but the unlock confirms the line: rewrite it *)
-        ignore (Node.write_fp_line t.mem t.ly pred0 (Node.fp_line t.ly keys) : bool);
-        Node.Lock.write_unlock t.mem pred0 ~held
+        ignore (Node.write_fp_line t.mem ly pred0 (Node.fp_line ly keys) : bool);
+        Node.Lock.write_unlock t.mem pred0 ~held;
+        false
       end
     end
 
@@ -804,8 +811,14 @@ let rec upsert_impl t ~tid key value =
           then None
           else upsert_impl t ~tid key value
         end
+        else if split_node t ~tid ~key ~value ~f then begin
+          (* Backoff and tower heights draw from one stream: take the draw
+             a retry's backoff takes, uncharged, so that later towers'
+             heights do not depend on whether an insert split a node. *)
+          ignore (backoff_delay t ~tid : float);
+          None
+        end
         else begin
-          split_node t ~tid ~key ~f;
           backoff t ~tid;
           upsert_impl t ~tid key value
         end

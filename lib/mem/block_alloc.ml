@@ -84,6 +84,17 @@ let link_in_tail t ~pool ~arena ~first ~last =
 
 (* ---- Function 5: DeleteLinkedObject ----------------------------------- *)
 
+(* Zero every word of [obj] past its three header words, for the caller
+   to persist with the header. A free block's body must read as zero in
+   the persistent image (a node built in it does not persist its
+   fingerprint line), and a popped block a crash caught half initialised,
+   or a deallocation a crash interrupted after its header persisted, may
+   leave node lines there. *)
+let zero_body t obj =
+  for i = Mem.block_words t - 1 downto 3 do
+    Mem.write_field t obj i 0
+  done
+
 (* Return [obj] to the free list, idempotently: safe to re-run if a
    previous attempt (or recovery of one) was interrupted at any step. *)
 let delete_linked_object t ~tid obj =
@@ -92,30 +103,25 @@ let delete_linked_object t ~tid obj =
   let kind = Mem.kind_of (Mem.read_field t obj Mem.hdr_kind) in
   if kind = Mem.kind_node then begin
     (* De-initialise the node so it can rejoin the free list. *)
-    let words = Mem.block_words t in
-    for i = words - 1 downto 3 do
-      Mem.write_field t obj i 0
-    done;
+    zero_body t obj;
     Mem.write_ptr t obj Mem.hdr_next Riv.null;
     Mem.write_field t obj Mem.hdr_epoch (Mem.epoch t);
     Mem.write_field t obj Mem.hdr_kind Mem.kind_free;
-    Mem.persist_range t obj ~first:0 ~words;
+    Mem.persist_range t obj ~first:0 ~words:(Mem.block_words t);
     obs_event ~tid Obs.id_free 0;
     link_in_tail t ~pool ~arena ~first:obj ~last:obj
   end
   else begin
     let tail = Mem.read_ptr t (Mem.arena_tail_ptr ~pool ~arena) 0 in
     if Riv.equal obj tail then () (* already linked as the tail *)
-    else if Riv.is_null (Mem.read_ptr t obj Mem.hdr_next) then begin
-      obs_event ~tid Obs.id_free 0;
-      link_in_tail t ~pool ~arena ~first:obj ~last:obj
-    end
     else begin
-      (* A non-null next either means the block is still (or again) in the
-         free list, or that it was popped just before the crash and carries
-         a stale pointer (the pop and the next-clearing are separate
-         persists). Disambiguate by scanning this arena's list. *)
-      let stale_next = Mem.read_ptr t obj Mem.hdr_next in
+      (* A free block off the tail is on this arena's list — never popped,
+         or appended behind a tail pointer a crash left lagging — or on no
+         list: popped before the crash with a stale next pointer (a pop
+         clears it only in the volatile image; the node's own persist
+         overwrites it), or with a null one (a deallocation interrupted
+         after its header persisted). Disambiguate by scanning the list. *)
+      let next = Mem.read_ptr t obj Mem.hdr_next in
       let rec in_list cur =
         (not (Riv.is_null cur))
         && (Riv.equal cur obj || in_list (Mem.read_ptr t cur Mem.hdr_next))
@@ -125,10 +131,11 @@ let delete_linked_object t ~tid obj =
            (in_list (Mem.read_ptr t (Mem.arena_head_ptr ~pool ~arena) 0)))
         && (* the CAS fails if another thread re-allocated the block in the
               meantime (a fresh pop clears the next pointer immediately) *)
-        Mem.cas_ptr t obj Mem.hdr_next ~expected:stale_next ~desired:Riv.null
+        Mem.cas_ptr t obj Mem.hdr_next ~expected:next ~desired:Riv.null
       then begin
+        zero_body t obj;
         Mem.write_field t obj Mem.hdr_epoch (Mem.epoch t);
-        Mem.persist_field t obj Mem.hdr_next;
+        Mem.persist_range t obj ~first:0 ~words:(Mem.block_words t);
         obs_event ~tid Obs.id_free 0;
         link_in_tail t ~pool ~arena ~first:obj ~last:obj
       end
@@ -197,20 +204,26 @@ let carve_blocks t ~pool ~chunk =
   Sim.Sched.fence ();
   (block 0, block (n - 1))
 
-(* Was the chunk's first block ever made reachable? A freshly carved chain
-   has block0.next = block1; a pop clears next immediately and conversion
-   to a node changes the kind, so an unlinked carved chunk is exactly
-   "kind free, next non-null, absent from the free list". *)
+(* Was the chunk's chain ever appended to the arena? An unlinked carved
+   chunk has every block kind free with its carved next pointer, and none
+   on the free list. Block0 alone cannot tell: a pop moves the head past
+   it but clears its next pointer only in the volatile image, so until the
+   node built there persists, a popped block0 looks carved and unlisted.
+   Pops take the chain's blocks in order from the head, each pop's window
+   closes when its node persists, and the chain's last block is the
+   arena's tail: so while the log still reads carved, a linked chunk
+   keeps blocks on the list. *)
 let chunk_linked t ~pool ~arena ~chunk =
   let block0 = Riv.make ~pool ~chunk ~offset:0 in
   if Mem.kind_of (Mem.read_field t block0 Mem.hdr_kind) <> Mem.kind_free then true
   else if Riv.is_null (Mem.read_ptr t block0 Mem.hdr_next) then true
   else begin
-    let rec in_list cur =
+    let rec any_listed cur =
       (not (Riv.is_null cur))
-      && (Riv.equal cur block0 || in_list (Mem.read_ptr t cur Mem.hdr_next))
+      && ((Riv.pool cur = pool && Riv.chunk cur = chunk)
+         || any_listed (Mem.read_ptr t cur Mem.hdr_next))
     in
-    in_list (Mem.read_ptr t (Mem.arena_head_ptr ~pool ~arena) 0)
+    any_listed (Mem.read_ptr t (Mem.arena_head_ptr ~pool ~arena) 0)
   end
 
 (* Resume a chunk provision interrupted by a crash in a previous epoch. *)
@@ -243,6 +256,19 @@ let recover_chunk_provision t ~tid =
   if state <> cstate_none then
     set_chunk_log t ~tid ~state:cstate_none ~pool:0 ~chunk:0
 
+(* Allocate a chunk, carve it and append its chain to [arena], under the
+   chunk-provision log, and return its id. The log is left [cstate_carved]:
+   the caller resets it once the chain is linked. *)
+let provision_chunk t ~tid ~pool ~arena =
+  let id, _base =
+    Mem.allocate_chunk t ~pool
+      ~log:(fun id -> set_chunk_log t ~tid ~state:cstate_carving ~pool ~chunk:id)
+  in
+  let first, last = carve_blocks t ~pool ~chunk:id in
+  set_chunk_log t ~tid ~state:cstate_carved ~pool ~chunk:id;
+  link_in_tail t ~pool ~arena ~first ~last;
+  id
+
 (* ---- Function 4: MakeLinkedObject (allocation half) -------------------- *)
 
 (* Pop a raw block from the caller's arena, logging the attempt first.
@@ -261,13 +287,7 @@ let alloc_block t ~tid ~ops ~pred ~key =
          by [allocate_chunk] between the durable bump advance and the
          registry publish, so there is no instant where a chunk exists
          without a durable log naming it. *)
-      let id, _base =
-        Mem.allocate_chunk t ~pool
-          ~log:(fun id -> set_chunk_log t ~tid ~state:cstate_carving ~pool ~chunk:id)
-      in
-      let first, last = carve_blocks t ~pool ~chunk:id in
-      set_chunk_log t ~tid ~state:cstate_carved ~pool ~chunk:id;
-      link_in_tail t ~pool ~arena ~first ~last;
+      let id = provision_chunk t ~tid ~pool ~arena in
       set_chunk_log t ~tid ~state:cstate_none ~pool:0 ~chunk:0;
       obs_event ~tid Obs.id_chunk id;
       loop ()
@@ -278,10 +298,12 @@ let alloc_block t ~tid ~ops ~pred ~key =
          checked on this thread's next allocation. *)
       if Mem.cas_ptr t head_slot 0 ~expected:new_block ~desired:next_block then begin
         Mem.persist_field t head_slot 0;
-        (* Clear the stale free-list pointer right away: narrows the
-           recovery ambiguity between "still listed" and "popped". *)
+        (* Clear the stale free-list pointer in the volatile image, so a
+           concurrent [delete_linked_object] guard sees the pop. No flush
+           of its own: the caller's node initialisation overwrites word 0
+           and persists the line, and a crash before that leaves a stale
+           pointer, which [delete_linked_object] disambiguates. *)
         Mem.write_ptr t new_block Mem.hdr_next Riv.null;
-        Mem.persist_field t new_block Mem.hdr_next;
         obs_event ~tid Obs.id_alloc 0;
         new_block
       end

@@ -139,14 +139,18 @@ let write_ptr t obj i p = write_field t obj i (Riv.to_word p)
 let cas_ptr t obj i ~expected ~desired =
   cas_field t obj i ~expected:(Riv.to_word expected) ~desired:(Riv.to_word desired)
 
-(* Flush every cache line overlapping [words] fields of [obj], then fence:
-   the paper's Persist primitive over a contiguous object. *)
-let persist_range t obj ~first ~words =
+(* Flush every cache line overlapping [words] fields of [obj], no fence. *)
+let flush_range t obj ~first ~words =
   let base = resolve t obj + first in
   let lines = ((base + words - 1) / Pmem.line_words) - (base / Pmem.line_words) in
   for l = 0 to lines do
     Sim.Sched.flush (base + (l * Pmem.line_words))
-  done;
+  done
+
+(* [flush_range], then fence: the paper's Persist primitive over a
+   contiguous object. *)
+let persist_range t obj ~first ~words =
+  flush_range t obj ~first ~words;
   Sim.Sched.fence ()
 
 let persist_field t obj i =

@@ -74,6 +74,47 @@ let check_no_invariant_errors sl =
   | [] -> ()
   | errs -> Alcotest.fail (String.concat "; " errs)
 
+(* Crash [op] after every one of its events and, at each point, persist
+   every subset of the dirty lines. [setup] builds the starting state, and
+   [pmem] and [mem] name its machine and memory manager. Each of [checks]
+   inspects its own reproduction of every surviving state, after the crash
+   and the reconnect; [where] names the state. *)
+let crash_grid ~setup ~pmem ~mem ~op ~checks =
+  let run_until x crash_at =
+    ignore
+      (Sim.Sched.run ~machine:(Pmem.machine (pmem x))
+         ~crash:(Sim.Sched.After_events crash_at)
+         [ (0, op x) ])
+  in
+  let events =
+    let x = setup () in
+    snd (run (pmem x) [ op x ])
+  in
+  let states = ref 0 in
+  for crash_at = 1 to events do
+    let dirty =
+      let x = setup () in
+      run_until x crash_at;
+      Pmem.dirty_line_count (pmem x)
+    in
+    for mask = 0 to (1 lsl dirty) - 1 do
+      incr states;
+      List.iter
+        (fun check ->
+          let x = setup () in
+          run_until x crash_at;
+          let idx = ref 0 in
+          Pmem.crash (pmem x) ~persist_line:(fun ~pool:_ ~line:_ ->
+              let keep = mask land (1 lsl !idx) <> 0 in
+              incr idx;
+              keep);
+          Mem.reconnect (mem x);
+          check x (Fmt.str "crash at event %d, persisted lines %#x" crash_at mask))
+        checks
+    done
+  done;
+  Alcotest.(check bool) "explored more states than crash points" true (!states > events)
+
 (* Alcotest helpers *)
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f

@@ -96,7 +96,9 @@ let test_allocated_block_not_in_free_list () =
   let fx = make_fx () in
   let b = ref Riv.null in
   run1 fx.pmem (fun ~tid -> b := alloc fx ~tid ~key:5);
-  (* next pointer is cleared on pop *)
+  (* the pop clears the next pointer in the volatile image (a concurrent
+     deallocation's guard sees it); no flush persists the clearing, since
+     the node built in the block overwrites word 0 and persists that line *)
   check_bool "stale next cleared" true
     (Riv.is_null (Mem.peek_ptr fx.mem !b Mem.hdr_next))
 
@@ -283,6 +285,169 @@ let test_crash_during_chunk_provision () =
         (free + held_now >= total - 8 && free + held_now <= total))
     [ 5; 15; 40; 80; 120; 200 ]
 
+(* ---- the allocation crash window ----------------------------------------- *)
+
+(* Persistent-image walks (host side, after a crash). *)
+let persistent_chain mem first ~next =
+  let rec go p acc steps =
+    if Riv.is_null p || steps > 1000 then List.rev acc
+    else go (Mem.peek_ptr_persistent mem p next) (p :: acc) (steps + 1)
+  in
+  go first [] 0
+
+(* Build a synthetic node in block [b] the way a skiplist node is built:
+   word 0 overwritten (the node's epoch word), the kind, key 15 and next
+   pointer, and a body word on the block's second line; both lines are
+   persisted under one fence. *)
+let build_node fx b =
+  Mem.write_field fx.mem b Mem.hdr_next (Mem.epoch fx.mem);
+  Mem.write_field fx.mem b Mem.hdr_kind Mem.kind_node;
+  Mem.write_field fx.mem b key_field 15;
+  Mem.write_ptr fx.mem b next_field fx.node20;
+  Mem.write_field fx.mem b 9 777;
+  Mem.persist_range fx.mem b ~first:0 ~words:(Mem.block_words fx.mem)
+
+(* After a crash, run tid 0's next allocation, which checks the log; then
+   the audit is clean and [b] is exactly one of: on its arena's free list,
+   once, with a zero body in the persistent image; reachable from the
+   head; or the block that next allocation popped. *)
+let check_block_home fx b where =
+  let fresh = ref Riv.null in
+  run1 fx.pmem (fun ~tid -> fresh := alloc fx ~tid ~key:99);
+  let reachable p =
+    List.exists (Riv.equal p) (persistent_chain fx.mem fx.head ~next:next_field)
+  in
+  (match Block_alloc.audit fx.mem ~reachable with
+  | [] -> ()
+  | errs -> Alcotest.failf "%s: %s" where (String.concat "; " errs));
+  let pool = Mem.local_pool fx.mem ~tid:0 in
+  let listed =
+    List.length
+      (List.filter (Riv.equal b)
+         (persistent_chain fx.mem
+            (Mem.peek_ptr_persistent fx.mem (Mem.arena_head_ptr ~pool ~arena:0) 0)
+            ~next:Mem.hdr_next))
+  in
+  let homes = List.filter Fun.id [ listed = 1; reachable b; Riv.equal b !fresh ] in
+  check_bool (where ^ ": listed at most once") true (listed <= 1);
+  check_int (where ^ ": listed, reachable or reallocated, exactly one") 1
+    (List.length homes);
+  if listed = 1 then
+    for i = Pmem.line_words to Mem.block_words fx.mem - 1 do
+      check_int (Fmt.str "%s: listed block's word %d" where i) 0
+        (Mem.peek_field_persistent fx.mem b i)
+    done
+
+(* One allocation, the node built in it and its link after the head,
+   crashed after every event with every subset of the dirty lines
+   persisted. *)
+let test_alloc_crash_window () =
+  let target = ref Riv.null in
+  let setup () =
+    let fx = make_fx () in
+    Pmem.clean_shutdown fx.pmem;
+    let pool = Mem.local_pool fx.mem ~tid:0 in
+    target := Mem.peek_ptr fx.mem (Mem.arena_head_ptr ~pool ~arena:0) 0;
+    fx
+  in
+  let op fx ~tid =
+    let b = alloc fx ~tid ~key:15 in
+    build_node fx b;
+    if Mem.cas_ptr fx.mem fx.head next_field ~expected:fx.node20 ~desired:b then
+      Mem.persist_field fx.mem fx.head next_field
+  in
+  crash_grid ~setup ~pmem:(fun fx -> fx.pmem) ~mem:(fun fx -> fx.mem) ~op
+    ~checks:[ (fun fx where -> check_block_home fx !target where) ]
+
+(* The same for the deallocation of a node that was never linked (a lost
+   link CAS), crashed after every event: a crash can persist the freed
+   header before the zeroed body, and the re-run must still hand back a
+   zero body. *)
+let test_delete_crash_window () =
+  let target = ref Riv.null in
+  let setup () =
+    let fx = make_fx () in
+    run1 fx.pmem (fun ~tid ->
+        target := alloc fx ~tid ~key:15;
+        build_node fx !target);
+    Pmem.clean_shutdown fx.pmem;
+    fx
+  in
+  crash_grid ~setup ~pmem:(fun fx -> fx.pmem) ~mem:(fun fx -> fx.mem)
+    ~op:(fun fx ~tid -> Block_alloc.delete_linked_object fx.mem ~tid !target)
+    ~checks:[ (fun fx where -> check_block_home fx !target where) ]
+
+(* Run [body] as the fiber of [tid] alone. *)
+let run_as fx tid body =
+  ignore (run fx.pmem (List.init (tid + 1) (fun i -> if i = tid then body else fun ~tid:_ -> ())))
+
+(* Another thread on the provisioner's arena pops a fresh chunk's first
+   block while the chunk-provision log still reads carved, and builds a
+   node in it; crashed after every event with every subset of the dirty
+   lines persisted. Tids 0, 4 and 8 share pool 0 and arena 0: tid 8
+   drains the arena, tid 4 provisions the chunk and is cut off before it
+   resets its log, tid 8 pops the old last block, and tid 0 pops the
+   chunk's first. The pop leaves the block's carved next pointer in the
+   persistent image until the node persists, so the provision's recovery
+   must still see the chunk as linked. After the crash, the provisioner
+   recovers its log, and then the free list holds no block twice; after
+   tid 0's next allocation the audit is clean and the block is either on
+   the free list or the block that allocation popped. (The provisioner
+   recovers without allocating: a pop of the block by a thread other than
+   the one whose log names it is a separate hazard, see ROADMAP.) *)
+let test_chunk_provision_pop_window () =
+  let block0 = ref Riv.null and held = ref [] in
+  let setup () =
+    let fx = make_fx () in
+    let pool = Mem.local_pool fx.mem ~tid:0 in
+    held := [];
+    run_as fx 8 (fun ~tid ->
+        for i = 1 to 7 do
+          held := alloc fx ~tid ~key:(30 + i) :: !held
+        done);
+    run_as fx 4 (fun ~tid ->
+        let chunk = Block_alloc.provision_chunk fx.mem ~tid ~pool ~arena:0 in
+        block0 := Riv.make ~pool ~chunk ~offset:0);
+    run_as fx 8 (fun ~tid -> held := alloc fx ~tid ~key:38 :: !held);
+    check_bool "the chunk's first block heads the list" true
+      (Riv.equal !block0 (Mem.peek_ptr fx.mem (Mem.arena_head_ptr ~pool ~arena:0) 0));
+    (* tid 8's blocks stand for nodes of the structure *)
+    List.iter (fun b -> Mem.poke_field fx.mem b Mem.hdr_kind Mem.kind_node) !held;
+    Pmem.clean_shutdown fx.pmem;
+    fx
+  in
+  let op fx ~tid = build_node fx (alloc fx ~tid ~key:15) in
+  let check fx where =
+    let pool = Mem.local_pool fx.mem ~tid:0 in
+    let listed () =
+      persistent_chain fx.mem
+        (Mem.peek_ptr_persistent fx.mem (Mem.arena_head_ptr ~pool ~arena:0) 0)
+        ~next:Mem.hdr_next
+    in
+    let fresh = ref Riv.null in
+    run_as fx 4 (fun ~tid -> Block_alloc.recover_chunk_provision fx.mem ~tid);
+    let chain = listed () in
+    check_int (where ^ ": no block listed twice")
+      (List.length chain)
+      (List.length (List.sort_uniq compare (List.map Riv.to_word chain)));
+    run1 fx.pmem (fun ~tid -> fresh := alloc fx ~tid ~key:99);
+    let reachable p = List.exists (Riv.equal p) !held in
+    (match Block_alloc.audit fx.mem ~reachable with
+    | [] -> ()
+    | errs -> Alcotest.failf "%s: %s" where (String.concat "; " errs));
+    let b = !block0 in
+    let homes =
+      List.filter Fun.id
+        [
+          List.exists (Riv.equal b) (listed ());
+          Riv.equal b !fresh;
+        ]
+    in
+    check_int (where ^ ": listed or reallocated, exactly one") 1 (List.length homes)
+  in
+  crash_grid ~setup ~pmem:(fun fx -> fx.pmem) ~mem:(fun fx -> fx.mem) ~op
+    ~checks:[ check ]
+
 let () =
   Alcotest.run "block_alloc"
     [
@@ -309,5 +474,9 @@ let () =
           case "log persisted" test_log_survives_crash;
           case "per-thread logs" test_different_tids_have_independent_logs;
           case "crash during chunk provision" test_crash_during_chunk_provision;
+          slow_case "crash grid: allocation and node persist" test_alloc_crash_window;
+          slow_case "crash grid: node deallocation" test_delete_crash_window;
+          slow_case "crash grid: pop from a chunk still logged as carved"
+            test_chunk_provision_pop_window;
         ] );
     ]

@@ -260,42 +260,9 @@ let test_fp_lincheck_campaign () =
   check_int "strictly linearizable with small fingerprinted nodes" 0
     (List.length s.Harness.Fault.failures)
 
-(* Crash one operation after every event of it and, at each point, persist
-   every subset of the dirty lines; [check fx where] then inspects each
-   surviving state. [setup] builds the (cleanly shut down) starting state,
-   [op] is the operation under test. *)
-let crash_grid ~setup ~op ~check =
-  let run_until fx crash_at =
-    ignore
-      (Sim.Sched.run ~machine:(Pmem.machine fx.pmem)
-         ~crash:(Sim.Sched.After_events crash_at)
-         [ (0, op fx) ])
-  in
-  let events =
-    let fx = setup () in
-    snd (run fx.pmem [ op fx ])
-  in
-  let states = ref 0 in
-  for crash_at = 1 to events do
-    let dirty =
-      let fx = setup () in
-      run_until fx crash_at;
-      Pmem.dirty_line_count fx.pmem
-    in
-    for mask = 0 to (1 lsl dirty) - 1 do
-      incr states;
-      let fx = setup () in
-      run_until fx crash_at;
-      let idx = ref 0 in
-      Pmem.crash fx.pmem ~persist_line:(fun ~pool:_ ~line:_ ->
-          let keep = mask land (1 lsl !idx) <> 0 in
-          incr idx;
-          keep);
-      Mem.reconnect fx.mem;
-      check fx (Fmt.str "crash at event %d, persisted lines %#x" crash_at mask)
-    done
-  done;
-  check_bool "explored more states than crash points" true (!states > events)
+(* [Testsupport.crash_grid] over a skiplist fixture. *)
+let crash_grid ~setup ~op ~checks =
+  crash_grid ~setup ~pmem:(fun fx -> fx.pmem) ~mem:(fun fx -> fx.mem) ~op ~checks
 
 let check_audit fx where =
   match SL.audit_persistent fx.sl with
@@ -316,7 +283,7 @@ let test_fp_crash_grid () =
   in
   crash_grid ~setup
     ~op:(fun fx ~tid -> ignore (SL.upsert fx.sl ~tid key 777))
-    ~check:(fun fx where ->
+    ~checks:[ (fun fx where ->
       check_audit fx where;
       run1 fx.pmem (fun ~tid ->
           (match SL.search fx.sl ~tid key with
@@ -327,7 +294,7 @@ let test_fp_crash_grid () =
             (SL.search fx.sl ~tid key));
       check_int (where ^ ": one slot holds the key") 1
         (List.length (slots_holding fx key));
-      check_no_invariant_errors fx.sl)
+      check_no_invariant_errors fx.sl) ]
 
 (* ---- the lost fingerprint line --------------------------------------------- *)
 
@@ -512,65 +479,104 @@ let sorted_node_keys fx = List.map (List.sort compare) (node_keys fx)
 
 (* Crash grid for one node split (K = 4): [key] overflows the full node
    [10; 12; 14; 16], whose split moves a suffix of its keys to a new node
-   linked behind it; [after] is the two nodes' keys once [key] is in.
-   After every crash state, recovery and the audit (hint rule included)
-   are clean, every key the split moved or kept is still found, and the
-   top level is the highest non-empty head level. A range scan as the first
-   operation after recovery finishes within an event budget and returns
-   what the node chain holds: the traversal to its low end stops at the
-   head, so the scan itself must repair the interrupted split it meets. *)
+   linked behind it and puts [key] in with them, or leaves [key] to the
+   retried upsert, which claims a slot the split freed in the old node;
+   [after] is the two nodes' keys once [key] is in.
+
+   Each crash state is checked twice, on two reproductions of it. First,
+   with a lookup of [key] as the first operation: when [key] joins the new
+   node, it is found with its value wherever the new node is reachable on
+   level 0 (it is durable with the link); when the new node is
+   unreachable, [key] is absent and the old node still holds every
+   pre-split key; and once the upsert has returned, [key] is found
+   whatever the case. Second, after recovery and the audit (hint rule
+   included) are clean, every key the split moved or kept is still found,
+   and the top level is the highest non-empty head level. A range scan as
+   the first operation after recovery finishes within an event budget and
+   returns what the node chain holds: the traversal to its low end stops
+   at the head, so the scan itself must repair the interrupted split it
+   meets. *)
 let split_crash_grid ~key ~after () =
   let before = [ 10; 12; 14; 16 ] in
+  let into_new = List.mem key (List.nth after 1) in
+  let acked = ref false in
   let setup () =
     let fx = make_skiplist ~cfg:hint_cfg ~seed:7 () in
     run1 fx.pmem (fun ~tid ->
         List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) before);
     Pmem.clean_shutdown fx.pmem;
+    acked := false;
     fx
   in
   check_int "one full node before the split" 1 (List.length (bottom_nodes (setup ())));
   (let fx = setup () in
    run1 fx.pmem (fun ~tid -> ignore (SL.upsert fx.sl ~tid key key));
    Alcotest.check Alcotest.(list (list int)) "the split's cut" after (sorted_node_keys fx));
+  let first_lookup fx where =
+    let linked = List.length (bottom_nodes fx) = 2 in
+    let held = sorted_node_keys fx in
+    let found = ref None in
+    run1 fx.pmem (fun ~tid -> found := SL.search fx.sl ~tid key);
+    (match !found with
+    | Some v when v <> key -> Alcotest.failf "%s: lookup of %d returned %d" where key v
+    | _ -> ());
+    if !acked || (linked && into_new) then
+      Alcotest.check opt_int (where ^ ": key found first") (Some key) !found;
+    if not linked then begin
+      Alcotest.check opt_int (where ^ ": key absent without the new node") None !found;
+      Alcotest.check Alcotest.(list (list int)) (where ^ ": the old node keeps its keys")
+        [ before ] held
+    end
+  in
+  let after_recovery fx where =
+    run1 fx.pmem (fun ~tid -> SL.recover fx.sl ~tid);
+    check_int (where ^ ": top level after recovery") (highest_head_level fx)
+      (SL.top_level fx.sl);
+    let scanned = ref [] in
+    (match
+       Sim.Sched.run ~machine:(Pmem.machine fx.pmem)
+         ~crash:(Sim.Sched.After_events 100_000)
+         [ (0, fun ~tid -> scanned := SL.range fx.sl ~tid ~lo:1 ~hi:100) ]
+     with
+    | Sim.Sched.Completed _ -> ()
+    | Sim.Sched.Crashed_at _ ->
+        Alcotest.failf "%s: range scan still running after 100000 events" where);
+    check_pairs (where ^ ": range scan") (SL.to_alist fx.sl) !scanned;
+    check_audit fx where;
+    run1 fx.pmem (fun ~tid ->
+        List.iter
+          (fun k ->
+            Alcotest.check opt_int (Fmt.str "%s: key %d" where k) (Some k)
+              (SL.search fx.sl ~tid k))
+          before;
+        (match SL.search fx.sl ~tid key with
+        | Some v when v <> key ->
+            Alcotest.failf "%s: lookup of %d returned %d" where key v
+        | _ -> ());
+        ignore (SL.upsert fx.sl ~tid key (key + 1)));
+    check_audit fx where;
+    check_no_invariant_errors fx.sl
+  in
   crash_grid ~setup
-    ~op:(fun fx ~tid -> ignore (SL.upsert fx.sl ~tid key key))
-    ~check:(fun fx where ->
-      run1 fx.pmem (fun ~tid -> SL.recover fx.sl ~tid);
-      check_int (where ^ ": top level after recovery") (highest_head_level fx)
-        (SL.top_level fx.sl);
-      let scanned = ref [] in
-      (match
-         Sim.Sched.run ~machine:(Pmem.machine fx.pmem)
-           ~crash:(Sim.Sched.After_events 100_000)
-           [ (0, fun ~tid -> scanned := SL.range fx.sl ~tid ~lo:1 ~hi:100) ]
-       with
-      | Sim.Sched.Completed _ -> ()
-      | Sim.Sched.Crashed_at _ ->
-          Alcotest.failf "%s: range scan still running after 100000 events" where);
-      check_pairs (where ^ ": range scan") (SL.to_alist fx.sl) !scanned;
-      check_audit fx where;
-      run1 fx.pmem (fun ~tid ->
-          List.iter
-            (fun k ->
-              Alcotest.check opt_int (Fmt.str "%s: key %d" where k) (Some k)
-                (SL.search fx.sl ~tid k))
-            before;
-          (match SL.search fx.sl ~tid key with
-          | Some v when v <> key ->
-              Alcotest.failf "%s: lookup of %d returned %d" where key v
-          | _ -> ());
-          ignore (SL.upsert fx.sl ~tid key (key + 1)));
-      check_audit fx where;
-      check_no_invariant_errors fx.sl)
+    ~op:(fun fx ~tid ->
+      ignore (SL.upsert fx.sl ~tid key key);
+      acked := true)
+    ~checks:[ first_lookup; after_recovery ]
 
 (* 18 ranks above every key of the node: the tail cut moves the top
    max 1 (K/8) = 1 key, and 18 joins it in the new node. *)
 let test_split_crash_grid =
   split_crash_grid ~key:18 ~after:[ [ 10; 12; 14 ]; [ 16; 18 ] ]
 
-(* 13 ranks below the node's top key: the median split moves [14; 16], and
-   13 stays in the old node. *)
+(* 15 ranks below the node's top key: the median split moves [14; 16],
+   and 15 joins them in the new node. *)
 let test_median_split_crash_grid =
+  split_crash_grid ~key:15 ~after:[ [ 10; 12 ]; [ 14; 15; 16 ] ]
+
+(* 13 ranks below the new node's anchor: the median split moves
+   [14; 16] without it, and the retried upsert claims a slot the split
+   freed in the old node. *)
+let test_median_split_old_half_crash_grid =
   split_crash_grid ~key:13 ~after:[ [ 10; 12; 13 ]; [ 14; 16 ] ]
 
 (* Readers against the writers' publication order: eight fibers insert
@@ -748,6 +754,118 @@ let test_split_interleaved_appends () =
           (all_but_last (node_sizes fx))
       done)
     [ 16; 64 ]
+
+(* One tail-cut split at K = 64, alone, against its flush budget. Keys
+   1 .. 64 fill one node (height 1 at this seed); key 65 overflows it, and
+   the split moves keys 57 .. 64 and takes 65 along into a new node of
+   height 8. The split flushes each line it wrote once and no other:
+   - the allocation: the log line and the arena head (one fence each);
+   - the new node: its header, the 3 pair lines holding its 9 keys and
+     the 2 tower lines of levels 2 .. 7 (one fence), but not its
+     fingerprint line, which stays zero in the persistent image;
+   - the link: the old node's header (one fence);
+   - the old node: its fingerprint line and the 2 pair lines of the
+     erased slots 56 .. 63 (one fence);
+   - the unlock: the old node's header again (one fence);
+   - the tower: the head's next pointer at levels 1 .. 7 (a fence each).
+   So the old node's header is flushed twice, and every flush is of a
+   dirty line. The upsert returns at once, with no retry. *)
+let test_split_flush_budget () =
+  let k = 64 in
+  let fx = make_skiplist ~cfg:{ Config.default with keys_per_node = k } ~seed:27 () in
+  run1 fx.pmem (fun ~tid ->
+      for key = 1 to k do
+        ignore (SL.upsert fx.sl ~tid key key)
+      done);
+  let old_node = List.hd (bottom_nodes fx) in
+  check_int "the old node's height" 1
+    (Node.meta_height (Mem.peek_field fx.mem old_node Node.o_meta));
+  let flushed = Hashtbl.create 64 in
+  let times line = Option.value ~default:0 (Hashtbl.find_opt flushed line) in
+  let machine =
+    let m = Pmem.machine fx.pmem in
+    {
+      m with
+      Sim.Sched.flush =
+        (fun ~tid a ->
+          let line = a / Pmem.line_words in
+          Hashtbl.replace flushed line (times line + 1);
+          m.Sim.Sched.flush ~tid a);
+    }
+  in
+  Pmem.reset_counters fx.pmem;
+  Obs.reset ();
+  let result = ref (Some 0) in
+  (match
+     Sim.Sched.run ~machine
+       [ (0, fun ~tid -> result := SL.upsert fx.sl ~tid (k + 1) (k + 1)) ]
+   with
+  | Sim.Sched.Completed _ -> ()
+  | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected crash");
+  Alcotest.check opt_int "the upsert returns None" None !result;
+  check_int "one split" 1 (Obs.total Obs.id_split);
+  check_int "a tail cut" 1 (Obs.total Obs.id_split_tail);
+  let new_node =
+    match bottom_nodes fx with
+    | [ _; n ] -> n
+    | ns -> Alcotest.failf "expected two nodes, found %d" (List.length ns)
+  in
+  let m = k / 8 in
+  Alcotest.check Alcotest.(list (list int)) "the new node holds m + 1 keys"
+    [ List.init (k - m) (fun i -> i + 1); List.init (m + 1) (fun i -> k - m + 1 + i) ]
+    (sorted_node_keys fx);
+  let height = Node.meta_height (Mem.peek_field fx.mem new_node Node.o_meta) in
+  check_int "the new node's height" 8 height;
+  let c = Pmem.counters fx.pmem in
+  let line_of n i =
+    match Mem.try_resolve fx.mem n with
+    | Some a -> (a + i) / Pmem.line_words
+    | None -> Alcotest.fail "node does not resolve"
+  in
+  check_int "clean flushes" 0 (c.Pmem.flushes - c.Pmem.dirty_flushes);
+  check_int "dirty flushes" (2 + (1 + 3 + 2) + 1 + (1 + 2) + 1 + (height - 1))
+    c.Pmem.dirty_flushes;
+  check_int "fences" (2 + 1 + 1 + 1 + 1 + (height - 1)) c.Pmem.fences;
+  check_int "the old node's header flushes" 2 (times (line_of old_node 0));
+  check_int "the new node's fingerprint line flushes" 0
+    (times (line_of new_node Node.o_fp));
+  check_int "the new node's fingerprint word in the persistent image" 0
+    (Mem.peek_field_persistent fx.mem new_node Node.o_fp);
+  check_no_invariant_errors fx.sl;
+  Obs.reset ()
+
+(* The heights of the first 200 nodes a single-fiber ascending load builds
+   at a fixed seed (K = 4), in key order. Tower heights and backoff delays
+   draw from one random stream per thread, so a change in how many draws
+   any operation makes shows up here as an edit to this list. *)
+let pinned_heights =
+  [
+    3; 4; 4; 5; 1; 4; 3; 2; 1; 4; 1; 3; 1; 1; 1; 3; 1; 1; 2; 1;
+    1; 4; 3; 1; 2; 1; 1; 2; 1; 5; 1; 5; 2; 1; 2; 1; 4; 3; 3; 3;
+    2; 1; 4; 2; 1; 1; 1; 1; 2; 3; 4; 1; 1; 1; 1; 1; 1; 2; 2; 3;
+    1; 1; 1; 3; 4; 2; 1; 1; 1; 2; 1; 3; 1; 1; 1; 1; 1; 2; 5; 2;
+    1; 2; 1; 8; 11; 2; 3; 1; 5; 1; 1; 2; 1; 2; 1; 1; 1; 6; 3; 1;
+    1; 1; 2; 4; 1; 5; 1; 3; 1; 1; 4; 2; 4; 2; 2; 2; 6; 3; 1; 4;
+    1; 4; 1; 3; 6; 1; 1; 2; 2; 4; 1; 1; 1; 1; 1; 5; 1; 1; 2; 1;
+    2; 1; 3; 2; 2; 3; 1; 3; 3; 1; 1; 1; 2; 3; 4; 4; 1; 1; 3; 3;
+    2; 1; 3; 2; 1; 1; 2; 3; 1; 2; 1; 1; 1; 1; 1; 2; 2; 6; 1; 9;
+    3; 1; 3; 1; 2; 1; 3; 1; 2; 2; 1; 1; 4; 5; 1; 1; 1; 2; 5; 1
+  ]
+
+let test_tower_heights_pinned () =
+  let fx = make_skiplist ~cfg:{ Config.default with keys_per_node = 4 } ~seed:5 () in
+  run1 fx.pmem (fun ~tid ->
+      let key = ref 0 in
+      while List.length (bottom_nodes fx) < 200 do
+        incr key;
+        ignore (SL.upsert fx.sl ~tid !key !key)
+      done);
+  let heights =
+    List.map
+      (fun n -> Node.meta_height (Mem.peek_field fx.mem n Node.o_meta))
+      (bottom_nodes fx)
+  in
+  Alcotest.check Alcotest.(list int) "tower heights" pinned_heights heights
 
 (* ---- physical removal + reclamation ---------------------------------------- *)
 
@@ -1057,6 +1175,8 @@ let () =
         [
           slow_case "crash grid: split" test_split_crash_grid;
           slow_case "crash grid: median split" test_median_split_crash_grid;
+          slow_case "crash grid: median split, key kept in the old node"
+            test_median_split_old_half_crash_grid;
           case "readers never miss a key a split or tower build moves"
             test_hint_reader_order;
           case "top level recomputed after a crash" test_top_after_crash;
@@ -1067,6 +1187,8 @@ let () =
           case "cut rule: median or tail" test_split_cut_rule;
           case "interleaved appends: found, audited, half full"
             test_split_interleaved_appends;
+          case "one split's flush budget" test_split_flush_budget;
+          case "tower heights of an ascending load are pinned" test_tower_heights_pinned;
         ] );
       ( "layout",
         [
