@@ -69,7 +69,7 @@ let striped_sys =
 
 let multi_sys = { Kv.default_sys with mode = Pmem.Multi_pool; pool_words = 1 lsl 21 }
 
-let bench_cfg = { Upskiplist.Config.default with keys_per_node = 64; max_height = 24 }
+let bench_cfg = { Upskiplist.Config.default with keys_per_node = 64 }
 
 let structure_makers () =
   [
@@ -138,7 +138,7 @@ let fig_5_3 () =
   Report.heading
     "Figure 5.3 — read-only throughput: RIV pointers (UPSkipList, 1 key/node) \
      vs fat pointers (PMDK lock-based skip list)";
-  let cfg1 = { Upskiplist.Config.default with keys_per_node = 1; max_height = 24 } in
+  let cfg1 = { Upskiplist.Config.default with keys_per_node = 1 } in
   let n = !scale.n_initial / 2 in
   let run kv =
     List.map

@@ -306,7 +306,7 @@ let mutant_t =
     & info [ "mutant" ]
         ~doc:
           "Self-validation mutant applied after recovery: none | skip_resolve \
-           | lose_key | skip_fp_repair | raise_hint | dangle.")
+           | lose_key | skip_fp_repair | raise_hint | dangle | stale_tower_anchor.")
 
 let sweep_detect_t =
   Arg.(
@@ -428,7 +428,8 @@ let spec_tokens_t =
         ~doc:
           "Replay spec as printed by crash-sweep (key=value tokens; quoting the \
            whole line as one argument also works). $(b,mutant=) takes none | \
-           skip_resolve | lose_key | skip_fp_repair | raise_hint | dangle.")
+           skip_resolve | lose_key | skip_fp_repair | raise_hint | dangle | \
+           stale_tower_anchor.")
 
 let replay_cmd tokens =
   let line = String.concat " " tokens in

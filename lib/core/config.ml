@@ -10,8 +10,9 @@ type t = {
   max_height : int;  (* number of skip-list levels *)
   branching_p : float;  (* geometric parameter for tower heights *)
   recovery_budget : int;
-      (* incomplete-insert recoveries a single traversal may perform
-         (Section 4.4.1: k, as low as 1, keeps post-crash throughput up) *)
+      (* incomplete-tower repairs a single traversal may perform
+         (Section 4.4.1: k, as low as 1, keeps post-crash throughput up);
+         a claim that repairs nothing does not count *)
   reclaim_empty_nodes : bool;
       (* the paper's follow-up for removals (Section 4.6): physically
          unlink all-tombstone nodes and reclaim them through epoch-based
@@ -21,26 +22,30 @@ type t = {
 let default =
   {
     keys_per_node = 16;
-    max_height = 24;
+    max_height = 20;
     branching_p = 0.5;
     recovery_budget = 1;
     reclaim_empty_nodes = false;
   }
 
 (* The node layout is line-oriented: the hot header (epoch, the packed
-   kind/height/splitCount word, lock, anchor key, level-0 and level-1 next
-   pointers and their successor-key hints) fills exactly one 64-byte line,
-   the key fingerprints fill whole lines of their own, key/value pairs are
-   interleaved two words per slot so a slot's key and value always share a
-   line, and the upper tower is laid out in lines of four next pointers
-   followed by their four hints. These constants mirror Pmem.line_words = 8;
-   Node.layout depends on them. *)
+   kind/height/tid/splitCount word, lock, anchor key, level-0 and level-1
+   next pointers and their successor-key hints) fills exactly one 64-byte
+   line, the key fingerprints fill whole lines of their own, key/value
+   pairs are interleaved two words per slot so a slot's key and value
+   always share a line, and the upper tower is laid out in lines of three
+   next pointers, their three hints and a copy of the node's anchor key,
+   so a hop above level 1 reads one line. These constants mirror
+   Pmem.line_words = 8; Node.layout depends on them. *)
 let line_words = 8
 let header_words = 8
 let slot_words = 2
 
-(* Upper-tower levels per line: four pointers, then their four hints. *)
-let tower_levels_per_line = 4
+(* Upper-tower levels per line: three pointers, their three hints, the
+   anchor copy and one spare word. At the default [max_height] of 20 the
+   18 upper levels fill six lines, which keeps a K = 64 node's block at
+   25 lines and a K = 16 node's at 13. *)
+let tower_levels_per_line = 3
 
 (* Seven-bit key fingerprints, eight to a word (56 of its 63 bits). *)
 let fps_per_word = 8
@@ -73,7 +78,7 @@ let pair_words t = round_to_line (slot_words * t.keys_per_node)
 
 (* Words of the upper tower: levels 0 and 1 live in the header, levels 2 ..
    max_height-1 in whole lines of [tower_levels_per_line] pointer/hint
-   pairs. *)
+   pairs plus the anchor copy. *)
 let tower_words t =
   let upper = max 0 (t.max_height - 2) in
   line_words * ((upper + tower_levels_per_line - 1) / tower_levels_per_line)

@@ -7,15 +7,16 @@ type t = {
   max_height : int;  (** number of skip-list levels (2..40) *)
   branching_p : float;  (** geometric tower-height parameter, in (0,1) *)
   recovery_budget : int;
-      (** max incomplete-insert repairs per traversal after a crash
-          (Section 4.4.1); interrupted splits are always repaired *)
+      (** max incomplete-tower repairs per traversal after a crash
+          (Section 4.4.1); interrupted splits are always repaired, and a
+          claim that repairs nothing is not counted *)
   reclaim_empty_nodes : bool;
       (** physically unlink and reclaim all-tombstone nodes (paper §4.6
           follow-up), with epoch-based reclamation *)
 }
 
 val default : t
-(** 16 keys/node, 24 levels, p = 0.5, budget 1, physical removal off. *)
+(** 16 keys/node, 20 levels, p = 0.5, budget 1, physical removal off. *)
 
 val validate : t -> unit
 (** Raises [Invalid_argument] on out-of-range fields, and on any layout
@@ -29,8 +30,8 @@ val validate : t -> unit
     level-1 next pointers and their successor-key hints), then the
     key-fingerprint lines, then [keys_per_node] two-word key/value slots
     rounded up to whole lines, then the level-2 and up tower (up to
-    [max_height]) in lines of four next pointers followed by their four
-    hints. *)
+    [max_height]) in lines of three next pointers, their three hints and
+    a copy of the node's anchor key. *)
 
 val line_words : int
 (** Words per cache line (mirrors [Pmem.line_words]). *)
@@ -45,8 +46,8 @@ val round_to_line : int -> int
 (** Round a word count up to a whole number of lines. *)
 
 val tower_levels_per_line : int
-(** Upper-tower levels per line: four next pointers, then their four
-    successor-key hints. *)
+(** Upper-tower levels per line: three next pointers, their three
+    successor-key hints, then the anchor copy and one spare word. *)
 
 val fps_per_word : int
 (** Seven-bit key fingerprints packed into one fingerprint word. *)

@@ -8,7 +8,9 @@
    line and persists with one flush. A line of key fingerprints sits between
    the two, so a lookup reads the fingerprints and then only the slot whose
    fingerprint matches instead of scanning the pairs. Next pointers above
-   level 1 live at the block's tail. Every node reserves the full tower,
+   level 1 live at the block's tail, three levels to a line beside a copy
+   of the anchor key, so a hop above level 1 also reads one line per node
+   and never the header. Every node reserves the full tower,
    whatever its height, so the tower cap is [Config.max_height] for every
    node (the cap the persistent-heap audit checks).
 
@@ -16,7 +18,9 @@
                            confirmation; block: free-list next)
      word 1                successor-key hint, level 0
      word 2                packed meta: kind (bits 0-7: free block / node),
-                           height (bits 8-15), splitCount (bits 16 and up)
+                           height (bits 8-15), the allocating thread's tid
+                           (bits 16-23: whose allocation log may name the
+                           node), splitCount (bits 24 and up)
      word 3                splitLock (packed reader-writer lock with an
                            unlock counter that range scans validate
                            against; see the split lock section below)
@@ -33,14 +37,23 @@
      words P .. P+2K-1     K interleaved slots (P = 8+F): key_i at P+2i
                            (0 = empty), value_i at P+2i+1 (0 = tombstone);
                            the region is rounded up to whole lines
-     words T ..            levels 2 .. max_height-1 in lines of four: next
-                           pointers of levels 2+4g .. 5+4g at T+8g .. T+8g+3
-                           and their hints at T+8g+4 .. T+8g+7
+     words T ..            levels 2 .. max_height-1 in lines of three: next
+                           pointers of levels 2+3g .. 4+3g at T+8g .. T+8g+2,
+                           their hints at T+8g+3 .. T+8g+5, a copy of the
+                           anchor key at T+8g+6 (written by [init] in every
+                           line below the node's height), T+8g+7 spare
 
-   Height never changes after initialisation, and splitCount is written
-   only under the split lock's write side, so the packed meta word needs no
-   CAS. The kind stays in the low bits: the block allocator and the audit
-   read it through [Mem.kind_of].
+   Height and tid never change after initialisation, and splitCount is
+   written only under the split lock's write side, so the packed meta word
+   needs no CAS. The kind stays in the low bits: the block allocator and
+   the audit read it through [Mem.kind_of].
+
+   Tower anchors: a traversal above level 1 uses a node only for routing,
+   by its anchor, so the hop reads the anchor copy in the tower line it
+   reads the pointer and hint from. The copies are written before the node
+   is persisted and linked, and the anchor never changes, so they cannot go
+   stale either. Recovery (Function 10) runs only where a traversal reads
+   a header line anyway, at levels 1 and 0 (see [Skiplist]).
 
    Successor-key hints (Foresight): beside every next pointer sits a lower
    bound on the anchor key of the node it points to, in the same line. A
@@ -95,16 +108,21 @@ let o_next1h = 7  (* level-1 next, in the header line *)
 let o_fp = Config.header_words
 
 (* Packed meta word: kind in the low [Mem.kind_bits], then 8 bits of
-   height, then the split count. *)
+   height, 8 bits of the allocating tid ([Mem.max_threads] is 256), then
+   the split count. *)
 let height_shift = Memory.Mem.kind_bits
-let split_shift = height_shift + 8
+let tid_shift = height_shift + 8
+let split_shift = tid_shift + 8
 let meta_height w = (w lsr height_shift) land 0xff
+let meta_tid w = (w lsr tid_shift) land 0xff
 let meta_split_count w = w lsr split_shift
 
-let make_meta ~height ~split_count =
-  Memory.Mem.kind_node lor (height lsl height_shift) lor (split_count lsl split_shift)
+let make_meta ~height ~tid ~split_count =
+  Memory.Mem.kind_node lor (height lsl height_shift) lor (tid lsl tid_shift)
+  lor (split_count lsl split_shift)
 
-let with_height w h = make_meta ~height:h ~split_count:(meta_split_count w)
+let with_height w h =
+  make_meta ~height:h ~tid:(meta_tid w) ~split_count:(meta_split_count w)
 
 let empty_key = 0
 let tombstone = 0
@@ -131,12 +149,16 @@ let layout (cfg : Config.t) =
 let o_key ly i = ly.o_pairs + (Config.slot_words * i)
 let o_value ly i = o_key ly i + 1
 
-(* Upper level [l] >= 2 sits in tower line (l-2)/4, at position (l-2) mod 4
-   among its pointers; its hint is four words further along the line. *)
-let o_upper ly level =
-  let u = level - 2 in
-  let per = Config.tower_levels_per_line in
-  ly.o_tower + (Config.line_words * (u / per)) + (u mod per)
+(* Upper level [l] >= 2 sits in tower line (l-2)/3, at position (l-2) mod 3
+   among its pointers; its hint is three words further along the line, and
+   the line's anchor copy three words after the hints. *)
+let per_line = Config.tower_levels_per_line
+let tower_line ly level = ly.o_tower + (Config.line_words * ((level - 2) / per_line))
+let o_upper ly level = tower_line ly level + ((level - 2) mod per_line)
+let o_tower_anchor ly level = tower_line ly level + (2 * per_line)
+
+(* Tower lines a node of [height] uses: one per three levels above 1. *)
+let tower_lines height = (max 0 (height - 2) + per_line - 1) / per_line
 
 let o_next ly level =
   if level = 0 then o_next0
@@ -146,7 +168,7 @@ let o_next ly level =
 let o_hint ly level =
   if level = 0 then o_hint0
   else if level = 1 then o_hint1
-  else o_upper ly level + Config.tower_levels_per_line
+  else o_upper ly level + per_line
 
 (* ---- fingerprints ------------------------------------------------------- *)
 
@@ -186,17 +208,25 @@ let fp_line ly keys =
 
 let epoch mem n = Mem.read_field mem n o_epoch
 let split_count mem n = meta_split_count (Mem.read_field mem n o_meta)
-let height mem n = meta_height (Mem.read_field mem n o_meta)
+let meta mem n = Mem.read_field mem n o_meta
+let height mem n = meta_height (meta mem n)
 
 (* Under the split lock's write side (the only writer of the word). *)
 let set_split_count mem n sc =
-  let w = Mem.read_field mem n o_meta in
-  Mem.write_field mem n o_meta (make_meta ~height:(meta_height w) ~split_count:sc)
+  let w = meta mem n in
+  Mem.write_field mem n o_meta
+    (make_meta ~height:(meta_height w) ~tid:(meta_tid w) ~split_count:sc)
 
 let key mem ly n i = Mem.read_field mem n (o_key ly i)
 
 (* The hop-time minimum key: the header anchor, not slot 0 — one line. *)
 let key0 mem n = Mem.read_field mem n o_anchor
+
+(* The anchor as a hop at [level] reads it: from the header at levels 0
+   and 1, from the level's own tower line above. *)
+let anchor_at mem ly n level =
+  if level <= 1 then key0 mem n else Mem.read_field mem n (o_tower_anchor ly level)
+
 let value mem ly n i = Mem.read_field mem n (o_value ly i)
 let fp_word mem n j = Mem.read_field mem n (o_fp + j)
 
@@ -297,8 +327,8 @@ let persist_body mem ly n =
 
 (* Persist a node built by [init] before it is linked: the header, the
    pair lines holding its [keys] slots and the tower lines up to [height]
-   — the lines [init] and the caller's level writes dirtied, each flushed
-   once, then one fence. Not the fingerprint line: the block came off a
+   (levels and anchor copies) — the lines [init] and the caller's level
+   writes dirtied, each flushed once, then one fence. Not the fingerprint line: the block came off a
    free list with a zero fingerprint region in the persistent image, so a
    crash leaves the node unconfirmed, and the first miss there repairs
    the line from the keys. *)
@@ -307,7 +337,7 @@ let persist_fresh mem ly n ~keys ~height =
   Mem.flush_range mem n ~first:ly.o_pairs ~words:(keys * Config.slot_words);
   if height > 2 then
     Mem.flush_range mem n ~first:ly.o_tower
-      ~words:(o_hint ly (height - 1) + 1 - ly.o_tower);
+      ~words:(Config.line_words * tower_lines height);
   Sim.Sched.fence ()
 
 (* Persist what a split rewrote in the node it split, under the write lock:
@@ -374,6 +404,10 @@ module Lock = struct
 
   let is_write_locked w = w land writer_bit <> 0
   let stamp w = w lsr stamp_shift
+
+  (* A writer bit stamped before [epoch]: a split (or retirement) a crash
+     interrupted. A live writer always stamps the current epoch. *)
+  let interrupted ~epoch w = is_write_locked w && stamp w <> epoch
 
   let make_word ~epoch ~writer ~readers =
     (epoch lsl stamp_shift) lor (if writer then writer_bit else 0) lor readers
@@ -525,18 +559,23 @@ end
 
 (* Initialise a freshly allocated (zeroed) block as a node holding [keys] and
    [values], with their fingerprints — complete, so the lock word starts
-   confirmed (fp_ok) in the node's epoch. Next pointers are written separately,
+   confirmed (fp_ok) in the node's epoch — and the anchor copy in each tower
+   line below [node_height]. [tid] is the allocating thread, whose
+   allocation log names the block. Next pointers are written separately,
    and the caller persists the node together with them before linking it
    (Function 4, lines 42-43; see [persist_fresh]). Runs in fiber context.
    [keys] must be non-empty: slot 0 anchors the header's immutable minimum
    key. *)
-let init mem ly n ~node_epoch ~node_height ~keys ~values =
+let init mem ly n ~tid ~node_epoch ~node_height ~keys ~values =
   if Array.length keys = 0 then invalid_arg "Node.init: empty keys";
   Mem.write_field mem n o_epoch node_epoch;
-  Mem.write_field mem n o_meta (make_meta ~height:node_height ~split_count:0);
+  Mem.write_field mem n o_meta (make_meta ~height:node_height ~tid ~split_count:0);
   Mem.write_field mem n o_lock
     (Lock.make_word ~epoch:node_epoch ~writer:false ~readers:0 lor fp_ok_bit);
   Mem.write_field mem n o_anchor keys.(0);
+  for g = 0 to tower_lines node_height - 1 do
+    Mem.write_field mem n (o_tower_anchor ly (2 + (per_line * g))) keys.(0)
+  done;
   Array.iteri
     (fun j w -> if w <> 0 then Mem.write_field mem n (o_fp + j) w)
     (fp_line ly keys);
@@ -546,9 +585,12 @@ let init mem ly n ~node_epoch ~node_height ~keys ~values =
 (* Sentinel setup at pool-format time (no simulated cost). *)
 let init_sentinel_poked mem ly n ~first_key ~node_height =
   Mem.poke_field mem n o_epoch 1;
-  Mem.poke_field mem n o_meta (make_meta ~height:node_height ~split_count:0);
+  Mem.poke_field mem n o_meta (make_meta ~height:node_height ~tid:0 ~split_count:0);
   Mem.poke_field mem n o_lock 0;
   Mem.poke_field mem n o_anchor first_key;
+  for g = 0 to tower_lines node_height - 1 do
+    Mem.poke_field mem n (o_tower_anchor ly (2 + (per_line * g))) first_key
+  done;
   Mem.poke_field mem n (o_key ly 0) first_key;
   for level = 0 to node_height - 1 do
     Mem.poke_ptr mem n (o_next ly level) Riv.null

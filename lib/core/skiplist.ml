@@ -5,16 +5,20 @@
    extension to RECIPE: every node records the failure-free epoch in which
    its consistency was last confirmed. A traversal that meets a node from an
    older epoch knows no live thread is responsible for it, claims it by
-   CASing the epoch forward, and repairs it in place (incomplete tower
-   builds, interrupted node splits, stale lock state). Allocation uses the
-   logged block allocator so interrupted inserts cannot leak memory; the log
-   check is deferred to the owning thread's next allocation.
+   CASing the epoch forward, and repairs it in place: an interrupted node
+   split always, an incomplete tower only when its allocator's log names
+   the node (stale lock state voids itself). Allocation uses the logged
+   block allocator so interrupted inserts cannot leak memory; the log check
+   is deferred to the owning thread's next allocation, which also completes
+   the logged node's tower.
 
    Cache-conscious layout: every node takes one allocator block holding a
    full [max_height] tower array, as in the paper, and the hot header packs
    the hop-time fields (epoch, locks, anchor key, level-0 and level-1 next
    pointers and their hints) into one cache line, so advancing along the
-   bottom two levels costs one simulated line per node.
+   bottom two levels costs one simulated line per node. Above level 1 each
+   tower line carries a copy of the anchor, so a hop there also reads one
+   line and never the header.
 
    Each node carries a line of 7-bit key fingerprints (see Node), so the
    in-node lookup reads the fingerprint words and only the slots whose
@@ -22,8 +26,9 @@
 
    Every next pointer carries a successor-key hint in its own line (see
    Node): a traversal ends a level when the hint exceeds its key, without
-   loading the overshoot node or the tail, and enters — and claims for
-   recovery — only the nodes it moves onto. Searches start at the volatile
+   loading the overshoot node or the tail, and enters only the nodes it
+   moves onto, claiming for recovery those it enters at levels 1 and 0.
+   Searches start at the volatile
    [top] level, the highest level a link may have reached, instead of
    walking the empty head levels above it.
 
@@ -74,48 +79,6 @@ let block_words_of w =
   (lines lor 1) * Config.line_words
 
 let required_block_words cfg = block_words_of (Config.node_words cfg)
-
-let create ~mem ~cfg ~max_threads ~seed =
-  Config.validate cfg;
-  let ly = Node.layout cfg in
-  if Mem.block_words mem < Config.node_words cfg then
-    invalid_arg "Skiplist.create: allocator blocks smaller than a node";
-  if max_threads > Node.max_readers then
-    invalid_arg "Skiplist.create: max_threads exceeds the lock's reader field";
-  let head = Mem.root_alloc mem ~pool:0 ~words:(Mem.block_words mem) in
-  let tail = Mem.root_alloc mem ~pool:0 ~words:(Mem.block_words mem) in
-  Node.init_sentinel_poked mem ly head ~first_key:Node.head_key
-    ~node_height:cfg.Config.max_height;
-  Node.init_sentinel_poked mem ly tail ~first_key:Node.tail_key
-    ~node_height:cfg.Config.max_height;
-  for level = 0 to cfg.Config.max_height - 1 do
-    Mem.poke_field mem head (Node.o_hint ly level) Node.tail_key;
-    Mem.poke_ptr mem head (Node.o_next ly level) tail
-  done;
-  let root_rng = Sim.Rng.create seed in
-  let reclaim =
-    if cfg.Config.reclaim_empty_nodes then
-      Some
-        (Reclaim.create ~max_threads
-           ~free:(fun ~tid node -> Block_alloc.delete_linked_object mem ~tid node)
-           ())
-    else None
-  in
-  {
-    mem;
-    cfg;
-    ly;
-    head;
-    tail;
-    height_rngs = Array.init max_threads (fun _ -> Sim.Rng.split root_rng);
-    ops =
-      {
-        Block_alloc.key0 = (fun n -> Node.key0 mem n);
-        next0 = (fun n -> Node.next mem ly n 0);
-      };
-    reclaim;
-    top = Atomic.make 0;
-  }
 
 let top_level t = Atomic.get t.top
 
@@ -317,11 +280,26 @@ let rec traverse t ~tid ~recover key =
   let rec attempt () =
     let restart = ref false in
     let pred = ref t.head in
+    (* Function 10, run only on a node whose header line the hop reads
+       anyway: at levels 1 and 0. A repair restarts the traversal. *)
+    let claim n =
+      recover
+      && check_for_recovery t ~tid ~cur:n ~recoveries:!recoveries
+      && begin
+           incr recoveries;
+           obs_event ~tid Obs.id_restart key;
+           restart := true;
+           true
+         end
+    in
     (* levels above [top] are head -> tail: preds/succs/bounds already say
        so (and [top] only grows, so a restart overwrites every level an
        earlier attempt filled) *)
     let level = ref (Atomic.get t.top) in
     while (not !restart) && !level >= 0 do
+      (* a pred moved onto above level 1 was only routed by its anchor:
+         claim it before its header line is used *)
+      if !level <= 1 && not (Riv.equal !pred t.head) then ignore (claim !pred : bool);
       (* pointer first, hint second: a writer lowers the hint before it
          publishes the pointer, so the hint read here bounds [cur] *)
       let cur = ref (Node.next t.mem t.ly !pred !level) in
@@ -333,14 +311,7 @@ let rec traverse t ~tid ~recover key =
           Obs.bump ~tid Obs.id_hint_stop;
           walking := false
         end
-        else if
-          recover
-          && check_for_recovery t ~tid ~cur:!cur ~recoveries:!recoveries
-        then begin
-          incr recoveries;
-          obs_event ~tid Obs.id_restart key;
-          restart := true
-        end
+        else if !level <= 1 && claim !cur then ()
         else if
             t.reclaim <> None
             && (not (Riv.equal !cur t.tail))
@@ -365,7 +336,9 @@ let rec traverse t ~tid ~recover key =
           end
         end
         else begin
-          let k0 = Node.key0 t.mem !cur in
+          (* above level 1 the anchor copy shares the pointer's tower
+             line: the hop reads one line and never the header *)
+          let k0 = Node.anchor_at t.mem t.ly !cur !level in
           if k0 <= key then begin
             pred := !cur;
             cur := Node.next t.mem t.ly !pred !level;
@@ -401,57 +374,87 @@ let rec traverse t ~tid ~recover key =
   attempt ()
 
 (* Function 10: claim a node left behind by a previous failure-free epoch
-   and repair it. Returns true when a repair was performed (the caller
-   restarts its traversal). At most [recovery_budget] incomplete-insert
-   repairs per traversal; interrupted splits are always repaired because
-   their contents make traversal results unreliable (Section 4.4.1). *)
+   and repair what can be broken there. Returns true when a repair was
+   performed (the caller restarts its traversal and counts it against
+   [recovery_budget]); a claim that repairs nothing returns false.
+
+   Two things can be broken. An interrupted split leaves the writer bit
+   set under an older stamp (stale readers vanish via the stamp, and a
+   writer bit under the current stamp is a live writer's); it is always
+   repaired, because its contents make traversal results unreliable
+   (Section 4.4.1). A tower can be incomplete only if the node's insert
+   was in flight at a crash, and then the allocation log of the node's
+   allocator still names it from an older epoch (the owner completes the
+   tower before it overwrites the entry, see
+   [Block_alloc.log_change_attempt]): so the claim reads that one log line
+   and traverses to check the tower only for a node it names, and at most
+   [recovery_budget] tower repairs run per traversal — a node whose tower
+   repair is over budget is left unclaimed for a later traversal.
+
+   The epoch CAS is not flushed: no recovery step reads a node's epoch
+   from the persistent image, and a bump a crash loses only means a second
+   claim, whose repairs find nothing left to do. *)
 and check_for_recovery t ~tid ~cur ~recoveries =
-  let current_epoch = Mem.epoch t.mem in
-  let node_epoch = Node.epoch t.mem cur in
-  if node_epoch = current_epoch then false
+  if Riv.equal cur t.tail then false
   else begin
-    let lockw = Node.Lock.word t.mem cur in
-    (* stale readers vanish via the lock's epoch stamp; only an interrupted
-       split (persistent writer bit) forces immediate recovery *)
-    let recovery_needed = Node.Lock.is_write_locked lockw in
-    if recoveries < t.cfg.Config.recovery_budget || recovery_needed then begin
-      if not (Node.cas_epoch t.mem cur ~expected:node_epoch ~desired:current_epoch)
-      then false (* another thread claimed this node *)
-      else begin
-        Mem.persist_field t.mem cur Node.o_epoch;
-        obs_event ~tid Obs.id_epoch_repair 0;
-        if Riv.equal cur t.tail then false
-        else begin
-          check_split_recovery t ~tid cur;
-          check_insert_recovery t ~tid cur;
-          true
-        end
-      end
+    let node_epoch = Node.epoch t.mem cur in
+    if node_epoch = Mem.epoch t.mem then false
+    else begin
+      let split =
+        Node.Lock.interrupted ~epoch:(Mem.epoch t.mem) (Node.Lock.word t.mem cur)
+      in
+      let meta = Node.meta t.mem cur in
+      let tower =
+        Node.meta_height meta > 1
+        && Block_alloc.names_in_flight t.mem ~tid:(Node.meta_tid meta) cur
+      in
+      if tower && (not split) && recoveries >= t.cfg.Config.recovery_budget then false
+      else claim_node t ~tid cur ~node_epoch ~split ~tower = Some true
     end
-    else false
   end
 
-(* Function 12 (recast): a claimed node whose tower was not finished by its
-   crashed inserter is built up to its recorded height. Linked levels are
-   contiguous from the bottom, so the first level at which a fresh traversal
-   does not land on the node is where building resumes. *)
+(* The claim itself: CAS [cur]'s epoch forward from [node_epoch], then
+   repair the interrupted split and check the tower, as [split] and [tower]
+   say. [None] when another thread claimed the node first, else whether
+   anything was repaired. *)
+and claim_node t ~tid cur ~node_epoch ~split ~tower =
+  if not (Node.cas_epoch t.mem cur ~expected:node_epoch ~desired:(Mem.epoch t.mem))
+  then None
+  else begin
+    obs_event ~tid Obs.id_epoch_repair 0;
+    if split then check_split_recovery t ~tid cur;
+    let towered = tower && check_insert_recovery t ~tid cur in
+    Some (split || towered)
+  end
+
+(* The first level at which a fresh traversal does not land on [cur]
+   ([h] when it lands on every level below [h]), and the traversal.
+   Linked levels are contiguous from the bottom. *)
+and first_unlinked t ~tid cur h =
+  let f = traverse t ~tid ~recover:false (Node.key0 t.mem cur) in
+  let start = ref 1 in
+  while !start < h && Riv.equal f.preds.(!start) cur do
+    incr start
+  done;
+  (!start, f)
+
+(* Function 12 (recast): a node whose tower its inserter did not finish is
+   built up to its recorded height, from the first level it is not linked
+   at. A retired node (marked) is left as it is. Returns whether any level
+   was missing. *)
 and check_insert_recovery t ~tid cur =
   let h = Node.height t.mem cur in
-  if h > 1 then begin
-    let k0 = Node.key0 t.mem cur in
-    if k0 <> Node.tail_key && k0 <> Node.head_key then begin
-      let f = traverse t ~tid ~recover:false k0 in
-      let start = ref 1 in
-      while !start < h && Riv.equal f.preds.(!start) cur do
-        incr start
-      done;
-      if !start < h then begin
-        obs_event ~tid Obs.id_tower_repair k0;
-        link_higher_levels t ~tid ~node:cur ~start:!start ~node_height:h
-          ~preds:f.preds
-      end
-    end
-  end
+  h > 1
+  && (not (Node.is_marked (Node.next_raw t.mem t.ly cur 0)))
+  && begin
+       let start, f = first_unlinked t ~tid cur h in
+       start < h
+       && begin
+            obs_event ~tid Obs.id_tower_repair (Node.key0 t.mem cur);
+            link_higher_levels t ~tid ~node:cur ~start ~node_height:h ~preds:f.preds;
+            true
+          end
+     end
 
 (* Function 17: build the tower from [start] to [node_height - 1], CASing
    each predecessor's next pointer from the node's recorded successor to the
@@ -487,6 +490,83 @@ and link_higher_levels t ~tid ~node ~start ~node_height ~preds =
     attempt ()
   done
 
+(* The owner's side of the tower rule ([Block_alloc.log_change_attempt],
+   before it overwrites a log entry from an older epoch that names the
+   reachable [n]): leave [n]'s tower complete. A node still from an older
+   epoch is claimed, with the split repair a claim includes, so no claimer
+   builds the same tower at once. A node another thread claimed in this
+   epoch has its tower built by that claimer, which read the same log
+   entry: wait until every level is linked. *)
+let complete_tower t ~tid n =
+  let node_epoch = Node.epoch t.mem n in
+  let claimed =
+    node_epoch <> Mem.epoch t.mem
+    && claim_node t ~tid n ~node_epoch
+         ~split:(Node.Lock.interrupted ~epoch:(Mem.epoch t.mem) (Node.Lock.word t.mem n))
+         ~tower:true
+       <> None
+  in
+  let h = Node.height t.mem n in
+  let rec wait () =
+    if
+      (not (Node.is_marked (Node.next_raw t.mem t.ly n 0)))
+      && fst (first_unlinked t ~tid n h) < h
+    then begin
+      backoff t ~tid;
+      wait ()
+    end
+  in
+  if (not claimed) && h > 1 then wait ()
+
+(* ---- construction ------------------------------------------------------ *)
+
+let create ~mem ~cfg ~max_threads ~seed =
+  Config.validate cfg;
+  let ly = Node.layout cfg in
+  if Mem.block_words mem < Config.node_words cfg then
+    invalid_arg "Skiplist.create: allocator blocks smaller than a node";
+  if max_threads > Node.max_readers then
+    invalid_arg "Skiplist.create: max_threads exceeds the lock's reader field";
+  let head = Mem.root_alloc mem ~pool:0 ~words:(Mem.block_words mem) in
+  let tail = Mem.root_alloc mem ~pool:0 ~words:(Mem.block_words mem) in
+  Node.init_sentinel_poked mem ly head ~first_key:Node.head_key
+    ~node_height:cfg.Config.max_height;
+  Node.init_sentinel_poked mem ly tail ~first_key:Node.tail_key
+    ~node_height:cfg.Config.max_height;
+  for level = 0 to cfg.Config.max_height - 1 do
+    Mem.poke_field mem head (Node.o_hint ly level) Node.tail_key;
+    Mem.poke_ptr mem head (Node.o_next ly level) tail
+  done;
+  let root_rng = Sim.Rng.create seed in
+  let reclaim =
+    if cfg.Config.reclaim_empty_nodes then
+      Some
+        (Reclaim.create ~max_threads
+           ~free:(fun ~tid node -> Block_alloc.delete_linked_object mem ~tid node)
+           ())
+    else None
+  in
+  (* recursive only through [complete_tower]'s closure *)
+  let rec t =
+    {
+      mem;
+      cfg;
+      ly;
+      head;
+      tail;
+      height_rngs = Array.init max_threads (fun _ -> Sim.Rng.split root_rng);
+      ops =
+        {
+          Block_alloc.key0 = (fun n -> Node.key0 mem n);
+          next0 = (fun n -> Node.next mem ly n 0);
+          complete_tower = (fun ~tid n -> complete_tower t ~tid n);
+        };
+      reclaim;
+      top = Atomic.make 0;
+    }
+  in
+  t
+
 (* ---- writes ------------------------------------------------------------ *)
 
 (* Function 14: CAS the value slot until success; total-orders concurrent
@@ -514,7 +594,7 @@ let rec claim_value t n i v =
    stores. *)
 let make_linked_object t ~tid ~pred ~keys ~values ~node_height ~(f : find) =
   let block = Block_alloc.alloc_block t.mem ~tid ~ops:t.ops ~pred ~key:keys.(0) in
-  Node.init t.mem t.ly block ~node_epoch:(Mem.epoch t.mem) ~node_height ~keys
+  Node.init t.mem t.ly block ~tid ~node_epoch:(Mem.epoch t.mem) ~node_height ~keys
     ~values;
   for level = 0 to node_height - 1 do
     Node.set_next t.mem t.ly block level f.succs.(level) ~bound:f.bounds.(level)
@@ -1030,8 +1110,17 @@ let node_count t =
     (Riv.of_word (Node.unmark (Mem.peek_field t.mem t.head Node.o_next0)))
     0
 
+(* The first level of each tower line below [n]'s height whose anchor copy
+   differs from the header anchor, read through [peek]. *)
+let stale_tower_anchors t ~peek n =
+  let h = min (Node.meta_height (peek n Node.o_meta)) t.cfg.Config.max_height in
+  List.filter
+    (fun level -> peek n (Node.o_tower_anchor t.ly level) <> peek n Node.o_anchor)
+    (List.init (Node.tower_lines h) (fun g -> 2 + (Node.per_line * g)))
+
 (* Structural invariant check over the volatile image (tests):
    - bottom-level first keys strictly increase;
+   - every tower line below a node's height holds the header anchor;
    - every level's list is a subsequence of the level below;
    - internal keys lie in (keys[0], next.keys[0]);
    - no key is held by two slots of one node (nodes under the write lock —
@@ -1057,6 +1146,11 @@ let check_invariants t =
       let k0 = pk n (Node.o_key t.ly 0) in
       if pk n Node.o_anchor <> k0 then
         err "node anchor %d disagrees with slot-0 key %d" (pk n Node.o_anchor) k0;
+      List.iter
+        (fun level ->
+          err "node %d: tower anchor at level %d reads %d" k0 level
+            (pk n (Node.o_tower_anchor t.ly level)))
+        (stale_tower_anchors t ~peek:pk n);
       let succ = nxt n 0 in
       let succ_k0 = pk succ (Node.o_key t.ly 0) in
       if k0 >= succ_k0 then err "bottom level not sorted at key %d" k0;
@@ -1132,6 +1226,8 @@ let check_invariants t =
    - the bottom level reaches the tail with strictly increasing first keys,
      every hop landing on a node-kind block (no dangling/cyclic chain), and
      each node's header anchor agreeing with its slot-0 key;
+   - every tower line below a reachable node's height holds its header
+     anchor (upper-level hops route by these copies);
    - every non-null tower pointer of a reachable node (and of the head)
      targets the tail or a node on the bottom level — torn tower builds
      legitimately leave null slots below the recorded height, and lazy
@@ -1220,7 +1316,12 @@ let audit_persistent t =
         for level = max 1 h to cap - 1 do
           if ppk n (Node.o_next t.ly level) <> 0 then
             err "%s: non-null next word at level %d above height %d" label level h
-        done
+        done;
+        List.iter
+          (fun level ->
+            err "%s: tower anchor at level %d reads %d, header anchor %d" label level
+              (ppk n (Node.o_tower_anchor t.ly level)) (ppk n Node.o_anchor))
+          (stale_tower_anchors t ~peek:ppk n)
       end
     in
     check_towers t.head "head sentinel";
@@ -1249,8 +1350,12 @@ let audit_persistent t =
    [raise_hint] lifts one level-0
    hint above its successor's anchor (the auditor must flag it; a lookup
    of that anchor would end the level early and miss it), [dangle] bends a
-   tower pointer at a free block (the auditor must flag it). Returns false
-   when the structure is in no state to apply the mutation (e.g. empty). *)
+   tower pointer at a free block (the auditor must flag it),
+   [stale_tower_anchor] lowers the level-2 anchor copy of the first node
+   on level 2 by one, and the head's level-2 hint to match (a stale-low hint is legal): a lookup of the key just below the
+   anchor then routes into that node and misses, and only the anchor-copy
+   checks of both checkers see why. Returns false when the structure is in
+   no state to apply the mutation (e.g. empty). *)
 let corrupt t what =
   let first =
     Riv.of_word (Node.unmark (Mem.peek_field t.mem t.head Node.o_next0))
@@ -1319,6 +1424,17 @@ let corrupt t what =
           Mem.poke_field t.mem pred Node.o_hint0
             (Mem.peek_field t.mem s Node.o_anchor + 1);
           true)
+  | "stale_tower_anchor" ->
+      (* the first level-2 link into a node: pred -> n *)
+      let nxt2 n = Riv.of_word (Node.unmark (Mem.peek_field t.mem n (Node.o_next t.ly 2))) in
+      let n = nxt2 t.head in
+      if Riv.is_null n || Riv.equal n t.tail then false
+      else begin
+        let stale = Mem.peek_field t.mem n Node.o_anchor - 1 in
+        Mem.poke_field t.mem n (Node.o_tower_anchor t.ly 2) stale;
+        Mem.poke_field t.mem t.head (Node.o_hint t.ly 2) stale;
+        true
+      end
   | "dangle" ->
       (* bend the first reachable node's level-1 next at a free-list block *)
       if Riv.is_null first || Riv.equal first t.tail then false

@@ -73,7 +73,8 @@ val check_invariants : t -> string list
     ordering, internal-key bounds, level-sublist property, no key held
     twice in one node, every key of a node whose fingerprint line is
     confirmed in the current epoch carrying its fingerprint, every
-    successor-key hint at most its successor's anchor, and no non-empty
+    successor-key hint at most its successor's anchor, every tower line
+    below a node's height holding the node's anchor, and no non-empty
     head level above {!top_level}. Nodes awaiting lazy post-crash repair
     can legitimately report violations until they are traversed. *)
 
@@ -82,7 +83,8 @@ val audit_persistent : t -> string list
     behind, checked structurally over the {e persistent} image — bottom
     level reaches the tail with strictly increasing keys through node-kind
     blocks, non-null tower pointers target live nodes, every successor-key
-    hint is at most its successor's anchor, and the allocator
+    hint is at most its successor's anchor, every tower line below a
+    node's height holds the node's anchor, and the allocator
     accounts for every block of every registered chunk (reachable, on a
     free list, or excused by an allocation/provision log — no leaks, no
     dangling references). Empty list = clean. Lazy-repair states (torn
@@ -98,7 +100,10 @@ val corrupt : t -> string -> bool
     and {!check_invariants} must catch it); ["raise_hint"] lifts one
     level-0 hint above its successor's anchor (for the persistent-heap
     auditor); ["dangle"]
-    bends a tower pointer at a free block (the auditor must catch it). Returns
+    bends a tower pointer at a free block (the auditor must catch it);
+    ["stale_tower_anchor"] lowers one level-2 anchor copy by one, with the
+    head's level-2 hint (both checkers must catch it, and a lookup routed
+    by it misses). Returns
     [false] if the mutation is inapplicable (unknown name, empty list). *)
 
 (** {1 Physical removal (paper §4.6 follow-up)} *)

@@ -444,7 +444,15 @@ let spec_to_string s =
 (* Names the trial engine understands: [Kv.corrupt] mutations plus the
    harness-level [skip_resolve]. *)
 let mutants =
-  [ "none"; "skip_resolve"; "lose_key"; "skip_fp_repair"; "raise_hint"; "dangle" ]
+  [
+    "none";
+    "skip_resolve";
+    "lose_key";
+    "skip_fp_repair";
+    "raise_hint";
+    "dangle";
+    "stale_tower_anchor";
+  ]
 
 let validate s =
   let at_least k min n =

@@ -110,8 +110,8 @@ val validate : spec -> (spec, string) Stdlib.result
 (** The spec unchanged if the engine can run it: threads, keyspace, ops
     and rounds >= 1, depth and crash_at >= 0, a [Subset] probability in
     [0,1], and a mutant among [none | skip_resolve | lose_key |
-    skip_fp_repair | raise_hint | dangle]. Structure, latency and mode names are checked by
-    {!kv_of_spec}. *)
+    skip_fp_repair | raise_hint | dangle | stale_tower_anchor]. Structure,
+    latency and mode names are checked by {!kv_of_spec}. *)
 
 val spec_of_string : string -> (spec, string) Stdlib.result
 (** Parse a replay spec; unspecified keys default to {!default_spec}.

@@ -15,6 +15,9 @@
 type node_ops = {
   key0 : Riv.t -> int;  (* first key of a linked node (head = min key) *)
   next0 : Riv.t -> Riv.t;  (* bottom-level successor of a linked node *)
+  complete_tower : tid:int -> Riv.t -> unit;
+      (* link a reachable node at every level below its height it is not
+         linked at yet (idempotent) *)
 }
 
 (* Log entry layout: two cache lines per thread. The first records the
@@ -147,7 +150,12 @@ let delete_linked_object t ~tid obj =
 (* Persist this thread's intent to allocate [block] and link it after
    [pred] with first key [key]. If the previous log entry is from an older
    failure-free epoch, first verify that the old allocation became reachable
-   and reclaim it if it did not. *)
+   and reclaim it if it did not. If it did, its insert may have stopped
+   part-way up the tower: complete the tower before the entry is
+   overwritten, so that every incomplete tower stays named by an older
+   epoch's log entry across any number of crashes (the rule a claim relies
+   on to skip the tower check of every other node; see
+   [names_in_flight]). *)
 let log_change_attempt t ~tid ~ops ~block ~pred ~key =
   let log = log_obj ~tid in
   let l_state = Mem.read_field t log log_state in
@@ -167,7 +175,8 @@ let log_change_attempt t ~tid ~ops ~block ~pred ~key =
         else reachable (ops.next0 cur)
       end
     in
-    if not (reachable l_pred) then delete_linked_object t ~tid l_block
+    if reachable l_pred then ops.complete_tower ~tid l_block
+    else delete_linked_object t ~tid l_block
   end;
   Mem.write_field t log log_epoch (Mem.epoch t);
   Mem.write_ptr t log log_block block;
@@ -176,6 +185,16 @@ let log_change_attempt t ~tid ~ops ~block ~pred ~key =
   Mem.write_field t log log_state state_valid;
   (* The entry occupies a single cache line: one flush suffices. *)
   Mem.persist_field t log log_epoch
+
+(* Does the allocation log of [tid] name [block] from an older failure-free
+   epoch, i.e. was the block's insert in flight at a crash? Only such a node
+   can have an incomplete tower ([log_change_attempt] completes the tower
+   before it overwrites the entry). One log line, read in fiber context. *)
+let names_in_flight t ~tid block =
+  let log = log_obj ~tid in
+  Mem.read_field t log log_state = state_valid
+  && Riv.equal (Mem.read_ptr t log log_block) block
+  && Mem.read_field t log log_epoch <> Mem.epoch t
 
 (* ---- chunk-provision logging and recovery ------------------------------ *)
 

@@ -16,6 +16,7 @@ let ops mem =
   {
     Block_alloc.key0 = (fun n -> Mem.read_field mem n key_field);
     next0 = (fun n -> Mem.read_ptr mem n next_field);
+    complete_tower = (fun ~tid:_ _ -> ());  (* synthetic nodes have no tower *)
   }
 
 let make_synthetic_node mem ~key ~next =

@@ -222,6 +222,27 @@ let test_mutant_raise_hint_caught () =
       List.iter (fun k -> if SL.search fx.sl ~tid k = None then incr missed) keys);
   check_bool "a present key is missed" true (!missed > 0)
 
+(* A stale anchor copy in a tower line: hops above level 1 route by the
+   copy alone, so a copy below the anchor sends the lookup of the key just
+   under it into the node that does not hold it. *)
+let test_mutant_stale_tower_anchor_caught () =
+  let res = run_spec_exn { fast_spec with mutant = "stale_tower_anchor" } in
+  check_bool "trial crashed" true (res.Fault.crashes > 0);
+  check_bool "auditor caught the stale tower anchor" true
+    (res.Fault.audit_errors <> []);
+  let fx = make_skiplist ~cfg:{ Upskiplist.Config.default with keys_per_node = 4 } () in
+  let keys = List.init 200 succ in
+  run1 fx.pmem (fun ~tid -> List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) keys);
+  check_int "audit clean before" 0 (List.length (SL.audit_persistent fx.sl));
+  check_no_invariant_errors fx.sl;
+  check_bool "mutation applied" true (SL.corrupt fx.sl "stale_tower_anchor");
+  check_bool "auditor flags it" true (SL.audit_persistent fx.sl <> []);
+  check_bool "volatile checker flags it" true (SL.check_invariants fx.sl <> []);
+  let missed = ref 0 in
+  run1 fx.pmem (fun ~tid ->
+      List.iter (fun k -> if SL.search fx.sl ~tid k = None then incr missed) keys);
+  check_bool "a present key is missed" true (!missed > 0)
+
 let test_clean_trial_passes () =
   let res = run_spec_exn fast_spec in
   check_bool "trial crashed" true (res.Fault.crashes > 0);
@@ -307,6 +328,8 @@ let () =
             test_mutant_skip_fp_repair_caught;
           slow_case "raise_hint mutant caught, and a lookup misses"
             test_mutant_raise_hint_caught;
+          slow_case "stale_tower_anchor mutant caught, and a lookup misses"
+            test_mutant_stale_tower_anchor_caught;
         ] );
       ( "campaigns",
         [ slow_case "campaign fully deterministic" test_campaign_deterministic ] );

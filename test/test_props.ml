@@ -153,6 +153,7 @@ let prop_alloc_no_double (seed, n_threads) =
     {
       Memory.Block_alloc.key0 = (fun n -> Memory.Mem.read_field mem n 5);
       next0 = (fun n -> Memory.Mem.read_ptr mem n 6);
+      complete_tower = (fun ~tid:_ _ -> ());
     }
   in
   let results = Array.make n_threads [] in

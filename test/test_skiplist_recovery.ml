@@ -232,6 +232,239 @@ let test_crash_before_any_flush () =
         (SL.search fx.sl ~tid 1);
       Alcotest.check opt_int "insert works" None (SL.upsert fx.sl ~tid 1 10))
 
+
+(* ---- what a claim repairs ------------------------------------------------ *)
+
+module Node = Upskiplist.Node
+module Riv = Memory.Riv
+
+let claim_cfg = { Config.default with keys_per_node = 4 }
+
+(* After a crash that interrupted no insert, first touches only claim: no
+   node's tower needs a check (no log names an unfinished insert), so a
+   search does no tower repair, never restarts, and flushes nothing (the
+   epoch bump is not persisted). *)
+let test_cold_search_repairs_nothing () =
+  let fx = make_skiplist ~cfg:claim_cfg () in
+  let keys = List.init 400 (fun i -> 1 + (2 * i)) in
+  run1 fx.pmem (fun ~tid -> List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) keys);
+  crash_and_reconnect fx;
+  run1 fx.pmem (fun ~tid -> SL.recover fx.sl ~tid);
+  Obs.reset ();
+  let flushes () = (Pmem.counters fx.pmem).Pmem.flushes in
+  let before = flushes () in
+  run1 fx.pmem (fun ~tid ->
+      List.iter
+        (fun k -> Alcotest.check opt_int "found after the crash" (Some k) (SL.search fx.sl ~tid k))
+        keys);
+  check_bool "old-epoch nodes were claimed" true (Obs.total Obs.id_epoch_repair > 0);
+  check_int "tower repairs" 0 (Obs.total Obs.id_tower_repair);
+  check_int "restarts" 0 (Obs.total Obs.id_restart);
+  check_int "flushes" 0 (flushes () - before);
+  check_no_invariant_errors fx.sl
+
+(* The levels of [n]'s tower at which it is linked, from the bottom up
+   (volatile image, host side). *)
+let linked_levels fx n =
+  let ly = Node.layout (SL.config fx.sl) in
+  let h = Node.meta_height (Mem.peek_field fx.mem n Node.o_meta) in
+  let on_level level =
+    let rec walk p =
+      (not (Riv.is_null p))
+      && (not (Riv.equal p (SL.tail fx.sl)))
+      && (Riv.equal p n || walk (Mem.peek_ptr fx.mem p (Node.o_next ly level)))
+    in
+    walk (Mem.peek_ptr fx.mem (SL.head fx.sl) (Node.o_next ly level))
+  in
+  let rec count l = if l < h && on_level l then count (l + 1) else l in
+  (count 0, h)
+
+(* The node whose anchor is [key], if the bottom level reaches one. *)
+let node_of fx key =
+  let rec walk p =
+    if Riv.is_null p || Riv.equal p (SL.tail fx.sl) then None
+    else if Mem.peek_field fx.mem p Node.o_anchor = key then Some p
+    else walk (Mem.peek_ptr fx.mem p Node.o_next0)
+  in
+  walk (Mem.peek_ptr fx.mem (SL.head fx.sl) Node.o_next0)
+
+(* Thread 1 (the owner) inserts [key] below every preloaded key, so the
+   insert links a new node after the head; thread 0 preloads. *)
+let owner = 1
+let owner_key = 50
+
+let tall_fixture ?(cfg = claim_cfg) seed =
+  let fx = make_skiplist ~cfg ~seed () in
+  run1 fx.pmem (fun ~tid ->
+      for i = 0 to 60 do
+        ignore (SL.upsert fx.sl ~tid (100 + (2 * i)) 1)
+      done);
+  fx
+
+let as_thread tid body = List.init (tid + 1) (fun i -> if i = tid then body else fun ~tid:_ -> ())
+
+let owner_insert fx ~tid = ignore (SL.upsert fx.sl ~tid owner_key 7)
+
+(* A fixture seed whose owner insert builds a node at least four levels
+   tall, and the events that insert takes. *)
+let tall_seed () =
+  let rec try_seed seed =
+    let fx = tall_fixture seed in
+    let _, events = run fx.pmem (as_thread owner (owner_insert fx)) in
+    match node_of fx owner_key with
+    | Some n when snd (linked_levels fx n) >= 4 -> (seed, events)
+    | _ -> try_seed (seed + 1)
+  in
+  try_seed 1
+
+(* Crash the owner's insert after [events] events, then crash once more
+   with nothing run in between. Returns the node when the first crash cut
+   its tower: linked at level 0 but not at every level below its height. *)
+let cut_tower_twice seed events =
+  let fx = tall_fixture seed in
+  ignore (run_crash fx.pmem ~events (as_thread owner (owner_insert fx)));
+  crash_and_reconnect fx;
+  run1 fx.pmem (fun ~tid -> SL.recover fx.sl ~tid);
+  match node_of fx owner_key with
+  | Some n ->
+      let linked, h = linked_levels fx n in
+      if linked >= 1 && linked < h then begin
+        crash_and_reconnect fx;
+        run1 fx.pmem (fun ~tid -> SL.recover fx.sl ~tid);
+        Some (fx, n)
+      end
+      else None
+  | None -> None
+
+(* Every crash point of the owner's insert that leaves its tower cut, left
+   untouched through a second crash: the owner's next allocation completes
+   the tower before it overwrites its log entry, and before that
+   allocation another thread's claim, directed by the same entry,
+   completes it. *)
+let test_cut_tower_two_crash_grid () =
+  let seed, events = tall_seed () in
+  let cut = ref 0 in
+  for e = 1 to events - 1 do
+    (match cut_tower_twice seed e with
+    | None -> ()
+    | Some (fx, n) ->
+        incr cut;
+        (* a key below node [n]: the owner's traversal passes nothing, and
+           its allocation links a new head successor *)
+        Obs.reset ();
+        run fx.pmem (as_thread owner (fun ~tid -> ignore (SL.upsert fx.sl ~tid 10 1)))
+        |> ignore;
+        let linked, h = linked_levels fx n in
+        check_int (Printf.sprintf "event %d: owner's allocation completes the tower" e)
+          h linked;
+        check_int (Printf.sprintf "event %d: one tower repair" e) 1
+          (Obs.total Obs.id_tower_repair);
+        check_no_invariant_errors fx.sl;
+        check_int "audit clean" 0 (List.length (SL.audit_persistent fx.sl)));
+    match cut_tower_twice seed e with
+    | None -> ()
+    | Some (fx, n) ->
+        run1 fx.pmem (fun ~tid ->
+            Alcotest.check opt_int "the owner's key" (Some 7) (SL.search fx.sl ~tid owner_key));
+        let linked, h = linked_levels fx n in
+        check_int (Printf.sprintf "event %d: a claim completes the tower" e) h linked;
+        check_no_invariant_errors fx.sl
+  done;
+  check_bool (Printf.sprintf "some of %d crash points cut the tower" events) true (!cut > 0)
+
+(* A writer bit under the current stamp belongs to a live writer. With a
+   zero budget no traversal claims the owner's logged node, so the owner
+   fills it and splits it unclaimed; the allocation inside that split
+   claims the node under the owner rule, and must not repair the split in
+   flight as an interrupted one. *)
+let test_live_split_is_not_interrupted () =
+  let seed, _ = tall_seed () in
+  let fx = tall_fixture ~cfg:{ claim_cfg with recovery_budget = 0 } seed in
+  run fx.pmem (as_thread owner (owner_insert fx)) |> ignore;
+  crash_and_reconnect fx;
+  run1 fx.pmem (fun ~tid -> SL.recover fx.sl ~tid);
+  Obs.reset ();
+  run fx.pmem
+    (as_thread owner (fun ~tid ->
+         for k = owner_key + 1 to owner_key + claim_cfg.Config.keys_per_node do
+           ignore (SL.upsert fx.sl ~tid k k)
+         done))
+  |> ignore;
+  check_int "one split" 1 (Obs.total Obs.id_split);
+  check_int "the owner rule claimed the node" 1 (Obs.total Obs.id_epoch_repair);
+  check_int "no split repair" 0 (Obs.total Obs.id_split_repair);
+  check_no_invariant_errors fx.sl;
+  run1 fx.pmem (fun ~tid ->
+      for k = owner_key + 1 to owner_key + claim_cfg.Config.keys_per_node do
+        Alcotest.check opt_int "inserted" (Some k) (SL.search fx.sl ~tid k)
+      done)
+
+(* ---- one-line upper hops -------------------------------------------------- *)
+
+(* On a fixed tree, a search reads no header-line word of a node it passes
+   only above level 1: such a hop reads the tower line alone (pointer, hint
+   and anchor copy), and Function 10 runs only at levels 1 and 0. The one
+   node of the upper levels that a search continues from at level 1 is its
+   level-2 predecessor. *)
+let test_upper_hops_read_one_line () =
+  let fx = make_skiplist ~cfg:claim_cfg () in
+  run1 fx.pmem (fun ~tid ->
+      for k = 1 to 2_000 do
+        ignore (SL.upsert fx.sl ~tid k k)
+      done);
+  let ly = Node.layout claim_cfg in
+  let line a = a / Config.line_words in
+  let nodes =
+    let rec walk p acc =
+      if Riv.equal p (SL.tail fx.sl) then acc
+      else walk (Mem.peek_ptr fx.mem p Node.o_next0) (p :: acc)
+    in
+    walk (Mem.peek_ptr fx.mem (SL.head fx.sl) Node.o_next0) []
+  in
+  let height n = Node.meta_height (Mem.peek_field fx.mem n Node.o_meta) in
+  (* the last node on level 2 whose anchor is at most [key] *)
+  let pred2 key =
+    let rec walk p =
+      let q = Mem.peek_ptr fx.mem p (Node.o_next ly 2) in
+      if Riv.equal q (SL.tail fx.sl) || Mem.peek_field fx.mem q Node.o_anchor > key then p
+      else walk q
+    in
+    walk (SL.head fx.sl)
+  in
+  let routed_only = ref 0 in
+  List.iter
+    (fun key ->
+      let lines = Hashtbl.create 64 in
+      let m = Pmem.machine fx.pmem in
+      let machine =
+        { m with Sim.Sched.read = (fun ~tid a -> Hashtbl.replace lines (line a) (); m.read ~tid a) }
+      in
+      (match
+         Sim.Sched.run ~machine
+           [ (0, fun ~tid -> Alcotest.check opt_int "found" (Some key) (SL.search fx.sl ~tid key)) ]
+       with
+      | Sim.Sched.Completed _ -> ()
+      | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected crash");
+      let p2 = pred2 key in
+      List.iter
+        (fun n ->
+          let base = Mem.resolve fx.mem n in
+          let tower_read =
+            List.exists
+              (fun g -> Hashtbl.mem lines (line (base + ly.Node.o_tower) + g))
+              (List.init (Node.tower_lines (height n)) Fun.id)
+          in
+          if tower_read && not (Riv.equal n p2) then begin
+            incr routed_only;
+            check_bool
+              (Printf.sprintf "search %d: header of a node passed above level 1" key)
+              false
+              (Hashtbl.mem lines (line base))
+          end)
+        nodes)
+    [ 3; 500; 999; 1_234; 1_777; 2_000 ];
+  check_bool "searches passed nodes above level 1" true (!routed_only > 0)
+
 let () =
   Alcotest.run "skiplist_recovery"
     [
@@ -253,4 +486,11 @@ let () =
         ] );
       ( "allocation",
         [ case "block conservation" test_block_conservation_after_crash ] );
+      ( "claims",
+        [
+          case "a cold search repairs nothing" test_cold_search_repairs_nothing;
+          case "two-crash grid: a cut tower, owner or claim" test_cut_tower_two_crash_grid;
+          case "a live split is not an interrupted one" test_live_split_is_not_interrupted;
+          case "upper hops read one line" test_upper_hops_read_one_line;
+        ] );
     ]
