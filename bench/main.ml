@@ -286,19 +286,19 @@ let fig_5_5_5_6_table_5_3 () =
           :: List.map
                (fun (_, per_workload) ->
                  let _, res = List.find (fun (s, _) -> s == spec) per_workload in
-                 let stats : Stats.t = pick res in
-                 if Stats.count stats = 0 then "-"
-                 else Printf.sprintf "%.1f" (Stats.median stats /. 1000.0))
+                 let hist : Sim.Histogram.t = pick res in
+                 if Sim.Histogram.count hist = 0 then "-"
+                 else Printf.sprintf "%.1f" (Sim.Histogram.median hist /. 1000.0))
                all;
         ])
       [
-        (W.a, "reads", fun (r : Driver.result) -> r.Driver.read_lat);
-        (W.a, "updates", fun r -> r.Driver.update_lat);
-        (W.b, "reads", fun r -> r.Driver.read_lat);
-        (W.b, "updates", fun r -> r.Driver.update_lat);
-        (W.c, "reads", fun r -> r.Driver.read_lat);
-        (W.d, "reads", fun r -> r.Driver.read_lat);
-        (W.d, "inserts", fun r -> r.Driver.insert_lat);
+        (W.a, "reads", fun (r : Driver.result) -> r.Driver.read_hist);
+        (W.a, "updates", fun r -> r.Driver.update_hist);
+        (W.b, "reads", fun r -> r.Driver.read_hist);
+        (W.b, "updates", fun r -> r.Driver.update_hist);
+        (W.c, "reads", fun r -> r.Driver.read_hist);
+        (W.d, "reads", fun r -> r.Driver.read_hist);
+        (W.d, "inserts", fun r -> r.Driver.insert_hist);
       ]
   in
   Report.table
@@ -465,8 +465,8 @@ let table_2_1 () =
         in
         [
           string_of_int n;
-          Printf.sprintf "%.0f" (Stats.mean res.Driver.read_lat);
-          Printf.sprintf "%.0f" (Stats.mean res.Driver.update_lat);
+          Printf.sprintf "%.0f" (Sim.Histogram.mean res.Driver.read_hist);
+          Printf.sprintf "%.0f" (Sim.Histogram.mean res.Driver.update_hist);
         ])
       sizes
   in
@@ -898,70 +898,6 @@ let layout () =
           results));
   Fmt.pr "layout metrics written to bench_layout.json@."
 
-(* ---- bechamel micro-benchmarks ------------------------------------------------ *)
-
-(* Host-time microbenchmarks of the core op paths (one Test.make per
-   table/figure subject), run with a small quota. *)
-let micro () =
-  Report.heading "Bechamel micro-benchmarks (host time per simulated op)";
-  let make_env () =
-    let sys = { striped_sys with latency = Pmem.Latency.uniform } in
-    let kv = Kv.make_upskiplist ~cfg:bench_cfg sys in
-    Driver.preload kv ~threads:4 ~n:5_000;
-    kv
-  in
-  let kv = make_env () in
-  let bz = Kv.make_bztree ~n_descriptors:120_000 { striped_sys with latency = Pmem.Latency.uniform } in
-  Driver.preload bz ~threads:4 ~n:5_000;
-  let pl = Kv.make_pmdk_list { striped_sys with latency = Pmem.Latency.uniform } in
-  Driver.preload pl ~threads:4 ~n:5_000;
-  let counter = ref 0 in
-  let one_op (kv : Kv.t) op () =
-    incr counter;
-    let k = 1 + (!counter * 7919 mod 5_000) in
-    match
-      Sim.Sched.run ~machine:(Kv.machine kv)
-        [
-          ( 0,
-            fun ~tid ->
-              match op with
-              | `Search -> ignore (kv.Kv.search ~tid k)
-              | `Upsert -> ignore (kv.Kv.upsert ~tid k (1 + !counter)) );
-        ]
-    with
-    | Sim.Sched.Completed _ -> ()
-    | Sim.Sched.Crashed_at _ -> assert false
-  in
-  let open Bechamel in
-  let tests =
-    [
-      Test.make ~name:"fig5.1/upskiplist-upsert" (Staged.stage (one_op kv `Upsert));
-      Test.make ~name:"fig5.1/bztree-upsert" (Staged.stage (one_op bz `Upsert));
-      Test.make ~name:"fig5.1/pmdk-upsert" (Staged.stage (one_op pl `Upsert));
-      Test.make ~name:"fig5.2/upskiplist-search" (Staged.stage (one_op kv `Search));
-      Test.make ~name:"fig5.2/bztree-search" (Staged.stage (one_op bz `Search));
-      Test.make ~name:"fig5.2/pmdk-search" (Staged.stage (one_op pl `Search));
-    ]
-  in
-  let cfg = Benchmark.cfg ~quota:(Time.second 0.5) ~limit:500 () in
-  let raws =
-    Benchmark.all cfg
-      Toolkit.Instance.[ monotonic_clock ]
-      (Test.make_grouped ~name:"micro" tests)
-  in
-  let analysis =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  Hashtbl.iter
-    (fun name raw ->
-      match Analyze.one analysis Toolkit.Instance.monotonic_clock raw with
-      | ols -> (
-          match Analyze.OLS.estimates ols with
-          | Some (est :: _) -> Fmt.pr "  %-36s %12.0f ns/op (host)@." name est
-          | _ -> Fmt.pr "  %-36s (no estimate)@." name)
-      | exception _ -> Fmt.pr "  %-36s (analysis failed)@." name)
-    raws
-
 (* ---- service-layer scaling ----------------------------------------------------- *)
 
 (* Shard-count scaling of the simulated KV service (lib/svc): the same
@@ -1039,56 +975,6 @@ let svc_scaling () =
      the queueing; the simulated columns are byte-identical across domain \
      counts, walls are host time)@."
 
-(* ---- tail anatomy --------------------------------------------------------------- *)
-
-(* Power-fail tail anatomy: a 4-shard service campaign with span recording,
-   crashing shard 1 at a seeded grid of virtual times. The aggregated
-   anatomy table attributes the p99.9 cohort's excess latency to named
-   phases — recovery overlap inside the queue wait dominating. -j safe:
-   trials run on pool domains, all printing happens after collection. *)
-let tail_anatomy () =
-  Report.heading
-    "Tail anatomy — power-fail campaign, per-phase p99.9 attribution";
-  let points = if !scale == full then 6 else 3 in
-  let grid =
-    { Fault.origin = 40_000; stride = 25_000; points; jitter = 5_000 }
-  in
-  let crash_times = Fault.grid_points ~seed grid in
-  let cfg at_ns =
-    {
-      Svc.Config.default with
-      shards = 4;
-      zones = 4;
-      clients = 8;
-      requests_per_client = (if !scale == full then 400 else 200);
-      offered_mops = 4.0;
-      workload = W.a;
-      queue_cap = 64;
-      n_initial = 1_024;
-      seed;
-      spans = true;
-      crash =
-        Some
-          { Svc.Config.crash_shard = 1; crash_at_ns = float_of_int at_ns };
-    }
-  in
-  let reports =
-    Sim.Pool.map ~jobs:!jobs (fun at -> Svc.Domains.run (cfg at)) crash_times
-  in
-  let merged =
-    Sim.Histogram.merge_list (List.map (fun r -> r.Svc.Slo.merged) reports)
-  in
-  match List.filter_map (fun r -> r.Svc.Slo.spans) reports with
-  | [] -> Fmt.pr "no spans recorded@."
-  | summaries ->
-      let summary = Svc.Slo.merge_summaries summaries in
-      Fmt.pr "%d trials, crash shard 1 at %s us@." (List.length crash_times)
-        (String.concat "/"
-           (List.map
-              (fun at -> Printf.sprintf "%.1f" (float_of_int at /. 1_000.0))
-              crash_times));
-      Fmt.pr "%a@." (fun fmt () -> Svc.Slo.pp_anatomy fmt ~merged summary) ()
-
 (* ---- smoke figure (CI) --------------------------------------------------------- *)
 
 (* A deliberately tiny figure for the `bench/smoke` dune alias: one
@@ -1121,65 +1007,6 @@ let smoke () =
         ~columns:[ ("UPSkipList (Mops/s)", series) ])
     per_workload
 
-(* ---- observability artifacts (--trace / --metrics-json) ------------------------ *)
-
-(* Instrumented passes: a YCSB A run with per-op counter attribution
-   (optionally recording a Chrome trace of it) and a small crash-recovery
-   campaign whose counter digest isolates the lazy-repair cost. Both are
-   deterministic: the same seed yields byte-identical artifacts. *)
-let obs_artifacts ~trace_path ~metrics_path () =
-  Report.heading
-    "Observability — per-op counter attribution (YCSB A + crash recovery)";
-  let kv = Kv.make_upskiplist ~cfg:bench_cfg striped_sys in
-  let n = 2_000 in
-  Driver.preload kv ~threads:4 ~n;
-  Obs.reset ();
-  if trace_path <> None then Obs.Trace.start ~capacity:(1 lsl 16) ();
-  let res =
-    Driver.run_workload kv ~spec:W.a ~threads:8 ~n_initial:n
-      ~ops_per_thread:200 ~seed
-  in
-  Obs.Trace.stop ();
-  (match trace_path with
-  | Some path ->
-      Json.write_file path (Obs.Trace.to_chrome ());
-      Fmt.pr "trace: %d events (%d dropped) -> %s@." (Obs.Trace.recorded ())
-        (Obs.Trace.dropped ()) path
-  | None -> ());
-  let ycsb_digests =
-    List.map
-      (fun d -> (d.Driver.op, d.Driver.count, d.Driver.totals))
-      res.Driver.digests
-  in
-  Report.digest_table
-    ~title:"YCSB A per-op persistence cost (UPSkipList, 8 threads)"
-    ycsb_digests;
-  (* crash-recovery campaign: two rounds per trial, so round 1 runs on a
-     freshly crashed structure and performs its lazy repairs inline *)
-  let before = Obs.totals () in
-  let campaign =
-    {
-      Fault.base = { Fault.default_spec with rounds = 2; seed };
-      grid = { Fault.origin = 8_000; stride = 6_000; points = 2; jitter = 500 };
-      draws = 1;
-    }
-  in
-  let s = Fault.run_campaign ~jobs:!jobs campaign in
-  Fault.print_summary ~name:"observability crash-recovery digest" s;
-  let after = Obs.totals () in
-  let delta = Array.init Obs.n_ids (fun id -> after.(id) - before.(id)) in
-  let recovery_digests = [ ("trial", s.Fault.trials, delta) ] in
-  Report.digest_table
-    ~title:"crash-recovery campaign counter digest (per crashed trial)"
-    recovery_digests;
-  match metrics_path with
-  | Some path ->
-      Json.write_file path
-        (Report.metrics_json ~label:"bench observability" ~seed
-           [ ("ycsb-a", ycsb_digests); ("crash-recovery", recovery_digests) ]);
-      Fmt.pr "metrics written to %s@." path
-  | None -> ()
-
 (* ---- registry ------------------------------------------------------------------ *)
 
 let experiments =
@@ -1198,8 +1025,6 @@ let experiments =
     ("split-point", split_point);
     ("layout", layout);
     ("svc-scaling", svc_scaling);
-    ("tail-anatomy", tail_anatomy);
-    ("micro", micro);
     ("smoke", smoke);
   ]
 
@@ -1208,7 +1033,6 @@ let default_set =
   [
     "fig5.1"; "fig5.2"; "fig5.3"; "fig5.4"; "fig5.5"; "table5.4"; "workloadE";
     "table2.1"; "chapter6"; "ablations"; "split-point"; "layout"; "svc-scaling";
-    "tail-anatomy";
   ]
 
 let () =
@@ -1218,8 +1042,6 @@ let () =
      are identical under any GC settings. *)
   Gc.set { (Gc.get ()) with minor_heap_size = 1 lsl 22; space_overhead = 200 };
   let json_path = ref None in
-  let trace_path = ref None in
-  let metrics_path = ref None in
   let rec parse acc = function
     | [] -> List.rev acc
     | "--full" :: rest ->
@@ -1236,52 +1058,35 @@ let () =
         json_path := Some path;
         parse acc rest
     | [ "--json" ] -> failwith "--json requires a file argument"
-    | "--trace" :: path :: rest ->
-        trace_path := Some path;
-        parse acc rest
-    | [ "--trace" ] -> failwith "--trace requires a file argument"
-    | "--metrics-json" :: path :: rest ->
-        metrics_path := Some path;
-        parse acc rest
-    | [ "--metrics-json" ] -> failwith "--metrics-json requires a file argument"
     | a :: rest -> parse (a :: acc) rest
   in
   let args = parse [] (List.tl (Array.to_list Sys.argv)) in
-  let selected =
-    match args with
-    (* asking only for observability artifacts runs only the instrumented
-       passes, not the whole default figure set *)
-    | [] when !trace_path <> None || !metrics_path <> None -> []
-    | [] | [ "all" ] -> default_set
-    | names -> names
-  in
+  let selected = match args with [] | [ "all" ] -> default_set | names -> names in
+  (* a misspelt or retired name fails before any experiment runs *)
+  (match List.filter (fun name -> not (List.mem_assoc name experiments)) selected with
+  | [] -> ()
+  | unknown ->
+      List.iter
+        (fun name ->
+          Fmt.epr "unknown experiment %S; available: %s@." name
+            (String.concat ", " (List.map fst experiments)))
+        unknown;
+      exit 2);
   let t0 = Unix.gettimeofday () in
   let figures = ref [] in
   List.iter
     (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f ->
-          let samples_before = Report.sample_count () in
-          let t = Unix.gettimeofday () in
-          f ();
-          let wall_s = Unix.gettimeofday () -. t in
-          Fmt.pr "@.[%s finished in %.1f s]@." name wall_s;
-          let sim =
-            (* samples captured by this experiment only *)
-            List.filteri
-              (fun i _ -> i >= samples_before)
-              (Report.samples ())
-          in
-          figures := (name, sim) :: !figures
-      | None ->
-          Fmt.epr "unknown experiment %S; available: %s@." name
-            (String.concat ", " (List.map fst experiments)))
+      let samples_before = Report.sample_count () in
+      let t = Unix.gettimeofday () in
+      (List.assoc name experiments) ();
+      let wall_s = Unix.gettimeofday () -. t in
+      Fmt.pr "@.[%s finished in %.1f s]@." name wall_s;
+      let sim =
+        (* samples captured by this experiment only *)
+        List.filteri (fun i _ -> i >= samples_before) (Report.samples ())
+      in
+      figures := (name, sim) :: !figures)
     selected;
-  (if !trace_path <> None || !metrics_path <> None then begin
-     let t = Unix.gettimeofday () in
-     obs_artifacts ~trace_path:!trace_path ~metrics_path:!metrics_path ();
-     Fmt.pr "@.[observability finished in %.1f s]@." (Unix.gettimeofday () -. t)
-   end);
   let total_wall_s = Unix.gettimeofday () -. t0 in
   Fmt.pr "@.total wall time: %.1f s@." total_wall_s;
   match !json_path with

@@ -3,7 +3,6 @@
      upskip_cli run --structure upskiplist --workload a --threads 16
      upskip_cli crash-sweep --structure bztree --points 4 --depth 2
      upskip_cli crash-replay structure=upskiplist crash_at=5000 mutant=dangle
-     upskip_cli demo
 
    Everything executes on the simulated-PMEM machine; reported times are
    simulated nanoseconds (see DESIGN.md). *)
@@ -406,8 +405,15 @@ let sweep_cmd structure mode latency threads keyspace ops rounds depth evict
       Fmt.pr "adversarial crash sweep on %s: %d points x %d draws, depth %d%s@."
         base.Fault.structure points draws depth
         (if detect then ", detectable ops" else "");
+      let before = Obs.totals () in
       let s = Fault.run_campaign ~jobs campaign in
+      let after = Obs.totals () in
       Fault.print_summary ~name:base.Fault.structure s;
+      (* the campaign's counter delta: with --rounds 2, round 1 runs on a
+         freshly crashed structure and pays its lazy repairs inline *)
+      Harness.Report.digest_table
+        ~title:"crash-recovery campaign counter digest (per crashed trial)"
+        [ ("trial", s.Fault.trials, Array.map2 ( - ) after before) ];
       report_failures ~shrink s.Fault.failures;
       Option.iter (fun path -> write_campaign_json path base s) json_out;
       if s.Fault.failures = [] then 0 else 1
@@ -836,137 +842,6 @@ let tail_term =
     $ load_t $ workload_t $ keys_t $ seed_t $ tail_crash_shard_t $ origin_us_t
     $ stride_us_t $ points_t $ jitter_us_t $ jobs_t $ tail_json_t)
 
-(* ---- detect-bench --------------------------------------------------------------- *)
-
-(* Descriptor overhead: the same upsert stream with and without
-   announce/resolve, reporting simulated throughput plus fences and
-   flushes per op from the observability counters. *)
-let detect_bench_cmd threads keys ops seed json_out =
-  let run ~detect =
-    let sys =
-      {
-        Kv.default_sys with
-        latency = Pmem.Latency.uniform;
-        pool_words = 1 lsl 22;
-        seed;
-      }
-    in
-    let kv =
-      if detect then Kv.make_upskiplist ~detect_clients:threads sys
-      else Kv.make_upskiplist sys
-    in
-    Driver.preload kv ~threads:(min threads 8) ~n:keys;
-    Obs.reset ();
-    let per = max 1 (ops / threads) in
-    let body ~tid =
-      for j = 0 to per - 1 do
-        let k = 1 + ((tid * 7919 + j * 104729) mod keys) in
-        let v = 1 + tid + (threads * j) in
-        if detect then
-          ignore (Kv.d_upsert kv ~tid ~client:tid ~seq:(j + 1) k v)
-        else ignore (kv.Kv.upsert ~tid k v)
-      done
-    in
-    match
-      Sim.Sched.run ~machine:(Kv.machine kv)
-        (List.init threads (fun tid -> (tid, body)))
-    with
-    | Sim.Sched.Completed { time; _ } ->
-        let n = float_of_int (threads * per) in
-        ( threads * per,
-          time,
-          n /. time *. 1e3,
-          float_of_int (Obs.total Obs.id_fence) /. n,
-          float_of_int (Obs.total Obs.id_flush) /. n )
-    | Sim.Sched.Crashed_at _ -> failwith "unexpected crash"
-  in
-  let p_ops, p_ns, p_mops, p_fences, p_flushes = run ~detect:false in
-  let d_ops, d_ns, d_mops, d_fences, d_flushes = run ~detect:true in
-  assert (p_ops = d_ops);
-  Fmt.pr "descriptor overhead, %d threads, %d upserts:@." threads p_ops;
-  Fmt.pr "  plain   %.3f Mops/s  %.2f fences/op  %.2f flushes/op@." p_mops
-    p_fences p_flushes;
-  Fmt.pr "  detect  %.3f Mops/s  %.2f fences/op  %.2f flushes/op@." d_mops
-    d_fences d_flushes;
-  Fmt.pr "  overhead: %.1f%% throughput, +%.2f fences/op, +%.2f flushes/op@."
-    ((p_mops /. d_mops -. 1.0) *. 100.0)
-    (d_fences -. p_fences) (d_flushes -. p_flushes);
-  (match json_out with
-  | Some path ->
-      let side ns mops fences flushes =
-        Json.Obj
-          [
-            ("sim_ns", Json.Fixed (0, ns)); ("mops", Json.Fixed (4, mops));
-            ("fences_per_op", Json.Fixed (4, fences));
-            ("flushes_per_op", Json.Fixed (4, flushes));
-          ]
-      in
-      Json.write_file path
-        (Json.Schema.doc Json.Schema.detect_bench
-           [
-             ("threads", Json.int threads); ("keys", Json.int keys);
-             ("ops", Json.int p_ops); ("seed", Json.int seed);
-             ("plain", side p_ns p_mops p_fences p_flushes);
-             ("detect", side d_ns d_mops d_fences d_flushes);
-             ( "overhead",
-               Json.Obj
-                 [
-                   ("throughput_pct", Json.Fixed (2, (p_mops /. d_mops -. 1.0) *. 100.0));
-                   ("extra_fences_per_op", Json.Fixed (4, d_fences -. p_fences));
-                   ("extra_flushes_per_op", Json.Fixed (4, d_flushes -. p_flushes));
-                 ] );
-           ]);
-      Fmt.pr "bench written to %s@." path
-  | None -> ());
-  0
-
-let detect_bench_term =
-  Term.(
-    const detect_bench_cmd $ threads_t $ keys_t $ ops_t $ seed_t $ json_out_t)
-
-(* ---- demo ---------------------------------------------------------------------- *)
-
-let demo_cmd () =
-  let sys = Kv.default_sys in
-  let kv = Kv.make_upskiplist sys in
-  Fmt.pr "UPSkipList demo on simulated Optane (4 NUMA pools)@.";
-  (match
-     Sim.Sched.run ~machine:(Kv.machine kv)
-       [
-         ( 0,
-           fun ~tid ->
-             for k = 1 to 10 do
-               ignore (kv.Kv.upsert ~tid k (k * 100))
-             done;
-             Fmt.pr "  inserted keys 1..10@.";
-             Fmt.pr "  search 7 -> %a@." Fmt.(option int) (kv.Kv.search ~tid 7);
-             ignore (kv.Kv.remove ~tid 7);
-             Fmt.pr "  removed 7; search 7 -> %a@."
-               Fmt.(option int)
-               (kv.Kv.search ~tid 7) );
-       ]
-   with
-  | Sim.Sched.Completed { time; events; _ } ->
-      Fmt.pr "  (%d simulated events, %.0f ns virtual time)@." events time
-  | Sim.Sched.Crashed_at _ -> assert false);
-  Pmem.crash kv.Kv.pmem;
-  kv.Kv.reconnect ();
-  (match
-     Sim.Sched.run ~machine:(Kv.machine kv)
-       [
-         ( 0,
-           fun ~tid ->
-             Fmt.pr "  after power failure + reconnect: search 3 -> %a@."
-               Fmt.(option int)
-               (kv.Kv.search ~tid 3) );
-       ]
-   with
-  | Sim.Sched.Completed _ -> ()
-  | Sim.Sched.Crashed_at _ -> assert false);
-  0
-
-let demo_term = Term.(const demo_cmd $ const ())
-
 (* ---- assembly ------------------------------------------------------------------ *)
 
 let cmds =
@@ -1004,13 +879,6 @@ let cmds =
             the p99/p99.9 latency cohorts to pipeline phases (queue wait, \
             recovery overlap, fence, ...).")
       tail_term;
-    Cmd.v
-      (Cmd.info "detect-bench"
-         ~doc:
-           "Measure detectable-operation overhead: throughput, fences/op and \
-            flushes/op with and without descriptors.")
-      detect_bench_term;
-    Cmd.v (Cmd.info "demo" ~doc:"Small interactive walk-through.") demo_term;
   ]
 
 let () =

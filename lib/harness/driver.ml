@@ -25,10 +25,6 @@ type result = {
   ops : int;
   sim_ns : float;
   throughput_mops : float;
-  read_lat : Stats.t;
-  update_lat : Stats.t;
-  insert_lat : Stats.t;
-  scan_lat : Stats.t;
   read_hist : Histogram.t;
   update_hist : Histogram.t;
   insert_hist : Histogram.t;
@@ -60,10 +56,6 @@ let run_workload (kv : Kv.t) ~spec ~threads ~n_initial ~ops_per_thread ~seed =
   let streams =
     Ycsb.Workload.generate ~seed ~spec ~n_initial ~threads ~ops_per_thread
   in
-  let read_lat = Stats.create ()
-  and update_lat = Stats.create ()
-  and insert_lat = Stats.create ()
-  and scan_lat = Stats.create () in
   let read_hist = Histogram.create ()
   and update_hist = Histogram.create ()
   and insert_hist = Histogram.create ()
@@ -107,19 +99,13 @@ let run_workload (kv : Kv.t) ~spec ~threads ~n_initial ~ops_per_thread ~seed =
         for id = 0 to Obs.n_ids - 1 do
           a.(id) <- a.(id) + Obs.counter ~tid id - before.(id)
         done;
-        match op with
-        | Ycsb.Workload.Read _ ->
-            Stats.add read_lat dt;
-            Histogram.add read_hist dt
-        | Ycsb.Workload.Update _ ->
-            Stats.add update_lat dt;
-            Histogram.add update_hist dt
-        | Ycsb.Workload.Insert _ ->
-            Stats.add insert_lat dt;
-            Histogram.add insert_hist dt
-        | Ycsb.Workload.Scan _ ->
-            Stats.add scan_lat dt;
-            Histogram.add scan_hist dt)
+        Histogram.add
+          (match op with
+          | Ycsb.Workload.Read _ -> read_hist
+          | Ycsb.Workload.Update _ -> update_hist
+          | Ycsb.Workload.Insert _ -> insert_hist
+          | Ycsb.Workload.Scan _ -> scan_hist)
+          dt)
       stream
   in
   let outcome =
@@ -149,10 +135,6 @@ let run_workload (kv : Kv.t) ~spec ~threads ~n_initial ~ops_per_thread ~seed =
     ops;
     sim_ns;
     throughput_mops = float_of_int ops /. sim_ns *. 1000.0;
-    read_lat;
-    update_lat;
-    insert_lat;
-    scan_lat;
     read_hist;
     update_hist;
     insert_hist;

@@ -15,12 +15,9 @@ type result = {
   ops : int;
   sim_ns : float;  (** simulated span of the whole run *)
   throughput_mops : float;  (** simulated million operations per second *)
-  read_lat : Sim.Stats.t;  (** nanoseconds per read *)
-  update_lat : Sim.Stats.t;
-  insert_lat : Sim.Stats.t;
-  scan_lat : Sim.Stats.t;
   read_hist : Sim.Histogram.t;
-      (** same latencies, log-bucketed (O(1) insert, ~0.8% percentiles) *)
+      (** nanoseconds per read, log-bucketed (O(1) insert, exact mean,
+          percentiles within [Sim.Histogram.max_rel_error]) *)
   update_hist : Sim.Histogram.t;
   insert_hist : Sim.Histogram.t;
   scan_hist : Sim.Histogram.t;

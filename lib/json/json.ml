@@ -191,7 +191,6 @@ module Schema = struct
     v "upskip-crash-campaign" 1
       [ "trials"; "audit_failures"; "violation_trials"; "replays"; "failures" ]
 
-  let detect_bench = v "upskip-detect-bench" 1 [ "plain"; "detect"; "overhead" ]
   let obs_totals = v "upskip-obs-totals" 1 [ "totals" ]
   let obs_metrics = v "upskip-obs-metrics" 3 [ "label"; "seed"; "sections" ]
   let obs_trace = v "upskip-obs-trace" 3 [ "traceEvents"; "droppedEvents" ]
@@ -199,7 +198,7 @@ module Schema = struct
 
   let all =
     [
-      svc_slo; svc_spans; svc_tail; crash_campaign; detect_bench; obs_totals;
+      svc_slo; svc_spans; svc_tail; crash_campaign; obs_totals;
       obs_metrics; obs_trace; bench_samples;
     ]
 

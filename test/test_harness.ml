@@ -49,13 +49,13 @@ let test_latency_split_by_op () =
     Harness.Driver.run_workload kv ~spec:Ycsb.Workload.d ~threads:2
       ~n_initial:200 ~ops_per_thread:200 ~seed:9
   in
-  check_bool "reads recorded" true (Sim.Stats.count res.Harness.Driver.read_lat > 0);
+  check_bool "reads recorded" true (Sim.Histogram.count res.Harness.Driver.read_hist > 0);
   check_bool "inserts recorded" true
-    (Sim.Stats.count res.Harness.Driver.insert_lat > 0);
-  check_int "no updates in D" 0 (Sim.Stats.count res.Harness.Driver.update_lat);
+    (Sim.Histogram.count res.Harness.Driver.insert_hist > 0);
+  check_int "no updates in D" 0 (Sim.Histogram.count res.Harness.Driver.update_hist);
   check_int "latencies partition ops" res.Harness.Driver.ops
-    (Sim.Stats.count res.Harness.Driver.read_lat
-    + Sim.Stats.count res.Harness.Driver.insert_lat)
+    (Sim.Histogram.count res.Harness.Driver.read_hist
+    + Sim.Histogram.count res.Harness.Driver.insert_hist)
 
 let test_throughput_trials_deterministic () =
   let make () =

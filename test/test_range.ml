@@ -216,10 +216,10 @@ let test_workload_e_runs_everywhere () =
       in
       check_bool (name ^ ": ran") true (res.Harness.Driver.ops = 400);
       check_bool (name ^ ": scans measured") true
-        (Sim.Stats.count res.Harness.Driver.scan_lat > 300);
+        (Sim.Histogram.count res.Harness.Driver.scan_hist > 300);
       check_bool (name ^ ": scans cost more than point reads") true
-        (Sim.Stats.count res.Harness.Driver.scan_lat = 0
-        || Sim.Stats.mean res.Harness.Driver.scan_lat > 0.0))
+        (Sim.Histogram.count res.Harness.Driver.scan_hist = 0
+        || Sim.Histogram.mean res.Harness.Driver.scan_hist > 0.0))
     makers
 
 let test_range_scaling_with_m () =
