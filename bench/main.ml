@@ -825,7 +825,8 @@ let ablations () =
 
 (* Per-op simulated cache misses, flushes, and fences on the YCSB A path,
    one row set per keys-per-node setting. Machine-readable copy lands in
-   bench_layout.json (consumed by bench/check_layout_regression.sh). *)
+   bench_layout.json, which bench/dune's layout gate diffs against
+   layout_baseline.json. *)
 let layout_variants = [ ("K16", Upskiplist.Config.default); ("K64", bench_cfg) ]
 
 let layout () =

@@ -14,35 +14,27 @@ open Cmdliner
 
 (* ---- shared options -------------------------------------------------------- *)
 
+(* converters over the one spelling table per vocabulary in Harness.Kv *)
+let spelling parse name =
+  Arg.conv ((fun s -> Result.map_error (fun e -> `Msg e) (parse s)), Fmt.of_to_string name)
+
 let structure_t =
-  let parse = function
-    | "upskiplist" | "ups" -> Ok `Upskiplist
-    | "bztree" | "bz" -> Ok `Bztree
-    | "pmdk" | "lock" -> Ok `Pmdk
-    | s -> Error (`Msg ("unknown structure: " ^ s))
-  in
-  let print fmt v =
-    Fmt.string fmt
-      (match v with `Upskiplist -> "upskiplist" | `Bztree -> "bztree" | `Pmdk -> "pmdk")
-  in
   Arg.(
     value
-    & opt (conv (parse, print)) `Upskiplist
+    & opt (spelling Kv.structure_of_string Kv.structure_name) Kv.Upskiplist
     & info [ "s"; "structure" ] ~doc:"Structure: upskiplist | bztree | pmdk.")
 
 let mode_t =
-  let parse = function
-    | "striped" -> Ok Pmem.Striped
-    | "numa" | "multi" -> Ok Pmem.Multi_pool
-    | s -> Error (`Msg ("unknown mode: " ^ s))
-  in
-  let print fmt v =
-    Fmt.string fmt (match v with Pmem.Striped -> "striped" | Pmem.Multi_pool -> "numa")
-  in
   Arg.(
     value
-    & opt (conv (parse, print)) Pmem.Striped
+    & opt (spelling Kv.mode_of_string Kv.mode_name) Pmem.Striped
     & info [ "mode" ] ~doc:"PMEM layout: striped (one pool) or numa (one pool per node).")
+
+let latency_t =
+  Arg.(
+    value
+    & opt (spelling Kv.latency_of_string Kv.latency_name) Pmem.Latency.uniform
+    & info [ "latency" ] ~doc:"Latency model: uniform | optane.")
 
 let threads_t =
   Arg.(value & opt int 8 & info [ "t"; "threads" ] ~doc:"Simulated threads.")
@@ -68,25 +60,33 @@ let workload_t =
 let make_kv structure mode descriptors =
   let sys = { Kv.default_sys with mode; pool_words = 1 lsl 22 } in
   match structure with
-  | `Upskiplist ->
+  | Kv.Upskiplist ->
       Kv.make_upskiplist
         ~cfg:{ Upskiplist.Config.default with keys_per_node = 64 }
         sys
-  | `Bztree -> Kv.make_bztree ~n_descriptors:descriptors sys
-  | `Pmdk -> Kv.make_pmdk_list sys
+  | Kv.Bztree -> Kv.make_bztree ~n_descriptors:descriptors sys
+  | Kv.Pmdk -> Kv.make_pmdk_list sys
 
 (* ---- run ------------------------------------------------------------------- *)
 
-let run_cmd structure mode workload threads keys ops seed descriptors =
+(* With --trace-out the measured run records an event trace (the preload
+   runs untraced) and exports it as Chrome trace_event JSON (open in
+   about://tracing or https://ui.perfetto.dev); --metrics-json writes the
+   per-op counter digests. Deterministic: the same seed produces
+   byte-identical artifacts. *)
+let run_cmd structure mode workload threads keys ops seed descriptors trace_out
+    metrics_out capacity =
   let kv = make_kv structure mode descriptors in
   let spec = Ycsb.Workload.by_label workload in
   Fmt.pr "preloading %d keys into %s...@." keys kv.Kv.name;
   Driver.preload kv ~threads:(min threads 8) ~n:keys;
+  if trace_out <> None then Obs.Trace.start ~capacity ();
   let res =
     Driver.run_workload kv ~spec ~threads ~n_initial:keys
       ~ops_per_thread:(max 1 (ops / threads))
       ~seed
   in
+  Obs.Trace.stop ();
   Fmt.pr "workload %s on %s, %d threads:@." spec.Ycsb.Workload.label kv.Kv.name
     threads;
   Fmt.pr "  throughput  %.3f Mops/s (simulated)@." res.Driver.throughput_mops;
@@ -103,101 +103,45 @@ let run_cmd structure mode workload threads keys ops seed descriptors =
       ("reads", res.Driver.read_hist);
       ("updates", res.Driver.update_hist);
       ("inserts", res.Driver.insert_hist);
+      ("scans", res.Driver.scan_hist);
     ];
-  0
-
-let run_term =
-  Term.(
-    const run_cmd $ structure_t $ mode_t $ workload_t $ threads_t $ keys_t
-    $ ops_t $ seed_t $ descriptors_t)
-
-(* ---- trace --------------------------------------------------------------------- *)
-
-(* Record an event trace of a workload run and export it as Chrome
-   trace_event JSON (open in about://tracing or https://ui.perfetto.dev).
-   The preload runs untraced; counters are reset after it so the digest
-   and metrics attribute the traced window only. Deterministic: the same
-   seed produces byte-identical artifacts. *)
-let trace_cmd structure mode workload threads keys ops seed descriptors out
-    metrics_out capacity spans window_us =
-  let kv = make_kv structure mode descriptors in
-  let spec = Ycsb.Workload.by_label workload in
-  Fmt.pr "preloading %d keys into %s...@." keys kv.Kv.name;
-  Driver.preload kv ~threads:(min threads 8) ~n:keys;
-  Obs.reset ();
-  Obs.Trace.start ~capacity ();
-  let res =
-    Driver.run_workload kv ~spec ~threads ~n_initial:keys
-      ~ops_per_thread:(max 1 (ops / threads))
-      ~seed
-  in
-  Obs.Trace.stop ();
-  (* --spans: derive windowed counter tracks (ops, flushes, fences per
-     window of virtual time) from the retained events, so the exported
-     trace carries the time-series alongside the event slices *)
-  let counter_tracks =
-    if not spans then []
-    else begin
-      let w_ns = window_us *. 1_000.0 in
-      let tally kind_of =
-        let tbl = Hashtbl.create 64 in
-        let max_w = ref 0 in
-        Obs.Trace.iter_retained (fun ~ts ~tid:_ ~kind ~arg:_ ~farg:_ ->
-            if kind_of kind then begin
-              let w = max 0 (int_of_float (ts /. w_ns)) in
-              if w > !max_w then max_w := w;
-              Hashtbl.replace tbl w
-                (1 + Option.value ~default:0 (Hashtbl.find_opt tbl w))
-            end);
-        List.init (!max_w + 1) (fun w ->
-            ( float_of_int w *. w_ns,
-              float_of_int (Option.value ~default:0 (Hashtbl.find_opt tbl w))
-            ))
-      in
-      [
-        ("ops/window", tally (fun k -> k = Obs.Trace.k_op_end));
-        ("flushes/window", tally (fun k -> k = Obs.id_flush));
-        ("fences/window", tally (fun k -> k = Obs.id_fence));
-      ]
-    end
-  in
-  Json.write_file out (Obs.Trace.to_chrome ~counter_tracks ());
-  Fmt.pr "trace: %d events (%d dropped) -> %s@." (Obs.Trace.recorded ())
-    (Obs.Trace.dropped ()) out;
+  Option.iter
+    (fun path ->
+      Json.write_file path (Obs.Trace.to_chrome ());
+      Fmt.pr "trace: %d events (%d dropped) -> %s@." (Obs.Trace.recorded ())
+        (Obs.Trace.dropped ()) path)
+    trace_out;
   let digests =
     List.map
       (fun d -> (d.Driver.op, d.Driver.count, d.Driver.totals))
       res.Driver.digests
   in
   Harness.Report.digest_table
-    ~latency:
-      [
-        ("read", res.Driver.read_hist);
-        ("update", res.Driver.update_hist);
-        ("insert", res.Driver.insert_hist);
-        ("scan", res.Driver.scan_hist);
-      ]
     ~title:
       (Printf.sprintf "workload %s per-op persistence cost (%s, %d threads)"
          spec.Ycsb.Workload.label kv.Kv.name threads)
     digests;
-  (match metrics_out with
-  | Some path ->
+  Option.iter
+    (fun path ->
       Json.write_file path
         (Harness.Report.metrics_json
            ~label:(Printf.sprintf "%s workload %s" kv.Kv.name spec.Ycsb.Workload.label)
            ~seed
            [ ("ycsb-" ^ spec.Ycsb.Workload.label, digests) ]);
-      Fmt.pr "metrics written to %s@." path
-  | None -> ());
+      Fmt.pr "metrics written to %s@." path)
+    metrics_out;
   0
 
 let trace_out_t =
   Arg.(
-    value & opt string "upskip.trace.json"
-    & info [ "out" ] ~doc:"Chrome trace_event JSON output file.")
+    value & opt (some string) None
+    & info [ "trace-out" ]
+        ~doc:
+          "Record an event trace of the measured run and write Chrome \
+           trace_event JSON here (serve-sim adds windowed counter tracks \
+           when --spans).")
 
-let trace_metrics_t =
+let metrics_json_t =
   Arg.(
     value & opt (some string) None
     & info [ "metrics-json" ] ~doc:"Also write per-op counter digests as JSON.")
@@ -208,25 +152,11 @@ let trace_capacity_t =
     & info [ "capacity" ]
         ~doc:"Trace ring capacity in events (oldest events drop beyond it).")
 
-let spans_t =
-  Arg.(
-    value & flag
-    & info [ "spans" ]
-        ~doc:
-          "Record request/op spans and windowed counter tracks (virtual \
-           time; deterministic).")
-
-let window_us_t =
-  Arg.(
-    value & opt float 20.0
-    & info [ "window-us" ]
-        ~doc:"Virtual-time window for the --spans time-series, microseconds.")
-
-let trace_term =
+let run_term =
   Term.(
-    const trace_cmd $ structure_t $ mode_t $ workload_t $ threads_t $ keys_t
-    $ ops_t $ seed_t $ descriptors_t $ trace_out_t $ trace_metrics_t
-    $ trace_capacity_t $ spans_t $ window_us_t)
+    const run_cmd $ structure_t $ mode_t $ workload_t $ threads_t $ keys_t
+    $ ops_t $ seed_t $ descriptors_t $ trace_out_t $ metrics_json_t
+    $ trace_capacity_t)
 
 (* ---- crash-sweep ------------------------------------------------------------- *)
 
@@ -240,18 +170,6 @@ let jobs_t =
         ~doc:
           "Worker domains for independent trials (1 = sequential). Results \
            are identical for any value.")
-
-let structure_name = function
-  | `Upskiplist -> "upskiplist"
-  | `Bztree -> "bztree"
-  | `Pmdk -> "pmdk"
-
-let mode_name = function Pmem.Striped -> "striped" | Pmem.Multi_pool -> "numa"
-
-let latency_t =
-  Arg.(
-    value & opt string "uniform"
-    & info [ "latency" ] ~doc:"Latency model: uniform | optane.")
 
 let keyspace_t =
   Arg.(value & opt int 120 & info [ "keyspace" ] ~doc:"Workload keyspace.")
@@ -334,9 +252,9 @@ let base_spec structure mode latency threads keyspace ops rounds depth evict see
       Fault.validate
         {
           Fault.default_spec with
-          structure = structure_name structure;
-          latency;
-          mode = mode_name mode;
+          structure = Kv.structure_name structure;
+          latency = Kv.latency_name latency;
+          mode = Kv.mode_name mode;
           threads;
           keyspace;
           ops_per_thread = ops;
@@ -491,12 +409,6 @@ let serve_cmd structure shards zones clients requests load arrival workload
     | Ok v -> f v
   in
   let* arrival = Sim.Arrival.kind_of_string arrival in
-  let* latency =
-    match String.lowercase_ascii latency with
-    | "uniform" -> Ok Pmem.Latency.uniform
-    | "optane" -> Ok Pmem.Latency.default
-    | s -> Error ("unknown latency model (want uniform | optane): " ^ s)
-  in
   let* workload =
     match Ycsb.Workload.by_label workload with
     | spec -> Ok spec
@@ -511,7 +423,7 @@ let serve_cmd structure shards zones clients requests load arrival workload
   let cfg =
     {
       Svc.Config.default with
-      structure = structure_name structure;
+      structure = Kv.structure_name structure;
       shards;
       zones;
       clients;
@@ -655,20 +567,25 @@ let serve_json_t =
     value & opt (some string) None
     & info [ "json-out" ] ~doc:"Write the deterministic SLO report JSON here.")
 
+let spans_t =
+  Arg.(
+    value & flag
+    & info [ "spans" ]
+        ~doc:
+          "Record per-request spans (phase decomposition) and windowed SLO \
+           time-series (virtual time; deterministic).")
+
+let window_us_t =
+  Arg.(
+    value & opt float 20.0
+    & info [ "window-us" ]
+        ~doc:"Virtual-time window for the --spans time-series, microseconds.")
+
 let span_json_t =
   Arg.(
     value & opt (some string) None
     & info [ "span-json" ]
         ~doc:"Write the span summary JSON here (implies --spans).")
-
-let serve_trace_t =
-  Arg.(
-    value & opt (some string) None
-    & info [ "trace-out" ]
-        ~doc:
-          "Record an event trace of the service run and write Chrome \
-           trace_event JSON (with windowed counter tracks when --spans) \
-           here.")
 
 let detect_t =
   Arg.(
@@ -715,7 +632,7 @@ let serve_term =
     const serve_cmd $ structure_t $ shards_t $ zones_t $ clients_t $ requests_t
     $ load_t $ arrival_t $ workload_t $ batch_t $ queue_cap_t $ keys_t
     $ latency_t $ mode_t $ shard_nodes_t $ seed_t $ crash_shard_t $ crash_at_t
-    $ serve_json_t $ spans_t $ window_us_t $ span_json_t $ serve_trace_t
+    $ serve_json_t $ spans_t $ window_us_t $ span_json_t $ trace_out_t
     $ trace_capacity_t $ detect_t $ domains_t $ exchange_ns_t $ obs_out_t)
 
 (* ---- tail-anatomy -------------------------------------------------------------- *)
@@ -752,7 +669,7 @@ let tail_cmd structure shards zones clients requests load workload keys seed
   let cfg_of at_ns =
     {
       Svc.Config.default with
-      structure = structure_name structure;
+      structure = Kv.structure_name structure;
       shards;
       zones;
       clients;
@@ -846,13 +763,12 @@ let tail_term =
 
 let cmds =
   [
-    Cmd.v (Cmd.info "run" ~doc:"Run a YCSB workload and report throughput/latency.") run_term;
     Cmd.v
-      (Cmd.info "trace"
+      (Cmd.info "run"
          ~doc:
-           "Record a deterministic event trace of a workload run and export \
-            Chrome trace_event JSON plus per-op counter digests.")
-      trace_term;
+           "Run a YCSB workload and report throughput, latency and per-op \
+            counter digests; optionally record a deterministic event trace.")
+      run_term;
     Cmd.v
       (Cmd.info "crash-sweep"
          ~doc:

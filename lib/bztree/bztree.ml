@@ -30,7 +30,6 @@ module Mem = Memory.Mem
 module Riv = Memory.Riv
 
 let visible_bit = 1 lsl 50
-let frozen_bit = 1 lsl 50
 let count_mask = visible_bit - 1
 
 (* Leaf layout: status(count) | sorted_count | frozen | metas[c] | values[c].

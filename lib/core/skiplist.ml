@@ -1070,10 +1070,8 @@ let recover t ~tid:_ =
 (* ---- host-side verification (peeks; no simulated cost) ----------------- *)
 
 (* Walk the persistent bottom level collecting live key/value pairs. *)
-let to_alist_internal t ~peek =
-  let read_field obj i =
-    if peek then Mem.peek_field t.mem obj i else Mem.read_field t.mem obj i
-  in
+let to_alist t =
+  let read_field = Mem.peek_field t.mem in
   let k = t.cfg.Config.keys_per_node in
   let rec walk n acc =
     if Riv.is_null n || Riv.equal n t.tail then acc
@@ -1093,8 +1091,6 @@ let to_alist_internal t ~peek =
     Riv.of_word (Node.unmark (Mem.peek_field t.mem t.head Node.o_next0))
   in
   List.sort (fun (a, _) (b, _) -> compare a b) (walk first [])
-
-let to_alist t = to_alist_internal t ~peek:true
 
 (* Number of allocator blocks linked into the bottom level (sentinels are
    root-area objects and excluded); used by block-conservation tests. *)

@@ -560,18 +560,8 @@ let spec_of_string line =
 
 let sys_of_spec s =
   let ( let* ) = Result.bind in
-  let* latency =
-    match s.latency with
-    | "uniform" -> Ok Pmem.Latency.uniform
-    | "optane" -> Ok Pmem.Latency.default
-    | l -> Error ("unknown latency model: " ^ l)
-  in
-  let* mode =
-    match s.mode with
-    | "numa" | "multi" -> Ok Pmem.Multi_pool
-    | "striped" -> Ok Pmem.Striped
-    | m -> Error ("unknown mode: " ^ m)
-  in
+  let* latency = Kv.latency_of_string s.latency in
+  let* mode = Kv.mode_of_string s.mode in
   Ok
     {
       Kv.default_sys with
@@ -585,10 +575,7 @@ let kv_of_spec s =
   let ( let* ) = Result.bind in
   let* sys = sys_of_spec s in
   (* validate the name here so a bad spec fails before any trial runs *)
-  let* () =
-    if Kv.known_structure s.structure then Ok ()
-    else Error ("unknown structure: " ^ s.structure)
-  in
+  let* _ = Kv.structure_of_string s.structure in
   let detect_clients = if s.detect then Some s.threads else None in
   Ok
     (fun () ->

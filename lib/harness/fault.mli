@@ -122,7 +122,6 @@ val run_spec : spec -> (result, string) Stdlib.result
 (** Build the fixture the spec names ({!kv_of_spec}) and run the trial —
     a failure replays from its printed spec alone. *)
 
-val sys_of_spec : spec -> (Kv.sys, string) Stdlib.result
 val kv_of_spec : spec -> (unit -> Kv.t, string) Stdlib.result
 
 (** {1 Deterministic crash-point sweeps} *)

@@ -195,17 +195,49 @@ let make_pmdk_list ?(max_height = 24) ?detect_clients sys =
     pools = (Pmem.config pmem).Pmem.n_pools;
   }
 
-(* ---- name-dispatched construction ---------------------------------------- *)
+(* ---- spellings and name-dispatched construction -------------------------- *)
 
-(* One place that maps the structure names used by replay specs, the CLI and
-   the service layer onto fixture builders, so every driver accepts the same
-   spellings. *)
+(* One table per vocabulary, read by replay specs, the CLI and the service
+   config, so every driver accepts the same spellings: each value with its
+   canonical name first, then its aliases, matched case-insensitively. *)
+type structure = Upskiplist | Bztree | Pmdk
+
+let structures =
+  [
+    (Upskiplist, [ "upskiplist"; "ups" ]);
+    (Bztree, [ "bztree"; "bz" ]);
+    (Pmdk, [ "pmdk"; "lock" ]);
+  ]
+
+let modes = [ (Pmem.Striped, [ "striped" ]); (Pmem.Multi_pool, [ "numa"; "multi" ]) ]
+
+let latencies =
+  [ (Pmem.Latency.uniform, [ "uniform" ]); (Pmem.Latency.default, [ "optane" ]) ]
+
+let parse ~what table s =
+  let l = String.lowercase_ascii s in
+  match List.find_opt (fun (_, names) -> List.mem l names) table with
+  | Some (v, _) -> Ok v
+  | None ->
+      Error
+        (Printf.sprintf "unknown %s: %s (want %s)" what s
+           (String.concat " | " (List.map (fun (_, names) -> List.hd names) table)))
+
+let name table v = List.hd (List.assoc v table)
+let structure_of_string = parse ~what:"structure" structures
+let structure_name = name structures
+let mode_of_string = parse ~what:"mode" modes
+let mode_name = name modes
+let latency_of_string = parse ~what:"latency model" latencies
+let latency_name = name latencies
+
 let make_named ~structure ?detect_clients sys =
-  match String.lowercase_ascii structure with
-  | "upskiplist" | "ups" -> Ok (make_upskiplist ?detect_clients sys)
-  | "bztree" | "bz" -> Ok (make_bztree ~n_descriptors:16_384 ?detect_clients sys)
-  | "pmdk" | "lock" -> Ok (make_pmdk_list ?detect_clients sys)
-  | s -> Error ("unknown structure: " ^ s)
+  Result.map
+    (function
+      | Upskiplist -> make_upskiplist ?detect_clients sys
+      | Bztree -> make_bztree ~n_descriptors:16_384 ?detect_clients sys
+      | Pmdk -> make_pmdk_list ?detect_clients sys)
+    (structure_of_string structure)
 
 (* ---- detectable operations ------------------------------------------------ *)
 
@@ -241,8 +273,3 @@ let d_recover t ~tid =
   Detect.recover_resolve d ~tid ~probe:(fun ~tid k -> t.search ~tid k)
 
 let d_decide t ~client ~seq = Detect.decide (detect_exn t) ~client ~seq
-
-let known_structure structure =
-  match String.lowercase_ascii structure with
-  | "upskiplist" | "ups" | "bztree" | "bz" | "pmdk" | "lock" -> true
-  | _ -> false

@@ -61,17 +61,39 @@ val make_bztree :
   t
 val make_pmdk_list : ?max_height:int -> ?detect_clients:int -> sys -> t
 
+(** {1 Spellings}
+
+    The one table per vocabulary behind replay specs, the CLI and the
+    service config. Parsing is case-insensitive; [*_name] gives the
+    canonical spelling. *)
+
+type structure = Upskiplist | Bztree | Pmdk
+
+val structure_of_string : string -> (structure, string) result
+(** [upskiplist]/[ups], [bztree]/[bz], [pmdk]/[lock]. *)
+
+val structure_name : structure -> string
+
+val mode_of_string : string -> (Pmem.mode, string) result
+(** [striped] ({!Pmem.Striped}), [numa]/[multi] ({!Pmem.Multi_pool}). *)
+
+val mode_name : Pmem.mode -> string
+
+val latency_of_string : string -> (Pmem.Latency.params, string) result
+(** [uniform] ({!Pmem.Latency.uniform}), [optane]
+    ({!Pmem.Latency.default}). *)
+
+val latency_name : Pmem.Latency.params -> string
+(** Canonical name of one of the two models above ([Not_found] for any
+    other parameter set). *)
+
 val make_named :
   structure:string -> ?detect_clients:int -> sys -> (t, string) result
-(** Build a fixture by name — [upskiplist]/[ups], [bztree]/[bz],
-    [pmdk]/[lock] — with each structure's default tuning (BzTree gets a
-    16K-descriptor pool, as in the fault-campaign specs). The shared
-    spelling table behind replay specs, the CLI and the service layer.
-    [?detect_clients] additionally formats a {!Detect} announcement table
-    of that many client slots in the fixture's pool 0. *)
-
-val known_structure : string -> bool
-(** Whether {!make_named} accepts the name (without building anything). *)
+(** Build a fixture by its {!structure_of_string} name with each
+    structure's default tuning (BzTree gets a 16K-descriptor pool, as in
+    the fault-campaign specs). [?detect_clients] additionally formats a
+    {!Detect} announcement table of that many client slots in the
+    fixture's pool 0. *)
 
 (** {1 Detectable operations}
 

@@ -57,7 +57,6 @@ let table ~headers ~rows =
   print_row (List.map (fun w -> String.make w '-') (Array.to_list widths));
   List.iter print_row rows
 
-let f1 x = Printf.sprintf "%.1f" x
 let f2 x = Printf.sprintf "%.2f" x
 let f3 x = Printf.sprintf "%.3f" x
 
@@ -180,11 +179,8 @@ let samples_json ~label ~scale figures =
    crash-recovery campaign, ...). *)
 
 (* One row per counter id, one column per op type showing the total and
-   the per-op rate. Counters that are zero everywhere are elided. With
-   [latency] (op label → latency histogram, ns), two extra rows put p50/p99
-   next to the counter attribution, so "what it did" and "what it cost"
-   land in one table. *)
-let digest_table ?(latency = []) ~title digests =
+   the per-op rate. Counters that are zero everywhere are elided. *)
+let digest_table ~title digests =
   subheading title;
   let interesting id =
     List.exists (fun (_, _, totals) -> totals.(id) <> 0) digests
@@ -208,22 +204,7 @@ let digest_table ?(latency = []) ~title digests =
                  digests))
       (List.init Obs.n_ids (fun id -> id))
   in
-  let lat_rows =
-    if latency = [] then []
-    else
-      List.map
-        (fun (name, p) ->
-          name
-          :: List.map
-               (fun (op, _, _) ->
-                 match List.assoc_opt op latency with
-                 | Some h when Sim.Histogram.count h > 0 ->
-                     f1 (Sim.Histogram.percentile h p)
-                 | _ -> "-")
-               digests)
-        [ ("lat p50 (ns)", 50.0); ("lat p99 (ns)", 99.0) ]
-  in
-  table ~headers ~rows:(rows @ lat_rows)
+  table ~headers ~rows
 
 let metrics_json ~label ~seed sections =
   let counters f = Json.Obj (List.init Obs.n_ids (fun id -> (Obs.id_name id, f id))) in

@@ -218,8 +218,6 @@ let check (h : History.t) : violation list =
   Hashtbl.iter (fun key events -> check_key key !events) by_key;
   List.rev !violations
 
-let is_linearizable h = check h = []
-
 (* Exactly-once extension for detectable crash-replay histories: on top of
    the strict-linearizability surface (which already catches a replayed op
    taking effect twice — the duplicated write breaks the unique-value

@@ -17,8 +17,6 @@ val check : History.t -> violation list
 (** Empty result = the history is strictly linearizable (for this
     operation class). *)
 
-val is_linearizable : History.t -> bool
-
 val check_detectable : History.t -> violation list
 (** Exactly-once check for detectable crash-replay histories: {!check}
     plus operation-identity discipline over events carrying an

@@ -452,25 +452,23 @@ module Trace = struct
   let total_emitted () = (Domain.DLS.get state_key).total_emitted
   let capacity () = (Domain.DLS.get state_key).cap
 
-  let iter_retained f =
-    let s = Domain.DLS.get state_key in
-    let n = min s.total_emitted s.cap in
-    for i = 0 to n - 1 do
-      let c = s.cap in
-      let sl = if s.total_emitted <= c then i else (s.total_emitted + i) mod c in
-      f ~ts:s.ts_buf.(sl) ~tid:s.tid_buf.(sl) ~kind:s.kind_buf.(sl)
-        ~arg:s.arg_buf.(sl) ~farg:s.farg_buf.(sl)
-    done
-
   (* index of the i-th oldest retained event, i in [0, recorded) *)
   let slot s i =
     let c = s.cap in
     if s.total_emitted <= c then i else (s.total_emitted + i) mod c
 
-  (* ---- cross-domain segment transfer (Sim.Pool) ---- *)
+  let iter_retained f =
+    let s = Domain.DLS.get state_key in
+    for i = 0 to min s.total_emitted s.cap - 1 do
+      let sl = slot s i in
+      f ~ts:s.ts_buf.(sl) ~tid:s.tid_buf.(sl) ~kind:s.kind_buf.(sl)
+        ~arg:s.arg_buf.(sl) ~farg:s.farg_buf.(sl)
+    done
+
+  (* ---- cross-domain ring transfer (Sim.Pool.run_phased) ---- *)
 
   type captured = {
-    c_dropped : int; (* events of the segment already overwritten at capture *)
+    c_dropped : int; (* events already overwritten at capture *)
     c_ts : float array;
     c_tid : int array;
     c_kind : int array;
@@ -478,21 +476,17 @@ module Trace = struct
     c_farg : float array;
   }
 
-  let capture ~since =
+  let capture () =
     let s = Domain.DLS.get state_key in
-    let total = s.total_emitted in
-    let since = max 0 (min since total) in
-    let first_live = total - min total s.cap in
-    let start = max since first_live in
-    let n = total - start in
-    let base = start - first_live in
+    let n = min s.total_emitted s.cap in
+    let pick buf = Array.init n (fun k -> buf.(slot s k)) in
     {
-      c_dropped = start - since;
-      c_ts = Array.init n (fun k -> s.ts_buf.(slot s (base + k)));
-      c_tid = Array.init n (fun k -> s.tid_buf.(slot s (base + k)));
-      c_kind = Array.init n (fun k -> s.kind_buf.(slot s (base + k)));
-      c_arg = Array.init n (fun k -> s.arg_buf.(slot s (base + k)));
-      c_farg = Array.init n (fun k -> s.farg_buf.(slot s (base + k)));
+      c_dropped = s.total_emitted - n;
+      c_ts = pick s.ts_buf;
+      c_tid = pick s.tid_buf;
+      c_kind = pick s.kind_buf;
+      c_arg = pick s.arg_buf;
+      c_farg = pick s.farg_buf;
     }
 
   let absorb c =

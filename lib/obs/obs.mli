@@ -331,8 +331,7 @@ module Trace : sig
 
   val total_emitted : unit -> int
   (** Events ever emitted on this domain's ring (recorded + dropped);
-      monotone while the ring is not restarted. Use as the [since] cursor
-      for {!capture}. *)
+      monotone while the ring is not restarted. *)
 
   val capacity : unit -> int
   (** Current ring capacity in events (0 before the first {!start}). *)
@@ -343,15 +342,13 @@ module Trace : sig
       any drop-oldest overflow). *)
 
   type captured
-  (** A segment of the event stream lifted out of a ring: the events
-      emitted since some cursor that are still retained, plus the count of
-      those already overwritten. Used by [Sim.Pool] to move a worker
-      domain's per-job events into the caller's ring. *)
+  (** A ring's event stream lifted out of it: the retained events plus the
+      count of those already overwritten. Used by [Sim.Pool.run_phased] to
+      move a worker domain's events into the caller's ring. *)
 
-  val capture : since:int -> captured
-  (** Copy the events with stream index ≥ [since] out of this domain's
-      ring. Events of the segment already overwritten by ring overflow are
-      counted, not recovered. *)
+  val capture : unit -> captured
+  (** Copy every event out of this domain's ring. Events already
+      overwritten by ring overflow are counted, not recovered. *)
 
   val absorb : captured -> unit
   (** Replay a captured segment into this domain's ring as if its events

@@ -20,12 +20,8 @@
      calling domain in job index order, so [Obs.totals] after a parallel
      run equals the sequential value exactly.
    - When the calling domain is recording a trace ([Obs.Trace.enabled]),
-     each worker records into its own same-capacity ring, the per-job
-     event segment is captured when the job finishes, and the caller
-     absorbs the segments in job index order. Because jobs emit no events
-     between jobs (the caller is blocked during the run) the caller's ring
-     ends up byte-identical to a sequential run, including drop-oldest
-     overflow accounting ([Obs.Trace.capture] / [Obs.Trace.absorb]).
+     the jobs run one after another on the caller, so its ring receives
+     exactly the events of a sequential run.
    - A job that raises re-raises in the caller at collection time: deltas
      of later jobs are discarded and the first (by job index) exception
      propagates with its backtrace, mirroring where a sequential run would
@@ -49,36 +45,29 @@ let run ?jobs thunks =
   let jobs =
     match jobs with Some j -> max 1 (min j n) | None -> min (default_jobs ()) n
   in
-  if jobs <= 1 || n <= 1 || Domain.DLS.get in_worker_key then run_seq thunks
+  if
+    jobs <= 1 || n <= 1
+    || Domain.DLS.get in_worker_key
+    || Obs.Trace.enabled ()
+  then run_seq thunks
   else begin
     let thunks = Array.of_list thunks in
-    (* caller tracing? workers then record into same-capacity rings and the
-       per-job event segments are merged back in job order *)
-    let trace_cap = if Obs.Trace.enabled () then Obs.Trace.capacity () else 0 in
-    (* slot per job: (outcome, obs rows before/after, trace segment) *)
+    (* slot per job: (outcome, obs rows before/after) *)
     let results = Array.make n None in
     let next = Atomic.make 0 in
     let worker () =
       Domain.DLS.set in_worker_key true;
-      if trace_cap > 0 then Obs.Trace.start ~capacity:trace_cap ();
       let continue = ref true in
       while !continue do
         let i = Atomic.fetch_and_add next 1 in
         if i >= n then continue := false
         else begin
           let before = Obs.snapshot () in
-          let t0 = if trace_cap > 0 then Obs.Trace.total_emitted () else 0 in
           let outcome =
             try Done (thunks.(i) ())
             with e -> Raised (e, Printexc.get_raw_backtrace ())
           in
-          let after = Obs.snapshot () in
-          (* capture eagerly: a later job on this worker may overwrite
-             this job's events in the shared per-domain ring *)
-          let seg =
-            if trace_cap > 0 then Some (Obs.Trace.capture ~since:t0) else None
-          in
-          results.(i) <- Some (outcome, before, after, seg)
+          results.(i) <- Some (outcome, before, Obs.snapshot ())
         end
       done
     in
@@ -98,19 +87,13 @@ let run ?jobs thunks =
         results
     in
     let out = ref [] in
-    (try
-       Array.iter
-         (fun (outcome, before, after, seg) ->
-           Obs.add_delta ~before ~after;
-           (match seg with Some s -> Obs.Trace.absorb s | None -> ());
-           match outcome with
-           | Done v -> out := v :: !out
-           | Raised (e, bt) -> Printexc.raise_with_backtrace e bt)
-         collected
-     with e ->
-       (* re-raised job exception: nothing partial to clean up; caller sees
-          exactly what the sequential run would have seen *)
-       raise e);
+    Array.iter
+      (fun (outcome, before, after) ->
+        Obs.add_delta ~before ~after;
+        match outcome with
+        | Done v -> out := v :: !out
+        | Raised (e, bt) -> Printexc.raise_with_backtrace e bt)
+      collected;
     List.rev !out
   end
 
@@ -136,10 +119,10 @@ let map ?jobs f xs = run ?jobs (List.map (fun x () -> f x) xs)
 
    Worker-domain Obs counter deltas (and trace segments, when the caller
    records a trace) are merged into the caller in worker order after the
-   run, as in [run]. Counter totals therefore match the sequential
-   schedule exactly; trace *interleaving* may differ (a worker's events
-   absorb as one contiguous segment), which is why callers that promise
-   byte-identical artifacts exclude raw traces from that promise. *)
+   run. Counter totals therefore match the sequential schedule exactly;
+   trace *interleaving* may differ (a worker's events absorb as one
+   contiguous segment), which is why callers that promise byte-identical
+   artifacts exclude raw traces from that promise. *)
 
 type phased_slot = {
   mutable p_exn : (exn * Printexc.raw_backtrace) option;
@@ -213,7 +196,7 @@ let run_phased ?(domains = 0) ~stations ~step ~exchange ~finalize () =
         end
       done;
       slot.p_obs <- Some (before, Obs.snapshot ());
-      if trace_cap > 0 then slot.p_seg <- Some (Obs.Trace.capture ~since:0)
+      if trace_cap > 0 then slot.p_seg <- Some (Obs.Trace.capture ())
     in
     let doms = Array.init w (fun j -> Domain.spawn (worker j)) in
     let caller_exn = ref None in

@@ -8,10 +8,9 @@
 
     Additional guarantees (see the implementation header for details):
     observability counters merge back into the calling domain in job order
-    ([Obs.totals] matches a sequential run exactly); a caller recording a
-    trace gets every job's events merged into its ring in job order, with
-    drop-oldest overflow accounting identical to a sequential run
-    ([Obs.Trace.capture]/[absorb]); the first failing job's exception
+    ([Obs.totals] matches a sequential run exactly); while the caller is
+    recording a trace the jobs run one after another on the caller, so
+    its ring is exactly a sequential run's; the first failing job's exception
     re-raises in the caller; nested [run]s execute sequentially instead of
     multiplying domains. *)
 

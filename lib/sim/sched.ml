@@ -548,10 +548,6 @@ let step s ~until =
   s.st.until <- until;
   drive s.st
 
-let session_now s = s.st.clock.(0)
-
-let session_pending s = s.st.heap.Heap.len
-
 let finish s =
   match s.outcome with
   | Some o -> o

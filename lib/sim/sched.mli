@@ -139,9 +139,3 @@ val finish : session -> outcome
 (** Run every remaining event to completion (or to the crash point) and
     return the outcome, with the same hung-fiber check as {!run}.
     Idempotent: repeated calls return the first outcome. *)
-
-val session_now : session -> float
-(** The session's current virtual time (its machine's [clock.(0)]). *)
-
-val session_pending : session -> int
-(** Number of parked fibers still waiting in the session's event heap. *)

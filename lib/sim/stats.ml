@@ -79,8 +79,6 @@ let max_value t =
 
 let median t = percentile t 50.0
 
-let to_array t = Array.sub t.data 0 t.len
-
 (* Mean and sample stddev of a plain float list: used for the 3-trial
    averages reported in the paper's tables. *)
 let mean_std xs =

@@ -23,9 +23,6 @@ val min_value : t -> float
 val max_value : t -> float
 (** @raise Invalid_argument when no samples have been added. *)
 
-val to_array : t -> float array
-(** Snapshot of the samples (sorted if a percentile was queried). *)
-
 val mean_std : float list -> float * float
 (** Mean and sample standard deviation of a list (paper-style trial
     averages). *)

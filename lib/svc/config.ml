@@ -16,17 +16,12 @@ type t = {
   queue_cap : int;
   net_local_ns : float;
   net_remote_ns : float;
-  req_overhead_ns : float;
-  batch_overhead_ns : float;
-  merge_ns_per_item : float;
   sample_ns : float;
   exchange_ns : float;
   seed : int;
   sys : Kv.sys;
   crash : crash_plan option;
   spans : bool;
-  span_top : int;
-  span_sample : int;
   window_ns : float;
   detect : bool;
 }
@@ -46,17 +41,12 @@ let default =
     queue_cap = 256;
     net_local_ns = 300.0;
     net_remote_ns = 900.0;
-    req_overhead_ns = 50.0;
-    batch_overhead_ns = 150.0;
-    merge_ns_per_item = 5.0;
     sample_ns = 50_000.0;
     exchange_ns = 1_000.0;
     seed = 42;
     sys = { Kv.default_sys with numa_nodes = 1; pool_words = 1 lsl 20 };
     crash = None;
     spans = false;
-    span_top = 1024;
-    span_sample = 512;
     window_ns = 20_000.0;
     detect = false;
   }
@@ -75,7 +65,7 @@ let validate t =
       t.requests_per_client
   else if t.offered_mops <= 0.0 then
     err "offered load must be positive (got %g Mops/s)" t.offered_mops
-  else if not (Kv.known_structure t.structure) then
+  else if Result.is_error (Kv.structure_of_string t.structure) then
     err "unknown structure %S" t.structure
   else if t.n_initial < 0 then err "n-initial must be non-negative"
   else if t.batch <= 0 then err "batch must be positive (got %d)" t.batch
@@ -84,11 +74,6 @@ let validate t =
   else if t.sample_ns <= 0.0 then err "sample interval must be positive"
   else if t.exchange_ns <= 0.0 then err "exchange epoch must be positive"
   else if t.window_ns <= 0.0 then err "window must be positive"
-  else if t.spans && t.span_top < 0 then err "span-top must be non-negative"
-  else if t.spans && t.span_sample < 0 then
-    err "span-sample must be non-negative"
-  else if t.spans && t.span_top + t.span_sample = 0 then
-    err "spans need span-top or span-sample to be positive"
   else if t.net_local_ns < 0.0 || t.net_remote_ns < 0.0 then
     err "network hop costs must be non-negative"
   else

@@ -1,7 +1,9 @@
 (** Service-run configuration: topology, offered load, batching and
-    admission-control knobs, cost model, and an optional mid-run shard
-    crash. Everything that affects the simulation is here, so a config plus
-    a seed fully determines the run (and its SLO JSON, byte for byte). *)
+    admission-control knobs, network hop costs, and an optional mid-run
+    shard crash. Everything a run can vary is here (the fixed request,
+    batch and scan-merge costs are constants of {!Domains}), so a config
+    plus a seed fully determines the run (and its SLO JSON, byte for
+    byte). *)
 
 type crash_plan = {
   crash_shard : int;
@@ -11,7 +13,7 @@ type crash_plan = {
 }
 
 type t = {
-  structure : string;  (** [Kv.make_named] spelling, e.g. "upskiplist" *)
+  structure : string;  (** [Kv.structure_of_string] spelling, e.g. "upskiplist" *)
   shards : int;
   zones : int;  (** simulated NUMA zones; shard [s] pins to [s mod zones] *)
   clients : int;  (** open-loop connections *)
@@ -26,9 +28,6 @@ type t = {
           queue is shed (counted, never retried) *)
   net_local_ns : float;  (** client→shard hop within a zone *)
   net_remote_ns : float;  (** client→shard hop across zones *)
-  req_overhead_ns : float;  (** per-request parse/dispatch cost *)
-  batch_overhead_ns : float;  (** fixed cost per worker batch *)
-  merge_ns_per_item : float;  (** scan fan-out reduce cost per element *)
   sample_ns : float;  (** monitor sampling interval for depth series *)
   exchange_ns : float;
       (** exchange-epoch length ({!Domains}): cross-station messages
@@ -44,8 +43,6 @@ type t = {
   spans : bool;
       (** record a per-request span (phase decomposition) for every read
           and upsert; host-side only, so the simulation is unchanged *)
-  span_top : int;  (** slowest spans retained in full (default 1024) *)
-  span_sample : int;  (** reservoir sample size over all spans *)
   window_ns : float;
       (** virtual-time window for the SLO time-series (spans runs only) *)
   detect : bool;

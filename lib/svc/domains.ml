@@ -50,6 +50,12 @@ module H = Sim.Histogram
 module Kv = Harness.Kv
 module Driver = Harness.Driver
 
+(* Simulated service costs (ns): request parse/dispatch, the fixed cost of
+   a worker batch, and the scan fan-out reduce per merged row. *)
+let req_overhead_ns = 50.0
+let batch_overhead_ns = 150.0
+let merge_ns_per_item = 5.0
+
 type scan_ctx = {
   sc_arrival : float;
   mutable sc_remaining : int;
@@ -324,9 +330,7 @@ let run ?(domains = 1) (cfg : Config.t) =
               coll =
                 (if spans_on then
                    Some
-                     (Obs.Span.create ~top:cfg.span_top ~sample:cfg.span_sample
-                        ~seed:(cfg.seed + (7717 * (s + 1)))
-                        ())
+                     (Obs.Span.create ~seed:(cfg.seed + (7717 * (s + 1))) ())
                  else None);
               phase_hists = Array.init Obs.Span.n_phases (fun _ -> H.create ());
               wins = [||];
@@ -452,7 +456,7 @@ let run ?(domains = 1) (cfg : Config.t) =
          else begin
            let rows = Router.merge_ranges (List.rev ctx.sc_parts) in
            Sim.Sched.charge
-             (cfg.merge_ns_per_item *. float_of_int (List.length rows));
+             (merge_ns_per_item *. float_of_int (List.length rows));
            H.add fe.f_scan_hist (Sim.Sched.now () -. ctx.sc_arrival);
            fe.f_completed_scans <- fe.f_completed_scans + 1
          end);
@@ -661,8 +665,8 @@ let run ?(domains = 1) (cfg : Config.t) =
       sh.batches <- sh.batches + 1;
       Obs.bump ~tid Obs.id_svc_batch;
       Sim.Sched.charge
-        (cfg.batch_overhead_ns
-        +. (cfg.req_overhead_ns *. float_of_int (List.length entries)));
+        (batch_overhead_ns
+        +. (req_overhead_ns *. float_of_int (List.length entries)));
       let durable = ref [] in
       let exec e =
         match e.req with

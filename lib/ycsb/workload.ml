@@ -104,9 +104,3 @@ let generate ~seed ~spec ~n_initial ~threads ~ops_per_thread =
     done
   done;
   streams
-
-let pp_op fmt = function
-  | Read k -> Fmt.pf fmt "R(%d)" k
-  | Update k -> Fmt.pf fmt "U(%d)" k
-  | Insert k -> Fmt.pf fmt "I(%d)" k
-  | Scan (k, len) -> Fmt.pf fmt "S(%d,+%d)" k len

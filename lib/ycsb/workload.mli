@@ -48,5 +48,3 @@ val generate :
 (** [generate] returns one operation stream per thread over the dense
     keyspace [1..n_initial]; inserts continue the key sequence and are
     globally unique. Deterministic in [seed]. *)
-
-val pp_op : Format.formatter -> op -> unit

@@ -305,7 +305,7 @@ let test_trace_surviving_window () =
 
 (* capture/absorb must reproduce a ring byte-for-byte in a fresh ring of
    the same capacity — including the overwritten-prefix accounting. This
-   is the primitive Sim.Pool uses to merge worker-domain traces. *)
+   is the primitive Sim.Pool.run_phased uses to merge worker-domain traces. *)
 let test_trace_capture_absorb_roundtrip () =
   Obs.Trace.start ~capacity:8 ();
   for i = 1 to 20 do
@@ -314,7 +314,7 @@ let test_trace_capture_absorb_roundtrip () =
   done;
   Obs.Trace.stop ();
   let json_live = Json.to_string (Obs.Trace.to_chrome ()) in
-  let seg = Obs.Trace.capture ~since:0 in
+  let seg = Obs.Trace.capture () in
   Obs.Trace.start ~capacity:8 ();
   Obs.Trace.absorb seg;
   Obs.Trace.stop ();
@@ -323,28 +323,6 @@ let test_trace_capture_absorb_roundtrip () =
   check_int "total emitted after absorb" 20 (Obs.Trace.total_emitted ());
   check_bool "absorbed ring renders identically" true
     (String.equal json_live (Json.to_string (Obs.Trace.to_chrome ())));
-  Obs.Trace.clear ()
-
-(* A mid-stream cursor captures only the live suffix past it. *)
-let test_trace_capture_mid_stream () =
-  Obs.Trace.start ~capacity:8 ();
-  for i = 1 to 20 do
-    Obs.Trace.emit ~ts:(float_of_int i) ~tid:0 ~kind:Obs.Trace.k_resume ~arg:i
-      ~farg:0.0
-  done;
-  Obs.Trace.stop ();
-  (* stream indices 0..19; index >= 15 means events ts 16..20, none lost *)
-  let seg = Obs.Trace.capture ~since:15 in
-  Obs.Trace.start ~capacity:8 ();
-  Obs.Trace.absorb seg;
-  Obs.Trace.stop ();
-  check_int "five live events" 5 (Obs.Trace.recorded ());
-  check_int "nothing dropped" 0 (Obs.Trace.dropped ());
-  let seen = ref [] in
-  Obs.Trace.iter_retained (fun ~ts ~tid:_ ~kind:_ ~arg:_ ~farg:_ ->
-      seen := ts :: !seen);
-  check_bool "suffix 16..20" true
-    (List.rev !seen = [ 16.0; 17.0; 18.0; 19.0; 20.0 ]);
   Obs.Trace.clear ()
 
 (* The extended exporter: counter tracks and request-phase async pairs,
@@ -475,7 +453,6 @@ let () =
           case "ring drop" test_trace_ring_drop;
           case "surviving window" test_trace_surviving_window;
           case "capture/absorb roundtrip" test_trace_capture_absorb_roundtrip;
-          case "capture mid-stream" test_trace_capture_mid_stream;
           case "chrome counters and phases" test_chrome_counters_and_phases;
           case "determinism" test_trace_determinism;
           case "digest decomposition" test_digest_decomposition;

@@ -256,10 +256,23 @@ let test_run_phased_propagates_failure () =
 
 (* ---- trace merge ----------------------------------------------------------- *)
 
-(* With tracing on, pool workers record into per-domain rings of the
-   caller's capacity and the caller absorbs each job's captured segment in
-   job order — so the final ring (event window, drop accounting, exported
-   JSON) must be byte-identical to a sequential traced run. *)
+(* While the caller records a trace, [run] keeps every job on the calling
+   domain, one after another, so the ring holds exactly the events of a
+   sequential run. *)
+let test_traced_run_stays_on_caller () =
+  let caller = (Domain.self () :> int) in
+  Obs.Trace.start ~capacity:64 ();
+  let ran_on =
+    Sim.Pool.map ~jobs:4 (fun _ -> (Domain.self () :> int)) [ 1; 2; 3; 4 ]
+  in
+  Obs.Trace.stop ();
+  Obs.Trace.clear ();
+  Alcotest.(check (list int))
+    "every job ran on the calling domain" [ caller; caller; caller; caller ]
+    ran_on
+
+(* The final ring (event window, drop accounting, exported JSON) of a
+   traced -j4 run must be byte-identical to a sequential traced run. *)
 let traced_run ~jobs ~capacity =
   Obs.Trace.start ~capacity ();
   ignore (Sim.Pool.run ~jobs [ trial_job 5001; trial_job 5002; trial_job 5003 ]);
@@ -318,6 +331,7 @@ let () =
         ] );
       ( "tracing",
         [
+          case "traced run stays on the caller" test_traced_run_stays_on_caller;
           slow_case "trace merge parity" test_trace_merge_parity;
           slow_case "trace merge overflow parity" test_trace_merge_overflow_parity;
         ] );
