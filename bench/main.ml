@@ -515,7 +515,8 @@ let chapter6 () =
           List.iter
             (fun v -> pr (Fmt.str "%a" Lincheck.Checker.pp_violation v))
             r.Fault.violations;
-          List.iter (fun e -> pr ("audit: " ^ e)) r.Fault.audit_errors)
+          List.iter (fun e -> pr ("audit: " ^ e)) r.Fault.audit_errors;
+          Option.iter (fun e -> pr ("raised: " ^ e)) r.Fault.raised)
         failures);
   (* sanity check of the analyzer itself, as in the thesis: inject errors *)
   let trial =

@@ -277,6 +277,7 @@ let report_failures ~shrink failures =
         (fun v -> Fmt.pr "  %a@." Lincheck.Checker.pp_violation v)
         res.Fault.violations;
       List.iter (fun e -> Fmt.pr "  audit: %s@." e) res.Fault.audit_errors;
+      Option.iter (Fmt.pr "  raised: %s@.") res.Fault.raised;
       Fmt.pr "  replay: %s@." (Fault.spec_to_string spec);
       if shrink && i = 0 then begin
         Fmt.pr "  shrinking...@.";
@@ -379,6 +380,7 @@ let replay_cmd tokens =
             (fun v -> Fmt.pr "VIOLATION: %a@." Lincheck.Checker.pp_violation v)
             res.Fault.violations;
           List.iter (fun e -> Fmt.pr "AUDIT: %s@." e) res.Fault.audit_errors;
+          Option.iter (Fmt.pr "RAISED: %s@.") res.Fault.raised;
           if Fault.failed res then begin
             Fmt.pr "verdict: FAIL@.";
             1

@@ -96,10 +96,12 @@ type result = {
   replays : int;  (* interrupted detectable ops re-executed (Not_applied) *)
   suppressions : int;  (* interrupted detectable ops NOT re-executed because
                           the descriptor proved they took effect *)
+  raised : string option;  (* an exception the structure raised after a
+                              power failure; the trial stopped there *)
   kv : Kv.t;
 }
 
-let failed r = r.violations <> [] || r.audit_errors <> []
+let failed r = r.violations <> [] || r.audit_errors <> [] || r.raised <> None
 
 (* Modeled cost of reconnecting pools after restart (mmap of DAX-backed
    files; constant with respect to structure size). Calibrated so the
@@ -341,70 +343,85 @@ let run_trial ?mutant ~make (spec : spec) =
   in
   advance_base
     (Sim.Sched.run ~machine (List.init threads (fun tid -> (tid, preload_body))));
-  (* phase 2: workload rounds, each crashed at its own point. Round 0
-     crashes at [crash_at]; later rounds draw a point below it, so repeated
-     failures land progressively inside the post-recovery (lazy-repair)
-     work of earlier ones. *)
-  for round = 0 to spec.rounds - 1 do
-    let streams =
-      Array.init threads (fun tid ->
-          let trng = Sim.Rng.create (spec.seed + 1000 + (10_000 * round) + tid) in
-          (* Detect trials keep upsert keys disjoint per client (the preload
-             striping: tid owns {tid+1, tid+1+threads, ...}), so a probe of
-             the bottom level during descriptor resolution cannot be masked
-             by another client's concurrent write to the same key. Reads
-             still range over the whole keyspace. The non-detect draw
-             sequence is unchanged. *)
-          let owned = max 1 (((spec.keyspace - tid - 1) / threads) + 1) in
-          Array.init spec.ops_per_thread (fun _ ->
-              let key = 1 + Sim.Rng.int trng spec.keyspace in
-              if Sim.Rng.float trng < spec.read_fraction then `Read key
-              else if detect then
-                `Upsert (tid + 1 + (threads * Sim.Rng.int trng owned))
-              else `Upsert key))
-    in
-    let body ~tid =
-      Array.iter
-        (function
-          | `Read key -> recorded_read r kv ~tid key
-          | `Upsert key -> recorded_upsert ~detect r kv ~tid key)
-        streams.(tid)
-    in
-    let crash_at =
-      if round = 0 then spec.crash_at else 1 + Sim.Rng.int rng (max 1 spec.crash_at)
-    in
-    let outcome =
-      Sim.Sched.run ~machine
-        ~crash:(Sim.Sched.After_events crash_at)
-        (List.init threads (fun tid -> (tid, body)))
-    in
-    advance_base outcome;
-    match outcome with
-    | Sim.Sched.Completed { events; _ } ->
-        if round = 0 then completed_events := events
-    | Sim.Sched.Crashed_at { events; _ } ->
-        if !crashes = 0 then first_crash_events := events;
-        if not detect then sweep_pending r;
-        power_fail ();
-        recover ~depth:spec.depth;
-        after_recovery ();
-        if detect then resolve_and_replay ()
-  done;
-  (* phase 3: re-touch every key (update + read) — the full read-back the
-     checker analyzes against everything recorded before the crashes *)
-  let retouch_body ~tid =
-    let i = ref (tid + 1) in
-    while !i <= spec.keyspace do
-      recorded_upsert ~detect r kv ~tid !i;
-      recorded_read r kv ~tid !i;
-      i := !i + threads
-    done
+  (* Phases 2 and 3 run a structure after its recoveries, so an exception
+     there (a corruption mutant that leaves a dangling pointer, say) is the
+     structure failing the trial, not the harness: it becomes the trial's
+     [raised] verdict. Before the first power failure nothing has been
+     recovered, and an exception still propagates. *)
+  let raised =
+    try
+      (* phase 2: workload rounds, each crashed at its own point. Round 0
+         crashes at [crash_at]; later rounds draw a point below it, so repeated
+         failures land progressively inside the post-recovery (lazy-repair)
+         work of earlier ones. *)
+      for round = 0 to spec.rounds - 1 do
+        let streams =
+          Array.init threads (fun tid ->
+              let trng = Sim.Rng.create (spec.seed + 1000 + (10_000 * round) + tid) in
+              (* Detect trials keep upsert keys disjoint per client (the preload
+                 striping: tid owns {tid+1, tid+1+threads, ...}), so a probe of
+                 the bottom level during descriptor resolution cannot be masked
+                 by another client's concurrent write to the same key. Reads
+                 still range over the whole keyspace. The non-detect draw
+                 sequence is unchanged. *)
+              let owned = max 1 (((spec.keyspace - tid - 1) / threads) + 1) in
+              Array.init spec.ops_per_thread (fun _ ->
+                  let key = 1 + Sim.Rng.int trng spec.keyspace in
+                  if Sim.Rng.float trng < spec.read_fraction then `Read key
+                  else if detect then
+                    `Upsert (tid + 1 + (threads * Sim.Rng.int trng owned))
+                  else `Upsert key))
+        in
+        let body ~tid =
+          Array.iter
+            (function
+              | `Read key -> recorded_read r kv ~tid key
+              | `Upsert key -> recorded_upsert ~detect r kv ~tid key)
+            streams.(tid)
+        in
+        let crash_at =
+          if round = 0 then spec.crash_at else 1 + Sim.Rng.int rng (max 1 spec.crash_at)
+        in
+        let outcome =
+          Sim.Sched.run ~machine
+            ~crash:(Sim.Sched.After_events crash_at)
+            (List.init threads (fun tid -> (tid, body)))
+        in
+        advance_base outcome;
+        match outcome with
+        | Sim.Sched.Completed { events; _ } ->
+            if round = 0 then completed_events := events
+        | Sim.Sched.Crashed_at { events; _ } ->
+            if !crashes = 0 then first_crash_events := events;
+            if not detect then sweep_pending r;
+            power_fail ();
+            recover ~depth:spec.depth;
+            after_recovery ();
+            if detect then resolve_and_replay ()
+      done;
+      (* phase 3: re-touch every key (update + read) — the full read-back the
+         checker analyzes against everything recorded before the crashes *)
+      let retouch_body ~tid =
+        let i = ref (tid + 1) in
+        while !i <= spec.keyspace do
+          recorded_upsert ~detect r kv ~tid !i;
+          recorded_read r kv ~tid !i;
+          i := !i + threads
+        done
+      in
+      advance_base
+        (Sim.Sched.run ~machine (List.init threads (fun tid -> (tid, retouch_body))));
+      None
+    with
+    | (Out_of_memory | Sys.Break) as e -> raise e
+    | e when !crashes > 0 -> Some (Printexc.to_string e)
   in
-  advance_base
-    (Sim.Sched.run ~machine (List.init threads (fun tid -> (tid, retouch_body))));
   let history = History.create ~eras:(r.era + 1) (List.rev r.events) in
   let violations =
-    if detect then Lincheck.Checker.check_detectable history
+    (* a history cut short by an exception is not checked: its interrupted
+       operations are missing, so any verdict on it would be spurious *)
+    if raised <> None then []
+    else if detect then Lincheck.Checker.check_detectable history
     else Lincheck.Checker.check history
   in
   {
@@ -419,6 +436,7 @@ let run_trial ?mutant ~make (spec : spec) =
     repairs = repair_total () - repairs_before;
     replays = !replays;
     suppressions = !suppressions;
+    raised;
     kv;
   }
 
@@ -711,7 +729,13 @@ let print_summary ~name (s : summary) =
   if s.replays > 0 || s.suppressions > 0 then
     Fmt.pr "  exactly-once: %d op(s) replayed, %d duplicate(s) suppressed@."
       s.replays s.suppressions;
-  List.iter (fun m -> Fmt.pr "  %s@." (missed_message m)) s.missed
+  List.iter (fun m -> Fmt.pr "  %s@." (missed_message m)) s.missed;
+  List.iter
+    (fun (spec, r) ->
+      Option.iter
+        (Fmt.pr "  crash point %d: raised after recovery: %s@." spec.crash_at)
+        r.raised)
+    s.failures
 
 (* ---- failure shrinking --------------------------------------------------- *)
 

@@ -87,11 +87,18 @@ type result = {
   suppressions : int;
       (** detect trials: interrupted ops NOT re-executed because the
           descriptor proved they had already taken effect *)
+  raised : string option;
+      (** the exception ([Printexc.to_string]) the structure raised after a
+          power failure, in its recovery or in a later workload round or
+          read-back; the trial stopped there and its cut-short history is
+          not checked. An exception before the first power failure still
+          propagates. *)
   kv : Kv.t;
 }
 
 val failed : result -> bool
-(** A strict-linearizability violation or a non-empty audit report. *)
+(** A strict-linearizability violation, a non-empty audit report, or an
+    exception raised after a power failure. *)
 
 val pool_open_ns : pools:int -> float
 (** Modeled cost of reconnecting pools after restart (mmap of DAX files,

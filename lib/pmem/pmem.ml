@@ -207,13 +207,18 @@ let thread_node t tid = tid mod t.config.numa_nodes
    cell the scheduler reads. [jitter_on]/[jitter_lo]/[jitter_span] are fixed
    at [create] so the jitter-off case costs one boolean test and never draws
    from the RNG; writing a flat float cell instead of returning keeps the
-   result unboxed. *)
-let put_jittered t base =
+   result unboxed. Inlined, so [base] is never boxed as an argument, and the
+   draw is [Sim.Rng.float] spelled out over [Sim.Rng.next] (an int, so the
+   cross-module call returns no boxed float). *)
+let[@inline] put_jittered t base =
   Array.unsafe_set t.lat_cell 0
     (if not t.jitter_on then base
-     else base *. (t.jitter_lo +. (t.jitter_span *. Sim.Rng.float t.rng)))
+     else
+       let u = float_of_int (Sim.Rng.next t.rng) /. 4611686018427387904.0 in
+       base *. (t.jitter_lo +. (t.jitter_span *. u)))
 
-let numa_factor t ~tid a =
+(* Inlined, as is [queue_delay]: a float returned from a call is boxed. *)
+let[@inline] numa_factor t ~tid a =
   if home_node t a = thread_node t tid then 1.0
   else begin
     t.counters.remote_accesses <- t.counters.remote_accesses + 1;
@@ -266,7 +271,7 @@ let invalidate_all_caches t =
   Array.iter (fun tags -> Array.fill tags 0 (Array.length tags) (-1)) t.caches
 
 (* [node] is a NUMA node id, always < numa_nodes = Array.length free_at. *)
-let queue_delay free_at node ~now ~service =
+let[@inline] queue_delay free_at node ~now ~service =
   let free = Array.unsafe_get free_at node in
   let start = if free > now then free else now in
   Array.unsafe_set free_at node (start +. service);

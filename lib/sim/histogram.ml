@@ -9,18 +9,24 @@
    reporting a bucket midpoint is within ~0.8% of any sample in it. With
    63-bit ints the shift tops out at 55, giving 7296 buckets total.
 
-   The bucket array (58 KB) is allocated on the first [add]: a service run
-   keeps several histograms per window and station, most of which never
-   see a sample, so empty histograms (and merges of empty ones) hold no
-   buckets at all. *)
+   Buckets are stored in rows of 128, one row per shift, and a row is
+   allocated on the first sample that lands in it: a latency histogram
+   touches a handful of the 57 rows, so it holds about 5-15 KB instead of
+   the 58 KB of the full bucket array, and none of it is a block large
+   enough to bypass the minor heap. A service run keeps several histograms per
+   window and station, most of which never see a sample, so empty
+   histograms (and merges of empty ones) hold no rows at all. *)
 
 let sub_bits = 7
 let sub = 1 lsl sub_bits
-let n_buckets = (64 - sub_bits) * sub
+let n_rows = 64 - sub_bits
+let n_buckets = n_rows * sub
 let max_rel_error = 1.0 /. float_of_int sub
 
 type t = {
-  mutable counts : int array;  (* [||] exactly when n = 0 *)
+  mutable counts : int array array;
+      (* row [idx lsr sub_bits] holds bucket [idx]; [||] for a row with no
+         sample yet, and for the whole table exactly when n = 0 *)
   mutable n : int;
   mutable sum : float;
   mutable minv : float;
@@ -58,10 +64,25 @@ let bucket_bounds idx =
     (float_of_int (mant lsl shift), float_of_int (1 lsl shift))
   end
 
+(* Count in bucket [idx], growing its row on first use. *)
+let count_in counts idx c =
+  let r = idx lsr sub_bits in
+  let row =
+    let row = counts.(r) in
+    if Array.length row > 0 then row
+    else begin
+      let row = Array.make sub 0 in
+      counts.(r) <- row;
+      row
+    end
+  in
+  let i = idx land (sub - 1) in
+  row.(i) <- row.(i) + c
+
 let add t v =
   let v = if v < 0.0 then 0.0 else v in
   if t.n = 0 then begin
-    t.counts <- Array.make n_buckets 0;
+    t.counts <- Array.make n_rows [||];
     t.minv <- v;
     t.maxv <- v
   end
@@ -69,8 +90,7 @@ let add t v =
     if v < t.minv then t.minv <- v;
     if v > t.maxv then t.maxv <- v
   end;
-  let idx = bucket_of_int (int_of_float v) in
-  t.counts.(idx) <- t.counts.(idx) + 1;
+  count_in t.counts (bucket_of_int (int_of_float v)) 1;
   t.n <- t.n + 1;
   t.sum <- t.sum +. v
 
@@ -96,7 +116,8 @@ let percentile t p =
   let seen = ref 0 in
   (try
      for i = 0 to n_buckets - 1 do
-       seen := !seen + t.counts.(i);
+       let row = t.counts.(i lsr sub_bits) in
+       if Array.length row > 0 then seen := !seen + row.(i land (sub - 1));
        if !seen >= rank then begin
          idx := i;
          raise Exit
@@ -116,10 +137,15 @@ let merge a b =
   let t = create () in
   let add_counts src =
     if src.n > 0 then
-      Array.iteri (fun i c -> t.counts.(i) <- t.counts.(i) + c) src.counts
+      Array.iteri
+        (fun r row ->
+          Array.iteri
+            (fun i c -> if c > 0 then count_in t.counts ((r lsl sub_bits) lor i) c)
+            row)
+        src.counts
   in
   if a.n + b.n > 0 then begin
-    t.counts <- Array.make n_buckets 0;
+    t.counts <- Array.make n_rows [||];
     add_counts a;
     add_counts b
   end;

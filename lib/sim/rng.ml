@@ -2,32 +2,48 @@
 
    Every source of randomness in the simulator (height generation, workload
    key selection, latency jitter, crash points) draws from an explicitly
-   seeded [Rng.t] so that whole experiments replay bit-identically. *)
+   seeded [Rng.t] so that whole experiments replay bit-identically.
 
-type t = { mutable state : int64 }
+   The 64-bit state lives unboxed in 8 bytes, read and written with the
+   native-endian int64 primitives, so a draw allocates nothing: an [int64]
+   mutable field would box a fresh state on every step. [next64] is inlined
+   into [next], [int], [bool] and [split], and [next] into [float], so none
+   of them boxes an intermediate [int64] either; [float]'s result is boxed
+   only where a caller in another module receives it (callers on the
+   simulator's per-access path draw [next] and scale it themselves). *)
 
-let create seed = { state = Int64.of_int seed }
+type t = Bytes.t
 
-let copy t = { state = t.state }
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
+
+let create seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 let golden = 0x9E3779B97F4A7C15L
 
 (* One splitmix64 step: returns 64 pseudo-random bits. *)
-let next64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let[@inline] next64 t =
+  let z = Int64.add (get_state t 0) golden in
+  set_state t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 (* Non-negative 62-bit int. *)
-let next t = Int64.to_int (Int64.shift_right_logical (next64 t) 2)
+let[@inline] next t = Int64.to_int (Int64.shift_right_logical (next64 t) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   next t mod bound
 
-let float t = float_of_int (next t) /. 4611686018427387904.0 (* 2^62 *)
+let[@inline] float t = float_of_int (next t) /. 4611686018427387904.0 (* 2^62 *)
 
 let bool t = Int64.logand (next64 t) 1L = 1L
 
@@ -35,8 +51,13 @@ let bool t = Int64.logand (next64 t) 1L = 1L
    used for skip-list tower heights (p = 0.5 gives the classic geometric
    height distribution). *)
 let geometric t ~p ~max_value =
-  let rec go h = if h >= max_value || float t < p then h else go (h + 1) in
-  go 1
+  (* a loop rather than a local recursive function, which would be a
+     closure allocated per call *)
+  let h = ref 1 in
+  while !h < max_value && not (float t < p) do
+    incr h
+  done;
+  !h
 
 (* Fisher-Yates shuffle, in place. *)
 let shuffle t a =
@@ -48,6 +69,4 @@ let shuffle t a =
   done
 
 (* Split off an independent stream (for per-thread generators). *)
-let split t =
-  let s = next64 t in
-  { state = Int64.mul s 0x2545F4914F6CDD1DL }
+let split t = of_state (Int64.mul (next64 t) 0x2545F4914F6CDD1DL)

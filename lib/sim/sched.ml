@@ -17,10 +17,13 @@
    applies the machine op, bumps the virtual clock, and returns, never
    capturing a continuation. Only when the fiber must actually yield (its
    wake-up is not the strict minimum) does it perform a [Park] effect and go
-   through the heap. This matters because a full effect suspend/resume costs
-   ~4x a plain call (the benchmark's [sched.inline_event_ns] and
-   [sched.null_event_ns] probes: [bash perf/run.sh --workload ycsb-c-100k
-   --trace 1], or [dune build @perf/smoke]). Crash points are
+   through the heap. This matters because a parked event costs 5-6x an
+   inline one: on a 2-core x86-64 host under OCaml 5.1, about 25 ns inline
+   against 130-145 ns parked among 16 fibers, of which a bare perform +
+   continue takes 60-75 ns and the heap about 25 ns (the benchmark's
+   [sched.inline_event_ns] and [sched.null_event_ns] probes: [bash
+   perf/run.sh --workload ycsb-c-100k --trace 1], or [dune build
+   @perf/smoke]). Crash points are
    checked on the inline path exactly as on the heap path, so simulated
    time, event counts and crash behaviour are bit-identical with the fast
    path on or off (see test/test_sched_fastpath.ml).
@@ -30,12 +33,15 @@
    test compares against.
 
    Allocation discipline: the inline path runs once per simulated memory
-   access — hundreds of millions of times per benchmark — so it avoids
-   boxing floats. The virtual clock and the per-op latency live in one-cell
-   float arrays shared with the machine ([machine.clock] /
-   [machine.latency]) rather than being passed as (boxed) arguments and
-   returns, and the wait queue stores wake-up times in a flat float array
-   instead of records.
+   access — hundreds of millions of times per benchmark — and allocates
+   nothing; a parked event allocates only the continuation [perform]
+   captures (test/test_sched_fastpath.ml gates both). The virtual clock and
+   the per-op latency live in one-cell float arrays shared with the machine
+   ([machine.clock] / [machine.latency]) rather than being passed as
+   (boxed) arguments and returns; wake-up times likewise reach the parking
+   and resuming closures through cells, and the wait queue stores them in
+   a flat float array instead of records. A parked continuation is stored
+   as it is, in a tid-indexed array, not in a waiter box.
 
    Crashes: when the configured crash point (an event count or a virtual
    time) is reached, the running fiber is unwound with [Crashed] (raised
@@ -83,32 +89,25 @@ type outcome =
   | Completed of { time : float; events : int; fibers : int }
   | Crashed_at of { time : float; events : int }
 
-(* A parked fiber: the captured continuation together with the
-   already-computed result to resume it with. Storing the continuation
+(* A parked fiber's boxed waiter: the captured continuation together with
+   the already-computed result to resume it with. Storing the continuation
    directly (instead of a [run]/[kill] closure pair) keeps a park at one
    small allocation. A fiber is parked at most once at a time, so waiters
    live in a tid-indexed side array ([run_state.waiters]) and the event heap
    carries only the tid — its sift loops then touch exclusively flat
-   float/int arrays and never pay a GC write barrier. *)
+   float/int arrays and never pay a GC write barrier.
+
+   A fast-path [Park], the only yield of a fast-path run, boxes nothing: its
+   continuation goes straight into the tid-indexed [run_state.conts] and the
+   waiter slot stays [Cont_slot], which means "if this tid is in the heap,
+   resume [conts.(tid)] with ()". Boxed waiters are left for the fiber's
+   [Start] and for the effect path of [fast_path:false]. *)
 type waiter =
-  | Not_parked
+  | Cont_slot
   | Start of (unit -> unit)  (* fiber not launched yet *)
   | Ret_unit of (unit, unit) Effect.Deep.continuation
   | Ret_int of (int, unit) Effect.Deep.continuation * int
   | Ret_bool of (bool, unit) Effect.Deep.continuation * bool
-
-let resume_waiter = function
-  | Not_parked -> assert false
-  | Start f -> f ()
-  | Ret_unit k -> Effect.Deep.continue k ()
-  | Ret_int (k, v) -> Effect.Deep.continue k v
-  | Ret_bool (k, b) -> Effect.Deep.continue k b
-
-let kill_waiter = function
-  | Not_parked | Start _ -> ()  (* never ran; nothing to unwind *)
-  | Ret_unit k -> Effect.Deep.discontinue k Crashed
-  | Ret_int (k, _) -> Effect.Deep.discontinue k Crashed
-  | Ret_bool (k, _) -> Effect.Deep.discontinue k Crashed
 
 (* Binary min-heap on (time, seq), stored as parallel flat arrays: wake-up
    times in a [float array] (unboxed), tie-break sequence numbers and fiber
@@ -149,7 +148,9 @@ module Heap = struct
     Array.blit t.tids 0 tids 0 t.len;
     t.tids <- tids
 
-  let push t time seq tid =
+  (* Inlined, so the wake-up time reaches the flat [times] array without
+     being boxed as an argument. *)
+  let[@inline] push t time seq tid =
     if t.len = Array.length t.times then grow t;
     let times = t.times and seqs = t.seqs and tids = t.tids in
     let i = ref t.len in
@@ -170,51 +171,63 @@ module Heap = struct
     Array.unsafe_set seqs !i seq;
     Array.unsafe_set tids !i tid
 
+  (* Seat (time, seq, tid) in the hole at the root of the first [n]
+     entries, moving the hole down the min path. Inlined into both callers,
+     so [time] is never boxed. *)
+  let[@inline] sift_down t n time seq tid =
+    let times = t.times and seqs = t.seqs and tids = t.tids in
+    let i = ref 0 in
+    let sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= n then sifting := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n then begin
+            let lt = Array.unsafe_get times l
+            and rt = Array.unsafe_get times r in
+            if
+              rt < lt
+              || (rt = lt && Array.unsafe_get seqs r < Array.unsafe_get seqs l)
+            then r
+            else l
+          end
+          else l
+        in
+        let ct = Array.unsafe_get times c in
+        if ct < time || (ct = time && Array.unsafe_get seqs c < seq) then begin
+          Array.unsafe_set times !i ct;
+          Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
+          Array.unsafe_set tids !i (Array.unsafe_get tids c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    Array.unsafe_set times !i time;
+    Array.unsafe_set seqs !i seq;
+    Array.unsafe_set tids !i tid
+
   (* Remove and return the tid of the minimum entry. Only valid when
      [len > 0]; the caller reads [min_time] first for the wake-up time. *)
   let pop_min t =
-    let times = t.times and seqs = t.seqs and tids = t.tids in
-    let tid0 = Array.unsafe_get tids 0 in
+    let tid0 = Array.unsafe_get t.tids 0 in
     let n = t.len - 1 in
     t.len <- n;
-    (* last entry, to be re-seated along the min path *)
-    let time = Array.unsafe_get times n in
-    let seq = Array.unsafe_get seqs n in
-    let tid = Array.unsafe_get tids n in
-    if n > 0 then begin
-      let i = ref 0 in
-      let sifting = ref true in
-      while !sifting do
-        let l = (2 * !i) + 1 in
-        if l >= n then sifting := false
-        else begin
-          let r = l + 1 in
-          let c =
-            if r < n then begin
-              let lt = Array.unsafe_get times l
-              and rt = Array.unsafe_get times r in
-              if
-                rt < lt
-                || (rt = lt && Array.unsafe_get seqs r < Array.unsafe_get seqs l)
-              then r
-              else l
-            end
-            else l
-          in
-          let ct = Array.unsafe_get times c in
-          if ct < time || (ct = time && Array.unsafe_get seqs c < seq) then begin
-            Array.unsafe_set times !i ct;
-            Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
-            Array.unsafe_set tids !i (Array.unsafe_get tids c);
-            i := c
-          end
-          else sifting := false
-        end
-      done;
-      Array.unsafe_set times !i time;
-      Array.unsafe_set seqs !i seq;
-      Array.unsafe_set tids !i tid
-    end;
+    (* the last entry is re-seated along the min path *)
+    if n > 0 then
+      sift_down t n (Array.unsafe_get t.times n) (Array.unsafe_get t.seqs n)
+        (Array.unsafe_get t.tids n);
+    tid0
+
+  (* [push] then [pop_min] in one sift: the new entry takes the minimum's
+     place and sinks. Only valid when [len > 0] and the new entry orders
+     after the minimum (a fresh [seq] is the largest, so [time >= min_time]
+     suffices). *)
+  let[@inline] replace_min t time seq tid =
+    let tid0 = Array.unsafe_get t.tids 0 in
+    sift_down t t.len time seq tid;
     tid0
 end
 
@@ -231,7 +244,18 @@ type run_state = {
   latency : float array;  (* == machine.latency *)
   heap : Heap.t;
   waiters : waiter array;  (* tid-indexed; a fiber parks at most once *)
+  mutable conts : (unit, unit) Effect.Deep.continuation array;
+      (* tid-indexed continuations of fast-path [Park]s; [||] until the
+         first one, which also fills every slot (a slot is read only after
+         its own tid's park has written it). A resumed slot is left as it
+         is rather than cleared: that saves a write barrier per park and
+         holds on to nothing but the spent continuation block. *)
   park_wake : float array;  (* cell 0: wake-up time for a pending [Park] *)
+  mutable next_tid : int;
+      (* the event a fast-path [Park] already took off the heap for the drive
+         loop to run next ([Heap.replace_min]), or -1 *)
+  next_wake : float array;
+      (* cell 0: wake-up time of the event the drive loop runs next *)
   crash : crash_point;
   fast_path : bool;
   mutable until : float;
@@ -243,6 +267,10 @@ type run_state = {
   mutable crashed : bool;
   mutable current_tid : int;  (* tid of the fiber currently executing *)
   mutable finished : int;
+  mutable tracing : bool;
+      (* [Obs.Trace.enabled ()], read once per drive (and at launch) rather
+         than by a domain-local lookup at every park and resume; tracing is
+         only ever switched on or off between runs *)
 }
 
 let current_key : run_state option Domain.DLS.key =
@@ -251,6 +279,20 @@ let current_key : run_state option Domain.DLS.key =
 (* Cell accesses below use the unchecked primitives: [run] validates that
    both machine cells have an index 0 before anything touches them, and
    [park_wake] is created in-module with length 1. *)
+
+let resume st tid = function
+  | Cont_slot -> Effect.Deep.continue (Array.unsafe_get st.conts tid) ()
+  | Start f -> f ()
+  | Ret_unit k -> Effect.Deep.continue k ()
+  | Ret_int (k, v) -> Effect.Deep.continue k v
+  | Ret_bool (k, b) -> Effect.Deep.continue k b
+
+let kill st tid = function
+  | Cont_slot -> Effect.Deep.discontinue (Array.unsafe_get st.conts tid) Crashed
+  | Start _ -> ()  (* never ran; nothing to unwind *)
+  | Ret_unit k -> Effect.Deep.discontinue k Crashed
+  | Ret_int (k, _) -> Effect.Deep.discontinue k Crashed
+  | Ret_bool (k, _) -> Effect.Deep.discontinue k Crashed
 
 let crash_due st =
   match st.crash with
@@ -376,8 +418,11 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
       clock = machine.clock;
       latency = machine.latency;
       heap = Heap.create ();
-      waiters = Array.make (max_tid + 1) Not_parked;
+      waiters = Array.make (max_tid + 1) Cont_slot;
+      conts = [||];
       park_wake = Array.make 1 0.0;
+      next_tid = -1;
+      next_wake = Array.make 1 0.0;
       crash;
       fast_path;
       until = infinity;
@@ -386,18 +431,43 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
       crashed = false;
       current_tid = -1;
       finished = 0;
+      tracing = Obs.Trace.enabled ();
     }
   in
   st.clock.(0) <- 0.0;
+  let trace_park time tid =
+    Obs.Trace.emit
+      ~ts:(Array.unsafe_get st.clock 0)
+      ~tid ~kind:Obs.Trace.k_park ~arg:0 ~farg:time
+  in
   let park time tid w =
     (* [tid <= max_tid] for every caller, so the bounds check is elided *)
-    if Obs.Trace.enabled () then
-      Obs.Trace.emit
-        ~ts:(Array.unsafe_get st.clock 0)
-        ~tid ~kind:Obs.Trace.k_park ~arg:0 ~farg:time;
+    if st.tracing then trace_park time tid;
     Array.unsafe_set st.waiters tid w;
     st.seq <- st.seq + 1;
     Heap.push st.heap time st.seq tid
+  in
+  (* [park] for a fast-path [Park], whose op already ran inline: the wake-up
+     time comes from the [park_wake] cell (a float argument to this closure
+     would be boxed), the waiter slot is already [Cont_slot] (every resume
+     leaves it so), and the continuation goes into [conts] unboxed. The
+     drive loop pops the minimum as soon as this returns, so when that
+     minimum is due and orders before this entry, the push and the pop are
+     one sift ([Heap.replace_min]) and the popped event is handed over in
+     [next_tid]. *)
+  let park_cont tid k =
+    let time = Array.unsafe_get st.park_wake 0 in
+    if st.tracing then trace_park time tid;
+    if Array.length st.conts = 0 then st.conts <- Array.make (max_tid + 1) k
+    else Array.unsafe_set st.conts tid k;
+    st.seq <- st.seq + 1;
+    let h = st.heap in
+    if h.Heap.len > 0 && Heap.min_time h <= time && Heap.min_time h < st.until
+    then begin
+      Array.unsafe_set st.next_wake 0 (Heap.min_time h);
+      st.next_tid <- Heap.replace_min h time st.seq tid
+    end
+    else Heap.push h time st.seq tid
   in
   (* Effect-path equivalent of [inline_settle]: charge [latency.(0)] to the
      fiber suspended in [w] and park it until its wake-up time. Only
@@ -409,7 +479,7 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
     st.events <- st.events + 1;
     if st.crashed || crash_due st then begin
       st.crashed <- true;
-      kill_waiter w
+      kill st tid w
     end
     else
       park (Array.unsafe_get st.clock 0 +. Array.unsafe_get st.latency 0) tid w
@@ -421,12 +491,9 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
     (* [Park] is the only effect a fast-path run performs, once per genuine
        yield; its handler is built once per fiber here instead of allocating
        a fresh closure (and [Some]) on every park. *)
-    let on_park (k : (unit, unit) continuation) =
-      (* the op already ran inline; just yield until the deposited
-         wake-up time *)
-      park (Array.unsafe_get st.park_wake 0) tid (Ret_unit k)
+    let some_on_park =
+      Some (fun (k : (unit, unit) continuation) -> park_cont tid k)
     in
-    let some_on_park = Some on_park in
     let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option =
       fun eff ->
         match eff with
@@ -472,7 +539,7 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
         {
           retc =
             (fun () ->
-              if Obs.Trace.enabled () then
+              if st.tracing then
                 Obs.Trace.emit
                   ~ts:(Array.unsafe_get st.clock 0)
                   ~tid ~kind:Obs.Trace.k_fiber_done ~arg:0 ~farg:0.0;
@@ -481,7 +548,7 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
             (fun e ->
               match e with
               | Crashed ->
-                  if Obs.Trace.enabled () then
+                  if st.tracing then
                     Obs.Trace.emit
                       ~ts:(Array.unsafe_get st.clock 0)
                       ~tid ~kind:Obs.Trace.k_fiber_crash ~arg:0 ~farg:0.0;
@@ -491,7 +558,7 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
         }
     in
     (match st.waiters.(tid) with
-    | Not_parked -> ()
+    | Cont_slot -> ()
     | _ -> invalid_arg "Sched.run: duplicate tid");
     (* Threads begin at staggered times so identical op streams don't move in
        lock-step. *)
@@ -506,37 +573,47 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
    each drive, so sessions from many schedulers can interleave on one domain
    — or run pinned to parallel domains — without sharing any state. *)
 let drive st =
-  let rec loop () =
-    if
-      st.heap.Heap.len > 0
-      && (st.crashed || Heap.min_time st.heap < st.until)
-    then begin
-      let time = Heap.min_time st.heap in
-      let tid = Heap.pop_min st.heap in
-      let w = Array.unsafe_get st.waiters tid in
-      Array.unsafe_set st.waiters tid Not_parked;
-      if st.crashed then begin
-        kill_waiter w;
-        loop ()
+  (* Run the event of fiber [tid], due at [next_wake.(0)] (a float
+     argument to this closure would be boxed). *)
+  let run_event tid =
+    let time = Array.unsafe_get st.next_wake 0 in
+    let w = Array.unsafe_get st.waiters tid in
+    (* a boxed waiter is taken out of its slot; [Cont_slot] stays put *)
+    (match w with
+    | Cont_slot -> ()
+    | _ -> Array.unsafe_set st.waiters tid Cont_slot);
+    if st.crashed then kill st tid w
+    else begin
+      Array.unsafe_set st.clock 0 time;
+      if crash_due st then begin
+        st.crashed <- true;
+        kill st tid w
       end
       else begin
-        Array.unsafe_set st.clock 0 time;
-        if crash_due st then begin
-          st.crashed <- true;
-          kill_waiter w;
-          loop ()
-        end
-        else begin
-          st.current_tid <- tid;
-          if Obs.Trace.enabled () then
-            Obs.Trace.emit ~ts:time ~tid ~kind:Obs.Trace.k_resume ~arg:0
-              ~farg:0.0;
-          resume_waiter w;
-          loop ()
-        end
+        st.current_tid <- tid;
+        if st.tracing then
+          Obs.Trace.emit ~ts:time ~tid ~kind:Obs.Trace.k_resume ~arg:0 ~farg:0.0;
+        resume st tid w
       end
     end
   in
+  let rec loop () =
+    if st.next_tid >= 0 then begin
+      let tid = st.next_tid in
+      st.next_tid <- -1;
+      run_event tid;
+      loop ()
+    end
+    else if
+      st.heap.Heap.len > 0
+      && (st.crashed || Heap.min_time st.heap < st.until)
+    then begin
+      Array.unsafe_set st.next_wake 0 (Heap.min_time st.heap);
+      run_event (Heap.pop_min st.heap);
+      loop ()
+    end
+  in
+  st.tracing <- Obs.Trace.enabled ();
   let saved = Domain.DLS.get current_key in
   Domain.DLS.set current_key (Some st);
   Fun.protect ~finally:(fun () -> Domain.DLS.set current_key saved) loop

@@ -159,7 +159,8 @@ let crash_campaign ~make ~threads ~keyspace ~ops_per_thread
     trials s.Harness.Fault.crashed_trials;
   s
 
-(* Print each failing trial's replay spec, violations and audit errors. *)
+(* Print each failing trial's replay spec, violations, audit errors and
+   post-recovery exception. *)
 let print_failures name (s : Harness.Fault.summary) =
   List.iter
     (fun ((spec : Harness.Fault.spec), (r : Harness.Fault.result)) ->
@@ -167,5 +168,6 @@ let print_failures name (s : Harness.Fault.summary) =
       List.iter
         (fun v -> Fmt.epr "  %a@." Lincheck.Checker.pp_violation v)
         r.Harness.Fault.violations;
-      List.iter (fun e -> Fmt.epr "  audit: %s@." e) r.Harness.Fault.audit_errors)
+      List.iter (fun e -> Fmt.epr "  audit: %s@." e) r.Harness.Fault.audit_errors;
+      Option.iter (Fmt.epr "  raised: %s@.") r.Harness.Fault.raised)
     s.Harness.Fault.failures

@@ -182,6 +182,35 @@ let test_mutant_dangle_caught () =
   check_bool "auditor caught the dangling tower pointer" true
     (res.Fault.audit_errors <> [])
 
+(* A structure that raises after its recovery fails the trial; it does not
+   abort the harness. Under this replay spec the dangle mutant's pointer
+   sends the phase-3 read-back into [Mem.resolve] on a null pointer. The
+   verdict must name the exception, and the same trial inside a campaign
+   must be reported as a failure rather than end the campaign. *)
+let raising_spec =
+  "structure=upskiplist crash_at=5176 mutant=dangle latency=optane mode=multi"
+
+let test_raise_after_recovery_is_a_verdict () =
+  let spec =
+    match Fault.spec_of_string raising_spec with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let res = run_spec_exn spec in
+  check_bool "trial crashed" true (res.Fault.crashes > 0);
+  Alcotest.(check (option string))
+    "the verdict names the exception"
+    (Some (Printexc.to_string (Invalid_argument "Mem.resolve: null pointer")))
+    res.Fault.raised;
+  check_bool "the trial fails" true (Fault.failed res);
+  let s =
+    Fault.run_campaign
+      { Fault.base = spec; grid = { origin = 5176; stride = 1; points = 1; jitter = 0 }; draws = 1 }
+  in
+  check_int "the campaign ran its trial" 1 s.Fault.trials;
+  check_bool "and reports it as failed" true
+    (List.exists (fun (_, r) -> r.Fault.raised <> None) s.Fault.failures)
+
 (* A skipped fingerprint repair: one live key loses its fingerprint while
    its node's line reads as confirmed. The persistent audit no longer
    checks fingerprints (they are volatile); the lookups and the re-insert
@@ -324,6 +353,8 @@ let () =
             test_mutant_lose_key_caught;
           slow_case "dangle mutant caught by the auditor"
             test_mutant_dangle_caught;
+          slow_case "an exception after recovery is a failing verdict"
+            test_raise_after_recovery_is_a_verdict;
           slow_case "skip_fp_repair mutant caught by the checker"
             test_mutant_skip_fp_repair_caught;
           slow_case "raise_hint mutant caught, and a lookup misses"

@@ -141,6 +141,269 @@ let test_fiber_count () =
       check_int "Completed reports one entry per body" threads fibers
   | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected crash"
 
+(* ---- tracing on ---------------------------------------------------------- *)
+
+(* The scheduler reads the trace flag once per drive instead of at every
+   park and resume, so a traced run must record exactly what it recorded
+   before. Compared here: the retained ring of a run (or a session) under
+   [Obs.Trace.start], event by event, floats bit for bit. *)
+
+type event = float * int * int * int * float
+
+let traced f =
+  Obs.Trace.start ~capacity:(1 lsl 16) ();
+  let outcome = f () in
+  Obs.Trace.stop ();
+  check_int "trace ring kept every event" 0 (Obs.Trace.dropped ());
+  let ring = ref [] in
+  Obs.Trace.iter_retained (fun ~ts ~tid ~kind ~arg ~farg ->
+      ring := (ts, tid, kind, arg, farg) :: !ring);
+  Obs.Trace.clear ();
+  (outcome, List.rev !ring)
+
+(* An inline primitive yields no park/resume pair, so the fast and the
+   reference path agree on every event but those. *)
+let without_switches =
+  List.filter (fun (_, _, kind, _, _) ->
+      kind <> Obs.Trace.k_park && kind <> Obs.Trace.k_resume)
+
+let check_rings name (a : event list) (b : event list) =
+  let render (ts, tid, kind, arg, farg) =
+    Printf.sprintf "ts=%h tid=%d kind=%d arg=%d farg=%h" ts tid kind arg farg
+  in
+  check_int (name ^ ": events") (List.length a) (List.length b);
+  List.iteri
+    (fun i (x, y) ->
+      if x <> y then
+        Alcotest.failf "%s: event %d differs: %s vs %s" name i (render x) (render y))
+    (List.combine a b)
+
+let traced_run ~fast_path seed =
+  let pmem = mk_pmem seed in
+  traced (fun () ->
+      outcome_repr
+        (Sim.Sched.run ~fast_path ~machine:(Pmem.machine pmem) (bodies seed)))
+
+(* The same bodies as a session stepped through epoch bounds [every] ns
+   apart; [untraced_after] stops the recording after that many steps. *)
+let traced_session ?untraced_after ~fast_path ~every seed =
+  let pmem = mk_pmem seed in
+  traced (fun () ->
+      let s = Sim.Sched.open_session ~fast_path ~machine:(Pmem.machine pmem) (bodies seed) in
+      let bound = ref every and steps = ref 0 in
+      while !bound < 60_000.0 do
+        if Some !steps = untraced_after then Obs.Trace.stop ();
+        Sim.Sched.step s ~until:!bound;
+        incr steps;
+        bound := !bound +. every
+      done;
+      outcome_repr (Sim.Sched.finish s))
+
+let test_traced_fast_matches_slow () =
+  List.iter
+    (fun seed ->
+      let name = Printf.sprintf "seed %d" seed in
+      let slow_outcome, slow = traced_run ~fast_path:false seed in
+      let fast_outcome, fast = traced_run ~fast_path:true seed in
+      Alcotest.(check string) (name ^ ": outcome") slow_outcome fast_outcome;
+      check_bool (name ^ ": machine events traced") true
+        (List.exists (fun (_, _, kind, _, _) -> kind = Obs.id_fence) fast);
+      check_rings (name ^ ": fast vs reference") (without_switches slow)
+        (without_switches fast))
+    [ 1; 7 ]
+
+(* A session re-reads the flag at every step. On the reference path every
+   event parks and resumes anyway, so splitting the run at epoch bounds
+   changes nothing in the ring, switches included; on the fast path a
+   bound makes the fiber crossing it park, so only the switches differ. *)
+let test_traced_session_matches_run () =
+  let seed = 3 in
+  let run_outcome, run = traced_run ~fast_path:false seed in
+  let session_outcome, session = traced_session ~fast_path:false ~every:2_500.0 seed in
+  Alcotest.(check string) "reference session outcome" run_outcome session_outcome;
+  check_rings "reference run vs stepped session" run session;
+  let run_outcome, run = traced_run ~fast_path:true seed in
+  let session_outcome, session = traced_session ~fast_path:true ~every:2_500.0 seed in
+  Alcotest.(check string) "fast session outcome" run_outcome session_outcome;
+  check_rings "fast run vs stepped session" (without_switches run)
+    (without_switches session);
+  (* tracing stopped between two steps: the later steps record nothing *)
+  let _, partial = traced_session ~untraced_after:4 ~fast_path:true ~every:2_500.0 seed in
+  check_bool "a step after the stop records nothing" true
+    (List.for_all (fun (ts, _, _, _, _) -> ts < 10_000.0) partial);
+  check_bool "the steps before it recorded" true (partial <> [])
+
+(* ---- allocation ------------------------------------------------------------ *)
+
+(* Minor words allocated by [f], net of what reading the counter costs. *)
+let words f =
+  let calibrate () =
+    let a = Gc.minor_words () in
+    let b = Gc.minor_words () in
+    b -. a
+  in
+  let overhead = calibrate () in
+  let w0 = Gc.minor_words () in
+  f ();
+  let w1 = Gc.minor_words () in
+  w1 -. w0 -. overhead
+
+let native () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ()
+
+let n_alloc = 20_000
+
+(* One fiber: every primitive runs inline. After one warm-up pass (the
+   first access installs the line in the fiber's timing cache, the first
+   store gives the page its own array), a cache-hit read, write or CAS, a
+   flush of a clean line and a fence allocate nothing at all — with
+   latency jitter on, so the RNG draw is on the path. Nor do the slower
+   timing paths: a read that misses, and the flush of a dirty line on a
+   remote NUMA node (bandwidth queue and remote multiplier). *)
+let test_inline_events_allocate_nothing () =
+  native ();
+  let pmem = mk_pmem 1 in
+  let a = Pmem.addr ~pool:0 ~word:64 and b = Pmem.addr ~pool:1 ~word:640 in
+  let remote = Pmem.addr ~pool:1 ~word:64 and i = ref 0 in
+  let measured = ref [] in
+  let measure name op =
+    op ();
+    measured := (name, words (fun () -> for _ = 1 to n_alloc do op () done)) :: !measured
+  in
+  let body ~tid:_ =
+    Sim.Sched.write a 1;
+    measure "read" (fun () -> ignore (Sim.Sched.read a : int));
+    measure "write" (fun () -> Sim.Sched.write a 2);
+    measure "cas" (fun () -> ignore (Sim.Sched.cas a ~expected:2 ~desired:2 : bool));
+    measure "flush" (fun () -> Sim.Sched.flush b);
+    measure "fence" Sim.Sched.fence;
+    measure "missing read" (fun () ->
+        incr i;
+        ignore (Sim.Sched.read (Pmem.addr ~pool:(!i land 3) ~word:(!i * 4099 land (pool_words - 1))) : int));
+    measure "dirty remote flush" (fun () ->
+        Sim.Sched.write remote !i;
+        Sim.Sched.flush remote;
+        Sim.Sched.fence ())
+  in
+  (match Sim.Sched.run ~machine:(Pmem.machine pmem) [ (0, body) ] with
+  | Sim.Sched.Completed _ -> ()
+  | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected crash");
+  List.iter
+    (fun (name, w) -> Alcotest.(check (float 0.0)) (name ^ ": minor words") 0.0 w)
+    (List.rev !measured)
+
+(* Draws allocate nothing where their result stays unboxed: [int] and
+   [next] return immediates, and [geometric] consumes its [float] draws
+   inside the module. A [float] handed to a caller in another module is
+   boxed, and that box (2 words on 64-bit) is all it costs: the generator's
+   state itself is never boxed. *)
+let test_rng_draws_allocate_nothing () =
+  native ();
+  let r = Sim.Rng.create 1 in
+  let sink = ref 0 and fsink = [| 0.0 |] in
+  let per_draw f = words f /. float_of_int n_alloc in
+  Alcotest.(check (float 0.0))
+    "int" 0.0
+    (per_draw (fun () -> for _ = 1 to n_alloc do sink := !sink + Sim.Rng.int r 1000 done));
+  Alcotest.(check (float 0.0))
+    "next" 0.0
+    (per_draw (fun () -> for _ = 1 to n_alloc do sink := !sink + Sim.Rng.next r done));
+  Alcotest.(check (float 0.0))
+    "geometric" 0.0
+    (per_draw (fun () ->
+         for _ = 1 to n_alloc do
+           sink := !sink + Sim.Rng.geometric r ~p:0.5 ~max_value:32
+         done));
+  let boxed_float = float_of_int (Obj.size (Obj.repr 0.5) + 1) in
+  Alcotest.(check (float 0.0))
+    "float: its boxed result only" boxed_float
+    (per_draw (fun () ->
+         for _ = 1 to n_alloc do
+           fsink.(0) <- fsink.(0) +. Sim.Rng.float r
+         done));
+  ignore (Sys.opaque_identity (!sink, fsink))
+
+(* What one perform + continue allocates by itself: the continuation. The
+   handler keeps it in a one-cell array (filled by the first perform) so
+   that the measurement boxes nothing of its own. *)
+type _ Effect.t += Ping : unit Effect.t
+
+let perform_words () =
+  let open Effect.Deep in
+  let slot = ref [||] and pending = ref false in
+  let keep (k : (unit, unit) continuation) =
+    if Array.length !slot = 0 then slot := [| k |] else !slot.(0) <- k;
+    pending := true
+  in
+  let body () =
+    for _ = 1 to n_alloc do
+      Effect.perform Ping
+    done
+  in
+  let some_keep = Some keep in
+  let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option = function
+    | Ping -> some_keep
+    | _ -> None
+  in
+  let handler = { retc = (fun () -> ()); exnc = raise; effc } in
+  words (fun () ->
+      match_with body () handler;
+      while !pending do
+        pending := false;
+        continue !slot.(0) ()
+      done)
+  /. float_of_int n_alloc
+
+(* Two fibers a stagger apart on a machine whose every op costs 1 ns: each
+   primitive wakes its fiber after the other one, so every event parks.
+   A parked event then allocates what [perform] itself does (the
+   continuation block, 2 words on OCaml 5.1 amd64; it was 6 when the park
+   boxed its waiter and its wake-up time) and nothing on top. Measured as
+   the slope between two run lengths, so the fibers' one-off launch drops
+   out. *)
+let test_parked_event_allocates_only_the_continuation () =
+  native ();
+  let latency = [| 0.0 |] in
+  let machine =
+    {
+      Sim.Sched.read =
+        (fun ~tid:_ _ ->
+          latency.(0) <- 1.0;
+          0);
+      write = (fun ~tid:_ _ _ -> latency.(0) <- 1.0);
+      cas =
+        (fun ~tid:_ _ _ _ ->
+          latency.(0) <- 1.0;
+          true);
+      flush = (fun ~tid:_ _ -> latency.(0) <- 1.0);
+      fence = (fun ~tid:_ -> latency.(0) <- 1.0);
+      clock = [| 0.0 |];
+      latency;
+    }
+  in
+  let run n =
+    let body ~tid:_ =
+      for _ = 1 to n do
+        ignore (Sim.Sched.read 0 : int)
+      done
+    in
+    let events = ref 0 in
+    let w =
+      words (fun () ->
+          match Sim.Sched.run ~machine [ (0, body); (1, body) ] with
+          | Sim.Sched.Completed { events = e; _ } -> events := e
+          | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected crash")
+    in
+    (w, float_of_int !events)
+  in
+  let w1, e1 = run n_alloc and w2, e2 = run (2 * n_alloc) in
+  let per_event = (w2 -. w1) /. (e2 -. e1) in
+  let bound = perform_words () in
+  check_bool
+    (Printf.sprintf "%.3f words per parked event <= %.3f per bare perform" per_event bound)
+    true
+    (per_event <= bound)
+
 let () =
   Alcotest.run "sched_fastpath"
     [
@@ -150,5 +413,20 @@ let () =
           case "event-count crash points match" test_crash_events;
           case "virtual-time crash points match" test_crash_time;
           case "Completed reports fiber count" test_fiber_count;
+        ] );
+      ( "tracing on",
+        [
+          case "fast and reference paths record the same trace"
+            test_traced_fast_matches_slow;
+          case "a stepped session records its run's trace"
+            test_traced_session_matches_run;
+        ] );
+      ( "allocation",
+        [
+          case "inline cache-hit primitives allocate nothing"
+            test_inline_events_allocate_nothing;
+          case "RNG draws allocate nothing" test_rng_draws_allocate_nothing;
+          case "a parked event allocates only its continuation"
+            test_parked_event_allocates_only_the_continuation;
         ] );
     ]

@@ -72,6 +72,93 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is permutation" (Array.init 50 (fun i -> i)) sorted
 
+(* The first draws of two seeds, pinned. Every workload, jitter draw and
+   crash point derives from these streams, so a change to the generator's
+   representation must leave every value below, and the draw order, as
+   they are. *)
+type pinned = {
+  seed : int;
+  nexts : int list;  (* three [next] *)
+  ints : int list;  (* then three [int _ 1000] *)
+  floats : float list;  (* then three [float] *)
+  bools : bool list;  (* then four [bool] *)
+  split_nexts : int list;  (* then [split], and two [next] of the child *)
+  after_split : int;  (* then one more [next] of the parent *)
+  next64 : int64;  (* a fresh generator's first [next64] *)
+  geometrics : int list;  (* its next six [geometric ~p:0.5 ~max_value:32] *)
+  shuffled : int array;  (* then [shuffle] of [0..7] *)
+}
+
+let pinned_streams =
+  [
+    {
+      seed = 1;
+      nexts = [ 2612804094800205616; 3439311302766607129; 4477959822570722647 ];
+      ints = [ 58; 190; 512 ];
+      floats = [ 0x1.c133d8d9ae6c8p-1; 0x1.0bcf761e244f1p-1; 0x1.245c6378d5f8fp-2 ];
+      bools = [ false; true; false; false ];
+      split_nexts = [ 2122635599545759403; 2613312003845557881 ];
+      after_split = 2010535538889790954;
+      next64 = -7995527694508729151L;
+      geometrics = [ 3; 1; 4; 2; 2; 2 ];
+      shuffled = [| 0; 1; 5; 2; 3; 4; 7; 6 |];
+    };
+    {
+      seed = 42;
+      nexts = [ 3419864383188818853; 737456523031723072; 1284820937115690964 ];
+      ints = [ 941; 812; 265 ];
+      floats = [ 0x1.bf4b38e229bb7p-3; 0x1.99ec6bdd3d3c6p-1; 0x1.5c16e1dc2cf5fp-2 ];
+      bools = [ false; true; false; false ];
+      split_nexts = [ 4026823179717085339; 3514025872056610426 ];
+      after_split = 3067506354810381239;
+      next64 = -4767286540954276203L;
+      geometrics = [ 1; 1; 1; 1; 2; 2 ];
+      shuffled = [| 7; 0; 2; 1; 6; 5; 4; 3 |];
+    };
+  ]
+
+let test_rng_pinned_stream () =
+  List.iter
+    (fun p ->
+      let name what = Printf.sprintf "seed %d: %s" p.seed what in
+      let draws n f = List.init n (fun _ -> f ()) in
+      let r = Sim.Rng.create p.seed in
+      Alcotest.(check (list int)) (name "next") p.nexts (draws 3 (fun () -> Sim.Rng.next r));
+      Alcotest.(check (list int)) (name "int") p.ints (draws 3 (fun () -> Sim.Rng.int r 1000));
+      (* bit-exact: compared through their hex renderings *)
+      Alcotest.(check (list string))
+        (name "float")
+        (List.map (Printf.sprintf "%h") p.floats)
+        (draws 3 (fun () -> Printf.sprintf "%h" (Sim.Rng.float r)));
+      Alcotest.(check (list bool)) (name "bool") p.bools (draws 4 (fun () -> Sim.Rng.bool r));
+      let child = Sim.Rng.split r in
+      Alcotest.(check (list int))
+        (name "split child") p.split_nexts
+        (draws 2 (fun () -> Sim.Rng.next child));
+      check_int (name "parent after split") p.after_split (Sim.Rng.next r);
+      let r = Sim.Rng.create p.seed in
+      Alcotest.(check int64) (name "next64") p.next64 (Sim.Rng.next64 r);
+      Alcotest.(check (list int))
+        (name "geometric") p.geometrics
+        (draws 6 (fun () -> Sim.Rng.geometric r ~p:0.5 ~max_value:32));
+      let a = Array.init 8 Fun.id in
+      Sim.Rng.shuffle r a;
+      Alcotest.(check (array int)) (name "shuffle") p.shuffled a)
+    pinned_streams
+
+let test_rng_copy () =
+  let a = Sim.Rng.create 5 in
+  ignore (Sim.Rng.next a : int);
+  let b = Sim.Rng.copy a in
+  let from_a = List.init 5 (fun _ -> Sim.Rng.next a) in
+  (* the copy replays the original's future, and advancing one leaves the
+     other's state alone *)
+  Alcotest.(check (list int)) "copy replays" from_a (List.init 5 (fun _ -> Sim.Rng.next b));
+  let c = Sim.Rng.copy b in
+  ignore (Sim.Rng.next b : int);
+  ignore (Sim.Rng.next b : int);
+  check_int "copy independent" (Sim.Rng.next (Sim.Rng.copy a)) (Sim.Rng.next c)
+
 (* ---- Stats -------------------------------------------------------------- *)
 
 let test_stats_mean_stddev () =
@@ -375,6 +462,8 @@ let () =
           case "geometric capped" test_rng_geometric_capped;
           case "split independence" test_rng_split_independent;
           case "shuffle permutation" test_rng_shuffle_permutation;
+          case "pinned stream" test_rng_pinned_stream;
+          case "copy independent" test_rng_copy;
         ] );
       ( "stats",
         [
