@@ -187,11 +187,11 @@ let depth_t =
 
 let evict_t =
   Arg.(
-    value & opt string "config"
+    value & opt float 0.0
     & info [ "evict" ]
         ~doc:
-          "Persisted-state adversary: 'config' (pool's eviction coin) or a \
-           per-dirty-line persistence probability in [0,1].")
+          "Persisted-state adversary: the probability in [0,1] that each \
+           dirty cache line persists at a power failure (0 loses them all).")
 
 let draws_t =
   Arg.(
@@ -241,31 +241,23 @@ let json_out_t =
 
 let base_spec structure mode latency threads keyspace ops rounds depth evict seed
     mutant detect =
-  let adversary =
-    if evict = "config" then Ok Fault.Config_default
-    else
-      match float_of_string_opt evict with
-      | Some p -> Ok (Fault.Subset p)
-      | None -> Error ("bad --evict (want 'config' or a probability): " ^ evict)
-  in
-  Result.bind adversary (fun adversary ->
-      Fault.validate
-        {
-          Fault.default_spec with
-          structure = Kv.structure_name structure;
-          latency = Kv.latency_name latency;
-          mode = Kv.mode_name mode;
-          threads;
-          keyspace;
-          ops_per_thread = ops;
-          rounds;
-          depth;
-          adversary;
-          draw_seed = seed + 1;
-          seed;
-          mutant;
-          detect;
-        })
+  Fault.validate
+    {
+      Fault.default_spec with
+      structure;
+      latency;
+      mode;
+      threads;
+      keyspace;
+      ops_per_thread = ops;
+      rounds;
+      depth;
+      evict;
+      draw_seed = seed + 1;
+      seed;
+      mutant;
+      detect;
+    }
 
 let report_failures ~shrink failures =
   List.iteri
@@ -292,7 +284,7 @@ let write_campaign_json path (base : Fault.spec) (s : Fault.summary) =
   Json.write_file path
     (Json.Schema.doc Json.Schema.crash_campaign
        [
-         ("structure", Json.Str base.Fault.structure);
+         ("structure", Json.Str (Kv.structure_name base.Fault.structure));
          ("mutant", Json.Str base.Fault.mutant); ("trials", Json.int s.Fault.trials);
          ("crashed_trials", Json.int s.Fault.crashed_trials);
          ("total_crashes", Json.int s.Fault.total_crashes);
@@ -322,12 +314,12 @@ let sweep_cmd structure mode latency threads keyspace ops rounds depth evict
         { Fault.base; grid = { Fault.origin; stride; points; jitter }; draws }
       in
       Fmt.pr "adversarial crash sweep on %s: %d points x %d draws, depth %d%s@."
-        base.Fault.structure points draws depth
+        (Kv.structure_name base.Fault.structure) points draws depth
         (if detect then ", detectable ops" else "");
       let before = Obs.totals () in
       let s = Fault.run_campaign ~jobs campaign in
       let after = Obs.totals () in
-      Fault.print_summary ~name:base.Fault.structure s;
+      Fault.print_summary ~name:(Kv.structure_name base.Fault.structure) s;
       (* the campaign's counter delta: with --rounds 2, round 1 runs on a
          freshly crashed structure and pays its lazy repairs inline *)
       Harness.Report.digest_table
@@ -362,33 +354,29 @@ let replay_cmd tokens =
   | Error e ->
       Fmt.epr "crash-replay: %s@." e;
       2
-  | Ok spec -> (
+  | Ok spec ->
       Fmt.pr "replaying: %s@." (Fault.spec_to_string spec);
-      match Fault.run_spec spec with
-      | Error e ->
-          Fmt.epr "crash-replay: %s@." e;
-          2
-      | Ok res ->
-          Fmt.pr "crashes %d (first at %d events), recoveries audited %d, \
-                  recovery %.2f ms@."
-            res.Fault.crashes res.Fault.crash_events res.Fault.audits
-            (res.Fault.recovery_ns /. 1.0e6);
-          if res.Fault.completed_events > 0 then
-            Fmt.pr "%s@."
-              (Fault.missed_message (spec.Fault.crash_at, res.Fault.completed_events));
-          List.iter
-            (fun v -> Fmt.pr "VIOLATION: %a@." Lincheck.Checker.pp_violation v)
-            res.Fault.violations;
-          List.iter (fun e -> Fmt.pr "AUDIT: %s@." e) res.Fault.audit_errors;
-          Option.iter (Fmt.pr "RAISED: %s@.") res.Fault.raised;
-          if Fault.failed res then begin
-            Fmt.pr "verdict: FAIL@.";
-            1
-          end
-          else begin
-            Fmt.pr "verdict: PASS@.";
-            0
-          end)
+      let res = Fault.run_spec spec in
+      Fmt.pr "crashes %d (first at %d events), recoveries audited %d, \
+              recovery %.2f ms@."
+        res.Fault.crashes res.Fault.crash_events res.Fault.audits
+        (res.Fault.recovery_ns /. 1.0e6);
+      if res.Fault.completed_events > 0 then
+        Fmt.pr "%s@."
+          (Fault.missed_message (spec.Fault.crash_at, res.Fault.completed_events));
+      List.iter
+        (fun v -> Fmt.pr "VIOLATION: %a@." Lincheck.Checker.pp_violation v)
+        res.Fault.violations;
+      List.iter (fun e -> Fmt.pr "AUDIT: %s@." e) res.Fault.audit_errors;
+      Option.iter (Fmt.pr "RAISED: %s@.") res.Fault.raised;
+      if Fault.failed res then begin
+        Fmt.pr "verdict: FAIL@.";
+        1
+      end
+      else begin
+        Fmt.pr "verdict: PASS@.";
+        0
+      end
 
 let replay_term = Term.(const replay_cmd $ spec_tokens_t)
 
@@ -424,8 +412,7 @@ let serve_cmd structure shards zones clients requests load arrival workload
   in
   let cfg =
     {
-      Svc.Config.default with
-      structure = Kv.structure_name structure;
+      Svc.Config.structure;
       shards;
       zones;
       clients;
@@ -671,7 +658,7 @@ let tail_cmd structure shards zones clients requests load workload keys seed
   let cfg_of at_ns =
     {
       Svc.Config.default with
-      structure = Kv.structure_name structure;
+      structure;
       shards;
       zones;
       clients;

@@ -8,8 +8,8 @@
    deterministic given the spec, so every failure is replayable from its
    one-line printed form ({!spec_to_string} / `upskip_cli crash-replay`).
 
-   A single-crash trial (rounds = 1, depth = 0, the config's eviction
-   coin) preloads the structure, plays an upsert-heavy workload over a
+   A single-crash trial (rounds = 1, depth = 0, evict = 0: every dirty
+   line lost) preloads the structure, plays an upsert-heavy workload over a
    small keyspace, crashes at [crash_at], reconnects and recovers, then
    re-touches and reads back every key under the strict-linearizability
    checker. Hostility beyond that:
@@ -21,7 +21,7 @@
    - deterministic crash-point sweeps: a campaign runs a {!grid} of crash
      points (stride plus seeded jitter) instead of one random draw;
    - dirty-line subset adversary: each power failure draws, per dirty
-     line, whether that line persisted ([Subset p] via
+     line, whether that line persisted (probability [evict], via
      [Pmem.crash ~persist_line]), so several [draw_seed]s explore distinct
      persisted states of the same pre-crash execution;
    - persistent-heap audit: after every recovery the structure's
@@ -34,14 +34,10 @@
 
 module History = Lincheck.History
 
-(* What persists at a power failure: the PMEM config's eviction coin, or
-   an explicit per-line probability drawn from the trial's [draw_seed]. *)
-type adversary = Config_default | Subset of float
-
 type spec = {
-  structure : string;  (* upskiplist | bztree | pmdk *)
-  latency : string;  (* uniform | optane *)
-  mode : string;  (* numa | striped *)
+  structure : Kv.structure;
+  latency : Pmem.Latency.params;  (* one of Kv's named models *)
+  mode : Pmem.mode;
   threads : int;
   keyspace : int;
   ops_per_thread : int;
@@ -49,7 +45,7 @@ type spec = {
   rounds : int;  (* workload rounds, each under its own crash point *)
   crash_at : int;  (* primitive-event crash point of round 0 *)
   depth : int;  (* crashes injected into the recovery fiber itself *)
-  adversary : adversary;
+  evict : float;  (* chance a dirty line persists at a power failure *)
   draw_seed : int;  (* persisted-state draws + recovery/round crash points *)
   seed : int;  (* workload streams *)
   audit : bool;
@@ -62,9 +58,9 @@ type spec = {
 
 let default_spec =
   {
-    structure = "upskiplist";
-    latency = "uniform";
-    mode = "numa";
+    structure = Kv.Upskiplist;
+    latency = Pmem.Latency.uniform;
+    mode = Pmem.Multi_pool;
     threads = 4;
     keyspace = 120;
     ops_per_thread = 100;
@@ -72,7 +68,7 @@ let default_spec =
     rounds = 1;
     crash_at = 10_000;
     depth = 0;
-    adversary = Config_default;
+    evict = 0.0;
     draw_seed = 1;
     seed = 42;
     audit = true;
@@ -234,12 +230,11 @@ let run_trial ?mutant ~make (spec : spec) =
   let first_crash_events = ref 0 in
   let completed_events = ref 0 in
   let power_fail () =
-    (match spec.adversary with
-    | Config_default -> Pmem.crash kv.Kv.pmem
-    | Subset p ->
-        Pmem.crash
-          ~persist_line:(fun ~pool:_ ~line:_ -> p > 0.0 && Sim.Rng.float rng < p)
-          kv.Kv.pmem);
+    (* evict = 0 draws nothing: every dirty line is lost *)
+    Pmem.crash
+      ~persist_line:(fun ~pool:_ ~line:_ ->
+        spec.evict > 0.0 && Sim.Rng.float rng < spec.evict)
+      kv.Kv.pmem;
     incr crashes;
     kv.Kv.reconnect ();
     r.era <- r.era + 1
@@ -420,9 +415,7 @@ let run_trial ?mutant ~make (spec : spec) =
   let violations =
     (* a history cut short by an exception is not checked: its interrupted
        operations are missing, so any verdict on it would be spurious *)
-    if raised <> None then []
-    else if detect then Lincheck.Checker.check_detectable history
-    else Lincheck.Checker.check history
+    if raised <> None then [] else Lincheck.Checker.check history
   in
   {
     history;
@@ -442,18 +435,14 @@ let run_trial ?mutant ~make (spec : spec) =
 
 (* ---- replay specs (one line, self-contained) ----------------------------- *)
 
-let adversary_to_string = function
-  | Config_default -> "config"
-  | Subset p -> Printf.sprintf "%g" p
-
 let spec_to_string s =
   Printf.sprintf
     "structure=%s latency=%s mode=%s threads=%d keyspace=%d ops=%d read=%g \
-     rounds=%d crash_at=%d depth=%d evict=%s draw=%d seed=%d audit=%s \
+     rounds=%d crash_at=%d depth=%d evict=%g draw=%d seed=%d audit=%s \
      mutant=%s detect=%s"
-    s.structure s.latency s.mode s.threads s.keyspace s.ops_per_thread
-    s.read_fraction s.rounds s.crash_at s.depth
-    (adversary_to_string s.adversary)
+    (Kv.structure_name s.structure)
+    (Kv.latency_name s.latency) (Kv.mode_name s.mode) s.threads s.keyspace
+    s.ops_per_thread s.read_fraction s.rounds s.crash_at s.depth s.evict
     s.draw_seed s.seed
     (if s.audit then "on" else "off")
     s.mutant
@@ -484,10 +473,8 @@ let validate s =
   let* () = at_least "depth" 0 s.depth in
   let* () = at_least "crash_at" 0 s.crash_at in
   let* () =
-    match s.adversary with
-    | Subset p when not (p >= 0.0 && p <= 1.0) ->
-        Error (Printf.sprintf "evict: want 'config' or a probability in [0,1]: %g" p)
-    | _ -> Ok ()
+    if s.evict >= 0.0 && s.evict <= 1.0 then Ok ()
+    else Error (Printf.sprintf "evict: want a probability in [0,1]: %g" s.evict)
   in
   if List.mem s.mutant mutants then Ok s
   else
@@ -527,9 +514,15 @@ let spec_of_string line =
             let k = String.sub tok 0 i in
             let v = String.sub tok (i + 1) (String.length tok - i - 1) in
             match k with
-            | "structure" -> Ok { s with structure = v }
-            | "latency" -> Ok { s with latency = v }
-            | "mode" -> Ok { s with mode = v }
+            | "structure" ->
+                let* structure = Kv.structure_of_string v in
+                Ok { s with structure }
+            | "latency" ->
+                let* latency = Kv.latency_of_string v in
+                Ok { s with latency }
+            | "mode" ->
+                let* mode = Kv.mode_of_string v in
+                Ok { s with mode }
             | "threads" ->
                 let* n = parse_int k v in
                 Ok { s with threads = n }
@@ -552,10 +545,8 @@ let spec_of_string line =
                 let* n = parse_int k v in
                 Ok { s with depth = n }
             | "evict" ->
-                if v = "config" then Ok { s with adversary = Config_default }
-                else
-                  let* f = parse_float k v in
-                  Ok { s with adversary = Subset f }
+                let* f = parse_float k v in
+                Ok { s with evict = f }
             | "draw" ->
                 let* n = parse_int k v in
                 Ok { s with draw_seed = n }
@@ -576,35 +567,18 @@ let spec_of_string line =
 
 (* ---- building the fixture a spec names ----------------------------------- *)
 
-let sys_of_spec s =
-  let ( let* ) = Result.bind in
-  let* latency = Kv.latency_of_string s.latency in
-  let* mode = Kv.mode_of_string s.mode in
-  Ok
+let kv_of_spec s () =
+  Kv.make_named s.structure
+    ?detect_clients:(if s.detect then Some s.threads else None)
     {
       Kv.default_sys with
-      latency;
-      mode;
+      latency = s.latency;
+      mode = s.mode;
       pool_words = 1 lsl 20;
       max_threads = max 16 s.threads;
     }
 
-let kv_of_spec s =
-  let ( let* ) = Result.bind in
-  let* sys = sys_of_spec s in
-  (* validate the name here so a bad spec fails before any trial runs *)
-  let* _ = Kv.structure_of_string s.structure in
-  let detect_clients = if s.detect then Some s.threads else None in
-  Ok
-    (fun () ->
-      match Kv.make_named ~structure:s.structure ?detect_clients sys with
-      | Ok kv -> kv
-      | Error e -> invalid_arg ("Fault.kv_of_spec: " ^ e))
-
-let run_spec s =
-  match kv_of_spec s with
-  | Error _ as e -> e
-  | Ok make -> Ok (run_trial ~make s)
+let run_spec s = run_trial ~make:(kv_of_spec s) s
 
 (* ---- deterministic crash-point sweeps ------------------------------------ *)
 
@@ -644,12 +618,7 @@ type summary = {
 }
 
 let run_campaign ?(jobs = 1) ?make ?mutant (c : campaign) =
-  let make =
-    match make with
-    | Some m -> Ok m
-    | None -> kv_of_spec c.base
-  in
-  let make = match make with Ok m -> m | Error e -> invalid_arg ("Fault.run_campaign: " ^ e) in
+  let make = Option.value make ~default:(kv_of_spec c.base) in
   let points = grid_points ~seed:c.base.seed c.grid in
   (* Every trial is a self-contained job on a fresh fixture; the spec list
      fixes the order, so pooled execution aggregates the exact sequence the
@@ -750,7 +719,7 @@ let shrink ?(budget = 80) (spec0 : spec) =
     if !runs >= budget then false
     else begin
       incr runs;
-      match run_spec s with Ok r -> failed r | Error _ -> false
+      failed (run_spec s)
     end
   in
   let candidates s =

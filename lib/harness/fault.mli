@@ -17,17 +17,12 @@
     ({!spec_to_string}, consumed by [upskip_cli crash-replay]) a complete
     bug report. *)
 
-(** What persists at a power failure: [Config_default] uses the PMEM
-    config's eviction coin (the pool's own RNG); [Subset p] draws, per
-    dirty cache line, from the trial's [draw_seed] whether that line
-    reached persistence — every subset is fence-consistent because the
-    simulator flushes eagerly. *)
-type adversary = Config_default | Subset of float
-
 type spec = {
-  structure : string;  (** [upskiplist] | [bztree] | [pmdk] *)
-  latency : string;  (** [uniform] | [optane] *)
-  mode : string;  (** [numa] | [striped] *)
+  structure : Kv.structure;
+  latency : Pmem.Latency.params;
+      (** one of {!Kv.latency_of_string}'s models ({!spec_to_string} raises
+          [Not_found] on any other parameter set) *)
+  mode : Pmem.mode;
   threads : int;
   keyspace : int;
   ops_per_thread : int;
@@ -40,7 +35,12 @@ type spec = {
       (** crash points injected into the recovery fiber itself: a crashed
           recovery powers the machine down again and restarts recovery,
           recursively up to [depth] times per workload crash *)
-  adversary : adversary;
+  evict : float;
+      (** what persists at a power failure ({!Pmem.crash}'s
+          [persist_line]): each dirty cache line independently, with this
+          probability, drawn from [draw_seed]; every subset is
+          fence-consistent. [0.] (the default) loses every dirty line and
+          draws nothing. *)
   draw_seed : int;
       (** seeds persisted-state draws and recovery/round crash points *)
   seed : int;  (** seeds the workload streams and the sweep grid *)
@@ -60,8 +60,8 @@ type spec = {
 
 val default_spec : spec
 (** upskiplist, uniform/numa, 4 threads, keyspace 120, 100 ops/thread,
-    20% reads, one round crashed at 10k events, depth 0, config-default
-    adversary, audit on, no mutant. *)
+    20% reads, one round crashed at 10k events, depth 0, [evict = 0.],
+    audit on, no mutant. *)
 
 type result = {
   history : Lincheck.History.t;
@@ -115,21 +115,19 @@ val spec_to_string : spec -> string
 
 val validate : spec -> (spec, string) Stdlib.result
 (** The spec unchanged if the engine can run it: threads, keyspace, ops
-    and rounds >= 1, depth and crash_at >= 0, a [Subset] probability in
-    [0,1], and a mutant among [none | skip_resolve | lose_key |
-    skip_fp_repair | raise_hint | dangle | stale_tower_anchor]. Structure,
-    latency and mode names are checked by {!kv_of_spec}. *)
+    and rounds >= 1, depth and crash_at >= 0, [evict] in [0,1], and a
+    mutant among [none | skip_resolve | lose_key | skip_fp_repair |
+    raise_hint | dangle | stale_tower_anchor]. *)
 
 val spec_of_string : string -> (spec, string) Stdlib.result
 (** Parse a replay spec; unspecified keys default to {!default_spec}.
-    [audit] and [detect] take [on | off]; the parsed spec must pass
-    {!validate}. *)
+    [structure], [latency] and [mode] take {!Kv}'s spellings, [evict] a
+    probability, [audit] and [detect] [on | off]; the parsed spec must
+    pass {!validate}. The only place a spec's names are parsed. *)
 
-val run_spec : spec -> (result, string) Stdlib.result
-(** Build the fixture the spec names ({!kv_of_spec}) and run the trial —
-    a failure replays from its printed spec alone. *)
-
-val kv_of_spec : spec -> (unit -> Kv.t, string) Stdlib.result
+val run_spec : spec -> result
+(** Build the fixture the spec names and run the trial — a failure
+    replays from its printed spec alone. *)
 
 (** {1 Deterministic crash-point sweeps} *)
 
@@ -171,9 +169,8 @@ type summary = {
 
 val run_campaign :
   ?jobs:int -> ?make:(unit -> Kv.t) -> ?mutant:(Kv.t -> bool) -> campaign -> summary
-(** [grid.points * draws] trials. [?make] overrides {!kv_of_spec} on the
-    base spec (raises [Invalid_argument] if absent and the base spec names
-    an unknown fixture). [?jobs] (default 1) runs trials on a
+(** [grid.points * draws] trials. [?make] overrides the fixture the base
+    spec names. [?jobs] (default 1) runs trials on a
     {!Sim.Pool} of that many domains; every trial is a self-contained
     deterministic run, and the summary aggregates results in spec order,
     so the summary is identical for any [jobs]. *)

@@ -40,12 +40,6 @@ type sys = {
   latency : Pmem.Latency.params;
   numa_nodes : int;
   pool_words : int;  (* per pool *)
-  stripe_words : int;
-      (* Striped-mode interleave granularity. The paper stripes at 2 MiB
-         over hundreds of GiB — a vanishing fraction of the data; simulated
-         datasets are ~10^5 words, so the stripe must scale down with them
-         or all data lands on one NUMA node's bandwidth queue. *)
-  eviction_probability : float;
   seed : int;
   max_threads : int;
 }
@@ -56,8 +50,6 @@ let default_sys =
     latency = Pmem.Latency.default;
     numa_nodes = 4;
     pool_words = 1 lsl 21;
-    stripe_words = 512;
-    eviction_probability = 0.0;
     seed = 42;
     max_threads = 200;
   }
@@ -75,9 +67,12 @@ let make_pmem sys =
       pool_words;
       n_pools;
       mode = sys.mode;
-      stripe_words = sys.stripe_words;
+      (* Striped-mode interleave granularity. The paper stripes at 2 MiB
+         over hundreds of GiB — a vanishing fraction of the data; simulated
+         datasets are ~10^5 words, so the stripe must scale down with them
+         or all data lands on one NUMA node's bandwidth queue. *)
+      stripe_words = 512;
       latency = sys.latency;
-      eviction_probability = sys.eviction_probability;
       cache_lines = 4096;
       seed = sys.seed;
     }
@@ -231,13 +226,11 @@ let mode_name = name modes
 let latency_of_string = parse ~what:"latency model" latencies
 let latency_name = name latencies
 
-let make_named ~structure ?detect_clients sys =
-  Result.map
-    (function
-      | Upskiplist -> make_upskiplist ?detect_clients sys
-      | Bztree -> make_bztree ~n_descriptors:16_384 ?detect_clients sys
-      | Pmdk -> make_pmdk_list ?detect_clients sys)
-    (structure_of_string structure)
+let make_named structure ?detect_clients sys =
+  match structure with
+  | Upskiplist -> make_upskiplist ?detect_clients sys
+  | Bztree -> make_bztree ~n_descriptors:16_384 ?detect_clients sys
+  | Pmdk -> make_pmdk_list ?detect_clients sys
 
 (* ---- detectable operations ------------------------------------------------ *)
 

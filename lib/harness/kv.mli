@@ -36,10 +36,6 @@ type sys = {
   latency : Pmem.Latency.params;
   numa_nodes : int;
   pool_words : int;  (** per pool; the striped pool gets [numa_nodes ×] this *)
-  stripe_words : int;
-      (** striped-mode interleave granularity, scaled down with the
-          simulated dataset (see kv.ml) *)
-  eviction_probability : float;
   seed : int;
   max_threads : int;
 }
@@ -48,6 +44,9 @@ val default_sys : sys
 (** Multi-pool, Optane-like latency, 4 nodes, 2^21 words per pool. *)
 
 val make_pmem : sys -> Pmem.t
+(** The fixture's machine: 4096-line timing caches, and in striped mode
+    512-word stripes (scaled down with the simulated dataset, see kv.ml). *)
+
 val machine : t -> Sim.Sched.machine
 
 val make_upskiplist :
@@ -63,9 +62,11 @@ val make_pmdk_list : ?max_height:int -> ?detect_clients:int -> sys -> t
 
 (** {1 Spellings}
 
-    The one table per vocabulary behind replay specs, the CLI and the
-    service config. Parsing is case-insensitive; [*_name] gives the
-    canonical spelling. *)
+    The one table per vocabulary behind replay specs and the CLI — the
+    only places a name is parsed; everything past them holds the typed
+    value. Parsing is case-insensitive; an unknown name is an [Error]
+    listing the canonical choices. [*_name] gives the canonical
+    spelling. *)
 
 type structure = Upskiplist | Bztree | Pmdk
 
@@ -87,11 +88,10 @@ val latency_name : Pmem.Latency.params -> string
 (** Canonical name of one of the two models above ([Not_found] for any
     other parameter set). *)
 
-val make_named :
-  structure:string -> ?detect_clients:int -> sys -> (t, string) result
-(** Build a fixture by its {!structure_of_string} name with each
-    structure's default tuning (BzTree gets a 16K-descriptor pool, as in
-    the fault-campaign specs). [?detect_clients] additionally formats a
+val make_named : structure -> ?detect_clients:int -> sys -> t
+(** Build a fixture of [structure] with each structure's default tuning
+    (BzTree gets a 16K-descriptor pool, as in the fault-campaign specs).
+    [?detect_clients] additionally formats a
     {!Detect} announcement table of that many client slots in the
     fixture's pool 0. *)
 

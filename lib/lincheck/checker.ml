@@ -16,7 +16,8 @@
       ending era e, so eras are monotone along the chain);
    4. validates every read: the observed value's write cannot begin after
       the read responds, and its successor in the chain cannot have
-      completed (or be pinned by an earlier era) before the read began.
+      completed (or be pinned by an earlier era) before the read began;
+   5. checks that no operation carrying an op id was recorded twice.
 
    This is the same violation surface the analyzer of Cepeda et al. covers
    for conditional-swap logs: lost persisted updates, resurrected in-flight
@@ -33,7 +34,7 @@ type write = {
   effective : bool;
 }
 
-let check (h : History.t) : violation list =
+let check_chains (h : History.t) : violation list =
   let violations = ref [] in
   let report key fmt =
     Fmt.kstr (fun message -> violations := { key; message } :: !violations) fmt
@@ -218,10 +219,11 @@ let check (h : History.t) : violation list =
   Hashtbl.iter (fun key events -> check_key key !events) by_key;
   List.rev !violations
 
-(* Exactly-once extension for detectable crash-replay histories: on top of
-   the strict-linearizability surface (which already catches a replayed op
-   taking effect twice — the duplicated write breaks the unique-value
-   chain), assert the operation-identity discipline directly:
+(* Operation-identity discipline over the events that carry an [opid]
+   (detectable crash-replay histories; a history without op ids passes
+   trivially). The chain check above already catches a replayed op taking
+   effect twice — the duplicated write breaks the unique-value chain — and
+   this pass asserts the identity rules directly:
 
    - an identified operation appears at most once as a completed event
      (an acked op appears exactly once in some linearization; the harness
@@ -230,11 +232,10 @@ let check (h : History.t) : violation list =
    - an identified operation is never both completed and left pending
      (a pending event stands for "outcome unknown at the crash" — once the
      op is acked, recording both double-counts it). *)
-let check_detectable (h : History.t) : violation list =
-  let base = check h in
-  let extra = ref [] in
+let check_opids (h : History.t) : violation list =
+  let found = ref [] in
   let report key fmt =
-    Fmt.kstr (fun message -> extra := { key; message } :: !extra) fmt
+    Fmt.kstr (fun message -> found := { key; message } :: !found) fmt
   in
   let completed = Hashtbl.create 256 in
   let pending = Hashtbl.create 64 in
@@ -269,4 +270,6 @@ let check_detectable (h : History.t) : violation list =
             else Hashtbl.add pending id ()
           end)
     (History.events h);
-  base @ List.rev !extra
+  List.rev !found
+
+let check h = check_chains h @ check_opids h

@@ -7,7 +7,7 @@
     classes: lost updates (including across crashes), forks, out-of-thin-air
     and stale reads, chain orders contradicting real time, and in-flight
     operations resurrected after a crash (strict linearizability forbids
-    post-crash linearization). *)
+    post-crash linearization), and identified operations recorded twice. *)
 
 type violation = { key : int; message : string }
 
@@ -15,12 +15,10 @@ val pp_violation : Format.formatter -> violation -> unit
 
 val check : History.t -> violation list
 (** Empty result = the history is strictly linearizable (for this
-    operation class). *)
-
-val check_detectable : History.t -> violation list
-(** Exactly-once check for detectable crash-replay histories: {!check}
-    plus operation-identity discipline over events carrying an
-    [opid] — an identified operation must appear at most once as a
-    completed event and never both completed and pending. An acked-op
-    duplicate apply additionally surfaces through {!check}'s unique-value
-    chain (the replayed write observes its own value as predecessor). *)
+    operation class) and keeps the operation-identity discipline over
+    events carrying an [opid]: an identified operation appears at most
+    once as a completed event and is never both completed and pending
+    (exactly-once for detectable crash-replay histories; a history without
+    op ids meets it trivially). An acked-op duplicate apply additionally
+    surfaces through the unique-value chain (the replayed write observes
+    its own value as predecessor). *)

@@ -19,7 +19,7 @@ type event = {
   opid : (int * int) option;
       (** detectable-op identity (client, seq); crash-replay histories
           carry it so the checker can assert each identified operation
-          appears at most once ({!Checker.check_detectable}) *)
+          appears at most once ({!Checker.check}) *)
 }
 
 type t

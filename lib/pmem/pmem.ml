@@ -16,8 +16,8 @@
        first store after a flush copies the line into a shadow slot in
        [slab] first, and records the slot in the page's shadow entry (slot
        + 1; 0 = clean). A dirty flush frees the slot; a crash copies the
-       slot back over every dropped line (optionally persisting a random
-       subset first, modelling incidental evictions).
+       slot back over every dropped line (a caller may keep any subset of
+       them instead, modelling incidental evictions).
    So host memory follows the touched pages plus the dirty lines, [create]
    costs O(pages), and [crash] and [clean_shutdown] visit only the dirty
    lines.
@@ -52,8 +52,7 @@ type config = {
   mode : mode;
   stripe_words : int;
   latency : Latency.params;
-  eviction_probability : float;  (* chance a dirty line persists at crash *)
-  cache_lines : int;  (* per-thread timing-cache entries *)
+  cache_lines : int;  (* per-thread timing-cache entries; a power of two *)
   seed : int;
 }
 
@@ -65,7 +64,6 @@ let default_config =
     mode = Multi_pool;
     stripe_words = 1 lsl 18;  (* 2 MiB stripes, as in the testbed *)
     latency = Latency.default;
-    eviction_probability = 0.0;
     cache_lines = 4096;
     seed = 42;
   }
@@ -127,9 +125,7 @@ type t = {
   now_cell : float array;
   lat_cell : float array;
   last_now : float array;
-  slot_mask : int;
-      (* cache_lines - 1 when cache_lines is a power of two (slot mod
-         becomes a mask — no hardware division per access), 0 otherwise *)
+  slot_mask : int;  (* cache_lines - 1: a line's slot is its low bits *)
   pool_words : int;  (* config.pool_words, the bound every access checks *)
   zero_page : int array;  (* every untouched page; never written *)
   mutable slab : int array;
@@ -142,6 +138,10 @@ type t = {
 let initial_slots = 64
 
 let create (config : config) =
+  let n = config.cache_lines in
+  if n <= 0 || n land (n - 1) <> 0 then
+    invalid_arg
+      (Printf.sprintf "Pmem.create: cache_lines must be a positive power of two: %d" n);
   let zero_page = Array.make (page_words + lines_per_page) 0 in
   (* one page past the last word, so a flush of the line just past the end
      of the pool finds a (clean) shadow entry, as it always has *)
@@ -169,9 +169,7 @@ let create (config : config) =
     now_cell = Array.make 1 0.0;
     lat_cell = Array.make 1 0.0;
     last_now = Array.make 1 0.0;
-    slot_mask =
-      (let n = config.cache_lines in
-       if n > 0 && n land (n - 1) = 0 then n - 1 else 0);
+    slot_mask = n - 1;
     pool_words = config.pool_words;
     zero_page;
     slab = Array.make (initial_slots * line_words) 0;
@@ -250,15 +248,11 @@ let cache_access t ~tid a =
     else install_cache t tid
   in
   let line = line_of_addr a in
-  (* hash the line to its slot so no particular data layout aliases
-     systematically (fibonacci hashing); the mask shortcut computes exactly
-     [h mod cache_lines] for power-of-two sizes, without the division *)
-  let h = (line * 0x2545F4914F6CDD1D) land max_int in
-  let slot =
-    if t.slot_mask <> 0 then h land t.slot_mask else h mod t.config.cache_lines
-  in
-  (* [slot < cache_lines = Array.length tags] by construction, so the
-     bounds check is elided *)
+  (* The slot is the line's low bits: two lines share a slot exactly when
+     they agree modulo [cache_lines], the usual direct-mapped aliasing.
+     [slot < cache_lines = Array.length tags] by construction, so the
+     bounds check is elided. *)
+  let slot = line land t.slot_mask in
   if Array.unsafe_get tags slot = line then true
   else begin
     Array.unsafe_set tags slot line;
@@ -494,24 +488,15 @@ let machine t : Sim.Sched.machine =
    A dirty line is exactly a line written since its last flush, so every
    subset of the dirty set is a fence-consistent persisted state: anything
    program order forced to persist first was already flushed and is no
-   longer dirty. [persist_line] lets a caller decide the subset per line
-   (overriding the config's [eviction_probability] coin), which is how
+   longer dirty. [persist_line] decides the subset per line, which is how
    fault-injection campaigns explore many distinct persisted states from
-   one pre-crash execution.
+   one pre-crash execution; without it every dirty line is dropped.
 
    Only the dirty lines are visited, in ascending (pool, line) order — the
-   order [persist_line] and the eviction coin are consulted in. A kept line
-   already holds its content in the volatile image; every other one gets its
-   shadow copy back. *)
-let crash ?persist_line t =
-  let keep =
-    match persist_line with
-    | Some f -> f
-    | None ->
-        fun ~pool:_ ~line:_ ->
-          t.config.eviction_probability > 0.0
-          && Sim.Rng.float t.rng < t.config.eviction_probability
-  in
+   order [persist_line] is consulted in. A kept line already holds its
+   content in the volatile image; every other one gets its shadow copy
+   back. *)
+let crash ?(persist_line = fun ~pool:_ ~line:_ -> false) t =
   let ids = Array.sub t.slot_line 0 t.n_dirty in
   Array.sort Int.compare ids;
   Array.iter
@@ -519,7 +504,7 @@ let crash ?persist_line t =
       let page = page_of_line t id in
       let e = entry_of_line id in
       let line = id land line_mask in
-      if not (keep ~pool:(id lsr line_bits) ~line) then
+      if not (persist_line ~pool:(id lsr line_bits) ~line) then
         Array.blit t.slab
           ((page.(e) - 1) * line_words)
           page

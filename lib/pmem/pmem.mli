@@ -37,10 +37,9 @@ type config = {
   mode : mode;
   stripe_words : int;
   latency : Latency.params;
-  eviction_probability : float;
-      (** chance an unflushed dirty line happens to persist at crash time
-          (0.0 = strictest adversary) *)
-  cache_lines : int;  (** per-thread timing-cache entries (direct-mapped) *)
+  cache_lines : int;
+      (** per-thread timing-cache entries (direct-mapped, indexed by the
+          line's low bits); a positive power of two *)
   seed : int;
 }
 
@@ -67,7 +66,8 @@ type counters = {
 type t
 
 val create : config -> t
-(** O(pages): every page of every pool starts as one shared all-zero page.
+(** [Invalid_argument] unless [cache_lines] is a positive power of two.
+    O(pages): every page of every pool starts as one shared all-zero page.
     Host memory then grows with the pages stored to (on their first store)
     plus one shadow line per dirty line, not with [pool_words]. *)
 
@@ -93,16 +93,16 @@ val machine : t -> Sim.Sched.machine
 (** {1 Crash model} *)
 
 val crash : ?persist_line:(pool:int -> line:int -> bool) -> t -> unit
-(** Power failure: drop unflushed lines (modulo [eviction_probability]) and
+(** Power failure: decide which unflushed lines persist, drop the rest and
     rebuild the volatile image from the persistent one.
 
-    [persist_line] overrides the eviction coin: it is asked once per dirty
-    line and decides whether that line reaches the persistent image. Any
-    per-line answer yields a fence-consistent persisted state (a dirty line
-    is precisely one written since its last flush), so adversarial
-    campaigns can explore many distinct persisted states of one pre-crash
-    execution deterministically. The eviction coin and [persist_line] are
-    consulted in ascending (pool, line) order.
+    [persist_line] is the one decision: it is asked once per dirty line, in
+    ascending (pool, line) order, and decides whether that line reaches the
+    persistent image; without it every dirty line is dropped (the strictest
+    adversary). Any per-line answer yields a fence-consistent persisted
+    state (a dirty line is precisely one written since its last flush), so
+    adversarial campaigns can explore many distinct persisted states of one
+    pre-crash execution deterministically.
 
     Visits only the dirty lines: O(d log d) for d dirty lines, whatever the
     pool size. *)

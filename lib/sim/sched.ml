@@ -43,8 +43,8 @@
    a flat float array instead of records. A parked continuation is stored
    as it is, in a tid-indexed array, not in a waiter box.
 
-   Crashes: when the configured crash point (an event count or a virtual
-   time) is reached, the running fiber is unwound with [Crashed] (raised
+   Crashes: when the configured crash point (a count of primitive events)
+   is reached, the running fiber is unwound with [Crashed] (raised
    inline, or via discontinue when parked) and every parked fiber is
    discontinued; the run then stops. The machine's unflushed cache lines are
    dropped separately by the memory model (see Pmem). *)
@@ -231,7 +231,7 @@ module Heap = struct
     tid0
 end
 
-type crash_point = No_crash | After_events of int | At_time of float
+type crash_point = No_crash | After_events of int
 
 (* State of the run in progress. A domain-local slot (set for the duration
    of [run]) lets the primitive wrappers below run inline instead of
@@ -256,7 +256,7 @@ type run_state = {
          loop to run next ([Heap.replace_min]), or -1 *)
   next_wake : float array;
       (* cell 0: wake-up time of the event the drive loop runs next *)
-  crash : crash_point;
+  crash_after : int;  (* events before the crash; [max_int] = never *)
   fast_path : bool;
   mutable until : float;
       (* epoch bound of the step in progress: events at or beyond it park
@@ -294,11 +294,7 @@ let kill st tid = function
   | Ret_int (k, _) -> Effect.Deep.discontinue k Crashed
   | Ret_bool (k, _) -> Effect.Deep.discontinue k Crashed
 
-let crash_due st =
-  match st.crash with
-  | No_crash -> false
-  | After_events n -> st.events >= n
-  | At_time t -> Array.unsafe_get st.clock 0 >= t
+let[@inline] crash_due st = st.events >= st.crash_after
 
 (* Advance virtual time past the op whose latency the machine just wrote to
    [st.latency.(0)]: bump the clock in place when this fiber would wake
@@ -314,13 +310,7 @@ let inline_settle st =
   let wake = Array.unsafe_get st.clock 0 +. Array.unsafe_get st.latency 0 in
   if
     wake < st.until && (st.heap.Heap.len = 0 || wake < Heap.min_time st.heap)
-  then begin
-    Array.unsafe_set st.clock 0 wake;
-    if crash_due st then begin
-      st.crashed <- true;
-      raise Crashed
-    end
-  end
+  then Array.unsafe_set st.clock 0 wake
   else begin
     Array.unsafe_set st.park_wake 0 wake;
     Effect.perform Park
@@ -423,7 +413,7 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
       park_wake = Array.make 1 0.0;
       next_tid = -1;
       next_wake = Array.make 1 0.0;
-      crash;
+      crash_after = (match crash with No_crash -> max_int | After_events n -> n);
       fast_path;
       until = infinity;
       events = 0;

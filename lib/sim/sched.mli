@@ -76,7 +76,12 @@ type outcome =
           the number launched, or [run] would have raised. *)
   | Crashed_at of { time : float; events : int }
 
-type crash_point = No_crash | After_events of int | At_time of float
+type crash_point =
+  | No_crash
+  | After_events of int
+      (** crash once this many primitive events have executed: the fiber
+          whose event reaches the count is unwound, then every parked one;
+          [After_events 0] kills every fiber before it runs *)
 
 val run :
   ?crash:crash_point ->

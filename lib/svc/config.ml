@@ -3,7 +3,7 @@ module Kv = Harness.Kv
 type crash_plan = { crash_shard : int; crash_at_ns : float }
 
 type t = {
-  structure : string;
+  structure : Kv.structure;
   shards : int;
   zones : int;
   clients : int;
@@ -14,9 +14,6 @@ type t = {
   n_initial : int;
   batch : int;
   queue_cap : int;
-  net_local_ns : float;
-  net_remote_ns : float;
-  sample_ns : float;
   exchange_ns : float;
   seed : int;
   sys : Kv.sys;
@@ -28,7 +25,7 @@ type t = {
 
 let default =
   {
-    structure = "upskiplist";
+    structure = Kv.Upskiplist;
     shards = 4;
     zones = 4;
     clients = 16;
@@ -39,9 +36,6 @@ let default =
     n_initial = 4096;
     batch = 8;
     queue_cap = 256;
-    net_local_ns = 300.0;
-    net_remote_ns = 900.0;
-    sample_ns = 50_000.0;
     exchange_ns = 1_000.0;
     seed = 42;
     sys = { Kv.default_sys with numa_nodes = 1; pool_words = 1 lsl 20 };
@@ -65,17 +59,12 @@ let validate t =
       t.requests_per_client
   else if t.offered_mops <= 0.0 then
     err "offered load must be positive (got %g Mops/s)" t.offered_mops
-  else if Result.is_error (Kv.structure_of_string t.structure) then
-    err "unknown structure %S" t.structure
   else if t.n_initial < 0 then err "n-initial must be non-negative"
   else if t.batch <= 0 then err "batch must be positive (got %d)" t.batch
   else if t.queue_cap <= 0 then
     err "queue-cap must be positive (got %d)" t.queue_cap
-  else if t.sample_ns <= 0.0 then err "sample interval must be positive"
   else if t.exchange_ns <= 0.0 then err "exchange epoch must be positive"
   else if t.window_ns <= 0.0 then err "window must be positive"
-  else if t.net_local_ns < 0.0 || t.net_remote_ns < 0.0 then
-    err "network hop costs must be non-negative"
   else
     match t.crash with
     | Some { crash_shard; crash_at_ns } ->

@@ -1,7 +1,8 @@
 (** Service-run configuration: topology, offered load, batching and
-    admission-control knobs, network hop costs, and an optional mid-run
-    shard crash. Everything a run can vary is here (the fixed request,
-    batch and scan-merge costs are constants of {!Domains}), so a config
+    admission-control knobs, and an optional mid-run shard crash.
+    Everything a run can vary is here (the fixed request, batch,
+    scan-merge and network-hop costs and the depth-sampling interval are
+    constants of {!Domains}), so a config
     plus a seed fully determines the run (and its SLO JSON, byte for
     byte). *)
 
@@ -13,7 +14,7 @@ type crash_plan = {
 }
 
 type t = {
-  structure : string;  (** [Kv.structure_of_string] spelling, e.g. "upskiplist" *)
+  structure : Harness.Kv.structure;
   shards : int;
   zones : int;  (** simulated NUMA zones; shard [s] pins to [s mod zones] *)
   clients : int;  (** open-loop connections *)
@@ -26,9 +27,6 @@ type t = {
   queue_cap : int;
       (** per-shard admission-control bound; a request arriving at a full
           queue is shed (counted, never retried) *)
-  net_local_ns : float;  (** client→shard hop within a zone *)
-  net_remote_ns : float;  (** client→shard hop across zones *)
-  sample_ns : float;  (** monitor sampling interval for depth series *)
   exchange_ns : float;
       (** exchange-epoch length ({!Domains}): cross-station messages
           published during epoch [r] become visible at the start of epoch

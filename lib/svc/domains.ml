@@ -51,10 +51,15 @@ module Kv = Harness.Kv
 module Driver = Harness.Driver
 
 (* Simulated service costs (ns): request parse/dispatch, the fixed cost of
-   a worker batch, and the scan fan-out reduce per merged row. *)
+   a worker batch, the scan fan-out reduce per merged row, and a
+   client→shard network hop within a zone and across zones; then the
+   monitor's queue-depth sampling interval. *)
 let req_overhead_ns = 50.0
 let batch_overhead_ns = 150.0
 let merge_ns_per_item = 5.0
+let net_local_ns = 300.0
+let net_remote_ns = 900.0
+let sample_ns = 50_000.0
 
 type scan_ctx = {
   sc_arrival : float;
@@ -222,7 +227,7 @@ let preload_shard router (cfg : Config.t) kv s =
    [config_summary]. *)
 let config_summary (cfg : Config.t) =
   [
-    ("structure", cfg.structure);
+    ("structure", Kv.structure_name cfg.structure);
     ("shards", string_of_int cfg.shards);
     ("zones", string_of_int cfg.zones);
     ("clients", string_of_int cfg.clients);
@@ -290,11 +295,7 @@ let run ?(domains = 1) (cfg : Config.t) =
   let detect_clients = if cfg.detect then Some cfg.clients else None in
   let shards =
     Array.init cfg.shards (fun s ->
-        match
-          Kv.make_named ~structure:cfg.structure ?detect_clients
-            (shard_sys cfg s)
-        with
-        | Ok kv ->
+        let kv = Kv.make_named cfg.structure ?detect_clients (shard_sys cfg s) in
             {
               sx = s;
               kv;
@@ -339,8 +340,7 @@ let run ?(domains = 1) (cfg : Config.t) =
               stop = false;
               session = None;
               end_ns = 0.0;
-            }
-        | Error e -> invalid_arg ("Svc.Domains.run: " ^ e))
+            })
   in
   Array.iteri (fun s sh -> preload_shard router cfg sh.kv s) shards;
   let streams =
@@ -393,8 +393,8 @@ let run ?(domains = 1) (cfg : Config.t) =
     in
     let zone_c = Router.zone_of_client router c in
     let hop s =
-      Router.hop_ns router ~local_ns:cfg.net_local_ns
-        ~remote_ns:cfg.net_remote_ns ~from_zone:zone_c
+      Router.hop_ns router ~local_ns:net_local_ns ~remote_ns:net_remote_ns
+        ~from_zone:zone_c
         ~to_zone:(Router.zone_of_shard router s)
     in
     let send s ~arrival ~req ~dseq ~cell =
@@ -776,7 +776,7 @@ let run ?(domains = 1) (cfg : Config.t) =
      the canonical ticks k*sample_ns so per-shard series zip exactly. *)
   let sampler_body sh ~tid:_ =
     let rec loop k =
-      sleep_until (float_of_int k *. cfg.sample_ns);
+      sleep_until (float_of_int k *. sample_ns);
       if not sh.stop then begin
         admit_due sh;
         sh.depths <- (k, Bqueue.length sh.q) :: sh.depths;
@@ -906,7 +906,7 @@ let run ?(domains = 1) (cfg : Config.t) =
   let n_ticks = if cfg.shards = 0 then 0 else n_ticks in
   let depth_series =
     List.init n_ticks (fun i ->
-        let t = float_of_int (fst depth_arrs.(0).(i)) *. cfg.sample_ns in
+        let t = float_of_int (fst depth_arrs.(0).(i)) *. sample_ns in
         (t, Array.map (fun a -> snd a.(i)) depth_arrs))
   in
   let completed = sum (fun sh -> sh.completed) + fe.f_completed_scans in

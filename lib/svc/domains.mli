@@ -57,6 +57,12 @@
     host-side only: every non-span report field is byte-identical with
     spans on or off. *)
 
+val net_local_ns : float
+(** Simulated client→shard network hop within a zone: 300 ns. *)
+
+val net_remote_ns : float
+(** Simulated client→shard network hop across zones: 900 ns. *)
+
 val run : ?domains:int -> Config.t -> Slo.t
 (** [run ~domains cfg] — one full run: per-shard preload of keys
     [1..n_initial] (hash-routed), then traffic until every client stream

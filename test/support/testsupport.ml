@@ -5,8 +5,7 @@ module Mem = Memory.Mem
 module Riv = Memory.Riv
 
 let fast_pmem ?(mode = Pmem.Multi_pool) ?(n_pools = 4) ?(pool_words = 1 lsl 20)
-    ?(eviction_probability = 0.0) ?(latency = Pmem.Latency.uniform) ?(seed = 42)
-    () =
+    ?(latency = Pmem.Latency.uniform) ?(seed = 42) () =
   Pmem.create
     {
       Pmem.numa_nodes = 4;
@@ -15,7 +14,6 @@ let fast_pmem ?(mode = Pmem.Multi_pool) ?(n_pools = 4) ?(pool_words = 1 lsl 20)
       mode;
       stripe_words = 1 lsl 12;
       latency;
-      eviction_probability;
       cache_lines = 512;
       seed;
     }
@@ -130,10 +128,11 @@ let check_pairs msg expected actual =
 
 (* Single-crash campaign: [trials] trials of Fault's default trial shape on
    [make]'s fixture, one per crash point spread over [crash_events,
-   1.5 * crash_events). Audit errors count as failures; a trial whose
+   1.5 * crash_events), each dirty line persisting with probability
+   [evict] (default 0) at the crash. Audit errors count as failures; a trial whose
    workload ends before its crash point fails the campaign, naming the
    point and the run's length. *)
-let crash_campaign ~make ~threads ~keyspace ~ops_per_thread
+let crash_campaign ~make ?(evict = 0.0) ~threads ~keyspace ~ops_per_thread
     ~crash_events ~seed ~trials () =
   let step = max 1 (crash_events / (2 * trials)) in
   let s =
@@ -145,6 +144,7 @@ let crash_campaign ~make ~threads ~keyspace ~ops_per_thread
             threads;
             keyspace;
             ops_per_thread;
+            evict;
             draw_seed = seed;
             seed;
           };

@@ -14,9 +14,9 @@ let fast_sys =
     max_threads = 16;
   }
 
-let campaign ?(crash_events = 8_000) name make ~trials =
+let campaign ?(crash_events = 8_000) ?evict name make ~trials =
   let s =
-    crash_campaign ~make ~threads:4 ~keyspace:120 ~ops_per_thread:100
+    crash_campaign ~make ?evict ~threads:4 ~keyspace:120 ~ops_per_thread:100
       ~crash_events ~seed:1234 ~trials ()
   in
   print_failures name s;
@@ -37,9 +37,8 @@ let test_upskiplist_optane_campaign () =
 
 let test_upskiplist_eviction_campaign () =
   (* random line evictions at crash time (more persisted states) *)
-  let sys = { fast_sys with eviction_probability = 0.5 } in
-  campaign ~crash_events:6_000 "UPSkipList/evict"
-    (fun () -> Harness.Kv.make_upskiplist sys)
+  campaign ~crash_events:6_000 ~evict:0.5 "UPSkipList/evict"
+    (fun () -> Harness.Kv.make_upskiplist fast_sys)
     ~trials:3
 
 let test_upskiplist_small_nodes_campaign () =
@@ -74,11 +73,6 @@ let adversarial_base =
     draw_seed = 3;
   }
 
-let run_spec_exn spec =
-  match Fault.run_spec spec with
-  | Ok r -> r
-  | Error e -> Alcotest.fail e
-
 let expect_clean name (r : Fault.result) =
   List.iter
     (fun v -> Fmt.epr "%s: %a@." name Lincheck.Checker.pp_violation v)
@@ -91,18 +85,18 @@ let expect_clean name (r : Fault.result) =
    a consistent structure, and the same draw twice must reproduce the exact
    same trial. *)
 let test_subset_adversary_draws () =
-  let base = { adversarial_base with adversary = Fault.Subset 0.5 } in
+  let base = { adversarial_base with evict = 0.5 } in
   List.iter
     (fun draw ->
-      let r = run_spec_exn { base with draw_seed = draw } in
+      let r = Fault.run_spec { base with draw_seed = draw } in
       check_bool "trial crashed" true (r.Fault.crashes > 0);
       check_int
         (Fmt.str "draw %d: identical pre-crash execution (crash point)" draw)
         base.Fault.crash_at r.Fault.crash_events;
       expect_clean (Fmt.str "UPSkipList/subset draw %d" draw) r)
     [ 1; 2; 3; 4 ];
-  let a = run_spec_exn { base with draw_seed = 2 } in
-  let b = run_spec_exn { base with draw_seed = 2 } in
+  let a = Fault.run_spec { base with draw_seed = 2 } in
+  let b = Fault.run_spec { base with draw_seed = 2 } in
   check_int "same draw: same crash count" a.Fault.crashes b.Fault.crashes;
   Alcotest.(check (float 0.0))
     "same draw: same recovery time" a.Fault.recovery_ns b.Fault.recovery_ns;
@@ -170,7 +164,7 @@ let test_bztree_crash_during_recovery () =
   let c =
     {
       Fault.base =
-        { adversarial_base with structure = "bztree"; depth = 2; draw_seed = 17 };
+        { adversarial_base with structure = Harness.Kv.Bztree; depth = 2; draw_seed = 17 };
       grid = { Fault.origin = 5_000; stride = 4_000; points = 2; jitter = 300 };
       draws = 2;
     }

@@ -26,11 +26,6 @@ let fast_spec =
     draw_seed = 5;
   }
 
-let run_spec_exn spec =
-  match Fault.run_spec spec with
-  | Ok r -> r
-  | Error e -> Alcotest.fail e
-
 (* ---- recovery_ns is the real modeled recovery time ---------------------- *)
 
 let test_recovery_ns_positive () =
@@ -92,28 +87,39 @@ let double_recovery_noop name make () =
 (* ---- replay specs -------------------------------------------------------- *)
 
 let test_spec_roundtrip () =
-  let specs =
-    [
-      fast_spec;
-      { fast_spec with adversary = Fault.Subset 0.5; mutant = "dangle" };
-      {
-        fast_spec with
-        structure = "bztree";
-        latency = "optane";
-        mode = "striped";
-        rounds = 3;
-        depth = 2;
-        audit = false;
-      };
-    ]
+  let product =
+    List.concat_map
+      (fun structure ->
+        List.concat_map
+          (fun latency ->
+            List.concat_map
+              (fun mode ->
+                List.map
+                  (fun evict -> { fast_spec with structure; latency; mode; evict })
+                  [ 0.0; 0.5; 1.0 ])
+              [ Pmem.Striped; Pmem.Multi_pool ])
+          [ Pmem.Latency.uniform; Pmem.Latency.default ])
+      [ Kv.Upskiplist; Kv.Bztree; Kv.Pmdk ]
   in
+  let specs =
+    { fast_spec with evict = 0.5; mutant = "dangle" }
+    :: { fast_spec with rounds = 3; depth = 2; audit = false; detect = true }
+    :: product
+  in
+  check_int "every structure x latency x mode x evict" 36 (List.length product);
   List.iter
     (fun s ->
-      match Fault.spec_of_string (Fault.spec_to_string s) with
-      | Ok s' ->
-          check_bool ("round-trip: " ^ Fault.spec_to_string s) true (s = s')
-      | Error e -> Alcotest.fail e)
+      check_bool
+        ("round-trip: " ^ Fault.spec_to_string s)
+        true
+        (Fault.spec_of_string (Fault.spec_to_string s) = Ok s))
     specs;
+  Alcotest.(check string)
+    "the default spec prints canonical names"
+    "structure=upskiplist latency=uniform mode=numa threads=4 keyspace=120 \
+     ops=100 read=0.2 rounds=1 crash_at=10000 depth=0 evict=0 draw=1 seed=42 \
+     audit=on mutant=none detect=off"
+    (Fault.spec_to_string Fault.default_spec);
   (match Fault.spec_of_string "threads=8 mutant=dangle" with
   | Ok s ->
       check_int "defaults fill unspecified keys" Fault.default_spec.Fault.keyspace
@@ -135,6 +141,10 @@ let test_spec_validation () =
     [
       "audit=yes";
       "detect=1";
+      "evict=config";
+      "structure=btree9000";
+      "latency=fast";
+      "mode=interleaved";
       "mutant=lose_keys";
       "evict=1.5";
       "evict=-0.1";
@@ -156,7 +166,7 @@ let test_spec_validation () =
     ];
   check_bool "validate rejects an out-of-range probability" true
     (Result.is_error
-       (Fault.validate { fast_spec with adversary = Fault.Subset 1.5 }));
+       (Fault.validate { fast_spec with evict = 1.5 }));
   check_bool "validate accepts the default spec" true
     (Result.is_ok (Fault.validate Fault.default_spec))
 
@@ -171,13 +181,13 @@ let test_grid_deterministic () =
 (* ---- mutant detection (harness self-validation) -------------------------- *)
 
 let test_mutant_lose_key_caught () =
-  let res = run_spec_exn { fast_spec with mutant = "lose_key" } in
+  let res = Fault.run_spec { fast_spec with mutant = "lose_key" } in
   check_bool "trial crashed" true (res.Fault.crashes > 0);
   check_bool "checker caught the silently lost update" true
     (res.Fault.violations <> [])
 
 let test_mutant_dangle_caught () =
-  let res = run_spec_exn { fast_spec with mutant = "dangle" } in
+  let res = Fault.run_spec { fast_spec with mutant = "dangle" } in
   check_bool "trial crashed" true (res.Fault.crashes > 0);
   check_bool "auditor caught the dangling tower pointer" true
     (res.Fault.audit_errors <> [])
@@ -196,7 +206,7 @@ let test_raise_after_recovery_is_a_verdict () =
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
-  let res = run_spec_exn spec in
+  let res = Fault.run_spec spec in
   check_bool "trial crashed" true (res.Fault.crashes > 0);
   Alcotest.(check (option string))
     "the verdict names the exception"
@@ -217,7 +227,7 @@ let test_raise_after_recovery_is_a_verdict () =
    that miss the key must break linearizability instead, and the volatile
    checker must flag the node. *)
 let test_mutant_skip_fp_repair_caught () =
-  let res = run_spec_exn { fast_spec with mutant = "skip_fp_repair" } in
+  let res = Fault.run_spec { fast_spec with mutant = "skip_fp_repair" } in
   check_bool "trial crashed" true (res.Fault.crashes > 0);
   check_bool "checker caught the key hidden by a confirmed line" true
     (res.Fault.violations <> []);
@@ -233,7 +243,7 @@ let test_mutant_skip_fp_repair_caught () =
   check_int "exactly the corrupted key is missed" 1 !missed
 
 let test_mutant_raise_hint_caught () =
-  let res = run_spec_exn { fast_spec with mutant = "raise_hint" } in
+  let res = Fault.run_spec { fast_spec with mutant = "raise_hint" } in
   check_bool "trial crashed" true (res.Fault.crashes > 0);
   check_bool "auditor caught the hint above its successor's anchor" true
     (res.Fault.audit_errors <> []);
@@ -255,7 +265,7 @@ let test_mutant_raise_hint_caught () =
    copy alone, so a copy below the anchor sends the lookup of the key just
    under it into the node that does not hold it. *)
 let test_mutant_stale_tower_anchor_caught () =
-  let res = run_spec_exn { fast_spec with mutant = "stale_tower_anchor" } in
+  let res = Fault.run_spec { fast_spec with mutant = "stale_tower_anchor" } in
   check_bool "trial crashed" true (res.Fault.crashes > 0);
   check_bool "auditor caught the stale tower anchor" true
     (res.Fault.audit_errors <> []);
@@ -273,7 +283,7 @@ let test_mutant_stale_tower_anchor_caught () =
   check_bool "a present key is missed" true (!missed > 0)
 
 let test_clean_trial_passes () =
-  let res = run_spec_exn fast_spec in
+  let res = Fault.run_spec fast_spec in
   check_bool "trial crashed" true (res.Fault.crashes > 0);
   check_bool "no violations" true (res.Fault.violations = []);
   check_bool "audit clean" true (res.Fault.audit_errors = []);
@@ -285,7 +295,7 @@ let test_campaign_deterministic () =
   let c =
     {
       Fault.base =
-        { fast_spec with depth = 1; adversary = Fault.Subset 0.6; draw_seed = 11 };
+        { fast_spec with depth = 1; evict = 0.6; draw_seed = 11 };
       grid = { Fault.origin = 2_000; stride = 1_500; points = 2; jitter = 300 };
       draws = 2;
     }
@@ -312,7 +322,7 @@ let spec_size (s : Fault.spec) =
 
 let test_shrink_minimises () =
   let spec = { fast_spec with mutant = "lose_key" } in
-  check_bool "original spec fails" true (Fault.failed (run_spec_exn spec));
+  check_bool "original spec fails" true (Fault.failed (Fault.run_spec spec));
   let small = Fault.shrink ~budget:40 spec in
   check_bool "shrunk spec is strictly smaller" true
     (spec_size small < spec_size spec);
@@ -321,7 +331,7 @@ let test_shrink_minimises () =
   | Error e -> Alcotest.fail e
   | Ok reparsed ->
       check_bool "minimal spec still fails after round-trip" true
-        (Fault.failed (run_spec_exn reparsed))
+        (Fault.failed (Fault.run_spec reparsed))
 
 let () =
   Alcotest.run "fault"

@@ -177,6 +177,49 @@ let test_report_table_runs () =
   Harness.Report.series ~title:"s" ~x_label:"threads" ~x_values:[ 1; 2 ]
     ~columns:[ ("sys", [ (1.0, 0.1); (2.0, 0.2) ]) ]
 
+(* ---- spellings ------------------------------------------------------------ *)
+
+module Kv = Harness.Kv
+
+(* Every spelling and alias parses, in any case, to its value; the
+   canonical name round-trips; an unknown name is rejected with the
+   choices listed. *)
+let test_spellings () =
+  let accepts what parse name spellings =
+    List.iter
+      (fun (v, names) ->
+        List.iter
+          (fun n ->
+            List.iter
+              (fun n ->
+                check_bool (Printf.sprintf "%s %S" what n) true (parse n = Ok v))
+              [ n; String.uppercase_ascii n; String.capitalize_ascii n ])
+          names;
+        check_bool (what ^ ": canonical name parses back") true
+          (parse (name v) = Ok v))
+      spellings
+  in
+  accepts "structure" Kv.structure_of_string Kv.structure_name
+    [
+      (Kv.Upskiplist, [ "upskiplist"; "ups" ]);
+      (Kv.Bztree, [ "bztree"; "bz" ]);
+      (Kv.Pmdk, [ "pmdk"; "lock" ]);
+    ];
+  accepts "mode" Kv.mode_of_string Kv.mode_name
+    [ (Pmem.Striped, [ "striped" ]); (Pmem.Multi_pool, [ "numa"; "multi" ]) ];
+  accepts "latency" Kv.latency_of_string Kv.latency_name
+    [ (Pmem.Latency.uniform, [ "uniform" ]); (Pmem.Latency.default, [ "optane" ]) ];
+  let rejects what parse bad want =
+    match parse bad with
+    | Ok _ -> Alcotest.failf "%s %S accepted" what bad
+    | Error e ->
+        Alcotest.(check string) (what ^ ": unknown name")
+          (Printf.sprintf "unknown %s: %s (want %s)" what bad want) e
+  in
+  rejects "structure" Kv.structure_of_string "btree9000" "upskiplist | bztree | pmdk";
+  rejects "mode" Kv.mode_of_string "interleaved" "striped | numa";
+  rejects "latency model" Kv.latency_of_string "fast" "uniform | optane"
+
 let () =
   Alcotest.run "harness"
     [
@@ -195,4 +238,5 @@ let () =
           case "monotone timestamps" test_crash_trial_eras_monotone_times;
         ] );
       ("report", [ case "printers" test_report_table_runs ]);
+      ("spellings", [ case "names and aliases parse, unknowns list the choices" test_spellings ]);
     ]

@@ -218,6 +218,52 @@ let test_mutation_detection () =
 
 let test_empty_history_ok () = check_ok "empty" ~eras:1 []
 
+(* ---- operation identity (detectable histories) ---------------------------- *)
+
+(* Each history below is a valid chain, so only the op-id rules can fire;
+   without op ids the same events pass. *)
+let opid_cases =
+  let id = H.with_opid (0, 1) in
+  [
+    ( "completed twice: replay was not suppressed",
+      [
+        upsert ~tid:0 ~key:1 ~value:10 ~prev:None ~inv:0. ~res:1. ~era:0;
+        upsert ~tid:0 ~key:1 ~value:11 ~prev:(Some 10) ~inv:2. ~res:3. ~era:1;
+      ],
+      id );
+    ( "recorded both pending and completed",
+      [
+        upsert ~tid:0 ~key:1 ~value:10 ~prev:None ~inv:0. ~res:1. ~era:0;
+        pending ~tid:0 ~key:1 ~value:11 ~inv:2. ~era:0;
+      ],
+      id );
+    ( "left pending twice",
+      [
+        pending ~tid:0 ~key:1 ~value:10 ~inv:0. ~era:0;
+        pending ~tid:0 ~key:1 ~value:11 ~inv:2. ~era:1;
+      ],
+      id );
+  ]
+
+let test_opid_violations () =
+  List.iter
+    (fun (rule, events, id) ->
+      let messages =
+        List.map
+          (fun v -> v.C.message)
+          (C.check (H.create ~eras:2 (List.map id events)))
+      in
+      Alcotest.(check (list string))
+        rule
+        [ "operation (client 0, seq 1) " ^ rule ]
+        messages)
+    opid_cases
+
+let test_opid_free_history_ok () =
+  List.iter
+    (fun (rule, events, _) -> check_ok ("no op ids: " ^ rule) ~eras:2 events)
+    opid_cases
+
 let () =
   Alcotest.run "lincheck"
     [
@@ -246,5 +292,10 @@ let () =
           case "absent after write" test_absent_read_after_write;
           case "duplicate value" test_duplicate_value;
           case "mutation detection" test_mutation_detection;
+        ] );
+      ( "operation identity",
+        [
+          case "each op-id rule fires on its own" test_opid_violations;
+          case "a history without op ids is left alone" test_opid_free_history_ok;
         ] );
     ]

@@ -97,10 +97,10 @@ let test_crash_restores_volatile_from_persistent () =
   check_int "volatile rebuilt from persistent" 11 (Pmem.peek pmem (addr0 80))
 
 let test_random_eviction_can_persist_dirty_lines () =
-  (* with eviction probability 1.0 every dirty line persists at crash *)
-  let pmem = fast_pmem ~eviction_probability:1.0 () in
+  (* a line [persist_line] keeps reaches the persistent image *)
+  let pmem = fast_pmem () in
   run1 pmem (fun ~tid:_ -> Sim.Sched.write (addr0 64) 3);
-  Pmem.crash pmem;
+  Pmem.crash ~persist_line:(fun ~pool:_ ~line:_ -> true) pmem;
   check_int "evicted line persisted" 3 (Pmem.peek pmem (addr0 64))
 
 let test_crash_count () =
@@ -243,12 +243,38 @@ let test_counters () =
   check_int "dirty flushes" 1 c.Pmem.dirty_flushes;
   check_int "fences" 1 c.Pmem.fences
 
+(* The timing cache is direct-mapped on a line's low bits: with 512 lines,
+   line 512 evicts line 0 and line 1 does not. *)
+let test_cache_index_low_bits () =
+  let pmem = fast_pmem () in
+  let line l = addr0 (l * Pmem.line_words) in
+  let misses reads =
+    let before = (Pmem.counters pmem).Pmem.load_misses in
+    run1 pmem (fun ~tid:_ -> List.iter (fun l -> ignore (Sim.Sched.read (line l))) reads);
+    (Pmem.counters pmem).Pmem.load_misses - before
+  in
+  check_int "cold lines miss" 2 (misses [ 0; 1 ]);
+  check_int "distinct slots stay cached" 0 (misses [ 0; 1; 0 ]);
+  check_int "line 512 evicts line 0, not line 1" 2 (misses [ 512; 1; 0 ])
+
+let test_cache_lines_validated () =
+  List.iter
+    (fun n ->
+      Alcotest.check_raises
+        (Printf.sprintf "cache_lines = %d" n)
+        (Invalid_argument
+           (Printf.sprintf
+              "Pmem.create: cache_lines must be a positive power of two: %d" n))
+        (fun () ->
+          ignore (Pmem.create { Pmem.default_config with cache_lines = n })))
+    [ 0; -4; 3; 4095 ];
+  ignore (Pmem.create { Pmem.default_config with cache_lines = 1 })
+
 (* ---- differential: the sparse images against two full ones --------------- *)
 
 (* Reference model: the two full images and per-line dirty flags the
-   persistence semantics are defined by, plus the functional counters. Its
-   RNG mirrors the instance's (uniform latencies never jitter, so the
-   eviction coin is the instance's only draw). *)
+   persistence semantics are defined by, plus the functional counters.
+   [mrng] is the eviction coin of the random-subset crashes. *)
 type model = {
   vol : int array array;
   per : int array array;
@@ -332,11 +358,7 @@ let check_against_model pmem m ~full =
   check_int "accesses" (m.loads + m.stores + m.cas_ops) c.Pmem.accesses
 
 let differential_run ~mode ~n_pools ~seed ~steps =
-  let eviction_probability = 0.5 in
-  let pmem =
-    fast_pmem ~mode ~n_pools ~pool_words:diff_pool_words ~eviction_probability
-      ~seed ()
-  in
+  let pmem = fast_pmem ~mode ~n_pools ~pool_words:diff_pool_words ~seed () in
   let mc = Pmem.machine pmem in
   let m =
     {
@@ -440,9 +462,12 @@ let differential_run ~mode ~n_pools ~seed ~steps =
             store pool w v)
           diff_lines
     | 10 ->
-        Pmem.crash pmem;
-        model_crash m (fun ~pool:_ ~line:_ ->
-            Sim.Rng.float m.mrng < eviction_probability)
+        (* each dirty line persists with probability 1/2: the instance and
+           the model flip the same coin, line by line in (pool, line) order *)
+        let coin rng ~pool:_ ~line:_ = Sim.Rng.float rng < 0.5 in
+        let twin = Sim.Rng.copy m.mrng in
+        Pmem.crash pmem ~persist_line:(coin m.mrng);
+        model_crash m (coin twin)
     | _ ->
         Pmem.clean_shutdown pmem;
         Array.iteri
@@ -558,6 +583,8 @@ let () =
           case "bandwidth queueing" test_write_bandwidth_queueing;
           case "remote penalty" test_remote_access_penalty;
           case "counters" test_counters;
+          case "cache index is the line's low bits" test_cache_index_low_bits;
+          case "cache_lines must be a power of two" test_cache_lines_validated;
         ] );
       ( "representation",
         [

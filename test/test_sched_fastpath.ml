@@ -24,7 +24,6 @@ let mk_pmem seed =
       mode = Pmem.Multi_pool;
       stripe_words = 1 lsl 12;
       latency = Pmem.Latency.default;
-      eviction_probability = 0.0;
       cache_lines = 256;
       seed;
     }
@@ -130,9 +129,6 @@ let test_crash_events () =
   (* crash mid-run: the event at which the crash fires, the virtual time it
      reports and the post-crash memory images must all agree *)
   List.iter (compare_paths ~crash:(Sim.Sched.After_events 5_000)) [ 1; 7; 42 ]
-
-let test_crash_time () =
-  List.iter (compare_paths ~crash:(Sim.Sched.At_time 40_000.0)) [ 1; 7; 42 ]
 
 let test_fiber_count () =
   let pmem = mk_pmem 3 in
@@ -411,7 +407,6 @@ let () =
         [
           case "full runs match across seeds" test_complete;
           case "event-count crash points match" test_crash_events;
-          case "virtual-time crash points match" test_crash_time;
           case "Completed reports fiber count" test_fiber_count;
         ] );
       ( "tracing on",

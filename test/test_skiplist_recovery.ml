@@ -13,7 +13,8 @@ let opt_int = Alcotest.(option int)
 
 (* Run an insert workload, crash at [events], reconnect, and return the set
    of keys whose upsert was acknowledged before the crash. *)
-let crash_during_inserts ?(threads = 4) ?(per_thread = 400) ~events fx =
+let crash_during_inserts ?(threads = 4) ?(per_thread = 400) ?persist_line
+    ~events fx =
   let acked = Array.make threads [] in
   let body ~tid =
     for i = 0 to per_thread - 1 do
@@ -23,7 +24,7 @@ let crash_during_inserts ?(threads = 4) ?(per_thread = 400) ~events fx =
     done
   in
   ignore (run_crash fx.pmem ~events (List.init threads (fun _ -> body)));
-  Pmem.crash fx.pmem;
+  Pmem.crash ?persist_line fx.pmem;
   Mem.reconnect fx.mem;
   Array.to_list acked |> List.concat
 
@@ -133,13 +134,17 @@ let test_repeated_crashes () =
 let test_crash_with_random_eviction () =
   (* random cache evictions at crash time persist extra lines; acked ops
      must still be exactly preserved *)
-  let pmem = fast_pmem ~eviction_probability:0.5 ~seed:7 () in
+  let pmem = fast_pmem ~seed:7 () in
   let cfg = Config.default in
   let block_words = SL.required_block_words cfg in
   let mem = make_mem ~block_words pmem in
   let sl = SL.create ~mem ~cfg ~max_threads:16 ~seed:7 in
   let fx = { pmem; mem; sl } in
-  let acked = crash_during_inserts ~events:40_000 fx in
+  let coin = Sim.Rng.create 7 in
+  let acked =
+    crash_during_inserts ~events:40_000 fx
+      ~persist_line:(fun ~pool:_ ~line:_ -> Sim.Rng.float coin < 0.5)
+  in
   run1 fx.pmem (fun ~tid ->
       List.iter
         (fun k ->

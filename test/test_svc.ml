@@ -141,7 +141,6 @@ let base =
     requests_per_client = 100;
     offered_mops = 4.0;
     n_initial = 256;
-    sample_ns = 20_000.0;
   }
 
 (* Exact delivery, on every retained span. A request sent at [arrival] in
@@ -174,8 +173,8 @@ let check_delivery (cfg : Config.t) (r : Slo.t) =
       List.iter
         (fun x ->
           let hop =
-            Router.hop_ns router ~local_ns:cfg.Config.net_local_ns
-              ~remote_ns:cfg.Config.net_remote_ns
+            Router.hop_ns router ~local_ns:Domains.net_local_ns
+              ~remote_ns:Domains.net_remote_ns
               ~from_zone:(Router.zone_of_client router x.Obs.Span.sp_client)
               ~to_zone:(Router.zone_of_shard router x.Obs.Span.sp_shard)
           in
@@ -259,8 +258,7 @@ let test_svc_sharding_speedup () =
   (* same offered load, far above one worker's service rate: four shards
      must clear more of it than one *)
   let load cfg = { cfg with Config.offered_mops = 40.0; clients = 8;
-                   requests_per_client = 300; workload = Ycsb.Workload.c;
-                   net_local_ns = 50.0; net_remote_ns = 100.0 }
+                   requests_per_client = 300; workload = Ycsb.Workload.c }
   in
   let c1 = load { base with Config.shards = 1; zones = 1 } in
   let c4 = load { base with Config.shards = 4; zones = 4 } in
@@ -500,8 +498,6 @@ let test_svc_validation () =
     match Config.validate cfg with Ok () -> false | Error _ -> true
   in
   check_bool "zero shards" true (bad { base with Config.shards = 0 });
-  check_bool "unknown structure" true
-    (bad { base with Config.structure = "btree9000" });
   check_bool "crash shard range" true
     (bad
        { base with
