@@ -33,7 +33,7 @@ let mode_t =
 let latency_t =
   Arg.(
     value
-    & opt (spelling Kv.latency_of_string Kv.latency_name) Pmem.Latency.uniform
+    & opt (spelling Kv.latency_of_string Kv.latency_name) Kv.Uniform
     & info [ "latency" ] ~doc:"Latency model: uniform | optane.")
 
 let threads_t =
@@ -427,7 +427,7 @@ let serve_cmd structure shards zones clients requests load arrival workload
       sys =
         {
           Kv.default_sys with
-          latency;
+          latency = Kv.latency_params latency;
           mode = shard_mode;
           numa_nodes = shard_nodes;
           pool_words = 1 lsl 20;

@@ -36,7 +36,7 @@ module History = Lincheck.History
 
 type spec = {
   structure : Kv.structure;
-  latency : Pmem.Latency.params;  (* one of Kv's named models *)
+  latency : Kv.latency;
   mode : Pmem.mode;
   threads : int;
   keyspace : int;
@@ -59,7 +59,7 @@ type spec = {
 let default_spec =
   {
     structure = Kv.Upskiplist;
-    latency = Pmem.Latency.uniform;
+    latency = Kv.Uniform;
     mode = Pmem.Multi_pool;
     threads = 4;
     keyspace = 120;
@@ -437,12 +437,15 @@ let run_trial ?mutant ~make (spec : spec) =
 
 let spec_to_string s =
   Printf.sprintf
-    "structure=%s latency=%s mode=%s threads=%d keyspace=%d ops=%d read=%g \
-     rounds=%d crash_at=%d depth=%d evict=%g draw=%d seed=%d audit=%s \
+    "structure=%s latency=%s mode=%s threads=%d keyspace=%d ops=%d read=%s \
+     rounds=%d crash_at=%d depth=%d evict=%s draw=%d seed=%d audit=%s \
      mutant=%s detect=%s"
     (Kv.structure_name s.structure)
     (Kv.latency_name s.latency) (Kv.mode_name s.mode) s.threads s.keyspace
-    s.ops_per_thread s.read_fraction s.rounds s.crash_at s.depth s.evict
+    s.ops_per_thread
+    (Json.num_to_string s.read_fraction)
+    s.rounds s.crash_at s.depth
+    (Json.num_to_string s.evict)
     s.draw_seed s.seed
     (if s.audit then "on" else "off")
     s.mutant
@@ -572,7 +575,7 @@ let kv_of_spec s () =
     ?detect_clients:(if s.detect then Some s.threads else None)
     {
       Kv.default_sys with
-      latency = s.latency;
+      latency = Kv.latency_params s.latency;
       mode = s.mode;
       pool_words = 1 lsl 20;
       max_threads = max 16 s.threads;

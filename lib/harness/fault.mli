@@ -19,9 +19,7 @@
 
 type spec = {
   structure : Kv.structure;
-  latency : Pmem.Latency.params;
-      (** one of {!Kv.latency_of_string}'s models ({!spec_to_string} raises
-          [Not_found] on any other parameter set) *)
+  latency : Kv.latency;
   mode : Pmem.mode;
   threads : int;
   keyspace : int;

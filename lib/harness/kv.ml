@@ -206,8 +206,9 @@ let structures =
 
 let modes = [ (Pmem.Striped, [ "striped" ]); (Pmem.Multi_pool, [ "numa"; "multi" ]) ]
 
-let latencies =
-  [ (Pmem.Latency.uniform, [ "uniform" ]); (Pmem.Latency.default, [ "optane" ]) ]
+type latency = Uniform | Optane
+
+let latencies = [ (Uniform, [ "uniform" ]); (Optane, [ "optane" ]) ]
 
 let parse ~what table s =
   let l = String.lowercase_ascii s in
@@ -225,6 +226,10 @@ let mode_of_string = parse ~what:"mode" modes
 let mode_name = name modes
 let latency_of_string = parse ~what:"latency model" latencies
 let latency_name = name latencies
+
+let latency_params = function
+  | Uniform -> Pmem.Latency.uniform
+  | Optane -> Pmem.Latency.default
 
 let make_named structure ?detect_clients sys =
   match structure with

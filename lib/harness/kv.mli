@@ -80,13 +80,17 @@ val mode_of_string : string -> (Pmem.mode, string) result
 
 val mode_name : Pmem.mode -> string
 
-val latency_of_string : string -> (Pmem.Latency.params, string) result
-(** [uniform] ({!Pmem.Latency.uniform}), [optane]
-    ({!Pmem.Latency.default}). *)
+(** A named latency model: the only latencies a replay spec or the CLI can
+    select, so every one has a spelling. *)
+type latency = Uniform | Optane
 
-val latency_name : Pmem.Latency.params -> string
-(** Canonical name of one of the two models above ([Not_found] for any
-    other parameter set). *)
+val latency_of_string : string -> (latency, string) result
+(** [uniform], [optane]. *)
+
+val latency_name : latency -> string
+
+val latency_params : latency -> Pmem.Latency.params
+(** [Uniform] is {!Pmem.Latency.uniform}, [Optane] {!Pmem.Latency.default}. *)
 
 val make_named : structure -> ?detect_clients:int -> sys -> t
 (** Build a fixture of [structure] with each structure's default tuning

@@ -28,19 +28,21 @@ type t = {
       (* row [idx lsr sub_bits] holds bucket [idx]; [||] for a row with no
          sample yet, and for the whole table exactly when n = 0 *)
   mutable n : int;
-  mutable sum : float;
-  mutable minv : float;
-  mutable maxv : float;
+  stats : float array;
+      (* sum, min and max, at [i_sum], [i_min] and [i_max]: a flat float
+         array, so [add] stores them unboxed where mutable float fields of
+         this mixed record would box a fresh float per store *)
 }
 
-let create () = { counts = [||]; n = 0; sum = 0.0; minv = 0.0; maxv = 0.0 }
+let i_sum = 0
+let i_min = 1
+let i_max = 2
+let create () = { counts = [||]; n = 0; stats = Array.make 3 0.0 }
 
 let clear t =
   t.counts <- [||];
   t.n <- 0;
-  t.sum <- 0.0;
-  t.minv <- 0.0;
-  t.maxv <- 0.0
+  Array.fill t.stats 0 3 0.0
 
 let bucket_of_int n =
   if n < sub then n
@@ -79,32 +81,38 @@ let count_in counts idx c =
   let i = idx land (sub - 1) in
   row.(i) <- row.(i) + c
 
-let add t v =
+(* Count one sample in the bucket of [bucket_of_int i]. *)
+let add_bucket t i =
+  if t.n = 0 then t.counts <- Array.make n_rows [||];
+  count_in t.counts (bucket_of_int i) 1;
+  t.n <- t.n + 1
+
+(* Inlined, so a float computed at the call site reaches [stats] without
+   being boxed as an argument; the bucket update is an int call. *)
+let[@inline] add t v =
   let v = if v < 0.0 then 0.0 else v in
   if t.n = 0 then begin
-    t.counts <- Array.make n_rows [||];
-    t.minv <- v;
-    t.maxv <- v
+    t.stats.(i_min) <- v;
+    t.stats.(i_max) <- v
   end
   else begin
-    if v < t.minv then t.minv <- v;
-    if v > t.maxv then t.maxv <- v
+    if v < t.stats.(i_min) then t.stats.(i_min) <- v;
+    if v > t.stats.(i_max) then t.stats.(i_max) <- v
   end;
-  count_in t.counts (bucket_of_int (int_of_float v)) 1;
-  t.n <- t.n + 1;
-  t.sum <- t.sum +. v
+  add_bucket t (int_of_float v);
+  t.stats.(i_sum) <- t.stats.(i_sum) +. v
 
 let count t = t.n
-let sum t = t.sum
-let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
+let sum t = t.stats.(i_sum)
+let mean t = if t.n = 0 then 0.0 else t.stats.(i_sum) /. float_of_int t.n
 
 let min_value t =
   if t.n = 0 then invalid_arg "Sim.Histogram.min_value: empty histogram";
-  t.minv
+  t.stats.(i_min)
 
 let max_value t =
   if t.n = 0 then invalid_arg "Sim.Histogram.max_value: empty histogram";
-  t.maxv
+  t.stats.(i_max)
 
 let percentile t p =
   if t.n = 0 then invalid_arg "Sim.Histogram.percentile: empty histogram";
@@ -126,7 +134,8 @@ let percentile t p =
    with Exit -> ());
   let lo, width = bucket_bounds !idx in
   let mid = lo +. (width /. 2.0) in
-  if mid < t.minv then t.minv else if mid > t.maxv then t.maxv else mid
+  let minv = t.stats.(i_min) and maxv = t.stats.(i_max) in
+  if mid < minv then minv else if mid > maxv then maxv else mid
 
 let median t = percentile t 50.0
 
@@ -150,18 +159,20 @@ let merge a b =
     add_counts b
   end;
   t.n <- a.n + b.n;
-  t.sum <- a.sum +. b.sum;
+  t.stats.(i_sum) <- a.stats.(i_sum) +. b.stats.(i_sum);
   (if a.n = 0 then begin
-     t.minv <- b.minv;
-     t.maxv <- b.maxv
+     t.stats.(i_min) <- b.stats.(i_min);
+     t.stats.(i_max) <- b.stats.(i_max)
    end
    else if b.n = 0 then begin
-     t.minv <- a.minv;
-     t.maxv <- a.maxv
+     t.stats.(i_min) <- a.stats.(i_min);
+     t.stats.(i_max) <- a.stats.(i_max)
    end
    else begin
-     t.minv <- (if a.minv < b.minv then a.minv else b.minv);
-     t.maxv <- (if a.maxv > b.maxv then a.maxv else b.maxv)
+     let amin = a.stats.(i_min) and bmin = b.stats.(i_min) in
+     let amax = a.stats.(i_max) and bmax = b.stats.(i_max) in
+     t.stats.(i_min) <- (if amin < bmin then amin else bmin);
+     t.stats.(i_max) <- (if amax > bmax then amax else bmax)
    end);
   t
 

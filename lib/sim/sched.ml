@@ -17,16 +17,26 @@
    applies the machine op, bumps the virtual clock, and returns, never
    capturing a continuation. Only when the fiber must actually yield (its
    wake-up is not the strict minimum) does it perform a [Park] effect and go
-   through the heap. This matters because a parked event costs 5-6x an
-   inline one: on a 2-core x86-64 host under OCaml 5.1, about 25 ns inline
-   against 130-145 ns parked among 16 fibers, of which a bare perform +
-   continue takes 60-75 ns and the heap about 25 ns (the benchmark's
+   through the heap. This matters because a parked event costs several
+   times an inline one: on a 2-core x86-64 host under OCaml 5.1, 12-20 ns
+   inline against 50-70 ns parked among 8 fibers (the benchmark's
    [sched.inline_event_ns] and [sched.null_event_ns] probes: [bash
    perf/run.sh --workload ycsb-c-100k --trace 1], or [dune build
-   @perf/smoke]). Crash points are
-   checked on the inline path exactly as on the heap path, so simulated
-   time, event counts and crash behaviour are bit-identical with the fast
-   path on or off (see test/test_sched_fastpath.ml).
+   @perf/smoke]). Crash points are checked on the inline path exactly as
+   on the heap path, so simulated time, event counts and crash behaviour
+   are bit-identical with the fast path on or off (see
+   test/test_sched_fastpath.ml).
+
+   Direct handoff: a park does not return to a drive loop. The code that
+   ends a fiber's turn — the [Park] handler, the effect path's [settle], a
+   fiber's [retc]/[exnc] — pops the next due event and resumes, kills or
+   starts that fiber itself, as a tail call ([handoff]). [drive] only
+   starts the chain, and gets control back once nothing is due before the
+   step's bound; a run is one chain at constant stack depth
+   (test/stack/test_stack.ml runs it under a 32 k-word stack cap). On the
+   same host a bare switch done this way costs 30-35 ns, against 60-65 ns
+   for a handler that returns to a loop which then resumes the next fiber;
+   the heap adds about 25 ns.
 
    With [fast_path:false] every primitive is performed as an effect and
    scheduled through the heap — the reference implementation the regression
@@ -251,11 +261,8 @@ type run_state = {
          is rather than cleared: that saves a write barrier per park and
          holds on to nothing but the spent continuation block. *)
   park_wake : float array;  (* cell 0: wake-up time for a pending [Park] *)
-  mutable next_tid : int;
-      (* the event a fast-path [Park] already took off the heap for the drive
-         loop to run next ([Heap.replace_min]), or -1 *)
   next_wake : float array;
-      (* cell 0: wake-up time of the event the drive loop runs next *)
+      (* cell 0: wake-up time of the event [run_event] runs next *)
   crash_after : int;  (* events before the crash; [max_int] = never *)
   fast_path : bool;
   mutable until : float;
@@ -280,21 +287,56 @@ let current_key : run_state option Domain.DLS.key =
    both machine cells have an index 0 before anything touches them, and
    [park_wake] is created in-module with length 1. *)
 
-let resume st tid = function
-  | Cont_slot -> Effect.Deep.continue (Array.unsafe_get st.conts tid) ()
-  | Start f -> f ()
-  | Ret_unit k -> Effect.Deep.continue k ()
-  | Ret_int (k, v) -> Effect.Deep.continue k v
-  | Ret_bool (k, b) -> Effect.Deep.continue k b
+let[@inline] crash_due st = st.events >= st.crash_after
 
-let kill st tid = function
+(* The direct handoff (see the header): run the next due event. Every call
+   that resumes, kills or hands off below is a tail call, which keeps the
+   chain at constant stack depth. Returns to [drive] only when nothing is
+   due before [st.until] (unconditionally once crashed: the drain that
+   kills every parked fiber must not stop at an epoch bound). *)
+let rec handoff st =
+  let h = st.heap in
+  if h.Heap.len > 0 && (st.crashed || Heap.min_time h < st.until) then begin
+    Array.unsafe_set st.next_wake 0 (Heap.min_time h);
+    run_event st (Heap.pop_min h)
+  end
+
+(* Run the event of fiber [tid], due at [next_wake.(0)] (a float argument
+   would be boxed). *)
+and run_event st tid =
+  let time = Array.unsafe_get st.next_wake 0 in
+  let w = Array.unsafe_get st.waiters tid in
+  (* a boxed waiter is taken out of its slot; [Cont_slot] stays put *)
+  (match w with
+  | Cont_slot -> ()
+  | _ -> Array.unsafe_set st.waiters tid Cont_slot);
+  if st.crashed then kill st tid w
+  else begin
+    Array.unsafe_set st.clock 0 time;
+    if crash_due st then begin
+      st.crashed <- true;
+      kill st tid w
+    end
+    else begin
+      st.current_tid <- tid;
+      if st.tracing then
+        Obs.Trace.emit ~ts:time ~tid ~kind:Obs.Trace.k_resume ~arg:0 ~farg:0.0;
+      match w with
+      | Cont_slot -> Effect.Deep.continue (Array.unsafe_get st.conts tid) ()
+      | Start f -> f ()
+      | Ret_unit k -> Effect.Deep.continue k ()
+      | Ret_int (k, v) -> Effect.Deep.continue k v
+      | Ret_bool (k, b) -> Effect.Deep.continue k b
+    end
+  end
+
+(* The killed fiber's [exnc] hands off; one that never ran does here. *)
+and kill st tid = function
   | Cont_slot -> Effect.Deep.discontinue (Array.unsafe_get st.conts tid) Crashed
-  | Start _ -> ()  (* never ran; nothing to unwind *)
+  | Start _ -> handoff st
   | Ret_unit k -> Effect.Deep.discontinue k Crashed
   | Ret_int (k, _) -> Effect.Deep.discontinue k Crashed
   | Ret_bool (k, _) -> Effect.Deep.discontinue k Crashed
-
-let[@inline] crash_due st = st.events >= st.crash_after
 
 (* Advance virtual time past the op whose latency the machine just wrote to
    [st.latency.(0)]: bump the clock in place when this fiber would wake
@@ -367,8 +409,8 @@ let charge ns =
 
 (* [now]/[self] charge nothing and never yield, so they are pure state reads
    whenever a run is active (either path — the handler would return exactly
-   these values). *)
-let now () =
+   these values). [now] is inlined, so the caller gets the clock unboxed. *)
+let[@inline] now () =
   match Domain.DLS.get current_key with
   | Some st -> Array.unsafe_get st.clock 0
   | None -> Effect.perform Now
@@ -411,7 +453,6 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
       waiters = Array.make (max_tid + 1) Cont_slot;
       conts = [||];
       park_wake = Array.make 1 0.0;
-      next_tid = -1;
       next_wake = Array.make 1 0.0;
       crash_after = (match crash with No_crash -> max_int | After_events n -> n);
       fast_path;
@@ -437,14 +478,13 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
     st.seq <- st.seq + 1;
     Heap.push st.heap time st.seq tid
   in
-  (* [park] for a fast-path [Park], whose op already ran inline: the wake-up
-     time comes from the [park_wake] cell (a float argument to this closure
-     would be boxed), the waiter slot is already [Cont_slot] (every resume
-     leaves it so), and the continuation goes into [conts] unboxed. The
-     drive loop pops the minimum as soon as this returns, so when that
-     minimum is due and orders before this entry, the push and the pop are
-     one sift ([Heap.replace_min]) and the popped event is handed over in
-     [next_tid]. *)
+  (* [park] for a fast-path [Park], whose op already ran inline, then the
+     handoff: the wake-up time comes from the [park_wake] cell (a float
+     argument to this closure would be boxed), the waiter slot is already
+     [Cont_slot] (every resume leaves it so), and the continuation goes into
+     [conts] unboxed. When the heap's minimum is due and orders before this
+     entry, the push and the handoff's pop are one sift
+     ([Heap.replace_min]). *)
   let park_cont tid k =
     let time = Array.unsafe_get st.park_wake 0 in
     if st.tracing then trace_park time tid;
@@ -455,24 +495,29 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
     if h.Heap.len > 0 && Heap.min_time h <= time && Heap.min_time h < st.until
     then begin
       Array.unsafe_set st.next_wake 0 (Heap.min_time h);
-      st.next_tid <- Heap.replace_min h time st.seq tid
+      run_event st (Heap.replace_min h time st.seq tid)
     end
-    else Heap.push h time st.seq tid
+    else begin
+      Heap.push h time st.seq tid;
+      handoff st
+    end
   in
   (* Effect-path equivalent of [inline_settle]: charge [latency.(0)] to the
-     fiber suspended in [w] and park it until its wake-up time. Only
-     reachable under [fast_path:false] (a fast-path run never performs the
-     primitive effects — the wrappers run inline), so this is the reference
-     semantics the regression test compares against. Crash points are
-     honoured identically on both paths. *)
+     fiber suspended in [w], park it until its wake-up time and hand off.
+     Only reachable under [fast_path:false] (a fast-path run never performs
+     the primitive effects — the wrappers run inline), so this is the
+     reference semantics the regression test compares against. Crash points
+     are honoured identically on both paths. *)
   let settle tid w =
     st.events <- st.events + 1;
     if st.crashed || crash_due st then begin
       st.crashed <- true;
       kill st tid w
     end
-    else
-      park (Array.unsafe_get st.clock 0 +. Array.unsafe_get st.latency 0) tid w
+    else begin
+      park (Array.unsafe_get st.clock 0 +. Array.unsafe_get st.latency 0) tid w;
+      handoff st
+    end
   in
   (* The handler needs the fiber's tid, so fibers are launched through a
      per-tid [match_with] below rather than via a shared handler value. *)
@@ -533,7 +578,8 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
                 Obs.Trace.emit
                   ~ts:(Array.unsafe_get st.clock 0)
                   ~tid ~kind:Obs.Trace.k_fiber_done ~arg:0 ~farg:0.0;
-              st.finished <- st.finished + 1);
+              st.finished <- st.finished + 1;
+              handoff st);
           exnc =
             (fun e ->
               match e with
@@ -542,7 +588,8 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
                     Obs.Trace.emit
                       ~ts:(Array.unsafe_get st.clock 0)
                       ~tid ~kind:Obs.Trace.k_fiber_crash ~arg:0 ~farg:0.0;
-                  st.finished <- st.finished + 1
+                  st.finished <- st.finished + 1;
+                  handoff st
               | e -> raise e);
           effc;
         }
@@ -557,56 +604,17 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
   List.iter launch bodies;
   { st; fibers = List.length bodies; outcome = None }
 
-(* Pop and run events while the next wake-up lies strictly below [st.until]
-   (unconditionally once crashed: the drain that kills every parked fiber
-   must not stop at an epoch bound). The DLS slot is set for the duration of
-   each drive, so sessions from many schedulers can interleave on one domain
-   — or run pinned to parallel domains — without sharing any state. *)
+(* Start the handoff chain and get control back once nothing is due before
+   [st.until]. The DLS slot is set for the duration of each drive, so
+   sessions from many schedulers can interleave on one domain — or run
+   pinned to parallel domains — without sharing any state. *)
 let drive st =
-  (* Run the event of fiber [tid], due at [next_wake.(0)] (a float
-     argument to this closure would be boxed). *)
-  let run_event tid =
-    let time = Array.unsafe_get st.next_wake 0 in
-    let w = Array.unsafe_get st.waiters tid in
-    (* a boxed waiter is taken out of its slot; [Cont_slot] stays put *)
-    (match w with
-    | Cont_slot -> ()
-    | _ -> Array.unsafe_set st.waiters tid Cont_slot);
-    if st.crashed then kill st tid w
-    else begin
-      Array.unsafe_set st.clock 0 time;
-      if crash_due st then begin
-        st.crashed <- true;
-        kill st tid w
-      end
-      else begin
-        st.current_tid <- tid;
-        if st.tracing then
-          Obs.Trace.emit ~ts:time ~tid ~kind:Obs.Trace.k_resume ~arg:0 ~farg:0.0;
-        resume st tid w
-      end
-    end
-  in
-  let rec loop () =
-    if st.next_tid >= 0 then begin
-      let tid = st.next_tid in
-      st.next_tid <- -1;
-      run_event tid;
-      loop ()
-    end
-    else if
-      st.heap.Heap.len > 0
-      && (st.crashed || Heap.min_time st.heap < st.until)
-    then begin
-      Array.unsafe_set st.next_wake 0 (Heap.min_time st.heap);
-      run_event (Heap.pop_min st.heap);
-      loop ()
-    end
-  in
   st.tracing <- Obs.Trace.enabled ();
   let saved = Domain.DLS.get current_key in
   Domain.DLS.set current_key (Some st);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set current_key saved) loop
+  Fun.protect
+    ~finally:(fun () -> Domain.DLS.set current_key saved)
+    (fun () -> handoff st)
 
 let step s ~until =
   (match s.outcome with

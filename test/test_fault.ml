@@ -98,7 +98,7 @@ let test_spec_roundtrip () =
                   (fun evict -> { fast_spec with structure; latency; mode; evict })
                   [ 0.0; 0.5; 1.0 ])
               [ Pmem.Striped; Pmem.Multi_pool ])
-          [ Pmem.Latency.uniform; Pmem.Latency.default ])
+          [ Kv.Uniform; Kv.Optane ])
       [ Kv.Upskiplist; Kv.Bztree; Kv.Pmdk ]
   in
   let specs =
@@ -130,6 +130,49 @@ let test_spec_roundtrip () =
     (Result.is_error (Fault.spec_of_string "bogus=1"));
   check_bool "malformed token rejected" true
     (Result.is_error (Fault.spec_of_string "threads"))
+
+(* Any spec prints and parses back unchanged, whatever its floats. *)
+let spec_gen =
+  let open QCheck.Gen in
+  let pick l = oneofl l in
+  let fraction = oneof [ float_bound_inclusive 1.0; pick [ 0.0; 0.2; 0.5; 1.0 ] ] in
+  pick [ Kv.Upskiplist; Kv.Bztree; Kv.Pmdk ] >>= fun structure ->
+  pick [ Kv.Uniform; Kv.Optane ] >>= fun latency ->
+  pick [ Pmem.Striped; Pmem.Multi_pool ] >>= fun mode ->
+  int_range 1 64 >>= fun threads ->
+  int_range 1 10_000 >>= fun keyspace ->
+  int_range 1 1_000 >>= fun ops_per_thread ->
+  fraction >>= fun read_fraction ->
+  int_range 1 5 >>= fun rounds ->
+  int_bound 1_000_000 >>= fun crash_at ->
+  int_bound 4 >>= fun depth ->
+  fraction >>= fun evict ->
+  nat >>= fun draw_seed ->
+  nat >>= fun seed ->
+  bool >>= fun audit ->
+  pick [ "none"; "skip_resolve"; "lose_key"; "dangle" ] >>= fun mutant ->
+  bool >>= fun detect ->
+  return
+    {
+      Fault.structure;
+      latency;
+      mode;
+      threads;
+      keyspace;
+      ops_per_thread;
+      read_fraction;
+      rounds;
+      crash_at;
+      depth;
+      evict;
+      draw_seed;
+      seed;
+      audit;
+      mutant;
+      detect;
+    }
+
+let prop_spec_roundtrip s = Fault.spec_of_string (Fault.spec_to_string s) = Ok s
 
 (* Replay specs are outside input: a malformed value must be rejected, not
    misread as a default, run as a no-op or run vacuously. *)
@@ -341,6 +384,9 @@ let () =
           slow_case "recovery_ns positive and includes pool reopen"
             test_recovery_ns_positive;
           case "spec round-trips through its printed form" test_spec_roundtrip;
+          qcase "random specs round-trip through their printed form"
+            (QCheck.make ~print:Fault.spec_to_string spec_gen)
+            prop_spec_roundtrip;
           case "malformed replay specs rejected" test_spec_validation;
           case "grid points deterministic" test_grid_deterministic;
         ] );

@@ -208,7 +208,7 @@ let test_spellings () =
   accepts "mode" Kv.mode_of_string Kv.mode_name
     [ (Pmem.Striped, [ "striped" ]); (Pmem.Multi_pool, [ "numa"; "multi" ]) ];
   accepts "latency" Kv.latency_of_string Kv.latency_name
-    [ (Pmem.Latency.uniform, [ "uniform" ]); (Pmem.Latency.default, [ "optane" ]) ];
+    [ (Kv.Uniform, [ "uniform" ]); (Kv.Optane, [ "optane" ]) ];
   let rejects what parse bad want =
     match parse bad with
     | Ok _ -> Alcotest.failf "%s %S accepted" what bad

@@ -288,11 +288,39 @@ let test_inline_events_allocate_nothing () =
     (fun (name, w) -> Alcotest.(check (float 0.0)) (name ^ ": minor words") 0.0 w)
     (List.rev !measured)
 
-(* Draws allocate nothing where their result stays unboxed: [int] and
-   [next] return immediates, and [geometric] consumes its [float] draws
-   inside the module. A [float] handed to a caller in another module is
-   boxed, and that box (2 words on 64-bit) is all it costs: the generator's
-   state itself is never boxed. *)
+(* Timing a primitive into a histogram allocates nothing: [Sched.now] is
+   inlined, so the clock readings stay unboxed floats, and [Histogram.add]
+   is inlined too and keeps its sum, min and max in a flat float array.
+   Both rely on cross-module inlining, so this also fails if the build goes
+   back to compiling every module [-opaque]. *)
+let test_timed_histogram_add_allocates_nothing () =
+  native ();
+  let pmem = mk_pmem 1 in
+  let a = Pmem.addr ~pool:0 ~word:64 in
+  let h = Sim.Histogram.create () in
+  let timed () =
+    let t0 = Sim.Sched.now () in
+    ignore (Sim.Sched.read a : int);
+    Sim.Histogram.add h (Sim.Sched.now () -. t0)
+  in
+  let measured = ref nan in
+  let body ~tid:_ =
+    (* warm-up: the line enters the timing cache, the samples' bucket row
+       is allocated *)
+    for _ = 1 to 100 do timed () done;
+    measured := words (fun () -> for _ = 1 to n_alloc do timed () done)
+  in
+  (match Sim.Sched.run ~machine:(Pmem.machine pmem) [ (0, body) ] with
+  | Sim.Sched.Completed _ -> ()
+  | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected crash");
+  check_int "samples" (100 + n_alloc) (Sim.Histogram.count h);
+  Alcotest.(check (float 0.0)) "minor words" 0.0 !measured
+
+(* Draws allocate nothing: [int] and [next] return immediates,
+   [geometric] consumes its [float] draws inside the module, and [float] is
+   inlined into its caller, so its result stays unboxed there (compiled
+   [-opaque], it came back boxed, 2 words a draw). The generator's state
+   itself is never boxed. *)
 let test_rng_draws_allocate_nothing () =
   native ();
   let r = Sim.Rng.create 1 in
@@ -310,9 +338,8 @@ let test_rng_draws_allocate_nothing () =
          for _ = 1 to n_alloc do
            sink := !sink + Sim.Rng.geometric r ~p:0.5 ~max_value:32
          done));
-  let boxed_float = float_of_int (Obj.size (Obj.repr 0.5) + 1) in
   Alcotest.(check (float 0.0))
-    "float: its boxed result only" boxed_float
+    "float" 0.0
     (per_draw (fun () ->
          for _ = 1 to n_alloc do
            fsink.(0) <- fsink.(0) +. Sim.Rng.float r
@@ -421,6 +448,8 @@ let () =
           case "inline cache-hit primitives allocate nothing"
             test_inline_events_allocate_nothing;
           case "RNG draws allocate nothing" test_rng_draws_allocate_nothing;
+          case "timing into a histogram allocates nothing"
+            test_timed_histogram_add_allocates_nothing;
           case "a parked event allocates only its continuation"
             test_parked_event_allocates_only_the_continuation;
         ] );
