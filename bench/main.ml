@@ -1018,7 +1018,6 @@ let experiments =
     ("fig5.3", fig_5_3);
     ("fig5.4", fig_5_4);
     ("fig5.5", fig_5_5_5_6_table_5_3);
-    ("table5.3", fig_5_5_5_6_table_5_3);
     ("table5.4", table_5_4);
     ("workloadE", workload_e);
     ("table2.1", table_2_1);
@@ -1030,12 +1029,8 @@ let experiments =
     ("smoke", smoke);
   ]
 
-(* run each distinct function once even when selected under two names *)
-let default_set =
-  [
-    "fig5.1"; "fig5.2"; "fig5.3"; "fig5.4"; "fig5.5"; "table5.4"; "workloadE";
-    "table2.1"; "chapter6"; "ablations"; "split-point"; "layout"; "svc-scaling";
-  ]
+(* every experiment but the smoke figure, in registry order *)
+let default_set = List.filter (fun n -> n <> "smoke") (List.map fst experiments)
 
 let () =
   (* The simulator allocates a handful of small objects per event (effect

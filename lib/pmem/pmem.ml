@@ -25,7 +25,9 @@
    Addresses pack a pool id and a word index into one int; cache lines are
    8 words (64 bytes). A small direct-mapped per-thread cache decides
    hit/miss for *timing only* — correctness always reads the volatile
-   image. *)
+   image. Its tags are 16 bits: the slot is a line's low bits, and the tag
+   holds only the (pool, line index) bits the slot drops, so a thread's
+   cache costs 2 bytes per line. *)
 
 module Latency = Latency
 
@@ -36,8 +38,8 @@ let line_words = 8
 let line_shift = 3  (* log2 line_words *)
 let words_mask = (1 lsl pool_shift) - 1
 
-(* A line id ([line_of_addr]) packs the pool above [line_bits] bits of line
-   index, so ids sort in (pool, line) order. *)
+(* A line id packs the pool above [line_bits] bits of line index, so ids
+   sort in (pool, line) order. *)
 let line_bits = pool_shift - line_shift
 let line_mask = (1 lsl line_bits) - 1
 let page_shift = 12
@@ -110,8 +112,9 @@ type t = {
   pools : pool array;
   read_free_at : float array;  (* per NUMA node: controller read channel *)
   write_free_at : float array;  (* per NUMA node: controller write channel *)
-  mutable caches : int array array;
-      (* tid -> direct-mapped tag array, grown on demand ([||] = absent) *)
+  mutable caches : Bytes.t array;
+      (* tid -> direct-mapped tags, 16 bits per slot ([no_tag] = empty),
+         grown on demand ([Bytes.empty] = absent) *)
   rng : Sim.Rng.t;
   jitter_on : bool;  (* precomputed: config.latency.jitter <> 0.0 *)
   jitter_lo : float;  (* 1 - jitter *)
@@ -126,6 +129,8 @@ type t = {
   lat_cell : float array;
   last_now : float array;
   slot_mask : int;  (* cache_lines - 1: a line's slot is its low bits *)
+  tag_shift : int;  (* log2 (line_words * cache_lines): word -> in-pool tag *)
+  tags_per_pool : int;  (* in-pool tags: a line's tag is pool * this + in-pool tag *)
   pool_words : int;  (* config.pool_words, the bound every access checks *)
   zero_page : int array;  (* every untouched page; never written *)
   mutable slab : int array;
@@ -137,11 +142,24 @@ type t = {
 
 let initial_slots = 64
 
+(* The empty tag: every real tag is below it ([create] checks). *)
+let no_tag = 0xFFFF
+
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
 let create (config : config) =
   let n = config.cache_lines in
   if n <= 0 || n land (n - 1) <> 0 then
     invalid_arg
       (Printf.sprintf "Pmem.create: cache_lines must be a positive power of two: %d" n);
+  let tag_shift = line_shift + log2 n in
+  let tags_per_pool = ((max 1 config.pool_words - 1) lsr tag_shift) + 1 in
+  if config.n_pools * tags_per_pool > no_tag then
+    invalid_arg
+      (Printf.sprintf
+         "Pmem.create: %d pools of %d words over %d cache lines need %d tags, \
+          over 16 bits"
+         config.n_pools config.pool_words n (config.n_pools * tags_per_pool));
   let zero_page = Array.make (page_words + lines_per_page) 0 in
   (* one page past the last word, so a flush of the line just past the end
      of the pool finds a (clean) shadow entry, as it always has *)
@@ -170,6 +188,8 @@ let create (config : config) =
     lat_cell = Array.make 1 0.0;
     last_now = Array.make 1 0.0;
     slot_mask = n - 1;
+    tag_shift;
+    tags_per_pool;
     pool_words = config.pool_words;
     zero_page;
     slab = Array.make (initial_slots * line_words) 0;
@@ -183,7 +203,6 @@ let addr ~pool ~word =
 
 let pool_of a = a lsr pool_shift
 let word_of a = a land words_mask
-let line_of_addr a = ((pool_of a) lsl line_bits) lor (word_of a lsr line_shift)
 
 let get_pool t a =
   let p = pool_of a in
@@ -223,46 +242,55 @@ let[@inline] numa_factor t ~tid a =
     t.config.latency.remote_multiplier
   end
 
+external get_tag : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set_tag : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+
+let fill_empty tags = Bytes.fill tags 0 (Bytes.length tags) '\xff'
+
 (* Cold path of [cache_access]: grow the tid-indexed table if needed and
-   install a fresh tag array for this thread. *)
+   install a fresh, empty tag array for this thread. *)
 let install_cache t tid =
   if tid >= Array.length t.caches then begin
     let n = Array.length t.caches in
-    let grown = Array.make (max (tid + 1) (max 16 (2 * n))) [||] in
+    let grown = Array.make (max (tid + 1) (max 16 (2 * n))) Bytes.empty in
     Array.blit t.caches 0 grown 0 n;
     t.caches <- grown
   end;
-  let tags = Array.make t.config.cache_lines (-1) in
+  let tags = Bytes.create (2 * t.config.cache_lines) in
+  fill_empty tags;
   t.caches.(tid) <- tags;
   tags
 
 (* Per-thread direct-mapped cache, timing only. Returns true on hit and
    installs the line otherwise. Runs on every simulated access, so the tag
-   array comes from a flat tid-indexed array rather than a hash table. *)
+   array comes from a flat tid-indexed array rather than a hash table.
+   [a] is in range: its pool and word were checked. *)
 let cache_access t ~tid a =
   let tags =
     if tid < Array.length t.caches then begin
       let tags = t.caches.(tid) in
-      if Array.length tags <> 0 then tags else install_cache t tid
+      if Bytes.length tags <> 0 then tags else install_cache t tid
     end
     else install_cache t tid
   in
-  let line = line_of_addr a in
+  let w = word_of a in
   (* The slot is the line's low bits: two lines share a slot exactly when
-     they agree modulo [cache_lines], the usual direct-mapped aliasing.
-     [slot < cache_lines = Array.length tags] by construction, so the
+     they agree modulo [cache_lines], the usual direct-mapped aliasing. The
+     tag is the rest of the line id, renumbered densely: pool < n_pools and
+     the in-pool part < tags_per_pool, so it is below [no_tag]. The byte
+     offset [2 * slot] is below [Bytes.length tags] by construction, so the
      bounds check is elided. *)
-  let slot = line land t.slot_mask in
-  if Array.unsafe_get tags slot = line then true
+  let o = ((w lsr line_shift) land t.slot_mask) lsl 1 in
+  let tag = (pool_of a * t.tags_per_pool) + (w lsr t.tag_shift) in
+  if get_tag tags o = tag then true
   else begin
-    Array.unsafe_set tags slot line;
+    set_tag tags o tag;
     false
   end
 
-(* Invalidate a line in every thread's timing cache (used when a flush
-   behaves like CLFLUSHOPT, and on crash). *)
-let invalidate_all_caches t =
-  Array.iter (fun tags -> Array.fill tags 0 (Array.length tags) (-1)) t.caches
+(* Empty every line of every thread's timing cache: a restarted machine
+   starts cold ([crash] and [clean_shutdown]). *)
+let invalidate_all_caches t = Array.iter fill_empty t.caches
 
 (* [node] is a NUMA node id, always < numa_nodes = Array.length free_at. *)
 let[@inline] queue_delay free_at node ~now ~service =
@@ -298,10 +326,13 @@ let put_access_latency t ~tid ~store a =
 (* The same error an out-of-range index into a full-size image raised. *)
 let check_word t w = if w >= t.pool_words then invalid_arg "index out of bounds"
 
-(* Volatile word [w] of [p]: one bounds check plus two loads. *)
+(* Volatile word [w] of [p], [w] already checked: two loads. *)
+let volatile p w =
+  Array.unsafe_get (Array.unsafe_get p.pages (w lsr page_shift)) (w land page_mask)
+
 let load t p w =
   check_word t w;
-  Array.unsafe_get (Array.unsafe_get p.pages (w lsr page_shift)) (w land page_mask)
+  volatile p w
 
 (* Index of the shadow entry of the line holding page offset [o]. *)
 let shadow_entry o = page_words + (o lsr line_shift)
@@ -379,8 +410,9 @@ let read t ~tid a =
   t.counters.accesses <- t.counters.accesses + 1;
   let p = get_pool t a in
   let w = word_of a in
+  check_word t w;
   put_access_latency t ~tid ~store:false a;
-  load t p w
+  volatile p w
 
 let write t ~tid a v =
   check_new_run t;
@@ -398,11 +430,12 @@ let cas t ~tid a expected desired =
   t.counters.accesses <- t.counters.accesses + 1;
   let p = get_pool t a in
   let w = word_of a in
+  check_word t w;
   put_access_latency t ~tid ~store:true a;
   Array.unsafe_set t.lat_cell 0
     (Array.unsafe_get t.lat_cell 0 +. t.config.latency.cas_extra_ns);
   let ok =
-    if load t p w = expected then begin
+    if volatile p w = expected then begin
       store t p w desired;
       true
     end

@@ -39,7 +39,9 @@ type config = {
   latency : Latency.params;
   cache_lines : int;
       (** per-thread timing-cache entries (direct-mapped, indexed by the
-          line's low bits); a positive power of two *)
+          line's low bits); a positive power of two. Each entry is a 16-bit
+          tag, so a thread's timing cache costs [2 * cache_lines] bytes of
+          host memory, installed on the thread's first access. *)
   seed : int;
 }
 
@@ -66,7 +68,11 @@ type counters = {
 type t
 
 val create : config -> t
-(** [Invalid_argument] unless [cache_lines] is a positive power of two.
+(** [Invalid_argument] unless [cache_lines] is a positive power of two, and
+    when the timing cache's tags would not fit in 16 bits: [n_pools] times
+    the pool's lines divided by [cache_lines] (rounded up) must be at most
+    [0xFFFF], the one value left to mark an empty entry. The default
+    geometry needs 256 tags.
     O(pages): every page of every pool starts as one shared all-zero page.
     Host memory then grows with the pages stored to (on their first store)
     plus one shadow line per dirty line, not with [pool_words]. *)

@@ -43,8 +43,9 @@
    failure is handled entirely inside the owning station (crash, reconnect,
    recover, detect-mode replay), possibly spanning several epochs, while
    every other station keeps serving; only the round-granular
-   completed-in-outage attribution is computed from the per-round completion
-   snapshots each shard records. *)
+   completed-in-outage attribution is the coordinator's: at exchange time it
+   captures every shard's completion count just before the outage's first
+   round and again at the end of the round the recovery ended in. *)
 
 module H = Sim.Histogram
 module Kv = Harness.Kv
@@ -161,7 +162,6 @@ type shard_station = {
   phase_hists : H.t array;
   mutable wins : wacc array;
   mutable depths : (int * int) list;  (* (sample tick, queue depth), newest first *)
-  mutable comps : int list;  (* cumulative comp after each round, newest first *)
   mutable stop : bool;
   mutable session : Sim.Sched.session option;
   mutable end_ns : float;
@@ -336,7 +336,6 @@ let run ?(domains = 1) (cfg : Config.t) =
               phase_hists = Array.init Obs.Span.n_phases (fun _ -> H.create ());
               wins = [||];
               depths = [];
-              comps = [];
               stop = false;
               session = None;
               end_ns = 0.0;
@@ -607,13 +606,15 @@ let run ?(domains = 1) (cfg : Config.t) =
        pool-reopen cost and recover in-line. Stranded scan parts fail via
        the mailbox (resolved on the frontend next epoch); in detect mode
        stranded upserts are decided through their descriptors and
-       everything else is queued for replay. Completed-in-outage
-       attribution is computed from per-round snapshots after the run. *)
+       everything else is queued for replay. The outage start is set here,
+       so the coordinator sees it at this round's exchange; completed-in-
+       outage attribution is captured there. *)
     let do_crash ~stranded =
       sh.crash_at <- None;
       sh.s_crashed <- true;
       admit_due sh;
       let t0 = Sim.Sched.now () in
+      sh.down_at <- t0;
       Pmem.crash sh.kv.Kv.pmem;
       let stranded = stranded @ Bqueue.drain sh.q in
       sh.kv.Kv.reconnect ();
@@ -652,7 +653,6 @@ let run ?(domains = 1) (cfg : Config.t) =
               else sh.lost <- sh.lost + 1)
         stranded;
       sh.replay <- List.rev !to_replay;
-      sh.down_at <- t0;
       sh.down_ns <- Sim.Sched.now () -. t0
     in
     let process_entries entries =
@@ -834,11 +834,41 @@ let run ?(domains = 1) (cfg : Config.t) =
       let sh = shards.(station - 1) in
       receive sh ~boundary:(float_of_int round *. epoch);
       sh.until <- until;
-      Sim.Sched.step (session_of sh.session) ~until;
-      sh.comps <- sh.comp :: sh.comps
+      Sim.Sched.step (session_of sh.session) ~until
     end
   in
-  let exchange ~round:_ =
+  (* Round-granular completed-in-outage, captured at exchange time while
+     every station is quiescent. The outage covers rounds r0 (its start's)
+     through r1 (its end's, or the last round if that comes first); each
+     shard's share is its completions at the end of round r1 minus those at
+     the end of round r0 - 1 (0 before round 0). A crash and its recovery
+     end each show up at the exchange that closes their own round, so
+     [prev] (every shard's count at the end of the previous round) and the
+     live counts are all the history needed: O(shards) words whatever the
+     run length. *)
+  let prev = Array.make cfg.shards 0 in
+  let outage_from = ref None and outage_upto = ref None in
+  let counts_at ~round r =
+    if r = round - 1 then Array.copy prev
+    else if r >= round then Array.map (fun sh -> sh.comp) shards
+    else failwith "Svc.Domains: outage round already closed"
+  in
+  let capture_outage ~round ~last =
+    match Array.find_opt (fun sh -> sh.s_crashed) shards with
+    | None -> ()
+    | Some crashed ->
+        if !outage_from = None then
+          outage_from :=
+            Some (counts_at ~round (int_of_float (crashed.down_at /. epoch) - 1));
+        if !outage_upto = None && crashed.down_ns > 0.0 then begin
+          let r1 =
+            int_of_float ((crashed.down_at +. crashed.down_ns) /. epoch)
+          in
+          if r1 <= round || last then
+            outage_upto := Some (counts_at ~round r1)
+        end
+  in
+  let exchange ~round =
     Array.iteri (fun s sh -> Queue.transfer fe.f_out.(s) sh.s_in) shards;
     Array.iter (fun sh -> Queue.transfer sh.s_out fe.f_in) shards;
     let idle =
@@ -852,6 +882,8 @@ let run ?(domains = 1) (cfg : Config.t) =
              && not sh.busy)
            shards
     in
+    capture_outage ~round ~last:idle;
+    Array.iteri (fun i sh -> prev.(i) <- sh.comp) shards;
     if idle then begin
       fe.f_stop <- true;
       Array.iter (fun sh -> sh.stop <- true) shards;
@@ -912,27 +944,11 @@ let run ?(domains = 1) (cfg : Config.t) =
   let completed = sum (fun sh -> sh.completed) + fe.f_completed_scans in
   let replayed = sum (fun sh -> sh.s_replayed) in
   let suppressed = sum (fun sh -> sh.s_suppressed) in
-  (* round-granular completed-in-outage: each shard's completions over the
-     rounds overlapping the (single) outage window *)
-  let in_outage = Array.make cfg.shards 0 in
-  (match
-     Array.fold_left
-       (fun acc sh -> if sh.down_ns > 0.0 then Some sh else acc)
-       None shards
-   with
-  | None -> ()
-  | Some crashed ->
-      let r0 = int_of_float (crashed.down_at /. epoch) in
-      let r1 = int_of_float ((crashed.down_at +. crashed.down_ns) /. epoch) in
-      Array.iteri
-        (fun i sh ->
-          let comps = Array.of_list (List.rev sh.comps) in
-          let upto r =
-            if r < 0 || Array.length comps = 0 then 0
-            else comps.(min r (Array.length comps - 1))
-          in
-          in_outage.(i) <- upto r1 - upto (r0 - 1))
-        shards);
+  let in_outage =
+    match (!outage_from, !outage_upto) with
+    | Some from, Some upto -> Array.map2 ( - ) upto from
+    | _ -> Array.make cfg.shards 0
+  in
   let windows =
     if not spans_on then []
     else begin

@@ -42,8 +42,12 @@
     the pool-reopen cost and runs structure recovery in-line — in detect
     mode followed by exactly-once replay with duplicate suppression —
     inside the shard's own station while every other station keeps
-    serving. [completed_in_outage] attribution is round-granular (computed
-    from per-round completion snapshots).
+    serving. [completed_in_outage] attribution is round-granular: at
+    exchange time, with every station quiescent, the coordinator takes
+    each shard's completion count at the end of the round before the
+    outage's first round, and again at the end of the round the recovery
+    ended in (or the last round, if the run ends first); the share is
+    the difference. It holds O(shards) counts at any run length.
 
     With [cfg.spans] on, every completed read/upsert additionally records
     a {!Obs.Span.t}: a hop/queue/batch/exec/commit decomposition of its

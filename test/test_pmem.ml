@@ -268,7 +268,119 @@ let test_cache_lines_validated () =
         (fun () ->
           ignore (Pmem.create { Pmem.default_config with cache_lines = n })))
     [ 0; -4; 3; 4095 ];
-  ignore (Pmem.create { Pmem.default_config with cache_lines = 1 })
+  ignore
+    (Pmem.create
+       { Pmem.default_config with cache_lines = 1; n_pools = 1; pool_words = 1 lsl 16 })
+
+(* A tag is the part of the line id the slot drops, renumbered over every
+   pool's lines; it must stay below the 16-bit empty tag. *)
+let test_tag_geometry_guard () =
+  let geometry ~n_pools ~pool_words ~cache_lines =
+    { Pmem.default_config with n_pools; pool_words; cache_lines }
+  in
+  let rejected name config =
+    match Pmem.create config with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  (* 4 pools x 2^18 lines, one line per slot: 2^20 tags *)
+  rejected "default pools, one cache line" (geometry ~n_pools:4 ~pool_words:(1 lsl 21) ~cache_lines:1);
+  rejected "one tag too many"
+    (geometry ~n_pools:1 ~pool_words:((8 * 0xFFFF) + 1) ~cache_lines:1);
+  rejected "pools multiply the tags"
+    (geometry ~n_pools:2 ~pool_words:(8 * 0x8000) ~cache_lines:1);
+  (* 0xFFFF tags, 0 .. 0xFFFE: the largest geometry that fits, and its last
+     line still hits once installed *)
+  let pmem = Pmem.create (geometry ~n_pools:1 ~pool_words:(8 * 0xFFFF) ~cache_lines:1) in
+  let mc = Pmem.machine pmem in
+  let last = addr0 ((8 * 0xFFFF) - 1) in
+  ignore (mc.read ~tid:0 last);
+  ignore (mc.read ~tid:0 last);
+  check_int "last line: one miss, then a hit" 1 (Pmem.counters pmem).Pmem.load_misses;
+  (* every fixture in the tree is orders of magnitude inside the limit *)
+  ignore (Pmem.create { Pmem.default_config with pool_words = 1 lsl 25 })
+
+(* The 16-bit tags against a reference cache that keeps full (pool, line)
+   ids: every access by every thread hits or misses exactly as the
+   reference does, over 4 pools whose lines alias in a 16-line cache, a
+   pool size that is not a multiple of the cache, thread ids that grow the
+   per-thread table, and the crashes and clean shutdowns that empty every
+   cache. *)
+let packed_tags_run ~mode ~seed =
+  let cache_lines = 16 and pool_words = 2000 and n_pools = 4 in
+  let pmem =
+    Pmem.create
+      {
+        Pmem.numa_nodes = 4;
+        pool_words;
+        n_pools;
+        mode;
+        stripe_words = 64;
+        latency = Pmem.Latency.uniform;
+        cache_lines;
+        seed;
+      }
+  in
+  let mc = Pmem.machine pmem in
+  let tids = [| 0; 1; 2; 5; 17; 40 |] in
+  let reference = Array.map (fun _ -> Array.make cache_lines (-1, -1)) tids in
+  let load_misses = ref 0 and store_misses = ref 0 in
+  let rng = Sim.Rng.create seed in
+  let n_lines = (pool_words + Pmem.line_words - 1) / Pmem.line_words in
+  (* lines of slots 0, 9 and 15 only, so they alias constantly; slot 9
+     holds the partial last line, 249 *)
+  let rec pick () =
+    let slot = [| 0; 9; 15 |].(Sim.Rng.int rng 3) in
+    let line = slot + (cache_lines * Sim.Rng.int rng ((n_lines / cache_lines) + 1)) in
+    if line >= n_lines then pick ()
+    else
+      let pool = Sim.Rng.int rng n_pools in
+      let base = line * Pmem.line_words in
+      (pool, line, base + Sim.Rng.int rng (min Pmem.line_words (pool_words - base)))
+  in
+  let access ~store =
+    let i = Sim.Rng.int rng (Array.length tids) in
+    let pool, line, w = pick () in
+    let a = Pmem.addr ~pool ~word:w in
+    let tags = reference.(i) in
+    let slot = line land (cache_lines - 1) in
+    if tags.(slot) <> (pool, line) then begin
+      tags.(slot) <- (pool, line);
+      incr (if store then store_misses else load_misses)
+    end;
+    (tids.(i), a)
+  in
+  let empty () = Array.iter (fun t -> Array.fill t 0 cache_lines (-1, -1)) reference in
+  for _ = 1 to 3000 do
+    (match Sim.Rng.int rng 20 with
+    | 0 ->
+        Pmem.crash pmem;
+        empty ()
+    | 1 ->
+        Pmem.clean_shutdown pmem;
+        empty ()
+    | 2 | 3 ->
+        let tid, a = access ~store:true in
+        mc.write ~tid a 1
+    | 4 ->
+        let tid, a = access ~store:true in
+        ignore (mc.cas ~tid a 0 1)
+    | 5 ->
+        let _, _, w = pick () in
+        mc.flush ~tid:0 (Pmem.addr ~pool:(Sim.Rng.int rng n_pools) ~word:w)
+    | _ ->
+        let tid, a = access ~store:false in
+        ignore (mc.read ~tid a));
+    let c = Pmem.counters pmem in
+    check_int "load misses" !load_misses c.Pmem.load_misses;
+    check_int "store misses" !store_misses c.Pmem.store_misses
+  done
+
+let test_packed_tags_exact () =
+  for seed = 1 to 4 do
+    packed_tags_run ~mode:Pmem.Multi_pool ~seed;
+    packed_tags_run ~mode:Pmem.Striped ~seed
+  done
 
 (* ---- differential: the sparse images against two full ones --------------- *)
 
@@ -551,6 +663,20 @@ let test_footprint_slot_reuse () =
   done;
   check_int "words after 10k write+flush cycles" before (reachable pmem)
 
+(* A thread's timing cache is 16-bit tags: 2 bytes per line, plus the
+   string's header and padding words. *)
+let test_footprint_timing_cache () =
+  let pmem = Pmem.create Pmem.default_config in
+  let mc = Pmem.machine pmem in
+  (* installs the tid-indexed table and thread 0's cache first *)
+  ignore (mc.read ~tid:0 (addr0 0));
+  let before = reachable pmem in
+  ignore (mc.read ~tid:1 (addr0 0));
+  let grown = reachable pmem - before in
+  let lines = Pmem.default_config.Pmem.cache_lines in
+  if grown > (2 * lines / 8) + 2 then
+    Alcotest.failf "thread 1's %d-line timing cache holds %d words" lines grown
+
 let () =
   Alcotest.run "pmem"
     [
@@ -585,6 +711,8 @@ let () =
           case "counters" test_counters;
           case "cache index is the line's low bits" test_cache_index_low_bits;
           case "cache_lines must be a power of two" test_cache_lines_validated;
+          case "tag geometry guard" test_tag_geometry_guard;
+          case "packed tags are exact" test_packed_tags_exact;
         ] );
       ( "representation",
         [
@@ -597,5 +725,6 @@ let () =
           case "fresh instance" test_footprint_fresh;
           case "grows by touched pages" test_footprint_pages;
           case "shadow slots reused" test_footprint_slot_reuse;
+          case "timing cache is 2 bytes per line" test_footprint_timing_cache;
         ] );
     ]

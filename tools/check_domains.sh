@@ -6,8 +6,9 @@
 #     (shard stations pinned to worker domains) on the smoke workload
 #     must emit byte-identical SLO JSON, span JSON, and Obs totals;
 # (b) a mid-run one-shard power failure under --domains 4 --detect must
-#     recover in-line with zero lost requests and a non-empty replay,
-#     while the report stays byte-identical to --domains 1.
+#     recover in-line with zero lost requests, a non-empty replay and the
+#     recorded per-shard completed-in-outage counts, while the report stays
+#     byte-identical to --domains 1.
 #
 # Usage: check_domains.sh <path-to-upskip_cli> <path-to-json_check>
 set -eu
@@ -64,5 +65,16 @@ replayed=$("$JSON_CHECK" "$tmp/c4.json" replayed)
   echo "FAIL: detectable crash under --domains 4 replayed nothing" >&2
   exit 1
 }
+# completions over the rounds the outage spans, per shard: a capture one
+# round early or late moves them
+for pin in 0:485 1:0 2:406 3:481; do
+  s=${pin%%:*}
+  want=${pin#*:}
+  got=$("$JSON_CHECK" "$tmp/c4.json" "shards.$s.completed_in_outage")
+  [ "$got" = "$want" ] || {
+    echo "FAIL: shard $s completed $got requests in the outage, want $want" >&2
+    exit 1
+  }
+done
 echo "ok: power failure under --domains 4: lost 0, replayed $replayed, identical to --domains 1"
 echo "domain-parallel service is deterministic"
