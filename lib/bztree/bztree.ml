@@ -127,7 +127,7 @@ let descend_with_root t key =
   let root = Riv.of_word root_value in
   let rec go n path =
     let a = node_addr t n in
-    let w0 = Sim.Sched.read a in
+    let w0 = Mem.read t.mem a in
     if is_internal w0 then begin
       let count = w0 land lnot internal_tag in
       (* binary search for the first separator > key *)
@@ -135,10 +135,10 @@ let descend_with_root t key =
       (* seps.(j) separates child j and j+1: child j covers keys < seps.(j) *)
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
-        let sep = Sim.Sched.read (a + i_sep mid) in
+        let sep = Mem.read t.mem (a + i_sep mid) in
         if key < sep then hi := mid else lo := mid + 1
       done;
-      let child = Riv.of_word (Sim.Sched.read (a + i_child t !lo)) in
+      let child = Riv.of_word (Mem.read t.mem (a + i_child t !lo)) in
       go child ((n, !lo) :: path)
     end
     else (n, List.rev path, root_value)
@@ -158,7 +158,7 @@ let leaf_find t leaf key =
   let a = node_addr t leaf in
   let status = Pmwcas.read t.pmw (a + l_status) in
   let count = status land count_mask in
-  let sorted = Sim.Sched.read (a + l_sorted) in
+  let sorted = Mem.read t.mem (a + l_sorted) in
   let meta i = Pmwcas.read t.pmw (a + l_meta i) in
   let found = ref (-1) in
   (* overflow, newest first *)
@@ -207,11 +207,11 @@ let build_leaf t ~tid pairs =
   let a = node_addr t leaf in
   List.iteri
     (fun i (k, v) ->
-      Sim.Sched.write (a + l_meta i) (visible_bit lor k);
-      Sim.Sched.write (a + l_value t i) v)
+      Mem.write t.mem (a + l_meta i) (visible_bit lor k);
+      Mem.write t.mem (a + l_value t i) v)
     pairs;
-  Sim.Sched.write (a + l_sorted) n;
-  Sim.Sched.write (a + l_status) n;
+  Mem.write t.mem (a + l_sorted) n;
+  Mem.write t.mem (a + l_status) n;
   Mem.persist_range t.mem leaf ~first:0 ~words:(leaf_words t);
   leaf
 
@@ -220,19 +220,19 @@ let build_internal t ~tid ~seps ~children =
   if n > t.fanout then failwith "Bztree: fanout exceeded";
   let node = alloc_node t ~tid ~words:(internal_words t) in
   let a = node_addr t node in
-  Sim.Sched.write (a + i_count) (internal_tag lor n);
-  List.iteri (fun j s -> Sim.Sched.write (a + i_sep j) s) seps;
-  List.iteri (fun j c -> Sim.Sched.write (a + i_child t j) (Riv.to_word c)) children;
+  Mem.write t.mem (a + i_count) (internal_tag lor n);
+  List.iteri (fun j s -> Mem.write t.mem (a + i_sep j) s) seps;
+  List.iteri (fun j c -> Mem.write t.mem (a + i_child t j) (Riv.to_word c)) children;
   Mem.persist_range t.mem node ~first:0 ~words:(internal_words t);
   node
 
 (* Read an internal node's separators and children (host-typed lists). *)
 let internal_contents t n =
   let a = node_addr t n in
-  let count = Sim.Sched.read (a + i_count) land lnot internal_tag in
-  let seps = List.init (count - 1) (fun j -> Sim.Sched.read (a + i_sep j)) in
+  let count = Mem.read t.mem (a + i_count) land lnot internal_tag in
+  let seps = List.init (count - 1) (fun j -> Mem.read t.mem (a + i_sep j)) in
   let children =
-    List.init count (fun j -> Riv.of_word (Sim.Sched.read (a + i_child t j)))
+    List.init count (fun j -> Riv.of_word (Mem.read t.mem (a + i_child t j)))
   in
   (seps, children)
 
@@ -357,7 +357,7 @@ let split_leaf t ~tid leaf ~key =
               [| (t.root_word, old_root, Riv.to_word new_root) |]
           then t.splits <- t.splits + 1
           else begin
-            Sim.Sched.yield ();
+            Mem.yield t.mem;
             attempt (budget - 1)
           end
         end
@@ -420,11 +420,11 @@ let rec upsert t ~tid key value =
         then upsert t ~tid key value
         else begin
           let slot = count in
-          Sim.Sched.write (a + l_value t slot) value;
-          Sim.Sched.flush (a + l_value t slot);
-          Sim.Sched.fence ();
+          Mem.write t.mem (a + l_value t slot) value;
+          Mem.flush t.mem (a + l_value t slot);
+          Mem.fence t.mem;
           (* publish: flip the meta word visible *)
-          let meta_old = Sim.Sched.read (a + l_meta slot) in
+          let meta_old = Mem.read t.mem (a + l_meta slot) in
           if
             Pmwcas.mwcas t.pmw
               [|
@@ -444,7 +444,7 @@ let remove t ~tid:_ key =
     let leaf, _path = descend t key in
     let a = node_addr t leaf in
     if Pmwcas.read t.pmw (a + l_frozen) <> 0 then begin
-      Sim.Sched.yield ();
+      Mem.yield t.mem;
       go ()
     end
     else begin
@@ -479,20 +479,20 @@ let range t ~tid:_ ~lo ~hi =
     if window_lo > hi || window_hi < lo then ()
     else begin
       let a = node_addr t n in
-      let w0 = Sim.Sched.read a in
+      let w0 = Mem.read t.mem a in
       if is_internal w0 then begin
         let count = w0 land lnot internal_tag in
         for j = 0 to count - 1 do
           let child_lo =
-            if j = 0 then window_lo else Sim.Sched.read (a + i_sep (j - 1))
+            if j = 0 then window_lo else Mem.read t.mem (a + i_sep (j - 1))
           in
           let child_hi =
             if j = count - 1 then window_hi
-            else Sim.Sched.read (a + i_sep j) - 1
+            else Mem.read t.mem (a + i_sep j) - 1
           in
           if child_lo <= hi && child_hi >= lo then
             collect
-              (Riv.of_word (Sim.Sched.read (a + i_child t j)))
+              (Riv.of_word (Mem.read t.mem (a + i_child t j)))
               child_lo child_hi
         done
       end

@@ -80,7 +80,7 @@ let pair_words t = round_to_line (slot_words * t.keys_per_node)
    max_height-1 in whole lines of [tower_levels_per_line] pointer/hint
    pairs plus the anchor copy. *)
 let tower_words t =
-  let upper = max 0 (t.max_height - 2) in
+  let upper = Int.max 0 (t.max_height - 2) in
   line_words * ((upper + tower_levels_per_line - 1) / tower_levels_per_line)
 
 (* Words a node occupies: the one-line header, the fingerprint lines, the

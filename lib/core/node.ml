@@ -158,7 +158,7 @@ let o_upper ly level = tower_line ly level + ((level - 2) mod per_line)
 let o_tower_anchor ly level = tower_line ly level + (2 * per_line)
 
 (* Tower lines a node of [height] uses: one per three levels above 1. *)
-let tower_lines height = (max 0 (height - 2) + per_line - 1) / per_line
+let tower_lines height = (Int.max 0 (height - 2) + per_line - 1) / per_line
 
 let o_next ly level =
   if level = 0 then o_next0
@@ -253,14 +253,14 @@ let set_next mem ly n level p ~bound =
 (* Structure-level CAS accounting: every node-field or lock CAS bumps the
    per-fiber attempt/failure counters, attributed via the scheduler's
    current tid (node CASes only ever run in fiber context). *)
-let counted ok =
-  let tid = Sim.Sched.self () in
+let counted mem ok =
+  let tid = Mem.self mem in
   Obs.bump ~tid Obs.id_cas;
   if not ok then Obs.bump ~tid Obs.id_cas_fail;
   ok
 
 let cas_next mem ly n level ~expected ~desired =
-  counted (Mem.cas_ptr mem n (o_next ly level) ~expected ~desired)
+  counted mem (Mem.cas_ptr mem n (o_next ly level) ~expected ~desired)
 
 (* CAS-min: lower [n]'s level hint to [bound] (never raise it). Runs
    before the pointer CAS that links a successor whose anchor is [bound]. *)
@@ -269,18 +269,18 @@ let rec lower_hint mem ly n level bound =
   if
     h > bound
     && not
-         (counted
+         (counted mem
             (Mem.cas_field mem n (o_hint ly level) ~expected:h ~desired:bound))
   then lower_hint mem ly n level bound
 
 let cas_key mem ly n i ~expected ~desired =
-  counted (Mem.cas_field mem n (o_key ly i) ~expected ~desired)
+  counted mem (Mem.cas_field mem n (o_key ly i) ~expected ~desired)
 
 let cas_value mem ly n i ~expected ~desired =
-  counted (Mem.cas_field mem n (o_value ly i) ~expected ~desired)
+  counted mem (Mem.cas_field mem n (o_value ly i) ~expected ~desired)
 
 let cas_epoch mem n ~expected ~desired =
-  counted (Mem.cas_field mem n o_epoch ~expected ~desired)
+  counted mem (Mem.cas_field mem n o_epoch ~expected ~desired)
 
 let persist_next mem ly n level = Mem.persist_field mem n (o_next ly level)
 let persist_value mem ly n i = Mem.persist_field mem n (o_value ly i)
@@ -301,7 +301,7 @@ let rec publish_fp mem n i f =
   if cur = f then true
   else if cur <> 0 then false
   else if
-    counted
+    counted mem
       (Mem.cas_field mem n (o_fp + j) ~expected:w ~desired:(with_fp_byte w i f))
   then true
   else publish_fp mem n i f
@@ -338,7 +338,7 @@ let persist_fresh mem ly n ~keys ~height =
   if height > 2 then
     Mem.flush_range mem n ~first:ly.o_tower
       ~words:(Config.line_words * tower_lines height);
-  Sim.Sched.fence ()
+  Mem.fence mem
 
 (* Persist what a split rewrote in the node it split, under the write lock:
    the fingerprint line and each pair line holding one of the erased
@@ -350,7 +350,7 @@ let persist_split mem ly n slots =
     (fun line -> Mem.flush_field mem n (line * Config.line_words))
     (List.sort_uniq Int.compare
        (Array.to_list (Array.map (fun i -> o_key ly i / Config.line_words) slots)));
-  Sim.Sched.fence ()
+  Mem.fence mem
 
 (* ---- split lock: epoch-stamped recoverable reader-writer lock ----------
 
@@ -400,7 +400,7 @@ module Lock = struct
   let word mem n = Mem.read_field mem n o_lock
 
   let lock_cas mem n ~expected ~desired =
-    counted (Mem.cas_field mem n o_lock ~expected ~desired)
+    counted mem (Mem.cas_field mem n o_lock ~expected ~desired)
 
   let is_write_locked w = w land writer_bit <> 0
   let stamp w = w lsr stamp_shift

@@ -45,7 +45,7 @@ let enter t ~tid = t.announced.(tid) <- t.global_epoch
 let exit t ~tid = t.announced.(tid) <- quiescent
 
 (* Oldest epoch any in-flight operation may still observe. *)
-let min_active t = Array.fold_left min quiescent t.announced
+let min_active t = Array.fold_left Int.min quiescent t.announced
 
 (* Free this thread's retired nodes that no in-flight operation can still
    reference. Fiber context (freeing performs simulated writes). *)

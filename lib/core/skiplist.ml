@@ -103,7 +103,7 @@ let random_height t ~tid =
    write lock, and retries in lock-step (possible under deterministic
    simulated timing; real machines break it with timing noise). *)
 let backoff_delay t ~tid = 20.0 +. float_of_int (Sim.Rng.int t.height_rngs.(tid) 300)
-let backoff t ~tid = Sim.Sched.charge (backoff_delay t ~tid)
+let backoff t ~tid = Mem.charge t.mem (backoff_delay t ~tid)
 
 (* ---- traversal result -------------------------------------------------- *)
 
@@ -131,7 +131,7 @@ let find_slot t ~tid n key ~word =
     if j >= ly.Node.fp_used then -1
     else begin
       let w = word j in
-      let last = min ly.Node.k ((j + 1) * Config.fps_per_word) in
+      let last = Int.min ly.Node.k ((j + 1) * Config.fps_per_word) in
       let rec slot i =
         if i >= last then scan (j + 1)
         else if Node.fp_byte w i <> f then slot (i + 1)
@@ -263,7 +263,7 @@ let populate_levels t ~node ~succs ~bounds ~from_level ~to_level =
     Node.set_next t.mem t.ly node level succs.(level) ~bound:bounds.(level)
   done;
   if from_level <= 1 then Node.persist_next t.mem t.ly node from_level;
-  let lo = max 2 from_level in
+  let lo = Int.max 2 from_level in
   if to_level >= lo then
     Mem.persist_range t.mem node
       ~first:(Node.o_next t.ly lo)
@@ -749,7 +749,7 @@ let split_node t ~tid ~key ~value ~(f : find) =
     else begin
       let order = Array.init k Fun.id in
       Array.sort (fun i j -> Int.compare keys.(i) keys.(j)) order;
-      let m = max 1 (k / 8) in
+      let m = Int.max 1 (k / 8) in
       let anchor = keys.(order.(0)) in
       let tail_cut = key > keys.(order.(k - m)) && f.bounds.(0) - key > key - anchor in
       let cut = if tail_cut then k - m else k / 2 in
@@ -1043,7 +1043,7 @@ let range_impl t ~tid ~lo ~hi =
           (fun (n, w, next) ->
             Node.Lock.word t.mem n = w && Node.next_raw t.mem t.ly n 0 = next)
           seen
-      then List.sort (fun (a, _) (b, _) -> compare a b) pairs
+      then List.sort (fun (a, _) (b, _) -> Int.compare a b) pairs
       else restart ()
     in
     (* preds.(0) is the head when lo precedes every key *)
@@ -1090,7 +1090,7 @@ let to_alist t =
   let first =
     Riv.of_word (Node.unmark (Mem.peek_field t.mem t.head Node.o_next0))
   in
-  List.sort (fun (a, _) (b, _) -> compare a b) (walk first [])
+  List.sort (fun (a, _) (b, _) -> Int.compare a b) (walk first [])
 
 (* Number of allocator blocks linked into the bottom level (sentinels are
    root-area objects and excluded); used by block-conservation tests. *)
@@ -1109,7 +1109,7 @@ let node_count t =
 (* The first level of each tower line below [n]'s height whose anchor copy
    differs from the header anchor, read through [peek]. *)
 let stale_tower_anchors t ~peek n =
-  let h = min (Node.meta_height (peek n Node.o_meta)) t.cfg.Config.max_height in
+  let h = Int.min (Node.meta_height (peek n Node.o_meta)) t.cfg.Config.max_height in
   List.filter
     (fun level -> peek n (Node.o_tower_anchor t.ly level) <> peek n Node.o_anchor)
     (List.init (Node.tower_lines h) (fun g -> 2 + (Node.per_line * g)))
@@ -1185,7 +1185,7 @@ let check_invariants t =
     in
     let upper = level_keys (nxt t.head level) [] level in
     let lower = level_keys (nxt t.head 0) [] 0 in
-    let lower_set = List.sort_uniq compare lower in
+    let lower_set = List.sort_uniq Int.compare lower in
     List.iter
       (fun key ->
         if not (List.mem key lower_set) then
@@ -1309,7 +1309,7 @@ let audit_persistent t =
             err "%s: level-%d hint %d above its successor's anchor %d" label level
               (ppk n (Node.o_hint t.ly level)) (anchor p)
         done;
-        for level = max 1 h to cap - 1 do
+        for level = Int.max 1 h to cap - 1 do
           if ppk n (Node.o_next t.ly level) <> 0 then
             err "%s: non-null next word at level %d above height %d" label level h
         done;

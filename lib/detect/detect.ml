@@ -149,7 +149,7 @@ let announce t ~tid ~client ~seq ~op ~key ~value =
   Mem.write_field t.mem s s_status st_announced;
   Mem.write_field t.mem s s_epoch (Mem.epoch t.mem);
   Mem.flush_field t.mem s s_seq;
-  Sim.Sched.fence ();
+  Mem.fence t.mem;
   Obs.bump ~tid Obs.id_detect_announce
 
 (* Record the op's outcome before ack: result + status, one flush. The
@@ -162,7 +162,7 @@ let resolve t ~tid ~client ~prev ?(fence = true) () =
   Mem.write_field t.mem s s_result (match prev with None -> 0 | Some v -> v);
   Mem.write_field t.mem s s_status st_applied;
   Mem.flush_field t.mem s s_status;
-  if fence then Sim.Sched.fence ();
+  if fence then Mem.fence t.mem;
   Obs.bump ~tid Obs.id_detect_resolve
 
 (* Recovery resolve pass: walk every slot; decide announced-but-unresolved
@@ -193,7 +193,7 @@ let recover_resolve t ~tid ~probe =
       Obs.bump ~tid Obs.id_detect_recover
     end
   done;
-  if !decided > 0 then Sim.Sched.fence ();
+  if !decided > 0 then Mem.fence t.mem;
   !decided
 
 (* ---- host-side verdicts and inspection --------------------------------- *)

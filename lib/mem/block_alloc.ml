@@ -73,10 +73,10 @@ let link_in_tail t ~pool ~arena ~first ~last =
           && Mem.cas_ptr t tail_slot 0 ~expected:current_tail ~desired:next_tail
         then begin
           Mem.persist_field t tail_slot 0;
-          obs_event ~tid:(Sim.Sched.self ()) Obs.id_help 0
+          obs_event ~tid:(Mem.self t) Obs.id_help 0
         end
       end;
-      Sim.Sched.yield ();
+      Mem.yield t;
       attach ()
     end
   in
@@ -220,7 +220,7 @@ let carve_blocks t ~pool ~chunk =
     Mem.write_field t b Mem.hdr_kind Mem.kind_free;
     Mem.flush_field t b Mem.hdr_next
   done;
-  Sim.Sched.fence ();
+  Mem.fence t;
   (block 0, block (n - 1))
 
 (* Was the chunk's chain ever appended to the arena? An unlinked carved

@@ -47,6 +47,7 @@ let chunks_start =
 
 type t = {
   pmem : Pmem.t;
+  port : Sim.Sched.port;  (* [Pmem.port pmem]: every primitive goes through it *)
   chunk_words : int;
   block_words : int;
   n_arenas : int;
@@ -76,6 +77,7 @@ let create ~pmem ~chunk_words ~block_words ~n_arenas () =
   let n_pools = cfg.Pmem.n_pools in
   {
     pmem;
+    port = Pmem.port pmem;
     chunk_words;
     block_words;
     n_arenas;
@@ -123,15 +125,25 @@ let resolve t p =
 
 let riv_of_root ~pool ~word = Riv.make ~pool ~chunk:0 ~offset:word
 
+(* ---- primitives (simulated-time, fiber context only) ------------------ *)
+
+(* Every primitive on this memory goes through its pool's port, which
+   reaches the run in progress without a domain-local lookup. *)
+let[@inline] read t a = Sim.Sched.Port.read t.port a
+let[@inline] write t a v = Sim.Sched.Port.write t.port a v
+let[@inline] cas t a ~expected ~desired = Sim.Sched.Port.cas t.port a ~expected ~desired
+let[@inline] flush t a = Sim.Sched.Port.flush t.port a
+let[@inline] fence t = Sim.Sched.Port.fence t.port
+let[@inline] charge t ns = Sim.Sched.Port.charge t.port ns
+let yield t = Sim.Sched.Port.yield t.port
+let self t = Sim.Sched.Port.self t.port
+
 (* ---- field accessors (simulated-time, fiber context only) ------------- *)
 
-let read_field t obj i = Sim.Sched.read (resolve t obj + i)
-let write_field t obj i v = Sim.Sched.write (resolve t obj + i) v
-
-let cas_field t obj i ~expected ~desired =
-  Sim.Sched.cas (resolve t obj + i) ~expected ~desired
-
-let flush_field t obj i = Sim.Sched.flush (resolve t obj + i)
+let read_field t obj i = read t (resolve t obj + i)
+let write_field t obj i v = write t (resolve t obj + i) v
+let cas_field t obj i ~expected ~desired = cas t (resolve t obj + i) ~expected ~desired
+let flush_field t obj i = flush t (resolve t obj + i)
 
 let read_ptr t obj i = Riv.of_word (read_field t obj i)
 let write_ptr t obj i p = write_field t obj i (Riv.to_word p)
@@ -144,18 +156,18 @@ let flush_range t obj ~first ~words =
   let base = resolve t obj + first in
   let lines = ((base + words - 1) / Pmem.line_words) - (base / Pmem.line_words) in
   for l = 0 to lines do
-    Sim.Sched.flush (base + (l * Pmem.line_words))
+    flush t (base + (l * Pmem.line_words))
   done
 
 (* [flush_range], then fence: the paper's Persist primitive over a
    contiguous object. *)
 let persist_range t obj ~first ~words =
   flush_range t obj ~first ~words;
-  Sim.Sched.fence ()
+  fence t
 
 let persist_field t obj i =
   flush_field t obj i;
-  Sim.Sched.fence ()
+  fence t
 
 (* ---- setup-time accessors (no simulated cost) ------------------------- *)
 
@@ -248,20 +260,20 @@ let chunk_id_of_base t base = ((base - chunks_start) / t.chunk_words) + 1
    deterministically: bases are a pure function of the id). *)
 let rec allocate_chunk ?log t ~pool =
   let bump_addr = Pmem.addr ~pool ~word:bump_word in
-  let base = Sim.Sched.read bump_addr in
+  let base = read t bump_addr in
   let cfg = Pmem.config t.pmem in
   if base + t.chunk_words > cfg.Pmem.pool_words then
     failwith "Mem.allocate_chunk: pool exhausted";
-  if Sim.Sched.cas bump_addr ~expected:base ~desired:(base + t.chunk_words) then begin
-    Sim.Sched.flush bump_addr;
-    Sim.Sched.fence ();
+  if cas t bump_addr ~expected:base ~desired:(base + t.chunk_words) then begin
+    flush t bump_addr;
+    fence t;
     let id = chunk_id_of_base t base in
     if id > max_chunks then failwith "Mem.allocate_chunk: registry full";
     (match log with Some f -> f id | None -> ());
     let reg = Pmem.addr ~pool ~word:(registry_start + id) in
-    Sim.Sched.write reg (base + 1);
-    Sim.Sched.flush reg;
-    Sim.Sched.fence ();
+    write t reg (base + 1);
+    flush t reg;
+    fence t;
     t.chunk_cache.(pool).(id) <- base;
     (id, base)
   end
@@ -275,10 +287,10 @@ let rec allocate_chunk ?log t ~pool =
 let ensure_chunk_registered t ~pool ~chunk =
   let base = chunks_start + ((chunk - 1) * t.chunk_words) in
   let reg = Pmem.addr ~pool ~word:(registry_start + chunk) in
-  if Sim.Sched.read reg <> base + 1 then begin
-    Sim.Sched.write reg (base + 1);
-    Sim.Sched.flush reg;
-    Sim.Sched.fence ()
+  if read t reg <> base + 1 then begin
+    write t reg (base + 1);
+    flush t reg;
+    fence t
   end;
   t.chunk_cache.(pool).(chunk) <- base
 

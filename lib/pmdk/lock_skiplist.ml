@@ -50,9 +50,9 @@ let alloc_slot t tid i =
 
 (* Dereference the fat pointer at [addr]: two loads (the cache-efficiency
    cost the RIV scheme avoids). Returns 0 for null. *)
-let read_fat addr =
-  let pool_plus1 = Sim.Sched.read addr in
-  let off = Sim.Sched.read (addr + 1) in
+let read_fat t addr =
+  let pool_plus1 = Mem.read t.mem addr in
+  let off = Mem.read t.mem (addr + 1) in
   if pool_plus1 = 0 then 0 else Pmem.addr ~pool:(pool_plus1 - 1) ~word:off
 
 let fat_of_addr a = (Pmem.pool_of a + 1, Pmem.word_of a)
@@ -104,8 +104,8 @@ let create ~mem ~tx ~max_height ~max_threads ~seed =
 (* Bump-allocate a node from the thread's chunk; the offset advance is a
    transactional write so an aborted insert reclaims the space. *)
 let alloc_node t ~tid =
-  let off = Sim.Sched.read (alloc_slot t tid a_off) in
-  let end_ = Sim.Sched.read (alloc_slot t tid a_end) in
+  let off = Mem.read t.mem (alloc_slot t tid a_off) in
+  let end_ = Mem.read t.mem (alloc_slot t tid a_end) in
   if off + t.node_words > end_ then begin
     (* Single-pool allocation: with two-word fat pointers the pool word must
        never change under a concurrent lock-free reader (a torn read would
@@ -113,25 +113,25 @@ let alloc_node t ~tid =
        notes for NV-Heaps, and how its PMDK baseline ran (striped device). *)
     let pool = 0 in
     let _id, base = Mem.allocate_chunk t.mem ~pool in
-    Sim.Sched.write (alloc_slot t tid a_pool) (pool + 1);
-    Sim.Sched.write (alloc_slot t tid a_base) base;
-    Sim.Sched.write (alloc_slot t tid a_off) 0;
-    Sim.Sched.write (alloc_slot t tid a_end) t.mem.Mem.chunk_words;
-    Sim.Sched.flush (alloc_slot t tid a_pool);
-    Sim.Sched.fence ()
+    Mem.write t.mem (alloc_slot t tid a_pool) (pool + 1);
+    Mem.write t.mem (alloc_slot t tid a_base) base;
+    Mem.write t.mem (alloc_slot t tid a_off) 0;
+    Mem.write t.mem (alloc_slot t tid a_end) t.mem.Mem.chunk_words;
+    Mem.flush t.mem (alloc_slot t tid a_pool);
+    Mem.fence t.mem
   end;
-  let pool = Sim.Sched.read (alloc_slot t tid a_pool) - 1 in
-  let base = Sim.Sched.read (alloc_slot t tid a_base) in
-  let off = Sim.Sched.read (alloc_slot t tid a_off) in
+  let pool = Mem.read t.mem (alloc_slot t tid a_pool) - 1 in
+  let base = Mem.read t.mem (alloc_slot t tid a_base) in
+  let off = Mem.read t.mem (alloc_slot t tid a_off) in
   Tx.write t.tx ~tid (alloc_slot t tid a_off) (off + t.node_words);
   Pmem.addr ~pool ~word:(base + off)
 
 let persist_node t node =
   let lines = (t.node_words + Pmem.line_words - 1) / Pmem.line_words in
   for l = 0 to lines - 1 do
-    Sim.Sched.flush (node + (l * Pmem.line_words))
+    Mem.flush t.mem (node + (l * Pmem.line_words))
   done;
-  Sim.Sched.fence ()
+  Mem.fence t.mem
 
 (* ---- traversal ------------------------------------------------------------ *)
 
@@ -140,12 +140,12 @@ let persist_node t node =
 let find t key preds succs =
   let pred = ref t.head in
   for level = t.max_height - 1 downto 0 do
-    let cur = ref (read_fat (!pred + n_next level)) in
+    let cur = ref (read_fat t (!pred + n_next level)) in
     let rec walk () =
-      let k = Sim.Sched.read (!cur + n_key) in
+      let k = Mem.read t.mem (!cur + n_key) in
       if k < key then begin
         pred := !cur;
-        cur := read_fat (!cur + n_next level);
+        cur := read_fat t (!cur + n_next level);
         walk ()
       end
     in
@@ -153,7 +153,7 @@ let find t key preds succs =
     preds.(level) <- !pred;
     succs.(level) <- !cur
   done;
-  Sim.Sched.read (succs.(0) + n_key) = key
+  Mem.read t.mem (succs.(0) + n_key) = key
 
 (* ---- operations ------------------------------------------------------------ *)
 
@@ -161,7 +161,7 @@ let search t ~tid:_ key =
   let preds = Array.make t.max_height 0 and succs = Array.make t.max_height 0 in
   if not (find t key preds succs) then None
   else begin
-    let v = Sim.Sched.read (succs.(0) + n_value) in
+    let v = Mem.read t.mem (succs.(0) + n_value) in
     if v = 0 then None else Some v
   end
 
@@ -169,7 +169,7 @@ let search t ~tid:_ key =
    write (snapshot, store, commit — libpmemobj write amplification). *)
 let update_value t ~tid node value =
   Tx.Lock.acquire t.tx (node + n_lock);
-  let old = Sim.Sched.read (node + n_value) in
+  let old = Mem.read t.mem (node + n_value) in
   Tx.begin_ t.tx ~tid;
   Tx.write t.tx ~tid (node + n_value) value;
   Tx.commit t.tx ~tid;
@@ -198,7 +198,7 @@ let rec upsert t ~tid key value =
            Tx.Lock.acquire t.tx (pred + n_lock);
            locked := pred :: !locked
          end;
-         if read_fat (pred + n_next level) <> succs.(level) then begin
+         if read_fat t (pred + n_next level) <> succs.(level) then begin
            ok := false;
            raise Exit
          end
@@ -206,21 +206,21 @@ let rec upsert t ~tid key value =
      with Exit -> ());
     if not !ok then begin
       List.iter (fun p -> Tx.Lock.release t.tx (p + n_lock)) !locked;
-      Sim.Sched.yield ();
+      Mem.yield t.mem;
       upsert t ~tid key value
     end
     else begin
       Tx.begin_ t.tx ~tid;
       let node = alloc_node t ~tid in
       (* the node is unreachable until commit: plain stores + persist *)
-      Sim.Sched.write (node + n_key) key;
-      Sim.Sched.write (node + n_value) value;
-      Sim.Sched.write (node + n_height) height;
-      Sim.Sched.write (node + n_lock) 0;
+      Mem.write t.mem (node + n_key) key;
+      Mem.write t.mem (node + n_value) value;
+      Mem.write t.mem (node + n_height) height;
+      Mem.write t.mem (node + n_lock) 0;
       for level = 0 to height - 1 do
         let p, o = fat_of_addr succs.(level) in
-        Sim.Sched.write (node + n_next level) p;
-        Sim.Sched.write (node + n_next level + 1) o
+        Mem.write t.mem (node + n_next level) p;
+        Mem.write t.mem (node + n_next level + 1) o
       done;
       persist_node t node;
       (* transactional link-in at every level *)
@@ -240,7 +240,7 @@ let remove t ~tid key =
   else begin
     let node = succs.(0) in
     Tx.Lock.acquire t.tx (node + n_lock);
-    let old = Sim.Sched.read (node + n_value) in
+    let old = Mem.read t.mem (node + n_value) in
     if old = 0 then begin
       Tx.Lock.release t.tx (node + n_lock);
       None
@@ -262,12 +262,12 @@ let range t ~tid:_ ~lo ~hi =
   let rec walk n acc =
     if n = 0 || n = t.tail then acc
     else begin
-      let k = Sim.Sched.read (n + n_key) in
+      let k = Mem.read t.mem (n + n_key) in
       if k > hi then acc
       else begin
-        let v = Sim.Sched.read (n + n_value) in
+        let v = Mem.read t.mem (n + n_value) in
         let acc = if v = 0 || k < lo then acc else (k, v) :: acc in
-        walk (read_fat (n + n_next 0)) acc
+        walk (read_fat t (n + n_next 0)) acc
       end
     end
   in

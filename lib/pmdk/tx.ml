@@ -66,55 +66,55 @@ let dirty_list t tid =
       l
 
 let begin_ t ~tid =
-  Sim.Sched.write (slot_addr t tid s_state) state_active;
-  Sim.Sched.write (slot_addr t tid s_count) 0;
-  Sim.Sched.flush (slot_addr t tid s_state);
-  Sim.Sched.fence ();
+  Mem.write t.mem (slot_addr t tid s_state) state_active;
+  Mem.write t.mem (slot_addr t tid s_count) 0;
+  Mem.flush t.mem (slot_addr t tid s_state);
+  Mem.fence t.mem;
   (dirty_list t tid) := []
 
 (* Snapshot [addr] into the undo log (persisted before the caller's
    store reaches the word — libpmemobj's TX_ADD). *)
 let add t ~tid addr =
-  let count = Sim.Sched.read (slot_addr t tid s_count) in
+  let count = Mem.read t.mem (slot_addr t tid s_count) in
   if count >= max_entries then failwith "Tx.add: undo log full";
-  let old = Sim.Sched.read addr in
-  Sim.Sched.write (slot_addr t tid (s_entry count)) addr;
-  Sim.Sched.write (slot_addr t tid (s_entry count + 1)) old;
-  Sim.Sched.write (slot_addr t tid s_count) (count + 1);
-  Sim.Sched.flush (slot_addr t tid (s_entry count));
-  Sim.Sched.flush (slot_addr t tid s_count);
-  Sim.Sched.fence ()
+  let old = Mem.read t.mem addr in
+  Mem.write t.mem (slot_addr t tid (s_entry count)) addr;
+  Mem.write t.mem (slot_addr t tid (s_entry count + 1)) old;
+  Mem.write t.mem (slot_addr t tid s_count) (count + 1);
+  Mem.flush t.mem (slot_addr t tid (s_entry count));
+  Mem.flush t.mem (slot_addr t tid s_count);
+  Mem.fence t.mem
 
 (* Transactional store. *)
 let write t ~tid addr v =
   add t ~tid addr;
-  Sim.Sched.write addr v;
+  Mem.write t.mem addr v;
   let l = dirty_list t tid in
   l := addr :: !l
 
 let commit t ~tid =
   (* flush all modified lines, then retire the log *)
   let l = dirty_list t tid in
-  List.iter Sim.Sched.flush !l;
-  Sim.Sched.fence ();
+  List.iter (Mem.flush t.mem) !l;
+  Mem.fence t.mem;
   l := [];
-  Sim.Sched.write (slot_addr t tid s_state) state_idle;
-  Sim.Sched.flush (slot_addr t tid s_state);
-  Sim.Sched.fence ()
+  Mem.write t.mem (slot_addr t tid s_state) state_idle;
+  Mem.flush t.mem (slot_addr t tid s_state);
+  Mem.fence t.mem
 
 let abort t ~tid =
-  let count = Sim.Sched.read (slot_addr t tid s_count) in
+  let count = Mem.read t.mem (slot_addr t tid s_count) in
   for i = count - 1 downto 0 do
-    let addr = Sim.Sched.read (slot_addr t tid (s_entry i)) in
-    let old = Sim.Sched.read (slot_addr t tid (s_entry i + 1)) in
-    Sim.Sched.write addr old;
-    Sim.Sched.flush addr
+    let addr = Mem.read t.mem (slot_addr t tid (s_entry i)) in
+    let old = Mem.read t.mem (slot_addr t tid (s_entry i + 1)) in
+    Mem.write t.mem addr old;
+    Mem.flush t.mem addr
   done;
-  Sim.Sched.fence ();
+  Mem.fence t.mem;
   (dirty_list t tid) := [];
-  Sim.Sched.write (slot_addr t tid s_state) state_idle;
-  Sim.Sched.flush (slot_addr t tid s_state);
-  Sim.Sched.fence ()
+  Mem.write t.mem (slot_addr t tid s_state) state_idle;
+  Mem.flush t.mem (slot_addr t tid s_state);
+  Mem.fence t.mem
 
 (* ---- recovery ----------------------------------------------------------- *)
 
@@ -123,17 +123,17 @@ let abort t ~tid =
    structure size. *)
 let recover t =
   for tid = 0 to t.max_threads - 1 do
-    if Sim.Sched.read (slot_addr t tid s_state) = state_active then begin
-      let count = Sim.Sched.read (slot_addr t tid s_count) in
+    if Mem.read t.mem (slot_addr t tid s_state) = state_active then begin
+      let count = Mem.read t.mem (slot_addr t tid s_count) in
       for i = min (count - 1) (max_entries - 1) downto 0 do
-        let addr = Sim.Sched.read (slot_addr t tid (s_entry i)) in
-        let old = Sim.Sched.read (slot_addr t tid (s_entry i + 1)) in
-        Sim.Sched.write addr old;
-        Sim.Sched.flush addr
+        let addr = Mem.read t.mem (slot_addr t tid (s_entry i)) in
+        let old = Mem.read t.mem (slot_addr t tid (s_entry i + 1)) in
+        Mem.write t.mem addr old;
+        Mem.flush t.mem addr
       done;
-      Sim.Sched.write (slot_addr t tid s_state) state_idle;
-      Sim.Sched.flush (slot_addr t tid s_state);
-      Sim.Sched.fence ()
+      Mem.write t.mem (slot_addr t tid s_state) state_idle;
+      Mem.flush t.mem (slot_addr t tid s_state);
+      Mem.fence t.mem
     end
   done
 
@@ -150,22 +150,22 @@ module Lock = struct
   (* Lock word encodes (run_id lsl 1) | held. A word stamped with an older
      run id is free: crashes release every lock in O(1). *)
   let rec acquire t addr =
-    let w = Sim.Sched.read addr in
+    let w = Mem.read t.mem addr in
     let held = w land 1 = 1 && w lsr 1 = t.run_id in
     if held then begin
-      Sim.Sched.yield ();
+      Mem.yield t.mem;
       acquire t addr
     end
     else if
-      Sim.Sched.cas addr ~expected:w ~desired:((t.run_id lsl 1) lor 1)
+      Mem.cas t.mem addr ~expected:w ~desired:((t.run_id lsl 1) lor 1)
     then ()
     else acquire t addr
 
   let try_acquire t addr =
-    let w = Sim.Sched.read addr in
+    let w = Mem.read t.mem addr in
     let held = w land 1 = 1 && w lsr 1 = t.run_id in
     (not held)
-    && Sim.Sched.cas addr ~expected:w ~desired:((t.run_id lsl 1) lor 1)
+    && Mem.cas t.mem addr ~expected:w ~desired:((t.run_id lsl 1) lor 1)
 
-  let release t addr = Sim.Sched.write addr (t.run_id lsl 1)
+  let release t addr = Mem.write t.mem addr (t.run_id lsl 1)
 end

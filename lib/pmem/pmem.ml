@@ -138,6 +138,7 @@ type t = {
          persistent content of a dirty line *)
   mutable slot_line : int array;  (* shadow slot -> line id *)
   mutable n_dirty : int;  (* slots [0, n_dirty) are in use *)
+  port : Sim.Sched.port;  (* how accesses to this memory reach the run *)
 }
 
 let initial_slots = 64
@@ -153,7 +154,7 @@ let create (config : config) =
     invalid_arg
       (Printf.sprintf "Pmem.create: cache_lines must be a positive power of two: %d" n);
   let tag_shift = line_shift + log2 n in
-  let tags_per_pool = ((max 1 config.pool_words - 1) lsr tag_shift) + 1 in
+  let tags_per_pool = ((Int.max 1 config.pool_words - 1) lsr tag_shift) + 1 in
   if config.n_pools * tags_per_pool > no_tag then
     invalid_arg
       (Printf.sprintf
@@ -195,19 +196,24 @@ let create (config : config) =
     slab = Array.make (initial_slots * line_words) 0;
     slot_line = Array.make initial_slots 0;
     n_dirty = 0;
+    port = Sim.Sched.Port.create ();
   }
 
-let addr ~pool ~word =
+let[@inline] addr ~pool ~word =
   if word < 0 then invalid_arg "Pmem.addr: negative word";
   (pool lsl pool_shift) lor word
 
 let pool_of a = a lsr pool_shift
 let word_of a = a land words_mask
 
-let get_pool t a =
+let bad_pool () = invalid_arg "Pmem: bad pool id"
+
+(* Inlined; [pool_of] is never negative, so the bound checked is the only
+   one. *)
+let[@inline] get_pool t a =
   let p = pool_of a in
-  if p >= Array.length t.pools then invalid_arg "Pmem: bad pool id";
-  t.pools.(p)
+  if p >= Array.length t.pools then bad_pool ();
+  Array.unsafe_get t.pools p
 
 (* NUMA node that physically holds [a]. *)
 let home_node t a =
@@ -226,12 +232,13 @@ let thread_node t tid = tid mod t.config.numa_nodes
    from the RNG; writing a flat float cell instead of returning keeps the
    result unboxed. Inlined, so [base] is never boxed as an argument, and the
    draw is [Sim.Rng.float] spelled out over [Sim.Rng.next] (an int, so the
-   cross-module call returns no boxed float). *)
+   cross-module call returns no boxed float). Multiplying by 2^-62 gives
+   exactly the quotient by 2^62, without a division. *)
 let[@inline] put_jittered t base =
   Array.unsafe_set t.lat_cell 0
     (if not t.jitter_on then base
      else
-       let u = float_of_int (Sim.Rng.next t.rng) /. 4611686018427387904.0 in
+       let u = float_of_int (Sim.Rng.next t.rng) *. 0x1p-62 in
        base *. (t.jitter_lo +. (t.jitter_span *. u)))
 
 (* Inlined, as is [queue_delay]: a float returned from a call is boxed. *)
@@ -252,7 +259,7 @@ let fill_empty tags = Bytes.fill tags 0 (Bytes.length tags) '\xff'
 let install_cache t tid =
   if tid >= Array.length t.caches then begin
     let n = Array.length t.caches in
-    let grown = Array.make (max (tid + 1) (max 16 (2 * n))) Bytes.empty in
+    let grown = Array.make (Int.max (tid + 1) (Int.max 16 (2 * n))) Bytes.empty in
     Array.blit t.caches 0 grown 0 n;
     t.caches <- grown
   end;
@@ -264,12 +271,14 @@ let install_cache t tid =
 (* Per-thread direct-mapped cache, timing only. Returns true on hit and
    installs the line otherwise. Runs on every simulated access, so the tag
    array comes from a flat tid-indexed array rather than a hash table.
-   [a] is in range: its pool and word were checked. *)
-let cache_access t ~tid a =
+   [a] is in range: its pool and word were checked. Inlined; an absent
+   array is recognised by identity, since [Bytes.length] would load the
+   header word of an 8 KB array just to test it. *)
+let[@inline] cache_access t ~tid a =
   let tags =
     if tid < Array.length t.caches then begin
       let tags = t.caches.(tid) in
-      if Bytes.length tags <> 0 then tags else install_cache t tid
+      if tags != Bytes.empty then tags else install_cache t tid
     end
     else install_cache t tid
   in
@@ -301,25 +310,27 @@ let[@inline] queue_delay free_at node ~now ~service =
 
 (* Shared load/store timing, written into the latency cell: stores complete
    into the cache, and a store miss still fetches the line through the read
-   channel — only the miss counter differs. *)
-let put_access_latency t ~tid ~store a =
+   channel — only the miss counter differs. The hit is inlined into every
+   access; the miss is not. *)
+let access_miss t ~tid ~store a =
   let lat = t.config.latency in
-  if cache_access t ~tid a then put_jittered t lat.cache_hit_ns
-  else begin
-    let c = t.counters in
-    if store then begin
-      c.store_misses <- c.store_misses + 1;
-      Obs.bump ~tid Obs.id_store_miss
-    end
-    else begin
-      c.load_misses <- c.load_misses + 1;
-      Obs.bump ~tid Obs.id_load_miss
-    end;
-    let now = Array.unsafe_get t.now_cell 0 in
-    let node = home_node t a in
-    let q = queue_delay t.read_free_at node ~now ~service:lat.read_service_ns in
-    put_jittered t ((lat.pmem_read_ns *. numa_factor t ~tid a) +. q)
+  let c = t.counters in
+  if store then begin
+    c.store_misses <- c.store_misses + 1;
+    Obs.bump ~tid Obs.id_store_miss
   end
+  else begin
+    c.load_misses <- c.load_misses + 1;
+    Obs.bump ~tid Obs.id_load_miss
+  end;
+  let now = Array.unsafe_get t.now_cell 0 in
+  let node = home_node t a in
+  let q = queue_delay t.read_free_at node ~now ~service:lat.read_service_ns in
+  put_jittered t ((lat.pmem_read_ns *. numa_factor t ~tid a) +. q)
+
+let[@inline] put_access_latency t ~tid ~store a =
+  if cache_access t ~tid a then put_jittered t t.config.latency.cache_hit_ns
+  else access_miss t ~tid ~store a
 
 (* ---- functional operations ------------------------------------------- *)
 
@@ -395,13 +406,15 @@ let release t page e =
    hold absolute times, so a clock regression marks a new run and the
    controller backlog is cleared. Called at the top of every operation
    (rather than from wrapper closures in [machine]) to keep the per-op call
-   chain flat. "Now" comes from the clock cell the scheduler maintains. *)
-let check_new_run t =
+   chain flat. "Now" comes from the clock cell the scheduler maintains.
+   Inlined; the reset is not. *)
+let reset_queues t =
+  Array.fill t.read_free_at 0 (Array.length t.read_free_at) 0.0;
+  Array.fill t.write_free_at 0 (Array.length t.write_free_at) 0.0
+
+let[@inline] check_new_run t =
   let now = Array.unsafe_get t.now_cell 0 in
-  if now < Array.unsafe_get t.last_now 0 then begin
-    Array.fill t.read_free_at 0 (Array.length t.read_free_at) 0.0;
-    Array.fill t.write_free_at 0 (Array.length t.write_free_at) 0.0
-  end;
+  if now < Array.unsafe_get t.last_now 0 then reset_queues t;
   Array.unsafe_set t.last_now 0 now
 
 let read t ~tid a =
@@ -499,18 +512,22 @@ let fence t ~tid =
       ~farg:(Array.unsafe_get t.lat_cell 0)
 
 (* The ops already handle run-restart detection themselves, so the machine
-   record is plain partial applications — no per-op wrapper closures. The
-   clock and latency cells are shared with the scheduler directly. *)
+   record's closures only supply [t]. Each has exactly the arity the
+   scheduler calls it with: a partial application ([read t]) would reach the
+   op through an extra currying hop on every call. The clock and latency
+   cells are shared with the scheduler directly. *)
 let machine t : Sim.Sched.machine =
   {
-    read = read t;
-    write = write t;
-    cas = cas t;
-    flush = flush t;
-    fence = fence t;
+    read = (fun ~tid a -> read t ~tid a);
+    write = (fun ~tid a v -> write t ~tid a v);
+    cas = (fun ~tid a expected desired -> cas t ~tid a expected desired);
+    flush = (fun ~tid a -> flush t ~tid a);
+    fence = (fun ~tid -> fence t ~tid);
     clock = t.now_cell;
     latency = t.lat_cell;
   }
+
+let port t = t.port
 
 (* ---- crash and recovery ---------------------------------------------- *)
 
@@ -547,8 +564,7 @@ let crash ?(persist_line = fun ~pool:_ ~line:_ -> false) t =
     ids;
   t.n_dirty <- 0;
   invalidate_all_caches t;
-  Array.fill t.read_free_at 0 (Array.length t.read_free_at) 0.0;
-  Array.fill t.write_free_at 0 (Array.length t.write_free_at) 0.0;
+  reset_queues t;
   t.crash_count <- t.crash_count + 1
 
 (* Lines written since their last flush — the candidates a crash decides

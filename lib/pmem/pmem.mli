@@ -96,6 +96,11 @@ val thread_node : t -> int -> int
 
 val machine : t -> Sim.Sched.machine
 
+val port : t -> Sim.Sched.port
+(** The port every simulated access to this memory is issued through (see
+    [Sim.Sched.Port]): one per instance, so a run over it does no
+    domain-local lookup per access. *)
+
 (** {1 Crash model} *)
 
 val crash : ?persist_line:(pool:int -> line:int -> bool) -> t -> unit

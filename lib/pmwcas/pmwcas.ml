@@ -78,19 +78,19 @@ let desc_of_ref r = r land lnot desc_mark
    owner and by any reader that encounters the marked reference. *)
 let rec complete t di =
   let da = desc_addr t di in
-  let count = Sim.Sched.read (da + d_count) in
+  let count = Mem.read t.mem (da + d_count) in
   let dref = desc_ref t di in
   let decide desired =
-    ignore (Sim.Sched.cas (da + d_status) ~expected:status_undecided ~desired)
+    ignore (Mem.cas t.mem (da + d_status) ~expected:status_undecided ~desired)
   in
   (* Phase 1: install marked references, stopping early once the status is
      decided (a helper may have finished phase 2 already). *)
   let rec install i =
-    if i < count && Sim.Sched.read (da + d_status) = status_undecided then begin
-      let addr = Sim.Sched.read (da + d_entry i) in
-      let expected = Sim.Sched.read (da + d_entry i + 1) in
+    if i < count && Mem.read t.mem (da + d_status) = status_undecided then begin
+      let addr = Mem.read t.mem (da + d_entry i) in
+      let expected = Mem.read t.mem (da + d_entry i + 1) in
       let rec try_install () =
-        let cur = Sim.Sched.read addr in
+        let cur = Mem.read t.mem addr in
         if cur = dref then `Installed
         else if is_desc_ref cur then begin
           (* conflicting operation: help it first, then retry *)
@@ -98,8 +98,8 @@ let rec complete t di =
           try_install ()
         end
         else if cur land value_mask <> expected land value_mask then `Mismatch
-        else if Sim.Sched.cas addr ~expected:cur ~desired:dref then begin
-          Sim.Sched.flush addr;
+        else if Mem.cas t.mem addr ~expected:cur ~desired:dref then begin
+          Mem.flush t.mem addr;
           `Installed
         end
         else try_install ()
@@ -112,19 +112,19 @@ let rec complete t di =
   install 0;
   (* Phase 2: decide (no-op when a helper already did). *)
   decide status_succeeded;
-  Sim.Sched.flush (da + d_status);
-  Sim.Sched.fence ();
-  let final = Sim.Sched.read (da + d_status) in
+  Mem.flush t.mem (da + d_status);
+  Mem.fence t.mem;
+  let final = Mem.read t.mem (da + d_status) in
   (* Phase 3: replace marked references with final values (dirty). *)
   for i = 0 to count - 1 do
-    let addr = Sim.Sched.read (da + d_entry i) in
-    let expected = Sim.Sched.read (da + d_entry i + 1) in
-    let nv = Sim.Sched.read (da + d_entry i + 2) in
+    let addr = Mem.read t.mem (da + d_entry i) in
+    let expected = Mem.read t.mem (da + d_entry i + 1) in
+    let nv = Mem.read t.mem (da + d_entry i + 2) in
     let v = if final = status_succeeded then nv else expected in
-    if Sim.Sched.cas addr ~expected:dref ~desired:(v lor dirty_bit) then
-      Sim.Sched.flush addr
+    if Mem.cas t.mem addr ~expected:dref ~desired:(v lor dirty_bit) then
+      Mem.flush t.mem addr
   done;
-  Sim.Sched.fence ();
+  Mem.fence t.mem;
   final = status_succeeded
 
 (* ---- public operations ------------------------------------------------- *)
@@ -132,15 +132,15 @@ let rec complete t di =
 (* Mark-aware, dirty-clearing read: the only safe way to observe a word
    governed by PMwCAS. *)
 let rec read t addr =
-  let v = Sim.Sched.read addr in
+  let v = Mem.read t.mem addr in
   if is_desc_ref v then begin
     ignore (complete t (desc_of_ref v));
     read t addr
   end
   else if is_dirty v then begin
     (* Flush on behalf of the writer, then clear the dirty bit. *)
-    Sim.Sched.flush addr;
-    ignore (Sim.Sched.cas addr ~expected:v ~desired:(v land value_mask));
+    Mem.flush t.mem addr;
+    ignore (Mem.cas t.mem addr ~expected:v ~desired:(v land value_mask));
     v land value_mask
   end
   else v
@@ -149,8 +149,8 @@ let rec read t addr =
    counter is the contention point. *)
 let rec alloc_descriptor t =
   let ca = Pmem.addr ~pool:t.pool ~word:t.counter_word in
-  let c = Sim.Sched.read ca in
-  if Sim.Sched.cas ca ~expected:c ~desired:(c + 1) then begin
+  let c = Mem.read t.mem ca in
+  if Mem.cas t.mem ca ~expected:c ~desired:(c + 1) then begin
     t.allocations <- t.allocations + 1;
     c mod t.n_descriptors
   end
@@ -172,18 +172,18 @@ let mwcas t entries =
   Array.sort (fun (a, _, _) (b, _, _) -> compare a b) entries;
   let di = alloc_descriptor t in
   let da = desc_addr t di in
-  Sim.Sched.write (da + d_status) status_undecided;
-  Sim.Sched.write (da + d_count) n;
+  Mem.write t.mem (da + d_status) status_undecided;
+  Mem.write t.mem (da + d_count) n;
   Array.iteri
     (fun i (addr, expected, desired) ->
-      Sim.Sched.write (da + d_entry i) addr;
-      Sim.Sched.write (da + d_entry i + 1) expected;
-      Sim.Sched.write (da + d_entry i + 2) desired)
+      Mem.write t.mem (da + d_entry i) addr;
+      Mem.write t.mem (da + d_entry i + 1) expected;
+      Mem.write t.mem (da + d_entry i + 2) desired)
     entries;
   (* Persist the descriptor before any reference to it can be installed. *)
-  Sim.Sched.flush da;
-  Sim.Sched.flush (da + Pmem.line_words);
-  Sim.Sched.fence ();
+  Mem.flush t.mem da;
+  Mem.flush t.mem (da + Pmem.line_words);
+  Mem.fence t.mem;
   complete t di
 
 (* ---- recovery ----------------------------------------------------------- *)
@@ -194,27 +194,27 @@ let mwcas t entries =
 let recover t =
   for di = 0 to t.n_descriptors - 1 do
     let da = desc_addr t di in
-    let status = Sim.Sched.read (da + d_status) in
-    let count = Sim.Sched.read (da + d_count) in
+    let status = Mem.read t.mem (da + d_status) in
+    let count = Mem.read t.mem (da + d_count) in
     if count > 0 && count <= max_entries then begin
       let dref = desc_ref t di in
       for i = 0 to count - 1 do
-        let addr = Sim.Sched.read (da + d_entry i) in
-        let expected = Sim.Sched.read (da + d_entry i + 1) in
-        let nv = Sim.Sched.read (da + d_entry i + 2) in
-        let cur = Sim.Sched.read addr in
+        let addr = Mem.read t.mem (da + d_entry i) in
+        let expected = Mem.read t.mem (da + d_entry i + 1) in
+        let nv = Mem.read t.mem (da + d_entry i + 2) in
+        let cur = Mem.read t.mem addr in
         if cur = dref then begin
           let v = if status = status_succeeded then nv else expected in
-          if Sim.Sched.cas addr ~expected:dref ~desired:v then begin
-            Sim.Sched.flush addr;
-            Sim.Sched.fence ()
+          if Mem.cas t.mem addr ~expected:dref ~desired:v then begin
+            Mem.flush t.mem addr;
+            Mem.fence t.mem
           end
         end
       done;
       if status = status_undecided then begin
-        Sim.Sched.write (da + d_status) status_failed;
-        Sim.Sched.flush (da + d_status);
-        Sim.Sched.fence ()
+        Mem.write t.mem (da + d_status) status_failed;
+        Mem.flush t.mem (da + d_status);
+        Mem.fence t.mem
       end
     end
   done

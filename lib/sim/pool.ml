@@ -43,7 +43,7 @@ let run_seq thunks = List.map (fun f -> f ()) thunks
 let run ?jobs thunks =
   let n = List.length thunks in
   let jobs =
-    match jobs with Some j -> max 1 (min j n) | None -> min (default_jobs ()) n
+    match jobs with Some j -> Int.max 1 (Int.min j n) | None -> Int.min (default_jobs ()) n
   in
   if
     jobs <= 1 || n <= 1
@@ -145,7 +145,7 @@ let run_phased ?(domains = 0) ~stations ~step ~exchange ~finalize () =
       finalize ~station:i
     done
   in
-  let w = min domains (stations - 1) in
+  let w = Int.min domains (stations - 1) in
   if w <= 0 || Domain.DLS.get in_worker_key then seq ()
   else begin
     let m = Mutex.create () in

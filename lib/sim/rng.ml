@@ -43,7 +43,7 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   next t mod bound
 
-let[@inline] float t = float_of_int (next t) /. 4611686018427387904.0 (* 2^62 *)
+let[@inline] float t = float_of_int (next t) *. 0x1p-62 (* exactly [/. 2^62] *)
 
 let bool t = Int64.logand (next64 t) 1L = 1L
 

@@ -42,6 +42,18 @@
    scheduled through the heap — the reference implementation the regression
    test compares against.
 
+   How a primitive finds the run: the run in progress on a domain sits in
+   a domain-local slot, which [drive] sets and restores around each slice.
+   The plain wrappers ([read], [write], ...) look it up on every call. The
+   hot path does not: each simulated memory owns a [port], a cell caching
+   the run state that last used it, valid while that state's [live] flag
+   is set. [drive] sets the flag and clears it on exit and for as long as
+   a nested drive runs, so a live cached state is always the domain's
+   current one; a miss refreshes the port from the slot. [Memory.Mem] and
+   the structures built on it issue every access through their pool's
+   port, so a simulated access does no domain-local lookup; the wrappers
+   remain for code that has no memory at hand (probes, tests).
+
    Allocation discipline: the inline path runs once per simulated memory
    access — hundreds of millions of times per benchmark — and allocates
    nothing; a parked event allocates only the continuation [perform]
@@ -244,10 +256,11 @@ end
 type crash_point = No_crash | After_events of int
 
 (* State of the run in progress. A domain-local slot (set for the duration
-   of [run]) lets the primitive wrappers below run inline instead of
-   performing an effect per call. Domain-local rather than a module-level
-   ref so independent [run]s can execute concurrently on parallel domains
-   (see Pool); within one domain runs still nest (save/restore). *)
+   of each drive), or a port caching it, lets the primitive wrappers below
+   run inline instead of performing an effect per call. Domain-local rather
+   than a module-level ref so independent [run]s can execute concurrently
+   on parallel domains (see Pool); within one domain runs still nest
+   (save/restore). *)
 type run_state = {
   machine : machine;
   clock : float array;  (* == machine.clock *)
@@ -278,6 +291,10 @@ type run_state = {
       (* [Obs.Trace.enabled ()], read once per drive (and at launch) rather
          than by a domain-local lookup at every park and resume; tracing is
          only ever switched on or off between runs *)
+  mutable live : bool;
+      (* set while [drive] runs this state's events and no nested drive is
+         in progress: exactly when it is the domain's current run state, so
+         a [port] holding it may use it without a domain-local lookup *)
 }
 
 let current_key : run_state option Domain.DLS.key =
@@ -342,8 +359,9 @@ and kill st tid = function
    [st.latency.(0)]: bump the clock in place when this fiber would wake
    strictly before every parked one, yield through the heap ([Park]) when it
    would not. Raises [Crashed] (unwinding the calling fiber, exactly like a
-   discontinue at this point) when the crash point fires. *)
-let inline_settle st =
+   discontinue at this point) when the crash point fires. Inlined into each
+   primitive, so its hit path is one straight run of code. *)
+let[@inline] inline_settle st =
   st.events <- st.events + 1;
   if st.crashed || crash_due st then begin
     st.crashed <- true;
@@ -358,8 +376,8 @@ let inline_settle st =
     Effect.perform Park
   end
 
-(* Primitive wrappers — what algorithm code calls. Inline (no effect, no
-   continuation capture) whenever a fast-path run is active; effects
+(* Primitive wrappers, through the domain-local slot. Inline (no effect,
+   no continuation capture) whenever a fast-path run is active; effects
    otherwise, i.e. under [fast_path:false] or outside [run] (where the
    perform raises [Effect.Unhandled], as before). *)
 
@@ -422,6 +440,102 @@ let self () =
 
 let yield () = charge 15.0
 
+(* Ports: the same primitives without the domain-local lookup. A port
+   caches the run state that last used it; the cached state is current
+   exactly while its [live] flag is set, so a hit goes straight to
+   [st.machine] and [inline_settle]. A miss (a new run, a nested drive, the
+   reference path, no run at all) refreshes the port from the domain-local
+   slot and does what the wrapper above does; a finished run's state stays
+   reachable from its ports until then. The hit paths are inlined into the
+   caller (so [charge]'s float is never boxed), the misses are not. *)
+type port = { mutable cur : run_state option }
+
+module Port = struct
+  type t = port
+
+  let create () = { cur = None }
+  let refresh p = p.cur <- Domain.DLS.get current_key
+
+  let[@inline never] read_miss p a =
+    refresh p;
+    read a
+
+  let[@inline never] write_miss p a v =
+    refresh p;
+    write a v
+
+  let[@inline never] cas_miss p a expected desired =
+    refresh p;
+    cas a ~expected ~desired
+
+  let[@inline never] flush_miss p a =
+    refresh p;
+    flush a
+
+  let[@inline never] fence_miss p =
+    refresh p;
+    fence ()
+
+  let[@inline never] charge_miss p ns =
+    refresh p;
+    charge ns
+
+  let[@inline never] self_miss p =
+    refresh p;
+    self ()
+
+  let[@inline] read p a =
+    match p.cur with
+    | Some st when st.live && st.fast_path ->
+        let v = st.machine.read ~tid:st.current_tid a in
+        inline_settle st;
+        v
+    | _ -> read_miss p a
+
+  let[@inline] write p a v =
+    match p.cur with
+    | Some st when st.live && st.fast_path ->
+        st.machine.write ~tid:st.current_tid a v;
+        inline_settle st
+    | _ -> write_miss p a v
+
+  let[@inline] cas p a ~expected ~desired =
+    match p.cur with
+    | Some st when st.live && st.fast_path ->
+        let ok = st.machine.cas ~tid:st.current_tid a expected desired in
+        inline_settle st;
+        ok
+    | _ -> cas_miss p a expected desired
+
+  let[@inline] flush p a =
+    match p.cur with
+    | Some st when st.live && st.fast_path ->
+        st.machine.flush ~tid:st.current_tid a;
+        inline_settle st
+    | _ -> flush_miss p a
+
+  let[@inline] fence p =
+    match p.cur with
+    | Some st when st.live && st.fast_path ->
+        st.machine.fence ~tid:st.current_tid;
+        inline_settle st
+    | _ -> fence_miss p
+
+  let[@inline] charge p ns =
+    match p.cur with
+    | Some st when st.live && st.fast_path ->
+        Array.unsafe_set st.latency 0 ns;
+        inline_settle st
+    | _ -> charge_miss p ns
+
+  let yield p = charge p 15.0
+
+  let[@inline] self p =
+    match p.cur with
+    | Some st when st.live -> st.current_tid
+    | _ -> self_miss p
+end
+
 (* An epoch-bounded scheduling session: the same run state as [run], but
    driven in externally-controlled slices ([step ~until]) instead of one
    shot. Fibers whose next wake-up lies at or beyond the current bound park
@@ -441,7 +555,7 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
     List.fold_left
       (fun m (tid, _) ->
         if tid < 0 then invalid_arg "Sched.run: negative tid";
-        max m tid)
+        Int.max m tid)
       (-1) bodies
   in
   let st =
@@ -463,6 +577,7 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
       current_tid = -1;
       finished = 0;
       tracing = Obs.Trace.enabled ();
+      live = false;
     }
   in
   st.clock.(0) <- 0.0;
@@ -611,9 +726,17 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
 let drive st =
   st.tracing <- Obs.Trace.enabled ();
   let saved = Domain.DLS.get current_key in
+  (* a drive nested in one of [saved]'s fibers: [saved] stops being the
+     current run state until this drive returns *)
+  let set_live live = match saved with Some o -> o.live <- live | None -> () in
+  set_live false;
   Domain.DLS.set current_key (Some st);
+  st.live <- true;
   Fun.protect
-    ~finally:(fun () -> Domain.DLS.set current_key saved)
+    ~finally:(fun () ->
+      st.live <- false;
+      Domain.DLS.set current_key saved;
+      set_live true)
     (fun () -> handoff st)
 
 let step s ~until =

@@ -4,7 +4,14 @@
     primitive is an effect charged simulated nanoseconds by a {!machine}.
     The scheduler resumes the fiber with the smallest virtual clock, so
     interleavings (CAS races, lock contention, helping) are genuine and
-    reproducible on a single host core. *)
+    reproducible on a single host core.
+
+    A primitive reaches the run in progress in one of two ways: the plain
+    wrappers ({!read}, {!write}, ...) look it up in [Domain.DLS] on every
+    call; a {!Port} caches it per simulated memory and looks it up only
+    when the run it cached is no longer the one being driven. Both give
+    the same results; the port is the hot path ([Memory.Mem] issues every
+    access through its pool's port). *)
 
 type addr = int
 (** A simulated physical word address (pool id in high bits, word index in
@@ -45,8 +52,9 @@ exception Crashed
 (** Raised inside a fiber when the simulated machine crashes; fibers must not
     catch it (the scheduler uses it to unwind). *)
 
-(** {1 Primitive wrappers} — what algorithm code calls. Only valid inside a
-    fiber run by {!run}. *)
+(** {1 Primitive wrappers} — find the run through [Domain.DLS]; code that
+    has a simulated memory at hand issues the same primitives through its
+    {!Port}. Only valid inside a fiber run by {!run}. *)
 
 val read : addr -> int
 val write : addr -> int -> unit
@@ -69,6 +77,35 @@ val self : unit -> int
 
 val yield : unit -> unit
 (** Reschedule after a small fixed delay (spin-wait step). *)
+
+(** {1 Ports}
+
+    The wrappers above find the run in progress through [Domain.DLS] on
+    every call. A port is a cell that caches the run state that last used
+    it, so a primitive issued through it does no domain-local lookup: the
+    cached state is used while that run is being driven and no nested drive
+    is in progress, and the port refreshes itself from [Domain.DLS]
+    otherwise. Give each simulated memory (each [Pmem.t]) its own port and
+    issue every primitive on it through that port; a port is not shared by
+    simulations on concurrent domains. Results, times, event counts and
+    crash points are exactly those of the wrappers above, including outside
+    a run and under [fast_path:false]. *)
+
+type port
+
+module Port : sig
+  type t = port
+
+  val create : unit -> t
+  val read : t -> addr -> int
+  val write : t -> addr -> int -> unit
+  val cas : t -> addr -> expected:int -> desired:int -> bool
+  val flush : t -> addr -> unit
+  val fence : t -> unit
+  val charge : t -> float -> unit
+  val self : t -> int
+  val yield : t -> unit
+end
 
 type outcome =
   | Completed of { time : float; events : int; fibers : int }

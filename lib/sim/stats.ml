@@ -11,7 +11,7 @@ type t = {
 }
 
 let create ?(capacity = 1024) () =
-  { data = Array.make (max 1 capacity) 0.0; len = 0; sorted = true }
+  { data = Array.make (Int.max 1 capacity) 0.0; len = 0; sorted = true }
 
 let clear t =
   t.len <- 0;
@@ -32,7 +32,7 @@ let count t = t.len
 let ensure_sorted t =
   if not t.sorted then begin
     let live = Array.sub t.data 0 t.len in
-    Array.sort compare live;
+    Array.sort Float.compare live;
     Array.blit live 0 t.data 0 t.len;
     t.sorted <- true
   end
@@ -64,7 +64,7 @@ let percentile t p =
   if t.len = 0 then invalid_arg "Sim.Stats.percentile: empty collection";
   ensure_sorted t;
   let rank = int_of_float (ceil (p /. 100.0 *. float_of_int t.len)) in
-  let idx = max 0 (min (t.len - 1) (rank - 1)) in
+  let idx = Int.max 0 (Int.min (t.len - 1) (rank - 1)) in
   t.data.(idx)
 
 let min_value t =

@@ -28,36 +28,77 @@ let mk_pmem seed =
       seed;
     }
 
+(* The primitives a fiber issues: the scheduler's domain-local wrappers,
+   or a memory's port (see the "ports" cases below). *)
+type prims = {
+  read : Sim.Sched.addr -> int;
+  write : Sim.Sched.addr -> int -> unit;
+  cas : Sim.Sched.addr -> expected:int -> desired:int -> bool;
+  flush : Sim.Sched.addr -> unit;
+  fence : unit -> unit;
+  charge : float -> unit;
+  yield : unit -> unit;
+  self : unit -> int;
+}
+
+let dls =
+  {
+    read = Sim.Sched.read;
+    write = Sim.Sched.write;
+    cas = Sim.Sched.cas;
+    flush = Sim.Sched.flush;
+    fence = Sim.Sched.fence;
+    charge = Sim.Sched.charge;
+    yield = Sim.Sched.yield;
+    self = Sim.Sched.self;
+  }
+
+let via_port pmem =
+  let p = Pmem.port pmem in
+  let module P = Sim.Sched.Port in
+  {
+    read = P.read p;
+    write = P.write p;
+    cas = P.cas p;
+    flush = P.flush p;
+    fence = (fun () -> P.fence p);
+    charge = P.charge p;
+    yield = (fun () -> P.yield p);
+    self = (fun () -> P.self p);
+  }
+
 (* One fiber: a per-tid RNG picks addresses and an op mix that exercises
    every effect the scheduler handles, including some that resolve without
    parking (Now, Self). *)
-let body ~seed ~tid =
+let mixed p ~ops ~seed ~tid =
   let rng = Sim.Rng.create ((seed * 1000) + tid) in
   let sink = ref 0 in
-  for _ = 1 to ops_per_thread do
+  for _ = 1 to ops do
     let a =
       Pmem.addr ~pool:(Sim.Rng.int rng n_pools)
         ~word:(Sim.Rng.int rng pool_words)
     in
     match Sim.Rng.int rng 10 with
-    | 0 | 1 | 2 | 3 -> sink := !sink + Sim.Sched.read a
-    | 4 | 5 -> Sim.Sched.write a (Sim.Rng.int rng 1000)
+    | 0 | 1 | 2 | 3 -> sink := !sink + p.read a
+    | 4 | 5 -> p.write a (Sim.Rng.int rng 1000)
     | 6 ->
-        let v = Sim.Sched.read a in
+        let v = p.read a in
         (* half genuine CAS, half deliberately stale expected value *)
         let expected = if Sim.Rng.int rng 2 = 0 then v else v + 1 in
-        ignore (Sim.Sched.cas a ~expected ~desired:(v + 1))
+        ignore (p.cas a ~expected ~desired:(v + 1))
     | 7 ->
-        Sim.Sched.write a (Sim.Rng.int rng 1000);
-        Sim.Sched.flush a;
-        Sim.Sched.fence ()
+        p.write a (Sim.Rng.int rng 1000);
+        p.flush a;
+        p.fence ()
     | 8 ->
-        Sim.Sched.charge 3.5;
-        Sim.Sched.yield ()
+        p.charge 3.5;
+        p.yield ()
     | _ ->
         let t0 = Sim.Sched.now () in
-        sink := !sink + Sim.Sched.self () + int_of_float t0
+        sink := !sink + p.self () + int_of_float t0
   done
+
+let body ~seed ~tid = mixed dls ~ops:ops_per_thread ~seed ~tid
 
 let bodies seed = List.init threads (fun tid -> (tid, body ~seed))
 
@@ -229,6 +270,117 @@ let test_traced_session_matches_run () =
     (List.for_all (fun (ts, _, _, _, _) -> ts < 10_000.0) partial);
   check_bool "the steps before it recorded" true (partial <> [])
 
+(* ---- ports ------------------------------------------------------------------ *)
+
+(* A primitive issued through a memory's port reaches the run that is
+   being driven, exactly as the domain-local wrappers do. Each scenario
+   below is run twice, once with every fiber on the wrappers and once with
+   every fiber on its memory's port, and must report the same outcomes
+   (times, event counts) and PMEM counters. *)
+
+let counters_repr name pmem =
+  List.map (fun (k, v) -> Printf.sprintf "%s.%s=%d" name k v) (counter_list pmem)
+
+let fibers n f = List.init n (fun tid -> (tid, f))
+
+let check_port_matches_dls name scenario =
+  Alcotest.(check (list string)) name (scenario (fun _ -> dls)) (scenario via_port)
+
+(* A fiber of a run over one memory runs a nested [Sched.run] over a second
+   one. The nested fibers also issue primitives through the outer memory's
+   port, whose cached state (the outer run) is not live while the nested
+   drive runs: they must reach the nested run. Back in the outer run, the
+   port must find the outer run again. *)
+let test_port_nested () =
+  check_port_matches_dls "nested run" (fun prims ->
+      let outer = mk_pmem 11 and inner = mk_pmem 12 in
+      let po = prims outer and pi = prims inner in
+      let log = ref [] in
+      let inner_body ~tid =
+        mixed pi ~ops:60 ~seed:6 ~tid;
+        ignore (po.read (Pmem.addr ~pool:0 ~word:(64 * tid)) : int);
+        po.write (Pmem.addr ~pool:1 ~word:(64 * tid)) tid;
+        log := Printf.sprintf "inner tid %d at %h" (po.self ()) (Sim.Sched.now ()) :: !log
+      in
+      let outer_body ~tid =
+        mixed po ~ops:60 ~seed:5 ~tid;
+        if tid = 1 then
+          log :=
+            outcome_repr (Sim.Sched.run ~machine:(Pmem.machine inner) (fibers 3 inner_body))
+            :: !log;
+        mixed po ~ops:60 ~seed:7 ~tid
+      in
+      let o = Sim.Sched.run ~machine:(Pmem.machine outer) (fibers 4 outer_body) in
+      (outcome_repr o :: List.rev !log)
+      @ counters_repr "outer" outer @ counters_repr "inner" inner)
+
+(* Two sessions over two memories stepped alternately on one domain (the
+   service engine's pattern): each drive leaves its state not live, so
+   each port refreshes once per step. *)
+let test_port_alternating_sessions () =
+  check_port_matches_dls "alternating sessions" (fun prims ->
+      let open_one seed =
+        let pmem = mk_pmem seed in
+        let p = prims pmem in
+        ( pmem,
+          Sim.Sched.open_session ~machine:(Pmem.machine pmem)
+            (fibers 4 (fun ~tid -> mixed p ~ops:120 ~seed ~tid)) )
+      in
+      let m1, s1 = open_one 21 and m2, s2 = open_one 22 in
+      let bound = ref 700.0 in
+      while !bound < 30_000.0 do
+        Sim.Sched.step s1 ~until:!bound;
+        Sim.Sched.step s2 ~until:!bound;
+        bound := !bound +. 700.0
+      done;
+      let o2 = outcome_repr (Sim.Sched.finish s2) in
+      let o1 = outcome_repr (Sim.Sched.finish s1) in
+      [ o1; o2 ] @ counters_repr "m1" m1 @ counters_repr "m2" m2)
+
+(* One memory driven by several runs in a row, the middle one on the
+   reference path: the port holds each finished run until the next access
+   refreshes it. *)
+let test_port_consecutive_runs () =
+  check_port_matches_dls "consecutive runs" (fun prims ->
+      let pmem = mk_pmem 31 in
+      let p = prims pmem in
+      let run ~fast_path seed =
+        outcome_repr
+          (Sim.Sched.run ~fast_path ~machine:(Pmem.machine pmem)
+             (fibers 4 (fun ~tid -> mixed p ~ops:120 ~seed ~tid)))
+      in
+      let a = run ~fast_path:true 1 in
+      let b = run ~fast_path:false 2 in
+      let c = run ~fast_path:true 3 in
+      [ a; b; c ] @ counters_repr "pmem" pmem)
+
+(* A memory first driven on this domain, then by a run on a [Sim.Pool]
+   worker domain. *)
+let test_port_worker_domain () =
+  check_port_matches_dls "worker domain" (fun prims ->
+      let setup seed =
+        let pmem = mk_pmem seed in
+        let p = prims pmem in
+        let run seed =
+          outcome_repr
+            (Sim.Sched.run ~machine:(Pmem.machine pmem)
+               (fibers 4 (fun ~tid -> mixed p ~ops:120 ~seed ~tid)))
+        in
+        let here = run seed in
+        (pmem, here, run)
+      in
+      let m1, here1, run1 = setup 41 and m2, here2, run2 = setup 42 in
+      let there = Sim.Pool.run ~jobs:2 [ (fun () -> run1 43); (fun () -> run2 44) ] in
+      (here1 :: here2 :: there) @ counters_repr "m1" m1 @ counters_repr "m2" m2)
+
+(* Outside a run, a port primitive is an unhandled effect, as a wrapper is. *)
+let test_port_outside_run () =
+  let p = Pmem.port (mk_pmem 1) in
+  check_bool "read outside a run" true
+    (match Sim.Sched.Port.read p 0 with
+    | _ -> false
+    | exception Effect.Unhandled _ -> true)
+
 (* ---- allocation ------------------------------------------------------------ *)
 
 (* Minor words allocated by [f], net of what reading the counter costs. *)
@@ -280,6 +432,35 @@ let test_inline_events_allocate_nothing () =
         Sim.Sched.write remote !i;
         Sim.Sched.flush remote;
         Sim.Sched.fence ())
+  in
+  (match Sim.Sched.run ~machine:(Pmem.machine pmem) [ (0, body) ] with
+  | Sim.Sched.Completed _ -> ()
+  | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected crash");
+  List.iter
+    (fun (name, w) -> Alcotest.(check (float 0.0)) (name ^ ": minor words") 0.0 w)
+    (List.rev !measured)
+
+(* The same through [Mem]'s field accessors, which reach the run through
+   the memory's port: a cache-hit read, write or CAS of a field and the
+   flush of a clean line allocate nothing either. *)
+let test_port_field_accessors_allocate_nothing () =
+  native ();
+  let pmem = mk_pmem 1 in
+  let mem = Mem.create ~pmem ~chunk_words:1024 ~block_words:64 ~n_arenas:1 () in
+  let obj = Mem.riv_of_root ~pool:0 ~word:Mem.app_root_start in
+  let measured = ref [] in
+  let measure name op =
+    op ();
+    measured := (name, words (fun () -> for _ = 1 to n_alloc do op () done)) :: !measured
+  in
+  let body ~tid:_ =
+    Mem.write_field mem obj 0 1;
+    Mem.flush_field mem obj 8;
+    measure "read_field" (fun () -> ignore (Mem.read_field mem obj 0 : int));
+    measure "write_field" (fun () -> Mem.write_field mem obj 0 2);
+    measure "cas_field" (fun () ->
+        ignore (Mem.cas_field mem obj 0 ~expected:2 ~desired:2 : bool));
+    measure "flush_field" (fun () -> Mem.flush_field mem obj 8)
   in
   (match Sim.Sched.run ~machine:(Pmem.machine pmem) [ (0, body) ] with
   | Sim.Sched.Completed _ -> ()
@@ -443,10 +624,20 @@ let () =
           case "a stepped session records its run's trace"
             test_traced_session_matches_run;
         ] );
+      ( "ports",
+        [
+          case "a nested run over a second memory" test_port_nested;
+          case "two sessions stepped alternately" test_port_alternating_sessions;
+          case "several runs in a row over one memory" test_port_consecutive_runs;
+          case "a run on a worker domain" test_port_worker_domain;
+          case "outside a run" test_port_outside_run;
+        ] );
       ( "allocation",
         [
           case "inline cache-hit primitives allocate nothing"
             test_inline_events_allocate_nothing;
+          case "field accessors through the port allocate nothing"
+            test_port_field_accessors_allocate_nothing;
           case "RNG draws allocate nothing" test_rng_draws_allocate_nothing;
           case "timing into a histogram allocates nothing"
             test_timed_histogram_add_allocates_nothing;

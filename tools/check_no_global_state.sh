@@ -2,8 +2,8 @@
 # Lint: no new toplevel mutable globals in the simulation core or the
 # service layers.
 #
-# lib/sim, lib/pmem, lib/svc, lib/obs and lib/detect must stay safe to
-# run on concurrent domains (Sim.Pool fans independent simulations out in
+# lib/sim, lib/pmem, lib/mem, lib/core, lib/svc, lib/obs and lib/detect
+# must stay safe to run on concurrent domains (Sim.Pool fans independent simulations out in
 # parallel, and Svc.Domains pins one shard station per worker domain).
 # All run-scoped mutable state lives either inside a per-run/per-instance
 # record or in Domain.DLS; a toplevel `ref`, mutable array, hashtable, or
