@@ -71,6 +71,10 @@ let multi_sys = { Kv.default_sys with mode = Pmem.Multi_pool; pool_words = 1 lsl
 
 let bench_cfg = { Upskiplist.Config.default with keys_per_node = 64 }
 
+(* Crash trials build their fixture from a spec: the figures' Optane
+   latency model on the numa layout, default tuning. *)
+let optane_spec = { Fault.default_spec with latency = Kv.Optane }
+
 let structure_makers () =
   [
     ("UPSkipList", fun () -> Kv.make_upskiplist ~cfg:bench_cfg striped_sys);
@@ -385,47 +389,45 @@ let workload_e () =
 
 (* Fault's single-crash trial: preload the keyspace, crash an upsert
    workload mid-run, reconnect, and time recovery (pool reopen + the
-   structure's recovery fiber). Every trial is a fresh fixture, so the
-   whole 4-structure x 3-trial grid pools freely. *)
-let recovery_trial_once ~make i =
-  let r =
-    Fault.run_trial ~make
-      {
-        Fault.default_spec with
-        threads = 8;
-        keyspace = !scale.n_initial / 2;
-        ops_per_thread = 2_000;
-        read_fraction = 0.0;
-        crash_at = 50_000 + (i * 13_337);
-        draw_seed = seed + i;
-        seed;
-      }
-  in
+   structure's recovery fiber). Trial [i] of a row runs its spec with the
+   crash point moved [i * 13_337] events and the draw seed [i] later. Every
+   trial is a fresh fixture, so the whole 4-structure x 3-trial grid pools
+   freely. *)
+let recovery_trial_spec (base : Fault.spec) i =
+  {
+    base with
+    threads = 8;
+    keyspace = !scale.n_initial / 2;
+    ops_per_thread = 2_000;
+    read_fraction = 0.0;
+    crash_at = 50_000 + (i * 13_337);
+    draw_seed = seed + i;
+    seed;
+  }
+
+let recovery_trial_once base i =
+  let r = Fault.run_trial (recovery_trial_spec base i) in
   if r.Fault.crashes = 0 then failwith "table5.4: expected crash";
   r.Fault.recovery_ns /. 1.0e9
 
 let table_5_4 () =
   Report.heading "Table 5.4 — recovery time (average of 3 trials)";
+  let bztree descriptors =
+    { optane_spec with structure = Kv.Bztree; mode = Pmem.Striped; descriptors }
+  in
   let entries =
     [
-      ( "UPSkipList (4 pools)",
-        fun () -> Kv.make_upskiplist ~cfg:bench_cfg multi_sys );
-      ( "BzTree (500K descriptors)",
-        fun () ->
-          Kv.make_bztree ~n_descriptors:500_000
-            { striped_sys with pool_words = 1 lsl 23 } );
-      ( "BzTree (100K descriptors)",
-        fun () -> Kv.make_bztree ~n_descriptors:100_000 striped_sys );
+      ("UPSkipList (4 pools)", { optane_spec with cfg = bench_cfg });
+      ("BzTree (500K descriptors)", bztree 500_000);
+      ("BzTree (100K descriptors)", bztree 100_000);
       ( "libpmemobj lock-based list",
-        fun () -> Kv.make_pmdk_list striped_sys );
+        { optane_spec with structure = Kv.Pmdk; mode = Pmem.Striped } );
     ]
   in
   let times =
     Sim.Pool.map ~jobs:!jobs
-      (fun (_, make, i) -> recovery_trial_once ~make i)
-      (List.concat_map
-         (fun (label, make) -> List.init 3 (fun i -> (label, make, i)))
-         entries)
+      (fun (base, i) -> recovery_trial_once base i)
+      (List.concat_map (fun (_, base) -> List.init 3 (fun i -> (base, i))) entries)
   in
   (* regroup the flat trial list: 3 consecutive times per structure *)
   let rows =
@@ -445,7 +447,14 @@ let table_5_4 () =
          (fun (label, mean, sd) ->
            [ label; Printf.sprintf "%.1f" (mean *. 1000.0); Printf.sprintf "%.1f" (sd *. 1000.0) ])
          rows);
-  Fmt.pr "@.(paper: 83.7 / 760 / 239 / 55.5 ms)@."
+  Fmt.pr "@.(paper: 83.7 / 760 / 239 / 55.5 ms)@.";
+  Fmt.pr
+    "@.replay lines (trial 0 of 3; trial i adds i*13337 to crash_at, i to \
+     draw):@.";
+  List.iter
+    (fun (label, base) ->
+      Fmt.pr "  %s: %s@." label (Fault.spec_to_string (recovery_trial_spec base 0)))
+    entries
 
 (* ---- Table 2.1: empirical complexity ---------------------------------------- *)
 
@@ -481,17 +490,15 @@ let chapter6 () =
        "Chapter 6 — black-box strict-linearizability campaign (%d crash \
         trials, UPSkipList)"
        !scale.chapter6_trials);
-  let sys = { multi_sys with pool_words = 1 lsl 20 } in
-  let make () = Kv.make_upskiplist sys in
   let trials = !scale.chapter6_trials in
   (* one trial per crash point, spread over [16k, 24k) events *)
   let step = 8_000 / trials in
   let s =
-    Fault.run_campaign ~jobs:!jobs ~make
+    Fault.run_campaign ~jobs:!jobs
       {
         Fault.base =
           {
-            Fault.default_spec with
+            optane_spec with
             threads = 8;
             keyspace = 200;
             ops_per_thread = 120;
@@ -511,18 +518,18 @@ let chapter6 () =
   | failures ->
       List.iter
         (fun ((spec : Fault.spec), (r : Fault.result)) ->
-          let pr what = Fmt.pr "crash_at %d: %s@." spec.Fault.crash_at what in
+          Fmt.pr "failing trial: %s@." (Fault.spec_to_string spec);
           List.iter
-            (fun v -> pr (Fmt.str "%a" Lincheck.Checker.pp_violation v))
+            (fun v -> Fmt.pr "  %a@." Lincheck.Checker.pp_violation v)
             r.Fault.violations;
-          List.iter (fun e -> pr ("audit: " ^ e)) r.Fault.audit_errors;
-          Option.iter (fun e -> pr ("raised: " ^ e)) r.Fault.raised)
+          List.iter (Fmt.pr "  audit: %s@.") r.Fault.audit_errors;
+          Option.iter (Fmt.pr "  raised: %s@.") r.Fault.raised)
         failures);
   (* sanity check of the analyzer itself, as in the thesis: inject errors *)
   let trial =
-    Fault.run_trial ~make
+    Fault.run_trial
       {
-        Fault.default_spec with
+        optane_spec with
         threads = 4;
         keyspace = 100;
         ops_per_thread = 100;

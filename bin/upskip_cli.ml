@@ -343,10 +343,16 @@ let spec_tokens_t =
     non_empty & pos_all string []
     & info [] ~docv:"SPEC"
         ~doc:
-          "Replay spec as printed by crash-sweep (key=value tokens; quoting the \
-           whole line as one argument also works). $(b,mutant=) takes none | \
-           skip_resolve | lose_key | skip_fp_repair | raise_hint | dangle | \
-           stale_tower_anchor.")
+          "Replay spec as printed by a failing trial (key=value tokens; \
+           quoting the whole line as one argument also works). The line is \
+           the trial's whole fixture: unnamed keys take their defaults. \
+           $(b,mutant=) takes none | skip_resolve | lose_key | skip_fp_repair \
+           | raise_hint | dangle | stale_tower_anchor. UPSkipList's tuning is \
+           $(b,keys=) (keys per node), $(b,height=) (levels), $(b,p=) (tower \
+           branching), $(b,budget=) (tower repairs per traversal) and \
+           $(b,reclaim=) on | off; BzTree's descriptor pool is \
+           $(b,descriptors=). Tuning a structure the spec does not build is \
+           rejected (exit 2).")
 
 let replay_cmd tokens =
   let line = String.concat " " tokens in

@@ -112,9 +112,9 @@ let () =
   (* a fully recorded crash trial with the Chapter 6 analysis *)
   let trial =
     Harness.Fault.run_trial
-      ~make:(fun () -> Harness.Kv.make_upskiplist Harness.Kv.default_sys)
       {
         Harness.Fault.default_spec with
+        latency = Harness.Kv.Optane;
         threads = 4;
         keyspace = 200;
         ops_per_thread = 150;

@@ -57,11 +57,16 @@ let round_to_line w = (w + line_words - 1) / line_words * line_words
 let fp_words t = round_to_line ((t.keys_per_node + fps_per_word - 1) / fps_per_word)
 
 let validate t =
-  if t.keys_per_node < 1 then invalid_arg "Config: keys_per_node < 1";
-  if t.max_height < 2 || t.max_height > 40 then invalid_arg "Config: max_height";
-  if t.branching_p <= 0.0 || t.branching_p >= 1.0 then
-    invalid_arg "Config: branching_p";
-  if t.recovery_budget < 0 then invalid_arg "Config: recovery_budget";
+  (* at most twice the paper's largest node, which keeps a node's eight
+     64-block arena chunks inside a 2^20-word pool *)
+  if t.keys_per_node < 1 || t.keys_per_node > 512 then
+    invalid_arg "Config: keys_per_node must be in 1..512";
+  if t.max_height < 2 || t.max_height > 40 then
+    invalid_arg "Config: max_height must be in 2..40";
+  if not (t.branching_p > 0.0 && t.branching_p < 1.0) then
+    invalid_arg "Config: branching_p must be in (0,1)";
+  if t.recovery_budget < 0 then
+    invalid_arg "Config: recovery_budget must be >= 0";
   (* Line-straddle guard: the pair region starts on a line boundary and
      slots are a power-of-two fraction of a line, so no slot's key/value
      pair may straddle two lines for any keys_per_node. If a layout edit

@@ -3,7 +3,8 @@
     events), and the keys-per-node choice is benchmarked as an ablation. *)
 
 type t = {
-  keys_per_node : int;  (** node capacity; 1 degenerates to Herlihy's list *)
+  keys_per_node : int;
+      (** node capacity (1..512); 1 degenerates to Herlihy's list *)
   max_height : int;  (** number of skip-list levels (2..40) *)
   branching_p : float;  (** geometric tower-height parameter, in (0,1) *)
   recovery_budget : int;

@@ -2,11 +2,13 @@
    behind the Chapter 6 strict-linearizability campaigns, the Table 5.4
    recovery times, the crash sweeps and the exactly-once campaigns.
 
-   A trial is described exhaustively by a {!spec} — structure, machine
-   model, workload shape, crash point, multi-crash depth, persisted-state
-   adversary, seeds, optional self-validation mutant — and is fully
-   deterministic given the spec, so every failure is replayable from its
-   one-line printed form ({!spec_to_string} / `upskip_cli crash-replay`).
+   A trial is described exhaustively by a {!spec} — structure and its
+   tuning, machine model, workload shape, crash point, multi-crash depth,
+   persisted-state adversary, seeds, optional self-validation mutant — and
+   is fully deterministic given the spec. The spec is the only description
+   of the fixture ({!kv_of_spec} builds it), so every failure is replayable
+   from its one-line printed form ({!spec_to_string} / `upskip_cli
+   crash-replay`).
 
    A single-crash trial (rounds = 1, depth = 0, evict = 0: every dirty
    line lost) preloads the structure, plays an upsert-heavy workload over a
@@ -54,6 +56,8 @@ type spec = {
                        descriptor resolve pass (detect trials only) *)
   detect : bool;  (* route upserts through per-client operation descriptors
                      and replay/suppress them exactly-once after crashes *)
+  cfg : Upskiplist.Config.t;  (* UPSkipList tuning; default off upskiplist *)
+  descriptors : int;  (* BzTree's PMwCAS descriptor pool; default off bztree *)
 }
 
 let default_spec =
@@ -74,6 +78,8 @@ let default_spec =
     audit = true;
     mutant = "none";
     detect = false;
+    cfg = Upskiplist.Config.default;
+    descriptors = 16_384;
   }
 
 type result = {
@@ -197,24 +203,48 @@ let repair_total () =
   + Obs.total Obs.id_split_repair
   + Obs.total Obs.id_tower_repair
 
-let run_trial ?mutant ~make (spec : spec) =
+(* ---- building the fixture a spec names ----------------------------------- *)
+
+(* Words per pool: 2^20, doubled until pool 0 (the whole device when
+   striped) holds BzTree's descriptor region twice over, so Table 5.4's
+   500K descriptors fit. Pool size changes no simulated number. *)
+let pool_words s =
+  let need =
+    match s.structure with
+    | Kv.Bztree -> 2 * s.descriptors * Pmwcas.desc_words
+    | Kv.Upskiplist | Kv.Pmdk -> 0
+  in
+  let pool0 w =
+    match s.mode with
+    | Pmem.Striped -> w * Kv.default_sys.numa_nodes
+    | Pmem.Multi_pool -> w
+  in
+  let rec grow w = if pool0 w >= need then w else grow (2 * w) in
+  grow (1 lsl 20)
+
+(* [Kv.default_sys], the figures' machine, under the spec's latency and
+   mode: four NUMA nodes and room for 200 threads (PMDK's recovery scans
+   one transaction lane per thread, so Table 5.4's PMDK row depends on
+   it). *)
+let kv_of_spec s =
+  Kv.make_named s.structure ~cfg:s.cfg ~n_descriptors:s.descriptors
+    ?detect_clients:(if s.detect then Some s.threads else None)
+    {
+      Kv.default_sys with
+      latency = Kv.latency_params s.latency;
+      mode = s.mode;
+      pool_words = pool_words s;
+      max_threads = max Kv.default_sys.max_threads s.threads;
+    }
+
+let run_trial (spec : spec) =
   let repairs_before = repair_total () in
-  let kv : Kv.t = make () in
+  let kv = kv_of_spec spec in
   let threads = spec.threads in
   let detect = spec.detect in
   let r = fresh_recorder ~max_threads:threads in
   let rng = Sim.Rng.create spec.draw_seed in
   let machine = Kv.machine kv in
-  let mutate =
-    match mutant with
-    | Some f -> f
-    | None ->
-        fun (kv : Kv.t) ->
-          (* "skip_resolve" is a harness mutant (the recovery fiber omits the
-             descriptor resolve pass), not a structure corruption *)
-          spec.mutant <> "none" && spec.mutant <> "skip_resolve"
-          && kv.Kv.corrupt spec.mutant
-  in
   let advance_base outcome =
     let time =
       match outcome with
@@ -266,7 +296,10 @@ let run_trial ?mutant ~make (spec : spec) =
         recover ~depth:(depth - 1)
   in
   let after_recovery () =
-    ignore (mutate kv : bool);
+    (* "skip_resolve" is a harness mutant (the recovery fiber omits the
+       descriptor resolve pass), not a structure corruption *)
+    if spec.mutant <> "none" && spec.mutant <> "skip_resolve" then
+      ignore (kv.Kv.corrupt spec.mutant : bool);
     if spec.audit then begin
       incr audits;
       audit_errors := !audit_errors @ kv.Kv.audit ()
@@ -435,21 +468,30 @@ let run_trial ?mutant ~make (spec : spec) =
 
 (* ---- replay specs (one line, self-contained) ----------------------------- *)
 
+let switch b = if b then "on" else "off"
+
+(* The fixture's tuning prints only where it differs from the default, so a
+   default fixture's line names none of its keys. *)
 let spec_to_string s =
+  let c = s.cfg and d = Upskiplist.Config.default in
+  let knob key show v dv = if v = dv then "" else Printf.sprintf " %s=%s" key (show v) in
   Printf.sprintf
     "structure=%s latency=%s mode=%s threads=%d keyspace=%d ops=%d read=%s \
      rounds=%d crash_at=%d depth=%d evict=%s draw=%d seed=%d audit=%s \
-     mutant=%s detect=%s"
+     mutant=%s detect=%s%s%s%s%s%s%s"
     (Kv.structure_name s.structure)
     (Kv.latency_name s.latency) (Kv.mode_name s.mode) s.threads s.keyspace
     s.ops_per_thread
     (Json.num_to_string s.read_fraction)
     s.rounds s.crash_at s.depth
     (Json.num_to_string s.evict)
-    s.draw_seed s.seed
-    (if s.audit then "on" else "off")
-    s.mutant
-    (if s.detect then "on" else "off")
+    s.draw_seed s.seed (switch s.audit) s.mutant (switch s.detect)
+    (knob "keys" string_of_int c.keys_per_node d.keys_per_node)
+    (knob "height" string_of_int c.max_height d.max_height)
+    (knob "p" Json.num_to_string c.branching_p d.branching_p)
+    (knob "budget" string_of_int c.recovery_budget d.recovery_budget)
+    (knob "reclaim" switch c.reclaim_empty_nodes d.reclaim_empty_nodes)
+    (knob "descriptors" string_of_int s.descriptors default_spec.descriptors)
 
 (* Names the trial engine understands: [Kv.corrupt] mutations plus the
    harness-level [skip_resolve]. *)
@@ -464,20 +506,48 @@ let mutants =
     "stale_tower_anchor";
   ]
 
+(* Twice Table 5.4's largest pool, which bounds a replay line's memory and
+   its recovery scan. *)
+let max_descriptors = 1_000_000
+
 let validate s =
   let at_least k min n =
     if n >= min then Ok () else Error (Printf.sprintf "%s must be >= %d: %d" k min n)
   in
+  let at_most k max n =
+    if n <= max then Ok () else Error (Printf.sprintf "%s must be <= %d: %d" k max n)
+  in
   let ( let* ) = Result.bind in
   let* () = at_least "threads" 1 s.threads in
+  (* the memory manager keeps one allocation log per thread *)
+  let* () = at_most "threads" Memory.Mem.max_threads s.threads in
   let* () = at_least "keyspace" 1 s.keyspace in
   let* () = at_least "ops" 1 s.ops_per_thread in
   let* () = at_least "rounds" 1 s.rounds in
   let* () = at_least "depth" 0 s.depth in
   let* () = at_least "crash_at" 0 s.crash_at in
+  let* () = at_least "descriptors" 1 s.descriptors in
+  let* () = at_most "descriptors" max_descriptors s.descriptors in
   let* () =
     if s.evict >= 0.0 && s.evict <= 1.0 then Ok ()
     else Error (Printf.sprintf "evict: want a probability in [0,1]: %g" s.evict)
+  in
+  let* () =
+    match Upskiplist.Config.validate s.cfg with
+    | () -> Ok ()
+    | exception Invalid_argument e -> Error e
+  in
+  (* a tuning knob of a structure the spec does not build names a fixture
+     that cannot exist *)
+  let* () =
+    if s.structure <> Kv.Upskiplist && s.cfg <> Upskiplist.Config.default then
+      Error "keys, height, p, budget and reclaim tune structure=upskiplist only"
+    else Ok ()
+  in
+  let* () =
+    if s.structure <> Kv.Bztree && s.descriptors <> default_spec.descriptors then
+      Error "descriptors tunes structure=bztree only"
+    else Ok ()
   in
   if List.mem s.mutant mutants then Ok s
   else
@@ -563,25 +633,30 @@ let spec_of_string line =
             | "detect" ->
                 let* b = parse_switch k v in
                 Ok { s with detect = b }
+            | "keys" ->
+                let* n = parse_int k v in
+                Ok { s with cfg = { s.cfg with keys_per_node = n } }
+            | "height" ->
+                let* n = parse_int k v in
+                Ok { s with cfg = { s.cfg with max_height = n } }
+            | "p" ->
+                let* f = parse_float k v in
+                Ok { s with cfg = { s.cfg with branching_p = f } }
+            | "budget" ->
+                let* n = parse_int k v in
+                Ok { s with cfg = { s.cfg with recovery_budget = n } }
+            | "reclaim" ->
+                let* b = parse_switch k v in
+                Ok { s with cfg = { s.cfg with reclaim_empty_nodes = b } }
+            | "descriptors" ->
+                let* n = parse_int k v in
+                Ok { s with descriptors = n }
             | _ -> Error (Printf.sprintf "unknown key: %s" k)))
       (Ok default_spec) tokens
   in
   validate s
 
-(* ---- building the fixture a spec names ----------------------------------- *)
-
-let kv_of_spec s () =
-  Kv.make_named s.structure
-    ?detect_clients:(if s.detect then Some s.threads else None)
-    {
-      Kv.default_sys with
-      latency = Kv.latency_params s.latency;
-      mode = s.mode;
-      pool_words = 1 lsl 20;
-      max_threads = max 16 s.threads;
-    }
-
-let run_spec s = run_trial ~make:(kv_of_spec s) s
+let run_spec = run_trial
 
 (* ---- deterministic crash-point sweeps ------------------------------------ *)
 
@@ -620,8 +695,7 @@ type summary = {
   failures : (spec * result) list;  (* newest last *)
 }
 
-let run_campaign ?(jobs = 1) ?make ?mutant (c : campaign) =
-  let make = Option.value make ~default:(kv_of_spec c.base) in
+let run_campaign ?(jobs = 1) (c : campaign) =
   let points = grid_points ~seed:c.base.seed c.grid in
   (* Every trial is a self-contained job on a fresh fixture; the spec list
      fixes the order, so pooled execution aggregates the exact sequence the
@@ -638,7 +712,7 @@ let run_campaign ?(jobs = 1) ?make ?mutant (c : campaign) =
          points)
   in
   let results =
-    Sim.Pool.map ~jobs (fun spec -> (spec, run_trial ?mutant ~make spec)) specs
+    Sim.Pool.map ~jobs (fun spec -> (spec, run_trial spec)) specs
   in
   let trials = ref 0
   and crashed = ref 0

@@ -11,9 +11,11 @@
     failure, a persistent-heap audit after every recovery, and greedy
     shrinking of failing trials to minimal replayable reproducers.
 
-    Everything is deterministic given the {!spec}: the same spec replays
-    the same crash points, the same persisted-state draws, and the same
-    verdict — which is what makes the one-line printed spec
+    The {!spec} is the only description of a trial: it names the
+    structure and its tuning, and the engine builds the fixture from it
+    (no caller supplies one). Everything is deterministic given the spec:
+    the same spec replays the same fixture, crash points, persisted-state
+    draws and verdict — which is what makes the one-line printed spec
     ({!spec_to_string}, consumed by [upskip_cli crash-replay]) a complete
     bug report. *)
 
@@ -54,12 +56,18 @@ type spec = {
           decide interrupted ops from their descriptors: provably-applied
           ops are acked without re-execution (duplicate suppression),
           provably-unapplied ops are replayed exactly once *)
+  cfg : Upskiplist.Config.t;
+      (** UPSkipList's tuning; any other structure keeps
+          {!Upskiplist.Config.default} *)
+  descriptors : int;
+      (** BzTree's PMwCAS descriptor pool (its recovery scans all of it);
+          any other structure keeps the default 16 384 *)
 }
 
 val default_spec : spec
 (** upskiplist, uniform/numa, 4 threads, keyspace 120, 100 ops/thread,
     20% reads, one round crashed at 10k events, depth 0, [evict = 0.],
-    audit on, no mutant. *)
+    audit on, no mutant, default UPSkipList config, 16 384 descriptors. *)
 
 type result = {
   history : Lincheck.History.t;
@@ -102,30 +110,43 @@ val pool_open_ns : pools:int -> float
 (** Modeled cost of reconnecting pools after restart (mmap of DAX files,
     constant in structure size): ~45 ms + ~12 ms per extra pool. *)
 
-val run_trial : ?mutant:(Kv.t -> bool) -> make:(unit -> Kv.t) -> spec -> result
-(** One adversarial trial on a fresh fixture from [make]. [?mutant]
-    overrides the spec's named mutant with an arbitrary corruption. *)
+val run_trial : spec -> result
+(** One adversarial trial on a fresh fixture built from the spec: its
+    structure and tuning on four NUMA nodes with room for 200 threads
+    (PMDK's recovery scans one transaction lane per thread), under its
+    latency model and mode, with 2^20 words per pool or, for a larger
+    BzTree descriptor pool, enough to hold it twice. *)
 
 (** {1 Replay specs} *)
 
 val spec_to_string : spec -> string
-(** One line of [key=value] tokens; {!spec_of_string} inverts it. *)
+(** One line of [key=value] tokens; {!spec_of_string} inverts it. The
+    fixture's tuning ([keys height p budget reclaim descriptors]) is
+    printed only where it differs from {!default_spec}. *)
 
 val validate : spec -> (spec, string) Stdlib.result
-(** The spec unchanged if the engine can run it: threads, keyspace, ops
-    and rounds >= 1, depth and crash_at >= 0, [evict] in [0,1], and a
-    mutant among [none | skip_resolve | lose_key | skip_fp_repair |
-    raise_hint | dangle | stale_tower_anchor]. *)
+(** The spec unchanged if the engine can run it: threads in 1..256,
+    keyspace, ops and rounds >= 1, descriptors in 1..1 000 000, depth and
+    crash_at >= 0, [evict] in [0,1], a config
+    {!Upskiplist.Config.validate} accepts, a mutant among [none |
+    skip_resolve | lose_key | skip_fp_repair | raise_hint | dangle |
+    stale_tower_anchor], and no tuning of a structure the spec does not
+    build (a non-default [cfg] off [upskiplist], non-default [descriptors]
+    off [bztree]). *)
 
 val spec_of_string : string -> (spec, string) Stdlib.result
 (** Parse a replay spec; unspecified keys default to {!default_spec}.
     [structure], [latency] and [mode] take {!Kv}'s spellings, [evict] a
-    probability, [audit] and [detect] [on | off]; the parsed spec must
-    pass {!validate}. The only place a spec's names are parsed. *)
+    probability, [audit] and [detect] [on | off]. The UPSkipList config
+    is spelled [keys] (nodes' key capacity), [height] (levels), [p]
+    (tower branching), [budget] (tower repairs per traversal) and
+    [reclaim] ([on | off]); BzTree's descriptor pool [descriptors]. The
+    parsed spec must pass {!validate}. The only place a spec's names are
+    parsed. *)
 
 val run_spec : spec -> result
-(** Build the fixture the spec names and run the trial — a failure
-    replays from its printed spec alone. *)
+(** {!run_trial}, the replay entry point: a spec parsed from a failing
+    trial's printed line rebuilds that trial's fixture and reruns it. *)
 
 (** {1 Deterministic crash-point sweeps} *)
 
@@ -165,10 +186,9 @@ type summary = {
   failures : (spec * result) list;
 }
 
-val run_campaign :
-  ?jobs:int -> ?make:(unit -> Kv.t) -> ?mutant:(Kv.t -> bool) -> campaign -> summary
-(** [grid.points * draws] trials. [?make] overrides the fixture the base
-    spec names. [?jobs] (default 1) runs trials on a
+val run_campaign : ?jobs:int -> campaign -> summary
+(** [grid.points * draws] trials of the fixture the base spec names.
+    [?jobs] (default 1) runs trials on a
     {!Sim.Pool} of that many domains; every trial is a self-contained
     deterministic run, and the summary aggregates results in spec order,
     so the summary is identical for any [jobs]. *)

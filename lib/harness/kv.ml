@@ -231,10 +231,10 @@ let latency_params = function
   | Uniform -> Pmem.Latency.uniform
   | Optane -> Pmem.Latency.default
 
-let make_named structure ?detect_clients sys =
+let make_named structure ?cfg ?(n_descriptors = 16_384) ?detect_clients sys =
   match structure with
-  | Upskiplist -> make_upskiplist ?detect_clients sys
-  | Bztree -> make_bztree ~n_descriptors:16_384 ?detect_clients sys
+  | Upskiplist -> make_upskiplist ?cfg ?detect_clients sys
+  | Bztree -> make_bztree ~n_descriptors ?detect_clients sys
   | Pmdk -> make_pmdk_list ?detect_clients sys
 
 (* ---- detectable operations ------------------------------------------------ *)

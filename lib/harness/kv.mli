@@ -92,12 +92,19 @@ val latency_name : latency -> string
 val latency_params : latency -> Pmem.Latency.params
 (** [Uniform] is {!Pmem.Latency.uniform}, [Optane] {!Pmem.Latency.default}. *)
 
-val make_named : structure -> ?detect_clients:int -> sys -> t
-(** Build a fixture of [structure] with each structure's default tuning
-    (BzTree gets a 16K-descriptor pool, as in the fault-campaign specs).
-    [?detect_clients] additionally formats a
-    {!Detect} announcement table of that many client slots in the
-    fixture's pool 0. *)
+val make_named :
+  structure ->
+  ?cfg:Upskiplist.Config.t ->
+  ?n_descriptors:int ->
+  ?detect_clients:int ->
+  sys ->
+  t
+(** Build a fixture of [structure]: UPSkipList tuned by [?cfg] (default
+    {!Upskiplist.Config.default}), BzTree with an [?n_descriptors]-entry
+    descriptor pool (default 16 384, as in the fault-campaign specs); each
+    is ignored by the other structures. [?detect_clients] additionally
+    formats a {!Detect} announcement table of that many client slots in
+    the fixture's pool 0. *)
 
 (** {1 Detectable operations}
 

@@ -7,6 +7,10 @@
 
 type t
 
+val desc_words : int
+(** Words per descriptor: a pool of [n] takes [n * desc_words] words plus
+    one line. *)
+
 val create_poked : mem:Memory.Mem.t -> pool:int -> n_descriptors:int -> t
 (** Reserve and initialise the descriptor pool (setup-time pokes). *)
 

@@ -376,54 +376,81 @@ let[@inline] inline_settle st =
     Effect.perform Park
   end
 
-(* Primitive wrappers, through the domain-local slot. Inline (no effect,
-   no continuation capture) whenever a fast-path run is active; effects
+(* One inline body per primitive: the machine op on the run state, then
+   [inline_settle]. The domain-local wrappers and the port hit paths below
+   both expand it. *)
+let[@inline] read_in st a =
+  let v = st.machine.read ~tid:st.current_tid a in
+  inline_settle st;
+  v
+
+let[@inline] write_in st a v =
+  st.machine.write ~tid:st.current_tid a v;
+  inline_settle st
+
+let[@inline] cas_in st a expected desired =
+  let ok = st.machine.cas ~tid:st.current_tid a expected desired in
+  inline_settle st;
+  ok
+
+let[@inline] flush_in st a =
+  st.machine.flush ~tid:st.current_tid a;
+  inline_settle st
+
+let[@inline] fence_in st =
+  st.machine.fence ~tid:st.current_tid;
+  inline_settle st
+
+let[@inline] charge_in st ns =
+  Array.unsafe_set st.latency 0 ns;
+  inline_settle st
+
+(* Each primitive on a looked-up run state: inline (no effect, no
+   continuation capture) whenever a fast-path run is active; an effect
    otherwise, i.e. under [fast_path:false] or outside [run] (where the
    perform raises [Effect.Unhandled], as before). *)
-
-let read a =
-  match Domain.DLS.get current_key with
-  | Some st when st.fast_path ->
-      let v = st.machine.read ~tid:st.current_tid a in
-      inline_settle st;
-      v
+let[@inline] read_on cur a =
+  match cur with
+  | Some st when st.fast_path -> read_in st a
   | _ -> Effect.perform (Read a)
 
-let write a v =
-  match Domain.DLS.get current_key with
-  | Some st when st.fast_path ->
-      st.machine.write ~tid:st.current_tid a v;
-      inline_settle st
+let[@inline] write_on cur a v =
+  match cur with
+  | Some st when st.fast_path -> write_in st a v
   | _ -> Effect.perform (Write (a, v))
 
-let cas a ~expected ~desired =
-  match Domain.DLS.get current_key with
-  | Some st when st.fast_path ->
-      let ok = st.machine.cas ~tid:st.current_tid a expected desired in
-      inline_settle st;
-      ok
+let[@inline] cas_on cur a expected desired =
+  match cur with
+  | Some st when st.fast_path -> cas_in st a expected desired
   | _ -> Effect.perform (Cas (a, expected, desired))
 
-let flush a =
-  match Domain.DLS.get current_key with
-  | Some st when st.fast_path ->
-      st.machine.flush ~tid:st.current_tid a;
-      inline_settle st
+let[@inline] flush_on cur a =
+  match cur with
+  | Some st when st.fast_path -> flush_in st a
   | _ -> Effect.perform (Flush a)
 
-let fence () =
-  match Domain.DLS.get current_key with
-  | Some st when st.fast_path ->
-      st.machine.fence ~tid:st.current_tid;
-      inline_settle st
+let[@inline] fence_on cur =
+  match cur with
+  | Some st when st.fast_path -> fence_in st
   | _ -> Effect.perform Fence
 
-let charge ns =
-  match Domain.DLS.get current_key with
-  | Some st when st.fast_path ->
-      Array.unsafe_set st.latency 0 ns;
-      inline_settle st
+let[@inline] charge_on cur ns =
+  match cur with
+  | Some st when st.fast_path -> charge_in st ns
   | _ -> Effect.perform (Charge ns)
+
+let[@inline] self_on cur =
+  match cur with
+  | Some st -> st.current_tid
+  | None -> Effect.perform Self
+
+(* Primitive wrappers, through the domain-local slot. *)
+let read a = read_on (Domain.DLS.get current_key) a
+let write a v = write_on (Domain.DLS.get current_key) a v
+let cas a ~expected ~desired = cas_on (Domain.DLS.get current_key) a expected desired
+let flush a = flush_on (Domain.DLS.get current_key) a
+let fence () = fence_on (Domain.DLS.get current_key)
+let charge ns = charge_on (Domain.DLS.get current_key) ns
 
 (* [now]/[self] charge nothing and never yield, so they are pure state reads
    whenever a run is active (either path — the handler would return exactly
@@ -433,10 +460,7 @@ let[@inline] now () =
   | Some st -> Array.unsafe_get st.clock 0
   | None -> Effect.perform Now
 
-let self () =
-  match Domain.DLS.get current_key with
-  | Some st -> st.current_tid
-  | None -> Effect.perform Self
+let self () = self_on (Domain.DLS.get current_key)
 
 let yield () = charge 15.0
 
@@ -454,78 +478,50 @@ module Port = struct
   type t = port
 
   let create () = { cur = None }
-  let refresh p = p.cur <- Domain.DLS.get current_key
 
-  let[@inline never] read_miss p a =
-    refresh p;
-    read a
+  (* A miss looks the run state up once, caches it, and dispatches on it
+     exactly as the domain-local wrapper would. *)
+  let refresh p =
+    let cur = Domain.DLS.get current_key in
+    p.cur <- cur;
+    cur
 
-  let[@inline never] write_miss p a v =
-    refresh p;
-    write a v
-
-  let[@inline never] cas_miss p a expected desired =
-    refresh p;
-    cas a ~expected ~desired
-
-  let[@inline never] flush_miss p a =
-    refresh p;
-    flush a
-
-  let[@inline never] fence_miss p =
-    refresh p;
-    fence ()
-
-  let[@inline never] charge_miss p ns =
-    refresh p;
-    charge ns
-
-  let[@inline never] self_miss p =
-    refresh p;
-    self ()
+  let[@inline never] read_miss p a = read_on (refresh p) a
+  let[@inline never] write_miss p a v = write_on (refresh p) a v
+  let[@inline never] cas_miss p a expected desired = cas_on (refresh p) a expected desired
+  let[@inline never] flush_miss p a = flush_on (refresh p) a
+  let[@inline never] fence_miss p = fence_on (refresh p)
+  let[@inline never] charge_miss p ns = charge_on (refresh p) ns
+  let[@inline never] self_miss p = self_on (refresh p)
 
   let[@inline] read p a =
     match p.cur with
-    | Some st when st.live && st.fast_path ->
-        let v = st.machine.read ~tid:st.current_tid a in
-        inline_settle st;
-        v
+    | Some st when st.live && st.fast_path -> read_in st a
     | _ -> read_miss p a
 
   let[@inline] write p a v =
     match p.cur with
-    | Some st when st.live && st.fast_path ->
-        st.machine.write ~tid:st.current_tid a v;
-        inline_settle st
+    | Some st when st.live && st.fast_path -> write_in st a v
     | _ -> write_miss p a v
 
   let[@inline] cas p a ~expected ~desired =
     match p.cur with
-    | Some st when st.live && st.fast_path ->
-        let ok = st.machine.cas ~tid:st.current_tid a expected desired in
-        inline_settle st;
-        ok
+    | Some st when st.live && st.fast_path -> cas_in st a expected desired
     | _ -> cas_miss p a expected desired
 
   let[@inline] flush p a =
     match p.cur with
-    | Some st when st.live && st.fast_path ->
-        st.machine.flush ~tid:st.current_tid a;
-        inline_settle st
+    | Some st when st.live && st.fast_path -> flush_in st a
     | _ -> flush_miss p a
 
   let[@inline] fence p =
     match p.cur with
-    | Some st when st.live && st.fast_path ->
-        st.machine.fence ~tid:st.current_tid;
-        inline_settle st
+    | Some st when st.live && st.fast_path -> fence_in st
     | _ -> fence_miss p
 
   let[@inline] charge p ns =
     match p.cur with
-    | Some st when st.live && st.fast_path ->
-        Array.unsafe_set st.latency 0 ns;
-        inline_settle st
+    | Some st when st.live && st.fast_path -> charge_in st ns
     | _ -> charge_miss p ns
 
   let yield p = charge p 15.0

@@ -126,21 +126,21 @@ let check_bool = Alcotest.(check bool)
 let check_pairs msg expected actual =
   Alcotest.(check (list (pair int int))) msg expected actual
 
-(* Single-crash campaign: [trials] trials of Fault's default trial shape on
-   [make]'s fixture, one per crash point spread over [crash_events,
-   1.5 * crash_events), each dirty line persisting with probability
-   [evict] (default 0) at the crash. Audit errors count as failures; a trial whose
-   workload ends before its crash point fails the campaign, naming the
-   point and the run's length. *)
-let crash_campaign ~make ?(evict = 0.0) ~threads ~keyspace ~ops_per_thread
+(* Single-crash campaign: [trials] trials of the fixture [base] names (its
+   workload shape, evict and seeds replaced), one per crash point spread
+   over [crash_events, 1.5 * crash_events), each dirty line persisting with
+   probability [evict] (default 0) at the crash. Audit errors count as
+   failures; a trial whose workload ends before its crash point fails the
+   campaign, naming the point and the run's length. *)
+let crash_campaign ~base ?(evict = 0.0) ~threads ~keyspace ~ops_per_thread
     ~crash_events ~seed ~trials () =
   let step = max 1 (crash_events / (2 * trials)) in
   let s =
-    Harness.Fault.run_campaign ~make
+    Harness.Fault.run_campaign
       {
         Harness.Fault.base =
           {
-            Harness.Fault.default_spec with
+            base with
             threads;
             keyspace;
             ops_per_thread;

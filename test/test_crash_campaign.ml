@@ -6,62 +6,57 @@
 
 open Testsupport
 
-let fast_sys =
-  {
-    Harness.Kv.default_sys with
-    latency = Pmem.Latency.uniform;
-    pool_words = 1 lsl 20;
-    max_threads = 16;
-  }
+module Fault = Harness.Fault
 
-let campaign ?(crash_events = 8_000) ?evict name make ~trials =
+let campaign ?(crash_events = 8_000) ?evict name base ~trials =
   let s =
-    crash_campaign ~make ?evict ~threads:4 ~keyspace:120 ~ops_per_thread:100
+    crash_campaign ~base ?evict ~threads:4 ~keyspace:120 ~ops_per_thread:100
       ~crash_events ~seed:1234 ~trials ()
   in
   print_failures name s;
   check_int (name ^ ": no strict-linearizability violations") 0
-    (List.length s.Harness.Fault.failures)
+    (List.length s.Fault.failures)
 
 (* UPSkipList's default workload here runs ~11.4K events, so its grids
    start at 6K and end by 9K, inside the run. *)
 let test_upskiplist_campaign () =
-  campaign ~crash_events:6_000 "UPSkipList"
-    (fun () -> Harness.Kv.make_upskiplist fast_sys)
-    ~trials:6
+  campaign ~crash_events:6_000 "UPSkipList" Fault.default_spec ~trials:6
 
 let test_upskiplist_optane_campaign () =
   (* realistic latency model changes interleavings and crash surfaces *)
-  let sys = { fast_sys with latency = Pmem.Latency.default } in
-  campaign "UPSkipList/optane" (fun () -> Harness.Kv.make_upskiplist sys) ~trials:3
+  campaign "UPSkipList/optane"
+    { Fault.default_spec with latency = Harness.Kv.Optane }
+    ~trials:3
 
 let test_upskiplist_eviction_campaign () =
   (* random line evictions at crash time (more persisted states) *)
-  campaign ~crash_events:6_000 ~evict:0.5 "UPSkipList/evict"
-    (fun () -> Harness.Kv.make_upskiplist fast_sys)
+  campaign ~crash_events:6_000 ~evict:0.5 "UPSkipList/evict" Fault.default_spec
     ~trials:3
 
 let test_upskiplist_small_nodes_campaign () =
-  let cfg = { Upskiplist.Config.default with keys_per_node = 4 } in
-  campaign "UPSkipList/K4" (fun () -> Harness.Kv.make_upskiplist ~cfg fast_sys) ~trials:3
+  campaign "UPSkipList/K4"
+    {
+      Fault.default_spec with
+      cfg = { Upskiplist.Config.default with keys_per_node = 4 };
+    }
+    ~trials:3
 
 let test_bztree_campaign () =
   campaign "BzTree"
-    (fun () -> Harness.Kv.make_bztree ~n_descriptors:16_384 fast_sys)
+    { Fault.default_spec with structure = Harness.Kv.Bztree }
     ~trials:4
 
 let test_pmdk_campaign () =
-  campaign "PMDK list" (fun () -> Harness.Kv.make_pmdk_list fast_sys) ~trials:4
+  campaign "PMDK list"
+    { Fault.default_spec with structure = Harness.Kv.Pmdk }
+    ~trials:4
 
 let test_striped_campaign () =
-  let sys = { fast_sys with mode = Pmem.Striped } in
   campaign ~crash_events:6_000 "UPSkipList/striped"
-    (fun () -> Harness.Kv.make_upskiplist sys)
+    { Fault.default_spec with mode = Pmem.Striped }
     ~trials:3
 
 (* ---- adversarial campaigns (Fault) -------------------------------------- *)
-
-module Fault = Harness.Fault
 
 let adversarial_base =
   {
@@ -137,16 +132,13 @@ let tall_only_cfg =
 let test_tall_only_multi_crash_campaign () =
   let c =
     {
-      Fault.base = { adversarial_base with depth = 2; rounds = 2 };
+      Fault.base =
+        { adversarial_base with depth = 2; rounds = 2; cfg = tall_only_cfg };
       grid = { Fault.origin = 4_000; stride = 3_000; points = 2; jitter = 400 };
       draws = 2;
     }
   in
-  let s =
-    Fault.run_campaign
-      ~make:(fun () -> Harness.Kv.make_upskiplist ~cfg:tall_only_cfg fast_sys)
-      c
-  in
+  let s = Fault.run_campaign c in
   check_int "every trial crashed" s.Fault.trials s.Fault.crashed_trials;
   check_bool "audits ran after every completed recovery" true
     (s.Fault.audit_passes >= s.Fault.trials);

@@ -243,17 +243,10 @@ let test_fp_crash_recovery () =
         acked)
 
 let test_fp_lincheck_campaign () =
-  let sys =
-    {
-      Harness.Kv.default_sys with
-      latency = Pmem.Latency.uniform;
-      pool_words = 1 lsl 20;
-      max_threads = 16;
-    }
-  in
-  let make () = Harness.Kv.make_upskiplist ~cfg:fp_cfg sys in
   let s =
-    crash_campaign ~make ~threads:4 ~keyspace:120 ~ops_per_thread:100
+    crash_campaign
+      ~base:{ Harness.Fault.default_spec with cfg = fp_cfg }
+      ~threads:4 ~keyspace:120 ~ops_per_thread:100
       ~crash_events:7_000 ~seed:777 ~trials:3 ()
   in
   print_failures "fingerprint" s;
@@ -1040,21 +1033,10 @@ let test_crash_during_retirement () =
       done)
 
 let test_reclaim_lincheck_campaign () =
-  let sys =
-    {
-      Harness.Kv.default_sys with
-      latency = Pmem.Latency.uniform;
-      pool_words = 1 lsl 20;
-      max_threads = 16;
-    }
-  in
-  let make () =
-    Harness.Kv.make_upskiplist
-      ~cfg:{ Config.default with reclaim_empty_nodes = true; keys_per_node = 4 }
-      sys
-  in
   let s =
-    crash_campaign ~make ~threads:4 ~keyspace:80 ~ops_per_thread:100
+    crash_campaign
+      ~base:{ Harness.Fault.default_spec with cfg = reclaim_cfg }
+      ~threads:4 ~keyspace:80 ~ops_per_thread:100
       ~crash_events:7_000 ~seed:4242 ~trials:3 ()
   in
   print_failures "reclaim" s;

@@ -31,7 +31,6 @@ let fast_spec =
 let test_recovery_ns_positive () =
   let t =
     Fault.run_trial
-      ~make:(fun () -> Kv.make_upskiplist fast_sys)
       {
         Fault.default_spec with
         threads = 4;
@@ -101,9 +100,24 @@ let test_spec_roundtrip () =
           [ Kv.Uniform; Kv.Optane ])
       [ Kv.Upskiplist; Kv.Bztree; Kv.Pmdk ]
   in
+  let tuned =
+    {
+      fast_spec with
+      cfg =
+        {
+          keys_per_node = 4;
+          max_height = 40;
+          branching_p = 0.75;
+          recovery_budget = 0;
+          reclaim_empty_nodes = true;
+        };
+    }
+  in
   let specs =
     { fast_spec with evict = 0.5; mutant = "dangle" }
     :: { fast_spec with rounds = 3; depth = 2; audit = false; detect = true }
+    :: tuned
+    :: { fast_spec with structure = Kv.Bztree; descriptors = 500_000 }
     :: product
   in
   check_int "every structure x latency x mode x evict" 36 (List.length product);
@@ -120,6 +134,13 @@ let test_spec_roundtrip () =
      ops=100 read=0.2 rounds=1 crash_at=10000 depth=0 evict=0 draw=1 seed=42 \
      audit=on mutant=none detect=off"
     (Fault.spec_to_string Fault.default_spec);
+  Alcotest.(check string)
+    "a tuned fixture prints only the knobs off their defaults"
+    "structure=upskiplist latency=uniform mode=numa threads=4 keyspace=60 \
+     ops=60 read=0.2 rounds=1 crash_at=4000 depth=0 evict=0 draw=5 seed=42 \
+     audit=on mutant=none detect=off keys=4 height=40 p=0.75 budget=0 \
+     reclaim=on"
+    (Fault.spec_to_string tuned);
   (match Fault.spec_of_string "threads=8 mutant=dangle" with
   | Ok s ->
       check_int "defaults fill unspecified keys" Fault.default_spec.Fault.keyspace
@@ -131,12 +152,33 @@ let test_spec_roundtrip () =
   check_bool "malformed token rejected" true
     (Result.is_error (Fault.spec_of_string "threads"))
 
-(* Any spec prints and parses back unchanged, whatever its floats. *)
+(* Any valid spec prints and parses back unchanged, whatever its floats
+   and its structure's tuning. *)
 let spec_gen =
   let open QCheck.Gen in
   let pick l = oneofl l in
   let fraction = oneof [ float_bound_inclusive 1.0; pick [ 0.0; 0.2; 0.5; 1.0 ] ] in
+  let cfg =
+    int_range 1 512 >>= fun keys_per_node ->
+    int_range 2 40 >>= fun max_height ->
+    oneof [ float_range 0.01 0.99; pick [ 0.25; 0.5; 0.75 ] ] >>= fun branching_p ->
+    oneof [ int_bound 8; pick [ 1; 1_000_000 ] ] >>= fun recovery_budget ->
+    bool >>= fun reclaim_empty_nodes ->
+    return
+      {
+        Upskiplist.Config.keys_per_node;
+        max_height;
+        branching_p;
+        recovery_budget;
+        reclaim_empty_nodes;
+      }
+  in
   pick [ Kv.Upskiplist; Kv.Bztree; Kv.Pmdk ] >>= fun structure ->
+  (if structure = Kv.Upskiplist then cfg else return Upskiplist.Config.default)
+  >>= fun cfg ->
+  (if structure = Kv.Bztree then int_range 1 1_000_000
+   else return Fault.default_spec.Fault.descriptors)
+  >>= fun descriptors ->
   pick [ Kv.Uniform; Kv.Optane ] >>= fun latency ->
   pick [ Pmem.Striped; Pmem.Multi_pool ] >>= fun mode ->
   int_range 1 64 >>= fun threads ->
@@ -170,6 +212,8 @@ let spec_gen =
       audit;
       mutant;
       detect;
+      cfg;
+      descriptors;
     }
 
 let prop_spec_roundtrip s = Fault.spec_of_string (Fault.spec_to_string s) = Ok s
@@ -192,11 +236,27 @@ let test_spec_validation () =
       "evict=1.5";
       "evict=-0.1";
       "threads=0";
+      "threads=257";
       "keyspace=0";
       "ops=0";
       "rounds=0";
       "depth=-1";
       "crash_at=-1";
+      "keys=0";
+      "keys=513";
+      "structure=bztree descriptors=1000001";
+      "height=1";
+      "height=41";
+      "p=0";
+      "p=1";
+      "p=nan";
+      "budget=-1";
+      "reclaim=yes";
+      "structure=bztree descriptors=0";
+      "structure=pmdk keys=4";
+      "structure=bztree reclaim=on";
+      "structure=upskiplist descriptors=100000";
+      "structure=pmdk descriptors=100000";
     ];
   List.iter
     (fun line ->
@@ -206,6 +266,11 @@ let test_spec_validation () =
       "audit=off detect=on evict=0 depth=0 crash_at=0";
       "evict=1 mutant=skip_resolve";
       "threads=1 keyspace=1 ops=1 rounds=1 mutant=skip_fp_repair";
+      "keys=1 height=2 p=0.01 budget=0 reclaim=off";
+      "keys=512 height=40 p=0.99";
+      "threads=256 keyspace=256 ops=1";
+      "structure=bztree descriptors=1";
+      "structure=bztree descriptors=1000000";
     ];
   check_bool "validate rejects an out-of-range probability" true
     (Result.is_error
@@ -357,6 +422,70 @@ let test_campaign_deterministic () =
     "same recovery times" a.Fault.recovery_ns b.Fault.recovery_ns;
   check_int "no failures" 0 (List.length a.Fault.failures)
 
+(* ---- replay: a failing trial's printed line is its whole fixture --------- *)
+
+(* Run [c], which must fail, and replay each failure from its printed line
+   alone: the line parses back to the trial's spec and reruns to the same
+   crash, violations, audit report and exception. Returns the parsed
+   specs. *)
+let replay_failures name (c : Fault.campaign) =
+  let s = Fault.run_campaign c in
+  check_bool (name ^ ": the campaign has failures") true (s.Fault.failures <> []);
+  List.map
+    (fun ((spec : Fault.spec), (r : Fault.result)) ->
+      let line = Fault.spec_to_string spec in
+      match Fault.spec_of_string line with
+      | Error e -> Alcotest.fail (line ^ ": " ^ e)
+      | Ok parsed ->
+          check_bool (line ^ ": parses back to the trial's spec") true (parsed = spec);
+          let r' = Fault.run_spec parsed in
+          check_int (line ^ ": same crash") r.Fault.crash_events r'.Fault.crash_events;
+          let messages (r : Fault.result) =
+            List.map (Fmt.str "%a" Lincheck.Checker.pp_violation) r.Fault.violations
+          in
+          Alcotest.(check (list string))
+            (line ^ ": same violations") (messages r) (messages r');
+          Alcotest.(check (list string))
+            (line ^ ": same audit report") r.Fault.audit_errors r'.Fault.audit_errors;
+          Alcotest.(check (option string))
+            (line ^ ": same exception") r.Fault.raised r'.Fault.raised;
+          parsed)
+    s.Fault.failures
+
+let replay_grid = { Fault.origin = 3_000; stride = 700; points = 2; jitter = 200 }
+
+let test_tuned_mutant_failures_replay () =
+  let k4 = { Upskiplist.Config.default with keys_per_node = 4 } in
+  let parsed =
+    replay_failures "K=4 dangle"
+      { Fault.base = { fast_spec with cfg = k4; mutant = "dangle" }; grid = replay_grid; draws = 1 }
+  in
+  List.iter
+    (fun (s : Fault.spec) -> check_int "the line names K = 4" 4 s.Fault.cfg.keys_per_node)
+    parsed
+
+let test_bztree_failures_replay () =
+  let parsed =
+    replay_failures "BzTree skip_resolve"
+      {
+        Fault.base =
+          {
+            fast_spec with
+            structure = Kv.Bztree;
+            descriptors = 4_096;
+            detect = true;
+            mutant = "skip_resolve";
+          };
+        grid = replay_grid;
+        draws = 2;
+      }
+  in
+  List.iter
+    (fun (s : Fault.spec) ->
+      check_bool "the line names structure=bztree" true (s.Fault.structure = Kv.Bztree);
+      check_int "and its descriptor pool" 4_096 s.Fault.descriptors)
+    parsed
+
 (* ---- failure shrinking --------------------------------------------------- *)
 
 let spec_size (s : Fault.spec) =
@@ -420,6 +549,13 @@ let () =
         ] );
       ( "campaigns",
         [ slow_case "campaign fully deterministic" test_campaign_deterministic ] );
+      ( "replay",
+        [
+          slow_case "a K=4 mutant campaign's failure lines replay exactly"
+            test_tuned_mutant_failures_replay;
+          slow_case "a BzTree campaign's failure lines replay exactly"
+            test_bztree_failures_replay;
+        ] );
       ( "shrinking",
         [ slow_case "shrinks to a smaller replayable reproducer" test_shrink_minimises ] );
     ]

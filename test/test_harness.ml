@@ -81,13 +81,14 @@ let test_value_of_unique () =
     done
   done
 
-(* One small crashed trial; total modeled recovery in seconds. *)
-let recovery_time_s make =
+(* One small crashed trial of [base]'s fixture; total modeled recovery in
+   seconds. *)
+let recovery_time_s base =
   let r =
-    Harness.Fault.run_trial ~make
+    Harness.Fault.run_trial
       {
-        Harness.Fault.default_spec with
-        threads = 2;
+        base with
+        Harness.Fault.threads = 2;
         keyspace = 40;
         ops_per_thread = 40;
         crash_at = 1_000;
@@ -97,21 +98,19 @@ let recovery_time_s make =
   r.Harness.Fault.recovery_ns /. 1.0e9
 
 let test_recovery_time_model () =
-  let t1 =
-    recovery_time_s (fun () -> Harness.Kv.make_bztree ~n_descriptors:5_000 fast_sys)
+  let bztree descriptors =
+    { Harness.Fault.default_spec with structure = Harness.Kv.Bztree; descriptors }
   in
-  let t2 =
-    recovery_time_s (fun () -> Harness.Kv.make_bztree ~n_descriptors:50_000 fast_sys)
-  in
+  let t1 = recovery_time_s (bztree 5_000) in
+  let t2 = recovery_time_s (bztree 50_000) in
   check_bool "recovery grows with descriptor pool" true (t2 > t1);
-  let t3 = recovery_time_s (fun () -> Harness.Kv.make_upskiplist fast_sys) in
+  let t3 = recovery_time_s Harness.Fault.default_spec in
   check_bool "upskiplist recovery near pool-open cost" true
     (t3 < 0.2 && t3 > 0.01)
 
 let test_crash_trial_produces_history () =
   let t =
     Harness.Fault.run_trial
-      ~make:(fun () -> Harness.Kv.make_upskiplist fast_sys)
       {
         Harness.Fault.default_spec with
         threads = 3;
@@ -136,7 +135,6 @@ let test_crash_trial_produces_history () =
 let test_crash_trial_eras_monotone_times () =
   let t =
     Harness.Fault.run_trial
-      ~make:(fun () -> Harness.Kv.make_upskiplist fast_sys)
       {
         Harness.Fault.default_spec with
         threads = 2;

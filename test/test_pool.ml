@@ -113,7 +113,6 @@ let crash_histories () =
     (fun i crash_at ->
       let t =
         Fault.run_trial
-          ~make:(fun () -> Kv.make_upskiplist fast_sys)
           {
             Fault.default_spec with
             threads = 4;
