@@ -56,15 +56,20 @@
    a header line anyway, at levels 1 and 0 (see [Skiplist]).
 
    Successor-key hints (Foresight): beside every next pointer sits a lower
-   bound on the anchor key of the node it points to, in the same line. A
-   traversal reads the pointer first and the hint second, and ends the
-   level when the hint exceeds its key — without loading the successor.
-   The bound holds because anchors are immutable (below) and because hints
-   never rise once a pointer can be read: a writer lowers the hint by
-   CAS-min to the new successor's anchor before the pointer CAS publishing
-   it, so a reader that sees the new pointer sees the lowered hint. A failed
-   link CAS or a snip leaves a hint stale-low, which is safe: the reader
-   enters the node, reads its anchor, and stops there. Levels a node is not
+   bound on the anchor key of the node it points to, in the same line.
+   Above level 0 a traversal reads the hint first and ends the level when
+   it exceeds its key — without loading the pointer or the successor; only
+   a hint at most the key costs the pointer, whose node is then checked by
+   its own anchor. The bound holds at every instant because anchors are
+   immutable (below) and a writer lowers the hint by CAS-min to the new
+   successor's anchor before the pointer CAS publishing it, so a hint
+   never exceeds the anchor of the node its pointer names at that moment,
+   and a stop on the hint linearizes at the hint read. Level 0 reads the
+   pointer first and the hint second, because the traversal records that
+   successor (see [Skiplist.traverse]); the upper successors a writer needs
+   are loaded, pointer first, by [Skiplist.load_succs]. A failed link CAS
+   or a snip leaves a hint stale-low, which is safe: the reader enters the
+   node, reads its anchor, and stops there. Levels a node is not
    yet linked at are written plainly, hint before pointer, before any
    reader can reach them there. Since a hint shares its pointer's line and
    is stored first, every persisted line also keeps hint <= anchor, so

@@ -113,9 +113,11 @@ type find = {
   split_count : int;  (* of preds.(0), read before its keys were scanned *)
   preds : Riv.t array;
   succs : Riv.t array;
+      (* succs.(0) is loaded by the traversal; above level 0 an entry is
+         [Riv.null] until [load_succs] loads it *)
   bounds : int array;
-      (* lower bound on each succs.(l)'s anchor: the anchor itself when
-         the traversal entered the node, else the pred's hint — what a
+      (* lower bound on each loaded succs.(l)'s anchor: the anchor itself
+         when the walk entered the node, else the pred's hint — what a
          new node linked before succs.(l) stores as its own hint *)
 }
 
@@ -269,12 +271,83 @@ let populate_levels t ~node ~succs ~bounds ~from_level ~to_level =
       ~first:(Node.o_next t.ly lo)
       ~words:(Node.o_hint t.ly to_level - Node.o_next t.ly lo + 1)
 
+(* Is [cur], reached at [level], retired (its word there marked)? Only
+   with reclamation on; the tail never is. *)
+let retired t cur level =
+  t.reclaim <> None
+  && (not (Riv.equal cur t.tail))
+  && Node.is_marked (Node.next_raw t.mem t.ly cur level)
+
+(* Snip the retired [cur] out of [pred]'s [level] and persist the snip
+   immediately (Section 4.4's recoverable snipping); [pred]'s hint stays a
+   lower bound. Returns [pred]'s next word after the attempt, marked when
+   [pred] itself was retired since: such a word can never be CASed. *)
+let snip t ~tid ~pred ~cur level =
+  let succ = Node.next t.mem t.ly cur level in
+  if Node.cas_next t.mem t.ly pred level ~expected:cur ~desired:succ then begin
+    Node.persist_next t.mem t.ly pred level;
+    obs_event ~tid Obs.id_help level
+  end;
+  Node.next_raw t.mem t.ly pred level
+
+let record_succ f level pred cur bound =
+  f.preds.(level) <- pred;
+  f.succs.(level) <- cur;
+  f.bounds.(level) <- bound
+
+(* The successor at [level] of a walk for [key] now at [pred], whose next
+   word there is [cur]: pointer first, hint second, as level 0 reads
+   them, moving on past nodes whose anchor is at most [key] and snipping
+   retired ones. Records pred, successor and bound in [f] at [level]. A
+   retired [pred] ends the walk on the successor its marked word names
+   for good, bounded by a hint read after that word: a link CAS at [pred]
+   fails, and its caller traverses again. *)
+let rec walk_succ t ~tid f key level pred cur =
+  let bound = Node.hint t.mem t.ly pred level in
+  if bound > key then record_succ f level pred cur bound
+  else if retired t cur level then begin
+    let w = snip t ~tid ~pred ~cur level in
+    if Node.is_marked w then
+      record_succ f level pred (Riv.of_word (Node.unmark w)) (Node.hint t.mem t.ly pred level)
+    else walk_succ t ~tid f key level pred (Riv.of_word w)
+  end
+  else begin
+    let k0 = Node.anchor_at t.mem t.ly cur level in
+    if k0 <= key then walk_succ t ~tid f key level cur (Node.next t.mem t.ly cur level)
+    else record_succ f level pred cur k0
+  end
+
+(* Load the successors a traversal [f] for [key] left unloaded, at levels
+   [from_level .. to_level] (all above 0), walking forward from the
+   recorded predecessors. Only writers call it: a fresh node's first
+   populate ([make_linked_object]), a tower level whose link CAS failed
+   ([link_higher_levels]), and the reachability check of a retirement
+   ([try_retire_node]). *)
+let load_succs t ~tid f key ~from_level ~to_level =
+  for level = from_level to to_level do
+    let pred = f.preds.(level) in
+    walk_succ t ~tid f key level pred (Node.next t.mem t.ly pred level)
+  done
+
 (* Forward declarations resolved below: traversal and tower building are
-   mutually recursive with recovery. *)
+   mutually recursive with recovery.
+
+   Read order. Anchors never change, and a writer lowers a hint (CAS-min)
+   before it publishes a pointer, so at every instant, and in every
+   persisted line, a hint is at most the anchor of the node its pointer
+   currently names. Above level 0 the traversal therefore reads the pred's
+   hint first: a hint above [key] ends the level there, linearized at the
+   hint read, and the next pointer is never loaded. Only a hint at most
+   [key] costs the pointer, and the node it names is checked by its own
+   anchor, so a pointer newer than the hint is harmless. Level 0 keeps
+   pointer first, hint second, because its successor is recorded:
+   [relinked], [miss_raced_split], [insert_into_existing] and the split's
+   link CAS compare against it. The upper successors are not recorded;
+   [load_succs] loads them where a writer needs them. *)
 let rec traverse t ~tid ~recover key =
   let h = t.cfg.Config.max_height in
   let preds = Array.make h t.head in
-  let succs = Array.make h t.tail in
+  let succs = Array.make h Riv.null in
   let bounds = Array.make h Node.tail_key in
   let recoveries = ref 0 in
   let rec attempt () =
@@ -292,70 +365,64 @@ let rec traverse t ~tid ~recover key =
            true
          end
     in
-    (* levels above [top] are head -> tail: preds/succs/bounds already say
-       so (and [top] only grows, so a restart overwrites every level an
-       earlier attempt filled) *)
+    (* levels above [top] are head -> tail: preds already say so (and
+       [top] only grows, so a restart overwrites every level an earlier
+       attempt filled) *)
     let level = ref (Atomic.get t.top) in
     while (not !restart) && !level >= 0 do
+      let l = !level in
       (* a pred moved onto above level 1 was only routed by its anchor:
-         claim it before its header line is used *)
-      if !level <= 1 && not (Riv.equal !pred t.head) then ignore (claim !pred : bool);
-      (* pointer first, hint second: a writer lowers the hint before it
-         publishes the pointer, so the hint read here bounds [cur] *)
-      let cur = ref (Node.next t.mem t.ly !pred !level) in
-      let bound = ref (Node.hint t.mem t.ly !pred !level) in
+         claim it before its header line is used. Level 0 starts on the
+         node level 1 ended on, already claimed there. *)
+      if l = 1 && not (Riv.equal !pred t.head) then ignore (claim !pred : bool);
+      (* [cur] is [Riv.null] while the pointer is not loaded: above level
+         0 it is loaded only once the hint fails to end the level *)
+      let cur = ref (if l = 0 then Node.next t.mem t.ly !pred 0 else Riv.null) in
+      let bound = ref (Node.hint t.mem t.ly !pred l) in
       let walking = ref true in
       while !walking && not !restart do
         if !bound > key then begin
-          (* [cur] overshoots: end the level without loading it *)
+          (* the successor overshoots: end the level without loading it *)
           Obs.bump ~tid Obs.id_hint_stop;
           walking := false
         end
-        else if !level <= 1 && claim !cur then ()
-        else if
-            t.reclaim <> None
-            && (not (Riv.equal !cur t.tail))
-            && Node.is_marked (Node.next_raw t.mem t.ly !cur !level)
-          then begin
-          (* [cur] is retired: snip it out of this level and persist the
-             snip immediately (Section 4.4's recoverable snipping); the
-             pred's hint stays a lower bound. A pred retired since the
-             traversal moved onto it can never be CASed (its word carries
-             the mark), so restart from the head, which snips it. *)
-          let succ = Node.next t.mem t.ly !cur !level in
-          if Node.cas_next t.mem t.ly !pred !level ~expected:!cur ~desired:succ
-          then begin
-            Node.persist_next t.mem t.ly !pred !level;
-            obs_event ~tid Obs.id_help !level
-          end;
-          let w = Node.next_raw t.mem t.ly !pred !level in
-          if Node.is_marked w then restart := true
-          else begin
-            cur := Riv.of_word w;
-            bound := Node.hint t.mem t.ly !pred !level
-          end
-        end
         else begin
-          (* above level 1 the anchor copy shares the pointer's tower
-             line: the hop reads one line and never the header *)
-          let k0 = Node.anchor_at t.mem t.ly !cur !level in
-          if k0 <= key then begin
-            pred := !cur;
-            cur := Node.next t.mem t.ly !pred !level;
-            bound := Node.hint t.mem t.ly !pred !level
+          if Riv.is_null !cur then cur := Node.next t.mem t.ly !pred l;
+          if l <= 1 && claim !cur then ()
+          else if retired t !cur l then begin
+            (* a pred retired since the traversal moved onto it is snipped
+               by a restart from the head *)
+            let w = snip t ~tid ~pred:!pred ~cur:!cur l in
+            if Node.is_marked w then restart := true
+            else begin
+              cur := Riv.of_word w;
+              bound := Node.hint t.mem t.ly !pred l
+            end
           end
           else begin
-            (* a stale-low hint let the traversal enter an overshoot *)
-            Obs.bump ~tid Obs.id_hint_stale;
-            bound := k0;
-            walking := false
+            (* above level 1 the anchor copy shares the pointer's tower
+               line: the hop reads one line and never the header *)
+            let k0 = Node.anchor_at t.mem t.ly !cur l in
+            if k0 <= key then begin
+              pred := !cur;
+              cur := if l = 0 then Node.next t.mem t.ly !pred 0 else Riv.null;
+              bound := Node.hint t.mem t.ly !pred l
+            end
+            else begin
+              (* a stale-low hint let the traversal enter an overshoot *)
+              Obs.bump ~tid Obs.id_hint_stale;
+              bound := k0;
+              walking := false
+            end
           end
         end
       done;
       if not !restart then begin
-        preds.(!level) <- !pred;
-        succs.(!level) <- !cur;
-        bounds.(!level) <- !bound;
+        preds.(l) <- !pred;
+        if l = 0 then begin
+          succs.(0) <- !cur;
+          bounds.(0) <- !bound
+        end;
         decr level
       end
     done;
@@ -480,6 +547,7 @@ and link_higher_levels t ~tid ~node ~start ~node_height ~preds =
           let f = traverse t ~tid ~recover:false key in
           preds := f.preds;
           if not (Riv.equal !preds.(level) node) then begin
+            load_succs t ~tid f key ~from_level:level ~to_level:(node_height - 1);
             populate_levels t ~node ~succs:f.succs ~bounds:f.bounds
               ~from_level:level ~to_level:(node_height - 1);
             attempt ()
@@ -588,14 +656,15 @@ let rec claim_value t n i v =
 
 (* Function 4 fused with the node's first populate (Functions 18/19):
    allocate, write the body and levels 0 .. node_height-1 from the
-   traversal [f] (successors and hints), and persist it all at once, so
-   the header line — which holds both — is flushed once (see
-   [Node.persist_fresh]). The node is not reachable yet, so plain
-   stores. *)
-let make_linked_object t ~tid ~pred ~keys ~values ~node_height ~(f : find) =
+   traversal [f] for [key] (successors and hints; the upper ones loaded
+   now), and persist it all at once, so the header line — which holds
+   both — is flushed once (see [Node.persist_fresh]). The node is not
+   reachable yet, so plain stores. *)
+let make_linked_object t ~tid ~pred ~key ~keys ~values ~node_height ~(f : find) =
   let block = Block_alloc.alloc_block t.mem ~tid ~ops:t.ops ~pred ~key:keys.(0) in
   Node.init t.mem t.ly block ~tid ~node_epoch:(Mem.epoch t.mem) ~node_height ~keys
     ~values;
+  load_succs t ~tid f key ~from_level:1 ~to_level:(node_height - 1);
   for level = 0 to node_height - 1 do
     Node.set_next t.mem t.ly block level f.succs.(level) ~bound:f.bounds.(level)
   done;
@@ -610,7 +679,7 @@ let create_successor t ~tid ~pred ~key ~value ~(f : find) =
   let node_height = random_height t ~tid in
   let succ0 = f.succs.(0) in
   let node =
-    make_linked_object t ~tid ~pred ~keys:[| key |] ~values:[| value |]
+    make_linked_object t ~tid ~pred ~key ~keys:[| key |] ~values:[| value |]
       ~node_height ~f
   in
   Node.lower_hint t.mem t.ly pred 0 key;
@@ -766,7 +835,7 @@ let split_node t ~tid ~key ~value ~(f : find) =
       in
       let node_height = random_height t ~tid in
       let node =
-        make_linked_object t ~tid ~pred:pred0 ~keys:new_keys ~values:new_values
+        make_linked_object t ~tid ~pred:pred0 ~key ~keys:new_keys ~values:new_values
           ~node_height ~f
       in
       Node.lower_hint t.mem ly pred0 0 new_anchor;
@@ -823,10 +892,13 @@ let try_retire_node t ~tid node =
       ~pred:t.head ~key:(Node.key0 t.mem node);
     mark_all_levels t node;
     let key = Node.key0 t.mem node in
+    let h = Node.height t.mem node in
     let rec until_unreachable budget =
       if budget = 0 then false
       else begin
         let f = traverse t ~tid ~recover:false key in
+        (* no level at or above the node's height ever linked it *)
+        load_succs t ~tid f key ~from_level:1 ~to_level:(h - 1);
         let refs p = Riv.equal p node in
         if Array.exists refs f.preds || Array.exists refs f.succs then begin
           backoff t ~tid;

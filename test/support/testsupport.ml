@@ -40,6 +40,19 @@ let run_crash pmem ~events bodies =
   | Sim.Sched.Crashed_at { time; events } -> (time, events)
   | Sim.Sched.Completed _ -> Alcotest.fail "expected a simulated crash"
 
+(* A crash point that keeps its place in a workload whatever its length:
+   [dry_run ()] runs the workload once, crash-free, on a fresh fixture and
+   returns its event count, and the point is the event [fraction] of the
+   way through it. A point pinned as an event count moves out of the run
+   when the workload gets shorter. *)
+let crash_point ~dry_run fraction = int_of_float (fraction *. float_of_int (dry_run ()))
+
+(* A [dry_run] for a Fault trial: [spec]'s round-0 workload, run to
+   completion. *)
+let trial_events spec () =
+  (Harness.Fault.run_trial { spec with Harness.Fault.crash_at = max_int })
+    .Harness.Fault.completed_events
+
 let make_mem ?(block_words = 64) ?(blocks_per_chunk = 32) ?(n_arenas = 4) pmem =
   let mem =
     Mem.create ~pmem ~chunk_words:(blocks_per_chunk * block_words)

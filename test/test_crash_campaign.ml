@@ -8,25 +8,35 @@ open Testsupport
 
 module Fault = Harness.Fault
 
+(* The workload every [campaign] trial runs, before its crash point. *)
+let threads = 4
+let keyspace = 120
+let ops_per_thread = 100
+let seed = 1234
+
 let campaign ?(crash_events = 8_000) ?evict name base ~trials =
   let s =
-    crash_campaign ~base ?evict ~threads:4 ~keyspace:120 ~ops_per_thread:100
-      ~crash_events ~seed:1234 ~trials ()
+    crash_campaign ~base ?evict ~threads ~keyspace ~ops_per_thread ~crash_events ~seed
+      ~trials ()
   in
   print_failures name s;
   check_int (name ^ ": no strict-linearizability violations") 0
     (List.length s.Fault.failures)
 
-(* UPSkipList's default workload here runs ~11.4K events, so its grids
+(* UPSkipList's default workload here runs ~10.0K events, so its grids
    start at 6K and end by 9K, inside the run. *)
 let test_upskiplist_campaign () =
   campaign ~crash_events:6_000 "UPSkipList" Fault.default_spec ~trials:6
 
 let test_upskiplist_optane_campaign () =
-  (* realistic latency model changes interleavings and crash surfaces *)
-  campaign "UPSkipList/optane"
-    { Fault.default_spec with latency = Harness.Kv.Optane }
-    ~trials:3
+  (* realistic latency model changes interleavings and crash surfaces; the
+     grid starts 60 % of the way through the workload's crash-free run *)
+  let base = { Fault.default_spec with latency = Harness.Kv.Optane } in
+  let crash_events =
+    crash_point 0.6
+      ~dry_run:(trial_events { base with threads; keyspace; ops_per_thread; seed })
+  in
+  campaign ~crash_events "UPSkipList/optane" base ~trials:3
 
 let test_upskiplist_eviction_campaign () =
   (* random line evictions at crash time (more persisted states) *)

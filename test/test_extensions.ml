@@ -638,6 +638,250 @@ let test_top_after_crash () =
       check_bool "some level above 0" true (SL.top_level fx.sl > 0))
     [ 2_000; 7_500; 15_000 ]
 
+(* ---- the traversal's read order ---------------------------------------------- *)
+
+(* A multi-level list (K = 4) loaded by one fiber with [n] odd keys from
+   101, in a seeded random order. *)
+let loaded_list ~n =
+  let fx = make_skiplist ~cfg:hint_cfg ~seed:3 () in
+  let keys = Array.init n (fun i -> 101 + (2 * i)) in
+  let rng = Sim.Rng.create 17 in
+  for i = n - 1 downto 1 do
+    let j = Sim.Rng.int rng (i + 1) in
+    let x = keys.(i) in
+    keys.(i) <- keys.(j);
+    keys.(j) <- x
+  done;
+  run1 fx.pmem (fun ~tid -> Array.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) keys);
+  fx
+
+(* The address of every simulated read [body] issues as the only fiber on
+   [fx]'s machine, in order. *)
+let reads_of fx body =
+  let log = ref [] in
+  let m = Pmem.machine fx.pmem in
+  let m =
+    { m with Sim.Sched.read = (fun ~tid a -> log := a :: !log; m.Sim.Sched.read ~tid a) }
+  in
+  (match Sim.Sched.run ~machine:m [ (0, body) ] with
+  | Sim.Sched.Completed _ -> ()
+  | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected simulated crash");
+  List.rev !log
+
+(* The anchor a hop at [level] routes by (host side). *)
+let anchor_at fx n level =
+  let ly = Node.layout (SL.config fx.sl) in
+  if Riv.equal n (SL.tail fx.sl) then Node.tail_key
+  else if level <= 1 then Mem.peek_field fx.mem n Node.o_anchor
+  else Mem.peek_field fx.mem n (Node.o_tower_anchor ly level)
+
+let next_at fx n level =
+  let ly = Node.layout (SL.config fx.sl) in
+  Riv.of_word (Node.unmark (Mem.peek_field fx.mem n (Node.o_next ly level)))
+
+let hint_at fx n level =
+  Mem.peek_field fx.mem n (Node.o_hint (Node.layout (SL.config fx.sl)) level)
+
+(* The walk a traversal for [key] takes over the volatile image, level by
+   level from the top level down: the node each level starts and ends on,
+   its hops, and whether a hint ended it (else an entered node's anchor). *)
+let traversal_walk fx key =
+  let rec level l pred acc =
+    if l < 0 then List.rev acc
+    else begin
+      let rec go pred hops =
+        if hint_at fx pred l > key then (pred, hops, true)
+        else
+          let succ = next_at fx pred l in
+          if anchor_at fx succ l <= key then go succ (hops + 1) else (pred, hops, false)
+      in
+      let last, hops, on_hint = go pred 0 in
+      level (l - 1) last ((l, pred, last, hops, on_hint) :: acc)
+    end
+  in
+  level (SL.top_level fx.sl) (SL.head fx.sl) []
+
+(* One search, read by read. Above level 0 a level that ends on a hint
+   reads the hint and never its predecessor's next pointer; level 0 still
+   reads its pointer. The count follows: one hint per level, plus level
+   0's pointer; a hop reads the next pointer, the anchor and the next
+   hint, and at levels 1 and 0 also the epoch of the node it claims; the
+   node level 1 starts on is claimed there once (level 0 starts on a node
+   claimed already). The lookup in the last node reads its split count,
+   lock word and fingerprint word, one key per fingerprint match, and,
+   for a key found, the lock word, value and split count again. *)
+let test_hint_read_order () =
+  let fx = loaded_list ~n:1_500 in
+  let ly = Node.layout (SL.config fx.sl) in
+  let head = SL.head fx.sl in
+  check_bool "several levels" true (SL.top_level fx.sl >= 4);
+  let upper_stops = ref 0 in
+  for i = 0 to 99 do
+    let key = 101 + (2 * (i * 13 mod 1_500)) in
+    let walk = traversal_walk fx key in
+    let where = Fmt.str "search %d" key in
+    if not (List.for_all (fun (_, _, _, _, on_hint) -> on_hint) walk) then
+      Alcotest.failf "%s: a level of this fixture ended on an anchor" where;
+    Obs.reset ();
+    let reads =
+      reads_of fx (fun ~tid ->
+          Alcotest.(check (option int)) (where ^ ": found") (Some key) (SL.search fx.sl ~tid key))
+    in
+    let next_word n l = Mem.resolve fx.mem n + Node.o_next ly l in
+    List.iter
+      (fun (l, _, last, _, _) ->
+        if l >= 1 then begin
+          incr upper_stops;
+          check_bool
+            (Fmt.str "%s: level %d ended on its hint without loading the pointer" where l)
+            false (List.mem (next_word last l) reads)
+        end
+        else
+          check_bool (where ^ ": level 0 loads its pointer") true
+            (List.mem (next_word last 0) reads))
+      walk;
+    let hops l = List.fold_left (fun acc (l', _, _, h, _) -> if l' = l then acc + h else acc) 0 walk in
+    let all_hops = List.fold_left (fun acc (_, _, _, h, _) -> acc + h) 0 walk in
+    let level1_claim =
+      List.exists (fun (l, start, _, _, _) -> l = 1 && not (Riv.equal start head)) walk
+    in
+    let hint_stops = Obs.total Obs.id_hint_stop in
+    check_int (where ^ ": every level ended on a hint") (List.length walk) hint_stops;
+    check_int (where ^ ": no stale hint") 0 (Obs.total Obs.id_hint_stale);
+    let predicted =
+      hint_stops + 1
+      + (3 * all_hops) + hops 1 + hops 0
+      + (if level1_claim then 1 else 0)
+      + 6 + Obs.total Obs.id_fp_match
+    in
+    check_int (where ^ ": loads") predicted (List.length reads)
+  done;
+  Obs.reset ();
+  check_bool "upper levels ended on hints" true (!upper_stops > 100)
+
+(* The successor and bound at every level of a pointer-first walk for
+   [key] (host side): what the traversal recorded before upper levels
+   read the hint first. *)
+let pointer_first_walk fx key =
+  let h = (SL.config fx.sl).Config.max_height in
+  let succs = Array.make h (SL.tail fx.sl) and bounds = Array.make h Node.tail_key in
+  let pred = ref (SL.head fx.sl) in
+  for l = h - 1 downto 0 do
+    let rec go () =
+      let succ = next_at fx !pred l in
+      let hint = hint_at fx !pred l in
+      if hint > key then (succ, hint)
+      else if anchor_at fx succ l <= key then begin
+        pred := succ;
+        go ()
+      end
+      else (succ, anchor_at fx succ l)
+    in
+    let succ, bound = go () in
+    succs.(l) <- succ;
+    bounds.(l) <- bound
+  done;
+  (succs, bounds)
+
+(* A fresh node — a split's, or a new head successor — takes its upper
+   successors from [load_succs], not from the traversal: its next pointer
+   and hint at every level must still be those of a pointer-first walk
+   for the inserted key, and they must be right from the first populate
+   (one fiber: no CAS fails, so no link is retried to repair them). *)
+let test_new_node_levels_match_walk () =
+  let fx = loaded_list ~n:400 in
+  let towers = ref 0 in
+  for i = 0 to 399 do
+    (* even keys between loaded ones, scrambled, and every 40th a key below
+       every other (a new head successor) *)
+    let key = if i mod 40 = 0 then 100 - (i / 40) else 102 + (2 * (i * 37 mod 400)) in
+    let succs, bounds = pointer_first_walk fx key in
+    let before = bottom_nodes fx in
+    Obs.reset ();
+    run1 fx.pmem (fun ~tid -> ignore (SL.upsert fx.sl ~tid key key));
+    check_int (Fmt.str "insert %d: no failed CAS" key) 0 (Obs.total Obs.id_cas_fail);
+    match List.filter (fun n -> not (List.mem n before)) (bottom_nodes fx) with
+    | [] -> ()
+    | [ n ] ->
+        let h = Node.meta_height (Mem.peek_field fx.mem n Node.o_meta) in
+        if h > 1 then incr towers;
+        for l = 0 to h - 1 do
+          let where = Fmt.str "insert %d, level %d" key l in
+          check_bool (where ^ ": next pointer") true (Riv.equal succs.(l) (next_at fx n l));
+          check_int (where ^ ": hint") bounds.(l) (hint_at fx n l)
+        done
+    | _ -> Alcotest.failf "insert %d linked more than one node" key
+  done;
+  Obs.reset ();
+  check_bool "new nodes with towers checked" true (!towers >= 10);
+  check_no_invariant_errors fx.sl
+
+(* A link that lands between [load_succs]' two reads. One fiber inserts
+   [key] (K = 1, so the insert links a fresh node after [m], the node
+   below it); [m], of height 2, has been unlinked at level 1 beforehand,
+   so level 1 runs [p] -> [s] and the traversal stops there on [p]'s hint
+   ([s]'s anchor). When the fiber reads [p]'s level-1 hint the second
+   time, in [load_succs], [m] is linked back, hint first, as a concurrent
+   tower build would. Pointer first, the walk records [s] with a hint
+   read before the link, the new node's link CAS at [p] fails and the
+   retry links it after [m]. A walk that read the hint first would pair
+   that old hint with the new pointer to [m] and link the new node before
+   [m], out of order. Each fiber id draws its own tower heights; the
+   fibers whose new node is at least 2 high are the checked cases. *)
+let test_load_succs_racing_link () =
+  let cfg = { Config.default with keys_per_node = 1 } in
+  let ly = Node.layout cfg in
+  let checked = ref 0 in
+  for fiber = 0 to 15 do
+    let fx = make_skiplist ~cfg ~seed:5 () in
+    run1 fx.pmem (fun ~tid -> for i = 1 to 60 do ignore (SL.upsert fx.sl ~tid (10 * i) i) done);
+    (* [m]: the first node of height 2 on level 1, after [p] *)
+    let rec find p =
+      let m = next_at fx p 1 in
+      if Riv.equal m (SL.tail fx.sl) then Alcotest.fail "no node of height 2 on level 1"
+      else if Node.meta_height (Mem.peek_field fx.mem m Node.o_meta) = 2 then (p, m)
+      else find m
+    in
+    let p, m = find (SL.head fx.sl) in
+    let s = next_at fx m 1 in
+    Mem.poke_ptr fx.mem p (Node.o_next ly 1) s;
+    Mem.poke_field fx.mem p (Node.o_hint ly 1) (anchor_at fx s 1);
+    let key = anchor_at fx m 1 + 5 in
+    let hint_word = Mem.resolve fx.mem p + Node.o_hint ly 1 in
+    let reads = ref 0 in
+    let base = Pmem.machine fx.pmem in
+    let machine =
+      {
+        base with
+        Sim.Sched.read =
+          (fun ~tid a ->
+            let v = base.Sim.Sched.read ~tid a in
+            if a = hint_word then begin
+              incr reads;
+              if !reads = 2 then begin
+                Mem.poke_field fx.mem p (Node.o_hint ly 1) (anchor_at fx m 1);
+                Mem.poke_ptr fx.mem p (Node.o_next ly 1) m
+              end
+            end;
+            v);
+      }
+    in
+    (match
+       Sim.Sched.run ~machine [ (fiber, fun ~tid -> ignore (SL.upsert fx.sl ~tid key key)) ]
+     with
+    | Sim.Sched.Completed _ -> ()
+    | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected simulated crash");
+    let n = next_at fx m 0 in
+    if Node.meta_height (Mem.peek_field fx.mem n Node.o_meta) >= 2 then begin
+      incr checked;
+      check_bool (Fmt.str "fiber %d: m was linked back in the walk" fiber) true (!reads >= 2);
+      check_bool (Fmt.str "fiber %d: level 1 runs m -> new node" fiber) true
+        (Riv.equal (next_at fx m 1) n);
+      check_no_invariant_errors fx.sl
+    end
+  done;
+  check_bool "new nodes of height 2 or more" true (!checked >= 3)
+
 (* ---- the split point --------------------------------------------------------- *)
 
 let node_sizes fx = List.map List.length (node_keys fx)
@@ -997,21 +1241,31 @@ let test_readers_survive_concurrent_retirement () =
 let test_crash_during_retirement () =
   (* crash somewhere inside a mass removal: acked removes must stay
      removed; the structure stays usable; invariants restorable *)
-  let fx = make_skiplist ~cfg:reclaim_cfg () in
-  run1 fx.pmem (fun ~tid ->
-      for k = 1 to 200 do
-        ignore (SL.upsert fx.sl ~tid k k)
-      done);
-  let acked = Array.make 4 [] in
-  let body ~tid =
-    for i = 0 to 49 do
-      let k = 1 + (i * 4) + tid in
-      ignore (SL.remove fx.sl ~tid k);
-      acked.(tid) <- k :: acked.(tid)
-    done
+  let setup () =
+    let fx = make_skiplist ~cfg:reclaim_cfg () in
+    run1 fx.pmem (fun ~tid ->
+        for k = 1 to 200 do
+          ignore (SL.upsert fx.sl ~tid k k)
+        done);
+    fx
   in
-  (* the removals run 19,458 events: crash in their last 0.3 % *)
-  ignore (run_crash fx.pmem ~events:19_413 (List.init 4 (fun _ -> body)));
+  let removals fx acked =
+    List.init 4 (fun _ ~tid ->
+        for i = 0 to 49 do
+          let k = 1 + (i * 4) + tid in
+          ignore (SL.remove fx.sl ~tid k);
+          acked.(tid) <- k :: acked.(tid)
+        done)
+  in
+  (* crash in the removals' last 0.3 % *)
+  let events =
+    crash_point 0.997 ~dry_run:(fun () ->
+        let fx = setup () in
+        snd (run fx.pmem (removals fx (Array.make 4 []))))
+  in
+  let fx = setup () in
+  let acked = Array.make 4 [] in
+  ignore (run_crash fx.pmem ~events (removals fx acked));
   Pmem.crash fx.pmem;
   Mem.reconnect fx.mem;
   run1 fx.pmem (fun ~tid ->
@@ -1163,6 +1417,10 @@ let () =
           case "readers never miss a key a split or tower build moves"
             test_hint_reader_order;
           case "top level recomputed after a crash" test_top_after_crash;
+          case "a level ends on a hint without loading the pointer" test_hint_read_order;
+          case "a new node's levels match a pointer-first walk"
+            test_new_node_levels_match_walk;
+          case "a link between load_succs' two reads" test_load_succs_racing_link;
         ] );
       ( "split point",
         [

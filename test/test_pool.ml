@@ -110,27 +110,27 @@ let test_fault_campaign_parity () =
    verdicts, in input order, as a sequential pass. *)
 let crash_histories () =
   List.mapi
-    (fun i crash_at ->
-      let t =
-        Fault.run_trial
-          {
-            Fault.default_spec with
-            threads = 4;
-            keyspace = 80;
-            ops_per_thread = 60;
-            crash_at;
-            draw_seed = 900 + i;
-            seed = 900 + i;
-          }
+    (fun i fraction ->
+      let spec =
+        {
+          Fault.default_spec with
+          threads = 4;
+          keyspace = 80;
+          ops_per_thread = 60;
+          draw_seed = 900 + i;
+          seed = 900 + i;
+        }
       in
+      let crash_at = crash_point fraction ~dry_run:(trial_events spec) in
+      let t = Fault.run_trial { spec with crash_at } in
       check_bool
         (if t.Fault.completed_events > 0 then
            Fault.missed_message (crash_at, t.Fault.completed_events)
          else "a crash was injected")
         true (t.Fault.crash_events > 0);
       t.Fault.history)
-    (* each workload runs ~6.6K events *)
-    [ 3_310; 3_703; 4_580; 6_178 ]
+    (* each trial crashes this far through its own workload *)
+    [ 0.48; 0.54; 0.67; 0.9 ]
 
 let test_lincheck_pool_parity () =
   let hs = crash_histories () in

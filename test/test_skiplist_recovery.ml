@@ -41,22 +41,33 @@ let test_acked_inserts_survive () =
         acked)
 
 let test_acked_updates_survive () =
-  let fx = make_skiplist () in
-  run1 fx.pmem (fun ~tid ->
-      for k = 1 to 100 do
-        ignore (SL.upsert fx.sl ~tid k k)
-      done);
-  (* updates acked before the crash must survive it *)
-  let acked = ref [] in
-  let body ~tid =
-    for k = 1 to 100 do
-      if k mod 4 = tid then begin
-        ignore (SL.upsert fx.sl ~tid k (k + 777));
-        acked := k :: !acked
-      end
-    done
+  let setup () =
+    let fx = make_skiplist () in
+    run1 fx.pmem (fun ~tid ->
+        for k = 1 to 100 do
+          ignore (SL.upsert fx.sl ~tid k k)
+        done);
+    fx
   in
-  ignore (run_crash fx.pmem ~events:3_000 (List.init 4 (fun _ -> body)));
+  (* updates acked before the crash must survive it *)
+  let updates fx acked =
+    List.init 4 (fun _ ~tid ->
+        for k = 1 to 100 do
+          if k mod 4 = tid then begin
+            ignore (SL.upsert fx.sl ~tid k (k + 777));
+            acked := k :: !acked
+          end
+        done)
+  in
+  (* crash 95 % of the way through the updates *)
+  let events =
+    crash_point 0.95 ~dry_run:(fun () ->
+        let fx = setup () in
+        snd (run fx.pmem (updates fx (ref []))))
+  in
+  let fx = setup () in
+  let acked = ref [] in
+  ignore (run_crash fx.pmem ~events (updates fx acked));
   Pmem.crash fx.pmem;
   Mem.reconnect fx.mem;
   run1 fx.pmem (fun ~tid ->
