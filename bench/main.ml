@@ -515,16 +515,7 @@ let chapter6 () =
         "all %d trials strictly linearizable (paper: 32 power-failure logs, \
          0 violations)@."
         trials
-  | failures ->
-      List.iter
-        (fun ((spec : Fault.spec), (r : Fault.result)) ->
-          Fmt.pr "failing trial: %s@." (Fault.spec_to_string spec);
-          List.iter
-            (fun v -> Fmt.pr "  %a@." Lincheck.Checker.pp_violation v)
-            r.Fault.violations;
-          List.iter (Fmt.pr "  audit: %s@.") r.Fault.audit_errors;
-          Option.iter (Fmt.pr "  raised: %s@.") r.Fault.raised)
-        failures);
+  | failures -> List.iter (Fmt.pr "%a" Fault.pp_failure) failures);
   (* sanity check of the analyzer itself, as in the thesis: inject errors *)
   let trial =
     Fault.run_trial

@@ -1,8 +1,12 @@
 (* Command-line driver for the UPSkipList reproduction.
 
      upskip_cli run --structure upskiplist --workload a --threads 16
-     upskip_cli crash-sweep --structure bztree --points 4 --depth 2
+     upskip_cli crash-sweep structure=bztree depth=2 --points 4
      upskip_cli crash-replay structure=upskiplist crash_at=5000 mutant=dangle
+
+   crash-sweep and crash-replay take the same SPEC tokens, the replay line
+   a failing trial prints (Harness.Fault's key table): a bare crash-sweep
+   runs the default trial, and any replay line is a valid campaign base.
 
    Everything executes on the simulated-PMEM machine; reported times are
    simulated nanoseconds (see DESIGN.md). *)
@@ -171,28 +175,6 @@ let jobs_t =
           "Worker domains for independent trials (1 = sequential). Results \
            are identical for any value.")
 
-let keyspace_t =
-  Arg.(value & opt int 120 & info [ "keyspace" ] ~doc:"Workload keyspace.")
-
-let sweep_ops_t =
-  Arg.(value & opt int 100 & info [ "ops-per-thread" ] ~doc:"Ops per thread per round.")
-
-let rounds_t =
-  Arg.(value & opt int 1 & info [ "rounds" ] ~doc:"Workload rounds, each crashed.")
-
-let depth_t =
-  Arg.(
-    value & opt int 2
-    & info [ "depth" ] ~doc:"Crash points injected into the recovery fiber itself.")
-
-let evict_t =
-  Arg.(
-    value & opt float 0.0
-    & info [ "evict" ]
-        ~doc:
-          "Persisted-state adversary: the probability in [0,1] that each \
-           dirty cache line persists at a power failure (0 loses them all).")
-
 let draws_t =
   Arg.(
     value & opt int 2
@@ -217,64 +199,18 @@ let shrink_t =
     value & flag
     & info [ "shrink" ] ~doc:"On failure, shrink the first failing trial to a minimal spec.")
 
-let mutant_t =
-  Arg.(
-    value & opt string "none"
-    & info [ "mutant" ]
-        ~doc:
-          "Self-validation mutant applied after recovery: none | skip_resolve \
-           | lose_key | skip_fp_repair | raise_hint | dangle | stale_tower_anchor.")
-
-let sweep_detect_t =
-  Arg.(
-    value & flag
-    & info [ "detect" ]
-        ~doc:
-          "Detectable operations: route upserts through per-client \
-           persistent descriptors, replay unacked ops after each crash and \
-           check exactly-once histories.")
-
 let json_out_t =
   Arg.(
     value & opt (some string) None
     & info [ "json-out" ] ~doc:"Write the deterministic JSON summary here.")
 
-let base_spec structure mode latency threads keyspace ops rounds depth evict seed
-    mutant detect =
-  Fault.validate
-    {
-      Fault.default_spec with
-      structure;
-      latency;
-      mode;
-      threads;
-      keyspace;
-      ops_per_thread = ops;
-      rounds;
-      depth;
-      evict;
-      draw_seed = seed + 1;
-      seed;
-      mutant;
-      detect;
-    }
-
 let report_failures ~shrink failures =
   List.iteri
-    (fun i ((spec : Fault.spec), (res : Fault.result)) ->
-      Fmt.pr "@.FAILURE %d: %d violation(s), %d audit error(s)@." i
-        (List.length res.Fault.violations)
-        (List.length res.Fault.audit_errors);
-      List.iter
-        (fun v -> Fmt.pr "  %a@." Lincheck.Checker.pp_violation v)
-        res.Fault.violations;
-      List.iter (fun e -> Fmt.pr "  audit: %s@." e) res.Fault.audit_errors;
-      Option.iter (Fmt.pr "  raised: %s@.") res.Fault.raised;
-      Fmt.pr "  replay: %s@." (Fault.spec_to_string spec);
+    (fun i ((spec, _) as failure) ->
+      Fmt.pr "@.%a" Fault.pp_failure failure;
       if shrink && i = 0 then begin
         Fmt.pr "  shrinking...@.";
-        let small = Fault.shrink spec in
-        Fmt.pr "  minimal: %s@." (Fault.spec_to_string small)
+        Fmt.pr "  minimal: %s@." (Fault.spec_to_string (Fault.shrink spec))
       end)
     failures
 
@@ -300,12 +236,25 @@ let write_campaign_json path (base : Fault.spec) (s : Fault.summary) =
        ]);
   Fmt.pr "campaign summary written to %s@." path
 
-let sweep_cmd structure mode latency threads keyspace ops rounds depth evict
-    draws origin stride points jitter seed mutant detect shrink jobs json_out =
-  match
-    base_spec structure mode latency threads keyspace ops rounds depth evict seed
-      mutant detect
-  with
+(* The SPEC arguments' doc, [lead] first; the key list comes from Fault. *)
+let spec_doc lead =
+  let key (k, tunes) =
+    match tunes with
+    | None -> Printf.sprintf "$(b,%s=)" k
+    | Some st -> Printf.sprintf "$(b,%s=) (tunes %s)" k (Kv.structure_name st)
+  in
+  Printf.sprintf
+    "%s A spec is key=value tokens, as a failing trial prints them (quoting \
+     the whole line as one argument also works). The line is the trial's \
+     whole fixture; unnamed keys take their defaults. Keys: %s. Mutants: \
+     %s. A tuning key prints only off its default, and tuning a structure \
+     the spec does not build is rejected (exit 2)."
+    lead
+    (String.concat " " (List.map key Fault.spec_keys))
+    (String.concat " | " Fault.mutants)
+
+let sweep_cmd tokens draws origin stride points jitter shrink jobs json_out =
+  match Fault.spec_of_string (String.concat " " tokens) with
   | Error e ->
       Fmt.epr "crash-sweep: %s@." e;
       2
@@ -313,14 +262,13 @@ let sweep_cmd structure mode latency threads keyspace ops rounds depth evict
       let campaign =
         { Fault.base; grid = { Fault.origin; stride; points; jitter }; draws }
       in
-      Fmt.pr "adversarial crash sweep on %s: %d points x %d draws, depth %d%s@."
-        (Kv.structure_name base.Fault.structure) points draws depth
-        (if detect then ", detectable ops" else "");
+      Fmt.pr "adversarial crash sweep: %d points x %d draws from %s@." points
+        draws (Fault.spec_to_string base);
       let before = Obs.totals () in
       let s = Fault.run_campaign ~jobs campaign in
       let after = Obs.totals () in
       Fault.print_summary ~name:(Kv.structure_name base.Fault.structure) s;
-      (* the campaign's counter delta: with --rounds 2, round 1 runs on a
+      (* the campaign's counter delta: with rounds=2, round 1 runs on a
          freshly crashed structure and pays its lazy repairs inline *)
       Harness.Report.digest_table
         ~title:"crash-recovery campaign counter digest (per crashed trial)"
@@ -331,28 +279,25 @@ let sweep_cmd structure mode latency threads keyspace ops rounds depth evict
 
 let sweep_term =
   Term.(
-    const sweep_cmd $ structure_t $ mode_t $ latency_t $ threads_t $ keyspace_t
-    $ sweep_ops_t $ rounds_t $ depth_t $ evict_t $ draws_t $ origin_t $ stride_t
-    $ points_t $ jitter_t $ seed_t $ mutant_t $ sweep_detect_t $ shrink_t
-    $ jobs_t $ json_out_t)
+    const sweep_cmd
+    $ Arg.(
+        value & pos_all string []
+        & info [] ~docv:"SPEC"
+            ~doc:
+              (spec_doc
+                 "The campaign's base trial: the grid overrides its crash \
+                  point and each draw offsets its persisted-state seed. No \
+                  SPEC runs the default trial; any replay line is a valid \
+                  base."))
+    $ draws_t $ origin_t $ stride_t $ points_t $ jitter_t $ shrink_t $ jobs_t
+    $ json_out_t)
 
 (* ---- crash-replay ------------------------------------------------------------- *)
 
 let spec_tokens_t =
   Arg.(
     non_empty & pos_all string []
-    & info [] ~docv:"SPEC"
-        ~doc:
-          "Replay spec as printed by a failing trial (key=value tokens; \
-           quoting the whole line as one argument also works). The line is \
-           the trial's whole fixture: unnamed keys take their defaults. \
-           $(b,mutant=) takes none | skip_resolve | lose_key | skip_fp_repair \
-           | raise_hint | dangle | stale_tower_anchor. UPSkipList's tuning is \
-           $(b,keys=) (keys per node), $(b,height=) (levels), $(b,p=) (tower \
-           branching), $(b,budget=) (tower repairs per traversal) and \
-           $(b,reclaim=) on | off; BzTree's descriptor pool is \
-           $(b,descriptors=). Tuning a structure the spec does not build is \
-           rejected (exit 2).")
+    & info [] ~docv:"SPEC" ~doc:(spec_doc "The trial to re-execute."))
 
 let replay_cmd tokens =
   let line = String.concat " " tokens in
@@ -767,9 +712,10 @@ let cmds =
     Cmd.v
       (Cmd.info "crash-sweep"
          ~doc:
-           "Adversarial fault-injection campaign: crash-point grid, \
-            persisted-state draws, crash-during-recovery, heap audits, and \
-            (--detect) exactly-once replay of unacked ops.")
+           "Adversarial fault-injection campaign over a replay spec: \
+            crash-point grid, persisted-state draws, crash-during-recovery, \
+            heap audits, and (with detectable ops on) exactly-once replay of \
+            unacked ops.")
       sweep_term;
     Cmd.v
       (Cmd.info "crash-replay"

@@ -79,7 +79,7 @@ let default_spec =
     mutant = "none";
     detect = false;
     cfg = Upskiplist.Config.default;
-    descriptors = 16_384;
+    descriptors = Kv.default_descriptors;
   }
 
 type result = {
@@ -223,9 +223,7 @@ let pool_words s =
   grow (1 lsl 20)
 
 (* [Kv.default_sys], the figures' machine, under the spec's latency and
-   mode: four NUMA nodes and room for 200 threads (PMDK's recovery scans
-   one transaction lane per thread, so Table 5.4's PMDK row depends on
-   it). *)
+   mode: four NUMA nodes and room for 200 threads. *)
 let kv_of_spec s =
   Kv.make_named s.structure ~cfg:s.cfg ~n_descriptors:s.descriptors
     ?detect_clients:(if s.detect then Some s.threads else None)
@@ -468,30 +466,58 @@ let run_trial (spec : spec) =
 
 (* ---- replay specs (one line, self-contained) ----------------------------- *)
 
+(* One entry per spec key: the only place the key vocabulary is spelled.
+   [spec_to_string] prints the entries in table order, [spec_of_string]
+   dispatches each token on its key's name, [validate] re-parses each key's
+   printed value, and the CLI lists the names. A key's parser holds its
+   bounds. A key with [tunes = Some st] is fixture tuning of structure
+   [st]: it prints only where it differs from [default_spec], so a default
+   fixture's line names none of its keys. *)
+type key = {
+  name : string;
+  show : spec -> string;
+  parse : string -> spec -> (spec, string) Stdlib.result;
+  tunes : Kv.structure option;  (* None: printed on every line *)
+}
+
+let ( let* ) = Result.bind
 let switch b = if b then "on" else "off"
 
-(* The fixture's tuning prints only where it differs from the default, so a
-   default fixture's line names none of its keys. *)
-let spec_to_string s =
-  let c = s.cfg and d = Upskiplist.Config.default in
-  let knob key show v dv = if v = dv then "" else Printf.sprintf " %s=%s" key (show v) in
-  Printf.sprintf
-    "structure=%s latency=%s mode=%s threads=%d keyspace=%d ops=%d read=%s \
-     rounds=%d crash_at=%d depth=%d evict=%s draw=%d seed=%d audit=%s \
-     mutant=%s detect=%s%s%s%s%s%s%s"
-    (Kv.structure_name s.structure)
-    (Kv.latency_name s.latency) (Kv.mode_name s.mode) s.threads s.keyspace
-    s.ops_per_thread
-    (Json.num_to_string s.read_fraction)
-    s.rounds s.crash_at s.depth
-    (Json.num_to_string s.evict)
-    s.draw_seed s.seed (switch s.audit) s.mutant (switch s.detect)
-    (knob "keys" string_of_int c.keys_per_node d.keys_per_node)
-    (knob "height" string_of_int c.max_height d.max_height)
-    (knob "p" Json.num_to_string c.branching_p d.branching_p)
-    (knob "budget" string_of_int c.recovery_budget d.recovery_budget)
-    (knob "reclaim" switch c.reclaim_empty_nodes d.reclaim_empty_nodes)
-    (knob "descriptors" string_of_int s.descriptors default_spec.descriptors)
+let key ?tunes name show parse = { name; show; parse; tunes }
+
+let int_key ?tunes ?(min = min_int) ?(max = max_int) name get set =
+  key ?tunes name
+    (fun s -> string_of_int (get s))
+    (fun v s ->
+      match int_of_string_opt v with
+      | None -> Error (Printf.sprintf "%s: not an integer: %s" name v)
+      | Some n when n < min -> Error (Printf.sprintf "%s must be >= %d: %d" name min n)
+      | Some n when n > max -> Error (Printf.sprintf "%s must be <= %d: %d" name max n)
+      | Some n -> Ok (set s n))
+
+let float_key ?tunes ?(unit_interval = false) name get set =
+  key ?tunes name
+    (fun s -> Json.num_to_string (get s))
+    (fun v s ->
+      match float_of_string_opt v with
+      | None -> Error (Printf.sprintf "%s: not a number: %s" name v)
+      | Some f when unit_interval && not (f >= 0.0 && f <= 1.0) ->
+          Error (Printf.sprintf "%s: want a probability in [0,1]: %g" name f)
+      | Some f -> Ok (set s f))
+
+let switch_key ?tunes name get set =
+  key ?tunes name
+    (fun s -> switch (get s))
+    (fun v s ->
+      match v with
+      | "on" -> Ok (set s true)
+      | "off" -> Ok (set s false)
+      | _ -> Error (Printf.sprintf "%s: want on | off: %s" name v))
+
+let spelling_key name of_string to_name get set =
+  key name
+    (fun s -> to_name (get s))
+    (fun v s -> Result.map (set s) (of_string v))
 
 (* Names the trial engine understands: [Kv.corrupt] mutations plus the
    harness-level [skip_resolve]. *)
@@ -510,153 +536,135 @@ let mutants =
    its recovery scan. *)
 let max_descriptors = 1_000_000
 
-let validate s =
-  let at_least k min n =
-    if n >= min then Ok () else Error (Printf.sprintf "%s must be >= %d: %d" k min n)
-  in
-  let at_most k max n =
-    if n <= max then Ok () else Error (Printf.sprintf "%s must be <= %d: %d" k max n)
-  in
-  let ( let* ) = Result.bind in
-  let* () = at_least "threads" 1 s.threads in
-  (* the memory manager keeps one allocation log per thread *)
-  let* () = at_most "threads" Memory.Mem.max_threads s.threads in
-  let* () = at_least "keyspace" 1 s.keyspace in
-  let* () = at_least "ops" 1 s.ops_per_thread in
-  let* () = at_least "rounds" 1 s.rounds in
-  let* () = at_least "depth" 0 s.depth in
-  let* () = at_least "crash_at" 0 s.crash_at in
-  let* () = at_least "descriptors" 1 s.descriptors in
-  let* () = at_most "descriptors" max_descriptors s.descriptors in
-  let* () =
-    if s.evict >= 0.0 && s.evict <= 1.0 then Ok ()
-    else Error (Printf.sprintf "evict: want a probability in [0,1]: %g" s.evict)
-  in
+let keys =
+  let ups = Kv.Upskiplist in
+  [
+    spelling_key "structure" Kv.structure_of_string Kv.structure_name
+      (fun s -> s.structure)
+      (fun s structure -> { s with structure });
+    spelling_key "latency" Kv.latency_of_string Kv.latency_name
+      (fun s -> s.latency)
+      (fun s latency -> { s with latency });
+    spelling_key "mode" Kv.mode_of_string Kv.mode_name
+      (fun s -> s.mode)
+      (fun s mode -> { s with mode });
+    (* the memory manager keeps one allocation log per thread *)
+    int_key "threads" ~min:1 ~max:Memory.Mem.max_threads
+      (fun s -> s.threads)
+      (fun s threads -> { s with threads });
+    int_key "keyspace" ~min:1
+      (fun s -> s.keyspace)
+      (fun s keyspace -> { s with keyspace });
+    int_key "ops" ~min:1
+      (fun s -> s.ops_per_thread)
+      (fun s ops_per_thread -> { s with ops_per_thread });
+    float_key "read"
+      (fun s -> s.read_fraction)
+      (fun s read_fraction -> { s with read_fraction });
+    int_key "rounds" ~min:1 (fun s -> s.rounds) (fun s rounds -> { s with rounds });
+    int_key "crash_at" ~min:0
+      (fun s -> s.crash_at)
+      (fun s crash_at -> { s with crash_at });
+    int_key "depth" ~min:0 (fun s -> s.depth) (fun s depth -> { s with depth });
+    float_key "evict" ~unit_interval:true
+      (fun s -> s.evict)
+      (fun s evict -> { s with evict });
+    int_key "draw" (fun s -> s.draw_seed) (fun s draw_seed -> { s with draw_seed });
+    int_key "seed" (fun s -> s.seed) (fun s seed -> { s with seed });
+    switch_key "audit" (fun s -> s.audit) (fun s audit -> { s with audit });
+    key "mutant"
+      (fun s -> s.mutant)
+      (fun v s ->
+        if List.mem v mutants then Ok { s with mutant = v }
+        else
+          Error
+            (Printf.sprintf "unknown mutant: %s (want %s)" v
+               (String.concat " | " mutants)));
+    switch_key "detect" (fun s -> s.detect) (fun s detect -> { s with detect });
+    (* UPSkipList's config; Upskiplist.Config.validate holds its bounds *)
+    int_key "keys" ~tunes:ups
+      (fun s -> s.cfg.keys_per_node)
+      (fun s keys_per_node -> { s with cfg = { s.cfg with keys_per_node } });
+    int_key "height" ~tunes:ups
+      (fun s -> s.cfg.max_height)
+      (fun s max_height -> { s with cfg = { s.cfg with max_height } });
+    float_key "p" ~tunes:ups
+      (fun s -> s.cfg.branching_p)
+      (fun s branching_p -> { s with cfg = { s.cfg with branching_p } });
+    int_key "budget" ~tunes:ups
+      (fun s -> s.cfg.recovery_budget)
+      (fun s recovery_budget -> { s with cfg = { s.cfg with recovery_budget } });
+    switch_key "reclaim" ~tunes:ups
+      (fun s -> s.cfg.reclaim_empty_nodes)
+      (fun s reclaim_empty_nodes -> { s with cfg = { s.cfg with reclaim_empty_nodes } });
+    int_key "descriptors" ~tunes:Kv.Bztree ~min:1 ~max:max_descriptors
+      (fun s -> s.descriptors)
+      (fun s descriptors -> { s with descriptors });
+  ]
+
+let spec_keys = List.map (fun k -> (k.name, k.tunes)) keys
+let off_default k s = k.show s <> k.show default_spec
+
+let spec_to_string s =
+  List.filter (fun k -> k.tunes = None || off_default k s) keys
+  |> List.map (fun k -> k.name ^ "=" ^ k.show s)
+  |> String.concat " "
+
+(* The checks that span keys: UPSkipList's config as a whole, and no tuning
+   of a structure the spec does not build (a fixture that cannot exist). *)
+let check_fixture s =
   let* () =
     match Upskiplist.Config.validate s.cfg with
     | () -> Ok ()
     | exception Invalid_argument e -> Error e
   in
-  (* a tuning knob of a structure the spec does not build names a fixture
-     that cannot exist *)
-  let* () =
-    if s.structure <> Kv.Upskiplist && s.cfg <> Upskiplist.Config.default then
-      Error "keys, height, p, budget and reclaim tune structure=upskiplist only"
-    else Ok ()
+  let stray k =
+    match k.tunes with
+    | Some st when st <> s.structure && off_default k s ->
+        Some
+          (Printf.sprintf "%s=%s tunes %s only" k.name (k.show s)
+             (Kv.structure_name st))
+    | Some _ | None -> None
   in
-  let* () =
-    if s.structure <> Kv.Bztree && s.descriptors <> default_spec.descriptors then
-      Error "descriptors tunes structure=bztree only"
-    else Ok ()
+  match List.find_map stray keys with Some e -> Error e | None -> Ok s
+
+let validate s =
+  let reparse acc k =
+    let* t = acc in
+    k.parse (k.show s) t
   in
-  if List.mem s.mutant mutants then Ok s
-  else
-    Error
-      (Printf.sprintf "unknown mutant: %s (want %s)" s.mutant
-         (String.concat " | " mutants))
+  let* _ = List.fold_left reparse (Ok s) keys in
+  check_fixture s
 
 let spec_of_string line =
-  let tokens =
+  let parse_token acc tok =
+    let* s = acc in
+    match String.index_opt tok '=' with
+    | None -> Error (Printf.sprintf "malformed token (expected key=value): %s" tok)
+    | Some i -> (
+        let name = String.sub tok 0 i in
+        let v = String.sub tok (i + 1) (String.length tok - i - 1) in
+        match List.find_opt (fun k -> k.name = name) keys with
+        | Some k -> k.parse v s
+        | None ->
+            Error
+              (Printf.sprintf "unknown key: %s (want %s)" name
+                 (String.concat " | " (List.map (fun k -> k.name) keys))))
+  in
+  let* s =
     String.split_on_char ' ' (String.trim line)
     |> List.filter (fun t -> t <> "")
+    |> List.fold_left parse_token (Ok default_spec)
   in
-  let parse_int k v =
-    match int_of_string_opt v with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "%s: not an integer: %s" k v)
-  in
-  let parse_float k v =
-    match float_of_string_opt v with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "%s: not a number: %s" k v)
-  in
-  let parse_switch k v =
-    match v with
-    | "on" -> Ok true
-    | "off" -> Ok false
-    | _ -> Error (Printf.sprintf "%s: want on | off: %s" k v)
-  in
-  let ( let* ) = Result.bind in
-  let* s =
-    List.fold_left
-      (fun acc tok ->
-        let* s = acc in
-        match String.index_opt tok '=' with
-        | None -> Error (Printf.sprintf "malformed token (expected key=value): %s" tok)
-        | Some i -> (
-            let k = String.sub tok 0 i in
-            let v = String.sub tok (i + 1) (String.length tok - i - 1) in
-            match k with
-            | "structure" ->
-                let* structure = Kv.structure_of_string v in
-                Ok { s with structure }
-            | "latency" ->
-                let* latency = Kv.latency_of_string v in
-                Ok { s with latency }
-            | "mode" ->
-                let* mode = Kv.mode_of_string v in
-                Ok { s with mode }
-            | "threads" ->
-                let* n = parse_int k v in
-                Ok { s with threads = n }
-            | "keyspace" ->
-                let* n = parse_int k v in
-                Ok { s with keyspace = n }
-            | "ops" ->
-                let* n = parse_int k v in
-                Ok { s with ops_per_thread = n }
-            | "read" ->
-                let* f = parse_float k v in
-                Ok { s with read_fraction = f }
-            | "rounds" ->
-                let* n = parse_int k v in
-                Ok { s with rounds = n }
-            | "crash_at" ->
-                let* n = parse_int k v in
-                Ok { s with crash_at = n }
-            | "depth" ->
-                let* n = parse_int k v in
-                Ok { s with depth = n }
-            | "evict" ->
-                let* f = parse_float k v in
-                Ok { s with evict = f }
-            | "draw" ->
-                let* n = parse_int k v in
-                Ok { s with draw_seed = n }
-            | "seed" ->
-                let* n = parse_int k v in
-                Ok { s with seed = n }
-            | "audit" ->
-                let* b = parse_switch k v in
-                Ok { s with audit = b }
-            | "mutant" -> Ok { s with mutant = v }
-            | "detect" ->
-                let* b = parse_switch k v in
-                Ok { s with detect = b }
-            | "keys" ->
-                let* n = parse_int k v in
-                Ok { s with cfg = { s.cfg with keys_per_node = n } }
-            | "height" ->
-                let* n = parse_int k v in
-                Ok { s with cfg = { s.cfg with max_height = n } }
-            | "p" ->
-                let* f = parse_float k v in
-                Ok { s with cfg = { s.cfg with branching_p = f } }
-            | "budget" ->
-                let* n = parse_int k v in
-                Ok { s with cfg = { s.cfg with recovery_budget = n } }
-            | "reclaim" ->
-                let* b = parse_switch k v in
-                Ok { s with cfg = { s.cfg with reclaim_empty_nodes = b } }
-            | "descriptors" ->
-                let* n = parse_int k v in
-                Ok { s with descriptors = n }
-            | _ -> Error (Printf.sprintf "unknown key: %s" k)))
-      (Ok default_spec) tokens
-  in
-  validate s
+  check_fixture s
 
 let run_spec = run_trial
+
+let pp_failure ppf (spec, r) =
+  Fmt.pf ppf "failing trial: %s@." (spec_to_string spec);
+  List.iter (Fmt.pf ppf "  %a@." Lincheck.Checker.pp_violation) r.violations;
+  List.iter (Fmt.pf ppf "  audit: %s@.") r.audit_errors;
+  Option.iter (Fmt.pf ppf "  raised: %s@.") r.raised
 
 (* ---- deterministic crash-point sweeps ------------------------------------ *)
 
@@ -775,13 +783,7 @@ let print_summary ~name (s : summary) =
   if s.replays > 0 || s.suppressions > 0 then
     Fmt.pr "  exactly-once: %d op(s) replayed, %d duplicate(s) suppressed@."
       s.replays s.suppressions;
-  List.iter (fun m -> Fmt.pr "  %s@." (missed_message m)) s.missed;
-  List.iter
-    (fun (spec, r) ->
-      Option.iter
-        (Fmt.pr "  crash point %d: raised after recovery: %s@." spec.crash_at)
-        r.raised)
-    s.failures
+  List.iter (fun m -> Fmt.pr "  %s@." (missed_message m)) s.missed
 
 (* ---- failure shrinking --------------------------------------------------- *)
 

@@ -132,8 +132,8 @@ let make_upskiplist ?(cfg = Upskiplist.Config.default) ?(n_arenas = 8)
 
 (* ---- BzTree -------------------------------------------------------------- *)
 
-let make_bztree ?(leaf_capacity = 64) ?(fanout = 16) ?(n_descriptors = 500_000)
-    ?detect_clients sys =
+let make_bztree ?(leaf_capacity = 64) ?(fanout = 16) ~n_descriptors ?detect_clients
+    sys =
   let pmem = make_pmem sys in
   let mem = Mem.create ~pmem ~chunk_words:(1 lsl 14) ~block_words:8 ~n_arenas:1 () in
   Mem.format mem;
@@ -166,7 +166,7 @@ let make_pmdk_list ?(max_height = 24) ?detect_clients sys =
   let pmem = make_pmem sys in
   let mem = Mem.create ~pmem ~chunk_words:(1 lsl 14) ~block_words:8 ~n_arenas:1 () in
   Mem.format mem;
-  let tx = Pmdk.Tx.create_poked ~mem ~max_threads:sys.max_threads in
+  let tx = Pmdk.Tx.create_poked ~mem in
   let sl =
     Pmdk.Lock_skiplist.create ~mem ~tx ~max_height ~max_threads:sys.max_threads
       ~seed:(sys.seed + 23)
@@ -231,7 +231,10 @@ let latency_params = function
   | Uniform -> Pmem.Latency.uniform
   | Optane -> Pmem.Latency.default
 
-let make_named structure ?cfg ?(n_descriptors = 16_384) ?detect_clients sys =
+let default_descriptors = 16_384
+
+let make_named structure ?cfg ?(n_descriptors = default_descriptors) ?detect_clients
+    sys =
   match structure with
   | Upskiplist -> make_upskiplist ?cfg ?detect_clients sys
   | Bztree -> make_bztree ~n_descriptors ?detect_clients sys

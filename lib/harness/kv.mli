@@ -54,7 +54,7 @@ val make_upskiplist :
 val make_bztree :
   ?leaf_capacity:int ->
   ?fanout:int ->
-  ?n_descriptors:int ->
+  n_descriptors:int ->
   ?detect_clients:int ->
   sys ->
   t
@@ -92,6 +92,10 @@ val latency_name : latency -> string
 val latency_params : latency -> Pmem.Latency.params
 (** [Uniform] is {!Pmem.Latency.uniform}, [Optane] {!Pmem.Latency.default}. *)
 
+val default_descriptors : int
+(** 16 384: BzTree's descriptor pool in {!make_named} and the fault
+    campaigns' default spec. *)
+
 val make_named :
   structure ->
   ?cfg:Upskiplist.Config.t ->
@@ -101,7 +105,7 @@ val make_named :
   t
 (** Build a fixture of [structure]: UPSkipList tuned by [?cfg] (default
     {!Upskiplist.Config.default}), BzTree with an [?n_descriptors]-entry
-    descriptor pool (default 16 384, as in the fault-campaign specs); each
+    descriptor pool (default {!default_descriptors}); each
     is ignored by the other structures. [?detect_clients] additionally
     formats a {!Detect} announcement table of that many client slots in
     the fixture's pool 0. *)

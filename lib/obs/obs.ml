@@ -450,7 +450,6 @@ module Trace = struct
     max 0 (s.total_emitted - s.cap)
 
   let total_emitted () = (Domain.DLS.get state_key).total_emitted
-  let capacity () = (Domain.DLS.get state_key).cap
 
   (* index of the i-th oldest retained event, i in [0, recorded) *)
   let slot s i =
@@ -464,47 +463,6 @@ module Trace = struct
       f ~ts:s.ts_buf.(sl) ~tid:s.tid_buf.(sl) ~kind:s.kind_buf.(sl)
         ~arg:s.arg_buf.(sl) ~farg:s.farg_buf.(sl)
     done
-
-  (* ---- cross-domain ring transfer (Sim.Pool.run_phased) ---- *)
-
-  type captured = {
-    c_dropped : int; (* events already overwritten at capture *)
-    c_ts : float array;
-    c_tid : int array;
-    c_kind : int array;
-    c_arg : int array;
-    c_farg : float array;
-  }
-
-  let capture () =
-    let s = Domain.DLS.get state_key in
-    let n = min s.total_emitted s.cap in
-    let pick buf = Array.init n (fun k -> buf.(slot s k)) in
-    {
-      c_dropped = s.total_emitted - n;
-      c_ts = pick s.ts_buf;
-      c_tid = pick s.tid_buf;
-      c_kind = pick s.kind_buf;
-      c_arg = pick s.arg_buf;
-      c_farg = pick s.farg_buf;
-    }
-
-  let absorb c =
-    let s = Domain.DLS.get state_key in
-    if s.cap > 0 then begin
-      (* Advance the cursor past the segment's already-dropped prefix
-         without touching slots: c_dropped > 0 implies the retained suffix
-         holds exactly [capacity] events (capture and absorb rings must
-         share one capacity), so the loop below rewrites every slot and no
-         stale event survives the skip. This makes the final ring content
-         identical to having emitted the whole segment here live. *)
-      s.total_emitted <- s.total_emitted + c.c_dropped;
-      Array.iteri
-        (fun k ts ->
-          emit ~ts ~tid:c.c_tid.(k) ~kind:c.c_kind.(k) ~arg:c.c_arg.(k)
-            ~farg:c.c_farg.(k))
-        c.c_ts
-    end
 
   let kind_label = function
     | k when k = id_flush -> "flush"

@@ -333,30 +333,10 @@ module Trace : sig
   (** Events ever emitted on this domain's ring (recorded + dropped);
       monotone while the ring is not restarted. *)
 
-  val capacity : unit -> int
-  (** Current ring capacity in events (0 before the first {!start}). *)
-
   val iter_retained :
     (ts:float -> tid:int -> kind:int -> arg:int -> farg:float -> unit) -> unit
   (** Visit the retained events, oldest first (the surviving window after
       any drop-oldest overflow). *)
-
-  type captured
-  (** A ring's event stream lifted out of it: the retained events plus the
-      count of those already overwritten. Used by [Sim.Pool.run_phased] to
-      move a worker domain's events into the caller's ring. *)
-
-  val capture : unit -> captured
-  (** Copy every event out of this domain's ring. Events already
-      overwritten by ring overflow are counted, not recovered. *)
-
-  val absorb : captured -> unit
-  (** Replay a captured segment into this domain's ring as if its events
-      had been emitted here live: the overwritten prefix advances the drop
-      accounting, the retained events are re-emitted in order. Byte-exact
-      with a live sequential emission {e provided} both rings share one
-      capacity (when the prefix is non-empty the retained suffix holds
-      exactly [capacity] events, so every slot is rewritten). *)
 
   val to_chrome :
     ?counter_tracks:(string * (float * float) list) list -> unit -> Json.t

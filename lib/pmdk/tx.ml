@@ -30,7 +30,6 @@ type t = {
   mem : Mem.t;
   base : int;  (* first word of the region (pool 0) *)
   run_id_word : Sim.Sched.addr;
-  max_threads : int;
   dirty : (int, int list ref) Hashtbl.t;  (* tid -> modified addrs (DRAM) *)
   mutable run_id : int;  (* DRAM copy *)
 }
@@ -38,8 +37,12 @@ type t = {
 let slot_word t tid = t.base + Pmem.line_words + (tid * slot_words)
 let slot_addr t tid i = Pmem.addr ~pool:0 ~word:(slot_word t tid + i)
 
-let create_poked ~mem ~max_threads =
-  let words = Pmem.line_words + (max_threads * slot_words) in
+(* One lane per possible tid, so recovery scans a fixed number of slots
+   however the fixture is sized. *)
+let lanes = Mem.max_threads
+
+let create_poked ~mem =
+  let words = Pmem.line_words + (lanes * slot_words) in
   let region = Mem.grab_region_poked mem ~pool:0 ~words in
   let base = Riv.offset region in
   let run_id_word = Pmem.addr ~pool:0 ~word:base in
@@ -48,7 +51,6 @@ let create_poked ~mem ~max_threads =
     mem;
     base;
     run_id_word;
-    max_threads;
     dirty = Hashtbl.create 64;
     run_id = 1;
   }
@@ -119,10 +121,10 @@ let abort t ~tid =
 (* ---- recovery ----------------------------------------------------------- *)
 
 (* Roll back every transaction left active by the crash. Runs in fiber
-   context so recovery can be timed; cost is O(threads + log entries), not
+   context so recovery can be timed; cost is O(lanes + log entries), not
    structure size. *)
 let recover t =
-  for tid = 0 to t.max_threads - 1 do
+  for tid = 0 to lanes - 1 do
     if Mem.read t.mem (slot_addr t tid s_state) = state_active then begin
       let count = Mem.read t.mem (slot_addr t tid s_count) in
       for i = min (count - 1) (max_entries - 1) downto 0 do

@@ -117,17 +117,14 @@ let map ?jobs f xs = run ?jobs (List.map (fun x () -> f x) xs)
    steps in station order, then the exchange — the sequential fallback a
    deterministic caller can byte-compare against.
 
-   Worker-domain Obs counter deltas (and trace segments, when the caller
-   records a trace) are merged into the caller in worker order after the
-   run. Counter totals therefore match the sequential schedule exactly;
-   trace *interleaving* may differ (a worker's events absorb as one
-   contiguous segment), which is why callers that promise byte-identical
-   artifacts exclude raw traces from that promise. *)
+   Worker-domain Obs counter deltas are merged into the caller in worker
+   order after the run, so counter totals match the sequential schedule
+   exactly. As in [run], while the caller records a trace the sequential
+   schedule runs, so its ring is exactly the sequential run's. *)
 
 type phased_slot = {
   mutable p_exn : (exn * Printexc.raw_backtrace) option;
   mutable p_obs : (int array array * int array array) option;
-  mutable p_seg : Obs.Trace.captured option;
 }
 
 let run_phased ?(domains = 0) ~stations ~step ~exchange ~finalize () =
@@ -146,7 +143,7 @@ let run_phased ?(domains = 0) ~stations ~step ~exchange ~finalize () =
     done
   in
   let w = Int.min domains (stations - 1) in
-  if w <= 0 || Domain.DLS.get in_worker_key then seq ()
+  if w <= 0 || Domain.DLS.get in_worker_key || Obs.Trace.enabled () then seq ()
   else begin
     let m = Mutex.create () in
     let cv = Condition.create () in
@@ -155,17 +152,13 @@ let run_phased ?(domains = 0) ~stations ~step ~exchange ~finalize () =
     let round = ref (-1) in
     let done_count = ref 0 in
     let stopping = ref false in
-    let trace_cap = if Obs.Trace.enabled () then Obs.Trace.capacity () else 0 in
-    let slots =
-      Array.init w (fun _ -> { p_exn = None; p_obs = None; p_seg = None })
-    in
+    let slots = Array.init w (fun _ -> { p_exn = None; p_obs = None }) in
     let stations_of j =
       let rec go i acc = if i < 1 then acc else go (i - 1) (i :: acc) in
       List.filter (fun i -> (i - 1) mod w = j) (go (stations - 1) [])
     in
     let worker j () =
       Domain.DLS.set in_worker_key true;
-      if trace_cap > 0 then Obs.Trace.start ~capacity:trace_cap ();
       let before = Obs.snapshot () in
       let slot = slots.(j) in
       let mine = stations_of j in
@@ -195,8 +188,7 @@ let run_phased ?(domains = 0) ~stations ~step ~exchange ~finalize () =
           Mutex.unlock m
         end
       done;
-      slot.p_obs <- Some (before, Obs.snapshot ());
-      if trace_cap > 0 then slot.p_seg <- Some (Obs.Trace.capture ())
+      slot.p_obs <- Some (before, Obs.snapshot ())
     in
     let doms = Array.init w (fun j -> Domain.spawn (worker j)) in
     let caller_exn = ref None in
@@ -235,9 +227,6 @@ let run_phased ?(domains = 0) ~stations ~step ~exchange ~finalize () =
         match s.p_obs with
         | Some (before, after) -> Obs.add_delta ~before ~after
         | None -> ())
-      slots;
-    Array.iter
-      (fun s -> match s.p_seg with Some seg -> Obs.Trace.absorb seg | None -> ())
       slots;
     (* first worker exception (by worker index), else the caller's *)
     let first =

@@ -52,8 +52,8 @@ val run_phased :
     the exchange callback may touch all of them (it runs while they are
     quiescent, with the barrier providing the happens-before edges).
 
-    Worker-domain Obs counter deltas (and trace segments, when the caller
-    is recording) merge back into the caller in worker order, so counter
-    totals equal the sequential schedule exactly; trace event interleaving
-    may differ between the two modes. The first station exception (caller
-    exceptions last) re-raises after all domains join. *)
+    Worker-domain Obs counter deltas merge back into the caller in worker
+    order, so counter totals equal the sequential schedule exactly. While
+    the caller is recording a trace the sequential schedule runs, so its
+    ring is exactly the [domains:0] run's. The first station exception
+    (caller exceptions last) re-raises after all domains join. *)

@@ -32,10 +32,8 @@
    per-window accumulators, depth samples, per-client ledgers) is
    station-local and merged on the coordinator in station order after the
    run; histogram and counter merges are exact, so the merged report is
-   identical across modes. The one deliberate exclusion: raw trace event
-   *order* (a worker domain's events absorb as one contiguous segment), so
-   the byte-identity promise covers the Slo JSON, span JSON and Obs totals,
-   not chrome traces.
+   identical across modes. A traced run keeps every station on the calling
+   domain (Pool.run_phased's rule), so its trace is the sequential one.
 
    Cross-shard scan fan-out resolves on the frontend: a shard acks its part
    locally and mails the rows back; the aggregator fiber merges them and

@@ -33,8 +33,8 @@
     (stations pinned to parallel domains via {!Sim.Pool.run_phased})
     produce byte-identical {!Slo.to_json}, {!Slo.spans_to_json} and
     [Obs.totals] output — the @svc/domains runtest gate enforces this.
-    Raw trace event order is excluded from that promise (a worker domain's
-    events absorb as one contiguous segment).
+    A traced run steps every station on the calling domain, so its trace is
+    the sequential run's.
 
     A config crash plan power-fails the owning shard at the first batch
     boundary at or after the crash time: its pools crash (dropping

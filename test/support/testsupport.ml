@@ -172,15 +172,6 @@ let crash_campaign ~base ?(evict = 0.0) ~threads ~keyspace ~ops_per_thread
     trials s.Harness.Fault.crashed_trials;
   s
 
-(* Print each failing trial's replay spec, violations, audit errors and
-   post-recovery exception. *)
+(* Print each failing trial's report, prefixed with the campaign's name. *)
 let print_failures name (s : Harness.Fault.summary) =
-  List.iter
-    (fun ((spec : Harness.Fault.spec), (r : Harness.Fault.result)) ->
-      Fmt.epr "%s failing trial: %s@." name (Harness.Fault.spec_to_string spec);
-      List.iter
-        (fun v -> Fmt.epr "  %a@." Lincheck.Checker.pp_violation v)
-        r.Harness.Fault.violations;
-      List.iter (fun e -> Fmt.epr "  audit: %s@." e) r.Harness.Fault.audit_errors;
-      Option.iter (Fmt.epr "  raised: %s@.") r.Harness.Fault.raised)
-    s.Harness.Fault.failures
+  List.iter (Fmt.epr "%s %a" name Harness.Fault.pp_failure) s.Harness.Fault.failures

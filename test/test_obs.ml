@@ -308,28 +308,6 @@ let test_trace_surviving_window () =
     (List.rev !seen = List.init 8 (fun i -> float_of_int (13 + i)));
   Obs.Trace.clear ()
 
-(* capture/absorb must reproduce a ring byte-for-byte in a fresh ring of
-   the same capacity — including the overwritten-prefix accounting. This
-   is the primitive Sim.Pool.run_phased uses to merge worker-domain traces. *)
-let test_trace_capture_absorb_roundtrip () =
-  Obs.Trace.start ~capacity:8 ();
-  for i = 1 to 20 do
-    Obs.Trace.emit ~ts:(float_of_int i) ~tid:0 ~kind:Obs.Trace.k_resume ~arg:i
-      ~farg:0.0
-  done;
-  Obs.Trace.stop ();
-  let json_live = Json.to_string (Obs.Trace.to_chrome ()) in
-  let seg = Obs.Trace.capture () in
-  Obs.Trace.start ~capacity:8 ();
-  Obs.Trace.absorb seg;
-  Obs.Trace.stop ();
-  check_int "recorded after absorb" 8 (Obs.Trace.recorded ());
-  check_int "dropped after absorb" 12 (Obs.Trace.dropped ());
-  check_int "total emitted after absorb" 20 (Obs.Trace.total_emitted ());
-  check_bool "absorbed ring renders identically" true
-    (String.equal json_live (Json.to_string (Obs.Trace.to_chrome ())));
-  Obs.Trace.clear ()
-
 (* The extended exporter: counter tracks and request-phase async pairs,
    byte-identical across renders. *)
 let test_chrome_counters_and_phases () =
@@ -457,7 +435,6 @@ let () =
         [
           case "ring drop" test_trace_ring_drop;
           case "surviving window" test_trace_surviving_window;
-          case "capture/absorb roundtrip" test_trace_capture_absorb_roundtrip;
           case "chrome counters and phases" test_chrome_counters_and_phases;
           case "determinism" test_trace_determinism;
           case "digest decomposition" test_digest_decomposition;

@@ -12,7 +12,7 @@ type fx = { pmem : Pmem.t; mem : Mem.t; tx : Pmdk.Tx.t }
 let make_fx () =
   let pmem = fast_pmem () in
   let mem = make_mem ~block_words:8 ~blocks_per_chunk:64 pmem in
-  let tx = Pmdk.Tx.create_poked ~mem ~max_threads:8 in
+  let tx = Pmdk.Tx.create_poked ~mem in
   { pmem; mem; tx }
 
 let word fx i =

@@ -270,6 +270,35 @@ let test_traced_run_stays_on_caller () =
     "every job ran on the calling domain" [ caller; caller; caller; caller ]
     ran_on
 
+(* Same rule for phased stations: a traced [run_phased ~domains:2] records
+   exactly the events of the [~domains:0] run, in the same order. Each step
+   emits one event naming its station, round and domain. *)
+let traced_phased domains =
+  let caller = (Domain.self () :> int) in
+  Obs.Trace.start ~capacity:256 ();
+  let step ~station ~round =
+    Obs.Trace.emit ~ts:(float_of_int round) ~tid:station
+      ~kind:Obs.Trace.k_resume
+      ~arg:((Domain.self () :> int) - caller)
+      ~farg:0.0
+  in
+  Sim.Pool.run_phased ~domains ~stations:3 ~step
+    ~exchange:(fun ~round -> round < 4)
+    ~finalize:(fun ~station:_ -> ())
+    ();
+  Obs.Trace.stop ();
+  let events = ref [] in
+  Obs.Trace.iter_retained (fun ~ts ~tid ~kind:_ ~arg ~farg:_ ->
+      events := (ts, tid, arg) :: !events);
+  Obs.Trace.clear ();
+  List.rev !events
+
+let test_traced_phased_stays_sequential () =
+  let seq = traced_phased 0 in
+  Alcotest.(check int) "one event per station per round" 15 (List.length seq);
+  Alcotest.(check (list (triple (float 0.0) int int)))
+    "domains:2 records the domains:0 events in order" seq (traced_phased 2)
+
 (* The final ring (event window, drop accounting, exported JSON) of a
    traced -j4 run must be byte-identical to a sequential traced run. *)
 let traced_run ~jobs ~capacity =
@@ -331,6 +360,8 @@ let () =
       ( "tracing",
         [
           case "traced run stays on the caller" test_traced_run_stays_on_caller;
+          case "traced phased run stays sequential"
+            test_traced_phased_stays_sequential;
           slow_case "trace merge parity" test_trace_merge_parity;
           slow_case "trace merge overflow parity" test_trace_merge_overflow_parity;
         ] );

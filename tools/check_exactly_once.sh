@@ -19,9 +19,9 @@ trap 'rm -rf "$tmp"' EXIT
 
 campaign() {
   # $1 = output json, $2 = jobs, $3 = mutant; exit status passed through
-  "$CLI" crash-sweep --detect --mutant "$3" -j "$2" \
-    --threads 4 --keyspace 60 --ops-per-thread 60 \
-    --origin 1500 --stride 900 --points 6 --jitter 300 --draws 2 --depth 1 \
+  "$CLI" crash-sweep detect=on mutant="$3" -j "$2" \
+    mode=striped threads=4 keyspace=60 ops=60 depth=1 draw=43 \
+    --origin 1500 --stride 900 --points 6 --jitter 300 --draws 2 \
     --json-out "$1"
 }
 
