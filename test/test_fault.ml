@@ -147,8 +147,13 @@ let test_spec_roundtrip () =
         s.Fault.keyspace;
       check_int "given keys parsed" 8 s.Fault.threads
   | Error e -> Alcotest.fail e);
-  check_bool "unknown key rejected" true
-    (Result.is_error (Fault.spec_of_string "bogus=1"));
+  Alcotest.(check (result reject string))
+    "an unknown key's error names every key"
+    (Error
+       ("unknown key: bogus (want "
+       ^ String.concat " | " (List.map fst Fault.spec_keys)
+       ^ ")"))
+    (Fault.spec_of_string "bogus=1");
   check_bool "malformed token rejected" true
     (Result.is_error (Fault.spec_of_string "threads"))
 
