@@ -6,9 +6,10 @@
    touches exactly one line per node. Key/value pairs are interleaved two
    words per slot, so claiming a slot (key CAS + value CAS) dirties a single
    line and persists with one flush. A line of key fingerprints sits between
-   the two, so a lookup reads the fingerprints and then only the slot whose
-   fingerprint matches instead of scanning the pairs. Next pointers above
-   level 1 live at the block's tail, three levels to a line beside a copy
+   the two, so a lookup reads the fingerprints — the whole line with one
+   access ([read_fps]) — and then only the slot whose fingerprint matches
+   instead of scanning the pairs. Next pointers above level 1 live at the
+   block's tail, three levels to a line beside a copy
    of the anchor key, so a hop above level 1 also reads one line per node
    and never the header. Every node reserves the full tower,
    whatever its height, so the tower cap is [Config.max_height] for every
@@ -137,6 +138,7 @@ let tail_key = max_int
 type layout = {
   k : int;
   fp_used : int;  (* fingerprint words actually holding slots: ceil(K/8) *)
+  fp_lines : int;  (* lines of the fingerprint region *)
   o_pairs : int;  (* first slot's key *)
   o_tower : int;  (* first upper-tower line (levels 2 ..) *)
 }
@@ -147,6 +149,7 @@ let layout (cfg : Config.t) =
   {
     k;
     fp_used = (k + Config.fps_per_word - 1) / Config.fps_per_word;
+    fp_lines = Config.fp_words cfg / Config.line_words;
     o_pairs;
     o_tower = o_pairs + Config.pair_words cfg;
   }
@@ -235,6 +238,16 @@ let anchor_at mem ly n level =
 let value mem ly n i = Mem.read_field mem n (o_value ly i)
 let fp_word mem n j = Mem.read_field mem n (o_fp + j)
 
+(* Read the node's fingerprint words into [words] (at least [fp_lines *
+   line_words] long), one access per line: a lookup takes its candidates
+   from this one read, as FPTree compares the whole line at once. *)
+let read_fps mem ly n words =
+  let base = Mem.resolve mem n + o_fp in
+  for l = 0 to ly.fp_lines - 1 do
+    let o = l * Config.line_words in
+    Mem.read_line mem (base + o) words o
+  done
+
 (* Physical-removal marks live in the sign bit of next-pointer words
    (Herlihy-style marking, paper Section 4.6 follow-up): a marked pointer
    still references the same successor — it only announces that its owner
@@ -312,12 +325,15 @@ let rec publish_fp mem n i f =
   else publish_fp mem n i f
 
 (* Under the write side of the split lock (no concurrent claims): rewrite
-   the fingerprint words that differ from [words]. Returns whether any did,
-   i.e. whether the caller has fingerprint lines to persist. *)
+   the fingerprint words that differ from [words], compared against one
+   read of the line. Returns whether any did, i.e. whether the caller has
+   fingerprint lines to persist. *)
 let write_fp_line mem ly n words =
+  let cur = Array.make (ly.fp_lines * Config.line_words) 0 in
+  read_fps mem ly n cur;
   let changed = ref false in
   for j = 0 to ly.fp_used - 1 do
-    if fp_word mem n j <> words.(j) then begin
+    if cur.(j) <> words.(j) then begin
       Mem.write_field mem n (o_fp + j) words.(j);
       changed := true
     end

@@ -21,8 +21,9 @@
    line and never the header.
 
    Each node carries a line of 7-bit key fingerprints (see Node), so the
-   in-node lookup reads the fingerprint words and only the slots whose
-   fingerprint matches, instead of scanning the unsorted keys linearly.
+   in-node lookup reads the fingerprint line, with one access, and only
+   the slots whose fingerprint matches, instead of scanning the unsorted
+   keys linearly.
 
    Every next pointer carries a successor-key hint in its own line (see
    Node): a traversal ends a level when the hint exceeds its key, without
@@ -53,6 +54,10 @@ type t = {
   head : Riv.t;
   tail : Riv.t;
   height_rngs : Sim.Rng.t array;
+  fp_bufs : int array array;
+      (* tid -> the fingerprint words of the node its lookup or claim
+         last read ([Node.read_fps]); neither is reentered while it uses
+         them *)
   ops : Block_alloc.node_ops;
   reclaim : Reclaim.t option;  (* present iff cfg.reclaim_empty_nodes *)
   top : int Atomic.t;
@@ -122,17 +127,17 @@ type find = {
 }
 
 (* Find [key] among a node's slots (Function 8) through its fingerprint
-   line: walk the fingerprint words in slot order ([word j] supplies word
-   [j]) and read a slot's key only when its fingerprint matches. Absence
-   is reported after the last word; it is an answer only if the line was
+   line: walk the fingerprint [words] ([Node.read_fps]) in slot order and
+   read a slot's key only when its fingerprint matches. Absence is
+   reported after the last word; it is an answer only if the line was
    confirmed complete before the words were read (see [scan_keys]). *)
-let find_slot t ~tid n key ~word =
+let find_slot t ~tid n key words =
   let ly = t.ly in
   let f = Node.fingerprint key in
   let rec scan j =
     if j >= ly.Node.fp_used then -1
     else begin
-      let w = word j in
+      let w = words.(j) in
       let last = Int.min ly.Node.k ((j + 1) * Config.fps_per_word) in
       let rec slot i =
         if i >= last then scan (j + 1)
@@ -176,7 +181,9 @@ let fp_confirmed t n =
    repairs the line and answers from the keys the repair read. *)
 let scan_keys t ~tid n key =
   let confirmed = fp_confirmed t n in
-  match find_slot t ~tid n key ~word:(fun j -> Node.fp_word t.mem n j) with
+  let words = t.fp_bufs.(tid) in
+  Node.read_fps t.mem t.ly n words;
+  match find_slot t ~tid n key words with
   | -1 when not confirmed ->
       Option.value ~default:(-1) (Array.find_index (( = ) key) (repair_fps t ~tid n))
   | i -> i
@@ -623,6 +630,9 @@ let create ~mem ~cfg ~max_threads ~seed =
       head;
       tail;
       height_rngs = Array.init max_threads (fun _ -> Sim.Rng.split root_rng);
+      fp_bufs =
+        Array.init max_threads (fun _ ->
+            Array.make (ly.Node.fp_lines * Config.line_words) 0);
       ops =
         {
           Block_alloc.key0 = (fun n -> Node.key0 mem n);
@@ -714,8 +724,8 @@ let relinked t ~pred0 ~succ0 =
 
    An unconfirmed [pred0] — its line may have lost fingerprints in a crash
    — is repaired first; the read lock keeps it confirmed from then on
-   (only a writer rewrites or clears the line). Then one read of each
-   fingerprint word serves two passes. The first looks for [key] itself
+   (only a writer rewrites or clears the line). Then one read of the
+   fingerprint line serves two passes. The first looks for [key] itself
    (an update). The second walks, in slot order, the slots whose
    fingerprint is 0 or [key]'s: such a slot is claimed by publishing
    [key]'s fingerprint and only then CASing the key in, with no flush
@@ -739,15 +749,17 @@ let insert_into_existing t ~tid ~key ~value ~pred0 ~succ0 =
       Done old
     in
     if not (fp_confirmed t pred0) then ignore (repair_fps t ~tid pred0 : int array);
-    let words = Array.init ly.Node.fp_used (fun j -> Node.fp_word t.mem pred0 j) in
+    let words = t.fp_bufs.(tid) in
+    Node.read_fps t.mem ly pred0 words;
     let f = Node.fingerprint key in
+    let fp_at i = Node.fp_byte words.(Node.fp_index i) i in
     let rec claim i =
       if i >= ly.Node.k then begin
         Node.Lock.read_unlock t.mem pred0;
         Need_split
       end
       else begin
-        let b = Node.fp_byte words.(Node.fp_index i) i in
+        let b = fp_at i in
         if b <> 0 && b <> f then claim (i + 1)
         else begin
           let ki = Node.key t.mem ly pred0 i in
@@ -769,7 +781,7 @@ let insert_into_existing t ~tid ~key ~value ~pred0 ~succ0 =
         end
       end
     in
-    match find_slot t ~tid pred0 key ~word:(fun j -> words.(j)) with
+    match find_slot t ~tid pred0 key words with
     | -1 -> claim 0
     | i -> finish (update_value t pred0 i value)
   end

@@ -7,11 +7,15 @@
    value, a status word, the op's result, and the failure-free epoch the
    announce happened in. Before a client's structure op starts, the slot is
    overwritten and persisted with ONE flush + ONE fence (the whole slot is
-   a single cache line, and the simulator's crash model drops or keeps
-   dirty lines wholly, so an announce is crash-atomic: after any power
-   failure the slot holds either the previous descriptor or the complete
-   new one — never a torn mix). After the structure op returns, the result
-   and the [applied] status are written back and flushed; the fence for
+   a single cache line). One line is not one atomic store: a power failure
+   between two of the announce's stores can persist the line with any
+   prefix of them (the crash model keeps a dirty line as it stands, as
+   hardware may evict it mid-sequence). So the announce first clears the
+   status to [empty], then writes the descriptor, and sets [announced]
+   last: every prefix reads either as the previous descriptor, as an empty
+   slot, or as the complete new one, and an empty slot decides its op as
+   not applied. After the structure op returns, the result and the
+   [applied] status are written back and flushed; the fence for
    that write-back may be the caller's own trailing fence (group commit),
    so resolution adds one flush and no mandatory fence to the op.
 
@@ -26,8 +30,9 @@
                recovered_applied  recovered_absent
 
    and the next announce on the slot returns it to [announced] from any
-   state. Only [announced] slots from an EARLIER epoch are touched by the
-   recovery resolve pass: a slot announced in the current epoch belongs to
+   state, through [empty] while its stores are in flight. Only
+   [announced] slots from an EARLIER epoch are touched by the recovery
+   resolve pass: a slot announced in the current epoch belongs to
    a live operation, so the pass is safe to re-run at any point of
    recovery — re-running it after a crash-during-recovery re-probes and
    rewrites the same slots (idempotent), and once a slot has left
@@ -135,28 +140,34 @@ let attach ~mem =
 
 (* ---- fiber-context protocol steps -------------------------------------- *)
 
-(* Persist the descriptor before the structure op: six stores into one
+(* Persist the descriptor before the structure op: eight stores into one
    cache line, one flush, one fence. After the fence the announce is
    durable; a crash at any later point of the op leaves a slot the resolve
-   pass can decide. *)
+   pass can decide. A crash between the stores may persist any prefix of
+   them, so the status is cleared first and set last: the new seq beside
+   the previous op's [applied] status would make [decide] suppress an op
+   that never ran, and [announced] beside a half-written descriptor would
+   make the resolve pass probe for it. *)
 let announce t ~tid ~client ~seq ~op ~key ~value =
   let s = slot_riv t client in
+  Mem.write_field t.mem s s_status st_empty;
   Mem.write_field t.mem s s_seq seq;
   Mem.write_field t.mem s s_op (op_code op);
   Mem.write_field t.mem s s_key key;
   Mem.write_field t.mem s s_value value;
   Mem.write_field t.mem s s_result 0;
-  Mem.write_field t.mem s s_status st_announced;
   Mem.write_field t.mem s s_epoch (Mem.epoch t.mem);
+  Mem.write_field t.mem s s_status st_announced;
   Mem.flush_field t.mem s s_seq;
   Mem.fence t.mem;
   Obs.bump ~tid Obs.id_detect_announce
 
-(* Record the op's outcome before ack: result + status, one flush. The
-   simulator persists a flushed line immediately (the fence orders and
-   prices), so with [fence:false] the caller can fold the fence into its
-   own trailing one (the service layer's group commit) without widening
-   the announced-but-unresolved window. *)
+(* Record the op's outcome before ack: result, then status, one flush (a
+   crash between them leaves the slot [announced], which the resolve pass
+   decides by probing). The simulator persists a flushed line immediately
+   (the fence orders and prices), so with [fence:false] the caller can
+   fold the fence into its own trailing one (the service layer's group
+   commit) without widening the announced-but-unresolved window. *)
 let resolve t ~tid ~client ~prev ?(fence = true) () =
   let s = slot_riv t client in
   Mem.write_field t.mem s s_result (match prev with None -> 0 | Some v -> v);

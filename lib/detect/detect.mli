@@ -5,10 +5,11 @@
     Each client owns one cache-line slot holding its current operation
     descriptor — monotone sequence number, op code / key / value, status
     word, result, announce epoch. {!announce} persists the descriptor with
-    one flush and one fence before the structure op starts; the slot is a
-    single cache line and the simulator's crash model keeps or drops dirty
-    lines wholly, so an announce is crash-atomic. {!resolve} writes the
-    result and [applied] status back with one flush (the fence may be
+    one flush and one fence before the structure op starts. A crash between
+    its stores may persist any prefix of them, so it clears the status
+    first and sets [announced] last: a torn announce reads as the previous
+    descriptor or as an empty slot, never as the new op. {!resolve} writes
+    the result and [applied] status back with one flush (the fence may be
     deferred to the caller's group commit). After a power failure,
     {!recover_resolve} decides every announced-but-unresolved slot from an
     earlier epoch by probing the recovered structure, and {!decide} turns a

@@ -128,8 +128,10 @@ let riv_of_root ~pool ~word = Riv.make ~pool ~chunk:0 ~offset:word
 (* ---- primitives (simulated-time, fiber context only) ------------------ *)
 
 (* Every primitive on this memory goes through its pool's port, which
-   reaches the run in progress without a domain-local lookup. *)
+   reaches the run in progress without a domain-local lookup; a line read
+   ([Pmem.read_line]) is one read through it. *)
 let[@inline] read t a = Sim.Sched.Port.read t.port a
+let[@inline] read_line t a dst pos = Pmem.read_line t.pmem a dst pos
 let[@inline] write t a v = Sim.Sched.Port.write t.port a v
 let[@inline] cas t a ~expected ~desired = Sim.Sched.Port.cas t.port a ~expected ~desired
 let[@inline] flush t a = Sim.Sched.Port.flush t.port a

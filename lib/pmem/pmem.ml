@@ -529,6 +529,27 @@ let machine t : Sim.Sched.machine =
 
 let port t = t.port
 
+(* Read the aligned line at [a] into [dst.(pos) .. dst.(pos + line_words -
+   1)] as one access: the line's first word is read through the port,
+   which counts one load and one timing-cache access and charges its hit
+   or miss, and the other words are copied from the volatile image at the
+   same instant, before that read, with no fiber switch in between. Fiber
+   context only. *)
+let read_line t a dst pos =
+  let p = get_pool t a in
+  let w = word_of a in
+  if w land (line_words - 1) <> 0 then invalid_arg "Pmem.read_line: unaligned address";
+  check_word t (w + line_words - 1);
+  if pos < 0 || pos > Array.length dst - line_words then
+    invalid_arg "Pmem.read_line: destination too short";
+  (* a line never crosses a page: pages are whole lines *)
+  let page = Array.unsafe_get p.pages (w lsr page_shift) in
+  let o = w land page_mask in
+  for i = 1 to line_words - 1 do
+    Array.unsafe_set dst (pos + i) (Array.unsafe_get page (o + i))
+  done;
+  Array.unsafe_set dst pos (Sim.Sched.Port.read t.port a)
+
 (* ---- crash and recovery ---------------------------------------------- *)
 
 (* Power failure: dirty lines are lost unless the (simulated) hardware

@@ -101,6 +101,16 @@ val port : t -> Sim.Sched.port
     [Sim.Sched.Port]): one per instance, so a run over it does no
     domain-local lookup per access. *)
 
+val read_line : t -> Sim.Sched.addr -> int array -> int -> unit
+(** [read_line t a dst pos] reads the aligned line at [a] into [dst.(pos)
+    .. dst.(pos + line_words - 1)] with one simulated access, issued through
+    {!port} from a fiber: one load, one timing-cache access, one hit or
+    miss charged. Every word comes from the volatile image (dirty unflushed
+    words included) at the access's atomicity point. The machine sees the
+    access as a [read] of the line's first word. [Invalid_argument] if [a]
+    is not line-aligned, the line leaves the pool, or [dst] has no room at
+    [pos]. *)
+
 (** {1 Crash model} *)
 
 val crash : ?persist_line:(pool:int -> line:int -> bool) -> t -> unit

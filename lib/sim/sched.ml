@@ -1,7 +1,8 @@
 (* Deterministic discrete-event scheduler for simulated threads.
 
    Each simulated thread is an OCaml-5 effects fiber. Every persistent-memory
-   primitive (read / write / CAS / flush / fence) applies its operation to
+   primitive (read / write / CAS / flush / fence; a line read is a read of
+   the line's first word, see Pmem.read_line) applies its operation to
    the simulated machine immediately (the primitive's atomicity point),
    charges its simulated latency, and parks the fiber until its virtual
    clock catches up. The scheduler always resumes the fiber with the

@@ -11,7 +11,13 @@
     call; a {!Port} caches it per simulated memory and looks it up only
     when the run it cached is no longer the one being driven. Both give
     the same results; the port is the hot path ([Memory.Mem] issues every
-    access through its pool's port). *)
+    access through its pool's port).
+
+    The primitives are {!read}, {!write}, {!cas}, {!flush}, {!fence} and
+    {!charge}. A memory that reads a whole cache line as one access
+    ([Pmem.read_line]) issues it as one {!read} of the line's first word
+    and takes the line's other words at that same instant, so a line read
+    is one event here, with the latency of one read. *)
 
 type addr = int
 (** A simulated physical word address (pool id in high bits, word index in

@@ -1,9 +1,9 @@
 (* Detectable exactly-once operations: descriptor-slot persistence across
-   crashes (announce crash-atomicity, crash between announce and the
-   structure op, crash between the op and its resolve), idempotency of the
-   recovery resolve pass, the skip_resolve double-apply demonstration, and
-   the detect fault campaigns (clean, depth-2 multi-crash, mutant caught,
-   -j1/-j4 verdict parity). *)
+   crashes (announce crash-atomicity, torn announces, crash between
+   announce and the structure op, crash between the op and its resolve),
+   idempotency of the recovery resolve pass, the skip_resolve double-apply
+   demonstration, and the detect fault campaigns (clean, depth-2
+   multi-crash, mutant caught, -j1/-j4 verdict parity). *)
 
 open Testsupport
 module Fault = Harness.Fault
@@ -159,6 +159,40 @@ let test_announce_crash_atomicity_grid () =
       true (!out = Some 777)
   done
 
+(* A power failure between two of an announce's stores that keeps every
+   dirty line as it stood, so the slot's line persists with a prefix of
+   the stores. The client's previous op was applied and resolved; the torn
+   announce of its next one must never decide as that op's [applied]: the
+   next op is replayed unless its announce completed, and its value ends up
+   present exactly once. *)
+let test_torn_announce_grid () =
+  for events = 1 to 10 do
+    let kv = make_kv () in
+    run_fiber kv (fun ~tid -> ignore (Kv.d_upsert kv ~tid ~client:0 ~seq:1 5 555));
+    crash_fiber kv ~events (fun ~tid ->
+        ignore (Kv.d_upsert kv ~tid ~client:0 ~seq:2 6 777));
+    Pmem.crash ~persist_line:(fun ~pool:_ ~line:_ -> true) kv.Kv.pmem;
+    kv.Kv.reconnect ();
+    recover kv;
+    check_int
+      (Printf.sprintf "crash@%d: detect audit clean" events)
+      0
+      (List.length (Detect.audit (det kv)));
+    (match Kv.d_decide kv ~client:0 ~seq:2 with
+    | Detect.Not_applied ->
+        let prev = ref (Some 0) in
+        run_fiber kv (fun ~tid -> prev := Kv.d_upsert kv ~tid ~client:0 ~seq:2 6 777);
+        check_bool
+          (Printf.sprintf "crash@%d: replay did not duplicate" events)
+          true (!prev = None)
+    | Detect.Applied _ | Detect.Applied_unknown -> ());
+    let out = ref None in
+    run_fiber kv (fun ~tid -> out := kv.Kv.search ~tid 6);
+    check_bool
+      (Printf.sprintf "crash@%d: value present exactly once" events)
+      true (!out = Some 777)
+  done
+
 (* Deterministic double-apply demonstration: skip the resolve pass after a
    crash that left the op applied-but-unresolved, and the blind replay
    observes its own value as predecessor. This is the bug the detect
@@ -265,6 +299,8 @@ let () =
             test_double_recovery_resolve_noop;
           case "announce is crash-atomic at every event point"
             test_announce_crash_atomicity_grid;
+          case "a torn announce never reads as the next op"
+            test_torn_announce_grid;
           case "skipping the resolve pass double-applies"
             test_skip_resolve_double_applies;
         ] );

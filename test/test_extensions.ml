@@ -708,8 +708,9 @@ let traversal_walk fx key =
    hint, and at levels 1 and 0 also the epoch of the node it claims; the
    node level 1 starts on is claimed there once (level 0 starts on a node
    claimed already). The lookup in the last node reads its split count,
-   lock word and fingerprint word, one key per fingerprint match, and,
-   for a key found, the lock word, value and split count again. *)
+   lock word and fingerprint line (one read, whatever the number of
+   fingerprint words: see the next test), one key per fingerprint match,
+   and, for a key found, the lock word, value and split count again. *)
 let test_hint_read_order () =
   let fx = loaded_list ~n:1_500 in
   let ly = Node.layout (SL.config fx.sl) in
@@ -748,16 +749,54 @@ let test_hint_read_order () =
     let hint_stops = Obs.total Obs.id_hint_stop in
     check_int (where ^ ": every level ended on a hint") (List.length walk) hint_stops;
     check_int (where ^ ": no stale hint") 0 (Obs.total Obs.id_hint_stale);
+    let fp_line_reads = (Node.layout (SL.config fx.sl)).Node.fp_lines in
     let predicted =
       hint_stops + 1
       + (3 * all_hops) + hops 1 + hops 0
       + (if level1_claim then 1 else 0)
-      + 6 + Obs.total Obs.id_fp_match
+      + 5 + fp_line_reads + Obs.total Obs.id_fp_match
     in
     check_int (where ^ ": loads") predicted (List.length reads)
   done;
   Obs.reset ();
   check_bool "upper levels ended on hints" true (!upper_stops > 100)
+
+(* A lookup takes its fingerprint candidates from one read of the line:
+   at K = 16 a node has two fingerprint words in one line, and every
+   search, hit or miss, reads that region once, at the line's first word.
+   Keys 2, 4, .. 600 inserted in a seeded order leave nodes holding
+   fingerprints in both words. *)
+let test_fp_line_one_read () =
+  let cfg = { Config.default with keys_per_node = 16 } in
+  let fx = make_skiplist ~cfg ~seed:5 () in
+  let keys = Array.init 300 (fun i -> 2 * (i + 1)) in
+  let rng = Sim.Rng.create 23 in
+  for i = Array.length keys - 1 downto 1 do
+    let j = Sim.Rng.int rng (i + 1) in
+    let x = keys.(i) in
+    keys.(i) <- keys.(j);
+    keys.(j) <- x
+  done;
+  run1 fx.pmem (fun ~tid -> Array.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) keys);
+  let fp_lines =
+    List.map (fun n -> Mem.resolve fx.mem n + Node.o_fp) (bottom_nodes fx)
+  in
+  check_bool "some node uses its second fingerprint word" true
+    (List.exists (fun a -> Pmem.peek fx.pmem (a + 1) <> 0) fp_lines);
+  let in_fp_region a =
+    List.exists (fun l -> a >= l && a < l + Config.fp_words cfg) fp_lines
+  in
+  for key = 2 to 601 do
+    let fp_reads =
+      List.filter in_fp_region
+        (reads_of fx (fun ~tid -> ignore (SL.search fx.sl ~tid key : int option)))
+    in
+    match fp_reads with
+    | [ a ] when List.mem a fp_lines -> ()
+    | _ ->
+        Alcotest.failf "search %d: %d reads in fingerprint lines, want one at a line start"
+          key (List.length fp_reads)
+  done
 
 (* The successor and bound at every level of a pointer-first walk for
    [key] (host side): what the traversal recorded before upper levels
@@ -1418,6 +1457,7 @@ let () =
             test_hint_reader_order;
           case "top level recomputed after a crash" test_top_after_crash;
           case "a level ends on a hint without loading the pointer" test_hint_read_order;
+          case "a lookup reads its fingerprint line once" test_fp_line_one_read;
           case "a new node's levels match a pointer-first walk"
             test_new_node_levels_match_walk;
           case "a link between load_succs' two reads" test_load_succs_racing_link;

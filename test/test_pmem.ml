@@ -624,6 +624,71 @@ let test_out_of_range () =
   mc.flush ~tid:0 (addr0 (next_line - 1));
   raises "flush" (fun () -> mc.flush ~tid:0 (addr0 next_line))
 
+(* ---- line reads ---------------------------------------------------------- *)
+
+(* A line read is one access: one load, one timing-cache lookup, and the
+   latency of one word read of the same line — a miss when the line is
+   cold, a hit after. *)
+let test_read_line_one_access () =
+  let line = Array.make Pmem.line_words 0 in
+  let timed pmem read =
+    let t = ref 0.0 in
+    run1 pmem (fun ~tid:_ ->
+        let t0 = Sim.Sched.now () in
+        read ();
+        t := Sim.Sched.now () -. t0);
+    !t
+  in
+  let pmem = optane_pmem () in
+  let c = Pmem.counters pmem in
+  let cold = timed pmem (fun () -> Pmem.read_line pmem (addr0 64) line 0) in
+  check_int "cold: one load" 1 c.Pmem.loads;
+  check_int "cold: one access" 1 c.Pmem.accesses;
+  check_int "cold: one miss" 1 c.Pmem.load_misses;
+  let warm = timed pmem (fun () -> Pmem.read_line pmem (addr0 64) line 0) in
+  check_int "warm: one more load" 2 c.Pmem.loads;
+  check_int "warm: one more access" 2 c.Pmem.accesses;
+  check_int "warm: a hit" 1 c.Pmem.load_misses;
+  let word = optane_pmem () in
+  let cold_word = timed word (fun () -> ignore (Sim.Sched.read (addr0 64) : int)) in
+  let warm_word = timed word (fun () -> ignore (Sim.Sched.read (addr0 64) : int)) in
+  Alcotest.(check (float 0.0)) "cold: one miss's latency" cold_word cold;
+  Alcotest.(check (float 0.0)) "warm: one hit's latency" warm_word warm
+
+(* Every word of the line comes from the volatile image, dirty unflushed
+   stores included, and lands at the given position. *)
+let test_read_line_volatile_words () =
+  let pmem = fast_pmem () in
+  let dst = Array.make (2 * Pmem.line_words) (-1) in
+  run1 pmem (fun ~tid:_ ->
+      for i = 0 to Pmem.line_words - 1 do
+        Sim.Sched.write (addr0 (64 + i)) (10 * (i + 1))
+      done;
+      Sim.Sched.flush (addr0 64);
+      Sim.Sched.fence ();
+      Sim.Sched.write (addr0 67) 99;
+      Sim.Sched.write (addr0 64) 11;
+      Pmem.read_line pmem (addr0 64) dst Pmem.line_words);
+  Alcotest.(check (array int)) "the line at position 8"
+    [| -1; -1; -1; -1; -1; -1; -1; -1; 11; 20; 30; 99; 50; 60; 70; 80 |] dst;
+  check_int "the persistent image still holds the flushed word" 40
+    (Pmem.peek_persistent pmem (addr0 67))
+
+let test_read_line_rejects () =
+  let pmem = fast_pmem ~n_pools:1 ~pool_words:1024 () in
+  let dst = Array.make Pmem.line_words 0 in
+  let raises name msg f =
+    match f () with
+    | exception Invalid_argument m -> Alcotest.(check string) name msg m
+    | () -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  raises "unaligned" "Pmem.read_line: unaligned address" (fun () ->
+      Pmem.read_line pmem (addr0 65) dst 0);
+  raises "past the pool" "index out of bounds" (fun () ->
+      Pmem.read_line pmem (addr0 1024) dst 0);
+  raises "no room at the position" "Pmem.read_line: destination too short"
+    (fun () -> Pmem.read_line pmem (addr0 64) dst 1)
+
 (* ---- host footprint ------------------------------------------------------ *)
 
 let reachable pmem = Obj.reachable_words (Obj.repr pmem)
@@ -719,6 +784,12 @@ let () =
           case "differential multi-pool" test_differential_multi_pool;
           case "differential striped" test_differential_striped;
           case "out of range" test_out_of_range;
+        ] );
+      ( "line reads",
+        [
+          case "one access, one miss or hit" test_read_line_one_access;
+          case "volatile words, dirty ones included" test_read_line_volatile_words;
+          case "unaligned, out of range, short destination" test_read_line_rejects;
         ] );
       ( "footprint",
         [

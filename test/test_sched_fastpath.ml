@@ -29,7 +29,10 @@ let mk_pmem seed =
     }
 
 (* The primitives a fiber issues: the scheduler's domain-local wrappers,
-   or a memory's port (see the "ports" cases below). *)
+   or a memory's port (see the "ports" cases below). A line read has no
+   wrapper: its reference is a peek of the line's other words at the
+   instant, then a wrapper read of its first word — the one access
+   [Pmem.read_line] makes through the port. *)
 type prims = {
   read : Sim.Sched.addr -> int;
   write : Sim.Sched.addr -> int -> unit;
@@ -39,9 +42,10 @@ type prims = {
   charge : float -> unit;
   yield : unit -> unit;
   self : unit -> int;
+  read_line : Sim.Sched.addr -> int array -> unit;
 }
 
-let dls =
+let dls pmem =
   {
     read = Sim.Sched.read;
     write = Sim.Sched.write;
@@ -51,6 +55,12 @@ let dls =
     charge = Sim.Sched.charge;
     yield = Sim.Sched.yield;
     self = Sim.Sched.self;
+    read_line =
+      (fun a dst ->
+        for i = 1 to Pmem.line_words - 1 do
+          dst.(i) <- Pmem.peek pmem (a + i)
+        done;
+        dst.(0) <- Sim.Sched.read a);
   }
 
 let via_port pmem =
@@ -65,20 +75,23 @@ let via_port pmem =
     charge = P.charge p;
     yield = (fun () -> P.yield p);
     self = (fun () -> P.self p);
+    read_line = (fun a dst -> Pmem.read_line pmem a dst 0);
   }
 
 (* One fiber: a per-tid RNG picks addresses and an op mix that exercises
    every effect the scheduler handles, including some that resolve without
-   parking (Now, Self). *)
+   parking (Now, Self), and line reads, whose words it writes back summed
+   so that the memory images compare them. *)
 let mixed p ~ops ~seed ~tid =
   let rng = Sim.Rng.create ((seed * 1000) + tid) in
   let sink = ref 0 in
+  let line = Array.make Pmem.line_words 0 in
   for _ = 1 to ops do
     let a =
       Pmem.addr ~pool:(Sim.Rng.int rng n_pools)
         ~word:(Sim.Rng.int rng pool_words)
     in
-    match Sim.Rng.int rng 10 with
+    match Sim.Rng.int rng 11 with
     | 0 | 1 | 2 | 3 -> sink := !sink + p.read a
     | 4 | 5 -> p.write a (Sim.Rng.int rng 1000)
     | 6 ->
@@ -93,14 +106,17 @@ let mixed p ~ops ~seed ~tid =
     | 8 ->
         p.charge 3.5;
         p.yield ()
-    | _ ->
+    | 9 ->
         let t0 = Sim.Sched.now () in
         sink := !sink + p.self () + int_of_float t0
+    | _ ->
+        p.read_line (a land lnot (Pmem.line_words - 1)) line;
+        p.write a (Array.fold_left ( + ) 0 line land 0xffff)
   done
 
-let body ~seed ~tid = mixed dls ~ops:ops_per_thread ~seed ~tid
-
-let bodies seed = List.init threads (fun tid -> (tid, body ~seed))
+let bodies ?(prims = dls) pmem seed =
+  List.init threads (fun tid ->
+      (tid, fun ~tid -> mixed (prims pmem) ~ops:ops_per_thread ~seed ~tid))
 
 (* Everything observable about a finished run, in comparable form. *)
 let counter_list pmem =
@@ -138,30 +154,35 @@ let outcome_repr = function
   | Sim.Sched.Crashed_at { time; events } ->
       Printf.sprintf "Crashed_at { time = %h; events = %d }" time events
 
-let run_one ~fast_path ~crash seed =
+let run_one ?prims ~fast_path ~crash seed =
   let pmem = mk_pmem seed in
   let outcome =
-    Sim.Sched.run ~crash ~fast_path ~machine:(Pmem.machine pmem) (bodies seed)
+    Sim.Sched.run ~crash ~fast_path ~machine:(Pmem.machine pmem)
+      (bodies ?prims pmem seed)
   in
   (outcome_repr outcome, counter_list pmem, snapshot pmem)
 
+(* Fibers on the domain-local wrappers, then on their memory's port. *)
 let compare_paths ~crash seed =
-  let slow_outcome, slow_counters, slow_mem =
-    run_one ~fast_path:false ~crash seed
-  in
-  let fast_outcome, fast_counters, fast_mem =
-    run_one ~fast_path:true ~crash seed
-  in
-  Alcotest.(check string)
-    (Printf.sprintf "outcome (seed %d)" seed)
-    slow_outcome fast_outcome;
-  Alcotest.(check (list (pair string int)))
-    (Printf.sprintf "pmem counters (seed %d)" seed)
-    slow_counters fast_counters;
-  check_bool
-    (Printf.sprintf "memory images (seed %d)" seed)
-    true
-    (slow_mem = fast_mem)
+  List.iter
+    (fun prims ->
+      let slow_outcome, slow_counters, slow_mem =
+        run_one ~prims ~fast_path:false ~crash seed
+      in
+      let fast_outcome, fast_counters, fast_mem =
+        run_one ~prims ~fast_path:true ~crash seed
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "outcome (seed %d)" seed)
+        slow_outcome fast_outcome;
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "pmem counters (seed %d)" seed)
+        slow_counters fast_counters;
+      check_bool
+        (Printf.sprintf "memory images (seed %d)" seed)
+        true
+        (slow_mem = fast_mem))
+    [ dls; via_port ]
 
 let test_complete () =
   List.iter (compare_paths ~crash:Sim.Sched.No_crash) [ 1; 7; 42 ]
@@ -173,7 +194,7 @@ let test_crash_events () =
 
 let test_fiber_count () =
   let pmem = mk_pmem 3 in
-  match Sim.Sched.run ~machine:(Pmem.machine pmem) (bodies 3) with
+  match Sim.Sched.run ~machine:(Pmem.machine pmem) (bodies pmem 3) with
   | Sim.Sched.Completed { fibers; _ } ->
       check_int "Completed reports one entry per body" threads fibers
   | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected crash"
@@ -219,14 +240,16 @@ let traced_run ~fast_path seed =
   let pmem = mk_pmem seed in
   traced (fun () ->
       outcome_repr
-        (Sim.Sched.run ~fast_path ~machine:(Pmem.machine pmem) (bodies seed)))
+        (Sim.Sched.run ~fast_path ~machine:(Pmem.machine pmem) (bodies pmem seed)))
 
 (* The same bodies as a session stepped through epoch bounds [every] ns
    apart; [untraced_after] stops the recording after that many steps. *)
 let traced_session ?untraced_after ~fast_path ~every seed =
   let pmem = mk_pmem seed in
   traced (fun () ->
-      let s = Sim.Sched.open_session ~fast_path ~machine:(Pmem.machine pmem) (bodies seed) in
+      let s =
+        Sim.Sched.open_session ~fast_path ~machine:(Pmem.machine pmem) (bodies pmem seed)
+      in
       let bound = ref every and steps = ref 0 in
       while !bound < 60_000.0 do
         if Some !steps = untraced_after then Obs.Trace.stop ();
@@ -284,7 +307,7 @@ let counters_repr name pmem =
 let fibers n f = List.init n (fun tid -> (tid, f))
 
 let check_port_matches_dls name scenario =
-  Alcotest.(check (list string)) name (scenario (fun _ -> dls)) (scenario via_port)
+  Alcotest.(check (list string)) name (scenario dls) (scenario via_port)
 
 (* A fiber of a run over one memory runs a nested [Sched.run] over a second
    one. The nested fibers also issue primitives through the outer memory's
@@ -441,13 +464,15 @@ let test_inline_events_allocate_nothing () =
     (List.rev !measured)
 
 (* The same through [Mem]'s field accessors, which reach the run through
-   the memory's port: a cache-hit read, write or CAS of a field and the
-   flush of a clean line allocate nothing either. *)
+   the memory's port: a cache-hit read, write or CAS of a field, a line
+   read into a caller's buffer and the flush of a clean line allocate
+   nothing either. *)
 let test_port_field_accessors_allocate_nothing () =
   native ();
   let pmem = mk_pmem 1 in
   let mem = Mem.create ~pmem ~chunk_words:1024 ~block_words:64 ~n_arenas:1 () in
   let obj = Mem.riv_of_root ~pool:0 ~word:Mem.app_root_start in
+  let line = Array.make Pmem.line_words 0 in
   let measured = ref [] in
   let measure name op =
     op ();
@@ -458,6 +483,7 @@ let test_port_field_accessors_allocate_nothing () =
     Mem.flush_field mem obj 8;
     measure "read_field" (fun () -> ignore (Mem.read_field mem obj 0 : int));
     measure "write_field" (fun () -> Mem.write_field mem obj 0 2);
+    measure "read_line" (fun () -> Mem.read_line mem (Mem.resolve mem obj) line 0);
     measure "cas_field" (fun () ->
         ignore (Mem.cas_field mem obj 0 ~expected:2 ~desired:2 : bool));
     measure "flush_field" (fun () -> Mem.flush_field mem obj 8)
