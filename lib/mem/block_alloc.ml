@@ -198,12 +198,17 @@ let names_in_flight t ~tid block =
 
 (* ---- chunk-provision logging and recovery ------------------------------ *)
 
+(* The state word is what makes the line's other words count, and a crash
+   may persist any prefix of the line's stores: so a reset stores
+   [cstate_none] first, and a new entry stores its state after its epoch,
+   pool and chunk. *)
 let set_chunk_log t ~tid ~state ~pool ~chunk =
   let log = log_obj ~tid in
+  if state = cstate_none then Mem.write_field t log clog_state state;
   Mem.write_field t log clog_epoch (Mem.epoch t);
-  Mem.write_field t log clog_state state;
   Mem.write_field t log clog_pool pool;
   Mem.write_field t log clog_chunk chunk;
+  if state <> cstate_none then Mem.write_field t log clog_state state;
   Mem.persist_field t log clog_epoch
 
 (* Carve the blocks of an already-allocated chunk into a chain (idempotent

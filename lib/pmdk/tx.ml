@@ -67,9 +67,12 @@ let dirty_list t tid =
       Hashtbl.add t.dirty tid l;
       l
 
+(* The count is stored before the state that validates it: a crash may
+   persist any prefix of a line's stores, and an active state beside the
+   previous transaction's count would roll its entries back again. *)
 let begin_ t ~tid =
-  Mem.write t.mem (slot_addr t tid s_state) state_active;
   Mem.write t.mem (slot_addr t tid s_count) 0;
+  Mem.write t.mem (slot_addr t tid s_state) state_active;
   Mem.flush t.mem (slot_addr t tid s_state);
   Mem.fence t.mem;
   (dirty_list t tid) := []

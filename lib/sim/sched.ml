@@ -1,47 +1,40 @@
 (* Deterministic discrete-event scheduler for simulated threads.
 
    Each simulated thread is an OCaml-5 effects fiber. Every persistent-memory
-   primitive (read / write / CAS / flush / fence; a line read is a read of
-   the line's first word, see Pmem.read_line) applies its operation to
-   the simulated machine immediately (the primitive's atomicity point),
-   charges its simulated latency, and parks the fiber until its virtual
-   clock catches up. The scheduler always resumes the fiber with the
-   smallest virtual wake-up time, so primitives from different fibers
-   interleave exactly as their simulated timings dictate — CAS failures,
-   lock contention and helping all arise from genuine interleaving,
+   primitive (read / write / CAS / flush / fence / charge; a line read is a
+   read of the line's first word, see Pmem.read_line) runs inline in the
+   calling fiber: it applies its operation to the simulated machine
+   immediately (the primitive's atomicity point), charges its simulated
+   latency, and lets the fiber go on while its virtual clock stays the
+   earliest. The scheduler always resumes the fiber with the smallest
+   virtual wake-up time, so primitives from different fibers interleave
+   exactly as their simulated timings dictate — CAS failures, lock
+   contention and helping all arise from genuine interleaving,
    reproducibly, on a single host core.
 
-   Fast path: when the fiber that just performed a primitive would wake up
-   strictly before every parked fiber, no fiber switch happens at all — the
+   One body per primitive: [read_in] ... [charge_in] apply the machine op
+   and then [inline_settle], which bumps the virtual clock in place when the
+   calling fiber would wake up strictly before every parked fiber — the
    common case, since most accesses are cache hits with nanosecond-scale
-   latencies. The primitive then runs as a plain (inline) function call: it
-   applies the machine op, bumps the virtual clock, and returns, never
-   capturing a continuation. Only when the fiber must actually yield (its
-   wake-up is not the strict minimum) does it perform a [Park] effect and go
-   through the heap. This matters because a parked event costs several
-   times an inline one: on a 2-core x86-64 host under OCaml 5.1, 12-20 ns
-   inline against 50-70 ns parked among 8 fibers (the benchmark's
+   latencies — and otherwise performs [Park], the scheduler's only effect,
+   to yield through the heap. This matters because a parked event costs
+   several times an inline one: on a 2-core x86-64 host under OCaml 5.1,
+   12-20 ns inline against 50-70 ns parked among 8 fibers (the benchmark's
    [sched.inline_event_ns] and [sched.null_event_ns] probes: [bash
    perf/run.sh --workload ycsb-c-100k --trace 1], or [dune build
-   @perf/smoke]). Crash points are checked on the inline path exactly as
-   on the heap path, so simulated time, event counts and crash behaviour
-   are bit-identical with the fast path on or off (see
-   test/test_sched_fastpath.ml).
+   @perf/smoke]). test/test_sched_fastpath.ml checks every simulated result
+   against a plain reference scheduler in test/support that parks at every
+   primitive and shares no code with this one.
 
    Direct handoff: a park does not return to a drive loop. The code that
-   ends a fiber's turn — the [Park] handler, the effect path's [settle], a
-   fiber's [retc]/[exnc] — pops the next due event and resumes, kills or
-   starts that fiber itself, as a tail call ([handoff]). [drive] only
-   starts the chain, and gets control back once nothing is due before the
-   step's bound; a run is one chain at constant stack depth
-   (test/stack/test_stack.ml runs it under a 32 k-word stack cap). On the
-   same host a bare switch done this way costs 30-35 ns, against 60-65 ns
-   for a handler that returns to a loop which then resumes the next fiber;
-   the heap adds about 25 ns.
-
-   With [fast_path:false] every primitive is performed as an effect and
-   scheduled through the heap — the reference implementation the regression
-   test compares against.
+   ends a fiber's turn — the [Park] handler, a fiber's [retc]/[exnc] — pops
+   the next due event and resumes, kills or starts that fiber itself, as a
+   tail call ([handoff]). [drive] only starts the chain, and gets control
+   back once nothing is due before the step's bound; a run is one chain at
+   constant stack depth (test/stack/test_stack.ml runs it under a 32 k-word
+   stack cap). On the same host a bare switch done this way costs 30-35 ns,
+   against 60-65 ns for a handler that returns to a loop which then resumes
+   the next fiber; the heap adds about 25 ns.
 
    How a primitive finds the run: the run in progress on a domain sits in
    a domain-local slot, which [drive] sets and restores around each slice.
@@ -53,7 +46,9 @@
    current one; a miss refreshes the port from the slot. [Memory.Mem] and
    the structures built on it issue every access through their pool's
    port, so a simulated access does no domain-local lookup; the wrappers
-   remain for code that has no memory at hand (probes, tests).
+   remain for code that has no memory at hand (probes, tests). Both reach
+   the same inline bodies; a primitive issued outside a run raises
+   [Invalid_argument] ([outside_run]).
 
    Allocation discipline: the inline path runs once per simulated memory
    access — hundreds of millions of times per benchmark — and allocates
@@ -67,10 +62,10 @@
    as it is, in a tid-indexed array, not in a waiter box.
 
    Crashes: when the configured crash point (a count of primitive events)
-   is reached, the running fiber is unwound with [Crashed] (raised
-   inline, or via discontinue when parked) and every parked fiber is
-   discontinued; the run then stops. The machine's unflushed cache lines are
-   dropped separately by the memory model (see Pmem). *)
+   is reached, the running fiber is unwound with [Crashed] (raised inline
+   in it) and every parked fiber is discontinued; the run then stops. The
+   machine's unflushed cache lines are dropped separately by the memory
+   model (see Pmem). *)
 
 type addr = int
 
@@ -91,19 +86,9 @@ type machine = {
   latency : float array;  (* cell 0: ns charged by the last op *)
 }
 
-type _ Effect.t +=
-  | Read : addr -> int Effect.t
-  | Write : (addr * int) -> unit Effect.t
-  | Cas : (addr * int * int) -> bool Effect.t
-  | Flush : addr -> unit Effect.t
-  | Fence : unit Effect.t
-  | Charge : float -> unit Effect.t
-  | Now : float Effect.t
-  | Self : int Effect.t
-
-(* Internal: yield until the wake-up time deposited in the run state's
-   [park_wake] cell (the op itself already ran inline). A constant
-   constructor so performing it allocates nothing. *)
+(* The scheduler's only effect: yield until the wake-up time deposited in
+   the run state's [park_wake] cell (the op itself already ran inline). A
+   constant constructor so performing it allocates nothing. *)
 type _ Effect.t += Park : unit Effect.t
 
 exception Crashed
@@ -112,25 +97,17 @@ type outcome =
   | Completed of { time : float; events : int; fibers : int }
   | Crashed_at of { time : float; events : int }
 
-(* A parked fiber's boxed waiter: the captured continuation together with
-   the already-computed result to resume it with. Storing the continuation
-   directly (instead of a [run]/[kill] closure pair) keeps a park at one
-   small allocation. A fiber is parked at most once at a time, so waiters
-   live in a tid-indexed side array ([run_state.waiters]) and the event heap
-   carries only the tid — its sift loops then touch exclusively flat
-   float/int arrays and never pay a GC write barrier.
-
-   A fast-path [Park], the only yield of a fast-path run, boxes nothing: its
-   continuation goes straight into the tid-indexed [run_state.conts] and the
-   waiter slot stays [Cont_slot], which means "if this tid is in the heap,
-   resume [conts.(tid)] with ()". Boxed waiters are left for the fiber's
-   [Start] and for the effect path of [fast_path:false]. *)
+(* What a fiber in the heap is waiting for. A fiber is parked at most once
+   at a time, so waiters live in a tid-indexed side array
+   ([run_state.waiters]) and the event heap carries only the tid — its sift
+   loops then touch exclusively flat float/int arrays and never pay a GC
+   write barrier. A [Park] boxes nothing: its continuation goes straight
+   into the tid-indexed [run_state.conts] and the waiter slot stays
+   [Cont_slot], which means "if this tid is in the heap, resume
+   [conts.(tid)] with ()". Only a fiber's launch is boxed. *)
 type waiter =
   | Cont_slot
   | Start of (unit -> unit)  (* fiber not launched yet *)
-  | Ret_unit of (unit, unit) Effect.Deep.continuation
-  | Ret_int of (int, unit) Effect.Deep.continuation * int
-  | Ret_bool of (bool, unit) Effect.Deep.continuation * bool
 
 (* Binary min-heap on (time, seq), stored as parallel flat arrays: wake-up
    times in a [float array] (unboxed), tie-break sequence numbers and fiber
@@ -269,16 +246,15 @@ type run_state = {
   heap : Heap.t;
   waiters : waiter array;  (* tid-indexed; a fiber parks at most once *)
   mutable conts : (unit, unit) Effect.Deep.continuation array;
-      (* tid-indexed continuations of fast-path [Park]s; [||] until the
-         first one, which also fills every slot (a slot is read only after
-         its own tid's park has written it). A resumed slot is left as it
+      (* tid-indexed continuations of [Park]s; [||] until the first one,
+         which also fills every slot (a slot is read only after its own
+         tid's park has written it). A resumed slot is left as it
          is rather than cleared: that saves a write barrier per park and
          holds on to nothing but the spent continuation block. *)
   park_wake : float array;  (* cell 0: wake-up time for a pending [Park] *)
   next_wake : float array;
       (* cell 0: wake-up time of the event [run_event] runs next *)
   crash_after : int;  (* events before the crash; [max_int] = never *)
-  fast_path : bool;
   mutable until : float;
       (* epoch bound of the step in progress: events at or beyond it park
          through the heap instead of running, so [step ~until] leaves them
@@ -324,10 +300,10 @@ let rec handoff st =
 and run_event st tid =
   let time = Array.unsafe_get st.next_wake 0 in
   let w = Array.unsafe_get st.waiters tid in
-  (* a boxed waiter is taken out of its slot; [Cont_slot] stays put *)
+  (* a [Start] is taken out of its slot; [Cont_slot] stays put *)
   (match w with
   | Cont_slot -> ()
-  | _ -> Array.unsafe_set st.waiters tid Cont_slot);
+  | Start _ -> Array.unsafe_set st.waiters tid Cont_slot);
   if st.crashed then kill st tid w
   else begin
     Array.unsafe_set st.clock 0 time;
@@ -342,9 +318,6 @@ and run_event st tid =
       match w with
       | Cont_slot -> Effect.Deep.continue (Array.unsafe_get st.conts tid) ()
       | Start f -> f ()
-      | Ret_unit k -> Effect.Deep.continue k ()
-      | Ret_int (k, v) -> Effect.Deep.continue k v
-      | Ret_bool (k, b) -> Effect.Deep.continue k b
     end
   end
 
@@ -352,16 +325,13 @@ and run_event st tid =
 and kill st tid = function
   | Cont_slot -> Effect.Deep.discontinue (Array.unsafe_get st.conts tid) Crashed
   | Start _ -> handoff st
-  | Ret_unit k -> Effect.Deep.discontinue k Crashed
-  | Ret_int (k, _) -> Effect.Deep.discontinue k Crashed
-  | Ret_bool (k, _) -> Effect.Deep.discontinue k Crashed
 
 (* Advance virtual time past the op whose latency the machine just wrote to
    [st.latency.(0)]: bump the clock in place when this fiber would wake
    strictly before every parked one, yield through the heap ([Park]) when it
-   would not. Raises [Crashed] (unwinding the calling fiber, exactly like a
-   discontinue at this point) when the crash point fires. Inlined into each
-   primitive, so its hit path is one straight run of code. *)
+   would not. Raises [Crashed] (unwinding the calling fiber) when the crash
+   point fires. Inlined into each primitive, so its hit path is one
+   straight run of code. *)
 let[@inline] inline_settle st =
   st.events <- st.events + 1;
   if st.crashed || crash_due st then begin
@@ -406,44 +376,32 @@ let[@inline] charge_in st ns =
   Array.unsafe_set st.latency 0 ns;
   inline_settle st
 
-(* Each primitive on a looked-up run state: inline (no effect, no
-   continuation capture) whenever a fast-path run is active; an effect
-   otherwise, i.e. under [fast_path:false] or outside [run] (where the
-   perform raises [Effect.Unhandled], as before). *)
+(* Each primitive on a looked-up run state; outside a run, the named
+   error. *)
+let outside_run () = invalid_arg "Sched: primitive issued outside a run"
+
 let[@inline] read_on cur a =
-  match cur with
-  | Some st when st.fast_path -> read_in st a
-  | _ -> Effect.perform (Read a)
+  match cur with Some st -> read_in st a | None -> outside_run ()
 
 let[@inline] write_on cur a v =
-  match cur with
-  | Some st when st.fast_path -> write_in st a v
-  | _ -> Effect.perform (Write (a, v))
+  match cur with Some st -> write_in st a v | None -> outside_run ()
 
 let[@inline] cas_on cur a expected desired =
   match cur with
-  | Some st when st.fast_path -> cas_in st a expected desired
-  | _ -> Effect.perform (Cas (a, expected, desired))
+  | Some st -> cas_in st a expected desired
+  | None -> outside_run ()
 
 let[@inline] flush_on cur a =
-  match cur with
-  | Some st when st.fast_path -> flush_in st a
-  | _ -> Effect.perform (Flush a)
+  match cur with Some st -> flush_in st a | None -> outside_run ()
 
 let[@inline] fence_on cur =
-  match cur with
-  | Some st when st.fast_path -> fence_in st
-  | _ -> Effect.perform Fence
+  match cur with Some st -> fence_in st | None -> outside_run ()
 
 let[@inline] charge_on cur ns =
-  match cur with
-  | Some st when st.fast_path -> charge_in st ns
-  | _ -> Effect.perform (Charge ns)
+  match cur with Some st -> charge_in st ns | None -> outside_run ()
 
 let[@inline] self_on cur =
-  match cur with
-  | Some st -> st.current_tid
-  | None -> Effect.perform Self
+  match cur with Some st -> st.current_tid | None -> outside_run ()
 
 (* Primitive wrappers, through the domain-local slot. *)
 let read a = read_on (Domain.DLS.get current_key) a
@@ -453,13 +411,12 @@ let flush a = flush_on (Domain.DLS.get current_key) a
 let fence () = fence_on (Domain.DLS.get current_key)
 let charge ns = charge_on (Domain.DLS.get current_key) ns
 
-(* [now]/[self] charge nothing and never yield, so they are pure state reads
-   whenever a run is active (either path — the handler would return exactly
-   these values). [now] is inlined, so the caller gets the clock unboxed. *)
+(* [now] charges nothing and never yields, so it is a pure state read. It
+   is inlined, so the caller gets the clock unboxed. *)
 let[@inline] now () =
   match Domain.DLS.get current_key with
   | Some st -> Array.unsafe_get st.clock 0
-  | None -> Effect.perform Now
+  | None -> outside_run ()
 
 let self () = self_on (Domain.DLS.get current_key)
 
@@ -468,10 +425,10 @@ let yield () = charge 15.0
 (* Ports: the same primitives without the domain-local lookup. A port
    caches the run state that last used it; the cached state is current
    exactly while its [live] flag is set, so a hit goes straight to
-   [st.machine] and [inline_settle]. A miss (a new run, a nested drive, the
-   reference path, no run at all) refreshes the port from the domain-local
-   slot and does what the wrapper above does; a finished run's state stays
-   reachable from its ports until then. The hit paths are inlined into the
+   [st.machine] and [inline_settle]. A miss (a new run, a nested drive, no
+   run at all) refreshes the port from the domain-local slot and does what
+   the wrapper above does; a finished run's state stays reachable from its
+   ports until then. The hit paths are inlined into the
    caller (so [charge]'s float is never boxed), the misses are not. *)
 type port = { mutable cur : run_state option }
 
@@ -497,32 +454,32 @@ module Port = struct
 
   let[@inline] read p a =
     match p.cur with
-    | Some st when st.live && st.fast_path -> read_in st a
+    | Some st when st.live -> read_in st a
     | _ -> read_miss p a
 
   let[@inline] write p a v =
     match p.cur with
-    | Some st when st.live && st.fast_path -> write_in st a v
+    | Some st when st.live -> write_in st a v
     | _ -> write_miss p a v
 
   let[@inline] cas p a ~expected ~desired =
     match p.cur with
-    | Some st when st.live && st.fast_path -> cas_in st a expected desired
+    | Some st when st.live -> cas_in st a expected desired
     | _ -> cas_miss p a expected desired
 
   let[@inline] flush p a =
     match p.cur with
-    | Some st when st.live && st.fast_path -> flush_in st a
+    | Some st when st.live -> flush_in st a
     | _ -> flush_miss p a
 
   let[@inline] fence p =
     match p.cur with
-    | Some st when st.live && st.fast_path -> fence_in st
+    | Some st when st.live -> fence_in st
     | _ -> fence_miss p
 
   let[@inline] charge p ns =
     match p.cur with
-    | Some st when st.live && st.fast_path -> charge_in st ns
+    | Some st when st.live -> charge_in st ns
     | _ -> charge_miss p ns
 
   let yield p = charge p 15.0
@@ -544,8 +501,7 @@ end
    with bit-identical results (see Svc.Domains). *)
 type session = { st : run_state; fibers : int; mutable outcome : outcome option }
 
-let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
-    bodies =
+let open_session ?(crash = No_crash) ~(machine : machine) bodies =
   if Array.length machine.clock = 0 || Array.length machine.latency = 0 then
     invalid_arg "Sched.run: machine.clock and machine.latency need a cell 0";
   let max_tid =
@@ -566,7 +522,6 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
       park_wake = Array.make 1 0.0;
       next_wake = Array.make 1 0.0;
       crash_after = (match crash with No_crash -> max_int | After_events n -> n);
-      fast_path;
       until = infinity;
       events = 0;
       seq = 0;
@@ -583,20 +538,12 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
       ~ts:(Array.unsafe_get st.clock 0)
       ~tid ~kind:Obs.Trace.k_park ~arg:0 ~farg:time
   in
-  let park time tid w =
-    (* [tid <= max_tid] for every caller, so the bounds check is elided *)
-    if st.tracing then trace_park time tid;
-    Array.unsafe_set st.waiters tid w;
-    st.seq <- st.seq + 1;
-    Heap.push st.heap time st.seq tid
-  in
-  (* [park] for a fast-path [Park], whose op already ran inline, then the
-     handoff: the wake-up time comes from the [park_wake] cell (a float
-     argument to this closure would be boxed), the waiter slot is already
-     [Cont_slot] (every resume leaves it so), and the continuation goes into
-     [conts] unboxed. When the heap's minimum is due and orders before this
-     entry, the push and the handoff's pop are one sift
-     ([Heap.replace_min]). *)
+  (* A [Park], whose op already ran inline, then the handoff: the wake-up
+     time comes from the [park_wake] cell (a float argument to this closure
+     would be boxed), the waiter slot is already [Cont_slot] (every resume
+     leaves it so), and the continuation goes into [conts] unboxed. When the
+     heap's minimum is due and orders before this entry, the push and the
+     handoff's pop are one sift ([Heap.replace_min]). *)
   let park_cont tid k =
     let time = Array.unsafe_get st.park_wake 0 in
     if st.tracing then trace_park time tid;
@@ -614,70 +561,18 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
       handoff st
     end
   in
-  (* Effect-path equivalent of [inline_settle]: charge [latency.(0)] to the
-     fiber suspended in [w], park it until its wake-up time and hand off.
-     Only reachable under [fast_path:false] (a fast-path run never performs
-     the primitive effects — the wrappers run inline), so this is the
-     reference semantics the regression test compares against. Crash points
-     are honoured identically on both paths. *)
-  let settle tid w =
-    st.events <- st.events + 1;
-    if st.crashed || crash_due st then begin
-      st.crashed <- true;
-      kill st tid w
-    end
-    else begin
-      park (Array.unsafe_get st.clock 0 +. Array.unsafe_get st.latency 0) tid w;
-      handoff st
-    end
-  in
   (* The handler needs the fiber's tid, so fibers are launched through a
      per-tid [match_with] below rather than via a shared handler value. *)
   let launch (tid, body) =
     let open Effect.Deep in
-    (* [Park] is the only effect a fast-path run performs, once per genuine
-       yield; its handler is built once per fiber here instead of allocating
-       a fresh closure (and [Some]) on every park. *)
+    (* [Park] is the only effect a run performs, once per genuine yield; its
+       handler is built once per fiber here instead of allocating a fresh
+       closure (and [Some]) on every park. *)
     let some_on_park =
       Some (fun (k : (unit, unit) continuation) -> park_cont tid k)
     in
     let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option =
-      fun eff ->
-        match eff with
-        | Park -> some_on_park
-        | Read a ->
-            Some
-              (fun k ->
-                let v = machine.read ~tid a in
-                settle tid (Ret_int (k, v)))
-        | Write (a, v) ->
-            Some
-              (fun k ->
-                machine.write ~tid a v;
-                settle tid (Ret_unit k))
-        | Cas (a, expected, desired) ->
-            Some
-              (fun k ->
-                let ok = machine.cas ~tid a expected desired in
-                settle tid (Ret_bool (k, ok)))
-        | Flush a ->
-            Some
-              (fun k ->
-                machine.flush ~tid a;
-                settle tid (Ret_unit k))
-        | Fence ->
-            Some
-              (fun k ->
-                machine.fence ~tid;
-                settle tid (Ret_unit k))
-        | Charge ns ->
-            Some
-              (fun k ->
-                st.latency.(0) <- ns;
-                settle tid (Ret_unit k))
-        | Now -> Some (fun k -> continue k st.clock.(0))
-        | Self -> Some (fun k -> continue k tid)
-        | _ -> None
+      function Park -> some_on_park | _ -> None
     in
     let start () =
       match_with
@@ -708,10 +603,14 @@ let open_session ?(crash = No_crash) ?(fast_path = true) ~(machine : machine)
     in
     (match st.waiters.(tid) with
     | Cont_slot -> ()
-    | _ -> invalid_arg "Sched.run: duplicate tid");
+    | Start _ -> invalid_arg "Sched.run: duplicate tid");
     (* Threads begin at staggered times so identical op streams don't move in
        lock-step. *)
-    park (0.1 *. float_of_int tid) tid (Start start)
+    let time = 0.1 *. float_of_int tid in
+    if st.tracing then trace_park time tid;
+    st.waiters.(tid) <- Start start;
+    st.seq <- st.seq + 1;
+    Heap.push st.heap time st.seq tid
   in
   List.iter launch bodies;
   { st; fibers = List.length bodies; outcome = None }
@@ -767,5 +666,4 @@ let finish s =
       s.outcome <- Some o;
       o
 
-let run ?crash ?fast_path ~machine bodies =
-  finish (open_session ?crash ?fast_path ~machine bodies)
+let run ?crash ~machine bodies = finish (open_session ?crash ~machine bodies)

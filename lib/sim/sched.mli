@@ -1,17 +1,20 @@
 (** Deterministic discrete-event scheduler for simulated threads.
 
-    Simulated threads are OCaml-5 effects fibers; every persistent-memory
-    primitive is an effect charged simulated nanoseconds by a {!machine}.
-    The scheduler resumes the fiber with the smallest virtual clock, so
-    interleavings (CAS races, lock contention, helping) are genuine and
-    reproducible on a single host core.
+    Simulated threads are OCaml-5 effects fibers. Every persistent-memory
+    primitive runs inline in the calling fiber, charged simulated
+    nanoseconds by a {!machine}; a fiber yields (parks) only when another
+    one is due first. The scheduler resumes the fiber with the smallest
+    virtual clock, so interleavings (CAS races, lock contention, helping)
+    are genuine and reproducible on a single host core.
 
-    A primitive reaches the run in progress in one of two ways: the plain
-    wrappers ({!read}, {!write}, ...) look it up in [Domain.DLS] on every
-    call; a {!Port} caches it per simulated memory and looks it up only
-    when the run it cached is no longer the one being driven. Both give
-    the same results; the port is the hot path ([Memory.Mem] issues every
-    access through its pool's port).
+    Each primitive has one body. A primitive reaches the run in progress in
+    one of two ways: the plain wrappers ({!read}, {!write}, ...) look it up
+    in [Domain.DLS] on every call; a {!Port} caches it per simulated memory
+    and looks it up only when the run it cached is no longer the one being
+    driven. Both reach the same body; the port is the hot path
+    ([Memory.Mem] issues every access through its pool's port). A
+    primitive issued outside a run raises
+    [Invalid_argument "Sched: primitive issued outside a run"].
 
     The primitives are {!read}, {!write}, {!cas}, {!flush}, {!fence} and
     {!charge}. A memory that reads a whole cache line as one access
@@ -43,16 +46,6 @@ type machine = {
     - [latency.(0)] must be set by every op to its simulated latency in
       nanoseconds before returning; the scheduler charges it to the calling
       fiber. *)
-
-type _ Effect.t +=
-  | Read : addr -> int Effect.t
-  | Write : (addr * int) -> unit Effect.t
-  | Cas : (addr * int * int) -> bool Effect.t
-  | Flush : addr -> unit Effect.t
-  | Fence : unit Effect.t
-  | Charge : float -> unit Effect.t
-  | Now : float Effect.t
-  | Self : int Effect.t
 
 exception Crashed
 (** Raised inside a fiber when the simulated machine crashes; fibers must not
@@ -95,7 +88,7 @@ val yield : unit -> unit
     issue every primitive on it through that port; a port is not shared by
     simulations on concurrent domains. Results, times, event counts and
     crash points are exactly those of the wrappers above, including outside
-    a run and under [fast_path:false]. *)
+    a run. *)
 
 type port
 
@@ -128,7 +121,6 @@ type crash_point =
 
 val run :
   ?crash:crash_point ->
-  ?fast_path:bool ->
   machine:machine ->
   (int * (tid:int -> unit)) list ->
   outcome
@@ -138,15 +130,13 @@ val run :
     must be non-negative and pairwise distinct (they index the scheduler's
     parked-fiber table); [Invalid_argument] otherwise.
 
-    [fast_path] (default [true]) runs a primitive entirely inline — no
-    effect performed, no continuation captured, no heap traffic — whenever
-    the calling fiber would wake up strictly earlier than every parked
-    fiber; it only yields through the event heap when another fiber is due
-    first. With [fast_path:false] every primitive is performed as an effect
-    and scheduled through the heap. This is a wall-clock optimisation only:
-    simulated times, event counts, interleavings and crash points are
-    identical either way (the flag exists so regression tests can compare
-    the two paths).
+    A primitive runs entirely inline — no effect performed, no
+    continuation captured, no heap traffic — whenever the calling fiber
+    would wake up strictly earlier than every parked fiber; it only yields
+    through the event heap when another fiber is due first (ties go to the
+    fiber parked first). Simulated times, event counts, interleavings and
+    crash points are those of a scheduler that parks at every primitive
+    (test/support's reference scheduler, which the tests compare against).
 
     On a non-crashed completion every fiber must have finished; if the event
     queue drains while a fiber is still suspended (a scheduler or workload
@@ -168,7 +158,6 @@ type session
 
 val open_session :
   ?crash:crash_point ->
-  ?fast_path:bool ->
   machine:machine ->
   (int * (tid:int -> unit)) list ->
   session

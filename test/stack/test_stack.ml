@@ -26,8 +26,7 @@ let machine ~latency_ns =
     latency;
   }
 
-(* Every primitive in turn, so the effect path resumes each kind of
-   waiter. *)
+(* Every primitive in turn. *)
 let bodies ~fibers ~ops =
   List.init fibers (fun tid ->
       ( tid,
@@ -48,11 +47,10 @@ let events = function
 let check_events name want outcome =
   Alcotest.(check int) name want (events outcome)
 
-(* 1 M parked events over 8 fibers, on the fast path (every event is a
-   [Park]) and on the effect path ([settle]). *)
-let test_parked_run ~fast_path () =
+(* 1 M parked events over 8 fibers (every event is a [Park]). *)
+let test_parked_run () =
   let ops = 125_000 in
-  Sim.Sched.run ~fast_path ~machine:(machine ~latency_ns:1.0)
+  Sim.Sched.run ~machine:(machine ~latency_ns:1.0)
     (bodies ~fibers:8 ~ops)
   |> check_events "events" (8 * ops)
 
@@ -102,11 +100,9 @@ let () =
     [
       ( "constant stack",
         [
-          case "1 M parked events, fast path" (test_parked_run ~fast_path:true);
-          case "1 M parked events, effect path"
-            (test_parked_run ~fast_path:false);
-          case "50 k fibers finish" test_many_finish;
+          case "1 M parked events, fast path" test_parked_run;
           case "crash drain" test_crash_drain;
+          case "50 k fibers finish" test_many_finish;
           case "stepped session" test_stepped_session;
         ] );
     ]

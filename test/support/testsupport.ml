@@ -3,6 +3,7 @@
 
 module Mem = Memory.Mem
 module Riv = Memory.Riv
+module Ref_sched = Ref_sched
 
 let fast_pmem ?(mode = Pmem.Multi_pool) ?(n_pools = 4) ?(pool_words = 1 lsl 20)
     ?(latency = Pmem.Latency.uniform) ?(seed = 42) () =
@@ -28,6 +29,82 @@ let run pmem bodies =
   | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected simulated crash"
 
 let run1 pmem body = ignore (run pmem [ body ])
+
+(* A scheduler and the primitives its fibers issue, as one record, so that
+   one workload runs on [Sim.Sched] through its domain-local wrappers
+   ([sched_prims]) or through the memory's port ([port_prims]), and on the
+   reference scheduler ([ref_prims]). A line read has a body only on the
+   port; elsewhere it is a peek of the line's other words at the instant,
+   then a read of its first word — the one access [Pmem.read_line] makes. *)
+type prims = {
+  run :
+    ?crash:Sim.Sched.crash_point ->
+    machine:Sim.Sched.machine ->
+    (int * (tid:int -> unit)) list ->
+    Sim.Sched.outcome;
+  read : Sim.Sched.addr -> int;
+  write : Sim.Sched.addr -> int -> unit;
+  cas : Sim.Sched.addr -> expected:int -> desired:int -> bool;
+  flush : Sim.Sched.addr -> unit;
+  fence : unit -> unit;
+  charge : float -> unit;
+  yield : unit -> unit;
+  now : unit -> float;
+  self : unit -> int;
+  read_line : Sim.Sched.addr -> int array -> unit;
+}
+
+let peek_then_read pmem read a dst =
+  for i = 1 to Pmem.line_words - 1 do
+    dst.(i) <- Pmem.peek pmem (a + i)
+  done;
+  dst.(0) <- read a
+
+let sched_prims pmem =
+  {
+    run = Sim.Sched.run;
+    read = Sim.Sched.read;
+    write = Sim.Sched.write;
+    cas = Sim.Sched.cas;
+    flush = Sim.Sched.flush;
+    fence = Sim.Sched.fence;
+    charge = Sim.Sched.charge;
+    yield = Sim.Sched.yield;
+    now = Sim.Sched.now;
+    self = Sim.Sched.self;
+    read_line = peek_then_read pmem Sim.Sched.read;
+  }
+
+let port_prims pmem =
+  let p = Pmem.port pmem in
+  let module P = Sim.Sched.Port in
+  {
+    (sched_prims pmem) with
+    read = P.read p;
+    write = P.write p;
+    cas = P.cas p;
+    flush = P.flush p;
+    fence = (fun () -> P.fence p);
+    charge = P.charge p;
+    yield = (fun () -> P.yield p);
+    self = (fun () -> P.self p);
+    read_line = (fun a dst -> Pmem.read_line pmem a dst 0);
+  }
+
+let ref_prims pmem =
+  {
+    run = Ref_sched.run;
+    read = Ref_sched.read;
+    write = Ref_sched.write;
+    cas = Ref_sched.cas;
+    flush = Ref_sched.flush;
+    fence = Ref_sched.fence;
+    charge = Ref_sched.charge;
+    yield = Ref_sched.yield;
+    now = Ref_sched.now;
+    self = Ref_sched.self;
+    read_line = peek_then_read pmem Ref_sched.read;
+  }
 
 (* Run fibers expecting a crash after [events] primitives. *)
 let run_crash pmem ~events bodies =

@@ -286,6 +286,49 @@ let test_crash_during_chunk_provision () =
         (free + held_now >= total - 8 && free + held_now <= total))
     [ 5; 15; 40; 80; 120; 200 ]
 
+(* The eighth allocation provisions a chunk under the chunk-provision log;
+   crash it after each of its events and keep every dirty line, so the log
+   line persists with whatever prefix of its stores had run. The next
+   allocations must recover the log and go on, and pool 0's root area must
+   be intact: a reset that stores its state after its zeroed pool and
+   chunk words can leave [carving] beside chunk 0, and recovery then
+   carves pool 0's root area. *)
+let test_chunk_log_prefixes () =
+  let setup () =
+    let fx = make_fx () in
+    run1 fx.pmem (fun ~tid ->
+        for i = 1 to 7 do
+          ignore (alloc fx ~tid ~key:(10 + i))
+        done);
+    fx
+  in
+  let eighth fx ~tid = ignore (alloc fx ~tid ~key:99) in
+  let events =
+    let fx = setup () in
+    snd (run fx.pmem [ eighth fx ])
+  in
+  for crash_at = 1 to events do
+    let fx = setup () in
+    ignore (run_crash fx.pmem ~events:crash_at [ eighth fx ]);
+    Pmem.crash fx.pmem ~persist_line:(fun ~pool:_ ~line:_ -> true);
+    Mem.reconnect fx.mem;
+    let post = ref [] in
+    (match
+       run1 fx.pmem (fun ~tid ->
+           for i = 1 to 3 do
+             post := alloc fx ~tid ~key:(100 + i) :: !post
+           done)
+     with
+    | () -> ()
+    | exception e ->
+        Alcotest.failf "crash at event %d: allocation raised %s" crash_at
+          (Printexc.to_string e));
+    check_int (Fmt.str "crash at event %d: distinct blocks" crash_at) 3
+      (List.length (List.sort_uniq compare (List.map Riv.to_word !post)));
+    check_int (Fmt.str "crash at event %d: pool 0's magic word" crash_at) Mem.magic
+      (Pmem.peek_persistent fx.pmem (Pmem.addr ~pool:0 ~word:Mem.magic_word))
+  done
+
 (* ---- the allocation crash window ----------------------------------------- *)
 
 (* Persistent-image walks (host side, after a crash). *)
@@ -475,6 +518,7 @@ let () =
           case "log persisted" test_log_survives_crash;
           case "per-thread logs" test_different_tids_have_independent_logs;
           case "crash during chunk provision" test_crash_during_chunk_provision;
+          case "chunk log torn at every crash point" test_chunk_log_prefixes;
           slow_case "crash grid: allocation and node persist" test_alloc_crash_window;
           slow_case "crash grid: node deallocation" test_delete_crash_window;
           slow_case "crash grid: pop from a chunk still logged as carved"

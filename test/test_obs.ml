@@ -111,26 +111,25 @@ let test_counters_basic () =
   Obs.reset ();
   check_int "reset" 0 (Obs.total Obs.id_flush)
 
-(* The scheduler fast path must not change attribution: PMEM primitives
-   are counted per tid identically with fast_path on and off. *)
+(* The scheduler's inline path must not change attribution: PMEM
+   primitives are counted per tid as under the reference scheduler, which
+   parks at every primitive. *)
 let test_counters_fastpath_invariant () =
-  let run_one fast_path =
+  let run_one prims =
     Obs.reset ();
     let pmem = fast_pmem () in
+    let p = prims pmem in
     let body ~tid =
       let a = Pmem.addr ~pool:0 ~word:(64 * tid) in
       for i = 1 to 10 do
-        Sim.Sched.write a i;
-        Sim.Sched.flush a;
-        Sim.Sched.fence ();
-        ignore (Sim.Sched.cas a ~expected:i ~desired:(i + 1));
-        ignore (Sim.Sched.cas a ~expected:999_999 ~desired:0)
+        p.write a i;
+        p.flush a;
+        p.fence ();
+        ignore (p.cas a ~expected:i ~desired:(i + 1));
+        ignore (p.cas a ~expected:999_999 ~desired:0)
       done
     in
-    (match
-       Sim.Sched.run ~fast_path ~machine:(Pmem.machine pmem)
-         (List.init 4 (fun tid -> (tid, body)))
-     with
+    (match p.run ~machine:(Pmem.machine pmem) (List.init 4 (fun tid -> (tid, body))) with
     | Sim.Sched.Completed _ -> ()
     | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected crash");
     List.concat_map
@@ -138,8 +137,10 @@ let test_counters_fastpath_invariant () =
         List.init Obs.n_ids (fun id -> (tid, id, Obs.counter ~tid id)))
       [ 0; 1; 2; 3 ]
   in
-  let fast = run_one true and slow = run_one false in
-  check_bool "attribution identical across fast_path" true (fast = slow);
+  let reference = run_one ref_prims in
+  let attribution = run_one sched_prims in
+  check_bool "attribution identical to the reference scheduler's" true
+    (attribution = reference);
   check_int "flushes per tid" 10 (Obs.counter ~tid:2 Obs.id_flush);
   check_int "fences per tid" 10 (Obs.counter ~tid:2 Obs.id_fence);
   check_int "cas per tid" 20 (Obs.counter ~tid:2 Obs.id_pmem_cas);

@@ -1,21 +1,24 @@
-(* The scheduler's fast-path resume (Sched.run ~fast_path, on by default)
-   must be a pure wall-clock optimisation: with it on or off, a run must
-   produce bit-identical virtual times, event counts, outcomes, PMEM
-   counters and memory images. These tests drive a mixed
-   read/write/CAS/flush/fence/charge workload — with latency jitter ON, so
-   the shared RNG draw order is exercised too — down both paths and compare
-   everything observable. *)
+(* Sim.Sched runs a primitive inline whenever its fiber stays the earliest,
+   and parks only to yield: a pure wall-clock optimisation. A run must
+   produce the virtual times, event counts, outcomes, PMEM counters, memory
+   images and fiber trace events of test/support's reference scheduler,
+   which parks at every primitive and shares no code with Sim.Sched. These
+   tests drive a mixed read/write/CAS/flush/fence/charge workload down both
+   and compare everything observable: under jittered latencies, so the
+   shared RNG draw order is exercised too, and under uniform ones, where
+   wake-up times tie often and the tie-break decides the interleaving. *)
 
 open Testsupport
 
 let n_pools = 4
 let pool_words = 1 lsl 16
 let threads = 8
-let ops_per_thread = 300
+(* About 6 400 events per run, so that the crash point below falls inside
+   it. *)
+let ops_per_thread = 600
+let crash_point = Sim.Sched.After_events 5_000
 
-(* Jittered latencies (Latency.default) on purpose: the fast path must
-   consume RNG draws in exactly the same order as the slow path. *)
-let mk_pmem seed =
+let mk_pmem ?(latency = Pmem.Latency.default) seed =
   Pmem.create
     {
       Pmem.numa_nodes = 4;
@@ -23,65 +26,18 @@ let mk_pmem seed =
       n_pools;
       mode = Pmem.Multi_pool;
       stripe_words = 1 lsl 12;
-      latency = Pmem.Latency.default;
+      latency;
       cache_lines = 256;
       seed;
     }
 
-(* The primitives a fiber issues: the scheduler's domain-local wrappers,
-   or a memory's port (see the "ports" cases below). A line read has no
-   wrapper: its reference is a peek of the line's other words at the
-   instant, then a wrapper read of its first word — the one access
-   [Pmem.read_line] makes through the port. *)
-type prims = {
-  read : Sim.Sched.addr -> int;
-  write : Sim.Sched.addr -> int -> unit;
-  cas : Sim.Sched.addr -> expected:int -> desired:int -> bool;
-  flush : Sim.Sched.addr -> unit;
-  fence : unit -> unit;
-  charge : float -> unit;
-  yield : unit -> unit;
-  self : unit -> int;
-  read_line : Sim.Sched.addr -> int array -> unit;
-}
-
-let dls pmem =
-  {
-    read = Sim.Sched.read;
-    write = Sim.Sched.write;
-    cas = Sim.Sched.cas;
-    flush = Sim.Sched.flush;
-    fence = Sim.Sched.fence;
-    charge = Sim.Sched.charge;
-    yield = Sim.Sched.yield;
-    self = Sim.Sched.self;
-    read_line =
-      (fun a dst ->
-        for i = 1 to Pmem.line_words - 1 do
-          dst.(i) <- Pmem.peek pmem (a + i)
-        done;
-        dst.(0) <- Sim.Sched.read a);
-  }
-
-let via_port pmem =
-  let p = Pmem.port pmem in
-  let module P = Sim.Sched.Port in
-  {
-    read = P.read p;
-    write = P.write p;
-    cas = P.cas p;
-    flush = P.flush p;
-    fence = (fun () -> P.fence p);
-    charge = P.charge p;
-    yield = (fun () -> P.yield p);
-    self = (fun () -> P.self p);
-    read_line = (fun a dst -> Pmem.read_line pmem a dst 0);
-  }
+let latencies =
+  [ ("jittered", Pmem.Latency.default); ("uniform", Pmem.Latency.uniform) ]
 
 (* One fiber: a per-tid RNG picks addresses and an op mix that exercises
-   every effect the scheduler handles, including some that resolve without
-   parking (Now, Self), and line reads, whose words it writes back summed
-   so that the memory images compare them. *)
+   every primitive, including some that resolve without an event (now,
+   self), and line reads, whose words it writes back summed so that the
+   memory images compare them. *)
 let mixed p ~ops ~seed ~tid =
   let rng = Sim.Rng.create ((seed * 1000) + tid) in
   let sink = ref 0 in
@@ -107,16 +63,16 @@ let mixed p ~ops ~seed ~tid =
         p.charge 3.5;
         p.yield ()
     | 9 ->
-        let t0 = Sim.Sched.now () in
+        let t0 = p.now () in
         sink := !sink + p.self () + int_of_float t0
     | _ ->
         p.read_line (a land lnot (Pmem.line_words - 1)) line;
         p.write a (Array.fold_left ( + ) 0 line land 0xffff)
   done
 
-let bodies ?(prims = dls) pmem seed =
+let bodies p seed =
   List.init threads (fun tid ->
-      (tid, fun ~tid -> mixed (prims pmem) ~ops:ops_per_thread ~seed ~tid))
+      (tid, fun ~tid -> mixed p ~ops:ops_per_thread ~seed ~tid))
 
 (* Everything observable about a finished run, in comparable form. *)
 let counter_list pmem =
@@ -154,56 +110,55 @@ let outcome_repr = function
   | Sim.Sched.Crashed_at { time; events } ->
       Printf.sprintf "Crashed_at { time = %h; events = %d }" time events
 
-let run_one ?prims ~fast_path ~crash seed =
-  let pmem = mk_pmem seed in
-  let outcome =
-    Sim.Sched.run ~crash ~fast_path ~machine:(Pmem.machine pmem)
-      (bodies ?prims pmem seed)
-  in
+let run_one prims ~latency ~crash seed =
+  let pmem = mk_pmem ~latency seed in
+  let p = prims pmem in
+  let outcome = p.run ~crash ~machine:(Pmem.machine pmem) (bodies p seed) in
   (outcome_repr outcome, counter_list pmem, snapshot pmem)
 
-(* Fibers on the domain-local wrappers, then on their memory's port. *)
-let compare_paths ~crash seed =
+(* The reference run, then Sim.Sched's with fibers on the domain-local
+   wrappers and on their memory's port, under each latency model. *)
+let compare_with_reference ~crash seed =
   List.iter
-    (fun prims ->
-      let slow_outcome, slow_counters, slow_mem =
-        run_one ~prims ~fast_path:false ~crash seed
-      in
-      let fast_outcome, fast_counters, fast_mem =
-        run_one ~prims ~fast_path:true ~crash seed
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "outcome (seed %d)" seed)
-        slow_outcome fast_outcome;
-      Alcotest.(check (list (pair string int)))
-        (Printf.sprintf "pmem counters (seed %d)" seed)
-        slow_counters fast_counters;
-      check_bool
-        (Printf.sprintf "memory images (seed %d)" seed)
-        true
-        (slow_mem = fast_mem))
-    [ dls; via_port ]
+    (fun (lat, latency) ->
+      let name what = Printf.sprintf "%s (seed %d, %s)" what seed lat in
+      let ref_outcome, ref_counters, ref_mem = run_one ref_prims ~latency ~crash seed in
+      List.iter
+        (fun prims ->
+          let outcome, counters, mem = run_one prims ~latency ~crash seed in
+          Alcotest.(check string) (name "outcome") ref_outcome outcome;
+          Alcotest.(check (list (pair string int)))
+            (name "pmem counters") ref_counters counters;
+          check_bool (name "memory images") true (ref_mem = mem))
+        [ sched_prims; port_prims ])
+    latencies
 
 let test_complete () =
-  List.iter (compare_paths ~crash:Sim.Sched.No_crash) [ 1; 7; 42 ]
+  List.iter (compare_with_reference ~crash:Sim.Sched.No_crash) [ 1; 7; 42 ]
 
 let test_crash_events () =
   (* crash mid-run: the event at which the crash fires, the virtual time it
      reports and the post-crash memory images must all agree *)
-  List.iter (compare_paths ~crash:(Sim.Sched.After_events 5_000)) [ 1; 7; 42 ]
+  List.iter
+    (fun seed ->
+      let outcome, _, _ =
+        run_one ref_prims ~latency:Pmem.Latency.default ~crash:crash_point seed
+      in
+      check_bool (Printf.sprintf "seed %d crashes: %s" seed outcome) true
+        (String.starts_with ~prefix:"Crashed_at" outcome);
+      compare_with_reference ~crash:crash_point seed)
+    [ 1; 7; 42 ]
 
 let test_fiber_count () =
   let pmem = mk_pmem 3 in
-  match Sim.Sched.run ~machine:(Pmem.machine pmem) (bodies pmem 3) with
+  match Sim.Sched.run ~machine:(Pmem.machine pmem) (bodies (sched_prims pmem) 3) with
   | Sim.Sched.Completed { fibers; _ } ->
       check_int "Completed reports one entry per body" threads fibers
   | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected crash"
 
 (* ---- tracing on ---------------------------------------------------------- *)
 
-(* The scheduler reads the trace flag once per drive instead of at every
-   park and resume, so a traced run must record exactly what it recorded
-   before. Compared here: the retained ring of a run (or a session) under
+(* Compared here: the retained ring of a run (or a session) under
    [Obs.Trace.start], event by event, floats bit for bit. *)
 
 type event = float * int * int * int * float
@@ -219,8 +174,8 @@ let traced f =
   Obs.Trace.clear ();
   (outcome, List.rev !ring)
 
-(* An inline primitive yields no park/resume pair, so the fast and the
-   reference path agree on every event but those. *)
+(* The reference records no park/resume pairs, and an inline primitive
+   yields none, so the two agree on every event but those. *)
 let without_switches =
   List.filter (fun (_, _, kind, _, _) ->
       kind <> Obs.Trace.k_park && kind <> Obs.Trace.k_resume)
@@ -236,19 +191,20 @@ let check_rings name (a : event list) (b : event list) =
         Alcotest.failf "%s: event %d differs: %s vs %s" name i (render x) (render y))
     (List.combine a b)
 
-let traced_run ~fast_path seed =
-  let pmem = mk_pmem seed in
+let traced_run ?(latency = Pmem.Latency.default) ?crash prims seed =
+  let pmem = mk_pmem ~latency seed in
+  let p = prims pmem in
   traced (fun () ->
-      outcome_repr
-        (Sim.Sched.run ~fast_path ~machine:(Pmem.machine pmem) (bodies pmem seed)))
+      outcome_repr (p.run ?crash ~machine:(Pmem.machine pmem) (bodies p seed)))
 
 (* The same bodies as a session stepped through epoch bounds [every] ns
    apart; [untraced_after] stops the recording after that many steps. *)
-let traced_session ?untraced_after ~fast_path ~every seed =
+let traced_session ?untraced_after ~every seed =
   let pmem = mk_pmem seed in
   traced (fun () ->
       let s =
-        Sim.Sched.open_session ~fast_path ~machine:(Pmem.machine pmem) (bodies pmem seed)
+        Sim.Sched.open_session ~machine:(Pmem.machine pmem)
+          (bodies (sched_prims pmem) seed)
       in
       let bound = ref every and steps = ref 0 in
       while !bound < 60_000.0 do
@@ -262,33 +218,39 @@ let traced_session ?untraced_after ~fast_path ~every seed =
 let test_traced_fast_matches_slow () =
   List.iter
     (fun seed ->
-      let name = Printf.sprintf "seed %d" seed in
-      let slow_outcome, slow = traced_run ~fast_path:false seed in
-      let fast_outcome, fast = traced_run ~fast_path:true seed in
-      Alcotest.(check string) (name ^ ": outcome") slow_outcome fast_outcome;
-      check_bool (name ^ ": machine events traced") true
-        (List.exists (fun (_, _, kind, _, _) -> kind = Obs.id_fence) fast);
-      check_rings (name ^ ": fast vs reference") (without_switches slow)
-        (without_switches fast))
-    [ 1; 7 ]
+      List.iter
+        (fun (lat, latency) ->
+          List.iter
+            (fun crash ->
+              let name =
+                Printf.sprintf "seed %d, %s, %s" seed lat
+                  (match crash with
+                  | Sim.Sched.No_crash -> "no crash"
+                  | After_events n -> Printf.sprintf "crash after %d" n)
+              in
+              let ref_outcome, reference = traced_run ~latency ~crash ref_prims seed in
+              let outcome, ring = traced_run ~latency ~crash sched_prims seed in
+              Alcotest.(check string) (name ^ ": outcome") ref_outcome outcome;
+              check_bool (name ^ ": machine events traced") true
+                (List.exists (fun (_, _, kind, _, _) -> kind = Obs.id_fence) ring);
+              check_rings (name ^ ": Sim.Sched vs reference") (without_switches reference)
+                (without_switches ring))
+            [ Sim.Sched.No_crash; crash_point ])
+        latencies)
+    [ 1; 7; 42 ]
 
-(* A session re-reads the flag at every step. On the reference path every
-   event parks and resumes anyway, so splitting the run at epoch bounds
-   changes nothing in the ring, switches included; on the fast path a
-   bound makes the fiber crossing it park, so only the switches differ. *)
+(* A session re-reads the trace flag at every step. A bound makes the fiber
+   crossing it park, so a stepped session records its run's events with
+   only the switches differing. *)
 let test_traced_session_matches_run () =
   let seed = 3 in
-  let run_outcome, run = traced_run ~fast_path:false seed in
-  let session_outcome, session = traced_session ~fast_path:false ~every:2_500.0 seed in
-  Alcotest.(check string) "reference session outcome" run_outcome session_outcome;
-  check_rings "reference run vs stepped session" run session;
-  let run_outcome, run = traced_run ~fast_path:true seed in
-  let session_outcome, session = traced_session ~fast_path:true ~every:2_500.0 seed in
-  Alcotest.(check string) "fast session outcome" run_outcome session_outcome;
-  check_rings "fast run vs stepped session" (without_switches run)
+  let run_outcome, run = traced_run sched_prims seed in
+  let session_outcome, session = traced_session ~every:2_500.0 seed in
+  Alcotest.(check string) "session outcome" run_outcome session_outcome;
+  check_rings "run vs stepped session" (without_switches run)
     (without_switches session);
   (* tracing stopped between two steps: the later steps record nothing *)
-  let _, partial = traced_session ~untraced_after:4 ~fast_path:true ~every:2_500.0 seed in
+  let _, partial = traced_session ~untraced_after:4 ~every:2_500.0 seed in
   check_bool "a step after the stop records nothing" true
     (List.for_all (fun (ts, _, _, _, _) -> ts < 10_000.0) partial);
   check_bool "the steps before it recorded" true (partial <> [])
@@ -297,25 +259,27 @@ let test_traced_session_matches_run () =
 
 (* A primitive issued through a memory's port reaches the run that is
    being driven, exactly as the domain-local wrappers do. Each scenario
-   below is run twice, once with every fiber on the wrappers and once with
-   every fiber on its memory's port, and must report the same outcomes
-   (times, event counts) and PMEM counters. *)
+   below is run three times, with every fiber on the wrappers, with every
+   fiber on its memory's port, and on the reference scheduler, and must
+   report the same outcomes (times, event counts) and PMEM counters. *)
 
 let counters_repr name pmem =
   List.map (fun (k, v) -> Printf.sprintf "%s.%s=%d" name k v) (counter_list pmem)
 
 let fibers n f = List.init n (fun tid -> (tid, f))
 
-let check_port_matches_dls name scenario =
-  Alcotest.(check (list string)) name (scenario dls) (scenario via_port)
+let check_matches_reference name scenario =
+  let reference = scenario ref_prims in
+  Alcotest.(check (list string)) (name ^ ": wrappers") reference (scenario sched_prims);
+  Alcotest.(check (list string)) (name ^ ": port") reference (scenario port_prims)
 
-(* A fiber of a run over one memory runs a nested [Sched.run] over a second
-   one. The nested fibers also issue primitives through the outer memory's
+(* A fiber of a run over one memory runs a nested run over a second one.
+   The nested fibers also issue primitives through the outer memory's
    port, whose cached state (the outer run) is not live while the nested
    drive runs: they must reach the nested run. Back in the outer run, the
    port must find the outer run again. *)
 let test_port_nested () =
-  check_port_matches_dls "nested run" (fun prims ->
+  check_matches_reference "nested run" (fun prims ->
       let outer = mk_pmem 11 and inner = mk_pmem 12 in
       let po = prims outer and pi = prims inner in
       let log = ref [] in
@@ -323,71 +287,82 @@ let test_port_nested () =
         mixed pi ~ops:60 ~seed:6 ~tid;
         ignore (po.read (Pmem.addr ~pool:0 ~word:(64 * tid)) : int);
         po.write (Pmem.addr ~pool:1 ~word:(64 * tid)) tid;
-        log := Printf.sprintf "inner tid %d at %h" (po.self ()) (Sim.Sched.now ()) :: !log
+        log := Printf.sprintf "inner tid %d at %h" (po.self ()) (po.now ()) :: !log
       in
       let outer_body ~tid =
         mixed po ~ops:60 ~seed:5 ~tid;
         if tid = 1 then
           log :=
-            outcome_repr (Sim.Sched.run ~machine:(Pmem.machine inner) (fibers 3 inner_body))
+            outcome_repr (pi.run ~machine:(Pmem.machine inner) (fibers 3 inner_body))
             :: !log;
         mixed po ~ops:60 ~seed:7 ~tid
       in
-      let o = Sim.Sched.run ~machine:(Pmem.machine outer) (fibers 4 outer_body) in
+      let o = po.run ~machine:(Pmem.machine outer) (fibers 4 outer_body) in
       (outcome_repr o :: List.rev !log)
       @ counters_repr "outer" outer @ counters_repr "inner" inner)
 
 (* Two sessions over two memories stepped alternately on one domain (the
    service engine's pattern): each drive leaves its state not live, so
-   each port refreshes once per step. *)
+   each port refreshes once per step. The reference runs each memory's
+   fibers to the end in turn. *)
 let test_port_alternating_sessions () =
-  check_port_matches_dls "alternating sessions" (fun prims ->
-      let open_one seed =
-        let pmem = mk_pmem seed in
-        let p = prims pmem in
-        ( pmem,
-          Sim.Sched.open_session ~machine:(Pmem.machine pmem)
-            (fibers 4 (fun ~tid -> mixed p ~ops:120 ~seed ~tid)) )
-      in
-      let m1, s1 = open_one 21 and m2, s2 = open_one 22 in
-      let bound = ref 700.0 in
-      while !bound < 30_000.0 do
-        Sim.Sched.step s1 ~until:!bound;
-        Sim.Sched.step s2 ~until:!bound;
-        bound := !bound +. 700.0
-      done;
-      let o2 = outcome_repr (Sim.Sched.finish s2) in
-      let o1 = outcome_repr (Sim.Sched.finish s1) in
-      [ o1; o2 ] @ counters_repr "m1" m1 @ counters_repr "m2" m2)
+  let scenario prims drive =
+    let setup seed =
+      let pmem = mk_pmem seed in
+      let p = prims pmem in
+      (pmem, (Pmem.machine pmem, fibers 4 (fun ~tid -> mixed p ~ops:120 ~seed ~tid)))
+    in
+    let m1, run1 = setup 21 and m2, run2 = setup 22 in
+    let o1, o2 = drive run1 run2 in
+    [ outcome_repr o1; outcome_repr o2 ] @ counters_repr "m1" m1 @ counters_repr "m2" m2
+  in
+  let stepped (machine1, b1) (machine2, b2) =
+    let s1 = Sim.Sched.open_session ~machine:machine1 b1 in
+    let s2 = Sim.Sched.open_session ~machine:machine2 b2 in
+    let bound = ref 700.0 in
+    while !bound < 30_000.0 do
+      Sim.Sched.step s1 ~until:!bound;
+      Sim.Sched.step s2 ~until:!bound;
+      bound := !bound +. 700.0
+    done;
+    let o2 = Sim.Sched.finish s2 in
+    (Sim.Sched.finish s1, o2)
+  in
+  let in_turn (machine1, b1) (machine2, b2) =
+    let o1 = Ref_sched.run ~machine:machine1 b1 in
+    (o1, Ref_sched.run ~machine:machine2 b2)
+  in
+  let reference = scenario ref_prims in_turn in
+  Alcotest.(check (list string)) "wrappers" reference (scenario sched_prims stepped);
+  Alcotest.(check (list string)) "port" reference (scenario port_prims stepped)
 
-(* One memory driven by several runs in a row, the middle one on the
-   reference path: the port holds each finished run until the next access
-   refreshes it. *)
+(* One memory driven by three runs in a row: the port holds each finished
+   run until the next access refreshes it. *)
 let test_port_consecutive_runs () =
-  check_port_matches_dls "consecutive runs" (fun prims ->
+  check_matches_reference "consecutive runs" (fun prims ->
       let pmem = mk_pmem 31 in
       let p = prims pmem in
-      let run ~fast_path seed =
+      let run seed =
         outcome_repr
-          (Sim.Sched.run ~fast_path ~machine:(Pmem.machine pmem)
+          (p.run ~machine:(Pmem.machine pmem)
              (fibers 4 (fun ~tid -> mixed p ~ops:120 ~seed ~tid)))
       in
-      let a = run ~fast_path:true 1 in
-      let b = run ~fast_path:false 2 in
-      let c = run ~fast_path:true 3 in
+      let a = run 1 in
+      let b = run 2 in
+      let c = run 3 in
       [ a; b; c ] @ counters_repr "pmem" pmem)
 
 (* A memory first driven on this domain, then by a run on a [Sim.Pool]
    worker domain. *)
 let test_port_worker_domain () =
-  check_port_matches_dls "worker domain" (fun prims ->
+  check_matches_reference "worker domain" (fun prims ->
       let setup seed =
         let pmem = mk_pmem seed in
         let p = prims pmem in
         let run seed =
           outcome_repr
-            (Sim.Sched.run ~machine:(Pmem.machine pmem)
-               (fibers 4 (fun ~tid -> mixed p ~ops:120 ~seed ~tid)))
+            (p.run ~machine:(Pmem.machine pmem)
+             (fibers 4 (fun ~tid -> mixed p ~ops:120 ~seed ~tid)))
         in
         let here = run seed in
         (pmem, here, run)
@@ -396,13 +371,16 @@ let test_port_worker_domain () =
       let there = Sim.Pool.run ~jobs:2 [ (fun () -> run1 43); (fun () -> run2 44) ] in
       (here1 :: here2 :: there) @ counters_repr "m1" m1 @ counters_repr "m2" m2)
 
-(* Outside a run, a port primitive is an unhandled effect, as a wrapper is. *)
+(* Outside a run, a primitive raises the scheduler's named error, through
+   a port as through a wrapper. *)
 let test_port_outside_run () =
   let p = Pmem.port (mk_pmem 1) in
-  check_bool "read outside a run" true
-    (match Sim.Sched.Port.read p 0 with
-    | _ -> false
-    | exception Effect.Unhandled _ -> true)
+  let outside = Invalid_argument "Sched: primitive issued outside a run" in
+  Alcotest.check_raises "port read" outside (fun () ->
+      ignore (Sim.Sched.Port.read p 0 : int));
+  Alcotest.check_raises "port write" outside (fun () -> Sim.Sched.Port.write p 0 1);
+  Alcotest.check_raises "now" outside (fun () -> ignore (Sim.Sched.now () : float));
+  Alcotest.check_raises "self" outside (fun () -> ignore (Sim.Sched.self () : int))
 
 (* ---- allocation ------------------------------------------------------------ *)
 
