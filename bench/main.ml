@@ -6,6 +6,7 @@
      dune exec bench/main.exe                 # everything, quick scale
      dune exec bench/main.exe -- fig5.1 table5.4
      dune exec bench/main.exe -- --full all   # larger workloads
+     dune exec bench/main.exe -- claims       # the paper's claims, 5 fixture seeds
 
    Absolute numbers come from the simulated-PMEM machine (calibrated to the
    Optane measurements the paper cites), so only the *shape* — who wins, by
@@ -63,11 +64,16 @@ let seed = 20210811
    report (and the --json samples) are byte-identical for any [jobs]. *)
 let jobs = ref (Sim.Pool.default_jobs ())
 
-(* The paper runs the three-way comparison on the striped device. *)
-let striped_sys =
-  { Kv.default_sys with mode = Pmem.Striped; pool_words = 1 lsl 21 }
+(* The seed of the figures' fixtures (tower heights), [--fixture-seed];
+   Table 5.4's trials add its distance from the default to their seeds. *)
+let fixture_seed = ref Kv.default_sys.seed
 
-let multi_sys = { Kv.default_sys with mode = Pmem.Multi_pool; pool_words = 1 lsl 21 }
+(* The paper runs the three-way comparison on the striped device. *)
+let striped_sys () =
+  { Kv.default_sys with mode = Pmem.Striped; pool_words = 1 lsl 21; seed = !fixture_seed }
+
+let multi_sys () =
+  { Kv.default_sys with mode = Pmem.Multi_pool; pool_words = 1 lsl 21; seed = !fixture_seed }
 
 let bench_cfg = { Upskiplist.Config.default with keys_per_node = 64 }
 
@@ -77,9 +83,9 @@ let optane_spec = { Fault.default_spec with latency = Kv.Optane }
 
 let structure_makers () =
   [
-    ("UPSkipList", fun () -> Kv.make_upskiplist ~cfg:bench_cfg striped_sys);
-    ("BzTree", fun () -> Kv.make_bztree ~n_descriptors:120_000 striped_sys);
-    ("PMDK skip list", fun () -> Kv.make_pmdk_list striped_sys);
+    ("UPSkipList", fun () -> Kv.make_upskiplist ~cfg:bench_cfg (striped_sys ()));
+    ("BzTree", fun () -> Kv.make_bztree ~n_descriptors:120_000 (striped_sys ()));
+    ("PMDK skip list", fun () -> Kv.make_pmdk_list (striped_sys ()));
   ]
 
 (* Throughput sweep for one (structure, workload): preload once, then run
@@ -161,8 +167,8 @@ let fig_5_3 () =
     match
       Sim.Pool.run ~jobs:!jobs
         [
-          chain (fun () -> Kv.make_upskiplist ~cfg:cfg1 striped_sys);
-          chain (fun () -> Kv.make_pmdk_list ~max_height:24 striped_sys);
+          chain (fun () -> Kv.make_upskiplist ~cfg:cfg1 (striped_sys ()));
+          chain (fun () -> Kv.make_pmdk_list ~max_height:24 (striped_sys ()));
         ]
     with
     | [ r; f ] -> (r, f)
@@ -197,7 +203,7 @@ let fig_5_4 () =
     List.map (fun spec -> sweep kv ~spec) wl
   in
   let s_sweeps, m_sweeps =
-    match Sim.Pool.run ~jobs:!jobs [ chain striped_sys; chain multi_sys ] with
+    match Sim.Pool.run ~jobs:!jobs [ chain (striped_sys ()); chain (multi_sys ()) ] with
     | [ s; m ] -> (s, m)
     | _ -> assert false
   in
@@ -321,7 +327,7 @@ let workload_e () =
      job on a fresh fixture, so every row starts from the same caches. *)
   let scan_cost writers =
     let cfg = bench_cfg in
-    let sys = striped_sys in
+    let sys = striped_sys () in
     let pmem = Kv.make_pmem sys in
     let bw = Upskiplist.Skiplist.required_block_words cfg in
     let mem = Memory.Mem.create ~pmem ~chunk_words:(64 * bw) ~block_words:bw ~n_arenas:8 () in
@@ -401,8 +407,8 @@ let recovery_trial_spec (base : Fault.spec) i =
     ops_per_thread = 2_000;
     read_fraction = 0.0;
     crash_at = 50_000 + (i * 13_337);
-    draw_seed = seed + i;
-    seed;
+    draw_seed = seed + i + (!fixture_seed - Kv.default_sys.seed);
+    seed = seed + (!fixture_seed - Kv.default_sys.seed);
   }
 
 let recovery_trial_once base i =
@@ -437,6 +443,8 @@ let table_5_4 () =
           List.filteri (fun idx _ -> idx / 3 = k) times
         in
         let mean, sd = Stats.mean_std ts in
+        Report.record ~series:"recovery time (ms)" ~column:label ~x:0
+          (mean *. 1000.0, sd *. 1000.0);
         (label, mean, sd))
       entries
   in
@@ -466,7 +474,7 @@ let table_2_1 () =
   let rows =
     Sim.Pool.map ~jobs:!jobs
       (fun n ->
-        let kv = Kv.make_upskiplist ~cfg:bench_cfg striped_sys in
+        let kv = Kv.make_upskiplist ~cfg:bench_cfg (striped_sys ()) in
         Driver.preload kv ~threads:4 ~n;
         let res =
           Driver.run_workload kv ~spec:W.a ~threads:1 ~n_initial:n
@@ -558,7 +566,7 @@ let ablation_keys_per_node () =
     Sim.Pool.map ~jobs:!jobs
       (fun k ->
         let cfg = { Upskiplist.Config.default with keys_per_node = k } in
-        let kv = Kv.make_upskiplist ~cfg striped_sys in
+        let kv = Kv.make_upskiplist ~cfg (striped_sys ()) in
         Driver.preload kv ~threads:4 ~n:(!scale.n_initial / 2);
         let run spec =
           (Driver.run_workload kv ~spec ~threads:16
@@ -582,7 +590,7 @@ let ablation_recovery_budget () =
     Sim.Pool.map ~jobs:!jobs
       (fun budget ->
         let cfg = { bench_cfg with recovery_budget = budget } in
-        let kv = Kv.make_upskiplist ~cfg multi_sys in
+        let kv = Kv.make_upskiplist ~cfg (multi_sys ()) in
         Driver.preload kv ~threads:4 ~n:(!scale.n_initial / 2);
         (* crash mid-insert-workload *)
         let body ~tid =
@@ -628,7 +636,7 @@ let ablation_arenas () =
   let rows =
     Sim.Pool.map ~jobs:!jobs
       (fun n_arenas ->
-        let kv = Kv.make_upskiplist ~cfg:bench_cfg ~n_arenas striped_sys in
+        let kv = Kv.make_upskiplist ~cfg:bench_cfg ~n_arenas (striped_sys ()) in
         let res =
           (* insert-heavy: allocation on the critical path *)
           Driver.preload kv ~threads:16 ~n:!scale.n_initial;
@@ -645,7 +653,7 @@ let ablation_reclamation () =
   Report.heading "Ablation — tombstones vs physical removal (paper §4.6)";
   let run reclaim =
     let cfg = { bench_cfg with keys_per_node = 16; reclaim_empty_nodes = reclaim } in
-    let kv = Kv.make_upskiplist ~cfg striped_sys in
+    let kv = Kv.make_upskiplist ~cfg (striped_sys ()) in
     let n = !scale.n_initial / 2 in
     Driver.preload kv ~threads:4 ~n;
     (* remove everything, then measure occupancy *)
@@ -838,7 +846,7 @@ let layout () =
     { W.a with W.label = "A+ins"; update = 0.25; insert = 0.25 }
   in
   let run (label, cfg) () =
-    let kv = Kv.make_upskiplist ~cfg striped_sys in
+    let kv = Kv.make_upskiplist ~cfg (striped_sys ()) in
     Driver.preload kv ~threads:4 ~n;
     List.map
       (fun spec ->
@@ -989,7 +997,7 @@ let smoke () =
   let per_workload =
     Sim.Pool.map ~jobs:!jobs
       (fun spec ->
-        let kv = Kv.make_upskiplist ~cfg:bench_cfg striped_sys in
+        let kv = Kv.make_upskiplist ~cfg:bench_cfg (striped_sys ()) in
         Driver.preload kv ~threads:4 ~n;
         ( spec,
           List.map
@@ -1006,6 +1014,206 @@ let smoke () =
         ~x_label:"threads" ~x_values:threads_sweep
         ~columns:[ ("UPSkipList (Mops/s)", series) ])
     per_workload
+
+(* ---- the paper's claims, checked ---------------------------------------------- *)
+
+(* Each claim of the paper as a predicate over one fixture seed's samples
+   ([sample figure series column x]: the mean of the sample whose figure
+   heading and series title start with [figure] and [series]). [check]
+   says whether the claim holds on that seed and what it measured there.
+   A claim is reproduced when it holds on every seed; otherwise it takes
+   the status written beside it. *)
+type claim = {
+  claim : string;
+  paper : string;
+  check : (string -> string -> string -> int -> float) -> bool * string;
+  otherwise : string;
+}
+
+let claims_table =
+  let ups = "UPSkipList (Mops/s)" and bz = "BzTree (Mops/s)" in
+  let pmdk = "PMDK skip list (Mops/s)" in
+  let fig51 get series column x = get "Figure 5.1" series column x in
+  [
+    {
+      claim = "Fig 5.1 A: BzTree below UPSkipList, 80 threads";
+      paper = "76 % below";
+      check =
+        (fun get ->
+          let r = 1.0 -. (fig51 get "Workload A" bz 80 /. fig51 get "Workload A" ups 80) in
+          (r > 0.0, Printf.sprintf "%.0f %%" (100.0 *. r)));
+      otherwise = "deviates";
+    };
+    {
+      claim = "Fig 5.1 A: BzTree falls off after its peak";
+      paper = "yes";
+      check =
+        (fun get ->
+          let at x = fig51 get "Workload A" bz x in
+          let r = (at 80 /. List.fold_left Float.max 0.0 (List.map at [ 1; 8; 80 ])) -. 1.0 in
+          (r < 0.0, Printf.sprintf "%+.1f %%" (100.0 *. r)));
+      otherwise = "deviates";
+    };
+    {
+      claim = "Fig 5.1 A: PMDK list at or above BzTree, 80 threads";
+      paper = "yes";
+      check =
+        (fun get ->
+          let r = fig51 get "Workload A" pmdk 80 /. fig51 get "Workload A" bz 80 in
+          (r >= 1.0, Printf.sprintf "%.2fx" r));
+      otherwise = "deviates";
+    };
+    {
+      claim = "Fig 5.1 B: UPSkipList slightly ahead of BzTree, 80 threads";
+      paper = "slightly";
+      check =
+        (fun get ->
+          let r = fig51 get "Workload B" ups 80 /. fig51 get "Workload B" bz 80 in
+          (r > 1.0 && r <= 1.5, Printf.sprintf "%.2fx" r));
+      otherwise = "superseded by hints and fingerprints";
+    };
+    {
+      claim = "Fig 5.2 C: BzTree ahead of UPSkipList, 80 threads";
+      paper = "+93 %";
+      check =
+        (fun get ->
+          let c column = get "Figure 5.2" "Workload C" column 80 in
+          let r = (c bz /. c ups) -. 1.0 in
+          (r > 0.0, Printf.sprintf "%+.0f %%" (100.0 *. r)));
+      otherwise = "superseded by fingerprints";
+    };
+    {
+      claim = "Fig 5.3: fat-pointer / RIV throughput below 1";
+      paper = "~0.70";
+      check =
+        (fun get ->
+          let ratio x =
+            get "Figure 5.3" "Workload C" "fat pointers (Mops/s)" x
+            /. get "Figure 5.3" "Workload C" "RIV pointers (Mops/s)" x
+          in
+          let r = List.fold_left (fun a x -> a +. ratio x) 0.0 [ 1; 8; 80 ] /. 3.0 in
+          (r < 1.0, Printf.sprintf "%.2f" r));
+      otherwise = "deviates";
+    };
+    {
+      claim = "Fig 5.4 / Table 5.2: multi-pool slower than striped";
+      paper = "5.6 % average";
+      check =
+        (fun get ->
+          let reduction w =
+            let mean column =
+              List.fold_left (fun a x -> a +. get "Figure 5.4" ("Workload " ^ w) column x) 0.0
+                [ 1; 8; 80 ]
+            in
+            1.0 -. (mean "multi-pool (Mops/s)" /. mean "striped (Mops/s)")
+          in
+          let r =
+            List.fold_left (fun a w -> a +. reduction w) 0.0 [ "A"; "B"; "C"; "D" ] /. 4.0
+          in
+          (r > 0.0, Printf.sprintf "%+.1f %%" (100.0 *. r)));
+      otherwise = "deviates: the preload's towers set the sign";
+    };
+    {
+      claim = "Table 5.4: BzTree 500K > BzTree 100K > UPSkipList > PMDK list";
+      paper = "760 > 239 > 83.7 > 55.5 ms";
+      check =
+        (fun get ->
+          let ms column = get "Table 5.4" "recovery time" column 0 in
+          let t =
+            List.map ms
+              [
+                "BzTree (500K descriptors)"; "BzTree (100K descriptors)";
+                "UPSkipList (4 pools)"; "libpmemobj lock-based list";
+              ]
+          in
+          let rec descending = function
+            | a :: (b :: _ as rest) -> a > b && descending rest
+            | _ -> true
+          in
+          (descending t, String.concat " > " (List.map (Printf.sprintf "%.1f") t)));
+      otherwise = "deviates";
+    };
+  ]
+
+(* The reduced grid the claims run on: the quick scale at 1, 8 and 80
+   threads. *)
+let claims_scale = { quick with threads_sweep = [ 1; 8; 80 ] }
+let claims_seeds = 5
+
+(* Run [f] with the report's text going nowhere (its samples are still
+   captured). *)
+let quietly f =
+  Format.pp_print_flush Format.std_formatter ();
+  let out = Format.pp_get_formatter_out_functions Format.std_formatter () in
+  Format.pp_set_formatter_out_functions Format.std_formatter
+    {
+      out_string = (fun _ _ _ -> ());
+      out_flush = ignore;
+      out_newline = ignore;
+      out_spaces = ignore;
+      out_indent = ignore;
+    };
+  Fun.protect f ~finally:(fun () ->
+      Format.pp_print_flush Format.std_formatter ();
+      Format.pp_set_formatter_out_functions Format.std_formatter out)
+
+(* Every claim of [claims_table] at [claims_seeds] fixture seeds from
+   [--fixture-seed] on, each seed with its own preloads: one line per claim
+   with the paper's number, the status and each seed's measurement. The
+   figures' own text is not printed, and their samples are not kept. *)
+let claims () =
+  Report.heading "Paper claims (Fig 5.1-5.4, Table 5.4; threads 1, 8, 80)";
+  let first = !fixture_seed and saved_scale = !scale in
+  let seeds = List.init claims_seeds (fun i -> first + i) in
+  let per_seed =
+    List.map
+      (fun s ->
+        fixture_seed := s;
+        scale := claims_scale;
+        let before = Report.sample_count () in
+        Fun.protect
+          (fun () ->
+            quietly (fun () ->
+                List.iter (fun f -> f ()) [ fig_5_1; fig_5_2; fig_5_3; fig_5_4; table_5_4 ]))
+          ~finally:(fun () ->
+            fixture_seed := first;
+            scale := saved_scale);
+        List.filteri (fun i _ -> i >= before) (Report.samples ()))
+      seeds
+  in
+  Report.reset_samples ();
+  let starts prefix s = String.starts_with ~prefix s in
+  let rows =
+    List.map
+      (fun c ->
+        let results =
+          List.map
+            (fun samples ->
+              c.check (fun figure series column x ->
+                  match
+                    List.find_opt
+                      (fun (r : Report.sample) ->
+                        starts figure r.figure && starts series r.series && r.column = column
+                        && r.x = x)
+                      samples
+                  with
+                  | Some r -> r.mean
+                  | None ->
+                      failwith
+                        (Printf.sprintf "claims: no sample %s / %s / %s / %d" figure series
+                           column x)))
+            per_seed
+        in
+        let held = List.length (List.filter fst results) in
+        let status =
+          if held = claims_seeds then "reproduced"
+          else Printf.sprintf "%s (%d of %d seeds)" c.otherwise held claims_seeds
+        in
+        [ c.claim; c.paper; status; String.concat " | " (List.map snd results) ])
+      claims_table
+  in
+  Report.table ~headers:[ "claim"; "paper"; "status"; "per seed" ] ~rows;
+  Fmt.pr "@.(fixture seeds %s)@." (String.concat ", " (List.map string_of_int seeds))
 
 (* ---- registry ------------------------------------------------------------------ *)
 
@@ -1024,11 +1232,13 @@ let experiments =
     ("split-point", split_point);
     ("layout", layout);
     ("svc-scaling", svc_scaling);
+    ("claims", claims);
     ("smoke", smoke);
   ]
 
 (* every experiment but the smoke figure, in registry order *)
-let default_set = List.filter (fun n -> n <> "smoke") (List.map fst experiments)
+let default_set =
+  List.filter (fun n -> n <> "smoke" && n <> "claims") (List.map fst experiments)
 
 let () =
   (* The simulator allocates a handful of small objects per event (effect
@@ -1052,6 +1262,13 @@ let () =
     | "--json" :: path :: rest ->
         json_path := Some path;
         parse acc rest
+    | "--fixture-seed" :: n :: rest -> (
+        match int_of_string_opt n with
+        | Some n ->
+            fixture_seed := n;
+            parse acc rest
+        | None -> failwith "--fixture-seed requires an integer")
+    | [ "--fixture-seed" ] -> failwith "--fixture-seed requires an integer"
     | [ "--json" ] -> failwith "--json requires a file argument"
     | a :: rest -> parse (a :: acc) rest
   in

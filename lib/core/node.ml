@@ -9,11 +9,11 @@
    the two, so a lookup reads the fingerprints — the whole line with one
    access ([read_fps]) — and then only the slot whose fingerprint matches
    instead of scanning the pairs. Next pointers above level 1 live at the
-   block's tail, three levels to a line beside a copy
-   of the anchor key, so a hop above level 1 also reads one line per node
-   and never the header. Every node reserves the full tower,
-   whatever its height, so the tower cap is [Config.max_height] for every
-   node (the cap the persistent-heap audit checks).
+   block's tail, three levels to a line beside a copy of the anchor key, so
+   a hop above level 1 also reads one line per node, with one access
+   ([tower_line_addr]), and never the header. Every node reserves the full
+   tower, whatever its height, so the tower cap is [Config.max_height] for
+   every node (the cap the persistent-heap audit checks).
 
      word 0                epochID (failure-free epoch of last consistency
                            confirmation; block: free-list next)
@@ -49,33 +49,36 @@
    needs no CAS. The kind stays in the low bits: the block allocator and
    the audit read it through [Mem.kind_of].
 
-   Tower anchors: a traversal above level 1 uses a node only for routing,
-   by its anchor, so the hop reads the anchor copy in the tower line it
-   reads the pointer and hint from. The copies are written before the node
-   is persisted and linked, and the anchor never changes, so they cannot go
-   stale either. Recovery (Function 10) runs only where a traversal reads
-   a header line anyway, at levels 1 and 0 (see [Skiplist]).
+   Tower anchors: a traversal above level 1 uses a node only for routing, by
+   its anchor, so the hop reads the anchor copy in the tower line it reads
+   the pointer and hint from, all three with one read of the line. The
+   copies are written before the node is persisted and linked, and the
+   anchor never changes, so they cannot go stale either. Recovery (Function
+   10) runs only where a traversal reads a header line anyway, at levels 1
+   and 0 (see [Skiplist]).
 
    Successor-key hints (Foresight): beside every next pointer sits a lower
-   bound on the anchor key of the node it points to, in the same line.
-   Above level 0 a traversal reads the hint first and ends the level when
-   it exceeds its key — without loading the pointer or the successor; only
-   a hint at most the key costs the pointer, whose node is then checked by
-   its own anchor. The bound holds at every instant because anchors are
-   immutable (below) and a writer lowers the hint by CAS-min to the new
-   successor's anchor before the pointer CAS publishing it, so a hint
-   never exceeds the anchor of the node its pointer names at that moment,
-   and a stop on the hint linearizes at the hint read. Level 0 reads the
-   pointer first and the hint second, because the traversal records that
-   successor (see [Skiplist.traverse]); the upper successors a writer needs
-   are loaded, pointer first, by [Skiplist.load_succs]. A failed link CAS
-   or a snip leaves a hint stale-low, which is safe: the reader enters the
-   node, reads its anchor, and stops there. Levels a node is not
-   yet linked at are written plainly, hint before pointer, before any
-   reader can reach them there. Since a hint shares its pointer's line and
-   is stored first, every persisted line also keeps hint <= anchor, so
-   recovery rebuilds nothing. The head's hints start at [tail_key], the
-   tail's anchor, so a level that ends at the tail never loads it.
+   bound on the anchor key of the node it points to, in the same line. Above
+   level 0 a traversal ends the level when the hint exceeds its key, without
+   entering the successor: at level 1 it reads the hint first and only a
+   hint at most the key costs the pointer; above level 1 the hint and
+   pointer come from one read of the line, whose copy is one instant's view.
+   The entered node is then checked by its own anchor. The bound holds at
+   every instant because anchors are immutable (below) and a writer lowers
+   the hint by CAS-min to the new successor's anchor before the pointer CAS
+   publishing it, so a hint never exceeds the anchor of the node its pointer
+   names at that moment, and a stop on the hint linearizes at the hint read.
+   Level 0 reads the pointer first and the hint second, because the
+   traversal records that successor (see [Skiplist.traverse]); the upper
+   successors a writer needs are loaded by [Skiplist.load_succs], pointer
+   first at level 1 and from one read of the line above it. A failed link
+   CAS or a snip leaves a hint stale-low, which is safe: the reader enters
+   the node, reads its anchor, and stops there. Levels a node is not yet
+   linked at are written plainly, hint before pointer, before any reader can
+   reach them there. Since a hint shares its pointer's line and is stored
+   first, every persisted line also keeps hint <= anchor, so recovery
+   rebuilds nothing. The head's hints start at [tail_key], the tail's
+   anchor, so a level that ends at the tail never loads it.
 
    Fingerprint rule: fingerprints are volatile, derived metadata — a
    pure function of the keys — and no flush orders them. A claim publishes
@@ -230,11 +233,6 @@ let key mem ly n i = Mem.read_field mem n (o_key ly i)
 (* The hop-time minimum key: the header anchor, not slot 0 — one line. *)
 let key0 mem n = Mem.read_field mem n o_anchor
 
-(* The anchor as a hop at [level] reads it: from the header at levels 0
-   and 1, from the level's own tower line above. *)
-let anchor_at mem ly n level =
-  if level <= 1 then key0 mem n else Mem.read_field mem n (o_tower_anchor ly level)
-
 let value mem ly n i = Mem.read_field mem n (o_value ly i)
 let fp_word mem n j = Mem.read_field mem n (o_fp + j)
 
@@ -260,6 +258,18 @@ let next_raw mem ly n level = Mem.read_field mem n (o_next ly level)
 let next mem ly n level = Riv.of_word (unmark (next_raw mem ly n level))
 
 let hint mem ly n level = Mem.read_field mem n (o_hint ly level)
+
+(* ---- tower-line copies ------------------------------------------------- *)
+
+(* The address of [n]'s tower line of [level] (>= 2), which one access
+   ([Mem.read_line]) copies: the level's pointer, its hint and the anchor
+   copy, with the line's other two levels, as of one instant. *)
+let tower_line_addr mem ly n level = Mem.resolve mem n + tower_line ly level
+
+(* The fields of level [level] in such a copy. *)
+let line_next_raw words level = words.((level - 2) mod per_line)
+let line_hint words level = words.(per_line + ((level - 2) mod per_line))
+let line_anchor words = words.(2 * per_line)
 
 (* A level the node is not yet linked at (no reader can reach it there):
    hint first, then the pointer, so every image of the line keeps the

@@ -17,8 +17,8 @@
    the hop-time fields (epoch, locks, anchor key, level-0 and level-1 next
    pointers and their hints) into one cache line, so advancing along the
    bottom two levels costs one simulated line per node. Above level 1 each
-   tower line carries a copy of the anchor, so a hop there also reads one
-   line and never the header.
+   tower line carries a copy of the anchor, so a hop there reads one line,
+   with one access, and never the header.
 
    Each node carries a line of 7-bit key fingerprints (see Node), so the
    in-node lookup reads the fingerprint line, with one access, and only
@@ -56,8 +56,8 @@ type t = {
   height_rngs : Sim.Rng.t array;
   fp_bufs : int array array;
       (* tid -> the fingerprint words of the node its lookup or claim
-         last read ([Node.read_fps]); neither is reentered while it uses
-         them *)
+         last read ([Node.read_fps]), or the tower line its walk last
+         copied above level 1; none of these uses runs inside another *)
   ops : Block_alloc.node_ops;
   reclaim : Reclaim.t option;  (* present iff cfg.reclaim_empty_nodes *)
   top : int Atomic.t;
@@ -302,13 +302,42 @@ let record_succ f level pred cur bound =
   f.succs.(level) <- cur;
   f.bounds.(level) <- bound
 
+(* ---- tower-line copies ------------------------------------------------- *)
+
+(* A walk above level 1 reads each tower line it uses with one access,
+   into its thread's [fp_bufs] buffer. The copy's last word, a spare in
+   every tower line, then records the address of the line it holds (0:
+   none), so a walk that stays on one node and one line reads it once. *)
+let held = Config.line_words - 1
+
+(* Copy the line at [a] unless the copy holds it already. *)
+let copy_line t buf a =
+  if buf.(held) <> a then begin
+    Mem.read_line t.mem a buf 0;
+    buf.(held) <- a
+  end
+
+(* Stand on [n]'s tower line of [level] (>= 2), or enter [n] there: either
+   way the copy holds that line afterwards. *)
+let copy_tower_line t buf n level =
+  copy_line t buf (Node.tower_line_addr t.mem t.ly n level)
+
+let line_next buf level = Riv.of_word (Node.unmark (Node.line_next_raw buf level))
+
+(* [retired] for a node whose line the copy holds: its mark is there. *)
+let retired_in_copy t buf cur level =
+  t.reclaim <> None
+  && (not (Riv.equal cur t.tail))
+  && Node.is_marked (Node.line_next_raw buf level)
+
 (* The successor at [level] of a walk for [key] now at [pred], whose next
    word there is [cur]: pointer first, hint second, as level 0 reads
    them, moving on past nodes whose anchor is at most [key] and snipping
    retired ones. Records pred, successor and bound in [f] at [level]. A
    retired [pred] ends the walk on the successor its marked word names
    for good, bounded by a hint read after that word: a link CAS at [pred]
-   fails, and its caller traverses again. *)
+   fails, and its caller traverses again. Level 1 only: above it,
+   [walk_succ_upper]. *)
 let rec walk_succ t ~tid f key level pred cur =
   let bound = Node.hint t.mem t.ly pred level in
   if bound > key then record_succ f level pred cur bound
@@ -319,22 +348,79 @@ let rec walk_succ t ~tid f key level pred cur =
     else walk_succ t ~tid f key level pred (Riv.of_word w)
   end
   else begin
-    let k0 = Node.anchor_at t.mem t.ly cur level in
+    let k0 = Node.key0 t.mem cur in
     if k0 <= key then walk_succ t ~tid f key level cur (Node.next t.mem t.ly cur level)
     else record_succ f level pred cur k0
   end
 
+(* [walk_succ] above level 1: [cur] and [bound] are [pred]'s pointer and
+   hint as of one read of its line, and entering a node reads its line
+   once, for its mark, its anchor and, when the walk moves on, its pointer
+   and hint. A snip keeps its word reads. *)
+let rec walk_succ_upper t ~tid buf f key level pred cur bound =
+  if bound > key then record_succ f level pred cur bound
+  else begin
+    copy_tower_line t buf cur level;
+    if retired_in_copy t buf cur level then begin
+      let w = snip t ~tid ~pred ~cur level in
+      let hint = Node.hint t.mem t.ly pred level in
+      if Node.is_marked w then record_succ f level pred (Riv.of_word (Node.unmark w)) hint
+      else walk_succ_upper t ~tid buf f key level pred (Riv.of_word w) hint
+    end
+    else begin
+      let k0 = Node.line_anchor buf in
+      if k0 <= key then
+        walk_succ_upper t ~tid buf f key level cur (line_next buf level) (Node.line_hint buf level)
+      else record_succ f level pred cur k0
+    end
+  end
+
 (* Load the successors a traversal [f] for [key] left unloaded, at levels
    [from_level .. to_level] (all above 0), walking forward from the
-   recorded predecessors. Only writers call it: a fresh node's first
-   populate ([make_linked_object]), a tower level whose link CAS failed
-   ([link_higher_levels]), and the reachability check of a retirement
-   ([try_retire_node]). *)
+   recorded predecessors, starting with no line copied. Only writers
+   call it: a fresh node's first populate ([make_linked_object]), a tower
+   level whose link CAS failed ([link_higher_levels]), and the
+   reachability check of a retirement ([try_retire_node]). *)
 let load_succs t ~tid f key ~from_level ~to_level =
+  let buf = t.fp_bufs.(tid) in
+  buf.(held) <- 0;
   for level = from_level to to_level do
     let pred = f.preds.(level) in
-    walk_succ t ~tid f key level pred (Node.next t.mem t.ly pred level)
+    if level = 1 then walk_succ t ~tid f key level pred (Node.next t.mem t.ly pred level)
+    else begin
+      copy_tower_line t buf pred level;
+      walk_succ_upper t ~tid buf f key level pred (line_next buf level) (Node.line_hint buf level)
+    end
   done
+
+(* One level above 1 of a traversal for [key], from [pred], as
+   [walk_succ_upper] walks it. Returns the node the level ends on, or
+   [Riv.null] when [pred] turned out retired: the traversal restarts from
+   the head, which snips it. *)
+let rec walk_upper t ~tid buf key level pred cur bound =
+  if bound > key then begin
+    (* the successor overshoots: end the level without entering it *)
+    Obs.bump ~tid Obs.id_hint_stop;
+    pred
+  end
+  else begin
+    copy_tower_line t buf cur level;
+    if retired_in_copy t buf cur level then begin
+      let w = snip t ~tid ~pred ~cur level in
+      if Node.is_marked w then Riv.null
+      else walk_upper t ~tid buf key level pred (Riv.of_word w) (Node.hint t.mem t.ly pred level)
+    end
+    else begin
+      let k0 = Node.line_anchor buf in
+      if k0 <= key then
+        walk_upper t ~tid buf key level cur (line_next buf level) (Node.line_hint buf level)
+      else begin
+        (* a stale-low hint let the traversal enter an overshoot *)
+        Obs.bump ~tid Obs.id_hint_stale;
+        pred
+      end
+    end
+  end
 
 (* Forward declarations resolved below: traversal and tower building are
    mutually recursive with recovery.
@@ -342,14 +428,21 @@ let load_succs t ~tid f key ~from_level ~to_level =
    Read order. Anchors never change, and a writer lowers a hint (CAS-min)
    before it publishes a pointer, so at every instant, and in every
    persisted line, a hint is at most the anchor of the node its pointer
-   currently names. Above level 0 the traversal therefore reads the pred's
-   hint first: a hint above [key] ends the level there, linearized at the
-   hint read, and the next pointer is never loaded. Only a hint at most
-   [key] costs the pointer, and the node it names is checked by its own
-   anchor, so a pointer newer than the hint is harmless. Level 0 keeps
-   pointer first, hint second, because its successor is recorded:
-   [relinked], [miss_raced_split], [insert_into_existing] and the split's
-   link CAS compare against it. The upper successors are not recorded;
+   currently names. Above level 1 a hop reads one tower line, once:
+   standing on a node's line gives the level's hint and pointer, and
+   entering the successor reads its line, whose anchor copy the hop routes
+   by and which gives the next hint and pointer when the walk moves on.
+   The walk reuses the copy while it stays on one node and one line
+   (levels 2-4, 5-7, ...); every attempt starts with none. A copy is one
+   instant's view, so the rule above holds in it: a hint above [key] ends
+   the level, linearized at the read, without entering the successor, and
+   a hint at most [key] sends the walk into the node its pointer names,
+   checked by its own anchor. At level 1 the traversal reads the pred's
+   hint first and loads the pointer only when the hint does not end the
+   level; a pointer newer than the hint is harmless for the same reason.
+   Level 0 keeps pointer first, hint second, because its successor is
+   recorded: [relinked], [miss_raced_split], [insert_into_existing] and
+   the split's link CAS compare against it. The upper successors are not recorded;
    [load_succs] loads them where a writer needs them. *)
 let rec traverse t ~tid ~recover key =
   let h = t.cfg.Config.max_height in
@@ -360,6 +453,8 @@ let rec traverse t ~tid ~recover key =
   let rec attempt () =
     let restart = ref false in
     let pred = ref t.head in
+    let buf = t.fp_bufs.(tid) in
+    buf.(held) <- 0;
     (* Function 10, run only on a node whose header line the hop reads
        anyway: at levels 1 and 0. A repair restarts the traversal. *)
     let claim n =
@@ -378,52 +473,58 @@ let rec traverse t ~tid ~recover key =
     let level = ref (Atomic.get t.top) in
     while (not !restart) && !level >= 0 do
       let l = !level in
-      (* a pred moved onto above level 1 was only routed by its anchor:
-         claim it before its header line is used. Level 0 starts on the
-         node level 1 ended on, already claimed there. *)
-      if l = 1 && not (Riv.equal !pred t.head) then ignore (claim !pred : bool);
-      (* [cur] is [Riv.null] while the pointer is not loaded: above level
-         0 it is loaded only once the hint fails to end the level *)
-      let cur = ref (if l = 0 then Node.next t.mem t.ly !pred 0 else Riv.null) in
-      let bound = ref (Node.hint t.mem t.ly !pred l) in
-      let walking = ref true in
-      while !walking && not !restart do
-        if !bound > key then begin
-          (* the successor overshoots: end the level without loading it *)
-          Obs.bump ~tid Obs.id_hint_stop;
-          walking := false
-        end
-        else begin
-          if Riv.is_null !cur then cur := Node.next t.mem t.ly !pred l;
-          if l <= 1 && claim !cur then ()
-          else if retired t !cur l then begin
-            (* a pred retired since the traversal moved onto it is snipped
-               by a restart from the head *)
-            let w = snip t ~tid ~pred:!pred ~cur:!cur l in
-            if Node.is_marked w then restart := true
-            else begin
-              cur := Riv.of_word w;
-              bound := Node.hint t.mem t.ly !pred l
-            end
+      (* [cur] is [Riv.null] while the pointer is not loaded: at level 1 it
+         is loaded only once the hint fails to end the level *)
+      let cur = ref Riv.null and bound = ref Node.tail_key in
+      if l >= 2 then begin
+        copy_tower_line t buf !pred l;
+        let p = walk_upper t ~tid buf key l !pred (line_next buf l) (Node.line_hint buf l) in
+        if Riv.is_null p then restart := true else pred := p
+      end
+      else begin
+        (* a pred moved onto above level 1 was only routed by its anchor:
+           claim it before its header line is used. Level 0 starts on the
+           node level 1 ended on, already claimed there. *)
+        if l = 1 && not (Riv.equal !pred t.head) then ignore (claim !pred : bool);
+        if l = 0 then cur := Node.next t.mem t.ly !pred 0;
+        bound := Node.hint t.mem t.ly !pred l;
+        let walking = ref true in
+        while !walking && not !restart do
+          if !bound > key then begin
+            (* the successor overshoots: end the level without loading it *)
+            Obs.bump ~tid Obs.id_hint_stop;
+            walking := false
           end
           else begin
-            (* above level 1 the anchor copy shares the pointer's tower
-               line: the hop reads one line and never the header *)
-            let k0 = Node.anchor_at t.mem t.ly !cur l in
-            if k0 <= key then begin
-              pred := !cur;
-              cur := if l = 0 then Node.next t.mem t.ly !pred 0 else Riv.null;
-              bound := Node.hint t.mem t.ly !pred l
+            if Riv.is_null !cur then cur := Node.next t.mem t.ly !pred l;
+            if claim !cur then ()
+            else if retired t !cur l then begin
+              (* a pred retired since the traversal moved onto it is snipped
+                 by a restart from the head *)
+              let w = snip t ~tid ~pred:!pred ~cur:!cur l in
+              if Node.is_marked w then restart := true
+              else begin
+                cur := Riv.of_word w;
+                bound := Node.hint t.mem t.ly !pred l
+              end
             end
             else begin
-              (* a stale-low hint let the traversal enter an overshoot *)
-              Obs.bump ~tid Obs.id_hint_stale;
-              bound := k0;
-              walking := false
+              let k0 = Node.key0 t.mem !cur in
+              if k0 <= key then begin
+                pred := !cur;
+                cur := if l = 0 then Node.next t.mem t.ly !pred 0 else Riv.null;
+                bound := Node.hint t.mem t.ly !pred l
+              end
+              else begin
+                (* a stale-low hint let the traversal enter an overshoot *)
+                Obs.bump ~tid Obs.id_hint_stale;
+                bound := k0;
+                walking := false
+              end
             end
           end
-        end
-      done;
+        done
+      end;
       if not !restart then begin
         preds.(l) <- !pred;
         if l = 0 then begin

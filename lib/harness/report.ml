@@ -60,17 +60,16 @@ let table ~headers ~rows =
 let f2 x = Printf.sprintf "%.2f" x
 let f3 x = Printf.sprintf "%.3f" x
 
+(* Capture one sample under the current figure without printing it: a
+   table's row that later checks read as a sample. *)
+let record ~series ~column ~x (mean, sd) =
+  let c = Domain.DLS.get capture_key in
+  c.captured <- { figure = c.current_figure; series; column; x; mean; sd } :: c.captured
+
 (* A throughput series: one row per thread count, one column per system. *)
 let series ~title ~x_label ~x_values ~columns =
-  let c = Domain.DLS.get capture_key in
   List.iter
-    (fun (column, ys) ->
-      List.iter2
-        (fun x (mean, sd) ->
-          c.captured <-
-            { figure = c.current_figure; series = title; column; x; mean; sd }
-            :: c.captured)
-        x_values ys)
+    (fun (column, ys) -> List.iter2 (fun x y -> record ~series:title ~column ~x y) x_values ys)
     columns;
   subheading title;
   let headers = x_label :: List.map fst columns in

@@ -32,6 +32,7 @@ let log_block = 1
 let log_pred = 2
 let log_key = 3
 let log_state = 4
+let state_invalid = 0
 let state_valid = 1
 
 (* chunk-provision sub-log, second cache line *)
@@ -178,6 +179,12 @@ let log_change_attempt t ~tid ~ops ~block ~pred ~key =
     if reachable l_pred then ops.complete_tower ~tid l_block
     else delete_linked_object t ~tid l_block
   end;
+  (* The state word is what makes the line's other words count, and a
+     crash may persist any prefix of the line's stores: an epoch stored
+     beside the previous entry's block would re-date that block, whose
+     fate this epoch has already decided. So the entry reads invalid
+     while its words change, and valid only once they all are. *)
+  Mem.write_field t log log_state state_invalid;
   Mem.write_field t log log_epoch (Mem.epoch t);
   Mem.write_ptr t log log_block block;
   Mem.write_ptr t log log_pred pred;

@@ -230,28 +230,43 @@ let test_different_tids_have_independent_logs () =
   check_int "tid 0 log" 11 (Mem.peek_field fx.mem l0 Block_alloc.log_key);
   check_int "tid 1 log" 12 (Mem.peek_field fx.mem l1 Block_alloc.log_key)
 
+(* Blocks on every arena's free list. *)
+let free_blocks fx =
+  let acc = ref 0 in
+  for pool = 0 to Mem.n_pools fx.mem - 1 do
+    for arena = 0 to fx.mem.Mem.n_arenas - 1 do
+      acc := !acc + Block_alloc.free_list_length fx.mem ~pool ~arena
+    done
+  done;
+  !acc
+
+(* A fixture whose initial chunk seven allocations have used up, so that
+   the eighth allocation ([eighth]) provisions a new one, and that
+   allocation's event count. *)
+let exhausted () =
+  let fx = make_fx () in
+  run1 fx.pmem (fun ~tid ->
+      for i = 1 to 7 do
+        ignore (alloc fx ~tid ~key:(10 + i))
+      done);
+  fx
+
+let eighth fx ~tid = ignore (alloc fx ~tid ~key:99)
+let eighth_events () =
+  let fx = exhausted () in
+  snd (run fx.pmem [ eighth fx ])
+
 let test_crash_during_chunk_provision () =
-  (* exhaust the initial chunk so the next allocation must provision a new
-     one, crash at a random point inside provisioning, and verify the next
-     allocation after recovery repairs it — no block of any carved chunk
-     may be lost (Section 4.3.3's "chunk being built" recovery) *)
+  (* crash the eighth allocation at points spread through its
+     provisioning, and verify the next allocation after recovery repairs
+     it — no block of any carved chunk may be lost (Section 4.3.3's "chunk
+     being built" recovery) *)
+  let events = eighth_events () in
   List.iter
-    (fun crash_events ->
-      let fx = make_fx () in
-      let held = ref [] in
-      run1 fx.pmem (fun ~tid ->
-          for i = 1 to 7 do
-            held := alloc fx ~tid ~key:(10 + i) :: !held
-          done);
-      (* this allocation must carve a new chunk; crash mid-provision *)
-      (match
-         Sim.Sched.run
-           ~crash:(Sim.Sched.After_events crash_events)
-           ~machine:(Pmem.machine fx.pmem)
-           [ (0, fun ~tid -> ignore (alloc fx ~tid ~key:99)) ]
-       with
-      | Sim.Sched.Crashed_at _ -> ()
-      | Sim.Sched.Completed _ -> ());
+    (fun fraction ->
+      let crash_events = crash_point fraction ~dry_run:(fun () -> events) in
+      let fx = exhausted () in
+      ignore (run_crash fx.pmem ~events:crash_events [ eighth fx ]);
       Pmem.crash fx.pmem;
       Mem.reconnect fx.mem;
       (* next allocation by the same thread repairs the interrupted
@@ -262,15 +277,7 @@ let test_crash_during_chunk_provision () =
             post := alloc fx ~tid ~key:(100 + i) :: !post
           done);
       let total = Mem.total_blocks fx.mem in
-      let free =
-        let acc = ref 0 in
-        for pool = 0 to Mem.n_pools fx.mem - 1 do
-          for arena = 0 to fx.mem.Mem.n_arenas - 1 do
-            acc := !acc + Block_alloc.free_list_length fx.mem ~pool ~arena
-          done
-        done;
-        !acc
-      in
+      let free = free_blocks fx in
       (* blocks held before the crash were never linked as nodes: the crash
          wiped their owners, and the allocation log of tid 0 reclaims only
          the last one; the others are legitimately reachable ONLY via this
@@ -284,7 +291,7 @@ let test_crash_during_chunk_provision () =
            crash_events free held_now total)
         true
         (free + held_now >= total - 8 && free + held_now <= total))
-    [ 5; 15; 40; 80; 120; 200 ]
+    [ 0.06; 0.18; 0.3; 0.48; 0.75; 0.96 ]
 
 (* The eighth allocation provisions a chunk under the chunk-provision log;
    crash it after each of its events and keep every dirty line, so the log
@@ -294,21 +301,8 @@ let test_crash_during_chunk_provision () =
    chunk words can leave [carving] beside chunk 0, and recovery then
    carves pool 0's root area. *)
 let test_chunk_log_prefixes () =
-  let setup () =
-    let fx = make_fx () in
-    run1 fx.pmem (fun ~tid ->
-        for i = 1 to 7 do
-          ignore (alloc fx ~tid ~key:(10 + i))
-        done);
-    fx
-  in
-  let eighth fx ~tid = ignore (alloc fx ~tid ~key:99) in
-  let events =
-    let fx = setup () in
-    snd (run fx.pmem [ eighth fx ])
-  in
-  for crash_at = 1 to events do
-    let fx = setup () in
+  for crash_at = 1 to eighth_events () do
+    let fx = exhausted () in
     ignore (run_crash fx.pmem ~events:crash_at [ eighth fx ]);
     Pmem.crash fx.pmem ~persist_line:(fun ~pool:_ ~line:_ -> true);
     Mem.reconnect fx.mem;
@@ -327,6 +321,54 @@ let test_chunk_log_prefixes () =
       (List.length (List.sort_uniq compare (List.map Riv.to_word !post)));
     check_int (Fmt.str "crash at event %d: pool 0's magic word" crash_at) Mem.magic
       (Pmem.peek_persistent fx.pmem (Pmem.addr ~pool:0 ~word:Mem.magic_word))
+  done
+
+(* Tid 0's allocation-log line in the persistent image: epoch, block,
+   pred, key and state. *)
+let log_entry fx =
+  let log = Block_alloc.log_obj ~tid:0 in
+  List.map
+    (Mem.peek_field_persistent fx.mem log)
+    Block_alloc.[ log_epoch; log_block; log_pred; log_key; log_state ]
+
+(* The first allocation after a crash reclaims the unlinked block the log
+   names from the previous epoch, then logs its own. Crash it after each
+   of its events and keep every dirty line, so the log line persists with
+   whatever prefix of its stores had run. A valid entry must be the
+   previous one or the new one, whole: the new epoch beside the previous
+   entry's block would date that block to an epoch that has already
+   decided its fate. The next allocation must then go on, the audit be
+   clean, and every other block be free. *)
+let test_alloc_log_prefixes () =
+  let setup () =
+    let fx = make_fx () in
+    run1 fx.pmem (fun ~tid -> ignore (alloc fx ~tid ~key:15));
+    Pmem.crash fx.pmem;
+    Mem.reconnect fx.mem;
+    fx
+  in
+  let first fx ~tid = ignore (alloc fx ~tid ~key:99) in
+  let previous = log_entry (setup ()) in
+  let next, events =
+    let fx = setup () in
+    let _, events = run fx.pmem [ first fx ] in
+    (log_entry fx, events)
+  in
+  for crash_at = 1 to events do
+    let where = Fmt.str "crash at event %d" crash_at in
+    let fx = setup () in
+    ignore (run_crash fx.pmem ~events:crash_at [ first fx ]);
+    Pmem.crash fx.pmem ~persist_line:(fun ~pool:_ ~line:_ -> true);
+    Mem.reconnect fx.mem;
+    let entry = log_entry fx in
+    if List.nth entry 4 = Block_alloc.state_valid && entry <> previous && entry <> next
+    then Alcotest.failf "%s: the valid log entry mixes two allocations" where;
+    run1 fx.pmem (fun ~tid -> ignore (alloc fx ~tid ~key:100));
+    (match Block_alloc.audit fx.mem ~reachable:(fun _ -> false) with
+    | [] -> ()
+    | errs -> Alcotest.failf "%s: %s" where (String.concat "; " errs));
+    check_int (where ^ ": every block free but the one allocated")
+      (Mem.total_blocks fx.mem - 1) (free_blocks fx)
   done
 
 (* ---- the allocation crash window ----------------------------------------- *)
@@ -519,6 +561,7 @@ let () =
           case "per-thread logs" test_different_tids_have_independent_logs;
           case "crash during chunk provision" test_crash_during_chunk_provision;
           case "chunk log torn at every crash point" test_chunk_log_prefixes;
+          case "allocation log torn at every crash point" test_alloc_log_prefixes;
           slow_case "crash grid: allocation and node persist" test_alloc_crash_window;
           slow_case "crash grid: node deallocation" test_delete_crash_window;
           slow_case "crash grid: pop from a chunk still logged as carved"

@@ -44,12 +44,14 @@ let test_upskiplist_eviction_campaign () =
     ~trials:3
 
 let test_upskiplist_small_nodes_campaign () =
-  campaign "UPSkipList/K4"
-    {
-      Fault.default_spec with
-      cfg = { Upskiplist.Config.default with keys_per_node = 4 };
-    }
-    ~trials:3
+  let base =
+    { Fault.default_spec with cfg = { Upskiplist.Config.default with keys_per_node = 4 } }
+  in
+  let crash_events =
+    crash_point 0.6
+      ~dry_run:(trial_events { base with threads; keyspace; ops_per_thread; seed })
+  in
+  campaign ~crash_events "UPSkipList/K4" base ~trials:3
 
 let test_bztree_campaign () =
   campaign "BzTree"

@@ -683,76 +683,119 @@ let hint_at fx n level =
   Mem.peek_field fx.mem n (Node.o_hint (Node.layout (SL.config fx.sl)) level)
 
 (* The walk a traversal for [key] takes over the volatile image, level by
-   level from the top level down: the node each level starts and ends on,
-   its hops, and whether a hint ended it (else an entered node's anchor). *)
+   level from the top level down: each level's nodes (the one it starts
+   on, then one per hop) and whether a hint ended it (else an entered
+   node's anchor). *)
 let traversal_walk fx key =
   let rec level l pred acc =
     if l < 0 then List.rev acc
     else begin
-      let rec go pred hops =
-        if hint_at fx pred l > key then (pred, hops, true)
+      let rec go pred nodes =
+        if hint_at fx pred l > key then (List.rev nodes, true)
         else
           let succ = next_at fx pred l in
-          if anchor_at fx succ l <= key then go succ (hops + 1) else (pred, hops, false)
+          if anchor_at fx succ l <= key then go succ (succ :: nodes)
+          else (List.rev nodes, false)
       in
-      let last, hops, on_hint = go pred 0 in
-      level (l - 1) last ((l, pred, last, hops, on_hint) :: acc)
+      let nodes, on_hint = go pred [ pred ] in
+      level (l - 1) (List.nth nodes (List.length nodes - 1)) ((l, nodes, on_hint) :: acc)
     end
   in
   level (SL.top_level fx.sl) (SL.head fx.sl) []
 
-(* One search, read by read. Above level 0 a level that ends on a hint
-   reads the hint and never its predecessor's next pointer; level 0 still
-   reads its pointer. The count follows: one hint per level, plus level
-   0's pointer; a hop reads the next pointer, the anchor and the next
-   hint, and at levels 1 and 0 also the epoch of the node it claims; the
-   node level 1 starts on is claimed there once (level 0 starts on a node
-   claimed already). The lookup in the last node reads its split count,
-   lock word and fingerprint line (one read, whatever the number of
-   fingerprint words: see the next test), one key per fingerprint match,
-   and, for a key found, the lock word, value and split count again. *)
+let last nodes = List.nth nodes (List.length nodes - 1)
+
+(* A walk's levels above 1, as (level, nodes). *)
+let upper_levels walk =
+  List.filter_map (fun (l, nodes, _) -> if l >= 2 then Some (l, nodes) else None) walk
+let hops nodes = List.length nodes - 1
+let group l = (l - 2) / Config.tower_levels_per_line
+
+(* The tower lines, as (node, group), that a walk above level 1 reads over
+   [levels] ((level, nodes) in walk order), one access each: the line the
+   level starts on unless the walk holds it already, and the line of
+   every node it enters. *)
+let tower_lines_read levels =
+  let held = ref None in
+  List.concat_map
+    (fun (l, nodes) ->
+      List.concat
+        (List.mapi
+           (fun i n ->
+             if i = 0 && !held = Some (n, group l) then []
+             else begin
+               held := Some (n, group l);
+               [ (n, group l) ]
+             end)
+           nodes))
+    levels
+
+(* The (node, group) of the tower line holding [a], if [a] is in the
+   tower region of one of [nodes]. *)
+let tower_line_of fx nodes a =
+  let ly = Node.layout (SL.config fx.sl) in
+  List.find_map
+    (fun n ->
+      let base = Mem.resolve fx.mem n + ly.Node.o_tower in
+      if a >= base && a < Mem.resolve fx.mem n + Mem.block_words fx.mem then
+        Some ((n, (a - base) / Config.line_words), (a - base) mod Config.line_words = 0)
+      else None)
+    nodes
+
+(* [reads] that fall in tower lines of [nodes], as (line, at its first
+   word). *)
+let tower_reads fx nodes reads = List.filter_map (tower_line_of fx nodes) reads
+
+(* One search, read by read. No level reads a word of the node that ends
+   it: every level ends on a hint. The count follows: above level 1, one
+   access per (node, tower line) the walk stands on or enters
+   ([tower_lines_read]); at levels 1 and 0 the level's hint, level 0's
+   pointer, and per hop the next pointer, the epoch of the node it claims,
+   its anchor and the next hint; the node level 1 starts on is claimed
+   there once (level 0 starts on a node claimed already). The lookup in
+   the last node reads its split count, lock word and fingerprint line
+   (one read, whatever the number of fingerprint words: see the next
+   test), one key per fingerprint match, and, for a key found, the lock
+   word, value and split count again. *)
 let test_hint_read_order () =
   let fx = loaded_list ~n:1_500 in
-  let ly = Node.layout (SL.config fx.sl) in
   let head = SL.head fx.sl in
+  let block_words = Mem.block_words fx.mem in
   check_bool "several levels" true (SL.top_level fx.sl >= 4);
   let upper_stops = ref 0 in
   for i = 0 to 99 do
     let key = 101 + (2 * (i * 13 mod 1_500)) in
     let walk = traversal_walk fx key in
     let where = Fmt.str "search %d" key in
-    if not (List.for_all (fun (_, _, _, _, on_hint) -> on_hint) walk) then
+    if not (List.for_all (fun (_, _, on_hint) -> on_hint) walk) then
       Alcotest.failf "%s: a level of this fixture ended on an anchor" where;
     Obs.reset ();
     let reads =
       reads_of fx (fun ~tid ->
           Alcotest.(check (option int)) (where ^ ": found") (Some key) (SL.search fx.sl ~tid key))
     in
-    let next_word n l = Mem.resolve fx.mem n + Node.o_next ly l in
     List.iter
-      (fun (l, _, last, _, _) ->
-        if l >= 1 then begin
-          incr upper_stops;
-          check_bool
-            (Fmt.str "%s: level %d ended on its hint without loading the pointer" where l)
-            false (List.mem (next_word last l) reads)
-        end
-        else
-          check_bool (where ^ ": level 0 loads its pointer") true
-            (List.mem (next_word last 0) reads))
+      (fun (l, nodes, _) ->
+        if l >= 1 then incr upper_stops;
+        let succ = Mem.resolve fx.mem (next_at fx (last nodes) l) in
+        check_bool
+          (Fmt.str "%s: level %d ended on its hint without reading its successor" where l)
+          false
+          (List.exists (fun a -> a >= succ && a < succ + block_words) reads))
       walk;
-    let hops l = List.fold_left (fun acc (l', _, _, h, _) -> if l' = l then acc + h else acc) 0 walk in
-    let all_hops = List.fold_left (fun acc (_, _, _, h, _) -> acc + h) 0 walk in
-    let level1_claim =
-      List.exists (fun (l, start, _, _, _) -> l = 1 && not (Riv.equal start head)) walk
+    let hops_at l =
+      List.fold_left (fun acc (l', nodes, _) -> if l' = l then acc + hops nodes else acc) 0 walk
     in
-    let hint_stops = Obs.total Obs.id_hint_stop in
-    check_int (where ^ ": every level ended on a hint") (List.length walk) hint_stops;
+    let level1_claim =
+      List.exists (fun (l, nodes, _) -> l = 1 && not (Riv.equal (List.hd nodes) head)) walk
+    in
+    let upper = tower_lines_read (upper_levels walk) in
+    check_int (where ^ ": every level ended on a hint") (List.length walk) (Obs.total Obs.id_hint_stop);
     check_int (where ^ ": no stale hint") 0 (Obs.total Obs.id_hint_stale);
     let fp_line_reads = (Node.layout (SL.config fx.sl)).Node.fp_lines in
     let predicted =
-      hint_stops + 1
-      + (3 * all_hops) + hops 1 + hops 0
+      List.length upper + 3
+      + (4 * (hops_at 1 + hops_at 0))
       + (if level1_claim then 1 else 0)
       + 5 + fp_line_reads + Obs.total Obs.id_fp_match
     in
@@ -760,6 +803,85 @@ let test_hint_read_order () =
   done;
   Obs.reset ();
   check_bool "upper levels ended on hints" true (!upper_stops > 100)
+
+(* Every read a walk above level 1 makes in a tower region is one access
+   to a whole line, at its first word, and no line is read twice: the
+   ones it reads are exactly [expected]. *)
+let check_one_access_per_line fx where nodes reads expected =
+  let lines = tower_reads fx nodes reads in
+  List.iter
+    (fun ((n, g), at_start) ->
+      if not at_start then
+        Alcotest.failf "%s: a read inside the tower line %d of node %a" where g Riv.pp n)
+    lines;
+  let show l = String.concat " " (List.map (fun (n, g) -> Fmt.str "%a/%d" Riv.pp n g) l) in
+  Alcotest.(check string) (where ^ ": tower lines read") (show expected) (show (List.map fst lines))
+
+(* An upper hop reads its tower line once: in a search, the tower reads
+   are one access per line the walk stands on or enters, in walk order
+   ([tower_lines_read]). In an insert of a new head successor, the writer
+   walk of [load_succs] (levels 1 .. h-1, after the node's body is written
+   and before its pointers are) reads each predecessor's line once, reused
+   across the levels of one line. A walk that reads the pointer, hint and
+   anchor as three words fails both. *)
+let test_upper_hop_one_line_read () =
+  let fx = loaded_list ~n:1_500 in
+  let all_nodes () = SL.head fx.sl :: SL.tail fx.sl :: bottom_nodes fx in
+  let nodes = all_nodes () in
+  for i = 0 to 99 do
+    let key = 101 + (2 * (i * 37 mod 1_500)) in
+    let walk = traversal_walk fx key in
+    let reads =
+      reads_of fx (fun ~tid -> ignore (SL.search fx.sl ~tid key : int option))
+    in
+    check_one_access_per_line fx (Fmt.str "search %d" key) nodes reads
+      (tower_lines_read (upper_levels walk))
+  done;
+  let checked = ref 0 in
+  for key = 100 downto 60 do
+    let walk = traversal_walk fx key in
+    let before = all_nodes () in
+    let log = ref [] in
+    let m = Pmem.machine fx.pmem in
+    let machine =
+      {
+        m with
+        Sim.Sched.read = (fun ~tid a -> log := `R a :: !log; m.Sim.Sched.read ~tid a);
+        write = (fun ~tid a v -> log := `W a :: !log; m.Sim.Sched.write ~tid a v);
+      }
+    in
+    (match Sim.Sched.run ~machine [ (0, fun ~tid -> ignore (SL.upsert fx.sl ~tid key key)) ] with
+    | Sim.Sched.Completed _ -> ()
+    | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected simulated crash");
+    match List.filter (fun n -> not (List.mem n before)) (bottom_nodes fx) with
+    | [ n ] ->
+        let h = Node.meta_height (Mem.peek_field fx.mem n Node.o_meta) in
+        if h > 2 then begin
+          incr checked;
+          let base = Mem.resolve fx.mem n in
+          let hint0 = base + Node.o_hint0 in
+          (* from the first write into the new block to its level-0 hint *)
+          let rec window acc started = function
+            | [] -> List.rev acc
+            | `W a :: _ when a = hint0 -> List.rev acc
+            | `W a :: rest -> window acc (started || (a >= base && a < base + Mem.block_words fx.mem)) rest
+            | `R a :: rest -> window (if started then a :: acc else acc) started rest
+          in
+          let pred_at l =
+            match List.find_opt (fun (l', _, _) -> l' = l) walk with
+            | Some (_, nodes, _) -> last nodes
+            | None -> SL.head fx.sl
+          in
+          let expected =
+            tower_lines_read (List.init (h - 2) (fun i -> (i + 2, [ pred_at (i + 2) ])))
+          in
+          check_one_access_per_line fx (Fmt.str "insert %d: load_succs" key) before
+            (window [] false (List.rev !log)) expected
+        end
+    | _ -> Alcotest.failf "insert %d did not link one new node" key
+  done;
+  check_bool "new nodes of height 3 or more" true (!checked >= 3);
+  check_no_invariant_errors fx.sl
 
 (* A lookup takes its fingerprint candidates from one read of the line:
    at K = 16 a node has two fingerprint words in one line, and every
@@ -1456,7 +1578,8 @@ let () =
           case "readers never miss a key a split or tower build moves"
             test_hint_reader_order;
           case "top level recomputed after a crash" test_top_after_crash;
-          case "a level ends on a hint without loading the pointer" test_hint_read_order;
+          case "a level ends on a hint without loading its successor" test_hint_read_order;
+          case "an upper hop reads its tower line once" test_upper_hop_one_line_read;
           case "a lookup reads its fingerprint line once" test_fp_line_one_read;
           case "a new node's levels match a pointer-first walk"
             test_new_node_levels_match_walk;

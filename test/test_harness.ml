@@ -109,17 +109,19 @@ let test_recovery_time_model () =
     (t3 < 0.2 && t3 > 0.01)
 
 let test_crash_trial_produces_history () =
+  let spec =
+    {
+      Harness.Fault.default_spec with
+      threads = 3;
+      keyspace = 60;
+      ops_per_thread = 80;
+      draw_seed = 2;
+      seed = 2;
+    }
+  in
   let t =
     Harness.Fault.run_trial
-      {
-        Harness.Fault.default_spec with
-        threads = 3;
-        keyspace = 60;
-        ops_per_thread = 80;
-        crash_at = 6_000;
-        draw_seed = 2;
-        seed = 2;
-      }
+      { spec with crash_at = crash_point 0.6 ~dry_run:(trial_events spec) }
   in
   let h = t.Harness.Fault.history in
   check_bool "history non-empty" true (Lincheck.History.size h > 100);

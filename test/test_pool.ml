@@ -64,17 +64,23 @@ let test_obs_totals_parity () =
 
 (* ---- campaign parity ----------------------------------------------------- *)
 
-let campaign =
+(* Three points 30 %, 50 % and 70 % of the way through the workload's
+   crash-free run, each jittered by up to 2 % of it. *)
+let campaign () =
+  let base =
+    {
+      Fault.default_spec with
+      keyspace = 80;
+      ops_per_thread = 60;
+      seed = 4242;
+      draw_seed = 4243;
+    }
+  in
+  let events = trial_events base () in
+  let at fraction = crash_point fraction ~dry_run:(fun () -> events) in
   {
-    Fault.base =
-      {
-        Fault.default_spec with
-        keyspace = 80;
-        ops_per_thread = 60;
-        seed = 4242;
-        draw_seed = 4243;
-      };
-    grid = { Fault.origin = 2_400; stride = 1_600; points = 3; jitter = 120 };
+    Fault.base;
+    grid = { Fault.origin = at 0.3; stride = at 0.2; points = 3; jitter = at 0.02 };
     draws = 2;
   }
 
@@ -91,6 +97,7 @@ let summary_digest (s : Fault.summary) =
   ]
 
 let test_fault_campaign_parity () =
+  let campaign = campaign () in
   let seq = Fault.run_campaign ~jobs:1 campaign in
   let par = Fault.run_campaign ~jobs:4 campaign in
   check_int "every trial crashed" seq.Fault.trials seq.Fault.crashed_trials;
