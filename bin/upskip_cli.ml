@@ -3,10 +3,13 @@
      upskip_cli run --structure upskiplist --workload a --threads 16
      upskip_cli crash-sweep structure=bztree depth=2 --points 4
      upskip_cli crash-replay structure=upskiplist crash_at=5000 mutant=dangle
+     upskip_cli serve-sim shards=4 workload=a crash=1@50000 --json-out slo.json
 
    crash-sweep and crash-replay take the same SPEC tokens, the replay line
    a failing trial prints (Harness.Fault's key table): a bare crash-sweep
    runs the default trial, and any replay line is a valid campaign base.
+   serve-sim and tail-anatomy take a service run's SPEC tokens the same
+   way (Svc.Config's key table), as every SLO report prints its config.
 
    Everything executes on the simulated-PMEM machine; reported times are
    simulated nanoseconds (see DESIGN.md). *)
@@ -15,6 +18,20 @@ module Kv = Harness.Kv
 module Driver = Harness.Driver
 
 open Cmdliner
+
+let ( let* ) = Result.bind
+
+(* Bad input: one line on stderr and exit 2, before anything runs. *)
+let checked cmd r k =
+  match r with
+  | Error e ->
+      Fmt.epr "%s: %s@." cmd e;
+      2
+  | Ok v -> k v
+
+let write_json what path doc =
+  Json.write_file path doc;
+  Fmt.pr "%s written to %s@." what path
 
 (* ---- shared options -------------------------------------------------------- *)
 
@@ -33,12 +50,6 @@ let mode_t =
     value
     & opt (spelling Kv.mode_of_string Kv.mode_name) Pmem.Striped
     & info [ "mode" ] ~doc:"PMEM layout: striped (one pool) or numa (one pool per node).")
-
-let latency_t =
-  Arg.(
-    value
-    & opt (spelling Kv.latency_of_string Kv.latency_name) Kv.Uniform
-    & info [ "latency" ] ~doc:"Latency model: uniform | optane.")
 
 let threads_t =
   Arg.(value & opt int 8 & info [ "t"; "threads" ] ~doc:"Simulated threads.")
@@ -80,8 +91,16 @@ let make_kv structure mode descriptors =
    byte-identical artifacts. *)
 let run_cmd structure mode workload threads keys ops seed descriptors trace_out
     metrics_out capacity =
+  let max_threads = Kv.default_sys.max_threads in
+  checked "run"
+    (let* spec = Ycsb.Workload.of_label workload in
+     if threads < 1 || threads > max_threads then
+       Error (Fmt.str "threads must be in 1..%d: %d" max_threads threads)
+     else if keys < 2 then Error (Fmt.str "keys must be >= 2: %d" keys)
+     else if descriptors < 1 then Error (Fmt.str "descriptors must be >= 1: %d" descriptors)
+     else Ok spec)
+  @@ fun spec ->
   let kv = make_kv structure mode descriptors in
-  let spec = Ycsb.Workload.by_label workload in
   Fmt.pr "preloading %d keys into %s...@." keys kv.Kv.name;
   Driver.preload kv ~threads:(min threads 8) ~n:keys;
   if trace_out <> None then Obs.Trace.start ~capacity ();
@@ -127,12 +146,11 @@ let run_cmd structure mode workload threads keys ops seed descriptors trace_out
     digests;
   Option.iter
     (fun path ->
-      Json.write_file path
+      write_json "metrics" path
         (Harness.Report.metrics_json
            ~label:(Printf.sprintf "%s workload %s" kv.Kv.name spec.Ycsb.Workload.label)
            ~seed
-           [ ("ycsb-" ^ spec.Ycsb.Workload.label, digests) ]);
-      Fmt.pr "metrics written to %s@." path)
+           [ ("ycsb-" ^ spec.Ycsb.Workload.label, digests) ]))
     metrics_out;
   0
 
@@ -143,7 +161,7 @@ let trace_out_t =
         ~doc:
           "Record an event trace of the measured run and write Chrome \
            trace_event JSON here (serve-sim adds windowed counter tracks \
-           when --spans).")
+           with spans=on).")
 
 let metrics_json_t =
   Arg.(
@@ -217,7 +235,7 @@ let report_failures ~shrink failures =
 (* Deterministic campaign summary (stable across reruns and -j), read by
    the exactly-once runtest gate. *)
 let write_campaign_json path (base : Fault.spec) (s : Fault.summary) =
-  Json.write_file path
+  write_json "campaign summary" path
     (Json.Schema.doc Json.Schema.crash_campaign
        [
          ("structure", Json.Str (Kv.structure_name base.Fault.structure));
@@ -233,8 +251,7 @@ let write_campaign_json path (base : Fault.spec) (s : Fault.summary) =
            Json.List
              (List.map (fun (spec, _) -> Json.Str (Fault.spec_to_string spec)) s.Fault.failures)
          );
-       ]);
-  Fmt.pr "campaign summary written to %s@." path
+       ])
 
 (* The SPEC arguments' doc, [lead] first; the key list comes from Fault. *)
 let spec_doc lead =
@@ -254,28 +271,25 @@ let spec_doc lead =
     (String.concat " | " Fault.mutants)
 
 let sweep_cmd tokens draws origin stride points jitter shrink jobs json_out =
-  match Fault.spec_of_string (String.concat " " tokens) with
-  | Error e ->
-      Fmt.epr "crash-sweep: %s@." e;
-      2
-  | Ok base ->
-      let campaign =
-        { Fault.base; grid = { Fault.origin; stride; points; jitter }; draws }
-      in
-      Fmt.pr "adversarial crash sweep: %d points x %d draws from %s@." points
-        draws (Fault.spec_to_string base);
-      let before = Obs.totals () in
-      let s = Fault.run_campaign ~jobs campaign in
-      let after = Obs.totals () in
-      Fault.print_summary ~name:(Kv.structure_name base.Fault.structure) s;
-      (* the campaign's counter delta: with rounds=2, round 1 runs on a
-         freshly crashed structure and pays its lazy repairs inline *)
-      Harness.Report.digest_table
-        ~title:"crash-recovery campaign counter digest (per crashed trial)"
-        [ ("trial", s.Fault.trials, Array.map2 ( - ) after before) ];
-      report_failures ~shrink s.Fault.failures;
-      Option.iter (fun path -> write_campaign_json path base s) json_out;
-      if s.Fault.failures = [] then 0 else 1
+  checked "crash-sweep" (Fault.spec_of_string (String.concat " " tokens))
+  @@ fun base ->
+  let campaign =
+    { Fault.base; grid = { Fault.origin; stride; points; jitter }; draws }
+  in
+  Fmt.pr "adversarial crash sweep: %d points x %d draws from %s@." points
+    draws (Fault.spec_to_string base);
+  let before = Obs.totals () in
+  let s = Fault.run_campaign ~jobs campaign in
+  let after = Obs.totals () in
+  Fault.print_summary ~name:(Kv.structure_name base.Fault.structure) s;
+  (* the campaign's counter delta: with rounds=2, round 1 runs on a
+     freshly crashed structure and pays its lazy repairs inline *)
+  Harness.Report.digest_table
+    ~title:"crash-recovery campaign counter digest (per crashed trial)"
+    [ ("trial", s.Fault.trials, Array.map2 ( - ) after before) ];
+  report_failures ~shrink s.Fault.failures;
+  Option.iter (fun path -> write_campaign_json path base s) json_out;
+  if s.Fault.failures = [] then 0 else 1
 
 let sweep_term =
   Term.(
@@ -300,34 +314,30 @@ let spec_tokens_t =
     & info [] ~docv:"SPEC" ~doc:(spec_doc "The trial to re-execute."))
 
 let replay_cmd tokens =
-  let line = String.concat " " tokens in
-  match Fault.spec_of_string line with
-  | Error e ->
-      Fmt.epr "crash-replay: %s@." e;
-      2
-  | Ok spec ->
-      Fmt.pr "replaying: %s@." (Fault.spec_to_string spec);
-      let res = Fault.run_spec spec in
-      Fmt.pr "crashes %d (first at %d events), recoveries audited %d, \
-              recovery %.2f ms@."
-        res.Fault.crashes res.Fault.crash_events res.Fault.audits
-        (res.Fault.recovery_ns /. 1.0e6);
-      if res.Fault.completed_events > 0 then
-        Fmt.pr "%s@."
-          (Fault.missed_message (spec.Fault.crash_at, res.Fault.completed_events));
-      List.iter
-        (fun v -> Fmt.pr "VIOLATION: %a@." Lincheck.Checker.pp_violation v)
-        res.Fault.violations;
-      List.iter (fun e -> Fmt.pr "AUDIT: %s@." e) res.Fault.audit_errors;
-      Option.iter (Fmt.pr "RAISED: %s@.") res.Fault.raised;
-      if Fault.failed res then begin
-        Fmt.pr "verdict: FAIL@.";
-        1
-      end
-      else begin
-        Fmt.pr "verdict: PASS@.";
-        0
-      end
+  checked "crash-replay" (Fault.spec_of_string (String.concat " " tokens))
+  @@ fun spec ->
+  Fmt.pr "replaying: %s@." (Fault.spec_to_string spec);
+  let res = Fault.run_spec spec in
+  Fmt.pr "crashes %d (first at %d events), recoveries audited %d, \
+          recovery %.2f ms@."
+    res.Fault.crashes res.Fault.crash_events res.Fault.audits
+    (res.Fault.recovery_ns /. 1.0e6);
+  if res.Fault.completed_events > 0 then
+    Fmt.pr "%s@."
+      (Fault.missed_message (spec.Fault.crash_at, res.Fault.completed_events));
+  List.iter
+    (fun v -> Fmt.pr "VIOLATION: %a@." Lincheck.Checker.pp_violation v)
+    res.Fault.violations;
+  List.iter (fun e -> Fmt.pr "AUDIT: %s@." e) res.Fault.audit_errors;
+  Option.iter (Fmt.pr "RAISED: %s@.") res.Fault.raised;
+  if Fault.failed res then begin
+    Fmt.pr "verdict: FAIL@.";
+    1
+  end
+  else begin
+    Fmt.pr "verdict: PASS@.";
+    0
+  end
 
 let replay_term = Term.(const replay_cmd $ spec_tokens_t)
 
@@ -335,97 +345,47 @@ let replay_term = Term.(const replay_cmd $ spec_tokens_t)
 
 (* Simulated sharded KV service (lib/svc): open-loop clients over
    hash-routed per-zone shards with batching, group flush, admission
-   control, and an SLO report. Deterministic: the same options produce
-   byte-identical SLO JSON. *)
+   control, and an SLO report. The run is its SPEC (Svc.Config's key
+   table); the flags name outputs and host settings only. Deterministic:
+   the same SPEC produces byte-identical SLO JSON. *)
 
-let serve_cmd structure shards zones clients requests load arrival workload
-    batch queue_cap keys latency shard_mode shard_nodes seed crash_shard
-    crash_at_us json_out spans window_us span_json trace_out trace_capacity
-    detect domains exchange_ns obs_out =
-  let ( let* ) r f =
-    match r with
-    | Error e ->
-        Fmt.epr "serve-sim: %s@." e;
-        2
-    | Ok v -> f v
-  in
-  let* arrival = Sim.Arrival.kind_of_string arrival in
-  let* workload =
-    match Ycsb.Workload.by_label workload with
-    | spec -> Ok spec
-    | exception Invalid_argument e -> Error e
-  in
-  let crash =
-    if crash_shard < 0 then None
-    else
-      Some
-        { Svc.Config.crash_shard; crash_at_ns = crash_at_us *. 1_000.0 }
-  in
-  let cfg =
-    {
-      Svc.Config.structure;
-      shards;
-      zones;
-      clients;
-      requests_per_client = requests;
-      offered_mops = load;
-      arrival;
-      workload;
-      n_initial = keys;
-      batch;
-      queue_cap;
-      seed;
-      sys =
-        {
-          Kv.default_sys with
-          latency = Kv.latency_params latency;
-          mode = shard_mode;
-          numa_nodes = shard_nodes;
-          pool_words = 1 lsl 20;
-          seed;
-        };
-      crash;
-      spans = spans || span_json <> None;
-      window_ns = window_us *. 1_000.0;
-      detect;
-      exchange_ns;
-    }
-  in
-  let* () = Svc.Config.validate cfg in
+(* The SPEC arguments' doc, [lead] first; the keys and their defaults come
+   from Svc.Config. *)
+let svc_spec_doc lead =
+  Printf.sprintf
+    "%s A spec is key=value tokens, as a report's $(b,config) object lists \
+     them; unnamed keys keep the default run's values: %s. $(b,crash=) takes \
+     $(b,none) or SHARD@NS. An out-of-range value is rejected (exit 2)."
+    lead (Svc.Config.to_string Svc.Config.default)
+
+let serve_cmd tokens json_out span_json trace_out trace_capacity domains obs_out =
+  checked "serve-sim" (Svc.Config.of_string (String.concat " " tokens))
+  @@ fun cfg ->
+  let cfg = { cfg with spans = cfg.spans || span_json <> None } in
   if trace_out <> None then Obs.Trace.start ~capacity:trace_capacity ();
   let report = Svc.Domains.run ~domains cfg in
   Obs.Trace.stop ();
   Svc.Slo.pp Format.std_formatter report;
-  (match json_out with
-  | Some path ->
-      Json.write_file path (Svc.Slo.to_json report);
-      Fmt.pr "SLO report written to %s@." path
-  | None -> ());
-  (match span_json with
-  | Some path ->
-      Json.write_file path (Svc.Slo.spans_to_json report);
-      Fmt.pr "span summary written to %s@." path
-  | None -> ());
-  (match obs_out with
-  | Some path ->
-      (* deterministic counter totals, for the domain-determinism gate *)
-      Json.write_file path
+  Option.iter (fun p -> write_json "SLO report" p (Svc.Slo.to_json report)) json_out;
+  Option.iter (fun p -> write_json "span summary" p (Svc.Slo.spans_to_json report)) span_json;
+  (* deterministic counter totals, for the domain-determinism gate *)
+  Option.iter
+    (fun p ->
+      write_json "Obs totals" p
         (Json.Schema.doc Json.Schema.obs_totals
            [
              ( "totals",
                Json.Obj
                  (Array.to_list (Array.mapi (fun i v -> (Obs.id_name i, Json.int v)) (Obs.totals ())))
              );
-           ]);
-      Fmt.pr "Obs totals written to %s@." path
-  | None -> ());
+           ]))
+    obs_out;
   (match trace_out with
   | Some path ->
       (* windowed SLO series ride along as Chrome counter tracks *)
-      let w_ns = report.Svc.Slo.window_ns in
       let series f =
         List.map
-          (fun w -> (float_of_int w.Svc.Slo.w_idx *. w_ns, f w))
+          (fun w -> (float_of_int w.Svc.Slo.w_idx *. cfg.window_ns, f w))
           report.Svc.Slo.windows
       in
       let p99 i w =
@@ -451,92 +411,16 @@ let serve_cmd structure shards zones clients requests load arrival workload
   | None -> ());
   0
 
-let shards_t =
-  Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Shard (structure) count.")
-
-let zones_t =
-  Arg.(
-    value & opt int 4
-    & info [ "zones" ] ~doc:"Simulated NUMA zones; shard s pins to s mod zones.")
-
-let clients_t =
-  Arg.(value & opt int 16 & info [ "clients" ] ~doc:"Open-loop connections.")
-
-let requests_t =
-  Arg.(
-    value & opt int 512 & info [ "requests" ] ~doc:"Requests per connection.")
-
-let load_t =
-  Arg.(
-    value & opt float 2.0
-    & info [ "load" ] ~doc:"Aggregate offered load in Mops/s.")
-
-let arrival_t =
-  Arg.(
-    value & opt string "poisson"
-    & info [ "arrival" ] ~doc:"Inter-arrival process: poisson | fixed | jitter:<f>.")
-
-let batch_t =
-  Arg.(
-    value & opt int 8
-    & info [ "batch" ] ~doc:"Max requests coalesced into one worker batch.")
-
-let queue_cap_t =
-  Arg.(
-    value & opt int 256
-    & info [ "queue-cap" ]
-        ~doc:"Per-shard admission-control queue bound; overflow is shed.")
-
-let shard_nodes_t =
-  Arg.(
-    value & opt int 1
-    & info [ "shard-nodes" ] ~doc:"NUMA nodes inside each shard's device.")
-
-let crash_shard_t =
-  Arg.(
-    value & opt int (-1)
-    & info [ "crash-shard" ] ~doc:"Crash this shard mid-run (-1 = no crash).")
-
-let crash_at_t =
-  Arg.(
-    value & opt float 50.0
-    & info [ "crash-at-us" ] ~doc:"Simulated crash time in microseconds.")
-
 let serve_json_t =
   Arg.(
     value & opt (some string) None
     & info [ "json-out" ] ~doc:"Write the deterministic SLO report JSON here.")
 
-let spans_t =
-  Arg.(
-    value & flag
-    & info [ "spans" ]
-        ~doc:
-          "Record per-request spans (phase decomposition) and windowed SLO \
-           time-series (virtual time; deterministic).")
-
-let window_us_t =
-  Arg.(
-    value & opt float 20.0
-    & info [ "window-us" ]
-        ~doc:"Virtual-time window for the --spans time-series, microseconds.")
-
 let span_json_t =
   Arg.(
     value & opt (some string) None
     & info [ "span-json" ]
-        ~doc:"Write the span summary JSON here (implies --spans).")
-
-let detect_t =
-  Arg.(
-    value & flag
-    & info [ "detect" ]
-        ~doc:
-          "Detectable operations: clients stamp per-connection sequence \
-           numbers, upserts announce a persistent descriptor before \
-           executing, and after a shard power failure stranded requests are \
-           decided through their descriptors (acked if applied, replayed \
-           exactly once if not).")
+        ~doc:"Write the span summary JSON here (implies $(b,spans=on)).")
 
 let domains_t =
   Arg.(
@@ -548,19 +432,6 @@ let domains_t =
            up to N parallel domains. The SLO/span/Obs output is \
            byte-identical for every value.")
 
-let exchange_ns_t =
-  Arg.(
-    value
-    & opt float Svc.Config.default.Svc.Config.exchange_ns
-    & info [ "exchange-ns" ]
-        ~doc:
-          "Exchange-epoch length of the service engine in simulated ns: \
-           stations step their schedulers this far between mailbox \
-           exchanges. A request is admitted when its network hop ends, or \
-           at the next exchange if the hop ends inside the epoch it was \
-           sent in. Part of the config, so it changes the simulated \
-           schedule.")
-
 let obs_out_t =
   Arg.(
     value & opt (some string) None
@@ -569,34 +440,21 @@ let obs_out_t =
 
 let serve_term =
   Term.(
-    const serve_cmd $ structure_t $ shards_t $ zones_t $ clients_t $ requests_t
-    $ load_t $ arrival_t $ workload_t $ batch_t $ queue_cap_t $ keys_t
-    $ latency_t $ mode_t $ shard_nodes_t $ seed_t $ crash_shard_t $ crash_at_t
-    $ serve_json_t $ spans_t $ window_us_t $ span_json_t $ trace_out_t
-    $ trace_capacity_t $ detect_t $ domains_t $ exchange_ns_t $ obs_out_t)
+    const serve_cmd
+    $ Arg.(
+        value & pos_all string []
+        & info [] ~docv:"SPEC" ~doc:(svc_spec_doc "The service run."))
+    $ serve_json_t $ span_json_t $ trace_out_t $ trace_capacity_t $ domains_t
+    $ obs_out_t)
 
 (* ---- tail-anatomy -------------------------------------------------------------- *)
 
-(* Power-fail tail-anatomy campaign: the same service config over a seeded
+(* Power-fail tail-anatomy campaign: the SPEC's service run over a seeded
    grid of crash times (one mid-run shard power failure per trial), spans
    on, aggregated into one per-phase tail breakdown. Trials fan out on a
    Sim.Pool and all printing happens after ordered collection, so the
    output is byte-identical for any -j. *)
-let tail_cmd structure shards zones clients requests load workload keys seed
-    crash_shard origin_us stride_us points jitter_us jobs json_out =
-  let ( let* ) r f =
-    match r with
-    | Error e ->
-        Fmt.epr "tail-anatomy: %s@." e;
-        2
-    | Ok v -> f v
-  in
-  let* workload =
-    match Ycsb.Workload.by_label workload with
-    | spec -> Ok spec
-    | exception Invalid_argument e -> Error e
-  in
-  let* () = if points <= 0 then Error "points must be positive" else Ok () in
+let tail_cmd tokens origin_us stride_us points jitter_us jobs json_out =
   let grid =
     {
       Fault.origin = int_of_float (origin_us *. 1_000.0);
@@ -605,35 +463,28 @@ let tail_cmd structure shards zones clients requests load workload keys seed
       jitter = int_of_float (jitter_us *. 1_000.0);
     }
   in
-  let crash_times = Fault.grid_points ~seed grid in
-  let cfg_of at_ns =
-    {
-      Svc.Config.default with
-      structure;
-      shards;
-      zones;
-      clients;
-      requests_per_client = requests;
-      offered_mops = load;
-      workload;
-      n_initial = keys;
-      seed;
-      sys = { Kv.default_sys with numa_nodes = 1; pool_words = 1 lsl 20; seed };
-      crash =
-        (if crash_shard < 0 then None
-         else
-           Some { Svc.Config.crash_shard; crash_at_ns = float_of_int at_ns });
-      spans = true;
-    }
-  in
-  let* () = Svc.Config.validate (cfg_of (List.hd crash_times)) in
-  Fmt.pr "tail-anatomy: %d power-fail trials on %d shards (crash shard %d)@."
-    points shards crash_shard;
-  let reports =
-    Sim.Pool.map ~jobs (fun at -> Svc.Domains.run (cfg_of at)) crash_times
-  in
+  (* every trial's config, each checked before the first runs *)
+  checked "tail-anatomy"
+    (let* base = Svc.Config.of_string (String.concat " " tokens) in
+     let* () = if points <= 0 then Error "points must be positive" else Ok () in
+     let crash_shard = match base.crash with Some c -> c.crash_shard | None -> 1 in
+     let trial at =
+       let cfg =
+         { base with spans = true; crash = Some { crash_shard; crash_at_ns = float_of_int at } }
+       in
+       Result.map (fun () -> (at, cfg)) (Svc.Config.validate cfg)
+     in
+     List.fold_right
+       (fun at acc -> let* rest = acc in let* t = trial at in Ok (t :: rest))
+       (Fault.grid_points ~seed:base.seed grid)
+       (Ok []))
+  @@ fun trials ->
+  let cfg = snd (List.hd trials) in
+  Fmt.pr "tail-anatomy: %d power-fail trials of %s@." points
+    (Svc.Config.to_string cfg);
+  let reports = Sim.Pool.map ~jobs (fun (_, cfg) -> Svc.Domains.run cfg) trials in
   List.iter2
-    (fun at r ->
+    (fun (at, _) r ->
       let m = Svc.Slo.summarize r.Svc.Slo.merged in
       let rv =
         match r.Svc.Slo.spans with
@@ -645,7 +496,7 @@ let tail_cmd structure shards zones clients requests load workload keys seed
          violations %d@."
         (float_of_int at /. 1_000.0)
         r.Svc.Slo.completed m.Svc.Slo.p99 m.Svc.Slo.p999 rv)
-    crash_times reports;
+    trials reports;
   let merged =
     Sim.Histogram.merge_list (List.map (fun r -> r.Svc.Slo.merged) reports)
   in
@@ -654,20 +505,13 @@ let tail_cmd structure shards zones clients requests load workload keys seed
       (List.filter_map (fun r -> r.Svc.Slo.spans) reports)
   in
   Svc.Slo.pp_anatomy Format.std_formatter ~merged agg;
-  (match json_out with
-  | Some path ->
-      Json.write_file path
+  Option.iter
+    (fun p ->
+      write_json "per-trial span summaries" p
         (Json.Schema.doc Json.Schema.svc_tail
-           [ ("trials", Json.List (List.map Svc.Slo.spans_to_json reports)) ]);
-      Fmt.pr "per-trial span summaries written to %s@." path
-  | None -> ());
+           [ ("trials", Json.List (List.map Svc.Slo.spans_to_json reports)) ]))
+    json_out;
   0
-
-let tail_crash_shard_t =
-  Arg.(
-    value & opt int 1
-    & info [ "crash-shard" ]
-        ~doc:"Shard to power-fail in every trial (-1 = healthy baseline).")
 
 let origin_us_t =
   Arg.(
@@ -695,9 +539,19 @@ let tail_json_t =
 
 let tail_term =
   Term.(
-    const tail_cmd $ structure_t $ shards_t $ zones_t $ clients_t $ requests_t
-    $ load_t $ workload_t $ keys_t $ seed_t $ tail_crash_shard_t $ origin_us_t
-    $ stride_us_t $ points_t $ jitter_us_t $ jobs_t $ tail_json_t)
+    const tail_cmd
+    $ Arg.(
+        value & pos_all string []
+        & info [] ~docv:"SPEC"
+            ~doc:
+              (svc_spec_doc
+                 "Every trial's service run. Every trial runs with \
+                  $(b,spans=on), whatever $(b,spans=) says, and crashes at \
+                  its grid time (the seed jitters the grid): $(b,crash=S@T) \
+                  names the crashed shard S and the grid replaces T; with \
+                  $(b,crash=none), the default, shard 1 crashes. There is \
+                  no crash-free trial; $(b,serve-sim) runs one."))
+    $ origin_us_t $ stride_us_t $ points_t $ jitter_us_t $ jobs_t $ tail_json_t)
 
 (* ---- assembly ------------------------------------------------------------------ *)
 

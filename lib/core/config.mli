@@ -43,9 +43,6 @@ val header_words : int
 val slot_words : int
 (** Words per key/value slot (key and value are adjacent). *)
 
-val round_to_line : int -> int
-(** Round a word count up to a whole number of lines. *)
-
 val tower_levels_per_line : int
 (** Upper-tower levels per line: three next pointers, their three
     successor-key hints, then the anchor copy and one spare word. *)

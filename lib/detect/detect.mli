@@ -49,11 +49,10 @@ type slot = {
   d_epoch : int;
 }
 
-(** Status-word values, as stored in [d_status]: *)
+(** Status-word values, as stored in [d_status], that a reader outside the
+    table compares against (the announce and apply values stay internal): *)
 
 val st_empty : int
-val st_announced : int
-val st_applied : int
 val st_rec_applied : int
 val st_rec_absent : int
 

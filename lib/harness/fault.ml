@@ -466,58 +466,16 @@ let run_trial (spec : spec) =
 
 (* ---- replay specs (one line, self-contained) ----------------------------- *)
 
-(* One entry per spec key: the only place the key vocabulary is spelled.
-   [spec_to_string] prints the entries in table order, [spec_of_string]
-   dispatches each token on its key's name, [validate] re-parses each key's
-   printed value, and the CLI lists the names. A key's parser holds its
-   bounds. A key with [tunes = Some st] is fixture tuning of structure
-   [st]: it prints only where it differs from [default_spec], so a default
-   fixture's line names none of its keys. *)
-type key = {
-  name : string;
-  show : spec -> string;
-  parse : string -> spec -> (spec, string) Stdlib.result;
-  tunes : Kv.structure option;  (* None: printed on every line *)
-}
+(* One entry per spec key (a {!Keys} table): the only place the key
+   vocabulary is spelled. [spec_to_string] prints the entries in table
+   order, [spec_of_string] dispatches each token on its key's name,
+   [validate] re-parses each key's printed value, and the CLI lists the
+   names. A key's parser holds its bounds. A key with [tunes = Some st] is
+   fixture tuning of structure [st]: it prints only where it differs from
+   [default_spec], so a default fixture's line names none of its keys. *)
+open Keys
 
 let ( let* ) = Result.bind
-let switch b = if b then "on" else "off"
-
-let key ?tunes name show parse = { name; show; parse; tunes }
-
-let int_key ?tunes ?(min = min_int) ?(max = max_int) name get set =
-  key ?tunes name
-    (fun s -> string_of_int (get s))
-    (fun v s ->
-      match int_of_string_opt v with
-      | None -> Error (Printf.sprintf "%s: not an integer: %s" name v)
-      | Some n when n < min -> Error (Printf.sprintf "%s must be >= %d: %d" name min n)
-      | Some n when n > max -> Error (Printf.sprintf "%s must be <= %d: %d" name max n)
-      | Some n -> Ok (set s n))
-
-let float_key ?tunes ?(unit_interval = false) name get set =
-  key ?tunes name
-    (fun s -> Json.num_to_string (get s))
-    (fun v s ->
-      match float_of_string_opt v with
-      | None -> Error (Printf.sprintf "%s: not a number: %s" name v)
-      | Some f when unit_interval && not (f >= 0.0 && f <= 1.0) ->
-          Error (Printf.sprintf "%s: want a probability in [0,1]: %g" name f)
-      | Some f -> Ok (set s f))
-
-let switch_key ?tunes name get set =
-  key ?tunes name
-    (fun s -> switch (get s))
-    (fun v s ->
-      match v with
-      | "on" -> Ok (set s true)
-      | "off" -> Ok (set s false)
-      | _ -> Error (Printf.sprintf "%s: want on | off: %s" name v))
-
-let spelling_key name of_string to_name get set =
-  key name
-    (fun s -> to_name (get s))
-    (fun v s -> Result.map (set s) (of_string v))
 
 (* Names the trial engine understands: [Kv.corrupt] mutations plus the
    harness-level [skip_resolve]. *)
@@ -603,12 +561,7 @@ let keys =
   ]
 
 let spec_keys = List.map (fun k -> (k.name, k.tunes)) keys
-let off_default k s = k.show s <> k.show default_spec
-
-let spec_to_string s =
-  List.filter (fun k -> k.tunes = None || off_default k s) keys
-  |> List.map (fun k -> k.name ^ "=" ^ k.show s)
-  |> String.concat " "
+let spec_to_string = to_string ~default:default_spec keys
 
 (* The checks that span keys: UPSkipList's config as a whole, and no tuning
    of a structure the spec does not build (a fixture that cannot exist). *)
@@ -620,7 +573,7 @@ let check_fixture s =
   in
   let stray k =
     match k.tunes with
-    | Some st when st <> s.structure && off_default k s ->
+    | Some st when st <> s.structure && k.show s <> k.show default_spec ->
         Some
           (Printf.sprintf "%s=%s tunes %s only" k.name (k.show s)
              (Kv.structure_name st))
@@ -628,35 +581,8 @@ let check_fixture s =
   in
   match List.find_map stray keys with Some e -> Error e | None -> Ok s
 
-let validate s =
-  let reparse acc k =
-    let* t = acc in
-    k.parse (k.show s) t
-  in
-  let* _ = List.fold_left reparse (Ok s) keys in
-  check_fixture s
-
-let spec_of_string line =
-  let parse_token acc tok =
-    let* s = acc in
-    match String.index_opt tok '=' with
-    | None -> Error (Printf.sprintf "malformed token (expected key=value): %s" tok)
-    | Some i -> (
-        let name = String.sub tok 0 i in
-        let v = String.sub tok (i + 1) (String.length tok - i - 1) in
-        match List.find_opt (fun k -> k.name = name) keys with
-        | Some k -> k.parse v s
-        | None ->
-            Error
-              (Printf.sprintf "unknown key: %s (want %s)" name
-                 (String.concat " | " (List.map (fun k -> k.name) keys))))
-  in
-  let* s =
-    String.split_on_char ' ' (String.trim line)
-    |> List.filter (fun t -> t <> "")
-    |> List.fold_left parse_token (Ok default_spec)
-  in
-  check_fixture s
+let validate s = Result.bind (reparse keys s) check_fixture
+let spec_of_string line = Result.bind (of_string ~default:default_spec keys line) check_fixture
 
 let run_spec = run_trial
 

@@ -183,9 +183,9 @@ module Schema = struct
 
   (* [required] names the top-level fields that readers rely on: the
      shell gates, json_check's callers and the layout baseline. *)
-  let svc_slo = v "upskip-svc-slo" 4 [ "config"; "latency_ns"; "lost"; "replayed"; "spans" ]
-  let svc_spans = v "upskip-svc-spans" 1 [ "config"; "latency_ns"; "spans" ]
-  let svc_tail = v "upskip-svc-tail" 1 [ "trials" ]
+  let svc_slo = v "upskip-svc-slo" 5 [ "config"; "latency_ns"; "lost"; "replayed"; "spans" ]
+  let svc_spans = v "upskip-svc-spans" 2 [ "config"; "latency_ns"; "spans" ]
+  let svc_tail = v "upskip-svc-tail" 2 [ "trials" ]
 
   let crash_campaign =
     v "upskip-crash-campaign" 1

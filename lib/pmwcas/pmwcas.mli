@@ -35,7 +35,6 @@ val recover : t -> unit
 val is_desc_ref : int -> bool
 val is_dirty : int -> bool
 val value_mask : int
-val dirty_bit : int
 
 (** {1 Introspection} *)
 
@@ -43,6 +42,3 @@ val allocations : t -> int
 (** Descriptors allocated so far (host-side statistic). *)
 
 val n_descriptors : t -> int
-
-val desc_addr : t -> int -> Sim.Sched.addr
-(** Address of descriptor [i] (tests/debugging). *)

@@ -33,7 +33,7 @@ let mean_gap_ns t = t.mean
 let kind_to_string = function
   | Poisson -> "poisson"
   | Fixed -> "fixed"
-  | Jittered f -> Printf.sprintf "jitter:%g" f
+  | Jittered f -> "jitter:" ^ Json.num_to_string f
 
 let kind_of_string s =
   match String.lowercase_ascii s with

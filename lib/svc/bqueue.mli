@@ -10,7 +10,6 @@ val create : cap:int -> 'a t
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
-val is_full : 'a t -> bool
 
 val push : 'a t -> 'a -> bool
 (** [false] when the queue is at capacity (the caller sheds). *)

@@ -60,5 +60,30 @@ val default : t
 val mean_gap_ns : t -> float
 (** Per-client mean inter-arrival gap implied by [offered_mops]. *)
 
+(** {1 SPEC tokens}
+
+    One key table prints, parses and validates a config, so a run is
+    spelled one way on the command line and in every report. A config
+    parsed by {!of_string} prints back to itself; a hand-built one may
+    hold values the table does not print ([seed] apart from [sys.seed],
+    [sys.pool_words], [sys.max_threads]), and {!validate} accepts it. *)
+
+val fields : t -> (string * string) list
+(** Each key with its printed value, in order: the [config] object of the
+    SLO, span and tail documents. *)
+
+val to_string : t -> string
+(** {!fields} as one line of [key=value] tokens; {!of_string} inverts it. *)
+
+val of_string : string -> (t, string) result
+(** {!default} with each [key=value] token applied, then {!validate}'s
+    crash-shard check. [structure], [mode] and [latency] take
+    {!Harness.Kv}'s spellings, [arrival] {!Sim.Arrival.kind_of_string}'s,
+    [workload] {!Ycsb.Workload.of_label}'s, [spans] and [detect]
+    [on | off], [crash] [none] or [SHARD@NS]; [seed] sets [sys.seed] too.
+    An unknown key's error names every key. *)
+
 val validate : t -> (unit, string) result
-(** First configuration error, if any; [Ok ()] when runnable. *)
+(** [Ok ()] when every key's printed value parses back within its bounds
+    (a latency record must be one of Kv's presets) and a crash plan names
+    a shard below [shards]; otherwise the first error, naming its key. *)

@@ -221,38 +221,6 @@ let preload_shard router (cfg : Config.t) kv s =
   | Sim.Sched.Crashed_at _ -> assert false);
   Pmem.reset_counters kv.Kv.pmem
 
-(* Ordered, deterministic key/value rendering of the config: the report's
-   [config_summary]. *)
-let config_summary (cfg : Config.t) =
-  [
-    ("structure", Kv.structure_name cfg.structure);
-    ("shards", string_of_int cfg.shards);
-    ("zones", string_of_int cfg.zones);
-    ("clients", string_of_int cfg.clients);
-    ("requests_per_client", string_of_int cfg.requests_per_client);
-    ("offered_mops", Printf.sprintf "%g" cfg.offered_mops);
-    ("arrival", Sim.Arrival.kind_to_string cfg.arrival);
-    ("workload", cfg.workload.Ycsb.Workload.label);
-    ("n_initial", string_of_int cfg.n_initial);
-    ("batch", string_of_int cfg.batch);
-    ("queue_cap", string_of_int cfg.queue_cap);
-    ( "shard_mode",
-      match cfg.sys.Kv.mode with
-      | Pmem.Striped -> "striped"
-      | Pmem.Multi_pool -> "multi-pool" );
-    ("shard_numa_nodes", string_of_int cfg.sys.Kv.numa_nodes);
-    ("seed", string_of_int cfg.seed);
-    ("spans", if cfg.spans then "on" else "off");
-    ("detect", if cfg.detect then "on" else "off");
-    ( "crash",
-      match cfg.crash with
-      | None -> "none"
-      | Some c ->
-          Printf.sprintf "shard%d@%gns" c.Config.crash_shard
-            c.Config.crash_at_ns );
-    ("exchange_ns", Printf.sprintf "%g" cfg.exchange_ns);
-  ]
-
 let new_wacc () =
   {
     aw_completed = 0;
@@ -1063,7 +1031,7 @@ let run ?(domains = 1) (cfg : Config.t) =
   in
   let requests = fe.f_requests in
   {
-    Slo.config_summary = config_summary cfg;
+    Slo.config = cfg;
     span_ns;
     requests;
     enqueued = sum (fun sh -> sh.enq);
@@ -1085,7 +1053,6 @@ let run ?(domains = 1) (cfg : Config.t) =
       (if span_ns > 0.0 then
          float_of_int completed /. span_ns *. 1000.0
        else 0.0);
-    offered_mops = cfg.offered_mops;
     shed_rate =
       (if requests = 0 then 0.0
        else float_of_int (requests - completed) /. float_of_int requests);
@@ -1094,7 +1061,6 @@ let run ?(domains = 1) (cfg : Config.t) =
     merged;
     shard_reports;
     depth_series;
-    window_ns = cfg.window_ns;
     windows;
     spans;
   }

@@ -68,7 +68,7 @@ type span_summary = {
 }
 
 type t = {
-  config_summary : (string * string) list;
+  config : Config.t;
   span_ns : float;
   requests : int;
   enqueued : int;
@@ -80,13 +80,11 @@ type t = {
   dup_suppressed : int;
   client_reports : client_report list;
   goodput_mops : float;
-  offered_mops : float;
   shed_rate : float;
   remote_fraction : float;
   merged : Sim.Histogram.t;
   shard_reports : shard_report list;
   depth_series : (float * int array) list;
-  window_ns : float;
   windows : window list;
   spans : span_summary option;
 }
@@ -247,9 +245,9 @@ let span_summary_json = function
 (* The SLO report's fields, in document order. *)
 let fields t =
   [
-    ("config", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) t.config_summary));
+    ("config", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) (Config.fields t.config)));
     ("span_ns", fnum t.span_ns);
-    ("offered_mops", fnum t.offered_mops); ("goodput_mops", fnum t.goodput_mops);
+    ("offered_mops", fnum t.config.offered_mops); ("goodput_mops", fnum t.goodput_mops);
     ("requests", Json.int t.requests); ("enqueued", Json.int t.enqueued);
     ("completed", Json.int t.completed); ("shed", Json.int t.shed);
     ("lost", Json.int t.lost); ("failed_scans", Json.int t.failed_scans);
@@ -278,7 +276,7 @@ let fields t =
                  ("depth", Json.List (Array.to_list (Array.map Json.int depths)));
                ])
            t.depth_series) );
-    ("window_ns", fnum t.window_ns);
+    ("window_ns", fnum t.config.window_ns);
     ("windows", Json.List (List.map window_json t.windows));
     ("spans", span_summary_json t.spans);
   ]
@@ -416,9 +414,10 @@ let pp fmt t =
   let m = summarize t.merged in
   fprintf fmt "service run: %d requests over %.3f ms simulated@."
     t.requests (t.span_ns /. 1e6);
+  fprintf fmt "  config %s@." (Config.to_string t.config);
   fprintf fmt
     "  offered %.3f Mops/s  goodput %.3f Mops/s  shed rate %.2f%%@."
-    t.offered_mops t.goodput_mops (100.0 *. t.shed_rate);
+    t.config.offered_mops t.goodput_mops (100.0 *. t.shed_rate);
   fprintf fmt
     "  completed %d  shed %d  lost %d  failed scans %d@." t.completed t.shed
     t.lost t.failed_scans;

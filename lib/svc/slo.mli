@@ -77,8 +77,7 @@ val merge_summaries : span_summary list -> span_summary
     order. *)
 
 type t = {
-  config_summary : (string * string) list;
-      (** ordered, deterministic key/value rendering of the config *)
+  config : Config.t;  (** the run's config; documents print it as {!Config.fields} *)
   span_ns : float;
   requests : int;  (** client-issued (a scan counts once) *)
   enqueued : int;
@@ -94,7 +93,6 @@ type t = {
   client_reports : client_report list;
       (** per-client ledger, ascending by client id *)
   goodput_mops : float;  (** client-visible completions / span *)
-  offered_mops : float;
   shed_rate : float;
       (** fraction of issued requests that never completed (shed, lost, or
           failed-scan), i.e. [(requests - completed) / requests] *)
@@ -106,17 +104,18 @@ type t = {
   shard_reports : shard_report list;
   depth_series : (float * int array) list;
       (** (time, per-shard queue depth) samples, ascending in time *)
-  window_ns : float;  (** windowing period of [windows] *)
-  windows : window list;  (** ascending by index; empty when spans off *)
+  windows : window list;
+      (** ascending by index, [config.window_ns] apart; empty when spans
+          off *)
   spans : span_summary option;  (** [Some] iff the config enabled spans *)
 }
 
 val to_json : t -> Json.t
-(** The [upskip-svc-slo/4] document (fixed key order, fixed number
+(** The [upskip-svc-slo/5] document (fixed key order, fixed number
     formatting). *)
 
 val spans_to_json : t -> Json.t
-(** Standalone span-summary document (schema [upskip-svc-spans/1]):
+(** Standalone span-summary document (schema [upskip-svc-spans/2]):
     config, end-to-end latency, windowed time-series, and the span
     summary. Byte-deterministic like {!to_json}. *)
 

@@ -57,10 +57,13 @@ let e =
 
 let all = [ a; b; c; d; e ]
 
-let by_label l =
+let of_label l =
   match List.find_opt (fun s -> String.uppercase_ascii l = s.label) all with
-  | Some s -> s
-  | None -> invalid_arg ("Ycsb.Workload.by_label: unknown workload " ^ l)
+  | Some s -> Ok s
+  | None ->
+      Error
+        (Printf.sprintf "unknown workload: %s (want %s)" l
+           (String.concat " | " (List.map (fun s -> s.label) all)))
 
 (* Generate per-thread operation streams over an initial keyspace of
    [n_initial] keys (1-based, dense). Inserted keys continue the sequence

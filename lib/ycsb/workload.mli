@@ -35,8 +35,9 @@ val e : spec
 
 val all : spec list
 
-val by_label : string -> spec
-(** Case-insensitive lookup; raises [Invalid_argument] on unknown labels. *)
+val of_label : string -> (spec, string) result
+(** Case-insensitive lookup of a {!spec.label}; an unknown label's error
+    lists every label. *)
 
 val generate :
   seed:int ->

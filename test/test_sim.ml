@@ -445,7 +445,10 @@ let test_arrival_kind_strings () =
       | Ok k' ->
           check_bool "round trip" true (k = k')
       | Error e -> Alcotest.fail e)
-    [ Sim.Arrival.Poisson; Sim.Arrival.Fixed; Sim.Arrival.Jittered 0.25 ];
+    [
+      Sim.Arrival.Poisson; Sim.Arrival.Fixed; Sim.Arrival.Jittered 0.25;
+      Sim.Arrival.Jittered 0.123456789;
+    ];
   check_bool "unknown rejected" true
     (Result.is_error (Sim.Arrival.kind_of_string "bursty"))
 

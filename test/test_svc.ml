@@ -508,8 +508,120 @@ let test_svc_validation () =
     (bad { base with Config.offered_mops = 0.0 });
   check_bool "base ok" false (bad base);
   Alcotest.check_raises "run rejects invalid config"
-    (Invalid_argument "Svc.Domains.run: shards must be positive (got 0)")
+    (Invalid_argument "Svc.Domains.run: shards must be >= 1: 0")
     (fun () -> ignore (Domains.run { base with Config.shards = 0 }))
+
+(* ---- the config's key table ---------------------------------------------- *)
+
+let spec line =
+  match Config.of_string line with Ok c -> c | Error e -> Alcotest.fail e
+
+(* the two @svc/smoke runs, as svc/dune spells them *)
+let smoke_lines =
+  [
+    "shards=4 zones=4 clients=8 requests=150 keys=1024 load=4 workload=a \
+     latency=uniform mode=striped";
+    "shards=4 zones=4 clients=4 requests=150 keys=512 load=4 workload=a \
+     latency=uniform mode=striped crash=1@50000";
+  ]
+
+let every_key_off =
+  "structure=bztree shards=3 zones=2 clients=5 requests=77 load=1.5 \
+   arrival=jitter:0.25 workload=b keys=999 batch=4 queue_cap=32 \
+   exchange_ns=700.5 seed=9 latency=uniform mode=striped nodes=2 spans=on \
+   window_ns=15000 detect=on crash=2@20000.25"
+
+let test_config_roundtrip () =
+  let off = spec every_key_off in
+  List.iter2
+    (fun (k, d) (k', v) ->
+      Alcotest.(check string) "same key order" k k';
+      check_bool (Printf.sprintf "%s=%s is off its default %s" k v d) true (d <> v))
+    (Config.fields Config.default) (Config.fields off);
+  check_bool "seed sets the shards' seed too" true (off.Config.sys.Harness.Kv.seed = 9);
+  List.iter
+    (fun c ->
+      let line = Config.to_string c in
+      check_bool ("round-trip: " ^ line) true (Config.of_string line = Ok c))
+    (Config.default :: off :: List.map spec smoke_lines);
+  Alcotest.(check string)
+    "the default config prints every key"
+    "structure=upskiplist shards=4 zones=4 clients=16 requests=512 load=2 \
+     arrival=poisson workload=C keys=4096 batch=8 queue_cap=256 \
+     exchange_ns=1000 seed=42 latency=optane mode=numa nodes=1 spans=off \
+     window_ns=20000 detect=off crash=none"
+    (Config.to_string Config.default)
+
+(* The report's config object, read back as SPEC tokens, is the run: the
+   rebuilt config writes the same document. *)
+let test_config_replays_report () =
+  let cfg =
+    spec
+      "shards=2 zones=2 clients=4 requests=60 keys=256 load=4 workload=a \
+       latency=uniform detect=on spans=on crash=1@20000"
+  in
+  let doc = Json.to_string (Slo.to_json (Domains.run cfg)) in
+  let tokens =
+    match Json.parse doc with
+    | Json.Obj fields -> (
+        match List.assoc "config" fields with
+        | Json.Obj kvs ->
+            List.map
+              (function
+                | k, Json.Str v -> k ^ "=" ^ v
+                | k, _ -> Alcotest.fail ("config value not a string: " ^ k))
+              kvs
+        | _ -> Alcotest.fail "config is not an object")
+    | _ -> Alcotest.fail "report is not an object"
+  in
+  let rebuilt = spec (String.concat " " tokens) in
+  check_bool "crashed, replayed" true
+    (List.exists (fun s -> s.Slo.crashed) (Domains.run rebuilt).Slo.shard_reports);
+  Alcotest.(check string)
+    "the rebuilt config writes the same report" doc
+    (Json.to_string (Slo.to_json (Domains.run rebuilt)))
+
+let test_config_errors () =
+  Alcotest.(check (result reject string))
+    "an unknown key's error names every key"
+    (Error
+       "unknown key: bogus (want structure | shards | zones | clients | \
+        requests | load | arrival | workload | keys | batch | queue_cap | \
+        exchange_ns | seed | latency | mode | nodes | spans | window_ns | \
+        detect | crash)")
+    (Config.of_string "bogus=1");
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  let rejected key line =
+    match Config.of_string line with
+    | Ok _ -> Alcotest.fail ("accepted: " ^ line)
+    | Error e -> check_bool (Printf.sprintf "%s names %s: %s" line key e) true (contains e key)
+  in
+  List.iter
+    (fun (key, line) -> rejected key line)
+    [
+      ("shards", "shards=0"); ("zones", "zones=0"); ("clients", "clients=0");
+      ("requests", "requests=-1"); ("load", "load=0"); ("load", "load=-2");
+      ("load", "load=nan"); ("arrival", "arrival=jitter:2"); ("arrival", "arrival=burst");
+      ("workload", "workload=z"); ("keys", "keys=1"); ("batch", "batch=0");
+      ("queue_cap", "queue_cap=0"); ("exchange_ns", "exchange_ns=0");
+      ("seed", "seed=x"); ("latency", "latency=fast"); ("mode", "mode=x");
+      ("nodes", "nodes=0"); ("spans", "spans=yes"); ("window_ns", "window_ns=-5");
+      ("detect", "detect=1"); ("crash", "crash=-1@5"); ("crash", "crash=1@-5");
+      ("crash", "crash=1"); ("crash", "crash=4@100"); ("crash", "shards=2 crash=2@0");
+    ];
+  check_bool "malformed token rejected" true (Result.is_error (Config.of_string "shards"));
+  (* a latency record that is neither preset has no spelling *)
+  let unnamed =
+    { Config.default with
+      sys = { Config.default.sys with latency = { Pmem.Latency.uniform with Pmem.Latency.fence_ns = 2.0 } } }
+  in
+  (match Config.validate unnamed with
+  | Ok () -> Alcotest.fail "an unnamed latency validated"
+  | Error e -> check_bool ("names latency: " ^ e) true (contains e "latency"))
 
 (* ---- domain-parallel determinism ----------------------------------------- *)
 
@@ -604,6 +716,12 @@ let () =
             test_svc_detect_crash_exactly_once;
           case "detect: crash-free parity" test_svc_detect_no_crash_parity;
           case "config validation" test_svc_validation;
+        ] );
+      ( "config table",
+        [
+          case "print then parse" test_config_roundtrip;
+          case "a report's config replays it" test_config_replays_report;
+          case "errors name their key" test_config_errors;
         ] );
       ( "domains",
         [

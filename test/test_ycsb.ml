@@ -149,11 +149,11 @@ let test_determinism () =
   check_bool "different seed differs" true (a <> c)
 
 let test_by_label () =
-  check_bool "label a" true (W.by_label "a" == W.a);
-  check_bool "label B" true (W.by_label "B" == W.b);
-  match W.by_label "z" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "unknown label accepted"
+  check_bool "label a" true (W.of_label "a" = Ok W.a);
+  check_bool "label B" true (W.of_label "B" = Ok W.b);
+  match W.of_label "z" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "unknown label accepted"
 
 let () =
   Alcotest.run "ycsb"

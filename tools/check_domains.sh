@@ -5,7 +5,7 @@
 # (a) serve-sim --domains 1 (sequential round-robin) and --domains 4
 #     (shard stations pinned to worker domains) on the smoke workload
 #     must emit byte-identical SLO JSON, span JSON, and Obs totals;
-# (b) a mid-run one-shard power failure under --domains 4 --detect must
+# (b) a mid-run one-shard power failure under --domains 4 with detect=on must
 #     recover in-line with zero lost requests, a non-empty replay and the
 #     recorded per-shard completed-in-outage counts, while the report stays
 #     byte-identical to --domains 1.
@@ -23,9 +23,9 @@ trap 'rm -rf "$tmp"' EXIT
 
 smoke() {
   # $1 = domains, $2 = output prefix
-  "$CLI" serve-sim --domains "$1" --shards 4 --zones 2 --clients 8 \
-    --requests 200 --load 40 --workload a --queue-cap 64 \
-    --latency uniform --spans \
+  "$CLI" serve-sim shards=4 zones=2 clients=8 requests=200 load=40 \
+    workload=a queue_cap=64 keys=10000 latency=uniform mode=striped \
+    spans=on --domains "$1" \
     --json-out "$2.json" --span-json "$2.spans.json" --obs-out "$2.obs.json" \
     >"$2.out" 2>&1
 }
@@ -43,9 +43,9 @@ echo "ok: smoke workload byte-identical across --domains 1/4 (slo, spans, obs)"
 
 crash() {
   # $1 = domains, $2 = output prefix
-  "$CLI" serve-sim --domains "$1" --detect --shards 4 --zones 2 \
-    --clients 8 --requests 400 --load 40 --workload a --queue-cap 64 \
-    --latency uniform --crash-shard 1 --crash-at-us 30 \
+  "$CLI" serve-sim detect=on shards=4 zones=2 clients=8 requests=400 \
+    load=40 workload=a queue_cap=64 keys=10000 latency=uniform \
+    mode=striped crash=1@30000 --domains "$1" \
     --json-out "$2.json" >"$2.out" 2>&1
 }
 

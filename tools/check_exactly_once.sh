@@ -69,12 +69,12 @@ mut_violations=$("$JSON_CHECK" "$tmp/mut.json" violation_trials)
 }
 echo "ok: skip_resolve mutant caught"
 
-# service-level shard power failure: with --detect nothing is lost and
+# service-level shard power failure: with detect=on nothing is lost and
 # stranded work is replayed. The clients send their 1600 requests over the
 # first ~40 us, so at 35 us shard 1 still has a backlog to strand.
-"$CLI" serve-sim --detect --shards 4 --zones 4 --clients 4 --requests 400 \
-  --load 40 --workload a --queue-cap 64 --latency uniform \
-  --crash-shard 1 --crash-at-us 35 --json-out "$tmp/svc.json" \
+"$CLI" serve-sim detect=on shards=4 zones=4 clients=4 requests=400 \
+  load=40 workload=a queue_cap=64 keys=10000 latency=uniform mode=striped \
+  crash=1@35000 --json-out "$tmp/svc.json" \
   >"$tmp/svc.out" 2>&1
 svc_lost=$("$JSON_CHECK" "$tmp/svc.json" lost)
 [ "$svc_lost" = 0 ] || {

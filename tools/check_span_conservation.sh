@@ -19,8 +19,8 @@ trap 'rm -rf "$tmp"' EXIT
 check() {
   wl="$1"
   out="$tmp/spans_$wl.json"
-  "$CLI" serve-sim --workload "$wl" --clients 8 --requests 128 --seed 42 \
-    --spans --span-json "$out" >"$tmp/stdout_$wl" 2>&1
+  "$CLI" serve-sim workload="$wl" clients=8 requests=128 seed=42 \
+    keys=10000 latency=uniform mode=striped spans=on --span-json "$out" >"$tmp/stdout_$wl" 2>&1
   violations=$("$JSON_CHECK" "$out" spans.residual_violations)
   [ "$violations" = 0 ] || {
     echo "FAIL: workload $wl: residual_violations != 0" >&2
