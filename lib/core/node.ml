@@ -2,18 +2,19 @@
 
    A node occupies one allocator block. The layout is cache-line oriented:
    the first 8 words — one 64-byte line — hold everything a traversal hop
-   reads or a recovery check inspects, so advancing along level 0 or 1
-   touches exactly one line per node. Key/value pairs are interleaved two
-   words per slot, so claiming a slot (key CAS + value CAS) dirties a single
-   line and persists with one flush. A line of key fingerprints sits between
+   reads or a recovery check inspects, so a hop along level 0 or 1 reads
+   each node's header line with one access ([line_addr]). Key/value pairs
+   are interleaved two words per slot, so claiming a slot (key CAS + value
+   CAS) dirties a single line and persists with one flush. A line of key fingerprints sits between
    the two, so a lookup reads the fingerprints — the whole line with one
    access ([read_fps]) — and then only the slot whose fingerprint matches
    instead of scanning the pairs. Next pointers above level 1 live at the
    block's tail, three levels to a line beside a copy of the anchor key, so
-   a hop above level 1 also reads one line per node, with one access
-   ([tower_line_addr]), and never the header. Every node reserves the full
-   tower, whatever its height, so the tower cap is [Config.max_height] for
-   every node (the cap the persistent-heap audit checks).
+   a hop above level 1 reads each node's tower line with one access
+   ([line_addr] again) and never the header: one access per line, at every
+   level. Every node reserves the full tower, whatever its height, so the
+   tower cap is [Config.max_height] for every node (the cap the
+   persistent-heap audit checks).
 
      word 0                epochID (failure-free epoch of last consistency
                            confirmation; block: free-list next)
@@ -55,24 +56,23 @@
    copies are written before the node is persisted and linked, and the
    anchor never changes, so they cannot go stale either. Recovery (Function
    10) runs only where a traversal reads a header line anyway, at levels 1
-   and 0 (see [Skiplist]).
+   and 0, on the epoch, lock and meta words of that copy (see [Skiplist]).
 
    Successor-key hints (Foresight): beside every next pointer sits a lower
-   bound on the anchor key of the node it points to, in the same line. Above
-   level 0 a traversal ends the level when the hint exceeds its key, without
-   entering the successor: at level 1 it reads the hint first and only a
-   hint at most the key costs the pointer; above level 1 the hint and
-   pointer come from one read of the line, whose copy is one instant's view.
-   The entered node is then checked by its own anchor. The bound holds at
-   every instant because anchors are immutable (below) and a writer lowers
-   the hint by CAS-min to the new successor's anchor before the pointer CAS
-   publishing it, so a hint never exceeds the anchor of the node its pointer
-   names at that moment, and a stop on the hint linearizes at the hint read.
-   Level 0 reads the pointer first and the hint second, because the
-   traversal records that successor (see [Skiplist.traverse]); the upper
-   successors a writer needs are loaded by [Skiplist.load_succs], pointer
-   first at level 1 and from one read of the line above it. A failed link
-   CAS or a snip leaves a hint stale-low, which is safe: the reader enters
+   bound on the anchor key of the node it points to, in the same line. A
+   traversal ends a level when the hint exceeds its key, without entering
+   the successor. The hint and the pointer come from one read of the line,
+   whose copy is one instant's view, at every level; the entered node is
+   then checked by its own anchor, from one read of its line. The bound
+   holds at every instant because anchors are immutable (below) and a
+   writer lowers the hint by CAS-min to the new successor's anchor before
+   the pointer CAS publishing it, so a hint never exceeds the anchor of the
+   node its pointer names at that moment, and a stop on the hint
+   linearizes at the hint read. So the level-0 successor the traversal
+   records comes with a bound that held when it was read (see
+   [Skiplist.traverse]); the upper successors a writer needs are loaded by
+   [Skiplist.load_succs] by the same rule. A failed link CAS or a snip
+   leaves a hint stale-low, which is safe: the reader enters
    the node, reads its anchor, and stops there. Levels a node is not yet
    linked at are written plainly, hint before pointer, before any reader can
    reach them there. Since a hint shares its pointer's line and is stored
@@ -259,17 +259,33 @@ let next mem ly n level = Riv.of_word (unmark (next_raw mem ly n level))
 
 let hint mem ly n level = Mem.read_field mem n (o_hint ly level)
 
-(* ---- tower-line copies ------------------------------------------------- *)
+(* ---- line copies ------------------------------------------------------- *)
 
-(* The address of [n]'s tower line of [level] (>= 2), which one access
-   ([Mem.read_line]) copies: the level's pointer, its hint and the anchor
-   copy, with the line's other two levels, as of one instant. *)
-let tower_line_addr mem ly n level = Mem.resolve mem n + tower_line ly level
+(* The address of the line a hop at [level] reads with one access
+   ([Mem.read_line]): the header line at levels 0 and 1, whose copy holds
+   both levels' pointers and hints, the anchor, the epoch, the meta word
+   and the lock word; above, [n]'s tower line of [level], whose copy holds
+   the level's pointer and hint and the anchor copy, with the line's other
+   two levels. Either copy is one instant's view. *)
+let line_addr mem ly n level =
+  if level <= 1 then Mem.resolve mem n else Mem.resolve mem n + tower_line ly level
 
-(* The fields of level [level] in such a copy. *)
-let line_next_raw words level = words.((level - 2) mod per_line)
-let line_hint words level = words.(per_line + ((level - 2) mod per_line))
-let line_anchor words = words.(2 * per_line)
+(* The fields of level [level] in such a copy ([o_next1h] follows
+   [o_next0] in the header). *)
+let line_next_raw words level =
+  if level <= 1 then words.(o_next0 + level) else words.((level - 2) mod per_line)
+
+let line_hint words level =
+  if level = 0 then words.(o_hint0)
+  else if level = 1 then words.(o_hint1)
+  else words.(per_line + ((level - 2) mod per_line))
+
+let line_anchor words level = if level <= 1 then words.(o_anchor) else words.(2 * per_line)
+
+(* The recovery fields of a header-line copy. *)
+let line_epoch words = words.(o_epoch)
+let line_meta words = words.(o_meta)
+let line_lock words = words.(o_lock)
 
 (* A level the node is not yet linked at (no reader can reach it there):
    hint first, then the pointer, so every image of the line keeps the

@@ -15,10 +15,11 @@
    Cache-conscious layout: every node takes one allocator block holding a
    full [max_height] tower array, as in the paper, and the hot header packs
    the hop-time fields (epoch, locks, anchor key, level-0 and level-1 next
-   pointers and their hints) into one cache line, so advancing along the
-   bottom two levels costs one simulated line per node. Above level 1 each
-   tower line carries a copy of the anchor, so a hop there reads one line,
-   with one access, and never the header.
+   pointers and their hints) into one cache line, so a hop along the
+   bottom two levels reads one line per node, with one access. Above
+   level 1 each tower line carries a copy of the anchor, so a hop there
+   reads one line, with one access, and never the header: one access per
+   line, at every level.
 
    Each node carries a line of 7-bit key fingerprints (see Node), so the
    in-node lookup reads the fingerprint line, with one access, and only
@@ -56,8 +57,10 @@ type t = {
   height_rngs : Sim.Rng.t array;
   fp_bufs : int array array;
       (* tid -> the fingerprint words of the node its lookup or claim
-         last read ([Node.read_fps]), or the tower line its walk last
-         copied above level 1; none of these uses runs inside another *)
+         last read ([Node.read_fps]), or the line its walk last copied: a
+         header line at levels 1 and 0, a tower line above. A recovery
+         claim can run a nested traversal that overwrites it, so a walk
+         copies its line again after a claim *)
   ops : Block_alloc.node_ops;
   reclaim : Reclaim.t option;  (* present iff cfg.reclaim_empty_nodes *)
   top : int Atomic.t;
@@ -278,13 +281,6 @@ let populate_levels t ~node ~succs ~bounds ~from_level ~to_level =
       ~first:(Node.o_next t.ly lo)
       ~words:(Node.o_hint t.ly to_level - Node.o_next t.ly lo + 1)
 
-(* Is [cur], reached at [level], retired (its word there marked)? Only
-   with reclamation on; the tail never is. *)
-let retired t cur level =
-  t.reclaim <> None
-  && (not (Riv.equal cur t.tail))
-  && Node.is_marked (Node.next_raw t.mem t.ly cur level)
-
 (* Snip the retired [cur] out of [pred]'s [level] and persist the snip
    immediately (Section 4.4's recoverable snipping); [pred]'s hint stays a
    lower bound. Returns [pred]'s next word after the attempt, marked when
@@ -302,75 +298,65 @@ let record_succ f level pred cur bound =
   f.succs.(level) <- cur;
   f.bounds.(level) <- bound
 
-(* ---- tower-line copies ------------------------------------------------- *)
+(* ---- line copies ------------------------------------------------------- *)
 
-(* A walk above level 1 reads each tower line it uses with one access,
-   into its thread's [fp_bufs] buffer. The copy's last word, a spare in
-   every tower line, then records the address of the line it holds (0:
-   none), so a walk that stays on one node and one line reads it once. *)
+(* A hop reads each line it uses with one access, into its thread's
+   [fp_bufs] buffer: a node's header line at levels 0 and 1, its tower
+   line above. A tower copy's last word, a spare in every tower line,
+   then records the address of the line it holds (0: none), so a walk
+   that stays on one node and one line reads it once. A header line has
+   no spare word (its last is the level-1 pointer): a header copy is made
+   on every use and records nothing, so a walk that copies a header
+   before a tower line clears the record first. *)
 let held = Config.line_words - 1
 
-(* Copy the line at [a] unless the copy holds it already. *)
+(* Copy the tower line at [a] unless the copy holds it already. *)
 let copy_line t buf a =
   if buf.(held) <> a then begin
     Mem.read_line t.mem a buf 0;
     buf.(held) <- a
   end
 
-(* Stand on [n]'s tower line of [level] (>= 2), or enter [n] there: either
-   way the copy holds that line afterwards. *)
-let copy_tower_line t buf n level =
-  copy_line t buf (Node.tower_line_addr t.mem t.ly n level)
+let copy_header t buf n = Mem.read_line t.mem (Node.line_addr t.mem t.ly n 0) buf 0
+
+(* Stand on [n]'s line of [level], or enter [n] there: either way the copy
+   holds that line afterwards. *)
+let copy_hop_line t buf n level =
+  if level <= 1 then copy_header t buf n
+  else copy_line t buf (Node.line_addr t.mem t.ly n level)
 
 let line_next buf level = Riv.of_word (Node.unmark (Node.line_next_raw buf level))
 
-(* [retired] for a node whose line the copy holds: its mark is there. *)
+(* Is [cur], whose line of [level] the copy holds, retired (its word there
+   marked)? Only with reclamation on; the tail never is. *)
 let retired_in_copy t buf cur level =
   t.reclaim <> None
   && (not (Riv.equal cur t.tail))
   && Node.is_marked (Node.line_next_raw buf level)
 
-(* The successor at [level] of a walk for [key] now at [pred], whose next
-   word there is [cur]: pointer first, hint second, as level 0 reads
-   them, moving on past nodes whose anchor is at most [key] and snipping
-   retired ones. Records pred, successor and bound in [f] at [level]. A
-   retired [pred] ends the walk on the successor its marked word names
+(* The successor at [level] (>= 1) of a walk for [key] now at [pred], whose
+   pointer and hint there are [cur] and [bound] as of one copy of its
+   line. Entering a node reads its line once, for its mark, its anchor
+   and, when the walk moves on, its pointer and hint. Moves on past nodes
+   whose anchor is at most [key], snipping retired ones (a snip keeps its
+   word reads), and records pred, successor and bound in [f] at [level].
+   A retired [pred] ends the walk on the successor its marked word names
    for good, bounded by a hint read after that word: a link CAS at [pred]
-   fails, and its caller traverses again. Level 1 only: above it,
-   [walk_succ_upper]. *)
-let rec walk_succ t ~tid f key level pred cur =
-  let bound = Node.hint t.mem t.ly pred level in
-  if bound > key then record_succ f level pred cur bound
-  else if retired t cur level then begin
-    let w = snip t ~tid ~pred ~cur level in
-    if Node.is_marked w then
-      record_succ f level pred (Riv.of_word (Node.unmark w)) (Node.hint t.mem t.ly pred level)
-    else walk_succ t ~tid f key level pred (Riv.of_word w)
-  end
-  else begin
-    let k0 = Node.key0 t.mem cur in
-    if k0 <= key then walk_succ t ~tid f key level cur (Node.next t.mem t.ly cur level)
-    else record_succ f level pred cur k0
-  end
-
-(* [walk_succ] above level 1: [cur] and [bound] are [pred]'s pointer and
-   hint as of one read of its line, and entering a node reads its line
-   once, for its mark, its anchor and, when the walk moves on, its pointer
-   and hint. A snip keeps its word reads. *)
-let rec walk_succ_upper t ~tid buf f key level pred cur bound =
+   fails, and its caller traverses again. *)
+let rec walk_succ t ~tid buf f key level pred cur bound =
   if bound > key then record_succ f level pred cur bound
   else begin
-    copy_tower_line t buf cur level;
+    copy_hop_line t buf cur level;
     if retired_in_copy t buf cur level then begin
       let w = snip t ~tid ~pred ~cur level in
       let hint = Node.hint t.mem t.ly pred level in
       if Node.is_marked w then record_succ f level pred (Riv.of_word (Node.unmark w)) hint
-      else walk_succ_upper t ~tid buf f key level pred (Riv.of_word w) hint
+      else walk_succ t ~tid buf f key level pred (Riv.of_word w) hint
     end
     else begin
-      let k0 = Node.line_anchor buf in
+      let k0 = Node.line_anchor buf level in
       if k0 <= key then
-        walk_succ_upper t ~tid buf f key level cur (line_next buf level) (Node.line_hint buf level)
+        walk_succ t ~tid buf f key level cur (line_next buf level) (Node.line_hint buf level)
       else record_succ f level pred cur k0
     end
   end
@@ -386,15 +372,13 @@ let load_succs t ~tid f key ~from_level ~to_level =
   buf.(held) <- 0;
   for level = from_level to to_level do
     let pred = f.preds.(level) in
-    if level = 1 then walk_succ t ~tid f key level pred (Node.next t.mem t.ly pred level)
-    else begin
-      copy_tower_line t buf pred level;
-      walk_succ_upper t ~tid buf f key level pred (line_next buf level) (Node.line_hint buf level)
-    end
+    copy_hop_line t buf pred level;
+    walk_succ t ~tid buf f key level pred (line_next buf level) (Node.line_hint buf level);
+    if level = 1 then buf.(held) <- 0
   done
 
 (* One level above 1 of a traversal for [key], from [pred], as
-   [walk_succ_upper] walks it. Returns the node the level ends on, or
+   [walk_succ] walks it. Returns the node the level ends on, or
    [Riv.null] when [pred] turned out retired: the traversal restarts from
    the head, which snips it. *)
 let rec walk_upper t ~tid buf key level pred cur bound =
@@ -404,14 +388,14 @@ let rec walk_upper t ~tid buf key level pred cur bound =
     pred
   end
   else begin
-    copy_tower_line t buf cur level;
+    copy_hop_line t buf cur level;
     if retired_in_copy t buf cur level then begin
       let w = snip t ~tid ~pred ~cur level in
       if Node.is_marked w then Riv.null
       else walk_upper t ~tid buf key level pred (Riv.of_word w) (Node.hint t.mem t.ly pred level)
     end
     else begin
-      let k0 = Node.line_anchor buf in
+      let k0 = Node.line_anchor buf level in
       if k0 <= key then
         walk_upper t ~tid buf key level cur (line_next buf level) (Node.line_hint buf level)
       else begin
@@ -425,25 +409,35 @@ let rec walk_upper t ~tid buf key level pred cur bound =
 (* Forward declarations resolved below: traversal and tower building are
    mutually recursive with recovery.
 
-   Read order. Anchors never change, and a writer lowers a hint (CAS-min)
-   before it publishes a pointer, so at every instant, and in every
-   persisted line, a hint is at most the anchor of the node its pointer
-   currently names. Above level 1 a hop reads one tower line, once:
-   standing on a node's line gives the level's hint and pointer, and
-   entering the successor reads its line, whose anchor copy the hop routes
-   by and which gives the next hint and pointer when the walk moves on.
-   The walk reuses the copy while it stays on one node and one line
-   (levels 2-4, 5-7, ...); every attempt starts with none. A copy is one
-   instant's view, so the rule above holds in it: a hint above [key] ends
-   the level, linearized at the read, without entering the successor, and
-   a hint at most [key] sends the walk into the node its pointer names,
-   checked by its own anchor. At level 1 the traversal reads the pred's
-   hint first and loads the pointer only when the hint does not end the
-   level; a pointer newer than the hint is harmless for the same reason.
-   Level 0 keeps pointer first, hint second, because its successor is
-   recorded: [relinked], [miss_raced_split], [insert_into_existing] and
-   the split's link CAS compare against it. The upper successors are not recorded;
-   [load_succs] loads them where a writer needs them. *)
+   The hop rule, at every level. Anchors never change, and a writer
+   lowers a hint (CAS-min) before it publishes a pointer, so at every
+   instant, and in every persisted line, a hint is at most the anchor of
+   the node its pointer currently names. A hop reads each line it uses
+   once, with one access: the node's header line at levels 1 and 0, its
+   tower line of the level above. Standing on a node's line gives the
+   level's hint and pointer; entering the successor reads its line, whose
+   anchor (or anchor copy) the hop routes by, whose mark says whether it
+   is retired, whose epoch, lock and meta words the recovery claim at
+   levels 1 and 0 inspects, and which gives the next hint and pointer
+   when the walk moves on. A copy is one instant's view, so the rule above
+   holds in it: a hint above [key] ends the level, linearized at the read,
+   without entering the successor, and a hint at most [key] sends the walk
+   into the node its pointer names, checked by its own anchor. Level 0's
+   recorded successor ([relinked], [miss_raced_split],
+   [insert_into_existing] and the split's link CAS compare against it)
+   and its bound come from one copy, so the bound held for it.
+
+   Above level 1 the walk reuses a tower copy while it stays on one node
+   and one line (levels 2-4, 5-7, ...). Level 1 copies the header of the
+   node it starts on, and level 0 starts on the copy level 1 ended on
+   unless a snip or an overshoot left another node's line in the buffer.
+   A claim can run a nested traversal ([check_insert_recovery] ->
+   [first_unlinked]), which overwrites the buffer: a claim that repairs
+   nothing copies the line again ([check_for_recovery]), and one that
+   repairs restarts the traversal. Snips, the validation reads after the
+   traversal, and every CAS, flush and fence stay word accesses. The
+   upper successors are not recorded; [load_succs] loads them where a
+   writer needs them. *)
 let rec traverse t ~tid ~recover key =
   let h = t.cfg.Config.max_height in
   let preds = Array.make h t.head in
@@ -455,11 +449,12 @@ let rec traverse t ~tid ~recover key =
     let pred = ref t.head in
     let buf = t.fp_bufs.(tid) in
     buf.(held) <- 0;
-    (* Function 10, run only on a node whose header line the hop reads
-       anyway: at levels 1 and 0. A repair restarts the traversal. *)
+    (* Function 10, on the node whose header line the buffer holds: run
+       only where a hop reads a header line anyway, at levels 1 and 0. A
+       repair restarts the traversal. *)
     let claim n =
       recover
-      && check_for_recovery t ~tid ~cur:n ~recoveries:!recoveries
+      && check_for_recovery t ~tid ~cur:n ~hdr:t.fp_bufs.(tid) ~recoveries:!recoveries
       && begin
            incr recoveries;
            obs_event ~tid Obs.id_restart key;
@@ -467,38 +462,43 @@ let rec traverse t ~tid ~recover key =
            true
          end
     in
+    (* the node whose header line the buffer holds, if any *)
+    let copied = ref Riv.null in
     (* levels above [top] are head -> tail: preds already say so (and
        [top] only grows, so a restart overwrites every level an earlier
        attempt filled) *)
     let level = ref (Atomic.get t.top) in
     while (not !restart) && !level >= 0 do
       let l = !level in
-      (* [cur] is [Riv.null] while the pointer is not loaded: at level 1 it
-         is loaded only once the hint fails to end the level *)
       let cur = ref Riv.null and bound = ref Node.tail_key in
       if l >= 2 then begin
-        copy_tower_line t buf !pred l;
+        copy_hop_line t buf !pred l;
         let p = walk_upper t ~tid buf key l !pred (line_next buf l) (Node.line_hint buf l) in
         if Riv.is_null p then restart := true else pred := p
       end
       else begin
+        if not (Riv.equal !copied !pred) then begin
+          copy_header t buf !pred;
+          copied := !pred
+        end;
         (* a pred moved onto above level 1 was only routed by its anchor:
-           claim it before its header line is used. Level 0 starts on the
-           node level 1 ended on, already claimed there. *)
+           claim it before its line is used. Level 0 starts on the node
+           level 1 ended on, already claimed there. *)
         if l = 1 && not (Riv.equal !pred t.head) then ignore (claim !pred : bool);
-        if l = 0 then cur := Node.next t.mem t.ly !pred 0;
-        bound := Node.hint t.mem t.ly !pred l;
+        cur := line_next buf l;
+        bound := Node.line_hint buf l;
         let walking = ref true in
         while !walking && not !restart do
           if !bound > key then begin
-            (* the successor overshoots: end the level without loading it *)
+            (* the successor overshoots: end the level without entering it *)
             Obs.bump ~tid Obs.id_hint_stop;
             walking := false
           end
           else begin
-            if Riv.is_null !cur then cur := Node.next t.mem t.ly !pred l;
+            copy_header t buf !cur;
+            copied := !cur;
             if claim !cur then ()
-            else if retired t !cur l then begin
+            else if retired_in_copy t buf !cur l then begin
               (* a pred retired since the traversal moved onto it is snipped
                  by a restart from the head *)
               let w = snip t ~tid ~pred:!pred ~cur:!cur l in
@@ -509,11 +509,11 @@ let rec traverse t ~tid ~recover key =
               end
             end
             else begin
-              let k0 = Node.key0 t.mem !cur in
+              let k0 = Node.line_anchor buf l in
               if k0 <= key then begin
                 pred := !cur;
-                cur := if l = 0 then Node.next t.mem t.ly !pred 0 else Riv.null;
-                bound := Node.hint t.mem t.ly !pred l
+                cur := line_next buf l;
+                bound := Node.line_hint buf l
               end
               else begin
                 (* a stale-low hint let the traversal enter an overshoot *)
@@ -549,9 +549,12 @@ let rec traverse t ~tid ~recover key =
   attempt ()
 
 (* Function 10: claim a node left behind by a previous failure-free epoch
-   and repair what can be broken there. Returns true when a repair was
-   performed (the caller restarts its traversal and counts it against
-   [recovery_budget]); a claim that repairs nothing returns false.
+   and repair what can be broken there, judged from [hdr], a copy of its
+   header line (its epoch, lock and meta words). Returns true when a
+   repair was performed (the caller restarts its traversal and counts it
+   against [recovery_budget]); a claim that repairs nothing returns false
+   and copies the header line into [hdr] again, since the claim may have
+   run a traversal that overwrote it (the buffer is its thread's).
 
    Two things can be broken. An interrupted split leaves the writer bit
    set under an older stamp (stale readers vanish via the stamp, and a
@@ -569,22 +572,24 @@ let rec traverse t ~tid ~recover key =
    The epoch CAS is not flushed: no recovery step reads a node's epoch
    from the persistent image, and a bump a crash loses only means a second
    claim, whose repairs find nothing left to do. *)
-and check_for_recovery t ~tid ~cur ~recoveries =
+and check_for_recovery t ~tid ~cur ~hdr ~recoveries =
   if Riv.equal cur t.tail then false
   else begin
-    let node_epoch = Node.epoch t.mem cur in
+    let node_epoch = Node.line_epoch hdr in
     if node_epoch = Mem.epoch t.mem then false
     else begin
-      let split =
-        Node.Lock.interrupted ~epoch:(Mem.epoch t.mem) (Node.Lock.word t.mem cur)
-      in
-      let meta = Node.meta t.mem cur in
+      let split = Node.Lock.interrupted ~epoch:(Mem.epoch t.mem) (Node.line_lock hdr) in
+      let meta = Node.line_meta hdr in
       let tower =
         Node.meta_height meta > 1
         && Block_alloc.names_in_flight t.mem ~tid:(Node.meta_tid meta) cur
       in
       if tower && (not split) && recoveries >= t.cfg.Config.recovery_budget then false
-      else claim_node t ~tid cur ~node_epoch ~split ~tower = Some true
+      else begin
+        let repaired = claim_node t ~tid cur ~node_epoch ~split ~tower = Some true in
+        if not repaired then copy_header t hdr cur;
+        repaired
+      end
     end
   end
 
@@ -1180,7 +1185,8 @@ let mem_key t ~tid key = search t ~tid key <> None
 
 (* Strictly linearizable range scan (the paper's Ch. 7 follow-up; DESIGN
    "Range scans"). One collect along level 0 records each node's lock word
-   and raw level-0 next word beside its pairs, once no writer and no
+   and raw level-0 next word, from one copy of its header line (which
+   also gives the anchor and the claim's words), beside its pairs, once no writer and no
    current-epoch slot writer holds the node; a validation pass re-reads
    those words, and any change restarts the scan. A node from an older
    epoch is repaired first, as a traversal does. A retired node (marked
@@ -1195,31 +1201,36 @@ let range_impl t ~tid ~lo ~hi =
       backoff t ~tid;
       scan recoveries
     in
+    let hdr = t.fp_bufs.(tid) in
     let rec collect n seen pairs =
-      if Riv.equal n t.tail || Node.key0 t.mem n > hi then validate seen pairs
-      else if check_for_recovery t ~tid ~cur:n ~recoveries then scan (recoveries + 1)
+      if Riv.equal n t.tail then validate seen pairs
       else begin
-        let w = Node.Lock.word t.mem n in
-        let next = Node.next_raw t.mem t.ly n 0 in
-        let retired = Node.is_marked next in
-        if retired && seen = [] then restart ()
-        else if
-          (not retired)
-          && (Node.Lock.is_write_locked w || Node.Lock.readers_at ~epoch w > 0)
-        then begin
-          backoff t ~tid;
-          collect n seen pairs
-        end
+        copy_header t hdr n;
+        if Node.line_anchor hdr 0 > hi then validate seen pairs
+        else if check_for_recovery t ~tid ~cur:n ~hdr ~recoveries then scan (recoveries + 1)
         else begin
-          let pairs = ref pairs in
-          for i = 0 to k - 1 do
-            let ki = Node.key t.mem t.ly n i in
-            if ki >= lo && ki <= hi then begin
-              let v = Node.value t.mem t.ly n i in
-              if v <> Node.tombstone then pairs := (ki, v) :: !pairs
-            end
-          done;
-          collect (Riv.of_word (Node.unmark next)) ((n, w, next) :: seen) !pairs
+          let w = Node.line_lock hdr in
+          let next = Node.line_next_raw hdr 0 in
+          let retired = Node.is_marked next in
+          if retired && seen = [] then restart ()
+          else if
+            (not retired)
+            && (Node.Lock.is_write_locked w || Node.Lock.readers_at ~epoch w > 0)
+          then begin
+            backoff t ~tid;
+            collect n seen pairs
+          end
+          else begin
+            let pairs = ref pairs in
+            for i = 0 to k - 1 do
+              let ki = Node.key t.mem t.ly n i in
+              if ki >= lo && ki <= hi then begin
+                let v = Node.value t.mem t.ly n i in
+                if v <> Node.tombstone then pairs := (ki, v) :: !pairs
+              end
+            done;
+            collect (Riv.of_word (Node.unmark next)) ((n, w, next) :: seen) !pairs
+          end
         end
       end
     and validate seen pairs =

@@ -304,11 +304,12 @@ let arena_head_ptr ~pool ~arena = riv_of_root ~pool ~word:(arena_heads + arena)
 let arena_tail_ptr ~pool ~arena = riv_of_root ~pool ~word:(arena_tails + arena)
 
 (* Carve an initial chunk per arena with pokes so that every free list has
-   a head block before the first simulated operation. *)
+   a head block before the first simulated operation. The magic word
+   validates the pool header, so it is poked last, once the pool's arenas
+   are carved: [reconnect] refuses a pool without it. *)
 let format t =
   let cfg = Pmem.config t.pmem in
   for pool = 0 to cfg.Pmem.n_pools - 1 do
-    Pmem.poke t.pmem (Pmem.addr ~pool ~word:magic_word) magic;
     Pmem.poke t.pmem (Pmem.addr ~pool ~word:bump_word) chunks_start;
     Pmem.poke t.pmem (Pmem.addr ~pool ~word:epoch_word) 1;
     for arena = 0 to t.n_arenas - 1 do
@@ -329,7 +330,8 @@ let format t =
       done;
       poke_ptr t (arena_head_ptr ~pool ~arena) 0 (block 0);
       poke_ptr t (arena_tail_ptr ~pool ~arena) 0 (block (n - 1))
-    done
+    done;
+    Pmem.poke t.pmem (Pmem.addr ~pool ~word:magic_word) magic
   done;
   t.epoch <- 1
 
@@ -338,8 +340,13 @@ let format t =
 (* Reconnect after a failure: advance the failure-free epoch and drop the
    DRAM address cache. Everything else (log checks, free-list repair,
    structure repair) is deferred into normal operation, so this is O(pools)
-   regardless of structure size. *)
+   regardless of structure size. A pool whose magic word is wrong was never
+   completely formatted: it is refused with [Invalid_argument]. *)
 let reconnect t =
+  for pool = 0 to n_pools t - 1 do
+    if Pmem.peek t.pmem (Pmem.addr ~pool ~word:magic_word) <> magic then
+      invalid_arg (Printf.sprintf "Mem.reconnect: pool %d has no valid magic word" pool)
+  done;
   let a = Pmem.addr ~pool:0 ~word:epoch_word in
   let e = Pmem.peek t.pmem a + 1 in
   Pmem.poke t.pmem a e;

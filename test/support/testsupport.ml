@@ -130,6 +130,15 @@ let trial_events spec () =
   (Harness.Fault.run_trial { spec with Harness.Fault.crash_at = max_int })
     .Harness.Fault.completed_events
 
+(* A campaign grid of [points] crash points over [spec]'s crash-free run:
+   the first [first] of the way through it, the rest [stride] apart, each
+   displaced by up to [jitter] of it (all fractions of the run), so the
+   grid stays inside the workload whatever its length. *)
+let dry_run_grid spec ~first ~stride ~jitter ~points =
+  let events = trial_events spec () in
+  let at f = crash_point f ~dry_run:(fun () -> events) in
+  { Harness.Fault.origin = at first; stride = at stride; points; jitter = at jitter }
+
 let make_mem ?(block_words = 64) ?(blocks_per_chunk = 32) ?(n_arenas = 4) pmem =
   let mem =
     Mem.create ~pmem ~chunk_words:(blocks_per_chunk * block_words)
@@ -218,26 +227,21 @@ let check_pairs msg expected actual =
 
 (* Single-crash campaign: [trials] trials of the fixture [base] names (its
    workload shape, evict and seeds replaced), one per crash point spread
-   over [crash_events, 1.5 * crash_events), each dirty line persisting with
-   probability [evict] (default 0) at the crash. Audit errors count as
+   over [from, 1.5 * from) of the way through the workload's crash-free
+   run (a dry run, so [from] at most 0.6 keeps the grid inside it), each
+   dirty line persisting with probability [evict] (default 0) at the
+   crash. Audit errors count as
    failures; a trial whose workload ends before its crash point fails the
    campaign, naming the point and the run's length. *)
-let crash_campaign ~base ?(evict = 0.0) ~threads ~keyspace ~ops_per_thread
-    ~crash_events ~seed ~trials () =
+let crash_campaign ~base ?(evict = 0.0) ~threads ~keyspace ~ops_per_thread ~from ~seed
+    ~trials () =
+  let base = { base with Harness.Fault.threads; keyspace; ops_per_thread; evict; draw_seed = seed; seed } in
+  let crash_events = crash_point from ~dry_run:(trial_events base) in
   let step = max 1 (crash_events / (2 * trials)) in
   let s =
     Harness.Fault.run_campaign
       {
-        Harness.Fault.base =
-          {
-            base with
-            threads;
-            keyspace;
-            ops_per_thread;
-            evict;
-            draw_seed = seed;
-            seed;
-          };
+        Harness.Fault.base;
         grid = { origin = crash_events; stride = step; points = trials; jitter = step };
         draws = 1;
       }

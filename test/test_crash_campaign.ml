@@ -14,44 +14,31 @@ let keyspace = 120
 let ops_per_thread = 100
 let seed = 1234
 
-let campaign ?(crash_events = 8_000) ?evict name base ~trials =
+(* The campaign grid starts 60 % of the way through [base]'s crash-free
+   run (a dry run of the same workload), so it stays inside the run
+   whatever its length. *)
+let campaign ?evict name base ~trials =
   let s =
-    crash_campaign ~base ?evict ~threads ~keyspace ~ops_per_thread ~crash_events ~seed
-      ~trials ()
+    crash_campaign ~base ?evict ~threads ~keyspace ~ops_per_thread ~from:0.6 ~seed ~trials ()
   in
   print_failures name s;
   check_int (name ^ ": no strict-linearizability violations") 0
     (List.length s.Fault.failures)
 
-(* UPSkipList's default workload here runs ~10.0K events, so its grids
-   start at 6K and end by 9K, inside the run. *)
-let test_upskiplist_campaign () =
-  campaign ~crash_events:6_000 "UPSkipList" Fault.default_spec ~trials:6
+let test_upskiplist_campaign () = campaign "UPSkipList" Fault.default_spec ~trials:6
 
 let test_upskiplist_optane_campaign () =
-  (* realistic latency model changes interleavings and crash surfaces; the
-     grid starts 60 % of the way through the workload's crash-free run *)
-  let base = { Fault.default_spec with latency = Harness.Kv.Optane } in
-  let crash_events =
-    crash_point 0.6
-      ~dry_run:(trial_events { base with threads; keyspace; ops_per_thread; seed })
-  in
-  campaign ~crash_events "UPSkipList/optane" base ~trials:3
+  (* realistic latency model changes interleavings and crash surfaces *)
+  campaign "UPSkipList/optane" { Fault.default_spec with latency = Harness.Kv.Optane } ~trials:3
 
 let test_upskiplist_eviction_campaign () =
   (* random line evictions at crash time (more persisted states) *)
-  campaign ~crash_events:6_000 ~evict:0.5 "UPSkipList/evict" Fault.default_spec
-    ~trials:3
+  campaign ~evict:0.5 "UPSkipList/evict" Fault.default_spec ~trials:3
 
 let test_upskiplist_small_nodes_campaign () =
-  let base =
+  campaign "UPSkipList/K4"
     { Fault.default_spec with cfg = { Upskiplist.Config.default with keys_per_node = 4 } }
-  in
-  let crash_events =
-    crash_point 0.6
-      ~dry_run:(trial_events { base with threads; keyspace; ops_per_thread; seed })
-  in
-  campaign ~crash_events "UPSkipList/K4" base ~trials:3
+    ~trials:3
 
 let test_bztree_campaign () =
   campaign "BzTree"
@@ -64,21 +51,21 @@ let test_pmdk_campaign () =
     ~trials:4
 
 let test_striped_campaign () =
-  campaign ~crash_events:6_000 "UPSkipList/striped"
+  campaign "UPSkipList/striped"
     { Fault.default_spec with mode = Pmem.Striped }
     ~trials:3
 
 (* ---- adversarial campaigns (Fault) -------------------------------------- *)
 
-let adversarial_base =
-  {
-    Fault.default_spec with
-    threads = 4;
-    keyspace = 120;
-    ops_per_thread = 100;
-    crash_at = 6_000;
-    draw_seed = 3;
-  }
+(* Crashed 60 % of the way through its crash-free run. *)
+let adversarial_base () =
+  let base =
+    { Fault.default_spec with threads = 4; keyspace = 120; ops_per_thread = 100; draw_seed = 3 }
+  in
+  { base with crash_at = crash_point 0.6 ~dry_run:(trial_events base) }
+
+(* Two crash points, at 40 % and 75 % of the way through [base]'s run. *)
+let two_point_grid base = dry_run_grid base ~first:0.4 ~stride:0.35 ~jitter:0.05 ~points:2
 
 let expect_clean name (r : Fault.result) =
   List.iter
@@ -92,7 +79,7 @@ let expect_clean name (r : Fault.result) =
    a consistent structure, and the same draw twice must reproduce the exact
    same trial. *)
 let test_subset_adversary_draws () =
-  let base = { adversarial_base with evict = 0.5 } in
+  let base = { (adversarial_base ()) with evict = 0.5 } in
   List.iter
     (fun draw ->
       let r = Fault.run_spec { base with draw_seed = draw } in
@@ -116,13 +103,8 @@ let test_subset_adversary_draws () =
    one that catches a lookup that misses on an unconfirmed node without
    repairing its fingerprint line. *)
 let test_upskiplist_multi_crash_campaign () =
-  let c =
-    {
-      Fault.base = { adversarial_base with depth = 2; rounds = 2 };
-      grid = { Fault.origin = 4_000; stride = 3_000; points = 2; jitter = 400 };
-      draws = 2;
-    }
-  in
+  let base = { (adversarial_base ()) with depth = 2; rounds = 2 } in
+  let c = { Fault.base; grid = two_point_grid base; draws = 2 } in
   let s = Fault.run_campaign c in
   check_int "every trial crashed" s.Fault.trials s.Fault.crashed_trials;
   check_bool "audits ran after every completed recovery" true
@@ -142,14 +124,8 @@ let tall_only_cfg =
   { Upskiplist.Config.default with max_height = 40; branching_p = 0.75 }
 
 let test_tall_only_multi_crash_campaign () =
-  let c =
-    {
-      Fault.base =
-        { adversarial_base with depth = 2; rounds = 2; cfg = tall_only_cfg };
-      grid = { Fault.origin = 4_000; stride = 3_000; points = 2; jitter = 400 };
-      draws = 2;
-    }
-  in
+  let base = { (adversarial_base ()) with depth = 2; rounds = 2; cfg = tall_only_cfg } in
+  let c = { Fault.base; grid = two_point_grid base; draws = 2 } in
   let s = Fault.run_campaign c in
   check_int "every trial crashed" s.Fault.trials s.Fault.crashed_trials;
   check_bool "audits ran after every completed recovery" true
@@ -165,14 +141,10 @@ let test_tall_only_multi_crash_campaign () =
    depth-2 adversary actually crashes recovery itself: more power failures
    than trials. *)
 let test_bztree_crash_during_recovery () =
-  let c =
-    {
-      Fault.base =
-        { adversarial_base with structure = Harness.Kv.Bztree; depth = 2; draw_seed = 17 };
-      grid = { Fault.origin = 5_000; stride = 4_000; points = 2; jitter = 300 };
-      draws = 2;
-    }
+  let base =
+    { (adversarial_base ()) with structure = Harness.Kv.Bztree; depth = 2; draw_seed = 17 }
   in
+  let c = { Fault.base; grid = two_point_grid base; draws = 2 } in
   let s = Fault.run_campaign c in
   check_int "every trial crashed" s.Fault.trials s.Fault.crashed_trials;
   check_bool "recovery itself was crashed" true

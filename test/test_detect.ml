@@ -217,23 +217,24 @@ let test_skip_resolve_double_applies () =
 
 (* ---- detect fault campaigns ---------------------------------------------- *)
 
+(* Crashed 60 % of the way through its crash-free run. *)
 let detect_spec =
-  {
-    Fault.default_spec with
-    threads = 4;
-    keyspace = 60;
-    ops_per_thread = 60;
-    crash_at = 4_000;
-    draw_seed = 5;
-    detect = true;
-  }
+  let base =
+    {
+      Fault.default_spec with
+      threads = 4;
+      keyspace = 60;
+      ops_per_thread = 60;
+      draw_seed = 5;
+      detect = true;
+    }
+  in
+  { base with crash_at = crash_point 0.6 ~dry_run:(trial_events base) }
 
+(* Six crash points from 20 % to about 85 % of the way through [base]'s
+   crash-free run, each displaced by up to 4 % of it. *)
 let campaign base =
-  {
-    Fault.base;
-    grid = { Fault.origin = 1_500; stride = 900; points = 6; jitter = 300 };
-    draws = 2;
-  }
+  { Fault.base; grid = dry_run_grid base ~first:0.2 ~stride:0.13 ~jitter:0.04 ~points:6; draws = 2 }
 
 let test_detect_spec_roundtrip () =
   let s = detect_spec in
@@ -243,7 +244,7 @@ let test_detect_spec_roundtrip () =
 
 let test_detect_campaign_clean () =
   let sum = Fault.run_campaign (campaign detect_spec) in
-  check_bool "trials crashed" true (sum.Fault.crashed_trials > 0);
+  check_int "every trial crashed" sum.Fault.trials sum.Fault.crashed_trials;
   check_int "no violations" 0 sum.Fault.violation_trials;
   check_int "no audit failures" 0 sum.Fault.audit_failures;
   check_int "no failures" 0 (List.length sum.Fault.failures);
@@ -255,7 +256,7 @@ let test_detect_campaign_clean () =
    pass must be idempotent under repeated interruption. *)
 let test_detect_depth2_grid () =
   let sum = Fault.run_campaign (campaign { detect_spec with depth = 2 }) in
-  check_bool "trials crashed" true (sum.Fault.crashed_trials > 0);
+  check_int "every trial crashed" sum.Fault.trials sum.Fault.crashed_trials;
   check_bool "recovery was re-crashed" true
     (sum.Fault.total_crashes > sum.Fault.crashed_trials);
   check_int "no violations" 0 sum.Fault.violation_trials;
@@ -265,6 +266,7 @@ let test_skip_resolve_mutant_caught () =
   let sum =
     Fault.run_campaign (campaign { detect_spec with mutant = "skip_resolve" })
   in
+  check_int "every trial crashed" sum.Fault.trials sum.Fault.crashed_trials;
   check_bool "campaign caught the skipped resolve pass" true
     (sum.Fault.violation_trials > 0)
 
@@ -274,6 +276,7 @@ let test_detect_campaign_jobs_parity () =
   let c = campaign { detect_spec with mutant = "skip_resolve" } in
   let a = Fault.run_campaign ~jobs:1 c in
   let b = Fault.run_campaign ~jobs:4 c in
+  check_int "every trial crashed" a.Fault.trials a.Fault.crashed_trials;
   check_int "same trials" a.Fault.trials b.Fault.trials;
   check_int "same crashed trials" a.Fault.crashed_trials b.Fault.crashed_trials;
   check_int "same total crashes" a.Fault.total_crashes b.Fault.total_crashes;

@@ -223,16 +223,23 @@ let test_fp_concurrent () =
   check_no_invariant_errors fx.sl
 
 let test_fp_crash_recovery () =
+  let inserts fx acked =
+    List.init 4 (fun _ ~tid ->
+        for i = 0 to 299 do
+          let k = 1 + (i * 4) + tid in
+          ignore (SL.upsert fx.sl ~tid k (k * 2));
+          acked.(tid) <- k :: acked.(tid)
+        done)
+  in
+  (* crash 60 % of the way through the inserts' crash-free run *)
+  let events =
+    crash_point 0.6 ~dry_run:(fun () ->
+        let fx = make_skiplist ~cfg:fp_cfg () in
+        snd (run fx.pmem (inserts fx (Array.make 4 []))))
+  in
   let fx = make_skiplist ~cfg:fp_cfg () in
   let acked = Array.make 4 [] in
-  let body ~tid =
-    for i = 0 to 299 do
-      let k = 1 + (i * 4) + tid in
-      ignore (SL.upsert fx.sl ~tid k (k * 2));
-      acked.(tid) <- k :: acked.(tid)
-    done
-  in
-  ignore (run_crash fx.pmem ~events:40_000 (List.init 4 (fun _ -> body)));
+  ignore (run_crash fx.pmem ~events (inserts fx acked));
   crash_and_reconnect fx;
   check_int "audit clean" 0 (List.length (SL.audit_persistent fx.sl));
   run1 fx.pmem (fun ~tid ->
@@ -247,7 +254,7 @@ let test_fp_lincheck_campaign () =
     crash_campaign
       ~base:{ Harness.Fault.default_spec with cfg = fp_cfg }
       ~threads:4 ~keyspace:120 ~ops_per_thread:100
-      ~crash_events:7_000 ~seed:777 ~trials:3 ()
+      ~from:0.6 ~seed:777 ~trials:3 ()
   in
   print_failures "fingerprint" s;
   check_int "strictly linearizable with small fingerprinted nodes" 0
@@ -749,17 +756,15 @@ let tower_reads fx nodes reads = List.filter_map (tower_line_of fx nodes) reads
 (* One search, read by read. No level reads a word of the node that ends
    it: every level ends on a hint. The count follows: above level 1, one
    access per (node, tower line) the walk stands on or enters
-   ([tower_lines_read]); at levels 1 and 0 the level's hint, level 0's
-   pointer, and per hop the next pointer, the epoch of the node it claims,
-   its anchor and the next hint; the node level 1 starts on is claimed
-   there once (level 0 starts on a node claimed already). The lookup in
-   the last node reads its split count, lock word and fingerprint line
-   (one read, whatever the number of fingerprint words: see the next
-   test), one key per fingerprint match, and, for a key found, the lock
-   word, value and split count again. *)
+   ([tower_lines_read]); at levels 1 and 0 one access per header line:
+   the node level 1 starts on, and each node a hop enters (level 0 starts
+   on the copy level 1 ended on). The lookup in the last node reads its
+   split count, lock word and fingerprint line (one read, whatever the
+   number of fingerprint words: see the next test), one key per
+   fingerprint match, and, for a key found, the lock word, value and split
+   count again. *)
 let test_hint_read_order () =
   let fx = loaded_list ~n:1_500 in
-  let head = SL.head fx.sl in
   let block_words = Mem.block_words fx.mem in
   check_bool "several levels" true (SL.top_level fx.sl >= 4);
   let upper_stops = ref 0 in
@@ -786,23 +791,73 @@ let test_hint_read_order () =
     let hops_at l =
       List.fold_left (fun acc (l', nodes, _) -> if l' = l then acc + hops nodes else acc) 0 walk
     in
-    let level1_claim =
-      List.exists (fun (l, nodes, _) -> l = 1 && not (Riv.equal (List.hd nodes) head)) walk
-    in
     let upper = tower_lines_read (upper_levels walk) in
     check_int (where ^ ": every level ended on a hint") (List.length walk) (Obs.total Obs.id_hint_stop);
     check_int (where ^ ": no stale hint") 0 (Obs.total Obs.id_hint_stale);
     let fp_line_reads = (Node.layout (SL.config fx.sl)).Node.fp_lines in
     let predicted =
-      List.length upper + 3
-      + (4 * (hops_at 1 + hops_at 0))
-      + (if level1_claim then 1 else 0)
-      + 5 + fp_line_reads + Obs.total Obs.id_fp_match
+      List.length upper + 1 + hops_at 1 + hops_at 0 + 5 + fp_line_reads
+      + Obs.total Obs.id_fp_match
     in
     check_int (where ^ ": loads") predicted (List.length reads)
   done;
   Obs.reset ();
   check_bool "upper levels ended on hints" true (!upper_stops > 100)
+
+(* The header lines, in walk order, that a walk reads at levels 1 and 0,
+   one access each: level 1's nodes (the one it starts on and each one a
+   hop enters), then each node a level-0 hop enters; level 0 starts on the
+   copy level 1 ended on. *)
+let header_lines_read walk =
+  List.concat_map
+    (fun (l, nodes, _) ->
+      if l = 1 then nodes
+      else if l = 0 && List.exists (fun (l', _, _) -> l' = 1) walk then List.tl nodes
+      else if l = 0 then nodes
+      else [])
+    walk
+
+(* The node whose header line holds [a], and whether [a] is its first
+   word, if [a] is in the header line of one of [nodes]. *)
+let header_line_of fx nodes a =
+  List.find_map
+    (fun n ->
+      let base = Mem.resolve fx.mem n in
+      if a >= base && a < base + Config.line_words then Some (n, a - base) else None)
+    nodes
+
+(* A header hop reads its line once: every search and every update of a
+   present key reads the header line of each node it stands on or enters
+   at levels 1 and 0 exactly once, at the line's first word, in walk
+   order. The only other reads inside a header line are the validation
+   reads after the traversal, of the last node's meta word (its split
+   count) and lock word. A hop that reads the epoch, hint, pointer or
+   anchor as words fails. *)
+let test_header_hop_one_line_read () =
+  let fx = loaded_list ~n:1_500 in
+  let nodes = SL.head fx.sl :: SL.tail fx.sl :: bottom_nodes fx in
+  let show l = String.concat " " (List.map (Fmt.str "%a" Riv.pp) l) in
+  for i = 0 to 199 do
+    let key = 101 + (2 * (i * 29 mod 1_500)) in
+    let update = i mod 2 = 1 in
+    let where = Fmt.str "%s %d" (if update then "update" else "search") key in
+    let walk = traversal_walk fx key in
+    let pred0 = last (List.assoc 0 (List.map (fun (l, n, _) -> (l, n)) walk)) in
+    let reads =
+      reads_of fx (fun ~tid ->
+          if update then ignore (SL.upsert fx.sl ~tid key key : int option)
+          else ignore (SL.search fx.sl ~tid key : int option))
+    in
+    let in_headers = List.filter_map (header_line_of fx nodes) reads in
+    let starts = List.filter_map (fun (n, o) -> if o = 0 then Some n else None) in_headers in
+    Alcotest.(check string)
+      (where ^ ": header lines read") (show (header_lines_read walk)) (show starts);
+    List.iter
+      (fun (n, o) ->
+        if o <> 0 && not (Riv.equal n pred0 && (o = Node.o_meta || o = Node.o_lock)) then
+          Alcotest.failf "%s: a read of word %d inside the header line of %a" where o Riv.pp n)
+      in_headers
+  done
 
 (* Every read a walk above level 1 makes in a tower region is one access
    to a whole line, at its first word, and no line is read twice: the
@@ -977,18 +1032,19 @@ let test_new_node_levels_match_walk () =
   check_bool "new nodes with towers checked" true (!towers >= 10);
   check_no_invariant_errors fx.sl
 
-(* A link that lands between [load_succs]' two reads. One fiber inserts
-   [key] (K = 1, so the insert links a fresh node after [m], the node
-   below it); [m], of height 2, has been unlinked at level 1 beforehand,
-   so level 1 runs [p] -> [s] and the traversal stops there on [p]'s hint
-   ([s]'s anchor). When the fiber reads [p]'s level-1 hint the second
-   time, in [load_succs], [m] is linked back, hint first, as a concurrent
-   tower build would. Pointer first, the walk records [s] with a hint
-   read before the link, the new node's link CAS at [p] fails and the
-   retry links it after [m]. A walk that read the hint first would pair
-   that old hint with the new pointer to [m] and link the new node before
-   [m], out of order. Each fiber id draws its own tower heights; the
-   fibers whose new node is at least 2 high are the checked cases. *)
+(* A link that lands at [load_succs]' copy of a header line. One fiber
+   inserts [key] (K = 1, so the insert links a fresh node after [m], the
+   node below it); [m], of height 2, has been unlinked at level 1
+   beforehand, so level 1 runs [p] -> [s] and the traversal stops there on
+   [p]'s hint ([s]'s anchor). When the fiber reads [p]'s header line the
+   second time, in [load_succs], [m] is linked back, hint first, as a
+   concurrent tower build would. The copy is one instant's view: the walk
+   records [s] with the hint beside it, the new node's link CAS at [p]
+   fails and the retry links it after [m]. A walk that read the pointer
+   after the hint, as separate words, would pair the old hint with the new
+   pointer to [m] and link the new node before [m], out of order. Each
+   fiber id draws its own tower heights; the fibers whose new node is at
+   least 2 high are the checked cases. *)
 let test_load_succs_racing_link () =
   let cfg = { Config.default with keys_per_node = 1 } in
   let ly = Node.layout cfg in
@@ -1008,7 +1064,7 @@ let test_load_succs_racing_link () =
     Mem.poke_ptr fx.mem p (Node.o_next ly 1) s;
     Mem.poke_field fx.mem p (Node.o_hint ly 1) (anchor_at fx s 1);
     let key = anchor_at fx m 1 + 5 in
-    let hint_word = Mem.resolve fx.mem p + Node.o_hint ly 1 in
+    let header = Mem.resolve fx.mem p in
     let reads = ref 0 in
     let base = Pmem.machine fx.pmem in
     let machine =
@@ -1017,7 +1073,7 @@ let test_load_succs_racing_link () =
         Sim.Sched.read =
           (fun ~tid a ->
             let v = base.Sim.Sched.read ~tid a in
-            if a = hint_word then begin
+            if a = header then begin
               incr reads;
               if !reads = 2 then begin
                 Mem.poke_field fx.mem p (Node.o_hint ly 1) (anchor_at fx m 1);
@@ -1042,6 +1098,47 @@ let test_load_succs_racing_link () =
     end
   done;
   check_bool "new nodes of height 2 or more" true (!checked >= 3)
+
+(* A claim can run a nested traversal: a node its allocator's log still
+   names from an older epoch has its tower checked by one
+   ([check_insert_recovery] -> [first_unlinked]), which overwrites the
+   buffer holding the claimed node's header copy. Four fibers each insert
+   40 keys into single-key nodes, then a crash: each fiber's last node is
+   named by its log with its tower complete, so its claim repairs nothing
+   and the walk must go on from a fresh copy of the node's header. Every
+   search, for each present key and the absent key above it, still ends
+   on the right node. *)
+let test_claim_nested_traversal () =
+  let cfg = { Config.default with keys_per_node = 1 } in
+  let fx = make_skiplist ~cfg ~seed:11 () in
+  let threads = 4 and per = 40 in
+  let key i tid = 10 * (1 + (i * threads) + tid) in
+  ignore
+    (run fx.pmem
+       (List.init threads (fun _ ~tid ->
+            for i = 0 to per - 1 do
+              ignore (SL.upsert fx.sl ~tid (key i tid) (key i tid))
+            done)));
+  let height k =
+    let n = List.find (fun n -> anchor_at fx n 0 = k) (bottom_nodes fx) in
+    Node.meta_height (Mem.peek_field fx.mem n Node.o_meta)
+  in
+  check_bool "a fiber's last node has a tower" true
+    (List.exists (fun tid -> height (key (per - 1) tid) >= 2) (List.init threads Fun.id));
+  crash_and_reconnect fx;
+  Obs.reset ();
+  run1 fx.pmem (fun ~tid ->
+      for i = 0 to per - 1 do
+        for t = 0 to threads - 1 do
+          let k = key i t in
+          Alcotest.check opt_int (Fmt.str "search %d" k) (Some k) (SL.search fx.sl ~tid k);
+          Alcotest.check opt_int (Fmt.str "search %d" (k + 1)) None (SL.search fx.sl ~tid (k + 1))
+        done
+      done);
+  check_bool "nodes were claimed" true (Obs.total Obs.id_epoch_repair > 0);
+  check_int "no tower needed a repair" 0 (Obs.total Obs.id_tower_repair);
+  Obs.reset ();
+  check_no_invariant_errors fx.sl
 
 (* ---- the split point --------------------------------------------------------- *)
 
@@ -1452,7 +1549,7 @@ let test_reclaim_lincheck_campaign () =
     crash_campaign
       ~base:{ Harness.Fault.default_spec with cfg = reclaim_cfg }
       ~threads:4 ~keyspace:80 ~ops_per_thread:100
-      ~crash_events:7_000 ~seed:4242 ~trials:3 ()
+      ~from:0.6 ~seed:4242 ~trials:3 ()
   in
   print_failures "reclaim" s;
   check_int "strictly linearizable with reclamation" 0
@@ -1579,11 +1676,14 @@ let () =
             test_hint_reader_order;
           case "top level recomputed after a crash" test_top_after_crash;
           case "a level ends on a hint without loading its successor" test_hint_read_order;
+          case "a header hop reads its line once" test_header_hop_one_line_read;
           case "an upper hop reads its tower line once" test_upper_hop_one_line_read;
           case "a lookup reads its fingerprint line once" test_fp_line_one_read;
           case "a new node's levels match a pointer-first walk"
             test_new_node_levels_match_walk;
-          case "a link between load_succs' two reads" test_load_succs_racing_link;
+          case "a link racing load_succs' line copy" test_load_succs_racing_link;
+          case "a claim's nested traversal leaves the walk on its node"
+            test_claim_nested_traversal;
         ] );
       ( "split point",
         [

@@ -16,31 +16,27 @@ let fast_sys =
     max_threads = 16;
   }
 
+(* Crashed 60 % of the way through its crash-free run. *)
 let fast_spec =
-  {
-    Fault.default_spec with
-    threads = 4;
-    keyspace = 60;
-    ops_per_thread = 60;
-    crash_at = 4_000;
-    draw_seed = 5;
-  }
+  let base =
+    { Fault.default_spec with threads = 4; keyspace = 60; ops_per_thread = 60; draw_seed = 5 }
+  in
+  { base with crash_at = crash_point 0.6 ~dry_run:(trial_events base) }
 
 (* ---- recovery_ns is the real modeled recovery time ---------------------- *)
 
 let test_recovery_ns_positive () =
-  let t =
-    Fault.run_trial
-      {
-        Fault.default_spec with
-        threads = 4;
-        keyspace = 60;
-        ops_per_thread = 80;
-        crash_at = 5_621;
-        draw_seed = 7;
-        seed = 7;
-      }
+  let spec =
+    {
+      Fault.default_spec with
+      threads = 4;
+      keyspace = 60;
+      ops_per_thread = 80;
+      draw_seed = 7;
+      seed = 7;
+    }
   in
+  let t = Fault.run_trial { spec with crash_at = crash_point 0.7 ~dry_run:(trial_events spec) } in
   check_bool "trial crashed" true (t.Fault.crash_events > 0);
   check_bool "recovery_ns positive in a crashed trial" true
     (t.Fault.recovery_ns > 0.0);
@@ -51,16 +47,25 @@ let test_recovery_ns_positive () =
 (* ---- reconnect + recover twice in a row is a no-op ----------------------- *)
 
 let double_recovery_noop name make () =
-  let kv : Kv.t = make () in
-  let body ~tid =
-    for k = 1 to 200 do
-      ignore (kv.Kv.upsert ~tid (1 + (k mod 50)) ((100 * tid) + k))
-    done
+  let bodies (kv : Kv.t) =
+    let body ~tid =
+      for k = 1 to 200 do
+        ignore (kv.Kv.upsert ~tid (1 + (k mod 50)) ((100 * tid) + k))
+      done
+    in
+    [ (0, body); (1, body) ]
   in
+  (* crashed halfway through the same workload's crash-free run *)
+  let events =
+    crash_point 0.5 ~dry_run:(fun () ->
+        let kv = make () in
+        match Sim.Sched.run ~machine:(Kv.machine kv) (bodies kv) with
+        | Sim.Sched.Completed { events; _ } -> events
+        | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected crash in the dry run")
+  in
+  let kv : Kv.t = make () in
   (match
-     Sim.Sched.run ~machine:(Kv.machine kv)
-       ~crash:(Sim.Sched.After_events 2_500)
-       [ (0, body); (1, body) ]
+     Sim.Sched.run ~machine:(Kv.machine kv) ~crash:(Sim.Sched.After_events events) (bodies kv)
    with
   | Sim.Sched.Crashed_at _ -> ()
   | Sim.Sched.Completed _ -> Alcotest.fail "expected a simulated crash");
@@ -103,6 +108,7 @@ let test_spec_roundtrip () =
   let tuned =
     {
       fast_spec with
+      crash_at = 4_000 (* printed, never run *);
       cfg =
         {
           keys_per_node = 4;
@@ -405,16 +411,13 @@ let test_clean_trial_passes () =
 (* ---- campaign determinism ------------------------------------------------ *)
 
 let test_campaign_deterministic () =
+  let base = { fast_spec with depth = 1; evict = 0.6; draw_seed = 11 } in
   let c =
-    {
-      Fault.base =
-        { fast_spec with depth = 1; evict = 0.6; draw_seed = 11 };
-      grid = { Fault.origin = 2_000; stride = 1_500; points = 2; jitter = 300 };
-      draws = 2;
-    }
+    { Fault.base; grid = dry_run_grid base ~first:0.3 ~stride:0.35 ~jitter:0.05 ~points:2; draws = 2 }
   in
   let a = Fault.run_campaign c in
   let b = Fault.run_campaign c in
+  check_int "every trial crashed" a.Fault.trials a.Fault.crashed_trials;
   check_int "same trial count" a.Fault.trials b.Fault.trials;
   Alcotest.(check (list int))
     "same crash points" a.Fault.crash_points b.Fault.crash_points;
@@ -435,6 +438,7 @@ let test_campaign_deterministic () =
    specs. *)
 let replay_failures name (c : Fault.campaign) =
   let s = Fault.run_campaign c in
+  check_int (name ^ ": every trial crashed") s.Fault.trials s.Fault.crashed_trials;
   check_bool (name ^ ": the campaign has failures") true (s.Fault.failures <> []);
   List.map
     (fun ((spec : Fault.spec), (r : Fault.result)) ->
@@ -457,13 +461,16 @@ let replay_failures name (c : Fault.campaign) =
           parsed)
     s.Fault.failures
 
-let replay_grid = { Fault.origin = 3_000; stride = 700; points = 2; jitter = 200 }
+(* A campaign over two crash points of [base]'s crash-free run. *)
+let replay_campaign ?(jitter = 0.05) base ~first ~stride ~draws =
+  { Fault.base; grid = dry_run_grid base ~first ~stride ~jitter ~points:2; draws }
 
 let test_tuned_mutant_failures_replay () =
   let k4 = { Upskiplist.Config.default with keys_per_node = 4 } in
   let parsed =
     replay_failures "K=4 dangle"
-      { Fault.base = { fast_spec with cfg = k4; mutant = "dangle" }; grid = replay_grid; draws = 1 }
+      (replay_campaign { fast_spec with cfg = k4; mutant = "dangle" } ~first:0.6 ~stride:0.2
+         ~draws:1)
   in
   List.iter
     (fun (s : Fault.spec) -> check_int "the line names K = 4" 4 s.Fault.cfg.keys_per_node)
@@ -472,18 +479,17 @@ let test_tuned_mutant_failures_replay () =
 let test_bztree_failures_replay () =
   let parsed =
     replay_failures "BzTree skip_resolve"
-      {
-        Fault.base =
-          {
-            fast_spec with
-            structure = Kv.Bztree;
-            descriptors = 4_096;
-            detect = true;
-            mutant = "skip_resolve";
-          };
-        grid = replay_grid;
-        draws = 2;
-      }
+      (replay_campaign
+         {
+           fast_spec with
+           structure = Kv.Bztree;
+           descriptors = 4_096;
+           detect = true;
+           mutant = "skip_resolve";
+         }
+         (* early in BzTree's run, about events 3 000 and 3 700 of 25 627,
+            where skip_resolve's failures show *)
+         ~first:0.117 ~stride:0.027 ~jitter:0.008 ~draws:2)
   in
   List.iter
     (fun (s : Fault.spec) ->

@@ -84,15 +84,10 @@ let test_value_of_unique () =
 (* One small crashed trial of [base]'s fixture; total modeled recovery in
    seconds. *)
 let recovery_time_s base =
+  let spec = { base with Harness.Fault.threads = 2; keyspace = 40; ops_per_thread = 40 } in
   let r =
     Harness.Fault.run_trial
-      {
-        base with
-        Harness.Fault.threads = 2;
-        keyspace = 40;
-        ops_per_thread = 40;
-        crash_at = 1_000;
-      }
+      { spec with crash_at = crash_point 0.4 ~dry_run:(trial_events spec) }
   in
   if r.Harness.Fault.crashes = 0 then Alcotest.fail "expected a crash";
   r.Harness.Fault.recovery_ns /. 1.0e9
@@ -135,17 +130,19 @@ let test_crash_trial_produces_history () =
   check_bool "pending bounded by threads" true (pending <= 3)
 
 let test_crash_trial_eras_monotone_times () =
+  let spec =
+    {
+      Harness.Fault.default_spec with
+      threads = 2;
+      keyspace = 40;
+      ops_per_thread = 60;
+      draw_seed = 8;
+      seed = 8;
+    }
+  in
   let t =
     Harness.Fault.run_trial
-      {
-        Harness.Fault.default_spec with
-        threads = 2;
-        keyspace = 40;
-        ops_per_thread = 60;
-        crash_at = 2_530;
-        draw_seed = 8;
-        seed = 8;
-      }
+      { spec with crash_at = crash_point 0.7 ~dry_run:(trial_events spec) }
   in
   check_bool "a crash was injected" true (t.Harness.Fault.crash_events > 0);
   let events = Lincheck.History.events t.Harness.Fault.history in

@@ -31,6 +31,22 @@ let test_epoch_persistent () =
   Mem.reconnect mem;
   check_int "epochs accumulate" 3 (Mem.epoch mem)
 
+(* The magic word validates a pool's header: [format] pokes it last, and
+   [reconnect] refuses a pool whose magic word is wrong, naming it. *)
+let test_reconnect_refuses_bad_magic () =
+  for pool = 0 to 3 do
+    let pmem = fast_pmem ~n_pools:4 () in
+    let mem = make_mem pmem in
+    check_int "formatted magic" Mem.magic
+      (Pmem.peek_persistent pmem (Pmem.addr ~pool ~word:Mem.magic_word));
+    Pmem.poke pmem (Pmem.addr ~pool ~word:Mem.magic_word) 0;
+    Pmem.crash pmem;
+    Alcotest.check_raises
+      (Printf.sprintf "pool %d refused" pool)
+      (Invalid_argument (Printf.sprintf "Mem.reconnect: pool %d has no valid magic word" pool))
+      (fun () -> Mem.reconnect mem)
+  done
+
 let test_resolve_root_area () =
   let pmem = fast_pmem () in
   let mem = make_mem pmem in
@@ -198,6 +214,8 @@ let () =
           case "format sets epoch" test_format_sets_epoch;
           case "reconnect bumps epoch" test_reconnect_bumps_epoch;
           case "epoch persistent" test_epoch_persistent;
+          case "reconnect refuses a pool without its magic word"
+            test_reconnect_refuses_bad_magic;
         ] );
       ( "resolution",
         [

@@ -11,26 +11,33 @@ module Block_alloc = Memory.Block_alloc
 
 let opt_int = Alcotest.(option int)
 
-(* Run an insert workload, crash at [events], reconnect, and return the set
-   of keys whose upsert was acknowledged before the crash. *)
-let crash_during_inserts ?(threads = 4) ?(per_thread = 400) ?persist_line
-    ~events fx =
-  let acked = Array.make threads [] in
-  let body ~tid =
-    for i = 0 to per_thread - 1 do
-      let k = 1 + (i * threads) + tid in
-      ignore (SL.upsert fx.sl ~tid k (k * 2));
-      acked.(tid) <- k :: acked.(tid)
-    done
+(* Run an insert workload on a fixture from [make], crash it [fraction] of
+   the way through the same workload's crash-free run on a fresh fixture
+   (a dry run), reconnect, and return the fixture and the keys whose
+   upsert was acknowledged before the crash. *)
+let crash_during_inserts ?(threads = 4) ?(per_thread = 400) ?persist_line ~fraction make =
+  let bodies fx acked =
+    List.init threads (fun _ ~tid ->
+        for i = 0 to per_thread - 1 do
+          let k = 1 + (i * threads) + tid in
+          ignore (SL.upsert fx.sl ~tid k (k * 2));
+          acked.(tid) <- k :: acked.(tid)
+        done)
   in
-  ignore (run_crash fx.pmem ~events (List.init threads (fun _ -> body)));
+  let events =
+    crash_point fraction ~dry_run:(fun () ->
+        let fx = make () in
+        snd (run fx.pmem (bodies fx (Array.make threads []))))
+  in
+  let fx = make () in
+  let acked = Array.make threads [] in
+  ignore (run_crash fx.pmem ~events (bodies fx acked));
   Pmem.crash ?persist_line fx.pmem;
   Mem.reconnect fx.mem;
-  Array.to_list acked |> List.concat
+  (fx, Array.to_list acked |> List.concat)
 
 let test_acked_inserts_survive () =
-  let fx = make_skiplist () in
-  let acked = crash_during_inserts ~events:60_000 fx in
+  let fx, acked = crash_during_inserts ~fraction:0.9 make_skiplist in
   check_bool "some inserts acked before crash" true (List.length acked > 50);
   run1 fx.pmem (fun ~tid ->
       List.iter
@@ -97,8 +104,7 @@ let test_acked_removes_survive () =
       done)
 
 let test_structure_usable_after_crash () =
-  let fx = make_skiplist () in
-  ignore (crash_during_inserts ~events:40_000 fx);
+  let fx, _ = crash_during_inserts ~fraction:0.6 make_skiplist in
   (* post-crash writes and reads work, and repairs restore the invariants *)
   run1 fx.pmem (fun ~tid ->
       for k = 100_000 to 100_200 do
@@ -109,8 +115,10 @@ let test_structure_usable_after_crash () =
       done)
 
 let test_invariants_restored_after_retouch () =
-  let fx = make_skiplist ~cfg:{ Config.default with keys_per_node = 4 } () in
-  let acked = crash_during_inserts ~threads:6 ~per_thread:200 ~events:50_000 fx in
+  let fx, acked =
+    crash_during_inserts ~threads:6 ~per_thread:200 ~fraction:0.7
+      (make_skiplist ~cfg:{ Config.default with keys_per_node = 4 })
+  in
   (* touching every key forces every node to be visited and repaired *)
   run1 fx.pmem (fun ~tid ->
       List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k (k * 2))) acked;
@@ -145,15 +153,17 @@ let test_repeated_crashes () =
 let test_crash_with_random_eviction () =
   (* random cache evictions at crash time persist extra lines; acked ops
      must still be exactly preserved *)
-  let pmem = fast_pmem ~seed:7 () in
-  let cfg = Config.default in
-  let block_words = SL.required_block_words cfg in
-  let mem = make_mem ~block_words pmem in
-  let sl = SL.create ~mem ~cfg ~max_threads:16 ~seed:7 in
-  let fx = { pmem; mem; sl } in
+  let make () =
+    let pmem = fast_pmem ~seed:7 () in
+    let cfg = Config.default in
+    let block_words = SL.required_block_words cfg in
+    let mem = make_mem ~block_words pmem in
+    let sl = SL.create ~mem ~cfg ~max_threads:16 ~seed:7 in
+    { pmem; mem; sl }
+  in
   let coin = Sim.Rng.create 7 in
-  let acked =
-    crash_during_inserts ~events:40_000 fx
+  let fx, acked =
+    crash_during_inserts ~fraction:0.6 make
       ~persist_line:(fun ~pool:_ ~line:_ -> Sim.Rng.float coin < 0.5)
   in
   run1 fx.pmem (fun ~tid ->
@@ -166,9 +176,11 @@ let test_crash_with_random_eviction () =
 let test_block_conservation_after_crash () =
   (* no allocator block may leak across a crash once each thread has
      performed its next allocation (deferred log recovery, Function 3) *)
-  let fx = make_skiplist ~cfg:{ Config.default with keys_per_node = 4 } () in
   let threads = 4 in
-  ignore (crash_during_inserts ~threads ~events:30_000 fx);
+  let fx, _ =
+    crash_during_inserts ~threads ~fraction:0.5
+      (make_skiplist ~cfg:{ Config.default with keys_per_node = 4 })
+  in
   (* force every thread to allocate again: log checks reclaim lost blocks *)
   let body ~tid =
     for i = 0 to 30 do
@@ -227,10 +239,10 @@ let test_epoch_claim_is_per_node () =
 let test_zero_budget_still_correct () =
   (* recovery_budget = 0: traversals only repair locked nodes (split
      recovery); reads remain correct because towers are optional paths *)
-  let fx =
-    make_skiplist ~cfg:{ Config.default with recovery_budget = 0 } ()
+  let fx, acked =
+    crash_during_inserts ~fraction:0.6
+      (make_skiplist ~cfg:{ Config.default with recovery_budget = 0 })
   in
-  let acked = crash_during_inserts ~events:40_000 fx in
   run1 fx.pmem (fun ~tid ->
       List.iter
         (fun k ->
