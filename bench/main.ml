@@ -648,67 +648,6 @@ let ablation_arenas () =
   in
   Report.table ~headers:[ "arenas"; "D Mops/s (16 thr)" ] ~rows
 
-(* Physical removal: memory actually comes back (paper §4.6 follow-up). *)
-let ablation_reclamation () =
-  Report.heading "Ablation — tombstones vs physical removal (paper §4.6)";
-  let run reclaim =
-    let cfg = { bench_cfg with keys_per_node = 16; reclaim_empty_nodes = reclaim } in
-    let kv = Kv.make_upskiplist ~cfg (striped_sys ()) in
-    let n = !scale.n_initial / 2 in
-    Driver.preload kv ~threads:4 ~n;
-    (* remove everything, then measure occupancy *)
-    (match
-       Sim.Sched.run ~machine:(Kv.machine kv)
-         (List.init 4 (fun tid ->
-              ( tid,
-                fun ~tid ->
-                  let i = ref (tid + 1) in
-                  while !i <= n do
-                    ignore (kv.Kv.remove ~tid !i);
-                    i := !i + 4
-                  done )))
-     with
-    | Sim.Sched.Completed _ -> ()
-    | Sim.Sched.Crashed_at _ -> failwith "unexpected crash");
-    (* quiesced point: let the grace period expire and free everything *)
-    (match
-       Sim.Sched.run ~machine:(Kv.machine kv)
-         [ (0, fun ~tid -> kv.Kv.quiesce ~tid) ]
-     with
-    | Sim.Sched.Completed _ -> ()
-    | Sim.Sched.Crashed_at _ -> failwith "unexpected crash");
-    let mem = kv.Kv.mem in
-    let free =
-      let acc = ref 0 in
-      for pool = 0 to Memory.Mem.n_pools mem - 1 do
-        for arena = 0 to mem.Memory.Mem.n_arenas - 1 do
-          acc := !acc + Memory.Block_alloc.free_list_length mem ~pool ~arena
-        done
-      done;
-      !acc
-    in
-    let total = Memory.Mem.total_blocks mem in
-    [
-      (if reclaim then "physical removal" else "tombstones only (paper)");
-      string_of_int (total - free);
-      string_of_int free;
-      string_of_int (Memory.Mem.chunks_allocated mem);
-    ]
-  in
-  Report.table
-    ~headers:
-      [
-        "mode";
-        "blocks still held after delete-all";
-        "blocks back in the free lists";
-        "chunks";
-      ]
-    ~rows:(Sim.Pool.map ~jobs:!jobs run [ false; true ]);
-  Fmt.pr
-    "@.(with tombstones every node survives its own deletion; physical \
-     removal returns the memory - the reclamation the paper calls out as \
-     required future work)@."
-
 (* Split point: the tail cut (DESIGN.md, "Split point") bets that inserts
    arrive near-ascending. Each row loads one fiber's n keys into a K = 64
    tree, in key order (the property) or in a seeded random order (without
@@ -825,8 +764,7 @@ let split_point () =
 let ablations () =
   ablation_keys_per_node ();
   ablation_recovery_budget ();
-  ablation_arenas ();
-  ablation_reclamation ()
+  ablation_arenas ()
 
 (* ---- node-layout cost table ------------------------------------------------- *)
 

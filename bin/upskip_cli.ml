@@ -340,6 +340,11 @@ let replay_cmd tokens =
     Fmt.pr "verdict: FAIL@.";
     1
   end
+  else if res.Fault.completed_events > 0 then begin
+    (* no recovery ran, so no recovery was checked *)
+    Fmt.pr "verdict: NO CRASH@.";
+    3
+  end
   else begin
     Fmt.pr "verdict: PASS@.";
     0
@@ -561,6 +566,21 @@ let tail_term =
 
 (* ---- assembly ------------------------------------------------------------------ *)
 
+(* The crash commands' exit codes: [codes] first, then bad input and
+   Cmdliner's own for a bad command line and an uncaught exception. *)
+let crash_exits codes =
+  let open Cmd.Exit in
+  List.map (fun (code, doc) -> info code ~doc) codes
+  @ [
+      info 2 ~doc:"the SPEC is malformed; nothing ran.";
+      info cli_error ~doc:"on command line parsing errors.";
+      info internal_error ~doc:"on unexpected internal errors (bugs).";
+    ]
+
+let failed_doc =
+  "a strict-linearizability violation, a non-empty persistent-heap audit, \
+   or an exception after a power failure"
+
 let cmds =
   [
     Cmd.v
@@ -576,11 +596,29 @@ let cmds =
             crash-point grid, persisted-state draws, crash-during-recovery, \
             heap audits, and (with detectable ops on) exactly-once replay of \
             unacked ops. Exits 1 when a trial fails or never crashes (its \
-            crash point lies past the workload).")
+            crash point lies past the workload)."
+         ~exits:
+           (crash_exits
+              [
+                (0, "every trial crashed and passed.");
+                (1, "a trial failed (" ^ failed_doc ^ ") or never crashed.");
+              ]))
       sweep_term;
     Cmd.v
       (Cmd.info "crash-replay"
-         ~doc:"Re-execute a failing trial from its printed replay spec.")
+         ~doc:
+           "Re-execute a failing trial from its printed replay spec. Exits 3 \
+            when the trial never crashed: its crash point lies past the \
+            workload, so no recovery was checked."
+         ~exits:
+           (crash_exits
+              [
+                (0, "the trial crashed and passed.");
+                (1, "the trial failed: " ^ failed_doc ^ ".");
+                ( 3,
+                  "the trial passed but never crashed: its crash point lies \
+                   past the workload, so no recovery ran or was audited." );
+              ]))
       replay_term;
     Cmd.v
       (Cmd.info "serve-sim"

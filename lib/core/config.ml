@@ -13,10 +13,6 @@ type t = {
       (* incomplete-tower repairs a single traversal may perform
          (Section 4.4.1: k, as low as 1, keeps post-crash throughput up);
          a claim that repairs nothing does not count *)
-  reclaim_empty_nodes : bool;
-      (* the paper's follow-up for removals (Section 4.6): physically
-         unlink all-tombstone nodes and reclaim them through epoch-based
-         reclamation *)
 }
 
 let default =
@@ -25,7 +21,6 @@ let default =
     max_height = 20;
     branching_p = 0.5;
     recovery_budget = 1;
-    reclaim_empty_nodes = false;
   }
 
 (* The node layout is line-oriented: the hot header (epoch, the packed

@@ -11,13 +11,10 @@ type t = {
       (** max incomplete-tower repairs per traversal after a crash
           (Section 4.4.1); interrupted splits are always repaired, and a
           claim that repairs nothing is not counted *)
-  reclaim_empty_nodes : bool;
-      (** physically unlink and reclaim all-tombstone nodes (paper §4.6
-          follow-up), with epoch-based reclamation *)
 }
 
 val default : t
-(** 16 keys/node, 20 levels, p = 0.5, budget 1, physical removal off. *)
+(** 16 keys/node, 20 levels, p = 0.5, budget 1. *)
 
 val validate : t -> unit
 (** Raises [Invalid_argument] on out-of-range fields, and on any layout

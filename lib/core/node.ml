@@ -71,11 +71,10 @@
    linearizes at the hint read. So the level-0 successor the traversal
    records comes with a bound that held when it was read (see
    [Skiplist.traverse]); the upper successors a writer needs are loaded by
-   [Skiplist.load_succs] by the same rule. A failed link CAS or a snip
-   leaves a hint stale-low, which is safe: the reader enters
-   the node, reads its anchor, and stops there. Levels a node is not yet
-   linked at are written plainly, hint before pointer, before any reader can
-   reach them there. Since a hint shares its pointer's line and is stored
+   [Skiplist.load_succs] by the same rule. A failed link CAS leaves a
+   hint stale-low, which is safe: the reader enters the node, reads its
+   anchor, and stops there. Levels a node is not yet linked at are written
+   plainly, hint before pointer, before any reader can reach them there. Since a hint shares its pointer's line and is stored
    first, every persisted line also keeps hint <= anchor, so recovery
    rebuilds nothing. The head's hints start at [tail_key], the tail's
    anchor, so a level that ends at the tail never loads it.
@@ -246,16 +245,7 @@ let read_fps mem ly n words =
     Mem.read_line mem (base + o) words o
   done
 
-(* Physical-removal marks live in the sign bit of next-pointer words
-   (Herlihy-style marking, paper Section 4.6 follow-up): a marked pointer
-   still references the same successor — it only announces that its owner
-   is retired and may be snipped. Pointer reads always strip the mark. *)
-let mark_bit = min_int
-let is_marked w = w < 0
-let unmark w = w land max_int
-
-let next_raw mem ly n level = Mem.read_field mem n (o_next ly level)
-let next mem ly n level = Riv.of_word (unmark (next_raw mem ly n level))
+let next mem ly n level = Riv.of_word (Mem.read_field mem n (o_next ly level))
 
 let hint mem ly n level = Mem.read_field mem n (o_hint ly level)
 
@@ -272,8 +262,9 @@ let line_addr mem ly n level =
 
 (* The fields of level [level] in such a copy ([o_next1h] follows
    [o_next0] in the header). *)
-let line_next_raw words level =
-  if level <= 1 then words.(o_next0 + level) else words.((level - 2) mod per_line)
+let line_next words level =
+  Riv.of_word
+    (if level <= 1 then words.(o_next0 + level) else words.((level - 2) mod per_line))
 
 let line_hint words level =
   if level = 0 then words.(o_hint0)
@@ -452,8 +443,8 @@ module Lock = struct
   let is_write_locked w = w land writer_bit <> 0
   let stamp w = w lsr stamp_shift
 
-  (* A writer bit stamped before [epoch]: a split (or retirement) a crash
-     interrupted. A live writer always stamps the current epoch. *)
+  (* A writer bit stamped before [epoch]: a split a crash interrupted. A
+     live writer always stamps the current epoch. *)
   let interrupted ~epoch w = is_write_locked w && stamp w <> epoch
 
   let make_word ~epoch ~writer ~readers =
@@ -572,13 +563,12 @@ module Lock = struct
      installed, or a stale writer's word under recovery; no other thread
      changes a write-locked word). Every writer rewrites the fingerprint
      line from the keys before it unlocks, so the unlock confirms the
-     line; [~fp_ok:false] releases a lock taken for a change that never got
-     as far as that rewrite. *)
-  let write_unlock ?(fp_ok = true) mem n ~held =
+     line. *)
+  let write_unlock mem n ~held =
     Mem.write_field mem n o_lock
       (make_word ~epoch:(Mem.epoch mem) ~writer:false ~readers:0
       lor (bump_unlocks held land unlocks_mask)
-      lor if fp_ok then fp_ok_bit else 0);
+      lor fp_ok_bit);
     Mem.persist_field mem n o_lock
 
   (* Set the fp_ok bit after a repair completed the fingerprint line (no
@@ -596,10 +586,6 @@ module Lock = struct
       in
       lock_cas mem n ~expected:w ~desired:(base lor fp_ok_bit) || confirm_fp mem n
     end
-
-  (* Persist the acquisition so an interrupted split is detectable after a
-     crash (CheckForNodeSplitRecovery keys off the persistent writer bit). *)
-  let persist_acquisition mem n = Mem.persist_field mem n o_lock
 end
 
 (* ---- initialisation ---------------------------------------------------- *)

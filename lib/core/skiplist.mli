@@ -37,7 +37,8 @@ val search : t -> tid:int -> int -> int option
 (** Wait-free lookup, validated against node split counters (Function 9). *)
 
 val remove : t -> tid:int -> int -> int option
-(** Tombstoning removal (Section 4.6); returns the removed value. *)
+(** Tombstoning removal (Section 4.6); returns the removed value. The
+    node keeps the key's slot: nodes are never unlinked or freed. *)
 
 val mem_key : t -> tid:int -> int -> bool
 
@@ -88,8 +89,7 @@ val audit_persistent : t -> string list
     accounts for every block of every registered chunk (reachable, on a
     free list, or excused by an allocation/provision log — no leaks, no
     dangling references). Empty list = clean. Lazy-repair states (torn
-    tower builds, log-covered blocks) are not violations. Requires
-    [reclaim_empty_nodes] off. *)
+    tower builds, log-covered blocks) are not violations. *)
 
 val corrupt : t -> string -> bool
 (** Test-only fault injection for harness self-validation: ["lose_key"]
@@ -105,17 +105,6 @@ val corrupt : t -> string -> bool
     head's level-2 hint (both checkers must catch it, and a lookup routed
     by it misses). Returns
     [false] if the mutation is inapplicable (unknown name, empty list). *)
-
-(** {1 Physical removal (paper §4.6 follow-up)} *)
-
-val reclaim_stats : t -> (int * int * int) option
-(** [(pending, freed, retirements)] when [reclaim_empty_nodes] is on:
-    retired nodes awaiting their grace period, blocks already returned to
-    the allocator, and total retirements. *)
-
-val quiesced_drain : t -> tid:int -> unit
-(** Free every retired node immediately. Fiber context; only sound when no
-    operation is in flight (tests, quiesced benchmarks). *)
 
 (** {1 Accessors} *)
 

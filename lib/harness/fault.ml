@@ -50,7 +50,6 @@ type spec = {
   evict : float;  (* chance a dirty line persists at a power failure *)
   draw_seed : int;  (* persisted-state draws + recovery/round crash points *)
   seed : int;  (* workload streams *)
-  audit : bool;
   mutant : string;  (* none, or a Kv.corrupt mutation applied post-recovery;
                        "skip_resolve" is special-cased: recovery omits the
                        descriptor resolve pass (detect trials only) *)
@@ -75,7 +74,6 @@ let default_spec =
     evict = 0.0;
     draw_seed = 1;
     seed = 42;
-    audit = true;
     mutant = "none";
     detect = false;
     cfg = Upskiplist.Config.default;
@@ -298,10 +296,8 @@ let run_trial (spec : spec) =
        descriptor resolve pass), not a structure corruption *)
     if spec.mutant <> "none" && spec.mutant <> "skip_resolve" then
       ignore (kv.Kv.corrupt spec.mutant : bool);
-    if spec.audit then begin
-      incr audits;
-      audit_errors := !audit_errors @ kv.Kv.audit ()
-    end
+    incr audits;
+    audit_errors := !audit_errors @ kv.Kv.audit ()
   in
   let replays = ref 0 and suppressions = ref 0 in
   (* Detect-mode crash resolution: decide every interrupted op from its
@@ -529,7 +525,6 @@ let keys =
       (fun s evict -> { s with evict });
     int_key "draw" (fun s -> s.draw_seed) (fun s draw_seed -> { s with draw_seed });
     int_key "seed" (fun s -> s.seed) (fun s seed -> { s with seed });
-    switch_key "audit" (fun s -> s.audit) (fun s audit -> { s with audit });
     key "mutant"
       (fun s -> s.mutant)
       (fun v s ->
@@ -552,9 +547,6 @@ let keys =
     int_key "budget" ~tunes:ups
       (fun s -> s.cfg.recovery_budget)
       (fun s recovery_budget -> { s with cfg = { s.cfg with recovery_budget } });
-    switch_key "reclaim" ~tunes:ups
-      (fun s -> s.cfg.reclaim_empty_nodes)
-      (fun s reclaim_empty_nodes -> { s with cfg = { s.cfg with reclaim_empty_nodes } });
     int_key "descriptors" ~tunes:Kv.Bztree ~min:1 ~max:max_descriptors
       (fun s -> s.descriptors)
       (fun s descriptors -> { s with descriptors });

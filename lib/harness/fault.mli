@@ -44,7 +44,6 @@ type spec = {
   draw_seed : int;
       (** seeds persisted-state draws and recovery/round crash points *)
   seed : int;  (** seeds the workload streams and the sweep grid *)
-  audit : bool;  (** run the persistent-heap audit after each recovery *)
   mutant : string;
       (** [none], or a {!Kv.t}[.corrupt] mutation applied after each
           completed recovery (harness self-validation); [skip_resolve] is
@@ -67,7 +66,9 @@ type spec = {
 val default_spec : spec
 (** upskiplist, uniform/numa, 4 threads, keyspace 120, 100 ops/thread,
     20% reads, one round crashed at 10k events, depth 0, [evict = 0.],
-    audit on, no mutant, default UPSkipList config, 16 384 descriptors. *)
+    no mutant, default UPSkipList config, 16 384 descriptors. Every trial
+    runs the persistent-heap audit after each recovery; no key turns it
+    off. *)
 
 type result = {
   history : Lincheck.History.t;
@@ -121,7 +122,7 @@ val run_trial : spec -> result
 val spec_keys : (string * Kv.structure option) list
 (** Every spec key, in printed order, with the structure it tunes: [None]
     for a trial key, printed on every line; [Some st] for fixture tuning
-    of [st] ([keys height p budget reclaim] for UPSkipList's config,
+    of [st] ([keys height p budget] for UPSkipList's config,
     [descriptors] for BzTree's descriptor pool), printed only where it
     differs from {!default_spec}. One table in the implementation prints,
     parses and validates every key; this list is its vocabulary. *)
@@ -145,7 +146,7 @@ val validate : spec -> (spec, string) Stdlib.result
 val spec_of_string : string -> (spec, string) Stdlib.result
 (** Parse a replay spec; unspecified keys default to {!default_spec}.
     [structure], [latency] and [mode] take {!Kv}'s spellings, [read],
-    [evict] and [p] a number, [audit], [detect] and [reclaim] [on | off],
+    [evict] and [p] a number, [detect] [on | off],
     [mutant] one of {!mutants}, the rest an integer. An unknown key's error names every key. The parsed spec must
     pass {!validate}. *)
 

@@ -17,8 +17,6 @@ type t = {
   remove : tid:int -> int -> int option;
   range : tid:int -> lo:int -> hi:int -> (int * int) list;
   recover : tid:int -> unit;
-  quiesce : tid:int -> unit;
-      (* free deferred reclamation work; call only with no ops in flight *)
   reconnect : unit -> unit;
   to_alist : unit -> (int * int) list;
   audit : unit -> string list;
@@ -114,15 +112,9 @@ let make_upskiplist ?(cfg = Upskiplist.Config.default) ?(n_arenas = 8)
     remove = (fun ~tid k -> Upskiplist.Skiplist.remove sl ~tid k);
     range = (fun ~tid ~lo ~hi -> Upskiplist.Skiplist.range sl ~tid ~lo ~hi);
     recover = (fun ~tid -> Upskiplist.Skiplist.recover sl ~tid);
-    quiesce = (fun ~tid -> Upskiplist.Skiplist.quiesced_drain sl ~tid);
     reconnect = (fun () -> Mem.reconnect mem);
     to_alist = (fun () -> Upskiplist.Skiplist.to_alist sl);
-    audit =
-      (* the persistent-heap audit is only sound without physical
-         reclamation (retire lists are DRAM-only and would read as leaks) *)
-      with_detect_audit det
-        (if cfg.Upskiplist.Config.reclaim_empty_nodes then fun () -> []
-         else fun () -> Upskiplist.Skiplist.audit_persistent sl);
+    audit = with_detect_audit det (fun () -> Upskiplist.Skiplist.audit_persistent sl);
     corrupt = (fun what -> Upskiplist.Skiplist.corrupt sl what);
     detect = det;
     pmem;
@@ -149,7 +141,6 @@ let make_bztree ?(leaf_capacity = 64) ?(fanout = 16) ~n_descriptors ?detect_clie
     remove = (fun ~tid k -> Bztree.remove bz ~tid k);
     range = (fun ~tid ~lo ~hi -> Bztree.range bz ~tid ~lo ~hi);
     recover = (fun ~tid:_ -> Bztree.recover bz);
-    quiesce = (fun ~tid:_ -> ());
     reconnect = (fun () -> Mem.reconnect mem);
     to_alist = (fun () -> Bztree.to_alist bz);
     audit = with_detect_audit det (fun () -> []);
@@ -179,7 +170,6 @@ let make_pmdk_list ?(max_height = 24) ?detect_clients sys =
     remove = (fun ~tid k -> Pmdk.Lock_skiplist.remove sl ~tid k);
     range = (fun ~tid ~lo ~hi -> Pmdk.Lock_skiplist.range sl ~tid ~lo ~hi);
     recover = (fun ~tid:_ -> Pmdk.Lock_skiplist.recover sl);
-    quiesce = (fun ~tid:_ -> ());
     reconnect = (fun () -> Pmdk.Tx.reconnect tx);
     to_alist = (fun () -> Pmdk.Lock_skiplist.to_alist sl);
     audit = with_detect_audit det (fun () -> []);

@@ -12,8 +12,6 @@ type t = {
   remove : tid:int -> int -> int option;
   range : tid:int -> lo:int -> hi:int -> (int * int) list;
   recover : tid:int -> unit;
-  quiesce : tid:int -> unit;
-      (** free deferred reclamation work; fiber context, no ops in flight *)
   reconnect : unit -> unit;
   to_alist : unit -> (int * int) list;
   audit : unit -> string list;

@@ -362,10 +362,7 @@ let free_list_length t ~pool ~arena =
    converse corruption (a freed block still reachable) and dangling or
    cyclic free lists. Log entries excuse their block regardless of epoch (a
    stale entry over-approximates, which can hide a leak but never
-   fabricates one).
-
-   Requires physical reclamation to be off: retired-but-unfreed nodes live
-   only in DRAM retire lists and would read as leaks. *)
+   fabricates one). *)
 let audit t ~reachable =
   let errs = ref [] in
   let err fmt = Fmt.kstr (fun s -> errs := s :: !errs) fmt in

@@ -44,7 +44,7 @@ val id_split_repair : int  (** interrupted node splits repaired *)
 
 val id_tower_repair : int  (** incomplete towers rebuilt *)
 
-val id_help : int  (** helping events (retired-node snips, tail advances) *)
+val id_help : int  (** helping events: the allocator advancing a stale free-list tail *)
 
 val id_split : int  (** node splits completed *)
 

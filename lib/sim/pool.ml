@@ -107,7 +107,7 @@ let map ?jobs f xs = run ?jobs (List.map (fun x () -> f x) xs)
    messages. Execution alternates compute phases (every station steps once
    for the current round, stations 1.. distributed over pinned worker
    domains, station 0 on the caller) with exchange phases (the caller runs
-   [exchange] while every station is quiescent — this is where mailboxes
+   [exchange] while every station is at rest — this is where mailboxes
    move, in whatever fixed order the caller implements). A Mutex+Condition
    barrier separates the phases, so step code never observes a concurrent
    exchange and vice versa; the station->domain assignment is fixed for the

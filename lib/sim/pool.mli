@@ -38,7 +38,7 @@ val run_phased :
   unit
 (** Phased execution of [stations] communicating long-lived loops. Round
     [r] calls [step ~station:i ~round:r] once per station, then — with
-    every station quiescent — [exchange ~round:r] on the caller; rounds
+    every station at rest — [exchange ~round:r] on the caller; rounds
     continue while [exchange] returns [true], after which
     [finalize ~station:i] runs once per station on the station's owning
     domain.
@@ -50,7 +50,7 @@ val run_phased :
     domains, with a barrier between the compute and exchange phases of
     every round. Stations must not share mutable state with each other;
     the exchange callback may touch all of them (it runs while they are
-    quiescent, with the barrier providing the happens-before edges).
+    at rest, with the barrier providing the happens-before edges).
 
     Worker-domain Obs counter deltas merge back into the caller in worker
     order, so counter totals equal the sequential schedule exactly. While

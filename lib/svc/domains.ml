@@ -11,7 +11,7 @@
 
    Virtual time is cut into exchange epochs of cfg.exchange_ns. Every round
    [r], each station steps its own scheduler session up to (r+1)*epoch
-   (Sched.step); then, with all stations quiescent, the coordinator moves
+   (Sched.step); then, with all stations at rest, the coordinator moves
    the per-pair mailboxes in a fixed order: frontend→shard request outboxes
    into the shards' inboxes, and shard→frontend scan results into the
    frontend's inbox. Messages published during round [r] become visible at
@@ -804,7 +804,7 @@ let run ?(domains = 1) (cfg : Config.t) =
     end
   in
   (* Round-granular completed-in-outage, captured at exchange time while
-     every station is quiescent. The outage covers rounds r0 (its start's)
+     every station is at rest. The outage covers rounds r0 (its start's)
      through r1 (its end's, or the last round if that comes first); each
      shard's share is its completions at the end of round r1 minus those at
      the end of round r0 - 1 (0 before round 0). A crash and its recovery

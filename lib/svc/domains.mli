@@ -11,7 +11,7 @@
     traffic with seeded inter-arrival gaps and zone-aware network hops.
     Every round, each station steps its scheduler session up to the next
     multiple of [cfg.exchange_ns] ({!Sim.Sched.step}); then the
-    coordinator — with all stations quiescent — moves frontend→shard
+    coordinator — with all stations at rest — moves frontend→shard
     request mailboxes and shard→frontend scan-result mailboxes in a fixed
     order. Messages published during round [r] are visible from round
     [r+1]. A request leaves its client at its scheduled instant, stamped
@@ -43,7 +43,7 @@
     mode followed by exactly-once replay with duplicate suppression —
     inside the shard's own station while every other station keeps
     serving. [completed_in_outage] attribution is round-granular: at
-    exchange time, with every station quiescent, the coordinator takes
+    exchange time, with every station at rest, the coordinator takes
     each shard's completion count at the end of the round before the
     outage's first round, and again at the end of the round the recovery
     ended in (or the last round, if the run ends first); the share is

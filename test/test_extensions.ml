@@ -1,7 +1,7 @@
 (* Tests for the node-level extensions of the paper's design: key
-   fingerprints (the in-node lookup the paper's Ch. 7 asks to speed up), the
-   cache-conscious layout, and physical removal of all-tombstone nodes with
-   epoch-based reclamation (§4.6). *)
+   fingerprints (the in-node lookup the paper's Ch. 7 asks to speed up) and
+   the cache-conscious layout with its successor-key hints, plus
+   tombstoning removal (§4.6) under concurrency and crashes. *)
 
 open Testsupport
 module SL = Upskiplist.Skiplist
@@ -11,9 +11,6 @@ module Block_alloc = Memory.Block_alloc
 
 let opt_int = Alcotest.(option int)
 
-let reclaim_cfg =
-  { Config.default with reclaim_empty_nodes = true; keys_per_node = 4 }
-
 (* ---- cache-conscious layout ----------------------------------------------- *)
 
 module Node = Upskiplist.Node
@@ -21,7 +18,7 @@ module Riv = Memory.Riv
 
 (* Bottom-level walk over the volatile image (host side). *)
 let bottom_nodes fx =
-  let step n = Riv.of_word (Node.unmark (Mem.peek_field fx.mem n Node.o_next0)) in
+  let step n = Riv.of_word (Mem.peek_field fx.mem n Node.o_next0) in
   let tail = SL.tail fx.sl in
   let rec go n acc =
     if Riv.is_null n || Riv.equal n tail then List.rev acc
@@ -330,7 +327,7 @@ let lost_fp_line ?latency () =
       not (pool = Pmem.pool_of fp_addr && line = Pmem.word_of fp_addr / Pmem.line_words));
   Mem.reconnect fx.mem;
   let ly = Node.layout fp_cfg in
-  let unmarked =
+  let no_fp =
     List.filter
       (fun i ->
         let k = Mem.peek_field fx.mem node (Node.o_key ly i) in
@@ -339,7 +336,7 @@ let lost_fp_line ?latency () =
       (List.init ly.Node.k Fun.id)
   in
   check_int "the crash kept four keys without their fingerprints" 4
-    (List.length unmarked);
+    (List.length no_fp);
   fx
 
 let test_fp_lost_line () =
@@ -684,7 +681,7 @@ let anchor_at fx n level =
 
 let next_at fx n level =
   let ly = Node.layout (SL.config fx.sl) in
-  Riv.of_word (Node.unmark (Mem.peek_field fx.mem n (Node.o_next ly level)))
+  Riv.of_word (Mem.peek_field fx.mem n (Node.o_next ly level))
 
 let hint_at fx n level =
   Mem.peek_field fx.mem n (Node.o_hint (Node.layout (SL.config fx.sl)) level)
@@ -1362,45 +1359,10 @@ let test_tower_heights_pinned () =
   in
   Alcotest.check Alcotest.(list int) "tower heights" pinned_heights heights
 
-(* ---- physical removal + reclamation ---------------------------------------- *)
+(* ---- tombstoning removal ---------------------------------------------------- *)
 
-let total_blocks mem = Mem.total_blocks mem
-
-let free_blocks mem =
-  let acc = ref 0 in
-  for pool = 0 to Mem.n_pools mem - 1 do
-    for arena = 0 to mem.Mem.n_arenas - 1 do
-      acc := !acc + Block_alloc.free_list_length mem ~pool ~arena
-    done
-  done;
-  !acc
-
-let test_retire_frees_node () =
-  let fx = make_skiplist ~cfg:reclaim_cfg () in
-  run1 fx.pmem (fun ~tid ->
-      for k = 1 to 40 do
-        ignore (SL.upsert fx.sl ~tid k k)
-      done);
-  let nodes_before = SL.node_count fx.sl in
-  check_bool "several nodes" true (nodes_before >= 5);
-  run1 fx.pmem (fun ~tid ->
-      for k = 1 to 40 do
-        ignore (SL.remove fx.sl ~tid k)
-      done;
-      SL.quiesced_drain fx.sl ~tid);
-  check_int "all nodes retired and snipped" 0 (SL.node_count fx.sl);
-  check_pairs "set empty" [] (SL.to_alist fx.sl);
-  (* every block is back in the free list *)
-  check_int "blocks conserved" (total_blocks fx.mem) (free_blocks fx.mem);
-  match SL.reclaim_stats fx.sl with
-  | Some (pending, freed, retirements) ->
-      check_int "nothing pending" 0 pending;
-      check_int "freed = retired" retirements freed;
-      check_bool "retirements happened" true (retirements >= nodes_before - 1)
-  | None -> Alcotest.fail "reclaim stats expected"
-
-let test_search_after_retirement () =
-  let fx = make_skiplist ~cfg:reclaim_cfg () in
+let test_search_after_removal () =
+  let fx = make_skiplist () in
   run1 fx.pmem (fun ~tid ->
       for k = 1 to 30 do
         ignore (SL.upsert fx.sl ~tid k k)
@@ -1413,8 +1375,8 @@ let test_search_after_retirement () =
       done;
       Alcotest.check opt_int "remove absent" None (SL.remove fx.sl ~tid 5))
 
-let test_reinsert_after_retirement () =
-  let fx = make_skiplist ~cfg:reclaim_cfg () in
+let test_reinsert_after_removal () =
+  let fx = make_skiplist () in
   run1 fx.pmem (fun ~tid ->
       for k = 1 to 20 do
         ignore (SL.upsert fx.sl ~tid k k)
@@ -1430,26 +1392,8 @@ let test_reinsert_after_retirement () =
       done);
   check_no_invariant_errors fx.sl
 
-let test_blocks_reused_after_reclaim () =
-  let fx = make_skiplist ~cfg:reclaim_cfg () in
-  run1 fx.pmem (fun ~tid ->
-      (* fill, clear, drain, fill again: chunk count must not keep growing *)
-      for round = 0 to 3 do
-        for k = 1 to 64 do
-          ignore (SL.upsert fx.sl ~tid (k + (round * 64)) k)
-        done;
-        for k = 1 to 64 do
-          ignore (SL.remove fx.sl ~tid (k + (round * 64)))
-        done;
-        SL.quiesced_drain fx.sl ~tid
-      done);
-  (* bound = the initial carve: one chunk per (pool, arena) *)
-  let initial = Mem.n_pools fx.mem * 4 in
-  check_bool "chunks bounded by reuse" true
-    (Mem.chunks_allocated fx.mem <= initial)
-
-let test_concurrent_remove_insert_reclaim () =
-  let fx = make_skiplist ~cfg:reclaim_cfg () in
+let test_concurrent_remove_insert () =
+  let fx = make_skiplist () in
   let threads = 6 in
   let body ~tid =
     let rng = Sim.Rng.create (50 + tid) in
@@ -1466,8 +1410,8 @@ let test_concurrent_remove_insert_reclaim () =
     (SL.to_alist fx.sl);
   check_no_invariant_errors fx.sl
 
-let test_readers_survive_concurrent_retirement () =
-  let fx = make_skiplist ~cfg:reclaim_cfg () in
+let test_readers_survive_concurrent_removal () =
+  let fx = make_skiplist () in
   run1 fx.pmem (fun ~tid ->
       for k = 1 to 100 do
         ignore (SL.upsert fx.sl ~tid k k)
@@ -1496,11 +1440,12 @@ let test_readers_survive_concurrent_retirement () =
   ignore (run fx.pmem [ remover; reader; reader; scanner ]);
   check_no_invariant_errors fx.sl
 
-let test_crash_during_retirement () =
+let test_crash_during_removal () =
   (* crash somewhere inside a mass removal: acked removes must stay
-     removed; the structure stays usable; invariants restorable *)
+     removed, the persistent heap audits clean, and the structure stays
+     usable *)
   let setup () =
-    let fx = make_skiplist ~cfg:reclaim_cfg () in
+    let fx = make_skiplist () in
     run1 fx.pmem (fun ~tid ->
         for k = 1 to 200 do
           ignore (SL.upsert fx.sl ~tid k k)
@@ -1526,6 +1471,8 @@ let test_crash_during_retirement () =
   ignore (run_crash fx.pmem ~events (removals fx acked));
   Pmem.crash fx.pmem;
   Mem.reconnect fx.mem;
+  Alcotest.(check (list string)) "audit clean after the crash" []
+    (SL.audit_persistent fx.sl);
   run1 fx.pmem (fun ~tid ->
       Array.iter
         (List.iter (fun k ->
@@ -1544,18 +1491,8 @@ let test_crash_during_retirement () =
         Alcotest.check opt_int "post-crash inserts" (Some k) (SL.search fx.sl ~tid k)
       done)
 
-let test_reclaim_lincheck_campaign () =
-  let s =
-    crash_campaign
-      ~base:{ Harness.Fault.default_spec with cfg = reclaim_cfg }
-      ~threads:4 ~keyspace:80 ~ops_per_thread:100
-      ~from:0.6 ~seed:4242 ~trials:3 ()
-  in
-  print_failures "reclaim" s;
-  check_int "strictly linearizable with reclamation" 0
-    (List.length s.Harness.Fault.failures)
-
-(* model check with reclamation on and small nodes *)
+(* model check with small nodes: fingerprints, hints and splits under
+   removes *)
 let prop_model_with_extensions =
   let module M = Map.Make (Int) in
   qcase ~count:25 "model equivalence, both extensions (qcheck)"
@@ -1563,14 +1500,7 @@ let prop_model_with_extensions =
       list_of_size (QCheck.Gen.int_range 10 150)
         (pair (int_range 1 50) (int_range 0 3)))
     (fun ops ->
-      let cfg =
-        {
-          Config.default with
-          keys_per_node = 4;
-          reclaim_empty_nodes = true;
-        }
-      in
-      let fx = make_skiplist ~cfg () in
+      let fx = make_skiplist ~cfg:{ Config.default with keys_per_node = 4 } () in
       let ok = ref true in
       run1 fx.pmem (fun ~tid ->
           let model = ref M.empty in
@@ -1590,61 +1520,6 @@ let prop_model_with_extensions =
             ops;
           if SL.to_alist fx.sl <> M.bindings !model then ok := false);
       !ok)
-
-(* ---- EBR unit behaviour ----------------------------------------------------- *)
-
-let test_ebr_grace_period () =
-  let freed = ref [] in
-  let r =
-    Upskiplist.Reclaim.create ~collect_every:1 ~max_threads:4
-      ~free:(fun ~tid:_ node -> freed := Memory.Riv.to_word node :: !freed)
-      ()
-  in
-  let node i = Memory.Riv.make ~pool:0 ~chunk:1 ~offset:(i * 8) in
-  (* tid 1 is mid-operation: nothing retired while it is active may be freed *)
-  Upskiplist.Reclaim.enter r ~tid:1;
-  Upskiplist.Reclaim.enter r ~tid:0;
-  Upskiplist.Reclaim.retire r ~tid:0 (node 1);
-  Upskiplist.Reclaim.retire r ~tid:0 (node 2);
-  check_int "blocked by active reader" 0 (List.length !freed);
-  check_int "pending" 2 (Upskiplist.Reclaim.pending r);
-  (* reader leaves; next retirement advances the epoch and collects *)
-  Upskiplist.Reclaim.exit r ~tid:1;
-  Upskiplist.Reclaim.exit r ~tid:0;
-  Upskiplist.Reclaim.enter r ~tid:0;
-  Upskiplist.Reclaim.retire r ~tid:0 (node 3);
-  check_bool "old retirements freed" true (List.length !freed >= 2);
-  Upskiplist.Reclaim.exit r ~tid:0
-
-let test_ebr_drain () =
-  let freed = ref 0 in
-  let r =
-    Upskiplist.Reclaim.create ~collect_every:1000 ~max_threads:4
-      ~free:(fun ~tid:_ _ -> incr freed)
-      ()
-  in
-  let node i = Memory.Riv.make ~pool:0 ~chunk:1 ~offset:(i * 8) in
-  for tid = 0 to 3 do
-    Upskiplist.Reclaim.retire r ~tid (node tid)
-  done;
-  check_int "four pending" 4 (Upskiplist.Reclaim.pending r);
-  Upskiplist.Reclaim.drain r ~tid:0;
-  check_int "all freed" 4 !freed;
-  check_int "none pending" 0 (Upskiplist.Reclaim.pending r);
-  check_int "freed counter" 4 (Upskiplist.Reclaim.freed r)
-
-let test_ebr_own_epoch_not_freed_midop () =
-  let freed = ref 0 in
-  let r =
-    Upskiplist.Reclaim.create ~collect_every:1 ~max_threads:2
-      ~free:(fun ~tid:_ _ -> incr freed)
-      ()
-  in
-  Upskiplist.Reclaim.enter r ~tid:0;
-  Upskiplist.Reclaim.retire r ~tid:0 (Memory.Riv.make ~pool:0 ~chunk:1 ~offset:0);
-  (* our own announcement pins the epoch: retirement from this epoch stays *)
-  check_int "own op blocks its own retirement" 0 !freed;
-  Upskiplist.Reclaim.exit r ~tid:0
 
 let () =
   Alcotest.run "extensions"
@@ -1698,22 +1573,13 @@ let () =
         [
           case "audit flags over-height towers" test_audit_catches_overheight_towers;
         ] );
-      ( "reclamation",
+      ( "removal",
         [
-          case "retire frees node" test_retire_frees_node;
-          case "search after retirement" test_search_after_retirement;
-          case "reinsert after retirement" test_reinsert_after_retirement;
-          case "blocks reused" test_blocks_reused_after_reclaim;
-          case "concurrent remove/insert" test_concurrent_remove_insert_reclaim;
-          case "readers survive retirement" test_readers_survive_concurrent_retirement;
-          case "crash during retirement" test_crash_during_retirement;
-          slow_case "lincheck campaign" test_reclaim_lincheck_campaign;
-        ] );
-      ( "ebr",
-        [
-          case "grace period" test_ebr_grace_period;
-          case "drain" test_ebr_drain;
-          case "own epoch pins" test_ebr_own_epoch_not_freed_midop;
+          case "search after removal" test_search_after_removal;
+          case "reinsert after removal" test_reinsert_after_removal;
+          case "concurrent remove/insert" test_concurrent_remove_insert;
+          case "readers survive removal" test_readers_survive_concurrent_removal;
+          case "crash during removal" test_crash_during_removal;
         ] );
       ("model", [ prop_model_with_extensions ]);
     ]

@@ -115,13 +115,12 @@ let test_spec_roundtrip () =
           max_height = 40;
           branching_p = 0.75;
           recovery_budget = 0;
-          reclaim_empty_nodes = true;
         };
     }
   in
   let specs =
     { fast_spec with evict = 0.5; mutant = "dangle" }
-    :: { fast_spec with rounds = 3; depth = 2; audit = false; detect = true }
+    :: { fast_spec with rounds = 3; depth = 2; detect = true }
     :: tuned
     :: { fast_spec with structure = Kv.Bztree; descriptors = 500_000 }
     :: product
@@ -138,14 +137,13 @@ let test_spec_roundtrip () =
     "the default spec prints canonical names"
     "structure=upskiplist latency=uniform mode=numa threads=4 keyspace=120 \
      ops=100 read=0.2 rounds=1 crash_at=10000 depth=0 evict=0 draw=1 seed=42 \
-     audit=on mutant=none detect=off"
+     mutant=none detect=off"
     (Fault.spec_to_string Fault.default_spec);
   Alcotest.(check string)
     "a tuned fixture prints only the knobs off their defaults"
     "structure=upskiplist latency=uniform mode=numa threads=4 keyspace=60 \
      ops=60 read=0.2 rounds=1 crash_at=4000 depth=0 evict=0 draw=5 seed=42 \
-     audit=on mutant=none detect=off keys=4 height=40 p=0.75 budget=0 \
-     reclaim=on"
+     mutant=none detect=off keys=4 height=40 p=0.75 budget=0"
     (Fault.spec_to_string tuned);
   (match Fault.spec_of_string "threads=8 mutant=dangle" with
   | Ok s ->
@@ -174,15 +172,8 @@ let spec_gen =
     int_range 2 40 >>= fun max_height ->
     oneof [ float_range 0.01 0.99; pick [ 0.25; 0.5; 0.75 ] ] >>= fun branching_p ->
     oneof [ int_bound 8; pick [ 1; 1_000_000 ] ] >>= fun recovery_budget ->
-    bool >>= fun reclaim_empty_nodes ->
     return
-      {
-        Upskiplist.Config.keys_per_node;
-        max_height;
-        branching_p;
-        recovery_budget;
-        reclaim_empty_nodes;
-      }
+      { Upskiplist.Config.keys_per_node; max_height; branching_p; recovery_budget }
   in
   pick [ Kv.Upskiplist; Kv.Bztree; Kv.Pmdk ] >>= fun structure ->
   (if structure = Kv.Upskiplist then cfg else return Upskiplist.Config.default)
@@ -202,7 +193,6 @@ let spec_gen =
   fraction >>= fun evict ->
   nat >>= fun draw_seed ->
   nat >>= fun seed ->
-  bool >>= fun audit ->
   pick [ "none"; "skip_resolve"; "lose_key"; "dangle" ] >>= fun mutant ->
   bool >>= fun detect ->
   return
@@ -220,7 +210,6 @@ let spec_gen =
       evict;
       draw_seed;
       seed;
-      audit;
       mutant;
       detect;
       cfg;
@@ -237,7 +226,7 @@ let test_spec_validation () =
       check_bool ("rejected: " ^ line) true
         (Result.is_error (Fault.spec_of_string line)))
     [
-      "audit=yes";
+      "audit=off";
       "detect=1";
       "evict=config";
       "structure=btree9000";
@@ -262,10 +251,9 @@ let test_spec_validation () =
       "p=1";
       "p=nan";
       "budget=-1";
-      "reclaim=yes";
+      "reclaim=on";
       "structure=bztree descriptors=0";
       "structure=pmdk keys=4";
-      "structure=bztree reclaim=on";
       "structure=upskiplist descriptors=100000";
       "structure=pmdk descriptors=100000";
     ];
@@ -274,10 +262,10 @@ let test_spec_validation () =
       check_bool ("accepted: " ^ line) true
         (Result.is_ok (Fault.spec_of_string line)))
     [
-      "audit=off detect=on evict=0 depth=0 crash_at=0";
+      "detect=on evict=0 depth=0 crash_at=0";
       "evict=1 mutant=skip_resolve";
       "threads=1 keyspace=1 ops=1 rounds=1 mutant=skip_fp_repair";
-      "keys=1 height=2 p=0.01 budget=0 reclaim=off";
+      "keys=1 height=2 p=0.01 budget=0";
       "keys=512 height=40 p=0.99";
       "threads=256 keyspace=256 ops=1";
       "structure=bztree descriptors=1";

@@ -74,7 +74,7 @@ let test_range_after_splits () =
 
 (* ---- UPSkipList: range is a snapshot ---------------------------------------- *)
 
-let test_snapshot_equals_range_quiesced () =
+let test_snapshot_equals_range_quiet () =
   let fx = make_skiplist () in
   run1 fx.pmem (fun ~tid ->
       for k = 1 to 200 do
@@ -132,9 +132,8 @@ let test_snapshot_no_torn_values () =
   in
   ignore (run fx.pmem [ updater; scanner; updater ])
 
-let test_snapshot_with_reclamation () =
-  let cfg = { Config.default with keys_per_node = 4; reclaim_empty_nodes = true } in
-  let fx = make_skiplist ~cfg () in
+let test_snapshot_with_removals () =
+  let fx = make_skiplist () in
   run1 fx.pmem (fun ~tid ->
       for k = 1 to 100 do
         ignore (SL.upsert fx.sl ~tid k k)
@@ -253,10 +252,10 @@ let () =
         ] );
       ( "snapshot",
         [
-          case "equals range when quiet" test_snapshot_equals_range_quiesced;
+          case "equals range when quiet" test_snapshot_equals_range_quiet;
           case "stable membership under inserts" test_snapshot_stable_membership_under_inserts;
           case "no torn values" test_snapshot_no_torn_values;
-          case "with reclamation" test_snapshot_with_reclamation;
+          case "with removals" test_snapshot_with_removals;
           slow_case "order under writes" test_snapshot_order;
         ] );
       ("complexity", [ case "O(m + log n)" test_range_scaling_with_m ]);

@@ -52,7 +52,7 @@ let test_word_roundtrip () =
   let p = Riv.make ~pool:5 ~chunk:9 ~offset:4242 in
   check_bool "to/of word" true (Riv.equal p (Riv.of_word (Riv.to_word p)))
 
-let test_no_mark_bit_collision () =
+let test_pmwcas_bits_clear () =
   (* PMwCAS uses bits 60/61 for marking; realistic pool ids (< 16) must not
      touch them *)
   let p = Riv.make ~pool:15 ~chunk:Riv.max_chunk ~offset:Riv.max_offset in
@@ -94,7 +94,7 @@ let () =
           case "out of range" test_out_of_range;
           case "add" test_add;
           case "word roundtrip" test_word_roundtrip;
-          case "no mark-bit collision" test_no_mark_bit_collision;
+          case "no mark-bit collision" test_pmwcas_bits_clear;
           prop_roundtrip;
           prop_distinct;
         ] );
