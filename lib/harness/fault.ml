@@ -597,6 +597,19 @@ let grid_points ~seed g =
       g.origin + (i * g.stride)
       + (if g.jitter > 0 then Sim.Rng.int rng g.jitter else 0))
 
+(* The length of [spec]'s round-0 workload, in events, from one
+   crash-free run of it. A deterministic trial equals its dry run up to
+   its crash, so the event a fraction of this names lies in the same
+   phase of the workload whatever the workload's cost. *)
+let trial_events spec = (run_trial { spec with crash_at = max_int }).completed_events
+
+let event_at ~events fraction = int_of_float (fraction *. float_of_int events)
+
+let dry_run_grid ?events spec ~first ~stride ~jitter ~points =
+  let events = match events with Some e -> e | None -> trial_events spec in
+  let at = event_at ~events in
+  { origin = at first; stride = at stride; points; jitter = at jitter }
+
 type campaign = {
   base : spec;  (* crash_at / draw_seed are overridden per trial *)
   grid : grid;

@@ -170,6 +170,27 @@ type grid = {
 val grid_points : seed:int -> grid -> int list
 (** The sweep's crash points; same seed, same points. *)
 
+(** {2 Crash points that stay put}
+
+    A crash point counts scheduler events, so a point pinned as an event
+    count moves into other code, or past the run, whenever operations get
+    cheaper. A fraction of the spec's own crash-free run does not: a
+    deterministic trial equals that dry run up to its crash. *)
+
+val trial_events : spec -> int
+(** The events of [spec]'s round-0 workload run to completion (its
+    crash point ignored): one crash-free trial. *)
+
+val event_at : events:int -> float -> int
+(** The event [fraction] of the way through a run of [events]. *)
+
+val dry_run_grid :
+  ?events:int -> spec -> first:float -> stride:float -> jitter:float -> points:int -> grid
+(** A grid of [points] crash points over [spec]'s crash-free run of
+    [events] (default: {!trial_events}[ spec]): the first [first] of the
+    way through it, the rest [stride] apart, each displaced by up to
+    [jitter] (all fractions of the run). *)
+
 type campaign = {
   base : spec;  (** [crash_at] / [draw_seed] are overridden per trial *)
   grid : grid;

@@ -122,22 +122,7 @@ let run_crash pmem ~events bodies =
    returns its event count, and the point is the event [fraction] of the
    way through it. A point pinned as an event count moves out of the run
    when the workload gets shorter. *)
-let crash_point ~dry_run fraction = int_of_float (fraction *. float_of_int (dry_run ()))
-
-(* A [dry_run] for a Fault trial: [spec]'s round-0 workload, run to
-   completion. *)
-let trial_events spec () =
-  (Harness.Fault.run_trial { spec with Harness.Fault.crash_at = max_int })
-    .Harness.Fault.completed_events
-
-(* A campaign grid of [points] crash points over [spec]'s crash-free run:
-   the first [first] of the way through it, the rest [stride] apart, each
-   displaced by up to [jitter] of it (all fractions of the run), so the
-   grid stays inside the workload whatever its length. *)
-let dry_run_grid spec ~first ~stride ~jitter ~points =
-  let events = trial_events spec () in
-  let at f = crash_point f ~dry_run:(fun () -> events) in
-  { Harness.Fault.origin = at first; stride = at stride; points; jitter = at jitter }
+let crash_point ~dry_run fraction = Harness.Fault.event_at ~events:(dry_run ()) fraction
 
 let make_mem ?(block_words = 64) ?(blocks_per_chunk = 32) ?(n_arenas = 4) pmem =
   let mem =
@@ -236,7 +221,7 @@ let check_pairs msg expected actual =
 let crash_campaign ~base ?(evict = 0.0) ~threads ~keyspace ~ops_per_thread ~from ~seed
     ~trials () =
   let base = { base with Harness.Fault.threads; keyspace; ops_per_thread; evict; draw_seed = seed; seed } in
-  let crash_events = crash_point from ~dry_run:(trial_events base) in
+  let crash_events = crash_point from ~dry_run:(fun () -> Harness.Fault.trial_events base) in
   let step = max 1 (crash_events / (2 * trials)) in
   let s =
     Harness.Fault.run_campaign

@@ -62,10 +62,10 @@ let adversarial_base () =
   let base =
     { Fault.default_spec with threads = 4; keyspace = 120; ops_per_thread = 100; draw_seed = 3 }
   in
-  { base with crash_at = crash_point 0.6 ~dry_run:(trial_events base) }
+  { base with crash_at = crash_point 0.6 ~dry_run:(fun () -> Fault.trial_events base) }
 
 (* Two crash points, at 40 % and 75 % of the way through [base]'s run. *)
-let two_point_grid base = dry_run_grid base ~first:0.4 ~stride:0.35 ~jitter:0.05 ~points:2
+let two_point_grid base = Fault.dry_run_grid base ~first:0.4 ~stride:0.35 ~jitter:0.05 ~points:2
 
 let expect_clean name (r : Fault.result) =
   List.iter

@@ -76,7 +76,7 @@ let campaign () =
       draw_seed = 4243;
     }
   in
-  let events = trial_events base () in
+  let events = Fault.trial_events base in
   let at fraction = crash_point fraction ~dry_run:(fun () -> events) in
   {
     Fault.base;
@@ -128,7 +128,7 @@ let crash_histories () =
           seed = 900 + i;
         }
       in
-      let crash_at = crash_point fraction ~dry_run:(trial_events spec) in
+      let crash_at = crash_point fraction ~dry_run:(fun () -> Fault.trial_events spec) in
       let t = Fault.run_trial { spec with crash_at } in
       check_bool
         (if t.Fault.completed_events > 0 then

@@ -19,12 +19,12 @@ trap 'rm -rf "$tmp"' EXIT
 
 campaign() {
   # $1 = output json, $2 = jobs, $3 = mutant; exit status passed through.
-  # The grid's points (at most 5 799) lie inside the workload's 6 845
-  # events, as a dry run (crash-replay with crash_at=1000000000) measures
-  # it; a trial that never crashes fails the sweep.
+  # The grid's points spread over 2 % .. 98 % of the workload's crash-free
+  # run (one dry run resolves them to events); a trial that never crashes
+  # fails the sweep.
   "$CLI" crash-sweep detect=on mutant="$3" -j "$2" \
     mode=striped threads=4 keyspace=60 ops=60 depth=1 draw=43 \
-    --origin 1000 --stride 900 --points 6 --jitter 300 --draws 2 \
+    --from 0.02 --to 0.98 --points 6 --draws 2 \
     --json-out "$1"
 }
 
