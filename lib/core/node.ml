@@ -381,7 +381,10 @@ let persist_fresh mem ly n ~keys ~height =
 (* Persist what a split rewrote in the node it split, under the write lock:
    the fingerprint line and each pair line holding one of the erased
    [slots], each flushed once, then one fence. The header is left to the
-   write unlock. *)
+   write unlock. Fingerprints are volatile, but this is the only flush
+   that puts a fingerprint line in the persistent image: after a crash a
+   lookup of a present key hits it instead of repairing the line from all
+   K keys (DESIGN "Why a split flushes a volatile line"). *)
 let persist_split mem ly n slots =
   Mem.flush_range mem n ~first:o_fp ~words:ly.fp_used;
   List.iter

@@ -119,7 +119,9 @@ let backoff t ~tid = Mem.charge t.mem (backoff_delay t ~tid)
 type find = {
   found : bool;
   key_index : int;
-  split_count : int;  (* of preds.(0), read before its keys were scanned *)
+  split_count : int;
+      (* of preds.(0), from a copy of its header line made before its keys
+         were scanned; [unsettled] when a writer held the node then *)
   preds : Riv.t array;
   succs : Riv.t array;
       (* succs.(0) is loaded by the traversal; above level 0 an entry is
@@ -129,6 +131,13 @@ type find = {
          when the walk entered the node, else the pred's hint — what a
          new node linked before succs.(l) stores as its own hint *)
 }
+
+(* The split count of a traversal that copied pred0's header while a
+   writer held it: a split bumps the count before it erases the slots it
+   moved, so the copy's count may already be the one the finished split
+   leaves, with the keys scanned before their erasure. No node's count is
+   negative, so every validation against this one fails and retries. *)
+let unsettled = -1
 
 (* Find [key] among a node's slots (Function 8) through its fingerprint
    line: walk the fingerprint [words] ([Node.read_fps]) in slot order and
@@ -180,11 +189,12 @@ let fp_confirmed t n =
 
 (* A traversal's in-node lookup. A fingerprint hit is checked by its key
    read, so it answers on any node. A miss answers only on a node whose
-   line is confirmed — checked before the words are read, since a repair
-   may complete the line in between. A miss on an unconfirmed node
-   repairs the line and answers from the keys the repair read. *)
-let scan_keys t ~tid n key =
-  let confirmed = fp_confirmed t n in
+   line was [confirmed] before the words are read, since a repair may
+   complete the line in between (the caller takes the bit from a header
+   copy made before this call: under a current stamp it is never cleared
+   within an epoch). A miss on an unconfirmed node repairs the line and
+   answers from the keys the repair read. *)
+let scan_keys t ~tid n key ~confirmed =
   let words = t.fp_bufs.(tid) in
   Node.read_fps t.mem t.ly n words;
   match find_slot t ~tid n key words with
@@ -357,10 +367,19 @@ let rec walk_upper t ~tid buf key level pred cur bound =
    A claim can run a nested traversal ([check_insert_recovery] ->
    [first_unlinked]), which overwrites the buffer: a claim that repairs
    nothing copies the line again ([check_for_recovery]), and one that
-   repairs restarts the traversal. The validation reads after the
-   traversal, and every CAS, flush and fence, stay word accesses. The
-   upper successors are not recorded; [load_succs] loads them where a
-   writer needs them. *)
+   repairs restarts the traversal. The upper successors are not
+   recorded; [load_succs] loads them where a writer needs them.
+
+   The lookup in pred0 takes its split count and the lock word's fp_ok
+   bit from the header copy the walk ends with, and copies pred0's line
+   once more only when a level-0 overshoot left the entered node's line
+   in the buffer. An older split count only adds retries, and fp_ok under
+   a current stamp is never cleared within an epoch, so the copy serves
+   as well as fresh word reads would; a copy that shows a writer yields
+   [unsettled]. A found search then validates with one more read of the
+   header line, after its value read ([search_impl]). The write paths'
+   validation (read lock, split count, [relinked]) and every CAS, flush
+   and fence stay word accesses. *)
 let rec traverse t ~tid ~recover key =
   let h = t.cfg.Config.max_height in
   let preds = Array.make h t.head in
@@ -451,8 +470,19 @@ let rec traverse t ~tid ~recover key =
       if Riv.equal pred0 t.head then
         { found = false; key_index = -1; split_count = 0; preds; succs; bounds }
       else begin
-        let sc = Node.split_count t.mem pred0 in
-        let ki = scan_keys t ~tid pred0 key in
+        (* the lookup's split count and fp_ok bit come from a copy of
+           pred0's header line: the one the walk holds, unless a level-0
+           overshoot left the entered node's line in the buffer *)
+        if not (Riv.equal !copied pred0) then copy_header t buf pred0;
+        let lockw = Node.line_lock buf in
+        let sc =
+          if Node.Lock.is_write_locked lockw then unsettled
+          else Node.meta_split_count (Node.line_meta buf)
+        in
+        let ki =
+          scan_keys t ~tid pred0 key
+            ~confirmed:(Node.Lock.fp_ok_at ~epoch:(Mem.epoch t.mem) lockw)
+        in
         { found = ki >= 0; key_index = ki; split_count = sc; preds; succs; bounds }
       end
     end
@@ -953,23 +983,32 @@ let miss_raced_split t f =
   let pred0 = f.preds.(0) in
   (not (Riv.equal pred0 t.head)) && relinked t ~pred0 ~succ0:f.succs.(0)
 
-(* Function 9. *)
+(* Function 9. A found key's value is an answer if no split moved keys
+   out of pred0 between the traversal's header copy and the value read.
+   One read of the header line after the value read checks that at one
+   instant: not write-locked, and the split count the copy held. A split
+   bumps the count under the writer bit, before it erases the slots it
+   moved, and unlocks after, so a split that erased the slot before the
+   value read either still holds the lock or has changed the count; the
+   copy's own writer bit covers the split it caught mid-way
+   ([unsettled]). *)
 let rec search_impl t ~tid key =
   let f = traverse t ~tid ~recover:true key in
   if not f.found then
     if miss_raced_split t f then search_impl t ~tid key else None
   else begin
     let n = f.preds.(0) in
-    if Node.Lock.is_write_locked (Node.Lock.word t.mem n) then begin
+    let v = Node.value t.mem t.ly n f.key_index in
+    let hdr = t.fp_bufs.(tid) in
+    copy_header t hdr n;
+    if Node.Lock.is_write_locked (Node.line_lock hdr) then begin
       backoff t ~tid;
       search_impl t ~tid key
     end
-    else begin
-      let v = Node.value t.mem t.ly n f.key_index in
-      if Node.split_count t.mem n <> f.split_count then search_impl t ~tid key
-      else if v = Node.tombstone then None
-      else Some v
-    end
+    else if Node.meta_split_count (Node.line_meta hdr) <> f.split_count then
+      search_impl t ~tid key
+    else if v = Node.tombstone then None
+    else Some v
   end
 
 (* Section 4.6: removal tombstones the value, reusing the update path. *)

@@ -576,6 +576,106 @@ let test_median_split_crash_grid =
 let test_median_split_old_half_crash_grid =
   split_crash_grid ~key:13 ~after:[ [ 10; 12; 13 ]; [ 14; 16 ] ]
 
+(* A machine over [fx]'s memory whose accesses take [extra ~tid ~write a]
+   ns longer. An access takes effect when it is issued, so stretching one
+   delays only its fiber's next access. *)
+let stretched_machine fx extra =
+  let m = Pmem.machine fx.pmem in
+  let stretch ~tid ~write a =
+    m.Sim.Sched.latency.(0) <- m.Sim.Sched.latency.(0) +. extra ~tid ~write a
+  in
+  {
+    m with
+    Sim.Sched.read =
+      (fun ~tid a ->
+        let v = m.Sim.Sched.read ~tid a in
+        stretch ~tid ~write:false a;
+        v);
+    write =
+      (fun ~tid a v ->
+        m.Sim.Sched.write ~tid a v;
+        stretch ~tid ~write:true a);
+  }
+
+(* A search of 16 (fiber 0) against an upsert of 18 (fiber 1) that splits
+   the full node [10; 12; 14; 16] (K = 4) and moves 16 out, on a machine
+   stretched by [extra fx n], where [n] is that node; [prepare fx n] runs
+   first. The search must find 16. *)
+let search_across_split ~where ~prepare ~extra =
+  let fx = make_skiplist ~cfg:hint_cfg ~seed:7 () in
+  run1 fx.pmem (fun ~tid -> List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) [ 10; 12; 14; 16 ]);
+  let n = List.hd (bottom_nodes fx) in
+  prepare fx n;
+  let found = ref None in
+  let bodies =
+    [
+      (0, fun ~tid -> found := SL.search fx.sl ~tid 16);
+      ( 1,
+        fun ~tid ->
+          Sim.Sched.charge 500.0;
+          ignore (SL.upsert fx.sl ~tid 18 18 : int option) );
+    ]
+  in
+  (match Sim.Sched.run ~machine:(stretched_machine fx (extra fx n)) bodies with
+  | Sim.Sched.Completed _ -> ()
+  | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected simulated crash");
+  Alcotest.(check (list (list int)))
+    (where ^ ": 16 moved") [ [ 10; 12; 14 ]; [ 16; 18 ] ] (sorted_node_keys fx);
+  Alcotest.(check (option int)) (where ^ ": 16 found") (Some 16) !found
+
+(* The address of [key]'s slot in [n]. *)
+let key_addr fx n key =
+  let ly = Node.layout (SL.config fx.sl) in
+  let i =
+    List.find (fun i -> Mem.peek_field fx.mem n (Node.o_key ly i) = key) (List.init ly.Node.k Fun.id)
+  in
+  Mem.resolve fx.mem n + Node.o_key ly i
+
+(* The two orders a found search's validation relies on, each forced by
+   stretching chosen accesses around one split.
+
+   After the value: the search's first read of the node's header line
+   after its key read is stretched by 20 us, and the split starts 0.5 us
+   in. Validated after the value read, the search read the value before
+   the split; a validation read before the value lets the split erase the
+   slot between the two, and the search returns the tombstone.
+
+   A copy under the writer: the node's level-0 hint is lowered to 16 (a
+   stale-low hint), so the walk enters the tail, whose header read is
+   stretched by 30 us, and copies the node's line again, while the split
+   sits 50 us in its split-count bump: locked, count bumped, keys not yet
+   erased. The key read is stretched by 60 us, past the erasure and the
+   unlock. The copy's count equals the count the validation then reads,
+   so only the writer bit in the copy tells the search to retry. *)
+let check_search_validation_order () =
+  search_across_split ~where:"validated after the value"
+    ~prepare:(fun _ _ -> ())
+    ~extra:(fun fx n ->
+      let key16 = key_addr fx n 16 and hdr = Mem.resolve fx.mem n in
+      let armed = ref false in
+      fun ~tid ~write a ->
+        if tid = 0 && (not write) && a = key16 then armed := true;
+        if tid = 0 && (not write) && !armed && a = hdr then begin
+          armed := false;
+          20_000.0
+        end
+        else 0.0);
+  let locked_copies = ref 0 in
+  search_across_split ~where:"copied under the writer"
+    ~prepare:(fun fx n -> Mem.poke_field fx.mem n Node.o_hint0 16)
+    ~extra:(fun fx n ->
+      let key16 = key_addr fx n 16 and hdr = Mem.resolve fx.mem n in
+      let tail = Mem.resolve fx.mem (SL.tail fx.sl) in
+      fun ~tid ~write a ->
+        if tid = 0 && (not write) && a = hdr
+           && Node.Lock.is_write_locked (Mem.peek_field fx.mem n Node.o_lock)
+        then incr locked_copies;
+        if tid = 1 && write && a = hdr + Node.o_meta then 50_000.0
+        else if tid = 0 && (not write) && a = tail then 30_000.0
+        else if tid = 0 && (not write) && a = key16 then 60_000.0
+        else 0.0);
+  check_bool "the search copied the header line under the writer" true (!locked_copies > 0)
+
 (* Readers against the writers' publication order: eight fibers insert
    interleaved keys — splitting full nodes (K = 4) or linking fresh nodes
    (K = 1), and building towers — and after each insert look up the keys
@@ -587,7 +687,9 @@ let test_median_split_old_half_crash_grid =
    a node it needed, and the insert that follows links its own node out of
    order. Optane timing makes a fiber's first touch of a line a ~300 ns
    miss, the window in which a writer lowers a hint and publishes a pointer
-   between two loads of a reader. *)
+   between two loads of a reader. Then two searches whose reads are
+   stretched around one split ([check_search_validation_order]) must find
+   the key it moved. *)
 let test_hint_reader_order () =
   List.iter
     (fun keys_per_node ->
@@ -618,7 +720,8 @@ let test_hint_reader_order () =
         | errs -> Alcotest.failf "%s: %s" where (String.concat "; " errs));
         check_int (where ^ ": top level") (highest_head_level fx) (SL.top_level fx.sl)
       done)
-    [ 4; 1 ]
+    [ 4; 1 ];
+  check_search_validation_order ()
 
 (* The volatile top level after a crash: recovery recomputes it from the
    head's tower, whatever the crash cut short. *)
@@ -750,16 +853,24 @@ let tower_line_of fx nodes a =
    word). *)
 let tower_reads fx nodes reads = List.filter_map (tower_line_of fx nodes) reads
 
+(* The header copies of pred0 a lookup makes after a walk: one when level
+   0 ended on the anchor of a node it entered (the buffer then holds that
+   node's line, not pred0's), else none. *)
+let pred0_recopies walk =
+  if List.exists (fun (l, _, on_hint) -> l = 0 && not on_hint) walk then 1 else 0
+
 (* One search, read by read. No level reads a word of the node that ends
    it: every level ends on a hint. The count follows: above level 1, one
    access per (node, tower line) the walk stands on or enters
    ([tower_lines_read]); at levels 1 and 0 one access per header line:
    the node level 1 starts on, and each node a hop enters (level 0 starts
-   on the copy level 1 ended on). The lookup in the last node reads its
-   split count, lock word and fingerprint line (one read, whatever the
-   number of fingerprint words: see the next test), one key per
-   fingerprint match, and, for a key found, the lock word, value and split
-   count again. *)
+   on the copy level 1 ended on). The lookup in the last node takes its
+   split count and fingerprint confirmation from the header copy the walk
+   holds, copying that line again only when level 0 ended on an entered
+   node's anchor ([pred0_recopies]); then it reads the fingerprint line
+   (one read, whatever the number of fingerprint words: see the next
+   test), one key per fingerprint match, and, for a key found, the value
+   and then the header line once more, which validates the lookup. *)
 let test_hint_read_order () =
   let fx = loaded_list ~n:1_500 in
   let block_words = Mem.block_words fx.mem in
@@ -792,9 +903,10 @@ let test_hint_read_order () =
     check_int (where ^ ": every level ended on a hint") (List.length walk) (Obs.total Obs.id_hint_stop);
     check_int (where ^ ": no stale hint") 0 (Obs.total Obs.id_hint_stale);
     let fp_line_reads = (Node.layout (SL.config fx.sl)).Node.fp_lines in
+    let value_and_validation = 2 in
     let predicted =
-      List.length upper + 1 + hops_at 1 + hops_at 0 + 5 + fp_line_reads
-      + Obs.total Obs.id_fp_match
+      List.length upper + 1 + hops_at 1 + hops_at 0 + pred0_recopies walk + fp_line_reads
+      + Obs.total Obs.id_fp_match + value_and_validation
     in
     check_int (where ^ ": loads") predicted (List.length reads)
   done;
@@ -803,14 +915,18 @@ let test_hint_read_order () =
 
 (* The header lines, in walk order, that a walk reads at levels 1 and 0,
    one access each: level 1's nodes (the one it starts on and each one a
-   hop enters), then each node a level-0 hop enters; level 0 starts on the
-   copy level 1 ended on. *)
-let header_lines_read walk =
+   hop enters), then level 0's; a level that ends on an anchor also read
+   the node it entered there. Level 0 starts on the copy level 1 ended on,
+   unless level 1 ended on an entered node's anchor. *)
+let header_lines_read fx walk =
+  let entered (l, nodes, on_hint) = if on_hint then [] else [ next_at fx (last nodes) l ] in
   List.concat_map
-    (fun (l, nodes, _) ->
-      if l = 1 then nodes
-      else if l = 0 && List.exists (fun (l', _, _) -> l' = 1) walk then List.tl nodes
-      else if l = 0 then nodes
+    (fun ((l, nodes, _) as level) ->
+      if l = 1 then nodes @ entered level
+      else if l = 0 then
+        match List.find_opt (fun (l', _, _) -> l' = 1) walk with
+        | Some (_, _, true) -> List.tl nodes @ entered level
+        | Some (_, _, false) | None -> nodes @ entered level
       else [])
     walk
 
@@ -826,20 +942,30 @@ let header_line_of fx nodes a =
 (* A header hop reads its line once: every search and every update of a
    present key reads the header line of each node it stands on or enters
    at levels 1 and 0 exactly once, at the line's first word, in walk
-   order. The only other reads inside a header line are the validation
-   reads after the traversal, of the last node's meta word (its split
-   count) and lock word. A hop that reads the epoch, hint, pointer or
-   anchor as words fails. *)
+   order. After the walk, pred0's line is copied again only where level 0
+   ended on an entered node's anchor, and a search reads it once more, as
+   a whole line, to validate: at most two reads of pred0's header per
+   search, and none inside a header line. An update's validation takes
+   the read lock and re-reads the split count as words, so its only reads
+   inside a header line are pred0's meta and lock words. A hop or a
+   validation that reads the epoch, meta, lock, hint, pointer or anchor
+   as words fails. Every other pair of operations first lowers pred0's
+   level-0 hint to the key (a stale-low hint, as a failed link CAS
+   leaves), so level 0 enters the successor and ends on its anchor. *)
 let test_header_hop_one_line_read () =
   let fx = loaded_list ~n:1_500 in
   let nodes = SL.head fx.sl :: SL.tail fx.sl :: bottom_nodes fx in
   let show l = String.concat " " (List.map (Fmt.str "%a" Riv.pp) l) in
+  let pred0_of walk = last (List.assoc 0 (List.map (fun (l, n, _) -> (l, n)) walk)) in
+  let recopied = ref 0 in
   for i = 0 to 199 do
     let key = 101 + (2 * (i * 29 mod 1_500)) in
     let update = i mod 2 = 1 in
     let where = Fmt.str "%s %d" (if update then "update" else "search") key in
+    if i mod 4 >= 2 then Mem.poke_field fx.mem (pred0_of (traversal_walk fx key)) Node.o_hint0 key;
     let walk = traversal_walk fx key in
-    let pred0 = last (List.assoc 0 (List.map (fun (l, n, _) -> (l, n)) walk)) in
+    let pred0 = pred0_of walk in
+    recopied := !recopied + pred0_recopies walk;
     let reads =
       reads_of fx (fun ~tid ->
           if update then ignore (SL.upsert fx.sl ~tid key key : int option)
@@ -847,14 +973,22 @@ let test_header_hop_one_line_read () =
     in
     let in_headers = List.filter_map (header_line_of fx nodes) reads in
     let starts = List.filter_map (fun (n, o) -> if o = 0 then Some n else None) in_headers in
+    let after_walk =
+      List.init (pred0_recopies walk + if update then 0 else 1) (fun _ -> pred0)
+    in
     Alcotest.(check string)
-      (where ^ ": header lines read") (show (header_lines_read walk)) (show starts);
+      (where ^ ": header lines read")
+      (show (header_lines_read fx walk @ after_walk))
+      (show starts);
     List.iter
       (fun (n, o) ->
-        if o <> 0 && not (Riv.equal n pred0 && (o = Node.o_meta || o = Node.o_lock)) then
-          Alcotest.failf "%s: a read of word %d inside the header line of %a" where o Riv.pp n)
+        if
+          o <> 0
+          && not (update && Riv.equal n pred0 && (o = Node.o_meta || o = Node.o_lock))
+        then Alcotest.failf "%s: a read of word %d inside the header line of %a" where o Riv.pp n)
       in_headers
-  done
+  done;
+  check_bool "some walks ended level 0 on an anchor" true (!recopied > 50)
 
 (* Every read a walk above level 1 makes in a tower region is one access
    to a whole line, at its first word, and no line is read twice: the

@@ -270,6 +270,69 @@ let test_unlock_counter () =
        false
      with Invalid_argument _ -> true)
 
+(* The two lock-word facts a lookup's validation relies on, over random
+   sequences of lock transitions on one node, each issued where the
+   structure issues it (a read unlock by a reader, a write unlock and a
+   split-count bump by the writer): an fp_ok bit set under the current
+   stamp stays set, and the split count in the meta word changes only
+   while the writer bit is held, before and after the change. The
+   transitions' outcomes also match a model of the holders: a read lock
+   and a write lock exclude each other, and [acquire_write] against
+   readers declares its intent, gives up and clears it. Half the runs
+   start with the node's line unconfirmed. *)
+let lock_ops = [| "read_lock"; "read_unlock"; "write_lock"; "acquire_write"; "write_unlock"; "confirm_fp"; "split" |]
+
+let prop_lock_transitions (confirmed, ops) =
+  let module N = Upskiplist.Node in
+  let fx = make_skiplist ~cfg:{ Config.default with keys_per_node = 4 } () in
+  run1 fx.pmem (fun ~tid -> List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) [ 1; 2; 3 ]);
+  let mem = SL.mem fx.sl in
+  let n = Riv.of_word (Memory.Mem.peek_field mem (SL.head fx.sl) N.o_next0) in
+  if not confirmed then
+    Memory.Mem.poke_field mem n N.o_lock
+      (Memory.Mem.peek_field mem n N.o_lock land lnot N.fp_ok_bit);
+  run1 fx.pmem (fun ~tid:_ ->
+      let epoch = Memory.Mem.epoch mem in
+      let readers = ref 0 and held = ref None in
+      let fail op fmt = Alcotest.failf ("%s: " ^^ fmt) lock_ops.(op) in
+      List.iter
+        (fun op ->
+          let w = N.Lock.word mem n and m = N.meta mem n in
+          (match (op, !held) with
+          | 0, _ ->
+              let ok = N.Lock.read_lock mem n in
+              if ok <> (!held = None) then fail op "returned %b" ok;
+              if ok then incr readers
+          | 1, _ when !readers > 0 ->
+              N.Lock.read_unlock mem n;
+              decr readers
+          | (2 | 3), None ->
+              let got =
+                if op = 2 then N.Lock.write_lock mem n
+                else N.Lock.acquire_write mem n ~backoff:(fun () -> Sim.Sched.charge 10.0)
+              in
+              if Option.is_some got <> (!readers = 0) then fail op "acquired with %d readers" !readers;
+              held := got
+          | 4, Some h ->
+              N.Lock.write_unlock mem n ~held:h;
+              held := None
+          | 5, _ -> ignore (N.Lock.confirm_fp mem n : bool)
+          | 6, Some _ -> N.set_split_count mem n (N.split_count mem n + 1)
+          | _ -> ());
+          let w' = N.Lock.word mem n and m' = N.meta mem n in
+          if N.Lock.fp_ok_at ~epoch w && not (N.Lock.fp_ok_at ~epoch w') then
+            fail op "cleared fp_ok (%#x -> %#x)" w w';
+          if m' <> m && not (N.Lock.is_write_locked w && N.Lock.is_write_locked w') then
+            fail op "moved the split count outside the writer (%#x -> %#x)" w w';
+          if N.Lock.is_write_locked w' <> (!held <> None) then fail op "writer bit %#x" w';
+          if N.Lock.readers_at ~epoch w' <> !readers then fail op "readers %#x" w';
+          if N.Lock.intent_at ~epoch w' then fail op "left its intent (%#x)" w')
+        ops);
+  true
+
+let lock_sequences =
+  QCheck.(pair bool (list_of_size (QCheck.Gen.int_range 1 60) (int_bound (Array.length lock_ops - 1))))
+
 let test_multiple_readers () =
   let fx = make_skiplist () in
   run1 fx.pmem (fun ~tid:_ ->
@@ -305,5 +368,7 @@ let () =
           case "read blocks write" test_read_lock_blocks_write_lock;
           case "multiple readers" test_multiple_readers;
           case "unlock counter" test_unlock_counter;
+          qcase ~count:200 "lock transitions keep fp_ok and the writer's split count"
+            lock_sequences prop_lock_transitions;
         ] );
     ]
