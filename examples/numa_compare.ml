@@ -25,9 +25,9 @@ let () =
   let variants =
     [
       ( "striped shards (one 4-node interleaved pool each)",
-        { Kv.default_sys with mode = Pmem.Striped; numa_nodes = 4 } );
+        { Kv.default_sys with mode = Pmem.Striped; numa_nodes = 4; seed = base_cfg.seed } );
       ( "NUMA-aware shards (four per-node pools each)",
-        { Kv.default_sys with mode = Pmem.Multi_pool; numa_nodes = 4 } );
+        { Kv.default_sys with mode = Pmem.Multi_pool; numa_nodes = 4; seed = base_cfg.seed } );
     ]
   in
   List.iter

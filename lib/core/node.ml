@@ -68,10 +68,9 @@
    writer lowers the hint by CAS-min to the new successor's anchor before
    the pointer CAS publishing it, so a hint never exceeds the anchor of the
    node its pointer names at that moment, and a stop on the hint
-   linearizes at the hint read. So the level-0 successor the traversal
-   records comes with a bound that held when it was read (see
-   [Skiplist.traverse]); the upper successors a writer needs are loaded by
-   [Skiplist.load_succs] by the same rule. A failed link CAS leaves a
+   linearizes at the hint read. So each successor the traversal records
+   comes with a bound that held when it was read (see
+   [Skiplist.traverse]), at every level. A failed link CAS leaves a
    hint stale-low, which is safe: the reader enters the node, reads its
    anchor, and stops there. Levels a node is not yet linked at are written
    plainly, hint before pointer, before any reader can reach them there. Since a hint shares its pointer's line and is stored

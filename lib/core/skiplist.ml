@@ -124,12 +124,12 @@ type find = {
          were scanned; [unsettled] when a writer held the node then *)
   preds : Riv.t array;
   succs : Riv.t array;
-      (* succs.(0) is loaded by the traversal; above level 0 an entry is
-         [Riv.null] until [load_succs] loads it *)
+      (* each level's successor, from the copy of pred's line the level
+         ended on (the tail above the [top] the traversal read) *)
   bounds : int array;
-      (* lower bound on each loaded succs.(l)'s anchor: the anchor itself
-         when the walk entered the node, else the pred's hint — what a
-         new node linked before succs.(l) stores as its own hint *)
+      (* lower bound on each succs.(l)'s anchor: the anchor itself when
+         the walk entered the node, else the pred's hint — what a new node
+         linked before succs.(l) stores as its own hint *)
 }
 
 (* The split count of a traversal that copied pred0's header while a
@@ -256,11 +256,6 @@ let populate_levels t ~node ~succs ~bounds ~from_level ~to_level =
       ~first:(Node.o_next t.ly lo)
       ~words:(Node.o_hint t.ly to_level - Node.o_next t.ly lo + 1)
 
-let record_succ f level pred cur bound =
-  f.preds.(level) <- pred;
-  f.succs.(level) <- cur;
-  f.bounds.(level) <- bound
-
 (* ---- line copies ------------------------------------------------------- *)
 
 (* A hop reads each line it uses with one access, into its thread's
@@ -269,8 +264,8 @@ let record_succ f level pred cur bound =
    then records the address of the line it holds (0: none), so a walk
    that stays on one node and one line reads it once. A header line has
    no spare word (its last is the level-1 pointer): a header copy is made
-   on every use and records nothing, so a walk that copies a header
-   before a tower line clears the record first. *)
+   on every use and records nothing; a traversal clears the record when
+   it starts, and its header copies come after its last tower copy. *)
 let held = Config.line_words - 1
 
 (* Copy the tower line at [a] unless the copy holds it already. *)
@@ -288,57 +283,6 @@ let copy_hop_line t buf n level =
   if level <= 1 then copy_header t buf n
   else copy_line t buf (Node.line_addr t.mem t.ly n level)
 
-(* The successor at [level] (>= 1) of a walk for [key] now at [pred], whose
-   pointer and hint there are [cur] and [bound] as of one copy of its
-   line. Entering a node reads its line once, for its anchor and, when the
-   walk moves on, its pointer and hint. Moves on past nodes whose anchor
-   is at most [key], and records pred, successor and bound in [f] at
-   [level]. *)
-let rec walk_succ t buf f key level pred cur bound =
-  if bound > key then record_succ f level pred cur bound
-  else begin
-    copy_hop_line t buf cur level;
-    let k0 = Node.line_anchor buf level in
-    if k0 <= key then
-      walk_succ t buf f key level cur (Node.line_next buf level) (Node.line_hint buf level)
-    else record_succ f level pred cur k0
-  end
-
-(* Load the successors a traversal [f] for [key] left unloaded, at levels
-   [from_level .. to_level] (all above 0), walking forward from the
-   recorded predecessors, starting with no line copied. Only writers
-   call it: a fresh node's first populate ([make_linked_object]) and a
-   tower level whose link CAS failed ([link_higher_levels]). *)
-let load_succs t ~tid f key ~from_level ~to_level =
-  let buf = t.fp_bufs.(tid) in
-  buf.(held) <- 0;
-  for level = from_level to to_level do
-    let pred = f.preds.(level) in
-    copy_hop_line t buf pred level;
-    walk_succ t buf f key level pred (Node.line_next buf level) (Node.line_hint buf level);
-    if level = 1 then buf.(held) <- 0
-  done
-
-(* One level above 1 of a traversal for [key], from [pred], as
-   [walk_succ] walks it. Returns the node the level ends on. *)
-let rec walk_upper t ~tid buf key level pred cur bound =
-  if bound > key then begin
-    (* the successor overshoots: end the level without entering it *)
-    Obs.bump ~tid Obs.id_hint_stop;
-    pred
-  end
-  else begin
-    copy_hop_line t buf cur level;
-    let k0 = Node.line_anchor buf level in
-    if k0 <= key then
-      walk_upper t ~tid buf key level cur (Node.line_next buf level) (Node.line_hint buf level)
-    else begin
-      (* a stale-low hint let the traversal enter an overshoot *)
-      Obs.bump ~tid Obs.id_hint_stale;
-      pred
-    end
-  end
-
 (* Forward declarations resolved below: traversal and tower building are
    mutually recursive with recovery.
 
@@ -355,10 +299,13 @@ let rec walk_upper t ~tid buf key level pred cur bound =
    instant's view, so the rule above holds in it: a hint above [key] ends
    the level, linearized at the read, without entering the successor, and
    a hint at most [key] sends the walk into the node its pointer names,
-   checked by its own anchor. Level 0's recorded successor ([relinked],
+   checked by its own anchor. One loop walks every level by this rule,
+   and each level records its pred, successor and bound from the copy it
+   ended on, so the bound held for the successor: level 0's ([relinked],
    [miss_raced_split], [insert_into_existing] and the split's link CAS
-   compare against it) and its bound come from one copy, so the bound
-   held for it.
+   compare against it) and the upper ones a writer populates a new node
+   from ([make_linked_object], [link_higher_levels]). A successor that
+   went stale since fails its link CAS, and the link re-traverses.
 
    Above level 1 the walk reuses a tower copy while it stays on one node
    and one line (levels 2-4, 5-7, ...). Level 1 copies the header of the
@@ -367,8 +314,7 @@ let rec walk_upper t ~tid buf key level pred cur bound =
    A claim can run a nested traversal ([check_insert_recovery] ->
    [first_unlinked]), which overwrites the buffer: a claim that repairs
    nothing copies the line again ([check_for_recovery]), and one that
-   repairs restarts the traversal. The upper successors are not
-   recorded; [load_succs] loads them where a writer needs them.
+   repairs restarts the traversal.
 
    The lookup in pred0 takes its split count and the lock word's fp_ok
    bit from the header copy the walk ends with, and copies pred0's line
@@ -383,7 +329,7 @@ let rec walk_upper t ~tid buf key level pred cur bound =
 let rec traverse t ~tid ~recover key =
   let h = t.cfg.Config.max_height in
   let preds = Array.make h t.head in
-  let succs = Array.make h Riv.null in
+  let succs = Array.make h t.tail in
   let bounds = Array.make h Node.tail_key in
   let recoveries = ref 0 in
   let rec attempt () =
@@ -406,61 +352,53 @@ let rec traverse t ~tid ~recover key =
     in
     (* the node whose header line the buffer holds, if any *)
     let copied = ref Riv.null in
-    (* levels above [top] are head -> tail: preds already say so (and
-       [top] only grows, so a restart overwrites every level an earlier
-       attempt filled) *)
+    (* levels above [top] are head -> tail: preds, succs and bounds
+       already say so (and [top] only grows, so a restart overwrites every
+       level an earlier attempt filled) *)
     let level = ref (Atomic.get t.top) in
     while (not !restart) && !level >= 0 do
       let l = !level in
-      let cur = ref Riv.null and bound = ref Node.tail_key in
-      if l >= 2 then begin
-        copy_hop_line t buf !pred l;
-        pred := walk_upper t ~tid buf key l !pred (Node.line_next buf l) (Node.line_hint buf l)
-      end
-      else begin
-        if not (Riv.equal !copied !pred) then begin
-          copy_header t buf !pred;
-          copied := !pred
-        end;
-        (* a pred moved onto above level 1 was only routed by its anchor:
-           claim it before its line is used. Level 0 starts on the node
-           level 1 ended on, already claimed there. *)
-        if l = 1 && not (Riv.equal !pred t.head) then ignore (claim !pred : bool);
-        cur := Node.line_next buf l;
-        bound := Node.line_hint buf l;
-        let walking = ref true in
-        while !walking && not !restart do
-          if !bound > key then begin
-            (* the successor overshoots: end the level without entering it *)
-            Obs.bump ~tid Obs.id_hint_stop;
-            walking := false
-          end
-          else begin
-            copy_header t buf !cur;
-            copied := !cur;
-            if not (claim !cur) then begin
-              let k0 = Node.line_anchor buf l in
-              if k0 <= key then begin
-                pred := !cur;
-                cur := Node.line_next buf l;
-                bound := Node.line_hint buf l
-              end
-              else begin
-                (* a stale-low hint let the traversal enter an overshoot *)
-                Obs.bump ~tid Obs.id_hint_stale;
-                bound := k0;
-                walking := false
-              end
+      (* stand on pred's line of this level *)
+      if l >= 2 then copy_hop_line t buf !pred l
+      else if not (Riv.equal !copied !pred) then begin
+        copy_header t buf !pred;
+        copied := !pred
+      end;
+      (* a pred moved onto above level 1 was only routed by its anchor:
+         claim it before its line is used. Level 0 starts on the node
+         level 1 ended on, already claimed there. *)
+      if l = 1 && not (Riv.equal !pred t.head) then ignore (claim !pred : bool);
+      let cur = ref (Node.line_next buf l) and bound = ref (Node.line_hint buf l) in
+      let walking = ref true in
+      while !walking && not !restart do
+        if !bound > key then begin
+          (* the successor overshoots: end the level without entering it *)
+          Obs.bump ~tid Obs.id_hint_stop;
+          walking := false
+        end
+        else begin
+          copy_hop_line t buf !cur l;
+          if l <= 1 then copied := !cur;
+          if l >= 2 || not (claim !cur) then begin
+            let k0 = Node.line_anchor buf l in
+            if k0 <= key then begin
+              pred := !cur;
+              cur := Node.line_next buf l;
+              bound := Node.line_hint buf l
+            end
+            else begin
+              (* a stale-low hint let the traversal enter an overshoot *)
+              Obs.bump ~tid Obs.id_hint_stale;
+              bound := k0;
+              walking := false
             end
           end
-        done
-      end;
+        end
+      done;
       if not !restart then begin
         preds.(l) <- !pred;
-        if l = 0 then begin
-          succs.(0) <- !cur;
-          bounds.(0) <- !bound
-        end;
+        succs.(l) <- !cur;
+        bounds.(l) <- !bound;
         decr level
       end
     done;
@@ -599,7 +537,6 @@ and link_higher_levels t ~tid ~node ~start ~node_height ~preds =
           let f = traverse t ~tid ~recover:false key in
           preds := f.preds;
           if not (Riv.equal !preds.(level) node) then begin
-            load_succs t ~tid f key ~from_level:level ~to_level:(node_height - 1);
             populate_levels t ~node ~succs:f.succs ~bounds:f.bounds
               ~from_level:level ~to_level:(node_height - 1);
             attempt ()
@@ -699,15 +636,14 @@ let rec claim_value t n i v =
 
 (* Function 4 fused with the node's first populate (Functions 18/19):
    allocate, write the body and levels 0 .. node_height-1 from the
-   traversal [f] for [key] (successors and hints; the upper ones loaded
-   now), and persist it all at once, so the header line — which holds
-   both — is flushed once (see [Node.persist_fresh]). The node is not
-   reachable yet, so plain stores. *)
-let make_linked_object t ~tid ~pred ~key ~keys ~values ~node_height ~(f : find) =
+   traversal [f] (successors and hints), and persist it all at once, so
+   the header line — which holds both — is flushed once (see
+   [Node.persist_fresh]). The node is not reachable yet, so plain
+   stores. *)
+let make_linked_object t ~tid ~pred ~keys ~values ~node_height ~(f : find) =
   let block = Block_alloc.alloc_block t.mem ~tid ~ops:t.ops ~pred ~key:keys.(0) in
   Node.init t.mem t.ly block ~tid ~node_epoch:(Mem.epoch t.mem) ~node_height ~keys
     ~values;
-  load_succs t ~tid f key ~from_level:1 ~to_level:(node_height - 1);
   for level = 0 to node_height - 1 do
     Node.set_next t.mem t.ly block level f.succs.(level) ~bound:f.bounds.(level)
   done;
@@ -722,8 +658,7 @@ let create_successor t ~tid ~pred ~key ~value ~(f : find) =
   let node_height = random_height t ~tid in
   let succ0 = f.succs.(0) in
   let node =
-    make_linked_object t ~tid ~pred ~key ~keys:[| key |] ~values:[| value |]
-      ~node_height ~f
+    make_linked_object t ~tid ~pred ~keys:[| key |] ~values:[| value |] ~node_height ~f
   in
   Node.lower_hint t.mem t.ly pred 0 key;
   if Node.cas_next t.mem t.ly pred 0 ~expected:succ0 ~desired:node then begin
@@ -880,8 +815,8 @@ let split_node t ~tid ~key ~value ~(f : find) =
       in
       let node_height = random_height t ~tid in
       let node =
-        make_linked_object t ~tid ~pred:pred0 ~key ~keys:new_keys ~values:new_values
-          ~node_height ~f
+        make_linked_object t ~tid ~pred:pred0 ~keys:new_keys ~values:new_values ~node_height
+          ~f
       in
       Node.lower_hint t.mem ly pred0 0 new_anchor;
       if Node.cas_next t.mem ly pred0 0 ~expected:f.succs.(0) ~desired:node then begin

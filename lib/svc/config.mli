@@ -34,7 +34,7 @@ type t = {
           is admitted at that boundary instead *)
   seed : int;
   sys : Harness.Kv.sys;
-      (** per-shard template; each shard gets [seed + 1000*s] and its own
+      (** per-shard template; each shard gets [sys.seed + 1000*s] and its own
           pools — [numa_nodes]/[mode] here describe one shard's internal
           layout, not the service topology *)
   crash : crash_plan option;

@@ -1005,15 +1005,11 @@ let check_one_access_per_line fx where nodes reads expected =
 
 (* An upper hop reads its tower line once: in a search, the tower reads
    are one access per line the walk stands on or enters, in walk order
-   ([tower_lines_read]). In an insert of a new head successor, the writer
-   walk of [load_succs] (levels 1 .. h-1, after the node's body is written
-   and before its pointers are) reads each predecessor's line once, reused
-   across the levels of one line. A walk that reads the pointer, hint and
-   anchor as three words fails both. *)
+   ([tower_lines_read]). A walk that reads the pointer, hint and anchor as
+   three words fails. *)
 let test_upper_hop_one_line_read () =
   let fx = loaded_list ~n:1_500 in
-  let all_nodes () = SL.head fx.sl :: SL.tail fx.sl :: bottom_nodes fx in
-  let nodes = all_nodes () in
+  let nodes = SL.head fx.sl :: SL.tail fx.sl :: bottom_nodes fx in
   for i = 0 to 99 do
     let key = 101 + (2 * (i * 37 mod 1_500)) in
     let walk = traversal_walk fx key in
@@ -1022,51 +1018,54 @@ let test_upper_hop_one_line_read () =
     in
     check_one_access_per_line fx (Fmt.str "search %d" key) nodes reads
       (tower_lines_read (upper_levels walk))
-  done;
+  done
+
+(* A fresh node's populate reads no line: its successors and hints at
+   every level come from the traversal's record, so from the first write
+   into the new block to its level-0 hint the writer reads nothing. New
+   head successors (keys below every other) and split nodes (even keys
+   between loaded ones) are checked; a populate that walked the
+   predecessors' lines again fails every new node at least 2 high. *)
+let test_populate_reads_no_line () =
+  let fx = loaded_list ~n:1_500 in
   let checked = ref 0 in
-  for key = 100 downto 60 do
-    let walk = traversal_walk fx key in
-    let before = all_nodes () in
-    let log = ref [] in
-    let m = Pmem.machine fx.pmem in
-    let machine =
-      {
-        m with
-        Sim.Sched.read = (fun ~tid a -> log := `R a :: !log; m.Sim.Sched.read ~tid a);
-        write = (fun ~tid a v -> log := `W a :: !log; m.Sim.Sched.write ~tid a v);
-      }
-    in
-    (match Sim.Sched.run ~machine [ (0, fun ~tid -> ignore (SL.upsert fx.sl ~tid key key)) ] with
-    | Sim.Sched.Completed _ -> ()
-    | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected simulated crash");
-    match List.filter (fun n -> not (List.mem n before)) (bottom_nodes fx) with
-    | [ n ] ->
-        let h = Node.meta_height (Mem.peek_field fx.mem n Node.o_meta) in
-        if h > 2 then begin
-          incr checked;
+  let keys =
+    List.init 41 (fun i -> 100 - i) @ List.init 200 (fun i -> 102 + (2 * (i * 37 mod 1_500)))
+  in
+  List.iter
+    (fun key ->
+      let before = bottom_nodes fx in
+      let log = ref [] in
+      let m = Pmem.machine fx.pmem in
+      let machine =
+        {
+          m with
+          Sim.Sched.read = (fun ~tid a -> log := `R a :: !log; m.Sim.Sched.read ~tid a);
+          write = (fun ~tid a v -> log := `W a :: !log; m.Sim.Sched.write ~tid a v);
+        }
+      in
+      (match Sim.Sched.run ~machine [ (0, fun ~tid -> ignore (SL.upsert fx.sl ~tid key key)) ] with
+      | Sim.Sched.Completed _ -> ()
+      | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected simulated crash");
+      match List.filter (fun n -> not (List.mem n before)) (bottom_nodes fx) with
+      | [] -> ()
+      | [ n ] ->
+          if Node.meta_height (Mem.peek_field fx.mem n Node.o_meta) >= 2 then incr checked;
           let base = Mem.resolve fx.mem n in
           let hint0 = base + Node.o_hint0 in
-          (* from the first write into the new block to its level-0 hint *)
+          (* the reads from the first write into the new block to its
+             level-0 hint *)
           let rec window acc started = function
-            | [] -> List.rev acc
+            | [] -> Alcotest.failf "insert %d: no level-0 hint written" key
             | `W a :: _ when a = hint0 -> List.rev acc
             | `W a :: rest -> window acc (started || (a >= base && a < base + Mem.block_words fx.mem)) rest
             | `R a :: rest -> window (if started then a :: acc else acc) started rest
           in
-          let pred_at l =
-            match List.find_opt (fun (l', _, _) -> l' = l) walk with
-            | Some (_, nodes, _) -> last nodes
-            | None -> SL.head fx.sl
-          in
-          let expected =
-            tower_lines_read (List.init (h - 2) (fun i -> (i + 2, [ pred_at (i + 2) ])))
-          in
-          check_one_access_per_line fx (Fmt.str "insert %d: load_succs" key) before
-            (window [] false (List.rev !log)) expected
-        end
-    | _ -> Alcotest.failf "insert %d did not link one new node" key
-  done;
-  check_bool "new nodes of height 3 or more" true (!checked >= 3);
+          check_int (Fmt.str "insert %d: reads during the populate" key) 0
+            (List.length (window [] false (List.rev !log)))
+      | _ -> Alcotest.failf "insert %d linked more than one node" key)
+    keys;
+  check_bool "new nodes of height 2 or more" true (!checked >= 10);
   check_no_invariant_errors fx.sl
 
 (* A lookup takes its fingerprint candidates from one read of the line:
@@ -1130,9 +1129,9 @@ let pointer_first_walk fx key =
   done;
   (succs, bounds)
 
-(* A fresh node — a split's, or a new head successor — takes its upper
-   successors from [load_succs], not from the traversal: its next pointer
-   and hint at every level must still be those of a pointer-first walk
+(* A fresh node — a split's, or a new head successor — takes its
+   successors at every level from the traversal's record: its next
+   pointer and hint at every level must be those of a pointer-first walk
    for the inserted key, and they must be right from the first populate
    (one fiber: no CAS fails, so no link is retried to repair them). *)
 let test_new_node_levels_match_walk () =
@@ -1163,20 +1162,20 @@ let test_new_node_levels_match_walk () =
   check_bool "new nodes with towers checked" true (!towers >= 10);
   check_no_invariant_errors fx.sl
 
-(* A link that lands at [load_succs]' copy of a header line. One fiber
-   inserts [key] (K = 1, so the insert links a fresh node after [m], the
-   node below it); [m], of height 2, has been unlinked at level 1
-   beforehand, so level 1 runs [p] -> [s] and the traversal stops there on
-   [p]'s hint ([s]'s anchor). When the fiber reads [p]'s header line the
-   second time, in [load_succs], [m] is linked back, hint first, as a
-   concurrent tower build would. The copy is one instant's view: the walk
-   records [s] with the hint beside it, the new node's link CAS at [p]
-   fails and the retry links it after [m]. A walk that read the pointer
-   after the hint, as separate words, would pair the old hint with the new
-   pointer to [m] and link the new node before [m], out of order. Each
-   fiber id draws its own tower heights; the fibers whose new node is at
-   least 2 high are the checked cases. *)
-let test_load_succs_racing_link () =
+(* A link that lands right after the traversal's copy of a header line.
+   One fiber inserts [key] (K = 1, so the insert links a fresh node after
+   [m], the node below it); [m], of height 2, has been unlinked at level
+   1 beforehand, so level 1 runs [p] -> [s] and the traversal stops there
+   on [p]'s hint ([s]'s anchor). Right after the fiber's first read of
+   [p]'s header line, the walk's copy, [m] is linked back, hint first, as
+   a concurrent tower build would. The copy is one instant's view: the
+   walk records [s] with the hint beside it, the new node's level-1 link
+   CAS at [p] fails, and the retry links it after [m]. A walk that read
+   the pointer after the hint, as separate words, would pair the old hint
+   with the new pointer to [m] and link the new node before [m], out of
+   order. Each fiber id draws its own tower heights; the fibers whose new
+   node is at least 2 high are the checked cases. *)
+let test_walk_racing_link () =
   let cfg = { Config.default with keys_per_node = 1 } in
   let ly = Node.layout cfg in
   let checked = ref 0 in
@@ -1206,7 +1205,7 @@ let test_load_succs_racing_link () =
             let v = base.Sim.Sched.read ~tid a in
             if a = header then begin
               incr reads;
-              if !reads = 2 then begin
+              if !reads = 1 then begin
                 Mem.poke_field fx.mem p (Node.o_hint ly 1) (anchor_at fx m 1);
                 Mem.poke_ptr fx.mem p (Node.o_next ly 1) m
               end
@@ -1214,6 +1213,7 @@ let test_load_succs_racing_link () =
             v);
       }
     in
+    Obs.reset ();
     (match
        Sim.Sched.run ~machine [ (fiber, fun ~tid -> ignore (SL.upsert fx.sl ~tid key key)) ]
      with
@@ -1222,13 +1222,112 @@ let test_load_succs_racing_link () =
     let n = next_at fx m 0 in
     if Node.meta_height (Mem.peek_field fx.mem n Node.o_meta) >= 2 then begin
       incr checked;
-      check_bool (Fmt.str "fiber %d: m was linked back in the walk" fiber) true (!reads >= 2);
+      check_bool (Fmt.str "fiber %d: m was linked back in the walk" fiber) true (!reads >= 1);
+      check_int (Fmt.str "fiber %d: the level-1 link CAS failed once" fiber) 1
+        (Obs.total Obs.id_cas_fail);
       check_bool (Fmt.str "fiber %d: level 1 runs m -> new node" fiber) true
         (Riv.equal (next_at fx m 1) n);
       check_no_invariant_errors fx.sl
     end
   done;
+  Obs.reset ();
   check_bool "new nodes of height 2 or more" true (!checked >= 3)
+
+(* A tall insert whose recorded successors above [top] went stale. Above
+   the [top] its traversal read, a traversal records head -> tail. Here
+   [m], the only node at level [s] of a single-key list (the first fixture
+   seed whose tallest node stands one level above the rest), is unlinked
+   there beforehand and [top] recomputed, so one fiber's traversal for a
+   key below every other reads [top] = [s - 1]. After that traversal, at
+   the fiber's first write, [m] is linked back at level [s], hint first,
+   as a concurrent tower build would. A new node at least [s + 1] high
+   then finds its level-[s] link CAS failing (the head no longer points at
+   the tail there), re-traverses, repopulates from the fresh record and
+   links in front of [m]; its own raise of [top] covers [m]'s level. Each
+   fiber id draws its own tower heights; the fibers whose new node is at
+   least as high as [m] are the checked cases. *)
+let test_stale_successors_above_top () =
+  let cfg = { Config.default with keys_per_node = 1 } in
+  let ly = Node.layout cfg in
+  let height fx n = Node.meta_height (Mem.peek_field fx.mem n Node.o_meta) in
+  (* 12 keys loaded at [seed], with [m], the tallest node, and [s], the
+     height of the next tallest *)
+  let fixture ~max_threads seed =
+    let fx = make_skiplist ~cfg ~max_threads ~seed () in
+    run1 fx.pmem (fun ~tid -> for i = 1 to 12 do ignore (SL.upsert fx.sl ~tid (10 * i) i) done);
+    let nodes = bottom_nodes fx in
+    let h_m = List.fold_left (fun a n -> Int.max a (height fx n)) 0 nodes in
+    let m = List.find (fun n -> height fx n = h_m) nodes in
+    let s =
+      List.fold_left (fun a n -> if Riv.equal n m then a else Int.max a (height fx n)) 1 nodes
+    in
+    (fx, m, h_m, s)
+  in
+  (* the first seed whose tallest node stands one level above a tower of
+     at least 2 *)
+  let seed =
+    match
+      List.find_opt
+        (fun seed ->
+          let _, _, h_m, s = fixture ~max_threads:1 seed in
+          s >= 2 && h_m = s + 1)
+        (List.init 100 (fun i -> i + 1))
+    with
+    | Some seed -> seed
+    | None -> Alcotest.fail "no fixture seed with a tallest node standing alone"
+  in
+  let checked = ref 0 in
+  for fiber = 0 to 63 do
+    let fx, m, h_m, s = fixture ~max_threads:64 seed in
+    let head = SL.head fx.sl in
+    let link_m_at_upper_levels linked =
+      for l = s to h_m - 1 do
+        Mem.poke_field fx.mem head (Node.o_hint ly l)
+          (if linked then anchor_at fx m l else Node.tail_key);
+        Mem.poke_ptr fx.mem head (Node.o_next ly l) (if linked then m else SL.tail fx.sl)
+      done
+    in
+    link_m_at_upper_levels false;
+    run1 fx.pmem (fun ~tid -> SL.recover fx.sl ~tid);
+    check_int "top below m's upper levels" (s - 1) (SL.top_level fx.sl);
+    let writes = ref 0 in
+    let base = Pmem.machine fx.pmem in
+    let machine =
+      {
+        base with
+        Sim.Sched.write =
+          (fun ~tid a v ->
+            incr writes;
+            if !writes = 1 then link_m_at_upper_levels true;
+            base.Sim.Sched.write ~tid a v);
+      }
+    in
+    Obs.reset ();
+    (match
+       Sim.Sched.run ~machine [ (fiber, fun ~tid -> ignore (SL.upsert fx.sl ~tid 5 5)) ]
+     with
+    | Sim.Sched.Completed _ -> ()
+    | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected simulated crash");
+    let n = next_at fx head 0 in
+    if height fx n >= h_m then begin
+      incr checked;
+      let where = Fmt.str "seed %d, fiber %d" seed fiber in
+      check_int (where ^ ": one link CAS failed") 1 (Obs.total Obs.id_cas_fail);
+      for l = 0 to h_m - 1 do
+        check_bool (Fmt.str "%s: level %d runs head -> new node" where l) true
+          (Riv.equal (next_at fx head l) n)
+      done;
+      for l = s to h_m - 1 do
+        check_bool (Fmt.str "%s: level %d runs new node -> m" where l) true
+          (Riv.equal (next_at fx n l) m);
+        check_int (Fmt.str "%s: level %d hint" where l) (anchor_at fx m l) (hint_at fx n l)
+      done;
+      check_no_invariant_errors fx.sl;
+      check_audit fx where
+    end
+  done;
+  Obs.reset ();
+  check_bool "new nodes as tall as m" true (!checked >= 3)
 
 (* A claim can run a nested traversal: a node its allocator's log still
    names from an older epoch has its tower checked by one
@@ -1687,10 +1786,12 @@ let () =
           case "a level ends on a hint without loading its successor" test_hint_read_order;
           case "a header hop reads its line once" test_header_hop_one_line_read;
           case "an upper hop reads its tower line once" test_upper_hop_one_line_read;
+          case "a fresh node's populate reads no line" test_populate_reads_no_line;
           case "a lookup reads its fingerprint line once" test_fp_line_one_read;
           case "a new node's levels match a pointer-first walk"
             test_new_node_levels_match_walk;
-          case "a link racing load_succs' line copy" test_load_succs_racing_link;
+          case "a link racing the walk's line copy" test_walk_racing_link;
+          case "a tall insert's stale successors above top" test_stale_successors_above_top;
           case "a claim's nested traversal leaves the walk on its node"
             test_claim_nested_traversal;
         ] );
