@@ -406,7 +406,7 @@ let recovery_trial_spec (base : Fault.spec) i =
     keyspace = !scale.n_initial / 2;
     ops_per_thread = 2_000;
     read_fraction = 0.0;
-    crash_at = 50_000 + (i * 13_337);
+    crash_at = Event (50_000 + (i * 13_337));
     draw_seed = seed + i + (!fixture_seed - Kv.default_sys.seed);
     seed = seed + (!fixture_seed - Kv.default_sys.seed);
   }
@@ -501,21 +501,20 @@ let chapter6 () =
   let trials = !scale.chapter6_trials in
   (* one trial per crash point, spread over [16k, 24k) events *)
   let step = 8_000 / trials in
+  let base =
+    {
+      optane_spec with
+      threads = 8;
+      keyspace = 200;
+      ops_per_thread = 120;
+      draw_seed = seed + 77;
+      seed = seed + 77;
+    }
+  in
+  let grid = { Fault.origin = 16_000; stride = step; points = trials; jitter = step } in
   let s =
     Fault.run_campaign ~jobs:!jobs
-      {
-        Fault.base =
-          {
-            optane_spec with
-            threads = 8;
-            keyspace = 200;
-            ops_per_thread = 120;
-            draw_seed = seed + 77;
-            seed = seed + 77;
-          };
-        grid = { Fault.origin = 16_000; stride = step; points = trials; jitter = step };
-        draws = 1;
-      }
+      { Fault.base; points = Fault.grid_points ~seed:base.seed grid; draws = 1 }
   in
   (match s.Fault.failures with
   | [] ->
@@ -532,7 +531,7 @@ let chapter6 () =
         threads = 4;
         keyspace = 100;
         ops_per_thread = 100;
-        crash_at = 9_940;
+        crash_at = Event 9_940;
         draw_seed = seed + 99;
         seed = seed + 99;
       }
@@ -1079,22 +1078,25 @@ let claims_table =
 let claims_scale = { quick with threads_sweep = [ 1; 8; 80 ] }
 let claims_seeds = 5
 
-(* Run [f] with the report's text going nowhere (its samples are still
-   captured). *)
+(* Run [f] with everything it prints on stdout going nowhere (its
+   samples are still captured). The report's text goes through the std
+   formatter, but replacing that formatter's out functions does not hold
+   it: the first domain a figure spawns swaps them for buffered ones
+   (Format's [before_first_spawn] hook), which printed the text with its
+   newlines dropped, and each worker domain prints through a formatter of
+   its own. Standard output itself is what all of them share. *)
 let quietly f =
   Format.pp_print_flush Format.std_formatter ();
-  let out = Format.pp_get_formatter_out_functions Format.std_formatter () in
-  Format.pp_set_formatter_out_functions Format.std_formatter
-    {
-      out_string = (fun _ _ _ -> ());
-      out_flush = ignore;
-      out_newline = ignore;
-      out_spaces = ignore;
-      out_indent = ignore;
-    };
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  Unix.dup2 null Unix.stdout;
+  Unix.close null;
   Fun.protect f ~finally:(fun () ->
       Format.pp_print_flush Format.std_formatter ();
-      Format.pp_set_formatter_out_functions Format.std_formatter out)
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved)
 
 (* Every claim of [claims_table] at [claims_seeds] fixture seeds from
    [--fixture-seed] on, each seed with its own preloads: one line per claim

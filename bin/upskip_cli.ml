@@ -232,8 +232,9 @@ let report_failures ~shrink ~events failures =
   List.iteri
     (fun i (((spec : Fault.spec), _) as failure) ->
       Fmt.pr "@.%a" Fault.pp_failure failure;
-      Fmt.pr "  crash point: event %d, %.4f of the %d-event dry run@." spec.Fault.crash_at
-        (float_of_int spec.Fault.crash_at /. float_of_int events)
+      let at = Fault.crash_event spec in
+      Fmt.pr "  crash point: event %d, %.4f of the %d-event dry run@." at
+        (float_of_int at /. float_of_int events)
         events;
       if shrink && i = 0 then begin
         Fmt.pr "  shrinking...@.";
@@ -290,12 +291,12 @@ let sweep_cmd tokens draws from upto points shrink jobs json_out =
   let events = Fault.trial_events base in
   let stride = if points > 1 then (upto -. from) /. float_of_int (points - 1) else 0.0 in
   let grid = Fault.dry_run_grid ~events base ~first:from ~stride ~jitter:0.0 ~points in
-  let campaign = { Fault.base; grid; draws } in
+  let campaign = { Fault.base; points = grid; draws } in
   Fmt.pr
     "adversarial crash sweep: %d points x %d draws at %g .. %g of a %d-event dry run \
      (events %d .. %d) from %s@."
-    points draws from upto events grid.Fault.origin
-    (grid.Fault.origin + ((points - 1) * grid.Fault.stride))
+    points draws from upto events (List.hd grid)
+    (List.nth grid (points - 1))
     (Fault.spec_to_string base);
   let before = Obs.totals () in
   let s = Fault.run_campaign ~jobs campaign in
@@ -347,7 +348,7 @@ let replay_cmd tokens =
     (res.Fault.recovery_ns /. 1.0e6);
   if res.Fault.completed_events > 0 then
     Fmt.pr "%s@."
-      (Fault.missed_message (spec.Fault.crash_at, res.Fault.completed_events));
+      (Fault.missed_message (Fault.crash_event spec, res.Fault.completed_events));
   List.iter
     (fun v -> Fmt.pr "VIOLATION: %a@." Lincheck.Checker.pp_violation v)
     res.Fault.violations;

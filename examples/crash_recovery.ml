@@ -118,7 +118,7 @@ let () =
         threads = 4;
         keyspace = 200;
         ops_per_thread = 150;
-        crash_at = 14_300;
+        crash_at = Event 14_300;
         draw_seed = 3;
         seed = 3;
       }

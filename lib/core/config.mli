@@ -9,7 +9,7 @@ type t = {
   branching_p : float;  (** geometric tower-height parameter, in (0,1) *)
   recovery_budget : int;
       (** max incomplete-tower repairs per traversal after a crash
-          (Section 4.4.1); interrupted splits are always repaired, and a
+          (Section 4.4.1); an interrupted split needs no repair, and a
           claim that repairs nothing is not counted *)
 }
 

@@ -78,25 +78,39 @@
    rebuilds nothing. The head's hints start at [tail_key], the tail's
    anchor, so a level that ends at the tail never loads it.
 
+   Dead slots (the B-link tree's high key, Lehman and Yao 1981): a node's
+   live slots are exactly those whose key is non-empty and below the
+   anchor of its level-0 successor (the tail's anchor is +inf). A split
+   links a new node holding the moved keys and leaves them in place: from
+   the link CAS on they are dead, because the new node's anchor bounds the
+   node. Anchors never change and no node is unlinked, so a node's bound
+   only falls, and a dead key stays dead. Every reader of slots applies the
+   rule with the successor's exact anchor, never a hint, since a failed
+   link CAS can leave a hint stale-low. A claim may take a dead slot over
+   ([take_fp], then [Skiplist.insert_into_existing]).
+
    Fingerprint rule: fingerprints are volatile, derived metadata — a
    pure function of the keys — and no flush orders them. A claim publishes
    its slot's fingerprint before it CASes the key in, and a fingerprint is
-   cleared only under the split lock's write side together with its key,
-   so within one failure-free epoch every key claimed in that epoch
-   carries its fingerprint. A crash can still persist a key without its
-   fingerprint line. So a fingerprint *hit* is always checked by a key
-   read and needs nothing more, but a *miss* is an answer only on a node
-   whose line is confirmed complete in the current epoch: the lock word's
-   [fp_ok] bit (below). Node initialisation and every write unlock (which
-   follows a rewrite of the line from the keys) set it; a miss on an
-   unconfirmed node repairs the line from the keys and sets it then. A
-   fingerprint over an empty key (a claim interrupted by a crash) is
-   stale: it costs one key read, and splits recompute the line.
+   cleared only under the split lock's write side, so within one
+   failure-free epoch every key claimed in that epoch carries its
+   fingerprint, and every slot a split kills loses it. A crash can still
+   persist a key without its fingerprint line. So a fingerprint *hit* is
+   always checked by a key read and needs nothing more, but a *miss* is an
+   answer only on a node whose line is confirmed complete in the current
+   epoch: the lock word's [fp_ok] bit (below). Node initialisation and
+   every write unlock (which follows a rewrite of the line from the live
+   keys) set it; a miss on an unconfirmed node rewrites the line under the
+   write lock, whose unlock confirms it. On a confirmed node every live key
+   carries its fingerprint and every dead slot's is 0. A fingerprint over
+   an empty key (a claim interrupted by a crash) is stale: it costs one
+   key read, and splits recompute the line.
 
    Slot 0's key never changes after initialisation — an insert into an
    existing node claims a strictly greater key (equal keys take the
    update path), and a split moves only a proper suffix of the sorted pairs
-   out — so the anchor copy in the header cannot go stale.
+   out, so slot 0 is never dead — and the anchor copy in the header cannot
+   go stale.
 
    Key 0 and value 0 are reserved sentinels; the head sentinel's first key
    is [head_key] (−∞) and the tail's is [tail_key] (+∞). *)
@@ -340,6 +354,20 @@ let rec publish_fp mem n i f =
   then true
   else publish_fp mem n i f
 
+(* Take slot [i]'s fingerprint byte from 0 to [f]. Returns 0 when this
+   call took it, else the byte another claim set. A dead slot's byte is 0
+   on a confirmed node, so the one claim that takes it owns the slot, and
+   the byte it set is its key's fingerprint. *)
+let rec take_fp mem n i f =
+  let j = fp_index i in
+  let w = fp_word mem n j in
+  let cur = fp_byte w i in
+  if cur <> 0 then cur
+  else if
+    counted mem (Mem.cas_field mem n (o_fp + j) ~expected:w ~desired:(with_fp_byte w i f))
+  then 0
+  else take_fp mem n i f
+
 (* Under the write side of the split lock (no concurrent claims): rewrite
    the fingerprint words that differ from [words], compared against one
    read of the line. Returns whether any did, i.e. whether the caller has
@@ -356,12 +384,6 @@ let write_fp_line mem ly n words =
   done;
   !changed
 
-(* Persist the node's body: fingerprint and pair lines — what split
-   recovery rewrites. The header is not included (the write unlock that
-   follows persists it), nor are the tower lines. *)
-let persist_body mem ly n =
-  Mem.persist_range mem n ~first:o_fp ~words:(ly.o_tower - o_fp)
-
 (* Persist a node built by [init] before it is linked: the header, the
    pair lines holding its [keys] slots and the tower lines up to [height]
    (levels and anchor copies) — the lines [init] and the caller's level
@@ -377,20 +399,12 @@ let persist_fresh mem ly n ~keys ~height =
       ~words:(Config.line_words * tower_lines height);
   Mem.fence mem
 
-(* Persist what a split rewrote in the node it split, under the write lock:
-   the fingerprint line and each pair line holding one of the erased
-   [slots], each flushed once, then one fence. The header is left to the
-   write unlock. Fingerprints are volatile, but this is the only flush
-   that puts a fingerprint line in the persistent image: after a crash a
-   lookup of a present key hits it instead of repairing the line from all
-   K keys (DESIGN "Why a split flushes a volatile line"). *)
-let persist_split mem ly n slots =
-  Mem.flush_range mem n ~first:o_fp ~words:ly.fp_used;
-  List.iter
-    (fun line -> Mem.flush_field mem n (line * Config.line_words))
-    (List.sort_uniq Int.compare
-       (Array.to_list (Array.map (fun i -> o_key ly i / Config.line_words) slots)));
-  Mem.fence mem
+(* Persist the fingerprint line a writer rewrote under the write lock:
+   one flush, one fence. Fingerprints are volatile, but this is the only
+   flush that puts a fingerprint line in the persistent image: after a
+   crash a lookup of a present key hits it instead of repairing the line
+   from all K keys (DESIGN "Why a split flushes a volatile line"). *)
+let persist_fps mem ly n = Mem.persist_range mem n ~first:o_fp ~words:ly.fp_used
 
 (* ---- split lock: epoch-stamped recoverable reader-writer lock ----------
 
@@ -411,14 +425,15 @@ let persist_split mem ly n slots =
    stale readers from before a crash vanish without any explicit drain — the
    thesis found exactly that drain step to be its one linearizability bug
    (Section 6.3: DrainReaders raced concurrent acquisitions); the stamp
-   removes the race entirely. The intent and fp_ok bits likewise count only
-   under a current stamp, so a crash voids a confirmation without any walk
-   or flush. Acquisitions carry the unlock counter and a current fp_ok bit
+   removes the race entirely. The writer, intent and fp_ok bits likewise
+   count only under a current stamp, so a crash frees a split's lock and
+   voids a confirmation without any walk or flush: a split a crash
+   interrupted needs no repair, because the keys it moved are dead in the
+   node once its link is in (see the dead slots above), and none of them
+   is erased. Acquisitions carry the unlock counter and a current fp_ok bit
    over; a write unlock sets fp_ok, since every writer rewrites the line
-   from the keys first. A range scan validates a node by re-reading this
-   word (see [Skiplist.range]). A *stale writer bit*, by contrast, is
-   preserved and visible: it is the persistent evidence of an interrupted
-   node split that CheckForNodeSplitRecovery keys off. *)
+   from the live keys first. A range scan validates a node by re-reading
+   this word (see [Skiplist.range]). *)
 
 let max_readers = 0xffff
 let unlock_unit = 1 lsl 16
@@ -442,12 +457,11 @@ module Lock = struct
   let lock_cas mem n ~expected ~desired =
     counted mem (Mem.cas_field mem n o_lock ~expected ~desired)
 
-  let is_write_locked w = w land writer_bit <> 0
   let stamp w = w lsr stamp_shift
 
-  (* A writer bit stamped before [epoch]: a split a crash interrupted. A
-     live writer always stamps the current epoch. *)
-  let interrupted ~epoch w = is_write_locked w && stamp w <> epoch
+  (* A writer holds the lock in [epoch]: a writer bit stamped with an older
+     epoch is a writer a crash ended, and reads as free. *)
+  let is_write_locked ~epoch w = stamp w = epoch && w land writer_bit <> 0
 
   let make_word ~epoch ~writer ~readers =
     (epoch lsl stamp_shift) lor (if writer then writer_bit else 0) lor readers
@@ -470,14 +484,13 @@ module Lock = struct
   (* Raw count regardless of stamp (tests/diagnostics). *)
   let readers w = w land max_readers
 
-  (* Acquire a read lock unless a writer holds the lock (a stale writer bit
-     counts: the interrupted split must be recovered first) or a writer has
-     declared intent — writer preference keeps splitters from starving
-     under a stream of readers. Loops only on CAS interference. *)
+  (* Acquire a read lock unless a writer holds the lock or has declared
+     intent — writer preference keeps splitters from starving under a
+     stream of readers. Loops only on CAS interference. *)
   let rec read_lock mem n =
     let epoch = Mem.epoch mem in
     let w = word mem n in
-    if is_write_locked w || intent_at ~epoch w then false
+    if is_write_locked ~epoch w || intent_at ~epoch w then false
     else begin
       let r = readers_at ~epoch w in
       if
@@ -497,14 +510,14 @@ module Lock = struct
       read_unlock mem n
 
   (* Single-shot write-lock attempt: fails while any current-epoch reader or
-     any writer (stale or not) holds the lock. Returns the word it
+     writer holds the lock. Returns the word it
      installed, which the holder hands back to [write_unlock]. *)
   let write_lock mem n =
     let epoch = Mem.epoch mem in
     let w = word mem n in
     let held = make_word ~epoch ~writer:true ~readers:0 lor carried ~epoch w in
     if
-      (not (is_write_locked w))
+      (not (is_write_locked ~epoch w))
       && readers_at ~epoch w = 0
       && lock_cas mem n ~expected:w ~desired:held
     then Some held
@@ -539,7 +552,7 @@ module Lock = struct
       end
       else begin
         let w = word mem n in
-        if is_write_locked w then None (* another writer; it clears intent *)
+        if is_write_locked ~epoch w then None (* another writer; it clears intent *)
         else if readers_at ~epoch w = 0 then begin
           let held = make_word ~epoch ~writer:true ~readers:0 lor carried ~epoch w in
           if lock_cas mem n ~expected:w ~desired:held then Some held
@@ -562,32 +575,16 @@ module Lock = struct
     round 64
 
   (* Release the write lock held as [held] (the word the acquisition
-     installed, or a stale writer's word under recovery; no other thread
-     changes a write-locked word). Every writer rewrites the fingerprint
-     line from the keys before it unlocks, so the unlock confirms the
-     line. *)
+     installed; no other thread changes a write-locked word). Every writer
+     rewrites the fingerprint line from the live keys before it unlocks, so
+     the unlock confirms the line. No flush: a writer bit a crash keeps
+     reads as free in the next epoch, and the split count beside it only
+     serves readers of this one. *)
   let write_unlock mem n ~held =
     Mem.write_field mem n o_lock
       (make_word ~epoch:(Mem.epoch mem) ~writer:false ~readers:0
       lor (bump_unlocks held land unlocks_mask)
-      lor fp_ok_bit);
-    Mem.persist_field mem n o_lock
-
-  (* Set the fp_ok bit after a repair completed the fingerprint line (no
-     flush: a crash voids the bit anyway). Gives up when a writer holds the
-     lock. True when this call set it, false when it was set already or a
-     writer holds the lock. *)
-  let rec confirm_fp mem n =
-    let epoch = Mem.epoch mem in
-    let w = word mem n in
-    if is_write_locked w || fp_ok_at ~epoch w then false
-    else begin
-      let base =
-        if stamp w = epoch then w
-        else make_word ~epoch ~writer:false ~readers:0 lor (w land unlocks_mask)
-      in
-      lock_cas mem n ~expected:w ~desired:(base lor fp_ok_bit) || confirm_fp mem n
-    end
+      lor fp_ok_bit)
 end
 
 (* ---- initialisation ---------------------------------------------------- *)

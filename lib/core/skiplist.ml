@@ -5,12 +5,13 @@
    extension to RECIPE: every node records the failure-free epoch in which
    its consistency was last confirmed. A traversal that meets a node from an
    older epoch knows no live thread is responsible for it, claims it by
-   CASing the epoch forward, and repairs it in place: an interrupted node
-   split always, an incomplete tower only when its allocator's log names
-   the node (stale lock state voids itself). Allocation uses the logged
-   block allocator so interrupted inserts cannot leak memory; the log check
-   is deferred to the owning thread's next allocation, which also completes
-   the logged node's tower.
+   CASing the epoch forward, and repairs it in place: an incomplete tower,
+   only when its allocator's log names the node. Stale lock state voids
+   itself, and a split a crash interrupted needs no repair: the keys it
+   moved are dead in the node it split (see Node, "Dead slots").
+   Allocation uses the logged block allocator so interrupted inserts
+   cannot leak memory; the log check is deferred to the owning thread's
+   next allocation, which also completes the logged node's tower.
 
    Cache-conscious layout: every node takes one allocator block holding a
    full [max_height] tower array, as in the paper, and the hot header packs
@@ -38,8 +39,10 @@
    - [search]/[mem_key]: wait-free traversal + fingerprinted key lookup,
      validated against the node's split counter and split lock;
    - [upsert]: lock-free insert of new head-successor nodes, CAS slot claims
-     inside existing nodes under a read lock, deadlock-free node splits
-     under a write lock that take the overflowing key along;
+     inside existing nodes under a read lock (an empty slot, or a dead one
+     a split left behind), deadlock-free node splits under a write lock
+     that take the overflowing key along and leave the moved keys in place,
+     dead by the new node's anchor;
    - [remove]: tombstoning update (Section 4.6); nodes are never
      unlinked, so a removed key keeps its slot and a later upsert of it
      updates that slot;
@@ -133,10 +136,12 @@ type find = {
 }
 
 (* The split count of a traversal that copied pred0's header while a
-   writer held it: a split bumps the count before it erases the slots it
-   moved, so the copy's count may already be the one the finished split
-   leaves, with the keys scanned before their erasure. No node's count is
-   negative, so every validation against this one fails and retries. *)
+   writer held it, or after pred0's level-0 successor changed from the
+   one the traversal recorded: a split links its new node before it bumps
+   the count, so the copy's count may be the one the finished split
+   leaves, with the keys scanned after the link killed some of them. No
+   node's count is negative, so every validation against this one fails
+   and retries. *)
 let unsettled = -1
 
 (* Find [key] among a node's slots (Function 8) through its fingerprint
@@ -169,23 +174,40 @@ let find_slot t ~tid n key words =
   in
   scan 0
 
-(* Complete an unconfirmed node's fingerprint line from its keys (no
-   flush) and confirm it. Returns the keys it read. Claims that race the
-   repair publish their own fingerprints first, so the line is complete
-   once every key read here has its fingerprint; a byte already set is
-   that key's own fingerprint or a stale one over an empty key. *)
-let repair_fps t ~tid n =
-  let keys = Array.init t.ly.Node.k (fun i -> Node.key t.mem t.ly n i) in
-  Array.iteri
-    (fun i ki ->
-      if ki <> Node.empty_key then
-        ignore (Node.publish_fp t.mem n i (Node.fingerprint ki) : bool))
-    keys;
-  if Node.Lock.confirm_fp t.mem n then obs_event ~tid Obs.id_fp_confirm 0;
-  keys
+(* The anchor of [s], read from its header line: [tail_key] for the
+   tail. *)
+let anchor_of t s = if Riv.equal s t.tail then Node.tail_key else Node.key0 t.mem s
 
 let fp_confirmed t n =
   Node.Lock.fp_ok_at ~epoch:(Mem.epoch t.mem) (Node.Lock.word t.mem n)
+
+(* Under the write lock [held], rewrite [n]'s fingerprint line from
+   [keys] with the dead ones dropped (no flush), unless a writer confirmed
+   the line since the lock's word was read; the unlock confirms it. No
+   claim runs on an unconfirmed node, and every writer's unlock confirms,
+   so keys read while the node was unconfirmed are its keys under the
+   lock: only the bound, which a split may have lowered, is read here. *)
+let confirm_fps t ~tid n ~held keys =
+  if not (Node.Lock.fp_ok_at ~epoch:(Mem.epoch t.mem) held) then begin
+    let bound = anchor_of t (Node.next t.mem t.ly n 0) in
+    Array.iteri (fun i ki -> if ki >= bound then keys.(i) <- Node.empty_key) keys;
+    ignore (Node.write_fp_line t.mem t.ly n (Node.fp_line t.ly keys) : bool);
+    obs_event ~tid Obs.id_fp_confirm 0
+  end;
+  Node.Lock.write_unlock t.mem n ~held
+
+let slot_keys t n = Array.init t.ly.Node.k (fun i -> Node.key t.mem t.ly n i)
+
+(* A lookup's repair of an unconfirmed node, under a single-shot write
+   lock so that the lookup never waits. Returns the keys it read, the
+   dead ones dropped if the lock was granted; when it is refused, the
+   line stays as it is and the caller answers from the keys. *)
+let repair_fps t ~tid n =
+  let keys = slot_keys t n in
+  (match Node.Lock.write_lock t.mem n with
+  | None -> ()
+  | Some held -> confirm_fps t ~tid n ~held keys);
+  keys
 
 (* A traversal's in-node lookup. A fingerprint hit is checked by its key
    read, so it answers on any node. A miss answers only on a node whose
@@ -203,42 +225,6 @@ let scan_keys t ~tid n key ~confirmed =
   | i -> i
 
 (* ---- recovery (Functions 10-12) ---------------------------------------- *)
-
-(* Complete or clean up an interrupted node split (Function 11): a node left
-   write-locked by a previous epoch either transferred its upper keys to a
-   linked successor (erase the duplicates here) or failed before linking
-   (nothing to erase; the orphan node is reclaimed by the allocation log). *)
-let check_split_recovery t ~tid n =
-  let held = Node.Lock.word t.mem n in
-  if Node.Lock.is_write_locked held then begin
-    obs_event ~tid Obs.id_split_repair 0;
-    let succ = Node.next t.mem t.ly n 0 in
-    let k = t.cfg.Config.keys_per_node in
-    for i = 0 to k - 1 do
-      let ki = Node.key t.mem t.ly n i in
-      if ki = Node.empty_key then
-        Mem.write_field t.mem n (Node.o_value t.ly i) Node.tombstone
-      else if not (Riv.equal succ t.tail) then begin
-        let rec dup j =
-          if j >= k then ()
-          else if Node.key t.mem t.ly succ j = ki then begin
-            Mem.write_field t.mem n (Node.o_key t.ly i) Node.empty_key;
-            Mem.write_field t.mem n (Node.o_value t.ly i) Node.tombstone
-          end
-          else dup (j + 1)
-        in
-        dup 0
-      end
-    done;
-    (* recompute the fingerprint line from the surviving keys: erased slots
-       lose theirs, and a claim the crash interrupted leaves none stale *)
-    ignore
-      (Node.write_fp_line t.mem t.ly n
-         (Node.fp_line t.ly (Array.init k (fun i -> Node.key t.mem t.ly n i)))
-        : bool);
-    Node.persist_body t.mem t.ly n;
-    Node.Lock.write_unlock t.mem n ~held
-  end
 
 (* Refresh a node's next pointers and their hints at [from_level ..] from
    fresh successor information and persist them (Functions 18/19). Only
@@ -321,8 +307,9 @@ let copy_hop_line t buf n level =
    once more only when a level-0 overshoot left the entered node's line
    in the buffer. An older split count only adds retries, and fp_ok under
    a current stamp is never cleared within an epoch, so the copy serves
-   as well as fresh word reads would; a copy that shows a writer yields
-   [unsettled]. A found search then validates with one more read of the
+   as well as fresh word reads would; a copy that shows a writer, or a
+   successor other than the recorded one, yields [unsettled]. A found
+   search then validates with one more read of the
    header line, after its value read ([search_impl]). The write paths'
    validation (read lock, split count, [relinked]) and every CAS, flush
    and fence stay word accesses. *)
@@ -413,13 +400,20 @@ let rec traverse t ~tid ~recover key =
            overshoot left the entered node's line in the buffer *)
         if not (Riv.equal !copied pred0) then copy_header t buf pred0;
         let lockw = Node.line_lock buf in
+        let epoch = Mem.epoch t.mem in
+        (* a copy made after the one that gave succs.(0) may postdate a
+           whole split, whose link killed keys the scan still sees: its
+           count is only settled if the successor is still the same *)
         let sc =
-          if Node.Lock.is_write_locked lockw then unsettled
+          if
+            Node.Lock.is_write_locked ~epoch lockw
+            || not (Riv.equal (Node.line_next buf 0) succs.(0))
+          then unsettled
           else Node.meta_split_count (Node.line_meta buf)
         in
         let ki =
           scan_keys t ~tid pred0 key
-            ~confirmed:(Node.Lock.fp_ok_at ~epoch:(Mem.epoch t.mem) lockw)
+            ~confirmed:(Node.Lock.fp_ok_at ~epoch lockw)
         in
         { found = ki >= 0; key_index = ki; split_count = sc; preds; succs; bounds }
       end
@@ -435,11 +429,11 @@ let rec traverse t ~tid ~recover key =
    and copies the header line into [hdr] again, since the claim may have
    run a traversal that overwrote it (the buffer is its thread's).
 
-   Two things can be broken. An interrupted split leaves the writer bit
-   set under an older stamp (stale readers vanish via the stamp, and a
-   writer bit under the current stamp is a live writer's); it is always
-   repaired, because its contents make traversal results unreliable
-   (Section 4.4.1). A tower can be incomplete only if the node's insert
+   One thing can be broken: a tower. The paper also repairs an
+   interrupted split here (Function 11), erasing the keys it had moved;
+   here those keys are dead once the split's link is in, and the lock
+   word's stale writer bit reads as free, so an interrupted split leaves
+   nothing to repair. A tower can be incomplete only if the node's insert
    was in flight at a crash, and then the allocation log of the node's
    allocator still names it from an older epoch (the owner completes the
    tower before it overwrites the entry, see
@@ -457,15 +451,14 @@ and check_for_recovery t ~tid ~cur ~hdr ~recoveries =
     let node_epoch = Node.line_epoch hdr in
     if node_epoch = Mem.epoch t.mem then false
     else begin
-      let split = Node.Lock.interrupted ~epoch:(Mem.epoch t.mem) (Node.line_lock hdr) in
       let meta = Node.line_meta hdr in
       let tower =
         Node.meta_height meta > 1
         && Block_alloc.names_in_flight t.mem ~tid:(Node.meta_tid meta) cur
       in
-      if tower && (not split) && recoveries >= t.cfg.Config.recovery_budget then false
+      if tower && recoveries >= t.cfg.Config.recovery_budget then false
       else begin
-        let repaired = claim_node t ~tid cur ~node_epoch ~split ~tower = Some true in
+        let repaired = claim_node t ~tid cur ~node_epoch ~tower = Some true in
         if not repaired then copy_header t hdr cur;
         repaired
       end
@@ -473,17 +466,14 @@ and check_for_recovery t ~tid ~cur ~hdr ~recoveries =
   end
 
 (* The claim itself: CAS [cur]'s epoch forward from [node_epoch], then
-   repair the interrupted split and check the tower, as [split] and [tower]
-   say. [None] when another thread claimed the node first, else whether
-   anything was repaired. *)
-and claim_node t ~tid cur ~node_epoch ~split ~tower =
+   check the tower if [tower] says so. [None] when another thread claimed
+   the node first, else whether anything was repaired. *)
+and claim_node t ~tid cur ~node_epoch ~tower =
   if not (Node.cas_epoch t.mem cur ~expected:node_epoch ~desired:(Mem.epoch t.mem))
   then None
   else begin
     obs_event ~tid Obs.id_epoch_repair 0;
-    if split then check_split_recovery t ~tid cur;
-    let towered = tower && check_insert_recovery t ~tid cur in
-    Some (split || towered)
+    Some (tower && check_insert_recovery t ~tid cur)
   end
 
 (* The first level at which a fresh traversal does not land on [cur]
@@ -550,18 +540,15 @@ and link_higher_levels t ~tid ~node ~start ~node_height ~preds =
 (* The owner's side of the tower rule ([Block_alloc.log_change_attempt],
    before it overwrites a log entry from an older epoch that names the
    reachable [n]): leave [n]'s tower complete. A node still from an older
-   epoch is claimed, with the split repair a claim includes, so no claimer
-   builds the same tower at once. A node another thread claimed in this
+   epoch is claimed, so no claimer builds the same tower at once. A node
+   another thread claimed in this
    epoch has its tower built by that claimer, which read the same log
    entry: wait until every level is linked. *)
 let complete_tower t ~tid n =
   let node_epoch = Node.epoch t.mem n in
   let claimed =
     node_epoch <> Mem.epoch t.mem
-    && claim_node t ~tid n ~node_epoch
-         ~split:(Node.Lock.interrupted ~epoch:(Mem.epoch t.mem) (Node.Lock.word t.mem n))
-         ~tower:true
-       <> None
+    && claim_node t ~tid n ~node_epoch ~tower:true <> None
   in
   let h = Node.height t.mem n in
   let rec wait () =
@@ -673,41 +660,70 @@ let create_successor t ~tid ~pred ~key ~value ~(f : find) =
 
 type slot_status = Retry | Need_split | Done of int
 
+(* The key a claim that took the dead slot [i] of [n] (still holding
+   [dead]) CASes in: it holds the read lock and stores it within a few
+   accesses. *)
+let rec claimed_key t ~tid n i dead =
+  let ki = Node.key t.mem t.ly n i in
+  if ki <> dead then ki
+  else begin
+    backoff t ~tid;
+    claimed_key t ~tid n i dead
+  end
+
 (* Whether a node was linked after [pred0] at level 0 since a traversal read
-   [succ0] there. Every split links its new node before it bumps the split
-   counter and erases the moved slots, so this catches each split that may
-   have moved keys out of [pred0]. The counter cannot: a split that
-   completes between the traversal's successor read and its counter read
-   leaves the counter matching, and an insert would then claim a slot the
-   split just emptied, in a node that no longer owns the key. *)
+   [succ0] there. A split's link CAS is what moves keys out of [pred0]
+   (they are dead from then on), so this catches each split that may have
+   moved keys out of it. The counter cannot: a split that completes
+   between the traversal's successor read and its counter read leaves the
+   counter matching, and an insert would then claim a slot the split just
+   killed, in a node that no longer owns the key. *)
 let relinked t ~pred0 ~succ0 =
   not (Riv.equal (Node.next t.mem t.ly pred0 0) succ0)
 
-(* Function 16: claim an empty slot in an existing node under a read lock
+(* Function 16: claim a free slot in an existing node under a read lock
    (the lock only excludes concurrent splits, not other writers). Under the
    lock, an unchanged level-0 successor means [pred0] still owns [key]
    (see [relinked]); it replaces the paper's split-counter check, which
    misses the split that completed mid-traversal, at the same cost of one
-   header-line read.
+   header-line read. It also fixes [pred0]'s bound, the anchor of
+   [succ0]: a slot holding a key at or above it is dead (see Node), and
+   free. The bound is read once, at the first dead-looking slot.
 
-   An unconfirmed [pred0] — its line may have lost fingerprints in a crash
-   — is repaired first; the read lock keeps it confirmed from then on
-   (only a writer rewrites or clears the line). Then one read of the
-   fingerprint line serves two passes. The first looks for [key] itself
-   (an update). The second walks, in slot order, the slots whose
-   fingerprint is 0 or [key]'s: such a slot is claimed by publishing
-   [key]'s fingerprint and only then CASing the key in, with no flush
-   between. The key CAS stays the claim and the point where two inserts of
-   one key meet: both walk the same candidates in the same order, so the
-   loser of a slot reads the winner's key and turns into an update. A
-   successful claim persists key and value with a single slot flush: the
-   two words share a cache line by layout. The fingerprint is not
-   persisted; a crash that keeps the slot line and drops it leaves the
-   node unconfirmed, and the next miss or insert there repairs it. *)
+   A claim runs only on a confirmed [pred0], whose line holds every live
+   key's fingerprint and a 0 for every dead slot; an unconfirmed one — its
+   line may have lost fingerprints in a crash — is repaired first, and the
+   upsert retries. Then one read of the fingerprint line serves two
+   passes. The first looks for [key] itself (an update). The second walks,
+   in slot order, the slots whose fingerprint is 0 or [key]'s. An empty
+   slot is claimed by publishing [key]'s fingerprint and only then CASing
+   the key in, with no flush between. The key CAS stays the claim and the
+   point where two inserts of one key meet: both walk the same candidates
+   in the same order, so the loser of a slot reads the winner's key and
+   turns into an update. A dead slot is claimed by the one insert that
+   takes its fingerprint byte from 0 ([Node.take_fp]), which then stores
+   a tombstone value, CASes the dead key to [key] and CASes the value in:
+   the slot's line persists as some prefix of those stores, so a crash
+   never pairs [key] with the dead key's value. An insert that finds the
+   byte taken with its own fingerprint waits for the taker's key, and
+   turns into an update if it is [key]. A successful claim
+   persists key and value with a single slot flush: the two words share a
+   cache line by layout. The fingerprint is not persisted; a crash that
+   keeps the slot line and drops it leaves the node unconfirmed, and the
+   next miss or insert there repairs it. *)
 let insert_into_existing t ~tid ~key ~value ~pred0 ~succ0 =
   if not (Node.Lock.read_lock t.mem pred0) then Retry
   else if relinked t ~pred0 ~succ0 then begin
     Node.Lock.read_unlock t.mem pred0;
+    Retry
+  end
+  else if not (fp_confirmed t pred0) then begin
+    (* an insert waits for the write lock, as a split does: a stream of
+       updates under read locks could refuse a single shot for good *)
+    Node.Lock.read_unlock t.mem pred0;
+    (match Node.Lock.acquire_write t.mem pred0 ~backoff:(fun () -> backoff t ~tid) with
+    | None -> ()
+    | Some held -> confirm_fps t ~tid pred0 ~held (slot_keys t pred0));
     Retry
   end
   else begin
@@ -716,11 +732,12 @@ let insert_into_existing t ~tid ~key ~value ~pred0 ~succ0 =
       Node.Lock.read_unlock t.mem pred0;
       Done old
     in
-    if not (fp_confirmed t pred0) then ignore (repair_fps t ~tid pred0 : int array);
     let words = t.fp_bufs.(tid) in
     Node.read_fps t.mem ly pred0 words;
     let f = Node.fingerprint key in
     let fp_at i = Node.fp_byte words.(Node.fp_index i) i in
+    (* pred0's bound once read, 0 before *)
+    let bound = ref 0 in
     let rec claim i =
       if i >= ly.Node.k then begin
         Node.Lock.read_unlock t.mem pred0;
@@ -732,10 +749,9 @@ let insert_into_existing t ~tid ~key ~value ~pred0 ~succ0 =
         else begin
           let ki = Node.key t.mem ly pred0 i in
           if ki = key then finish (update_value t pred0 i value)
-          else if ki <> Node.empty_key || not (Node.publish_fp t.mem pred0 i f)
-          then claim (i + 1)
-          else begin
-            if Node.cas_key t.mem ly pred0 i ~expected:Node.empty_key ~desired:key
+          else if ki = Node.empty_key then begin
+            if not (Node.publish_fp t.mem pred0 i f) then claim (i + 1)
+            else if Node.cas_key t.mem ly pred0 i ~expected:Node.empty_key ~desired:key
             then begin
               let old = claim_value t pred0 i value in
               Node.persist_slot t.mem ly pred0 i;
@@ -746,6 +762,28 @@ let insert_into_existing t ~tid ~key ~value ~pred0 ~succ0 =
               finish (update_value t pred0 i value)
             else claim (i + 1)
           end
+          else begin
+            if !bound = 0 then bound := anchor_of t succ0;
+            if ki < !bound then (* a live key with [key]'s fingerprint *) claim (i + 1)
+            else begin
+              match Node.take_fp t.mem pred0 i f with
+              | 0 ->
+                  Mem.write_field t.mem pred0 (Node.o_value ly i) Node.tombstone;
+                  (* the fingerprint byte makes this claim the slot's one
+                     writer: the CAS cannot fail *)
+                  ignore (Node.cas_key t.mem ly pred0 i ~expected:ki ~desired:key : bool);
+                  let old = claim_value t pred0 i value in
+                  Node.persist_slot t.mem ly pred0 i;
+                  finish old
+              | owner when owner = f ->
+                  (* a claim that may be [key]'s took the slot: its key
+                     decides, as the key CAS does for an empty slot *)
+                  if claimed_key t ~tid pred0 i ki = key then
+                    finish (update_value t pred0 i value)
+                  else claim (i + 1)
+              | _ -> claim (i + 1)
+            end
+          end
         end
       end
     in
@@ -754,44 +792,60 @@ let insert_into_existing t ~tid ~key ~value ~pred0 ~succ0 =
     | i -> finish (update_value t pred0 i value)
   end
 
-(* Function 20: split a full node. The write lock (persisted before the new
-   node becomes reachable, so an interrupted split is detectable) excludes
-   updates while keys move; a non-empty suffix of the sorted pairs migrates
-   to a new node linked immediately after. The suffix is the top K/8 pairs
-   when [key], the key that overflowed the node, would rank among them and
-   the successor's anchor lies farther above [key] than the node's own
-   anchor lies below it (an ascending run then leaves nodes 7/8 full, and
-   the new node has room to fill); else the median and above (DESIGN
-   "Split point"). The minimum key never moves, so the header anchor stays
-   valid across any number of splits.
+(* Function 20: split a full node. The write lock excludes claims and
+   updates while keys move; a non-empty suffix of the sorted pairs
+   migrates to a new node linked immediately after. The suffix is the top
+   K/8 pairs when [key], the key that overflowed the node, would rank
+   among them and the successor's anchor lies farther above [key] than
+   the node's own anchor lies below it (an ascending run then leaves nodes
+   7/8 full, and the new node has room to fill); else the median and above
+   (DESIGN "Split point"). The minimum key never moves, so the header
+   anchor stays valid across any number of splits.
+
+   The moved pairs stay where they are: the link CAS makes them dead in
+   the node, since the new node's anchor is its bound from then on (see
+   Node). The paper erases them after the link (Function 20) and again in
+   recovery (Function 11); here nothing is erased, so the split persists
+   no slot line and its unlock flushes nothing. It rewrites the
+   fingerprint line with the moved slots cleared and flushes it before
+   the unlock, which confirms it: a dead slot shows fingerprint 0, and a
+   claim can take it over.
 
    When [key] ranks above the new anchor (every tail cut), it goes in with
    the split, appended to the new node's pairs: it becomes visible at the
    link CAS and durable when the link persists. Returns whether it went
    in; false when [key] belongs to the old half, another writer holds the
-   lock, a slot turned out free or the link CAS failed, and the caller
-   retries the upsert, which claims a free slot. *)
+   lock, a slot turned out free or the node's successor changed, and the
+   caller retries the upsert, which claims a free slot. *)
 let split_node t ~tid ~key ~value ~(f : find) =
   let pred0 = f.preds.(0) in
   match Node.Lock.acquire_write t.mem pred0 ~backoff:(fun () -> backoff t ~tid) with
   | None -> false
   | Some held ->
-    (* The writer bit is not persisted on its own: the lock word shares
-       pred0's header line with the level-0 pointer and is stored before
-       the link CAS, so every persisted image of that line holding the
-       link also holds the bit, and the split stays detectable. *)
     let ly = t.ly in
     let k = ly.Node.k in
-    let keys = Array.init k (fun i -> Node.key t.mem ly pred0 i) in
-    if Array.exists (fun ki -> ki = Node.empty_key || ki = key) keys then begin
-      (* A slot freed up since the caller's scan, or the caller found only
-         free slots behind stale fingerprints (claims a crash interrupted),
-         or [key] arrived: no split needed, and the retry finds its slot.
-         Rewrite the line from the keys so every free slot shows a 0
-         fingerprint again — otherwise the insert would return here
-         forever. *)
+    (* pred0's next0 changes only under its write lock: its successor and
+       bound are fixed while this split holds it *)
+    let succ0 = Node.next t.mem ly pred0 0 in
+    let bound = anchor_of t succ0 in
+    let keys =
+      Array.init k (fun i ->
+          let ki = Node.key t.mem ly pred0 i in
+          if ki < bound then ki else Node.empty_key)
+    in
+    (* every confirming rewrite of the line below takes the live keys *)
+    if
+      (not (Riv.equal succ0 f.succs.(0)))
+      || Array.exists (fun ki -> ki = Node.empty_key || ki = key) keys
+    then begin
+      (* A split since the caller's traversal, or a slot freed up since
+         its scan, or the caller found only free slots behind stale
+         fingerprints (claims a crash interrupted), or [key] arrived: no
+         split here, and the retry finds its node and slot. Rewrite the
+         line from the live keys so every free slot shows a 0 fingerprint
+         again — otherwise the insert would return here forever. *)
       if Node.write_fp_line t.mem ly pred0 (Node.fp_line ly keys) then
-        Mem.persist_range t.mem pred0 ~first:Node.o_fp ~words:ly.Node.fp_used;
+        Node.persist_fps t.mem ly pred0;
       Node.Lock.write_unlock t.mem pred0 ~held;
       false
     end
@@ -800,7 +854,7 @@ let split_node t ~tid ~key ~value ~(f : find) =
       Array.sort (fun i j -> Int.compare keys.(i) keys.(j)) order;
       let m = Int.max 1 (k / 8) in
       let anchor = keys.(order.(0)) in
-      let tail_cut = key > keys.(order.(k - m)) && f.bounds.(0) - key > key - anchor in
+      let tail_cut = key > keys.(order.(k - m)) && bound - key > key - anchor in
       let cut = if tail_cut then k - m else k / 2 in
       (* the moved slots, in key order *)
       let moved = Array.sub order cut (k - cut) in
@@ -819,22 +873,16 @@ let split_node t ~tid ~key ~value ~(f : find) =
           ~f
       in
       Node.lower_hint t.mem ly pred0 0 new_anchor;
-      if Node.cas_next t.mem ly pred0 0 ~expected:f.succs.(0) ~desired:node then begin
+      if Node.cas_next t.mem ly pred0 0 ~expected:succ0 ~desired:node then begin
         Node.persist_next t.mem ly pred0 0;
         obs_event ~tid Obs.id_split new_anchor;
         if tail_cut then Obs.bump ~tid Obs.id_split_tail;
-        (* the split count only serves readers of this epoch: the write
-           unlock persists it, in the same header line *)
+        (* the split count only serves readers of this epoch *)
         Node.set_split_count t.mem pred0 (Node.split_count t.mem pred0 + 1);
-        Array.iter
-          (fun i ->
-            Mem.write_field t.mem pred0 (Node.o_key ly i) Node.empty_key;
-            Mem.write_field t.mem pred0 (Node.o_value ly i) Node.tombstone;
-            keys.(i) <- Node.empty_key)
-          moved;
-        (* the moved slots' fingerprints go with their keys *)
+        (* the moved slots are dead now: their fingerprints go *)
+        Array.iter (fun i -> keys.(i) <- Node.empty_key) moved;
         ignore (Node.write_fp_line t.mem ly pred0 (Node.fp_line ly keys) : bool);
-        Node.persist_split t.mem ly pred0 moved;
+        Node.persist_fps t.mem ly pred0;
         Node.Lock.write_unlock t.mem pred0 ~held;
         (* no node lies between pred0 and its old successor, so on every
            level the traversal's pred and succ bound the new anchor too *)
@@ -922,11 +970,11 @@ let miss_raced_split t f =
    out of pred0 between the traversal's header copy and the value read.
    One read of the header line after the value read checks that at one
    instant: not write-locked, and the split count the copy held. A split
-   bumps the count under the writer bit, before it erases the slots it
-   moved, and unlocks after, so a split that erased the slot before the
-   value read either still holds the lock or has changed the count; the
-   copy's own writer bit covers the split it caught mid-way
-   ([unsettled]). *)
+   bumps the count under the writer bit, after the link that kills the
+   slots it moved, and unlocks after, so a split that killed the slot
+   before the value read (after which a claim may take it over) either
+   still holds the lock or has changed the count; the copy's own writer
+   bit covers the split it caught mid-way ([unsettled]). *)
 let rec search_impl t ~tid key =
   let f = traverse t ~tid ~recover:true key in
   if not f.found then
@@ -936,7 +984,7 @@ let rec search_impl t ~tid key =
     let v = Node.value t.mem t.ly n f.key_index in
     let hdr = t.fp_bufs.(tid) in
     copy_header t hdr n;
-    if Node.Lock.is_write_locked (Node.line_lock hdr) then begin
+    if Node.Lock.is_write_locked ~epoch:(Mem.epoch t.mem) (Node.line_lock hdr) then begin
       backoff t ~tid;
       search_impl t ~tid key
     end
@@ -968,27 +1016,18 @@ let rec remove_impl t ~tid key =
     end
   end
 
-(* Apply [f]. It guards nothing: each public operation calls its body
-   through this one closure call only because perf's [host_peak_mb]
-   samples the heap where allocation pacing, not live data, sets the peak,
-   and calling the bodies directly raises [svc-a-detect]'s reading from
-   12.6 to 15.9 MB with every simulated number unchanged. Delete it once
-   the peak is sampled after a full major collection (ROADMAP, the
-   benchmark item's step 5). *)
-let[@inline never] apply f = f ()
-
 let upsert t ~tid key value =
   check_key key;
   check_value value;
-  apply (fun () -> upsert_impl t ~tid key value)
+  upsert_impl t ~tid key value
 
 let search t ~tid key =
   check_key key;
-  apply (fun () -> search_impl t ~tid key)
+  search_impl t ~tid key
 
 let remove t ~tid key =
   check_key key;
-  apply (fun () -> remove_impl t ~tid key)
+  remove_impl t ~tid key
 
 let mem_key t ~tid key = search t ~tid key <> None
 
@@ -997,9 +1036,10 @@ let mem_key t ~tid key = search t ~tid key <> None
    and level-0 next pointer, from one copy of its header line (which
    also gives the anchor and the claim's words), beside its pairs, once no
    writer and no current-epoch slot writer holds the node; a validation
-   pass re-reads those words, and any change restarts the scan. A node
-   from an older epoch is repaired first, as a traversal does.
-   Obstruction-free. *)
+   pass re-reads those words, and any change restarts the scan. A node's
+   pairs are kept once the next node's header copy gives its anchor, the
+   node's bound: a key at or above it is dead (see Node). A node from an
+   older epoch is repaired first, as a traversal does. Obstruction-free. *)
 let range_impl t ~tid ~lo ~hi =
   let k = t.cfg.Config.keys_per_node in
   let epoch = Mem.epoch t.mem in
@@ -1010,29 +1050,34 @@ let range_impl t ~tid ~lo ~hi =
       scan recoveries
     in
     let hdr = t.fp_bufs.(tid) in
-    let rec collect n seen pairs =
-      if Riv.equal n t.tail then validate seen pairs
+    (* [pending]: the previous node's pairs, awaiting its bound *)
+    let rec collect n seen pairs pending =
+      if Riv.equal n t.tail then validate seen (List.rev_append pending pairs)
       else begin
         copy_header t hdr n;
-        if Node.line_anchor hdr 0 > hi then validate seen pairs
+        let bound = Node.line_anchor hdr 0 in
+        let kept =
+          List.fold_left (fun acc ((ki, _) as p) -> if ki < bound then p :: acc else acc) pairs pending
+        in
+        if bound > hi then validate seen kept
         else if check_for_recovery t ~tid ~cur:n ~hdr ~recoveries then scan (recoveries + 1)
         else begin
           let w = Node.line_lock hdr in
           let next = Node.line_next hdr 0 in
-          if Node.Lock.is_write_locked w || Node.Lock.readers_at ~epoch w > 0 then begin
+          if Node.Lock.is_write_locked ~epoch w || Node.Lock.readers_at ~epoch w > 0 then begin
             backoff t ~tid;
-            collect n seen pairs
+            collect n seen pairs pending
           end
           else begin
-            let pairs = ref pairs in
+            let mine = ref [] in
             for i = 0 to k - 1 do
               let ki = Node.key t.mem t.ly n i in
               if ki >= lo && ki <= hi then begin
                 let v = Node.value t.mem t.ly n i in
-                if v <> Node.tombstone then pairs := (ki, v) :: !pairs
+                if v <> Node.tombstone then mine := (ki, v) :: !mine
               end
             done;
-            collect next ((n, w, next) :: seen) !pairs
+            collect next ((n, w, next) :: seen) kept !mine
           end
         end
       end
@@ -1046,14 +1091,14 @@ let range_impl t ~tid ~lo ~hi =
       else restart ()
     in
     (* preds.(0) is the head when lo precedes every key *)
-    collect f.preds.(0) [] []
+    collect f.preds.(0) [] [] []
   in
   scan 0
 
 let range t ~tid ~lo ~hi =
   check_key lo;
   check_key hi;
-  apply (fun () -> range_impl t ~tid ~lo ~hi)
+  range_impl t ~tid ~lo ~hi
 
 (* Post-crash structure pass: recompute the volatile [top] from the head's
    tower. Everything else is repaired lazily by the traversals that meet
@@ -1068,7 +1113,14 @@ let recover t ~tid:_ =
 
 (* ---- host-side verification (peeks; no simulated cost) ----------------- *)
 
-(* Walk the persistent bottom level collecting live key/value pairs. *)
+(* The bound of [n] through [peek]: its level-0 successor's anchor, below
+   which [n]'s non-empty keys are live (see Node). *)
+let peek_bound t ~peek n =
+  let s = Riv.of_word (peek n Node.o_next0) in
+  if Riv.equal s t.tail then Node.tail_key else peek s Node.o_anchor
+
+(* Walk the bottom level of the volatile image collecting live key/value
+   pairs. *)
 let to_alist t =
   let read_field = Mem.peek_field t.mem in
   let k = t.cfg.Config.keys_per_node in
@@ -1076,9 +1128,10 @@ let to_alist t =
     if Riv.is_null n || Riv.equal n t.tail then acc
     else begin
       let acc = ref acc in
+      let bound = peek_bound t ~peek:read_field n in
       for i = 0 to k - 1 do
         let ki = read_field n (Node.o_key t.ly i) in
-        if ki <> Node.empty_key && ki <> Node.head_key then begin
+        if ki <> Node.empty_key && ki <> Node.head_key && ki < bound then begin
           let v = read_field n (Node.o_value t.ly i) in
           if v <> Node.tombstone then acc := (ki, v) :: !acc
         end
@@ -1106,17 +1159,80 @@ let stale_tower_anchors t ~peek n =
     (fun level -> peek n (Node.o_tower_anchor t.ly level) <> peek n Node.o_anchor)
     (List.init (Node.tower_lines h) (fun g -> 2 + (Node.per_line * g)))
 
+(* The dead rule over the bottom level, through [peek] (the volatile or
+   the persistent image): every key a node holds, live or dead, is live in
+   exactly one node, and, with [fps], on a node confirmed in the current
+   epoch (not under a live writer, who rewrites the line before its
+   unlock) every dead slot's fingerprint is 0 and every live key carries
+   its fingerprint. The persistent image is checked without [fps]: a
+   fingerprint line is volatile, and a confirmation persisted with a
+   header line does not cover it (a new node persists its confirmed lock
+   word but not its line, see [Node.persist_fresh]; a repair rewrites a
+   line without a flush). Reports each violation through [err]. Live keys
+   lie in [anchor, bound), and the bounds are the
+   next nodes' anchors, so the nodes' ranges are disjoint: a live key is
+   live in no other node once no slot of its node repeats it, and a dead
+   key must be live in the node whose range holds it, a few nodes on. *)
+let check_dead_rule t ~peek ~fps ~err =
+  let err fmt = Fmt.kstr err fmt in
+  let k = t.cfg.Config.keys_per_node in
+  let epoch = Mem.epoch t.mem in
+  let next n = Riv.of_word (peek n Node.o_next0) in
+  let holds n key =
+    let rec slot i = i < k && (peek n (Node.o_key t.ly i) = key || slot (i + 1)) in
+    slot 0
+  in
+  (* the node whose range holds [key], from [n] on *)
+  let rec owner n key =
+    let s = next n in
+    if Riv.is_null s || Riv.equal s t.tail || peek s Node.o_anchor > key then n
+    else owner s key
+  in
+  (* a node's live keys, sorted, with [tail_key] for the other slots *)
+  let live = Array.make k Node.tail_key in
+  let max_steps = Mem.total_blocks t.mem in
+  let rec walk n steps =
+    if not (Riv.is_null n || Riv.equal n t.tail || steps > max_steps) then begin
+      let k0 = peek n Node.o_anchor and bound = peek_bound t ~peek n in
+      let lockw = peek n Node.o_lock in
+      let confirmed =
+        fps && Node.Lock.fp_ok_at ~epoch lockw && not (Node.Lock.is_write_locked ~epoch lockw)
+      in
+      Array.fill live 0 k Node.tail_key;
+      for i = 0 to k - 1 do
+        let ki = peek n (Node.o_key t.ly i) in
+        let fp = Node.fp_byte (peek n (Node.o_fp_slot i)) i in
+        if ki = Node.empty_key then ()
+        else if ki >= bound then begin
+          if not (holds (owner n ki) ki) then
+            err "dead key %d in slot %d of node %d is live nowhere" ki i k0;
+          if confirmed && fp <> 0 then
+            err "dead key %d in slot %d of node %d's confirmed line has fingerprint %d" ki i k0
+              fp
+        end
+        else begin
+          if i > 0 && ki <= k0 then err "key %d in slot %d at or below node %d's anchor" ki i k0;
+          live.(i) <- ki;
+          if confirmed && fp <> Node.fingerprint ki then
+            err "key %d in slot %d of a confirmed node lacks its fingerprint" ki i
+        end
+      done;
+      Array.sort Int.compare live;
+      for i = 1 to k - 1 do
+        if live.(i) = live.(i - 1) && live.(i) <> Node.tail_key then
+          err "key %d live in two slots of node %d" live.(i) k0
+      done;
+      walk (next n) (steps + 1)
+    end
+  in
+  walk (next t.head) 0
+
 (* Structural invariant check over the volatile image (tests):
    - bottom-level first keys strictly increase;
    - every tower line below a node's height holds the header anchor;
    - every level's list is a subsequence of the level below;
-   - internal keys lie in (keys[0], next.keys[0]);
-   - no key is held by two slots of one node (a node under the write
-     lock — an interrupted split awaiting repair — is exempt: split
-     recovery erases its duplicates), and on a node whose
-     fingerprint line is confirmed in the current epoch every key carries
-     its fingerprint (an unconfirmed node's line is repaired by the first
-     miss there);
+   - the dead rule ([check_dead_rule]), which also checks that a node's
+     live keys lie above its first;
    - on every level, each hint is at most its successor's anchor, and no
      head level above [top] is non-empty.
    Nodes from older epochs (awaiting lazy recovery) are exempt from the
@@ -1126,8 +1242,7 @@ let check_invariants t =
   let err fmt = Fmt.kstr (fun s -> errs := s :: !errs) fmt in
   let pk obj i = Mem.peek_field t.mem obj i in
   let nxt n level = Riv.of_word (pk n (Node.o_next t.ly level)) in
-  let k = t.cfg.Config.keys_per_node in
-  (* bottom level ordering + internal key bounds *)
+  (* bottom level ordering *)
   let rec walk0 n =
     if Riv.equal n t.tail then ()
     else begin
@@ -1142,33 +1257,11 @@ let check_invariants t =
       let succ = nxt n 0 in
       let succ_k0 = pk succ (Node.o_key t.ly 0) in
       if k0 >= succ_k0 then err "bottom level not sorted at key %d" k0;
-      for i = 1 to k - 1 do
-        let ki = pk n (Node.o_key t.ly i) in
-        if ki <> Node.empty_key then begin
-          if ki <= k0 then err "internal key %d <= first key %d" ki k0;
-          if ki >= succ_k0 then err "internal key %d >= next first key %d" ki succ_k0
-        end
-      done;
-      let lockw = pk n Node.o_lock in
-      if not (Node.Lock.is_write_locked lockw) then begin
-        let confirmed = Node.Lock.fp_ok_at ~epoch:(Mem.epoch t.mem) lockw in
-        let held = Hashtbl.create k in
-        for i = 0 to k - 1 do
-          let ki = pk n (Node.o_key t.ly i) in
-          if ki <> Node.empty_key then begin
-            if Hashtbl.mem held ki then err "key %d held twice in one node" ki;
-            Hashtbl.replace held ki ();
-            if
-              confirmed
-              && Node.fp_byte (pk n (Node.o_fp_slot i)) i <> Node.fingerprint ki
-            then err "key %d in slot %d of a confirmed node lacks its fingerprint" ki i
-          end
-        done
-      end;
       walk0 succ
     end
   in
   walk0 (nxt t.head 0);
+  check_dead_rule t ~peek:pk ~fps:true ~err:(fun s -> errs := s :: !errs);
   (* upper levels are sublists of level below *)
   for level = 1 to t.cfg.Config.max_height - 1 do
     let rec level_keys n acc lv =
@@ -1227,13 +1320,13 @@ let check_invariants t =
    - tower discipline: no node records a height above [max_height], and
      none carries a non-null next word above its recorded height — a stray
      word there would be read as a tower pointer if the height ever grew;
+   - the dead rule ([check_dead_rule]): every key a node holds is live in
+     exactly one node. Fingerprint lines are not checked: they are
+     volatile (see Node), and a crash that drops one leaves its node
+     unconfirmed, so the first miss there repairs it;
    - the allocator accounts for every block (Block_alloc.audit):
      reachable, free-listed, or excused by a thread's allocation/provision
-     log.
-
-   Fingerprint lines are not checked: they are volatile (see Node), and a
-   crash that drops one leaves its node unconfirmed, so the first miss
-   there repairs it. *)
+     log. *)
 let audit_persistent t =
   let errs = ref [] in
   let err fmt = Fmt.kstr (fun s -> errs := s :: !errs) fmt in
@@ -1269,6 +1362,8 @@ let audit_persistent t =
     end
   in
   walk (nxt t.head 0) Node.head_key 0;
+  if !errs = [] then
+    check_dead_rule t ~peek:ppk ~fps:false ~err:(fun s -> errs := s :: !errs);
   (* pass 2: tower pointers of the head and of every reachable node,
      checked up to the block's [max_height] tower array, not just up to
      the node's own height word — a height above the array, or a stray
@@ -1339,20 +1434,23 @@ let audit_persistent t =
    no state to apply the mutation (e.g. empty). *)
 let corrupt t what =
   let first = Riv.of_word (Mem.peek_field t.mem t.head Node.o_next0) in
-  (* apply [f] to the first live slot on the bottom level outside a
-     write-locked node *)
+  (* apply [f] to the first live slot with a value on the bottom level,
+     outside a write-locked node *)
   let first_live f =
     let k = t.cfg.Config.keys_per_node in
     let rec hunt n =
       if Riv.is_null n || Riv.equal n t.tail then false
-      else if Node.Lock.is_write_locked (Mem.peek_field t.mem n Node.o_lock) then
-        hunt (Riv.of_word (Mem.peek_field t.mem n Node.o_next0))
+      else if
+        Node.Lock.is_write_locked ~epoch:(Mem.epoch t.mem) (Mem.peek_field t.mem n Node.o_lock)
+      then hunt (Riv.of_word (Mem.peek_field t.mem n Node.o_next0))
       else begin
+        let bound = peek_bound t ~peek:(Mem.peek_field t.mem) n in
         let rec slot i =
           if i >= k then
             hunt (Riv.of_word (Mem.peek_field t.mem n Node.o_next0))
           else if
             Mem.peek_field t.mem n (Node.o_key t.ly i) <> Node.empty_key
+            && Mem.peek_field t.mem n (Node.o_key t.ly i) < bound
             && Mem.peek_field t.mem n (Node.o_value t.ly i) <> Node.tombstone
           then begin
             f n i;

@@ -36,6 +36,11 @@
 
 module History = Lincheck.History
 
+(* Where round 0 crashes: an event count, or a fraction of the spec's own
+   crash-free run ([trial_events]), resolved by one dry run when the trial
+   starts. *)
+type point = Event of int | Fraction of float
+
 type spec = {
   structure : Kv.structure;
   latency : Kv.latency;
@@ -45,7 +50,7 @@ type spec = {
   ops_per_thread : int;
   read_fraction : float;
   rounds : int;  (* workload rounds, each under its own crash point *)
-  crash_at : int;  (* primitive-event crash point of round 0 *)
+  crash_at : point;  (* primitive-event crash point of round 0 *)
   depth : int;  (* crashes injected into the recovery fiber itself *)
   evict : float;  (* chance a dirty line persists at a power failure *)
   draw_seed : int;  (* persisted-state draws + recovery/round crash points *)
@@ -69,7 +74,7 @@ let default_spec =
     ops_per_thread = 100;
     read_fraction = 0.2;
     rounds = 1;
-    crash_at = 10_000;
+    crash_at = Event 10_000;
     depth = 0;
     evict = 0.0;
     draw_seed = 1;
@@ -220,6 +225,8 @@ let pool_words s =
   let rec grow w = if pool0 w >= need then w else grow (2 * w) in
   grow (1 lsl 20)
 
+let event_at ~events fraction = int_of_float (fraction *. float_of_int events)
+
 (* [Kv.default_sys], the figures' machine, under the spec's latency and
    mode: four NUMA nodes and room for 200 threads. *)
 let kv_of_spec s =
@@ -233,7 +240,9 @@ let kv_of_spec s =
       max_threads = max Kv.default_sys.max_threads s.threads;
     }
 
-let run_trial (spec : spec) =
+let rec run_trial (spec : spec) =
+  (* before this trial builds anything: a fraction's dry run is a trial *)
+  let crash0 = crash_event spec in
   let repairs_before = repair_total () in
   let kv = kv_of_spec spec in
   let threads = spec.threads in
@@ -402,7 +411,7 @@ let run_trial (spec : spec) =
             streams.(tid)
         in
         let crash_at =
-          if round = 0 then spec.crash_at else 1 + Sim.Rng.int rng (max 1 spec.crash_at)
+          if round = 0 then crash0 else 1 + Sim.Rng.int rng (max 1 crash0)
         in
         let outcome =
           Sim.Sched.run ~machine
@@ -460,6 +469,18 @@ let run_trial (spec : spec) =
     kv;
   }
 
+(* The length of [spec]'s round-0 workload, in events, from one
+   crash-free run of it. A deterministic trial equals its dry run up to
+   its crash, so the event a fraction of this names lies in the same
+   phase of the workload whatever the workload's cost. *)
+and trial_events spec = (run_trial { spec with crash_at = Event max_int }).completed_events
+
+(* Round 0's crash point, in events: a fraction costs one dry run. *)
+and crash_event spec =
+  match spec.crash_at with
+  | Event e -> e
+  | Fraction f -> event_at ~events:(trial_events spec) f
+
 (* ---- replay specs (one line, self-contained) ----------------------------- *)
 
 (* One entry per spec key (a {!Keys} table): the only place the key
@@ -516,9 +537,20 @@ let keys =
       (fun s -> s.read_fraction)
       (fun s read_fraction -> { s with read_fraction });
     int_key "rounds" ~min:1 (fun s -> s.rounds) (fun s rounds -> { s with rounds });
-    int_key "crash_at" ~min:0
-      (fun s -> s.crash_at)
-      (fun s crash_at -> { s with crash_at });
+    key "crash_at"
+      (fun s ->
+        match s.crash_at with
+        | Event e -> string_of_int e
+        | Fraction f -> Json.num_to_string f)
+      (fun v s ->
+        match (int_of_string_opt v, float_of_string_opt v) with
+        | Some e, _ when e >= 0 -> Ok { s with crash_at = Event e }
+        | None, Some f when f > 0.0 && f < 1.0 -> Ok { s with crash_at = Fraction f }
+        | _ ->
+            Error
+              (Printf.sprintf
+                 "crash_at: want an event count >= 0 or a fraction strictly between 0 and 1: %s"
+                 v));
     int_key "depth" ~min:0 (fun s -> s.depth) (fun s depth -> { s with depth });
     float_key "evict" ~unit_interval:true
       (fun s -> s.evict)
@@ -597,22 +629,22 @@ let grid_points ~seed g =
       g.origin + (i * g.stride)
       + (if g.jitter > 0 then Sim.Rng.int rng g.jitter else 0))
 
-(* The length of [spec]'s round-0 workload, in events, from one
-   crash-free run of it. A deterministic trial equals its dry run up to
-   its crash, so the event a fraction of this names lies in the same
-   phase of the workload whatever the workload's cost. *)
-let trial_events spec = (run_trial { spec with crash_at = max_int }).completed_events
 
-let event_at ~events fraction = int_of_float (fraction *. float_of_int events)
-
+(* Each point of [grid_points]'s grid, its stride and jitter taken as
+   fractions of the run and each point resolved from its own fraction, so
+   the last point lies where its fraction says, not where an integer
+   stride lands it. The jitter draws are [grid_points]'s. *)
 let dry_run_grid ?events spec ~first ~stride ~jitter ~points =
   let events = match events with Some e -> e | None -> trial_events spec in
   let at = event_at ~events in
-  { origin = at first; stride = at stride; points; jitter = at jitter }
+  let rng = Sim.Rng.create (spec.seed + 7771) in
+  List.init points (fun i ->
+      at (first +. (float_of_int i *. stride))
+      + if at jitter > 0 then Sim.Rng.int rng (at jitter) else 0)
 
 type campaign = {
   base : spec;  (* crash_at / draw_seed are overridden per trial *)
-  grid : grid;
+  points : int list;  (* the grid's crash points *)
   draws : int;  (* persisted-state draws per grid point *)
 }
 
@@ -635,7 +667,7 @@ type summary = {
 }
 
 let run_campaign ?(jobs = 1) (c : campaign) =
-  let points = grid_points ~seed:c.base.seed c.grid in
+  let points = c.points in
   (* Every trial is a self-contained job on a fresh fixture; the spec list
      fixes the order, so pooled execution aggregates the exact sequence the
      nested loop always produced. *)
@@ -645,7 +677,7 @@ let run_campaign ?(jobs = 1) (c : campaign) =
          (fun i point ->
            List.init c.draws (fun j ->
                { c.base with
-                 crash_at = point;
+                 crash_at = Event point;
                  draw_seed = c.base.draw_seed + (97 * i) + (1009 * j);
                }))
          points)
@@ -669,7 +701,7 @@ let run_campaign ?(jobs = 1) (c : campaign) =
     (fun (spec, res) ->
       incr trials;
       if res.completed_events > 0 then
-        missed := (spec.crash_at, res.completed_events) :: !missed;
+        missed := (crash_event spec, res.completed_events) :: !missed;
       if res.crashes > 0 then begin
         incr crashed;
         recovery_ns := res.recovery_ns :: !recovery_ns
@@ -724,6 +756,7 @@ let print_summary ~name (s : summary) =
    the re-execution budget runs out. The result replays from its printed
    spec alone. *)
 let shrink ?(budget = 80) (spec0 : spec) =
+  let spec0 = { spec0 with crash_at = Event (crash_event spec0) } in
   let runs = ref 0 in
   let fails s =
     if !runs >= budget then false
@@ -733,6 +766,7 @@ let shrink ?(budget = 80) (spec0 : spec) =
     end
   in
   let candidates s =
+    let at = crash_event s in
     List.concat
       [
         (if s.threads > 1 then [ { s with threads = max 1 (s.threads / 2) } ] else []);
@@ -742,9 +776,9 @@ let shrink ?(budget = 80) (spec0 : spec) =
          else []);
         (if s.rounds > 1 then [ { s with rounds = 1 } ] else []);
         (if s.depth > 0 then [ { s with depth = s.depth / 2 } ] else []);
-        (if s.crash_at > 8 then [ { s with crash_at = s.crash_at / 2 } ] else []);
-        (if s.crash_at > 8 then [ { s with crash_at = s.crash_at * 3 / 4 } ] else []);
-        (if s.crash_at > 1 then [ { s with crash_at = s.crash_at - 1 } ] else []);
+        (if at > 8 then [ { s with crash_at = Event (at / 2) } ] else []);
+        (if at > 8 then [ { s with crash_at = Event (at * 3 / 4) } ] else []);
+        (if at > 1 then [ { s with crash_at = Event (at - 1) } ] else []);
       ]
   in
   let rec minimise s =

@@ -19,6 +19,15 @@
     ({!spec_to_string}, consumed by [upskip_cli crash-replay], and the base
     of an [upskip_cli crash-sweep] campaign) a complete bug report. *)
 
+(** Where round 0 crashes. *)
+type point =
+  | Event of int  (** after this many primitive events *)
+  | Fraction of float
+      (** this fraction (strictly between 0 and 1) of the way through the
+          spec's own crash-free run ({!trial_events}), resolved by one dry
+          run when the trial starts: the point stays in the same phase of
+          the workload when its operations get cheaper *)
+
 type spec = {
   structure : Kv.structure;
   latency : Kv.latency;
@@ -30,7 +39,7 @@ type spec = {
   rounds : int;
       (** workload rounds, each under its own crash point; rounds > 1
           crash the structure again while it is still lazily repairing *)
-  crash_at : int;  (** primitive-event crash point of round 0 *)
+  crash_at : point;  (** crash point of round 0 *)
   depth : int;
       (** crash points injected into the recovery fiber itself: a crashed
           recovery powers the machine down again and restarts recovery,
@@ -138,7 +147,8 @@ val spec_to_string : spec -> string
 val validate : spec -> (spec, string) Stdlib.result
 (** The spec unchanged if the engine can run it: every key's printed value
     parses back within the key's bounds (threads in 1..256, keyspace, ops
-    and rounds >= 1, descriptors in 1..1 000 000, depth and crash_at >= 0,
+    and rounds >= 1, descriptors in 1..1 000 000, depth >= 0, crash_at
+    an event count >= 0 or a fraction strictly between 0 and 1,
     [evict] in [0,1], a mutant in {!mutants}), the config passes
     {!Upskiplist.Config.validate}, and no tuning key of a structure the
     spec does not build is off its default. *)
@@ -184,16 +194,24 @@ val trial_events : spec -> int
 val event_at : events:int -> float -> int
 (** The event [fraction] of the way through a run of [events]. *)
 
+val crash_event : spec -> int
+(** Round 0's crash point in events: [crash_at]'s event count, or its
+    fraction of {!trial_events}[ spec] (one dry run). *)
+
 val dry_run_grid :
-  ?events:int -> spec -> first:float -> stride:float -> jitter:float -> points:int -> grid
-(** A grid of [points] crash points over [spec]'s crash-free run of
-    [events] (default: {!trial_events}[ spec]): the first [first] of the
-    way through it, the rest [stride] apart, each displaced by up to
-    [jitter] (all fractions of the run). *)
+  ?events:int -> spec -> first:float -> stride:float -> jitter:float -> points:int -> int list
+(** [points] crash points over [spec]'s crash-free run of [events]
+    (default: {!trial_events}[ spec]): point [i] is the event at fraction
+    [first + i * stride] of the run, resolved on its own (so the last one
+    lies where its fraction says, whatever the rounding), displaced by a
+    seeded draw below [jitter]'s events ({!grid_points}'s draws, seeded by
+    [spec.seed]). *)
 
 type campaign = {
   base : spec;  (** [crash_at] / [draw_seed] are overridden per trial *)
-  grid : grid;
+  points : int list;
+      (** the crash points, in events: {!dry_run_grid}'s, or
+          {!grid_points} of a pinned grid *)
   draws : int;  (** persisted-state draws per grid point *)
 }
 

@@ -141,7 +141,13 @@ type t = {
   port : Sim.Sched.port;  (* how accesses to this memory reach the run *)
 }
 
-let initial_slots = 64
+(* The shadow slots a fresh instance starts with: one per 2048 pool words,
+   64 to 1024. A skip list filling the pool leaves about that many lines
+   dirty for good (each split node's header line, whose unlock is not
+   flushed), so the slab seldom grows mid-run; the cap keeps a fresh
+   instance's footprint a small fraction of one image. *)
+let initial_slots (config : config) =
+  Int.min 1024 (Int.max 64 (config.n_pools * config.pool_words / 2048))
 
 (* The empty tag: every real tag is below it ([create] checks). *)
 let no_tag = 0xFFFF
@@ -193,8 +199,8 @@ let create (config : config) =
     tags_per_pool;
     pool_words = config.pool_words;
     zero_page;
-    slab = Array.make (initial_slots * line_words) 0;
-    slot_line = Array.make initial_slots 0;
+    slab = Array.make (initial_slots config * line_words) 0;
+    slot_line = Array.make (initial_slots config) 0;
     n_dirty = 0;
     port = Sim.Sched.Port.create ();
   }

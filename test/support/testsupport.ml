@@ -227,7 +227,9 @@ let crash_campaign ~base ?(evict = 0.0) ~threads ~keyspace ~ops_per_thread ~from
     Harness.Fault.run_campaign
       {
         Harness.Fault.base;
-        grid = { origin = crash_events; stride = step; points = trials; jitter = step };
+        points =
+          Harness.Fault.grid_points ~seed
+            { origin = crash_events; stride = step; points = trials; jitter = step };
         draws = 1;
       }
   in

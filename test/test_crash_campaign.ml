@@ -62,7 +62,7 @@ let adversarial_base () =
   let base =
     { Fault.default_spec with threads = 4; keyspace = 120; ops_per_thread = 100; draw_seed = 3 }
   in
-  { base with crash_at = crash_point 0.6 ~dry_run:(fun () -> Fault.trial_events base) }
+  { base with crash_at = Fraction 0.6 }
 
 (* Two crash points, at 40 % and 75 % of the way through [base]'s run. *)
 let two_point_grid base = Fault.dry_run_grid base ~first:0.4 ~stride:0.35 ~jitter:0.05 ~points:2
@@ -86,7 +86,7 @@ let test_subset_adversary_draws () =
       check_bool "trial crashed" true (r.Fault.crashes > 0);
       check_int
         (Fmt.str "draw %d: identical pre-crash execution (crash point)" draw)
-        base.Fault.crash_at r.Fault.crash_events;
+        (Fault.crash_event base) r.Fault.crash_events;
       expect_clean (Fmt.str "UPSkipList/subset draw %d" draw) r)
     [ 1; 2; 3; 4 ];
   let a = Fault.run_spec { base with draw_seed = 2 } in
@@ -104,7 +104,7 @@ let test_subset_adversary_draws () =
    repairing its fingerprint line. *)
 let test_upskiplist_multi_crash_campaign () =
   let base = { (adversarial_base ()) with depth = 2; rounds = 2 } in
-  let c = { Fault.base; grid = two_point_grid base; draws = 2 } in
+  let c = { Fault.base; points = two_point_grid base; draws = 2 } in
   let s = Fault.run_campaign c in
   check_int "every trial crashed" s.Fault.trials s.Fault.crashed_trials;
   check_bool "audits ran after every completed recovery" true
@@ -125,7 +125,7 @@ let tall_only_cfg =
 
 let test_tall_only_multi_crash_campaign () =
   let base = { (adversarial_base ()) with depth = 2; rounds = 2; cfg = tall_only_cfg } in
-  let c = { Fault.base; grid = two_point_grid base; draws = 2 } in
+  let c = { Fault.base; points = two_point_grid base; draws = 2 } in
   let s = Fault.run_campaign c in
   check_int "every trial crashed" s.Fault.trials s.Fault.crashed_trials;
   check_bool "audits ran after every completed recovery" true
@@ -144,7 +144,7 @@ let test_bztree_crash_during_recovery () =
   let base =
     { (adversarial_base ()) with structure = Harness.Kv.Bztree; depth = 2; draw_seed = 17 }
   in
-  let c = { Fault.base; grid = two_point_grid base; draws = 2 } in
+  let c = { Fault.base; points = two_point_grid base; draws = 2 } in
   let s = Fault.run_campaign c in
   check_int "every trial crashed" s.Fault.trials s.Fault.crashed_trials;
   check_bool "recovery itself was crashed" true

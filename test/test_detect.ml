@@ -229,12 +229,12 @@ let detect_spec =
       detect = true;
     }
   in
-  { base with crash_at = crash_point 0.6 ~dry_run:(fun () -> Fault.trial_events base) }
+  { base with crash_at = Fraction 0.6 }
 
 (* Six crash points from 20 % to about 85 % of the way through [base]'s
    crash-free run, each displaced by up to 4 % of it. *)
 let campaign base =
-  { Fault.base; grid = Fault.dry_run_grid base ~first:0.2 ~stride:0.13 ~jitter:0.04 ~points:6; draws = 2 }
+  { Fault.base; points = Fault.dry_run_grid base ~first:0.2 ~stride:0.13 ~jitter:0.04 ~points:6; draws = 2 }
 
 let test_detect_spec_roundtrip () =
   let s = detect_spec in

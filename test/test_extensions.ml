@@ -26,6 +26,18 @@ let bottom_nodes fx =
   in
   go (step (SL.head fx.sl)) []
 
+(* [n]'s slot keys, a dead one — at or above the anchor of [n]'s level-0
+   successor, moved out by a split — shown empty (volatile image, host
+   side). *)
+let live_slot_keys fx n =
+  let ly = Node.layout (SL.config fx.sl) in
+  let peek = Mem.peek_field fx.mem in
+  let s = Riv.of_word (peek n Node.o_next0) in
+  let bound = if Riv.equal s (SL.tail fx.sl) then Node.tail_key else peek s Node.o_anchor in
+  Array.init ly.Node.k (fun i ->
+      let k = peek n (Node.o_key ly i) in
+      if k < bound then k else Node.empty_key)
+
 let churn fx ~seed ~ops ~keyspace =
   run1 fx.pmem (fun ~tid ->
       let rng = Sim.Rng.create seed in
@@ -71,24 +83,23 @@ let test_audit_catches_overheight_towers () =
 
 let fp_cfg = { Config.default with keys_per_node = 8 }
 
-(* Slots on the bottom level holding [key] (volatile image, host side). *)
+(* Live slots on the bottom level holding [key] (volatile image, host
+   side). *)
 let slots_holding fx key =
-  let ly = Node.layout (SL.config fx.sl) in
   List.concat_map
     (fun n ->
-      List.filter
-        (fun i -> Mem.peek_field fx.mem n (Node.o_key ly i) = key)
-        (List.init ly.Node.k Fun.id))
+      let keys = live_slot_keys fx n in
+      List.filter (fun i -> keys.(i) = key) (List.init (Array.length keys) Fun.id))
     (bottom_nodes fx)
 
 (* After crash-free runs each node's fingerprint line is exactly the one its
-   keys call for: claims publish before their key, splits and repairs
-   rewrite the line. *)
+   live keys call for: claims publish before their key, splits and repairs
+   rewrite the line, and a dead slot shows 0. *)
 let check_fp_lines fx =
   let ly = Node.layout (SL.config fx.sl) in
   List.iter
     (fun n ->
-      let keys = Array.init ly.Node.k (fun i -> Mem.peek_field fx.mem n (Node.o_key ly i)) in
+      let keys = live_slot_keys fx n in
       Array.iteri
         (fun j w ->
           check_int (Fmt.str "node %a fingerprint word %d" Riv.pp n j) w
@@ -461,15 +472,11 @@ let highest_head_level fx =
   in
   go (cfg.Config.max_height - 1)
 
-(* Keys of each bottom node, in slot order, empty slots left out (volatile
-   image, host side). *)
+(* Live keys of each bottom node, in slot order, empty and dead slots left
+   out (volatile image, host side). *)
 let node_keys fx =
-  let ly = Node.layout (SL.config fx.sl) in
   List.map
-    (fun n ->
-      List.filter
-        (fun k -> k <> Node.empty_key)
-        (List.init ly.Node.k (fun i -> Mem.peek_field fx.mem n (Node.o_key ly i))))
+    (fun n -> List.filter (fun k -> k <> Node.empty_key) (Array.to_list (live_slot_keys fx n)))
     (bottom_nodes fx)
 
 let sorted_node_keys fx = List.map (List.sort compare) (node_keys fx)
@@ -491,8 +498,9 @@ let sorted_node_keys fx = List.map (List.sort compare) (node_keys fx)
    and the top level is the highest non-empty head level. A range scan as
    the first operation after recovery finishes within an event budget and
    returns what the node chain holds: the traversal to its low end stops
-   at the head, so the scan itself must repair the interrupted split it
-   meets. *)
+   at the head, so the scan itself meets the interrupted split, and must
+   drop the keys it left dead in the old node and read its stale writer
+   bit as free. *)
 let split_crash_grid ~key ~after () =
   let before = [ 10; 12; 14; 16 ] in
   let into_new = List.mem key (List.nth after 1) in
@@ -572,9 +580,131 @@ let test_median_split_crash_grid =
 
 (* 13 ranks below the new node's anchor: the median split moves
    [14; 16] without it, and the retried upsert claims a slot the split
-   freed in the old node. *)
+   left dead in the old node. *)
 let test_median_split_old_half_crash_grid =
   split_crash_grid ~key:13 ~after:[ [ 10; 12; 13 ]; [ 14; 16 ] ]
+
+(* ---- dead slots ------------------------------------------------------------ *)
+
+(* A K = 4 node [10; 12; 14; 16], each key's value 1000 above it, split
+   by an upsert of 15: the median cut moves 14 and 16 to a new node
+   [14; 15; 16], and leaves both in the old node, dead by its anchor 14.
+   Persisted whole. *)
+let dead_slot_setup () =
+  let fx = make_skiplist ~cfg:hint_cfg ~seed:7 () in
+  run1 fx.pmem (fun ~tid ->
+      List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k (k + 1000))) [ 10; 12; 14; 16; 15 ]);
+  Pmem.clean_shutdown fx.pmem;
+  fx
+
+(* Crash grid for a claim that reclaims a dead slot: 13 belongs to the
+   old node, whose only free slots are the dead ones, so its upsert
+   stores a tombstone value over 14's, CASes 14 to 13 and CASes 777 in.
+   Whatever prefix of those stores persists, 13 reads as absent or as
+   777, never with the dead key's value 1014, and 14 and 16 keep theirs
+   in the new node. *)
+let test_dead_slot_claim_crash_grid () =
+  let key = 13 in
+  (let fx = dead_slot_setup () in
+   Alcotest.check Alcotest.(list (list int)) "the split left 14 and 16 dead"
+     [ [ 10; 12 ]; [ 14; 15; 16 ] ] (sorted_node_keys fx);
+   let old = List.hd (bottom_nodes fx) in
+   let ly = Node.layout hint_cfg in
+   check_bool "the old node still holds them" true
+     (List.for_all
+        (fun k ->
+          List.exists (fun i -> Mem.peek_field fx.mem old (Node.o_key ly i) = k) [ 0; 1; 2; 3 ])
+        [ 14; 16 ]);
+   run1 fx.pmem (fun ~tid -> ignore (SL.upsert fx.sl ~tid key 777));
+   Alcotest.check Alcotest.(list (list int)) "13 took a dead slot"
+     [ [ 10; 12; 13 ]; [ 14; 15; 16 ] ] (sorted_node_keys fx);
+   check_int "no split" 2 (List.length (bottom_nodes fx)));
+  crash_grid ~setup:dead_slot_setup
+    ~op:(fun fx ~tid -> ignore (SL.upsert fx.sl ~tid key 777))
+    ~checks:
+      [
+        (fun fx where ->
+          check_audit fx where;
+          run1 fx.pmem (fun ~tid ->
+              (match SL.search fx.sl ~tid key with
+              | None | Some 777 -> ()
+              | Some v -> Alcotest.failf "%s: lookup of %d returned %d" where key v);
+              List.iter
+                (fun k ->
+                  Alcotest.check opt_int (Fmt.str "%s: key %d" where k) (Some (k + 1000))
+                    (SL.search fx.sl ~tid k))
+                [ 10; 12; 14; 15; 16 ];
+              ignore (SL.upsert fx.sl ~tid key 778);
+              Alcotest.check opt_int (where ^ ": re-upsert visible") (Some 778)
+                (SL.search fx.sl ~tid key));
+          check_int (where ^ ": one slot holds the key") 1 (List.length (slots_holding fx key));
+          check_no_invariant_errors fx.sl);
+      ]
+
+(* A crash after a tail split's link persisted, before its unlock: the
+   persistent image holds the old node's header line with the writer bit
+   set under the crashed epoch, and the moved key 16 still in its slot.
+   Nothing repairs the split: no split repair runs, a lookup in that node
+   (the first operation after the crash) reads the stale writer bit as
+   free instead of backing off, and a later split of the node acquires
+   its write lock and proceeds. *)
+let test_interrupted_split_needs_no_repair () =
+  let setup () =
+    let fx = make_skiplist ~cfg:hint_cfg ~seed:7 () in
+    run1 fx.pmem (fun ~tid ->
+        List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) [ 10; 12; 14; 16 ]);
+    Pmem.clean_shutdown fx.pmem;
+    fx
+  in
+  let split fx ~tid = ignore (SL.upsert fx.sl ~tid 18 18) in
+  let events =
+    let fx = setup () in
+    snd (run fx.pmem [ split fx ])
+  in
+  (* the first crash point whose persistent image has the link *)
+  let crashed_after_link e =
+    let fx = setup () in
+    ignore
+      (Sim.Sched.run ~machine:(Pmem.machine fx.pmem) ~crash:(Sim.Sched.After_events e)
+         [ (0, split fx) ]);
+    Pmem.crash fx.pmem ~persist_line:(fun ~pool:_ ~line:_ -> false);
+    Mem.reconnect fx.mem;
+    if List.length (bottom_nodes fx) = 2 then Some fx else None
+  in
+  let fx =
+    match List.find_map crashed_after_link (List.init events (fun e -> e + 1)) with
+    | Some fx -> fx
+    | None -> Alcotest.fail "no crash point persists the split's link"
+  in
+  let old = List.hd (bottom_nodes fx) in
+  let lockw = Mem.peek_field fx.mem old Node.o_lock in
+  check_bool "the persisted writer bit" true (lockw land Node.writer_bit <> 0);
+  check_bool "reads as free in the new epoch" false
+    (Node.Lock.is_write_locked ~epoch:(Mem.epoch fx.mem) lockw);
+  let ly = Node.layout hint_cfg in
+  check_bool "the moved key 16 is still in the old node" true
+    (List.exists (fun i -> Mem.peek_field fx.mem old (Node.o_key ly i) = 16) [ 0; 1; 2; 3 ]);
+  let repairs = (Obs.totals ()).(Obs.id_split_repair) in
+  let found = ref None in
+  (match
+     Sim.Sched.run ~machine:(Pmem.machine fx.pmem) ~crash:(Sim.Sched.After_events 400)
+       [ (0, fun ~tid -> found := SL.search fx.sl ~tid 12) ]
+   with
+  | Sim.Sched.Completed _ -> ()
+  | Sim.Sched.Crashed_at _ -> Alcotest.fail "a lookup in the split node still runs after 400 events");
+  Alcotest.check opt_int "the lookup finds 12" (Some 12) !found;
+  run1 fx.pmem (fun ~tid ->
+      Alcotest.check opt_int "16 lives in the new node" (Some 16) (SL.search fx.sl ~tid 16);
+      (* 13 takes 16's dead slot and fills the node; 11 splits it *)
+      List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) [ 13; 11 ]);
+  check_int "no split repair ran" 0 ((Obs.totals ()).(Obs.id_split_repair) - repairs);
+  check_int "the later split proceeded" 3 (List.length (bottom_nodes fx));
+  run1 fx.pmem (fun ~tid ->
+      List.iter
+        (fun k -> Alcotest.check opt_int (Fmt.str "key %d" k) (Some k) (SL.search fx.sl ~tid k))
+        [ 10; 11; 12; 13; 14; 16; 18 ]);
+  check_audit fx "after the later split";
+  check_no_invariant_errors fx.sl
 
 (* A machine over [fx]'s memory whose accesses take [extra ~tid ~write a]
    ns longer. An access takes effect when it is issued, so stretching one
@@ -637,15 +767,15 @@ let key_addr fx n key =
    After the value: the search's first read of the node's header line
    after its key read is stretched by 20 us, and the split starts 0.5 us
    in. Validated after the value read, the search read the value before
-   the split; a validation read before the value lets the split erase the
-   slot between the two, and the search returns the tombstone.
+   the split; a validation read before the value lets the split kill the
+   slot between the two, and a claim then take it over.
 
    A copy under the writer: the node's level-0 hint is lowered to 16 (a
    stale-low hint), so the walk enters the tail, whose header read is
    stretched by 30 us, and copies the node's line again, while the split
-   sits 50 us in its split-count bump: locked, count bumped, keys not yet
-   erased. The key read is stretched by 60 us, past the erasure and the
-   unlock. The copy's count equals the count the validation then reads,
+   sits 50 us in its split-count bump: locked, count bumped, its
+   fingerprint line not yet rewritten. The key read is stretched by 60 us,
+   past the rewrite and the unlock. The copy's count equals the count the validation then reads,
    so only the writer bit in the copy tells the search to retry. *)
 let check_search_validation_order () =
   search_across_split ~where:"validated after the value"
@@ -668,13 +798,99 @@ let check_search_validation_order () =
       let tail = Mem.resolve fx.mem (SL.tail fx.sl) in
       fun ~tid ~write a ->
         if tid = 0 && (not write) && a = hdr
-           && Node.Lock.is_write_locked (Mem.peek_field fx.mem n Node.o_lock)
+           && Node.Lock.is_write_locked ~epoch:(Mem.epoch fx.mem)
+                (Mem.peek_field fx.mem n Node.o_lock)
         then incr locked_copies;
         if tid = 1 && write && a = hdr + Node.o_meta then 50_000.0
         else if tid = 0 && (not write) && a = tail then 30_000.0
         else if tid = 0 && (not write) && a = key16 then 60_000.0
         else 0.0);
   check_bool "the search copied the header line under the writer" true (!locked_copies > 0)
+
+(* A lookup whose level 0 overshot copies its node's header line again,
+   and a whole split can complete between the copy that gave the
+   recorded successor and that one. Node [10; 20; 30; 37] (K = 4) has its
+   level-0 hint lowered to 37, so a search of 37 (fiber 0) enters the
+   tail and overshoots, and its read of the tail's line is stretched by
+   30 us. Meanwhile fiber 1 upserts 40, whose tail cut moves 37 out,
+   leaving it dead in the old node, and then 12, whose fingerprint is
+   37's: its claim takes the dead slot's fingerprint byte, and its store
+   of a tombstone value there is stretched by 50 us before it CASes 12
+   in. The search's second copy shows the new successor, no writer and a
+   settled split count, and its scan hits the dead 37 behind the claim's
+   fingerprint; only a copy whose successor differs from the recorded one
+   reads as unsettled, and the search retries into the new node. *)
+let test_lookup_across_split_skips_a_dead_slot_being_claimed () =
+  check_int "12 shares 37's fingerprint" (Node.fingerprint 37) (Node.fingerprint 12);
+  let fx = make_skiplist ~cfg:hint_cfg ~seed:7 () in
+  run1 fx.pmem (fun ~tid -> List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) [ 10; 20; 30; 37 ]);
+  let n = List.hd (bottom_nodes fx) in
+  Mem.poke_field fx.mem n Node.o_hint0 37;
+  let ly = Node.layout hint_cfg in
+  let value37 = key_addr fx n 37 + 1 in
+  check_int "37's value word" (Node.o_value ly 3) (value37 - Mem.resolve fx.mem n);
+  let tail = Mem.resolve fx.mem (SL.tail fx.sl) in
+  let extra ~tid ~write a =
+    if tid = 0 && (not write) && a = tail then 30_000.0
+    else if tid = 1 && write && a = value37 then 50_000.0
+    else 0.0
+  in
+  let found = ref None in
+  let bodies =
+    [
+      (0, fun ~tid -> found := SL.search fx.sl ~tid 37);
+      ( 1,
+        fun ~tid ->
+          Sim.Sched.charge 500.0;
+          ignore (SL.upsert fx.sl ~tid 40 40 : int option);
+          ignore (SL.upsert fx.sl ~tid 12 12 : int option) );
+    ]
+  in
+  (match Sim.Sched.run ~machine:(stretched_machine fx extra) bodies with
+  | Sim.Sched.Completed _ -> ()
+  | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected simulated crash");
+  Alcotest.(check (list (list int)))
+    "12 took 37's dead slot" [ [ 10; 12; 20; 30 ]; [ 37; 40 ] ] (sorted_node_keys fx);
+  Alcotest.(check (option int)) "37 found" (Some 37) !found;
+  check_no_invariant_errors fx.sl
+
+(* Two upserts of one key meet at a dead slot. Node [10; 20; 30; 37]
+   (K = 4) is split by 35 at the median, which leaves 30 and 37 dead in
+   slots 2 and 3. Fiber 1 upserts 12: its claim takes slot 2's
+   fingerprint byte, and its tombstone store there is stretched by 50 us
+   before it CASes 12 in. Fiber 0 upserts 12 5 us in: slot 2's byte is
+   taken with 12's own fingerprint, so it waits for the taker's key and
+   updates it, where skipping on would claim dead slot 3 for a second
+   copy of 12. *)
+let test_racing_claims_of_one_key_meet_at_a_dead_slot () =
+  let fx = make_skiplist ~cfg:hint_cfg ~seed:7 () in
+  run1 fx.pmem (fun ~tid ->
+      List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) [ 10; 20; 30; 37; 35 ]);
+  Alcotest.(check (list (list int)))
+    "the median cut" [ [ 10; 20 ]; [ 30; 35; 37 ] ] (sorted_node_keys fx);
+  let n = List.hd (bottom_nodes fx) in
+  let value30 = key_addr fx n 30 + 1 in
+  let extra ~tid ~write a = if tid = 1 && write && a = value30 then 50_000.0 else 0.0 in
+  let bodies =
+    [
+      ( 0,
+        fun ~tid ->
+          Sim.Sched.charge 5_000.0;
+          ignore (SL.upsert fx.sl ~tid 12 120 : int option) );
+      (1, fun ~tid -> ignore (SL.upsert fx.sl ~tid 12 121 : int option));
+    ]
+  in
+  (match Sim.Sched.run ~machine:(stretched_machine fx extra) bodies with
+  | Sim.Sched.Completed _ -> ()
+  | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected simulated crash");
+  check_int "one slot holds 12" 1 (List.length (slots_holding fx 12));
+  Alcotest.(check (list (list int)))
+    "12 took a dead slot" [ [ 10; 12; 20 ]; [ 30; 35; 37 ] ] (sorted_node_keys fx);
+  run1 fx.pmem (fun ~tid ->
+      match SL.search fx.sl ~tid 12 with
+      | Some (120 | 121) -> ()
+      | v -> Alcotest.failf "12 reads %a" Fmt.(Dump.option int) v);
+  check_no_invariant_errors fx.sl
 
 (* Readers against the writers' publication order: eight fibers insert
    interleaved keys — splitting full nodes (K = 4) or linking fresh nodes
@@ -1489,12 +1705,13 @@ let test_split_interleaved_appends () =
      the 2 tower lines of levels 2 .. 7 (one fence), but not its
      fingerprint line, which stays zero in the persistent image;
    - the link: the old node's header (one fence);
-   - the old node: its fingerprint line and the 2 pair lines of the
-     erased slots 56 .. 63 (one fence);
-   - the unlock: the old node's header again (one fence);
+   - the old node: its fingerprint line, rewritten with the moved slots'
+     fingerprints cleared (one fence);
    - the tower: the head's next pointer at levels 1 .. 7 (a fence each).
-   So the old node's header is flushed twice, and every flush is of a
-   dirty line. The upsert returns at once, with no retry. *)
+   The moved slots 56 .. 63 stay as they are, dead by the new node's
+   anchor: no store reaches them, and their 2 pair lines are not flushed;
+   nor is the unlock. So the old node's header is flushed once, and every
+   flush is of a dirty line. The upsert returns at once, with no retry. *)
 let test_split_flush_budget () =
   let k = 64 in
   let fx = make_skiplist ~cfg:{ Config.default with keys_per_node = k } ~seed:27 () in
@@ -1505,7 +1722,7 @@ let test_split_flush_budget () =
   let old_node = List.hd (bottom_nodes fx) in
   check_int "the old node's height" 1
     (Node.meta_height (Mem.peek_field fx.mem old_node Node.o_meta));
-  let flushed = Hashtbl.create 64 in
+  let flushed = Hashtbl.create 64 and stored = Hashtbl.create 64 in
   let times line = Option.value ~default:0 (Hashtbl.find_opt flushed line) in
   let machine =
     let m = Pmem.machine fx.pmem in
@@ -1516,6 +1733,14 @@ let test_split_flush_budget () =
           let line = a / Pmem.line_words in
           Hashtbl.replace flushed line (times line + 1);
           m.Sim.Sched.flush ~tid a);
+      write =
+        (fun ~tid a v ->
+          Hashtbl.replace stored a ();
+          m.Sim.Sched.write ~tid a v);
+      cas =
+        (fun ~tid a e d ->
+          Hashtbl.replace stored a ();
+          m.Sim.Sched.cas ~tid a e d);
     }
   in
   Pmem.reset_counters fx.pmem;
@@ -1548,10 +1773,17 @@ let test_split_flush_budget () =
     | None -> Alcotest.fail "node does not resolve"
   in
   check_int "clean flushes" 0 (c.Pmem.flushes - c.Pmem.dirty_flushes);
-  check_int "dirty flushes" (2 + (1 + 3 + 2) + 1 + (1 + 2) + 1 + (height - 1))
-    c.Pmem.dirty_flushes;
-  check_int "fences" (2 + 1 + 1 + 1 + 1 + (height - 1)) c.Pmem.fences;
-  check_int "the old node's header flushes" 2 (times (line_of old_node 0));
+  check_int "dirty flushes" (2 + (1 + 3 + 2) + 1 + 1 + (height - 1)) c.Pmem.dirty_flushes;
+  check_int "fences" (2 + 1 + 1 + 1 + (height - 1)) c.Pmem.fences;
+  check_int "the old node's header flushes" 1 (times (line_of old_node 0));
+  let ly = Node.layout (SL.config fx.sl) in
+  let base = Mem.resolve fx.mem old_node in
+  for i = k - m to k - 1 do
+    check_bool (Fmt.str "no store to moved slot %d" i) false
+      (Hashtbl.mem stored (base + Node.o_key ly i) || Hashtbl.mem stored (base + Node.o_value ly i));
+    check_int (Fmt.str "moved slot %d's pair line flushes" i) 0
+      (times (line_of old_node (Node.o_key ly i)))
+  done;
   check_int "the new node's fingerprint line flushes" 0
     (times (line_of new_node Node.o_fp));
   check_int "the new node's fingerprint word in the persistent image" 0
@@ -1794,6 +2026,15 @@ let () =
           case "a tall insert's stale successors above top" test_stale_successors_above_top;
           case "a claim's nested traversal leaves the walk on its node"
             test_claim_nested_traversal;
+        ] );
+      ( "dead slots",
+        [
+          slow_case "crash grid: a claim reclaims a dead slot" test_dead_slot_claim_crash_grid;
+          case "an interrupted split needs no repair" test_interrupted_split_needs_no_repair;
+          case "a lookup across a split skips a dead slot being claimed"
+            test_lookup_across_split_skips_a_dead_slot_being_claimed;
+          case "racing claims of one key meet at a dead slot"
+            test_racing_claims_of_one_key_meet_at_a_dead_slot;
         ] );
       ( "split point",
         [

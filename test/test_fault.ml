@@ -21,7 +21,7 @@ let fast_spec =
   let base =
     { Fault.default_spec with threads = 4; keyspace = 60; ops_per_thread = 60; draw_seed = 5 }
   in
-  { base with crash_at = crash_point 0.6 ~dry_run:(fun () -> Fault.trial_events base) }
+  { base with crash_at = Fraction 0.6 }
 
 (* ---- recovery_ns is the real modeled recovery time ---------------------- *)
 
@@ -36,7 +36,7 @@ let test_recovery_ns_positive () =
       seed = 7;
     }
   in
-  let t = Fault.run_trial { spec with crash_at = crash_point 0.7 ~dry_run:(fun () -> Fault.trial_events spec) } in
+  let t = Fault.run_trial { spec with crash_at = Fraction 0.7 } in
   check_bool "trial crashed" true (t.Fault.crash_events > 0);
   check_bool "recovery_ns positive in a crashed trial" true
     (t.Fault.recovery_ns > 0.0);
@@ -108,7 +108,7 @@ let test_spec_roundtrip () =
   let tuned =
     {
       fast_spec with
-      crash_at = 4_000 (* printed, never run *);
+      crash_at = Event 4_000 (* printed, never run *);
       cfg =
         {
           keys_per_node = 4;
@@ -120,6 +120,7 @@ let test_spec_roundtrip () =
   in
   let specs =
     { fast_spec with evict = 0.5; mutant = "dangle" }
+    :: { fast_spec with crash_at = Fraction 0.125 }
     :: { fast_spec with rounds = 3; depth = 2; detect = true }
     :: tuned
     :: { fast_spec with structure = Kv.Bztree; descriptors = 500_000 }
@@ -145,6 +146,15 @@ let test_spec_roundtrip () =
      ops=60 read=0.2 rounds=1 crash_at=4000 depth=0 evict=0 draw=5 seed=42 \
      mutant=none detect=off keys=4 height=40 p=0.75 budget=0"
     (Fault.spec_to_string tuned);
+  (match Fault.spec_of_string "crash_at=0.45" with
+  | Ok s ->
+      Alcotest.(check string)
+        "a fraction prints back as written"
+        "structure=upskiplist latency=uniform mode=numa threads=4 keyspace=120 \
+         ops=100 read=0.2 rounds=1 crash_at=0.45 depth=0 evict=0 draw=1 seed=42 \
+         mutant=none detect=off"
+        (Fault.spec_to_string s)
+  | Error e -> Alcotest.fail e);
   (match Fault.spec_of_string "threads=8 mutant=dangle" with
   | Ok s ->
       check_int "defaults fill unspecified keys" Fault.default_spec.Fault.keyspace
@@ -188,7 +198,12 @@ let spec_gen =
   int_range 1 1_000 >>= fun ops_per_thread ->
   fraction >>= fun read_fraction ->
   int_range 1 5 >>= fun rounds ->
-  int_bound 1_000_000 >>= fun crash_at ->
+  oneof
+    [
+      map (fun e -> Fault.Event e) (int_bound 1_000_000);
+      map (fun f -> Fault.Fraction (0.001 +. (0.998 *. f))) (float_bound_inclusive 1.0);
+    ]
+  >>= fun crash_at ->
   int_bound 4 >>= fun depth ->
   fraction >>= fun evict ->
   nat >>= fun draw_seed ->
@@ -242,6 +257,11 @@ let test_spec_validation () =
       "rounds=0";
       "depth=-1";
       "crash_at=-1";
+      "crash_at=0.0";
+      "crash_at=1.0";
+      "crash_at=1.5";
+      "crash_at=nan";
+      "crash_at=half";
       "keys=0";
       "keys=513";
       "structure=bztree descriptors=1000001";
@@ -263,6 +283,7 @@ let test_spec_validation () =
         (Result.is_ok (Fault.spec_of_string line)))
     [
       "detect=on evict=0 depth=0 crash_at=0";
+      "crash_at=0.5";
       "evict=1 mutant=skip_resolve";
       "threads=1 keyspace=1 ops=1 rounds=1 mutant=skip_fp_repair";
       "keys=1 height=2 p=0.01 budget=0";
@@ -300,22 +321,43 @@ let test_mutant_dangle_caught () =
     (res.Fault.audit_errors <> [])
 
 (* A structure that raises after its recovery fails the trial; it does not
-   abort the harness. Under this replay spec the dangle mutant's pointer
-   sends the phase-3 read-back into [Mem.resolve] on a null pointer: the
-   bent level-1 pointer of the first node is walked only when that node's
-   tower is at least two levels tall, and with eight threads it is (the
-   read-back raises at each of ten crash points from 50 % to 95 % of the
-   run). The verdict must name the exception, and the same trial inside a
-   campaign must be reported as a failure rather than end the campaign.
-   The crash lands about 80 % of the way through the workload's crash-free
-   run. *)
+   abort the harness. The dangle mutant bends the first node's level-1
+   pointer at a free block, and the phase-3 read-back walks that pointer
+   into [Mem.resolve] on a null pointer only when the first node's tower
+   was at least two levels tall, so the head links it at level 1. Tower
+   heights follow the workload's timing, so the fixture is the first of a
+   few workload seeds whose first node is that tall, read from a
+   crash-free run (the first node holds key 1 from the preload on, and a
+   crash moves no anchor); finding none fails the test. The verdict must
+   name the exception, and the same trial inside a campaign must be
+   reported as a failure rather than end the campaign. The crash lands
+   about 80 % of the way through the workload's crash-free run. *)
 let raising_spec = "structure=upskiplist threads=8 mutant=dangle latency=optane mode=multi"
 
+(* The height of the first node on the bottom level of [kv], an
+   UPSkipList whose head sentinel is pool 0's first application root. *)
+let first_node_height (kv : Kv.t) =
+  let mem = kv.Kv.mem in
+  let head = Memory.Mem.riv_of_root ~pool:0 ~word:Memory.Mem.app_root_start in
+  check_int "the head sentinel is pool 0's first root" Upskiplist.Node.head_key
+    (Memory.Mem.peek_field mem head Upskiplist.Node.o_anchor);
+  let first = Memory.Riv.of_word (Memory.Mem.peek_field mem head Upskiplist.Node.o_next0) in
+  Upskiplist.Node.meta_height (Memory.Mem.peek_field mem first Upskiplist.Node.o_meta)
+
 let test_raise_after_recovery_is_a_verdict () =
-  let spec =
+  let base =
     match Fault.spec_of_string raising_spec with
-    | Ok s -> { s with crash_at = crash_point 0.795 ~dry_run:(fun () -> Fault.trial_events s) }
+    | Ok s -> s
     | Error e -> Alcotest.fail e
+  in
+  let tall seed =
+    let dry = Fault.run_trial { base with seed; mutant = "none"; crash_at = Event max_int } in
+    first_node_height dry.Fault.kv >= 2
+  in
+  let spec =
+    match List.find_opt tall (List.init 8 (fun i -> base.seed + i)) with
+    | Some seed -> { base with seed; crash_at = Fraction 0.795 }
+    | None -> Alcotest.fail "no workload seed gives a first node two levels tall"
   in
   let res = Fault.run_spec spec in
   check_bool "trial crashed" true (res.Fault.crashes > 0);
@@ -326,11 +368,7 @@ let test_raise_after_recovery_is_a_verdict () =
   check_bool "the trial fails" true (Fault.failed res);
   let s =
     Fault.run_campaign
-      {
-        Fault.base = spec;
-        grid = { origin = spec.crash_at; stride = 1; points = 1; jitter = 0 };
-        draws = 1;
-      }
+      { Fault.base = spec; points = [ Fault.crash_event spec ]; draws = 1 }
   in
   check_int "the campaign ran its trial" 1 s.Fault.trials;
   check_bool "and reports it as failed" true
@@ -409,7 +447,7 @@ let test_clean_trial_passes () =
 let test_campaign_deterministic () =
   let base = { fast_spec with depth = 1; evict = 0.6; draw_seed = 11 } in
   let c =
-    { Fault.base; grid = Fault.dry_run_grid base ~first:0.3 ~stride:0.35 ~jitter:0.05 ~points:2; draws = 2 }
+    { Fault.base; points = Fault.dry_run_grid base ~first:0.3 ~stride:0.35 ~jitter:0.05 ~points:2; draws = 2 }
   in
   let a = Fault.run_campaign c in
   let b = Fault.run_campaign c in
@@ -459,7 +497,7 @@ let replay_failures name (c : Fault.campaign) =
 
 (* A campaign over two crash points of [base]'s crash-free run. *)
 let replay_campaign ?(jitter = 0.05) base ~first ~stride ~draws =
-  { Fault.base; grid = Fault.dry_run_grid base ~first ~stride ~jitter ~points:2; draws }
+  { Fault.base; points = Fault.dry_run_grid base ~first ~stride ~jitter ~points:2; draws }
 
 let test_tuned_mutant_failures_replay () =
   let k4 = { Upskiplist.Config.default with keys_per_node = 4 } in
@@ -496,7 +534,7 @@ let test_bztree_failures_replay () =
 (* ---- failure shrinking --------------------------------------------------- *)
 
 let spec_size (s : Fault.spec) =
-  s.Fault.threads + s.Fault.keyspace + s.Fault.ops_per_thread + s.Fault.crash_at
+  s.Fault.threads + s.Fault.keyspace + s.Fault.ops_per_thread + Fault.crash_event s
   + s.Fault.depth + s.Fault.rounds
 
 let test_shrink_minimises () =

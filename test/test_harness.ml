@@ -87,7 +87,7 @@ let recovery_time_s base =
   let spec = { base with Harness.Fault.threads = 2; keyspace = 40; ops_per_thread = 40 } in
   let r =
     Harness.Fault.run_trial
-      { spec with crash_at = crash_point 0.4 ~dry_run:(fun () -> Harness.Fault.trial_events spec) }
+      { spec with crash_at = Fraction 0.4 }
   in
   if r.Harness.Fault.crashes = 0 then Alcotest.fail "expected a crash";
   r.Harness.Fault.recovery_ns /. 1.0e9
@@ -116,7 +116,7 @@ let test_crash_trial_produces_history () =
   in
   let t =
     Harness.Fault.run_trial
-      { spec with crash_at = crash_point 0.6 ~dry_run:(fun () -> Harness.Fault.trial_events spec) }
+      { spec with crash_at = Fraction 0.6 }
   in
   let h = t.Harness.Fault.history in
   check_bool "history non-empty" true (Lincheck.History.size h > 100);
@@ -142,7 +142,7 @@ let test_crash_trial_eras_monotone_times () =
   in
   let t =
     Harness.Fault.run_trial
-      { spec with crash_at = crash_point 0.7 ~dry_run:(fun () -> Harness.Fault.trial_events spec) }
+      { spec with crash_at = Fraction 0.7 }
   in
   check_bool "a crash was injected" true (t.Harness.Fault.crash_events > 0);
   let events = Lincheck.History.events t.Harness.Fault.history in

@@ -80,7 +80,9 @@ let campaign () =
   let at fraction = crash_point fraction ~dry_run:(fun () -> events) in
   {
     Fault.base;
-    grid = { Fault.origin = at 0.3; stride = at 0.2; points = 3; jitter = at 0.02 };
+    points =
+      Fault.grid_points ~seed:base.seed
+        { Fault.origin = at 0.3; stride = at 0.2; points = 3; jitter = at 0.02 };
     draws = 2;
   }
 
@@ -129,7 +131,7 @@ let crash_histories () =
         }
       in
       let crash_at = crash_point fraction ~dry_run:(fun () -> Fault.trial_events spec) in
-      let t = Fault.run_trial { spec with crash_at } in
+      let t = Fault.run_trial { spec with crash_at = Event crash_at } in
       check_bool
         (if t.Fault.completed_events > 0 then
            Fault.missed_message (crash_at, t.Fault.completed_events)

@@ -280,7 +280,7 @@ let test_unlock_counter () =
    and a write lock exclude each other, and [acquire_write] against
    readers declares its intent, gives up and clears it. Half the runs
    start with the node's line unconfirmed. *)
-let lock_ops = [| "read_lock"; "read_unlock"; "write_lock"; "acquire_write"; "write_unlock"; "confirm_fp"; "split" |]
+let lock_ops = [| "read_lock"; "read_unlock"; "write_lock"; "acquire_write"; "write_unlock"; "split" |]
 
 let prop_lock_transitions (confirmed, ops) =
   let module N = Upskiplist.Node in
@@ -316,15 +316,14 @@ let prop_lock_transitions (confirmed, ops) =
           | 4, Some h ->
               N.Lock.write_unlock mem n ~held:h;
               held := None
-          | 5, _ -> ignore (N.Lock.confirm_fp mem n : bool)
-          | 6, Some _ -> N.set_split_count mem n (N.split_count mem n + 1)
+          | 5, Some _ -> N.set_split_count mem n (N.split_count mem n + 1)
           | _ -> ());
           let w' = N.Lock.word mem n and m' = N.meta mem n in
           if N.Lock.fp_ok_at ~epoch w && not (N.Lock.fp_ok_at ~epoch w') then
             fail op "cleared fp_ok (%#x -> %#x)" w w';
-          if m' <> m && not (N.Lock.is_write_locked w && N.Lock.is_write_locked w') then
-            fail op "moved the split count outside the writer (%#x -> %#x)" w w';
-          if N.Lock.is_write_locked w' <> (!held <> None) then fail op "writer bit %#x" w';
+          if m' <> m && not (N.Lock.is_write_locked ~epoch w && N.Lock.is_write_locked ~epoch w')
+          then fail op "moved the split count outside the writer (%#x -> %#x)" w w';
+          if N.Lock.is_write_locked ~epoch w' <> (!held <> None) then fail op "writer bit %#x" w';
           if N.Lock.readers_at ~epoch w' <> !readers then fail op "readers %#x" w';
           if N.Lock.intent_at ~epoch w' then fail op "left its intent (%#x)" w')
         ops);
