@@ -66,19 +66,22 @@ let () =
       end
     done
   in
-  (match
-     Sim.Sched.run ~machine (List.init threads (fun tid -> (tid, worker)))
-   with
-  | Sim.Sched.Completed { time; events; _ } ->
-      Fmt.pr
-        "served %d ops from %d threads: %.2f ms simulated (%d events), %d \
-         lookups hit, %d rows scanned@."
-        (threads * 400) threads (time /. 1e6) events !found !scanned
-  | Sim.Sched.Crashed_at _ -> assert false);
+  let burst_events =
+    match
+      Sim.Sched.run ~machine (List.init threads (fun tid -> (tid, worker)))
+    with
+    | Sim.Sched.Completed { time; events; _ } ->
+        Fmt.pr
+          "served %d ops from %d threads: %.2f ms simulated (%d events), %d \
+           lookups hit, %d rows scanned@."
+          (threads * 400) threads (time /. 1e6) events !found !scanned;
+        events
+    | Sim.Sched.Crashed_at _ -> assert false
+  in
 
-  (* crash mid-traffic *)
+  (* crash mid-traffic: halfway through a burst as long as the first *)
   (match
-     Sim.Sched.run ~crash:(Sim.Sched.After_events 50_000) ~machine
+     Sim.Sched.run ~crash:(Sim.Sched.After_events (burst_events / 2)) ~machine
        (List.init threads (fun tid -> (tid, worker)))
    with
   | Sim.Sched.Crashed_at { time; _ } ->

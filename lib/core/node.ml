@@ -11,8 +11,10 @@
    instead of scanning the pairs. Next pointers above level 1 live at the
    block's tail, three levels to a line beside a copy of the anchor key, so
    a hop above level 1 reads each node's tower line with one access
-   ([line_addr] again) and never the header: one access per line, at every
-   level. Every node reserves the full tower, whatever its height, so the
+   ([line_addr] again) and never the header. Lookups, splits, fingerprint
+   repairs and range scans read the pairs a whole slot line at a time,
+   four pairs per access ([read_slot_line]): one access per line a lookup
+   touches, at every level and in the node it ends in. Every node reserves the full tower, whatever its height, so the
    tower cap is [Config.max_height] for every node (the cap the
    persistent-heap audit checks).
 
@@ -257,6 +259,21 @@ let read_fps mem ly n words =
     let o = l * Config.line_words in
     Mem.read_line mem (base + o) words o
   done
+
+(* Slot lines: the pair region is line-aligned and holds four slots to a
+   line, so slot [i] lives in line [i / slots_per_line], and a node's K
+   slots fill [slot_lines] lines. *)
+let slots_per_line = Config.line_words / Config.slot_words
+let slot_lines ly = (ly.k + slots_per_line - 1) / slots_per_line
+
+(* Copy [n]'s slot line [l] into [words.(pos) .. words.(pos + 7)], one
+   access: four keys and their values from one instant's view. *)
+let read_slot_line mem ly n l words pos =
+  Mem.read_line mem (Mem.resolve mem n + ly.o_pairs + (Config.line_words * l)) words pos
+
+(* Slot [i]'s key and value in such a copy of its line. *)
+let line_key words pos i = words.(pos + (Config.slot_words * (i mod slots_per_line)))
+let line_value words pos i = words.(pos + (Config.slot_words * (i mod slots_per_line)) + 1)
 
 let next mem ly n level = Riv.of_word (Mem.read_field mem n (o_next ly level))
 

@@ -19,13 +19,16 @@
    pointers and their hints) into one cache line, so a hop along the
    bottom two levels reads one line per node, with one access. Above
    level 1 each tower line carries a copy of the anchor, so a hop there
-   reads one line, with one access, and never the header: one access per
-   line, at every level.
+   reads one line, with one access, and never the header.
 
    Each node carries a line of 7-bit key fingerprints (see Node), so the
    in-node lookup reads the fingerprint line, with one access, and only
-   the slots whose fingerprint matches, instead of scanning the unsorted
-   keys linearly.
+   the slot lines holding a slot whose fingerprint matches, instead of
+   scanning the unsorted keys linearly. A slot line holds four key/value
+   pairs and is read with one access too, so a found key's value comes
+   with its key; splits, fingerprint repairs and range scans read a
+   node's pairs a slot line at a time. One access per line, at every
+   level and in every line a lookup touches.
 
    Every next pointer carries a successor-key hint in its own line (see
    Node): a traversal ends a level when the hint exceeds its key, without
@@ -60,12 +63,15 @@ type t = {
   head : Riv.t;
   tail : Riv.t;
   height_rngs : Sim.Rng.t array;
-  fp_bufs : int array array;
-      (* tid -> the fingerprint words of the node its lookup or claim
-         last read ([Node.read_fps]), or the line its walk last copied: a
-         header line at levels 1 and 0, a tower line above. A recovery
-         claim can run a nested traversal that overwrites it, so a walk
-         copies its line again after a claim *)
+  mutable line_bufs : int array array;
+      (* tid -> the thread's line buffer, installed on first use
+         ([line_buf]; [||] before). Its first [slot_copy] words hold the
+         fingerprint words of the node its lookup or claim last read
+         ([Node.read_fps]), or the line its walk last copied: a header
+         line at levels 1 and 0, a tower line above. The line after them
+         holds the slot line last read ([Node.read_slot_line]). A recovery
+         claim can run a nested traversal that overwrites the buffer, so a
+         walk copies its line again after a claim *)
   ops : Block_alloc.node_ops;
   top : int Atomic.t;
       (* volatile: no level above [top] has a node linked. Raised (atomic
@@ -91,6 +97,29 @@ let block_words_of w =
   (lines lor 1) * Config.line_words
 
 let required_block_words cfg = block_words_of (Config.node_words cfg)
+
+(* Where a line buffer's slot line starts: after the fingerprint lines. *)
+let slot_copy t = t.ly.Node.fp_lines * Config.line_words
+
+(* Cold path of [line_buf]: install [tid]'s buffer, the fingerprint lines
+   and one slot line. *)
+let install_line_buf t tid =
+  if tid >= Array.length t.line_bufs then begin
+    let n = Array.length t.line_bufs in
+    let grown = Array.make (Int.max (tid + 1) (Int.max 16 (2 * n))) [||] in
+    Array.blit t.line_bufs 0 grown 0 n;
+    t.line_bufs <- grown
+  end;
+  let buf = Array.make (slot_copy t + Config.line_words) 0 in
+  t.line_bufs.(tid) <- buf;
+  buf
+
+let[@inline] line_buf t tid =
+  if tid < Array.length t.line_bufs then begin
+    let buf = t.line_bufs.(tid) in
+    if buf != [||] then buf else install_line_buf t tid
+  end
+  else install_line_buf t tid
 
 let top_level t = Atomic.get t.top
 
@@ -122,6 +151,8 @@ let backoff t ~tid = Mem.charge t.mem (backoff_delay t ~tid)
 type find = {
   found : bool;
   key_index : int;
+      (* the found key's slot in preds.(0), whose slot line the thread's
+         line buffer then holds, copied when the key was matched *)
   split_count : int;
       (* of preds.(0), from a copy of its header line made before its keys
          were scanned; [unsettled] when a writer held the node then *)
@@ -144,25 +175,37 @@ type find = {
    and retries. *)
 let unsettled = -1
 
+(* Whether a slot of [i]'s slot line before [i] carries fingerprint [f]
+   in the fingerprint word [w], from [s] on. A slot line lies within one
+   fingerprint word (four slots to a line, eight to a word, both
+   aligned), so this tells [find_slot] that it copied the line already. *)
+let rec matched_before w f i s = s < i && (Node.fp_byte w s = f || matched_before w f i (s + 1))
+
 (* Find [key] among a node's slots (Function 8) through its fingerprint
-   line: walk the fingerprint [words] ([Node.read_fps]) in slot order and
-   read a slot's key only when its fingerprint matches. Absence is
-   reported after the last word; it is an answer only if the line was
-   confirmed complete before the words were read (see [scan_keys]). *)
-let find_slot t ~tid n key words =
+   line: walk the fingerprint words in [buf] ([Node.read_fps]) in slot
+   order and, when a slot's fingerprint matches, copy its slot line into
+   [buf]'s slot copy and compare the key there; a later candidate on the
+   same line reuses the copy. A found slot's line is in the copy
+   afterwards, value and all. Absence is reported after the last word; it
+   is an answer only if the line was confirmed complete before the words
+   were read (see [scan_keys]). *)
+let find_slot t ~tid n key buf =
   let ly = t.ly in
   let f = Node.fingerprint key in
   let rec scan j =
     if j >= ly.Node.fp_used then -1
     else begin
-      let w = words.(j) in
+      let w = buf.(j) in
       let last = Int.min ly.Node.k ((j + 1) * Config.fps_per_word) in
       let rec slot i =
         if i >= last then scan (j + 1)
         else if Node.fp_byte w i <> f then slot (i + 1)
         else begin
           Obs.bump ~tid Obs.id_fp_match;
-          if Node.key t.mem ly n i = key then i
+          let pos = slot_copy t in
+          if not (matched_before w f i (i - (i mod Node.slots_per_line))) then
+            Node.read_slot_line t.mem ly n (i / Node.slots_per_line) buf pos;
+          if Node.line_key buf pos i = key then i
           else begin
             Obs.bump ~tid Obs.id_fp_false_positive;
             slot (i + 1)
@@ -187,23 +230,36 @@ let fp_confirmed t n =
    claim runs on an unconfirmed node, and every writer's unlock confirms,
    so keys read while the node was unconfirmed are its keys under the
    lock: only the bound, which a split may have lowered, is read here. *)
+let drop_dead keys bound =
+  Array.iteri (fun i ki -> if ki >= bound then keys.(i) <- Node.empty_key) keys
+
 let confirm_fps t ~tid n ~held keys =
   if not (Node.Lock.fp_ok_at ~epoch:(Mem.epoch t.mem) held) then begin
-    let bound = anchor_of t (Node.next t.mem t.ly n 0) in
-    Array.iteri (fun i ki -> if ki >= bound then keys.(i) <- Node.empty_key) keys;
+    drop_dead keys (anchor_of t (Node.next t.mem t.ly n 0));
     ignore (Node.write_fp_line t.mem t.ly n (Node.fp_line t.ly keys) : bool);
     obs_event ~tid Obs.id_fp_confirm 0
   end;
   Node.Lock.write_unlock t.mem n ~held
 
-let slot_keys t n = Array.init t.ly.Node.k (fun i -> Node.key t.mem t.ly n i)
+(* [n]'s K keys, read a slot line at a time into [buf]'s slot copy, which
+   holds the last slot line afterwards. *)
+let slot_keys t buf n =
+  let ly = t.ly in
+  let pos = slot_copy t in
+  let keys = Array.make ly.Node.k Node.empty_key in
+  for i = 0 to ly.Node.k - 1 do
+    if i mod Node.slots_per_line = 0 then
+      Node.read_slot_line t.mem ly n (i / Node.slots_per_line) buf pos;
+    keys.(i) <- Node.line_key buf pos i
+  done;
+  keys
 
 (* A lookup's repair of an unconfirmed node, under a single-shot write
    lock so that the lookup never waits. Returns the keys it read, the
    dead ones dropped if the lock was granted; when it is refused, the
    line stays as it is and the caller answers from the keys. *)
-let repair_fps t ~tid n =
-  let keys = slot_keys t n in
+let repair_fps t ~tid buf n =
+  let keys = slot_keys t buf n in
   (match Node.Lock.write_lock t.mem n with
   | None -> ()
   | Some held -> confirm_fps t ~tid n ~held keys);
@@ -215,13 +271,22 @@ let repair_fps t ~tid n =
    complete the line in between (the caller takes the bit from a header
    copy made before this call: under a current stamp it is never cleared
    within an epoch). A miss on an unconfirmed node repairs the line and
-   answers from the keys the repair read. *)
+   answers from the keys the repair read. Either way a found key's slot
+   line is in the buffer's slot copy afterwards: the repair leaves its
+   last line there, so a key found in an earlier one has its line copied
+   again. *)
 let scan_keys t ~tid n key ~confirmed =
-  let words = t.fp_bufs.(tid) in
-  Node.read_fps t.mem t.ly n words;
-  match find_slot t ~tid n key words with
-  | -1 when not confirmed ->
-      Option.value ~default:(-1) (Array.find_index (( = ) key) (repair_fps t ~tid n))
+  let buf = line_buf t tid in
+  Node.read_fps t.mem t.ly n buf;
+  match find_slot t ~tid n key buf with
+  | -1 when not confirmed -> (
+      match Array.find_index (( = ) key) (repair_fps t ~tid buf n) with
+      | None -> -1
+      | Some i ->
+          let l = i / Node.slots_per_line in
+          if l <> Node.slot_lines t.ly - 1 then
+            Node.read_slot_line t.mem t.ly n l buf (slot_copy t);
+          i)
   | i -> i
 
 (* ---- recovery (Functions 10-12) ---------------------------------------- *)
@@ -244,8 +309,8 @@ let populate_levels t ~node ~succs ~bounds ~from_level ~to_level =
 
 (* ---- line copies ------------------------------------------------------- *)
 
-(* A hop reads each line it uses with one access, into its thread's
-   [fp_bufs] buffer: a node's header line at levels 0 and 1, its tower
+(* A hop reads each line it uses with one access, into its thread's line
+   buffer ([line_buf]): a node's header line at levels 0 and 1, its tower
    line above. A tower copy's last word, a spare in every tower line,
    then records the address of the line it holds (0: none), so a walk
    that stays on one node and one line reads it once. A header line has
@@ -308,11 +373,13 @@ let copy_hop_line t buf n level =
    in the buffer. An older split count only adds retries, and fp_ok under
    a current stamp is never cleared within an epoch, so the copy serves
    as well as fresh word reads would; a copy that shows a writer, or a
-   successor other than the recorded one, yields [unsettled]. A found
-   search then validates with one more read of the
-   header line, after its value read ([search_impl]). The write paths'
-   validation (read lock, split count, [relinked]) and every CAS, flush
-   and fence stay word accesses. *)
+   successor other than the recorded one, yields [unsettled]. The scan
+   reads pred0's fingerprint line and, for a match, the candidate's slot
+   line, each with one access; a found search takes the value from that
+   copy and then validates with one more read of the header line
+   ([search_impl]). The write paths' validation (read lock, split count,
+   [relinked]), their key and value reads before a CAS, and every CAS,
+   flush and fence stay word accesses. *)
 let rec traverse t ~tid ~recover key =
   let h = t.cfg.Config.max_height in
   let preds = Array.make h t.head in
@@ -322,14 +389,14 @@ let rec traverse t ~tid ~recover key =
   let rec attempt () =
     let restart = ref false in
     let pred = ref t.head in
-    let buf = t.fp_bufs.(tid) in
+    let buf = line_buf t tid in
     buf.(held) <- 0;
     (* Function 10, on the node whose header line the buffer holds: run
        only where a hop reads a header line anyway, at levels 1 and 0. A
        repair restarts the traversal. *)
     let claim n =
       recover
-      && check_for_recovery t ~tid ~cur:n ~hdr:t.fp_bufs.(tid) ~recoveries:!recoveries
+      && check_for_recovery t ~tid ~cur:n ~hdr:buf ~recoveries:!recoveries
       && begin
            incr recoveries;
            obs_event ~tid Obs.id_restart key;
@@ -588,9 +655,7 @@ let create ~mem ~cfg ~max_threads ~seed =
       head;
       tail;
       height_rngs = Array.init max_threads (fun _ -> Sim.Rng.split root_rng);
-      fp_bufs =
-        Array.init max_threads (fun _ ->
-            Array.make (ly.Node.fp_lines * Config.line_words) 0);
+      line_bufs = [||];
       ops =
         {
           Block_alloc.key0 = (fun n -> Node.key0 mem n);
@@ -723,7 +788,7 @@ let insert_into_existing t ~tid ~key ~value ~pred0 ~succ0 =
     Node.Lock.read_unlock t.mem pred0;
     (match Node.Lock.acquire_write t.mem pred0 ~backoff:(fun () -> backoff t ~tid) with
     | None -> ()
-    | Some held -> confirm_fps t ~tid pred0 ~held (slot_keys t pred0));
+    | Some held -> confirm_fps t ~tid pred0 ~held (slot_keys t (line_buf t tid) pred0));
     Retry
   end
   else begin
@@ -732,7 +797,7 @@ let insert_into_existing t ~tid ~key ~value ~pred0 ~succ0 =
       Node.Lock.read_unlock t.mem pred0;
       Done old
     in
-    let words = t.fp_bufs.(tid) in
+    let words = line_buf t tid in
     Node.read_fps t.mem ly pred0 words;
     let f = Node.fingerprint key in
     let fp_at i = Node.fp_byte words.(Node.fp_index i) i in
@@ -828,11 +893,9 @@ let split_node t ~tid ~key ~value ~(f : find) =
        bound are fixed while this split holds it *)
     let succ0 = Node.next t.mem ly pred0 0 in
     let bound = anchor_of t succ0 in
-    let keys =
-      Array.init k (fun i ->
-          let ki = Node.key t.mem ly pred0 i in
-          if ki < bound then ki else Node.empty_key)
-    in
+    let buf = line_buf t tid in
+    let keys = slot_keys t buf pred0 in
+    drop_dead keys bound;
     (* every confirming rewrite of the line below takes the live keys *)
     if
       (not (Riv.equal succ0 f.succs.(0)))
@@ -861,7 +924,28 @@ let split_node t ~tid ~key ~value ~(f : find) =
       let new_anchor = keys.(moved.(0)) in
       let into_new = key > new_anchor in
       let new_keys = Array.map (fun i -> keys.(i)) moved in
-      let new_values = Array.map (fun i -> Node.value t.mem ly pred0 i) moved in
+      (* each moved value from a copy of its slot line, into its rank
+         among the moved ([order], free now, maps a moved slot to it).
+         The key pass left the last slot line in the copy, and the slots
+         are visited from the last down, so only an earlier line that
+         holds a moved slot is read again, once. *)
+      let new_values = Array.make (k - cut) Node.tombstone in
+      Array.fill order 0 k (-1);
+      for p = 0 to k - cut - 1 do
+        order.(moved.(p)) <- p
+      done;
+      let pos = slot_copy t in
+      let copied = ref (Node.slot_lines ly - 1) in
+      for i = k - 1 downto 0 do
+        if order.(i) >= 0 then begin
+          let l = i / Node.slots_per_line in
+          if l <> !copied then begin
+            Node.read_slot_line t.mem ly pred0 l buf pos;
+            copied := l
+          end;
+          new_values.(order.(i)) <- Node.line_value buf pos i
+        end
+      done;
       let new_keys, new_values =
         if into_new then
           (Array.append new_keys [| key |], Array.append new_values [| value |])
@@ -966,13 +1050,15 @@ let miss_raced_split t f =
   let pred0 = f.preds.(0) in
   (not (Riv.equal pred0 t.head)) && relinked t ~pred0 ~succ0:f.succs.(0)
 
-(* Function 9. A found key's value is an answer if no split moved keys
-   out of pred0 between the traversal's header copy and the value read.
-   One read of the header line after the value read checks that at one
+(* Function 9. A found key's value comes from the copy of its slot line
+   the lookup compared the key in, so key and value are one access and one
+   instant's view. The value is an answer if no split moved keys out of
+   pred0 between the traversal's header copy and that slot-line read. One
+   read of the header line after the slot-line read checks that at one
    instant: not write-locked, and the split count the copy held. A split
    bumps the count under the writer bit, after the link that kills the
    slots it moved, and unlocks after, so a split that killed the slot
-   before the value read (after which a claim may take it over) either
+   before the slot-line read (after which a claim may take it over) either
    still holds the lock or has changed the count; the copy's own writer
    bit covers the split it caught mid-way ([unsettled]). *)
 let rec search_impl t ~tid key =
@@ -981,8 +1067,8 @@ let rec search_impl t ~tid key =
     if miss_raced_split t f then search_impl t ~tid key else None
   else begin
     let n = f.preds.(0) in
-    let v = Node.value t.mem t.ly n f.key_index in
-    let hdr = t.fp_bufs.(tid) in
+    let hdr = line_buf t tid in
+    let v = Node.line_value hdr (slot_copy t) f.key_index in
     copy_header t hdr n;
     if Node.Lock.is_write_locked ~epoch:(Mem.epoch t.mem) (Node.line_lock hdr) then begin
       backoff t ~tid;
@@ -1034,12 +1120,13 @@ let mem_key t ~tid key = search t ~tid key <> None
 (* Strictly linearizable range scan (the paper's Ch. 7 follow-up; DESIGN
    "Range scans"). One collect along level 0 records each node's lock word
    and level-0 next pointer, from one copy of its header line (which
-   also gives the anchor and the claim's words), beside its pairs, once no
-   writer and no current-epoch slot writer holds the node; a validation
-   pass re-reads those words, and any change restarts the scan. A node's
-   pairs are kept once the next node's header copy gives its anchor, the
-   node's bound: a key at or above it is dead (see Node). A node from an
-   older epoch is repaired first, as a traversal does. Obstruction-free. *)
+   also gives the anchor and the claim's words), beside its pairs, read a
+   slot line at a time, once no writer and no current-epoch slot writer
+   holds the node; a validation pass re-reads those words, and any change
+   restarts the scan. A node's pairs are kept once the next node's header
+   copy gives its anchor, the node's bound: a key at or above it is dead
+   (see Node). A node from an older epoch is repaired first, as a
+   traversal does. Obstruction-free. *)
 let range_impl t ~tid ~lo ~hi =
   let k = t.cfg.Config.keys_per_node in
   let epoch = Mem.epoch t.mem in
@@ -1049,7 +1136,8 @@ let range_impl t ~tid ~lo ~hi =
       backoff t ~tid;
       scan recoveries
     in
-    let hdr = t.fp_bufs.(tid) in
+    let hdr = line_buf t tid in
+    let pos = slot_copy t in
     (* [pending]: the previous node's pairs, awaiting its bound *)
     let rec collect n seen pairs pending =
       if Riv.equal n t.tail then validate seen (List.rev_append pending pairs)
@@ -1071,9 +1159,11 @@ let range_impl t ~tid ~lo ~hi =
           else begin
             let mine = ref [] in
             for i = 0 to k - 1 do
-              let ki = Node.key t.mem t.ly n i in
+              if i mod Node.slots_per_line = 0 then
+                Node.read_slot_line t.mem t.ly n (i / Node.slots_per_line) hdr pos;
+              let ki = Node.line_key hdr pos i in
               if ki >= lo && ki <= hi then begin
-                let v = Node.value t.mem t.ly n i in
+                let v = Node.line_value hdr pos i in
                 if v <> Node.tombstone then mine := (ki, v) :: !mine
               end
             done;

@@ -728,10 +728,11 @@ let stretched_machine fx extra =
   }
 
 (* A search of 16 (fiber 0) against an upsert of 18 (fiber 1) that splits
-   the full node [10; 12; 14; 16] (K = 4) and moves 16 out, on a machine
-   stretched by [extra fx n], where [n] is that node; [prepare fx n] runs
-   first. The search must find 16. *)
-let search_across_split ~where ~prepare ~extra =
+   the full node [10; 12; 14; 16] (K = 4) and moves 16 out, then upserts
+   [claims] into the old node, on a machine stretched by [extra fx n],
+   where [n] is that node; [prepare fx n] runs first. The search must
+   find 16. *)
+let search_across_split ?(claims = []) ~where ~prepare ~extra () =
   let fx = make_skiplist ~cfg:hint_cfg ~seed:7 () in
   run1 fx.pmem (fun ~tid -> List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) [ 10; 12; 14; 16 ]);
   let n = List.hd (bottom_nodes fx) in
@@ -743,58 +744,76 @@ let search_across_split ~where ~prepare ~extra =
       ( 1,
         fun ~tid ->
           Sim.Sched.charge 500.0;
-          ignore (SL.upsert fx.sl ~tid 18 18 : int option) );
+          List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k : int option)) (18 :: claims) );
     ]
   in
   (match Sim.Sched.run ~machine:(stretched_machine fx (extra fx n)) bodies with
   | Sim.Sched.Completed _ -> ()
   | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected simulated crash");
   Alcotest.(check (list (list int)))
-    (where ^ ": 16 moved") [ [ 10; 12; 14 ]; [ 16; 18 ] ] (sorted_node_keys fx);
+    (where ^ ": 16 moved")
+    [ List.sort Int.compare ([ 10; 12; 14 ] @ claims); [ 16; 18 ] ]
+    (sorted_node_keys fx);
   Alcotest.(check (option int)) (where ^ ": 16 found") (Some 16) !found
+
+(* [key]'s slot in [n]. *)
+let slot_of fx n key =
+  let ly = Node.layout (SL.config fx.sl) in
+  List.find (fun i -> Mem.peek_field fx.mem n (Node.o_key ly i) = key) (List.init ly.Node.k Fun.id)
 
 (* The address of [key]'s slot in [n]. *)
 let key_addr fx n key =
-  let ly = Node.layout (SL.config fx.sl) in
-  let i =
-    List.find (fun i -> Mem.peek_field fx.mem n (Node.o_key ly i) = key) (List.init ly.Node.k Fun.id)
-  in
-  Mem.resolve fx.mem n + Node.o_key ly i
+  Mem.resolve fx.mem n + Node.o_key (Node.layout (SL.config fx.sl)) (slot_of fx n key)
+
+(* The address of the slot line holding [key]'s slot in [n]: where a
+   lookup's one read of its key and value lands. *)
+let slot_line_addr fx n key =
+  let i = slot_of fx n key in
+  Mem.resolve fx.mem n
+  + Node.o_key (Node.layout (SL.config fx.sl)) (i - (i mod Node.slots_per_line))
 
 (* The two orders a found search's validation relies on, each forced by
    stretching chosen accesses around one split.
 
    After the value: the search's first read of the node's header line
-   after its key read is stretched by 20 us, and the split starts 0.5 us
-   in. Validated after the value read, the search read the value before
-   the split; a validation read before the value lets the split kill the
-   slot between the two, and a claim then take it over.
+   after its read of 16's slot line (the one access that gives key and
+   value) is stretched by 20 us, and the split starts 0.5 us in; then 13
+   claims the slot the split left dead, which holds 16 until the claim
+   stores 13 and its value there. Validated after the slot-line read, the
+   search read 16's value before the split; a validation read before the
+   slot-line read lets the split kill the slot between the two and the
+   claim take it over, and the search answers 13's value.
 
    A copy under the writer: the node's level-0 hint is lowered to 16 (a
    stale-low hint), so the walk enters the tail, whose header read is
    stretched by 30 us, and copies the node's line again, while the split
    sits 50 us in its split-count bump: locked, count bumped, its
-   fingerprint line not yet rewritten. The key read is stretched by 60 us,
-   past the rewrite and the unlock. The copy's count equals the count the validation then reads,
-   so only the writer bit in the copy tells the search to retry. *)
+   fingerprint line not yet rewritten. The slot-line read is stretched by
+   60 us, past the rewrite and the unlock. The copy's count equals the
+   count the validation then reads, so only the writer bit in the copy
+   tells the search to retry. *)
 let check_search_validation_order () =
-  search_across_split ~where:"validated after the value"
+  let stretched = ref 0 in
+  search_across_split ~claims:[ 13 ] ~where:"validated after the value"
     ~prepare:(fun _ _ -> ())
     ~extra:(fun fx n ->
-      let key16 = key_addr fx n 16 and hdr = Mem.resolve fx.mem n in
+      let line16 = slot_line_addr fx n 16 and hdr = Mem.resolve fx.mem n in
       let armed = ref false in
       fun ~tid ~write a ->
-        if tid = 0 && (not write) && a = key16 then armed := true;
+        if tid = 0 && (not write) && a = line16 then armed := true;
         if tid = 0 && (not write) && !armed && a = hdr then begin
           armed := false;
+          incr stretched;
           20_000.0
         end
-        else 0.0);
+        else 0.0)
+    ();
+  check_int "the validating header read was stretched" 1 !stretched;
   let locked_copies = ref 0 in
   search_across_split ~where:"copied under the writer"
     ~prepare:(fun fx n -> Mem.poke_field fx.mem n Node.o_hint0 16)
     ~extra:(fun fx n ->
-      let key16 = key_addr fx n 16 and hdr = Mem.resolve fx.mem n in
+      let line16 = slot_line_addr fx n 16 and hdr = Mem.resolve fx.mem n in
       let tail = Mem.resolve fx.mem (SL.tail fx.sl) in
       fun ~tid ~write a ->
         if tid = 0 && (not write) && a = hdr
@@ -803,8 +822,9 @@ let check_search_validation_order () =
         then incr locked_copies;
         if tid = 1 && write && a = hdr + Node.o_meta then 50_000.0
         else if tid = 0 && (not write) && a = tail then 30_000.0
-        else if tid = 0 && (not write) && a = key16 then 60_000.0
-        else 0.0);
+        else if tid = 0 && (not write) && a = line16 then 60_000.0
+        else 0.0)
+    ();
   check_bool "the search copied the header line under the writer" true (!locked_copies > 0)
 
 (* A lookup whose level 0 overshot copies its node's header line again,
@@ -1085,8 +1105,9 @@ let pred0_recopies walk =
    holds, copying that line again only when level 0 ended on an entered
    node's anchor ([pred0_recopies]); then it reads the fingerprint line
    (one read, whatever the number of fingerprint words: see the next
-   test), one key per fingerprint match, and, for a key found, the value
-   and then the header line once more, which validates the lookup. *)
+   test), the slot line of the first fingerprint match, whose copy gives
+   the key and, for a key found, the value, and then the header line once
+   more, which validates the lookup. *)
 let test_hint_read_order () =
   let fx = loaded_list ~n:1_500 in
   let block_words = Mem.block_words fx.mem in
@@ -1119,10 +1140,11 @@ let test_hint_read_order () =
     check_int (where ^ ": every level ended on a hint") (List.length walk) (Obs.total Obs.id_hint_stop);
     check_int (where ^ ": no stale hint") 0 (Obs.total Obs.id_hint_stale);
     let fp_line_reads = (Node.layout (SL.config fx.sl)).Node.fp_lines in
-    let value_and_validation = 2 in
+    (* K = 4: one slot line, read once whatever the number of matches *)
+    let slot_line_reads = 1 and validation = 1 in
     let predicted =
       List.length upper + 1 + hops_at 1 + hops_at 0 + pred0_recopies walk + fp_line_reads
-      + Obs.total Obs.id_fp_match + value_and_validation
+      + slot_line_reads + validation
     in
     check_int (where ^ ": loads") predicted (List.length reads)
   done;
@@ -1289,7 +1311,9 @@ let test_populate_reads_no_line () =
    search, hit or miss, reads that region once, at the line's first word.
    Keys 2, 4, .. 600 inserted in a seeded order leave nodes holding
    fingerprints in both words. *)
-let test_fp_line_one_read () =
+(* A list of K = 16 nodes holding keys 2, 4, .. 600, each with value
+   [key + 1000], inserted by one fiber in a seeded order. *)
+let even_list_k16 () =
   let cfg = { Config.default with keys_per_node = 16 } in
   let fx = make_skiplist ~cfg ~seed:5 () in
   let keys = Array.init 300 (fun i -> 2 * (i + 1)) in
@@ -1300,7 +1324,11 @@ let test_fp_line_one_read () =
     keys.(i) <- keys.(j);
     keys.(j) <- x
   done;
-  run1 fx.pmem (fun ~tid -> Array.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) keys);
+  run1 fx.pmem (fun ~tid -> Array.iter (fun k -> ignore (SL.upsert fx.sl ~tid k (k + 1000))) keys);
+  (cfg, fx)
+
+let test_fp_line_one_read () =
+  let cfg, fx = even_list_k16 () in
   let fp_lines =
     List.map (fun n -> Mem.resolve fx.mem n + Node.o_fp) (bottom_nodes fx)
   in
@@ -1320,6 +1348,194 @@ let test_fp_line_one_read () =
         Alcotest.failf "search %d: %d reads in fingerprint lines, want one at a line start"
           key (List.length fp_reads)
   done
+
+(* The bottom node whose live slots hold [key] (host side). *)
+let live_node_of fx key =
+  match List.find_opt (fun n -> Array.mem key (live_slot_keys fx n)) (bottom_nodes fx) with
+  | Some n -> n
+  | None -> Alcotest.failf "%d is live in no node" key
+
+(* The slot lines, in order, that a lookup of [key] in [n] copies: those
+   holding a slot whose fingerprint is [key]'s, up to [key]'s own slot,
+   each once (host side). *)
+let candidate_lines fx n key =
+  let ly = Node.layout (SL.config fx.sl) in
+  let f = Node.fingerprint key and found = slot_of fx n key in
+  let base = Mem.resolve fx.mem n in
+  List.sort_uniq Int.compare
+    (List.filter_map
+       (fun i ->
+         if Node.fp_byte (Mem.peek_field fx.mem n (Node.o_fp_slot i)) i = f then
+           Some (base + Node.o_key ly (i - (i mod Node.slots_per_line)))
+         else None)
+       (List.init (found + 1) Fun.id))
+
+(* A found lookup reads its slot line once: after the fingerprint line,
+   a search of a present key (K = 16, four slot lines a node) reads the
+   slot line of each fingerprint candidate up to its key's slot, once
+   each and at the line's first word, and then the header line, which
+   validates it; the value comes from the slot line's copy. A value read
+   as a word after the slot line, or a candidate line read twice, fails. *)
+let test_found_lookup_reads_its_slot_line_once () =
+  let _, fx = even_list_k16 () in
+  let later_line = ref 0 in
+  for i = 1 to 300 do
+    let key = 2 * i in
+    let n = live_node_of fx key in
+    let base = Mem.resolve fx.mem n in
+    let where = Fmt.str "search %d" key in
+    if slot_of fx n key >= Node.slots_per_line then incr later_line;
+    let reads =
+      reads_of fx (fun ~tid ->
+          Alcotest.(check (option int)) (where ^ ": found") (Some (key + 1000))
+            (SL.search fx.sl ~tid key))
+    in
+    let rec after_fp_line = function
+      | [] -> Alcotest.failf "%s: no read of the fingerprint line" where
+      | a :: rest -> if a = base + Node.o_fp && not (List.mem (base + Node.o_fp) rest) then rest
+                     else after_fp_line rest
+    in
+    Alcotest.(check (list int))
+      (where ^ ": reads after the fingerprint line")
+      (candidate_lines fx n key @ [ base ])
+      (after_fp_line reads)
+  done;
+  check_bool "some keys lie beyond a node's first slot line" true (!later_line > 100)
+
+(* A crash drops the fingerprint line of a full K = 8 node (two slot
+   lines): its eight keys are durable, with values [key + 1000], but
+   none carries its fingerprint, and the node is unconfirmed. *)
+let lost_fps_full_node () =
+  let fx = make_skiplist ~cfg:fp_cfg ~seed:7 () in
+  let keys = List.init 8 (fun i -> 10 * (i + 1)) in
+  run1 fx.pmem (fun ~tid -> List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k (k + 1000))) keys);
+  let n =
+    match bottom_nodes fx with
+    | [ n ] -> n
+    | ns -> Alcotest.failf "expected one node, found %d" (List.length ns)
+  in
+  let fp_addr = Mem.resolve fx.mem n + Node.o_fp in
+  Pmem.crash fx.pmem ~persist_line:(fun ~pool ~line ->
+      not (pool = Pmem.pool_of fp_addr && line = Pmem.word_of fp_addr / Pmem.line_words));
+  Mem.reconnect fx.mem;
+  check_int "no key kept its fingerprint" 0 (Mem.peek_field fx.mem n Node.o_fp);
+  (fx, n)
+
+(* A key found by a repair answers with its own value. Its lookup misses
+   on the fingerprint line the crash dropped and, the node unconfirmed,
+   repairs the line from the keys, reading each slot line once; the repair
+   leaves the last slot line in the copy, so a key of the first line has
+   its line read once more, and the answer is the key's value, not the
+   value in the same position of the last line. *)
+let test_key_found_by_repair_answers_its_own_value () =
+  List.iter
+    (fun (key, slot_line_reads) ->
+      let fx, n = lost_fps_full_node () in
+      let ly = Node.layout fp_cfg in
+      let pairs = Mem.resolve fx.mem n + ly.Node.o_pairs in
+      Obs.reset ();
+      let reads =
+        reads_of fx (fun ~tid ->
+            Alcotest.(check (option int)) (Fmt.str "%d's value" key) (Some (key + 1000))
+              (SL.search fx.sl ~tid key))
+      in
+      check_int (Fmt.str "%d: one repair" key) 1 (Obs.total Obs.id_fp_confirm);
+      Alcotest.(check (list int))
+        (Fmt.str "%d: slot-line reads" key) slot_line_reads
+        (List.filter (fun a -> a >= pairs && a < pairs + Config.pair_words fp_cfg) reads
+        |> List.map (fun a -> (a - pairs) / Config.line_words));
+      Obs.reset ())
+    [ (20, [ 0; 1; 0 ]); (70, [ 0; 1 ]) ]
+
+(* A split reads each slot line once (K = 16, four slot lines), for the
+   keys, at the lines' first words, and takes the moved values from line
+   copies. Keys 1 .. 16 fill one node; 17 overflows it, and the tail cut
+   moves 15 and 16, both in the last slot line, whose copy the key pass
+   left: no line is read again. Then 1, 31, 29, .. 3 fill a node whose
+   successor's anchor is 40; 33 overflows it, close enough to the bound
+   for a median cut, which moves 17 .. 31, in slots 1 .. 8: each earlier
+   line holding a moved slot is read once more, from the last down. A
+   split that reads keys or values as words fails. *)
+let test_split_reads_each_slot_line_once () =
+  List.iter
+    (fun (fill, key, tail_cuts, moved_lines) ->
+      let cfg = { Config.default with keys_per_node = 16 } in
+      let fx = make_skiplist ~cfg ~seed:27 () in
+      run1 fx.pmem (fun ~tid -> List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) fill);
+      let n = List.hd (bottom_nodes fx) in
+      check_int "the node is full" 16 (List.length (List.hd (node_keys fx)));
+      let pairs = Mem.resolve fx.mem n + (Node.layout cfg).Node.o_pairs in
+      Obs.reset ();
+      let reads = reads_of fx (fun ~tid -> ignore (SL.upsert fx.sl ~tid key key : int option)) in
+      let where = Fmt.str "split by %d" key in
+      check_int (where ^ ": one split") 1 (Obs.total Obs.id_split);
+      check_int (where ^ ": tail cuts") tail_cuts (Obs.total Obs.id_split_tail);
+      Alcotest.(check (list int))
+        (where ^ ": the old node's pair-region reads, by line")
+        ([ 0; 1; 2; 3 ] @ moved_lines)
+        (List.filter_map
+           (fun a ->
+             if a < pairs || a >= pairs + Config.pair_words cfg then None
+             else if (a - pairs) mod Config.line_words <> 0 then
+               Alcotest.failf "%s: a read of word %d of the pair region" where (a - pairs)
+             else Some ((a - pairs) / Config.line_words))
+           reads);
+      Obs.reset ();
+      check_no_invariant_errors fx.sl)
+    [
+      (List.init 16 (fun i -> i + 1), 17, 1, []);
+      (40 :: 1 :: List.init 15 (fun i -> 31 - (2 * i)), 33, 0, [ 2; 1; 0 ]);
+    ]
+
+(* A range scan reads each slot line once: over a quiet K = 16 list, a
+   scan of (lo, 401] reads every slot line of each node it collects once,
+   at the line's first word, and nothing else in a pair region; [lo] is
+   absent and matches no fingerprint of its node, so the traversal that
+   places the scan reads no slot line. A scan that reads keys or values
+   as words fails. *)
+let test_range_reads_each_slot_line_once () =
+  let cfg, fx = even_list_k16 () in
+  let ly = Node.layout cfg in
+  let no_candidate lo =
+    let n = List.fold_left (fun acc m -> if Mem.peek_field fx.mem m Node.o_anchor <= lo then m else acc)
+        (List.hd (bottom_nodes fx)) (bottom_nodes fx) in
+    List.for_all
+      (fun i -> Node.fp_byte (Mem.peek_field fx.mem n (Node.o_fp_slot i)) i <> Node.fingerprint lo)
+      (List.init ly.Node.k Fun.id)
+  in
+  let lo = List.find no_candidate (List.init 50 (fun i -> 101 + (2 * i))) in
+  let hi = 401 in
+  let reads = ref [] in
+  let got =
+    let r = ref [] in
+    reads := reads_of fx (fun ~tid -> r := SL.range fx.sl ~tid ~lo ~hi);
+    !r
+  in
+  Alcotest.(check (list (pair int int)))
+    "the pairs" (List.init ((hi - lo) / 2) (fun i -> (lo + 1 + (2 * i), lo + 1 + (2 * i) + 1000)))
+    got;
+  let nodes = SL.head fx.sl :: bottom_nodes fx in
+  let pair_line a =
+    List.find_map
+      (fun n ->
+        let p = Mem.resolve fx.mem n + ly.Node.o_pairs in
+        if a >= p && a < p + Config.pair_words cfg then begin
+          if (a - p) mod Config.line_words <> 0 then
+            Alcotest.failf "a read of word %d of a pair region" (a - p);
+          Some (n, (a - p) / Config.line_words)
+        end
+        else None)
+      nodes
+  in
+  let lines = List.filter_map pair_line !reads in
+  let collected = List.sort_uniq compare (List.map fst lines) in
+  check_bool "several nodes collected" true (List.length collected >= 10);
+  Alcotest.(check (list (pair string int)))
+    "slot lines read, in order"
+    (List.concat_map
+       (fun n -> List.init (Node.slot_lines ly) (fun l -> (Fmt.str "%a" Riv.pp n, l)))
+       (List.filter (fun n -> List.mem n collected) nodes))
+    (List.map (fun (n, l) -> (Fmt.str "%a" Riv.pp n, l)) lines)
 
 (* The successor and bound at every level of a pointer-first walk for
    [key] (host side): what the traversal recorded before upper levels
@@ -2020,6 +2236,12 @@ let () =
           case "an upper hop reads its tower line once" test_upper_hop_one_line_read;
           case "a fresh node's populate reads no line" test_populate_reads_no_line;
           case "a lookup reads its fingerprint line once" test_fp_line_one_read;
+          case "a found lookup reads its slot line once"
+            test_found_lookup_reads_its_slot_line_once;
+          case "a key found by a repair answers with its own value"
+            test_key_found_by_repair_answers_its_own_value;
+          case "a split reads each slot line once" test_split_reads_each_slot_line_once;
+          case "a range scan reads each slot line once" test_range_reads_each_slot_line_once;
           case "a new node's levels match a pointer-first walk"
             test_new_node_levels_match_walk;
           case "a link racing the walk's line copy" test_walk_racing_link;

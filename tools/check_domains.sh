@@ -67,7 +67,7 @@ replayed=$("$JSON_CHECK" "$tmp/c4.json" replayed)
 }
 # completions over the rounds the outage spans, per shard: a capture one
 # round early or late moves them
-for pin in 0:612 1:8 2:396 3:569; do
+for pin in 0:606 1:8 2:396 3:572; do
   s=${pin%%:*}
   want=${pin#*:}
   got=$("$JSON_CHECK" "$tmp/c4.json" "shards.$s.completed_in_outage")
