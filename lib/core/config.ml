@@ -24,7 +24,7 @@ let default =
   }
 
 (* The node layout is line-oriented: the hot header (epoch, the packed
-   kind/height/tid/splitCount word, lock, anchor key, level-0 and level-1
+   kind/height/tid word, lock, anchor key, level-0 and level-1
    next pointers and their successor-key hints) fills exactly one 64-byte
    line, the key fingerprints fill whole lines of their own, key/value
    pairs are interleaved two words per slot so a slot's key and value

@@ -24,7 +24,7 @@ val validate : t -> unit
 (** {1 Node layout constants}
 
     The layout is line-oriented: one 64-byte hot header line (epoch, the
-    packed kind/height/splitCount word, lock, anchor key, level-0 and
+    packed kind/height/tid word, lock, anchor key, level-0 and
     level-1 next pointers and their successor-key hints), then the
     key-fingerprint lines, then [keys_per_node] two-word key/value slots
     rounded up to whole lines, then the level-2 and up tower (up to

@@ -24,7 +24,7 @@
      word 2                packed meta: kind (bits 0-7: free block / node),
                            height (bits 8-15), the allocating thread's tid
                            (bits 16-23: whose allocation log may name the
-                           node), splitCount (bits 24 and up)
+                           node)
      word 3                splitLock (packed reader-writer lock with an
                            unlock counter that range scans validate
                            against; see the split lock section below)
@@ -47,10 +47,12 @@
                            anchor key at T+8g+6 (written by [init] in every
                            line below the node's height), T+8g+7 spare
 
-   Height and tid never change after initialisation, and splitCount is
-   written only under the split lock's write side, so the packed meta word
-   needs no CAS. The kind stays in the low bits: the block allocator and
-   the audit read it through [Mem.kind_of].
+   The meta word never changes after initialisation, so it needs no CAS.
+   The paper's per-node splitCount is not kept: a node's level-0 successor
+   changes at every split's link, before any count could, and is what
+   every validation compares (see [Skiplist.relinked]). The kind stays in
+   the low bits: the block allocator and the audit read it through
+   [Mem.kind_of].
 
    Tower anchors: a traversal above level 1 uses a node only for routing, by
    its anchor, so the hop reads the anchor copy in the tower line it reads
@@ -122,7 +124,7 @@ module Riv = Memory.Riv
 
 let o_epoch = 0
 let o_hint0 = 1  (* level-0 successor-key hint, in the header line *)
-let o_meta = Memory.Mem.hdr_kind  (* kind | height | splitCount *)
+let o_meta = Memory.Mem.hdr_kind  (* kind | height | tid *)
 let o_lock = 3
 let o_hint1 = 4  (* level-1 successor-key hint, in the header line *)
 let o_anchor = 5
@@ -131,21 +133,16 @@ let o_next1h = 7  (* level-1 next, in the header line *)
 let o_fp = Config.header_words
 
 (* Packed meta word: kind in the low [Mem.kind_bits], then 8 bits of
-   height, 8 bits of the allocating tid ([Mem.max_threads] is 256), then
-   the split count. *)
+   height and 8 bits of the allocating tid ([Mem.max_threads] is 256). *)
 let height_shift = Memory.Mem.kind_bits
 let tid_shift = height_shift + 8
-let split_shift = tid_shift + 8
 let meta_height w = (w lsr height_shift) land 0xff
 let meta_tid w = (w lsr tid_shift) land 0xff
-let meta_split_count w = w lsr split_shift
 
-let make_meta ~height ~tid ~split_count =
+let make_meta ~height ~tid =
   Memory.Mem.kind_node lor (height lsl height_shift) lor (tid lsl tid_shift)
-  lor (split_count lsl split_shift)
 
-let with_height w h =
-  make_meta ~height:h ~tid:(meta_tid w) ~split_count:(meta_split_count w)
+let with_height w h = make_meta ~height:h ~tid:(meta_tid w)
 
 let empty_key = 0
 let tombstone = 0
@@ -232,15 +229,8 @@ let fp_line ly keys =
 (* ---- field accessors (simulated time) --------------------------------- *)
 
 let epoch mem n = Mem.read_field mem n o_epoch
-let split_count mem n = meta_split_count (Mem.read_field mem n o_meta)
 let meta mem n = Mem.read_field mem n o_meta
 let height mem n = meta_height (meta mem n)
-
-(* Under the split lock's write side (the only writer of the word). *)
-let set_split_count mem n sc =
-  let w = meta mem n in
-  Mem.write_field mem n o_meta
-    (make_meta ~height:(meta_height w) ~tid:(meta_tid w) ~split_count:sc)
 
 let key mem ly n i = Mem.read_field mem n (o_key ly i)
 
@@ -595,8 +585,7 @@ module Lock = struct
      installed; no other thread changes a write-locked word). Every writer
      rewrites the fingerprint line from the live keys before it unlocks, so
      the unlock confirms the line. No flush: a writer bit a crash keeps
-     reads as free in the next epoch, and the split count beside it only
-     serves readers of this one. *)
+     reads as free in the next epoch. *)
   let write_unlock mem n ~held =
     Mem.write_field mem n o_lock
       (make_word ~epoch:(Mem.epoch mem) ~writer:false ~readers:0
@@ -618,7 +607,7 @@ end
 let init mem ly n ~tid ~node_epoch ~node_height ~keys ~values =
   if Array.length keys = 0 then invalid_arg "Node.init: empty keys";
   Mem.write_field mem n o_epoch node_epoch;
-  Mem.write_field mem n o_meta (make_meta ~height:node_height ~tid ~split_count:0);
+  Mem.write_field mem n o_meta (make_meta ~height:node_height ~tid);
   Mem.write_field mem n o_lock
     (Lock.make_word ~epoch:node_epoch ~writer:false ~readers:0 lor fp_ok_bit);
   Mem.write_field mem n o_anchor keys.(0);
@@ -634,7 +623,7 @@ let init mem ly n ~tid ~node_epoch ~node_height ~keys ~values =
 (* Sentinel setup at pool-format time (no simulated cost). *)
 let init_sentinel_poked mem ly n ~first_key ~node_height =
   Mem.poke_field mem n o_epoch 1;
-  Mem.poke_field mem n o_meta (make_meta ~height:node_height ~tid:0 ~split_count:0);
+  Mem.poke_field mem n o_meta (make_meta ~height:node_height ~tid:0);
   Mem.poke_field mem n o_lock 0;
   Mem.poke_field mem n o_anchor first_key;
   for g = 0 to tower_lines node_height - 1 do

@@ -40,7 +40,7 @@
 
    Operations:
    - [search]/[mem_key]: wait-free traversal + fingerprinted key lookup,
-     validated against the node's split counter and split lock;
+     validated against the node's level-0 successor;
    - [upsert]: lock-free insert of new head-successor nodes, CAS slot claims
      inside existing nodes under a read lock (an empty slot, or a dead one
      a split left behind), deadlock-free node splits under a write lock
@@ -153,9 +153,6 @@ type find = {
   key_index : int;
       (* the found key's slot in preds.(0), whose slot line the thread's
          line buffer then holds, copied when the key was matched *)
-  split_count : int;
-      (* of preds.(0), from a copy of its header line made before its keys
-         were scanned; [unsettled] when a writer held the node then *)
   preds : Riv.t array;
   succs : Riv.t array;
       (* each level's successor, from the copy of pred's line the level
@@ -165,15 +162,6 @@ type find = {
          the walk entered the node, else the pred's hint — what a new node
          linked before succs.(l) stores as its own hint *)
 }
-
-(* The split count of a traversal that copied pred0's header while a
-   writer held it, or after pred0's level-0 successor changed from the
-   one the traversal recorded: a split links its new node before it bumps
-   the count, so the copy's count may be the one the finished split
-   leaves, with the keys scanned after the link killed some of them. No
-   node's count is negative, so every validation against this one fails
-   and retries. *)
-let unsettled = -1
 
 (* Whether a slot of [i]'s slot line before [i] carries fingerprint [f]
    in the fingerprint word [w], from [s] on. A slot line lies within one
@@ -367,19 +355,17 @@ let copy_hop_line t buf n level =
    nothing copies the line again ([check_for_recovery]), and one that
    repairs restarts the traversal.
 
-   The lookup in pred0 takes its split count and the lock word's fp_ok
-   bit from the header copy the walk ends with, and copies pred0's line
-   once more only when a level-0 overshoot left the entered node's line
-   in the buffer. An older split count only adds retries, and fp_ok under
-   a current stamp is never cleared within an epoch, so the copy serves
-   as well as fresh word reads would; a copy that shows a writer, or a
-   successor other than the recorded one, yields [unsettled]. The scan
-   reads pred0's fingerprint line and, for a match, the candidate's slot
-   line, each with one access; a found search takes the value from that
-   copy and then validates with one more read of the header line
-   ([search_impl]). The write paths' validation (read lock, split count,
-   [relinked]), their key and value reads before a CAS, and every CAS,
-   flush and fence stay word accesses. *)
+   The lookup in pred0 takes the lock word's fp_ok bit from the header
+   copy the walk ends with, and copies pred0's line once more only when a
+   level-0 overshoot left the entered node's line in the buffer. fp_ok
+   under a current stamp is never cleared within an epoch, so the copy
+   serves as well as a fresh word read would. The scan reads pred0's
+   fingerprint line and, for a match, the candidate's slot line, each with
+   one access; a found search takes the value from that copy and then
+   validates with one more read of the header line, whose level-0
+   successor must still be succs.(0) ([search_impl]). The write paths'
+   validation (read lock, [relinked]), their key and value reads before a
+   CAS, and every CAS, flush and fence stay word accesses. *)
 let rec traverse t ~tid ~recover key =
   let h = t.cfg.Config.max_height in
   let preds = Array.make h t.head in
@@ -459,30 +445,17 @@ let rec traverse t ~tid ~recover key =
     if !restart then attempt ()
     else begin
       let pred0 = preds.(0) in
-      if Riv.equal pred0 t.head then
-        { found = false; key_index = -1; split_count = 0; preds; succs; bounds }
+      if Riv.equal pred0 t.head then { found = false; key_index = -1; preds; succs; bounds }
       else begin
-        (* the lookup's split count and fp_ok bit come from a copy of
-           pred0's header line: the one the walk holds, unless a level-0
-           overshoot left the entered node's line in the buffer *)
+        (* the lookup's fp_ok bit comes from a copy of pred0's header line:
+           the one the walk holds, unless a level-0 overshoot left the
+           entered node's line in the buffer *)
         if not (Riv.equal !copied pred0) then copy_header t buf pred0;
-        let lockw = Node.line_lock buf in
-        let epoch = Mem.epoch t.mem in
-        (* a copy made after the one that gave succs.(0) may postdate a
-           whole split, whose link killed keys the scan still sees: its
-           count is only settled if the successor is still the same *)
-        let sc =
-          if
-            Node.Lock.is_write_locked ~epoch lockw
-            || not (Riv.equal (Node.line_next buf 0) succs.(0))
-          then unsettled
-          else Node.meta_split_count (Node.line_meta buf)
-        in
         let ki =
           scan_keys t ~tid pred0 key
-            ~confirmed:(Node.Lock.fp_ok_at ~epoch lockw)
+            ~confirmed:(Node.Lock.fp_ok_at ~epoch:(Mem.epoch t.mem) (Node.line_lock buf))
         in
-        { found = ki >= 0; key_index = ki; split_count = sc; preds; succs; bounds }
+        { found = ki >= 0; key_index = ki; preds; succs; bounds }
       end
     end
   in
@@ -737,23 +710,27 @@ let rec claimed_key t ~tid n i dead =
   end
 
 (* Whether a node was linked after [pred0] at level 0 since a traversal read
-   [succ0] there. A split's link CAS is what moves keys out of [pred0]
-   (they are dead from then on), so this catches each split that may have
-   moved keys out of it. The counter cannot: a split that completes
-   between the traversal's successor read and its counter read leaves the
-   counter matching, and an insert would then claim a slot the split just
-   killed, in a node that no longer owns the key. *)
+   [succ0] there: the one split signal. A split's link CAS is what moves
+   keys out of [pred0] (they are dead from then on), and it changes this
+   successor before the split does anything else, so this catches each
+   split that may have moved keys out of it. The successor never comes
+   back once left: no node is unlinked, and each link puts in a node
+   whose anchor lies between [pred0]'s and the old successor's, so the
+   anchor of [pred0]'s successor only falls. The paper's per-node split
+   counter is weaker: a split bumps it after the link, so one that
+   completes between a traversal's successor read and its counter read
+   leaves the counter matching, and an insert would then claim a slot the
+   split just killed, in a node that no longer owns the key. *)
 let relinked t ~pred0 ~succ0 =
   not (Riv.equal (Node.next t.mem t.ly pred0 0) succ0)
 
 (* Function 16: claim a free slot in an existing node under a read lock
    (the lock only excludes concurrent splits, not other writers). Under the
    lock, an unchanged level-0 successor means [pred0] still owns [key]
-   (see [relinked]); it replaces the paper's split-counter check, which
-   misses the split that completed mid-traversal, at the same cost of one
-   header-line read. It also fixes [pred0]'s bound, the anchor of
-   [succ0]: a slot holding a key at or above it is dead (see Node), and
-   free. The bound is read once, at the first dead-looking slot.
+   (see [relinked]), at the cost of one header-line read. It also fixes
+   [pred0]'s bound, the anchor of [succ0]: a slot holding a key at or
+   above it is dead (see Node), and free. The bound is read once, at the
+   first dead-looking slot.
 
    A claim runs only on a confirmed [pred0], whose line holds every live
    key's fingerprint and a 0 for every dead slot; an unconfirmed one — its
@@ -961,8 +938,6 @@ let split_node t ~tid ~key ~value ~(f : find) =
         Node.persist_next t.mem ly pred0 0;
         obs_event ~tid Obs.id_split new_anchor;
         if tail_cut then Obs.bump ~tid Obs.id_split_tail;
-        (* the split count only serves readers of this epoch *)
-        Node.set_split_count t.mem pred0 (Node.split_count t.mem pred0 + 1);
         (* the moved slots are dead now: their fingerprints go *)
         Array.iter (fun i -> keys.(i) <- Node.empty_key) moved;
         ignore (Node.write_fp_line t.mem ly pred0 (Node.fp_line ly keys) : bool);
@@ -990,24 +965,37 @@ let check_key key =
 let check_value v =
   if v = Node.tombstone then invalid_arg "Skiplist: value 0 is reserved"
 
+(* The found path of an upsert and of a remove (Section 4.6: removal
+   reuses the update path, with a tombstone for [value]). Under pred0's
+   read lock, which holds splits off, an unchanged level-0 successor means
+   no split moved keys out of pred0 since the traversal, so the slot [f]
+   found the key in is still live and still holds it (see [relinked]).
+   [Some old] is the slot's value before the update; [None] asks the
+   caller to retry. *)
+let update_found t ~tid (f : find) value =
+  let pred0 = f.preds.(0) in
+  if not (Node.Lock.read_lock t.mem pred0) then begin
+    backoff t ~tid;
+    None
+  end
+  else if relinked t ~pred0 ~succ0:f.succs.(0) then begin
+    Node.Lock.read_unlock t.mem pred0;
+    None
+  end
+  else begin
+    let old = update_value t pred0 f.key_index value in
+    Node.Lock.read_unlock t.mem pred0;
+    Some old
+  end
+
 (* Function 13 (upsert). Returns the previous value if the key was present. *)
 let rec upsert_impl t ~tid key value =
   let f = traverse t ~tid ~recover:true key in
   let pred0 = f.preds.(0) in
   if f.found then begin
-    if not (Node.Lock.read_lock t.mem pred0) then begin
-      backoff t ~tid;
-      upsert_impl t ~tid key value
-    end
-    else if Node.split_count t.mem pred0 <> f.split_count then begin
-      Node.Lock.read_unlock t.mem pred0;
-      upsert_impl t ~tid key value
-    end
-    else begin
-      let old = update_value t pred0 f.key_index value in
-      Node.Lock.read_unlock t.mem pred0;
-      if old = Node.tombstone then None else Some old
-    end
+    match update_found t ~tid f value with
+    | None -> upsert_impl t ~tid key value
+    | Some old as prev -> if old = Node.tombstone then None else prev
   end
   else if Riv.equal pred0 t.head then begin
     if
@@ -1053,29 +1041,24 @@ let miss_raced_split t f =
 (* Function 9. A found key's value comes from the copy of its slot line
    the lookup compared the key in, so key and value are one access and one
    instant's view. The value is an answer if no split moved keys out of
-   pred0 between the traversal's header copy and that slot-line read. One
-   read of the header line after the slot-line read checks that at one
-   instant: not write-locked, and the split count the copy held. A split
-   bumps the count under the writer bit, after the link that kills the
-   slots it moved, and unlocks after, so a split that killed the slot
-   before the slot-line read (after which a claim may take it over) either
-   still holds the lock or has changed the count; the copy's own writer
-   bit covers the split it caught mid-way ([unsettled]). *)
+   pred0 between the traversal's copy of pred0's header line, which gave
+   succs.(0), and that slot-line read. One read of the header line after
+   the slot-line read checks that its level-0 successor is still succs.(0):
+   a split kills the slots it moves at its link CAS, which changes that
+   successor for good (see [relinked]), so an unchanged one means no split
+   killed the slot before the slot-line read (after which a claim may take
+   it over). A writer holding the node changes no live slot — a split
+   leaves its moved slots in place, a repair rewrites only the fingerprint
+   line — so the lock word needs no check. *)
 let rec search_impl t ~tid key =
   let f = traverse t ~tid ~recover:true key in
   if not f.found then
     if miss_raced_split t f then search_impl t ~tid key else None
   else begin
-    let n = f.preds.(0) in
     let hdr = line_buf t tid in
     let v = Node.line_value hdr (slot_copy t) f.key_index in
-    copy_header t hdr n;
-    if Node.Lock.is_write_locked ~epoch:(Mem.epoch t.mem) (Node.line_lock hdr) then begin
-      backoff t ~tid;
-      search_impl t ~tid key
-    end
-    else if Node.meta_split_count (Node.line_meta hdr) <> f.split_count then
-      search_impl t ~tid key
+    copy_header t hdr f.preds.(0);
+    if not (Riv.equal (Node.line_next hdr 0) f.succs.(0)) then search_impl t ~tid key
     else if v = Node.tombstone then None
     else Some v
   end
@@ -1085,22 +1068,10 @@ let rec remove_impl t ~tid key =
   let f = traverse t ~tid ~recover:true key in
   if not f.found then
     if miss_raced_split t f then remove_impl t ~tid key else None
-  else begin
-    let pred0 = f.preds.(0) in
-    if not (Node.Lock.read_lock t.mem pred0) then begin
-      backoff t ~tid;
-      remove_impl t ~tid key
-    end
-    else if Node.split_count t.mem pred0 <> f.split_count then begin
-      Node.Lock.read_unlock t.mem pred0;
-      remove_impl t ~tid key
-    end
-    else begin
-      let old = update_value t pred0 f.key_index Node.tombstone in
-      Node.Lock.read_unlock t.mem pred0;
-      if old = Node.tombstone then None else Some old
-    end
-  end
+  else
+    match update_found t ~tid f Node.tombstone with
+    | None -> remove_impl t ~tid key
+    | Some old as prev -> if old = Node.tombstone then None else prev
 
 let upsert t ~tid key value =
   check_key key;

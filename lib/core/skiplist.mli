@@ -34,7 +34,9 @@ val upsert : t -> tid:int -> int -> int -> int option
     deadlock-free. *)
 
 val search : t -> tid:int -> int -> int option
-(** Wait-free lookup, validated against node split counters (Function 9). *)
+(** Wait-free lookup (Function 9), validated against the level-0
+    successor of the node it ends in, which every split changes, in place
+    of the paper's per-node split counter. *)
 
 val remove : t -> tid:int -> int -> int option
 (** Tombstoning removal (Section 4.6); returns the removed value. The

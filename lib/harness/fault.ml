@@ -201,10 +201,7 @@ let sweep_pending r =
    recovery fibers. *)
 let recovery_crash_window = 256
 
-let repair_total () =
-  Obs.total Obs.id_epoch_repair
-  + Obs.total Obs.id_split_repair
-  + Obs.total Obs.id_tower_repair
+let repair_total () = Obs.total Obs.id_epoch_repair + Obs.total Obs.id_tower_repair
 
 (* ---- building the fixture a spec names ----------------------------------- *)
 

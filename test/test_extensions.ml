@@ -644,10 +644,11 @@ let test_dead_slot_claim_crash_grid () =
 (* A crash after a tail split's link persisted, before its unlock: the
    persistent image holds the old node's header line with the writer bit
    set under the crashed epoch, and the moved key 16 still in its slot.
-   Nothing repairs the split: no split repair runs, a lookup in that node
-   (the first operation after the crash) reads the stale writer bit as
-   free instead of backing off, and a later split of the node acquires
-   its write lock and proceeds. *)
+   Nothing repairs the split: a lookup in that node (the first operation
+   after the crash) reads the stale writer bit as free instead of backing
+   off, the lookups after the crash leave 16 in its dead slot (nothing
+   erases it), and a later split of the node acquires its write lock and
+   proceeds. *)
 let test_interrupted_split_needs_no_repair () =
   let setup () =
     let fx = make_skiplist ~cfg:hint_cfg ~seed:7 () in
@@ -682,9 +683,11 @@ let test_interrupted_split_needs_no_repair () =
   check_bool "reads as free in the new epoch" false
     (Node.Lock.is_write_locked ~epoch:(Mem.epoch fx.mem) lockw);
   let ly = Node.layout hint_cfg in
-  check_bool "the moved key 16 is still in the old node" true
-    (List.exists (fun i -> Mem.peek_field fx.mem old (Node.o_key ly i) = 16) [ 0; 1; 2; 3 ]);
-  let repairs = (Obs.totals ()).(Obs.id_split_repair) in
+  let holds_16 where =
+    check_bool (where ^ ": the moved key 16 is still in the old node") true
+      (List.exists (fun i -> Mem.peek_field fx.mem old (Node.o_key ly i) = 16) [ 0; 1; 2; 3 ])
+  in
+  holds_16 "after the crash";
   let found = ref None in
   (match
      Sim.Sched.run ~machine:(Pmem.machine fx.pmem) ~crash:(Sim.Sched.After_events 400)
@@ -694,10 +697,10 @@ let test_interrupted_split_needs_no_repair () =
   | Sim.Sched.Crashed_at _ -> Alcotest.fail "a lookup in the split node still runs after 400 events");
   Alcotest.check opt_int "the lookup finds 12" (Some 12) !found;
   run1 fx.pmem (fun ~tid ->
-      Alcotest.check opt_int "16 lives in the new node" (Some 16) (SL.search fx.sl ~tid 16);
-      (* 13 takes 16's dead slot and fills the node; 11 splits it *)
-      List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) [ 13; 11 ]);
-  check_int "no split repair ran" 0 ((Obs.totals ()).(Obs.id_split_repair) - repairs);
+      Alcotest.check opt_int "16 lives in the new node" (Some 16) (SL.search fx.sl ~tid 16));
+  holds_16 "after the lookups";
+  (* 13 takes 16's dead slot and fills the node; 11 splits it *)
+  run1 fx.pmem (fun ~tid -> List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) [ 13; 11 ]);
   check_int "the later split proceeded" 3 (List.length (bottom_nodes fx));
   run1 fx.pmem (fun ~tid ->
       List.iter
@@ -787,11 +790,12 @@ let slot_line_addr fx n key =
    A copy under the writer: the node's level-0 hint is lowered to 16 (a
    stale-low hint), so the walk enters the tail, whose header read is
    stretched by 30 us, and copies the node's line again, while the split
-   sits 50 us in its split-count bump: locked, count bumped, its
-   fingerprint line not yet rewritten. The slot-line read is stretched by
-   60 us, past the rewrite and the unlock. The copy's count equals the
-   count the validation then reads, so only the writer bit in the copy
-   tells the search to retry. *)
+   sits 50 us in its first store after the link, the fingerprint-line
+   rewrite: locked, linked, 16's fingerprint not yet cleared. The scan
+   finds 16 in its dead slot, and the slot-line read is stretched by
+   60 us, past the rewrite and the unlock. The copy shows the writer,
+   which the lookup does not check; the validation shows the new
+   successor, and the search retries into the new node. *)
 let check_search_validation_order () =
   let stretched = ref 0 in
   search_across_split ~claims:[ 13 ] ~where:"validated after the value"
@@ -820,7 +824,7 @@ let check_search_validation_order () =
            && Node.Lock.is_write_locked ~epoch:(Mem.epoch fx.mem)
                 (Mem.peek_field fx.mem n Node.o_lock)
         then incr locked_copies;
-        if tid = 1 && write && a = hdr + Node.o_meta then 50_000.0
+        if tid = 1 && write && a = hdr + Node.o_fp then 50_000.0
         else if tid = 0 && (not write) && a = tail then 30_000.0
         else if tid = 0 && (not write) && a = line16 then 60_000.0
         else 0.0)
@@ -836,10 +840,11 @@ let check_search_validation_order () =
    leaving it dead in the old node, and then 12, whose fingerprint is
    37's: its claim takes the dead slot's fingerprint byte, and its store
    of a tombstone value there is stretched by 50 us before it CASes 12
-   in. The search's second copy shows the new successor, no writer and a
-   settled split count, and its scan hits the dead 37 behind the claim's
-   fingerprint; only a copy whose successor differs from the recorded one
-   reads as unsettled, and the search retries into the new node. *)
+   in. The search's second copy shows the new successor and no writer,
+   and its scan hits the dead 37 behind the claim's fingerprint, beside
+   the tombstone the claim stored; only the validation, whose header read
+   shows a successor other than the recorded one, sends the search into
+   the new node. *)
 let test_lookup_across_split_skips_a_dead_slot_being_claimed () =
   check_int "12 shares 37's fingerprint" (Node.fingerprint 37) (Node.fingerprint 12);
   let fx = make_skiplist ~cfg:hint_cfg ~seed:7 () in
@@ -872,6 +877,48 @@ let test_lookup_across_split_skips_a_dead_slot_being_claimed () =
   Alcotest.(check (list (list int)))
     "12 took 37's dead slot" [ [ 10; 12; 20; 30 ]; [ 37; 40 ] ] (sorted_node_keys fx);
   Alcotest.(check (option int)) "37 found" (Some 37) !found;
+  check_no_invariant_errors fx.sl
+
+(* An update of 16 (fiber 0) in the full node [10; 12; 14; 16] (K = 4)
+   finds 16's slot, and its read of that slot line is stretched by 50 us,
+   which holds off its read lock. Meanwhile fiber 1 upserts 18, whose
+   tail cut moves 16 out and leaves it dead in the old node, and then 13,
+   which claims 16's dead slot. Under the read lock the update sees the
+   old node's level-0 successor changed ([Skiplist.relinked]) and retries
+   into the new node; one that skipped the check would write its value
+   over 13's, in a slot that no longer holds 16. *)
+let test_update_across_split_retries_into_the_new_node () =
+  let fx = make_skiplist ~cfg:hint_cfg ~seed:7 () in
+  run1 fx.pmem (fun ~tid -> List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) [ 10; 12; 14; 16 ]);
+  let line16 = slot_line_addr fx (List.hd (bottom_nodes fx)) 16 in
+  let stretched = ref 0 in
+  let extra ~tid ~write a =
+    if tid = 0 && (not write) && a = line16 && !stretched = 0 then begin
+      incr stretched;
+      50_000.0
+    end
+    else 0.0
+  in
+  let prev = ref None in
+  let bodies =
+    [
+      (0, fun ~tid -> prev := SL.upsert fx.sl ~tid 16 1600);
+      ( 1,
+        fun ~tid ->
+          Sim.Sched.charge 500.0;
+          List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k : int option)) [ 18; 13 ] );
+    ]
+  in
+  (match Sim.Sched.run ~machine:(stretched_machine fx extra) bodies with
+  | Sim.Sched.Completed _ -> ()
+  | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected simulated crash");
+  check_int "the update's slot-line read was stretched" 1 !stretched;
+  Alcotest.(check (list (list int)))
+    "13 took 16's dead slot" [ [ 10; 12; 13; 14 ]; [ 16; 18 ] ] (sorted_node_keys fx);
+  Alcotest.check opt_int "the update replaced 16's value" (Some 16) !prev;
+  run1 fx.pmem (fun ~tid ->
+      Alcotest.check opt_int "13 reads its own value" (Some 13) (SL.search fx.sl ~tid 13);
+      Alcotest.check opt_int "16 reads the update" (Some 1600) (SL.search fx.sl ~tid 16));
   check_no_invariant_errors fx.sl
 
 (* Two upserts of one key meet at a dead slot. Node [10; 20; 30; 37]
@@ -1184,8 +1231,8 @@ let header_line_of fx nodes a =
    ended on an entered node's anchor, and a search reads it once more, as
    a whole line, to validate: at most two reads of pred0's header per
    search, and none inside a header line. An update's validation takes
-   the read lock and re-reads the split count as words, so its only reads
-   inside a header line are pred0's meta and lock words. A hop or a
+   the read lock and re-reads the level-0 successor as words, so its only
+   reads inside a header line are pred0's lock and next[0] words. A hop or a
    validation that reads the epoch, meta, lock, hint, pointer or anchor
    as words fails. Every other pair of operations first lowers pred0's
    level-0 hint to the key (a stale-low hint, as a failed link CAS
@@ -1222,7 +1269,7 @@ let test_header_hop_one_line_read () =
       (fun (n, o) ->
         if
           o <> 0
-          && not (update && Riv.equal n pred0 && (o = Node.o_meta || o = Node.o_lock))
+          && not (update && Riv.equal n pred0 && (o = Node.o_lock || o = Node.o_next0))
         then Alcotest.failf "%s: a read of word %d inside the header line of %a" where o Riv.pp n)
       in_headers
   done;
@@ -2257,6 +2304,8 @@ let () =
             test_lookup_across_split_skips_a_dead_slot_being_claimed;
           case "racing claims of one key meet at a dead slot"
             test_racing_claims_of_one_key_meet_at_a_dead_slot;
+          case "an update across a split retries into the new node"
+            test_update_across_split_retries_into_the_new_node;
         ] );
       ( "split point",
         [

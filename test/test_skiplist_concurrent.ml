@@ -270,17 +270,17 @@ let test_unlock_counter () =
        false
      with Invalid_argument _ -> true)
 
-(* The two lock-word facts a lookup's validation relies on, over random
-   sequences of lock transitions on one node, each issued where the
-   structure issues it (a read unlock by a reader, a write unlock and a
-   split-count bump by the writer): an fp_ok bit set under the current
-   stamp stays set, and the split count in the meta word changes only
-   while the writer bit is held, before and after the change. The
-   transitions' outcomes also match a model of the holders: a read lock
-   and a write lock exclude each other, and [acquire_write] against
-   readers declares its intent, gives up and clears it. Half the runs
-   start with the node's line unconfirmed. *)
-let lock_ops = [| "read_lock"; "read_unlock"; "write_lock"; "acquire_write"; "write_unlock"; "split" |]
+(* Two header-word facts a lookup relies on, over random sequences of
+   lock transitions on one node, each issued where the structure issues
+   it (a read unlock by a reader, a write unlock by the writer): an fp_ok
+   bit set under the current stamp stays set, and the meta word beside
+   the lock never changes, since no split count lives there (a lookup
+   validates against the level-0 successor). The transitions' outcomes
+   also match a model of the holders: a read lock and a write lock
+   exclude each other, and [acquire_write] against readers declares its
+   intent, gives up and clears it. Half the runs start with the node's
+   line unconfirmed. *)
+let lock_ops = [| "read_lock"; "read_unlock"; "write_lock"; "acquire_write"; "write_unlock" |]
 
 let prop_lock_transitions (confirmed, ops) =
   let module N = Upskiplist.Node in
@@ -316,13 +316,11 @@ let prop_lock_transitions (confirmed, ops) =
           | 4, Some h ->
               N.Lock.write_unlock mem n ~held:h;
               held := None
-          | 5, Some _ -> N.set_split_count mem n (N.split_count mem n + 1)
           | _ -> ());
           let w' = N.Lock.word mem n and m' = N.meta mem n in
           if N.Lock.fp_ok_at ~epoch w && not (N.Lock.fp_ok_at ~epoch w') then
             fail op "cleared fp_ok (%#x -> %#x)" w w';
-          if m' <> m && not (N.Lock.is_write_locked ~epoch w && N.Lock.is_write_locked ~epoch w')
-          then fail op "moved the split count outside the writer (%#x -> %#x)" w w';
+          if m' <> m then fail op "changed the meta word (%#x -> %#x)" m m';
           if N.Lock.is_write_locked ~epoch w' <> (!held <> None) then fail op "writer bit %#x" w';
           if N.Lock.readers_at ~epoch w' <> !readers then fail op "readers %#x" w';
           if N.Lock.intent_at ~epoch w' then fail op "left its intent (%#x)" w')
@@ -331,6 +329,61 @@ let prop_lock_transitions (confirmed, ops) =
 
 let lock_sequences =
   QCheck.(pair bool (list_of_size (QCheck.Gen.int_range 1 60) (int_bound (Array.length lock_ops - 1))))
+
+(* A node's level-0 successor only moves to a lower anchor: the no-ABA
+   fact behind the one split signal ([Skiplist.relinked], a lookup's
+   validation), which holds because no node is unlinked and each link
+   puts a node in between. A recording machine logs every successful CAS
+   while eight fibers insert random keys, splitting full nodes (K = 4)
+   or linking fresh ones (K = 1). Each CAS of a node's next[0] must name
+   a node whose anchor lies above the node's and below the successor it
+   replaces, so a successor once left never comes back. *)
+let prop_successor_only_falls (four, seed) =
+  let module N = Upskiplist.Node in
+  let fx = make_skiplist ~cfg:{ Config.default with keys_per_node = (if four then 4 else 1) } ~seed () in
+  let m = Pmem.machine fx.pmem in
+  let swaps = ref [] in
+  let machine =
+    {
+      m with
+      Sim.Sched.cas =
+        (fun ~tid a expected desired ->
+          let ok = m.Sim.Sched.cas ~tid a expected desired in
+          if ok then swaps := (a, expected, desired) :: !swaps;
+          ok);
+    }
+  in
+  let rng = Random.State.make [| seed |] in
+  let keys = Array.init 8 (fun _ -> List.init 40 (fun _ -> 1 + Random.State.int rng 2_000)) in
+  let body ~tid = List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k : int option)) keys.(tid) in
+  (match Sim.Sched.run ~machine (List.init 8 (fun tid -> (tid, body))) with
+  | Sim.Sched.Completed _ -> ()
+  | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected simulated crash");
+  let mem = SL.mem fx.sl in
+  let peek n o = Memory.Mem.peek_field mem n o in
+  let anchor n = if Riv.equal n (SL.tail fx.sl) then N.tail_key else peek n N.o_anchor in
+  (* every node ever linked is on the bottom level: none is unlinked *)
+  let rec nodes n acc =
+    if Riv.equal n (SL.tail fx.sl) then acc
+    else nodes (Riv.of_word (peek n N.o_next0)) (n :: acc)
+  in
+  let by_next0 = Hashtbl.create 64 in
+  List.iter
+    (fun n -> Hashtbl.replace by_next0 (Memory.Mem.resolve mem n + N.o_next0) n)
+    (nodes (SL.head fx.sl) []);
+  let links = ref 0 in
+  List.iter
+    (fun (a, expected, desired) ->
+      match Hashtbl.find_opt by_next0 a with
+      | None -> ()
+      | Some n ->
+          incr links;
+          let old = anchor (Riv.of_word expected) and fresh = anchor (Riv.of_word desired) in
+          if not (anchor n < fresh && fresh < old) then
+            Alcotest.failf "node %d's successor moved from anchor %d to %d" (anchor n) old fresh)
+    (List.rev !swaps);
+  (* each node but the head came in by one of those CASes *)
+  !links = List.length (nodes (SL.head fx.sl) []) - 1
 
 let test_multiple_readers () =
   let fx = make_skiplist () in
@@ -354,6 +407,8 @@ let () =
           case "update during split" test_update_during_split_is_not_lost;
           case "remove/insert races" test_remove_insert_races;
           case "many threads" test_many_threads_smoke;
+          qcase ~count:20 "a node's level-0 successor only moves to a lower anchor"
+            QCheck.(pair bool small_nat) prop_successor_only_falls;
         ] );
       ( "readers",
         [
@@ -367,7 +422,7 @@ let () =
           case "read blocks write" test_read_lock_blocks_write_lock;
           case "multiple readers" test_multiple_readers;
           case "unlock counter" test_unlock_counter;
-          qcase ~count:200 "lock transitions keep fp_ok and the writer's split count"
+          qcase ~count:200 "lock transitions keep fp_ok and the writer model and leave the meta word alone"
             lock_sequences prop_lock_transitions;
         ] );
     ]
