@@ -316,11 +316,28 @@ let copy_line t buf a =
 
 let copy_header t buf n = Mem.read_line t.mem (Node.line_addr t.mem t.ly n 0) buf 0
 
-(* Stand on [n]'s line of [level], or enter [n] there: either way the copy
-   holds that line afterwards. *)
-let copy_hop_line t buf n level =
-  if level <= 1 then copy_header t buf n
-  else copy_line t buf (Node.line_addr t.mem t.ly n level)
+(* The line of a node that a hop entering it at [level], where its line is
+   at [a], fetches beside [a] (DESIGN "The prefetch rule"): the line the
+   walk reads next if it stays on the node, when that is another line of
+   it. The fingerprint line under a level-0 entry (the lookup's), the
+   header under a level-2 entry, the tower line below under the first
+   level of each higher tower line (5, 8, ...); nothing under level 1 or
+   the other tower levels, whose next level down shares the line. *)
+let line_below t a level =
+  if level = 0 then a + Node.o_fp
+  else if level = 2 then a - t.ly.Node.o_tower
+  else if level > 2 && (level - 2) mod Node.per_line = 0 then a - Config.line_words
+  else Pmem.no_line
+
+(* Enter [n] at [level]: copy its line of the level, unless the copy holds
+   it already (a tower line), fetching [line_below] beside it. *)
+let enter_line t buf n level =
+  let a = Node.line_addr t.mem t.ly n level in
+  if level <= 1 then Mem.read_line t.mem ~prefetch:(line_below t a level) a buf 0
+  else if buf.(held) <> a then begin
+    Mem.read_line t.mem ~prefetch:(line_below t a level) a buf 0;
+    buf.(held) <- a
+  end
 
 (* Forward declarations resolved below: traversal and tower building are
    mutually recursive with recovery.
@@ -349,17 +366,21 @@ let copy_hop_line t buf n level =
    Above level 1 the walk reuses a tower copy while it stays on one node
    and one line (levels 2-4, 5-7, ...). Level 1 copies the header of the
    node it starts on, and level 0 starts on the copy level 1 ended on
-   unless an overshoot left another node's line in the buffer.
+   unless an overshoot left another node's line in the buffer. A hop
+   that enters a node also fetches, with the same access, the node's line
+   the walk reads next if it stays there, when that is another line
+   ([line_below]): the misses the walk needs overlap instead of queueing
+   one after the other.
    A claim can run a nested traversal ([check_insert_recovery] ->
    [first_unlinked]), which overwrites the buffer: a claim that repairs
    nothing copies the line again ([check_for_recovery]), and one that
    repairs restarts the traversal.
 
-   The lookup in pred0 takes the lock word's fp_ok bit from the header
-   copy the walk ends with, and copies pred0's line once more only when a
-   level-0 overshoot left the entered node's line in the buffer. fp_ok
-   under a current stamp is never cleared within an epoch, so the copy
-   serves as well as a fresh word read would. The scan reads pred0's
+   The lookup in pred0 takes the lock word's fp_ok bit from the copy of
+   pred0's header line that gave succs.(0), kept as the walk moves on, so
+   a level-0 overshoot costs no second copy. fp_ok under a current stamp
+   is never cleared within an epoch, so the copy serves as well as a fresh
+   word read would. The scan reads pred0's
    fingerprint line and, for a match, the candidate's slot line, each with
    one access; a found search takes the value from that copy and then
    validates with one more read of the header line, whose level-0
@@ -395,15 +416,18 @@ let rec traverse t ~tid ~recover key =
     (* levels above [top] are head -> tail: preds, succs and bounds
        already say so (and [top] only grows, so a restart overwrites every
        level an earlier attempt filled) *)
+    (* the lock word of the copy of pred's header line at level 0 *)
+    let lock0 = ref 0 in
     let level = ref (Atomic.get t.top) in
     while (not !restart) && !level >= 0 do
       let l = !level in
       (* stand on pred's line of this level *)
-      if l >= 2 then copy_hop_line t buf !pred l
+      if l >= 2 then copy_line t buf (Node.line_addr t.mem t.ly !pred l)
       else if not (Riv.equal !copied !pred) then begin
         copy_header t buf !pred;
         copied := !pred
       end;
+      if l = 0 then lock0 := Node.line_lock buf;
       (* a pred moved onto above level 1 was only routed by its anchor:
          claim it before its line is used. Level 0 starts on the node
          level 1 ended on, already claimed there. *)
@@ -417,11 +441,12 @@ let rec traverse t ~tid ~recover key =
           walking := false
         end
         else begin
-          copy_hop_line t buf !cur l;
+          enter_line t buf !cur l;
           if l <= 1 then copied := !cur;
           if l >= 2 || not (claim !cur) then begin
             let k0 = Node.line_anchor buf l in
             if k0 <= key then begin
+              if l = 0 then lock0 := Node.line_lock buf;
               pred := !cur;
               cur := Node.line_next buf l;
               bound := Node.line_hint buf l
@@ -447,13 +472,9 @@ let rec traverse t ~tid ~recover key =
       let pred0 = preds.(0) in
       if Riv.equal pred0 t.head then { found = false; key_index = -1; preds; succs; bounds }
       else begin
-        (* the lookup's fp_ok bit comes from a copy of pred0's header line:
-           the one the walk holds, unless a level-0 overshoot left the
-           entered node's line in the buffer *)
-        if not (Riv.equal !copied pred0) then copy_header t buf pred0;
         let ki =
           scan_keys t ~tid pred0 key
-            ~confirmed:(Node.Lock.fp_ok_at ~epoch:(Mem.epoch t.mem) (Node.line_lock buf))
+            ~confirmed:(Node.Lock.fp_ok_at ~epoch:(Mem.epoch t.mem) !lock0)
         in
         { found = ki >= 0; key_index = ki; preds; succs; bounds }
       end

@@ -191,8 +191,8 @@ module Schema = struct
     v "upskip-crash-campaign" 1
       [ "trials"; "audit_failures"; "violation_trials"; "replays"; "failures" ]
 
-  let obs_totals = v "upskip-obs-totals" 1 [ "totals" ]
-  let obs_metrics = v "upskip-obs-metrics" 3 [ "label"; "seed"; "sections" ]
+  let obs_totals = v "upskip-obs-totals" 2 [ "totals" ]
+  let obs_metrics = v "upskip-obs-metrics" 4 [ "label"; "seed"; "sections" ]
   let obs_trace = v "upskip-obs-trace" 3 [ "traceEvents"; "droppedEvents" ]
   let bench_samples = v "upskip-bench-samples" 1 [ "label"; "scale"; "figures" ]
 

@@ -26,7 +26,7 @@ let id_cas = 5
 let id_cas_fail = 6
 let id_restart = 7
 let id_epoch_repair = 8
-let id_split_repair = 9
+let id_retired = 9
 let id_tower_repair = 10
 let id_help = 11
 let id_split = 12
@@ -39,8 +39,8 @@ let id_svc_batch = 18
 let id_svc_group_flush = 19
 let id_load_miss = 20
 let id_store_miss = 21
-let id_finger_hit = 22
-let id_finger_invalid = 23
+let id_prefetch = 22
+let id_prefetch_miss = 23
 let id_detect_announce = 24
 let id_detect_resolve = 25
 let id_detect_recover = 26
@@ -54,6 +54,12 @@ let id_fp_confirm = 33
 let id_split_tail = 34
 let n_ids = 35
 
+(* Counters nothing bumps any more share the retired slot, which stays 0:
+   [perf/] still reads them. *)
+let id_split_repair = id_retired
+let id_finger_hit = id_retired
+let id_finger_invalid = id_retired
+
 let names =
   [|
     "flushes";
@@ -65,7 +71,7 @@ let names =
     "sl_cas_failures";
     "restarts";
     "epoch_repairs";
-    "split_repairs";
+    "retired";
     "tower_repairs";
     "helps";
     "splits";
@@ -78,8 +84,8 @@ let names =
     "svc_group_flushes";
     "load_misses";
     "store_misses";
-    "finger_hits";
-    "finger_invalidations";
+    "prefetches";
+    "prefetch_misses";
     "detect_announces";
     "detect_resolves";
     "detect_recovered";
@@ -472,7 +478,6 @@ module Trace = struct
     | k when k = id_pmem_cas_fail -> "cas-fail"
     | k when k = id_restart -> "restart"
     | k when k = id_epoch_repair -> "epoch-repair"
-    | k when k = id_split_repair -> "split-repair"
     | k when k = id_tower_repair -> "tower-repair"
     | k when k = id_help -> "help"
     | k when k = id_split -> "split"

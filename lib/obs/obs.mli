@@ -40,8 +40,13 @@ val id_restart : int  (** traversal restarts forced by a lazy repair *)
 
 val id_epoch_repair : int  (** epoch-ID claims during lazy recovery *)
 
+val id_retired : int
+(** The slot of the counters nothing bumps any more ({!id_split_repair},
+    {!id_finger_hit}, {!id_finger_invalid}): it stays 0, and its name is
+    [retired]. *)
+
 val id_split_repair : int
-(** Interrupted node splits repaired: never bumped, since a split a crash
+(** Interrupted node splits repaired, {!id_retired}: a split a crash
     interrupts leaves nothing to repair (its moved keys are dead by the
     new node's anchor). Kept because [perf/] reads it. *)
 
@@ -84,14 +89,21 @@ val id_store_miss : int
 (** simulated cache misses on stores (per-fiber attribution of
     [Pmem.counters.store_misses]) *)
 
+val id_prefetch : int
+(** lines a read fetched beside the line it reads ([Pmem.read_line]'s
+    [~prefetch]; per-fiber attribution of [Pmem.counters.prefetches]) *)
+
+val id_prefetch_miss : int
+(** prefetched lines that missed the timing cache: a subset of
+    {!id_load_miss}, which then counts demand fetches plus these *)
+
 val id_finger_hit : int
-(** never bumped: it counted traversals that resumed from a per-fiber
-    search finger, and the skip list no longer keeps fingers. The id and
-    its name stay so that readers of the counter table (the benchmark's
-    per-layer metrics) keep working. *)
+(** {!id_retired}: it counted traversals that resumed from a per-fiber
+    search finger, and the skip list no longer keeps fingers. The id stays
+    so that the benchmark's per-layer metrics keep working. *)
 
 val id_finger_invalid : int
-(** never bumped, like {!id_finger_hit}: it counted finger candidates
+(** {!id_retired}, like {!id_finger_hit}: it counted finger candidates
     rejected by epoch validation. *)
 
 val id_fp_match : int

@@ -78,15 +78,25 @@ let begin_ t ~tid =
   (dirty_list t tid) := []
 
 (* Snapshot [addr] into the undo log (persisted before the caller's
-   store reaches the word — libpmemobj's TX_ADD). *)
+   store reaches the word — libpmemobj's TX_ADD). The count validates the
+   entry, so the entry persists first: an entry on the count's line (the
+   first three) does by program order, since a crash keeps a prefix of a
+   line's stores, and the count's flush covers it; one on a later line is
+   flushed and fenced before the count store, or a crash that kept the
+   count's line and dropped the entry's would roll back the stale entry an
+   earlier transaction left there. *)
 let add t ~tid addr =
   let count = Mem.read t.mem (slot_addr t tid s_count) in
   if count >= max_entries then failwith "Tx.add: undo log full";
   let old = Mem.read t.mem addr in
-  Mem.write t.mem (slot_addr t tid (s_entry count)) addr;
-  Mem.write t.mem (slot_addr t tid (s_entry count + 1)) old;
+  let entry = slot_addr t tid (s_entry count) in
+  Mem.write t.mem entry addr;
+  Mem.write t.mem (entry + 1) old;
+  if entry / Pmem.line_words <> slot_addr t tid s_count / Pmem.line_words then begin
+    Mem.flush t.mem entry;
+    Mem.fence t.mem
+  end;
   Mem.write t.mem (slot_addr t tid s_count) (count + 1);
-  Mem.flush t.mem (slot_addr t tid (s_entry count));
   Mem.flush t.mem (slot_addr t tid s_count);
   Mem.fence t.mem
 

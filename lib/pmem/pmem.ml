@@ -90,6 +90,8 @@ type counters = {
   mutable fences : int;
   mutable remote_accesses : int;
   mutable accesses : int;
+  mutable prefetches : int;
+  mutable prefetch_misses : int;
 }
 
 let fresh_counters () =
@@ -105,6 +107,8 @@ let fresh_counters () =
     fences = 0;
     remote_accesses = 0;
     accesses = 0;
+    prefetches = 0;
+    prefetch_misses = 0;
   }
 
 type t = {
@@ -139,6 +143,9 @@ type t = {
   mutable slot_line : int array;  (* shadow slot -> line id *)
   mutable n_dirty : int;  (* slots [0, n_dirty) are in use *)
   port : Sim.Sched.port;  (* how accesses to this memory reach the run *)
+  mutable prefetch : int;
+      (* the line the next read also fetches ([arm_prefetch]); [no_line]
+         when none. The read that finds it clears it. *)
 }
 
 (* The shadow slots a fresh instance starts with: one per 2048 pool words,
@@ -151,6 +158,9 @@ let initial_slots (config : config) =
 
 (* The empty tag: every real tag is below it ([create] checks). *)
 let no_tag = 0xFFFF
+
+(* No line: every address is non-negative. *)
+let no_line = -1
 
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
@@ -203,6 +213,7 @@ let create (config : config) =
     slot_line = Array.make (initial_slots config) 0;
     n_dirty = 0;
     port = Sim.Sched.Port.create ();
+    prefetch = no_line;
   }
 
 let[@inline] addr ~pool ~word =
@@ -314,29 +325,63 @@ let[@inline] queue_delay free_at node ~now ~service =
   Array.unsafe_set free_at node (start +. service);
   start -. now
 
+(* The unjittered time to fetch the line of [a] from its home node: the
+   media read, remote-scaled, behind the node's read channel, which it then
+   occupies. Inlined, so the float is never boxed. *)
+let[@inline] fetch_ns t ~tid a =
+  let lat = t.config.latency in
+  let now = Array.unsafe_get t.now_cell 0 in
+  let q = queue_delay t.read_free_at (home_node t a) ~now ~service:lat.read_service_ns in
+  (lat.pmem_read_ns *. numa_factor t ~tid a) +. q
+
+let[@inline] load_miss_ns t ~tid a =
+  t.counters.load_misses <- t.counters.load_misses + 1;
+  Obs.bump ~tid Obs.id_load_miss;
+  fetch_ns t ~tid a
+
 (* Shared load/store timing, written into the latency cell: stores complete
    into the cache, and a store miss still fetches the line through the read
    channel — only the miss counter differs. The hit is inlined into every
    access; the miss is not. *)
 let access_miss t ~tid ~store a =
-  let lat = t.config.latency in
-  let c = t.counters in
   if store then begin
-    c.store_misses <- c.store_misses + 1;
-    Obs.bump ~tid Obs.id_store_miss
+    t.counters.store_misses <- t.counters.store_misses + 1;
+    Obs.bump ~tid Obs.id_store_miss;
+    put_jittered t (fetch_ns t ~tid a)
   end
-  else begin
-    c.load_misses <- c.load_misses + 1;
-    Obs.bump ~tid Obs.id_load_miss
-  end;
-  let now = Array.unsafe_get t.now_cell 0 in
-  let node = home_node t a in
-  let q = queue_delay t.read_free_at node ~now ~service:lat.read_service_ns in
-  put_jittered t ((lat.pmem_read_ns *. numa_factor t ~tid a) +. q)
+  else put_jittered t (load_miss_ns t ~tid a)
 
 let[@inline] put_access_latency t ~tid ~store a =
   if cache_access t ~tid a then put_jittered t t.config.latency.cache_hit_ns
   else access_miss t ~tid ~store a
+
+(* A read that misses, or that carries an armed prefetch of line [pf]:
+   the prefetched line goes through the reader's timing cache and its home
+   node's read channel like a demand line, after it, and counts as a load
+   (and as a load miss and, remote, a remote access when it is fetched).
+   The access costs the slower of the two lines, jittered once. [hit] is
+   the demand line's cache outcome. *)
+let read_slow t ~tid a ~hit =
+  let pf = t.prefetch in
+  if pf = no_line then access_miss t ~tid ~store:false a
+  else begin
+    t.prefetch <- no_line;
+    let lat = t.config.latency in
+    let c = t.counters in
+    c.loads <- c.loads + 1;
+    c.prefetches <- c.prefetches + 1;
+    Obs.bump ~tid Obs.id_prefetch;
+    let demand = if hit then lat.cache_hit_ns else load_miss_ns t ~tid a in
+    let fetched =
+      if cache_access t ~tid pf then lat.cache_hit_ns
+      else begin
+        c.prefetch_misses <- c.prefetch_misses + 1;
+        Obs.bump ~tid Obs.id_prefetch_miss;
+        load_miss_ns t ~tid pf
+      end
+    in
+    put_jittered t (if fetched > demand then fetched else demand)
+  end
 
 (* ---- functional operations ------------------------------------------- *)
 
@@ -423,6 +468,8 @@ let[@inline] check_new_run t =
   if now < Array.unsafe_get t.last_now 0 then reset_queues t;
   Array.unsafe_set t.last_now 0 now
 
+(* A plain hit stays straight-line; a miss or an armed prefetch takes
+   [read_slow]. *)
 let read t ~tid a =
   check_new_run t;
   t.counters.loads <- t.counters.loads + 1;
@@ -430,7 +477,9 @@ let read t ~tid a =
   let p = get_pool t a in
   let w = word_of a in
   check_word t w;
-  put_access_latency t ~tid ~store:false a;
+  let hit = cache_access t ~tid a in
+  if hit && t.prefetch = no_line then put_jittered t t.config.latency.cache_hit_ns
+  else read_slow t ~tid a ~hit;
   volatile p w
 
 let write t ~tid a v =
@@ -535,26 +584,48 @@ let machine t : Sim.Sched.machine =
 
 let port t = t.port
 
+(* Check that [a] starts a whole line inside its pool; [unaligned] is the
+   message for an address inside a line. *)
+let[@inline] check_line t a ~unaligned =
+  ignore (get_pool t a : pool);
+  let w = word_of a in
+  if w land (line_words - 1) <> 0 then invalid_arg unaligned;
+  check_word t (w + line_words - 1)
+
+let arm_prefetch t a =
+  check_line t a ~unaligned:"Pmem.arm_prefetch: unaligned address";
+  t.prefetch <- a
+
 (* Read the aligned line at [a] into [dst.(pos) .. dst.(pos + line_words -
    1)] as one access: the line's first word is read through the port,
    which counts one load and one timing-cache access and charges its hit
    or miss, and the other words are copied from the volatile image at the
-   same instant, before that read, with no fiber switch in between. Fiber
-   context only. *)
-let read_line t a dst pos =
-  let p = get_pool t a in
-  let w = word_of a in
-  if w land (line_words - 1) <> 0 then invalid_arg "Pmem.read_line: unaligned address";
-  check_word t (w + line_words - 1);
+   same instant, before that read, with no fiber switch in between. With
+   [prefetch], that read also fetches the line at [prefetch] ([read_slow]).
+   Fiber context only; a read that never reaches the machine (outside a
+   run) leaves no prefetch armed. *)
+let read_line t ?(prefetch = no_line) a dst pos =
+  check_line t a ~unaligned:"Pmem.read_line: unaligned address";
+  if prefetch <> no_line then
+    check_line t prefetch ~unaligned:"Pmem.read_line: unaligned prefetch";
   if pos < 0 || pos > Array.length dst - line_words then
     invalid_arg "Pmem.read_line: destination too short";
   (* a line never crosses a page: pages are whole lines *)
-  let page = Array.unsafe_get p.pages (w lsr page_shift) in
+  let w = word_of a in
+  let page = Array.unsafe_get (get_pool t a).pages (w lsr page_shift) in
   let o = w land page_mask in
   for i = 1 to line_words - 1 do
     Array.unsafe_set dst (pos + i) (Array.unsafe_get page (o + i))
   done;
-  Array.unsafe_set dst pos (Sim.Sched.Port.read t.port a)
+  if prefetch = no_line then Array.unsafe_set dst pos (Sim.Sched.Port.read t.port a)
+  else begin
+    t.prefetch <- prefetch;
+    match Sim.Sched.Port.read t.port a with
+    | v -> Array.unsafe_set dst pos v
+    | exception e ->
+        t.prefetch <- no_line;
+        raise e
+  end
 
 (* ---- crash and recovery ---------------------------------------------- *)
 
@@ -660,4 +731,6 @@ let reset_counters t =
   c.dirty_flushes <- 0;
   c.fences <- 0;
   c.remote_accesses <- 0;
-  c.accesses <- 0
+  c.accesses <- 0;
+  c.prefetches <- 0;
+  c.prefetch_misses <- 0

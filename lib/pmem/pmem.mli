@@ -63,6 +63,12 @@ type counters = {
   mutable fences : int;
   mutable remote_accesses : int;
   mutable accesses : int;
+  mutable prefetches : int;
+      (** lines fetched beside a read's own line ({!read_line}'s
+          [~prefetch]); each also counts in [loads], and, when it misses,
+          in [load_misses] and [prefetch_misses] (and [remote_accesses]
+          when remote), but not in [accesses] *)
+  mutable prefetch_misses : int;
 }
 
 type t
@@ -101,7 +107,11 @@ val port : t -> Sim.Sched.port
     [Sim.Sched.Port]): one per instance, so a run over it does no
     domain-local lookup per access. *)
 
-val read_line : t -> Sim.Sched.addr -> int array -> int -> unit
+val no_line : Sim.Sched.addr
+(** An address no line has: {!read_line}'s [~prefetch] default, which
+    fetches nothing beside the line. *)
+
+val read_line : t -> ?prefetch:Sim.Sched.addr -> Sim.Sched.addr -> int array -> int -> unit
 (** [read_line t a dst pos] reads the aligned line at [a] into [dst.(pos)
     .. dst.(pos + line_words - 1)] with one simulated access, issued through
     {!port} from a fiber: one load, one timing-cache access, one hit or
@@ -109,7 +119,24 @@ val read_line : t -> Sim.Sched.addr -> int array -> int -> unit
     words included) at the access's atomicity point. The machine sees the
     access as a [read] of the line's first word. [Invalid_argument] if [a]
     is not line-aligned, the line leaves the pool, or [dst] has no room at
-    [pos]. *)
+    [pos].
+
+    [~prefetch:b] also fetches the aligned line at [b] at the same instant,
+    as a software prefetch does (its words are not copied): the line goes
+    through the reader's timing cache and its home node's read channel
+    after [a]'s, counts as a load, and as a load miss
+    ([prefetch_misses] too) and, remote, a remote access when it is
+    absent. The access costs the slower of the two lines, jittered once,
+    and stays one access and one scheduler event. [Invalid_argument] as
+    for [a] (["Pmem.read_line: unaligned prefetch"] for an address inside
+    a line) if [b] is neither {!no_line} nor an aligned line of a pool. *)
+
+val arm_prefetch : t -> Sim.Sched.addr -> unit
+(** [arm_prefetch t b] makes the next read that reaches [t]'s machine also
+    fetch the line at [b], as {!read_line}'s [~prefetch] does (which is
+    this, then its read): for reference implementations of a line read
+    over another scheduler's [read]. [Invalid_argument] as for
+    {!read_line}'s [~prefetch]. *)
 
 (** {1 Crash model} *)
 

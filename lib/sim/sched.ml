@@ -1,10 +1,10 @@
 (* Deterministic discrete-event scheduler for simulated threads.
 
    Each simulated thread is an OCaml-5 effects fiber. Every persistent-memory
-   primitive (read / write / CAS / flush / fence / charge; a line read is a
-   read of the line's first word, see Pmem.read_line) runs inline in the
-   calling fiber: it applies its operation to the simulated machine
-   immediately (the primitive's atomicity point), charges its simulated
+   primitive (read / write / CAS / flush / fence / charge; a line read, with
+   or without a prefetched second line, is a read of the line's first word,
+   see Pmem.read_line) runs inline in the calling fiber: it applies its
+   operation to the simulated machine immediately (the primitive's atomicity point), charges its simulated
    latency, and lets the fiber go on while its virtual clock stays the
    earliest. The scheduler always resumes the fiber with the smallest
    virtual wake-up time, so primitives from different fibers interleave

@@ -20,7 +20,10 @@
     {!charge}. A memory that reads a whole cache line as one access
     ([Pmem.read_line]) issues it as one {!read} of the line's first word
     and takes the line's other words at that same instant, so a line read
-    is one event here, with the latency of one read. *)
+    is one event here, with the latency the machine's [read] sets. A line
+    read that also prefetches a second line is still that one {!read}: the
+    memory arms the prefetch before issuing it, and its [read] op fetches
+    both lines and sets the latency of the slower one. *)
 
 type addr = int
 (** A simulated physical word address (pool id in high bits, word index in

@@ -35,7 +35,8 @@ let run1 pmem body = ignore (run pmem [ body ])
    ([sched_prims]) or through the memory's port ([port_prims]), and on the
    reference scheduler ([ref_prims]). A line read has a body only on the
    port; elsewhere it is a peek of the line's other words at the instant,
-   then a read of its first word — the one access [Pmem.read_line] makes. *)
+   then a read of its first word — the one access [Pmem.read_line] makes,
+   with the prefetched line armed for that read ([Pmem.arm_prefetch]). *)
 type prims = {
   run :
     ?crash:Sim.Sched.crash_point ->
@@ -51,13 +52,14 @@ type prims = {
   yield : unit -> unit;
   now : unit -> float;
   self : unit -> int;
-  read_line : Sim.Sched.addr -> int array -> unit;
+  read_line : ?prefetch:Sim.Sched.addr -> Sim.Sched.addr -> int array -> unit;
 }
 
-let peek_then_read pmem read a dst =
+let peek_then_read pmem read ?prefetch a dst =
   for i = 1 to Pmem.line_words - 1 do
     dst.(i) <- Pmem.peek pmem (a + i)
   done;
+  Option.iter (Pmem.arm_prefetch pmem) prefetch;
   dst.(0) <- read a
 
 let sched_prims pmem =
@@ -88,7 +90,7 @@ let port_prims pmem =
     charge = P.charge p;
     yield = (fun () -> P.yield p);
     self = (fun () -> P.self p);
-    read_line = (fun a dst -> Pmem.read_line pmem a dst 0);
+    read_line = (fun ?prefetch a dst -> Pmem.read_line pmem ?prefetch a dst 0);
   }
 
 let ref_prims pmem =

@@ -730,35 +730,6 @@ let stretched_machine fx extra =
         stretch ~tid ~write:true a);
   }
 
-(* A search of 16 (fiber 0) against an upsert of 18 (fiber 1) that splits
-   the full node [10; 12; 14; 16] (K = 4) and moves 16 out, then upserts
-   [claims] into the old node, on a machine stretched by [extra fx n],
-   where [n] is that node; [prepare fx n] runs first. The search must
-   find 16. *)
-let search_across_split ?(claims = []) ~where ~prepare ~extra () =
-  let fx = make_skiplist ~cfg:hint_cfg ~seed:7 () in
-  run1 fx.pmem (fun ~tid -> List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) [ 10; 12; 14; 16 ]);
-  let n = List.hd (bottom_nodes fx) in
-  prepare fx n;
-  let found = ref None in
-  let bodies =
-    [
-      (0, fun ~tid -> found := SL.search fx.sl ~tid 16);
-      ( 1,
-        fun ~tid ->
-          Sim.Sched.charge 500.0;
-          List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k : int option)) (18 :: claims) );
-    ]
-  in
-  (match Sim.Sched.run ~machine:(stretched_machine fx (extra fx n)) bodies with
-  | Sim.Sched.Completed _ -> ()
-  | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected simulated crash");
-  Alcotest.(check (list (list int)))
-    (where ^ ": 16 moved")
-    [ List.sort Int.compare ([ 10; 12; 14 ] @ claims); [ 16; 18 ] ]
-    (sorted_node_keys fx);
-  Alcotest.(check (option int)) (where ^ ": 16 found") (Some 16) !found
-
 (* [key]'s slot in [n]. *)
 let slot_of fx n key =
   let ly = Node.layout (SL.config fx.sl) in
@@ -775,76 +746,66 @@ let slot_line_addr fx n key =
   Mem.resolve fx.mem n
   + Node.o_key (Node.layout (SL.config fx.sl)) (i - (i mod Node.slots_per_line))
 
-(* The two orders a found search's validation relies on, each forced by
-   stretching chosen accesses around one split.
-
-   After the value: the search's first read of the node's header line
-   after its read of 16's slot line (the one access that gives key and
-   value) is stretched by 20 us, and the split starts 0.5 us in; then 13
-   claims the slot the split left dead, which holds 16 until the claim
-   stores 13 and its value there. Validated after the slot-line read, the
-   search read 16's value before the split; a validation read before the
-   slot-line read lets the split kill the slot between the two and the
-   claim take it over, and the search answers 13's value.
-
-   A copy under the writer: the node's level-0 hint is lowered to 16 (a
-   stale-low hint), so the walk enters the tail, whose header read is
-   stretched by 30 us, and copies the node's line again, while the split
-   sits 50 us in its first store after the link, the fingerprint-line
-   rewrite: locked, linked, 16's fingerprint not yet cleared. The scan
-   finds 16 in its dead slot, and the slot-line read is stretched by
-   60 us, past the rewrite and the unlock. The copy shows the writer,
-   which the lookup does not check; the validation shows the new
-   successor, and the search retries into the new node. *)
+(* The order a found search's validation relies on, forced by stretching
+   chosen accesses around one split. A search of 16 (fiber 0) runs
+   against an upsert of 18 (fiber 1), 0.5 us in, that splits the full
+   node [10; 12; 14; 16] (K = 4) and moves 16 out, and then an upsert of
+   13, which claims the slot the split left dead: it holds 16 until the
+   claim stores 13 and its value there. The search's first read of the
+   node's header line after its read of 16's slot line (the one access
+   that gives key and value) is stretched by 20 us. Validated after the
+   slot-line read, the search read 16's value before the split; a
+   validation read before the slot-line read lets the split kill the slot
+   between the two and the claim take it over, and the search answers
+   13's value. (That the validation compares the successor at all is
+   what "a lookup across a split skips a dead slot being claimed"
+   forces.) *)
 let check_search_validation_order () =
-  let stretched = ref 0 in
-  search_across_split ~claims:[ 13 ] ~where:"validated after the value"
-    ~prepare:(fun _ _ -> ())
-    ~extra:(fun fx n ->
-      let line16 = slot_line_addr fx n 16 and hdr = Mem.resolve fx.mem n in
-      let armed = ref false in
-      fun ~tid ~write a ->
-        if tid = 0 && (not write) && a = line16 then armed := true;
-        if tid = 0 && (not write) && !armed && a = hdr then begin
-          armed := false;
-          incr stretched;
-          20_000.0
-        end
-        else 0.0)
-    ();
+  let fx = make_skiplist ~cfg:hint_cfg ~seed:7 () in
+  run1 fx.pmem (fun ~tid -> List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k)) [ 10; 12; 14; 16 ]);
+  let n = List.hd (bottom_nodes fx) in
+  let line16 = slot_line_addr fx n 16 and hdr = Mem.resolve fx.mem n in
+  let armed = ref false and stretched = ref 0 in
+  let extra ~tid ~write a =
+    if tid = 0 && (not write) && a = line16 then armed := true;
+    if tid = 0 && (not write) && !armed && a = hdr then begin
+      armed := false;
+      incr stretched;
+      20_000.0
+    end
+    else 0.0
+  in
+  let found = ref None in
+  let bodies =
+    [
+      (0, fun ~tid -> found := SL.search fx.sl ~tid 16);
+      ( 1,
+        fun ~tid ->
+          Sim.Sched.charge 500.0;
+          List.iter (fun k -> ignore (SL.upsert fx.sl ~tid k k : int option)) [ 18; 13 ] );
+    ]
+  in
+  (match Sim.Sched.run ~machine:(stretched_machine fx extra) bodies with
+  | Sim.Sched.Completed _ -> ()
+  | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected simulated crash");
   check_int "the validating header read was stretched" 1 !stretched;
-  let locked_copies = ref 0 in
-  search_across_split ~where:"copied under the writer"
-    ~prepare:(fun fx n -> Mem.poke_field fx.mem n Node.o_hint0 16)
-    ~extra:(fun fx n ->
-      let line16 = slot_line_addr fx n 16 and hdr = Mem.resolve fx.mem n in
-      let tail = Mem.resolve fx.mem (SL.tail fx.sl) in
-      fun ~tid ~write a ->
-        if tid = 0 && (not write) && a = hdr
-           && Node.Lock.is_write_locked ~epoch:(Mem.epoch fx.mem)
-                (Mem.peek_field fx.mem n Node.o_lock)
-        then incr locked_copies;
-        if tid = 1 && write && a = hdr + Node.o_fp then 50_000.0
-        else if tid = 0 && (not write) && a = tail then 30_000.0
-        else if tid = 0 && (not write) && a = line16 then 60_000.0
-        else 0.0)
-    ();
-  check_bool "the search copied the header line under the writer" true (!locked_copies > 0)
+  Alcotest.(check (list (list int)))
+    "16 moved" [ [ 10; 12; 13; 14 ]; [ 16; 18 ] ] (sorted_node_keys fx);
+  Alcotest.(check (option int)) "16 found" (Some 16) !found
 
-(* A lookup whose level 0 overshot copies its node's header line again,
-   and a whole split can complete between the copy that gave the
-   recorded successor and that one. Node [10; 20; 30; 37] (K = 4) has its
-   level-0 hint lowered to 37, so a search of 37 (fiber 0) enters the
-   tail and overshoots, and its read of the tail's line is stretched by
-   30 us. Meanwhile fiber 1 upserts 40, whose tail cut moves 37 out,
-   leaving it dead in the old node, and then 12, whose fingerprint is
-   37's: its claim takes the dead slot's fingerprint byte, and its store
-   of a tombstone value there is stretched by 50 us before it CASes 12
-   in. The search's second copy shows the new successor and no writer,
-   and its scan hits the dead 37 behind the claim's fingerprint, beside
-   the tombstone the claim stored; only the validation, whose header read
-   shows a successor other than the recorded one, sends the search into
-   the new node. *)
+(* A whole split can complete between a lookup's copy of its node's
+   header line, which gave the recorded successor and the fp_ok bit, and
+   its scan. Node [10; 20; 30; 37] (K = 4) has its level-0 hint lowered
+   to 37, so a search of 37 (fiber 0) enters the tail and overshoots, and
+   its read of the tail's line is stretched by 30 us. Meanwhile fiber 1
+   upserts 40, whose tail cut moves 37 out, leaving it dead in the old
+   node, and then 12, whose fingerprint is 37's: its claim takes the dead
+   slot's fingerprint byte, and its store of a tombstone value there is
+   stretched by 50 us before it CASes 12 in. The search's scan hits the
+   dead 37 behind the claim's fingerprint, beside the tombstone the claim
+   stored; only the validation, whose header read shows a successor other
+   than the recorded one, sends the search into the new node. A lookup
+   that skips that check answers the tombstone. *)
 let test_lookup_across_split_skips_a_dead_slot_being_claimed () =
   check_int "12 shares 37's fingerprint" (Node.fingerprint 37) (Node.fingerprint 12);
   let fx = make_skiplist ~cfg:hint_cfg ~seed:7 () in
@@ -970,9 +931,9 @@ let test_racing_claims_of_one_key_meet_at_a_dead_slot () =
    a node it needed, and the insert that follows links its own node out of
    order. Optane timing makes a fiber's first touch of a line a ~300 ns
    miss, the window in which a writer lowers a hint and publishes a pointer
-   between two loads of a reader. Then two searches whose reads are
-   stretched around one split ([check_search_validation_order]) must find
-   the key it moved. *)
+   between two loads of a reader. Then a search whose reads are stretched
+   around one split ([check_search_validation_order]) must find the key it
+   moved. *)
 let test_hint_reader_order () =
   List.iter
     (fun keys_per_node ->
@@ -1136,11 +1097,9 @@ let tower_line_of fx nodes a =
    word). *)
 let tower_reads fx nodes reads = List.filter_map (tower_line_of fx nodes) reads
 
-(* The header copies of pred0 a lookup makes after a walk: one when level
-   0 ended on the anchor of a node it entered (the buffer then holds that
-   node's line, not pred0's), else none. *)
-let pred0_recopies walk =
-  if List.exists (fun (l, _, on_hint) -> l = 0 && not on_hint) walk then 1 else 0
+(* Whether level 0 ended on the anchor of a node it entered (a stale-low
+   hint let it in), which leaves that node's line in the buffer. *)
+let level0_overshoots walk = List.exists (fun (l, _, on_hint) -> l = 0 && not on_hint) walk
 
 (* One search, read by read. No level reads a word of the node that ends
    it: every level ends on a hint. The count follows: above level 1, one
@@ -1148,9 +1107,8 @@ let pred0_recopies walk =
    ([tower_lines_read]); at levels 1 and 0 one access per header line:
    the node level 1 starts on, and each node a hop enters (level 0 starts
    on the copy level 1 ended on). The lookup in the last node takes its
-   split count and fingerprint confirmation from the header copy the walk
-   holds, copying that line again only when level 0 ended on an entered
-   node's anchor ([pred0_recopies]); then it reads the fingerprint line
+   fingerprint confirmation from the walk's copy of that node's header
+   line; then it reads the fingerprint line
    (one read, whatever the number of fingerprint words: see the next
    test), the slot line of the first fingerprint match, whose copy gives
    the key and, for a key found, the value, and then the header line once
@@ -1190,7 +1148,7 @@ let test_hint_read_order () =
     (* K = 4: one slot line, read once whatever the number of matches *)
     let slot_line_reads = 1 and validation = 1 in
     let predicted =
-      List.length upper + 1 + hops_at 1 + hops_at 0 + pred0_recopies walk + fp_line_reads
+      List.length upper + 1 + hops_at 1 + hops_at 0 + fp_line_reads
       + slot_line_reads + validation
     in
     check_int (where ^ ": loads") predicted (List.length reads)
@@ -1227,10 +1185,11 @@ let header_line_of fx nodes a =
 (* A header hop reads its line once: every search and every update of a
    present key reads the header line of each node it stands on or enters
    at levels 1 and 0 exactly once, at the line's first word, in walk
-   order. After the walk, pred0's line is copied again only where level 0
-   ended on an entered node's anchor, and a search reads it once more, as
-   a whole line, to validate: at most two reads of pred0's header per
-   search, and none inside a header line. An update's validation takes
+   order. After the walk, pred0's line is not copied again, even where
+   level 0 ended on an entered node's anchor (the lookup keeps the fp_ok
+   bit of the copy that gave the level's successor), and a search reads
+   it once more, as a whole line, to validate: at most two reads of
+   pred0's header per search, and none inside a header line. An update's validation takes
    the read lock and re-reads the level-0 successor as words, so its only
    reads inside a header line are pred0's lock and next[0] words. A hop or a
    validation that reads the epoch, meta, lock, hint, pointer or anchor
@@ -1242,7 +1201,7 @@ let test_header_hop_one_line_read () =
   let nodes = SL.head fx.sl :: SL.tail fx.sl :: bottom_nodes fx in
   let show l = String.concat " " (List.map (Fmt.str "%a" Riv.pp) l) in
   let pred0_of walk = last (List.assoc 0 (List.map (fun (l, n, _) -> (l, n)) walk)) in
-  let recopied = ref 0 in
+  let overshoots = ref 0 in
   for i = 0 to 199 do
     let key = 101 + (2 * (i * 29 mod 1_500)) in
     let update = i mod 2 = 1 in
@@ -1250,7 +1209,7 @@ let test_header_hop_one_line_read () =
     if i mod 4 >= 2 then Mem.poke_field fx.mem (pred0_of (traversal_walk fx key)) Node.o_hint0 key;
     let walk = traversal_walk fx key in
     let pred0 = pred0_of walk in
-    recopied := !recopied + pred0_recopies walk;
+    if level0_overshoots walk then incr overshoots;
     let reads =
       reads_of fx (fun ~tid ->
           if update then ignore (SL.upsert fx.sl ~tid key key : int option)
@@ -1258,9 +1217,7 @@ let test_header_hop_one_line_read () =
     in
     let in_headers = List.filter_map (header_line_of fx nodes) reads in
     let starts = List.filter_map (fun (n, o) -> if o = 0 then Some n else None) in_headers in
-    let after_walk =
-      List.init (pred0_recopies walk + if update then 0 else 1) (fun _ -> pred0)
-    in
+    let after_walk = if update then [] else [ pred0 ] in
     Alcotest.(check string)
       (where ^ ": header lines read")
       (show (header_lines_read fx walk @ after_walk))
@@ -1273,7 +1230,76 @@ let test_header_hop_one_line_read () =
         then Alcotest.failf "%s: a read of word %d inside the header line of %a" where o Riv.pp n)
       in_headers
   done;
-  check_bool "some walks ended level 0 on an anchor" true (!recopied > 50)
+  check_bool "some walks ended level 0 on an anchor" true (!overshoots > 50)
+
+(* Every read [body] issues as the only fiber on [fx]'s machine, in order,
+   with whether its own line missed the timing cache (a prefetched line's
+   miss is counted apart, [Pmem.counters.prefetch_misses]). *)
+let reads_with_misses fx body =
+  let c = Pmem.counters fx.pmem in
+  let demand_misses () = c.Pmem.load_misses - c.Pmem.prefetch_misses in
+  let log = ref [] in
+  let m = Pmem.machine fx.pmem in
+  let read ~tid a =
+    let before = demand_misses () in
+    let v = m.Sim.Sched.read ~tid a in
+    log := (a, demand_misses () > before) :: !log;
+    v
+  in
+  (match Sim.Sched.run ~machine:{ m with Sim.Sched.read } [ (0, body) ] with
+  | Sim.Sched.Completed _ -> ()
+  | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected simulated crash");
+  List.rev !log
+
+(* A hop prefetches the next line down on the node it enters. Each search
+   starts with every timing cache empty ([Pmem.clean_shutdown]). In a
+   search whose walk entered pred0 at level 0, the read of pred0's
+   fingerprint line hits; in one whose walk entered a node at level 2,
+   level 1's read of that node's header line hits. And a search fetches
+   exactly one line beside each node it enters at level 0, 2, 5, 8, ...,
+   and none beside those it enters at level 1 or stands on. A walk
+   without the prefetch misses both lines. *)
+let test_hop_prefetches_line_below () =
+  let fx = loaded_list ~n:1_500 in
+  let fp_hits = ref 0 and header_hits = ref 0 in
+  let rule l = l = 0 || l = 2 || (l > 2 && (l - 2) mod Config.tower_levels_per_line = 0) in
+  for i = 0 to 99 do
+    let key = 101 + (2 * (i * 13 mod 1_500)) in
+    let walk = traversal_walk fx key in
+    let where = Fmt.str "search %d" key in
+    if List.for_all (fun (_, _, on_hint) -> on_hint) walk then begin
+      let nodes_at l = List.find_map (fun (l', n, _) -> if l' = l then Some n else None) walk in
+      Pmem.clean_shutdown fx.pmem;
+      Obs.reset ();
+      let reads =
+        reads_with_misses fx (fun ~tid ->
+            Alcotest.(check (option int)) (where ^ ": found") (Some key) (SL.search fx.sl ~tid key))
+      in
+      let hit what a =
+        match List.assoc_opt a reads with
+        | Some missed -> check_bool (Fmt.str "%s: %s hits" where what) false missed
+        | None -> Alcotest.failf "%s: %s never read" where what
+      in
+      (match nodes_at 0 with
+      | Some nodes when hops nodes > 0 ->
+          hit "pred0's fingerprint line" (Mem.resolve fx.mem (last nodes) + Node.o_fp);
+          incr fp_hits
+      | _ -> ());
+      (match nodes_at 2 with
+      | Some nodes when hops nodes > 0 ->
+          hit "level 1's first header line" (Mem.resolve fx.mem (last nodes));
+          incr header_hits
+      | _ -> ());
+      let entered =
+        List.fold_left (fun acc (l, nodes, _) -> if rule l then acc + hops nodes else acc) 0 walk
+      in
+      check_int (where ^ ": lines fetched beside entered ones") entered
+        (Obs.total Obs.id_prefetch)
+    end
+  done;
+  Obs.reset ();
+  check_bool "searches that entered pred0 at level 0" true (!fp_hits > 20);
+  check_bool "searches that entered a node at level 2" true (!header_hits > 20)
 
 (* Every read a walk above level 1 makes in a tower region is one access
    to a whole line, at its first word, and no line is read twice: the
@@ -2281,6 +2307,8 @@ let () =
           case "a level ends on a hint without loading its successor" test_hint_read_order;
           case "a header hop reads its line once" test_header_hop_one_line_read;
           case "an upper hop reads its tower line once" test_upper_hop_one_line_read;
+          case "a hop prefetches the next line down on the node it enters"
+            test_hop_prefetches_line_below;
           case "a fresh node's populate reads no line" test_populate_reads_no_line;
           case "a lookup reads its fingerprint line once" test_fp_line_one_read;
           case "a found lookup reads its slot line once"

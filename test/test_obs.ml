@@ -372,7 +372,8 @@ let test_trace_determinism () =
   check_bool "different seed differs" true (not (String.equal t1 t3))
 
 (* Per-op digests must decompose the run: summed per-op counter totals
-   equal the global counters touched by the traced window. *)
+   equal the global counters touched by the traced window, and the
+   per-fiber prefetch counters add up to the memory's. *)
 let test_digest_decomposition () =
   let sys =
     { Harness.Kv.default_sys with pool_words = 1 lsl 20; max_threads = 16 }
@@ -380,6 +381,7 @@ let test_digest_decomposition () =
   let kv = Harness.Kv.make_upskiplist sys in
   Harness.Driver.preload kv ~threads:2 ~n:300;
   Obs.reset ();
+  Pmem.reset_counters kv.Harness.Kv.pmem;
   let res =
     Harness.Driver.run_workload kv ~spec:Ycsb.Workload.a ~threads:4
       ~n_initial:300 ~ops_per_thread:60 ~seed:5
@@ -398,7 +400,22 @@ let test_digest_decomposition () =
       check_int
         (Printf.sprintf "digest sum = global total (%s)" (Obs.id_name id))
         (Obs.total id) summed)
-    [ Obs.id_flush; Obs.id_fence; Obs.id_pmem_cas; Obs.id_cas ];
+    [
+      Obs.id_flush;
+      Obs.id_fence;
+      Obs.id_pmem_cas;
+      Obs.id_cas;
+      Obs.id_load_miss;
+      Obs.id_prefetch;
+      Obs.id_prefetch_miss;
+    ];
+  let c = Pmem.counters kv.Harness.Kv.pmem in
+  check_int "prefetches = the memory's" c.Pmem.prefetches (Obs.total Obs.id_prefetch);
+  check_int "prefetch misses = the memory's" c.Pmem.prefetch_misses
+    (Obs.total Obs.id_prefetch_miss);
+  check_bool "the walks prefetched" true (c.Pmem.prefetches > 0);
+  check_bool "a prefetch miss is a load miss" true
+    (c.Pmem.prefetch_misses <= c.Pmem.load_misses);
   let flushes =
     List.fold_left (fun a d -> a + d.Harness.Driver.totals.(Obs.id_flush)) 0
       digests

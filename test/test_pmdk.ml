@@ -113,6 +113,50 @@ let test_recovery_only_rolls_active () =
   run1 fx.pmem (fun ~tid:_ -> Pmdk.Tx.recover fx.tx);
   check_int "idle slot untouched" 7 (Pmem.peek fx.pmem a)
 
+(* A transaction of five adds crashed at every event, with a crash that
+   keeps the undo log's count line and drops every other dirty line. The
+   count validates the entries, but entries 3 and up sit on later lines
+   than it, where an earlier committed transaction left its own entries:
+   a count that reached the persistent image before its entry's line
+   rolls back a stale entry over a committed word. *)
+let test_tx_torn_entry_crash_grid () =
+  let n = 5 in
+  let committed fx = List.init n (word fx) and fresh fx = List.init n (fun i -> word fx (n + i)) in
+  let writes fx ~tid words base =
+    Pmdk.Tx.begin_ fx.tx ~tid;
+    List.iteri (fun i a -> Pmdk.Tx.write fx.tx ~tid a (base + i)) words;
+    Pmdk.Tx.commit fx.tx ~tid
+  in
+  let prepare () =
+    let fx = make_fx () in
+    run1 fx.pmem (fun ~tid -> writes fx ~tid (committed fx) 10);
+    fx
+  in
+  let body fx ~tid = writes fx ~tid (fresh fx) 20 in
+  let events =
+    let fx = prepare () in
+    snd (run fx.pmem [ body fx ])
+  in
+  for crash_at = 1 to events - 1 do
+    let fx = prepare () in
+    ignore (run_crash fx.pmem ~events:crash_at [ body fx ]);
+    let count_line =
+      Pmem.word_of (Pmdk.Tx.slot_addr fx.tx 0 Pmdk.Tx.s_count) / Pmem.line_words
+    in
+    Pmem.crash fx.pmem ~persist_line:(fun ~pool ~line -> pool = 0 && line = count_line);
+    Pmdk.Tx.reconnect fx.tx;
+    run1 fx.pmem (fun ~tid:_ -> Pmdk.Tx.recover fx.tx);
+    let where = Printf.sprintf "crash at event %d of %d" crash_at events in
+    Alcotest.(check (list int))
+      (where ^ ": the committed transaction")
+      (List.init n (fun i -> 10 + i))
+      (List.map (Pmem.peek fx.pmem) (committed fx));
+    let after = List.map (Pmem.peek fx.pmem) (fresh fx) in
+    if after <> List.init n (fun _ -> 0) && after <> List.init n (fun i -> 20 + i) then
+      Alcotest.failf "%s: the crashed transaction is torn: %a" where
+        Fmt.(Dump.list int) after
+  done
+
 (* ---- run-id locks --------------------------------------------------------- *)
 
 let test_lock_mutual_exclusion () =
@@ -237,6 +281,7 @@ let () =
           case "commit durable across crash" test_tx_crash_after_commit_durable;
           case "per-thread slots" test_tx_per_thread_slots;
           case "recovery only rolls active" test_recovery_only_rolls_active;
+          case "a torn undo entry never rolls back" test_tx_torn_entry_crash_grid;
         ] );
       ( "locks",
         [

@@ -689,6 +689,123 @@ let test_read_line_rejects () =
   raises "no room at the position" "Pmem.read_line: destination too short"
     (fun () -> Pmem.read_line pmem (addr0 64) dst 1)
 
+(* ---- prefetching line reads ---------------------------------------------- *)
+
+(* One line read of [a] that also fetches [b], as the only fiber, after
+   word reads of [warm] in the same run (each one event): its latency, the
+   events it took, and its counter deltas. *)
+let prefetching_read ?(warm = []) pmem a b =
+  let c = Pmem.counters pmem in
+  let line = Array.make Pmem.line_words 0 in
+  let lat = ref 0.0 and before = ref c in
+  let _, events =
+    run pmem
+      [
+        (fun ~tid:_ ->
+          List.iter (fun w -> ignore (Sim.Sched.read w : int)) warm;
+          before := Pmem.{ c with loads = c.loads };
+          let t0 = Sim.Sched.now () in
+          Pmem.read_line pmem ~prefetch:b a line 0;
+          lat := Sim.Sched.now () -. t0);
+      ]
+  in
+  let d f = f c - f !before in
+  (!lat, events - List.length warm, d)
+
+(* A prefetching read is one access and one event, costs the slower of its
+   two lines, counts the prefetched line as a load (and as a load miss, a
+   prefetch miss and, remote, a remote access when it is fetched), and
+   installs both lines: a hit then a miss, a miss then a hit, and two
+   misses on different NUMA nodes (tid 0 is on node 0, pool [p] lives on
+   node [p]). *)
+let test_prefetch_slower_line () =
+  let lat = Pmem.Latency.default in
+  let cases =
+    [
+      ("hit then miss", addr0 512, addr0 1024, true, false, lat.pmem_read_ns, 0);
+      ("miss then hit", addr0 2048, addr0 512, false, true, lat.pmem_read_ns, 0);
+      ( "two misses on two nodes",
+        addr0 4096,
+        Pmem.addr ~pool:1 ~word:8192,
+        false,
+        false,
+        lat.pmem_read_ns *. lat.remote_multiplier,
+        1 );
+    ]
+  in
+  List.iter
+    (fun (name, a, b, a_warm, b_warm, expected, remote) ->
+      let pmem = optane_pmem () in
+      let warm = (if a_warm then [ a ] else []) @ if b_warm then [ b ] else [] in
+      let ns, events, d = prefetching_read ~warm pmem a b in
+      Alcotest.(check (float 0.0)) (name ^ ": the slower line's latency") expected ns;
+      check_int (name ^ ": one event") 1 events;
+      check_int (name ^ ": one access") 1 (d (fun c -> c.Pmem.accesses));
+      check_int (name ^ ": two loads") 2 (d (fun c -> c.Pmem.loads));
+      check_int (name ^ ": one prefetch") 1 (d (fun c -> c.Pmem.prefetches));
+      let misses = Bool.to_int (not a_warm) + Bool.to_int (not b_warm) in
+      check_int (name ^ ": load misses") misses (d (fun c -> c.Pmem.load_misses));
+      check_int (name ^ ": prefetch misses") (Bool.to_int (not b_warm))
+        (d (fun c -> c.Pmem.prefetch_misses));
+      check_int (name ^ ": remote accesses") remote (d (fun c -> c.Pmem.remote_accesses));
+      (* both lines are cached now: reading each again hits *)
+      let again = Pmem.counters pmem in
+      let misses0 = again.Pmem.load_misses in
+      run1 pmem (fun ~tid:_ -> List.iter (fun w -> ignore (Sim.Sched.read w : int)) [ a; b ]);
+      check_int (name ^ ": both lines installed") misses0 again.Pmem.load_misses)
+    cases
+
+(* A prefetched miss on the node of the demand miss waits for the read
+   channel the demand miss occupies, and then occupies it in turn: the
+   access costs one service time more than a miss, and a miss that
+   another fiber on that node (tid 4) issues 0.4 ns later waits for both
+   service slots. *)
+let test_prefetch_occupies_read_channel () =
+  let lat = Pmem.Latency.default in
+  let pmem = optane_pmem () in
+  let line = Array.make Pmem.line_words 0 in
+  let first = ref 0.0 and later = ref 0.0 in
+  let timed cell f ~tid:_ =
+    let t0 = Sim.Sched.now () in
+    f ();
+    cell := Sim.Sched.now () -. t0
+  in
+  (match
+     Sim.Sched.run ~machine:(Pmem.machine pmem)
+       [
+         (0, timed first (fun () -> Pmem.read_line pmem ~prefetch:(addr0 1024) (addr0 512) line 0));
+         (4, timed later (fun () -> ignore (Sim.Sched.read (addr0 2048) : int)));
+       ]
+   with
+  | Sim.Sched.Completed _ -> ()
+  | Sim.Sched.Crashed_at _ -> Alcotest.fail "unexpected simulated crash");
+  Alcotest.(check (float 1e-9)) "queued behind the demand miss"
+    (lat.pmem_read_ns +. lat.read_service_ns) !first;
+  Alcotest.(check (float 1e-9)) "a later miss waits for both slots"
+    (lat.pmem_read_ns +. (2.0 *. lat.read_service_ns) -. 0.4) !later
+
+let test_prefetch_rejects () =
+  let pmem = fast_pmem ~n_pools:1 ~pool_words:1024 () in
+  let dst = Array.make Pmem.line_words 0 in
+  let raises name msg f =
+    match f () with
+    | exception Invalid_argument m -> Alcotest.(check string) name msg m
+    | () -> Alcotest.failf "%s: expected Invalid_argument" name
+  in
+  let read ~prefetch () = Pmem.read_line pmem ~prefetch (addr0 64) dst 0 in
+  raises "unaligned" "Pmem.read_line: unaligned prefetch" (read ~prefetch:(addr0 129));
+  raises "past the pool" "index out of bounds" (read ~prefetch:(addr0 1024));
+  raises "no such pool" "Pmem: bad pool id" (read ~prefetch:(Pmem.addr ~pool:1 ~word:0));
+  raises "no room at the position" "Pmem.read_line: destination too short" (fun () ->
+      Pmem.read_line pmem ~prefetch:(addr0 128) (addr0 64) dst 1);
+  raises "arm: unaligned" "Pmem.arm_prefetch: unaligned address" (fun () ->
+      Pmem.arm_prefetch pmem (addr0 3));
+  (* outside a run the read never reaches the machine, and no prefetch
+     stays armed for the next read *)
+  raises "outside a run" "Sched: primitive issued outside a run" (read ~prefetch:(addr0 128));
+  run1 pmem (fun ~tid:_ -> ignore (Sim.Sched.read (addr0 256) : int));
+  check_int "no prefetch left armed" 0 (Pmem.counters pmem).Pmem.prefetches
+
 (* ---- host footprint ------------------------------------------------------ *)
 
 let reachable pmem = Obj.reachable_words (Obj.repr pmem)
@@ -790,6 +907,12 @@ let () =
           case "one access, one miss or hit" test_read_line_one_access;
           case "volatile words, dirty ones included" test_read_line_volatile_words;
           case "unaligned, out of range, short destination" test_read_line_rejects;
+        ] );
+      ( "prefetching line reads",
+        [
+          case "one access at the slower line's latency" test_prefetch_slower_line;
+          case "a second miss occupies the read channel" test_prefetch_occupies_read_channel;
+          case "bad lines rejected, none left armed" test_prefetch_rejects;
         ] );
       ( "footprint",
         [

@@ -36,8 +36,8 @@ let latencies =
 
 (* One fiber: a per-tid RNG picks addresses and an op mix that exercises
    every primitive, including some that resolve without an event (now,
-   self), and line reads, whose words it writes back summed so that the
-   memory images compare them. *)
+   self), and line reads, plain and prefetching another line, whose words
+   it writes back summed so that the memory images compare them. *)
 let mixed p ~ops ~seed ~tid =
   let rng = Sim.Rng.create ((seed * 1000) + tid) in
   let sink = ref 0 in
@@ -47,7 +47,8 @@ let mixed p ~ops ~seed ~tid =
       Pmem.addr ~pool:(Sim.Rng.int rng n_pools)
         ~word:(Sim.Rng.int rng pool_words)
     in
-    match Sim.Rng.int rng 11 with
+    let line_of a = a land lnot (Pmem.line_words - 1) in
+    match Sim.Rng.int rng 12 with
     | 0 | 1 | 2 | 3 -> sink := !sink + p.read a
     | 4 | 5 -> p.write a (Sim.Rng.int rng 1000)
     | 6 ->
@@ -65,8 +66,14 @@ let mixed p ~ops ~seed ~tid =
     | 9 ->
         let t0 = p.now () in
         sink := !sink + p.self () + int_of_float t0
+    | 10 ->
+        p.read_line (line_of a) line;
+        p.write a (Array.fold_left ( + ) 0 line land 0xffff)
     | _ ->
-        p.read_line (a land lnot (Pmem.line_words - 1)) line;
+        let b =
+          Pmem.addr ~pool:(Sim.Rng.int rng n_pools) ~word:(Sim.Rng.int rng pool_words)
+        in
+        p.read_line ~prefetch:(line_of b) (line_of a) line;
         p.write a (Array.fold_left ( + ) 0 line land 0xffff)
   done
 
@@ -89,6 +96,8 @@ let counter_list pmem =
     ("fences", c.Pmem.fences);
     ("remote_accesses", c.Pmem.remote_accesses);
     ("accesses", c.Pmem.accesses);
+    ("prefetches", c.Pmem.prefetches);
+    ("prefetch_misses", c.Pmem.prefetch_misses);
   ]
 
 let snapshot pmem =
@@ -443,14 +452,14 @@ let test_inline_events_allocate_nothing () =
 
 (* The same through [Mem]'s field accessors, which reach the run through
    the memory's port: a cache-hit read, write or CAS of a field, a line
-   read into a caller's buffer and the flush of a clean line allocate
-   nothing either. *)
+   read into a caller's buffer, plain or prefetching a second line (cached
+   or missing), and the flush of a clean line allocate nothing either. *)
 let test_port_field_accessors_allocate_nothing () =
   native ();
   let pmem = mk_pmem 1 in
   let mem = Mem.create ~pmem ~chunk_words:1024 ~block_words:64 ~n_arenas:1 () in
   let obj = Mem.riv_of_root ~pool:0 ~word:Mem.app_root_start in
-  let line = Array.make Pmem.line_words 0 in
+  let line = Array.make Pmem.line_words 0 and i = ref 0 in
   let measured = ref [] in
   let measure name op =
     op ();
@@ -462,6 +471,12 @@ let test_port_field_accessors_allocate_nothing () =
     measure "read_field" (fun () -> ignore (Mem.read_field mem obj 0 : int));
     measure "write_field" (fun () -> Mem.write_field mem obj 0 2);
     measure "read_line" (fun () -> Mem.read_line mem (Mem.resolve mem obj) line 0);
+    measure "prefetching read_line" (fun () ->
+        Mem.read_line mem ~prefetch:(Mem.resolve mem obj + 8) (Mem.resolve mem obj) line 0);
+    measure "read_line prefetching a missing line" (fun () ->
+        incr i;
+        let b = Pmem.addr ~pool:(!i land 3) ~word:((!i * 4099) lsl 3 land (pool_words - 1)) in
+        Mem.read_line mem ~prefetch:b (Mem.resolve mem obj) line 0);
     measure "cas_field" (fun () ->
         ignore (Mem.cas_field mem obj 0 ~expected:2 ~desired:2 : bool));
     measure "flush_field" (fun () -> Mem.flush_field mem obj 8)
