@@ -689,7 +689,7 @@ let test_read_line_rejects () =
   raises "no room at the position" "Pmem.read_line: destination too short"
     (fun () -> Pmem.read_line pmem (addr0 64) dst 1)
 
-(* ---- prefetching line reads ---------------------------------------------- *)
+(* ---- prefetch reads ------------------------------------------------------- *)
 
 (* One line read of [a] that also fetches [b], as the only fiber, after
    word reads of [warm] in the same run (each one event): its latency, the
@@ -908,11 +908,11 @@ let () =
           case "volatile words, dirty ones included" test_read_line_volatile_words;
           case "unaligned, out of range, short destination" test_read_line_rejects;
         ] );
-      ( "prefetching line reads",
+      ( "prefetch reads",
         [
-          case "one access at the slower line's latency" test_prefetch_slower_line;
-          case "a second miss occupies the read channel" test_prefetch_occupies_read_channel;
-          case "bad lines rejected, none left armed" test_prefetch_rejects;
+          case "one access, the slower latency" test_prefetch_slower_line;
+          case "a second miss holds the channel" test_prefetch_occupies_read_channel;
+          case "bad lines rejected, none armed" test_prefetch_rejects;
         ] );
       ( "footprint",
         [
